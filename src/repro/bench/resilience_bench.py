@@ -142,7 +142,7 @@ def _run_arm(load: float, resilient: bool, duration: float,
             "retry_tokens_spent": sum(z.retry.budget.spent for z in clients),
             "retries_denied": sum(z.retry.budget.denied for z in clients),
             "breaker_trips": sum(z.breakers.trips() for z in clients),
-            "breaker_fastfails": sum(z.breaker_fastfails for z in clients),
+            "breaker_fastfails": sum(z.breakers.fastfails for z in clients),
         },
     }
 

@@ -64,7 +64,7 @@ from .metadata import (
     decode_payload,
 )
 from .paths import ancestors, parent_dir
-from .wblog import PendingOp, WriteBehindLog
+from .wblog import PendingOp, WriteBehindLog, issue
 
 
 def _map_zk_error(exc: ZKError, path: str) -> FSError:
@@ -125,14 +125,19 @@ class DUFSClient:
         self.degraded: set = set()
         self.stats = {"ops": 0, "zk_reads": 0, "zk_writes": 0,
                       "backend_ops": 0, "degraded_fails": 0}
-        # Path-resolution policy. ``enabled`` switches the client to *thin*
-        # mode: lookups go through the metadata plane's server-side
-        # ``resolve`` endpoint (one RPC per lookup at any depth). ``walk``
-        # emulates the legacy fat-client kernel-VFS per-component walk with
-        # a cold dcache — the baseline server-side resolution is measured
-        # against. Both default off: the historical lookup path replays
-        # byte-identical.
+        # Path-resolution policy, bound once: ``enabled`` is *thin* mode —
+        # lookups go through the metadata plane's server-side ``resolve``
+        # endpoint (one RPC per lookup at any depth); ``walk`` emulates
+        # the legacy fat-client kernel-VFS per-component walk with a cold
+        # dcache — the baseline server-side resolution is measured
+        # against; the default is the paper's single znode lookup.
         self.resolve = resolve or ResolveParams()
+        if self.resolve.enabled:
+            self._get_payload = self._resolve_payload
+        elif self.resolve.walk:
+            self._get_payload = self._walk_payload
+        else:
+            self._get_payload = self._znode_payload
         # Coherent metadata cache. It also owns the virtual-directory
         # dcache (paths known to be directories — the kernel dcache the
         # real prototype gets for free from VFS), which stays active even
@@ -142,18 +147,21 @@ class DUFSClient:
                                client_stats=self.stats, bus=bus,
                                endpoint=name or "dufs-client",
                                dcache_capacity=self.resolve.dcache_capacity)
-        # Write-behind metadata updates. Constructed ONLY when enabled:
-        # the log spawns a drain process at construction, and async-off
-        # deployments must replay byte-identical to pre-async builds.
+        # The write path, bound once: commit-and-wait (the paper's client)
+        # or write-behind. Op bodies call ``_commit``/``_drain`` and never
+        # ask which. The log is constructed ONLY when enabled: it spawns a
+        # drain process, and an async-off deployment must schedule no
+        # event the paper's client would not.
         self.awrite = awrite or AsyncParams()
         self.wblog: Optional[WriteBehindLog] = None
+        self._commit, self._drain = self._commit_sync, self._drain_sync
         if self.awrite.enabled:
             self.wblog = WriteBehindLog(node, self.zk, self.mdcache,
                                         params=self.awrite,
-                                        verify=self._async_verify,
-                                        on_error=self._on_async_error,
+                                        verify=self._verify_drained,
                                         bus=bus,
                                         endpoint=name or "dufs-client")
+            self._commit, self._drain = self._commit_async, self._drain_async
 
     # -- internals ------------------------------------------------------------
     def _logic(self, *costs: float) -> Generator:
@@ -180,18 +188,9 @@ class DUFSClient:
         result = yield from getattr(self.backends[backend], method)(*args)
         return result
 
-    def _get_payload(self, path: str) -> Generator:
+    def _znode_payload(self, path: str) -> Generator:
         """Znode lookup (step B of Fig. 3): payload + znode stat, served
-        from the coherent metadata cache when one is enabled. With
-        ``ResolveParams.enabled`` the lookup rides the metadata plane's
-        server-side ``resolve`` endpoint instead (one RPC at any depth);
-        with ``ResolveParams.walk`` it first pays the legacy fat-client
-        per-component VFS walk."""
-        if self.resolve.enabled:
-            result = yield from self._resolve_payload(path)
-            return result
-        if self.resolve.walk:
-            yield from self._vfs_walk(path)
+        from the coherent metadata cache when one is enabled."""
         try:
             result = yield from self.mdcache.get_payload(path)
         except NoNodeError:
@@ -219,12 +218,13 @@ class DUFSClient:
             raise FSError(ENOENT, path)
         raise FSError(ENOTDIR, path)
 
-    def _vfs_walk(self, path: str) -> Generator:
-        """Legacy fat-client resolution (``ResolveParams.walk``): emulate
-        the kernel VFS walking the path component by component, paying one
+    def _walk_payload(self, path: str) -> Generator:
+        """Legacy fat-client lookup (``ResolveParams.walk``): emulate the
+        kernel VFS walking the path component by component, paying one
         znode read for every proper ancestor missing from the (bounded)
         dcache — the per-lookup cost that grows with depth and that
-        server-side resolution collapses to zero."""
+        server-side resolution collapses to zero — then the znode lookup
+        itself."""
         for ancestor in ancestors(path):
             if self.mdcache.known_dir(ancestor):
                 continue
@@ -241,6 +241,8 @@ class DUFSClient:
             if not isinstance(decode_payload(data), DirPayload):
                 raise FSError(ENOTDIR, path)
             self.mdcache.note_dir(ancestor)
+        result = yield from self._znode_payload(path)
+        return result
 
     def _resolve_error(self, path: str) -> Generator:
         """POSIX path-walk error: a missing path is ENOTDIR when the
@@ -288,51 +290,119 @@ class DUFSClient:
             raise FSError(ENOTDIR, path)
         self.mdcache.note_dir(parent)
 
-    # -- write-behind (async metadata updates) -------------------------------
-    def _async_verify(self, op: PendingOp, exc: ZKError) -> Generator:
-        """Disambiguate a drained op's rejection under at-least-once RPC
-        semantics (the async twin of the inline checks in
-        :meth:`create`/:meth:`unlink`): True = the post-condition holds,
-        count the op as committed."""
-        if op.kind == "delete" and isinstance(exc, NoNodeError):
-            # A retried delete whose first attempt landed: target gone,
-            # which is the post-condition we wanted.
-            return self.zk.last_retries > 0
-        if op.kind == "create" and isinstance(exc, (NodeExistsError,
-                                                    ConnectionLossError)):
-            if isinstance(exc, NodeExistsError) and not self.zk.last_retries:
-                return False
-            if isinstance(op.payload, FilePayload):
-                mine = yield from self._znode_has_fid(op.path,
-                                                      op.payload.fid)
-                return mine is True
-            if isinstance(op.payload, DirPayload):
-                # An existing directory satisfies mkdir's post-condition
-                # (same rule as the sync path).
-                self.stats["zk_reads"] += 1
-                try:
-                    data, _ = yield from self.zk.get(op.path)
-                except ZKError:
-                    return False
-                return isinstance(decode_payload(data), DirPayload)
-        return False
+    def _check_new_entry(self, path: str) -> Generator:
+        """Parent check, plus the one collision provable locally: a
+        create of the same name this client still has in flight (only a
+        write-behind client ever has one)."""
+        yield from self._check_parent_dir(path)
+        if self.mdcache.overlay_pending(path) == "create":
+            raise FSError(EEXIST, path)
 
-    def _on_async_error(self, op: PendingOp, exc: ZKError) -> None:
-        """A drained op was genuinely rejected after its caller was
-        acked. The overlay rollback already happened; here the client
-        undoes the op's side effects — a rejected file create rolls back
-        the physical file it produced (fire-and-forget: the error itself
-        is reported at the next barrier, close-to-open style)."""
-        if op.kind == "create" and isinstance(op.payload, FilePayload):
-            backend, ppath = self._locate(op.payload.fid)
-            self.node.spawn(self._rollback_physical(backend, ppath),
-                            f"wb-rollback{op.seq}")
+    # -- the write path: one commit seam, one outcome rule ------------------
+    def _commit_sync(self, kind: str, path: str, payload=None,
+                     is_dir: bool = False, version: int = -1) -> Generator:
+        """Commit-and-wait: issue one namespace mutation and return once
+        the quorum committed it, or raise the POSIX error."""
+        op = PendingOp(0, kind, path,
+                       b"" if payload is None else payload.encode(),
+                       payload, is_dir)
+        try:
+            yield from issue(self.zk, op, version)
+        except ZKError as exc:
+            landed = yield from self._landed(op, exc)
+            if landed:
+                return
+            undo = self._undo(op, landed)
+            if undo is not None:
+                yield from undo
+            raise _map_zk_error(exc, path) from None
 
-    def _drain_barrier(self) -> Generator:
-        """Force synchronous commit of every acked mutation (ordering
-        barriers: directory rename, cross-shard multis)."""
-        if self.wblog is not None:
-            yield from self.wblog.barrier()
+    def _commit_async(self, kind: str, path: str, payload=None,
+                      is_dir: bool = False, version: int = -1) -> Generator:
+        """Write-behind: ack after the local append; the log drains in
+        the background and a rejection surfaces as a deferred error at
+        the next barrier (so the not-empty check of an rmdir happens at
+        commit time). ``version`` is dropped: a logged setdata is
+        last-writer-wins, the overlay serves the new value meanwhile."""
+        if kind == "create" and isinstance(payload, DirPayload) \
+                and self.mdcache.known_dir(path):
+            raise FSError(EEXIST, path)     # provable locally: fail now
+        return self.wblog.append(
+            kind, path, data=b"" if payload is None else payload.encode(),
+            payload=payload, is_dir=is_dir)
+
+    def _landed(self, op: PendingOp, exc: ZKError) -> Generator:
+        """The one at-least-once outcome rule, consulted by both write
+        paths when the service fails a mutation. RPCs are retried, so the
+        duplicate of a write whose first attempt landed answers
+        NodeExists/NoNode, and an exhausted retry loop (ConnectionLoss)
+        leaves the outcome unknown. Returns True when the op's
+        post-condition holds (count it as a success), False when it
+        provably did not land, None when nobody can tell."""
+        retried = self.zk.last_retries > 0
+        if op.kind == "delete":
+            # The target is gone, which is what a delete wanted. (Without
+            # a retry this is a genuine absence.)
+            return retried and isinstance(exc, NoNodeError)
+        if op.kind != "create":
+            return False
+        if isinstance(exc, ConnectionLossError):
+            # The verification read is paid only where a side effect
+            # hangs on the answer: a file create's physical file.
+            if not isinstance(op.payload, FilePayload):
+                return None
+        elif not (retried and isinstance(exc, NodeExistsError)):
+            return False
+        self.stats["zk_reads"] += 1
+        try:
+            data, _ = yield from self.zk.get(op.path)
+        except NoNodeError:
+            return False
+        except ZKError:
+            return None
+        found = decode_payload(data)
+        if isinstance(op.payload, FilePayload):
+            # A genuine collision carries somebody else's FID.
+            return isinstance(found, FilePayload) \
+                and found.fid == op.payload.fid
+        if isinstance(op.payload, SymlinkPayload):
+            return found == op.payload
+        # Any existing directory satisfies mkdir's post-condition.
+        return isinstance(found, DirPayload)
+
+    def _undo(self, op: PendingOp, landed) -> Optional[Generator]:
+        """Side effects to take back once an op failed: a file create
+        produced a physical file. Only when the znode is *provably*
+        absent — a dangling name->FID mapping is worse than an orphaned
+        physical file."""
+        if landed is False and op.kind == "create" \
+                and isinstance(op.payload, FilePayload):
+            return self._rollback_physical(*self._locate(op.payload.fid))
+        return None
+
+    def _verify_drained(self, op: PendingOp, exc: ZKError) -> Generator:
+        """The log's ``verify`` hook: the same rule, after the caller was
+        already acked — the rollback is fire-and-forget and the error
+        itself is reported at the next barrier, close-to-open style."""
+        landed = yield from self._landed(op, exc)
+        undo = self._undo(op, landed)
+        if undo is not None:
+            self.node.spawn(undo, f"wb-rollback{op.seq}")
+        return landed
+
+    def _drain_sync(self, *paths) -> Generator:
+        """Nothing is ever acked before it committed: no wait, no
+        deferred errors."""
+        return []
+        yield  # pragma: no cover - makes this a generator
+
+    def _drain_async(self, *paths) -> Generator:
+        """Ordering barrier: wait until every acked mutation committed,
+        then pop the deferred errors recorded for ``paths`` (``None`` =
+        every path; no path = leave them queued)."""
+        yield from self.wblog.barrier()
+        return [err for path in paths
+                for err in self.wblog.pop_errors(path)]
 
     def flush(self) -> Generator:
         """Explicit drain barrier (``fsync``/``close`` of the metadata
@@ -340,21 +410,14 @@ class DUFSClient:
         returns the deferred errors as ``(path, FSError)`` pairs —
         close-to-open semantics, the caller owns them once returned.
         Synchronous clients return immediately with no errors."""
-        if self.wblog is None:
-            return []
-        yield from self.wblog.barrier()
-        return [(op.path, _map_zk_error(exc, op.path))
-                for op, exc in self.wblog.pop_errors()]
+        errors = yield from self._drain(None)
+        return [(op.path, _map_zk_error(exc, op.path)) for op, exc in errors]
 
     def fsync(self, path: str) -> Generator:
         """Barrier + raise the first deferred error recorded for
         ``path`` (POSIX fsync surfacing a delayed-write failure).
         Errors for other paths stay queued for their own fsync/flush."""
-        path = normalize_path(path)
-        if self.wblog is None:
-            return True
-        yield from self.wblog.barrier()
-        for op, exc in self.wblog.pop_errors(path):
+        for op, exc in (yield from self._drain(normalize_path(path))):
             raise _map_zk_error(exc, op.path)
         return True
 
@@ -398,41 +461,9 @@ class DUFSClient:
         path = normalize_path(path)
         self.stats["ops"] += 1
         yield from self._logic(self.params.znode_codec_cpu)
-        yield from self._check_parent_dir(path)
-        if self.wblog is not None:
-            # Write-behind: ack after the local append. Collisions the
-            # client can prove locally (a pending create, a known
-            # directory) fail fast; a genuine remote collision surfaces
-            # as a deferred error at the next barrier.
-            if self.mdcache.overlay_pending(path) == "create" \
-                    or self.mdcache.known_dir(path):
-                raise FSError(EEXIST, path)
-            self.stats["zk_writes"] += 1
-            payload = DirPayload(mode)
-            yield from self.wblog.append("create", path,
-                                         data=payload.encode(),
-                                         payload=payload)
-            self.mdcache.note_created(path, is_dir=True)
-            return True
+        yield from self._check_new_entry(path)
         self.stats["zk_writes"] += 1
-        try:
-            yield from self.zk.create(path, DirPayload(mode).encode())
-        except NodeExistsError as exc:
-            # Retried mkdir whose first attempt landed: if the existing
-            # znode is a directory, the post-condition holds.
-            if self.zk.last_retries:
-                self.stats["zk_reads"] += 1
-                try:
-                    data, _ = yield from self.zk.get(path)
-                except ZKError:
-                    data = None
-                if data is not None and isinstance(decode_payload(data),
-                                                   DirPayload):
-                    self.mdcache.note_created(path, is_dir=True)
-                    return True
-            raise _map_zk_error(exc, path) from None
-        except ZKError as exc:
-            raise _map_zk_error(exc, path) from None
+        yield from self._commit("create", path, DirPayload(mode))
         self.mdcache.note_created(path, is_dir=True)
         return True
 
@@ -444,19 +475,7 @@ class DUFSClient:
         if not isinstance(payload, DirPayload):
             raise FSError(ENOTDIR, path)
         self.stats["zk_writes"] += 1
-        if self.wblog is not None:
-            # Write-behind: the not-empty check happens at commit time —
-            # a non-empty directory surfaces ENOTEMPTY as a deferred
-            # error at the next barrier (close-to-open reporting).
-            yield from self.wblog.append("delete", path, is_dir=True)
-        else:
-            try:
-                yield from self.zk.delete(path, is_dir=True)
-            except NoNodeError as exc:
-                if not self.zk.last_retries:  # retried rmdir already landed
-                    raise _map_zk_error(exc, path) from None
-            except ZKError as exc:
-                raise _map_zk_error(exc, path) from None
+        yield from self._commit("delete", path, is_dir=True)
         self.mdcache.note_removed(path)
         return True
 
@@ -523,73 +542,18 @@ class DUFSClient:
         yield from self._logic(self.params.fid_generate_cpu,
                                self.params.mapping_cpu,
                                self.params.znode_codec_cpu)
-        yield from self._check_parent_dir(path)
-        if self.wblog is not None \
-                and self.mdcache.overlay_pending(path) == "create":
-            raise FSError(EEXIST, path)
+        yield from self._check_new_entry(path)
         fid = self.fidgen.next()
         backend, ppath = self._locate(fid)
         yield from self._ensure_physical_dirs(backend, fid)
         self.stats["backend_ops"] += 1
         yield from self._backend_call(backend, "create", ppath, mode)
+        # The physical file exists (steps C/D); publish name->FID. A
+        # commit that provably failed rolls the physical file back.
         self.stats["zk_writes"] += 1
-        if self.wblog is not None:
-            # Write-behind: the physical file exists (steps C/D stayed
-            # synchronous); the name->FID publication is acked locally
-            # and drained in the background. A genuine remote collision
-            # rolls the physical file back via the rejection callback.
-            payload = FilePayload(fid, mode)
-            yield from self.wblog.append("create", path,
-                                         data=payload.encode(),
-                                         payload=payload)
-            self.mdcache.note_created(path)
-            return True
-        try:
-            yield from self.zk.create(path, FilePayload(fid, mode).encode())
-        except NodeExistsError as exc:
-            # A retried create whose first attempt landed raises
-            # NodeExists from the duplicate (at-least-once semantics).
-            # Distinguish it from a genuine collision by checking whether
-            # the existing znode carries *our* FID.
-            if self.zk.last_retries:
-                mine = yield from self._znode_has_fid(path, fid)
-                if mine:
-                    self.mdcache.note_created(path)
-                    return True
-            yield from self._rollback_physical(backend, ppath)
-            raise _map_zk_error(exc, path) from None
-        except ConnectionLossError as exc:
-            # Retry budget exhausted with the outcome unknown: a
-            # verification read decides whether the write landed. Only
-            # roll the physical file back when the znode is provably
-            # absent — a dangling name->FID mapping is worse than an
-            # orphaned physical file.
-            mine = yield from self._znode_has_fid(path, fid)
-            if mine:
-                self.mdcache.note_created(path)
-                return True
-            if mine is False:
-                yield from self._rollback_physical(backend, ppath)
-            raise _map_zk_error(exc, path) from None
-        except ZKError as exc:
-            # Roll the physical file back; the name was never published.
-            yield from self._rollback_physical(backend, ppath)
-            raise _map_zk_error(exc, path) from None
+        yield from self._commit("create", path, FilePayload(fid, mode))
         self.mdcache.note_created(path)
         return True
-
-    def _znode_has_fid(self, path: str, fid: int) -> Generator:
-        """Verification read: True if ``path`` is a file znode carrying
-        ``fid``, False if provably not, None if undeterminable."""
-        self.stats["zk_reads"] += 1
-        try:
-            data, _ = yield from self.zk.get(path)
-        except NoNodeError:
-            return False
-        except ZKError:
-            return None
-        payload = decode_payload(data)
-        return isinstance(payload, FilePayload) and payload.fid == fid
 
     def _rollback_physical(self, backend: int, ppath: str) -> Generator:
         try:
@@ -605,30 +569,7 @@ class DUFSClient:
         if isinstance(payload, DirPayload):
             raise FSError(EISDIR, path)
         self.stats["zk_writes"] += 1
-        if self.wblog is not None:
-            yield from self.wblog.append("delete", path, is_dir=False)
-            self.mdcache.note_removed(path)
-            if isinstance(payload, FilePayload):
-                yield from self._logic(self.params.mapping_cpu)
-                backend, ppath = self._locate(payload.fid)
-                self.stats["backend_ops"] += 1
-                try:
-                    yield from self._backend_call(backend, "unlink", ppath)
-                except FSError as exc:
-                    if exc.err != ENOENT:
-                        raise
-            return True
-        try:
-            yield from self.zk.delete(path, is_dir=False)
-        except NoNodeError as exc:
-            # A retried delete whose first attempt landed: the znode is
-            # gone, which is the post-condition we wanted. (Without
-            # retries this path is unreachable — _get_payload above
-            # already raised ENOENT.)
-            if not self.zk.last_retries:
-                raise _map_zk_error(exc, path) from None
-        except ZKError as exc:
-            raise _map_zk_error(exc, path) from None
+        yield from self._commit("delete", path)
         self.mdcache.note_removed(path)
         if isinstance(payload, FilePayload):
             yield from self._logic(self.params.mapping_cpu)
@@ -737,17 +678,7 @@ class DUFSClient:
         if isinstance(payload, DirPayload):
             new = DirPayload(mode & 0o7777, payload.uid, payload.gid)
             self.stats["zk_writes"] += 1
-            if self.wblog is not None:
-                # Async setdata is last-writer-wins (version unknowable
-                # pre-drain); the overlay serves the new mode meanwhile.
-                yield from self.wblog.append("set", path,
-                                             data=new.encode(), payload=new)
-            else:
-                try:
-                    yield from self.zk.set_data(path, new.encode(),
-                                                version=zstat.version)
-                except ZKError as exc:
-                    raise _map_zk_error(exc, path) from None
+            yield from self._commit("set", path, new, version=zstat.version)
             self.mdcache.note_changed(path)
             return True
         if isinstance(payload, SymlinkPayload):
@@ -755,17 +686,14 @@ class DUFSClient:
         backend, ppath = self._locate(payload.fid)
         self.stats["backend_ops"] += 1
         yield from self._backend_call(backend, "chmod", ppath, mode)
-        # Keep the znode's cached mode in sync (best effort).
-        new = FilePayload(payload.fid, mode & 0o7777)
+        # Keep the znode's cached mode in sync (best effort: the back-end
+        # holds the authoritative one).
         self.stats["zk_writes"] += 1
-        if self.wblog is not None:
-            yield from self.wblog.append("set", path,
-                                         data=new.encode(), payload=new)
-        else:
-            try:
-                yield from self.zk.set_data(path, new.encode())
-            except ZKError:
-                pass
+        try:
+            yield from self._commit("set", path,
+                                    FilePayload(payload.fid, mode & 0o7777))
+        except FSError:
+            pass
         self.mdcache.note_changed(path)
         return True
 
@@ -774,21 +702,9 @@ class DUFSClient:
         linkpath = normalize_path(linkpath)
         self.stats["ops"] += 1
         yield from self._logic(self.params.znode_codec_cpu)
-        yield from self._check_parent_dir(linkpath)
+        yield from self._check_new_entry(linkpath)
         self.stats["zk_writes"] += 1
-        if self.wblog is not None:
-            if self.mdcache.overlay_pending(linkpath) == "create":
-                raise FSError(EEXIST, linkpath)
-            payload = SymlinkPayload(target)
-            yield from self.wblog.append("create", linkpath,
-                                         data=payload.encode(),
-                                         payload=payload)
-        else:
-            try:
-                yield from self.zk.create(linkpath,
-                                          SymlinkPayload(target).encode())
-            except ZKError as exc:
-                raise _map_zk_error(exc, linkpath) from None
+        yield from self._commit("create", linkpath, SymlinkPayload(target))
         self.mdcache.note_created(linkpath)
         return True
 
@@ -809,7 +725,7 @@ class DUFSClient:
         # Rename is an ordering barrier: its multi must observe every
         # earlier acked mutation as committed state (and _collect_subtree
         # reads raw znodes, which the overlay cannot answer for).
-        yield from self._drain_barrier()
+        yield from self._drain()
         payload, zstat = yield from self._get_payload(src)
         if src == dst:
             return True  # POSIX: same-path rename is a no-op (post-check)

@@ -9,7 +9,7 @@ dedicated server nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, List, Optional, Sequence
 
 from ..fuse.mount import FuseMount
@@ -24,7 +24,7 @@ from ..pfs.lustre.fs import build_lustre
 from ..pfs.pvfs.fs import build_pvfs
 from ..sim.node import Cluster, Node
 from ..svc import TraceBus, instrument_client
-from ..zk.client import _UNSET, ZKClient
+from ..zk.client import ZKClient
 from ..zk.ensemble import ZKEnsemble, build_ensemble
 from .client import DUFSClient
 from .mapping import MappingFunction
@@ -118,8 +118,8 @@ def build_dufs_deployment(
     co_locate_zk: bool = True,
     mapping_strategy: str = "md5mod",
     seed: int = 0,
-    zk_request_timeout: Any = _UNSET,
-    zk_max_retries: Any = _UNSET,
+    zk_request_timeout: Optional[float] = None,
+    zk_max_retries: Optional[int] = None,
     fault: Optional[FaultToleranceParams] = None,
     bus: Optional[TraceBus] = None,
     trace: bool = False,
@@ -142,8 +142,8 @@ def build_dufs_deployment(
     Fault tolerance: each ZK client follows ``fault`` (default:
     ``params.fault`` — finite timeouts, retries with backoff, session
     re-establishment), so a lost message or crashed server can no longer
-    hang a deployment. ``zk_request_timeout`` / ``zk_max_retries`` remain
-    as explicit per-deployment overrides of that policy.
+    hang a deployment. ``zk_request_timeout`` / ``zk_max_retries``
+    override those two fields of that policy for the whole deployment.
 
     Tracing: pass ``trace=True`` (or an explicit ``bus``) to collect
     per-op queue-wait / service-time metrics from every endpoint — the ZK
@@ -207,13 +207,19 @@ def build_dufs_deployment(
     synchronous commit (``AsyncParams.async_on()`` is the preset). Off
     keeps runs byte-identical: the log is not even constructed.
     """
+    # The policy kwargs are per-deployment overrides of ``params``: fold
+    # them in once, so everything below reads ``params.X`` only.
     params = params or SimParams()
-    fault = fault or params.fault
-    cache = cache or params.cache
-    resilience = resilience or params.resilience
-    resolve = resolve or params.resolve
-    awrite = awrite or params.awrite
-    elastic = autoscale if autoscale is not None else params.elastic
+    zk_overrides = {k: v for k, v in (("request_timeout", zk_request_timeout),
+                                      ("max_retries", zk_max_retries))
+                    if v is not None}
+    params = replace(
+        params, fault=replace(fault or params.fault, **zk_overrides),
+        cache=cache or params.cache,
+        resilience=resilience or params.resilience,
+        resolve=resolve or params.resolve, awrite=awrite or params.awrite,
+        elastic=autoscale if autoscale is not None else params.elastic)
+    elastic = params.elastic
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
     if elastic.enabled and n_shards < 2:
@@ -279,9 +285,8 @@ def build_dufs_deployment(
             else:
                 prefer = ensemble.server_for(i)
             zkc = ZKClient(node, ensemble.endpoints, prefer=prefer,
-                           request_timeout=zk_request_timeout,
-                           max_retries=zk_max_retries, name=f"dufszk{i}",
-                           fault=fault, bus=bus, resilience=resilience)
+                           name=f"dufszk{i}", fault=params.fault, bus=bus,
+                           resilience=params.resilience)
             service = zkc
             retries_of = lambda z=zkc: z.last_retries  # noqa: E731
         else:
@@ -299,10 +304,8 @@ def build_dufs_deployment(
                     prefer = ens.server_for(i)
                 shard_clients.append(
                     ZKClient(node, ens.endpoints, prefer=prefer,
-                             request_timeout=zk_request_timeout,
-                             max_retries=zk_max_retries,
-                             name=f"dufszk{i}s{k}", fault=fault, bus=bus,
-                             resilience=resilience))
+                             name=f"dufszk{i}s{k}", fault=params.fault,
+                             bus=bus, resilience=params.resilience))
             zkc = shard_clients[0]
             service = ShardedMDS(shard_clients, shard_map=shard_map,
                                  name=f"mds{i}", bus=bus, registry=registry)
@@ -317,8 +320,8 @@ def build_dufs_deployment(
         # identical seeds produce identical FIDs and placements.
         dufs = DUFSClient(node, service, backend_clients, params=params.dufs,
                           mapping=mapping, client_id=0x5EED0000 + i,
-                          cache=cache, bus=bus, name=f"dufs{i}",
-                          resolve=resolve, awrite=awrite)
+                          cache=params.cache, bus=bus, name=f"dufs{i}",
+                          resolve=params.resolve, awrite=params.awrite)
         if bus is not None:
             instrument_client(dufs, TRACED_CLIENT_OPS, bus,
                               deployment="dufs", endpoint=f"dufs{i}",
@@ -336,9 +339,8 @@ def build_dufs_deployment(
         mig_node = client_nodes[0]
         mig_clients = [
             ZKClient(mig_node, ens.endpoints, prefer=ens.server_for(0),
-                     request_timeout=zk_request_timeout,
-                     max_retries=zk_max_retries, name=f"migzk{k}",
-                     fault=fault, bus=bus, resilience=resilience)
+                     name=f"migzk{k}", fault=params.fault, bus=bus,
+                     resilience=params.resilience)
             for k, ens in enumerate(ensembles)]
         migrator = Migrator(registry, mig_clients, drain=elastic.drain)
         if elastic.autoscale:

@@ -28,7 +28,7 @@ DUFS client:
   every acked op has committed or been rejected;
 - a rejected op (the quorum refused it after the caller was already
   acked) rolls its overlay entry back and surfaces through
-  :meth:`pop_errors` / the ``on_error`` callback at the next barrier —
+  :meth:`pop_errors` at the next barrier —
   close-to-open error semantics, like a delayed-write error reported at
   ``close()``.
 
@@ -70,6 +70,18 @@ class PendingOp:
         return f"<PendingOp #{self.seq} {self.kind} {self.path}>"
 
 
+def issue(service, op: PendingOp, version: int = -1) -> Generator:
+    """The one ``kind`` → metadata-service call mapping: the drain awaits
+    it per logged op, a synchronous client awaits it inline. A logged
+    setdata carries no version (the znode's committed version is
+    unknowable before the drain): last writer wins."""
+    if op.kind == "create":
+        return service.create(op.path, op.data)
+    if op.kind == "delete":
+        return service.delete(op.path, is_dir=op.is_dir)
+    return service.set_data(op.path, op.data, version=version)
+
+
 def _conflicts(a: PendingOp, b: PendingOp) -> bool:
     """Two ops conflict when one's path is the other's (or an ancestor
     of it): they must commit in program order."""
@@ -79,13 +91,14 @@ def _conflicts(a: PendingOp, b: PendingOp) -> bool:
 class WriteBehindLog:
     """Ordered per-client mutation log drained by a group-commit Batcher.
 
-    ``verify`` is an optional generator callback ``(op, exc) -> bool``
-    the owning client supplies to disambiguate at-least-once rejections
-    (a retried create/delete whose first attempt landed raises
-    NodeExists/NoNode from the duplicate); returning True counts the op
-    as committed. ``on_error`` fires once per genuine rejection, after
-    the overlay rollback — the client uses it to undo side effects
-    (e.g. the already-created physical file).
+    ``verify`` is an optional generator callback ``(op, exc)`` the
+    owning client supplies to disambiguate at-least-once rejections (a
+    retried create/delete whose first attempt landed raises
+    NodeExists/NoNode from the duplicate): a true result counts the op
+    as committed; anything else rejects it — the overlay entry is rolled
+    back and the error is reported at the next barrier. Undoing the op's
+    other side effects (e.g. the already-created physical file) is the
+    verifier's business: only it knows whether the op provably failed.
     """
 
     def __init__(
@@ -95,7 +108,6 @@ class WriteBehindLog:
         mdcache,
         params: Optional[AsyncParams] = None,
         verify: Optional[Callable[[PendingOp, ZKError], Generator]] = None,
-        on_error: Optional[Callable[[PendingOp, ZKError], None]] = None,
         bus: TraceBus = NULL_BUS,
         endpoint: str = "dufs-client",
     ):
@@ -105,7 +117,6 @@ class WriteBehindLog:
         self.mdcache = mdcache
         self.params = params or AsyncParams()
         self.verify = verify
-        self.on_error = on_error
         self.endpoint = endpoint
         self.stats = {"acked": 0, "committed": 0, "rejected": 0,
                       "stalls": 0, "max_pending": 0, "lost": 0}
@@ -242,14 +253,7 @@ class WriteBehindLog:
         ZK error out (a failed op is a deferred rejection, not a drain
         crash); a node crash interrupts it like any process."""
         try:
-            if op.kind == "create":
-                yield from self.zk.create(op.path, op.data)
-            elif op.kind == "delete":
-                yield from self.zk.delete(op.path, is_dir=op.is_dir)
-            else:
-                # Last-writer-wins: pending setdata carries no version
-                # (the znode's committed version is unknowable pre-drain).
-                yield from self.zk.set_data(op.path, op.data, version=-1)
+            yield from issue(self.zk, op)
         except Interrupt:
             # Node crash mid-issue: the op stays pending and _on_crash
             # moves it into the lost window. (The Batcher loop catches
@@ -273,8 +277,6 @@ class WriteBehindLog:
             self.stats["rejected"] += 1
             self.mdcache.overlay_reject(op.path, op.seq)
             self._errors.append((op, exc))
-            if self.on_error is not None:
-                self.on_error(op, exc)
         if self._stalled and len(self._pending) < self.params.max_pending:
             stalled, self._stalled = self._stalled, []
             for ev in stalled:

@@ -311,7 +311,7 @@ class ShardedMDS(MetadataService):
         for zkc in self.clients:
             out["hedges"] += zkc.hedges
             out["hedges_won"] += zkc.hedges_won
-            out["breaker_fastfails"] += zkc.breaker_fastfails
+            out["breaker_fastfails"] += zkc.breakers.fastfails
             out["breaker_trips"] += zkc.breakers.trips()
             out["retry_tokens_spent"] += zkc.retry.budget.spent
             out["retries_denied"] += zkc.retry.budget.denied

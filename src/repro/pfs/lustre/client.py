@@ -16,9 +16,9 @@ from typing import Dict, Generator, Set
 from ...core.paths import parent_dir
 from ...errors import EIO, ENOENT, FSError
 from ...models.params import LustreParams
-from ...resilience import BreakerBoard, RetryBudget, RetryPolicy
+from ...resilience import build_retry, retry_call
 from ...sim.node import Node
-from ...sim.rpc import RpcAgent
+from ...sim.rpc import RpcAgent, RpcTimeout
 from ...svc.queue import AdmissionReject
 from ..base import normalize_path, path_components
 
@@ -41,17 +41,14 @@ class LustreClient:
         self.locked_dirs: Set[str] = set()
         self.stats = {"lookups": 0, "revocations": 0, "ops": 0}
         # Shared resilience policy (inert at the defaults: no backoff
-        # events, unlimited retry budget, breakers off).
-        r = self.params.resilience
-        self.resilience = r
-        self.retry = RetryPolicy(
-            node.cluster.streams, f"lustre.client.{self.agent.endpoint}",
-            backoff_base=r.backoff_base, backoff_cap=r.backoff_cap,
-            budget=RetryBudget(r.retry_budget, r.retry_refill))
-        self.breakers = BreakerBoard(self.sim, r.breaker_threshold,
-                                     r.breaker_cooldown,
-                                     enabled=r.breaker_enabled)
-        self.breaker_fastfails = 0
+        # events, unlimited retry budget, breakers off). 5 attempts when a
+        # timeout is configured (timeout=None would otherwise hang
+        # forever, so it is never retried).
+        r = self.resilience = self.params.resilience
+        self.retry, self.breakers = build_retry(
+            node, f"lustre.client.{self.agent.endpoint}", r, r,
+            max_retries=(4 if self.params.client_rpc_timeout is not None
+                         else 0))
 
     # -- DLM client side ------------------------------------------------------
     def _f_lock_revoke(self, src: str, args) -> None:
@@ -102,45 +99,25 @@ class LustreClient:
 
     # -- operations (each: resolve parents from cache, then 1 intent RPC) ------
     def _call(self, method: str, args, size: int = 160) -> Generator:
-        from ...sim.rpc import RpcTimeout
-
         self.stats["ops"] += 1
         timeout = self.params.client_rpc_timeout
         r = self.resilience
-        policy = self.retry
-        # Legacy semantics: 5 attempts when a timeout is configured
-        # (timeout=None would otherwise hang forever, so never retried).
-        policy.max_retries = 4 if timeout is not None else 0
-        state = policy.begin(self.sim.now)
         kw: dict = {}
         if r.deadline_propagation and r.op_deadline > 0:
             kw["deadline"] = self.sim.now + r.op_deadline
-        while True:
-            self.mds = self.fs.mds_endpoint  # track failovers
-            if not self.breakers.allow(self.mds):
-                self.breaker_fastfails += 1
-                state.attempt += 1
-                if policy.exhausted(state, self.sim.now):
-                    raise FSError(EIO, msg=f"MDS unreachable: {method}")
-                sleep = policy.next_backoff(state)
-                if sleep > 0:
-                    yield self.sim.timeout(sleep)
-                continue
-            try:
-                result = yield from self.agent.call(self.mds, method, args,
-                                                    size=size, timeout=timeout,
-                                                    **kw)
-                self.breakers.on_success(self.mds)
-                policy.on_success()
-                return result
-            except (RpcTimeout, AdmissionReject):
-                self.breakers.on_failure(self.mds)
-                state.attempt += 1
-                if policy.exhausted(state, self.sim.now):
-                    raise FSError(EIO, msg=f"MDS unreachable: {method}")
-                sleep = policy.next_backoff(state)
-                if sleep > 0:
-                    yield self.sim.timeout(sleep)
+        return retry_call(
+            self.sim, self.retry, self.breakers,
+            self.retry.begin(self.sim.now),
+            pick=self._track_mds,
+            attempt=lambda mds: self.agent.call(mds, method, args, size=size,
+                                                timeout=timeout, **kw),
+            retry_on=(RpcTimeout, AdmissionReject),
+            gave_up=lambda mds, exc: FSError(
+                EIO, msg=f"MDS unreachable: {method}"))
+
+    def _track_mds(self) -> str:
+        self.mds = self.fs.mds_endpoint  # track failovers
+        return self.mds
 
     def mkdir(self, path: str, mode: int = 0o755) -> Generator:
         path = normalize_path(path)

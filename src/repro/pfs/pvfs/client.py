@@ -13,7 +13,7 @@ import itertools
 from typing import Generator, List, Tuple
 
 from ...errors import EEXIST, EIO, EISDIR, ENOENT, ENOTDIR, FSError
-from ...resilience import BreakerBoard, RetryBudget, RetryPolicy
+from ...resilience import build_retry, retry_call
 from ...sim.core import AllOf
 from ...sim.node import Node
 from ...sim.rpc import RpcAgent, RpcTimeout
@@ -41,17 +41,14 @@ class PVFSClient:
             node, f"{fs.name}-cli-{node.name}-{next(_client_seq)}")
         self.stats = {"ops": 0, "rpcs": 0}
         # Shared resilience policy (inert at the defaults); breakers are
-        # per server endpoint — PVFS talks to many.
-        r = fs.params.resilience
-        self.resilience = r
-        self.retry = RetryPolicy(
-            node.cluster.streams, f"pvfs.client.{self.agent.endpoint}",
-            backoff_base=r.backoff_base, backoff_cap=r.backoff_cap,
-            budget=RetryBudget(r.retry_budget, r.retry_refill))
-        self.breakers = BreakerBoard(self.sim, r.breaker_threshold,
-                                     r.breaker_cooldown,
-                                     enabled=r.breaker_enabled)
-        self.breaker_fastfails = 0
+        # per server endpoint — PVFS talks to many. ``is not None`` (not
+        # truthiness): a configured timeout of 0 must enable retries
+        # exactly like any other timeout, as in the Lustre client.
+        r = self.resilience = fs.params.resilience
+        self.retry, self.breakers = build_retry(
+            node, f"pvfs.client.{self.agent.endpoint}", r, r,
+            max_retries=(4 if fs.params.client_rpc_timeout is not None
+                         else 0))
 
     # -- plumbing ------------------------------------------------------------
     def _owner(self, handle: int) -> str:
@@ -61,44 +58,18 @@ class PVFSClient:
         self.stats["rpcs"] += 1
         timeout = self.fs.params.client_rpc_timeout
         r = self.resilience
-        policy = self.retry
-        # ``is not None`` (not truthiness): a configured timeout of 0 must
-        # enable retries exactly like any other timeout — this disagreed
-        # with the Lustre client for years.
-        policy.max_retries = 4 if timeout is not None else 0
-        state = policy.begin(self.sim.now)
         kw: dict = {}
         if r.deadline_propagation and r.op_deadline > 0:
             kw["deadline"] = self.sim.now + r.op_deadline
-        while True:
-            if not self.breakers.allow(endpoint):
-                self.breaker_fastfails += 1
-                state.attempt += 1
-                if policy.exhausted(state, self.sim.now):
-                    raise FSError(
-                        EIO, msg=f"PVFS server unreachable: {method}"
-                    ) from None
-                sleep = policy.next_backoff(state)
-                if sleep > 0:
-                    yield self.sim.timeout(sleep)
-                continue
-            try:
-                result = yield from self.agent.call(endpoint, method, args,
-                                                    size=size, timeout=timeout,
-                                                    **kw)
-                self.breakers.on_success(endpoint)
-                policy.on_success()
-                return result
-            except (RpcTimeout, AdmissionReject):
-                self.breakers.on_failure(endpoint)
-                state.attempt += 1
-                if policy.exhausted(state, self.sim.now):
-                    raise FSError(
-                        EIO, msg=f"PVFS server unreachable: {method}"
-                    ) from None
-                sleep = policy.next_backoff(state)
-                if sleep > 0:
-                    yield self.sim.timeout(sleep)
+        return retry_call(
+            self.sim, self.retry, self.breakers,
+            self.retry.begin(self.sim.now),
+            pick=lambda: endpoint,
+            attempt=lambda ep: self.agent.call(ep, method, args, size=size,
+                                               timeout=timeout, **kw),
+            retry_on=(RpcTimeout, AdmissionReject),
+            gave_up=lambda ep, exc: FSError(
+                EIO, msg=f"PVFS server unreachable: {method}"))
 
     def _pcall(self, calls: List[Tuple[str, str, object]]) -> Generator:
         """Run several server calls in parallel, return results in order."""

@@ -1,7 +1,7 @@
 """Unified request-resilience layer (``repro.resilience``).
 
-One place for the request-lifecycle machinery every client stack used to
-hand-roll: decorrelated-jitter retry backoff under a token-bucket *retry
+One place for the request-lifecycle machinery of every client stack: the
+retry loop with decorrelated-jitter backoff under a token-bucket *retry
 budget* (:mod:`.retry`), per-endpoint circuit breakers (:mod:`.breaker`),
 and hedged reads for idempotent lookups (:mod:`.hedge`). Deadline
 propagation itself lives in the simulator RPC layer
@@ -16,7 +16,8 @@ leaves a run event-for-event identical to one without the layer.
 
 from .breaker import BreakerBoard, BreakerOpenError, CircuitBreaker
 from .hedge import LatencyTracker, hedged
-from .retry import RetryBudgetExhausted, RetryBudget, RetryPolicy, RetryState
+from .retry import (RetryBudget, RetryBudgetExhausted, RetryPolicy,
+                    RetryState, build_retry, retry_call)
 
 __all__ = [
     "BreakerBoard",
@@ -28,4 +29,6 @@ __all__ = [
     "RetryBudgetExhausted",
     "RetryPolicy",
     "RetryState",
+    "build_retry",
+    "retry_call",
 ]

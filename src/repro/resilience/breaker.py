@@ -88,6 +88,7 @@ class BreakerBoard:
         self.cooldown = cooldown
         self.enabled = enabled
         self.breakers: Dict[str, CircuitBreaker] = {}
+        self.fastfails = 0        # requests refused on an open breaker
 
     def for_endpoint(self, endpoint: str) -> CircuitBreaker:
         br = self.breakers.get(endpoint)
@@ -97,9 +98,10 @@ class BreakerBoard:
         return br
 
     def allow(self, endpoint: str) -> bool:
-        if not self.enabled:
+        if not self.enabled or self.for_endpoint(endpoint).allow():
             return True
-        return self.for_endpoint(endpoint).allow()
+        self.fastfails += 1
+        return False
 
     def on_success(self, endpoint: str) -> None:
         if self.enabled:

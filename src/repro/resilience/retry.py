@@ -1,7 +1,7 @@
-"""Shared retry policy: decorrelated-jitter backoff + token-bucket budget.
+"""Shared retry machinery: one policy, one loop, one factory.
 
-Replaces the hardcoded loops that grew independently in the Lustre, PVFS,
-ZooKeeper and DUFS clients. Two pieces:
+The ZooKeeper, Lustre and PVFS clients all retry through
+:func:`retry_call` over objects built by :func:`build_retry`. The pieces:
 
 - :class:`RetryBudget` — a per-client token bucket in the style of gRPC's
   retry throttling: every retry spends a token, every success refills a
@@ -12,6 +12,10 @@ ZooKeeper and DUFS clients. Two pieces:
   optional wall-clock budget) plus the decorrelated-jitter backoff the ZK
   client has always used: ``sleep = min(cap, uniform(base, 3 * prev))``
   drawn from a named random stream so replay is deterministic.
+- :func:`retry_call` — the breaker → attempt → back-off loop itself,
+  parameterised by what differs between the stacks: how to pick the
+  endpoint, which exceptions are retryable, what to do between attempts
+  and which exception means "gave up".
 
 With ``backoff_base = 0`` and no budget the policy performs no RNG draws
 and yields no events — byte-identical to the legacy immediate-retry loops.
@@ -19,7 +23,9 @@ and yields no events — byte-identical to the legacy immediate-retry loops.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Generator, Optional, Tuple
+
+from .breaker import BreakerBoard
 
 
 class RetryBudgetExhausted(Exception):
@@ -63,21 +69,19 @@ class RetryBudget:
 class RetryState:
     """Per-operation mutable attempt state handed out by a policy."""
 
-    __slots__ = ("attempt", "prev_sleep", "deadline")
+    __slots__ = ("attempt", "prev_sleep", "deadline", "endpoint")
 
     def __init__(self, prev_sleep: float, deadline: Optional[float]):
         self.attempt = 0
         self.prev_sleep = prev_sleep
         self.deadline = deadline
+        self.endpoint = None        # where the latest attempt went
 
 
 class RetryPolicy:
-    """Retry accounting + backoff shared by the client stacks.
-
-    The loop shape stays in each client (their exception taxonomies and
-    failover moves differ); the policy centralizes the three questions
-    every loop asks — *may I retry?*, *how long do I sleep?*, *am I out
-    of time?* — with the exact legacy semantics as the default answers.
+    """Retry accounting + backoff shared by the client stacks: the three
+    questions :func:`retry_call` asks — *may I retry?*, *how long do I
+    sleep?*, *am I out of time?*
     """
 
     def __init__(
@@ -128,3 +132,66 @@ class RetryPolicy:
 
     def on_success(self) -> None:
         self.budget.on_success()
+
+
+def build_retry(node, stream_name: str, resilience, backoff,
+                max_retries: int, op_budget: float = 0.0,
+                ) -> Tuple[RetryPolicy, BreakerBoard]:
+    """One client's retry policy and breaker board from its params.
+
+    ``resilience`` (:class:`~repro.models.params.ResilienceParams`) sizes
+    the token bucket and the breakers; ``backoff`` is whichever params
+    object carries the client's ``backoff_base``/``backoff_cap`` (the
+    fault policy for ZooKeeper, ``resilience`` itself for the back-ends).
+    """
+    policy = RetryPolicy(
+        node.cluster.streams, stream_name, max_retries=max_retries,
+        backoff_base=backoff.backoff_base, backoff_cap=backoff.backoff_cap,
+        op_budget=op_budget,
+        budget=RetryBudget(resilience.retry_budget, resilience.retry_refill))
+    breakers = BreakerBoard(node.sim, resilience.breaker_threshold,
+                            resilience.breaker_cooldown,
+                            enabled=resilience.breaker_enabled)
+    return policy, breakers
+
+
+def retry_call(sim, policy: RetryPolicy, breakers: BreakerBoard,
+               state: RetryState, pick: Callable[[], str],
+               attempt: Callable[[str], Generator], retry_on,
+               gave_up: Callable[[str, Optional[BaseException]],
+                                 BaseException],
+               between: Optional[Callable[[], None]] = None) -> Generator:
+    """Drive one operation: breaker check, attempt, back-off, repeat.
+
+    ``pick()`` names the endpoint of the next attempt (asked every time
+    round, so a fail-over is followed) and ``attempt(endpoint)`` is the
+    generator that tries once. An exception in ``retry_on`` charges the
+    attempt against ``state``, as does an open breaker (no RPC, no
+    timeout burned on a known-dead endpoint); once the policy is
+    exhausted the loop raises ``gave_up(endpoint, exc)`` — ``exc`` is
+    None when the last straw was a breaker fast-fail. ``between()`` runs
+    after a charged failure, before the back-off sleep. Any other
+    exception propagates with ``state`` intact: the caller may deal with
+    it and re-enter with the same state to continue the accounting.
+    """
+    while True:
+        endpoint = state.endpoint = pick()
+        exc = None
+        if breakers.allow(endpoint):
+            try:
+                result = yield from attempt(endpoint)
+            except retry_on as failure:
+                exc = failure
+                breakers.on_failure(endpoint)
+            else:
+                breakers.on_success(endpoint)
+                policy.on_success()
+                return result
+        state.attempt += 1
+        if policy.exhausted(state, sim.now):
+            raise gave_up(endpoint, exc) from None
+        if between is not None:
+            between()
+        sleep = policy.next_backoff(state)
+        if sleep > 0:
+            yield sim.timeout(sleep)

@@ -24,8 +24,7 @@ import itertools
 from typing import Any, Callable, Generator, List, Optional, Sequence
 
 from ..models.params import FaultToleranceParams, ResilienceParams
-from ..resilience import (BreakerBoard, LatencyTracker, RetryBudget,
-                          RetryPolicy, hedged)
+from ..resilience import LatencyTracker, build_retry, hedged, retry_call
 from ..sim.node import Node
 from ..sim.rpc import RpcAgent, RpcTimeout
 from ..svc import NULL_BUS, OpTrace, TraceBus
@@ -35,7 +34,10 @@ from .protocol import ReadRequest, WatchEvent, WriteRequest
 
 _client_seq = itertools.count()
 
-_UNSET = object()
+#: A failed attempt on one of these is charged and retried after a
+#: fail-over; anything else is the operation's answer.
+_RETRYABLE = (RpcTimeout, ConnectionLossError, NotLeaderError,
+              AdmissionReject)
 
 
 class ZKClient:
@@ -46,8 +48,6 @@ class ZKClient:
         node: Node,
         servers: Sequence[str],
         prefer: Optional[str] = None,
-        request_timeout: Any = _UNSET,
-        max_retries: Any = _UNSET,
         name: Optional[str] = None,
         fault: Optional[FaultToleranceParams] = None,
         bus: Optional[TraceBus] = None,
@@ -61,15 +61,10 @@ class ZKClient:
         self.server = prefer if prefer is not None else self.servers[0]
         if self.server not in self.servers:
             raise ValueError(f"prefer {self.server!r} not in server list")
+        # The one fault policy: RPC timeout, retry bound, backoff, op
+        # budget. Its defaults (5 s timeout, retries with backoff) mean a
+        # single lost message cannot hang an operation forever.
         self.fault = fault or FaultToleranceParams()
-        # Explicit per-client values win over the fault-tolerance policy;
-        # the defaults (5 s timeout, retries with backoff) mean a single
-        # lost message can no longer hang an operation forever.
-        self.request_timeout = (self.fault.request_timeout
-                                if request_timeout is _UNSET
-                                else request_timeout)
-        self.max_retries = (self.fault.max_retries if max_retries is _UNSET
-                            else max_retries)
         self.session: Optional[int] = None
         self.last_retries = 0       # retries performed by the last request
         self.shard = 0              # metadata shard this client talks to
@@ -80,29 +75,19 @@ class ZKClient:
         self.map_epoch: Optional[int] = None
         self.bus = bus if bus is not None else NULL_BUS
         ident = name or f"zkcli{next(_client_seq)}"
-        self._backoff_stream = f"zk.client.{ident}"
         # Resilience policy: at the defaults every component below is
-        # inert (no events, no RNG draws, no fast-fails), reproducing the
-        # legacy retry loop byte-for-byte.
-        self.resilience = resilience or ResilienceParams()
-        r = self.resilience
-        self.retry = RetryPolicy(
-            node.cluster.streams, self._backoff_stream,
-            max_retries=self.max_retries,
-            backoff_base=self.fault.backoff_base,
-            backoff_cap=self.fault.backoff_cap,
-            op_budget=self.fault.op_budget,
-            budget=RetryBudget(r.retry_budget, r.retry_refill))
-        self.breakers = BreakerBoard(node.sim, r.breaker_threshold,
-                                     r.breaker_cooldown,
-                                     enabled=r.breaker_enabled)
+        # inert (no events, no RNG draws, no fast-fails).
+        r = self.resilience = resilience or ResilienceParams()
+        self.retry, self.breakers = build_retry(
+            node, f"zk.client.{ident}", r, self.fault,
+            max_retries=self.fault.max_retries,
+            op_budget=self.fault.op_budget)
         self._hedge_tracker = LatencyTracker(r.hedge_window,
                                              r.hedge_quantile,
                                              r.hedge_min_samples,
                                              r.hedge_delay)
         self.hedges = 0             # secondary reads actually issued
         self.hedges_won = 0         # ops where the hedge replied first
-        self.breaker_fastfails = 0  # attempts skipped on an open breaker
         self.agent = RpcAgent(node, ident)
         self.agent.register_fast("watch_event", self._on_watch_event)
         self._watch_callbacks: dict[str, List[Callable[[WatchEvent], None]]] = {}
@@ -143,12 +128,6 @@ class ZKClient:
         return None
 
     # -- plumbing ------------------------------------------------------------
-    def _backoff(self, prev: float) -> float:
-        """Decorrelated jitter: ``min(cap, uniform(base, 3 * prev))``."""
-        f = self.fault
-        rng = self.node.cluster.streams.stream(self._backoff_stream)
-        return min(f.backoff_cap, rng.uniform(f.backoff_base, 3.0 * prev))
-
     def _request(self, method: str, args: Any, size: int = 160,
                  trace_as: Optional[str] = None) -> Generator:
         f = self.fault
@@ -158,14 +137,7 @@ class ZKClient:
                 and isinstance(args, (ReadRequest, WriteRequest))
                 and args.map_epoch < 0):
             args = dataclasses.replace(args, map_epoch=self.map_epoch)
-        # Sync the policy with any post-construction knob changes (tests
-        # and the chaos runner tweak max_retries/fault in place).
-        policy = self.retry
-        policy.max_retries = self.max_retries
-        policy.backoff_base = f.backoff_base
-        policy.backoff_cap = f.backoff_cap
-        policy.op_budget = f.op_budget
-        state = policy.begin(t0)
+        state = self.retry.begin(t0)
         # Server-visible absolute deadline, carried on each _Request so
         # the svc kernel can shed the op once we must have given up.
         rpc_deadline = None
@@ -176,32 +148,22 @@ class ZKClient:
         ok = False
         try:
             while True:
-                server = self.server
-                if not self.breakers.allow(server):
-                    # Fast-fail: no RPC, no timeout burned on a known-dead
-                    # endpoint. Charged like any other failed attempt.
-                    self.breaker_fastfails += 1
-                    state.attempt += 1
-                    if policy.exhausted(state, self.sim.now):
-                        raise ConnectionLossError(
-                            msg=f"breaker open for {server}") from None
-                    self._fail_over()
-                    sleep = policy.next_backoff(state)
-                    if sleep > 0:
-                        yield self.sim.timeout(sleep)
-                    continue
                 try:
-                    result = yield from self._issue(server, method, args,
-                                                    size, rpc_deadline)
+                    result = yield from retry_call(
+                        self.sim, self.retry, self.breakers, state,
+                        pick=lambda: self.server,
+                        attempt=lambda server: self._issue(
+                            server, method, args, size, rpc_deadline),
+                        retry_on=_RETRYABLE, gave_up=self._gave_up,
+                        between=self._fail_over)
                     ok = True
-                    self.breakers.on_success(server)
-                    policy.on_success()
                     return result
                 except SessionExpiredError:
                     # The server no longer knows our session: re-establish
-                    # it and rebind the request, unless the caller opted
+                    # it, rebind the request and re-enter the retry loop
+                    # with the same attempt state, unless the caller opted
                     # out or this *is* session management.
-                    self.breakers.on_success(server)  # endpoint is alive
+                    self.breakers.on_success(state.endpoint)  # it is alive
                     reconnects += 1
                     if (not f.reconnect_on_expiry or reconnects > 2
                             or method in ("connect", "close_session")):
@@ -211,18 +173,6 @@ class ZKClient:
                     self._notify_watch_loss("session")
                     if isinstance(args, WriteRequest):
                         args = self._rebind_session(args)
-                except (RpcTimeout, ConnectionLossError, NotLeaderError,
-                        AdmissionReject) as exc:
-                    self.breakers.on_failure(server)
-                    state.attempt += 1
-                    if policy.exhausted(state, self.sim.now):
-                        if isinstance(exc, (RpcTimeout, AdmissionReject)):
-                            raise ConnectionLossError(msg=str(exc)) from None
-                        raise
-                    self._fail_over()
-                    sleep = policy.next_backoff(state)
-                    if sleep > 0:
-                        yield self.sim.timeout(sleep)
         finally:
             # Published last so nested connect() calls cannot clobber it;
             # callers use it to disambiguate retried non-idempotent writes.
@@ -233,37 +183,41 @@ class ZKClient:
                                     retries=self.last_retries,
                                     shard=self.shard))
 
+    @staticmethod
+    def _gave_up(server: str, exc: Optional[Exception]) -> Exception:
+        """What an exhausted retry loop raises: connection loss, unless
+        the last attempt already carried a ZooKeeper error of its own."""
+        if exc is None:
+            return ConnectionLossError(msg=f"breaker open for {server}")
+        if isinstance(exc, (RpcTimeout, AdmissionReject)):
+            return ConnectionLossError(msg=str(exc))
+        return exc
+
     def _issue(self, server: str, method: str, args: Any, size: int,
                rpc_deadline: Optional[float]) -> Generator:
         """One attempt: a plain call, or a hedged pair for reads."""
-        r = self.resilience
-        kw: dict = {}
+        kw: dict = {"size": size, "timeout": self.fault.request_timeout}
         if rpc_deadline is not None:
             kw["deadline"] = rpc_deadline
-        hedging = (r.hedge_enabled and method == "read"
-                   and len(self.servers) > 1)
-        if not hedging:
-            result = yield from self.agent.call(
-                server, method, args, size=size,
-                timeout=self.request_timeout, **kw)
-            return result
+        if (self.resilience.hedge_enabled and method == "read"
+                and len(self.servers) > 1):
+            return self._hedged_read(server, args, kw)
+        return self.agent.call(server, method, args, **kw)
+
+    def _hedged_read(self, server: str, args: Any, kw: dict) -> Generator:
         t_start = self.sim.now
         alt = self._hedge_target(server)
         if alt is None:
-            result = yield from self.agent.call(
-                server, method, args, size=size,
-                timeout=self.request_timeout, **kw)
+            result = yield from self.agent.call(server, "read", args, **kw)
             self._hedge_tracker.record(self.sim.now - t_start)
             return result
 
         def primary():
-            return self.agent.call(server, method, args, size=size,
-                                   timeout=self.request_timeout, **kw)
+            return self.agent.call(server, "read", args, **kw)
 
         def secondary():
             self.hedges += 1
-            return self.agent.call(alt, method, args, size=size,
-                                   timeout=self.request_timeout, **kw)
+            return self.agent.call(alt, "read", args, **kw)
 
         result, won = yield from hedged(self.node, primary, secondary,
                                         self._hedge_tracker.delay())

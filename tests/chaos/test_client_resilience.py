@@ -86,8 +86,8 @@ def test_zk_defaults_bound_lost_requests():
     dep = build_dufs_deployment(n_zk=1, n_backends=1, n_client_nodes=1,
                                 backend="local", seed=4)
     zkc = dep.zk_clients[0]
-    assert zkc.request_timeout == FaultToleranceParams().request_timeout
-    assert zkc.max_retries == FaultToleranceParams().max_retries
+    assert zkc.fault.request_timeout == FaultToleranceParams().request_timeout
+    assert zkc.fault.max_retries == FaultToleranceParams().max_retries
 
     dep.ensemble.servers[0].node.crash()
     with pytest.raises(ConnectionLossError):

@@ -143,6 +143,7 @@ def test_lossy_zab_links_never_lose_acknowledged_writes():
     """A dropped proposal leaves a hole in a follower's log; the follower
     must re-sync from the leader rather than apply later commits across
     the gap and silently diverge at the same commit index."""
+    from repro.models.params import FaultToleranceParams
     from repro.zk.client import ZKClient
     from repro.zk.ensemble import build_ensemble
     from repro.zk.errors import ZKError
@@ -151,8 +152,9 @@ def test_lossy_zab_links_never_lose_acknowledged_writes():
     nodes = [cluster.add_node(f"n{i}") for i in range(3)]
     ens = build_ensemble(cluster, nodes, n_servers=3)
     cnode = cluster.add_node("cl")
-    zkc = ZKClient(cnode, [s.endpoint for s in ens.servers],
-                   request_timeout=0.4, max_retries=8, name="lz")
+    zkc = ZKClient(cnode, [s.endpoint for s in ens.servers], name="lz",
+                   fault=FaultToleranceParams(request_timeout=0.4,
+                                              max_retries=8))
     cluster.network.degrade_link("*", "*", loss=0.1, duplicate=0.05)
     acked = []
 

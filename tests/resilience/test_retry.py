@@ -1,8 +1,12 @@
-"""Shared retry machinery: token-bucket budget + decorrelated jitter."""
+"""Shared retry machinery: token-bucket budget + decorrelated jitter, and
+the one retry loop (``retry_call``) every client stack drives them with."""
 
 import pytest
 
-from repro.resilience import RetryBudget, RetryPolicy
+from repro.models.params import FaultToleranceParams, ResilienceParams
+from repro.resilience import (RetryBudget, RetryPolicy, build_retry,
+                              retry_call)
+from repro.sim import Cluster
 from repro.sim.random import RandomStreams
 
 
@@ -105,3 +109,167 @@ def test_policy_success_refills_budget():
     state2 = pol.begin(1.0)
     state2.attempt += 1
     assert not pol.exhausted(state2, now=1.0)  # token restored
+
+
+# -- the retry loop -----------------------------------------------------------
+class Flaky(Exception):
+    """The fake endpoint's retryable failure."""
+
+
+class GaveUp(Exception):
+    def __init__(self, endpoint, cause):
+        super().__init__(endpoint)
+        self.endpoint, self.cause = endpoint, cause
+
+
+class Endpoint:
+    """Fails its first ``k`` attempts after ``rtt`` seconds each, then
+    answers; remembers where and when it was tried."""
+
+    def __init__(self, sim, k, rtt=0.01, error=Flaky):
+        self.sim, self.k, self.rtt, self.error = sim, k, rtt, error
+        self.tried = []
+
+    def attempt(self, endpoint):
+        self.tried.append((endpoint, self.sim.now))
+        yield self.sim.timeout(self.rtt)
+        if len(self.tried) <= self.k:
+            raise self.error(f"attempt {len(self.tried)}")
+        return f"reply from {endpoint}"
+
+
+def drive(k, fault=None, resilience=None, pick=lambda: "srv", rtt=0.01,
+          error=Flaky, between=None):
+    """One ``retry_call`` over a fresh single-node cluster; returns
+    (result or raised exception, endpoint, state, policy, breakers, sim)."""
+    cluster = Cluster(seed=5)
+    node = cluster.add_node("n")
+    fault = fault or FaultToleranceParams(backoff_base=0.0, max_retries=4)
+    policy, breakers = build_retry(node, "t.client", resilience
+                                   or ResilienceParams(), fault,
+                                   max_retries=fault.max_retries,
+                                   op_budget=fault.op_budget)
+    ep = Endpoint(cluster.sim, k, rtt, error)
+    state = policy.begin(cluster.sim.now)
+    out = []
+
+    def runner():
+        try:
+            out.append((yield from retry_call(
+                cluster.sim, policy, breakers, state, pick, ep.attempt,
+                retry_on=(Flaky,), gave_up=GaveUp, between=between)))
+        except Exception as exc:       # noqa: BLE001 - handed to the test
+            out.append(exc)
+
+    node.spawn(runner())
+    cluster.run()
+    return out[0], ep, state, policy, breakers, cluster
+
+
+def test_loop_retries_until_the_endpoint_answers():
+    result, ep, state, _, breakers, _ = drive(k=3)
+    assert result == "reply from srv"
+    assert len(ep.tried) == 4 and state.attempt == 3
+    assert state.endpoint == "srv"
+    assert breakers.fastfails == 0
+
+
+def test_loop_gives_up_with_the_callers_exception():
+    """max_retries=4 allows five attempts; the sixth failure is mapped
+    through ``gave_up`` with the endpoint and the last retryable error."""
+    result, ep, state, _, _, _ = drive(k=99)
+    assert isinstance(result, GaveUp)
+    assert result.endpoint == "srv" and isinstance(result.cause, Flaky)
+    assert str(result.cause) == "attempt 5"
+    assert len(ep.tried) == 5 and state.attempt == 5
+
+
+def test_non_retryable_error_propagates_with_the_state_intact():
+    """Anything outside ``retry_on`` is the caller's to handle; the
+    attempt count survives so the caller can re-enter the loop."""
+    result, ep, state, _, _, _ = drive(k=99, error=KeyError)
+    assert isinstance(result, KeyError)
+    assert len(ep.tried) == 1 and state.attempt == 0
+
+
+def test_between_runs_after_each_charged_failure_and_pick_is_reasked():
+    servers = ["a", "b", "c"]
+    cursor = [0]
+
+    def fail_over():
+        cursor[0] += 1
+
+    result, ep, _, _, _, _ = drive(k=2, pick=lambda: servers[cursor[0]],
+                                   between=fail_over)
+    assert result == "reply from c"
+    assert [endpoint for endpoint, _ in ep.tried] == ["a", "b", "c"]
+
+
+def test_breaker_fast_fail_is_charged_as_an_attempt():
+    """Threshold 2: two real failures open the breaker; the remaining
+    budget is burned by fast-fails that never reach the endpoint, and the
+    give-up carries no cause."""
+    resilience = ResilienceParams(breaker_enabled=True, breaker_threshold=2,
+                                  breaker_cooldown=10.0)
+    result, ep, state, _, breakers, _ = drive(k=99, resilience=resilience)
+    assert isinstance(result, GaveUp) and result.cause is None
+    assert len(ep.tried) == 2              # only these were issued
+    assert state.attempt == 5 and breakers.fastfails == 3
+    assert breakers.open_endpoints() == ["srv"]
+
+
+def test_retry_budget_exhaustion_stops_the_loop_early():
+    resilience = ResilienceParams(retry_budget=2.0, retry_refill=0.0)
+    result, ep, state, policy, _, _ = drive(k=99, resilience=resilience)
+    assert isinstance(result, GaveUp)
+    assert len(ep.tried) == 3              # two tokens bought two retries
+    assert policy.budget.spent == 2 and policy.budget.denied == 1
+
+
+def test_op_budget_deadline_stops_the_loop():
+    """0.1 s attempts against a 0.25 s per-op budget: the third failure
+    lands past the deadline although retries remain."""
+    fault = FaultToleranceParams(backoff_base=0.0, max_retries=50,
+                                 op_budget=0.25)
+    result, ep, state, _, _, cluster = drive(k=99, fault=fault, rtt=0.1)
+    assert isinstance(result, GaveUp)
+    assert len(ep.tried) == 3
+    assert cluster.sim.now == pytest.approx(0.3)
+
+
+def test_zero_backoff_loop_draws_nothing_and_never_sleeps():
+    result, ep, _, policy, _, cluster = drive(k=3)
+    assert result == "reply from srv"
+    # Back-to-back attempts: each starts the instant the last one failed.
+    assert [t for _, t in ep.tried] == pytest.approx([0.0, 0.01, 0.02, 0.03])
+    assert cluster.streams.stream("t.client").random() == \
+        RandomStreams(5).stream("t.client").random()
+
+
+def test_backoff_sleeps_between_attempts_from_the_named_stream():
+    fault = FaultToleranceParams(backoff_base=0.05, backoff_cap=0.4,
+                                 max_retries=4)
+    result, ep, _, _, _, _ = drive(k=2, fault=fault)
+    assert result == "reply from srv"
+    rng = RandomStreams(5).stream("t.client")
+    first = min(0.4, rng.uniform(0.05, 3.0 * 0.05))
+    second = min(0.4, rng.uniform(0.05, 3.0 * max(first, 0.05)))
+    starts = [t for _, t in ep.tried]
+    assert starts[1] - starts[0] == pytest.approx(0.01 + first)
+    assert starts[2] - starts[1] == pytest.approx(0.01 + second)
+
+
+def test_factory_reads_both_params_objects():
+    cluster = Cluster(seed=0)
+    node = cluster.add_node("n")
+    fault = FaultToleranceParams(backoff_base=0.03, backoff_cap=0.7)
+    resilience = ResilienceParams(retry_budget=4.0, retry_refill=0.5,
+                                  breaker_enabled=True, breaker_threshold=9,
+                                  breaker_cooldown=2.5)
+    policy, breakers = build_retry(node, "s", resilience, fault,
+                                   max_retries=3, op_budget=8.0)
+    assert (policy.max_retries, policy.backoff_base, policy.backoff_cap,
+            policy.op_budget) == (3, 0.03, 0.7, 8.0)
+    assert (policy.budget.cap, policy.budget.refill) == (4.0, 0.5)
+    assert (breakers.enabled, breakers.threshold, breakers.cooldown) == \
+        (True, 9, 2.5)

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.models.params import ZKParams
+from repro.models.params import FaultToleranceParams, ZKParams
 from repro.zk.errors import NodeExistsError, ZKError
 
 from .conftest import ZKHarness
@@ -24,7 +24,8 @@ def test_acknowledged_writes_survive_random_crashes(seed):
     h = ZKHarness(n_servers=3, n_nodes=3, seed=seed, params=params,
                   static_leader=None)
     wait_for_leader(h)
-    cli = h.client(request_timeout=1.5, max_retries=10)
+    cli = h.client(fault=FaultToleranceParams(
+        request_timeout=1.5, max_retries=10))
     rng = random.Random(seed)
     acknowledged = []
 

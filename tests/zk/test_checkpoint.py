@@ -3,7 +3,7 @@
 memory, it is periodically checkpointed on disk")."""
 
 
-from repro.models.params import ZKParams
+from repro.models.params import FaultToleranceParams, ZKParams
 
 from .conftest import ZKHarness
 
@@ -51,7 +51,8 @@ def test_auto_checkpoint_loop_truncates_periodically():
 def test_writes_survive_auto_checkpoint_plus_crash():
     params = ZKParams(checkpoint_interval=0.3)
     h = ZKHarness(n_servers=3, params=params, seed=4)
-    cli = h.client(request_timeout=2.0, max_retries=5)
+    cli = h.client(fault=FaultToleranceParams(
+        request_timeout=2.0, max_retries=5))
 
     def phase(a, b):
         def gen():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.models.params import FaultToleranceParams
 from repro.sim import Cluster
 from repro.zk import ZKClient
 from repro.zk.errors import ConnectionLossError
@@ -36,7 +37,8 @@ def test_fail_over_rotates_through_servers():
 
 
 def test_timeout_without_retries_maps_to_connection_loss(zk3):
-    cli = zk3.client(request_timeout=0.2, max_retries=0)
+    cli = zk3.client(fault=FaultToleranceParams(
+        request_timeout=0.2, max_retries=0))
     zk3.ensemble.servers[0].node.crash()  # cli prefers zk0
 
     def main():
@@ -49,7 +51,8 @@ def test_timeout_without_retries_maps_to_connection_loss(zk3):
 
 
 def test_retries_fail_over_to_live_server(zk3):
-    cli = zk3.client(prefer_index=1, request_timeout=0.3, max_retries=3)
+    cli = zk3.client(prefer_index=1, fault=FaultToleranceParams(
+        request_timeout=0.3, max_retries=3))
 
     def seed():
         yield from cli.create("/alive", b"yes")

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.models.params import ZKParams
+from repro.models.params import FaultToleranceParams, ZKParams
 from repro.sim import Cluster
 from repro.zk import build_ensemble
 from repro.zk.election import vote_order
@@ -61,7 +61,8 @@ def test_partition_during_election_resolves_after_heal():
 def test_two_crash_recover_cycles_preserve_data():
     h = elect_harness(3, seed=33)
     wait_for_leader(h)
-    cli = h.client(request_timeout=2.0, max_retries=8)
+    cli = h.client(fault=FaultToleranceParams(
+        request_timeout=2.0, max_retries=8))
 
     def write(tag):
         def gen():

@@ -6,7 +6,7 @@ metadata layer maintains consistency and availability through failures
 """
 
 
-from repro.models.params import ZKParams
+from repro.models.params import FaultToleranceParams, ZKParams
 from repro.zk.errors import ConnectionLossError
 
 from .conftest import ZKHarness
@@ -54,7 +54,8 @@ def test_election_picks_highest_zxid():
 def test_writes_work_after_election():
     h = elect_harness(3)
     wait_for_leader(h)
-    cli = h.client(prefer_index=0, request_timeout=2.0, max_retries=3)
+    cli = h.client(prefer_index=0, fault=FaultToleranceParams(
+        request_timeout=2.0, max_retries=3))
 
     def main():
         yield from cli.create("/post-election", b"ok")
@@ -67,7 +68,8 @@ def test_writes_work_after_election():
 def test_leader_crash_failover_preserves_committed_writes():
     h = elect_harness(5, seed=3)
     wait_for_leader(h)
-    cli = h.client(prefer_index=0, request_timeout=2.0, max_retries=8)
+    cli = h.client(prefer_index=0, fault=FaultToleranceParams(
+        request_timeout=2.0, max_retries=8))
 
     def phase1():
         for i in range(5):
@@ -95,7 +97,8 @@ def test_leader_crash_failover_preserves_committed_writes():
 def test_crashed_follower_recovers_and_catches_up():
     h = elect_harness(3, seed=1)
     wait_for_leader(h)
-    cli = h.client(request_timeout=2.0, max_retries=5)
+    cli = h.client(fault=FaultToleranceParams(
+        request_timeout=2.0, max_retries=5))
     victim = next(s for s in h.ensemble.servers if s.role == "following")
     victim.node.crash()
 
@@ -120,7 +123,8 @@ def test_minority_partition_cannot_commit():
     others = [s.node.name for s in h.ensemble.servers if s is not leader]
     h.cluster.network.partition([[leader.node.name,
                                   h.client_nodes[0].name], others])
-    cli = h.client(prefer_index=leader.sid, request_timeout=1.0, max_retries=0)
+    cli = h.client(prefer_index=leader.sid, fault=FaultToleranceParams(
+        request_timeout=1.0, max_retries=0))
 
     def try_write():
         try:
@@ -145,8 +149,8 @@ def test_majority_side_elects_new_leader_and_heals():
     leaders = [s for s in h.ensemble.servers
                if s.role == "leading" and s.activated and s.sid != old.sid]
     assert len(leaders) == 1
-    cli = h.client(prefer_index=leaders[0].sid, request_timeout=2.0,
-                   max_retries=5)
+    cli = h.client(prefer_index=leaders[0].sid, fault=FaultToleranceParams(
+        request_timeout=2.0, max_retries=5))
 
     def write():
         yield from cli.create("/healed", b"")
@@ -183,7 +187,8 @@ def test_full_restart_from_checkpoint():
 def test_checkpointed_leader_can_sync_fresh_follower():
     h = elect_harness(3, seed=11)
     wait_for_leader(h)
-    cli = h.client(request_timeout=2.0, max_retries=5)
+    cli = h.client(fault=FaultToleranceParams(
+        request_timeout=2.0, max_retries=5))
 
     def writes(a, b):
         for i in range(a, b):
@@ -206,7 +211,8 @@ def test_checkpointed_leader_can_sync_fresh_follower():
 
 def test_static_mode_follower_recovery():
     h = ZKHarness(n_servers=3, seed=2)
-    cli = h.client(request_timeout=2.0, max_retries=5)
+    cli = h.client(fault=FaultToleranceParams(
+        request_timeout=2.0, max_retries=5))
     victim = h.ensemble.servers[2]
     victim.node.crash()
 

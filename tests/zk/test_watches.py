@@ -1,6 +1,6 @@
 """Watch semantics: one-shot notifications on data/child/existence changes."""
 
-from repro.models.params import ZKParams
+from repro.models.params import FaultToleranceParams, ZKParams
 
 from .conftest import ZKHarness
 
@@ -148,7 +148,8 @@ def test_server_crash_drops_watches_and_notifies_loss():
     re-registered at the live server works. This is the contract the
     client metadata cache's flush-on-failover relies on."""
     h = ZKHarness(n_servers=3, extra_client_nodes=1)
-    cli = h.client(prefer_index=1, request_timeout=0.3, max_retries=5)
+    cli = h.client(prefer_index=1, fault=FaultToleranceParams(
+        request_timeout=0.3, max_retries=5))
     losses, ev1, ev2 = [], [], []
     cli.watch_loss_listeners.append(losses.append)
 
