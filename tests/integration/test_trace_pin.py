@@ -11,7 +11,11 @@ op changes it.
 
 import hashlib
 
+import pytest
+
 from repro.core.fs import build_dufs_deployment
+from repro.errors import FSError
+from repro.models.params import AsyncParams, CacheParams, ResolveParams
 from repro.svc import TraceBus
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
@@ -42,3 +46,104 @@ def _trace_digest() -> str:
 
 def test_figure_workload_trace_matches_pre_overhaul_kernel():
     assert _trace_digest() == GOLDEN_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Per-arm pins: the feature arms' whole RPC stream, recorded at the commit
+# before the DUFS read side became one lookup chain. A refactor of the
+# lookup path must reproduce every digest bit-for-bit.
+# ---------------------------------------------------------------------------
+
+ARMS = {
+    "default": dict(),
+    "cache": dict(cache=CacheParams.caching_on()),
+    "thin": dict(resolve=ResolveParams.resolve_on()),
+    "cache+thin+neg": dict(cache=CacheParams.caching_on(negative_ttl=10.0),
+                           resolve=ResolveParams.resolve_on()),
+    "async+cache": dict(awrite=AsyncParams.async_on(),
+                        cache=CacheParams.caching_on()),
+    "2shards+cache": dict(n_zk=4, n_shards=2,
+                          cache=CacheParams.caching_on()),
+}
+
+ARM_GOLDENS = {
+    "2shards+cache": ("a7ceb67d7eeaa736b334e4d6fcddbded"
+                      "7aa8786d6f3e8359129a52ca9e80c88e"),
+    "async+cache": ("5a7f3fe34b5dc270df9425bd3cad5eb3"
+                    "54927617ca0be5cf003bcb4acbc6f4c7"),
+    "cache": ("5e873a37faf4c6e9000064c359fb21c2"
+              "7f9cc3f459e7b63478c1b7f8dd29d84b"),
+    "cache+thin+neg": ("64dbe2aa3ab19fb2473a2bdb92f6762c"
+                       "78f4dd57016c385a5cc6e9d3575390a6"),
+    "default": ("f64b760283c0332a648f2b19dec618eb"
+                "7634abf993742417d0bcf5729594a2ef"),
+    "thin": ("213278ccba533272a03ea67213d94c26"
+             "3d9ffaedbba1d7a5f2ffce85cba9e416"),
+}
+
+
+def _arm_digest(**arm) -> str:
+    """All six mdtest phases through the client library (so the async arm
+    has its ``flush`` barrier), then a read-side tail on the *other*
+    client: ``readdir`` of a populated directory, repeated and concurrent
+    same-path stats, and stats of missing paths under a directory, under
+    a missing chain and under a file."""
+    bus = TraceBus(keep_events=True)
+    kwargs = dict(n_zk=3, n_backends=2, n_client_nodes=2, backend="local",
+                  seed=0, bus=bus)
+    kwargs.update(arm)
+    dep = build_dufs_deployment(**kwargs)
+    sim = dep.cluster.sim
+    cfg = MdtestConfig(n_procs=4, items_per_proc=10, drain=True)
+    run_mdtest(dep.cluster, lambda i: dep.clients[i % 2], dep.node_for, cfg)
+    writer, reader = dep.clients
+    outcomes = []
+
+    def build():
+        yield from writer.mkdir("/pin")
+        yield from writer.mkdir("/pin/sub")
+        for i in range(4):
+            yield from writer.create(f"/pin/f{i}")
+        yield from writer.symlink("/pin/f0", "/pin/ln")
+        outcomes.append((yield from writer.flush()))
+
+    def attempt(op, path):
+        try:
+            value = yield from op(path)
+        except FSError as exc:
+            outcomes.append((path, exc.err))
+        else:
+            if isinstance(value, list):
+                value = sorted((e.name, e.is_dir) for e in value)
+            else:
+                value = value.st_mode
+            outcomes.append((path, value))
+
+    def tail():
+        yield from attempt(reader.readdir, "/pin")
+        for path in ("/pin/f0", "/pin/sub", "/pin/f0",
+                     "/pin/missing", "/pin/missing",
+                     "/pin/nodir/deep/x", "/pin/nodir/deep", "/pin/nodir",
+                     "/pin/f1/below-a-file", "/pin/f1/below-a-file",
+                     "/pin/ln/below-a-symlink"):
+            yield from attempt(reader.stat, path)
+        twins = [dep.client_nodes[1].spawn(attempt(reader.stat, "/pin/f3"))
+                 for _ in range(3)]
+        for proc in twins:
+            yield proc
+
+    sim.run(until=dep.client_nodes[0].spawn(build()))
+    sim.run(until=sim.now + 0.1)
+    sim.run(until=dep.client_nodes[1].spawn(tail()))
+    h = hashlib.sha256()
+    for ev in bus.events:
+        h.update(repr((ev.deployment, ev.endpoint, ev.method, ev.arrive,
+                       ev.start, ev.end, ev.ok, ev.src, ev.retries,
+                       ev.shard)).encode())
+    h.update(repr(outcomes).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("arm", sorted(ARMS))
+def test_feature_arm_trace_matches_pre_chain_client(arm):
+    assert _arm_digest(**ARMS[arm]) == ARM_GOLDENS[arm]
