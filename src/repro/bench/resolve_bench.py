@@ -4,10 +4,10 @@ Runs the DL-training workload family (:mod:`repro.workloads.dltrain`)
 twice on identically-seeded deployments:
 
 - **off** — the legacy *fat client* with an explicit kernel-VFS
-  cold-dcache walk (``ResolveParams(walk=True)`` with a bounded client
-  dcache): every lookup pays one znode read per ancestor missing from
-  the dcache, so cost grows with path depth and the dcache churns on
-  namespaces bigger than its bound;
+  cold-dcache walk (:class:`ColdDcacheWalk`, a baseline that exists only
+  in this bench): every lookup pays one znode read per ancestor missing
+  from a small LRU dcache, so cost grows with path depth and the dcache
+  churns on namespaces bigger than its bound;
 - **on** — the *thin client* (``ResolveParams.resolve_on()``): every
   lookup is one ``resolve`` RPC at any depth, answered out of the
   server-side dentry cache.
@@ -33,9 +33,11 @@ tracks the trajectory and fails on regression.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from typing import Dict, Generator, List
 
 from ..core.fs import build_dufs_deployment
+from ..core.paths import ancestors
 from ..models.params import ResolveParams, SimParams
 from ..workloads.dltrain import DLTrainSpec, epoch_order
 from ..workloads.driver import run_phase
@@ -63,8 +65,34 @@ WALK_DCACHE = 64
 DEEP_STAT_FLOOR = 3.0
 
 
-def _run_side(resolve: ResolveParams, scale: str, seed: int) -> Dict:
-    """One full run (scaffold + three measured phases) at one policy.
+class ColdDcacheWalk:
+    """The walk arm: a default (fat) DUFS client behind an emulated
+    kernel VFS that walks the path component by component, paying one
+    znode read for every proper ancestor missing from a bounded LRU
+    dcache before handing the lookup to the client — the per-lookup cost
+    that grows with depth and that server-side resolution removes."""
+
+    def __init__(self, client, capacity: int = WALK_DCACHE):
+        self.client = client
+        self.capacity = capacity
+        self.dcache: "OrderedDict[str, None]" = OrderedDict()
+
+    def stat(self, path: str) -> Generator:
+        for ancestor in ancestors(path):
+            if ancestor in self.dcache:
+                self.dcache.move_to_end(ancestor)
+                continue
+            self.client.stats["zk_reads"] += 1
+            yield from self.client.zk.get(ancestor)
+            self.dcache[ancestor] = None
+            if len(self.dcache) > self.capacity:
+                self.dcache.popitem(last=False)
+        return (yield from self.client.stat(path))
+
+
+def _run_side(thin: bool, scale: str, seed: int) -> Dict:
+    """One full run (scaffold + three measured phases) of one arm: thin
+    clients, or default clients each behind a :class:`ColdDcacheWalk`.
 
     Like the cache ablation, measured phases drive the DUFS client
     library directly: the FUSE crossing is a constant paid identically
@@ -74,11 +102,12 @@ def _run_side(resolve: ResolveParams, scale: str, seed: int) -> Dict:
     dep = build_dufs_deployment(n_zk=n_zk, n_backends=2,
                                 n_client_nodes=n_clients, backend="local",
                                 params=SimParams(), seed=seed,
-                                resolve=resolve)
+                                resolve=ResolveParams(enabled=thin))
     sim = dep.cluster.sim
     samples = spec.sample_files()
     chains = spec.chain_files()
     nodes = [dep.node_for(i) for i in range(n_clients)]
+    readers = [c if thin else ColdDcacheWalk(c) for c in dep.clients]
 
     # ---- scaffold (not measured) ------------------------------------
     def scaffold() -> Generator:
@@ -96,7 +125,7 @@ def _run_side(resolve: ResolveParams, scale: str, seed: int) -> Dict:
 
     # ---- flat_stat: one pass over the flat shard dirs ----------------
     def flat_worker(p: int) -> Generator:
-        c = dep.clients[p % len(dep.clients)]
+        c = readers[p % len(readers)]
         for path in samples:
             yield from c.stat(path)
 
@@ -108,7 +137,7 @@ def _run_side(resolve: ResolveParams, scale: str, seed: int) -> Dict:
     # Per-worker named streams: both arms build their cluster from the
     # same seed, so off and on replay identical shuffled orders.
     def epoch_worker(p: int) -> Generator:
-        c = dep.clients[p % len(dep.clients)]
+        c = readers[p % len(readers)]
         rng = dep.cluster.streams.stream(f"dltrain.epoch.{p}")
         for _ in range(spec.epochs):
             for path in epoch_order(spec, rng):
@@ -122,7 +151,7 @@ def _run_side(resolve: ResolveParams, scale: str, seed: int) -> Dict:
 
     # ---- deep_stat: checkpoint files at path depth 8 -----------------
     def deep_worker(p: int) -> Generator:
-        c = dep.clients[p % len(dep.clients)]
+        c = readers[p % len(readers)]
         for _ in range(spec.epochs):
             for path in chains:
                 yield from c.stat(path)
@@ -153,9 +182,8 @@ def _run_side(resolve: ResolveParams, scale: str, seed: int) -> Dict:
 
 def run_resolve_ablation(scale: str = "quick", seed: int = 0) -> Dict:
     """Run the ablation; returns a JSON-ready result document."""
-    off = _run_side(ResolveParams(walk=True, dcache_capacity=WALK_DCACHE),
-                    scale, seed)
-    on = _run_side(ResolveParams.resolve_on(), scale, seed)
+    off = _run_side(False, scale, seed)
+    on = _run_side(True, scale, seed)
     return {
         "benchmark": "resolve_ablation",
         "scale": scale,

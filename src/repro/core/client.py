@@ -56,14 +56,14 @@ from ..zk.errors import (
 )
 from .fid import FIDGenerator
 from .mapping import MappingFunction, physical_dirs, physical_path
-from .mdcache import MDCache
+from .mdcache import CoherentMDCache, MDCache, ResolveMiss
 from .metadata import (
     DirPayload,
     FilePayload,
     SymlinkPayload,
     decode_payload,
 )
-from .paths import ancestors, parent_dir
+from .paths import parent_dir
 from .wblog import PendingOp, WriteBehindLog, issue
 
 
@@ -125,28 +125,17 @@ class DUFSClient:
         self.degraded: set = set()
         self.stats = {"ops": 0, "zk_reads": 0, "zk_writes": 0,
                       "backend_ops": 0, "degraded_fails": 0}
-        # Path-resolution policy, bound once: ``enabled`` is *thin* mode —
-        # lookups go through the metadata plane's server-side ``resolve``
-        # endpoint (one RPC per lookup at any depth); ``walk`` emulates
-        # the legacy fat-client kernel-VFS per-component walk with a cold
-        # dcache — the baseline server-side resolution is measured
-        # against; the default is the paper's single znode lookup.
-        self.resolve = resolve or ResolveParams()
-        if self.resolve.enabled:
-            self._get_payload = self._resolve_payload
-        elif self.resolve.walk:
-            self._get_payload = self._walk_payload
-        else:
-            self._get_payload = self._znode_payload
-        # Coherent metadata cache. It also owns the virtual-directory
-        # dcache (paths known to be directories — the kernel dcache the
-        # real prototype gets for free from VFS), which stays active even
-        # with caching disabled; with the default CacheParams every lookup
-        # still goes straight to ZooKeeper.
-        self.mdcache = MDCache(node, self.zk, params=cache,
-                               client_stats=self.stats, bus=bus,
-                               endpoint=name or "dufs-client",
-                               dcache_capacity=self.resolve.dcache_capacity)
+        # The read side, assembled once: pending-write overlay → coherent
+        # cache (the stage exists only when enabled) → source, the paper's
+        # single znode ``get`` or, for a *thin* client, the metadata
+        # plane's server-side ``resolve`` (one RPC at any depth). The
+        # chain also owns the virtual-directory dcache — the kernel dcache
+        # the real prototype gets for free from VFS.
+        cache = cache or CacheParams()
+        chain = CoherentMDCache if cache.enabled else MDCache
+        self.mdcache = chain(node, self.zk, cache, self.stats, bus=bus,
+                             endpoint=name or "dufs-client",
+                             thin=(resolve or ResolveParams()).enabled)
         # The write path, bound once: commit-and-wait (the paper's client)
         # or write-behind. Op bodies call ``_commit``/``_drain`` and never
         # ask which. The log is constructed ONLY when enabled: it spawns a
@@ -188,113 +177,74 @@ class DUFSClient:
         result = yield from getattr(self.backends[backend], method)(*args)
         return result
 
-    def _znode_payload(self, path: str) -> Generator:
-        """Znode lookup (step B of Fig. 3): payload + znode stat, served
-        from the coherent metadata cache when one is enabled."""
+    def _get_payload(self, path: str) -> Generator:
+        """Lookup (step B of Fig. 3): payload + znode stat through the
+        chain. A miss is ENOTDIR when the nearest existing ancestor is
+        not a directory, else ENOENT: the thin source's reply names that
+        ancestor, so the classification costs no extra round trip; the
+        paper's source cannot, so the parent walk finds it."""
         try:
-            result = yield from self.mdcache.get_payload(path)
+            return (yield from self.mdcache.get_payload(path))
+        except ResolveMiss as miss:
+            raise FSError(ENOTDIR if miss.not_dir else ENOENT, path) from None
         except NoNodeError:
             raise (yield from self._resolve_error(path)) from None
         except ZKError as exc:
             raise _map_zk_error(exc, path) from None
-        return result
-
-    def _resolve_payload(self, path: str) -> Generator:
-        """Thin-client lookup: one ``resolve`` RPC per cache miss,
-        regardless of path depth. The server reports a miss with the
-        nearest existing ancestor, so the POSIX classification (ENOENT
-        under a directory, ENOTDIR under anything else) costs no extra
-        round trips."""
-        try:
-            status = yield from self.mdcache.resolve_payload(path)
-        except ZKError as exc:
-            raise _map_zk_error(exc, path) from None
-        if status[0] == "ok":
-            return status[1], status[2]
-        _, ancestor, anc_payload = status
-        if anc_payload is None or isinstance(anc_payload, DirPayload):
-            if ancestor is not None and ancestor != "/":
-                self.mdcache.note_dir(ancestor)
-            raise FSError(ENOENT, path)
-        raise FSError(ENOTDIR, path)
-
-    def _walk_payload(self, path: str) -> Generator:
-        """Legacy fat-client lookup (``ResolveParams.walk``): emulate the
-        kernel VFS walking the path component by component, paying one
-        znode read for every proper ancestor missing from the (bounded)
-        dcache — the per-lookup cost that grows with depth and that
-        server-side resolution collapses to zero — then the znode lookup
-        itself."""
-        for ancestor in ancestors(path):
-            if self.mdcache.known_dir(ancestor):
-                continue
-            if self.mdcache.known_missing(ancestor):
-                raise FSError(ENOENT, path)
-            self.stats["zk_reads"] += 1
-            try:
-                data, _ = yield from self.zk.get(ancestor)
-            except NoNodeError:
-                self.mdcache.note_missing(ancestor)
-                raise FSError(ENOENT, path) from None
-            except ZKError as exc:
-                raise _map_zk_error(exc, ancestor) from None
-            if not isinstance(decode_payload(data), DirPayload):
-                raise FSError(ENOTDIR, path)
-            self.mdcache.note_dir(ancestor)
-        result = yield from self._znode_payload(path)
-        return result
 
     def _resolve_error(self, path: str) -> Generator:
-        """POSIX path-walk error: a missing path is ENOTDIR when the
-        nearest existing ancestor is not a directory, else ENOENT. (The
-        kernel performs this walk before FUSE; we pay the znode reads only
-        on error paths.) Components the walk proves absent are recorded
-        as negative cache entries, so repeated failing lookups under the
-        same missing directory skip the re-probing."""
+        """POSIX path-walk error for the paper's source: a missing path is
+        ENOTDIR when the nearest existing ancestor is not a directory,
+        else ENOENT. (The kernel performs this walk before FUSE; we pay
+        the znode reads only on error paths.) Components the walk proves
+        absent are handed to the chain, so repeated failing lookups under
+        the same missing directory skip the re-probing — a remembered
+        absence is only ever a missing *directory* chain, hence ENOENT."""
         parent = parent_dir(path)
-        while parent != "/":
-            if self.mdcache.known_dir(parent):
-                return FSError(ENOENT, path)
-            if self.mdcache.known_missing(parent):
-                # Proven absent by an earlier walk; a negative is only
-                # ever recorded for a missing *directory* chain — ENOENT.
-                return FSError(ENOENT, path)
+        while parent != "/" and not (self.mdcache.known_dir(parent)
+                                     or self.mdcache.known_missing(parent)):
             self.stats["zk_reads"] += 1
             try:
                 data, _ = yield from self.zk.get(parent)
-            except NoNodeError:
-                self.mdcache.note_missing(parent)
+            except ZKError as exc:
+                if isinstance(exc, NoNodeError):
+                    self.mdcache.note_missing(parent)
                 parent = parent_dir(parent)
                 continue
-            except ZKError:
-                parent = parent_dir(parent)
-                continue
-            if isinstance(decode_payload(data), DirPayload):
-                self.mdcache.note_dir(parent)
-                return FSError(ENOENT, path)
-            return FSError(ENOTDIR, path)
+            if not isinstance(decode_payload(data), DirPayload):
+                return FSError(ENOTDIR, path)
+            self.mdcache.note_dir(parent)
+            break
         return FSError(ENOENT, path)
 
-    def _check_parent_dir(self, path: str) -> Generator:
-        """POSIX: the parent of a new entry must exist and be a directory.
+    def _require_dir(self, path: str, blame: str) -> Generator:
+        """``path`` must exist and be a directory, else the op on
+        ``blame`` fails (ENOTDIR for a non-directory).
 
         The kernel resolves this from its dcache before FUSE ever sees the
         call; we emulate that with a per-mount cache of known directories,
-        falling back to one znode read on a cold path.
+        falling back to one lookup on a cold path.
         """
-        parent = parent_dir(path)
-        if parent == "/" or self.mdcache.known_dir(parent):
+        if path == "/" or self.mdcache.known_dir(path):
             return
-        payload, _ = yield from self._get_payload(parent)
+        payload, _ = yield from self._get_payload(path)
         if not isinstance(payload, DirPayload):
-            raise FSError(ENOTDIR, path)
-        self.mdcache.note_dir(parent)
+            raise FSError(ENOTDIR, blame)
+        self.mdcache.note_dir(path)
+
+    def _lookup(self, path: str) -> Generator:
+        """The payload at ``path``, or None when nothing is there."""
+        try:
+            return (yield from self._get_payload(path))[0]
+        except FSError as exc:
+            if exc.err != ENOENT:
+                raise
 
     def _check_new_entry(self, path: str) -> Generator:
         """Parent check, plus the one collision provable locally: a
         create of the same name this client still has in flight (only a
         write-behind client ever has one)."""
-        yield from self._check_parent_dir(path)
+        yield from self._require_dir(parent_dir(path), path)
         if self.mdcache.overlay_pending(path) == "create":
             raise FSError(EEXIST, path)
 
@@ -487,6 +437,10 @@ class DUFSClient:
             names = yield from self.mdcache.get_children(path)
         except ZKError as exc:
             raise _map_zk_error(exc, path) from None
+        if not names:
+            # The kernel's opendir type check. Any znode lists; only an
+            # empty listing can belong to a file or symlink.
+            yield from self._require_dir(path, path)
         # readdir-plus: fetch child types in parallel (FUSE fill_dir).
         prefix = path if path != "/" else ""
         procs = [self.node.spawn(self._get_payload(f"{prefix}/{n}"))
@@ -729,16 +683,11 @@ class DUFSClient:
         payload, zstat = yield from self._get_payload(src)
         if src == dst:
             return True  # POSIX: same-path rename is a no-op (post-check)
-        yield from self._check_parent_dir(dst)
+        yield from self._require_dir(parent_dir(dst), dst)
         if isinstance(payload, DirPayload):
             result = yield from self._rename_dir(src, dst)
             return result
-        dst_payload = None
-        try:
-            dst_payload, _ = yield from self._get_payload(dst)
-        except FSError as exc:
-            if exc.err != ENOENT:
-                raise
+        dst_payload = yield from self._lookup(dst)
         if isinstance(dst_payload, DirPayload):
             raise FSError(EISDIR, dst)
         ops = []
@@ -772,12 +721,7 @@ class DUFSClient:
             from ..errors import EINVAL
             raise FSError(EINVAL, dst, "rename into own subtree")
         subtree = yield from self._collect_subtree(src)
-        dst_payload = None
-        try:
-            dst_payload, _ = yield from self._get_payload(dst)
-        except FSError as exc:
-            if exc.err != ENOENT:
-                raise
+        dst_payload = yield from self._lookup(dst)
         ops = []
         if dst_payload is not None:
             if not isinstance(dst_payload, DirPayload):

@@ -153,12 +153,12 @@ def build_dufs_deployment(
     simulator events, so traced and untraced runs are event-for-event
     identical.
 
-    Caching: ``cache`` (default: ``params.cache``, disabled) enables the
-    per-client coherent metadata cache
-    (:class:`~repro.core.mdcache.MDCache`) — positive/negative/readdir
-    entries invalidated by ZooKeeper watches, with read coalescing. The
-    default policy is off, which keeps the RPC stream byte-identical to a
-    deployment without the cache layer.
+    Caching: ``cache`` (default: ``params.cache``, disabled) adds the
+    cache stage to every client's lookup chain
+    (:class:`~repro.core.mdcache.CoherentMDCache`) — positive/negative/
+    readdir entries invalidated by ZooKeeper watches, with read
+    coalescing. The default policy is off: the stage is not constructed
+    and the RPC stream is byte-identical to the paper's client.
 
     Resilience: ``resilience`` (default: ``params.resilience``, all off)
     configures the request-lifecycle layer on every ZK client — deadline
@@ -182,9 +182,8 @@ def build_dufs_deployment(
     switches the clients to *thin* mode — lookups go through the metadata
     plane's server-side ``resolve`` endpoint, one RPC per lookup at any
     path depth (:class:`~repro.models.params.ResolveParams`;
-    ``ResolveParams.resolve_on()`` is the preset). ``walk`` instead
-    emulates the legacy fat-client per-component VFS walk the thin mode
-    is benchmarked against. Off keeps runs byte-identical.
+    ``ResolveParams.resolve_on()`` is the preset). Off keeps runs
+    byte-identical.
 
     Elastic scaling: ``autoscale`` (default: ``params.elastic``, off)
     turns the static shard map into an epoch-versioned one behind a

@@ -1,53 +1,39 @@
-"""Coherent per-client metadata cache for the DUFS client.
+"""The DUFS client's read side: one lookup chain, assembled once.
 
-Every DUFS metadata op pays at least one ZooKeeper round trip even when
-the client just resolved the same path: ``stat``, ``readdir``, ``access``
-and the parent-directory checks in ``create``/``mkdir`` all re-read
-znodes. The paper's read path scales by serving reads from the local ZK
-server (Fig. 7/8); this layer adds the next step — FalconFS/λFS-style
-client-side caching of resolved metadata, kept coherent with one-shot
-ZooKeeper watches:
+Every lookup — ``stat``, ``readdir``, ``access``, the parent checks of
+``create``/``mkdir`` — is the paper's "step B of Fig. 3" (path → znode →
+FID) and runs the same three stages in the same order:
 
-- **positive entries** — path -> (decoded payload, znode stat), filled on
-  every successful lookup, invalidated by the data watch registered with
-  the read that filled them;
-- **negative entries** — paths known to be absent, TTL-bounded (negatives
-  carry no watch, so they default to off);
-- **readdir listings** — path -> child names, invalidated by the child
-  watch registered with the ``get_children`` that filled them. The
-  readdir-plus child lookups populate positive entries, so a
-  stat-after-readdir sweep (``ls -l``) is served entirely from cache;
-- **read coalescing** — concurrent same-path lookups on one client share
-  a single in-flight ZK RPC via a waiter event keyed by path;
-- **watch-loss flush** — cached state is dropped when the ZK client
-  re-establishes its session or fails over to another server (either way
-  the watch registrations that guarantee coherence may be gone). Behind a
-  sharded metadata service the flush is *per shard*: only the namespace
-  slice whose watches lived on the affected ensemble is dropped, so one
-  shard's fail-over no longer costs every client its whole cache;
-- **pending-write overlay** — with write-behind metadata updates
-  (:mod:`repro.core.wblog`) every acked-but-uncommitted mutation layers a
-  pending entry *over* the positive/negative/readdir tables: lookups of a
-  pending create are answered locally (read-your-writes), lookups of a
-  pending delete raise ENOENT, and listings are adjusted by the pending
-  children of the directory. The overlay is owned by the client's write
-  path, not the coherence machinery: watch invalidations, shard flushes
-  and map changes never touch it (a remote event cannot invalidate this
-  client's own uncommitted writes), and it is active regardless of
-  ``CacheParams.enabled``. Entries are reconciled as the write-behind
-  drain commits (:meth:`MDCache.overlay_commit`) and rolled back — with
-  the surrounding cached state purged — when the quorum rejects an op
-  (:meth:`MDCache.overlay_reject`).
+1. **pending-write overlay** (always present, empty unless a write-behind
+   log feeds it, :mod:`repro.core.wblog`): an acked-but-uncommitted
+   mutation answers for its path locally — a pending create/set is
+   served (read-your-writes), a pending delete is a miss, listings are
+   adjusted by the directory's pending children. The overlay belongs to
+   the client's write path, not the coherence machinery: watch events,
+   flushes and map changes never touch it. Entries retire as the drain
+   commits (:meth:`MDCache.overlay_commit`) or roll back, purging what
+   was remembered around them, when the quorum rejects
+   (:meth:`MDCache.overlay_reject`).
+2. **coherent cache** (:class:`CoherentMDCache`; the stage exists only
+   when ``CacheParams.enabled``) — FalconFS/λFS-style client caching kept
+   coherent by one-shot ZooKeeper watches: *positive entries* (path →
+   payload + znode stat, dropped by the data watch registered with the
+   read that filled them), TTL-bounded *negative entries* (no watch, so
+   off by default), *readdir listings* (dropped by their child watch; the
+   readdir-plus child lookups fill positive entries, so ``ls -l`` is
+   served from cache), *read coalescing* (concurrent same-path lookups
+   share one in-flight RPC) and the *watch-loss flush* on session
+   re-establishment or fail-over — per shard behind a sharded service.
+3. **source** — one RPC: the paper's znode ``get``, or the thin client's
+   server-side ``resolve``. Only the source differs between the two
+   clients; both yield ``(payload, znode stat)`` or a ``NoNodeError``.
 
-The cache also owns the *virtual-directory dcache* the client always had
-(the ``_vdir_cache`` set emulating kernel-dcache parent-type checks), so
-directory-kill invalidation has one code path: ``rmdir``, ``rename`` and
-chaos-retry reconciliation all funnel through :meth:`invalidate_subtree`.
-
-With the default policy (``CacheParams.enabled = False``) every lookup
-goes straight to ZooKeeper and nothing is recorded: a cache-off
-deployment issues an RPC stream byte-identical to one built before this
-module existed.
+:class:`MDCache` is stages 1 + 3 and the *virtual-directory dcache* (the
+kernel-dcache parent-type checks the real prototype gets from VFS); it is
+the whole read side of a cache-off client, whose RPC stream is
+byte-identical to the paper's. Directory kills have one code path:
+``rmdir``, ``rename`` and shard-map changes all funnel through
+:meth:`MDCache.invalidate_subtree`.
 """
 
 from __future__ import annotations
@@ -64,6 +50,18 @@ from ..zk.errors import NoNodeError
 from ..zk.protocol import WatchEvent
 from .metadata import DirPayload, decode_payload
 from .paths import ancestors, basename, is_ancestor, parent_dir
+
+
+class ResolveMiss(NoNodeError):
+    """A miss the source already classified: the ``resolve`` reply names
+    the nearest existing ancestor, so no parent walk is needed —
+    ``not_dir`` says that ancestor is a file or symlink (ENOTDIR, else
+    ENOENT). Served locally (a cached negative, a pending delete) it is
+    ENOENT: the thin chain only remembers ENOENT-classified misses."""
+
+    def __init__(self, path: str, not_dir: bool = False):
+        super().__init__(path)
+        self.not_dir = not_dir
 
 
 @dataclass
@@ -89,12 +87,14 @@ class _Pending:
 
 
 class MDCache:
-    """Per-client coherent metadata cache (see module docstring).
+    """The lookup chain without a cache stage — dcache, overlay, source
+    (see module docstring); :class:`CoherentMDCache` adds the stage.
 
-    ``client_stats`` is the owning client's counter dict: real ZooKeeper
-    reads issued by the cache are charged there as ``zk_reads`` so the
-    client's accounting is identical whether a lookup goes through the
-    cache or not.
+    ``thin`` selects the source: the paper's ``get`` (a miss is a plain
+    ``NoNodeError``, classified by the client's parent walk) or the thin
+    client's ``resolve`` (a miss is a :class:`ResolveMiss`). Real reads
+    are charged to ``client_stats["zk_reads"]``, the owning client's
+    counters, whichever stages exist.
     """
 
     COUNTERS = ("hits", "misses", "neg_hits", "listing_hits",
@@ -106,52 +106,29 @@ class MDCache:
         self,
         node,
         zk,
-        params: Optional[CacheParams] = None,
-        client_stats: Optional[Dict[str, int]] = None,
+        params: CacheParams,
+        client_stats: Dict[str, int],
         bus: Optional[TraceBus] = None,
         endpoint: str = "mdcache",
-        dcache_capacity: int = 0,
+        thin: bool = False,
     ):
         self.node = node
         self.sim = node.sim
         self.zk = zk
-        self.params = params or CacheParams()
-        self.client_stats = client_stats if client_stats is not None \
-            else {"zk_reads": 0}
+        self.params = params
+        self.client_stats = client_stats
         self.bus = bus if bus is not None else NULL_BUS
         self.endpoint = endpoint
         self.counters: Dict[str, int] = {k: 0 for k in self.COUNTERS}
-
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        self._negatives: "OrderedDict[str, float]" = OrderedDict()
-        self._listings: "OrderedDict[str, Tuple[Tuple[str, ...], Optional[float]]]" = OrderedDict()
-        # Paths with a registered-and-unfired watch: one watch covers both
-        # the entry and the listing for a path, and is re-registered on the
-        # first fetch after it fires (one-shot semantics).
-        self._watched: set = set()
-        # In-flight lookups (read coalescing): path -> waiter event.
-        self._inflight: Dict[str, Event] = {}
-        # The virtual-directory dcache (paths known to be directories) —
-        # always active, cache enabled or not: it emulates the kernel
-        # dcache parent-type checks the real FUSE prototype gets for free.
-        # ``dcache_capacity > 0`` bounds it LRU-style (the walk-mode bench
-        # uses a small bound to model a cold kernel dcache); 0 keeps the
-        # historical unbounded behaviour.
-        self.dcache_capacity = dcache_capacity
-        self._dirs: "OrderedDict[str, None]" = OrderedDict()
+        # The source, and the miss a locally served absence raises for it.
+        self._fetch = self._fetch_resolve if thin else self._fetch_get
+        self._miss = ResolveMiss if thin else NoNodeError
+        # The virtual-directory dcache: paths known to be directories.
+        self._dirs: set = set()
         # Pending-write overlay (write-behind mode): path -> _Pending.
         # Empty unless a WriteBehindLog feeds it; the hot-path cost when
         # async mode is off is one falsy-dict test per lookup.
         self._overlay: Dict[str, _Pending] = {}
-
-        if self.params.enabled:
-            zk.watch_loss_listeners.append(self._on_watch_loss)
-            # Elastic plane: when the service adopts a newer shard map
-            # (stale-epoch bounce), the subtrees whose routing changed
-            # moved shards — the watches backing their entries live on
-            # the old shard's ensemble and no longer protect them.
-            if hasattr(zk, "map_change_listeners"):
-                zk.map_change_listeners.append(self._on_map_change)
 
     # -- bookkeeping --------------------------------------------------------
     def _mark(self, kind: str) -> None:
@@ -159,35 +136,20 @@ class MDCache:
         if self.bus is not NULL_BUS:
             self.bus.mark("mdcache", self.endpoint, kind, self.sim.now)
 
-    def hit_rate(self) -> float:
-        """Positive-lookup hit rate (hits / lookups) since construction."""
-        c = self.counters
-        total = c["hits"] + c["misses"] + c["coalesced"]
-        return c["hits"] / total if total else 0.0
+    def __len__(self) -> int:
+        return 0
 
-    # -- virtual-directory dcache (always on) -------------------------------
+    # -- virtual-directory dcache -------------------------------------------
     def known_dir(self, path: str) -> bool:
         if self._overlay:
             pend = self._overlay.get(path)
             if pend is not None:
                 return pend.kind != "delete" \
                     and isinstance(pend.payload, DirPayload)
-        if path in self._dirs:
-            if self.dcache_capacity > 0:
-                self._dirs.move_to_end(path)
-            return True
-        if not self.params.enabled:
-            return False
-        ent = self._entries.get(path)
-        return ent is not None and isinstance(ent.payload, DirPayload) \
-            and (ent.expires is None or self.sim.now < ent.expires)
+        return path in self._dirs
 
     def note_dir(self, path: str) -> None:
-        self._dirs[path] = None
-        if self.dcache_capacity > 0:
-            self._dirs.move_to_end(path)
-            while len(self._dirs) > self.dcache_capacity:
-                self._dirs.popitem(last=False)
+        self._dirs.add(path)
 
     # -- pending-write overlay (write-behind mode) ---------------------------
     def overlay_put(self, path: str, kind: str, payload: Any,
@@ -216,14 +178,10 @@ class MDCache:
 
     def overlay_reject(self, path: str, seq: int) -> None:
         """The quorum rejected op ``seq``: roll the optimistic state
-        back — drop the pending entry and purge everything cached about
-        the path (the local view was provably wrong)."""
-        pend = self._overlay.get(path)
-        if pend is not None and pend.seq == seq:
-            del self._overlay[path]
-        self._invalidate_path(path, count=False)
-        self._listings.pop(parent_dir(path), None)
-        self._dirs.pop(path, None)
+        back — drop the pending entry and purge everything remembered
+        about the path (the local view was provably wrong)."""
+        self.overlay_forget(path, seq)
+        self._purge(path)
         self.counters["overlay_rejects"] += 1
 
     def overlay_forget(self, path: str, seq: int) -> None:
@@ -233,6 +191,26 @@ class MDCache:
         pend = self._overlay.get(path)
         if pend is not None and pend.seq == seq:
             del self._overlay[path]
+
+    def _purge(self, path: str) -> None:
+        self._dirs.discard(path)
+
+    def _pending_payload(self, pend: _Pending, path: str) -> Tuple[Any, Any]:
+        """Read-your-writes: a pending path is answered locally — no
+        RPC, no coalescing (it never reaches the in-flight table)."""
+        self.counters["overlay_hits"] += 1
+        if pend.kind == "delete":
+            raise self._miss(path)
+        return pend.payload, pend.zstat
+
+    def _pending_listing(self, pend: _Pending, path: str) -> List[str]:
+        """A pending-created directory has no committed znode to list;
+        its children are exactly the overlay's pending creates beneath
+        it (nothing else can exist under an uncommitted name)."""
+        self.counters["overlay_hits"] += 1
+        if pend.kind == "delete":
+            raise NoNodeError(path)
+        return self._overlay_adjust(path, [])
 
     def _overlay_adjust(self, parent: str, names: List[str]) -> List[str]:
         """Apply pending creates/deletes under ``parent`` to a listing.
@@ -259,22 +237,135 @@ class MDCache:
     def get_payload(self, path: str) -> Generator:
         """Resolve ``path`` to (decoded payload, znode stat).
 
-        Raises the raw ZooKeeper errors (``NoNodeError`` &c.); the client
-        maps them to POSIX errors exactly as it does for a direct read.
+        Raises the raw ZooKeeper errors; a miss is the source's
+        ``NoNodeError`` (see :class:`ResolveMiss`), which the client maps
+        to ENOENT/ENOTDIR.
         """
         if self._overlay:
             pend = self._overlay.get(path)
             if pend is not None:
-                # Read-your-writes: answered locally, no RPC, no
-                # coalescing — a pending path never reaches _inflight.
-                self.counters["overlay_hits"] += 1
-                if pend.kind == "delete":
-                    raise NoNodeError(path)
-                return pend.payload, pend.zstat
+                return self._pending_payload(pend, path)
+        return (yield from self._fetch(path))
+
+    def get_children(self, path: str) -> Generator:
+        """Child-name listing for ``path``."""
+        if self._overlay:
+            pend = self._overlay.get(path)
+            if pend is not None and pend.kind != "set":
+                return self._pending_listing(pend, path)
+        self.client_stats["zk_reads"] += 1
+        names = yield from self.zk.get_children(path)
+        return self._overlay_adjust(path, names)
+
+    # -- the two sources -----------------------------------------------------
+    def _fetch_get(self, path: str, watch=None) -> Generator:
+        """The paper's source: one znode read (charged to the client's
+        ``zk_reads``). A miss proves only ``path`` itself absent."""
+        self.client_stats["zk_reads"] += 1
+        try:
+            data, zstat = yield from self.zk.get(path, watch=watch)
+        except NoNodeError:
+            self.note_missing(path)
+            raise
+        return decode_payload(data), zstat
+
+    def _fetch_resolve(self, path: str, watch=None) -> Generator:
+        """The thin client's source: one server-side ``resolve`` RPC at
+        any depth. An ENOENT-classified miss (nearest existing ancestor
+        is a directory — remembered as one) proves the target *and*
+        every intermediate component below that ancestor absent."""
+        self.client_stats["zk_reads"] += 1
+        res = yield from self.zk.resolve(path, watch=watch)
+        if res.status == "ok":
+            return decode_payload(res.data), res.stat
+        under_dir = res.ancestor == "/" or isinstance(
+            decode_payload(res.ancestor_data), DirPayload)
+        if under_dir:
+            if res.ancestor != "/":
+                self._dirs.add(res.ancestor)
+            for a in ancestors(path):
+                if res.ancestor == "/" or is_ancestor(res.ancestor, a):
+                    self.note_missing(a)
+            self.note_missing(path)
+        raise ResolveMiss(path, not_dir=not under_dir)
+
+    # -- what the client tells the chain -------------------------------------
+    def known_missing(self, path: str) -> bool:
+        """Is ``path`` provably absent without a read? Lets the client's
+        parent-walk miss classification skip re-probing components."""
+        pend = self._overlay.get(path)
+        return pend is not None and pend.kind == "delete"
+
+    def note_missing(self, path: str) -> None:
+        """A read proved ``path`` absent (only a cache stage remembers)."""
+
+    def note_created(self, path: str, is_dir: bool = False) -> None:
+        """After a successful create/mkdir/symlink through this client."""
+        if is_dir:
+            self._dirs.add(path)
+
+    def note_removed(self, path: str) -> None:
+        """After unlink/rmdir: kill the path (and, for a directory, any
+        stale descendants — one code path for every directory kill)."""
+        if path in self._dirs:
+            self.invalidate_subtree(path)
+
+    def note_changed(self, path: str) -> None:
+        """After set_data/chmod through this client."""
+
+    def invalidate_subtree(self, root: str) -> None:
+        """Drop ``root`` and everything remembered beneath it — the
+        single directory-kill code path used by rmdir, rename, and
+        shard-map changes."""
+        prefix = root + "/"
+        n = len(prefix)
+        self._dirs -= {d for d in self._dirs
+                       if d == root or d[:n] == prefix}
+
+
+class CoherentMDCache(MDCache):
+    """The chain *with* its cache stage: positive / negative / listing
+    tables and read coalescing between overlay and source, kept coherent
+    by one-shot ZooKeeper watches (see module docstring)."""
+
+    def __init__(self, node, zk, *args, **kwargs):
+        super().__init__(node, zk, *args, **kwargs)
+        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
+        self._negatives: "OrderedDict[str, float]" = OrderedDict()
+        self._listings: "OrderedDict[str, Tuple[Tuple[str, ...], Optional[float]]]" = OrderedDict()
+        # Paths with a registered-and-unfired watch: one watch covers both
+        # the entry and the listing for a path, and is re-registered on the
+        # first fetch after it fires (one-shot semantics).
+        self._watched: set = set()
+        # In-flight lookups (read coalescing): path -> waiter event.
+        self._inflight: Dict[str, Event] = {}
+        zk.watch_loss_listeners.append(self._on_watch_loss)
+        # Elastic plane: when the service adopts a newer shard map
+        # (stale-epoch bounce), the subtrees whose routing changed
+        # moved shards — the watches backing their entries live on
+        # the old shard's ensemble and no longer protect them.
+        if hasattr(zk, "map_change_listeners"):
+            zk.map_change_listeners.append(self._on_map_change)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def known_dir(self, path: str) -> bool:
+        if path in self._dirs or path in self._overlay:
+            return super().known_dir(path)
+        ent = self._entries.get(path)
+        return ent is not None and isinstance(ent.payload, DirPayload) \
+            and (ent.expires is None or self.sim.now < ent.expires)
+
+    # -- lookups -------------------------------------------------------------
+    def get_payload(self, path: str) -> Generator:
+        """The whole chain in one frame: overlay, positive entry,
+        negative entry, then one coalesced trip to the source."""
+        if self._overlay:
+            pend = self._overlay.get(path)
+            if pend is not None:
+                return self._pending_payload(pend, path)
         p = self.params
-        if not p.enabled:
-            result = yield from self._fetch(path, register_watch=False)
-            return result
         now = self.sim.now
         ent = self._entries.get(path)
         if ent is not None:
@@ -284,39 +375,44 @@ class MDCache:
                 if p.hit_cpu:
                     yield from self.node.cpu_work(p.hit_cpu)
                 return ent.payload, ent.zstat
-            self._entries.pop(path, None)       # TTL expired
+            del self._entries[path]             # TTL expired
         neg_exp = self._negatives.get(path)
         if neg_exp is not None:
             if now < neg_exp:
                 self._mark("neg_hits")
                 if p.hit_cpu:
                     yield from self.node.cpu_work(p.hit_cpu)
-                raise NoNodeError(path)
-            self._negatives.pop(path, None)
-        result = yield from self._coalesced_fetch(path)
-        return result
+                raise self._miss(path)
+            del self._negatives[path]
+        # Read coalescing: concurrent same-path lookups share one RPC.
+        waiter = self._inflight.get(path)
+        if waiter is not None:
+            self._mark("coalesced")
+            return (yield waiter)               # (payload, zstat), or raises
+        ev = self._inflight[path] = self.sim.event()
+        self._mark("misses")
+        watch = None if path in self._watched else self._on_watch
+        try:
+            found = yield from self._fetch(path, watch)
+        except BaseException as exc:
+            del self._inflight[path]
+            ev.fail(exc)
+            ev._used = True         # pre-handled: waiters are optional
+            raise
+        del self._inflight[path]
+        ev.succeed(found)
+        if watch is not None:
+            self._watched.add(path)
+        self._store(path, *found)
+        return found
 
     def get_children(self, path: str) -> Generator:
         """Child-name listing for ``path``, cached with a child watch."""
         if self._overlay:
             pend = self._overlay.get(path)
-            if pend is not None:
-                if pend.kind == "delete":
-                    self.counters["overlay_hits"] += 1
-                    raise NoNodeError(path)
-                if pend.kind == "create":
-                    # A pending-created directory has no committed znode
-                    # to list; its children are exactly the overlay's
-                    # pending creates beneath it (nothing else can exist
-                    # under an uncommitted name).
-                    self.counters["overlay_hits"] += 1
-                    return self._overlay_adjust(path, [])
+            if pend is not None and pend.kind != "set":
+                return self._pending_listing(pend, path)
         p = self.params
-        if not p.enabled:
-            self.client_stats["zk_reads"] = \
-                self.client_stats.get("zk_reads", 0) + 1
-            names = yield from self.zk.get_children(path)
-            return self._overlay_adjust(path, names)
         cached = self._listings.get(path)
         if cached is not None:
             names, expires = cached
@@ -326,10 +422,9 @@ class MDCache:
                 if p.hit_cpu:
                     yield from self.node.cpu_work(p.hit_cpu)
                 return self._overlay_adjust(path, list(names))
-            self._listings.pop(path, None)
+            del self._listings[path]
         self._mark("listing_misses")
-        self.client_stats["zk_reads"] = \
-            self.client_stats.get("zk_reads", 0) + 1
+        self.client_stats["zk_reads"] += 1
         watch = None if path in self._watched else self._on_watch
         names = yield from self.zk.get_children(path, watch=watch)
         if watch is not None:
@@ -342,194 +437,6 @@ class MDCache:
             self.counters["evictions"] += 1
         return self._overlay_adjust(path, names)
 
-    def resolve_payload(self, path: str) -> Generator:
-        """Thin-client lookup via the server-side ``resolve`` endpoint:
-        one RPC regardless of depth. Returns either
-
-        - ``("ok", payload, zstat)`` — the path exists, or
-        - ``("miss", ancestor, ancestor_payload)`` — it doesn't;
-          ``ancestor`` is the nearest existing ancestor (``None`` when
-          served from a negative entry, which is only ever recorded for
-          ENOENT-classified misses) and ``ancestor_payload`` its decoded
-          payload (``None`` for the root).
-
-        Cache behaviour mirrors :meth:`get_payload`: positive entries,
-        TTL-bounded negatives (including the missing *intermediate*
-        components reported by the server), and read coalescing through
-        the same ``_inflight`` table — a client uses one lookup mode, so
-        the waiter payload shapes never mix.
-        """
-        if self._overlay:
-            pend = self._overlay.get(path)
-            if pend is not None:
-                self.counters["overlay_hits"] += 1
-                if pend.kind == "delete":
-                    return ("miss", None, None)
-                return ("ok", pend.payload, pend.zstat)
-        p = self.params
-        if not p.enabled:
-            result = yield from self._resolve_fetch(path,
-                                                    register_watch=False)
-            return result
-        now = self.sim.now
-        ent = self._entries.get(path)
-        if ent is not None:
-            if ent.expires is None or now < ent.expires:
-                self._entries.move_to_end(path)
-                self._mark("hits")
-                if p.hit_cpu:
-                    yield from self.node.cpu_work(p.hit_cpu)
-                return ("ok", ent.payload, ent.zstat)
-            self._entries.pop(path, None)       # TTL expired
-        neg_exp = self._negatives.get(path)
-        if neg_exp is not None:
-            if now < neg_exp:
-                self._mark("neg_hits")
-                if p.hit_cpu:
-                    yield from self.node.cpu_work(p.hit_cpu)
-                return ("miss", None, None)
-            self._negatives.pop(path, None)
-        result = yield from self._coalesced_resolve(path)
-        return result
-
-    # -- negative-chain helpers (parent-walk classification) -----------------
-    def known_missing(self, path: str) -> bool:
-        """Un-expired negative entry for ``path``? Lets the client's
-        parent-walk error classification skip re-probing components it
-        already proved absent."""
-        if self._overlay:
-            pend = self._overlay.get(path)
-            if pend is not None:
-                return pend.kind == "delete"
-        if not self.params.enabled:
-            return False
-        neg_exp = self._negatives.get(path)
-        if neg_exp is None:
-            return False
-        if self.sim.now < neg_exp:
-            return True
-        self._negatives.pop(path, None)
-        return False
-
-    def note_missing(self, path: str) -> None:
-        """Record ``path`` as absent (TTL-bounded, same policy gate as the
-        fetch-side negatives)."""
-        if not self.params.enabled or self.params.negative_ttl <= 0:
-            return
-        self._negatives[path] = self.sim.now + self.params.negative_ttl
-        self._negatives.move_to_end(path)
-        while len(self._negatives) > self.params.negative_capacity:
-            self._negatives.popitem(last=False)
-            self.counters["evictions"] += 1
-
-    # -- fetch path ----------------------------------------------------------
-    def _coalesced_resolve(self, path: str) -> Generator:
-        p = self.params
-        waiter = self._inflight.get(path)
-        if waiter is not None and p.coalesce:
-            self._mark("coalesced")
-            result = yield waiter       # ("ok"|"miss", ...) status tuple
-            return result
-        ev = self.sim.event() if p.coalesce else None
-        if ev is not None:
-            self._inflight[path] = ev
-        self._mark("misses")
-        try:
-            result = yield from self._resolve_fetch(path,
-                                                    register_watch=True)
-        except BaseException as exc:
-            if ev is not None:
-                if self._inflight.get(path) is ev:
-                    del self._inflight[path]
-                ev.fail(exc)
-                ev._used = True         # pre-handled: waiters are optional
-            raise
-        if ev is not None and self._inflight.get(path) is ev:
-            del self._inflight[path]
-        if ev is not None:
-            ev.succeed(result)
-        if result[0] == "ok":
-            self._store(path, result[1], result[2])
-        else:
-            _, anc, anc_payload = result
-            if anc_payload is None or isinstance(anc_payload, DirPayload):
-                # ENOENT-classified miss: the target and every missing
-                # intermediate between the nearest existing ancestor and
-                # the target are provably absent — negative-cache the
-                # whole chain (satellite of the parent-walk classifier).
-                for missing in self._missing_chain(anc or "/", path):
-                    self.note_missing(missing)
-        return result
-
-    @staticmethod
-    def _missing_chain(ancestor: str, path: str) -> List[str]:
-        """The proper prefixes of ``path`` below ``ancestor``, plus
-        ``path`` itself — exactly the components a resolve miss proves
-        absent."""
-        chain = [a for a in ancestors(path)
-                 if ancestor == "/" or is_ancestor(ancestor, a)]
-        chain.append(path)
-        return chain
-
-    def _resolve_fetch(self, path: str, register_watch: bool) -> Generator:
-        """One real resolve RPC (charged to the client's ``zk_reads``)."""
-        self.client_stats["zk_reads"] = \
-            self.client_stats.get("zk_reads", 0) + 1
-        watch = self._on_watch if register_watch \
-            and path not in self._watched else None
-        res = yield from self.zk.resolve(path, watch=watch)
-        if res.status == "ok":
-            if watch is not None:
-                self._watched.add(path)
-            return ("ok", decode_payload(res.data), res.stat)
-        anc_payload = decode_payload(res.ancestor_data) \
-            if res.ancestor != "/" else None
-        return ("miss", res.ancestor, anc_payload)
-
-    def _coalesced_fetch(self, path: str) -> Generator:
-        p = self.params
-        waiter = self._inflight.get(path)
-        if waiter is not None and p.coalesce:
-            self._mark("coalesced")
-            result = yield waiter       # (payload, zstat), or raises
-            return result
-        ev = self.sim.event() if p.coalesce else None
-        if ev is not None:
-            self._inflight[path] = ev
-        self._mark("misses")
-        try:
-            payload, zstat = yield from self._fetch(path, register_watch=True)
-        except BaseException as exc:
-            if ev is not None:
-                if self._inflight.get(path) is ev:
-                    del self._inflight[path]
-                ev.fail(exc)
-                ev._used = True         # pre-handled: waiters are optional
-            if isinstance(exc, NoNodeError) and p.negative_ttl > 0:
-                self._negatives[path] = self.sim.now + p.negative_ttl
-                self._negatives.move_to_end(path)
-                while len(self._negatives) > p.negative_capacity:
-                    self._negatives.popitem(last=False)
-                    self.counters["evictions"] += 1
-            raise
-        if ev is not None and self._inflight.get(path) is ev:
-            del self._inflight[path]
-        if ev is not None:
-            ev.succeed((payload, zstat))
-        self._store(path, payload, zstat)
-        return payload, zstat
-
-    def _fetch(self, path: str, register_watch: bool) -> Generator:
-        """One real ZooKeeper read (charged to the client's ``zk_reads``)."""
-        self.client_stats["zk_reads"] = \
-            self.client_stats.get("zk_reads", 0) + 1
-        watch = self._on_watch if register_watch \
-            and path not in self._watched else None
-        data, zstat = yield from self.zk.get(path, watch=watch)
-        if watch is not None:
-            self._watched.add(path)
-        return decode_payload(data), zstat
-
     def _store(self, path: str, payload: Any, zstat: Any) -> None:
         p = self.params
         self._negatives.pop(path, None)
@@ -537,18 +444,47 @@ class MDCache:
         self._entries[path] = _Entry(payload, zstat, expires)
         self._entries.move_to_end(path)
         if isinstance(payload, DirPayload):
-            self.note_dir(path)
+            self._dirs.add(path)
         while len(self._entries) > p.capacity:
             self._entries.popitem(last=False)
             self.counters["evictions"] += 1
 
+    # -- negatives -----------------------------------------------------------
+    def known_missing(self, path: str) -> bool:
+        if path in self._overlay:
+            return super().known_missing(path)
+        neg_exp = self._negatives.get(path)
+        if neg_exp is None:
+            return False
+        if self.sim.now < neg_exp:
+            return True
+        del self._negatives[path]
+        return False
+
+    def note_missing(self, path: str) -> None:
+        """Record ``path`` as absent, TTL-bounded (negatives carry no
+        watch, so ``negative_ttl`` 0 keeps them off)."""
+        p = self.params
+        if p.negative_ttl <= 0:
+            return
+        self._negatives[path] = self.sim.now + p.negative_ttl
+        self._negatives.move_to_end(path)
+        while len(self._negatives) > p.negative_capacity:
+            self._negatives.popitem(last=False)
+            self.counters["evictions"] += 1
+
     # -- invalidation --------------------------------------------------------
-    def _invalidate_path(self, path: str, count: bool = True) -> None:
+    def _invalidate_path(self, path: str, kind: Optional[str] = "invalidations") -> None:
         dropped = self._entries.pop(path, None) is not None
         dropped |= self._listings.pop(path, None) is not None
         dropped |= self._negatives.pop(path, None) is not None
-        if dropped and count:
-            self._mark("invalidations")
+        if dropped and kind:
+            self._mark(kind)
+
+    def _purge(self, path: str) -> None:
+        super()._purge(path)
+        self._invalidate_path(path, kind=None)
+        self._listings.pop(parent_dir(path), None)
 
     def note_created(self, path: str, is_dir: bool = False) -> None:
         """Read-your-writes after a successful create/mkdir/symlink: the
@@ -558,10 +494,7 @@ class MDCache:
         failed walk under a then-missing intermediate) are purged too —
         otherwise a path created under them would keep serving ENOENT
         until the negatives' TTL expired."""
-        if is_dir:
-            self.note_dir(path)
-        if not self.params.enabled:
-            return
+        super().note_created(path, is_dir)
         self._negatives.pop(path, None)
         if self._negatives:
             for anc in ancestors(path):
@@ -569,39 +502,24 @@ class MDCache:
         self._listings.pop(parent_dir(path), None)
 
     def note_removed(self, path: str) -> None:
-        """After unlink/rmdir: kill the path (and, for a directory, any
-        stale descendants — one code path for every directory kill)."""
-        if path in self._dirs or (self.params.enabled
-                                  and path in self._entries):
+        if path in self._dirs or path in self._entries:
             self.invalidate_subtree(path)
         else:
-            self._dirs.pop(path, None)
-            if self.params.enabled:
-                self._invalidate_path(path)
-        if self.params.enabled:
-            self._listings.pop(parent_dir(path), None)
+            self._invalidate_path(path)
+        self._listings.pop(parent_dir(path), None)
 
     def note_changed(self, path: str) -> None:
         """After set_data/chmod through this client: entry is stale."""
-        if self.params.enabled:
-            self._invalidate_path(path)
+        self._invalidate_path(path)
 
     def invalidate_subtree(self, root: str) -> None:
-        """Drop ``root`` and everything cached beneath it — the single
-        directory-kill code path used by rmdir, rename, and chaos
-        reconciliation."""
+        super().invalidate_subtree(root)
         prefix = root + "/"
-
-        def doomed(path: str) -> bool:
-            return path == root or path.startswith(prefix)
-
-        for path in [d for d in self._dirs if doomed(d)]:
-            self._dirs.pop(path, None)
-        if not self.params.enabled:
-            return
+        n = len(prefix)
         hit = False
         for table in (self._entries, self._listings, self._negatives):
-            for path in [k for k in table if doomed(k)]:
+            for path in [k for k in table
+                         if k == root or k[:n] == prefix]:
                 del table[path]
                 hit = True
         if hit:
@@ -612,13 +530,9 @@ class MDCache:
         """One-shot ZooKeeper watch fired: the znode (or its child list)
         changed behind our back — drop everything cached for the path."""
         self._watched.discard(event.path)
-        dropped = self._entries.pop(event.path, None) is not None
-        dropped |= self._listings.pop(event.path, None) is not None
-        dropped |= self._negatives.pop(event.path, None) is not None
         if event.kind == "deleted":
-            self._dirs.pop(event.path, None)
-        if dropped:
-            self._mark("watch_invalidations")
+            self._dirs.discard(event.path)
+        self._invalidate_path(event.path, kind="watch_invalidations")
 
     def _on_map_change(self, roots) -> None:
         """Shard-map epoch adopted: flush every subtree whose placement
@@ -664,26 +578,11 @@ class MDCache:
             for path in [p for p in table if by(p) == shard]:
                 del table[path]
                 dropped = True
-        for path in [p for p in self._watched
-                     if home(p) == shard or listing(p) == shard]:
-            self._watched.discard(path)
-        for path in [p for p in self._dirs if home(p) == shard]:
-            self._dirs.pop(path, None)
+        self._watched -= {p for p in self._watched
+                          if home(p) == shard or listing(p) == shard}
+        self._dirs -= {p for p in self._dirs if home(p) == shard}
         if dropped:
             self._mark("flushes")
-
-    # -- introspection -------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def summary(self) -> str:
-        c = self.counters
-        return (f"{self.endpoint}: {len(self._entries)} entries, "
-                f"{len(self._listings)} listings, hit-rate "
-                f"{self.hit_rate():.1%} (hits={c['hits']} "
-                f"misses={c['misses']} coalesced={c['coalesced']} "
-                f"neg={c['neg_hits']} inval={c['invalidations']}"
-                f"+{c['watch_invalidations']}w flushes={c['flushes']})")
 
 
 def aggregate_counters(caches: List[MDCache]) -> Dict[str, int]:

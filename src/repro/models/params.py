@@ -27,9 +27,7 @@ class FaultToleranceParams:
     (``sleep = min(cap, uniform(base, 3 * prev))``) and gives up early once
     ``op_budget`` seconds have elapsed for the whole operation. With
     ``reconnect_on_expiry`` the client transparently re-establishes its
-    session after a :class:`~repro.zk.errors.SessionExpiredError`;
-    ``degraded_mode`` lets a DUFS client keep serving the namespace while a
-    dead back-end fails only the FID slice mapped to it.
+    session after a :class:`~repro.zk.errors.SessionExpiredError`.
     """
 
     request_timeout: float = 5.0
@@ -38,7 +36,6 @@ class FaultToleranceParams:
     backoff_cap: float = 1.0
     op_budget: float = 60.0            # wall-clock budget per operation
     reconnect_on_expiry: bool = True
-    degraded_mode: bool = True
 
 
 @dataclass
@@ -317,7 +314,6 @@ class CacheParams:
     negative_capacity: int = 1024      # cached ENOENTs (LRU)
     ttl: float = 0.0                   # 0 = watch-coherent, no time bound
     negative_ttl: float = 0.0          # 0 = negative caching off
-    coalesce: bool = True              # share in-flight same-path lookups
     hit_cpu: float = 1.5e-6            # client CPU per cache hit
 
     @classmethod
@@ -335,31 +331,21 @@ class ResolveParams:
     re-reads znodes per level on error/parent checks. This policy selects
     where resolution happens:
 
-    - **default (everything off)** — the pre-resolve client, byte-identical
-      replay: lookups are one ``get`` against the full path, parent checks
-      use the client dcache with a single fallback read.
-    - ``walk`` — emulate the kernel-VFS *cold-dcache* walk explicitly: every
-      lookup first resolves each ancestor not in the client dcache with one
-      znode read (O(depth) RPCs), the cost FalconFS attributes to fat
-      clients on deep trees. ``dcache_capacity`` bounds the client dcache
-      (0 = unbounded, today's behaviour) so big namespaces actually churn.
+    - **default (off)** — the pre-resolve client, byte-identical replay:
+      lookups are one ``get`` against the full path, parent checks use the
+      client dcache with a single fallback read.
     - ``enabled`` — the *thin client*: stat/lookup/parent-prereqs route
       through the server-side ``resolve`` endpoint — one RPC per lookup
       regardless of depth, answered from the server dentry cache, hedged
-      and breaker-guarded like any idempotent read. Takes precedence over
-      ``walk``.
+      and breaker-guarded like any idempotent read.
     """
 
     enabled: bool = False              # server-side resolution (thin client)
-    walk: bool = False                 # explicit client-side VFS walk
-    dcache_capacity: int = 0           # client dcache bound; 0 = unbounded
 
     @classmethod
-    def resolve_on(cls, **overrides) -> "ResolveParams":
+    def resolve_on(cls) -> "ResolveParams":
         """The standard thin-client policy used by benchmarks."""
-        base = dict(enabled=True)
-        base.update(overrides)
-        return cls(**base)
+        return cls(enabled=True)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """End-to-end DUFS behaviour (paper §IV design properties)."""
 
+import pytest
 
 from repro.core.mapping import physical_path
 from repro.errors import (
@@ -10,6 +11,9 @@ from repro.errors import (
     ENOTEMPTY,
     FSError,
 )
+from repro.models.params import AsyncParams, CacheParams, ResolveParams
+
+from .conftest import DUFSHarness
 
 
 def test_directory_ops_never_touch_backends(dufs):
@@ -175,6 +179,55 @@ def test_posix_error_mapping(dufs):
         return errs
 
     assert dufs.run(main()) == [True] * 6
+
+
+@pytest.mark.parametrize("arm", [
+    dict(),
+    dict(cache=CacheParams.caching_on()),
+    dict(resolve=ResolveParams.resolve_on()),
+    dict(awrite=AsyncParams.async_on()),
+], ids=["default", "cache", "thin", "async"])
+def test_readdir_of_a_non_directory_is_enotdir(arm):
+    """opendir's type check: a file or symlink znode lists as empty, so
+    an empty listing of a path not known to be a directory is looked up
+    once — through the client and through the FUSE mount, from the
+    writing client (pending in the async arm) and from another one."""
+    h = DUFSHarness(**arm)
+    writer, reader = h.dep.clients
+    reads = []
+
+    def errno_of(gen):
+        try:
+            return (yield from gen)
+        except FSError as exc:
+            return exc.err
+
+    def build():
+        yield from writer.mkdir("/d")
+        yield from writer.mkdir("/d/empty")
+        yield from writer.create("/d/f")
+        yield from writer.symlink("/d/f", "/d/ln")
+        out = [(yield from errno_of(writer.readdir("/d/f"))),
+               (yield from errno_of(h.mount(0).readdir("/d/ln")))]
+        yield from writer.flush()
+        return out
+
+    def remote():
+        out = []
+        for path in ("/d/f", "/d/ln", "/d/empty", "/d/empty", "/d/ghost"):
+            before = reader.stats["zk_reads"]
+            out.append((yield from errno_of(h.mount(1).readdir(path))))
+            reads.append(reader.stats["zk_reads"] - before)
+        populated = yield from reader.readdir("/d")
+        return out, sorted(e.name for e in populated)
+
+    assert h.run(build()) == [ENOTDIR, ENOTDIR]
+    h.settle(0.1)
+    assert h.run(remote(), node_index=1) == (
+        [ENOTDIR, ENOTDIR, [], [], ENOENT], ["empty", "f", "ln"])
+    # listing + one type lookup; the proven-empty directory is remembered
+    # (its second readdir pays the listing alone, or nothing when cached).
+    assert reads[2] == 2 and reads[3] <= 1
 
 
 def test_dir_stat_fields_from_zookeeper(dufs):

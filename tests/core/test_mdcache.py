@@ -41,8 +41,9 @@ def test_repeat_stat_is_served_from_cache(cached):
 
     reads_after_first = cached.run(main())
     assert _stats(cached)["zk_reads"] == reads_after_first  # all hits
-    assert _cache(cached).counters["hits"] >= 5
-    assert _cache(cached).hit_rate() > 0.5
+    counters = _cache(cached).counters
+    assert counters["hits"] >= 5
+    assert counters["hits"] > counters["misses"] + counters["coalesced"]
 
 
 def test_stat_after_readdir_piggybacks_listing(cached):
@@ -196,17 +197,6 @@ def test_coalesced_failure_propagates_to_waiters(cached):
     errnos = cached.run_all(one(), one())
     assert errnos == [ENOENT, ENOENT]
     assert _cache(cached).counters["coalesced"] == 1
-
-
-def test_coalescing_can_be_disabled():
-    h = DUFSHarness(cache=CacheParams.caching_on(coalesce=False))
-    c = h.dep.clients[0]
-    h.run(c.mkdir("/d"))
-    h.run(c.create("/d/f"))
-    before = _stats(h)["zk_reads"]
-    h.run_all(c.stat("/d/f"), c.stat("/d/f"))
-    assert _cache(h).counters["coalesced"] == 0
-    assert _stats(h)["zk_reads"] == before + 2
 
 
 # -- coherence ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Thin-client path resolution end to end: one RPC per lookup at any
-depth, the O(depth) legacy walk it replaces, POSIX miss classification,
-negative-chain caching, and the resolve-off byte-identical replay."""
+depth, POSIX miss classification, negative-chain caching, and the
+resolve-off byte-identical replay. (The O(depth) legacy walk it replaces
+is a bench baseline: ``tests/bench/test_resolve_walk.py``.)"""
 
 import pytest
 
@@ -8,7 +9,6 @@ from repro.core import build_dufs_deployment
 from repro.errors import ENOENT, ENOTDIR, FSError
 from repro.models.params import CacheParams, ResolveParams
 
-DEPTH = 8
 CHAIN = "/t0/l0/l1/l2/l3/l4"              # 6 dirs; file below is depth 8
 
 
@@ -53,19 +53,6 @@ def test_thin_client_is_one_rpc_per_lookup_at_any_depth():
         dep.call(dep.clients[0].stat, path)
         assert reads(dep) - before == 1, path
         assert bus_rpcs(dep, "resolve") - traced == 1, path
-
-
-def test_walk_mode_pays_o_depth_rpcs():
-    dep = make_dep(resolve=ResolveParams(walk=True, dcache_capacity=2),
-                   trace=True)
-    scaffold(dep)
-    before = reads(dep)
-    traced = bus_rpcs(dep, "read")
-    dep.call(dep.clients[0].stat, f"{CHAIN}/ckpt")
-    # 7 proper ancestors below the root + the leaf read, minus at most
-    # the 2 dcache-resident ones: strictly O(depth), not O(1).
-    assert reads(dep) - before >= DEPTH - 2
-    assert bus_rpcs(dep, "read") - traced >= DEPTH - 2
 
 
 def test_thin_miss_classification():
@@ -137,5 +124,3 @@ def test_resolve_off_replay_is_byte_identical():
 
     default = run_once(None)
     assert default == run_once(ResolveParams())
-    # A dcache bound large enough never to evict is equally inert.
-    assert default == run_once(ResolveParams(dcache_capacity=4096))

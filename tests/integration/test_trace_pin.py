@@ -29,6 +29,17 @@ GOLDEN_DIGEST = ("c5dfa3efd3fa04feb0039ace7fdb6f3d"
                  "6735b342cd5d02c7228d4c12328518e3")
 
 
+def _digest(bus, *extra) -> str:
+    h = hashlib.sha256()
+    for ev in bus.events:
+        h.update(repr((ev.deployment, ev.endpoint, ev.method, ev.arrive,
+                       ev.start, ev.end, ev.ok, ev.src, ev.retries,
+                       ev.shard)).encode())
+    for item in extra:
+        h.update(repr(item).encode())
+    return h.hexdigest()
+
+
 def _trace_digest() -> str:
     bus = TraceBus(keep_events=True)
     dep = build_dufs_deployment(n_zk=3, n_backends=2, n_client_nodes=2,
@@ -36,12 +47,7 @@ def _trace_digest() -> str:
     cfg = MdtestConfig(n_procs=4, items_per_proc=10,
                        phases=("dir_create", "dir_stat", "dir_remove"))
     run_mdtest(dep.cluster, dep.mount_for, dep.node_for, cfg)
-    h = hashlib.sha256()
-    for ev in bus.events:
-        h.update(repr((ev.deployment, ev.endpoint, ev.method, ev.arrive,
-                       ev.start, ev.end, ev.ok, ev.src, ev.retries,
-                       ev.shard)).encode())
-    return h.hexdigest()
+    return _digest(bus)
 
 
 def test_figure_workload_trace_matches_pre_overhaul_kernel():
@@ -135,13 +141,7 @@ def _arm_digest(**arm) -> str:
     sim.run(until=dep.client_nodes[0].spawn(build()))
     sim.run(until=sim.now + 0.1)
     sim.run(until=dep.client_nodes[1].spawn(tail()))
-    h = hashlib.sha256()
-    for ev in bus.events:
-        h.update(repr((ev.deployment, ev.endpoint, ev.method, ev.arrive,
-                       ev.start, ev.end, ev.ok, ev.src, ev.retries,
-                       ev.shard)).encode())
-    h.update(repr(outcomes).encode())
-    return h.hexdigest()
+    return _digest(bus, outcomes)
 
 
 @pytest.mark.parametrize("arm", sorted(ARMS))
