@@ -8,28 +8,27 @@ Claims asserted here (the cache PR's acceptance bar):
 - ``ls -l`` re-sweeps win from listing + piggybacked-stat caching,
 - cache-on resolves the workload with far fewer ZooKeeper reads.
 
-The run also refreshes ``BENCH_mdcache.json`` next to this file when the
-``REPRO_WRITE_BENCH_JSON`` environment variable is set; the committed
-copy is the CI regression baseline (``scripts/check_regression.py
---suite mdcache``).
+``BENCH_mdcache.json`` next to this file is the CI regression baseline
+(``scripts/check_regression.py --suite mdcache``); refresh it with the
+suite's one refresh command, ``python -m repro bench --json
+benchmarks/BENCH_mdcache.json``.
 """
 
 import json
-import os
 import pathlib
 
-from repro.bench import (render_cache_ablation, run_cache_ablation,
-                         write_cache_bench_json)
+from repro.bench import SUITES
 
 from .conftest import run_once
 
+MDCACHE = SUITES["mdcache"]
 BASELINE = pathlib.Path(__file__).with_name("BENCH_mdcache.json")
 
 
 def test_cache_ablation(benchmark):
-    doc = run_once(benchmark, run_cache_ablation, scale="quick", seed=0)
+    doc = run_once(benchmark, MDCACHE.run, scale="quick", seed=0)
     print()
-    print(render_cache_ablation(doc))
+    print(MDCACHE.render(doc))
 
     # ≥2x simulated stat-phase throughput with the cache on.
     assert doc["speedup"]["stat_hot"] >= 2.0
@@ -47,9 +46,6 @@ def test_cache_ablation(benchmark):
     # Cache-off side must report a completely cold cache (default policy
     # records nothing — the byte-identity guarantee's visible face).
     assert all(v == 0 for v in doc["off"]["cache"].values())
-
-    if os.environ.get("REPRO_WRITE_BENCH_JSON"):
-        write_cache_bench_json(doc, str(BASELINE))
 
     # Determinism guard: same seed on a fresh process must reproduce the
     # committed baseline exactly (simulated time, not wall clock).

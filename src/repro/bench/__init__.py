@@ -1,31 +1,7 @@
-"""Benchmark harnesses regenerating every figure of the paper's evaluation."""
+"""Benchmark harnesses regenerating every figure of the paper's evaluation,
+and the registry of CI-gated bench suites (:mod:`repro.bench.suite`)."""
 
-from .async_bench import (
-    check_async_regression,
-    render_async_ablation,
-    run_async_ablation,
-    write_async_bench_json,
-)
-from .cache_bench import (
-    check_regression,
-    render_cache_ablation,
-    run_cache_ablation,
-    write_cache_bench_json,
-)
-from .elastic_bench import (
-    check_elastic_regression,
-    render_elastic_bench,
-    run_elastic_bench,
-    write_elastic_bench_json,
-)
 from .export import figure_to_csv, write_figure_csv
-from .kernel_bench import (
-    check_kernel_regression,
-    render_kernel_bench,
-    run_kernel_bench,
-    write_kernel_bench_json,
-)
-from .profile_cli import profile_targets, run_profile
 from .figures import (
     FigureResult,
     run_ablations,
@@ -38,26 +14,10 @@ from .figures import (
     run_headline_claims,
     run_single_dir,
 )
+from .profile_cli import profile_targets, run_profile
 from .report import render_figure, render_headline
-from .resilience_bench import (
-    check_resilience_regression,
-    render_resilience_overload,
-    run_resilience_overload,
-    write_resilience_bench_json,
-)
-from .resolve_bench import (
-    check_resolve_regression,
-    render_resolve_ablation,
-    run_resolve_ablation,
-    write_resolve_bench_json,
-)
-from .shard_bench import (
-    check_shard_regression,
-    render_shard_scaling,
-    run_shard_scaling,
-    write_shard_bench_json,
-)
 from .shardmap_cli import render_shardmap, run_shardmap, run_shardmap_demo
+from .suite import SUITES, Suite, check, write_json
 from .trace_cli import run_trace, trace_rows
 
 __all__ = [
@@ -67,20 +27,7 @@ __all__ = [
     "run_fig11", "run_headline_claims", "run_single_dir",
     "figure_to_csv", "write_figure_csv",
     "render_figure", "render_headline", "run_trace", "trace_rows",
-    "run_cache_ablation", "render_cache_ablation",
-    "write_cache_bench_json", "check_regression",
-    "run_shard_scaling", "render_shard_scaling",
-    "write_shard_bench_json", "check_shard_regression",
-    "run_resilience_overload", "render_resilience_overload",
-    "write_resilience_bench_json", "check_resilience_regression",
-    "run_resolve_ablation", "render_resolve_ablation",
-    "write_resolve_bench_json", "check_resolve_regression",
-    "run_kernel_bench", "render_kernel_bench",
-    "write_kernel_bench_json", "check_kernel_regression",
-    "run_elastic_bench", "render_elastic_bench",
-    "write_elastic_bench_json", "check_elastic_regression",
-    "run_async_ablation", "render_async_ablation",
-    "write_async_bench_json", "check_async_regression",
+    "SUITES", "Suite", "check", "write_json",
     "run_shardmap", "run_shardmap_demo", "render_shardmap",
     "run_profile", "profile_targets",
 ]

@@ -20,20 +20,19 @@ is end-to-end *committed* ops/s, not just ack/s.
 Phases:
 
 - ``file_create`` — the acceptance phase: async throughput must be
-  **>= 2x** sync (``check_async_regression``; the observed speedup at
-  the committed scales is >= 3x, the CI floor leaves noise headroom);
+  **>= 2x** sync (:func:`floors`; the observed speedup at the
+  committed scales is >= 3x, the CI floor leaves noise headroom);
 - ``file_remove`` — reported for the record: unlink still pays the
   synchronous payload lookup and physical unlink, so its speedup is
   bounded by the read path, not the ack path.
 
-Results are machine-readable (:func:`write_async_bench_json`) so CI
-tracks the trajectory and fails on regression.
+This module is the workload; the off/on harness around it (run both
+sides, speedup table, JSON, CI gate) is :func:`repro.bench.suite.ablation`.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..core.fs import build_dufs_deployment
 from ..models.params import AsyncParams, SimParams
@@ -69,8 +68,9 @@ def _params() -> SimParams:
     return p
 
 
-def _run_side(awrite: AsyncParams, scale: str, seed: int) -> Dict:
-    """One full mdtest run (scaffold + file phases) at one policy.
+def run_side(on: bool, scale: str, seed: int) -> Dict:
+    """One full mdtest run (scaffold + file phases) in write-behind mode
+    (:meth:`AsyncParams.async_on`) or as the synchronous default client.
 
     Measured phases drive the DUFS client library directly (the FUSE
     crossing is a constant paid identically by both arms), which also
@@ -79,7 +79,9 @@ def _run_side(awrite: AsyncParams, scale: str, seed: int) -> Dict:
     n_zk, n_clients, items = _SCALES[scale]
     dep = build_dufs_deployment(n_zk=n_zk, n_backends=2,
                                 n_client_nodes=n_clients, backend="local",
-                                params=_params(), seed=seed, awrite=awrite)
+                                params=_params(), seed=seed,
+                                awrite=AsyncParams.async_on() if on
+                                else AsyncParams())
     cfg = MdtestConfig(n_procs=n_clients, items_per_proc=items,
                        tree=TreeSpec(root="/mdtest"), single_dir=True,
                        phases=PHASES, drain=True)
@@ -107,87 +109,24 @@ def _run_side(awrite: AsyncParams, scale: str, seed: int) -> Dict:
     }
 
 
-def run_async_ablation(scale: str = "quick", seed: int = 0) -> Dict:
-    """Run the ablation; returns a JSON-ready result document."""
-    off = _run_side(AsyncParams(), scale, seed)
-    on = _run_side(AsyncParams.async_on(), scale, seed)
-    return {
-        "benchmark": "async_ablation",
-        "scale": scale,
-        "seed": seed,
-        "off": off,
-        "on": on,
-        "speedup": {
-            name: (on["phases"][name]["ops_per_s"]
-                   / off["phases"][name]["ops_per_s"]
-                   if off["phases"][name]["ops_per_s"] else 0.0)
-            for name in PHASES
-        },
-    }
-
-
-def render_async_ablation(doc: Dict) -> str:
-    lines = [f"async-write ablation (scale={doc['scale']} "
-             f"seed={doc['seed']}):",
-             f"  {'phase':<12} {'sync ops/s':>12} {'async ops/s':>12} "
-             f"{'speedup':>8}"]
-    for name in PHASES:
-        off = doc["off"]["phases"][name]["ops_per_s"]
-        on = doc["on"]["phases"][name]["ops_per_s"]
-        lines.append(f"  {name:<12} {off:>12,.0f} {on:>12,.0f} "
-                     f"{doc['speedup'][name]:>7.2f}x")
+def footer(doc: Dict) -> str:
     w = doc["on"]["wblog"]
     b = doc["on"]["drain_batches"]
     fill = b["items"] / b["flushes"] if b["flushes"] else 0.0
     lat_off = doc["off"]["latency_us"]["file_create"].get("mean", 0.0)
     lat_on = doc["on"]["latency_us"]["file_create"].get("mean", 0.0)
-    lines.append(
+    return (
         f"  async: {w['acked']} acked / {w['committed']} committed / "
         f"{w['rejected']} rejected ({w['stalls']} stalls), drain fill "
         f"{fill:.1f} ops/batch; create latency {lat_off:,.0f}us sync -> "
         f"{lat_on:,.0f}us async ack")
-    return "\n".join(lines)
 
 
-def write_async_bench_json(doc: Dict, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def check_async_regression(doc: Dict, baseline: Dict,
-                           tolerance: float = 0.25) -> List[str]:
-    """Compare a fresh run against the committed baseline.
-
-    Failures: any async-arm phase throughput more than ``tolerance``
-    below baseline, a rejected or stalled op in the clean-run ablation,
-    or a ``file_create`` speedup under the 2x acceptance floor. A phase
-    missing from the baseline (stale or hand-edited JSON) is reported
-    with a regenerate hint, never a ``KeyError``.
-    """
-    failures = []
-    base_phases = baseline.get("on", {}).get("phases", {})
-    for name in PHASES:
-        base_phase = base_phases.get(name)
-        if base_phase is None or "ops_per_s" not in base_phase:
-            failures.append(
-                f"{name}: missing from baseline JSON — regenerate it with "
-                f"'python -m repro bench --async-writes --json "
-                f"benchmarks/BENCH_async.json'")
-            continue
-        base = base_phase["ops_per_s"]
-        cur = doc["on"]["phases"][name]["ops_per_s"]
-        if base > 0 and cur < base * (1.0 - tolerance):
-            failures.append(
-                f"{name}: async throughput {cur:,.0f} ops/s is "
-                f">{tolerance:.0%} below baseline {base:,.0f}")
-    if doc["speedup"]["file_create"] < CREATE_FLOOR:
-        failures.append(
-            f"file_create: async speedup {doc['speedup']['file_create']:.2f}x "
-            f"< {CREATE_FLOOR:.0f}x acceptance floor")
+def floors(doc: Dict) -> List[Tuple[str, float, float]]:
+    """The ``file_create`` speedup floor, and a clean ablation run must
+    not have a single acked write-behind op rejected at drain time."""
     w = doc["on"]["wblog"]
-    if w.get("rejected", 0):
-        failures.append(
-            f"clean ablation run rejected {w['rejected']} write-behind ops")
-    return failures
+    kept = (w["acked"] - w["rejected"]) / w["acked"] if w["acked"] else 0.0
+    return [("file_create async speedup", doc["speedup"]["file_create"],
+             CREATE_FLOOR),
+            ("share of acked write-behind ops not rejected", kept, 1.0)]

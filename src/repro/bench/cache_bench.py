@@ -17,14 +17,13 @@ counters. The workload is the read-heavy traffic the cache targets:
   listing is cached with a child watch and the readdir-plus child
   lookups piggyback the stats, so the second sweep is RPC-free.
 
-Results are machine-readable (:func:`write_cache_bench_json`) so CI can
-track the perf trajectory across PRs and fail on regression.
+This module is the workload; the off/on harness around it (run both
+sides, speedup table, JSON, CI gate) is :func:`repro.bench.suite.ablation`.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Tuple
 
 from ..core.fs import build_dufs_deployment
 from ..core.mdcache import aggregate_counters
@@ -41,15 +40,9 @@ _SCALES = {
 PHASES = ("stat_hot", "stat_shared", "ls_l")
 
 
-def _build(cache: Optional[CacheParams], scale: str, seed: int):
-    n_zk, n_clients, *_ = _SCALES[scale]
-    return build_dufs_deployment(n_zk=n_zk, n_backends=2,
-                                 n_client_nodes=n_clients, backend="local",
-                                 params=SimParams(), seed=seed, cache=cache)
-
-
-def _run_side(cache: Optional[CacheParams], scale: str, seed: int) -> Dict:
-    """One full run (scaffold + three measured phases) at one cache policy.
+def run_side(on: bool, scale: str, seed: int) -> Dict:
+    """One full run (scaffold + three measured phases) with the cache on
+    (:meth:`CacheParams.caching_on`) or at the default, disabled policy.
 
     Measured phases drive the DUFS client library directly (not the FUSE
     mount): the kernel-crossing cost is a constant paid identically by
@@ -57,7 +50,10 @@ def _run_side(cache: Optional[CacheParams], scale: str, seed: int) -> Dict:
     it would only dilute the ablation signal.
     """
     n_zk, n_clients, n_dirs, files_per_dir, procs, repeat = _SCALES[scale]
-    dep = _build(cache, scale, seed)
+    dep = build_dufs_deployment(
+        n_zk=n_zk, n_backends=2, n_client_nodes=n_clients, backend="local",
+        params=SimParams(), seed=seed,
+        cache=CacheParams.caching_on() if on else None)
     sim = dep.cluster.sim
     dirs = [f"/d{i}" for i in range(n_dirs)]
     files = [f"{d}/f{j}" for d in dirs for j in range(files_per_dir)]
@@ -136,84 +132,18 @@ def _run_side(cache: Optional[CacheParams], scale: str, seed: int) -> Dict:
     }
 
 
-def run_cache_ablation(scale: str = "quick", seed: int = 0,
-                       cache: Optional[CacheParams] = None) -> Dict:
-    """Run the ablation; returns a JSON-ready result document."""
-    on_policy = cache or CacheParams.caching_on()
-    off = _run_side(None, scale, seed)
-    on = _run_side(on_policy, scale, seed)
-    doc = {
-        "benchmark": "mdcache_ablation",
-        "scale": scale,
-        "seed": seed,
-        "off": off,
-        "on": on,
-        "speedup": {
-            name: (on["phases"][name]["ops_per_s"]
-                   / off["phases"][name]["ops_per_s"]
-                   if off["phases"][name]["ops_per_s"] else 0.0)
-            for name in PHASES
-        },
-    }
-    return doc
-
-
-def render_cache_ablation(doc: Dict) -> str:
-    lines = [f"cache ablation (scale={doc['scale']} seed={doc['seed']}):",
-             f"  {'phase':<12} {'off ops/s':>12} {'on ops/s':>12} "
-             f"{'speedup':>8}"]
-    for name in PHASES:
-        off = doc["off"]["phases"][name]["ops_per_s"]
-        on = doc["on"]["phases"][name]["ops_per_s"]
-        lines.append(f"  {name:<12} {off:>12,.0f} {on:>12,.0f} "
-                     f"{doc['speedup'][name]:>7.2f}x")
+def footer(doc: Dict) -> str:
     c = doc["on"]["cache"]
-    lines.append(f"  cache-on: hit-rate {doc['on']['hit_rate']:.1%} "
-                 f"(hits={c['hits']} misses={c['misses']} "
-                 f"coalesced={c['coalesced']} "
-                 f"listings={c['listing_hits']}/{c['listing_hits'] + c['listing_misses']}), "
-                 f"zk reads {doc['on']['zk_reads']} vs "
-                 f"{doc['off']['zk_reads']} uncached")
-    return "\n".join(lines)
+    return (f"  cache-on: hit-rate {doc['on']['hit_rate']:.1%} "
+            f"(hits={c['hits']} misses={c['misses']} "
+            f"coalesced={c['coalesced']} "
+            f"listings={c['listing_hits']}/{c['listing_hits'] + c['listing_misses']}), "
+            f"zk reads {doc['on']['zk_reads']} vs "
+            f"{doc['off']['zk_reads']} uncached")
 
 
-def write_cache_bench_json(doc: Dict, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def check_regression(doc: Dict, baseline: Dict,
-                     tolerance: float = 0.25) -> List[str]:
-    """Compare a fresh ablation run against a committed baseline.
-
-    Returns a list of human-readable failures: any cache-on phase whose
-    simulated throughput dropped more than ``tolerance`` below the
-    baseline, or a speedup that fell under the 2x acceptance floor for
-    the stat phases. A phase missing from the baseline JSON (stale file
-    from before the phase existed, or hand-edited) is itself reported as
-    a failure with a regenerate hint — never a ``KeyError``.
-    """
-    failures = []
-    base_phases = baseline.get("on", {}).get("phases", {})
-    for name in PHASES:
-        base_phase = base_phases.get(name)
-        if base_phase is None or "ops_per_s" not in base_phase:
-            failures.append(
-                f"{name}: missing from baseline JSON — regenerate it with "
-                f"'python -m repro bench --json "
-                f"benchmarks/BENCH_mdcache.json'")
-            continue
-        base = base_phase["ops_per_s"]
-        cur = doc["on"]["phases"][name]["ops_per_s"]
-        if base > 0 and cur < base * (1.0 - tolerance):
-            failures.append(
-                f"{name}: cache-on throughput {cur:,.0f} ops/s is "
-                f">{tolerance:.0%} below baseline {base:,.0f}")
-    for name in ("stat_hot", "stat_shared"):
-        if doc["speedup"][name] < 2.0:
-            failures.append(
-                f"{name}: cache speedup {doc['speedup'][name]:.2f}x "
-                f"< 2x acceptance floor")
-    return failures
+def floors(doc: Dict) -> List[Tuple[str, float, float]]:
+    """The 2x acceptance floor on the two stat phases (``ls_l`` is
+    tracked against the baseline but not floored)."""
+    return [(f"{name} cache speedup", doc["speedup"][name], 2.0)
+            for name in ("stat_hot", "stat_shared")]

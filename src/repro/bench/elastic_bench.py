@@ -31,8 +31,7 @@ moving them at the right time.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.fs import build_dufs_deployment
 from ..mds import ShardMap
@@ -167,8 +166,8 @@ def _run_arm(arm: str, hot: Dict[str, List[str]], scale: str,
     return doc
 
 
-def run_elastic_bench(scale: str = "quick", seed: int = 0,
-                      arms: Sequence[str] = ARMS) -> Dict:
+def run(scale: str = "quick", seed: int = 0,
+        arms: Sequence[str] = ARMS) -> Dict:
     """Run every arm on the identical workload; returns a JSON-ready doc."""
     n_clients, n_procs, dirs_per_period, cycles, items = _SCALES[scale]
     # Period A's hot set collides onto shard 0, period B's onto shard 1.
@@ -204,13 +203,13 @@ def run_elastic_bench(scale: str = "quick", seed: int = 0,
     }
 
 
-def render_elastic_bench(doc: Dict) -> str:
+def render(doc: Dict) -> str:
     lines = [f"elastic plane (scale={doc['scale']} seed={doc['seed']}, "
              f"{doc['n_zk_total']} ZK servers as {doc['n_shards']} shards, "
              f"pin budget {doc['pin_budget']}):",
              f"  {'arm':<10} " + " ".join(f"{op:>14}" for op in GATED_OPS)]
-    for arm, run in doc["arms"].items():
-        cells = " ".join(f"{run['throughput'][op]:>14,.0f}"
+    for arm, cell in doc["arms"].items():
+        cells = " ".join(f"{cell['throughput'][op]:>14,.0f}"
                          for op in GATED_OPS)
         lines.append(f"  {arm:<10} {cells}")
     for op in GATED_OPS:
@@ -227,37 +226,15 @@ def render_elastic_bench(doc: Dict) -> str:
     return "\n".join(lines)
 
 
-def write_elastic_bench_json(doc: Dict, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def tracked(doc: Dict) -> Dict[str, float]:
+    """Aggregate throughput of every (arm, gated op) pair."""
+    return {f"{op} @ {arm}": thr
+            for arm, cell in doc.get("arms", {}).items()
+            for op, thr in cell.get("throughput", {}).items()}
 
 
-def check_elastic_regression(doc: Dict, baseline: Optional[Dict] = None,
-                             tolerance: float = 0.25) -> List[str]:
-    """Gate a fresh run: the adaptivity floor always applies; with a
-    committed baseline, per-arm throughput must also stay within
-    ``tolerance``. Returns human-readable failures (empty = pass)."""
-    failures: List[str] = []
-    for op in GATED_OPS:
-        gate = doc.get("speedup_vs_best_static", {}).get(op, 0.0)
-        if gate < SPEEDUP_FLOOR:
-            failures.append(
-                f"{op}: elastic speedup {gate:.2f}x over best static arm "
-                f"< {SPEEDUP_FLOOR}x acceptance floor")
-    if baseline is not None:
-        for arm, run in doc.get("arms", {}).items():
-            base_run = baseline.get("arms", {}).get(arm)
-            if base_run is None:
-                failures.append(f"baseline has no arm {arm!r} — "
-                                f"regenerate the baseline JSON")
-                continue
-            for op in GATED_OPS:
-                base = base_run.get("throughput", {}).get(op, 0.0)
-                cur = run["throughput"][op]
-                if base > 0 and cur < base * (1.0 - tolerance):
-                    failures.append(
-                        f"{op} @ {arm}: throughput {cur:,.0f} ops/s is "
-                        f">{tolerance:.0%} below baseline {base:,.0f}")
-    return failures
+def floors(doc: Dict) -> List[Tuple[str, float, float]]:
+    """The adaptivity floor: elastic over the best static arm, per op."""
+    return [(f"{op} elastic/best-static speedup",
+             doc["speedup_vs_best_static"][op], SPEEDUP_FLOOR)
+            for op in GATED_OPS]

@@ -41,9 +41,8 @@ for the measured speedups vs the original 3x/2x target).
 
 from __future__ import annotations
 
-import json
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Tuple
 
 from ..sim.core import AllOf, AnyOf, Interrupt, Simulator
 from ..sim.node import Cluster
@@ -236,7 +235,17 @@ def _run_resource(n_groups: int, workers: int, ops: int) -> Simulator:
     return sim
 
 
-_WORKLOADS: Dict[str, Callable[..., Simulator]] = {}
+def workloads(scale: str) -> Dict[str, Callable[[], Simulator]]:
+    """The standardized mix at ``scale``: workload name -> zero-arg run."""
+    (t_procs, t_ticks, f_clients, f_rounds, f_fan,
+     s_spawners, s_children, r_groups, r_workers, r_ops) = _SCALES[scale]
+    return {
+        "timers": lambda: _run_timers(t_procs, t_ticks),
+        "fanout": lambda: _run_fanout(f_clients, f_rounds, f_fan),
+        "spawn_interrupt": lambda: _run_spawn_interrupt(
+            s_spawners, s_children),
+        "resource": lambda: _run_resource(r_groups, r_workers, r_ops),
+    }
 
 
 def _events_created(sim: Simulator) -> int:
@@ -258,29 +267,19 @@ def _time_workload(fn: Callable[[], Simulator], repeats: int) -> Dict:
 
 # -- harness ---------------------------------------------------------------
 
-def run_kernel_bench(scale: str = "quick", seed: int = 0,
-                     repeats: int = 3) -> Dict:
+def run(scale: str = "quick", seed: int = 0, repeats: int = 3) -> Dict:
     """Run the mixed kernel workload; returns the benchmark document.
 
     ``seed`` is accepted for harness uniformity; the workloads are fully
     deterministic (event counts never vary — only wall time does).
     """
-    (t_procs, t_ticks, f_clients, f_rounds, f_fan,
-     s_spawners, s_children, r_groups, r_workers, r_ops) = _SCALES[scale]
     cal = _calibration_ops_per_s()
     factor = cal / _CAL_REFERENCE_OPS_PER_S
 
-    workloads = {
-        "timers": lambda: _run_timers(t_procs, t_ticks),
-        "fanout": lambda: _run_fanout(f_clients, f_rounds, f_fan),
-        "spawn_interrupt": lambda: _run_spawn_interrupt(
-            s_spawners, s_children),
-        "resource": lambda: _run_resource(r_groups, r_workers, r_ops),
-    }
     results: Dict[str, Dict] = {}
     total_events = 0
     total_wall = 0.0
-    for name, fn in workloads.items():
+    for name, fn in workloads(scale).items():
         row = _time_workload(fn, repeats)
         row["norm_events_per_s"] = row["events_per_s"] / factor
         results[name] = row
@@ -313,7 +312,7 @@ def run_kernel_bench(scale: str = "quick", seed: int = 0,
     return doc
 
 
-def render_kernel_bench(doc: Dict) -> str:
+def render(doc: Dict) -> str:
     lines = [
         f"kernel bench: scale={doc['scale']} repeats={doc['repeats']} "
         f"calibration={doc['calibration_mops']:.1f} Mops/s",
@@ -341,56 +340,16 @@ def render_kernel_bench(doc: Dict) -> str:
     return "\n".join(lines)
 
 
-def check_kernel_regression(doc: Dict, baseline: Dict,
-                            tolerance: float = 0.25) -> List[str]:
-    """Gate: no workload more than ``tolerance`` below the committed
-    baseline (normalized), and the total must clear the pre-PR floor."""
-    failures: List[str] = []
-    base_wl = baseline.get("workloads", {})
-    for name, row in doc.get("workloads", {}).items():
-        base = base_wl.get(name)
-        if base is None:
-            failures.append(f"workload {name!r} missing from baseline "
-                            f"(refresh it)")
-            continue
-        floor = base["norm_events_per_s"] * (1.0 - tolerance)
-        if row["norm_events_per_s"] < floor:
-            failures.append(
-                f"{name}: {row['norm_events_per_s']:.0f} norm ev/s is "
-                f">{tolerance:.0%} below baseline "
-                f"{base['norm_events_per_s']:.0f}")
-    pre_wall = PRE_PR_NORM_WALL_S.get(doc.get("scale", ""), 0.0)
-    norm_wall = doc.get("total", {}).get("norm_wall_s", 0.0)
-    if pre_wall > 0 and norm_wall > 0:
-        speedup = pre_wall / norm_wall
-        if speedup < SPEEDUP_FLOOR:
-            failures.append(
-                f"total speedup vs pre-overhaul kernel {speedup:.2f}x "
-                f"is below the {SPEEDUP_FLOOR:.1f}x acceptance floor")
-    return failures
+def tracked(doc: Dict) -> Dict[str, float]:
+    """Normalized events/sec of every workload."""
+    return {name: row["norm_events_per_s"]
+            for name, row in doc.get("workloads", {}).items()}
 
 
-def write_kernel_bench_json(doc: Dict, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
-    import argparse
-    parser = argparse.ArgumentParser(description="kernel events/sec bench")
-    parser.add_argument("--scale", default="quick",
-                        choices=sorted(_SCALES))
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--json", default=None)
-    args = parser.parse_args(argv)
-    doc = run_kernel_bench(scale=args.scale, repeats=args.repeats)
-    print(render_kernel_bench(doc))
-    if args.json:
-        print(f"[json] {write_kernel_bench_json(doc, args.json)}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+def floors(doc: Dict) -> List[Tuple[str, float, float]]:
+    """The total must clear the floor over the pre-overhaul kernel (at
+    the scales that kernel was measured at)."""
+    if not doc["pre_pr_norm_wall_s"]:
+        return []
+    return [("total speedup vs pre-overhaul kernel",
+             doc["speedup_vs_pre_pr"], SPEEDUP_FLOOR)]

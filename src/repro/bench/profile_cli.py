@@ -18,110 +18,47 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List
 
-#: profile target -> zero-arg callable factory (scale, seed) -> fn
-_TARGETS: Dict[str, Callable[[str, int], Callable[[], object]]] = {}
-
-
-def _register(name: str):
-    def deco(factory):
-        _TARGETS[name] = factory
-        return factory
-    return deco
+from . import kernel_bench
+from .suite import SUITES
 
 
-@_register("kernel")
-def _kernel(scale: str, seed: int):
-    from .kernel_bench import run_kernel_bench
-    return lambda: run_kernel_bench(scale=scale, seed=seed, repeats=1)
-
-
-@_register("kernel:timers")
-def _kernel_timers(scale: str, seed: int):
-    from .kernel_bench import _SCALES, _run_timers
-    p = _SCALES[scale]
-    return lambda: _run_timers(p[0], p[1])
-
-
-@_register("kernel:fanout")
-def _kernel_fanout(scale: str, seed: int):
-    from .kernel_bench import _SCALES, _run_fanout
-    p = _SCALES[scale]
-    return lambda: _run_fanout(p[2], p[3], p[4])
-
-
-@_register("kernel:spawn_interrupt")
-def _kernel_spawn(scale: str, seed: int):
-    from .kernel_bench import _SCALES, _run_spawn_interrupt
-    p = _SCALES[scale]
-    return lambda: _run_spawn_interrupt(p[5], p[6])
-
-
-@_register("kernel:resource")
-def _kernel_resource(scale: str, seed: int):
-    from .kernel_bench import _SCALES, _run_resource
-    p = _SCALES[scale]
-    return lambda: _run_resource(p[7], p[8], p[9])
-
-
-@_register("bench")
-def _bench_mdcache(scale: str, seed: int):
-    from .cache_bench import run_cache_ablation
-    return lambda: run_cache_ablation(scale=scale, seed=seed)
-
-
-@_register("bench:shard")
-def _bench_shard(scale: str, seed: int):
-    from .shard_bench import run_shard_scaling
-    return lambda: run_shard_scaling(scale=scale, seed=seed)
-
-
-@_register("bench:resilience")
-def _bench_resilience(scale: str, seed: int):
-    from .resilience_bench import run_resilience_overload
-    return lambda: run_resilience_overload(scale=scale, seed=seed)
-
-
-@_register("bench:resolve")
-def _bench_resolve(scale: str, seed: int):
-    from .resolve_bench import run_resolve_ablation
-    return lambda: run_resolve_ablation(scale=scale, seed=seed)
-
-
-def _figure(name: str):
-    @_register(name)
-    def _fig(scale: str, seed: int, _name=name):
-        from . import figures
-        runner = getattr(figures, f"run_{_name}")
-        return lambda: runner(scale=scale, seed=seed)
-    return _fig
-
-
-for _n in ("fig7", "fig8", "fig9", "fig10", "fig11",
-           "single_dir", "cmd_comparison", "ablations"):
-    _figure(_n)
-_TARGETS["singledir"] = _TARGETS.pop("single_dir")
-_TARGETS["cmd"] = _TARGETS.pop("cmd_comparison")
+def _targets() -> Dict[str, Callable[..., object]]:
+    """Profile target -> ``fn(scale=, seed=)``: every figure the CLI can
+    regenerate, every bench suite as ``bench:<name>`` (``bench`` alone is
+    the CLI's default suite), and the kernel bench whole (one repeat) or
+    one workload of its mix at a time."""
+    from ..cli import RUNNERS            # cli imports this package
+    targets = dict(RUNNERS)
+    for suite in SUITES.values():
+        targets[f"bench:{suite.name}"] = suite.run
+        if not suite.selector:
+            targets["bench"] = suite.run
+    targets["kernel"] = partial(kernel_bench.run, repeats=1)
+    for name in kernel_bench.workloads("quick"):
+        targets[f"kernel:{name}"] = lambda scale, seed, name=name: \
+            kernel_bench.workloads(scale)[name]()
+    return targets
 
 
 def profile_targets() -> List[str]:
-    return sorted(_TARGETS)
+    return sorted(_targets())
 
 
 def run_profile(target: str, scale: str = "quick", seed: int = 0,
                 top: int = 25, sort: str = "tottime") -> str:
     """Profile one target; returns the rendered hot-path table."""
-    try:
-        fn = _TARGETS[target](scale, seed)
-    except KeyError:
+    targets = _targets()
+    if target not in targets:
         raise ValueError(
             f"unknown profile target {target!r} "
-            f"(choose from: {', '.join(profile_targets())})") from None
+            f"(choose from: {', '.join(sorted(targets))})")
     prof = cProfile.Profile()
     prof.enable()
     try:
-        fn()
+        targets[target](scale=scale, seed=seed)
     finally:
         prof.disable()
     buf = io.StringIO()
@@ -131,24 +68,3 @@ def run_profile(target: str, scale: str = "quick", seed: int = 0,
               f"sort={sort} top={top}\n"
               "(profiler overhead inflates absolute times — rank only)\n")
     return header + buf.getvalue()
-
-
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
-    import argparse
-    parser = argparse.ArgumentParser(
-        description="profile a bench/figure target under cProfile")
-    parser.add_argument("target", choices=profile_targets())
-    parser.add_argument("--scale", default="quick",
-                        choices=("quick", "medium", "full"))
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--top", type=int, default=25)
-    parser.add_argument("--sort", default="tottime",
-                        choices=("tottime", "cumtime", "ncalls"))
-    args = parser.parse_args(argv)
-    print(run_profile(args.target, scale=args.scale, seed=args.seed,
-                      top=args.top, sort=args.sort))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -24,8 +24,7 @@ the client-side resilience knobs differ.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 from ..models.params import FaultToleranceParams, ResilienceParams, ZKParams
 from ..sim.node import Cluster
@@ -147,7 +146,7 @@ def _run_arm(load: float, resilient: bool, duration: float,
     }
 
 
-def run_resilience_overload(scale: str = "quick", seed: int = 0) -> Dict:
+def run(scale: str = "quick", seed: int = 0) -> Dict:
     """Run the off/on sweep; returns a JSON-ready result document."""
     duration, n_clients, loads = _SCALES[scale]
     capacity = 1.0 / READ_CPU
@@ -180,7 +179,7 @@ def run_resilience_overload(scale: str = "quick", seed: int = 0) -> Dict:
     }
 
 
-def render_resilience_overload(doc: Dict) -> str:
+def render(doc: Dict) -> str:
     lines = [
         f"resilience overload campaign (scale={doc['scale']} "
         f"seed={doc['seed']}, capacity {doc['capacity_ops_s']:,.0f} reads/s,"
@@ -207,37 +206,14 @@ def render_resilience_overload(doc: Dict) -> str:
     return "\n".join(lines)
 
 
-def write_resilience_bench_json(doc: Dict, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def tracked(doc: Dict) -> Dict[str, float]:
+    """Goodput of every (load, arm) cell."""
+    return {f"{arm} @ {load}x": cell["goodput_ops_s"]
+            for load, arms in doc.get("loads", {}).items()
+            for arm, cell in arms.items()}
 
 
-def check_resilience_regression(doc: Dict, baseline: Optional[Dict] = None,
-                                tolerance: float = 0.25) -> List[str]:
-    """Gate a fresh campaign: the on/off goodput floor always applies;
-    with a committed ``baseline``, per-cell goodput must also stay within
-    ``tolerance`` of it. Returns human-readable failures."""
-    failures = []
-    gate = doc.get("gate", {})
-    ratio = gate.get("on_over_off", 0.0)
-    if ratio < GOODPUT_FLOOR:
-        failures.append(
-            f"goodput at {gate.get('load')}x load: resilience-on is only "
-            f"{ratio:.2f}x resilience-off (floor {GOODPUT_FLOOR}x)")
-    if baseline is not None:
-        for load, cell in sorted(doc.get("loads", {}).items()):
-            base_cell = baseline.get("loads", {}).get(load)
-            if base_cell is None:
-                failures.append(f"baseline has no entry for load {load}x — "
-                                f"regenerate the baseline JSON")
-                continue
-            for arm in ("off", "on"):
-                base = base_cell.get(arm, {}).get("goodput_ops_s", 0.0)
-                cur = cell[arm]["goodput_ops_s"]
-                if base > 0 and cur < base * (1.0 - tolerance):
-                    failures.append(
-                        f"{arm} @ {load}x: goodput {cur:,.0f} ops/s is "
-                        f">{tolerance:.0%} below baseline {base:,.0f}")
-    return failures
+def floors(doc: Dict) -> List[Tuple[str, float, float]]:
+    gate = doc["gate"]
+    return [(f"resilience-on/off goodput at {gate['load']}x load",
+             gate["on_over_off"], GOODPUT_FLOOR)]

@@ -24,17 +24,16 @@ Phases map to the three DL access patterns:
   more unique directories than the walk arm's dcache bound, so the walk
   re-reads ~``depth - 1`` ancestors per stat while the thin client pays
   exactly one RPC. This is the acceptance phase: thin-client throughput
-  must be **>= 3x** the walk (``check_resolve_regression``).
+  must be **>= 3x** the walk (:func:`floors`).
 
-Results are machine-readable (:func:`write_resolve_bench_json`) so CI
-tracks the trajectory and fails on regression.
+This module is the workload; the off/on harness around it (run both
+sides, speedup table, JSON, CI gate) is :func:`repro.bench.suite.ablation`.
 """
 
 from __future__ import annotations
 
-import json
 from collections import OrderedDict
-from typing import Dict, Generator, List
+from typing import Dict, Generator, List, Tuple
 
 from ..core.fs import build_dufs_deployment
 from ..core.paths import ancestors
@@ -42,16 +41,19 @@ from ..models.params import ResolveParams, SimParams
 from ..workloads.dltrain import DLTrainSpec, epoch_order
 from ..workloads.driver import run_phase
 
+#: Path depth of the ``deep_stat`` checkpoint files, at every scale: the
+#: acceptance criterion is pinned to depth 8.
+DEPTH = 8
+
 _SCALES = {
-    # scale -> (n_zk, n_client_nodes, workload spec). depth stays 8 at
-    # every scale (the acceptance criterion is pinned to depth 8);
-    # n_chains keeps the deep tree bigger than the walk arm's dcache.
+    # scale -> (n_zk, n_client_nodes, workload spec). n_chains keeps the
+    # deep tree bigger than the walk arm's dcache.
     "quick": (3, 4, DLTrainSpec(n_shard_dirs=4, samples_per_dir=12,
-                                n_chains=16, depth=8, epochs=2)),
+                                n_chains=16, depth=DEPTH, epochs=2)),
     "medium": (8, 8, DLTrainSpec(n_shard_dirs=8, samples_per_dir=24,
-                                 n_chains=24, depth=8, epochs=3)),
+                                 n_chains=24, depth=DEPTH, epochs=3)),
     "full": (8, 8, DLTrainSpec(n_shard_dirs=16, samples_per_dir=48,
-                               n_chains=32, depth=8, epochs=3)),
+                               n_chains=32, depth=DEPTH, epochs=3)),
 }
 
 PHASES = ("flat_stat", "epoch_read", "deep_stat")
@@ -90,7 +92,7 @@ class ColdDcacheWalk:
         return (yield from self.client.stat(path))
 
 
-def _run_side(thin: bool, scale: str, seed: int) -> Dict:
+def run_side(thin: bool, scale: str, seed: int) -> Dict:
     """One full run (scaffold + three measured phases) of one arm: thin
     clients, or default clients each behind a :class:`ColdDcacheWalk`.
 
@@ -180,81 +182,16 @@ def _run_side(thin: bool, scale: str, seed: int) -> Dict:
     }
 
 
-def run_resolve_ablation(scale: str = "quick", seed: int = 0) -> Dict:
-    """Run the ablation; returns a JSON-ready result document."""
-    off = _run_side(False, scale, seed)
-    on = _run_side(True, scale, seed)
-    return {
-        "benchmark": "resolve_ablation",
-        "scale": scale,
-        "seed": seed,
-        "depth": _SCALES[scale][2].depth,
-        "off": off,
-        "on": on,
-        "speedup": {
-            name: (on["phases"][name]["ops_per_s"]
-                   / off["phases"][name]["ops_per_s"]
-                   if off["phases"][name]["ops_per_s"] else 0.0)
-            for name in PHASES
-        },
-    }
-
-
-def render_resolve_ablation(doc: Dict) -> str:
-    lines = [f"resolve ablation (scale={doc['scale']} seed={doc['seed']} "
-             f"depth={doc['depth']}):",
-             f"  {'phase':<12} {'walk ops/s':>12} {'thin ops/s':>12} "
-             f"{'speedup':>8}"]
-    for name in PHASES:
-        off = doc["off"]["phases"][name]["ops_per_s"]
-        on = doc["on"]["phases"][name]["ops_per_s"]
-        lines.append(f"  {name:<12} {off:>12,.0f} {on:>12,.0f} "
-                     f"{doc['speedup'][name]:>7.2f}x")
+def footer(doc: Dict) -> str:
     s = doc["on"]["server"]
-    lines.append(
+    return (
         f"  thin: {doc['on']['reads_per_lookup']:.2f} RPCs/lookup "
         f"({doc['on']['zk_reads']} reads / {doc['on']['lookups']} lookups) "
         f"vs walk {doc['off']['reads_per_lookup']:.2f}; server dentry "
         f"hits {s['dentry_hits']}/{s['dentry_hits'] + s['dentry_misses']} "
         f"over {s['resolves']} resolves")
-    return "\n".join(lines)
 
 
-def write_resolve_bench_json(doc: Dict, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def check_resolve_regression(doc: Dict, baseline: Dict,
-                             tolerance: float = 0.25) -> List[str]:
-    """Compare a fresh run against the committed baseline.
-
-    Failures: any thin-client phase throughput more than ``tolerance``
-    below baseline, or a ``deep_stat`` speedup under the 3x acceptance
-    floor. A phase missing from the baseline (stale or hand-edited
-    JSON) is reported with a regenerate hint, never a ``KeyError``.
-    """
-    failures = []
-    base_phases = baseline.get("on", {}).get("phases", {})
-    for name in PHASES:
-        base_phase = base_phases.get(name)
-        if base_phase is None or "ops_per_s" not in base_phase:
-            failures.append(
-                f"{name}: missing from baseline JSON — regenerate it with "
-                f"'python -m repro bench --resolve --json "
-                f"benchmarks/BENCH_resolve.json'")
-            continue
-        base = base_phase["ops_per_s"]
-        cur = doc["on"]["phases"][name]["ops_per_s"]
-        if base > 0 and cur < base * (1.0 - tolerance):
-            failures.append(
-                f"{name}: thin-client throughput {cur:,.0f} ops/s is "
-                f">{tolerance:.0%} below baseline {base:,.0f}")
-    if doc["speedup"]["deep_stat"] < DEEP_STAT_FLOOR:
-        failures.append(
-            f"deep_stat: resolve speedup {doc['speedup']['deep_stat']:.2f}x "
-            f"< {DEEP_STAT_FLOOR:.0f}x acceptance floor at depth "
-            f"{doc['depth']}")
-    return failures
+def floors(doc: Dict) -> List[Tuple[str, float, float]]:
+    return [(f"deep_stat resolve speedup at depth {doc['depth']}",
+             doc["speedup"]["deep_stat"], DEEP_STAT_FLOOR)]

@@ -11,15 +11,14 @@ committing in parallel.
 
 The create phases are the gate: hash-of-parent placement keeps mdtest
 creates shard-local, so ``file_create`` throughput should scale
-near-linearly until client-side work dominates. CI regenerates
-``benchmarks/BENCH_shard.json`` and fails if 4 shards stop clearing the
-1.5x acceptance floor over 1 shard (:func:`check_shard_regression`).
+near-linearly until client-side work dominates. CI reruns the sweep
+against ``benchmarks/BENCH_shard.json`` and fails if 4 shards stop
+clearing the 1.5x acceptance floor over 1 shard (:func:`floors`).
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.fs import build_dufs_deployment
 from ..models.params import SimParams
@@ -63,8 +62,8 @@ def _run_one(n_shards: int, scale: str, seed: int) -> Dict:
     return doc
 
 
-def run_shard_scaling(scale: str = "quick", seed: int = 0,
-                      shard_counts: Sequence[int] = (1, 2, 4)) -> Dict:
+def run(scale: str = "quick", seed: int = 0,
+        shard_counts: Sequence[int] = (1, 2, 4)) -> Dict:
     """Run the sweep; returns a JSON-ready result document."""
     n_zk, n_clients, n_procs, items = _SCALES[scale]
     runs = {str(n): _run_one(n, scale, seed) for n in shard_counts}
@@ -90,7 +89,7 @@ def run_shard_scaling(scale: str = "quick", seed: int = 0,
     return doc
 
 
-def render_shard_scaling(doc: Dict) -> str:
+def render(doc: Dict) -> str:
     counts = sorted(doc["shards"], key=int)
     lines = [f"shard scaling (scale={doc['scale']} seed={doc['seed']}, "
              f"{doc['n_zk_total']} ZK servers total, "
@@ -111,46 +110,21 @@ def render_shard_scaling(doc: Dict) -> str:
     return "\n".join(lines)
 
 
-def write_shard_bench_json(doc: Dict, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def tracked(doc: Dict) -> Dict[str, float]:
+    """Per-configuration throughput of every phase."""
+    return {f"{name} @ {n} shard(s)": phase["ops_per_s"]
+            for n, cell in doc.get("shards", {}).items()
+            for name, phase in cell.get("phases", {}).items()}
 
 
-def check_shard_regression(doc: Dict, baseline: Optional[Dict] = None,
-                           tolerance: float = 0.25) -> List[str]:
-    """Gate a fresh sweep: the create-phase scaling floor always applies;
-    with a committed ``baseline``, per-configuration throughput must also
-    stay within ``tolerance`` of it. Returns human-readable failures."""
-    failures = []
-    counts = sorted(doc["shards"], key=int)
-    top = counts[-1]
-    gate = doc["speedup_vs_1"].get(top, {}).get(CREATE_PHASE, 0.0)
-    if gate < SPEEDUP_FLOOR:
-        failures.append(
-            f"{CREATE_PHASE}: {top}-shard speedup {gate:.2f}x < "
-            f"{SPEEDUP_FLOOR}x acceptance floor")
-    if baseline is not None:
-        for n in counts:
-            base_run = baseline.get("shards", {}).get(n)
-            if base_run is None:
-                failures.append(
-                    f"baseline has no entry for {n} shard(s) — "
-                    f"regenerate the baseline JSON")
-                continue
-            for name in PHASES:
-                base_phase = base_run.get("phases", {}).get(name)
-                if base_phase is None:
-                    failures.append(
-                        f"baseline {n}-shard run has no phase {name!r} — "
-                        f"regenerate the baseline JSON")
-                    continue
-                base = base_phase["ops_per_s"]
-                cur = doc["shards"][n]["phases"][name]["ops_per_s"]
-                if base > 0 and cur < base * (1.0 - tolerance):
-                    failures.append(
-                        f"{name} @ {n} shard(s): throughput {cur:,.0f} "
-                        f"ops/s is >{tolerance:.0%} below baseline "
-                        f"{base:,.0f}")
-    return failures
+def floors(doc: Dict) -> List[Tuple[str, float, float]]:
+    """The create-phase scaling floor at the largest shard count."""
+    top = max(doc["shards"], key=int)
+    return [(f"{CREATE_PHASE} {top}-shard speedup",
+             doc["speedup_vs_1"][top][CREATE_PHASE], SPEEDUP_FLOOR)]
+
+
+def rerun(baseline: Dict) -> Dict:
+    """Re-run the shard counts the baseline recorded."""
+    counts = sorted(int(n) for n in baseline.get("shards", {}))
+    return {"shard_counts": counts} if counts else {}

@@ -37,6 +37,7 @@ import argparse
 import sys
 
 from .bench import (
+    SUITES,
     render_figure,
     render_headline,
     run_ablations,
@@ -49,6 +50,7 @@ from .bench import (
     run_fig10,
     run_fig11,
     run_headline_claims,
+    write_json,
 )
 
 RUNNERS = {
@@ -75,7 +77,10 @@ def main(argv=None) -> int:
                         help="which figure/table to regenerate "
                              "(or 'chaos': a fault-injection run; 'trace': "
                              "a traced mdtest with per-endpoint op metrics; "
-                             "'bench': the client-cache ablation; "
+                             "'bench': one bench suite, picked by its flag — "
+                             + "; ".join(f"{s.selector or '(default)'}: "
+                                         f"{s.blurb}"
+                                         for s in SUITES.values()) + "; "
                              "'shardmap': the elastic metadata plane state "
                              "dump; 'profile': run a bench/figure under "
                              "cProfile)")
@@ -105,35 +110,22 @@ def main(argv=None) -> int:
     parser.add_argument("--cache", action="store_true",
                         help="enable the client metadata cache (trace and "
                              "chaos; 'bench' always runs cache off AND on)")
-    parser.add_argument("--resilience", action="store_true",
-                        help="chaos: run the DUFS clients with the full "
-                             "resilience policy (deadline propagation, retry "
-                             "budget, breakers, hedged reads); bench: run "
-                             "the overload campaign comparing resilience "
-                             "off vs on at 2x the saturation load")
-    parser.add_argument("--resolve", action="store_true",
-                        help="bench: run the path-resolution ablation "
-                             "(server-side resolve/thin client vs the "
-                             "fat-client VFS walk) on the DL-training "
-                             "workload family")
-    parser.add_argument("--kernel", action="store_true",
-                        help="bench: run the simulator events/sec kernel "
-                             "bench (timer churn, RPC fan-out, "
-                             "spawn/interrupt, resource cascades)")
-    parser.add_argument("--elastic", action="store_true",
-                        help="bench: run the elastic-vs-static comparison "
-                             "(autoscaler with live subtree migration vs "
-                             "the best static layouts on a skewed, "
-                             "shifting hotspot); chaos: run the elastic "
-                             "plane (needs --shards >= 2)")
+    # One on/off flag per bench suite; chaos reads three of them too.
+    chaos_use = {
+        "resilience": "chaos: run the DUFS clients with the full resilience "
+                      "policy (deadline propagation, retry budget, "
+                      "breakers, hedged reads)",
+        "elastic": "chaos: run the elastic plane (needs --shards >= 2)",
+        "async_writes": "chaos: run the DUFS clients in write-behind mode",
+    }
+    for suite in SUITES.values():
+        if suite.selector and " " not in suite.selector:     # a bare flag
+            parser.add_argument(
+                suite.selector, dest=suite.dest, action="store_true",
+                help="; ".join(filter(None, [f"bench: {suite.blurb}",
+                                             chaos_use.get(suite.dest)])))
     parser.add_argument("--async", dest="async_writes", action="store_true",
-                        help="bench: run the write-behind ablation "
-                             "(asynchronous metadata updates vs the "
-                             "synchronous quorum-committed client) on the "
-                             "mdtest file phases; chaos: run the DUFS "
-                             "clients in write-behind mode")
-    parser.add_argument("--async-writes", dest="async_writes",
-                        action="store_true", help=argparse.SUPPRESS)
+                        help="short for --async-writes")
     parser.add_argument("--top", type=int, default=25,
                         help="profile: how many hot-path rows to print")
     parser.add_argument("--sort", default="tottime",
@@ -211,58 +203,20 @@ def main(argv=None) -> int:
             from .bench import run_shardmap
             print(run_shardmap(scale=args.scale, seed=args.seed,
                                json_path=args.json))
-        elif target == "bench" and args.async_writes:
-            from .bench import (render_async_ablation, run_async_ablation,
-                                write_async_bench_json)
-            doc = run_async_ablation(scale=args.scale, seed=args.seed)
-            print(render_async_ablation(doc))
-            if args.json:
-                print(f"[json] {write_async_bench_json(doc, args.json)}")
-        elif target == "bench" and args.elastic:
-            from .bench import (render_elastic_bench, run_elastic_bench,
-                                write_elastic_bench_json)
-            doc = run_elastic_bench(scale=args.scale, seed=args.seed)
-            print(render_elastic_bench(doc))
-            if args.json:
-                print(f"[json] {write_elastic_bench_json(doc, args.json)}")
-        elif target == "bench" and args.kernel:
-            from .bench import (render_kernel_bench, run_kernel_bench,
-                                write_kernel_bench_json)
-            doc = run_kernel_bench(scale=args.scale, seed=args.seed)
-            print(render_kernel_bench(doc))
-            if args.json:
-                print(f"[json] {write_kernel_bench_json(doc, args.json)}")
-        elif target == "bench" and args.resolve:
-            from .bench import (render_resolve_ablation,
-                                run_resolve_ablation,
-                                write_resolve_bench_json)
-            doc = run_resolve_ablation(scale=args.scale, seed=args.seed)
-            print(render_resolve_ablation(doc))
-            if args.json:
-                print(f"[json] {write_resolve_bench_json(doc, args.json)}")
-        elif target == "bench" and args.resilience:
-            from .bench import (render_resilience_overload,
-                                run_resilience_overload,
-                                write_resilience_bench_json)
-            doc = run_resilience_overload(scale=args.scale, seed=args.seed)
-            print(render_resilience_overload(doc))
-            if args.json:
-                print(f"[json] {write_resilience_bench_json(doc, args.json)}")
-        elif target == "bench" and shard_counts:
-            from .bench import (render_shard_scaling, run_shard_scaling,
-                                write_shard_bench_json)
-            doc = run_shard_scaling(scale=args.scale, seed=args.seed,
-                                    shard_counts=shard_counts)
-            print(render_shard_scaling(doc))
-            if args.json:
-                print(f"[json] {write_shard_bench_json(doc, args.json)}")
         elif target == "bench":
-            from .bench import (render_cache_ablation, run_cache_ablation,
-                                write_cache_bench_json)
-            doc = run_cache_ablation(scale=args.scale, seed=args.seed)
-            print(render_cache_ablation(doc))
+            chosen = [s for s in SUITES.values()
+                      if s.dest and getattr(args, s.dest)] \
+                or [s for s in SUITES.values() if not s.selector]
+            if len(chosen) > 1:
+                parser.error("bench runs one suite at a time, got "
+                             + " and ".join(s.selector.split()[0]
+                                            for s in chosen))
+            suite, = chosen
+            sweep = {"shard_counts": shard_counts} if shard_counts else {}
+            doc = suite.run(scale=args.scale, seed=args.seed, **sweep)
+            print(suite.render(doc))
             if args.json:
-                print(f"[json] {write_cache_bench_json(doc, args.json)}")
+                print(f"[json] {write_json(doc, args.json)}")
         elif target == "claims":
             scale = args.scale if args.scale != "quick" else "medium"
             print(render_headline(run_headline_claims(scale=scale,
