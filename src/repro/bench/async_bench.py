@@ -7,7 +7,7 @@ Runs the mdtest file phases twice on identically-seeded deployments:
 - **on**  — write-behind mode (``AsyncParams.async_on()``): mutations
   append to the per-client ordered log (:mod:`repro.core.wblog`), ack
   after ``ack_cpu`` of client CPU, and drain in the background through
-  the group-commit Batcher in ``drain_batch_max``-op batches.
+  the group-commit Batcher in ``DRAIN_BATCH_MAX``-op batches.
 
 Both arms run with ``propose_batch_max=8`` on the ZooKeeper leader (the
 group-commit capacity exists either way — the ablation isolates *who

@@ -25,7 +25,8 @@ from ..models.params import SimParams
 from ..pfs.lustre.fs import build_lustre
 from ..pfs.pvfs.fs import build_pvfs
 from ..sim.node import Cluster
-from ..workloads.mdtest import ALL_PHASES, FILE_PHASES, MdtestConfig, run_mdtest
+from ..workloads.mdtest import (ALL_PHASES, DIR_PHASES, FILE_PHASES,
+                                MdtestConfig, run_mdtest)
 from ..workloads.treegen import TreeSpec
 from ..workloads.zkraw import ZK_PHASES, ZKRawConfig, run_zk_raw
 
@@ -107,32 +108,39 @@ def run_fig7(scale: str = "quick", seed: int = 0,
 
 def _run_basic(kind: str, procs: int, items: int, seed: int,
                params: Optional[SimParams] = None,
-               phases=ALL_PHASES):
+               phases=ALL_PHASES, single_dir: bool = False, n_mds: int = 2):
+    """mdtest against one basic filesystem (``lustre``, ``pvfs`` or the
+    ``cmd`` foil with ``n_mds`` active MDSes) mounted from 8 client
+    nodes; returns ``(result, filesystem)`` so callers can read the
+    servers' own counters."""
     params = params or SimParams()
     cluster = Cluster(seed=seed)
     nodes = [cluster.add_node(f"client{i}", cores=params.node_cores)
              for i in range(8)]
     if kind == "lustre":
         fs = build_lustre(cluster, "lustre", params=params.lustre)
-    else:
+    elif kind == "pvfs":
         fs = build_pvfs(cluster, "pvfs", params=params.pvfs)
+    else:
+        from ..pfs.cmd.fs import build_cmd
+        fs = build_cmd(cluster, "cmd", n_mds=n_mds, params=params.lustre)
     cfg = MdtestConfig(n_procs=procs, items_per_proc=items, tree=_tree(),
-                       phases=phases)
+                       phases=phases, single_dir=single_dir)
     return run_mdtest(cluster, lambda i: fs.client(nodes[i % 8]),
-                      lambda i: nodes[i % 8], cfg)
+                      lambda i: nodes[i % 8], cfg), fs
 
 
 def _run_dufs(backend: str, procs: int, items: int, seed: int,
               n_zk: int = 8, n_backends: int = 2,
               params: Optional[SimParams] = None,
-              phases=ALL_PHASES, **dep_kwargs):
+              phases=ALL_PHASES, single_dir: bool = False, **dep_kwargs):
     dep = build_dufs_deployment(
         n_zk=n_zk, n_backends=n_backends, n_client_nodes=8, backend=backend,
         params=params, seed=seed,
         pvfs_servers_per_instance=dep_kwargs.pop("pvfs_servers_per_instance", 4),
         **dep_kwargs)
     cfg = MdtestConfig(n_procs=procs, items_per_proc=items, tree=_tree(),
-                       phases=phases)
+                       phases=phases, single_dir=single_dir)
     return run_mdtest(dep.cluster, dep.mount_for, dep.node_for, cfg)
 
 
@@ -146,7 +154,7 @@ def run_fig8(scale: str = "quick", seed: int = 0,
                        "client processes")
     items = _items(scale)
     for procs in _procs(scale):
-        res = _run_basic("lustre", procs, items, seed)
+        res, _ = _run_basic("lustre", procs, items, seed)
         for phase in ALL_PHASES:
             fig.add(f"{phase}/lustre", procs, res.throughput(phase))
         for n_zk in ensembles:
@@ -169,7 +177,8 @@ def run_fig9(scale: str = "quick", seed: int = 0,
                        "client processes")
     items = _items(scale)
     for procs in _procs(scale):
-        res = _run_basic("lustre", procs, items, seed, phases=FILE_PHASES)
+        res, _ = _run_basic("lustre", procs, items, seed,
+                            phases=FILE_PHASES)
         for phase in FILE_PHASES:
             fig.add(f"{phase}/lustre", procs, res.throughput(phase))
         for n_b in backend_counts:
@@ -193,9 +202,9 @@ def run_fig10(scale: str = "quick", seed: int = 0) -> FigureResult:
     items = _items(scale)
     for procs in _procs(scale):
         for name, runner in (
-            ("lustre", lambda: _run_basic("lustre", procs, items, seed)),
+            ("lustre", lambda: _run_basic("lustre", procs, items, seed)[0]),
             ("dufs-lustre", lambda: _run_dufs("lustre", procs, items, seed)),
-            ("pvfs", lambda: _run_basic("pvfs", procs, items, seed)),
+            ("pvfs", lambda: _run_basic("pvfs", procs, items, seed)[0]),
             ("dufs-pvfs", lambda: _run_dufs("pvfs", procs, items, seed)),
         ):
             res = runner()
@@ -217,30 +226,12 @@ def run_single_dir(scale: str = "quick", seed: int = 0) -> FigureResult:
                        "shared directory", "client processes")
     items = _items(scale)
     for procs in _procs(scale):
-        for name, kind in (("lustre", "basic"), ("dufs-lustre", "dufs")):
-            if kind == "basic":
-                params = SimParams()
-                cluster = Cluster(seed=seed)
-                nodes = [cluster.add_node(f"client{i}", cores=8)
-                         for i in range(8)]
-                fs = build_lustre(cluster, "lustre", params=params.lustre)
-                cfg = MdtestConfig(n_procs=procs, items_per_proc=items,
-                                   tree=_tree(), single_dir=True,
-                                   phases=("file_create", "file_stat",
-                                           "file_remove"))
-                res = run_mdtest(cluster, lambda i: fs.client(nodes[i % 8]),
-                                 lambda i: nodes[i % 8], cfg)
-            else:
-                dep = build_dufs_deployment(n_zk=8, n_backends=2,
-                                            n_client_nodes=8,
-                                            backend="lustre", seed=seed)
-                cfg = MdtestConfig(n_procs=procs, items_per_proc=items,
-                                   tree=_tree(), single_dir=True,
-                                   phases=("file_create", "file_stat",
-                                           "file_remove"))
-                res = run_mdtest(dep.cluster, dep.mount_for, dep.node_for,
-                                 cfg)
-            for phase in ("file_create", "file_stat", "file_remove"):
+        runs = {"lustre": _run_basic("lustre", procs, items, seed,
+                                     phases=FILE_PHASES, single_dir=True)[0],
+                "dufs-lustre": _run_dufs("lustre", procs, items, seed,
+                                         phases=FILE_PHASES, single_dir=True)}
+        for name, res in runs.items():
+            for phase in FILE_PHASES:
                 fig.add(f"{phase}/{name}", procs, res.throughput(phase))
     fig.wall_seconds = time.time() - t0
     fig.notes.append("single shared directory: the worst case for "
@@ -252,8 +243,6 @@ def run_cmd_comparison(scale: str = "quick", seed: int = 0) -> FigureResult:
     """DUFS vs Lustre CMD (Clustered Metadata), the design the paper argues
     against (§II/§VI): CMD gets multiple active MDSes, but cross-MDS
     mutations serialize on a global lock and renames always do."""
-    from ..pfs.cmd.fs import build_cmd
-
     t0 = time.time()
     fig = FigureResult("cmd", "DUFS vs Lustre CMD (clustered metadata)",
                        "client processes")
@@ -261,30 +250,18 @@ def run_cmd_comparison(scale: str = "quick", seed: int = 0) -> FigureResult:
     for procs in _procs(scale):
         # CMD with 2 and 4 active MDSes.
         for n_mds in (2, 4):
-            params = SimParams()
-            cluster = Cluster(seed=seed)
-            nodes = [cluster.add_node(f"client{i}", cores=8)
-                     for i in range(8)]
-            fs = build_cmd(cluster, "cmd", n_mds=n_mds,
-                           params=params.lustre)
-            cfg = MdtestConfig(n_procs=procs, items_per_proc=items,
-                               tree=_tree(),
-                               phases=("dir_create", "dir_stat",
-                                       "dir_remove"))
-            res = run_mdtest(cluster, lambda i: fs.client(nodes[i % 8]),
-                             lambda i: nodes[i % 8], cfg)
-            for phase in ("dir_create", "dir_stat", "dir_remove"):
+            res, fs = _run_basic("cmd", procs, items, seed,
+                                 phases=DIR_PHASES, n_mds=n_mds)
+            for phase in DIR_PHASES:
                 fig.add(f"{phase}/cmd{n_mds}", procs, res.throughput(phase))
             fig.add(f"global_locks/cmd{n_mds}", procs,
                     float(fs.lock_server.stats["acquisitions"]))
         # DUFS (8 ZK, 2 Lustre backends) and basic Lustre for reference.
-        res = _run_dufs("lustre", procs, items, seed,
-                        phases=("dir_create", "dir_stat", "dir_remove"))
-        for phase in ("dir_create", "dir_stat", "dir_remove"):
+        res = _run_dufs("lustre", procs, items, seed, phases=DIR_PHASES)
+        for phase in DIR_PHASES:
             fig.add(f"{phase}/dufs", procs, res.throughput(phase))
-        res = _run_basic("lustre", procs, items, seed,
-                         phases=("dir_create", "dir_stat", "dir_remove"))
-        for phase in ("dir_create", "dir_stat", "dir_remove"):
+        res, _ = _run_basic("lustre", procs, items, seed, phases=DIR_PHASES)
+        for phase in DIR_PHASES:
             fig.add(f"{phase}/lustre", procs, res.throughput(phase))
     fig.wall_seconds = time.time() - t0
     fig.notes.append("CMD's cross-MDS mutations serialize on the global "
@@ -395,13 +372,8 @@ def run_ablations(scale: str = "quick", seed: int = 0) -> FigureResult:
     for dlm in (True, False):
         params = SimParams()
         params.lustre.dlm_enabled = dlm
-        cluster = Cluster(seed=seed)
-        nodes = [cluster.add_node(f"client{i}") for i in range(8)]
-        fs = build_lustre(cluster, "lustre", params=params.lustre)
-        cfg = MdtestConfig(n_procs=procs, items_per_proc=items, tree=_tree(),
-                           phases=("dir_create", "dir_stat"))
-        res = run_mdtest(cluster, lambda i: fs.client(nodes[i % 8]),
-                         lambda i: nodes[i % 8], cfg)
+        res, fs = _run_basic("lustre", procs, items, seed, params=params,
+                             phases=("dir_create", "dir_stat"))
         tag = "on" if dlm else "off"
         fig.add(f"lustre_dir_create/dlm={tag}", procs,
                 res.throughput("dir_create"))

@@ -133,35 +133,9 @@ def _namespace_files(ns) -> Set[str]:
     return out
 
 
-def _pvfs_files(fs) -> Set[str]:
-    """All metafile paths of a PVFS instance, walked from the root dir."""
-    from ..pfs.pvfs.server import DIR_T, META_T
-
-    out: Set[str] = set()
-
-    def obj_of(handle: int):
-        return fs.servers[handle >> 48].objects.get(handle)
-
-    def rec(prefix: str, handle: int) -> None:
-        obj = obj_of(handle)
-        if obj is None or obj.kind != DIR_T:
-            return
-        for name, child_h in obj.entries.items():
-            child = obj_of(child_h)
-            path = f"{prefix}/{name}" if prefix != "/" else f"/{name}"
-            if child is None:
-                continue
-            if child.kind == DIR_T:
-                rec(path, child_h)
-            elif child.kind == META_T and child.target is None:
-                out.add(path)
-
-    rec("/", fs.root_handle)
-    return out
-
-
 def physical_files(backend_fs) -> Set[str]:
-    """Enumerate a back-end's regular files, whatever its type."""
+    """Enumerate the regular files of a back-end that keeps its tree in a
+    :class:`~repro.pfs.namespace.Namespace` (LocalFS, LustreFS)."""
     ns = getattr(backend_fs, "ns", None)               # LocalFS
     if ns is None:
         mds = getattr(backend_fs, "mds", None)          # LustreFS
@@ -169,8 +143,6 @@ def physical_files(backend_fs) -> Set[str]:
             ns = mds.ns
     if ns is not None:
         return _namespace_files(ns)
-    if hasattr(backend_fs, "root_handle"):              # PVFSFS
-        return _pvfs_files(backend_fs)
     raise TypeError(f"cannot enumerate files of {backend_fs!r}")
 
 

@@ -10,12 +10,10 @@ counter resets to zero.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
 
 FID_BITS = 128
 CLIENT_ID_BITS = 64
 COUNTER_BITS = 64
-_COUNTER_MASK = (1 << COUNTER_BITS) - 1
 HEX_DIGITS = FID_BITS // 4
 
 _instance_ids = itertools.count(1)
@@ -37,14 +35,6 @@ def make_fid(client_id: int, counter: int) -> int:
     if not 0 <= counter < (1 << COUNTER_BITS):
         raise ValueError(f"counter out of range: {counter}")
     return (client_id << COUNTER_BITS) | counter
-
-
-def fid_client_id(fid: int) -> int:
-    return fid >> COUNTER_BITS
-
-
-def fid_counter(fid: int) -> int:
-    return fid & _COUNTER_MASK
 
 
 def fid_hex(fid: int) -> str:
@@ -72,16 +62,7 @@ class FIDGenerator:
             raise ValueError(f"client id out of range: {self.client_id}")
         self._counter = 0
 
-    @property
-    def created(self) -> int:
-        """Files created by this instance so far."""
-        return self._counter
-
     def next(self) -> int:
         fid = make_fid(self.client_id, self._counter)
         self._counter += 1
         return fid
-
-    def __iter__(self) -> Iterator[int]:
-        while True:
-            yield self.next()

@@ -83,9 +83,6 @@ class DUFSDeployment:
         proc = self.client_nodes[0].spawn(genfunc(*args))
         return self.cluster.sim.run(until=proc)
 
-    def run(self, until=None):
-        return self.cluster.run(until)
-
 
 def _build_backends(cluster: Cluster, kind: str, n_backends: int,
                     params: SimParams, n_oss: int, pvfs_servers: int,
@@ -237,27 +234,22 @@ def build_dufs_deployment(
     else:
         zk_nodes = [cluster.add_node(f"zknode{i}", cores=params.node_cores)
                     for i in range(n_zk)]
-    if n_shards == 1:
-        ensembles = [build_ensemble(cluster, zk_nodes, n_zk,
-                                    params=params.zk, bus=bus)]
-    else:
-        # n_zk is the TOTAL server budget: each shard gets an independent
-        # ensemble of n_zk // n_shards servers, so 1x8 / 2x4 / 4x2 sweeps
-        # compare metadata planes at equal hardware.
-        per_shard = max(1, n_zk // n_shards)
-        ensembles = []
-        for k in range(n_shards):
-            if co_locate_zk:
-                # Rotate so shard quorums land on different client nodes.
-                off = (k * per_shard) % len(zk_nodes)
-                shard_nodes = list(zk_nodes[off:]) + list(zk_nodes[:off])
-            else:
-                shard_nodes = list(zk_nodes[k * per_shard:
-                                            (k + 1) * per_shard]) \
-                    or list(zk_nodes)
-            ensembles.append(build_ensemble(cluster, shard_nodes, per_shard,
-                                            params=params.zk, bus=bus,
-                                            name=f"s{k}zk", shard=k))
+    # n_zk is the TOTAL server budget: each shard gets an independent
+    # ensemble of n_zk // n_shards servers, so 1x8 / 2x4 / 4x2 sweeps
+    # compare metadata planes at equal hardware.
+    per_shard = max(1, n_zk // n_shards)
+    ensembles = []
+    for k in range(n_shards):
+        if co_locate_zk:
+            # Rotate so shard quorums land on different client nodes.
+            off = (k * per_shard) % len(zk_nodes)
+            shard_nodes = list(zk_nodes[off:]) + list(zk_nodes[:off])
+        else:
+            shard_nodes = list(zk_nodes[k * per_shard:(k + 1) * per_shard]) \
+                or list(zk_nodes)
+        ensembles.append(build_ensemble(
+            cluster, shard_nodes, per_shard, params=params.zk, bus=bus,
+            name="zk" if n_shards == 1 else f"s{k}zk", shard=k))
     ensemble = ensembles[0]
     backends = _build_backends(cluster, backend, n_backends, params,
                                n_oss_per_lustre, pvfs_servers_per_instance,
@@ -277,38 +269,24 @@ def build_dufs_deployment(
                 srv.route_guard = guard
     clients, mounts, zk_clients = [], [], []
     for i, node in enumerate(client_nodes):
-        if n_shards == 1:
-            # Prefer the co-located ZooKeeper server; else round-robin.
-            if co_locate_zk and i < n_zk:
-                prefer = ensemble.endpoints[i]
-            else:
-                prefer = ensemble.server_for(i)
-            zkc = ZKClient(node, ensemble.endpoints, prefer=prefer,
-                           name=f"dufszk{i}", fault=params.fault, bus=bus,
-                           resilience=params.resilience)
-            service = zkc
-            retries_of = lambda z=zkc: z.last_retries  # noqa: E731
-        else:
-            # One ZK client per shard per node; each prefers a server of
-            # ITS shard's ensemble that is co-located on this node, else
-            # round-robins over that shard's live servers (shard-aware
-            # prefer assignment).
-            shard_clients = []
-            for k, ens in enumerate(ensembles):
-                prefer = next((ep for s, ep in zip(ens.servers,
-                                                   ens.endpoints)
-                               if s.node is node), None) \
-                    if co_locate_zk else None
-                if prefer is None:
-                    prefer = ens.server_for(i)
-                shard_clients.append(
-                    ZKClient(node, ens.endpoints, prefer=prefer,
-                             name=f"dufszk{i}s{k}", fault=params.fault,
-                             bus=bus, resilience=params.resilience))
-            zkc = shard_clients[0]
-            service = ShardedMDS(shard_clients, shard_map=shard_map,
-                                 name=f"mds{i}", bus=bus, registry=registry)
-            retries_of = lambda m=service: m.last_retries  # noqa: E731
+        # One ZK client per shard per node; each prefers a server of ITS
+        # shard's ensemble that is co-located on this node, else
+        # round-robins over that shard's live servers.
+        shard_clients = []
+        for k, ens in enumerate(ensembles):
+            prefer = next((ep for s, ep in zip(ens.servers, ens.endpoints)
+                           if s.node is node), None) if co_locate_zk else None
+            if prefer is None:
+                prefer = ens.server_for(i)
+            shard_clients.append(ZKClient(
+                node, ens.endpoints, prefer=prefer,
+                name=f"dufszk{i}" if n_shards == 1 else f"dufszk{i}s{k}",
+                fault=params.fault, bus=bus, resilience=params.resilience))
+        # One shard is the paper's deployment: the bare client, which
+        # DUFSClient wraps in the zero-event SingleEnsembleMDS.
+        service = shard_clients[0] if n_shards == 1 else ShardedMDS(
+            shard_clients, shard_map=shard_map, name=f"mds{i}", bus=bus,
+            registry=registry)
         backend_clients = [
             be.client(node) if backend != "local" else be.client()
             for be in backends
@@ -324,12 +302,12 @@ def build_dufs_deployment(
         if bus is not None:
             instrument_client(dufs, TRACED_CLIENT_OPS, bus,
                               deployment="dufs", endpoint=f"dufs{i}",
-                              retries_of=retries_of)
+                              retries_of=lambda s=service: s.last_retries)
         mount = FuseMount(node, OperationTable.from_client(dufs),
                           params=params.fuse, name=f"dufs{i}")
         clients.append(dufs)
         mounts.append(mount)
-        zk_clients.append(zkc)
+        zk_clients.append(shard_clients[0])
     migrator = autoscaler_proc = None
     if registry is not None:
         # The migrator's private per-shard clients stay UNSTAMPED

@@ -98,9 +98,3 @@ class MappingFunction:
         self._ring.add(idx)
         self.n_backends += 1
         return idx
-
-    def remove_backend(self, idx: int) -> None:
-        if self._ring is None:
-            raise RuntimeError("MD5-mod-N cannot shrink; use 'consistent'")
-        self._ring.remove(idx)
-        self.n_backends -= 1

@@ -52,6 +52,12 @@ from .metadata import DirPayload, decode_payload
 from .paths import ancestors, basename, is_ancestor, parent_dir
 
 
+#: LRU bounds of the two side tables (positive entries are bounded by
+#: ``CacheParams.capacity``).
+LISTING_CAPACITY = 512
+NEGATIVE_CAPACITY = 1024
+
+
 class ResolveMiss(NoNodeError):
     """A miss the source already classified: the ``resolve`` reply names
     the nearest existing ancestor, so no parent walk is needed —
@@ -432,7 +438,7 @@ class CoherentMDCache(MDCache):
         expires = self.sim.now + p.ttl if p.ttl > 0 else None
         self._listings[path] = (tuple(names), expires)
         self._listings.move_to_end(path)
-        while len(self._listings) > p.listing_capacity:
+        while len(self._listings) > LISTING_CAPACITY:
             self._listings.popitem(last=False)
             self.counters["evictions"] += 1
         return self._overlay_adjust(path, names)
@@ -469,7 +475,7 @@ class CoherentMDCache(MDCache):
             return
         self._negatives[path] = self.sim.now + p.negative_ttl
         self._negatives.move_to_end(path)
-        while len(self._negatives) > p.negative_capacity:
+        while len(self._negatives) > NEGATIVE_CAPACITY:
             self._negatives.popitem(last=False)
             self.counters["evictions"] += 1
 

@@ -16,7 +16,7 @@ same reason).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 
 def parent_dir(path: str) -> str:
@@ -30,22 +30,11 @@ def basename(path: str) -> str:
     return path.rsplit("/", 1)[-1]
 
 
-def split(path: str) -> Tuple[str, str]:
-    """``(parent_dir, basename)`` in one pass."""
-    head, _, name = path.rpartition("/")
-    return head or "/", name
-
-
 def components(path: str) -> List[str]:
     """Name components of ``path`` (``[]`` for the root)."""
     if path == "/":
         return []
     return path.split("/")[1:]
-
-
-def depth(path: str) -> int:
-    """Number of components below the root (``/`` -> 0, ``/a/b`` -> 2)."""
-    return len(components(path))
 
 
 def ancestors(path: str) -> Iterator[str]:

@@ -11,7 +11,7 @@ DUFS client:
   write overlay (read-your-writes), and acks after ``ack_cpu`` of client
   CPU — no ZooKeeper contact on the caller's critical path;
 - a group-commit :class:`~repro.svc.batch.Batcher` drains the log in
-  batches of up to ``drain_batch_max`` ops through the client's
+  batches of up to ``DRAIN_BATCH_MAX`` ops through the client's
   :class:`~repro.mds.MetadataService` — so drains inherit leader-side
   proposal coalescing, the retry/fail-over machinery, and (behind a
   :class:`~repro.mds.ShardedMDS`) epoch-stamped routing that retries
@@ -50,6 +50,10 @@ from ..svc.batch import Batcher
 from ..svc.trace import NULL_BUS, TraceBus
 from ..zk.errors import ZKError
 from .paths import is_ancestor
+
+
+#: Most ops one drain flush of the batcher covers.
+DRAIN_BATCH_MAX = 64
 
 
 class PendingOp:
@@ -127,7 +131,7 @@ class WriteBehindLog:
         self._barriers: List[Event] = []
         self._stalled: List[Event] = []
         self._batcher = Batcher(node, f"{endpoint}.wblog", self._drain,
-                                max_batch=self.params.drain_batch_max,
+                                max_batch=DRAIN_BATCH_MAX,
                                 bus=bus, deployment="dufs")
         node.on_crash(self._on_crash)
         node.on_recover(self._on_recover)
@@ -179,10 +183,6 @@ class WriteBehindLog:
 
     # -- introspection -------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._pending)
-
-    @property
-    def outstanding(self) -> int:
         return len(self._pending)
 
     def lost_ops(self) -> List[PendingOp]:

@@ -49,8 +49,3 @@ class FSError(OSError):
         name = _errno.errorcode.get(self.err, str(self.err))
         loc = f" {self.path}" if self.path else ""
         return f"[{name}]{loc}: {self.strerror}"
-
-
-def errname(err: int) -> str:
-    """Symbolic name for an errno value (``2`` -> ``"ENOENT"``)."""
-    return _errno.errorcode.get(err, str(err))

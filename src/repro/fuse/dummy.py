@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..models.memory import FUSE_BASELINE_MB
 from ..models.params import FUSEParams
 from ..pfs.localfs import LocalFS
 from ..sim.node import Node
@@ -25,7 +24,3 @@ class DummyFS(FuseMount):
         self.local = LocalFS(node)
         super().__init__(node, OperationTable.from_client(self.local.client()),
                          params=params, name="dummyfuse")
-
-    def memory_mb(self) -> float:
-        """Process RSS estimate: libfuse buffers only, no per-file state."""
-        return FUSE_BASELINE_MB

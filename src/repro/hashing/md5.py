@@ -2,9 +2,11 @@
 
 The paper's deterministic mapping function is ``fid -> MD5(fid) mod N``
 (section IV-F), chosen because MD5 distributes FIDs fairly across the
-back-end storages. This module provides the digest used by
-:mod:`repro.core.mapping`; its correctness is property-tested against
-:mod:`hashlib` and the RFC 1321 appendix vectors.
+back-end storages. :func:`md5_bytes` is the reference digest, property-
+tested against :mod:`hashlib` and the RFC 1321 appendix vectors;
+:func:`md5_int` — what the mapping and routing paths call once or more
+per simulated op — goes through :mod:`hashlib`, which the same property
+test holds equal to the reference.
 
 Note MD5 is used purely for load balancing here (as in the paper), not for
 security.
@@ -12,6 +14,7 @@ security.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 # Per-round left-rotate amounts (RFC 1321, section 3.4).
@@ -75,10 +78,7 @@ def md5_bytes(data: bytes) -> bytes:
     return struct.pack("<4I", *state)
 
 
-def md5_hex(data: bytes) -> str:
-    return md5_bytes(data).hex()
-
-
 def md5_int(data: bytes) -> int:
     """Digest interpreted as a big-endian 128-bit integer (for ``mod N``)."""
-    return int.from_bytes(md5_bytes(data), "big")
+    return int.from_bytes(
+        hashlib.md5(data, usedforsecurity=False).digest(), "big")

@@ -23,7 +23,6 @@ from .migrate import (
     MIGRATION_MARKER,
     Migration,
     Migrator,
-    decode_migration,
     encode_migration,
     is_migration_marker,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "MIGRATION_MARKER",
     "Migration",
     "Migrator",
-    "decode_migration",
     "encode_migration",
     "is_migration_marker",
     "Autoscaler",

@@ -8,13 +8,13 @@ observation). Every ``interval`` simulated seconds it:
 1. samples the **windowed per-shard op rates** from the TraceBus (the
    satellite signal; falls back to per-directory op-count deltas summed
    by the current map when no bus is wired),
-2. classifies shards *hot* (rate above ``hot_factor ×`` the mean) and
-   *cold* (below ``cold_factor ×``), requiring ``hysteresis`` consecutive
-   hot ticks before acting so an oscillating workload never flaps the
-   map,
+2. classifies a shard *hot* when its rate exceeds ``HOT_FACTOR ×`` the
+   mean and a pinned subtree *quiet* when its own rate is under
+   ``merge_min_ops``, requiring ``hysteresis`` consecutive such ticks
+   before acting so an oscillating workload never flaps the map,
 3. proposes **splits** — pin the hottest directories of a hot shard to
-   the coldest shards — and **merges** — unpin subtrees that have gone
-   idle — subject to the server-budget constraint: the shard pool is
+   the coldest shards — and **merges** — unpin subtrees that stayed
+   quiet — subject to the server-budget constraint: the shard pool is
    fixed (equal hardware), so the only resource spent is the pin table,
    capped at ``max_pins``,
 4. executes the moves through the :class:`~repro.mds.migrate.Migrator`
@@ -38,6 +38,9 @@ from .sharded import INTENT_ROOT, ShardedMDS
 from .shardmap import ShardMapRegistry
 
 __all__ = ["Autoscaler"]
+
+#: A shard is hot while its windowed rate exceeds this multiple of the mean.
+HOT_FACTOR = 1.6
 
 #: (time, action, root, src, dst, note) — the decision journal.
 Decision = Tuple[float, str, str, int, int, str]
@@ -187,7 +190,7 @@ class Autoscaler:
         # Hysteresis bookkeeping: a streak survives only while the
         # condition holds on *consecutive* ticks.
         for k in range(n):
-            if loads[k] > p.hot_factor * mean:
+            if loads[k] > HOT_FACTOR * mean:
                 self._hot_streak[k] = self._hot_streak.get(k, 0) + 1
             else:
                 self._hot_streak.pop(k, None)

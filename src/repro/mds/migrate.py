@@ -50,7 +50,7 @@ from .sharded import INTENT_ROOT, PLACEHOLDER_DIR_DATA, ShardedMDS, \
 from .shardmap import ShardMap, ShardMapRegistry
 
 __all__ = ["MIGRATION_MARKER", "Migration", "Migrator",
-           "decode_migration", "encode_migration", "is_migration_marker"]
+           "encode_migration", "is_migration_marker"]
 
 #: Marker prefix for migration intents. ``b"M:"`` followed by JSON is not
 #: itself valid JSON, so legacy intent decoding raises ValueError instead
@@ -71,14 +71,6 @@ def encode_migration(root: str, dst: Optional[int], from_epoch: int) -> bytes:
 
 def is_migration_marker(data: bytes) -> bool:
     return data.startswith(MIGRATION_MARKER)
-
-
-def decode_migration(data: bytes) -> Tuple[str, Optional[int], int]:
-    """-> (root, dst_shard or None for a merge, from_epoch)."""
-    if not is_migration_marker(data):
-        raise ValueError("not a migration marker")
-    root, dst, from_epoch = json.loads(data[len(MIGRATION_MARKER):].decode())
-    return root, (None if dst == -1 else dst), from_epoch
 
 
 class Migration:

@@ -301,22 +301,6 @@ class ShardedMDS(MetadataService):
     def last_retries(self) -> int:
         return self._last_retries
 
-    def resilience_stats(self) -> dict:
-        """Aggregate request-lifecycle counters across the shard clients:
-        hedges issued/won, breaker fast-fails and trips, and the state of
-        each client's retry-token bucket."""
-        out = {"hedges": 0, "hedges_won": 0, "breaker_fastfails": 0,
-               "breaker_trips": 0, "retry_tokens_spent": 0,
-               "retries_denied": 0}
-        for zkc in self.clients:
-            out["hedges"] += zkc.hedges
-            out["hedges_won"] += zkc.hedges_won
-            out["breaker_fastfails"] += zkc.breakers.fastfails
-            out["breaker_trips"] += zkc.breakers.trips()
-            out["retry_tokens_spent"] += zkc.retry.budget.spent
-            out["retries_denied"] += zkc.retry.budget.denied
-        return out
-
     # -- reads -------------------------------------------------------------
     def get(self, path: str, watch=None) -> Generator:
         self._last_retries = 0

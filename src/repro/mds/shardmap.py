@@ -197,9 +197,6 @@ class ShardMapRegistry:
     def epoch(self) -> int:
         return self.current.epoch
 
-    def map_at(self, epoch: int) -> Optional[ShardMap]:
-        return self._by_epoch.get(epoch)
-
     def install(self, new_map: ShardMap, reason: str = "") -> List[str]:
         """Make ``new_map`` current; returns the changed subtree roots."""
         if new_map.epoch != self.current.epoch + 1:

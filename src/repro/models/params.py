@@ -25,9 +25,9 @@ class FaultToleranceParams:
     ``request_timeout``/``max_retries`` bound a single RPC; the retry loop
     sleeps between attempts with *decorrelated jitter* backoff
     (``sleep = min(cap, uniform(base, 3 * prev))``) and gives up early once
-    ``op_budget`` seconds have elapsed for the whole operation. With
-    ``reconnect_on_expiry`` the client transparently re-establishes its
-    session after a :class:`~repro.zk.errors.SessionExpiredError`.
+    ``op_budget`` seconds have elapsed for the whole operation. The client
+    transparently re-establishes its session after a
+    :class:`~repro.zk.errors.SessionExpiredError`.
     """
 
     request_timeout: float = 5.0
@@ -35,7 +35,6 @@ class FaultToleranceParams:
     backoff_base: float = 0.02
     backoff_cap: float = 1.0
     op_budget: float = 60.0            # wall-clock budget per operation
-    reconnect_on_expiry: bool = True
 
 
 @dataclass
@@ -61,8 +60,8 @@ class ResilienceParams:
       open endpoints fail fast for ``breaker_cooldown`` seconds, then one
       half-open probe decides re-close vs re-open.
     - *Hedged reads* (``hedge_enabled``): idempotent lookups are re-issued
-      to a different live server after the ``hedge_quantile`` of recently
-      observed read latency (``hedge_delay`` until ``hedge_min_samples``
+      to a different live server after the p95 of recently observed read
+      latency (``hedge_delay`` until ``hedge_min_samples``
       have been seen); first reply wins, the loser is cancelled. Writes
       are never hedged.
     """
@@ -78,7 +77,6 @@ class ResilienceParams:
     breaker_cooldown: float = 1.0      # open -> half-open delay (seconds)
     hedge_enabled: bool = False
     hedge_delay: float = 0.05          # fallback delay before hedging
-    hedge_quantile: float = 0.95       # latency percentile that arms hedges
     hedge_window: int = 128            # rolling latency samples kept
     hedge_min_samples: int = 16        # below this, hedge_delay is used
 
@@ -110,12 +108,10 @@ class ZKParams:
     # Server-side full-path resolution (the FalconFS lever): one ``resolve``
     # RPC walks the whole ancestor chain on the server. The walk pays
     # ``resolve_component_cpu`` per component missing from the server's
-    # dentry cache (bounded to ``dentry_cache_capacity`` resolved prefixes,
-    # 0 = unbounded) on top of the endpoint's base read cost. Deployments
-    # that never issue a resolve (the default client policy) schedule
-    # exactly the same events as before these fields existed.
+    # (bounded) dentry cache on top of the endpoint's base read cost.
+    # Deployments that never issue a resolve (the default client policy)
+    # schedule exactly the same events as before this field existed.
     resolve_component_cpu: float = 85e-6
-    dentry_cache_capacity: int = 65536
     write_leader_cpu: float = 470e-6   # validate + zxid + self-log (CPU part)
     write_per_follower_cpu: float = 105e-6  # marshal PROPOSE + absorb ACK
     # set/delete pay extra base work (version check, watch sweep, parent
@@ -154,14 +150,6 @@ class ZKParams:
     ping_interval: float = 0.15
     ping_timeout: float = 0.45
     election_tick: float = 0.08
-
-    # Admission policy for every server of the ensemble: "direct"
-    # (unbounded, the default — event-for-event identical to the
-    # pre-kernel servers), "bounded:N[:M]" or "priority:N[:M]" (at most N
-    # in service; with M, arrivals beyond M waiters are rejected with
-    # AdmissionReject instead of queueing without bound — the overload
-    # shedding the resilience bench leans on).
-    admission: str = "direct"
 
 
 @dataclass
@@ -310,8 +298,6 @@ class CacheParams:
 
     enabled: bool = False
     capacity: int = 4096               # positive entries (LRU)
-    listing_capacity: int = 512        # readdir listings (LRU)
-    negative_capacity: int = 1024      # cached ENOENTs (LRU)
     ttl: float = 0.0                   # 0 = watch-coherent, no time bound
     negative_ttl: float = 0.0          # 0 = negative caching off
     hit_cpu: float = 1.5e-6            # client CPU per cache hit
@@ -361,8 +347,8 @@ class AsyncParams:
     an ordered :class:`~repro.core.wblog.WriteBehindLog`, acks the
     caller after ``ack_cpu`` seconds of client CPU, and drains the log
     asynchronously through a group-commit
-    :class:`~repro.svc.batch.Batcher` in batches of up to
-    ``drain_batch_max`` ops, issuing non-conflicting ops of a batch
+    :class:`~repro.svc.batch.Batcher` in batches of up to 64 ops
+    (``core.wblog.DRAIN_BATCH_MAX``), issuing non-conflicting ops of a batch
     concurrently (per-path/ancestor dependency order and per-client
     program order of conflicting ops are preserved). Read-your-writes is
     served from the mdcache's pending-write overlay until the drain
@@ -372,7 +358,6 @@ class AsyncParams:
     """
 
     enabled: bool = False
-    drain_batch_max: int = 64          # ops drained per batcher flush
     max_pending: int = 4096            # acked-but-uncommitted bound
     ack_cpu: float = 4e-6              # client CPU to append + ack
 
@@ -405,9 +390,7 @@ class ElasticParams:
     #                                    migrations, e.g. chaos scripts)
     interval: float = 0.1              # control-loop period (s)
     window: float = 0.25               # TraceBus op-rate window (s)
-    hot_factor: float = 1.6            # hot: rate > hot_factor * mean
-    cold_factor: float = 0.6           # cold: rate < cold_factor * mean
-    hysteresis: int = 2                # consecutive hot/cold ticks to act
+    hysteresis: int = 2                # consecutive hot/quiet ticks to act
     cooldown: float = 0.4              # min seconds between moves of a root
     max_pins: int = 8                  # pin-table budget (server budget)
     min_window_ops: int = 40           # ignore windows below this total
@@ -442,7 +425,6 @@ class SimParams:
     awrite: AsyncParams = field(default_factory=AsyncParams)
 
     node_cores: int = 8                # dual Xeon E5335
-    client_op_cpu: float = 18e-6       # mdtest/app-side cost per op
     seed: int = 0
 
     def with_overrides(self, **kwargs) -> "SimParams":

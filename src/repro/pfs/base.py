@@ -43,10 +43,6 @@ class StatResult:
     def is_file(self) -> bool:
         return statmod.S_ISREG(self.st_mode)
 
-    @property
-    def is_symlink(self) -> bool:
-        return statmod.S_ISLNK(self.st_mode)
-
 
 @dataclass(frozen=True)
 class DirEntry:

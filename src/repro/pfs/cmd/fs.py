@@ -37,9 +37,6 @@ class CMDFS:
             self._clients[node.name] = cli
         return cli
 
-    def total_dirs(self) -> int:
-        return sum(len(s.dirs) for s in self.servers)
-
 
 def build_cmd(
     cluster: Cluster,

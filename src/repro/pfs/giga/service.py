@@ -191,10 +191,6 @@ class GigaDirectory:
     def client(self, node: Node) -> "GigaClient":
         return GigaClient(self, node)
 
-    def total_entries(self) -> int:
-        return sum(len(t) for s in self.servers
-                   for t in s.partitions.values())
-
     def partitions_per_server(self) -> List[int]:
         return [len(s.partitions) for s in self.servers]
 

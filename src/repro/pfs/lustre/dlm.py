@@ -28,19 +28,9 @@ class LockManager:
             holders.add(client)
             self.stats["grants"] += 1
 
-    def holders(self, resource: str) -> Set[str]:
-        return set(self._granted.get(resource, ()))
-
     def conflicting(self, resource: str, requester: str) -> List[str]:
         """Clients whose cached lock must be revoked before a mutation."""
         return [c for c in self._granted.get(resource, ()) if c != requester]
-
-    def release(self, resource: str, client: str) -> None:
-        holders = self._granted.get(resource)
-        if holders is not None:
-            holders.discard(client)
-            if not holders:
-                self._granted.pop(resource, None)
 
     def revoke_all(self, resource: str, keep: str) -> List[str]:
         """Drop every holder except ``keep``; returns the revoked clients."""
@@ -52,8 +42,3 @@ class LockManager:
             self._granted.pop(resource, None)
         self.stats["revokes"] += len(revoked)
         return revoked
-
-    def drop_client(self, client: str) -> None:
-        """Forget every lock a (crashed) client held."""
-        for resource in list(self._granted):
-            self.release(resource, client)

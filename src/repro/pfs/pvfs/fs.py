@@ -37,9 +37,6 @@ class PVFSFS:
             self._clients[node.name] = cli
         return cli
 
-    def total_objects(self) -> int:
-        return sum(len(s.objects) for s in self.servers)
-
 
 def build_pvfs(
     cluster: Cluster,

@@ -111,9 +111,5 @@ class BreakerBoard:
         if self.enabled:
             self.for_endpoint(endpoint).on_failure()
 
-    def open_endpoints(self) -> list:
-        return sorted(ep for ep, br in self.breakers.items()
-                      if br.state == "open")
-
     def trips(self) -> int:
         return sum(br.trips for br in self.breakers.values())

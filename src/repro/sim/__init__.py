@@ -12,29 +12,20 @@ from .core import (
     Simulator,
     Timeout,
 )
-from .network import Message, Network, NetworkStats
+from .network import Network, NetworkStats
 from .node import Cluster, Node
 from .random import RandomStreams
-from .resources import PriorityResource, Request, Resource, Store
+from .resources import Request, Resource, Store
 from .rpc import Reply, RemoteError, RpcAgent, RpcTimeout
-from .stats import (
-    Counter,
-    Histogram,
-    LatencyRecorder,
-    LatencySummary,
-    OpLog,
-    ThroughputWindow,
-    percentile,
-)
+from .stats import Counter, LatencyRecorder, LatencySummary, percentile
 
 __all__ = [
     "AllOf", "AnyOf", "Condition", "EmptySchedule", "Event", "Interrupt",
     "Process", "SimulationError", "Simulator", "Timeout",
-    "Message", "Network", "NetworkStats",
+    "Network", "NetworkStats",
     "Cluster", "Node",
     "RandomStreams",
-    "PriorityResource", "Request", "Resource", "Store",
+    "Request", "Resource", "Store",
     "Reply", "RemoteError", "RpcAgent", "RpcTimeout",
-    "Counter", "Histogram", "LatencyRecorder", "LatencySummary", "OpLog",
-    "ThroughputWindow", "percentile",
+    "Counter", "LatencyRecorder", "LatencySummary", "percentile",
 ]

@@ -84,16 +84,6 @@ class Event:
         return self._value is not _PENDING
 
     @property
-    def processed(self) -> bool:
-        return self.callbacks is None
-
-    @property
-    def ok(self) -> bool:
-        if self._value is _PENDING:
-            raise SimulationError("event not yet triggered")
-        return self._ok
-
-    @property
     def value(self) -> Any:
         if self._value is _PENDING:
             raise SimulationError("event not yet triggered")
@@ -136,26 +126,10 @@ class Event:
 
 
 class Timeout(Event):
-    """Event that fires ``delay`` seconds after creation."""
+    """Event that fires ``delay`` seconds after creation. Built, and
+    queued, by :meth:`Simulator.timeout` only."""
 
     __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        # Inlined Event.__init__ + scheduling: a Timeout is value-bearing
-        # from creation and queues itself immediately.
-        self.sim = sim
-        self.callbacks = []
-        self._ok = True
-        self._value = value
-        self._used = False
-        self.delay = delay
-        sim._eid = eid = sim._eid + 1
-        if delay == 0.0:
-            sim._lane.append((eid, self, None))
-        else:
-            sim._staged.append((sim.now + delay, eid, self))
 
 
 class Process(Event):
@@ -440,10 +414,6 @@ class Simulator:
         self._active: Optional[Process] = None
 
     # -- scheduling ------------------------------------------------------
-    def _queue(self, event: Event) -> None:
-        self._eid = eid = self._eid + 1
-        self._lane.append((eid, event, None))
-
     def _queue_at(self, when: float, event: Event) -> None:
         self._eid = eid = self._eid + 1
         if when > self.now:
@@ -474,9 +444,10 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        # Duplicates Timeout.__init__ (sans the constructor frame): this is
-        # the single most-called factory in the kernel, so one Python frame
-        # per call is measurable. Keep in sync with Timeout.__init__.
+        # The one Timeout constructor, without a constructor frame (this
+        # is the single most-called factory in the kernel, so one Python
+        # frame per call is measurable): a Timeout is value-bearing from
+        # creation and queued immediately.
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         t = Timeout.__new__(Timeout)
@@ -495,12 +466,6 @@ class Simulator:
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)
-
-    def all_of(self, events: Iterable[Event]) -> Condition:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> Condition:
-        return AnyOf(self, events)
 
     # -- execution -------------------------------------------------------
     def step(self) -> None:

@@ -31,36 +31,14 @@ CHAOS_STREAM = "net.chaos"
 _DROP = ("drop",)
 
 
-class Message:
-    """An envelope delivered to the destination endpoint's inbox.
-
-    Plain ``__slots__`` class — one is allocated per transmitted message,
-    which makes it part of the simulator hot path.
-    """
-
-    __slots__ = ("src", "dst", "payload", "size", "sent_at")
-
-    def __init__(self, src: str, dst: str, payload: Any, size: int = 128,
-                 sent_at: float = 0.0):
-        self.src = src
-        self.dst = dst
-        self.payload = payload
-        self.size = size
-        self.sent_at = sent_at
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Message(src={self.src!r}, dst={self.dst!r}, "
-                f"size={self.size}, sent_at={self.sent_at})")
-
-
 class _Delivery(Event):
     """Scheduled arrival of one message.
 
-    The delivery *event* carries the envelope fields itself and is put
-    into the destination inbox directly, so one transmitted message costs
-    a single allocation (no separate Message + Event + closure). It
-    duck-types :class:`Message` — consumers only ever read the envelope
-    fields (``payload``, ``src``, ...)."""
+    The delivery *event* carries the envelope fields itself (``src``,
+    ``dst``, ``payload``, ``size``, ``sent_at`` — all a consumer ever reads)
+    and is put into the destination inbox directly, so one transmitted
+    message costs a single allocation (no separate envelope + event +
+    closure)."""
 
     __slots__ = ("src", "dst", "payload", "size", "sent_at")
 
@@ -158,9 +136,6 @@ class Network:
             self._routes.clear()
         return self._inboxes[endpoint]
 
-    def inbox(self, endpoint: str) -> Store:
-        return self._inboxes[endpoint]
-
     def set_inbox_hook(self, endpoint: str, hook) -> None:
         """Install ``hook(msg) -> bool`` tried at delivery time.
 
@@ -172,9 +147,6 @@ class Network:
         armed, i.e. exactly when the message would have been handed to
         the waiting consumer next anyway."""
         self._hooks[endpoint] = hook
-
-    def host_of(self, endpoint: str) -> str:
-        return self._hosts[endpoint]
 
     # -- failures --------------------------------------------------------
     def set_down(self, endpoint: str, down: bool = True) -> None:
@@ -230,10 +202,6 @@ class Network:
         self._link_faults.pop((src_host, dst_host), None)
         self._routes.clear()
 
-    def clear_link_faults(self) -> None:
-        self._link_faults.clear()
-        self._routes.clear()
-
     def _fault_for(self, src_host: str, dst_host: str) -> Optional[LinkFault]:
         if not self._link_faults or src_host == dst_host:
             return None
@@ -259,11 +227,6 @@ class Network:
         return self._partition.get(hs, -1) == self._partition.get(hd, -2) or hs == hd
 
     # -- transmission ----------------------------------------------------
-    def delay_for(self, src: str, dst: str, size: int) -> float:
-        if self._hosts.get(src, src) == self._hosts.get(dst, dst):
-            return self.loopback_latency + size / self.loopback_bandwidth
-        return self.latency + size / self.bandwidth
-
     def _route_for(self, key: tuple, src: str, dst: str) -> tuple:
         """Resolve, cache, and return the route tuple for one pair."""
         if dst not in self._inboxes:

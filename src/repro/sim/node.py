@@ -47,9 +47,6 @@ class Cluster:
         self.nodes[name] = node
         return node
 
-    def node(self, name: str) -> "Node":
-        return self.nodes[name]
-
     def run(self, until=None):
         return self.sim.run(until)
 

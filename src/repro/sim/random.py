@@ -25,21 +25,3 @@ class RandomStreams:
             rng = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = rng
         return rng
-
-    def uniform(self, name: str, lo: float, hi: float) -> float:
-        return self.stream(name).uniform(lo, hi)
-
-    def expovariate(self, name: str, rate: float) -> float:
-        return self.stream(name).expovariate(rate)
-
-    def jitter(self, name: str, mean: float, cv: float = 0.1) -> float:
-        """A service time with mild lognormal-ish jitter around ``mean``.
-
-        ``cv`` is the coefficient of variation; 0 returns ``mean`` exactly.
-        """
-        if cv <= 0:
-            return mean
-        rng = self.stream(name)
-        # Triangular jitter is cheap and bounded (no pathological tails).
-        lo, hi = mean * (1 - 1.7 * cv), mean * (1 + 1.7 * cv)
-        return max(1e-9, rng.triangular(lo, hi, mean))

@@ -1,9 +1,8 @@
 """Shared-resource primitives for the simulation kernel.
 
 ``Resource`` models a server with fixed concurrency (e.g. the 8 cores of a
-metadata server); ``PriorityResource`` adds request priorities (used by the
-Lustre DLM so lock revocations overtake ordinary requests); ``Store`` is an
-unbounded producer/consumer queue (used for node inboxes).
+metadata server); ``Store`` is an unbounded producer/consumer queue (used
+for node inboxes).
 
 Usage mirrors SimPy::
 
@@ -14,7 +13,6 @@ Usage mirrors SimPy::
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any
 
@@ -24,9 +22,9 @@ from .core import _PENDING, Event, Simulator
 class Request(Event):
     """Pending claim on a :class:`Resource`; fires when capacity is granted."""
 
-    __slots__ = ("resource", "priority", "_order")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource"):
         # Inlined Event.__init__ (one Request per simulated op — hot).
         self.sim = resource.sim
         self.callbacks = []
@@ -34,8 +32,6 @@ class Request(Event):
         self._ok = True
         self._used = False
         self.resource = resource
-        self.priority = priority
-        self._order = 0
 
     def __enter__(self) -> "Request":
         return self
@@ -56,11 +52,6 @@ class Resource:
         self.capacity = capacity
         self.users: list[Request] = []
         self.queue: deque[Request] = deque()
-
-    @property
-    def count(self) -> int:
-        """Number of granted requests currently holding the resource."""
-        return len(self.users)
 
     def request(self) -> Request:
         req = Request(self)
@@ -107,49 +98,6 @@ class Resource:
                 sim._lane.append((eid, nxt, None))
             else:
                 nxt.callbacks = None
-
-
-class PriorityResource(Resource):
-    """Resource whose queue is ordered by (priority, arrival). Lower wins."""
-
-    __slots__ = ("_pq", "_seq")
-
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        super().__init__(sim, capacity)
-        self._pq: list = []
-        self._seq = 0
-
-    def request(self, priority: int = 0) -> Request:  # type: ignore[override]
-        req = Request(self, priority)
-        if len(self.users) < self.capacity and not self._pq:
-            self.users.append(req)
-            req.succeed()
-        else:
-            self._seq += 1
-            req._order = self._seq
-            heapq.heappush(self._pq, (priority, self._seq, req))
-        return req
-
-    def release(self, req: Request) -> None:  # type: ignore[override]
-        try:
-            self.users.remove(req)
-        except ValueError:
-            # Queued requests are lazily discarded on pop; mark by failing
-            # nothing — just let triggered-check skip. We trigger it here so
-            # the pop loop can identify it as cancelled.
-            if not req.triggered:
-                req._ok = True
-                req._value = None  # cancelled sentinel: triggered, not queued
-            return
-        self._grant_next()
-
-    def _grant_next(self) -> None:
-        while self._pq and len(self.users) < self.capacity:
-            _, _, nxt = heapq.heappop(self._pq)
-            if nxt.triggered:
-                continue
-            self.users.append(nxt)
-            nxt.succeed()
 
 
 class Store:

@@ -1,4 +1,4 @@
-"""Measurement helpers: op counters, throughput windows, latency summaries."""
+"""Measurement helpers: op counters and latency summaries."""
 
 from __future__ import annotations
 
@@ -56,37 +56,6 @@ def percentile(sorted_xs: Sequence[float], p: float) -> float:
     return sorted_xs[lo] + (sorted_xs[hi] - sorted_xs[lo]) * frac
 
 
-@dataclass
-class Histogram:
-    """Fixed-bucket histogram: ``counts[i]`` holds samples in
-    ``(edges[i-1], edges[i]]`` (the first bucket is ``[0, edges[0]]``),
-    with one overflow bucket past the last edge."""
-
-    edges: List[float]
-    counts: List[int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def as_dict(self) -> Dict[str, List[float]]:
-        return {"edges": list(self.edges), "counts": list(self.counts)}
-
-    def render(self, width: int = 40) -> str:
-        peak = max(self.counts) if self.counts else 0
-        lines = []
-        labels = [f"<= {e * 1e3:9.3f}ms" for e in self.edges] + ["overflow   "]
-        for label, count in zip(labels, self.counts):
-            bar = "#" * (round(width * count / peak) if peak else 0)
-            lines.append(f"{label} {count:7d} {bar}")
-        return "\n".join(lines)
-
-
-def default_latency_edges() -> List[float]:
-    """Log-spaced bucket edges from 1 us to 10 s (half-decade steps)."""
-    return [1e-6 * 10 ** (i / 2) for i in range(15)]
-
-
 class LatencyRecorder:
     """Records per-op latencies keyed by op name; summarizes on demand."""
 
@@ -95,15 +64,6 @@ class LatencyRecorder:
 
     def record(self, key: str, latency: float) -> None:
         self._samples[key].append(latency)
-
-    def keys(self) -> List[str]:
-        return sorted(self._samples)
-
-    def samples(self, key: str) -> List[float]:
-        return list(self._samples.get(key, ()))
-
-    def count(self, key: str) -> int:
-        return len(self._samples.get(key, ()))
 
     def summary(self, key: str) -> Optional[LatencySummary]:
         xs = self._samples.get(key)
@@ -114,59 +74,3 @@ class LatencyRecorder:
         return LatencySummary(n, sum(xs) / n, percentile(xs, 0.50),
                               percentile(xs, 0.95), percentile(xs, 0.99),
                               xs[-1])
-
-    def histogram(self, key: str,
-                  edges: Optional[Sequence[float]] = None
-                  ) -> Optional[Histogram]:
-        """Bucketed export of one key's samples (for the trace bus)."""
-        if key not in self._samples:
-            return None
-        edges = list(edges) if edges is not None else default_latency_edges()
-        counts = [0] * (len(edges) + 1)
-        for x in self._samples.get(key, ()):
-            for i, edge in enumerate(edges):
-                if x <= edge:
-                    counts[i] += 1
-                    break
-            else:
-                counts[-1] += 1
-        return Histogram(edges, counts)
-
-
-@dataclass
-class ThroughputWindow:
-    """Completed-op timestamps within [start, end); throughput in ops/s."""
-
-    start: float = 0.0
-    end: float = 0.0
-    count: int = 0
-
-    def throughput(self) -> float:
-        dur = self.end - self.start
-        return self.count / dur if dur > 0 else 0.0
-
-
-class OpLog:
-    """Completion log used by the benchmark driver.
-
-    Records ``(finish_time, op_name)`` pairs; the driver computes phase
-    throughput as total completions / (last finish - phase start), matching
-    how mdtest reports per-phase rates.
-    """
-
-    def __init__(self):
-        self.finishes: List[float] = []
-        self.by_op: Dict[str, int] = defaultdict(int)
-
-    def record(self, op: str, finish: float) -> None:
-        self.finishes.append(finish)
-        self.by_op[op] += 1
-
-    @property
-    def count(self) -> int:
-        return len(self.finishes)
-
-    def window(self, start: float) -> ThroughputWindow:
-        if not self.finishes:
-            return ThroughputWindow(start, start, 0)
-        return ThroughputWindow(start, max(self.finishes), len(self.finishes))

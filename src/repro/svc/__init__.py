@@ -14,14 +14,11 @@ from .queue import (
     AdmissionReject,
     BoundedAdmission,
     DirectAdmission,
-    PriorityAdmission,
-    make_policy,
 )
 from .trace import NULL_BUS, NullBus, OpTrace, TraceBus
 
 __all__ = [
     "AdmissionPolicy", "AdmissionReject", "Batcher", "BoundedAdmission",
     "DirectAdmission", "NULL_BUS", "NullBus", "OpSpec", "OpTrace",
-    "PriorityAdmission", "Service", "TraceBus", "instrument_client",
-    "make_policy",
+    "Service", "TraceBus", "instrument_client",
 ]

@@ -89,21 +89,6 @@ class Service:
         bookkeeping like ZAB acks must not be queued or counted as ops)."""
         self.agent.register_fast(method, fn)
 
-    # -- outgoing traffic --------------------------------------------------
-    def call(self, dst: str, method: str, args: Any = None, **kw) -> Generator:
-        return self.agent.call(dst, method, args, **kw)
-
-    def cast(self, dst: str, method: str, args: Any = None, **kw) -> None:
-        self.agent.cast(dst, method, args, **kw)
-
-    # -- introspection -----------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        return self.policy.depth
-
-    def write_methods(self) -> list:
-        return sorted(m for m, s in self.specs.items() if s.write)
-
     # -- the one counted wrapper ------------------------------------------
     def _instrumented(self, method: str, handler: Callable) -> Callable:
         # Interned once per exposed method: the per-op trace label must not

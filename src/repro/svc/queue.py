@@ -13,17 +13,14 @@ Policies:
 - :class:`BoundedAdmission` — FIFO queue with at most ``capacity``
   requests in service (λFS-style explicit request queues; PVFS's
   event-loop ``server_cores`` limit).
-- :class:`PriorityAdmission` — bounded, but waiters are ordered by a
-  per-method priority (lower wins), so e.g. lock cancellations can
-  overtake bulk mutations.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..sim.core import Simulator
-from ..sim.resources import PriorityResource, Request, Resource
+from ..sim.resources import Request, Resource
 
 
 class AdmissionReject(Exception):
@@ -99,50 +96,3 @@ class BoundedAdmission(AdmissionPolicy):
     @property
     def depth(self) -> int:
         return len(self.resource.queue)
-
-
-class PriorityAdmission(AdmissionPolicy):
-    """Bounded admission ordered by per-method priority (lower wins)."""
-
-    name = "priority"
-
-    def __init__(self, sim: Simulator, capacity: int,
-                 priority_of: Optional[Callable[[str], int]] = None,
-                 max_queue: Optional[int] = None):
-        self.resource = PriorityResource(sim, capacity)
-        self.priority_of = priority_of or (lambda method: 0)
-        self.max_queue = max_queue
-
-    def admit(self, method: str) -> Optional[Request]:
-        if (self.max_queue is not None
-                and len(self.resource.users) >= self.resource.capacity
-                and self.depth >= self.max_queue):
-            raise AdmissionReject(method, self.depth)
-        return self.resource.request(self.priority_of(method))
-
-    def release(self, token: Optional[Request]) -> None:
-        if token is not None:
-            self.resource.release(token)
-
-    @property
-    def depth(self) -> int:
-        # Cancelled entries are lazily discarded on pop; don't count them.
-        return sum(1 for _, _, r in self.resource._pq if not r.triggered)
-
-
-def make_policy(spec: str, sim: Simulator,
-                priority_of: Optional[Callable[[str], int]] = None):
-    """Build a policy from a config string: ``"direct"``, ``"bounded:N"``
-    or ``"priority:N"`` — with an optional second number (``"bounded:N:M"``)
-    bounding the wait queue at ``M`` (overflow → :class:`AdmissionReject`)."""
-    if spec in ("direct", "fifo", ""):
-        return DirectAdmission()
-    parts = spec.split(":")
-    kind = parts[0]
-    capacity = int(parts[1]) if len(parts) > 1 and parts[1] else 1
-    max_queue = int(parts[2]) if len(parts) > 2 and parts[2] else None
-    if kind == "bounded":
-        return BoundedAdmission(sim, capacity, max_queue)
-    if kind == "priority":
-        return PriorityAdmission(sim, capacity, priority_of, max_queue)
-    raise ValueError(f"unknown admission policy {spec!r}")

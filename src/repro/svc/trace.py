@@ -11,21 +11,16 @@ server stack reports the same metrics through the same pipe.
 
 Recording is pure bookkeeping (no simulator events), so attaching a bus
 never perturbs the simulation: a run with tracing on is event-for-event
-identical to one with tracing off. For large sweeps where per-op latency
-bookkeeping itself shows up in profiles, ``TraceBus(sample=N)`` records
-latency distributions (and the raw event list / subscriber fan-out) for
-one op in N while keeping every counter — ops, errors, retries, expired,
-rejected — exact. Sampling is off by default and never used by the
-figure suite, whose traces are pinned byte-for-byte.
+identical to one with tracing off.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..sim.stats import Counter, Histogram, LatencyRecorder
+from ..sim.stats import Counter, LatencyRecorder
 
 
 @dataclass(frozen=True)
@@ -52,10 +47,6 @@ class OpTrace:
         return self.end - self.start
 
     @property
-    def total(self) -> float:
-        return self.end - self.arrive
-
-    @property
     def key(self) -> str:
         return f"{self.deployment}/{self.endpoint}.{self.method}"
 
@@ -66,17 +57,9 @@ class TraceBus:
     By default only aggregates (counts + latency recorders) are kept;
     ``keep_events=True`` additionally retains the raw event list, which the
     determinism tests compare byte-for-byte and ``repro trace`` can dump.
-
-    ``sample=N`` (N > 1) records the latency distributions, the retained
-    event list, and subscriber callbacks for only one op in N (every N-th
-    record). Counters stay exact regardless of sampling, so throughput and
-    error accounting never lose ops — only distribution *samples* are
-    thinned. The default ``sample=1`` records everything.
     """
 
-    def __init__(self, keep_events: bool = False, sample: int = 1):
-        if sample < 1:
-            raise ValueError(f"sample must be >= 1, got {sample}")
+    def __init__(self, keep_events: bool = False):
         self.ops = Counter()            # key -> completions (ok + error)
         self.errors = Counter()         # key -> failed completions
         self.retries = Counter()        # key -> client retry attempts
@@ -92,9 +75,6 @@ class TraceBus:
         self.service = LatencyRecorder()
         self.events: Optional[List[OpTrace]] = [] if keep_events else None
         self.shard_of: Dict[str, int] = {}  # key -> shard (constant per endpoint)
-        self._subscribers: List[Callable[[OpTrace], None]] = []
-        self.sample = int(sample)
-        self._seen = 0                  # records since construction (all keys)
         # Rolling-window per-shard op rates (elastic autoscaler signal):
         # off by default — the hot path pays one is-None test.
         self._shard_win: Optional[float] = None
@@ -116,15 +96,10 @@ class TraceBus:
             self.shard_of[key] = ev.shard
         if self._shard_win is not None:
             self._shard_note(ev)
-        self._seen = seen = self._seen + 1
-        if self.sample > 1 and seen % self.sample:
-            return
         self.queue_wait.record(key, ev.queue_wait)
         self.service.record(key, ev.service)
         if self.events is not None:
             self.events.append(ev)
-        for fn in self._subscribers:
-            fn(ev)
 
     def mark(self, deployment: str, endpoint: str, method: str,
              now: float, ok: bool = True) -> None:
@@ -155,16 +130,12 @@ class TraceBus:
         self.batch_items.inc(key, fill)
         self.batch_depth.inc(key, depth)
 
-    def subscribe(self, fn: Callable[[OpTrace], None]) -> None:
-        self._subscribers.append(fn)
-
     # -- windowed per-shard rates -------------------------------------------
     def enable_shard_window(self, window: float) -> None:
         """Start keeping rolling-window per-``(deployment, shard)`` op
         timestamps so :meth:`shard_window_rates` can answer "how hot is
         each shard *right now*" — the elastic autoscaler's input signal.
-        Counters-only bookkeeping (no simulator events), and exact even
-        under ``sample=N`` thinning."""
+        Counters-only bookkeeping (no simulator events)."""
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         self._shard_win = float(window)
@@ -212,11 +183,6 @@ class TraceBus:
         seen.update(self.expired.as_dict())
         seen.update(self.rejected.as_dict())
         return sorted(seen)
-
-    def histogram(self, key: str, which: str = "service",
-                  edges: Optional[Sequence[float]] = None) -> Histogram:
-        rec = self.service if which == "service" else self.queue_wait
-        return rec.histogram(key, edges=edges)
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         out: Dict[str, Dict[str, float]] = {}

@@ -57,13 +57,6 @@ class MdtestResult:
         """Per-op latency summary (mean/p50/p95/p99) for a phase."""
         return self.latencies.summary(phase)
 
-    def summary(self) -> str:
-        lines = [f"mdtest: {self.config.n_procs} procs x "
-                 f"{self.config.items_per_proc} items"]
-        for name, res in self.phases.items():
-            lines.append(f"  {res}")
-        return "\n".join(lines)
-
 
 def _item_paths(config: MdtestConfig, kind: str) -> List[List[str]]:
     """Per-process item paths (``kind`` is 'dir' or 'file')."""

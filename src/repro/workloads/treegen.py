@@ -40,15 +40,6 @@ def tree_dirs(spec: TreeSpec) -> List[str]:
     return out
 
 
-def leaf_dirs(spec: TreeSpec) -> List[str]:
-    """Deepest-level directories (where mdtest places its items)."""
-    level = [spec.root]
-    for _ in range(spec.depth):
-        level = [f"p/d.{i}".replace("p", parent)
-                 for parent in level for i in range(spec.fanout)]
-    return level
-
-
 def item_dir(spec: TreeSpec, all_dirs: List[str], proc: int, item: int) -> str:
     """Shared-tree placement: spread items over every scaffold dir."""
     usable = all_dirs[1:] if len(all_dirs) > 1 else all_dirs

@@ -82,10 +82,9 @@ class ZKClient:
             node, f"zk.client.{ident}", r, self.fault,
             max_retries=self.fault.max_retries,
             op_budget=self.fault.op_budget)
-        self._hedge_tracker = LatencyTracker(r.hedge_window,
-                                             r.hedge_quantile,
-                                             r.hedge_min_samples,
-                                             r.hedge_delay)
+        self._hedge_tracker = LatencyTracker(
+            window=r.hedge_window, min_samples=r.hedge_min_samples,
+            default_delay=r.hedge_delay)
         self.hedges = 0             # secondary reads actually issued
         self.hedges_won = 0         # ops where the hedge replied first
         self.agent = RpcAgent(node, ident)
@@ -161,12 +160,12 @@ class ZKClient:
                 except SessionExpiredError:
                     # The server no longer knows our session: re-establish
                     # it, rebind the request and re-enter the retry loop
-                    # with the same attempt state, unless the caller opted
-                    # out or this *is* session management.
+                    # with the same attempt state, unless this *is* session
+                    # management.
                     self.breakers.on_success(state.endpoint)  # it is alive
                     reconnects += 1
-                    if (not f.reconnect_on_expiry or reconnects > 2
-                            or method in ("connect", "close_session")):
+                    if reconnects > 2 or method in ("connect",
+                                                    "close_session"):
                         raise
                     self.session = None
                     yield from self.connect()

@@ -137,7 +137,7 @@ class FollowerInfo:
     """Sync request from a (re)joining follower (or observer)."""
 
     sid: int
-    last_zxid: int
+    last_zxid: Tuple[int, ...]          # every zxid of the sender's log
     observer: bool = False
 
 

@@ -53,6 +53,9 @@ from .protocol import (
     WriteRequest,
 )
 
+#: Resolved prefixes each server's dentry cache remembers (LRU).
+DENTRY_CACHE_CAPACITY = 65536
+
 LOOKING = "looking"
 LEADING = "leading"
 FOLLOWING = "following"
@@ -128,7 +131,7 @@ class ZKServer:
         # verified during a ``resolve`` walk. Entries carry no data — znode
         # payloads are always read from the committed tree — so a cached
         # entry only ever goes stale through deletion, which the applier
-        # invalidates txn-by-txn. LRU-bounded by ``dentry_cache_capacity``.
+        # invalidates txn-by-txn. LRU-bounded by ``DENTRY_CACHE_CAPACITY``.
         self._dentries: "OrderedDict[str, None]" = OrderedDict()
 
         # sessions / watches
@@ -162,11 +165,8 @@ class ZKServer:
         # None means no check at all — the static plane pays nothing.
         self.route_guard: Optional[Callable] = None
 
-        from ..svc.queue import make_policy
         self.svc = Service(node, self.endpoint, deployment="zk", bus=bus,
-                           op_stats=self.stats,
-                           policy=make_policy(self.params.admission,
-                                              node.sim))
+                           op_stats=self.stats)
         self.agent = self.svc.agent
         self._register_handlers()
         node.on_crash(self._on_crash)
@@ -312,11 +312,6 @@ class ZKServer:
             except ZKError:
                 pass  # concurrent deletion is fine
 
-    def expire_session(self, session: int):
-        """Test/failure-injection hook: expire from outside a handler."""
-        return self.node.spawn(self._expire_session(session),
-                               f"zk{self.sid}.expire")
-
     def _h_read(self, src: str, req: ReadRequest) -> Generator:
         yield from self.node.cpu_work(self.params.read_cpu)
         if self.role == LOOKING:
@@ -402,10 +397,8 @@ class ZKServer:
     def _dentry_insert(self, path: str) -> None:
         self._dentries[path] = None
         self._dentries.move_to_end(path)
-        cap = self.params.dentry_cache_capacity
-        if cap > 0:
-            while len(self._dentries) > cap:
-                self._dentries.popitem(last=False)
+        while len(self._dentries) > DENTRY_CACHE_CAPACITY:
+            self._dentries.popitem(last=False)
 
     def _h_write(self, src: str, req: WriteRequest) -> Generator:
         if self.route_guard is not None:
@@ -599,9 +592,6 @@ class ZKServer:
             else:
                 raise ZKError(sub.path, f"bad multi op {sub.op!r}")
         return subs, results
-
-    def _peek_zxid(self) -> int:
-        return (self.epoch << 32) | (self.zxid_counter + 1)
 
     def _next_zxid(self) -> int:
         self.zxid_counter += 1
@@ -926,23 +916,12 @@ class ZKServer:
             raise NotLeaderError(msg=f"zk{self.sid} lost leadership")
         # ---- atomic: snapshot log tail + activate the follower ----------
         my_zxids = [z for z, _ in self.log]
-        follower_zxids = list(info.last_zxid) if isinstance(info.last_zxid, tuple) \
-            else None
-        if follower_zxids is None:
-            # caller sent only a scalar last zxid: treat as prefix length
-            common = 0
-            for z in my_zxids:
-                if z <= info.last_zxid:
-                    common += 1
-                else:
-                    break
-        else:
-            common = 0
-            for a, b in zip(my_zxids, follower_zxids):
-                if a == b:
-                    common += 1
-                else:
-                    break
+        common = 0
+        for a, b in zip(my_zxids, info.last_zxid):
+            if a == b:
+                common += 1
+            else:
+                break
         entries = tuple(self.log[common:])
         truncate_to = my_zxids[common - 1] if common else 0
         snapshot = None
@@ -952,7 +931,7 @@ class ZKServer:
             # follower's: ship the snapshot the log now starts from.
             snapshot = self._snapshot
             snapshot_zxid = self._snapshot_zxid
-        if getattr(info, "observer", False):
+        if info.observer:
             self.active_observers.add(info.sid)
         else:
             self.active_followers.add(info.sid)

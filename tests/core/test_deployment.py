@@ -36,14 +36,14 @@ def test_colocated_zk_prefers_local_server():
     for i, zkc in enumerate(dep.zk_clients):
         assert zkc.server == dep.ensemble.endpoints[i]
         # server endpoint is registered on the same host as the client
-        assert dep.cluster.network.host_of(zkc.server) == \
+        assert dep.cluster.network._hosts[zkc.server] == \
             dep.client_nodes[i].name
 
 
 def test_dedicated_zk_nodes_are_separate():
     dep = build_dufs_deployment(n_zk=3, n_backends=2, n_client_nodes=2,
                                 backend="local", co_locate_zk=False)
-    zk_hosts = {dep.cluster.network.host_of(ep)
+    zk_hosts = {dep.cluster.network._hosts[ep]
                 for ep in dep.ensemble.endpoints}
     client_hosts = {n.name for n in dep.client_nodes}
     assert not (zk_hosts & client_hosts)

@@ -1,5 +1,7 @@
 """End-to-end DUFS behaviour (paper §IV design properties)."""
 
+import stat
+
 import pytest
 
 from repro.core.mapping import physical_path
@@ -114,10 +116,10 @@ def test_delete_then_recreate_gets_new_fid(dufs):
 
     def main():
         yield from m.create("/f")
-        fids.append(client.fidgen.created - 1)
+        fids.append(client.fidgen._counter - 1)
         yield from m.unlink("/f")
         yield from m.create("/f")
-        fids.append(client.fidgen.created - 1)
+        fids.append(client.fidgen._counter - 1)
 
     dufs.run(main())
     assert fids[0] != fids[1]
@@ -279,7 +281,7 @@ def test_symlink_is_metadata_only(dufs):
 
     t, st, backend_ops = dufs.run(main())
     assert t == "/target"
-    assert st.is_symlink
+    assert stat.S_ISLNK(st.st_mode)
     assert backend_ops == 0
 
 

@@ -51,7 +51,7 @@ def test_restarted_client_gets_fresh_client_id():
     old = dep.clients[0]
     fresh = restart_client(dep, 0)
     assert fresh.fidgen.client_id != old.fidgen.client_id
-    assert fresh.fidgen.created == 0  # counter reset, per §IV-E
+    assert fresh.fidgen._counter == 0  # counter reset, per §IV-E
 
 
 def test_no_fid_collision_across_restart():

@@ -8,8 +8,6 @@ from repro.core.fid import (
     CLIENT_ID_BITS,
     FIDGenerator,
     HEX_DIGITS,
-    fid_client_id,
-    fid_counter,
     fid_from_hex,
     fid_hex,
     make_fid,
@@ -18,8 +16,7 @@ from repro.core.fid import (
 
 def test_fid_is_client_id_concat_counter():
     fid = make_fid(0xDEAD, 0xBEEF)
-    assert fid_client_id(fid) == 0xDEAD
-    assert fid_counter(fid) == 0xBEEF
+    assert divmod(fid, 1 << 64) == (0xDEAD, 0xBEEF)
 
 
 def test_fid_hex_is_32_digits():
@@ -52,9 +49,8 @@ def test_generator_is_monotonic():
     gen = FIDGenerator(client_id=7)
     fids = [gen.next() for _ in range(10)]
     assert fids == sorted(fids)
-    assert all(fid_client_id(f) == 7 for f in fids)
-    assert [fid_counter(f) for f in fids] == list(range(10))
-    assert gen.created == 10
+    assert [divmod(f, 1 << 64) for f in fids] == [(7, i) for i in range(10)]
+    assert gen._counter == 10
 
 
 def test_two_instances_never_collide():
@@ -70,6 +66,5 @@ def test_two_instances_never_collide():
 @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
 def test_fid_split_roundtrip_property(cid, ctr):
     fid = make_fid(cid, ctr)
-    assert fid_client_id(fid) == cid
-    assert fid_counter(fid) == ctr
+    assert divmod(fid, 1 << 64) == (cid, ctr)
     assert fid_from_hex(fid_hex(fid)) == fid

@@ -80,8 +80,6 @@ def test_md5mod_cannot_grow():
     mapping = MappingFunction(2)
     with pytest.raises(RuntimeError):
         mapping.add_backend()
-    with pytest.raises(RuntimeError):
-        mapping.remove_backend(0)
 
 
 def test_consistent_strategy_bounded_relocation():

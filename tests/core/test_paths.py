@@ -1,8 +1,8 @@
 """The shared path helpers every layer now uses instead of re-deriving
 ``rsplit`` idioms locally."""
 
-from repro.core.paths import (ancestors, basename, components, depth,
-                              is_ancestor, parent_dir, split)
+from repro.core.paths import (ancestors, basename, components, is_ancestor,
+                              parent_dir)
 
 
 def test_parent_dir():
@@ -18,20 +18,10 @@ def test_basename():
     assert basename("/a/b.txt") == "b.txt"
 
 
-def test_split():
-    assert split("/") == ("/", "")
-    assert split("/a") == ("/", "a")
-    assert split("/a/b/c") == ("/a/b", "c")
-    for p in ("/a", "/a/b", "/x/y/z"):
-        assert split(p) == (parent_dir(p), basename(p))
-
-
 def test_components_and_depth():
     assert components("/") == []
     assert components("/a/b") == ["a", "b"]
-    assert depth("/") == 0
-    assert depth("/a") == 1
-    assert depth("/a/b/c/d") == 4
+    assert len(components("/a/b/c/d")) == 4
 
 
 def test_ancestors_shallowest_first_excluding_root_and_self():

@@ -93,7 +93,7 @@ def test_async_ack_is_decoupled_from_quorum_commit(adufs):
     assert ack_window < 5e-3
     assert _wblog(adufs).stats["acked"] >= 20
     adufs.settle(2.0)
-    assert _wblog(adufs).outstanding == 0
+    assert len(_wblog(adufs)) == 0
     s = _wblog(adufs).stats
     assert s["committed"] == s["acked"] and s["rejected"] == 0
     # The drain really committed: a fresh synchronous client sees all 20.
@@ -256,7 +256,7 @@ def test_rename_forces_a_drain_barrier(adufs):
         yield from c.create("/d/f")     # both still pending
         yield from c.rename("/d", "/e")
         names = yield from c.readdir("/e")
-        return [e.name for e in names], c.wblog.outstanding
+        return [e.name for e in names], len(c.wblog)
 
     names, outstanding_at_rename = adufs.run(main())
     assert names == ["f"]

@@ -98,18 +98,6 @@ def test_call_counter(dummy):
     assert fs.stats["calls"] == 3
 
 
-def test_dummy_memory_is_flat(dummy):
-    cluster, node, fs = dummy
-
-    def main():
-        for i in range(50):
-            yield from fs.mkdir(f"/d{i}")
-
-    before = fs.memory_mb()
-    run(cluster, node, main())
-    assert fs.memory_mb() == before
-
-
 def test_read_write_passthrough(dummy):
     cluster, node, fs = dummy
 

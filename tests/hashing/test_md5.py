@@ -5,7 +5,7 @@ import hashlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing import md5_bytes, md5_hex, md5_int
+from repro.hashing import md5_bytes, md5_int
 
 RFC1321_VECTORS = {
     b"": "d41d8cd98f00b204e9800998ecf8427e",
@@ -22,14 +22,14 @@ RFC1321_VECTORS = {
 
 def test_rfc1321_appendix_vectors():
     for data, want in RFC1321_VECTORS.items():
-        assert md5_hex(data) == want
+        assert md5_bytes(data).hex() == want
 
 
 def test_padding_boundaries():
     """Lengths straddling the 55/56/64-byte padding edges."""
     for n in (54, 55, 56, 57, 63, 64, 65, 119, 120, 128):
         data = b"x" * n
-        assert md5_hex(data) == hashlib.md5(data).hexdigest()
+        assert md5_bytes(data).hex() == hashlib.md5(data).hexdigest()
 
 
 def test_md5_int_matches_big_endian_digest():
@@ -42,6 +42,8 @@ def test_md5_int_matches_big_endian_digest():
 @given(st.binary(min_size=0, max_size=300))
 def test_matches_hashlib_on_arbitrary_input(data):
     assert md5_bytes(data) == hashlib.md5(data).digest()
+    # The hot-path spelling is the reference digest read big-endian.
+    assert md5_int(data) == int.from_bytes(md5_bytes(data), "big")
 
 
 @settings(max_examples=50, deadline=None)

@@ -21,13 +21,13 @@ def test_zkraw_deterministic():
 
 
 def test_mdtest_on_lustre_deterministic():
-    a = _run_basic("lustre", 16, 5, seed=9)
-    b = _run_basic("lustre", 16, 5, seed=9)
+    a, _ = _run_basic("lustre", 16, 5, seed=9)
+    b, _ = _run_basic("lustre", 16, 5, seed=9)
     for phase in ALL_PHASES:
         assert a.phases[phase].duration == b.phases[phase].duration
     # and different seeds genuinely differ (jitter-free model: durations
     # can coincide per-phase, but not across every phase AND latency set)
-    c = _run_basic("lustre", 16, 5, seed=10)
+    c, _ = _run_basic("lustre", 16, 5, seed=10)
     assert any(a.phases[p].duration != c.phases[p].duration
                for p in ALL_PHASES) or True  # seeds may coincide; no assert
 

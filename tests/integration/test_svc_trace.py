@@ -48,8 +48,8 @@ def test_traces_byte_identical_with_batching_off():
 def test_every_endpoint_reports_queue_wait_and_service():
     _, bus = _traced_run(seed=2)
     for key in bus.keys():
-        assert bus.queue_wait.count(key) == bus.ops.get(key)
-        assert bus.service.count(key) == bus.ops.get(key)
+        assert bus.queue_wait.summary(key).count == bus.ops.get(key)
+        assert bus.service.summary(key).count == bus.ops.get(key)
 
 
 def test_zk_write_batching_raises_create_throughput():

@@ -50,8 +50,7 @@ def test_registry_installs_are_epoch_disciplined():
     with pytest.raises(ValueError):
         reg.install(new, "replay")       # epoch must advance by exactly 1
     assert [e for e, _m, _r in reg.history] == [0, 1]
-    assert reg.map_at(0).subtrees == {}
-    assert reg.map_at(1).subtrees == {"/hot": 2}
+    assert [m.subtrees for _e, m, _r in reg.history] == [{}, {"/hot": 2}]
 
 
 def test_registry_routing_changed_is_per_path():

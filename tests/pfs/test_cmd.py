@@ -36,7 +36,7 @@ def test_basic_namespace_ops():
 
     is_file, names = run(cluster, nodes[0], main())
     assert is_file and names == ["f"]
-    assert fs.total_dirs() == 1  # only "/"
+    assert sum(len(s.dirs) for s in fs.servers) == 1  # only "/"
 
 
 def test_posix_errors():

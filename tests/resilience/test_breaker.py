@@ -68,7 +68,8 @@ def test_board_tracks_endpoints_independently():
     board.on_failure("a")
     assert not board.allow("a")
     assert board.allow("b")            # unrelated endpoint stays closed
-    assert board.open_endpoints() == ["a"]
+    assert {ep: br.state for ep, br in board.breakers.items()} == \
+        {"a": "open", "b": "closed"}
     assert board.trips() == 1
 
 
@@ -79,4 +80,4 @@ def test_disabled_board_is_inert():
         board.on_failure("a")
     assert board.allow("a")
     assert board.breakers == {}        # nothing even allocated
-    assert board.trips() == 0 and board.open_endpoints() == []
+    assert board.trips() == 0

@@ -215,7 +215,7 @@ def test_breaker_fast_fail_is_charged_as_an_attempt():
     assert isinstance(result, GaveUp) and result.cause is None
     assert len(ep.tried) == 2              # only these were issued
     assert state.attempt == 5 and breakers.fastfails == 3
-    assert breakers.open_endpoints() == ["srv"]
+    assert breakers.breakers["srv"].state == "open"
 
 
 def test_retry_budget_exhaustion_stops_the_loop_early():

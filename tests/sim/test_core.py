@@ -135,7 +135,7 @@ def test_nonstrict_mode_records_failure_on_process_event():
 
     proc = sim.process(bad())
     sim.run()
-    assert proc.triggered and not proc.ok
+    assert proc.triggered and not proc._ok
     assert isinstance(proc.value, ValueError)
 
 
@@ -217,7 +217,7 @@ def test_yield_non_event_fails_process():
 
     proc = sim.process(bad())
     sim.run()
-    assert not proc.ok
+    assert proc.triggered and not proc._ok
     assert isinstance(proc.value, SimulationError)
 
 

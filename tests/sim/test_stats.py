@@ -1,9 +1,8 @@
-"""Measurement helpers: counters, latency summaries, op logs."""
+"""Measurement helpers: counters, latency summaries."""
 
 import pytest
 
-from repro.sim import Counter, Histogram, LatencyRecorder, OpLog, \
-    ThroughputWindow, percentile
+from repro.sim import Counter, LatencyRecorder, percentile
 
 
 def test_counter_inc_and_get():
@@ -40,50 +39,3 @@ def test_percentile_interpolates_between_ranks():
 
 def test_latency_recorder_empty_key():
     assert LatencyRecorder().summary("none") is None
-
-
-def test_latency_recorder_histogram():
-    r = LatencyRecorder()
-    for v in (0.5, 1.5, 1.6, 9.0):
-        r.record("op", v)
-    h = r.histogram("op", edges=[1.0, 2.0, 4.0])
-    assert isinstance(h, Histogram)
-    assert h.total == 4
-    assert h.counts == [1, 2, 0, 1]  # <=1, (1,2], (2,4], >4
-    d = h.as_dict()
-    assert sum(d["counts"]) == 4 and d["edges"] == [1.0, 2.0, 4.0]
-    assert "≤" in h.render() or "<=" in h.render()
-
-
-def test_latency_recorder_histogram_empty():
-    assert LatencyRecorder().histogram("none") is None
-
-
-def test_latency_recorder_keys_sorted():
-    r = LatencyRecorder()
-    r.record("b", 1.0)
-    r.record("a", 1.0)
-    assert r.keys() == ["a", "b"]
-
-
-def test_throughput_window():
-    w = ThroughputWindow(start=1.0, end=3.0, count=100)
-    assert w.throughput() == 50.0
-    assert ThroughputWindow(1.0, 1.0, 5).throughput() == 0.0
-
-
-def test_oplog_window():
-    log = OpLog()
-    for t in (1.0, 1.5, 2.0):
-        log.record("mkdir", t)
-    log.record("stat", 2.5)
-    assert log.count == 4
-    assert log.by_op == {"mkdir": 3, "stat": 1}
-    w = log.window(start=0.5)
-    assert w.count == 4
-    assert w.throughput() == pytest.approx(4 / 2.0)
-
-
-def test_oplog_empty_window():
-    w = OpLog().window(start=1.0)
-    assert w.count == 0 and w.throughput() == 0.0

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.sim import Cluster
-from repro.svc import (
-    AdmissionReject,
-    BoundedAdmission,
-    PriorityAdmission,
-    make_policy,
-)
+from repro.svc import AdmissionReject, BoundedAdmission
 
 
 def overflow_harness(pol, sim, node, n, hold=0.5):
@@ -47,17 +42,6 @@ def test_bounded_overflow_rejects_at_capacity():
     assert pol.depth == 0
 
 
-def test_priority_overflow_rejects_at_capacity():
-    cluster = Cluster(seed=0)
-    node = cluster.add_node("n")
-    pol = PriorityAdmission(cluster.sim, 1, max_queue=1)
-    admitted, rejected = overflow_harness(pol, cluster.sim, node, 3)
-    cluster.run()
-    assert [i for i, _ in admitted] == [0, 1]
-    assert [i for i, _ in rejected] == [2, ]
-    assert pol.depth == 0
-
-
 def test_rejected_request_holds_no_token():
     """A rejection must not consume capacity: service keeps flowing at
     full rate and the queue drains to exactly zero."""
@@ -77,7 +61,7 @@ def test_rejected_request_holds_no_token():
 def test_depth_returns_to_zero_after_mixed_drain():
     cluster = Cluster(seed=0)
     node = cluster.add_node("n")
-    pol = PriorityAdmission(cluster.sim, 2, max_queue=3)
+    pol = BoundedAdmission(cluster.sim, 2, max_queue=3)
     admitted, rejected = overflow_harness(pol, cluster.sim, node, 8,
                                           hold=0.25)
     cluster.sim.run(until=0.1)
@@ -87,18 +71,12 @@ def test_depth_returns_to_zero_after_mixed_drain():
     assert pol.depth == 0
 
 
-def test_make_policy_parses_queue_bound():
+def test_zero_queue_bound_admits_only_into_a_free_slot():
     sim = Cluster(seed=0).sim
-    pol = make_policy("bounded:2:4", sim)
-    assert isinstance(pol, BoundedAdmission)
-    assert pol.resource.capacity == 2 and pol.max_queue == 4
-    prio = make_policy("priority:1:2", sim)
-    assert isinstance(prio, PriorityAdmission)
-    assert prio.max_queue == 2
-    # No third field = unbounded wait queue (the legacy spec still parses).
-    assert make_policy("bounded:2", sim).max_queue is None
+    # No bound given = unbounded wait queue.
+    assert BoundedAdmission(sim, 2).max_queue is None
     # max_queue=0: admit straight into a free slot, never wait.
-    full = make_policy("bounded:1:0", sim)
+    full = BoundedAdmission(sim, 1, max_queue=0)
     assert full.admit("op") is not None
     with pytest.raises(AdmissionReject):
         full.admit("op")

@@ -1,14 +1,10 @@
-"""Admission policies: direct pass-through, bounded FIFO, priority."""
-
-import pytest
+"""Admission policies: direct pass-through, bounded FIFO."""
 
 from repro.sim import Cluster
 from repro.svc import (
     AdmissionPolicy,
     BoundedAdmission,
     DirectAdmission,
-    PriorityAdmission,
-    make_policy,
 )
 
 
@@ -64,42 +60,3 @@ def test_bounded_admission_depth():
     assert pol.depth == 2       # one in service, two waiting
     cluster.run()
     assert pol.depth == 0
-
-
-def test_priority_admission_reorders_waiters():
-    cluster = Cluster(seed=0)
-    node = cluster.add_node("n")
-    sim = cluster.sim
-    prio = {"bulk": 10, "urgent": 0}
-    pol = PriorityAdmission(sim, 1, priority_of=prio.get)
-    order = []
-
-    def worker(method):
-        tok = pol.admit(method)
-        try:
-            yield tok
-            order.append(method)
-            yield sim.timeout(1.0)
-        finally:
-            pol.release(tok)
-
-    # First bulk grabs the slot; the queued urgent overtakes queued bulk.
-    node.spawn(worker("bulk"))
-    node.spawn(worker("bulk"))
-    node.spawn(worker("urgent"))
-    cluster.run()
-    assert order == ["bulk", "urgent", "bulk"]
-
-
-def test_make_policy_parses_specs():
-    cluster = Cluster(seed=0)
-    sim = cluster.sim
-    assert isinstance(make_policy("direct", sim), DirectAdmission)
-    assert isinstance(make_policy("", sim), DirectAdmission)
-    assert isinstance(make_policy("fifo", sim), DirectAdmission)
-    bounded = make_policy("bounded:4", sim)
-    assert isinstance(bounded, BoundedAdmission)
-    assert bounded.resource.capacity == 4
-    assert isinstance(make_policy("priority:2", sim), PriorityAdmission)
-    with pytest.raises(ValueError):
-        make_policy("wrong:1", sim)

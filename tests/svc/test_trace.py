@@ -14,7 +14,6 @@ def test_optrace_derived_metrics():
     t = ev()
     assert t.queue_wait == pytest.approx(0.5)
     assert t.service == pytest.approx(1.5)
-    assert t.total == pytest.approx(2.0)
     assert t.key == "dep/ep.op"
 
 
@@ -27,7 +26,7 @@ def test_bus_aggregates_by_key():
     assert bus.ops.get("dep/ep.op") == 2
     assert bus.errors.get("dep/ep.op") == 1
     assert bus.retries.get("dep/ep.op") == 2
-    assert bus.queue_wait.count("dep/ep.op") == 2
+    assert bus.queue_wait.summary("dep/ep.op").count == 2
     assert bus.service.summary("dep/ep.op").mean == pytest.approx(1.5)
 
 
@@ -38,14 +37,6 @@ def test_bus_keep_events_retains_raw_stream():
         bus.record(e)
     assert bus.events == events
     assert TraceBus().events is None
-
-
-def test_bus_subscribe():
-    bus = TraceBus()
-    seen = []
-    bus.subscribe(seen.append)
-    bus.record(ev())
-    assert len(seen) == 1 and seen[0].key == "dep/ep.op"
 
 
 def test_bus_as_dict_and_table():
@@ -60,15 +51,6 @@ def test_bus_as_dict_and_table():
     assert "dep/ep.op" in text and "endpoint.method" in text
 
 
-def test_bus_histogram_export():
-    bus = TraceBus()
-    bus.record(ev(start=0.0, end=0.5))
-    bus.record(ev(start=0.0, end=2.0))
-    h = bus.histogram("dep/ep.op", which="service", edges=[1.0])
-    assert h.counts == [1, 1]
-    assert bus.histogram("missing") is None
-
-
 def test_null_bus_discards():
     bus = NullBus()
     bus.record(ev())
@@ -76,31 +58,9 @@ def test_null_bus_discards():
     assert isinstance(NULL_BUS, NullBus)
 
 
-def test_bus_sampling_keeps_counters_exact_thins_samples():
-    bus = TraceBus(keep_events=True, sample=4)
-    seen = []
-    bus.subscribe(seen.append)
-    for i in range(100):
-        bus.record(ev(ok=(i % 10 != 0), retries=1 if i % 5 == 0 else 0))
-    # Counters never lose ops, sampled or not.
-    assert bus.ops.get("dep/ep.op") == 100
-    assert bus.errors.get("dep/ep.op") == 10
-    assert bus.retries.get("dep/ep.op") == 20
-    # Distributions, the raw stream, and subscribers see one op in four.
-    assert bus.queue_wait.count("dep/ep.op") == 25
-    assert bus.service.count("dep/ep.op") == 25
-    assert len(bus.events) == 25
-    assert len(seen) == 25
-
-
 def test_bus_sample_default_records_everything():
     bus = TraceBus(keep_events=True)
     for _ in range(7):
         bus.record(ev())
-    assert bus.queue_wait.count("dep/ep.op") == 7
+    assert bus.queue_wait.summary("dep/ep.op").count == 7
     assert len(bus.events) == 7
-
-
-def test_bus_sample_must_be_positive():
-    with pytest.raises(ValueError):
-        TraceBus(sample=0)

@@ -76,15 +76,6 @@ def test_mdtest_phases_leave_consistent_state_mid_campaign():
     assert fs.ns.count_files() == 10
 
 
-def test_mdtest_summary_text():
-    cluster, node, fs = make_env()
-    cfg = MdtestConfig(n_procs=2, items_per_proc=3, tree=TreeSpec(2, 1),
-                       phases=("dir_create",))
-    res = run_mdtest(cluster, lambda i: fs.client(), lambda i: node, cfg)
-    text = res.summary()
-    assert "dir_create" in text and "ops/s" in text
-
-
 def test_single_dir_mode_contends_one_directory():
     cluster, node, fs = make_env()
     cfg = MdtestConfig(n_procs=4, items_per_proc=5, single_dir=True,

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.treegen import TreeSpec, item_dir, leaf_dirs, tree_dirs
+from repro.workloads.treegen import TreeSpec, item_dir, tree_dirs
 
 
 def test_dir_count_matches_formula():
@@ -27,15 +27,6 @@ def test_bfs_order_parents_before_children():
         if parent and parent != "":
             assert parent in seen or d == dirs[0], d
         seen.add(d)
-
-
-def test_leaf_dirs_are_deepest():
-    spec = TreeSpec(fanout=4, depth=3)
-    leaves = leaf_dirs(spec)
-    assert len(leaves) == 64
-    root_depth = spec.root.count("/")
-    assert all(d.count("/") == root_depth + 3 for d in leaves)
-    assert set(leaves) <= set(tree_dirs(spec))
 
 
 def test_item_dir_spreads_items():
