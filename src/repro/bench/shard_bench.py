@@ -13,7 +13,7 @@ The create phases are the gate: hash-of-parent placement keeps mdtest
 creates shard-local, so ``file_create`` throughput should scale
 near-linearly until client-side work dominates. CI reruns the sweep
 against ``benchmarks/BENCH_shard.json`` and fails if 4 shards stop
-clearing the 1.5x acceptance floor over 1 shard (:func:`floors`).
+clearing 1.5x over 1 shard or lose on ``dir_create`` (:func:`floors`).
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ _SCALES = {
 #: Phases measured; the create phases are the scaling claim.
 PHASES = ("dir_create", "file_create", "file_stat", "file_remove")
 
-#: The acceptance gate: 4-shard file_create >= FLOOR x 1-shard.
-CREATE_PHASE = "file_create"
-SPEEDUP_FLOOR = 1.5
+#: The gates, (phase, floor x 1-shard) at the largest shard count:
+#: file_create must scale, and two-copy mkdir must not lose.
+GATES = (("file_create", 1.5), ("dir_create", 1.0))
 
 
 def _run_one(n_shards: int, scale: str, seed: int) -> Dict:
@@ -104,9 +104,10 @@ def render(doc: Dict) -> str:
             for n in counts)
         lines.append(f"  {name:<12} {cells} "
                      f"{doc['speedup_vs_1'][last][name]:>7.2f}x")
-    gate = doc["speedup_vs_1"][last][CREATE_PHASE]
-    lines.append(f"  gate: {CREATE_PHASE} at {last} shards = {gate:.2f}x "
-                 f"(floor {SPEEDUP_FLOOR}x)")
+    for phase, floor in GATES:
+        gate = doc["speedup_vs_1"][last][phase]
+        lines.append(f"  gate: {phase} at {last} shards = {gate:.2f}x "
+                     f"(floor {floor}x)")
     return "\n".join(lines)
 
 
@@ -118,10 +119,11 @@ def tracked(doc: Dict) -> Dict[str, float]:
 
 
 def floors(doc: Dict) -> List[Tuple[str, float, float]]:
-    """The create-phase scaling floor at the largest shard count."""
+    """The scaling floors at the largest shard count."""
     top = max(doc["shards"], key=int)
-    return [(f"{CREATE_PHASE} {top}-shard speedup",
-             doc["speedup_vs_1"][top][CREATE_PHASE], SPEEDUP_FLOOR)]
+    return [(f"{phase} {top}-shard speedup",
+             doc["speedup_vs_1"][top][phase], floor)
+            for phase, floor in GATES]
 
 
 def rerun(baseline: Dict) -> Dict:

@@ -347,10 +347,8 @@ class Migrator:
         mds.map = new_map
         # The moving directory's child-host anchor at its new shard: the
         # one piece its own entries' creates depend on.
-        new_child = new_map.child_shard(mig.root)
-        if new_child != new_map.home_shard(mig.root):
-            yield from mds._ensure_child_anchor(new_child, mig.root,
-                                                root_data)
+        if new_map.child_shard(mig.root) != new_map.home_shard(mig.root):
+            yield from mds._ensure_child_anchor(mig.root, root_data)
 
         def put(path, data):
             try:

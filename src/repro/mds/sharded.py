@@ -20,9 +20,19 @@ Placement (hash-of-parent):
   for its entries (ZooKeeper refuses to create a child under a missing
   parent). ``readdir`` asks the child-host shard, where ALL of a
   directory's entries live by construction. Deeper anchors are completed
-  with placeholder directory znodes on demand; placeholders are never
-  visible to listings (a shard only serves the listings of directories it
-  child-hosts, and for those the home copy is the anchor).
+  with placeholder directory znodes on demand, deepest-first;
+  placeholders are never visible to listings (a shard only serves the
+  listings of directories it child-hosts, and for those the home copy is
+  the anchor).
+
+The two copies are written **concurrently** and ``mkdir`` returns when
+both have committed; a failed anchor takes the home copy back, and an
+entry create that finds its parent's anchor missing while the parent
+exists at its home waits under the shard client's retry policy, writing
+nothing for the parent (contract C1-C4 and crash matrix: MODEL.md §9).
+``rmdir`` keeps two serial deletes — emptiness is decided on the
+child-host copy before the visible copy goes — and reclaims the
+placeholders a home copy still holds for descendants long removed.
 
 Cross-shard operations (a rename whose source and destination route to
 different shards, a subtree move spanning shards) run as a **two-phase
@@ -48,6 +58,8 @@ import itertools
 import json
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
+from ..resilience import BreakerBoard, retry_call
+from ..sim.core import Interrupt
 from ..svc import NULL_BUS, TraceBus
 from ..zk.client import ZKClient
 from ..zk.errors import (
@@ -259,6 +271,11 @@ class ShardedMDS(MetadataService):
             finally:
                 self._last_retries += zkc.last_retries
 
+    def _at_home(self, method: str, path: str, *args, **kwargs) -> Generator:
+        """One sub-operation on ``path`` at its home shard."""
+        return self._call(self.map.home_shard(path), method, path, *args,
+                          reroute=lambda m: m.home_shard(path), **kwargs)
+
     def _on_stale_map(self, exc: StaleShardMapError) -> Generator:
         """React to a route-guard bounce: wait for an in-flight migration
         to cut over (writes to a moving subtree are briefly frozen), then
@@ -305,18 +322,12 @@ class ShardedMDS(MetadataService):
     def get(self, path: str, watch=None) -> Generator:
         self._last_retries = 0
         self._note_op(path)
-        result = yield from self._call(self.map.home_shard(path), "get",
-                                       path, watch=watch,
-                                       reroute=lambda m: m.home_shard(path))
-        return result
+        return (yield from self._at_home("get", path, watch=watch))
 
     def exists(self, path: str, watch=None) -> Generator:
         self._last_retries = 0
         self._note_op(path)
-        result = yield from self._call(self.map.home_shard(path), "exists",
-                                       path, watch=watch,
-                                       reroute=lambda m: m.home_shard(path))
-        return result
+        return (yield from self._at_home("exists", path, watch=watch))
 
     def get_children(self, path: str, watch=None) -> Generator:
         self._last_retries = 0
@@ -388,28 +399,85 @@ class ShardedMDS(MetadataService):
                sequential: bool = False) -> Generator:
         self._last_retries = 0
         self._note_op(path)
-        home = self.map.home_shard(path)
-        if self.is_dir_payload(data):
-            child = self.map.child_shard(path)
-            if child != home:
-                # Child-host copy first: a crash in between leaves an
-                # invisible anchor (retried create tolerates it), never a
-                # stat-able directory whose entries cannot be created.
-                yield from self._ensure_child_anchor(child, path, data)
-                home = self.map.home_shard(path)  # anchor may have adopted
-        result = yield from self._call(home, "create", path, data,
-                                       ephemeral=ephemeral,
-                                       sequential=sequential,
-                                       reroute=lambda m: m.home_shard(path))
-        return result
+        return (yield from self._with_anchor(path, data, self._create_entry(
+            path, data, ephemeral=ephemeral, sequential=sequential)))
+
+    def _with_anchor(self, path: str, data: bytes,
+                     home_copy: Generator) -> Generator:
+        """Drive ``home_copy`` (it writes ``path``'s home copy and returns
+        the path iff it *created* it) and, for a two-copy directory, write
+        the child-host copy beside it from the same simulated instant;
+        returns once both have committed (C1)."""
+        if not self.is_dir_payload(data) \
+                or self.map.child_shard(path) == self.map.home_shard(path):
+            return (yield from home_copy)
+        anchor, home = yield from self._both(
+            self._ensure_child_anchor(path, data), home_copy)
+        if isinstance(anchor, Exception):
+            if home is not None and not isinstance(home, Exception):
+                # C2: never a stat-able directory that cannot take entries
+                # (the reverse is an invisible anchor a retry tolerates).
+                try:
+                    yield from self._at_home("delete", path)
+                except ZKError:
+                    pass
+            raise anchor
+        if isinstance(home, Exception):
+            raise home
+        return home
+
+    def _both(self, side: Generator, main: Generator) -> Generator:
+        """Run ``side`` as its own process beside ``main`` and wait for
+        both (a straggler would add its retries to a later op's count).
+        Returns both outcomes, a result or the exception that ended it —
+        the strict simulator re-raises whatever escapes a process."""
+        def shielded():
+            try:
+                return (yield from side)
+            except (ZKError, Interrupt) as exc:
+                return exc
+        proc = self.clients[0].node.spawn(shielded(), f"{self.name}.side")
+        try:
+            done = yield from main
+        except ZKError as exc:
+            done = exc
+        return (yield proc), done
+
+    def _create_entry(self, path: str, data: bytes, **flags) -> Generator:
+        """The home-shard create of ``path``. That shard holds the
+        parent's *child-host* copy, which a mkdir or rmdir in flight
+        writes at another instant than the home copy, so (C3) a NoNode
+        under a two-copy parent that exists at its home is re-issued
+        under the shard client's retry policy (no breaker: an answered
+        NoNode is no server fault). Nothing is written for the parent: a
+        re-created anchor landing between a racing rmdir's two deletes
+        would orphan the entry under a removed directory."""
+        try:
+            return (yield from self._at_home("create", path, data, **flags))
+        except NoNodeError:
+            parent = parent_dir(path)
+            if self.map.home_shard(parent) == self.map.child_shard(parent):
+                raise
+
+        def attempt(_):
+            if (yield from self._at_home("exists", parent)) is None:
+                return None
+            return (yield from self._at_home("create", path, data, **flags))
+        zkc = self.clients[self.map.home_shard(path)]
+        created = yield from retry_call(
+            zkc.sim, zkc.retry, BreakerBoard(zkc.sim, enabled=False),
+            zkc.retry.begin(zkc.sim.now), pick=lambda: parent,
+            attempt=attempt, retry_on=NoNodeError,
+            gave_up=lambda _, exc: exc)
+        if created is None:
+            raise NoNodeError(path)
+        return created
 
     def set_data(self, path: str, data: bytes, version: int = -1) -> Generator:
         self._last_retries = 0
         self._note_op(path)
-        result = yield from self._call(self.map.home_shard(path), "set_data",
-                                       path, data, version=version,
-                                       reroute=lambda m: m.home_shard(path))
-        return result
+        return (yield from self._at_home("set_data", path, data,
+                                         version=version))
 
     def delete(self, path: str, version: int = -1,
                is_dir: Optional[bool] = None) -> Generator:
@@ -425,21 +493,41 @@ class ShardedMDS(MetadataService):
             except NoNodeError:
                 is_dir = False
             home = self.map.home_shard(path)  # the get may have adopted
-        if is_dir:
-            child = self.map.child_shard(path)
-            if child != home:
-                # Child-host copy first: it holds the real entries, so
-                # this is where POSIX emptiness (NotEmpty) is enforced.
-                try:
-                    yield from self._call(
-                        child, "delete", path, version=-1,
-                        reroute=lambda m: m.child_shard(path))
-                except NoNodeError:
-                    pass
-                home = self.map.home_shard(path)
+        if is_dir and self.map.child_shard(path) != home:
+            return (yield from self._delete_copies(path, version))
         result = yield from self._call(home, "delete", path, version=version,
                                        reroute=lambda m: m.home_shard(path))
         return result
+
+    def _delete_copies(self, path: str, version: int = -1) -> Generator:
+        """Delete both copies of a two-copy directory. Child-host copy
+        first: it holds the real entries, so this is where POSIX
+        emptiness (NotEmpty) is decided — before the visible copy goes,
+        which is why the two deletes stay serial."""
+        try:
+            yield from self._call(self.map.child_shard(path), "delete", path,
+                                  reroute=lambda m: m.child_shard(path))
+        except NoNodeError:
+            pass
+        try:
+            return (yield from self._at_home("delete", path, version=version))
+        except NotEmptyError:
+            # On any shard but its child shard a directory's children are
+            # routing artefacts of descendants, and no real entry is left
+            # (the child-host delete went through): dead residue.
+            yield from self._reclaim(self.map.home_shard(path), path)
+        return (yield from self._at_home("delete", path, version=version))
+
+    def _reclaim(self, shard: int, path: str) -> Generator:
+        """Delete everything below ``path`` on ``shard``, children first
+        (a mkdir that needs a reclaimed placeholder again rebuilds it: its
+        probe answers NoNode)."""
+        for name in (yield from self._call(shard, "get_children", path)):
+            yield from self._reclaim(shard, f"{path}/{name}")
+            try:
+                yield from self._call(shard, "delete", f"{path}/{name}")
+            except NoNodeError:
+                pass
 
     def sync(self, path: str = "/") -> Generator:
         self._last_retries = 0
@@ -448,49 +536,54 @@ class ShardedMDS(MetadataService):
         return result
 
     # -- directory anchors ---------------------------------------------------
-    def _ensure_child_anchor(self, shard: int, path: str,
-                             data: bytes) -> Generator:
-        """Create the child-host copy of directory ``path`` on ``shard``,
-        building placeholder ancestors on demand."""
+    def _ensure_child_anchor(self, path: str, data: bytes) -> Generator:
+        """Create the child-host copy of directory ``path``, building
+        placeholder ancestors on demand."""
         rr = lambda m: m.child_shard(path)  # noqa: E731 - route recompute
         try:
-            yield from self._call(shard, "create", path, data, reroute=rr)
-            return
+            return (yield from self._call(self.map.child_shard(path),
+                                          "create", path, data, reroute=rr))
         except NodeExistsError:
             return
         except NoNodeError:
             pass
-        # Cold path: the parent chain is absent on this shard. Verify the
-        # parent genuinely exists (its home shard is authoritative) so a
-        # racing rmdir still surfaces as ENOENT, then build placeholders.
+        # Cold path: the parent chain is absent on this shard. Build it
+        # while the parent's home shard (authoritative: a racing rmdir
+        # still surfaces as ENOENT) says whether the parent exists, then
+        # probe again — a chain can vanish only below a removed parent.
         parent = parent_dir(path)
-        stat = yield from self._call(self.map.home_shard(parent), "exists",
-                                     parent,
-                                     reroute=lambda m: m.home_shard(parent))
+        stat, built = yield from self._both(
+            self._at_home("exists", parent),
+            self._ensure_dir_chain(self.map.child_shard(path), parent,
+                                   reroute=rr))
+        for outcome in (stat, built):
+            if isinstance(outcome, Exception):
+                raise outcome
         if stat is None:
             raise NoNodeError(path)
-        yield from self._ensure_dir_chain(self.map.child_shard(path), parent,
-                                          reroute=rr)
-        try:
-            yield from self._call(self.map.child_shard(path), "create",
-                                  path, data, reroute=rr)
-        except NodeExistsError:
-            pass
+        yield from self._ensure_child_anchor(path, data)
 
     def _ensure_dir_chain(self, shard: int, dirpath: str,
                           reroute=None) -> Generator:
-        """mkdir -p of placeholder anchors for ``dirpath`` on ``shard``."""
+        """mkdir -p of placeholder anchors for ``dirpath`` — known missing
+        on ``shard`` — deepest-first: the upper chain is almost always
+        there, so climb only on NoNode, usually one create, not ``depth``.
+        Missing where its home copy would be, a directory does not exist:
+        a placeholder there would conjure it up."""
         if dirpath == "/":
             return
-        prefix = ""
-        for comp in dirpath.split("/")[1:]:
-            prefix = f"{prefix}/{comp}"
-            try:
-                yield from self._call(shard, "create", prefix,
-                                      PLACEHOLDER_DIR_DATA, reroute=reroute)
-                self.stats["anchors_created"] += 1
-            except NodeExistsError:
-                pass
+        if shard == self.map.home_shard(dirpath):
+            raise NoNodeError(dirpath)
+        try:
+            yield from self._call(shard, "create", dirpath,
+                                  PLACEHOLDER_DIR_DATA, reroute=reroute)
+            self.stats["anchors_created"] += 1
+        except NodeExistsError:
+            pass
+        except NoNodeError:
+            yield from self._ensure_dir_chain(shard, parent_dir(dirpath),
+                                              reroute)
+            yield from self._ensure_dir_chain(shard, dirpath, reroute)
 
     # -- multi: atomic when shard-local, intent-journaled across shards ------
     def multi(self, ops: Sequence[WriteRequest]) -> Generator:
@@ -591,31 +684,20 @@ class ShardedMDS(MetadataService):
                 yield from self._apply_absent(step[1])
 
     def _apply_ensure(self, path: str, data: bytes) -> Generator:
-        rr = lambda m: m.home_shard(path)  # noqa: E731 - route recompute
-        home = self.map.home_shard(path)
-        if self.is_dir_payload(data):
-            child = self.map.child_shard(path)
-            if child != home:
-                yield from self._ensure_child_anchor(child, path, data)
-                home = self.map.home_shard(path)
-        try:
-            yield from self._call(home, "create", path, data, reroute=rr)
-        except NodeExistsError:
-            yield from self._call(home, "set_data", path, data, reroute=rr)
+        def home_copy():
+            try:
+                return (yield from self._create_entry(path, data))
+            except NodeExistsError:
+                yield from self._at_home("set_data", path, data)
+        yield from self._with_anchor(path, data, home_copy())
 
     def _apply_absent(self, path: str) -> Generator:
-        home = self.map.home_shard(path)
-        child = self.map.child_shard(path)
-        if child != home:
-            # Covers the directory child-host copy; for files the child
-            # shard simply holds nothing (tolerated).
-            try:
-                yield from self._call(child, "delete", path,
-                                      reroute=lambda m: m.child_shard(path))
-            except NoNodeError:
-                pass
         try:
-            yield from self._call(self.map.home_shard(path), "delete", path,
-                                  reroute=lambda m: m.home_shard(path))
+            if self.map.child_shard(path) != self.map.home_shard(path):
+                # Covers the directory child-host copy; for files the
+                # child shard simply holds nothing (tolerated).
+                yield from self._delete_copies(path)
+            else:
+                yield from self._at_home("delete", path)
         except NoNodeError:
             pass

@@ -25,13 +25,13 @@ async-write ablation (scale=quick seed=0):
     "elastic": """\
 elastic plane (scale=quick seed=0, 8 ZK servers as 4 shards, pin budget 8):
   arm           file_create      file_stat
-  elastic            15,387         83,449
+  elastic            15,334         79,692
   hash                8,487         36,578
   tuned-A            11,620         50,974
   tuned-B            11,586         51,467
   gate: file_create elastic/best-static = 1.32x (floor 1.3x)
-  gate: file_stat elastic/best-static = 1.62x (floor 1.3x)
-  elastic: 194 ticks, epoch 18, 12 splits / 6 merges, 1602 entries copied""",
+  gate: file_stat elastic/best-static = 1.55x (floor 1.3x)
+  elastic: 195 ticks, epoch 18, 12 splits / 6 merges, 1553 entries copied""",
     "kernel": """\
 kernel bench: scale=medium repeats=3 calibration=22.8 Mops/s
 
@@ -70,11 +70,12 @@ resolve ablation (scale=quick seed=0 depth=8):
     "shard": """\
 shard scaling (scale=quick seed=0, 8 ZK servers total, 8 procs x 20 items):
   phase            1 shard(s)     2 shard(s)     4 shard(s)  speedup
-  dir_create            2,582          1,771          1,651    0.64x
+  dir_create            2,582          2,616          2,815    1.09x
   file_create           2,250          3,204          3,595    1.60x
   file_stat            13,005         13,005         11,339    0.87x
   file_remove           2,022          2,465          2,622    1.30x
-  gate: file_create at 4 shards = 1.60x (floor 1.5x)""",
+  gate: file_create at 4 shards = 1.60x (floor 1.5x)
+  gate: dir_create at 4 shards = 1.09x (floor 1.0x)""",
 }
 
 

@@ -67,7 +67,8 @@ def undercut(name, doc):
     if name == "async":
         doc["on"]["wblog"]["rejected"] = 3
     if name == "shard":
-        doc["speedup_vs_1"][max(doc["shards"], key=int)]["file_create"] = 1.0
+        top = doc["speedup_vs_1"][max(doc["shards"], key=int)]
+        top["file_create"], top["dir_create"] = 1.0, 0.9
     if name == "resilience":
         doc["gate"]["on_over_off"] = 1.2
     if name == "elastic":
@@ -139,7 +140,8 @@ def test_floors_name_what_they_guard():
     assert [lab.split()[0] for lab in labels("mdcache")] \
         == ["stat_hot", "stat_shared"]
     assert labels("resolve") == ["deep_stat resolve speedup at depth 8"]
-    assert labels("shard") == ["file_create 4-shard speedup"]
+    assert labels("shard") == ["file_create 4-shard speedup",
+                               "dir_create 4-shard speedup"]
     assert "2.0x load" in labels("resilience")[0]
     assert [lab.split()[0] for lab in labels("elastic")] \
         == ["file_create", "file_stat"]
