@@ -51,6 +51,8 @@ class Suite:
     #: Simulated clock: a rerun reproduces the baseline to the byte.
     #: False for wall-clock numbers, which only hold a tolerance.
     exact: bool = True
+    #: The scale the committed baseline is recorded (and refreshed) at.
+    scale: str = "quick"
 
     @property
     def dest(self) -> str:
@@ -65,8 +67,9 @@ class Suite:
     @property
     def refresh(self) -> str:
         """The one command that re-records the baseline."""
+        scale = f"--scale {self.scale}" if self.scale != "quick" else ""
         return " ".join(filter(None, ["python -m repro bench", self.selector,
-                                      "--json", self.baseline]))
+                                      scale, "--json", self.baseline]))
 
     def fresh(self, baseline: Dict) -> Dict:
         """Rerun at the scale, seed and sweep the baseline recorded."""
@@ -191,7 +194,7 @@ SUITES: Dict[str, Suite] = {s.name: s for s in (
     Suite("kernel", "--kernel", "simulator events per wall-second (timer "
           "churn, RPC fan-out, spawn/interrupt, resource cascades)",
           kernel_bench.run, kernel_bench.render, kernel_bench.tracked,
-          kernel_bench.floors, exact=False),
+          kernel_bench.floors, exact=False, scale="medium"),
     Suite("elastic", "--elastic", "autoscaler with live subtree migration "
           "vs the best static layouts on a skewed, shifting hotspot",
           elastic_bench.run, elastic_bench.render, elastic_bench.tracked,

@@ -435,6 +435,8 @@ class DUFSClient:
         yield from self._logic()
         try:
             names = yield from self.mdcache.get_children(path)
+        except NoNodeError:
+            raise (yield from self._resolve_error(path)) from None
         except ZKError as exc:
             raise _map_zk_error(exc, path) from None
         if not names:

@@ -117,8 +117,8 @@ class Network:
         self._link_faults: dict[tuple[str, str], LinkFault] = {}
         # single bound callback shared by every _Delivery event
         self._deliver_cb = self._deliver
-        # endpoint -> fast-path hook tried at delivery time (see
-        # set_inbox_hook); absent endpoints go straight to their inbox.
+        # endpoint -> delivery hook (see set_inbox_hook); absent
+        # endpoints go to their inbox.
         self._hooks: dict[str, Any] = {}
         # (src, dst) -> (latency, 1/bandwidth, loss, duplicate), or the
         # _DROP sentinel for unreachable pairs. The cache folds the host
@@ -137,15 +137,12 @@ class Network:
         return self._inboxes[endpoint]
 
     def set_inbox_hook(self, endpoint: str, hook) -> None:
-        """Install ``hook(msg) -> bool`` tried at delivery time.
-
-        Returning True consumes the message without an inbox round-trip
-        (the RPC layer uses this to handle a message at the instant its
-        delivery event fires instead of paying a queue hop plus a
-        dispatcher wakeup). The hook MUST preserve inbox FIFO semantics:
-        it may only consume when the inbox is empty and a getter is
-        armed, i.e. exactly when the message would have been handed to
-        the waiting consumer next anyway."""
+        """Install ``hook(msg)``: every message delivered to ``endpoint``
+        is handed to it, at the instant its delivery event fires, instead
+        of being put in the inbox ``Store`` (an :class:`RpcAgent` keeps
+        its own per-endpoint FIFO). ``msg`` is the spent delivery event
+        and the hook's to keep; endpoints without a hook are read through
+        their inbox."""
         self._hooks[endpoint] = hook
 
     # -- failures --------------------------------------------------------
@@ -154,7 +151,6 @@ class Network:
         if down:
             self._down.add(endpoint)
             self._inboxes[endpoint].items.clear()
-            self._inboxes[endpoint].drain_getters()
         else:
             self._down.discard(endpoint)
 
@@ -312,11 +308,13 @@ class Network:
     def _deliver(self, ev: "_Delivery") -> None:
         # Re-check reachability at delivery time: a crash mid-flight or a
         # partition installed after send() still drops the message.
-        if not self._reachable(ev.src, ev.dst):
+        if (self._down or self._partition is not None) \
+                and not self._reachable(ev.src, ev.dst):
             self.stats.dropped += 1
             return
         dst = ev.dst
         hook = self._hooks.get(dst)
-        if hook is not None and hook(ev):
-            return
-        self._inboxes[dst].put(ev)
+        if hook is not None:
+            hook(ev)
+        else:
+            self._inboxes[dst].put(ev)

@@ -103,23 +103,42 @@ class Node:
         self._on_recover.append(cb)
 
     # -- resource helpers --------------------------------------------------
+    # A free unit is taken without a Request: the service timeout itself is
+    # the holder. A grant on a free unit allocates no creation id, so the
+    # timeout gets the id it always got. Release goes through ``self.cpu``
+    # as it is *then*: a crash replaced it, and a dead holder is unknown
+    # there (no raise, no grant).
     def cpu_work(self, seconds: float) -> Generator:
         """Occupy one core for ``seconds`` of service time."""
-        req = self.cpu.request()
+        cpu = self.cpu
+        free = len(cpu.users) < cpu.capacity
+        if free:
+            hold = self.sim.timeout(seconds)
+            cpu.users.append(hold)
+        else:
+            hold = cpu.request()
         try:
-            yield req
-            yield self.sim.timeout(seconds)
+            yield hold
+            if not free:
+                yield self.sim.timeout(seconds)
         finally:
-            self.cpu.release(req)
+            self.cpu.release(hold)
 
     def disk_io(self, seconds: float) -> Generator:
         """Serialize on the disk for ``seconds`` (sync transaction model)."""
-        req = self.disk.request()
+        disk = self.disk
+        free = len(disk.users) < disk.capacity
+        if free:
+            hold = self.sim.timeout(seconds * self.disk_factor)
+            disk.users.append(hold)
+        else:
+            hold = disk.request()
         try:
-            yield req
-            yield self.sim.timeout(seconds * self.disk_factor)
+            yield hold
+            if not free:
+                yield self.sim.timeout(seconds * self.disk_factor)
         finally:
-            self.disk.release(req)
+            self.disk.release(hold)
 
     # -- failure injection -------------------------------------------------
     def crash(self) -> None:

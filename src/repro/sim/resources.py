@@ -2,7 +2,8 @@
 
 ``Resource`` models a server with fixed concurrency (e.g. the 8 cores of a
 metadata server); ``Store`` is an unbounded producer/consumer queue (used
-for node inboxes).
+for pipeline kicks, and as the inbox of an endpoint read without an RPC
+agent).
 
 Usage mirrors SimPy::
 
@@ -50,7 +51,8 @@ class Resource:
             raise ValueError("capacity must be >= 1")
         self.sim = sim
         self.capacity = capacity
-        self.users: list[Request] = []
+        # holders: granted Requests, or Node's fast-path service timeouts
+        self.users: list[Event] = []
         self.queue: deque[Request] = deque()
 
     def request(self) -> Request:
@@ -78,7 +80,8 @@ class Resource:
             except ValueError:
                 pass
             return
-        self._grant_next()
+        if self.queue:
+            self._grant_next()
 
     def _grant_next(self) -> None:
         queue = self.queue
@@ -111,8 +114,7 @@ class Store:
         self._getters: deque[Event] = deque()
 
     def put(self, item: Any) -> None:
-        # Inlined Event.succeed: one put per delivered network message
-        # makes this a kernel hot path (see the kernel bench).
+        # Inlined Event.succeed (one put per pipeline kick — hot).
         while self._getters:
             getter = self._getters.popleft()
             if getter._value is not _PENDING:
@@ -141,19 +143,6 @@ class Store:
             ev._value = _PENDING
             self._getters.append(ev)
         return ev
-
-    def cancel(self, get_event: Event) -> None:
-        """Withdraw a pending get (used when a node crashes)."""
-        if not get_event.triggered:
-            get_event._ok = True
-            get_event._value = None
-
-    def drain_getters(self) -> None:
-        """Cancel every pending get — crashed consumers must not steal
-        items destined for their restarted replacements."""
-        for getter in self._getters:
-            self.cancel(getter)
-        self._getters.clear()
 
     def __len__(self) -> int:
         return len(self.items)

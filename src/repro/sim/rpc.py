@@ -1,19 +1,32 @@
 """Request/response RPC layer over the simulated network.
 
 Each service endpoint (an MDS, a ZooKeeper server, a client library) owns an
-:class:`RpcAgent`: an inbox dispatcher that spawns a handler process per
-incoming request and routes responses back to waiting callers. Handlers are
-generator functions ``handler(src, args) -> value`` that may yield sim
-events (CPU work, disk, nested RPCs). Exceptions raised by handlers are
-marshalled to the caller and re-raised there, preserving POSIX errnos.
+:class:`RpcAgent`. Every message the network delivers to the endpoint lands
+in the agent's delivery hook, and the agent dispatches them one at a time,
+in delivery order, each from its own slot on the simulator's same-instant
+lane: a handler process is spawned per request, a response completes its
+waiting caller. Handlers are generator functions ``handler(src, args) ->
+value`` that may yield sim events (CPU work, disk, nested RPCs). Exceptions
+raised by handlers are marshalled to the caller and re-raised there,
+preserving POSIX errnos.
+
+The dispatcher is a callback chain, not a process, but it takes the lane
+slots — same position, same creation id — that a dispatcher process
+blocking on an inbox ``Store`` would (docs/MODEL.md §12): a message that
+finds the agent idle gets its slot at delivery (a response needs none and
+completes on the spot); one that finds a slot in flight waits and gets its
+own only after that slot's handler has returned. Other same-instant events
+order against these slots, so replay is unchanged.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from sys import intern
 from typing import Any, Callable, Dict, Generator, Optional
 
 from .core import _PENDING, AnyOf, Event, Interrupt
+from .network import _Delivery
 from .node import Node
 
 DEFAULT_REQ_SIZE = 192
@@ -99,16 +112,16 @@ class Reply:
 class RpcAgent:
     """Bidirectional RPC endpoint bound to a node."""
 
-    __slots__ = ("node", "sim", "network", "endpoint", "inbox", "handlers",
+    __slots__ = ("node", "sim", "network", "endpoint", "handlers",
                  "fast_handlers", "_pending", "_next_id", "_spawn_names",
-                 "_dispatcher")
+                 "_slot", "_backlog", "_dispatch_cb")
 
     def __init__(self, node: Node, endpoint: str):
         self.node = node
         self.sim = node.sim
         self.network = node.network
         self.endpoint = endpoint
-        self.inbox = self.network.register(endpoint, host=node.name)
+        self.network.register(endpoint, host=node.name)
         node.register_endpoint(endpoint)
         self.handlers: Dict[str, Callable] = {}
         self.fast_handlers: Dict[str, Callable] = {}
@@ -117,8 +130,11 @@ class RpcAgent:
         # method -> interned "endpoint.method" label, built once: spawn
         # names for request handlers must not re-format a string per call.
         self._spawn_names: Dict[str, str] = {}
-        self._dispatcher = node.spawn(self._dispatch_loop(), f"{endpoint}.dispatch")
-        self.network.set_inbox_hook(endpoint, self._inbox_hook)
+        self._slot: Optional[_Delivery] = None   # the one slot in flight
+        self._backlog: deque = deque()           # delivered behind it
+        self._dispatch_cb = self._dispatch       # one bound method, reused
+        self._restart()
+        self.network.set_inbox_hook(endpoint, self._on_delivery)
         node.on_crash(self._fail_pending)
         node.on_recover(self._restart)
 
@@ -135,70 +151,72 @@ class RpcAgent:
         return name
 
     def register_fast(self, method: str, fn: Callable) -> None:
-        """Register a plain-function *cast* handler, run inline by the
-        dispatcher with no process spawn. For cheap bookkeeping on hot
-        paths (ZAB acks/commits); must not block or consume resources."""
+        """Register a plain-function *cast* handler, run inline in the
+        message's dispatch slot with no process spawn. For cheap
+        bookkeeping on hot paths (ZAB acks/commits); must not block or
+        consume resources."""
         self.fast_handlers[method] = fn
 
-    def _dispatch_loop(self) -> Generator:
-        inbox_get = self.inbox.get
-        pending = self._pending
-        node_spawn = self.node.spawn
-        while True:
-            try:
-                msg = yield inbox_get()
-            except Interrupt:
-                return
-            if msg is None:  # cancelled get during teardown
-                return
+    def _on_delivery(self, msg: _Delivery) -> None:
+        """The network's delivery hook: every message for this endpoint."""
+        if self._slot is not None:
+            # Busy: wait for a slot of its own behind the one in flight.
+            self._backlog.append(msg)
+        elif msg.payload.__class__ is _Response:
+            # Idle + response: completed on the spot, without a slot — it
+            # spawns nothing, and the replay pins have held this short cut
+            # since it was introduced.
             payload = msg.payload
-            cls = payload.__class__
-            if cls is _Response:
-                waiter = pending.pop(payload.rpc_id, None)
-                if waiter is not None and waiter._value is _PENDING:
-                    waiter.succeed(payload)
-            elif cls is _Request:
-                proc = node_spawn(self._serve(payload),
-                                  self._spawn_name(payload.method))
-                # The handler process runs under the caller's remaining
-                # budget; nested RPCs it issues inherit it ambiently.
-                proc.deadline = payload.deadline
-            elif cls is _Cast:
-                fast = self.fast_handlers.get(payload.method)
-                if fast is not None:
-                    fast(payload.src, payload.args)
-                    continue
+            waiter = self._pending.pop(payload.rpc_id, None)
+            if waiter is not None and waiter._value is _PENDING:
+                waiter.succeed(payload)
+        else:
+            # Idle + request/cast: inlined _arm (one per message — hot).
+            self._slot = msg
+            msg.callbacks = [self._dispatch_cb]
+            sim = self.sim
+            sim._eid = eid = sim._eid + 1
+            sim._lane.append((eid, msg, None))
+
+    def _arm(self, msg: _Delivery) -> None:
+        """Make ``msg`` the slot in flight: the spent delivery event goes
+        back on the lane, now, with the dispatch callback."""
+        self._slot = msg
+        msg.callbacks = [self._dispatch_cb]
+        sim = self.sim
+        sim._eid = eid = sim._eid + 1
+        sim._lane.append((eid, msg, None))
+
+    def _dispatch(self, msg: _Delivery) -> None:
+        payload = msg.payload
+        cls = payload.__class__
+        if cls is _Request:
+            # _serve is looked up per message: perfbench patches it on the
+            # class (DESIGN.md, late-binding rule).
+            proc = self.node.spawn(self._serve(payload),
+                                   self._spawn_name(payload.method))
+            # The handler process runs under the caller's remaining
+            # budget; nested RPCs it issues inherit it ambiently.
+            proc.deadline = payload.deadline
+        elif cls is _Cast:
+            fast = self.fast_handlers.get(payload.method)
+            if fast is not None:
+                fast(payload.src, payload.args)
+            else:
                 handler = self.handlers.get(payload.method)
                 if handler is not None:
-                    node_spawn(self._serve_cast(handler, payload),
-                               self._spawn_name(payload.method))
-
-    def _inbox_hook(self, msg) -> bool:
-        """Delivery-time fast path for responses (see ``set_inbox_hook``).
-
-        Completes a pending call at the instant its response delivery
-        event fires, skipping the inbox round-trip plus dispatcher wakeup
-        (one Event, one queue hop, and one generator resume per RPC).
-        Only legal when the inbox is empty and the dispatcher's get is
-        armed — i.e. exactly when the dispatcher would receive this
-        message next anyway, so per-endpoint FIFO processing order is
-        unchanged. Requests and casts stay on the queue path: they spawn
-        handler processes, and pulling those spawns earlier in the
-        same-instant order would perturb replay (the figure-trace pin).
-        """
-        if msg.payload.__class__ is not _Response:
-            return False
-        inbox = self.inbox
-        if inbox.items:
-            return False
-        getters = inbox._getters
-        if not getters or getters[0]._value is not _PENDING:
-            return False
-        payload = msg.payload
-        waiter = self._pending.pop(payload.rpc_id, None)
-        if waiter is not None and waiter._value is _PENDING:
-            waiter.succeed(payload)
-        return True
+                    self.node.spawn(self._serve_cast(handler, payload),
+                                    self._spawn_name(payload.method))
+        elif cls is _Response:
+            waiter = self._pending.pop(payload.rpc_id, None)
+            if waiter is not None and waiter._value is _PENDING:
+                waiter.succeed(payload)
+        # Only now — after the handler above ran and took its creation
+        # ids — does the oldest waiting message get the next slot.
+        if self._backlog:
+            self._arm(self._backlog.popleft())
+        else:
+            self._slot = None
 
     def _serve(self, req: _Request) -> Generator:
         handler = self.handlers.get(req.method)
@@ -281,7 +299,7 @@ class RpcAgent:
                     raise RpcTimeout(dst, method)
                 resp = waiter.value
         finally:
-            # Success pops in the dispatcher; this covers timeout and a
+            # Success pops at dispatch; this covers timeout and a
             # caller interrupted mid-wait (hedge cancellation) so the late
             # response is discarded instead of leaking a waiter forever.
             self._pending.pop(rpc_id, None)
@@ -296,8 +314,17 @@ class RpcAgent:
 
     # -- failure plumbing ---------------------------------------------------
     def _fail_pending(self) -> None:
+        """Node crash: the slot in flight and the messages behind it die
+        with the pending calls (the run loop skips a callback-less event)."""
         self._pending.clear()
+        self._backlog.clear()
+        if self._slot is not None:
+            self._slot.callbacks = None
+            self._slot = None
 
     def _restart(self) -> None:
-        self._dispatcher = self.node.spawn(self._dispatch_loop(),
-                                           f"{self.endpoint}.dispatch")
+        """(Re)start dispatching with one empty slot — a payload-less
+        delivery to itself: what is delivered before it fires queues
+        behind it, as it did behind a dispatcher process's first run."""
+        self._arm(_Delivery(self.sim, self.endpoint, self.endpoint, None, 0,
+                            self.sim.now, None))

@@ -51,13 +51,17 @@ class Batcher:
         self.deployment = deployment
         self.queue: Deque[Any] = deque()
         self.stats = {"flushes": 0, "items": 0}
-        self._kick = Store(self.sim)
-        self._proc = node.spawn(self._loop(), name)
+        self.restart()
 
     def submit(self, item: Any) -> None:
-        """Enqueue one item; it is flushed with the next batch."""
+        """Enqueue one item; it is flushed with the next batch. The loop
+        is kicked only on its idle -> busy edge: it re-tests the queue
+        after every flush, so a token put while it runs would only spin
+        it once more at the instant it finishes."""
         self.queue.append(item)
-        self._kick.put(True)
+        if self._idle:
+            self._idle = False
+            self._kick.put(True)
 
     def __len__(self) -> int:
         return len(self.queue)
@@ -67,16 +71,16 @@ class Batcher:
         self.queue.clear()
 
     def restart(self) -> None:
-        """Re-arm after a node recovery (fresh kick store + loop)."""
+        """(Re-)arm: fresh kick store + loop, at construction and after a
+        node recovery."""
         self._kick = Store(self.sim)
+        self._idle = True
         self._proc = self.node.spawn(self._loop(), self.name)
 
     def _loop(self) -> Generator:
         try:
             while True:
-                got = yield self._kick.get()
-                if got is None:  # cancelled get during teardown
-                    return
+                yield self._kick.get()
                 while self.queue:
                     batch = []
                     while self.queue and len(batch) < self.max_batch:
@@ -86,5 +90,6 @@ class Batcher:
                     self.stats["items"] += len(batch)
                     self.bus.mark_batch(self.deployment, self.name,
                                         len(batch), len(self.queue))
+                self._idle = True
         except Interrupt:
             return

@@ -28,11 +28,16 @@ from ..models.params import ZKParams
 from ..sim.core import Event, Interrupt
 from ..sim.node import Node
 from ..sim.resources import Store
-from ..sim.rpc import Reply
+from ..sim.rpc import Reply, _Cast
 from ..svc import Batcher, Service, TraceBus
-from .data import ZnodeStore
+from .data import ZnodeStore, split_path, validate_path
+from .election import follow, on_vote, start_election
 from .errors import (
+    BadArgumentsError,
     ConnectionLossError,
+    NodeExistsError,
+    NoNodeError,
+    NotEmptyError,
     NotLeaderError,
     SessionExpiredError,
     ZKError,
@@ -151,6 +156,7 @@ class ZKServer:
 
         # pipelines (group-commit logger; optional leader write batching)
         self._apply_kick = Store(self.sim)
+        self._applier_idle = True
         self._logger: Optional[Batcher] = None
         self._proposer: Optional[Batcher] = None
 
@@ -233,7 +239,9 @@ class ZKServer:
         return [sid for sid in self.peers if sid != self.sid]
 
     def _cast_peer(self, sid: int, method: str, args: Any, size: int = 160) -> None:
-        self.agent.cast(self.peers[sid], method, args, size=size)
+        # agent.cast, minus its frame (7 followers x 3 casts per write)
+        self.agent.network.send(self.endpoint, self.peers[sid],
+                                _Cast(method, args, self.endpoint), size)
 
     # ------------------------------------------------------------------
     # bootstrap (static roles for healthy-cluster benchmarks)
@@ -253,7 +261,6 @@ class ZKServer:
                                      if s < self.ensemble_size}
             self.activated = True
         elif self.observer:
-            from .election import follow
             self._syncing = True
             self._presync = []
             self.role = FOLLOWING
@@ -350,8 +357,6 @@ class ZKServer:
         comes back as a ``miss`` ResolveResult carrying the nearest
         existing ancestor, so the client can classify the error and
         negative-cache the gap without extra round trips."""
-        from .errors import NoNodeError
-
         p = self.params
         bus = self.svc.bus
         self.stats["resolves"] += 1
@@ -520,10 +525,6 @@ class ZKServer:
         rollback. Sequential creates inside a multi are not supported
         (DUFS never needs them).
         """
-        from .data import split_path, validate_path
-        from .errors import (BadArgumentsError, NoNodeError, NodeExistsError,
-                             NotEmptyError)
-
         spec = self.spec_store
         created: set = set()
         deleted: set = set()
@@ -698,7 +699,11 @@ class ZKServer:
                 self._cast_peer(
                     leader_sid, "ack",
                     Ack(tuple(z for _, z in ack_zxids), self.sid))
-            self._apply_kick.put(True)  # commits may now be applicable
+            # Commits may now be applicable — on a follower only if one
+            # is pending; otherwise the wake-up would find nothing.
+            if self.role != FOLLOWING \
+                    or self.pending_commit > self.commit_index:
+                self._kick_applier()
 
     # ------------------------------------------------------------------
     # ZAB casts
@@ -721,7 +726,6 @@ class ZKServer:
             # later applying commits across it would silently diverge from
             # the leader at the same commit index. Buffer this proposal and
             # re-sync our log from the leader instead.
-            from .election import follow
             self.stats["gap_resyncs"] += 1
             self._syncing = True
             self._presync = [prop]
@@ -787,14 +791,14 @@ class ZKServer:
             self.out_queue.popleft()
             advanced = True
         if advanced:
-            self._apply_kick.put(True)
+            self._kick_applier()
 
     def _f_commit(self, src: str, commit: Commit) -> None:
         if self.role != FOLLOWING:
             return
         if commit.zxid > self.pending_commit:
             self.pending_commit = commit.zxid
-            self._apply_kick.put(True)
+            self._kick_applier()
 
     # ------------------------------------------------------------------
     # applier pipeline: apply committed txns to the local tree, in order
@@ -806,14 +810,20 @@ class ZKServer:
         except Interrupt:
             return
 
+    def _kick_applier(self) -> None:
+        """Wake the applier on its idle -> busy edge only (it re-tests
+        ``_applicable()`` after every run, like ``Batcher.submit``)."""
+        if self._applier_idle:
+            self._applier_idle = False
+            self._apply_kick.put(True)
+
     def _applier_body(self, p) -> Generator:
         while True:
-            got = yield self._apply_kick.get()
-            if got is None:
-                return
+            yield self._apply_kick.get()
             while True:
                 todo = self._applicable()
                 if not todo:
+                    self._applier_idle = True
                     break
                 yield from self.node.cpu_work(p.apply_cpu * len(todo))
                 for zxid, txn in todo:
@@ -833,6 +843,8 @@ class ZKServer:
 
     def _applicable(self) -> List[Tuple[int, tuple]]:
         """Next run of committed-but-unapplied log entries."""
+        if not self.log or self.log[-1][0] <= self.commit_index:
+            return []
         if self.role == LEADING:
             # Committed = contiguous ready prefix removed from out_queue.
             horizon = self.out_queue[0] if self.out_queue else None
@@ -844,8 +856,8 @@ class ZKServer:
                     break
                 todo.append((zxid, txn))
             return todo
-        if self.role == FOLLOWING:
-            upto = self.pending_commit
+        upto = self.pending_commit
+        if self.role == FOLLOWING and upto > self.commit_index:
             return [(z, t) for z, t in self._log_tail(self.commit_index)
                     if z <= upto]
         return []
@@ -853,13 +865,11 @@ class ZKServer:
     def _log_tail(self, after_zxid: int) -> List[Tuple[int, tuple]]:
         # log is zxid-ordered; binary search would be faster but tails are
         # short in steady state.
-        out = []
-        for i in range(len(self.log) - 1, -1, -1):
-            if self.log[i][0] <= after_zxid:
-                break
-            out.append(self.log[i])
-        out.reverse()
-        return out
+        log = self.log
+        i = len(log)
+        while i and log[i - 1][0] > after_zxid:
+            i -= 1
+        return log[i:]
 
     def _invalidate_dentries(self, txn: tuple) -> None:
         """Drop dentry entries made stale by a committed txn. Deletes are
@@ -878,30 +888,33 @@ class ZKServer:
     # watches
     # ------------------------------------------------------------------
     def _fire_watches(self, txn: tuple) -> None:
+        if not (self.data_watches or self.child_watches
+                or self.exist_watches):
+            return
         kind = txn[0]
         if kind == "multi":
             for sub in txn[1]:
                 self._fire_watches(sub)
             return
         path = txn[1]
-        from .data import split_path
         parent, _ = split_path(path)
         if kind == "create":
-            self._notify(self.exist_watches, path, WatchEvent("created", path))
-            self._notify(self.child_watches, parent, WatchEvent("child", parent))
+            self._notify(self.exist_watches, path, "created")
+            self._notify(self.child_watches, parent, "child")
         elif kind == "delete":
-            self._notify(self.data_watches, path, WatchEvent("deleted", path))
-            self._notify(self.exist_watches, path, WatchEvent("deleted", path))
-            self._notify(self.child_watches, parent, WatchEvent("child", parent))
-            self._notify(self.child_watches, path, WatchEvent("deleted", path))
+            self._notify(self.data_watches, path, "deleted")
+            self._notify(self.exist_watches, path, "deleted")
+            self._notify(self.child_watches, parent, "child")
+            self._notify(self.child_watches, path, "deleted")
         elif kind == "set":
-            self._notify(self.data_watches, path, WatchEvent("changed", path))
+            self._notify(self.data_watches, path, "changed")
 
     def _notify(self, table: Dict[str, Set[str]], path: str,
-                event: WatchEvent) -> None:
+                kind: str) -> None:
         watchers = table.pop(path, None)
         if not watchers:
             return
+        event = WatchEvent(kind, path)
         for client in watchers:
             self.agent.cast(client, "watch_event", event, size=64)
 
@@ -967,7 +980,6 @@ class ZKServer:
         self.last_pong_at[pong.sid] = self.sim.now
 
     def _watchdog_loop(self) -> Generator:
-        from .election import start_election  # local import: cycle break
         p = self.params
         while True:
             try:
@@ -999,7 +1011,6 @@ class ZKServer:
         self.out_queue.clear()
 
     def _f_vote(self, src: str, vote: Vote) -> None:
-        from .election import on_vote
         on_vote(self, vote)
 
     # ------------------------------------------------------------------
@@ -1057,10 +1068,10 @@ class ZKServer:
 
     def _on_recover(self) -> None:
         self._apply_kick = Store(self.sim)
+        self._applier_idle = True
         self._rebuild_from_disk()
         self._start_pipelines()
         if self.params.failure_detection:
-            from .election import start_election
             start_election(self)
         else:
             assert self.static_leader is not None and \
@@ -1069,6 +1080,5 @@ class ZKServer:
             self.node.spawn(self._rejoin_static(), f"zk{self.sid}.rejoin")
 
     def _rejoin_static(self) -> Generator:
-        from .election import follow
         yield self.sim.timeout(0)
         yield from follow(self, self.static_leader)

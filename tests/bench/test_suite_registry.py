@@ -118,6 +118,16 @@ def test_gate_reports_a_label_missing_from_the_baseline(name):
 
 
 @pytest.mark.parametrize("name", NAMES)
+def test_refresh_records_at_the_scale_of_the_committed_baseline(name):
+    """The command the gate prints must reproduce the committed file's
+    scale (``quick`` is the CLI default and needs no flag)."""
+    scale = committed(name)["scale"]
+    flag = re.search(r"--scale (\S+)", SUITES[name].refresh)
+    assert (flag.group(1) if flag else "quick") == scale
+    assert SUITES[name].refresh.endswith(f"--json {SUITES[name].baseline}")
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_gate_tolerates_an_empty_baseline_document(name):
     doc = committed(name)
     failures = check(SUITES[name], doc, {})

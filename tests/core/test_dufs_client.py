@@ -232,6 +232,29 @@ def test_readdir_of_a_non_directory_is_enotdir(arm):
     assert reads[2] == 2 and reads[3] <= 1
 
 
+@pytest.mark.parametrize("n_shards", [1, 2])
+@pytest.mark.parametrize("arm", [
+    dict(), dict(resolve=ResolveParams.resolve_on()),
+], ids=["paper", "thin"])
+def test_readdir_through_a_file_is_enotdir(arm, n_shards):
+    """A missing path is classified as a lookup classifies it: the chain
+    breaking at a *file* is ENOTDIR, at a missing directory ENOENT."""
+    h = DUFSHarness(n_shards=n_shards, **arm)
+    client = h.dep.clients[0]
+
+    def main():
+        yield from client.create("/f")
+        out = []
+        for path in ("/f/x", "/f/x/y", "/missing/x", "/f"):
+            try:
+                yield from client.readdir(path)
+            except FSError as exc:
+                out.append(exc.err)
+        return out
+
+    assert h.run(main()) == [ENOTDIR, ENOTDIR, ENOENT, ENOTDIR]
+
+
 def test_dir_stat_fields_from_zookeeper(dufs):
     m = dufs.mount(0)
 

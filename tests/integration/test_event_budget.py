@@ -1,0 +1,50 @@
+"""What one unloaded ``create`` costs in creation ids, itemised.
+
+``sim._eid`` counts everything the kernel ever scheduled (``sim.events`` in
+the perfbench ledger). This pins the count for the simplest write on the
+smallest real deployment, so a stray pipeline kick, a queue hop or a
+wake-up that buys nothing shows up here as a one-line diff rather than as
+a percent on a ledger.
+"""
+
+from repro.core import build_dufs_deployment
+
+#: One ``create`` through a client whose preferred server is the co-located
+#: leader, 3 servers, idle system (PR 19; 40 before it — each follower's
+#: logger also woke its applier after the fsync, to find nothing):
+CREATE_IDS = sum((
+    1,      # this test's driving process
+    1,      # client: op logic CPU
+    1,      # back-end (local FS): create CPU
+    2,      # client -> leader: request delivery, the call's timeout timer
+    2,      # leader: the request's dispatch slot, its handler process
+    1,      # leader: write CPU
+    2,      # leader -> followers: PROPOSE deliveries
+    2,      # leader: logger kick, fsync
+    2 * 4,  # each follower: PROPOSE slot, logger kick, log CPU, fsync
+    2,      # followers -> leader: ACK deliveries
+    2,      # leader: a dispatch slot per ACK
+    2,      # leader: applier kick (the quorum ACK), apply CPU
+    1,      # leader: the write handler's wait on its outcome fires
+    2,      # leader -> followers: COMMIT deliveries
+    1,      # leader -> client: response delivery
+    2,      # client: the call's waiter fires, then its any-of(timeout)
+    2 * 3,  # each follower: COMMIT slot, applier kick, apply CPU
+))
+
+
+def test_one_unloaded_create_costs_exactly_these_creation_ids():
+    dep = build_dufs_deployment(n_zk=3, n_backends=2, n_client_nodes=3,
+                                backend="local")
+    sim = dep.cluster.sim
+    client = dep.clients[0]
+
+    def run(gen):
+        sim.run(until=dep.client_nodes[0].spawn(gen))
+        sim.run()                      # the followers' COMMITs too
+
+    run(client.create("/warm"))        # physical directories, sessions
+    before = sim._eid
+    run(client.create("/f"))
+    assert CREATE_IDS == 38
+    assert sim._eid - before == CREATE_IDS

@@ -59,12 +59,6 @@ def walk_error(oracle: Oracle, path: str):
 def expect(oracle: Oracle, op: str, path: str):
     """``(errno, value)`` POSIX prescribes; mutates the oracle on success."""
     err = walk_error(oracle, path)
-    if err == ENOTDIR and op == "readdir":
-        # DUFSClient.readdir maps a missing path straight to ENOENT: no
-        # parent walk tells it the chain broke at a file (at every shard
-        # count, the paper's single ensemble included — recorded in
-        # ROADMAP item 1, not this suite's to pin as right).
-        err = ENOENT
     kind = oracle.nodes.get(path)
     if err is None:
         if op in ("mkdir", "create"):
