@@ -14,7 +14,8 @@ Run:  python examples/availability_comparison.py
 from repro.chaos import ChaosEngine, ChaosSchedule
 from repro.core import build_dufs_deployment
 from repro.errors import FSError
-from repro.models.params import LustreParams, SimParams, ZKParams
+from repro.models.params import (FaultToleranceParams, LustreParams,
+                                 SimParams, ZKParams)
 from repro.pfs.lustre import build_lustre
 from repro.sim import Cluster
 
@@ -36,7 +37,8 @@ def op_stream(cluster, client, completions):
 
 
 def lustre_failover_gap():
-    params = LustreParams(client_rpc_timeout=0.5, failover_takeover_delay=2.0)
+    fault = FaultToleranceParams.backend(request_timeout=0.5, max_retries=4)
+    params = LustreParams(fault=fault, failover_takeover_delay=2.0)
     cluster = Cluster(seed=1)
     node = cluster.add_node("client")
     fs = build_lustre(cluster, "ha", params=params, with_standby=True)

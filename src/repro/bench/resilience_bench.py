@@ -18,15 +18,15 @@ only on live requests and goodput holds near capacity.
 
 The committed gate (``benchmarks/BENCH_resilience.json``): at 2x the
 saturation load, resilience-on goodput must be >= 1.5x resilience-off.
-Both arms run the identical cluster, fault policy and offered load; only
-the client-side resilience knobs differ.
+Both arms run the identical cluster, timeout/retry policy and offered
+load; only the request-lifecycle fields of the fault policy differ.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..models.params import FaultToleranceParams, ResilienceParams, ZKParams
+from ..models.params import FaultToleranceParams, ZKParams
 from ..sim.node import Cluster
 from ..svc import TraceBus
 from ..zk.client import ZKClient
@@ -74,13 +74,12 @@ def _run_arm(load: float, resilient: bool, duration: float,
     server_node = cluster.add_node("zkserver", cores=1)
     ensemble = build_ensemble(cluster, [server_node], 1,
                               params=ZKParams(read_cpu=READ_CPU), bus=bus)
-    fault = FaultToleranceParams(**FAULT)
-    resilience = ResilienceParams(**RESILIENCE_ON) if resilient \
-        else ResilienceParams()
+    fault = FaultToleranceParams(**FAULT,
+                                 **(RESILIENCE_ON if resilient else {}))
     client_nodes = [cluster.add_node(f"client{i}")
                     for i in range(n_clients)]
     clients = [ZKClient(node, ensemble.endpoints, fault=fault,
-                        name=f"load{i}", resilience=resilience)
+                        name=f"load{i}")
                for i, node in enumerate(client_nodes)]
 
     def setup():

@@ -34,7 +34,7 @@ from typing import Callable, List, Optional
 
 from ..errors import FSError
 from ..models.params import (AsyncParams, CacheParams, ElasticParams,
-                             LustreParams, PVFSParams, ResilienceParams,
+                             FaultToleranceParams, LustreParams, PVFSParams,
                              SimParams, ZKParams)
 from ..sim.node import Cluster
 from .audit import AuditReport, audit_dufs
@@ -100,9 +100,15 @@ def default_schedule(deployment: str, duration: float,
 
 
 # -- deployment adapters ----------------------------------------------------
+#: The Lustre/PVFS clients of a chaos run: five 0.5 s attempts, so a dead
+#: server surfaces as EIO (a counted failed op), not a hang.
+_BACKEND_FAULT = FaultToleranceParams.backend(request_timeout=0.5,
+                                              max_retries=4)
+
+
 def _build_dufs(seed: int, cache: Optional[CacheParams] = None,
                 shards: int = 1,
-                resilience: Optional[ResilienceParams] = None,
+                fault: Optional[FaultToleranceParams] = None,
                 elastic: Optional[ElasticParams] = None,
                 awrite: Optional[AsyncParams] = None):
     from ..core import build_dufs_deployment
@@ -116,11 +122,10 @@ def _build_dufs(seed: int, cache: Optional[CacheParams] = None,
     n_zk = 5 if shards <= 1 else 3 * shards
     dep = build_dufs_deployment(n_zk=n_zk, n_backends=2, n_client_nodes=2,
                                 backend="local", params=params,
-                                co_locate_zk=False, seed=seed,
+                                co_locate_zk=False, seed=seed, fault=fault,
                                 zk_request_timeout=0.4, zk_max_retries=10,
                                 cache=cache, n_shards=shards,
-                                resilience=resilience, autoscale=elastic,
-                                awrite=awrite)
+                                autoscale=elastic, awrite=awrite)
     flat_servers = [s for ens in dep.ensembles for s in ens.servers]
 
     def resolve(symbol: str):
@@ -167,8 +172,7 @@ def _build_dufs(seed: int, cache: Optional[CacheParams] = None,
 def _build_lustre(seed: int):
     from ..pfs.lustre import build_lustre
 
-    params = LustreParams(client_rpc_timeout=0.5,
-                          failover_takeover_delay=2.0)
+    params = LustreParams(fault=_BACKEND_FAULT, failover_takeover_delay=2.0)
     cluster = Cluster(seed=seed)
     node = cluster.add_node("client")
     fs = build_lustre(cluster, "ha", params=params, with_standby=True)
@@ -189,7 +193,7 @@ def _build_lustre(seed: int):
 def _build_pvfs(seed: int):
     from ..pfs.pvfs import build_pvfs
 
-    params = PVFSParams(client_rpc_timeout=0.5)
+    params = PVFSParams(fault=_BACKEND_FAULT)
     cluster = Cluster(seed=seed)
     node = cluster.add_node("client")
     fs = build_pvfs(cluster, "pv", n_servers=4, params=params)
@@ -221,7 +225,7 @@ def run_chaos(
     on_event: Optional[Callable[[FaultSpec, tuple], None]] = None,
     cache: Optional[CacheParams] = None,
     shards: int = 1,
-    resilience: Optional[ResilienceParams] = None,
+    fault: Optional[FaultToleranceParams] = None,
     elastic: Optional[ElasticParams] = None,
     awrite: Optional[AsyncParams] = None,
 ) -> ChaosRunResult:
@@ -235,9 +239,10 @@ def run_chaos(
     metadata cache enabled, so the audit doubles as a coherence check
     under faults. ``shards`` (DUFS only) runs the sharded metadata plane
     (3 ZK servers per shard) and unlocks ``shard:<k>`` targets; the audit
-    then exercises the merged-view intent reconciliation. ``resilience``
-    (DUFS only) runs the clients under the given request-lifecycle policy
-    (deadlines / retry budget / breakers / hedged reads), so a chaos
+    then exercises the merged-view intent reconciliation. ``fault``
+    (DUFS only) runs the ZooKeeper clients under the given fault policy —
+    with the run's 0.4 s request timeout and 10 retries — e.g. with
+    deadlines / retry budget / breakers / hedged reads on, so a chaos
     campaign can prove hedging and fast-fails never corrupt the namespace.
     ``elastic`` (DUFS only, needs ``shards >= 2``) runs the elastic
     metadata plane and unlocks the ``migration:src`` / ``migration:dst``
@@ -248,21 +253,16 @@ def run_chaos(
     """
     if deployment not in DEPLOYMENTS:
         raise ValueError(f"unknown deployment {deployment!r}")
-    if cache is not None and deployment != "dufs":
-        raise ValueError("cache is a DUFS-only option")
-    if shards != 1 and deployment != "dufs":
-        raise ValueError("shards is a DUFS-only option")
-    if resilience is not None and deployment != "dufs":
-        raise ValueError("resilience is a DUFS-only option")
-    if elastic is not None and deployment != "dufs":
-        raise ValueError("elastic is a DUFS-only option")
-    if awrite is not None and deployment != "dufs":
-        raise ValueError("awrite is a DUFS-only option")
+    dufs_only = dict(cache=cache, shards=shards, fault=fault,
+                     elastic=elastic, awrite=awrite)
     builder = _BUILDERS[deployment]
-    built = builder(seed, cache=cache, shards=shards,
-                    resilience=resilience, elastic=elastic,
-                    awrite=awrite) \
-        if deployment == "dufs" else builder(seed)
+    if deployment == "dufs":
+        built = builder(seed, **dufs_only)
+    else:
+        for option, value in dufs_only.items():
+            if value != (1 if option == "shards" else None):
+                raise ValueError(f"{option} is a DUFS-only option")
+        built = builder(seed)
     cluster, dep, client, node, resolve, apply_backend = built
     duration = ops * op_interval
     if schedule is None:

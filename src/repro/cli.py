@@ -159,10 +159,10 @@ def main(argv=None) -> int:
         if target == "chaos":
             from .chaos import run_chaos
             from .models.params import (AsyncParams, CacheParams,
-                                        ElasticParams, ResilienceParams)
+                                        ElasticParams, FaultToleranceParams)
             cache = CacheParams.caching_on() \
                 if args.cache and args.deployment == "dufs" else None
-            resilience = ResilienceParams.resilience_on(hedge_enabled=True) \
+            fault = FaultToleranceParams.resilience_on(hedge_enabled=True) \
                 if args.resilience and args.deployment == "dufs" else None
             awrite = None
             if args.async_writes:
@@ -178,8 +178,7 @@ def main(argv=None) -> int:
                 elastic = ElasticParams.elastic_on()
             result = run_chaos(args.deployment, seed=args.seed, ops=args.ops,
                                cache=cache, shards=n_shards,
-                               resilience=resilience, elastic=elastic,
-                               awrite=awrite)
+                               fault=fault, elastic=elastic, awrite=awrite)
             print(result.summary())
         elif target == "trace":
             from .bench.trace_cli import run_trace

@@ -24,7 +24,9 @@ from __future__ import annotations
 from typing import Generator, List, Optional, Sequence, Tuple
 
 from ..errors import (
+    EBADF,
     EEXIST,
+    EINVAL,
     EIO,
     EISDIR,
     ENOENT,
@@ -41,10 +43,10 @@ from ..pfs.base import (
     S_IFREG,
     DirEntry,
     StatResult,
+    StatVFS,
     normalize_path,
 )
 from ..mds import as_metadata_service
-from ..sim.core import AllOf
 from ..sim.node import Node
 from ..zk.errors import (
     BadVersionError,
@@ -256,8 +258,14 @@ class DUFSClient:
         op = PendingOp(0, kind, path,
                        b"" if payload is None else payload.encode(),
                        payload, is_dir)
+        return self._settle(op, issue(self.zk, op, version))
+
+    def _settle(self, op: PendingOp, attempt: Generator) -> Generator:
+        """The synchronous commit seam: await ``attempt`` — ``op`` on its
+        way through the metadata service — and decide what a failure
+        means, here and nowhere else."""
         try:
-            yield from issue(self.zk, op, version)
+            yield from attempt
         except ZKError as exc:
             landed = yield from self._landed(op, exc)
             if landed:
@@ -265,7 +273,7 @@ class DUFSClient:
             undo = self._undo(op, landed)
             if undo is not None:
                 yield from undo
-            raise _map_zk_error(exc, path) from None
+            raise _map_zk_error(exc, op.path) from None
 
     def _commit_async(self, kind: str, path: str, payload=None,
                       is_dir: bool = False, version: int = -1) -> Generator:
@@ -294,18 +302,26 @@ class DUFSClient:
             # The target is gone, which is what a delete wanted. (Without
             # a retry this is a genuine absence.)
             return retried and isinstance(exc, NoNodeError)
-        if op.kind != "create":
+        if op.kind == "set":
             return False
+        # A create — or a rename, the create of its destination plus the
+        # removal of ``op.src``, whose duplicate may also trip over the
+        # vanished source.
+        duplicate = NodeExistsError if op.src is None \
+            else (NodeExistsError, NoNodeError)
         if isinstance(exc, ConnectionLossError):
             # The verification read is paid only where a side effect
             # hangs on the answer: a file create's physical file.
-            if not isinstance(op.payload, FilePayload):
+            if op.src is not None or not isinstance(op.payload, FilePayload):
                 return None
-        elif not (retried and isinstance(exc, NodeExistsError)):
+        elif not (retried and isinstance(exc, duplicate)):
             return False
         self.stats["zk_reads"] += 1
         try:
             data, _ = yield from self.zk.get(op.path)
+            if op.src is not None \
+                    and (yield from self.zk.exists(op.src)) is not None:
+                return False    # the source survives: nothing moved
         except NoNodeError:
             return False
         except ZKError:
@@ -445,14 +461,13 @@ class DUFSClient:
             yield from self._require_dir(path, path)
         # readdir-plus: fetch child types in parallel (FUSE fill_dir).
         prefix = path if path != "/" else ""
-        procs = [self.node.spawn(self._get_payload(f"{prefix}/{n}"))
-                 for n in names]
-        if procs:
-            yield AllOf(self.sim, procs)
+        lookups = yield from self.node.gather(
+            self._lookup(f"{prefix}/{n}") for n in names)
         out = []
-        for name, proc in zip(names, procs):
-            payload, zstat = proc.value
-            out.append(DirEntry(name, isinstance(payload, DirPayload)))
+        for name, lookup in zip(names, lookups):
+            payload = lookup.result()
+            if payload is not None:     # else: deleted since the listing
+                out.append(DirEntry(name, isinstance(payload, DirPayload)))
         return out
 
     # -- stat (paper Fig. 6) -----------------------------------------------------
@@ -567,15 +582,13 @@ class DUFSClient:
 
     def release(self, fh: int) -> Generator:
         yield from self._logic()
-        if self._handles.pop(fh, None) is None:
-            from ..errors import EBADF
-            raise FSError(EBADF, msg=f"bad file handle {fh}")
+        self._handle(fh)
+        del self._handles[fh]
         return True
 
-    def _handle(self, fh: int):
+    def _handle(self, fh: int) -> Tuple[int, str]:
         entry = self._handles.get(fh)
         if entry is None:
-            from ..errors import EBADF
             raise FSError(EBADF, msg=f"bad file handle {fh}")
         return entry
 
@@ -594,27 +607,23 @@ class DUFSClient:
                                                offset, data)
         return result
 
-    def read(self, path: str, offset: int, size: int) -> Generator:
+    def _path_io(self, method: str, path: str, *args) -> Generator:
+        """Path-addressed I/O: Fig. 3 steps A-D, then the back-end call."""
         backend, ppath = yield from self._resolve_file(path)
-        result = yield from self._backend_call(backend, "read", ppath,
-                                               offset, size)
-        return result
+        return (yield from self._backend_call(backend, method, ppath, *args))
+
+    def read(self, path: str, offset: int, size: int) -> Generator:
+        return self._path_io("read", path, offset, size)
 
     def write(self, path: str, offset: int, data: bytes) -> Generator:
-        backend, ppath = yield from self._resolve_file(path)
-        result = yield from self._backend_call(backend, "write", ppath,
-                                               offset, data)
-        return result
+        return self._path_io("write", path, offset, data)
 
     def truncate(self, path: str, size: int) -> Generator:
-        backend, ppath = yield from self._resolve_file(path)
-        yield from self._backend_call(backend, "truncate", ppath, size)
+        yield from self._path_io("truncate", path, size)
         return True
 
     def statfs(self) -> Generator:
         """Aggregate statfs over every back-end mount (union semantics)."""
-        from ..pfs.base import StatVFS
-
         yield from self._logic()
         total = StatVFS(f_capacity=0)
         for i, be in enumerate(self.backends):
@@ -675,6 +684,10 @@ class DUFSClient:
 
     # -- rename (atomic, data never moves) -----------------------------------
     def rename(self, src: str, dst: str) -> Generator:
+        """Atomic move of the subtree at ``src`` (a file or symlink is a
+        subtree of one): recreate every znode under the new prefix and
+        delete the old ones, in ONE ZooKeeper multi — the whole rename is
+        a single total-order event (the Fig. 1 problem never arises)."""
         src, dst = normalize_path(src), normalize_path(dst)
         self.stats["ops"] += 1
         yield from self._logic(self.params.znode_codec_cpu)
@@ -686,64 +699,44 @@ class DUFSClient:
         if src == dst:
             return True  # POSIX: same-path rename is a no-op (post-check)
         yield from self._require_dir(parent_dir(dst), dst)
-        if isinstance(payload, DirPayload):
-            result = yield from self._rename_dir(src, dst)
-            return result
-        dst_payload = yield from self._lookup(dst)
-        if isinstance(dst_payload, DirPayload):
-            raise FSError(EISDIR, dst)
-        ops = []
-        if dst_payload is not None:
-            ops.append(self.zk.op_delete(dst))
-        ops.append(self.zk.op_create(dst, payload.encode()))
-        ops.append(self.zk.op_delete(src))
-        self.stats["zk_writes"] += 1
-        try:
-            yield from self.zk.multi(ops)
-        except ZKError as exc:
-            raise _map_zk_error(exc, dst) from None
-        self.mdcache.note_removed(src)
-        self.mdcache.note_removed(dst)
-        self.mdcache.note_created(dst)
-        # Overwritten file's contents are garbage-collected.
-        if isinstance(dst_payload, FilePayload):
-            backend, ppath = self._locate(dst_payload.fid)
-            self.stats["backend_ops"] += 1
-            try:
-                yield from self._backend_call(backend, "unlink", ppath)
-            except FSError:
-                pass
-        return True
-
-    def _rename_dir(self, src: str, dst: str) -> Generator:
-        """Atomic subtree move: recreate every znode under the new prefix
-        and delete the old ones, in ONE ZooKeeper multi — the whole rename
-        is a single total-order event (the Fig. 1 problem never arises)."""
-        if dst.startswith(src + "/"):
-            from ..errors import EINVAL
+        is_dir = isinstance(payload, DirPayload)
+        if not is_dir:
+            subtree = [(src, payload.encode())]
+        elif dst.startswith(src + "/"):
             raise FSError(EINVAL, dst, "rename into own subtree")
-        subtree = yield from self._collect_subtree(src)
+        else:
+            subtree = yield from self._collect_subtree(src)
         dst_payload = yield from self._lookup(dst)
         ops = []
         if dst_payload is not None:
-            if not isinstance(dst_payload, DirPayload):
-                raise FSError(ENOTDIR, dst)
+            if isinstance(dst_payload, DirPayload) != is_dir:
+                raise FSError(ENOTDIR if is_dir else EISDIR, dst)
             ops.append(self.zk.op_delete(dst))  # fails NotEmpty if non-empty
         for path, data in subtree:  # parents first
             ops.append(self.zk.op_create(dst + path[len(src):], data))
         for path, _ in reversed(subtree):  # children first
             ops.append(self.zk.op_delete(path))
         self.stats["zk_writes"] += 1
-        try:
-            yield from self.zk.multi(ops)
-        except ZKError as exc:
-            raise _map_zk_error(exc, dst) from None
-        # Everything cached under the old prefix is now stale, and so is
-        # anything remembered about the target subtree (e.g. negative
-        # entries for paths the move just created).
-        self.mdcache.invalidate_subtree(src)
-        self.mdcache.invalidate_subtree(dst)
-        self.mdcache.note_created(dst, is_dir=True)
+        # Commit-and-wait whatever the write path (the barrier above
+        # left nothing to order behind).
+        yield from self._settle(
+            PendingOp(0, "rename", dst, subtree[0][1], payload, is_dir, src),
+            self.zk.multi(ops))
+        if is_dir:
+            # Everything cached under the old prefix is now stale, and so
+            # is anything remembered about the target subtree (e.g.
+            # negative entries for paths the move just created).
+            self.mdcache.invalidate_subtree(src)
+            self.mdcache.invalidate_subtree(dst)
+        else:
+            self.mdcache.note_removed(src)
+            self.mdcache.note_removed(dst)
+        self.mdcache.note_created(dst, is_dir=is_dir)
+        # Overwritten file's contents are garbage-collected.
+        if isinstance(dst_payload, FilePayload):
+            backend, ppath = self._locate(dst_payload.fid)
+            self.stats["backend_ops"] += 1
+            yield from self._rollback_physical(backend, ppath)
         return True
 
     def _collect_subtree(self, root: str) -> Generator:

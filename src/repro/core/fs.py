@@ -17,8 +17,7 @@ from ..fuse.ops import OperationTable
 from ..mds import (Autoscaler, Migrator, ShardMap, ShardMapRegistry,
                    ShardedMDS, make_route_guard)
 from ..models.params import (AsyncParams, CacheParams, ElasticParams,
-                             FaultToleranceParams, ResilienceParams,
-                             ResolveParams, SimParams)
+                             FaultToleranceParams, ResolveParams, SimParams)
 from ..pfs.localfs import LocalFS
 from ..pfs.lustre.fs import build_lustre
 from ..pfs.pvfs.fs import build_pvfs
@@ -124,7 +123,6 @@ def build_dufs_deployment(
     n_shards: int = 1,
     shard_strategy: str = "parent-hash",
     shard_subtrees: Optional[dict] = None,
-    resilience: Optional[ResilienceParams] = None,
     resolve: Optional[ResolveParams] = None,
     autoscale: Optional[ElasticParams] = None,
     awrite: Optional[AsyncParams] = None,
@@ -141,6 +139,11 @@ def build_dufs_deployment(
     re-establishment), so a lost message or crashed server can no longer
     hang a deployment. ``zk_request_timeout`` / ``zk_max_retries``
     override those two fields of that policy for the whole deployment.
+    The same policy carries the request-lifecycle layer, all off by
+    default — deadline propagation to the servers, a token-bucket retry
+    budget, per-endpoint circuit breakers, and hedged reads
+    (``FaultToleranceParams.resilience_on()`` is the everything-sensible
+    preset); off leaves runs byte-identical to pre-resilience builds.
 
     Tracing: pass ``trace=True`` (or an explicit ``bus``) to collect
     per-op queue-wait / service-time metrics from every endpoint — the ZK
@@ -156,15 +159,6 @@ def build_dufs_deployment(
     readdir entries invalidated by ZooKeeper watches, with read
     coalescing. The default policy is off: the stage is not constructed
     and the RPC stream is byte-identical to the paper's client.
-
-    Resilience: ``resilience`` (default: ``params.resilience``, all off)
-    configures the request-lifecycle layer on every ZK client — deadline
-    propagation to the servers, a token-bucket retry budget, per-endpoint
-    circuit breakers, and hedged reads
-    (:class:`~repro.models.params.ResilienceParams`;
-    ``ResilienceParams.resilience_on()`` is the everything-sensible
-    preset). The default leaves runs byte-identical to pre-resilience
-    builds.
 
     Sharding: ``n_shards > 1`` splits the ``n_zk`` server budget into
     that many *independent* ensembles (``max(1, n_zk // n_shards)``
@@ -212,7 +206,6 @@ def build_dufs_deployment(
     params = replace(
         params, fault=replace(fault or params.fault, **zk_overrides),
         cache=cache or params.cache,
-        resilience=resilience or params.resilience,
         resolve=resolve or params.resolve, awrite=awrite or params.awrite,
         elastic=autoscale if autoscale is not None else params.elastic)
     elastic = params.elastic
@@ -281,7 +274,7 @@ def build_dufs_deployment(
             shard_clients.append(ZKClient(
                 node, ens.endpoints, prefer=prefer,
                 name=f"dufszk{i}" if n_shards == 1 else f"dufszk{i}s{k}",
-                fault=params.fault, bus=bus, resilience=params.resilience))
+                fault=params.fault, bus=bus))
         # One shard is the paper's deployment: the bare client, which
         # DUFSClient wraps in the zero-event SingleEnsembleMDS.
         service = shard_clients[0] if n_shards == 1 else ShardedMDS(
@@ -316,8 +309,7 @@ def build_dufs_deployment(
         mig_node = client_nodes[0]
         mig_clients = [
             ZKClient(mig_node, ens.endpoints, prefer=ens.server_for(0),
-                     name=f"migzk{k}", fault=params.fault, bus=bus,
-                     resilience=params.resilience)
+                     name=f"migzk{k}", fault=params.fault, bus=bus)
             for k, ens in enumerate(ensembles)]
         migrator = Migrator(registry, mig_clients, drain=elastic.drain)
         if elastic.autoscale:

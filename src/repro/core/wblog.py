@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..models.params import AsyncParams
-from ..sim.core import AllOf, Event, Interrupt
+from ..sim.core import Event
 from ..sim.node import Node
 from ..svc.batch import Batcher
 from ..svc.trace import NULL_BUS, TraceBus
@@ -57,18 +57,20 @@ DRAIN_BATCH_MAX = 64
 
 
 class PendingOp:
-    """One acked-but-uncommitted mutation in program order."""
+    """One namespace mutation: acked-but-uncommitted in program order, or
+    (``seq`` 0) on its way through the synchronous commit seam."""
 
-    __slots__ = ("seq", "kind", "path", "data", "payload", "is_dir")
+    __slots__ = ("seq", "kind", "path", "data", "payload", "is_dir", "src")
 
     def __init__(self, seq: int, kind: str, path: str, data: bytes,
-                 payload: Any, is_dir: bool):
+                 payload: Any, is_dir: bool, src: Optional[str] = None):
         self.seq = seq
-        self.kind = kind            # "create" | "delete" | "set"
+        self.kind = kind            # "create" | "delete" | "set" | "rename"
         self.path = path
         self.data = data            # encoded znode payload (b"" for delete)
         self.payload = payload      # decoded payload (None for delete)
         self.is_dir = is_dir
+        self.src = src              # rename (never logged): the path moved
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PendingOp #{self.seq} {self.kind} {self.path}>"
@@ -243,23 +245,19 @@ class WriteBehindLog:
             if len(wave) == 1:
                 yield from self._issue(wave[0])
             else:
-                procs = [self.node.spawn(self._issue(op),
-                                         f"{self.endpoint}.drain{op.seq}")
-                         for op in wave]
-                yield AllOf(self.sim, procs)
+                outcomes = yield from self.node.gather(
+                    (self._issue(op) for op in wave),
+                    [f"{self.endpoint}.drain{op.seq}" for op in wave])
+                for outcome in outcomes:
+                    outcome.result()
 
     def _issue(self, op: PendingOp) -> Generator:
         """One drained op through the metadata service. Never raises a
         ZK error out (a failed op is a deferred rejection, not a drain
-        crash); a node crash interrupts it like any process."""
+        crash); a node crash interrupts it like any process — the op
+        stays pending and ``_on_crash`` moves it into the lost window."""
         try:
             yield from issue(self.zk, op)
-        except Interrupt:
-            # Node crash mid-issue: the op stays pending and _on_crash
-            # moves it into the lost window. (The Batcher loop catches
-            # its own interrupt; wave members spawned as separate
-            # processes must catch theirs.)
-            return
         except ZKError as exc:
             ok = False
             if self.verify is not None:

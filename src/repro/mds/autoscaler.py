@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..models.params import ElasticParams
-from ..sim.core import AllOf, Interrupt
+from ..sim.core import Interrupt
 from ..zk.errors import ZKError
 from .migrate import Migrator
 from .sharded import INTENT_ROOT, ShardedMDS
@@ -118,9 +118,10 @@ class Autoscaler:
             self._last_move[root] = self.sim.now
             self._log(action, root, src, dst, "ok" if ok else "aborted")
 
-        procs = [node.spawn(execute(a, r, d), "autoscale.move")
-                 for a, r, d in actions]
-        yield AllOf(self.sim, procs)
+        outcomes = yield from node.gather(
+            (execute(a, r, d) for a, r, d in actions), "autoscale.move")
+        for outcome in outcomes:
+            outcome.result()
 
     # -- signals -------------------------------------------------------------
     def _sample_dirs(self) -> Dict[str, int]:

@@ -42,7 +42,6 @@ import itertools
 import json
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..sim.core import AllOf
 from ..zk.client import ZKClient
 from ..zk.errors import NodeExistsError, NoNodeError, NotEmptyError, ZKError
 from .sharded import INTENT_ROOT, PLACEHOLDER_DIR_DATA, ShardedMDS, \
@@ -248,24 +247,13 @@ class Migrator:
 
     def _fanout(self, gens):
         """Run worker generators concurrently on the migrator's node and
-        wait for all of them. Workers trap their own ZKError — an
-        uncaught exception in a spawned process is fatal under the
-        strict simulator — and the first one is re-raised here after
+        wait for all of them. The first failure is re-raised here, after
         every worker has stopped, so a dead shard aborts the migration
         through ``_run``'s normal path."""
-        node = self.clients[0].node
-        failures: List[ZKError] = []
-
-        def shield(g):
-            try:
-                yield from g
-            except ZKError as exc:
-                failures.append(exc)
-        procs = [node.spawn(shield(g), "migrate.worker") for g in gens]
-        if procs:
-            yield AllOf(self.sim, procs)
-        if failures:
-            raise failures[0]
+        outcomes = yield from self.clients[0].node.gather(
+            gens, "migrate.worker")
+        for outcome in outcomes:
+            outcome.result()
 
     def _collect(self, mds: ShardedMDS, root: str, old_map: ShardMap):
         """Pre-order walk of the subtree under ``root`` via the old map:

@@ -59,7 +59,7 @@ import json
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..resilience import BreakerBoard, retry_call
-from ..sim.core import Interrupt
+from ..sim.node import Outcome
 from ..svc import NULL_BUS, TraceBus
 from ..zk.client import ZKClient
 from ..zk.errors import (
@@ -413,34 +413,26 @@ class ShardedMDS(MetadataService):
             return (yield from home_copy)
         anchor, home = yield from self._both(
             self._ensure_child_anchor(path, data), home_copy)
-        if isinstance(anchor, Exception):
-            if home is not None and not isinstance(home, Exception):
+        if anchor.error is not None:
+            if home.error is None and home.value is not None:
                 # C2: never a stat-able directory that cannot take entries
                 # (the reverse is an invisible anchor a retry tolerates).
                 try:
                     yield from self._at_home("delete", path)
                 except ZKError:
                     pass
-            raise anchor
-        if isinstance(home, Exception):
-            raise home
-        return home
+            raise anchor.error
+        return home.result()
 
     def _both(self, side: Generator, main: Generator) -> Generator:
-        """Run ``side`` as its own process beside ``main`` and wait for
-        both (a straggler would add its retries to a later op's count).
-        Returns both outcomes, a result or the exception that ended it —
-        the strict simulator re-raises whatever escapes a process."""
-        def shielded():
-            try:
-                return (yield from side)
-            except (ZKError, Interrupt) as exc:
-                return exc
-        proc = self.clients[0].node.spawn(shielded(), f"{self.name}.side")
+        """Run ``side`` as its own (shielded) process beside ``main`` and
+        wait for both (a straggler would add its retries to a later op's
+        count). Returns both outcomes, ``side``'s first."""
+        proc = self.clients[0].node.shielded(side, f"{self.name}.side")
         try:
-            done = yield from main
+            done = Outcome((yield from main))
         except ZKError as exc:
-            done = exc
+            done = Outcome(error=exc)
         return (yield proc), done
 
     def _create_entry(self, path: str, data: bytes, **flags) -> Generator:
@@ -556,10 +548,9 @@ class ShardedMDS(MetadataService):
             self._at_home("exists", parent),
             self._ensure_dir_chain(self.map.child_shard(path), parent,
                                    reroute=rr))
-        for outcome in (stat, built):
-            if isinstance(outcome, Exception):
-                raise outcome
-        if stat is None:
+        exists = stat.result()
+        built.result()
+        if exists is None:
             raise NoNodeError(path)
         yield from self._ensure_child_anchor(path, data)
 

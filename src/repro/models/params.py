@@ -16,42 +16,33 @@ batching).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Optional
 
 
 @dataclass
 class FaultToleranceParams:
-    """Client-side fault-tolerance policy (ZK client + DUFS).
+    """When a client gives up: the one per-client fault policy, read by
+    the ZooKeeper, Lustre and PVFS clients alike (:mod:`repro.resilience`).
 
-    ``request_timeout``/``max_retries`` bound a single RPC; the retry loop
-    sleeps between attempts with *decorrelated jitter* backoff
-    (``sleep = min(cap, uniform(base, 3 * prev))``) and gives up early once
-    ``op_budget`` seconds have elapsed for the whole operation. The client
-    transparently re-establishes its session after a
-    :class:`~repro.zk.errors.SessionExpiredError`.
-    """
+    ``request_timeout`` (``None`` = wait forever) and ``max_retries`` bound
+    a single RPC; the retry loop sleeps between attempts with
+    *decorrelated jitter* backoff (``sleep = min(cap, uniform(base,
+    3 * prev))``; ``backoff_base`` 0 = retry at once, no RNG draw) and
+    gives up early once ``op_budget`` seconds (0 = unbounded) have elapsed
+    for the whole operation. The ZooKeeper client additionally fails over
+    between servers and transparently re-establishes its session after a
+    :class:`~repro.zk.errors.SessionExpiredError`. The class defaults are
+    the ZooKeeper client's; :meth:`backend` is the Lustre/PVFS default.
 
-    request_timeout: float = 5.0
-    max_retries: int = 6
-    backoff_base: float = 0.02
-    backoff_cap: float = 1.0
-    op_budget: float = 60.0            # wall-clock budget per operation
-
-
-@dataclass
-class ResilienceParams:
-    """End-to-end request-lifecycle policy (:mod:`repro.resilience`).
-
-    Everything defaults **off**: a deployment built with the default policy
-    schedules exactly the same simulator events as one built before the
-    resilience layer existed (byte-identical replay, same discipline as the
-    cache and shard layers).
+    The request-lifecycle mechanisms below all default **off**: a
+    deployment built with them off schedules exactly the same simulator
+    events as one built before they existed (byte-identical replay).
 
     - *Deadline propagation* (``deadline_propagation``): every top-level
-      operation carries an absolute deadline (``op_deadline`` seconds, or
-      the fault policy's ``op_budget`` when 0); RPCs attach it to the wire
-      request, nested RPCs inherit the remaining budget, and the service
-      kernel drops expired requests at admission and cancels read handlers
-      whose deadline passes mid-service.
+      operation carries the absolute deadline ``start + op_budget``; RPCs
+      attach it to the wire request, nested RPCs inherit the remaining
+      budget, and the service kernel drops expired requests at admission
+      and cancels read handlers whose deadline passes mid-service.
     - *Retry budget* (``retry_budget`` > 0): a per-client token bucket —
       each retry spends one token, each success refills ``retry_refill`` —
       so a retry storm self-extinguishes instead of amplifying overload.
@@ -59,36 +50,44 @@ class ResilienceParams:
       after ``breaker_threshold`` consecutive timeout/error completions;
       open endpoints fail fast for ``breaker_cooldown`` seconds, then one
       half-open probe decides re-close vs re-open.
-    - *Hedged reads* (``hedge_enabled``): idempotent lookups are re-issued
-      to a different live server after the p95 of recently observed read
-      latency (``hedge_delay`` until ``hedge_min_samples``
-      have been seen); first reply wins, the loser is cancelled. Writes
-      are never hedged.
+    - *Hedged reads* (``hedge_enabled``, ZooKeeper only): idempotent
+      lookups are re-issued to a different live server after the p95 of
+      recently observed read latency (:mod:`repro.resilience.hedge`);
+      first reply wins, the loser is cancelled. Writes are never hedged.
     """
 
+    request_timeout: Optional[float] = 5.0
+    max_retries: int = 6
+    backoff_base: float = 0.02
+    backoff_cap: float = 1.0
+    op_budget: float = 60.0            # wall-clock budget per operation
     deadline_propagation: bool = False
-    op_deadline: float = 0.0           # 0 = derive from fault.op_budget
     retry_budget: float = 0.0          # token-bucket cap; 0 = unlimited
     retry_refill: float = 0.1          # tokens returned per success
-    backoff_base: float = 0.0          # extra client backoff (Lustre/PVFS)
-    backoff_cap: float = 1.0
     breaker_enabled: bool = False
     breaker_threshold: int = 5         # consecutive failures to trip
     breaker_cooldown: float = 1.0      # open -> half-open delay (seconds)
     hedge_enabled: bool = False
-    hedge_delay: float = 0.05          # fallback delay before hedging
-    hedge_window: int = 128            # rolling latency samples kept
-    hedge_min_samples: int = 16        # below this, hedge_delay is used
 
     @classmethod
-    def resilience_on(cls, **overrides) -> "ResilienceParams":
+    def backend(cls, **overrides) -> "FaultToleranceParams":
+        """The Lustre/PVFS client default, the 1.8/2.8-era behaviour: no
+        RPC timeout, hence never a retry, a backoff or a budget. Failover
+        and chaos configurations override ``request_timeout`` and
+        ``max_retries`` so a dead server surfaces as EIO, not a hang."""
+        base = dict(request_timeout=None, max_retries=0, backoff_base=0.0,
+                    op_budget=0.0)
+        base.update(overrides)
+        return cls(**base)
+
+    @classmethod
+    def resilience_on(cls, **overrides) -> "FaultToleranceParams":
         """The standard enabled policy used by benchmarks and chaos runs:
         deadlines + retry budgets + breakers (hedging stays opt-in — under
         overload it adds load; enable it explicitly for tail-latency
         experiments)."""
         base = dict(deadline_propagation=True, retry_budget=10.0,
-                    retry_refill=0.1, breaker_enabled=True,
-                    backoff_base=0.02)
+                    breaker_enabled=True)
         base.update(overrides)
         return cls(**base)
 
@@ -188,7 +187,6 @@ class LustreParams:
     # DLM model
     dlm_enabled: bool = True
     revoke_cpu: float = 35e-6          # MDS CPU to issue one blocking callback
-    client_cancel_cpu: float = 25e-6   # client CPU to cancel a cached lock
     lock_grant_cpu: float = 18e-6
     # MDS bookkeeping grows with resident lock count (hash/LRU pressure):
     lock_table_cpu_coef: float = 9e-6  # × ln(1 + locks/1024) added per op
@@ -203,13 +201,13 @@ class LustreParams:
     # journal (group-committed; pipelined latency, not a throughput cap)
     journal_delay: float = 0.4e-3
 
-    # Client RPC timeout (None = infinite). Set in failover configurations
-    # so clients detect a dead MDS and retry against the standby.
-    client_rpc_timeout: float | None = None
+    # Client fault policy. Failover configurations set a timeout and a
+    # retry bound so clients detect a dead MDS and retry against the
+    # standby.
+    fault: FaultToleranceParams = field(
+        default_factory=FaultToleranceParams.backend)
     # Standby takeover delay: detect + mount shared MDT + replay journal.
     failover_takeover_delay: float = 2.0
-    # Client request-lifecycle policy (deadlines / retry budget / breaker).
-    resilience: ResilienceParams = field(default_factory=ResilienceParams)
 
     # directory entry ops slow down logarithmically with directory size
     dirent_cpu_coef: float = 18e-6     # × ln(1 + entries)
@@ -246,11 +244,10 @@ class PVFSParams:
     disk_txn: float = 8.0e-3
     disk_batch_max: int = 1            # dbpf fsyncs each metadata txn
 
-    # Client RPC timeout (None = infinite, the 2.8-era sysint behaviour).
-    # Set in chaos runs so a crashed server surfaces as EIO, not a hang.
-    client_rpc_timeout: float | None = None
-    # Client request-lifecycle policy (deadlines / retry budget / breaker).
-    resilience: ResilienceParams = field(default_factory=ResilienceParams)
+    # Client fault policy. Chaos runs set a timeout and a retry bound so a
+    # crashed server surfaces as EIO, not a hang.
+    fault: FaultToleranceParams = field(
+        default_factory=FaultToleranceParams.backend)
 
 
 @dataclass
@@ -419,7 +416,6 @@ class SimParams:
     dufs: DUFSParams = field(default_factory=DUFSParams)
     fault: FaultToleranceParams = field(default_factory=FaultToleranceParams)
     cache: CacheParams = field(default_factory=CacheParams)
-    resilience: ResilienceParams = field(default_factory=ResilienceParams)
     resolve: ResolveParams = field(default_factory=ResolveParams)
     elastic: ElasticParams = field(default_factory=ElasticParams)
     awrite: AsyncParams = field(default_factory=AsyncParams)

@@ -40,15 +40,10 @@ class LustreClient:
         self.dentries: Dict[str, int] = {"/": 1}
         self.locked_dirs: Set[str] = set()
         self.stats = {"lookups": 0, "revocations": 0, "ops": 0}
-        # Shared resilience policy (inert at the defaults: no backoff
-        # events, unlimited retry budget, breakers off). 5 attempts when a
-        # timeout is configured (timeout=None would otherwise hang
-        # forever, so it is never retried).
-        r = self.resilience = self.params.resilience
+        # The fault policy (at the back-end default: no timeout, so never
+        # a retry; no backoff events, unlimited retry budget, breakers off).
         self.retry, self.breakers = build_retry(
-            node, f"lustre.client.{self.agent.endpoint}", r, r,
-            max_retries=(4 if self.params.client_rpc_timeout is not None
-                         else 0))
+            node, f"lustre.client.{self.agent.endpoint}", self.params.fault)
 
     # -- DLM client side ------------------------------------------------------
     def _f_lock_revoke(self, src: str, args) -> None:
@@ -100,17 +95,12 @@ class LustreClient:
     # -- operations (each: resolve parents from cache, then 1 intent RPC) ------
     def _call(self, method: str, args, size: int = 160) -> Generator:
         self.stats["ops"] += 1
-        timeout = self.params.client_rpc_timeout
-        r = self.resilience
-        kw: dict = {}
-        if r.deadline_propagation and r.op_deadline > 0:
-            kw["deadline"] = self.sim.now + r.op_deadline
+        state = self.retry.begin(self.sim.now)
         return retry_call(
-            self.sim, self.retry, self.breakers,
-            self.retry.begin(self.sim.now),
+            self.sim, self.retry, self.breakers, state,
             pick=self._track_mds,
             attempt=lambda mds: self.agent.call(mds, method, args, size=size,
-                                                timeout=timeout, **kw),
+                                                **state.bounds),
             retry_on=(RpcTimeout, AdmissionReject),
             gave_up=lambda mds, exc: FSError(
                 EIO, msg=f"MDS unreachable: {method}"))

@@ -10,11 +10,12 @@ getattr did.
 from __future__ import annotations
 
 import itertools
+import zlib
 from typing import Generator, List, Tuple
 
-from ...errors import EEXIST, EIO, EISDIR, ENOENT, ENOTDIR, FSError
+from ...errors import (EEXIST, EIO, EISDIR, ENOENT, ENOTDIR, ENOTEMPTY,
+                       FSError)
 from ...resilience import build_retry, retry_call
-from ...sim.core import AllOf
 from ...sim.node import Node
 from ...sim.rpc import RpcAgent, RpcTimeout
 from ...svc.queue import AdmissionReject
@@ -40,15 +41,10 @@ class PVFSClient:
         self.agent = RpcAgent(
             node, f"{fs.name}-cli-{node.name}-{next(_client_seq)}")
         self.stats = {"ops": 0, "rpcs": 0}
-        # Shared resilience policy (inert at the defaults); breakers are
-        # per server endpoint — PVFS talks to many. ``is not None`` (not
-        # truthiness): a configured timeout of 0 must enable retries
-        # exactly like any other timeout, as in the Lustre client.
-        r = self.resilience = fs.params.resilience
+        # The fault policy (inert at the back-end default); breakers are
+        # per server endpoint — PVFS talks to many.
         self.retry, self.breakers = build_retry(
-            node, f"pvfs.client.{self.agent.endpoint}", r, r,
-            max_retries=(4 if fs.params.client_rpc_timeout is not None
-                         else 0))
+            node, f"pvfs.client.{self.agent.endpoint}", fs.params.fault)
 
     # -- plumbing ------------------------------------------------------------
     def _owner(self, handle: int) -> str:
@@ -56,27 +52,22 @@ class PVFSClient:
 
     def _call(self, endpoint: str, method: str, args, size: int = 144) -> Generator:
         self.stats["rpcs"] += 1
-        timeout = self.fs.params.client_rpc_timeout
-        r = self.resilience
-        kw: dict = {}
-        if r.deadline_propagation and r.op_deadline > 0:
-            kw["deadline"] = self.sim.now + r.op_deadline
+        state = self.retry.begin(self.sim.now)
         return retry_call(
-            self.sim, self.retry, self.breakers,
-            self.retry.begin(self.sim.now),
+            self.sim, self.retry, self.breakers, state,
             pick=lambda: endpoint,
             attempt=lambda ep: self.agent.call(ep, method, args, size=size,
-                                               timeout=timeout, **kw),
+                                               **state.bounds),
             retry_on=(RpcTimeout, AdmissionReject),
             gave_up=lambda ep, exc: FSError(
                 EIO, msg=f"PVFS server unreachable: {method}"))
 
     def _pcall(self, calls: List[Tuple[str, str, object]]) -> Generator:
-        """Run several server calls in parallel, return results in order."""
-        procs = [self.node.spawn(self._call(ep, m, a))
-                 for ep, m, a in calls]
-        yield AllOf(self.sim, procs)
-        return [p.value for p in procs]
+        """Run several server calls in parallel, return results in
+        order; a failed call fails the op, once its siblings settled."""
+        outcomes = yield from self.node.gather(
+            self._call(ep, m, a) for ep, m, a in calls)
+        return [outcome.result() for outcome in outcomes]
 
     def _resolve(self, path: str) -> Generator:
         """Path -> handle, one lookup RPC per component, no cache."""
@@ -97,7 +88,6 @@ class PVFSClient:
 
     def _server_for_new(self, parent_handle: int, name: str) -> str:
         # Stable across processes (Python's str hash is salted).
-        import zlib
         key = zlib.crc32(f"{parent_handle}/{name}".encode())
         return self.fs.server_endpoints[key % len(self.fs.server_endpoints)]
 
@@ -202,7 +192,6 @@ class PVFSClient:
         if kind != DIR_T:
             raise FSError(ENOTDIR, path)
         if nent:
-            from ...errors import ENOTEMPTY
             raise FSError(ENOTEMPTY, path)
         yield from self._call(self._owner(parent_handle), "rmdirent",
                               (parent_handle, name, True),

@@ -42,17 +42,6 @@ class LatencyTracker:
         return ordered[idx]
 
 
-def _boxed(gen_fn: Callable[[], Generator], box: list) -> Generator:
-    """Run ``gen_fn()`` capturing its outcome; nothing escapes into the
-    strict simulator (an escaping exception would abort the whole run)."""
-    try:
-        box.append(("ok", (yield from gen_fn())))
-    except Interrupt:
-        box.append(("interrupted", None))
-    except Exception as exc:
-        box.append(("err", exc))
-
-
 def hedged(node, primary: Callable[[], Generator],
            secondary: Callable[[], Generator],
            delay: float) -> Generator:
@@ -61,28 +50,25 @@ def hedged(node, primary: Callable[[], Generator],
     Returns ``(value, hedge_won)`` from the first attempt to *succeed*;
     if one attempt fails the other is awaited, and only when both fail is
     the primary's error (or the sole error seen) re-raised. The losing
-    in-flight attempt is interrupted. Both attempts inherit the ambient
-    deadline of the calling process like any spawned child.
+    in-flight attempt is interrupted. Both attempts are shielded children
+    (nothing they raise reaches the strict simulator) and inherit the
+    ambient deadline of the calling process like any spawned child.
     """
     sim = node.sim
-    box1: list = []
-    box2: list = []
-    p1 = node.spawn(_boxed(primary, box1), "hedge.primary")
+    p1 = node.shielded(primary(), "hedge.primary")
     p2 = None
     timer = sim.timeout(max(0.0, delay))
     yield AnyOf(sim, (p1, timer))
-    if not box1:
-        p2 = node.spawn(_boxed(secondary, box2), "hedge.secondary")
+    if p1.is_alive:
+        p2 = node.shielded(secondary(), "hedge.secondary")
         yield AnyOf(sim, (p1, p2))
     while True:
-        if box1 and box1[0][0] == "ok":
-            if p2 is not None and p2.is_alive:
-                p2.interrupt("hedge-lost")
-            return box1[0][1], False
-        if box2 and box2[0][0] == "ok":
-            if p1.is_alive:
-                p1.interrupt("hedge-lost")
-            return box2[0][1], True
+        for proc, other, hedge_won in ((p1, p2, False), (p2, p1, True)):
+            if proc is not None and not proc.is_alive \
+                    and proc.value.error is None:
+                if other is not None and other.is_alive:
+                    other.interrupt("hedge-lost")
+                return proc.value.value, hedge_won
         # No success yet: wait for whichever attempt is still running.
         if p1.is_alive:
             yield p1
@@ -93,7 +79,7 @@ def hedged(node, primary: Callable[[], Generator],
     # Both attempts concluded without success: surface the primary's
     # error, falling back to the hedge's (an interrupted attempt carries
     # none — re-raise Interrupt so the caller's own teardown runs).
-    for box in (box1, box2):
-        if box and box[0][0] == "err":
-            raise box[0][1]
+    for proc in (p1, p2):
+        if proc is not None and not isinstance(proc.value.error, Interrupt):
+            raise proc.value.error
     raise Interrupt("hedge-cancelled")

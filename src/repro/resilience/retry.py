@@ -9,9 +9,10 @@ The ZooKeeper, Lustre and PVFS clients all retry through
   drains and the client stops amplifying load (the retry-storm cure);
   during healthy operation successes keep it full and retries are free.
 - :class:`RetryPolicy` — per-operation attempt accounting (max attempts,
-  optional wall-clock budget) plus the decorrelated-jitter backoff the ZK
-  client has always used: ``sleep = min(cap, uniform(base, 3 * prev))``
-  drawn from a named random stream so replay is deterministic.
+  optional wall-clock budget), the timeout/deadline bounds every attempt's
+  RPC carries, plus the decorrelated-jitter backoff the ZK client has
+  always used: ``sleep = min(cap, uniform(base, 3 * prev))`` drawn from a
+  named random stream so replay is deterministic.
 - :func:`retry_call` — the breaker → attempt → back-off loop itself,
   parameterised by what differs between the stacks: how to pick the
   endpoint, which exceptions are retryable, what to do between attempts
@@ -69,13 +70,17 @@ class RetryBudget:
 class RetryState:
     """Per-operation mutable attempt state handed out by a policy."""
 
-    __slots__ = ("attempt", "prev_sleep", "deadline", "endpoint")
+    __slots__ = ("attempt", "prev_sleep", "deadline", "endpoint", "bounds")
 
-    def __init__(self, prev_sleep: float, deadline: Optional[float]):
+    def __init__(self, prev_sleep: float, deadline: Optional[float],
+                 bounds: dict):
         self.attempt = 0
         self.prev_sleep = prev_sleep
         self.deadline = deadline
         self.endpoint = None        # where the latest attempt went
+        #: ``timeout=`` (and, under deadline propagation, ``deadline=``) of
+        #: every ``RpcAgent.call`` this operation issues.
+        self.bounds = bounds
 
 
 class RetryPolicy:
@@ -93,6 +98,8 @@ class RetryPolicy:
         backoff_cap: float = 1.0,
         op_budget: float = 0.0,       # per-op wall-clock bound; 0 = none
         budget: Optional[RetryBudget] = None,
+        request_timeout: Optional[float] = None,   # per RPC; None = none
+        propagate_deadline: bool = False,
     ):
         self.streams = streams
         self.stream_name = stream_name
@@ -101,10 +108,18 @@ class RetryPolicy:
         self.backoff_cap = backoff_cap
         self.op_budget = op_budget
         self.budget = budget or RetryBudget()
+        self.request_timeout = request_timeout
+        self.propagate_deadline = propagate_deadline
 
     def begin(self, now: float) -> RetryState:
         deadline = now + self.op_budget if self.op_budget else None
-        return RetryState(self.backoff_base, deadline)
+        bounds = {"timeout": self.request_timeout}
+        if self.propagate_deadline and deadline is not None:
+            # Server-visible: the svc kernel sheds the op once its caller
+            # must have given up. Left out, a call inherits the ambient
+            # deadline of its process instead (``None`` would opt out).
+            bounds["deadline"] = deadline
+        return RetryState(self.backoff_base, deadline, bounds)
 
     def exhausted(self, state: RetryState, now: float) -> bool:
         """Call after ``state.attempt += 1``: True = give up, re-raise."""
@@ -134,25 +149,21 @@ class RetryPolicy:
         self.budget.on_success()
 
 
-def build_retry(node, stream_name: str, resilience, backoff,
-                max_retries: int, op_budget: float = 0.0,
-                ) -> Tuple[RetryPolicy, BreakerBoard]:
-    """One client's retry policy and breaker board from its params.
-
-    ``resilience`` (:class:`~repro.models.params.ResilienceParams`) sizes
-    the token bucket and the breakers; ``backoff`` is whichever params
-    object carries the client's ``backoff_base``/``backoff_cap`` (the
-    fault policy for ZooKeeper, ``resilience`` itself for the back-ends).
-    """
-    policy = RetryPolicy(
-        node.cluster.streams, stream_name, max_retries=max_retries,
-        backoff_base=backoff.backoff_base, backoff_cap=backoff.backoff_cap,
-        op_budget=op_budget,
-        budget=RetryBudget(resilience.retry_budget, resilience.retry_refill))
-    breakers = BreakerBoard(node.sim, resilience.breaker_threshold,
-                            resilience.breaker_cooldown,
-                            enabled=resilience.breaker_enabled)
-    return policy, breakers
+def build_retry(node, stream_name: str,
+                policy) -> Tuple[RetryPolicy, BreakerBoard]:
+    """One client's retry policy and breaker board from its fault policy
+    (:class:`~repro.models.params.FaultToleranceParams`)."""
+    retry = RetryPolicy(
+        node.cluster.streams, stream_name, max_retries=policy.max_retries,
+        backoff_base=policy.backoff_base, backoff_cap=policy.backoff_cap,
+        op_budget=policy.op_budget,
+        budget=RetryBudget(policy.retry_budget, policy.retry_refill),
+        request_timeout=policy.request_timeout,
+        propagate_deadline=policy.deadline_propagation)
+    breakers = BreakerBoard(node.sim, policy.breaker_threshold,
+                            policy.breaker_cooldown,
+                            enabled=policy.breaker_enabled)
+    return retry, breakers
 
 
 def retry_call(sim, policy: RetryPolicy, breakers: BreakerBoard,

@@ -13,7 +13,7 @@ from .core import (
     Timeout,
 )
 from .network import Network, NetworkStats
-from .node import Cluster, Node
+from .node import Cluster, Node, Outcome
 from .random import RandomStreams
 from .resources import Request, Resource, Store
 from .rpc import Reply, RemoteError, RpcAgent, RpcTimeout
@@ -23,7 +23,7 @@ __all__ = [
     "AllOf", "AnyOf", "Condition", "EmptySchedule", "Event", "Interrupt",
     "Process", "SimulationError", "Simulator", "Timeout",
     "Network", "NetworkStats",
-    "Cluster", "Node",
+    "Cluster", "Node", "Outcome",
     "RandomStreams",
     "Request", "Resource", "Store",
     "Reply", "RemoteError", "RpcAgent", "RpcTimeout",

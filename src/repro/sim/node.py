@@ -10,12 +10,40 @@ failure injector can crash and recover the whole machine.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, Optional
+from typing import (Any, Callable, Dict, Generator, Iterable, NamedTuple,
+                    Optional, Sequence, Union)
 
-from .core import _PENDING, Process, Simulator
+from .core import _PENDING, AllOf, Process, Simulator
 from .network import Network
 from .random import RandomStreams
 from .resources import Resource
+
+
+class Outcome(NamedTuple):
+    """How a shielded process settled: ``value`` when its generator
+    returned, ``error`` — the exception, a node-crash
+    :class:`~repro.sim.core.Interrupt` included — when one ended it."""
+
+    value: Any = None
+    error: Optional[Exception] = None
+
+    def result(self) -> Any:
+        """The value, or the error re-raised in the *caller's* process —
+        how an outcome the caller does not handle stays loud."""
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+def _shield(gen: Generator) -> Generator:
+    """Drive ``gen`` to its :class:`Outcome` — a pure ``yield from``
+    delegation, no event of its own. Nothing ``gen`` raises escapes: the
+    strict simulator aborts the whole run on an exception that leaves a
+    process, so a child's failure must travel to its parent as a value."""
+    try:
+        return Outcome((yield from gen))
+    except Exception as exc:
+        return Outcome(error=exc)
 
 
 class Cluster:
@@ -92,6 +120,26 @@ class Node:
             self._procs = procs = [p for p in procs if p._value is _PENDING]
             self._procs_cap = max(256, 2 * len(procs))
         return proc
+
+    def shielded(self, gen: Generator, name: str = "") -> Process:
+        """:meth:`spawn` ``gen`` so that the process's *value* is its
+        :class:`Outcome`; the process itself never fails."""
+        return self.spawn(_shield(gen), name)
+
+    def gather(self, gens: Iterable[Generator],
+               name: Union[str, Sequence[str]] = "") -> Generator:
+        """Run ``gens`` concurrently, one :meth:`shielded` child each
+        (``name``: one for all, or one per child), and resume only when
+        **every** child has settled — a fast failure releases nobody, so
+        no straggler outlives the wait. Returns one :class:`Outcome` per
+        child, in call order."""
+        gens = list(gens)
+        names = [name] * len(gens) if isinstance(name, str) else name
+        procs = [self.shielded(gen, n)
+                 for gen, n in zip(gens, names, strict=True)]
+        if procs:
+            yield AllOf(self.sim, procs)
+        return [proc.value for proc in procs]
 
     def register_endpoint(self, endpoint: str) -> None:
         self._endpoints.append(endpoint)

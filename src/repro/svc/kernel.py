@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from sys import intern
 from typing import Any, Callable, Dict, Generator, Optional
 
-from ..sim.core import AnyOf, Interrupt
+from ..sim.core import AnyOf
 from ..sim.node import Node
 from ..sim.rpc import DEFAULT_RESP_SIZE, RequestExpired, RpcAgent
 from ..sim.stats import Counter
@@ -160,35 +160,22 @@ class Service:
                      args: Any, deadline: float) -> Generator:
         """Run a read handler raced against its deadline.
 
-        The handler body runs in a child process (inheriting the deadline
-        ambiently) whose outcome is boxed so nothing escapes into the
-        strict simulator; if the deadline fires first the child is
+        The handler body runs in a shielded child process (inheriting the
+        deadline ambiently); if the deadline fires first the child is
         interrupted — ``cpu_work``/``disk_io`` release their claims via
         ``finally`` — and the request is accounted as expired.
         """
-        box: list = []
-
-        def body() -> Generator:
-            try:
-                box.append(("ok", (yield from handler(src, args))))
-            except Interrupt:
-                box.append(("interrupted", None))
-            except Exception as exc:
-                box.append(("err", exc))
-
-        child = self.node.spawn(body(), f"{self.endpoint}.{method}.body")
+        child = self.node.shielded(handler(src, args),
+                                   f"{self.endpoint}.{method}.body")
         guard = self.sim.timeout(max(0.0, deadline - self.sim.now))
         yield AnyOf(self.sim, (child, guard))
-        if not box:
+        if child.is_alive:
             child.interrupt("deadline")
             self.bus.mark_expired(self.deployment, self.endpoint, method)
             raise RequestExpired(method, deadline, self.sim.now)
-        kind, value = box[0]
-        if kind == "ok":
-            return value
-        if kind == "err":
-            raise value
-        raise Interrupt("cancelled")  # node died under us; _serve swallows
+        # The handler's answer or error; an Interrupt means the node died
+        # under us, and _serve swallows it.
+        return child.value.result()
 
 
 def instrument_client(obj: Any, methods, bus: TraceBus, deployment: str,

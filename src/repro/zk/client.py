@@ -23,7 +23,7 @@ import dataclasses
 import itertools
 from typing import Any, Callable, Generator, List, Optional, Sequence
 
-from ..models.params import FaultToleranceParams, ResilienceParams
+from ..models.params import FaultToleranceParams
 from ..resilience import LatencyTracker, build_retry, hedged, retry_call
 from ..sim.node import Node
 from ..sim.rpc import RpcAgent, RpcTimeout
@@ -51,7 +51,6 @@ class ZKClient:
         name: Optional[str] = None,
         fault: Optional[FaultToleranceParams] = None,
         bus: Optional[TraceBus] = None,
-        resilience: Optional[ResilienceParams] = None,
     ):
         if not servers:
             raise ValueError("need at least one server endpoint")
@@ -63,7 +62,9 @@ class ZKClient:
             raise ValueError(f"prefer {self.server!r} not in server list")
         # The one fault policy: RPC timeout, retry bound, backoff, op
         # budget. Its defaults (5 s timeout, retries with backoff) mean a
-        # single lost message cannot hang an operation forever.
+        # single lost message cannot hang an operation forever; deadlines,
+        # retry budget, breakers and hedging are inert at the defaults (no
+        # events, no RNG draws, no fast-fails).
         self.fault = fault or FaultToleranceParams()
         self.session: Optional[int] = None
         self.last_retries = 0       # retries performed by the last request
@@ -75,16 +76,9 @@ class ZKClient:
         self.map_epoch: Optional[int] = None
         self.bus = bus if bus is not None else NULL_BUS
         ident = name or f"zkcli{next(_client_seq)}"
-        # Resilience policy: at the defaults every component below is
-        # inert (no events, no RNG draws, no fast-fails).
-        r = self.resilience = resilience or ResilienceParams()
         self.retry, self.breakers = build_retry(
-            node, f"zk.client.{ident}", r, self.fault,
-            max_retries=self.fault.max_retries,
-            op_budget=self.fault.op_budget)
-        self._hedge_tracker = LatencyTracker(
-            window=r.hedge_window, min_samples=r.hedge_min_samples,
-            default_delay=r.hedge_delay)
+            node, f"zk.client.{ident}", self.fault)
+        self._hedge_tracker = LatencyTracker()
         self.hedges = 0             # secondary reads actually issued
         self.hedges_won = 0         # ops where the hedge replied first
         self.agent = RpcAgent(node, ident)
@@ -129,20 +123,12 @@ class ZKClient:
     # -- plumbing ------------------------------------------------------------
     def _request(self, method: str, args: Any, size: int = 160,
                  trace_as: Optional[str] = None) -> Generator:
-        f = self.fault
-        r = self.resilience
         t0 = self.sim.now
         if (self.map_epoch is not None
                 and isinstance(args, (ReadRequest, WriteRequest))
                 and args.map_epoch < 0):
             args = dataclasses.replace(args, map_epoch=self.map_epoch)
         state = self.retry.begin(t0)
-        # Server-visible absolute deadline, carried on each _Request so
-        # the svc kernel can shed the op once we must have given up.
-        rpc_deadline = None
-        if r.deadline_propagation:
-            span = r.op_deadline if r.op_deadline > 0 else f.op_budget
-            rpc_deadline = t0 + span if span else None
         reconnects = 0
         ok = False
         try:
@@ -152,7 +138,7 @@ class ZKClient:
                         self.sim, self.retry, self.breakers, state,
                         pick=lambda: self.server,
                         attempt=lambda server: self._issue(
-                            server, method, args, size, rpc_deadline),
+                            server, method, args, size, state.bounds),
                         retry_on=_RETRYABLE, gave_up=self._gave_up,
                         between=self._fail_over)
                     ok = True
@@ -193,15 +179,12 @@ class ZKClient:
         return exc
 
     def _issue(self, server: str, method: str, args: Any, size: int,
-               rpc_deadline: Optional[float]) -> Generator:
+               bounds: dict) -> Generator:
         """One attempt: a plain call, or a hedged pair for reads."""
-        kw: dict = {"size": size, "timeout": self.fault.request_timeout}
-        if rpc_deadline is not None:
-            kw["deadline"] = rpc_deadline
-        if (self.resilience.hedge_enabled and method == "read"
+        if (self.fault.hedge_enabled and method == "read"
                 and len(self.servers) > 1):
-            return self._hedged_read(server, args, kw)
-        return self.agent.call(server, method, args, **kw)
+            return self._hedged_read(server, args, {"size": size, **bounds})
+        return self.agent.call(server, method, args, size=size, **bounds)
 
     def _hedged_read(self, server: str, args: Any, kw: dict) -> Generator:
         t_start = self.sim.now

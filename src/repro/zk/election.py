@@ -77,7 +77,7 @@ def _election_ticker(server: "ZKServer", round_: int) -> Generator:
     a server that joins a peer's newer round must keep broadcasting, or
     two-survivor elections livelock (the joiner goes silent and the peer
     never reaches quorum)."""
-    if getattr(server, "_ticker_running", False):
+    if server._ticker_running:
         return
     server._ticker_running = True
     try:

@@ -153,6 +153,7 @@ class ZKServer:
         self.election_round = 0
         self._votes: Dict[int, Tuple[int, int]] = {}
         self._my_vote: Tuple[int, int] = (0, 0)
+        self._ticker_running = False   # one election ticker at a time
 
         # pipelines (group-commit logger; optional leader write batching)
         self._apply_kick = Store(self.sim)

@@ -8,17 +8,15 @@ restricted to idempotent reads, so the audit doubles as that proof)."""
 import pytest
 
 from repro.chaos import ChaosSchedule, RandomChaos, run_chaos
-from repro.models.params import ResilienceParams
+from repro.models.params import FaultToleranceParams
 
 
 def full_policy():
-    return ResilienceParams.resilience_on(hedge_enabled=True,
-                                          hedge_delay=0.02,
-                                          hedge_min_samples=8)
+    return FaultToleranceParams.resilience_on(hedge_enabled=True)
 
 
 def test_random_chaos_with_resilience_audits_clean():
-    result = run_chaos("dufs", seed=3, ops=120, resilience=full_policy())
+    result = run_chaos("dufs", seed=3, ops=120, fault=full_policy())
     assert result.completed > 0
     assert result.audit is not None
     assert result.audit.ok, result.audit.to_text()
@@ -29,7 +27,7 @@ def test_shard_targeted_crash_with_resilience_audits_clean():
     sched.crash(0.3, "shard:1")
     sched.recover(0.8, "shard:1")
     result = run_chaos("dufs", schedule=sched, seed=5, ops=150, shards=2,
-                       resilience=full_policy())
+                       fault=full_policy())
     assert result.completed > 0
     assert result.audit is not None
     assert result.audit.ok, result.audit.to_text()
@@ -40,16 +38,16 @@ def test_leader_crash_with_resilience_audits_clean():
     sched.crash(0.4, "zk:leader")
     sched.recover(1.2, "zk:0")
     result = run_chaos("dufs", schedule=sched, seed=7, ops=150,
-                       resilience=full_policy())
+                       fault=full_policy())
     assert result.audit is not None
     assert result.audit.ok, result.audit.to_text()
 
 
 def test_resilience_rejected_for_non_dufs():
     with pytest.raises(ValueError):
-        run_chaos("lustre", resilience=ResilienceParams())
+        run_chaos("lustre", fault=FaultToleranceParams())
     with pytest.raises(ValueError):
-        run_chaos("pvfs", resilience=ResilienceParams())
+        run_chaos("pvfs", fault=FaultToleranceParams())
 
 
 def test_random_chaos_recovery_clamped_to_run_window():

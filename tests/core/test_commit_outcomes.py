@@ -13,14 +13,14 @@ import pytest
 
 from repro.core.client import DUFSClient
 from repro.core.metadata import DirPayload, FilePayload, SymlinkPayload
-from repro.errors import EEXIST, EIO, ENOENT, FSError
+from repro.errors import EEXIST, EIO, ENOENT, ENOTEMPTY, FSError
 from repro.mds import MetadataService
 from repro.models.params import AsyncParams
 from repro.pfs.localfs import LocalFS
 from repro.sim import Cluster
 from repro.zk.data import ZnodeStat
 from repro.zk.errors import (ConnectionLossError, NoNodeError,
-                             NodeExistsError)
+                             NodeExistsError, NotEmptyError)
 
 RPC = 1e-4          # simulated round trip of the stub
 
@@ -31,8 +31,10 @@ class StubMDS(MetadataService):
     ``script[(method, path)]`` holds one behaviour for the next such call:
     ``"lost"`` applies the mutation, then raises what the retried
     duplicate would (``last_retries = 1``); ``"vanish"`` has somebody else
-    remove the node first; an exception instance is raised as is (nothing
-    applied, ``last_retries = 0``).
+    remove the node first; a ``bytes`` value (``multi`` only) has somebody
+    else create the destination with that payload first; an exception
+    instance is raised as is (nothing applied, ``last_retries = 0``). A
+    ``multi`` is scripted under the path of its first create.
     """
 
     def __init__(self, sim):
@@ -60,6 +62,15 @@ class StubMDS(MetadataService):
             raise NoNodeError(path)
         return self.nodes[path], ZnodeStat()
 
+    def exists(self, path, watch=None):
+        yield from self._enter("exists", path)
+        return ZnodeStat() if path in self.nodes else None
+
+    def get_children(self, path, watch=None):
+        yield from self._enter("get_children", path)
+        return [p[len(path) + 1:] for p in self.nodes
+                if p.startswith(path + "/") and "/" not in p[len(path) + 1:]]
+
     def create(self, path, data=b"", ephemeral=False, sequential=False):
         fault = yield from self._enter("create", path)
         if path in self.nodes:
@@ -80,6 +91,32 @@ class StubMDS(MetadataService):
         if fault == "lost":
             self._last_retries = 1
             raise NoNodeError(path)
+
+    def _apply_atomically(self, ops):
+        nodes = dict(self.nodes)
+        for op in ops:
+            if op.op == "create":
+                if op.path in nodes:
+                    raise NodeExistsError(op.path)
+                nodes[op.path] = op.data
+            elif op.path not in nodes:
+                raise NoNodeError(op.path)
+            elif any(p.startswith(op.path + "/") for p in nodes):
+                raise NotEmptyError(op.path)
+            else:
+                del nodes[op.path]
+        self.nodes = nodes
+
+    def multi(self, ops):
+        dst = next(op.path for op in ops if op.op == "create")
+        fault = yield from self._enter("multi", dst)
+        if isinstance(fault, bytes):
+            self.nodes[dst] = fault
+        self._apply_atomically(ops)
+        if fault == "lost":
+            self._last_retries = 1
+            self._apply_atomically(ops)     # the duplicate: always raises
+            raise AssertionError("a duplicate multi cannot apply twice")
 
 
 class Rig:
@@ -176,3 +213,62 @@ def test_provably_absent_create_rolls_the_physical_file_back(mode):
     rig.mds.script[("create", "/x")] = ConnectionLossError("/x")
     assert rig.outcome("create", "/x") == EIO
     assert rig.files() == 0
+
+
+# -- rename: the one namespace mutation that is a multi -----------------------
+FILE_A, FILE_B = FilePayload(0xA), FilePayload(0xB)
+#: case -> (namespace before, namespace after ``rename /a /b`` landed)
+RENAMES = {
+    "file": ({"/a": FILE_A}, {"/b": FILE_A}),
+    "file-over-file": ({"/a": FILE_A, "/b": FILE_B}, {"/b": FILE_A}),
+    "directory-with-children": (
+        {"/a": DirPayload(), "/a/x": FILE_A, "/a/y": DirPayload(),
+         "/a/y/z": SymlinkPayload("/t")},
+        {"/b": DirPayload(), "/b/x": FILE_A, "/b/y": DirPayload(),
+         "/b/y/z": SymlinkPayload("/t")}),
+}
+
+
+def encoded(namespace):
+    return {path: payload.encode() for path, payload in namespace.items()}
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+@pytest.mark.parametrize("case", [*RENAMES])
+def test_rename_whose_reply_was_lost_succeeds(case, mode):
+    """The first multi commits, its reply is dropped, the retry's
+    duplicate trips over its own work (NodeExists on the destination, or
+    NoNode on the source when the destination was overwritten): the
+    rename happened, exactly once."""
+    before, after = RENAMES[case]
+    rig = Rig(mode)
+    rig.mds.nodes = encoded(before)
+    rig.mds.script[("multi", "/b")] = "lost"
+    assert rig.outcome("rename", "/a", "/b") == "ok"
+    assert rig.mds.nodes == encoded(after)
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_genuinely_colliding_rename_still_answers_its_error(mode):
+    """Somebody else creates the destination between our lookup and our
+    multi (no retry involved): EEXIST, and nothing moved. Likewise a
+    non-empty target directory is ENOTEMPTY, retried or not."""
+    rig = Rig(mode)
+    rig.mds.nodes = encoded({"/a": FILE_A})
+    rig.mds.script[("multi", "/b")] = FILE_B.encode()
+    assert rig.outcome("rename", "/a", "/b") == EEXIST
+    assert rig.mds.nodes == encoded({"/a": FILE_A, "/b": FILE_B})
+
+    rig = Rig(mode)
+    busy = {"/a": DirPayload(), "/b": DirPayload(), "/b/kept": FILE_B}
+    rig.mds.nodes = encoded(busy)
+    assert rig.outcome("rename", "/a", "/b") == ENOTEMPTY
+    assert rig.mds.nodes == encoded(busy)
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_rename_with_unknown_outcome_is_eio(mode):
+    rig = Rig(mode)
+    rig.mds.nodes = encoded({"/a": FILE_A})
+    rig.mds.script[("multi", "/b")] = ConnectionLossError("/b")
+    assert rig.outcome("rename", "/a", "/b") == EIO

@@ -7,6 +7,7 @@ import pytest
 from repro.core.mapping import physical_path
 from repro.errors import (
     EEXIST,
+    EIO,
     EISDIR,
     ENOENT,
     ENOTDIR,
@@ -14,6 +15,7 @@ from repro.errors import (
     FSError,
 )
 from repro.models.params import AsyncParams, CacheParams, ResolveParams
+from repro.zk.errors import ConnectionLossError
 
 from .conftest import DUFSHarness
 
@@ -253,6 +255,59 @@ def test_readdir_through_a_file_is_enotdir(arm, n_shards):
         return out
 
     assert h.run(main()) == [ENOTDIR, ENOTDIR, ENOENT, ENOTDIR]
+
+
+@pytest.mark.parametrize("arm", [dict(), dict(cache=CacheParams.caching_on())],
+                         ids=["default", "cache"])
+def test_readdir_racing_an_unlink_lists_the_survivors(arm):
+    """Another client's unlink commits between our listing and our child
+    lookups: the entry is simply gone — not ENOENT for the whole readdir,
+    and not an exception escaping a spawned lookup, which would abort the
+    (strict) run."""
+    h = DUFSHarness(**arm)
+    reader, other = h.dep.clients
+    listing = reader.mdcache.get_children
+
+    def listing_then_unlink(path):
+        names = yield from listing(path)
+        yield from other.unlink("/d/y")
+        return names
+
+    def main():
+        yield from other.mkdir("/d")
+        for name in "xyz":
+            yield from other.create(f"/d/{name}")
+        reader.mdcache.get_children = listing_then_unlink
+        entries = yield from reader.readdir("/d")
+        return sorted(e.name for e in entries)
+
+    assert h.run(main()) == ["x", "z"]
+
+
+def test_readdir_fails_when_a_child_lookup_fails_for_another_reason(dufs):
+    """Only a vanished child is skipped: any other lookup failure is the
+    readdir's own, raised to its caller once every sibling lookup has
+    settled — and the run goes on."""
+    client = dufs.dep.clients[0]
+    lookup = client.mdcache.get_payload
+
+    def flaky(path):
+        if path == "/d/y":
+            raise ConnectionLossError(path)
+        return (yield from lookup(path))
+
+    def main():
+        yield from client.mkdir("/d")
+        for name in "xyz":
+            yield from client.create(f"/d/{name}")
+        client.mdcache.get_payload = flaky
+        try:
+            yield from client.readdir("/d")
+        except FSError as exc:
+            client.mdcache.get_payload = lookup
+            return exc.err, len((yield from client.readdir("/d")))
+
+    assert dufs.run(main()) == (EIO, 3)
 
 
 def test_dir_stat_fields_from_zookeeper(dufs):

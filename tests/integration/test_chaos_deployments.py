@@ -51,6 +51,18 @@ def test_pvfs_server_crash_degrades_but_never_hangs():
 
 
 @pytest.mark.chaos
+@pytest.mark.parametrize("deployment", ["lustre", "pvfs"])
+def test_server_that_never_recovers_costs_failed_ops_not_the_run(deployment):
+    """meta:1 (the MDS; a PVFS server holding one datafile of every file)
+    stays down past the clients' 5 x 0.5 s retry window: the ops that need
+    it end in EIO and are *counted*, the run itself completes."""
+    gone = ChaosSchedule().crash(0.5, "meta:1")
+    result = run_chaos(deployment, schedule=gone, ops=60, seed=7)
+    assert result.failed > 0
+    assert result.completed > 0
+
+
+@pytest.mark.chaos
 def test_dufs_rides_out_shared_schedule_with_clean_audit():
     result = run_chaos("dufs", schedule=SHARED, ops=300, seed=7)
     # meta:0 is one ZK server of five: quorum holds, every op completes,

@@ -1,0 +1,57 @@
+"""The option ratchet: committed counts of independently settable values.
+
+ROADMAP aim 2 is "no new knobs" — every dataclass field and every keyword
+doubles the configurations tests and benchmarks must cover. The table below
+is the committed state; a count may only go *down*. Going up fails here
+(find the existing option, or make the value a constant); going down fails
+too, once, with the instruction to lower the number — so the budget never
+keeps slack a later change could spend unnoticed.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from repro.chaos import run_chaos
+from repro.core import build_dufs_deployment
+from repro.core.client import DUFSClient
+from repro.models import params
+from repro.resilience import build_retry
+from repro.zk.client import ZKClient
+
+
+def dataclass_fields() -> int:
+    return sum(len(dataclasses.fields(cls)) for cls in vars(params).values()
+               if dataclasses.is_dataclass(cls))
+
+
+def parameters(fn) -> int:
+    return len(inspect.signature(fn).parameters)       # ``self`` included
+
+
+#: what is counted -> (how, committed count)
+BUDGET = {
+    "dataclass fields in models/params.py": (dataclass_fields, 118),
+    "build_dufs_deployment parameters":
+        (lambda: parameters(build_dufs_deployment), 22),
+    "run_chaos parameters": (lambda: parameters(run_chaos), 14),
+    "ZKClient.__init__ parameters":
+        (lambda: parameters(ZKClient.__init__), 7),
+    "DUFSClient.__init__ parameters":
+        (lambda: parameters(DUFSClient.__init__), 13),
+    "build_retry parameters": (lambda: parameters(build_retry), 3),
+}
+
+
+@pytest.mark.parametrize("what", [*BUDGET])
+def test_option_count_only_ratchets_down(what):
+    count, committed = BUDGET[what]
+    measured = count()
+    assert measured <= committed, (
+        f"{what}: {measured}, the budget is {committed} — this round adds "
+        "no knobs (ROADMAP aim 2): reuse an existing option, derive the "
+        "value, or make it a constant")
+    assert measured == committed, (
+        f"{what}: down to {measured} from {committed} — lower the number "
+        "in this file (tests/models/test_option_budget.py) to lock it in")

@@ -8,13 +8,14 @@ MDS is operational at a given point in time."
 import pytest
 
 from repro.errors import ENOENT, FSError
-from repro.models.params import LustreParams
+from repro.models.params import FaultToleranceParams, LustreParams
 from repro.pfs.lustre import build_lustre
 from repro.sim import Cluster
 
 
 def make_failover_fs(seed=0):
-    params = LustreParams(client_rpc_timeout=0.5, failover_takeover_delay=1.0)
+    fault = FaultToleranceParams.backend(request_timeout=0.5, max_retries=4)
+    params = LustreParams(fault=fault, failover_takeover_delay=1.0)
     cluster = Cluster(seed=seed)
     nodes = [cluster.add_node(f"c{i}") for i in range(2)]
     fs = build_lustre(cluster, "ha", params=params, with_standby=True)

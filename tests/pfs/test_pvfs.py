@@ -1,7 +1,7 @@
 """PVFS-specific behaviour: handle partitioning, resolve cost, sync txns."""
 
-
-from repro.models.params import PVFSParams
+from repro.errors import EIO, FSError
+from repro.models.params import FaultToleranceParams, PVFSParams
 
 from .conftest import FSHarness
 
@@ -152,3 +152,32 @@ def test_bounded_server_parallelism():
     # 4 stats, each with a 5 ms getattr, all serialized on the single
     # worker ≈ 20 ms; a fully parallel server would take ~5 ms.
     assert h.cluster.sim.now - t0 >= 0.018
+
+
+def test_a_dead_server_fails_the_op_with_eio_not_the_run():
+    """One server stays down past the client's retry window (5 x 0.5 s).
+    Every file has a datafile there, so create, stat and unlink reach it
+    from a parallel fan-out child: the child's failure is the *op's* —
+    ``FSError(EIO)`` raised to the caller once the siblings settled —
+    and must not escape the child, which would abort the whole run."""
+    fault = FaultToleranceParams.backend(request_timeout=0.5, max_retries=4)
+    h = FSHarness("pvfs", n_servers=4, params=PVFSParams(fault=fault))
+    cli = h.cli
+
+    def errno_of(gen):
+        try:
+            yield from gen
+        except FSError as exc:
+            return exc.err
+
+    def main():
+        for i in range(3):
+            yield from cli.create(f"/f{i}")
+        h.fs.servers[1].node.crash()
+        out = [(yield from errno_of(cli.create("/g")))]
+        for i in range(3):
+            out.append((yield from errno_of(cli.stat(f"/f{i}"))))
+            out.append((yield from errno_of(cli.unlink(f"/f{i}"))))
+        return out
+
+    assert h.run(main()) == [EIO] * 7

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.models.params import ResilienceParams
+from repro.models.params import FaultToleranceParams
 from repro.sim import Cluster, RpcAgent, RpcTimeout
 from repro.svc import BoundedAdmission, Service, TraceBus
 
@@ -207,10 +207,10 @@ def test_default_off_runs_are_replay_identical():
     completion time, whatever the inert tuning fields say."""
     from repro.core import build_dufs_deployment
 
-    def run_once(resilience):
+    def run_once(fault):
         dep = build_dufs_deployment(n_zk=3, n_backends=1, n_client_nodes=2,
                                     backend="local", seed=11,
-                                    resilience=resilience)
+                                    fault=fault)
         times = []
 
         def workload():
@@ -225,10 +225,9 @@ def test_default_off_runs_are_replay_identical():
         dep.cluster.sim.run(until=dep.client_nodes[0].spawn(workload()))
         return times
 
-    default = run_once(ResilienceParams())
+    default = run_once(FaultToleranceParams())
     # Different inert settings; every feature gate still off.
-    parked = run_once(ResilienceParams(op_deadline=9.9, retry_refill=0.7,
-                                       breaker_threshold=1,
-                                       breaker_cooldown=9.0,
-                                       hedge_delay=0.001, hedge_window=4))
+    parked = run_once(FaultToleranceParams(op_budget=9.9, retry_refill=0.7,
+                                           breaker_threshold=1,
+                                           breaker_cooldown=9.0))
     assert default == parked

@@ -3,7 +3,8 @@ the one retry loop (``retry_call``) every client stack drives them with."""
 
 import pytest
 
-from repro.models.params import FaultToleranceParams, ResilienceParams
+from repro.models.params import (FaultToleranceParams, LustreParams,
+                                 PVFSParams)
 from repro.resilience import (RetryBudget, RetryPolicy, build_retry,
                               retry_call)
 from repro.sim import Cluster
@@ -138,17 +139,14 @@ class Endpoint:
         return f"reply from {endpoint}"
 
 
-def drive(k, fault=None, resilience=None, pick=lambda: "srv", rtt=0.01,
-          error=Flaky, between=None):
+def drive(k, fault=None, pick=lambda: "srv", rtt=0.01, error=Flaky,
+          between=None):
     """One ``retry_call`` over a fresh single-node cluster; returns
     (result or raised exception, endpoint, state, policy, breakers, sim)."""
     cluster = Cluster(seed=5)
     node = cluster.add_node("n")
     fault = fault or FaultToleranceParams(backoff_base=0.0, max_retries=4)
-    policy, breakers = build_retry(node, "t.client", resilience
-                                   or ResilienceParams(), fault,
-                                   max_retries=fault.max_retries,
-                                   op_budget=fault.op_budget)
+    policy, breakers = build_retry(node, "t.client", fault)
     ep = Endpoint(cluster.sim, k, rtt, error)
     state = policy.begin(cluster.sim.now)
     out = []
@@ -209,9 +207,10 @@ def test_breaker_fast_fail_is_charged_as_an_attempt():
     """Threshold 2: two real failures open the breaker; the remaining
     budget is burned by fast-fails that never reach the endpoint, and the
     give-up carries no cause."""
-    resilience = ResilienceParams(breaker_enabled=True, breaker_threshold=2,
-                                  breaker_cooldown=10.0)
-    result, ep, state, _, breakers, _ = drive(k=99, resilience=resilience)
+    fault = FaultToleranceParams(backoff_base=0.0, max_retries=4,
+                                 breaker_enabled=True, breaker_threshold=2,
+                                 breaker_cooldown=10.0)
+    result, ep, state, _, breakers, _ = drive(k=99, fault=fault)
     assert isinstance(result, GaveUp) and result.cause is None
     assert len(ep.tried) == 2              # only these were issued
     assert state.attempt == 5 and breakers.fastfails == 3
@@ -219,8 +218,9 @@ def test_breaker_fast_fail_is_charged_as_an_attempt():
 
 
 def test_retry_budget_exhaustion_stops_the_loop_early():
-    resilience = ResilienceParams(retry_budget=2.0, retry_refill=0.0)
-    result, ep, state, policy, _, _ = drive(k=99, resilience=resilience)
+    fault = FaultToleranceParams(backoff_base=0.0, max_retries=4,
+                                 retry_budget=2.0, retry_refill=0.0)
+    result, ep, state, policy, _, _ = drive(k=99, fault=fault)
     assert isinstance(result, GaveUp)
     assert len(ep.tried) == 3              # two tokens bought two retries
     assert policy.budget.spent == 2 and policy.budget.denied == 1
@@ -262,14 +262,45 @@ def test_backoff_sleeps_between_attempts_from_the_named_stream():
 def test_factory_reads_both_params_objects():
     cluster = Cluster(seed=0)
     node = cluster.add_node("n")
-    fault = FaultToleranceParams(backoff_base=0.03, backoff_cap=0.7)
-    resilience = ResilienceParams(retry_budget=4.0, retry_refill=0.5,
-                                  breaker_enabled=True, breaker_threshold=9,
-                                  breaker_cooldown=2.5)
-    policy, breakers = build_retry(node, "s", resilience, fault,
-                                   max_retries=3, op_budget=8.0)
+    fault = FaultToleranceParams(backoff_base=0.03, backoff_cap=0.7,
+                                 max_retries=3, op_budget=8.0,
+                                 retry_budget=4.0, retry_refill=0.5,
+                                 breaker_enabled=True, breaker_threshold=9,
+                                 breaker_cooldown=2.5)
+    policy, breakers = build_retry(node, "s", fault)
     assert (policy.max_retries, policy.backoff_base, policy.backoff_cap,
             policy.op_budget) == (3, 0.03, 0.7, 8.0)
     assert (policy.budget.cap, policy.budget.refill) == (4.0, 0.5)
     assert (breakers.enabled, breakers.threshold, breakers.cooldown) == \
         (True, 9, 2.5)
+
+
+def test_backend_default_never_times_out_never_retries_never_draws():
+    """The Lustre/PVFS default, spelled once: every RPC goes out with no
+    timeout and no deadline, the first failure is final, nothing sleeps."""
+    assert LustreParams().fault == PVFSParams().fault == \
+        FaultToleranceParams.backend()
+    cluster = Cluster(seed=0)
+    policy, breakers = build_retry(cluster.add_node("n"), "b",
+                                   LustreParams().fault)
+    state = policy.begin(3.0)
+    assert state.bounds == {"timeout": None} and state.deadline is None
+    state.attempt += 1
+    assert policy.exhausted(state, now=3.0)
+    assert policy.next_backoff(state) == 0.0
+    assert not breakers.enabled and not policy.budget.enabled
+
+
+def test_attempt_bounds_are_assembled_once_per_operation():
+    """``timeout=`` always; ``deadline=`` (``start + op_budget``) only under
+    deadline propagation — left out, a call inherits its process's."""
+    cluster = Cluster(seed=0)
+    node = cluster.add_node("n")
+    plain, _ = build_retry(node, "p", FaultToleranceParams(op_budget=2.0))
+    assert plain.begin(1.0).bounds == {"timeout": 5.0}
+    on, _ = build_retry(node, "q", FaultToleranceParams.resilience_on(
+        request_timeout=0.4, op_budget=2.0))
+    assert on.begin(1.0).bounds == {"timeout": 0.4, "deadline": 3.0}
+    unbounded, _ = build_retry(node, "r", FaultToleranceParams.backend(
+        deadline_propagation=True))
+    assert unbounded.begin(1.0).bounds == {"timeout": None}
