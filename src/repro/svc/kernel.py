@@ -23,7 +23,6 @@ from typing import Any, Callable, Dict, Generator, Optional
 from ..sim.core import AnyOf
 from ..sim.node import Node
 from ..sim.rpc import DEFAULT_RESP_SIZE, RequestExpired, RpcAgent
-from ..sim.stats import Counter
 from .queue import AdmissionPolicy, AdmissionReject, DirectAdmission
 from .trace import NULL_BUS, OpTrace, TraceBus
 
@@ -66,9 +65,6 @@ class Service:
         self.policy = policy or DirectAdmission()
         self.specs: Dict[str, OpSpec] = {}
         self.inflight = 0              # admitted, not yet completed
-        self.completed = 0             # completions, success or not
-        self.op_counts = Counter()     # method -> completions
-        self.error_counts = Counter()  # method -> failed completions
         # Legacy per-server stats dict: the kernel maintains its "ops" key
         # so every stack counts requests identically (including failures).
         self._op_stats = op_stats
@@ -142,10 +138,6 @@ class Service:
             finally:
                 self.inflight -= 1
                 self.policy.release(token)
-                self.completed += 1
-                self.op_counts.inc(method)
-                if not ok:
-                    self.error_counts.inc(method)
                 if self._op_stats is not None:
                     self._op_stats["ops"] = self._op_stats.get("ops", 0) + 1
                 if self.bus is not NULL_BUS:    # nobody to read the trace

@@ -12,7 +12,8 @@ authoritative; a (re)joining follower ships its logged zxid sequence, the
 leader computes the longest common prefix, and replies with a truncate
 point plus the missing suffix. The leader activates (serves writes) once a
 quorum of members is synced, and — per ZAB — commits its entire log at
-activation.
+activation. A sync attempt has one way in (:func:`begin_sync`), one owner
+(the decision that spawned it) and one way out (MODEL.md §6).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from ..sim.core import Interrupt
 from ..sim.rpc import RpcTimeout
 from .data import ZnodeStore
 from .errors import NotLeaderError, ZKError
-from .protocol import Ack, FollowerInfo, Vote
+from .protocol import Ack, FollowerInfo, Propose, Vote
 
 if TYPE_CHECKING:  # pragma: no cover
     from .server import ZKServer
@@ -41,27 +42,20 @@ def start_election(server: "ZKServer") -> None:
     """Enter LOOKING and begin a new election round."""
     if server.node.down:
         return
-    if server.observer:
-        # Observers never vote or lead; they just look for a leader to
-        # re-sync with (via the vote-hint path in on_vote).
-        server.role = LOOKING
-        server.leader_sid = None
-        _broadcast_vote(server)
-        server.node.spawn(_election_ticker(server, server.election_round),
-                          f"zk{server.sid}.observe-seek")
-        return
     if server.role == LEADING:
         server._step_down()
     server.role = LOOKING
     server.activated = False
     server.leader_sid = None
-    server.stats["elections"] += 1
-    server.election_round += 1
-    server._votes = {server.sid: (server.last_logged_zxid, server.sid)}
-    server._my_vote = (server.last_logged_zxid, server.sid)
+    if not server.observer:
+        # Observers never vote or lead; they just look for a leader to
+        # re-sync with (via the vote-hint path in on_vote).
+        server.stats["elections"] += 1
+        server.election_round += 1
+        server._votes = {server.sid: (server.last_logged_zxid, server.sid)}
+        server._my_vote = (server.last_logged_zxid, server.sid)
     _broadcast_vote(server)
-    server.node.spawn(_election_ticker(server, server.election_round),
-                      f"zk{server.sid}.election")
+    server.node.spawn(_election_ticker(server), f"zk{server.sid}.election")
 
 
 def _broadcast_vote(server: "ZKServer") -> None:
@@ -71,7 +65,7 @@ def _broadcast_vote(server: "ZKServer") -> None:
         server._cast_peer(peer, "vote", vote, size=64)
 
 
-def _election_ticker(server: "ZKServer", round_: int) -> Generator:
+def _election_ticker(server: "ZKServer") -> Generator:
     """Re-broadcast periodically so elections survive lost casts and
     round changes, and re-check the decision condition. Round-agnostic:
     a server that joins a peer's newer round must keep broadcasting, or
@@ -104,14 +98,10 @@ def on_vote(server: "ZKServer", vote: Vote) -> None:
             server._cast_peer(vote.sid, "vote", reply, size=64)
         return
     if vote.state != LOOKING:
-        # Authoritative hint: an established member points at its leader.
-        if not server._syncing:
-            server._syncing = True
-            server._presync = []
-            server.role = FOLLOWING
-            server.leader_sid = vote.proposed_sid
-            server.node.spawn(follow(server, vote.proposed_sid),
-                              f"zk{server.sid}.follow")
+        # Authoritative hint: an established member points at its leader —
+        # never at the receiver, who would "follow itself" and be refused.
+        if not server._syncing and vote.proposed_sid != server.sid:
+            begin_sync(server, vote.proposed_sid)
         return
     if vote.sid >= server.ensemble_size:
         return  # an observer's vote never counts toward any quorum
@@ -141,14 +131,20 @@ def _maybe_decide(server: "ZKServer") -> None:
     if winner_sid == server.sid:
         become_leader(server)
     else:
-        # Buffer proposals from the instant we commit to following, so
-        # nothing racing ahead of the sync response is lost.
-        server._syncing = True
-        server._presync = []
-        server.role = FOLLOWING  # tentative; follow() may re-elect
-        server.leader_sid = winner_sid
-        server.node.spawn(follow(server, winner_sid),
-                          f"zk{server.sid}.follow")
+        begin_sync(server, winner_sid)
+
+
+def begin_sync(server: "ZKServer", leader_sid: int) -> None:
+    """The one way into a sync attempt: buffer proposals and commits from
+    the instant the server commits to following (nothing racing ahead of
+    the sync response is lost or applied early), and own it by a new term."""
+    server._sync_term += 1
+    server._syncing = True
+    server._presync = []
+    server.role = FOLLOWING  # tentative; follow() may re-elect
+    server.leader_sid = leader_sid
+    server.node.spawn(follow(server, leader_sid, server._sync_term),
+                      f"zk{server.sid}.follow")
 
 
 def become_leader(server: "ZKServer") -> None:
@@ -161,6 +157,8 @@ def become_leader(server: "ZKServer") -> None:
     """
     server.role = LEADING
     server.leader_sid = server.sid
+    server._sync_term += 1  # disowns a sync attempt still in flight
+    server._syncing = False
     new_epoch = (server.last_logged_zxid >> 32) + 1
     server.epoch = max(new_epoch, server.promised_epoch + 1)
     server.promised_epoch = server.epoch
@@ -183,29 +181,37 @@ def become_leader(server: "ZKServer") -> None:
         server.activated = True
 
 
-def follow(server: "ZKServer", leader_sid: int) -> Generator:
-    """Sync with the elected leader, then serve as a follower.
-
-    Caller must have set ``server._syncing`` (proposal buffering) already;
-    static-mode rejoin does it here.
-    """
-    if not server._syncing:
+def follow(server: "ZKServer", leader_sid: int, term: int = 0) -> Generator:
+    """Sync with the elected leader, then serve as a follower. On success
+    *and* on failure it acts only while its term is current: a stale
+    attempt is not interrupted, it returns into nothing."""
+    if not term:  # static-mode rejoin: not a decision, owns itself
+        server._sync_term += 1
         server._syncing = True
         server._presync = []
+        term = server._sync_term
+    resp = None
     try:
-        info = FollowerInfo(server.sid, tuple(z for z, _ in server.log),
-                            observer=server.observer)
-        resp = yield from server.agent.call(
-            server.peers[leader_sid], "follower_info", info,
-            size=128 + 8 * len(server.log), timeout=2.0)
-    except (RpcTimeout, NotLeaderError, ZKError, Interrupt):
+        try:
+            info = FollowerInfo(server.sid, tuple(z for z, _ in server.log),
+                                observer=server.observer)
+            resp = yield from server.agent.call(
+                server.peers[leader_sid], "follower_info", info,
+                size=128 + 8 * len(server.log), timeout=2.0)
+            if resp.epoch < server.promised_epoch:
+                raise NotLeaderError(msg=f"zk{leader_sid}: stale epoch")
+        except ZKError:
+            # Refused — an answer, not a timeout: the next round waits one
+            # tick, so no re-election loop is ever paced by the wire.
+            resp = None
+            yield server.sim.timeout(server.params.election_tick)
+    except (RpcTimeout, Interrupt):
+        pass
+    if term != server._sync_term:
+        return
+    if resp is None:
         server._syncing = False
         if server.params.failure_detection and not server.node.down:
-            start_election(server)
-        return
-    if resp.epoch < server.promised_epoch:
-        server._syncing = False
-        if server.params.failure_detection:
             start_election(server)
         return
     server.promised_epoch = resp.epoch
@@ -237,7 +243,8 @@ def follow(server: "ZKServer", leader_sid: int) -> Generator:
         tail = tuple(z for z, _ in server.log if z > resp.commit_to)
         if tail:
             server._cast_peer(leader_sid, "ack", Ack(tail, server.sid))
-    # Replay proposals that raced past the sync response.
+    # Replay, in arrival order, what raced past the sync response.
     buffered, server._presync = server._presync, []
-    for prop in buffered:
-        server._f_propose("", prop)
+    for msg in buffered:
+        (server._f_propose if isinstance(msg, Propose)
+         else server._f_commit)("", msg)

@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence
 from ..models.params import ZKParams
 from ..sim.node import Cluster, Node
 from ..svc import TraceBus
+from .election import start_election
 from .server import ZKServer
 
 
@@ -94,7 +95,6 @@ def build_ensemble(
         for server in servers:
             server.boot_static()
     elif boot:
-        from .election import start_election
         for server in servers:
             if not server.observer:
                 start_election(server)

@@ -31,7 +31,8 @@ from ..sim.resources import Store
 from ..sim.rpc import Reply, _Cast
 from ..svc import Batcher, Service, TraceBus
 from .data import ZnodeStore, split_path, validate_path
-from .election import follow, on_vote, start_election
+from .election import (FOLLOWING, LEADING, LOOKING, begin_sync, follow,
+                       on_vote, start_election)
 from .errors import (
     BadArgumentsError,
     ConnectionLossError,
@@ -60,10 +61,6 @@ from .protocol import (
 
 #: Resolved prefixes each server's dentry cache remembers (LRU).
 DENTRY_CACHE_CAPACITY = 65536
-
-LOOKING = "looking"
-LEADING = "leading"
-FOLLOWING = "following"
 
 
 @dataclass
@@ -129,8 +126,9 @@ class ZKServer:
         self.pending_commit = 0                   # highest Commit.upto seen
         self._accepted_zxid = 0                   # highest zxid accepted into
                                                   # the log pipeline
-        self._syncing = False                     # buffering proposals
-        self._presync: List[Propose] = []
+        self._syncing = False                     # buffering casts
+        self._presync: List[Any] = []             # proposals and commits
+        self._sync_term = 0                       # owner of a sync attempt
 
         # server-side dentry cache (volatile): paths whose *existence* was
         # verified during a ``resolve`` walk. Entries carry no data — znode
@@ -262,11 +260,7 @@ class ZKServer:
                                      if s < self.ensemble_size}
             self.activated = True
         elif self.observer:
-            self._syncing = True
-            self._presync = []
-            self.role = FOLLOWING
-            self.node.spawn(follow(self, self.static_leader),
-                            f"zk{self.sid}.observe")
+            begin_sync(self, self.static_leader)
         else:
             self.role = FOLLOWING
         self.last_ping_at = self.sim.now
@@ -639,18 +633,17 @@ class ZKServer:
         self.stats["proposals"] += 1
         if batching:
             self._proposer.submit((zxid, txn, self._req_size(req)))
-            yield out.done
-            return (zxid, result) if with_zxid else result
-        prop = Propose(zxid, txn, self.epoch)
-        psize = p.proposal_base_size + self._req_size(req)
-        for sid in self.active_followers:
-            self._cast_peer(sid, "propose", prop, size=psize)
-        for sid in self.active_observers:
-            # INFORM stream: observers replicate without acking; the
-            # leader pays a smaller marshalling cost for them.
-            self._cast_peer(sid, "propose", prop, size=psize)
-        # self-ack goes through the group-committed logger
-        self._logger.submit(("self_ack", zxid))
+        else:
+            prop = Propose(zxid, txn, self.epoch)
+            psize = p.proposal_base_size + self._req_size(req)
+            for sid in self.active_followers:
+                self._cast_peer(sid, "propose", prop, size=psize)
+            for sid in self.active_observers:
+                # INFORM stream: observers replicate without acking; the
+                # leader pays a smaller marshalling cost for them.
+                self._cast_peer(sid, "propose", prop, size=psize)
+            # self-ack goes through the group-committed logger
+            self._logger.submit(("self_ack", zxid))
         yield out.done
         return (zxid, result) if with_zxid else result
 
@@ -728,10 +721,8 @@ class ZKServer:
             # the leader at the same commit index. Buffer this proposal and
             # re-sync our log from the leader instead.
             self.stats["gap_resyncs"] += 1
-            self._syncing = True
-            self._presync = [prop]
-            self.node.spawn(follow(self, self.leader_sid),
-                            f"zk{self.sid}.gap-resync")
+            begin_sync(self, self.leader_sid)
+            self._presync.append(prop)
             return
         self._accepted_zxid = prop.zxid
         self._logger.submit(("log", prop.zxid, prop.txn, self.leader_sid))
@@ -795,6 +786,11 @@ class ZKServer:
             self._kick_applier()
 
     def _f_commit(self, src: str, commit: Commit) -> None:
+        if self._syncing:
+            # Nothing is applied between choosing a leader and applying
+            # its sync response: replayed behind it, in arrival order.
+            self._presync.append(commit)
+            return
         if self.role != FOLLOWING:
             return
         if commit.zxid > self.pending_commit:
@@ -804,13 +800,6 @@ class ZKServer:
     # ------------------------------------------------------------------
     # applier pipeline: apply committed txns to the local tree, in order
     # ------------------------------------------------------------------
-    def _applier_loop(self) -> Generator:
-        p = self.params
-        try:
-            yield from self._applier_body(p)
-        except Interrupt:
-            return
-
     def _kick_applier(self) -> None:
         """Wake the applier on its idle -> busy edge only (it re-tests
         ``_applicable()`` after every run, like ``Batcher.submit``)."""
@@ -818,29 +807,34 @@ class ZKServer:
             self._applier_idle = False
             self._apply_kick.put(True)
 
-    def _applier_body(self, p) -> Generator:
-        while True:
-            yield self._apply_kick.get()
+    def _applier_loop(self) -> Generator:
+        p = self.params
+        try:
             while True:
-                todo = self._applicable()
-                if not todo:
-                    self._applier_idle = True
-                    break
-                yield from self.node.cpu_work(p.apply_cpu * len(todo))
-                for zxid, txn in todo:
-                    self.store.apply(txn, zxid, self.sim.now)
-                    self.commit_index = zxid
-                    self.stats["commits"] += 1
-                    self._invalidate_dentries(txn)
-                    self._fire_watches(txn)
+                yield self._apply_kick.get()
+                while True:
+                    todo = self._applicable()
+                    if not todo:
+                        self._applier_idle = True
+                        break
+                    yield from self.node.cpu_work(p.apply_cpu * len(todo))
+                    for zxid, txn in todo:
+                        self.store.apply(txn, zxid, self.sim.now)
+                        self.commit_index = zxid
+                        self.stats["commits"] += 1
+                        self._invalidate_dentries(txn)
+                        self._fire_watches(txn)
+                        if self.role == LEADING:
+                            out = self.outstanding.pop(zxid, None)
+                            if out is not None and not out.done.triggered:
+                                out.done.succeed(out.result)
                     if self.role == LEADING:
-                        out = self.outstanding.pop(zxid, None)
-                        if out is not None and not out.done.triggered:
-                            out.done.succeed(out.result)
-                if self.role == LEADING and todo:
-                    upto = todo[-1][0]
-                    for sid in self.active_followers | self.active_observers:
-                        self._cast_peer(sid, "commit", Commit(upto), size=48)
+                        commit = Commit(todo[-1][0])
+                        for sid in (self.active_followers
+                                    | self.active_observers):
+                            self._cast_peer(sid, "commit", commit, size=48)
+        except Interrupt:
+            return
 
     def _applicable(self) -> List[Tuple[int, tuple]]:
         """Next run of committed-but-unapplied log entries."""
@@ -996,8 +990,7 @@ class ZKServer:
                             if now - self.last_pong_at.get(sid, 0.0)
                             <= p.ping_timeout)
                 if alive + 1 < self.quorum and now > p.ping_timeout:
-                    self._step_down()
-                    start_election(self)
+                    start_election(self)    # steps down first
 
     def _step_down(self) -> None:
         self.role = LOOKING

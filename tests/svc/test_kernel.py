@@ -22,7 +22,8 @@ def drive(cluster, node, gen):
 
 def test_expose_serves_and_counts():
     cluster, server, client = make_cluster()
-    svc = Service(server, "srv", deployment="test")
+    bus = TraceBus()
+    svc = Service(server, "srv", deployment="test", bus=bus)
 
     def h_echo(src, args):
         yield cluster.sim.timeout(1e-4)
@@ -31,9 +32,9 @@ def test_expose_serves_and_counts():
     svc.expose("echo", h_echo, cost=1e-4)
     agent = RpcAgent(client, "cli")
     assert drive(cluster, client, agent.call("srv", "echo", 21)) == 42
-    assert svc.completed == 1
-    assert svc.op_counts.get("echo") == 1
-    assert svc.error_counts.get("echo") == 0
+    assert bus.keys() == ["test/srv.echo"]      # the one completion
+    assert bus.ops.get("test/srv.echo") == 1
+    assert bus.errors.get("test/srv.echo") == 0
     assert svc.inflight == 0
 
 
@@ -41,7 +42,8 @@ def test_failed_ops_are_counted_too():
     """The satellite fix: every stack counts failures identically."""
     cluster, server, client = make_cluster()
     stats = {"ops": 0}
-    svc = Service(server, "srv", op_stats=stats)
+    bus = TraceBus()
+    svc = Service(server, "srv", op_stats=stats, bus=bus)
 
     def h_boom(src, args):
         yield cluster.sim.timeout(1e-5)
@@ -57,8 +59,8 @@ def test_failed_ops_are_counted_too():
 
     assert drive(cluster, client, caller())
     assert stats["ops"] == 1
-    assert svc.op_counts.get("boom") == 1
-    assert svc.error_counts.get("boom") == 1
+    assert bus.ops.get("svc/srv.boom") == 1
+    assert bus.errors.get("svc/srv.boom") == 1
     assert svc.inflight == 0
 
 
@@ -126,7 +128,7 @@ def test_expose_fast_bypasses_admission_and_counting():
     agent.cast("srv", "note", 5)
     cluster.run(until=1.0)
     assert seen == [5]
-    assert svc.completed == 0 and not bus.keys()
+    assert not bus.keys()
 
 
 def test_instrument_client_publishes_traces():

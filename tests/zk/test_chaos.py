@@ -17,9 +17,10 @@ from .conftest import ZKHarness
 from .test_failures import wait_for_leader
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("seed", [1, 7, 23])
-def test_acknowledged_writes_survive_random_crashes(seed):
+def start_random_crashes(seed):
+    """Spawn a 24-create writer and three random crash/recover cycles on
+    a 3-server ensemble. Returns the harness, the two processes, and the
+    lists the run fills: acknowledged creates and crashed sids."""
     params = ZKParams(failure_detection=True)
     h = ZKHarness(n_servers=3, n_nodes=3, seed=seed, params=params,
                   static_leader=None)
@@ -28,6 +29,7 @@ def test_acknowledged_writes_survive_random_crashes(seed):
         request_timeout=1.5, max_retries=10))
     rng = random.Random(seed)
     acknowledged = []
+    crashes = []
 
     def writer():
         for i in range(24):
@@ -49,13 +51,21 @@ def test_acknowledged_writes_survive_random_crashes(seed):
             if victim.node.down:
                 continue
             victim.node.crash()
+            crashes.append(victim.sid)
             yield h.cluster.sim.timeout(rng.uniform(0.8, 1.5))
             victim.node.recover()
 
-    w = h.client_nodes[0].spawn(writer())
-    c = h.client_nodes[0].spawn(chaos())
+    procs = [h.client_nodes[0].spawn(writer()),
+             h.client_nodes[0].spawn(chaos())]
+    return h, procs, acknowledged, crashes
+
+
+# 23 is the schedule that cost the parent 91 s of tier-1 (ROADMAP item 1).
+@pytest.mark.parametrize("seed", [*range(20), 23])
+def test_acknowledged_writes_survive_random_crashes(seed):
+    h, procs, acknowledged, _ = start_random_crashes(seed)
     h.cluster.sim.run(until=h.cluster.sim.now + 20.0)
-    assert w.triggered and c.triggered
+    assert all(p.triggered for p in procs)
     h.settle(5.0)
 
     live = [s for s in h.ensemble.servers if not s.node.down]
