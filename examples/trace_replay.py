@@ -43,7 +43,7 @@ def main():
         print(f"trace written to {args.dump}")
 
     dep = build_dufs_deployment(n_zk=4, n_backends=2, n_client_nodes=4,
-                                backend="lustre")
+                                backend="lustre", trace=True)
     res = replay_trace(dep.cluster, dep.mount_for, dep.node_for, ops)
 
     print(f"\nreplayed {res.total_ops} ops in {res.duration:.3f}s simulated "
@@ -57,7 +57,9 @@ def main():
     print("\nmetadata-only ops (mkdir/stat of dirs/readdir) never touched "
           "the Lustre back-ends;")
     print("file ops were spread over both instances: "
-          + str([be.mds.stats['ops'] for be in dep.backends])
+          + str([sum(dep.bus.ops.get(k) for k in dep.bus.keys()
+                     if k.startswith(f"lustre/{be.mds.endpoint}."))
+                 for be in dep.backends])
           + " MDS requests each")
 
 

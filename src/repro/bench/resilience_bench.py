@@ -134,7 +134,6 @@ def _run_arm(load: float, resilient: bool, duration: float,
         "server": {
             "served": bus.ops.get(key),
             "expired": bus.expired.get(key),
-            "rejected": bus.rejected.get(key),
         },
         "clients": {
             "retry_tokens_spent": sum(z.retry.budget.spent for z in clients),

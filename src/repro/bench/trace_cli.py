@@ -1,8 +1,8 @@
 """The ``repro trace`` subcommand: one traced mdtest run, full op metrics.
 
 Builds a DUFS deployment with the unified trace bus enabled, drives a
-small mdtest workload through it, and prints per-endpoint queue-wait /
-service-time / retry metrics for every layer — DUFS client entry points,
+small mdtest workload through it, and prints per-endpoint op / error /
+retry counts and service times for every layer — DUFS client entry points,
 the ZK client retry path, and every server endpoint (ZooKeeper and the
 back-end filesystems). ``--batch N`` turns on ZooKeeper leader-side write
 batching (``ZKParams.propose_batch_max``) so the group-commit win is

@@ -121,7 +121,6 @@ def build_dufs_deployment(
     trace: bool = False,
     cache: Optional[CacheParams] = None,
     n_shards: int = 1,
-    shard_strategy: str = "parent-hash",
     shard_subtrees: Optional[dict] = None,
     resolve: Optional[ResolveParams] = None,
     autoscale: Optional[ElasticParams] = None,
@@ -146,7 +145,7 @@ def build_dufs_deployment(
     preset); off leaves runs byte-identical to pre-resilience builds.
 
     Tracing: pass ``trace=True`` (or an explicit ``bus``) to collect
-    per-op queue-wait / service-time metrics from every endpoint — the ZK
+    per-op service-time metrics from every endpoint — the ZK
     servers, the back-end servers, the ZK client retry path, and the DUFS
     client entry points — on one :class:`~repro.svc.TraceBus`
     (``deployment.bus``). Recording is pure bookkeeping: it adds no
@@ -165,8 +164,8 @@ def build_dufs_deployment(
     servers each — ``n_zk`` is always the TOTAL, so shard counts compare
     at equal hardware) and gives every client a
     :class:`~repro.mds.ShardedMDS` routing the namespace across them via
-    a deterministic :class:`~repro.mds.ShardMap` (``shard_strategy`` /
-    ``shard_subtrees``). The default ``n_shards=1`` builds the exact
+    a deterministic :class:`~repro.mds.ShardMap` (``shard_subtrees`` pins
+    whole subtrees to chosen shards). The default ``n_shards=1`` builds the exact
     pre-sharding deployment: same objects, names and event order.
 
     Path resolution: ``resolve`` (default: ``params.resolve``, off)
@@ -248,8 +247,7 @@ def build_dufs_deployment(
                                n_oss_per_lustre, pvfs_servers_per_instance,
                                bus=bus)
 
-    shard_map = ShardMap(n_shards, strategy=shard_strategy,
-                         subtrees=shard_subtrees) if n_shards > 1 else None
+    shard_map = ShardMap(n_shards, shard_subtrees) if n_shards > 1 else None
     registry = None
     if elastic.enabled:
         registry = ShardMapRegistry(shard_map)

@@ -8,7 +8,7 @@ cross-shard intent protocol.
 """
 
 from .base import MetadataService, as_metadata_service
-from .shardmap import ShardMap, ShardMapRegistry, STRATEGIES, parent_dir
+from .shardmap import ShardMap, ShardMapRegistry, parent_dir
 from .single import SingleEnsembleMDS
 from .sharded import (
     INTENT_ROOT,
@@ -33,7 +33,6 @@ __all__ = [
     "as_metadata_service",
     "ShardMap",
     "ShardMapRegistry",
-    "STRATEGIES",
     "parent_dir",
     "SingleEnsembleMDS",
     "ShardedMDS",

@@ -16,10 +16,11 @@ Placement invariants under hash-of-parent:
   shards: the authoritative home copy, plus a child-host copy that
   anchors its entries' parent chain (see ``ShardedMDS``).
 
-``strategy="subtree"`` adds explicit longest-prefix pinning on top
+``subtrees`` adds explicit longest-prefix pinning on top
 (``subtrees={"/scratch": 1, "/home": 0}``): whole subtrees are routed to
 a fixed shard, with the hash as fallback — the pluggable partitioning the
-operator uses to keep a workload's tree quorum-local.
+operator uses to keep a workload's tree quorum-local. A map with pins
+reports ``strategy == "subtree"``, one without ``"parent-hash"``.
 
 Since the elastic-plane refactor a ``ShardMap`` is **immutable per
 epoch**: routing changes (moving a subtree pin between shards) produce a
@@ -39,27 +40,20 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..core.paths import parent_dir
 from ..hashing.md5 import md5_int
 
-__all__ = ["STRATEGIES", "ShardMap", "ShardMapRegistry", "parent_dir"]
-
-STRATEGIES = ("parent-hash", "subtree")
+__all__ = ["ShardMap", "ShardMapRegistry", "parent_dir"]
 
 
 class ShardMap:
     """Pure, deterministic path → shard function (no I/O, immutable)."""
 
-    def __init__(self, n_shards: int, strategy: str = "parent-hash",
+    def __init__(self, n_shards: int,
                  subtrees: Optional[Dict[str, int]] = None,
                  epoch: int = 0):
         if n_shards < 1:
             raise ValueError("need at least one shard")
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown shard strategy {strategy!r}")
-        if strategy == "subtree" and not subtrees:
-            raise ValueError("subtree strategy needs a subtrees mapping")
         if epoch < 0:
             raise ValueError(f"epoch must be >= 0, got {epoch}")
         self.n_shards = n_shards
-        self.strategy = strategy
         self.subtrees = dict(subtrees or {})
         self.epoch = epoch
         for prefix, shard in self.subtrees.items():
@@ -76,6 +70,11 @@ class ShardMap:
                 f"ShardMap is immutable per epoch; use split()/merge() to "
                 f"derive epoch {self.epoch + 1} (tried to set {name!r})")
         object.__setattr__(self, name, value)
+
+    @property
+    def strategy(self) -> str:
+        """The placement in force: ``"subtree"`` iff there are pins."""
+        return "subtree" if self.subtrees else "parent-hash"
 
     # -- the two placement questions ----------------------------------------
     def home_shard(self, path: str) -> int:
@@ -122,8 +121,7 @@ class ShardMap:
             raise ValueError(f"{root!r} already pinned to shard {shard}")
         pins = dict(self.subtrees)
         pins[root] = shard
-        return ShardMap(self.n_shards, self.strategy, pins,
-                        epoch=self.epoch + 1)
+        return ShardMap(self.n_shards, pins, epoch=self.epoch + 1)
 
     def merge(self, root: str) -> "ShardMap":
         """New map (epoch + 1) dropping the pin on ``root``.
@@ -135,11 +133,7 @@ class ShardMap:
             raise ValueError(f"{root!r} is not pinned")
         pins = dict(self.subtrees)
         del pins[root]
-        strategy = self.strategy
-        if strategy == "subtree" and not pins:
-            strategy = "parent-hash"
-        return ShardMap(self.n_shards, strategy, pins,
-                        epoch=self.epoch + 1)
+        return ShardMap(self.n_shards, pins, epoch=self.epoch + 1)
 
     # -- structural diff ----------------------------------------------------
     def diff(self, other: "ShardMap") -> List[str]:

@@ -41,7 +41,7 @@ class FaultToleranceParams:
     - *Deadline propagation* (``deadline_propagation``): every top-level
       operation carries the absolute deadline ``start + op_budget``; RPCs
       attach it to the wire request, nested RPCs inherit the remaining
-      budget, and the service kernel drops expired requests at admission
+      budget, and the service kernel drops requests that arrive expired
       and cancels read handlers whose deadline passes mid-service.
     - *Retry budget* (``retry_budget`` > 0): a per-client token bucket —
       each retry spends one token, each success refills ``retry_refill`` —

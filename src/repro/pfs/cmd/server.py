@@ -57,8 +57,7 @@ class GlobalLockServer:
         self.lock = Resource(self.sim, 1)
         self.svc = Service(node, endpoint, deployment="cmd", bus=bus)
         self.agent = self.svc.agent
-        self.svc.expose("acquire", self._h_acquire,
-                        cost=params.lock_grant_cpu)
+        self.svc.expose("acquire", self._h_acquire)
         self.svc.expose_fast("release", self._f_release)
         self._held: Dict[int, object] = {}
         self._next_token = 0
@@ -95,24 +94,17 @@ class CMDServer:
         self.dirs: Dict[str, Dict[str, _Dirent]] = {}
         if index == owner_index("/", n_servers):
             self.dirs["/"] = {}
-        self.stats = {"ops": 0}
-        self.svc = s = Service(node, endpoint, deployment="cmd", bus=bus,
-                               op_stats=self.stats)
+        self.svc = s = Service(node, endpoint, deployment="cmd", bus=bus)
         self.agent = self.svc.agent
-        p = params
-        s.expose("lookup", self._h_lookup, cost=p.lookup_cpu)
-        s.expose("getattr_entry", self._h_getattr_entry, cost=p.getattr_cpu)
-        s.expose("readdir", self._h_readdir, cost=p.readdir_cpu_base)
-        s.expose("insert", self._h_insert, write=True, cost=p.create_cpu)
-        s.expose("remove", self._h_remove, write=True, cost=p.unlink_cpu)
-        s.expose("adopt_dir", self._h_adopt_dir, write=True,
-                 cost=p.mkdir_cpu * 0.5)
-        s.expose("drop_dir", self._h_drop_dir, write=True,
-                 cost=p.rmdir_cpu * 0.5)
-        s.expose("set_mode", self._h_set_mode, write=True,
-                 cost=p.setattr_cpu)
-        s.expose("set_size", self._h_set_size, write=True,
-                 cost=p.setattr_cpu)
+        s.expose("lookup", self._h_lookup)
+        s.expose("getattr_entry", self._h_getattr_entry)
+        s.expose("readdir", self._h_readdir)
+        s.expose("insert", self._h_insert, write=True)
+        s.expose("remove", self._h_remove, write=True)
+        s.expose("adopt_dir", self._h_adopt_dir, write=True)
+        s.expose("drop_dir", self._h_drop_dir, write=True)
+        s.expose("set_mode", self._h_set_mode, write=True)
+        s.expose("set_size", self._h_set_size, write=True)
 
     def _charge(self, cost: float) -> Generator:
         thrash = 1.0 + self.params.thrash_coef * \

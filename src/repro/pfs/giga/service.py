@@ -24,6 +24,7 @@ from ...errors import EEXIST, EIO, ENOENT, FSError
 from ...models.params import PVFSParams
 from ...sim.node import Cluster, Node
 from ...sim.rpc import Reply, RpcAgent
+from ...svc import Service
 
 _client_seq = itertools.count()
 
@@ -68,14 +69,13 @@ class GigaServer:
         self.split_threshold = split_threshold
         self.partitions: Dict[int, Dict[str, int]] = {}   # pid -> name -> h
         self.partition_depth: Dict[int, int] = {}
-        self.agent = RpcAgent(node, endpoint)
         self.stats = {"inserts": 0, "splits": 0, "wrong_addr": 0}
         self.service: Optional["GigaDirectory"] = None
-        a = self.agent
-        a.register("insert", self._h_insert)
-        a.register("lookup", self._h_lookup)
-        a.register("remove", self._h_remove)
-        a.register("list_partition", self._h_list_partition)
+        self.svc = s = Service(node, endpoint, deployment="giga")
+        s.expose("insert", self._h_insert, write=True)
+        s.expose("lookup", self._h_lookup)
+        s.expose("remove", self._h_remove, write=True)
+        s.expose("list_partition", self._h_list_partition)
 
     def _check(self, pid: int, h: int) -> None:
         """Reject requests addressed with a stale bitmap."""

@@ -19,7 +19,6 @@ from ...models.params import LustreParams
 from ...resilience import build_retry, retry_call
 from ...sim.node import Node
 from ...sim.rpc import RpcAgent, RpcTimeout
-from ...svc.queue import AdmissionReject
 from ..base import normalize_path, path_components
 
 _client_seq = itertools.count()
@@ -101,7 +100,7 @@ class LustreClient:
             pick=self._track_mds,
             attempt=lambda mds: self.agent.call(mds, method, args, size=size,
                                                 **state.bounds),
-            retry_on=(RpcTimeout, AdmissionReject),
+            retry_on=(RpcTimeout,),
             gave_up=lambda mds, exc: FSError(
                 EIO, msg=f"MDS unreachable: {method}"))
 

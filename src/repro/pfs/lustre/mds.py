@@ -53,27 +53,24 @@ class MetadataServer:
         # Per-directory mutation mutex (ldiskfs i_mutex: Lustre 1.8 has no
         # parallel dirops — concurrent creates in ONE directory serialize).
         self._dir_mutexes: dict = {}
-        self.stats = {"ops": 0, "revoke_waits": 0}
-        # The kernel counts every completion (into stats["ops"]) and tracks
-        # in-flight depth, which the thrash model keys off: the depth of
-        # the whole service queue (CPU + dir mutexes + lock callbacks),
-        # like the real server's thread pool.
-        self.svc = s = Service(node, endpoint, deployment="lustre", bus=bus,
-                               op_stats=self.stats)
+        self.stats = {"revoke_waits": 0}
+        # The kernel tracks in-flight depth, which the thrash model keys
+        # off: the depth of the whole service queue (CPU + dir mutexes +
+        # lock callbacks), like the real server's thread pool.
+        self.svc = s = Service(node, endpoint, deployment="lustre", bus=bus)
         self.agent = self.svc.agent
-        p = params
-        s.expose("lookup", self._h_lookup, cost=p.lookup_cpu)
-        s.expose("getattr", self._h_getattr, cost=p.getattr_cpu)
-        s.expose("readdir", self._h_readdir, cost=p.readdir_cpu_base)
-        s.expose("readlink", self._h_readlink, cost=p.lookup_cpu)
-        s.expose("statfs", self._h_statfs, cost=p.getattr_cpu)
-        s.expose("mkdir", self._h_mkdir, write=True, cost=p.mkdir_cpu)
-        s.expose("rmdir", self._h_rmdir, write=True, cost=p.rmdir_cpu)
-        s.expose("create", self._h_create, write=True, cost=p.create_cpu)
-        s.expose("unlink", self._h_unlink, write=True, cost=p.unlink_cpu)
-        s.expose("rename", self._h_rename, write=True, cost=p.rename_cpu)
-        s.expose("setattr", self._h_setattr, write=True, cost=p.setattr_cpu)
-        s.expose("symlink", self._h_symlink, write=True, cost=p.create_cpu)
+        s.expose("lookup", self._h_lookup)
+        s.expose("getattr", self._h_getattr)
+        s.expose("readdir", self._h_readdir)
+        s.expose("readlink", self._h_readlink)
+        s.expose("statfs", self._h_statfs)
+        s.expose("mkdir", self._h_mkdir, write=True)
+        s.expose("rmdir", self._h_rmdir, write=True)
+        s.expose("create", self._h_create, write=True)
+        s.expose("unlink", self._h_unlink, write=True)
+        s.expose("rename", self._h_rename, write=True)
+        s.expose("setattr", self._h_setattr, write=True)
+        s.expose("symlink", self._h_symlink, write=True)
         s.expose_fast("lock_cancel", self._f_lock_cancel)
 
     # -- cost model -------------------------------------------------------

@@ -25,17 +25,12 @@ class ObjectStorageServer:
         self.objects: Dict[int, int] = {}   # object id -> size
         self.svc = s = Service(node, endpoint, deployment="lustre", bus=bus)
         self.agent = self.svc.agent
-        p = params
-        s.expose("glimpse", self._h_glimpse, cost=p.glimpse_cpu)
-        s.expose("punch", self._h_punch, write=True,
-                 cost=p.object_create_cpu)
-        s.expose("write", self._h_write, write=True,
-                 cost=p.object_create_cpu)
-        s.expose("read", self._h_read, cost=p.object_create_cpu)
-        s.expose("precreate", self._h_precreate, write=True,
-                 cost=p.object_create_cpu)
-        s.expose("destroy", self._h_destroy, write=True,
-                 cost=p.object_destroy_cpu)
+        s.expose("glimpse", self._h_glimpse)
+        s.expose("punch", self._h_punch, write=True)
+        s.expose("write", self._h_write, write=True)
+        s.expose("read", self._h_read)
+        s.expose("precreate", self._h_precreate, write=True)
+        s.expose("destroy", self._h_destroy, write=True)
 
     def _h_precreate(self, src: str, object_id: int) -> Generator:
         yield from self.node.cpu_work(self.params.object_create_cpu)

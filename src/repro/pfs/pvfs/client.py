@@ -18,7 +18,6 @@ from ...errors import (EEXIST, EIO, EISDIR, ENOENT, ENOTDIR, ENOTEMPTY,
 from ...resilience import build_retry, retry_call
 from ...sim.node import Node
 from ...sim.rpc import RpcAgent, RpcTimeout
-from ...svc.queue import AdmissionReject
 from ..base import (
     DirEntry,
     S_IFDIR,
@@ -58,7 +57,7 @@ class PVFSClient:
             pick=lambda: endpoint,
             attempt=lambda ep: self.agent.call(ep, method, args, size=size,
                                                **state.bounds),
-            retry_on=(RpcTimeout, AdmissionReject),
+            retry_on=(RpcTimeout,),
             gave_up=lambda ep, exc: FSError(
                 EIO, msg=f"PVFS server unreachable: {method}"))
 

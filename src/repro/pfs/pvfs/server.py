@@ -14,7 +14,8 @@ from ...errors import EEXIST, ENOENT, ENOTDIR, ENOTEMPTY, FSError
 from ...models.params import PVFSParams
 from ...sim.node import Node
 from ...sim.rpc import Reply
-from ...svc import Batcher, BoundedAdmission, Service, TraceBus
+from ...sim.resources import Resource
+from ...svc import Batcher, Service, TraceBus
 
 DIR_T = "dir"
 META_T = "meta"
@@ -49,41 +50,31 @@ class PVFSServer:
         # Bounded request-processing parallelism, separate from node cores.
         # The gate covers only the CPU phase (the event-loop model: a
         # request never holds a slot while waiting on trove), so it is
-        # taken inside :meth:`_work` rather than as the Service admission
-        # policy, which would pin slots across the sync-txn disk wait.
-        self.workers = BoundedAdmission(self.sim, params.server_cores)
+        # taken inside :meth:`_work`, not across the whole handler.
+        self.workers = Resource(self.sim, params.server_cores)
         # Group-committed sync txns (trove/dbpf + fdatasync).
         self._txn = Batcher(node, f"{endpoint}.txn", self._flush_txns,
                             max_batch=params.disk_batch_max,
                             bus=bus, deployment="pvfs")
         node.on_crash(self._on_crash)
         node.on_recover(self._on_recover)
-        self.stats = {"ops": 0, "txns": 0}
-        self.svc = s = Service(node, endpoint, deployment="pvfs", bus=bus,
-                               op_stats=self.stats)
+        self.stats = {"txns": 0}
+        self.svc = s = Service(node, endpoint, deployment="pvfs", bus=bus)
         self.agent = self.svc.agent
-        p = params
-        s.expose("lookup", self._h_lookup, cost=p.lookup_cpu)
-        s.expose("getattr", self._h_getattr, cost=p.getattr_cpu)
-        s.expose("readdir", self._h_readdir, cost=p.readdir_cpu_base)
-        s.expose("readlink", self._h_readlink, cost=p.getattr_cpu)
-        s.expose("dfile_size", self._h_dfile_size, cost=p.getattr_dfile_cpu)
-        s.expose("mkdir", self._h_mkdir, write=True, cost=p.mkdir_cpu)
-        s.expose("crdirent", self._h_crdirent, write=True,
-                 cost=p.crdirent_cpu)
-        s.expose("rmdirent", self._h_rmdirent, write=True,
-                 cost=p.crdirent_cpu)
-        s.expose("create_meta", self._h_create_meta, write=True,
-                 cost=p.create_meta_cpu)
-        s.expose("create_dfile", self._h_create_dfile, write=True,
-                 cost=p.create_dfile_cpu)
-        s.expose("remove_obj", self._h_remove_obj, write=True,
-                 cost=p.remove_cpu)
-        s.expose("setattr", self._h_setattr, write=True, cost=p.setattr_cpu)
-        s.expose("symlink_obj", self._h_symlink_obj, write=True,
-                 cost=p.create_meta_cpu)
-        s.expose("truncate_dfile", self._h_truncate_dfile, write=True,
-                 cost=p.setattr_cpu)
+        s.expose("lookup", self._h_lookup)
+        s.expose("getattr", self._h_getattr)
+        s.expose("readdir", self._h_readdir)
+        s.expose("readlink", self._h_readlink)
+        s.expose("dfile_size", self._h_dfile_size)
+        s.expose("mkdir", self._h_mkdir, write=True)
+        s.expose("crdirent", self._h_crdirent, write=True)
+        s.expose("rmdirent", self._h_rmdirent, write=True)
+        s.expose("create_meta", self._h_create_meta, write=True)
+        s.expose("create_dfile", self._h_create_dfile, write=True)
+        s.expose("remove_obj", self._h_remove_obj, write=True)
+        s.expose("setattr", self._h_setattr, write=True)
+        s.expose("symlink_obj", self._h_symlink_obj, write=True)
+        s.expose("truncate_dfile", self._h_truncate_dfile, write=True)
 
     # -- infrastructure -----------------------------------------------------
     def alloc_handle(self) -> int:
@@ -93,7 +84,7 @@ class PVFSServer:
 
     def _work(self, cpu: float) -> Generator:
         """Request processing under bounded server parallelism."""
-        req = self.workers.admit("work")
+        req = self.workers.request()
         try:
             yield req
             yield from self.node.cpu_work(cpu)

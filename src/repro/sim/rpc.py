@@ -51,7 +51,7 @@ class RemoteError(Exception):
 class RequestExpired(Exception):
     """Server-side: the request's propagated deadline has already passed.
 
-    Raised inside the service stack (admission drop or mid-service cancel)
+    Raised inside the service stack (dead-on-arrival drop or mid-service cancel)
     to abandon work whose caller has necessarily timed out. ``_serve``
     swallows it without sending a reply — there is nobody left to hear it.
     """

@@ -1,49 +1,36 @@
 """The service kernel: declarative RPC endpoints with unified accounting.
 
 Every server stack in the reproduction (ZooKeeper, Lustre MDS/OSS, PVFS,
-CMD) previously hand-rolled its own handler registration, in-flight
-accounting, and counting wrappers — and they disagreed about whether
-failed operations count. :class:`Service` centralizes that: handlers are
-registered with per-method metadata (:class:`OpSpec`), requests pass
-through a pluggable admission policy, and every completion — success,
-error, or interrupt — is counted once and published as an
-:class:`~repro.svc.trace.OpTrace` on the trace bus.
+CMD, GIGA+) previously hand-rolled its own handler registration,
+in-flight accounting, and counting wrappers — and they disagreed about
+whether failed operations count. :class:`Service` centralizes that: a
+request is checked against its caller's deadline, served, and every
+completion — success, error, or interrupt — is counted once and published
+as an :class:`~repro.svc.trace.OpTrace` on the trace bus.
 
-With the default :class:`~repro.svc.queue.DirectAdmission` policy the
-instrumentation adds no simulator events, so a refactored server is
-event-for-event identical to its hand-rolled predecessor.
+A request starts service the instant it arrives; where it waits is for a
+core, inside ``Node.cpu_work``, i.e. inside its service time. Without a
+deadline the wrapper adds no simulator events, so a kernel-built server is
+event-for-event identical to one on a bare :class:`RpcAgent`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from sys import intern
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..sim.core import AnyOf
 from ..sim.node import Node
-from ..sim.rpc import DEFAULT_RESP_SIZE, RequestExpired, RpcAgent
-from .queue import AdmissionPolicy, AdmissionReject, DirectAdmission
+from ..sim.rpc import RequestExpired, RpcAgent
 from .trace import NULL_BUS, OpTrace, TraceBus
 
 
-@dataclass(frozen=True)
-class OpSpec:
-    """Per-method metadata declared at registration time."""
-
-    method: str
-    write: bool = False            # mutates durable state
-    cost: float = 0.0              # nominal service demand (seconds)
-    resp_size: int = DEFAULT_RESP_SIZE
-
-
 class Service:
-    """One RPC endpoint bound to a node, with admission + tracing.
+    """One RPC endpoint bound to a node, with counting + tracing.
 
-    The underlying :class:`RpcAgent` stays available as ``.agent`` (and via
-    the :meth:`call`/:meth:`cast` delegates) for the server's own outgoing
-    traffic — a ZK leader streaming proposals, an MDS casting lock
-    revocations.
+    The underlying :class:`RpcAgent` stays available as ``.agent`` for the
+    server's own outgoing traffic — a ZK leader streaming proposals, an
+    MDS casting lock revocations.
     """
 
     def __init__(
@@ -52,41 +39,33 @@ class Service:
         endpoint: str,
         deployment: str = "svc",
         bus: Optional[TraceBus] = None,
-        policy: Optional[AdmissionPolicy] = None,
-        op_stats: Optional[dict] = None,
-        shard: int = 0,
     ):
         self.node = node
         self.sim = node.sim
         self.endpoint = endpoint
         self.deployment = deployment
-        self.shard = shard             # metadata shard this endpoint serves
+        self.shard = 0                 # metadata shard this endpoint serves
         self.bus = bus if bus is not None else NULL_BUS
-        self.policy = policy or DirectAdmission()
-        self.specs: Dict[str, OpSpec] = {}
-        self.inflight = 0              # admitted, not yet completed
-        # Legacy per-server stats dict: the kernel maintains its "ops" key
-        # so every stack counts requests identically (including failures).
-        self._op_stats = op_stats
+        self.inflight = 0              # in service, not yet completed
         self.agent = RpcAgent(node, endpoint)
 
     # -- registration ------------------------------------------------------
-    def expose(self, method: str, handler: Callable, *, write: bool = False,
-               cost: float = 0.0,
-               resp_size: int = DEFAULT_RESP_SIZE) -> None:
+    def expose(self, method: str, handler: Callable, *,
+               write: bool = False) -> None:
         """Register ``handler(src, args)`` (a generator function) under
-        admission control, counting, and tracing."""
-        self.specs[method] = OpSpec(method, write=write, cost=cost,
-                                    resp_size=resp_size)
-        self.agent.register(method, self._instrumented(method, handler))
+        deadline shedding, counting, and tracing. ``write`` marks a method
+        that mutates durable state: it is never cancelled mid-service."""
+        self.agent.register(method,
+                            self._instrumented(method, handler, write))
 
     def expose_fast(self, method: str, fn: Callable) -> None:
-        """Register an inline cast handler (no admission/trace: fast-path
-        bookkeeping like ZAB acks must not be queued or counted as ops)."""
+        """Register an inline cast handler (no trace: fast-path
+        bookkeeping like ZAB acks must not be counted as ops)."""
         self.agent.register_fast(method, fn)
 
     # -- the one counted wrapper ------------------------------------------
-    def _instrumented(self, method: str, handler: Callable) -> Callable:
+    def _instrumented(self, method: str, handler: Callable,
+                      write: bool) -> Callable:
         # Interned once per exposed method: the per-op trace label must not
         # be re-formatted on every completion.
         key = intern(f"{self.deployment}/{self.endpoint}.{method}")
@@ -102,30 +81,10 @@ class Service:
                 # Dead on arrival: the caller has already timed out.
                 self.bus.mark_expired(self.deployment, self.endpoint, method)
                 raise RequestExpired(method, deadline, arrive)
-            try:
-                token = self.policy.admit(method)
-            except AdmissionReject:
-                self.bus.mark_rejected(self.deployment, self.endpoint, method)
-                raise
-            if token is not None:
-                if deadline is None:
-                    yield token
-                else:
-                    # Stop queueing at the deadline: cancel the claim and
-                    # shed the request instead of serving a dead caller.
-                    guard = self.sim.timeout(deadline - self.sim.now)
-                    yield AnyOf(self.sim, (token, guard))
-                    if not token.triggered:
-                        self.policy.release(token)
-                        self.bus.mark_expired(self.deployment,
-                                              self.endpoint, method)
-                        raise RequestExpired(method, deadline, self.sim.now)
-            start = self.sim.now
             self.inflight += 1
             ok = False
             try:
-                spec = self.specs.get(method)
-                if deadline is None or spec is None or spec.write:
+                if deadline is None or write:
                     # Writes are never cancelled mid-service: once in the
                     # replication/commit pipeline, abandoning them could
                     # lose state another replica already acknowledged.
@@ -137,12 +96,9 @@ class Service:
                 return result
             finally:
                 self.inflight -= 1
-                self.policy.release(token)
-                if self._op_stats is not None:
-                    self._op_stats["ops"] = self._op_stats.get("ops", 0) + 1
                 if self.bus is not NULL_BUS:    # nobody to read the trace
                     self.bus.record(OpTrace(self.deployment, self.endpoint,
-                                            method, arrive, start,
+                                            method, arrive, arrive,
                                             self.sim.now, ok, src,
                                             shard=self.shard), key=key)
 
@@ -176,9 +132,9 @@ def instrument_client(obj: Any, methods, bus: TraceBus, deployment: str,
     """Put a client library's ops on the same trace bus as the servers.
 
     Rebinds each named generator method of ``obj`` with a wrapper that
-    publishes an :class:`OpTrace` per call (client ops have no admission
-    queue, so ``arrive == start``); ``retries_of()`` is sampled after each
-    op to report the retry count of the client's fault-tolerance path.
+    publishes an :class:`OpTrace` per call; ``retries_of()`` is sampled
+    after each op to report the retry count of the client's
+    fault-tolerance path.
     """
 
     def wrap(name: str, fn: Callable) -> Callable:

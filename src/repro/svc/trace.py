@@ -1,11 +1,11 @@
 """Structured per-op trace bus shared by every service endpoint.
 
 Each request served through the :class:`~repro.svc.kernel.Service` kernel
-publishes one :class:`OpTrace` — when it arrived, when the admission policy
-let it start, when it finished, and whether it succeeded — tagged by
-deployment, endpoint and method. The bus aggregates queue-wait and
-service-time distributions into :class:`~repro.sim.stats.LatencyRecorder`
-instances keyed ``deployment/endpoint.method``, which is what makes the
+publishes one :class:`OpTrace` — when it arrived, when it finished, and
+whether it succeeded — tagged by deployment, endpoint and method. The bus
+aggregates the service-time distribution into a
+:class:`~repro.sim.stats.LatencyRecorder` keyed
+``deployment/endpoint.method``, which is what makes the
 paper's cross-deployment comparisons (Figs. 7/8) apples-to-apples: every
 server stack reports the same metrics through the same pipe.
 
@@ -31,16 +31,12 @@ class OpTrace:
     endpoint: str
     method: str
     arrive: float              # request reached the endpoint
-    start: float               # admission granted; service began
+    start: float               # service began (== arrive at every publisher)
     end: float                 # response sent (or error marshalled)
     ok: bool
     src: str = ""              # caller endpoint
     retries: int = 0           # client-side: attempts beyond the first
     shard: int = 0             # metadata shard serving/issuing the op
-
-    @property
-    def queue_wait(self) -> float:
-        return self.start - self.arrive
 
     @property
     def service(self) -> float:
@@ -64,14 +60,12 @@ class TraceBus:
         self.errors = Counter()         # key -> failed completions
         self.retries = Counter()        # key -> client retry attempts
         self.expired = Counter()        # key -> deadline-expired drops/cancels
-        self.rejected = Counter()       # key -> admission-queue refusals
         # Batcher occupancy (group-commit pipelines): per-batcher flush
         # count, items covered, and queue depth left behind at each flush
         # — mean fill = items/flushes, mean residual depth = depth/flushes.
         self.batch_flushes = Counter()  # key -> flushes
         self.batch_items = Counter()    # key -> items summed over flushes
         self.batch_depth = Counter()    # key -> queue depth at flush end
-        self.queue_wait = LatencyRecorder()
         self.service = LatencyRecorder()
         self.events: Optional[List[OpTrace]] = [] if keep_events else None
         self.shard_of: Dict[str, int] = {}  # key -> shard (constant per endpoint)
@@ -96,7 +90,6 @@ class TraceBus:
             self.shard_of[key] = ev.shard
         if self._shard_win is not None:
             self._shard_note(ev)
-        self.queue_wait.record(key, ev.queue_wait)
         self.service.record(key, ev.service)
         if self.events is not None:
             self.events.append(ev)
@@ -113,11 +106,6 @@ class TraceBus:
         propagated deadline passed. Expired requests are shed work — they
         are *not* completions, so they don't touch ``ops``/``errors``."""
         self.expired.inc(f"{deployment}/{endpoint}.{method}")
-
-    def mark_rejected(self, deployment: str, endpoint: str,
-                      method: str) -> None:
-        """Count an arrival refused by a full admission queue."""
-        self.rejected.inc(f"{deployment}/{endpoint}.{method}")
 
     def mark_batch(self, deployment: str, endpoint: str,
                    fill: int, depth: int) -> None:
@@ -177,27 +165,20 @@ class TraceBus:
 
     # -- export ------------------------------------------------------------
     def keys(self) -> List[str]:
-        # Union with the shed-work counters: an endpoint whose requests all
-        # expired or were rejected still deserves a row.
-        seen = set(self.ops.as_dict())
-        seen.update(self.expired.as_dict())
-        seen.update(self.rejected.as_dict())
-        return sorted(seen)
+        # Union with the shed-work counter: an endpoint whose requests all
+        # expired still deserves a row.
+        return sorted(set(self.ops.as_dict()) | set(self.expired.as_dict()))
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         out: Dict[str, Dict[str, float]] = {}
         for key in self.keys():
             svc = self.service.summary(key)
-            qw = self.queue_wait.summary(key)
             out[key] = {
                 "ops": self.ops.get(key),
                 "errors": self.errors.get(key),
                 "retries": self.retries.get(key),
                 "expired": self.expired.get(key),
-                "rejected": self.rejected.get(key),
                 "shard": self.shard_of.get(key, 0),
-                "queue_wait_mean": qw.mean if qw else 0.0,
-                "queue_wait_p95": qw.p95 if qw else 0.0,
                 "service_mean": svc.mean if svc else 0.0,
                 "service_p95": svc.p95 if svc else 0.0,
             }
@@ -222,14 +203,13 @@ class TraceBus:
     def table(self) -> str:
         """Human-readable per-endpoint/method metric table."""
         header = (f"{'endpoint.method':<42} {'ops':>7} {'err':>5} "
-                  f"{'retry':>5} {'qwait(ms)':>10} {'svc(ms)':>9} "
+                  f"{'retry':>5} {'svc(ms)':>9} "
                   f"{'p95(ms)':>9}")
         lines = [header, "-" * len(header)]
         for key, row in self.as_dict().items():
             lines.append(
                 f"{key:<42} {row['ops']:>7} {row['errors']:>5} "
-                f"{row['retries']:>5} {row['queue_wait_mean'] * 1e3:>10.3f} "
-                f"{row['service_mean'] * 1e3:>9.3f} "
+                f"{row['retries']:>5} {row['service_mean'] * 1e3:>9.3f} "
                 f"{row['service_p95'] * 1e3:>9.3f}")
         occupancy = self.batch_occupancy()
         if occupancy:
@@ -256,10 +236,6 @@ class NullBus(TraceBus):
 
     def mark_expired(self, deployment: str, endpoint: str,  # noqa: ARG002
                      method: str) -> None:
-        return
-
-    def mark_rejected(self, deployment: str, endpoint: str,  # noqa: ARG002
-                      method: str) -> None:
         return
 
     def mark_batch(self, deployment: str, endpoint: str,  # noqa: ARG002

@@ -28,7 +28,6 @@ from ..resilience import LatencyTracker, build_retry, hedged, retry_call
 from ..sim.node import Node
 from ..sim.rpc import RpcAgent, RpcTimeout
 from ..svc import NULL_BUS, OpTrace, TraceBus
-from ..svc.queue import AdmissionReject
 from .errors import ConnectionLossError, NotLeaderError, SessionExpiredError
 from .protocol import ReadRequest, WatchEvent, WriteRequest
 
@@ -36,8 +35,7 @@ _client_seq = itertools.count()
 
 #: A failed attempt on one of these is charged and retried after a
 #: fail-over; anything else is the operation's answer.
-_RETRYABLE = (RpcTimeout, ConnectionLossError, NotLeaderError,
-              AdmissionReject)
+_RETRYABLE = (RpcTimeout, ConnectionLossError, NotLeaderError)
 
 
 class ZKClient:
@@ -174,7 +172,7 @@ class ZKClient:
         the last attempt already carried a ZooKeeper error of its own."""
         if exc is None:
             return ConnectionLossError(msg=f"breaker open for {server}")
-        if isinstance(exc, (RpcTimeout, AdmissionReject)):
+        if isinstance(exc, RpcTimeout):
             return ConnectionLossError(msg=str(exc))
         return exc
 

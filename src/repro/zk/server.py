@@ -159,7 +159,7 @@ class ZKServer:
         self._logger: Optional[Batcher] = None
         self._proposer: Optional[Batcher] = None
 
-        # counters for tests / benchmarks ("ops" is kept by the kernel)
+        # counters for tests / benchmarks
         self.stats = {"reads": 0, "writes": 0, "proposals": 0, "commits": 0,
                       "forwards": 0, "elections": 0, "gap_resyncs": 0,
                       "resolves": 0, "dentry_hits": 0, "dentry_misses": 0}
@@ -170,8 +170,7 @@ class ZKServer:
         # None means no check at all — the static plane pays nothing.
         self.route_guard: Optional[Callable] = None
 
-        self.svc = Service(node, self.endpoint, deployment="zk", bus=bus,
-                           op_stats=self.stats)
+        self.svc = Service(node, self.endpoint, deployment="zk", bus=bus)
         self.agent = self.svc.agent
         self._register_handlers()
         node.on_crash(self._on_crash)
@@ -183,17 +182,14 @@ class ZKServer:
     # ------------------------------------------------------------------
     def _register_handlers(self) -> None:
         s = self.svc
-        p = self.params
-        s.expose("read", self._h_read, cost=p.read_cpu)
-        s.expose("write", self._h_write, write=True, cost=p.write_leader_cpu)
-        s.expose("fwd_write", self._h_fwd_write, write=True,
-                 cost=p.write_leader_cpu)
-        s.expose("connect", self._h_connect, cost=p.session_cpu)
-        s.expose("close_session", self._h_close_session, write=True,
-                 cost=p.session_cpu)
-        s.expose("follower_info", self._h_follower_info, cost=p.session_cpu)
-        s.expose("sync", self._h_sync, cost=p.forward_cpu)
-        s.expose("commit_index", self._h_commit_index, cost=p.forward_cpu)
+        s.expose("read", self._h_read)
+        s.expose("write", self._h_write, write=True)
+        s.expose("fwd_write", self._h_fwd_write, write=True)
+        s.expose("connect", self._h_connect)
+        s.expose("close_session", self._h_close_session, write=True)
+        s.expose("follower_info", self._h_follower_info)
+        s.expose("sync", self._h_sync)
+        s.expose("commit_index", self._h_commit_index)
         s.expose_fast("propose", self._f_propose)
         s.expose_fast("propose_batch", self._f_propose_batch)
         s.expose_fast("ack", self._f_ack)

@@ -41,4 +41,5 @@ def dufs():
 
 @pytest.fixture
 def dufs_lustre():
-    return DUFSHarness(backend="lustre", n_client_nodes=2, n_zk=3)
+    return DUFSHarness(backend="lustre", n_client_nodes=2, n_zk=3,
+                       trace=True)

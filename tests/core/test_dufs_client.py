@@ -504,7 +504,10 @@ def test_dufs_over_lustre_backend(dufs_lustre):
     is_file, n = dufs_lustre.run(main())
     assert is_file and n == 6
     # Both Lustre MDSes served physical file ops; ZK held the namespace.
-    mds_ops = [be.mds.stats["ops"] for be in dufs_lustre.dep.backends]
+    bus = dufs_lustre.dep.bus
+    mds_ops = [sum(bus.ops.get(k) for k in bus.keys()
+                   if k.startswith(f"lustre/{be.mds.endpoint}."))
+               for be in dufs_lustre.dep.backends]
     assert all(ops > 0 for ops in mds_ops)
     for be in dufs_lustre.dep.backends:
         assert be.mds.ns.count_files() == 0  # all cleaned up

@@ -62,7 +62,7 @@ def test_miss_with_local_parent_stays_one_hop():
 
 
 def test_subtree_pinned_namespace_resolves_in_one_hop():
-    dep = make_dep(shard_strategy="subtree", shard_subtrees={"/pin": 1})
+    dep = make_dep(shard_subtrees={"/pin": 1})
     svc = dep.clients[0].zk
     m = dep.mounts[0]
     dep.call(m.mkdir, "/pin")

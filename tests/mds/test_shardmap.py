@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mds import STRATEGIES, ShardMap, parent_dir
+from repro.mds import ShardMap, parent_dir
 
 
 def test_parent_dir():
@@ -39,8 +39,8 @@ def test_directories_spread_across_shards():
 
 
 def test_subtree_pinning_longest_prefix_wins():
-    m = ShardMap(4, strategy="subtree",
-                 subtrees={"/scratch": 1, "/scratch/hot": 3})
+    m = ShardMap(4, subtrees={"/scratch": 1, "/scratch/hot": 3})
+    assert m.strategy == "subtree" and ShardMap(4).strategy == "parent-hash"
     assert m.child_shard("/scratch/a") == 1
     assert m.home_shard("/scratch/a/f") == 1
     assert m.child_shard("/scratch/hot/x") == 3
@@ -49,14 +49,9 @@ def test_subtree_pinning_longest_prefix_wins():
 
 
 def test_validation():
-    assert "parent-hash" in STRATEGIES and "subtree" in STRATEGIES
     with pytest.raises(ValueError):
         ShardMap(0)
     with pytest.raises(ValueError):
-        ShardMap(2, strategy="range")
+        ShardMap(2, subtrees={"relative": 0})
     with pytest.raises(ValueError):
-        ShardMap(2, strategy="subtree")          # needs a mapping
-    with pytest.raises(ValueError):
-        ShardMap(2, strategy="subtree", subtrees={"relative": 0})
-    with pytest.raises(ValueError):
-        ShardMap(2, strategy="subtree", subtrees={"/a": 5})
+        ShardMap(2, subtrees={"/a": 5})

@@ -16,8 +16,10 @@ import pytest
 from repro.chaos import run_chaos
 from repro.core import build_dufs_deployment
 from repro.core.client import DUFSClient
+from repro.mds import ShardMap
 from repro.models import params
 from repro.resilience import build_retry
+from repro.svc import Service
 from repro.zk.client import ZKClient
 
 
@@ -34,13 +36,18 @@ def parameters(fn) -> int:
 BUDGET = {
     "dataclass fields in models/params.py": (dataclass_fields, 118),
     "build_dufs_deployment parameters":
-        (lambda: parameters(build_dufs_deployment), 22),
+        (lambda: parameters(build_dufs_deployment), 21),
     "run_chaos parameters": (lambda: parameters(run_chaos), 14),
     "ZKClient.__init__ parameters":
         (lambda: parameters(ZKClient.__init__), 7),
     "DUFSClient.__init__ parameters":
         (lambda: parameters(DUFSClient.__init__), 13),
     "build_retry parameters": (lambda: parameters(build_retry), 3),
+    "Service.__init__ parameters":
+        (lambda: parameters(Service.__init__), 5),
+    "Service.expose parameters": (lambda: parameters(Service.expose), 4),
+    "ShardMap.__init__ parameters":
+        (lambda: parameters(ShardMap.__init__), 4),
 }
 
 

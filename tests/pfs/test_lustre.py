@@ -2,12 +2,15 @@
 
 
 from repro.models.params import LustreParams
+from repro.svc import TraceBus
 
 from .conftest import FSHarness
 
 
-def test_single_mds_serializes_all_metadata(lustre):
+def test_single_mds_serializes_all_metadata():
     """All metadata ops from both client nodes land on the one MDS."""
+    bus = TraceBus()
+    lustre = FSHarness("lustre", bus=bus)
     c0, c1 = lustre.clients
 
     def worker(cli, base):
@@ -16,7 +19,9 @@ def test_single_mds_serializes_all_metadata(lustre):
             yield from cli.create(f"/{base}/f{i}")
 
     lustre.run_all(worker(c0, "a"), worker(c1, "b"))
-    assert lustre.fs.mds.stats["ops"] >= 12
+    mds = f"lustre/{lustre.fs.mds.endpoint}."
+    assert sum(bus.ops.get(k) for k in bus.keys()
+               if k.startswith(mds)) >= 12
     assert lustre.fs.mds.ns.count_files() == 10
 
 

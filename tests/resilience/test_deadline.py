@@ -4,7 +4,7 @@ import pytest
 
 from repro.models.params import FaultToleranceParams
 from repro.sim import Cluster, RpcAgent, RpcTimeout
-from repro.svc import BoundedAdmission, Service, TraceBus
+from repro.svc import Service, TraceBus
 
 
 def make_cluster():
@@ -159,47 +159,6 @@ def test_writes_are_never_cancelled_mid_service():
     assert caught == [pytest.approx(0.1)]   # caller gave up...
     assert len(finished) == 1               # ...but the write completed
     assert not bus.expired.get("d/srv.put")
-
-
-def test_expired_admission_wait_releases_no_token():
-    """A request whose deadline passes while queued for admission must
-    leave the queue clean: counted expired, token returned, depth -> 0."""
-    cluster, server, client = make_cluster()
-    bus = TraceBus()
-    policy = BoundedAdmission(cluster.sim, 1)
-    svc = Service(server, "srv", deployment="d", policy=policy, bus=bus)
-
-    def h(src, args):
-        yield cluster.sim.timeout(0.5)
-        return "done"
-
-    svc.expose("op", h)
-    agent = RpcAgent(client, "cli")
-    outcomes = []
-
-    def first():
-        outcomes.append((yield from agent.call("srv", "op")))
-
-    def second():
-        yield cluster.sim.timeout(0.01)     # queue behind the first
-        try:
-            yield from agent.call("srv", "op",
-                                  deadline=cluster.sim.now + 0.1)
-        except RpcTimeout:
-            outcomes.append("expired-in-queue")
-
-    def third():
-        yield cluster.sim.timeout(0.7)      # after the first drains
-        outcomes.append((yield from agent.call("srv", "op")))
-
-    client.spawn(first())
-    client.spawn(second())
-    client.spawn(third())
-    cluster.run()
-    assert outcomes == ["expired-in-queue", "done", "done"]
-    assert bus.expired.get("d/srv.op") == 1
-    assert bus.ops.get("d/srv.op") == 2
-    assert policy.depth == 0
 
 
 def test_default_off_runs_are_replay_identical():

@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import ENOENT, FSError
 from repro.sim import Cluster
-from repro.sim.rpc import RpcAgent
-from repro.svc import BoundedAdmission, Service, TraceBus, instrument_client
+from repro.sim.rpc import RpcAgent, RpcTimeout
+from repro.svc import Service, TraceBus, instrument_client
 
 
 def make_cluster():
@@ -29,7 +29,7 @@ def test_expose_serves_and_counts():
         yield cluster.sim.timeout(1e-4)
         return args * 2
 
-    svc.expose("echo", h_echo, cost=1e-4)
+    svc.expose("echo", h_echo)
     agent = RpcAgent(client, "cli")
     assert drive(cluster, client, agent.call("srv", "echo", 21)) == 42
     assert bus.keys() == ["test/srv.echo"]      # the one completion
@@ -41,9 +41,8 @@ def test_expose_serves_and_counts():
 def test_failed_ops_are_counted_too():
     """The satellite fix: every stack counts failures identically."""
     cluster, server, client = make_cluster()
-    stats = {"ops": 0}
     bus = TraceBus()
-    svc = Service(server, "srv", op_stats=stats, bus=bus)
+    svc = Service(server, "srv", bus=bus)
 
     def h_boom(src, args):
         yield cluster.sim.timeout(1e-5)
@@ -58,64 +57,38 @@ def test_failed_ops_are_counted_too():
         return True
 
     assert drive(cluster, client, caller())
-    assert stats["ops"] == 1
     assert bus.ops.get("svc/srv.boom") == 1
     assert bus.errors.get("svc/srv.boom") == 1
     assert svc.inflight == 0
 
 
-def test_op_stats_hook_preserves_existing_keys():
-    cluster, server, client = make_cluster()
-    stats = {"ops": 7, "custom": 3}
-    svc = Service(server, "srv", op_stats=stats)
-
-    def h_noop(src, args):
-        yield cluster.sim.timeout(1e-6)
-        return True
-
-    svc.expose("noop", h_noop)
-    agent = RpcAgent(client, "cli")
-    drive(cluster, client, agent.call("srv", "noop", None))
-    assert stats == {"ops": 8, "custom": 3}
-
-
 def test_write_methods_and_specs():
-    cluster, server, _ = make_cluster()
-    svc = Service(server, "srv")
-    svc.expose("get", lambda s, a: iter(()), cost=1e-6)
-    svc.expose("put", lambda s, a: iter(()), write=True, cost=2e-6)
-    svc.expose("del", lambda s, a: iter(()), write=True)
-    assert sorted(m for m, s in svc.specs.items() if s.write) == \
-        ["del", "put"]
-    assert svc.specs["put"].cost == 2e-6
-    assert not svc.specs["get"].write
-
-
-def test_trace_records_queue_wait_under_bounded_admission():
+    """``write=True`` is the one thing a method declares: past its caller's
+    deadline a write runs to completion, a read is cancelled."""
     cluster, server, client = make_cluster()
-    bus = TraceBus()
-    svc = Service(server, "srv", deployment="d",
-                  policy=BoundedAdmission(cluster.sim, 1), bus=bus)
+    svc = Service(server, "srv")
+    finished = []
 
-    def h_slow(src, args):
-        yield cluster.sim.timeout(1e-3)
-        return args
+    def handler(name):
+        def h(src, args):
+            yield cluster.sim.timeout(0.3)
+            finished.append(name)
+        return h
 
-    svc.expose("slow", h_slow)
+    svc.expose("get", handler("get"))
+    svc.expose("put", handler("put"), write=True)
+    svc.expose("del", handler("del"), write=True)
     agent = RpcAgent(client, "cli")
 
-    def caller(i):
-        result = yield from agent.call("srv", "slow", i)
-        return result
+    def caller(method):
+        with pytest.raises(RpcTimeout):
+            yield from agent.call("srv", method,
+                                  deadline=cluster.sim.now + 0.1)
 
-    procs = [client.spawn(caller(i)) for i in range(3)]
+    for method in ("get", "put", "del"):
+        client.spawn(caller(method))
     cluster.run()
-    assert all(p.triggered and p._ok for p in procs)
-    key = "d/srv.slow"
-    assert bus.ops.get(key) == 3
-    # With capacity 1, later requests queued behind the first.
-    assert bus.queue_wait.summary(key).max >= 1e-3
-    assert bus.service.summary(key).count == 3
+    assert sorted(finished) == ["del", "put"]
 
 
 def test_expose_fast_bypasses_admission_and_counting():

@@ -12,7 +12,6 @@ def ev(method="op", arrive=0.0, start=0.5, end=2.0, ok=True, retries=0):
 
 def test_optrace_derived_metrics():
     t = ev()
-    assert t.queue_wait == pytest.approx(0.5)
     assert t.service == pytest.approx(1.5)
     assert t.key == "dep/ep.op"
 
@@ -26,7 +25,6 @@ def test_bus_aggregates_by_key():
     assert bus.ops.get("dep/ep.op") == 2
     assert bus.errors.get("dep/ep.op") == 1
     assert bus.retries.get("dep/ep.op") == 2
-    assert bus.queue_wait.summary("dep/ep.op").count == 2
     assert bus.service.summary("dep/ep.op").mean == pytest.approx(1.5)
 
 
@@ -45,7 +43,6 @@ def test_bus_as_dict_and_table():
     d = bus.as_dict()
     row = d["dep/ep.op"]
     assert row["ops"] == 1 and row["errors"] == 0
-    assert row["queue_wait_mean"] == pytest.approx(0.5)
     assert row["service_mean"] == pytest.approx(1.5)
     text = bus.table()
     assert "dep/ep.op" in text and "endpoint.method" in text
@@ -62,5 +59,5 @@ def test_bus_sample_default_records_everything():
     bus = TraceBus(keep_events=True)
     for _ in range(7):
         bus.record(ev())
-    assert bus.queue_wait.summary("dep/ep.op").count == 7
+    assert bus.service.summary("dep/ep.op").count == 7
     assert len(bus.events) == 7
