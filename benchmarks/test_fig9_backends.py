@@ -33,7 +33,7 @@ def test_fig9_stat_gain_at_contention(benchmark):
     >25% on file stat — the §V-C '37%' effect."""
 
     def point(n_backends):
-        res = _run_dufs("lustre", 256, 10, 0, n_backends=n_backends,
+        res = _run_dufs("lustre", 256, 10, n_backends=n_backends,
                         phases=FILE_PHASES)
         return res.throughput("file_stat")
 

@@ -12,8 +12,8 @@ from .conftest import run_once
 
 def test_latency_profile_dufs_vs_lustre(benchmark):
     def measure():
-        lustre, _ = _run_basic("lustre", 64, 12, 0)
-        dufs = _run_dufs("lustre", 64, 12, 0)
+        lustre, _ = _run_basic("lustre", 64, 12)
+        dufs = _run_dufs("lustre", 64, 12)
         return lustre, dufs
 
     lustre, dufs = run_once(benchmark, measure)
@@ -45,8 +45,8 @@ def test_lustre_tail_grows_with_load(benchmark):
     thrash); this is the latency view of the Fig. 10 decline."""
 
     def measure():
-        lo, _ = _run_basic("lustre", 32, 12, 0)
-        hi, _ = _run_basic("lustre", 256, 12, 0)
+        lo, _ = _run_basic("lustre", 32, 12)
+        hi, _ = _run_basic("lustre", 256, 12)
         return lo, hi
 
     lo, hi = run_once(benchmark, measure)

@@ -8,14 +8,14 @@ baseline JSON.
 
 The suites, their baselines, refresh commands and acceptance floors all
 come from the one registry, ``repro.bench.suite.SUITES``; ``--list`` (and
-the tail of ``--help``) prints them. The suite is rerun at the scale/seed
+the tail of ``--help``) prints them. The suite is rerun at the scale
 recorded in its baseline, its table is printed, and the exit code is 1
 when ``repro.bench.suite.check`` reports a regression — a tracked
 throughput more than the tolerance (default 25%) below baseline, or an
 acceptance floor no longer met — and 2 when the baseline file is missing.
 
-Simulated throughput is deterministic for a given seed, so any drift is
-a real behavioural change in the model, not runner noise: for those
+Simulated throughput is deterministic (no suite takes a seed), so any
+drift is a real behavioural change in the model, not runner noise: for those
 suites a fresh document that is not *equal* to the baseline also prints
 a non-fatal ``note:`` naming the first differing leaf, so a baseline gone
 stale inside the tolerance is visible. The ``kernel`` suite is the

@@ -25,7 +25,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CALLERS = ("src", "perfbench", "benchmarks", "examples", "scripts")
 
 
-def main() -> int:
+def unsupplied() -> list:
+    """One ``file:line  callable(param=)`` line per hit."""
     trees = {path: ast.parse(path.read_text(), str(path))
              for top in CALLERS for path in sorted((ROOT / top).rglob("*.py"))}
     positional = defaultdict(int)        # callee name -> most args passed
@@ -43,7 +44,7 @@ def main() -> int:
             positional[name] = max(positional[name], len(call.args))
             keywords[name].update(k.arg for k in call.keywords)
 
-    hits = 0
+    hits = []
     for path, tree in trees.items():
         rel = path.relative_to(ROOT)
         if rel.parts[:2] != ("src", "repro"):
@@ -68,10 +69,15 @@ def main() -> int:
             for param, index in defaulted:
                 if param in keywords[name] or positional[name] > index:
                     continue
-                hits += 1
                 where = f"{cls.name}.{fn.name}" if cls else fn.name
-                print(f"{rel}:{fn.lineno}  {where}({param}=)")
-    print(f"\n{hits} defaulted parameters no non-test call site supplies")
+                hits.append(f"{rel}:{fn.lineno}  {where}({param}=)")
+    return hits
+
+
+def main() -> int:
+    hits = unsupplied()
+    print("\n".join(hits))
+    print(f"\n{len(hits)} defaulted parameters no non-test call site supplies")
     return 0
 
 

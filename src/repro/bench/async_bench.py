@@ -1,6 +1,6 @@
 """Write-behind ablation: synchronous vs asynchronous metadata updates.
 
-Runs the mdtest file phases twice on identically-seeded deployments:
+Runs the mdtest file phases twice on identical deployments:
 
 - **off** — the paper's synchronous client: every create/unlink pays the
   full quorum round trip before the application is acked;
@@ -68,7 +68,7 @@ def _params() -> SimParams:
     return p
 
 
-def run_side(on: bool, scale: str, seed: int) -> Dict:
+def run_side(on: bool, scale: str) -> Dict:
     """One full mdtest run (scaffold + file phases) in write-behind mode
     (:meth:`AsyncParams.async_on`) or as the synchronous default client.
 
@@ -79,7 +79,7 @@ def run_side(on: bool, scale: str, seed: int) -> Dict:
     n_zk, n_clients, items = _SCALES[scale]
     dep = build_dufs_deployment(n_zk=n_zk, n_backends=2,
                                 n_client_nodes=n_clients, backend="local",
-                                params=_params(), seed=seed,
+                                params=_params(),
                                 awrite=AsyncParams.async_on() if on
                                 else AsyncParams())
     cfg = MdtestConfig(n_procs=n_clients, items_per_proc=items,

@@ -1,6 +1,6 @@
 """Cache ablation: the client-side metadata cache, on vs. off.
 
-Runs the same metadata-read workload twice on identically-seeded
+Runs the same metadata-read workload twice on identical
 deployments — once with the default (disabled) cache policy and once with
 :meth:`~repro.models.params.CacheParams.caching_on` — and reports the
 per-phase simulated throughput plus the cache's own hit/coalesce
@@ -40,7 +40,7 @@ _SCALES = {
 PHASES = ("stat_hot", "stat_shared", "ls_l")
 
 
-def run_side(on: bool, scale: str, seed: int) -> Dict:
+def run_side(on: bool, scale: str) -> Dict:
     """One full run (scaffold + three measured phases) with the cache on
     (:meth:`CacheParams.caching_on`) or at the default, disabled policy.
 
@@ -52,7 +52,7 @@ def run_side(on: bool, scale: str, seed: int) -> Dict:
     n_zk, n_clients, n_dirs, files_per_dir, procs, repeat = _SCALES[scale]
     dep = build_dufs_deployment(
         n_zk=n_zk, n_backends=2, n_client_nodes=n_clients, backend="local",
-        params=SimParams(), seed=seed,
+        params=SimParams(),
         cache=CacheParams.caching_on() if on else None)
     sim = dep.cluster.sim
     dirs = [f"/d{i}" for i in range(n_dirs)]

@@ -91,8 +91,7 @@ def _static_pins(dirs: Sequence[str], n_shards: int = N_SHARDS,
     return {d: i % n_shards for i, d in enumerate(list(dirs)[:budget])}
 
 
-def _build_arm(arm: str, hot: Dict[str, List[str]], n_clients: int,
-               seed: int):
+def _build_arm(arm: str, hot: Dict[str, List[str]], n_clients: int):
     pins = None
     autoscale = None
     if arm == "tuned-A":
@@ -103,14 +102,13 @@ def _build_arm(arm: str, hot: Dict[str, List[str]], n_clients: int,
         autoscale = bench_elastic_params()
     return build_dufs_deployment(
         n_zk=N_ZK_TOTAL, n_backends=2, n_client_nodes=n_clients,
-        backend="local", params=SimParams(), seed=seed, n_shards=N_SHARDS,
+        backend="local", params=SimParams(), n_shards=N_SHARDS,
         shard_subtrees=pins, autoscale=autoscale)
 
 
-def _run_arm(arm: str, hot: Dict[str, List[str]], scale: str,
-             seed: int) -> Dict:
+def _run_arm(arm: str, hot: Dict[str, List[str]], scale: str) -> Dict:
     n_clients, n_procs, _dirs, cycles, items = _SCALES[scale]
-    dep = _build_arm(arm, hot, n_clients, seed)
+    dep = _build_arm(arm, hot, n_clients)
     sim = dep.cluster.sim
     nodes = [dep.node_for(p) for p in range(n_procs)]
 
@@ -166,14 +164,13 @@ def _run_arm(arm: str, hot: Dict[str, List[str]], scale: str,
     return doc
 
 
-def run(scale: str = "quick", seed: int = 0,
-        arms: Sequence[str] = ARMS) -> Dict:
+def run(scale: str = "quick", arms: Sequence[str] = ARMS) -> Dict:
     """Run every arm on the identical workload; returns a JSON-ready doc."""
     n_clients, n_procs, dirs_per_period, cycles, items = _SCALES[scale]
     # Period A's hot set collides onto shard 0, period B's onto shard 1.
     hot = {"A": colliding_dirs(0, dirs_per_period, "a"),
            "B": colliding_dirs(1, dirs_per_period, "b")}
-    runs = {arm: _run_arm(arm, hot, scale, seed) for arm in arms}
+    runs = {arm: _run_arm(arm, hot, scale) for arm in arms}
 
     static_arms = [a for a in arms if a != "elastic"]
     best_static = {
@@ -189,7 +186,6 @@ def run(scale: str = "quick", seed: int = 0,
     return {
         "benchmark": "elastic",
         "scale": scale,
-        "seed": seed,
         "n_zk_total": N_ZK_TOTAL,
         "n_shards": N_SHARDS,
         "pin_budget": PIN_BUDGET,
@@ -204,7 +200,7 @@ def run(scale: str = "quick", seed: int = 0,
 
 
 def render(doc: Dict) -> str:
-    lines = [f"elastic plane (scale={doc['scale']} seed={doc['seed']}, "
+    lines = [f"elastic plane (scale={doc['scale']}, "
              f"{doc['n_zk_total']} ZK servers as {doc['n_shards']} shards, "
              f"pin budget {doc['pin_budget']}):",
              f"  {'arm':<10} " + " ".join(f"{op:>14}" for op in GATED_OPS)]

@@ -81,7 +81,7 @@ def _tree() -> TreeSpec:
 # Fig. 7 — raw ZooKeeper throughput
 # ---------------------------------------------------------------------------
 
-def run_fig7(scale: str = "quick", seed: int = 0,
+def run_fig7(scale: str = "quick",
              ensembles: Sequence[int] = (1, 4, 8)) -> FigureResult:
     """zoo_create / zoo_delete / zoo_set / zoo_get vs #client processes,
     for 1/4/8 ZooKeeper servers (paper Fig. 7 a-d)."""
@@ -91,7 +91,7 @@ def run_fig7(scale: str = "quick", seed: int = 0,
     for n_servers in ensembles:
         for procs in _procs(scale):
             cfg = ZKRawConfig(n_servers=n_servers, n_procs=procs,
-                              ops_per_proc=_zk_ops(scale), seed=seed)
+                              ops_per_proc=_zk_ops(scale))
             res = run_zk_raw(cfg)
             for phase in ZK_PHASES:
                 fig.add(f"{phase}/zk{n_servers}", procs,
@@ -106,7 +106,7 @@ def run_fig7(scale: str = "quick", seed: int = 0,
 # mdtest runners for Figs. 8-10
 # ---------------------------------------------------------------------------
 
-def _run_basic(kind: str, procs: int, items: int, seed: int,
+def _run_basic(kind: str, procs: int, items: int,
                params: Optional[SimParams] = None,
                phases=ALL_PHASES, single_dir: bool = False, n_mds: int = 2):
     """mdtest against one basic filesystem (``lustre``, ``pvfs`` or the
@@ -114,7 +114,7 @@ def _run_basic(kind: str, procs: int, items: int, seed: int,
     nodes; returns ``(result, filesystem)`` so callers can read the
     servers' own counters."""
     params = params or SimParams()
-    cluster = Cluster(seed=seed)
+    cluster = Cluster()
     nodes = [cluster.add_node(f"client{i}", cores=params.node_cores)
              for i in range(8)]
     if kind == "lustre":
@@ -130,21 +130,18 @@ def _run_basic(kind: str, procs: int, items: int, seed: int,
                       lambda i: nodes[i % 8], cfg), fs
 
 
-def _run_dufs(backend: str, procs: int, items: int, seed: int,
+def _run_dufs(backend: str, procs: int, items: int,
               n_zk: int = 8, n_backends: int = 2,
-              params: Optional[SimParams] = None,
-              phases=ALL_PHASES, single_dir: bool = False, **dep_kwargs):
+              phases=ALL_PHASES, single_dir: bool = False):
     dep = build_dufs_deployment(
         n_zk=n_zk, n_backends=n_backends, n_client_nodes=8, backend=backend,
-        params=params, seed=seed,
-        pvfs_servers_per_instance=dep_kwargs.pop("pvfs_servers_per_instance", 4),
-        **dep_kwargs)
+        pvfs_servers_per_instance=4)
     cfg = MdtestConfig(n_procs=procs, items_per_proc=items, tree=_tree(),
                        phases=phases, single_dir=single_dir)
     return run_mdtest(dep.cluster, dep.mount_for, dep.node_for, cfg)
 
 
-def run_fig8(scale: str = "quick", seed: int = 0,
+def run_fig8(scale: str = "quick",
              ensembles: Sequence[int] = (1, 4, 8)) -> FigureResult:
     """Six mdtest op throughputs for DUFS (2 Lustre back-ends) with 1/4/8
     ZooKeeper servers, vs Basic Lustre (paper Fig. 8 a-f)."""
@@ -154,11 +151,11 @@ def run_fig8(scale: str = "quick", seed: int = 0,
                        "client processes")
     items = _items(scale)
     for procs in _procs(scale):
-        res, _ = _run_basic("lustre", procs, items, seed)
+        res, _ = _run_basic("lustre", procs, items)
         for phase in ALL_PHASES:
             fig.add(f"{phase}/lustre", procs, res.throughput(phase))
         for n_zk in ensembles:
-            res = _run_dufs("lustre", procs, items, seed, n_zk=n_zk)
+            res = _run_dufs("lustre", procs, items, n_zk=n_zk)
             for phase in ALL_PHASES:
                 fig.add(f"{phase}/zk{n_zk}", procs, res.throughput(phase))
     fig.wall_seconds = time.time() - t0
@@ -167,7 +164,7 @@ def run_fig8(scale: str = "quick", seed: int = 0,
     return fig
 
 
-def run_fig9(scale: str = "quick", seed: int = 0,
+def run_fig9(scale: str = "quick",
              backend_counts: Sequence[int] = (2, 4)) -> FigureResult:
     """File create/remove/stat for DUFS with 2 vs 4 Lustre back-ends,
     vs Basic Lustre (paper Fig. 9 a-c)."""
@@ -177,12 +174,12 @@ def run_fig9(scale: str = "quick", seed: int = 0,
                        "client processes")
     items = _items(scale)
     for procs in _procs(scale):
-        res, _ = _run_basic("lustre", procs, items, seed,
+        res, _ = _run_basic("lustre", procs, items,
                             phases=FILE_PHASES)
         for phase in FILE_PHASES:
             fig.add(f"{phase}/lustre", procs, res.throughput(phase))
         for n_b in backend_counts:
-            res = _run_dufs("lustre", procs, items, seed, n_backends=n_b,
+            res = _run_dufs("lustre", procs, items, n_backends=n_b,
                             phases=FILE_PHASES)
             for phase in FILE_PHASES:
                 fig.add(f"{phase}/backends{n_b}", procs,
@@ -193,7 +190,7 @@ def run_fig9(scale: str = "quick", seed: int = 0,
     return fig
 
 
-def run_fig10(scale: str = "quick", seed: int = 0) -> FigureResult:
+def run_fig10(scale: str = "quick") -> FigureResult:
     """Basic Lustre, DUFS(2 Lustre), Basic PVFS, DUFS(2 PVFS): the six
     mdtest ops vs client processes (paper Fig. 10 a-f)."""
     t0 = time.time()
@@ -202,10 +199,10 @@ def run_fig10(scale: str = "quick", seed: int = 0) -> FigureResult:
     items = _items(scale)
     for procs in _procs(scale):
         for name, runner in (
-            ("lustre", lambda: _run_basic("lustre", procs, items, seed)[0]),
-            ("dufs-lustre", lambda: _run_dufs("lustre", procs, items, seed)),
-            ("pvfs", lambda: _run_basic("pvfs", procs, items, seed)[0]),
-            ("dufs-pvfs", lambda: _run_dufs("pvfs", procs, items, seed)),
+            ("lustre", lambda: _run_basic("lustre", procs, items)[0]),
+            ("dufs-lustre", lambda: _run_dufs("lustre", procs, items)),
+            ("pvfs", lambda: _run_basic("pvfs", procs, items)[0]),
+            ("dufs-pvfs", lambda: _run_dufs("pvfs", procs, items)),
         ):
             res = runner()
             for phase in ALL_PHASES:
@@ -216,7 +213,7 @@ def run_fig10(scale: str = "quick", seed: int = 0) -> FigureResult:
     return fig
 
 
-def run_single_dir(scale: str = "quick", seed: int = 0) -> FigureResult:
+def run_single_dir(scale: str = "quick") -> FigureResult:
     """The paper's side experiment (§V): "many files created in a single
     directory". All processes hammer ONE shared directory; Lustre pays
     parent-lock serialization + growing-dirent costs, DUFS pays only one
@@ -226,9 +223,9 @@ def run_single_dir(scale: str = "quick", seed: int = 0) -> FigureResult:
                        "shared directory", "client processes")
     items = _items(scale)
     for procs in _procs(scale):
-        runs = {"lustre": _run_basic("lustre", procs, items, seed,
+        runs = {"lustre": _run_basic("lustre", procs, items,
                                      phases=FILE_PHASES, single_dir=True)[0],
-                "dufs-lustre": _run_dufs("lustre", procs, items, seed,
+                "dufs-lustre": _run_dufs("lustre", procs, items,
                                          phases=FILE_PHASES, single_dir=True)}
         for name, res in runs.items():
             for phase in FILE_PHASES:
@@ -239,7 +236,7 @@ def run_single_dir(scale: str = "quick", seed: int = 0) -> FigureResult:
     return fig
 
 
-def run_cmd_comparison(scale: str = "quick", seed: int = 0) -> FigureResult:
+def run_cmd_comparison(scale: str = "quick") -> FigureResult:
     """DUFS vs Lustre CMD (Clustered Metadata), the design the paper argues
     against (§II/§VI): CMD gets multiple active MDSes, but cross-MDS
     mutations serialize on a global lock and renames always do."""
@@ -250,17 +247,17 @@ def run_cmd_comparison(scale: str = "quick", seed: int = 0) -> FigureResult:
     for procs in _procs(scale):
         # CMD with 2 and 4 active MDSes.
         for n_mds in (2, 4):
-            res, fs = _run_basic("cmd", procs, items, seed,
+            res, fs = _run_basic("cmd", procs, items,
                                  phases=DIR_PHASES, n_mds=n_mds)
             for phase in DIR_PHASES:
                 fig.add(f"{phase}/cmd{n_mds}", procs, res.throughput(phase))
             fig.add(f"global_locks/cmd{n_mds}", procs,
                     float(fs.lock_server.stats["acquisitions"]))
         # DUFS (8 ZK, 2 Lustre backends) and basic Lustre for reference.
-        res = _run_dufs("lustre", procs, items, seed, phases=DIR_PHASES)
+        res = _run_dufs("lustre", procs, items, phases=DIR_PHASES)
         for phase in DIR_PHASES:
             fig.add(f"{phase}/dufs", procs, res.throughput(phase))
-        res, _ = _run_basic("lustre", procs, items, seed, phases=DIR_PHASES)
+        res, _ = _run_basic("lustre", procs, items, phases=DIR_PHASES)
         for phase in DIR_PHASES:
             fig.add(f"{phase}/lustre", procs, res.throughput(phase))
     fig.wall_seconds = time.time() - t0
@@ -273,7 +270,7 @@ def run_cmd_comparison(scale: str = "quick", seed: int = 0) -> FigureResult:
 # Fig. 11 — memory usage
 # ---------------------------------------------------------------------------
 
-def run_fig11(scale: str = "quick", seed: int = 0,
+def run_fig11(scale: str = "quick",
               points_millions: Sequence[float] = (0.5, 1.0, 1.5, 2.0, 2.5),
               calibrate_n: int = 20000) -> FigureResult:
     """ZooKeeper / DUFS / dummy-FUSE resident memory vs millions of
@@ -330,9 +327,9 @@ def run_fig11(scale: str = "quick", seed: int = 0,
 # Headline claims (§V-D / abstract)
 # ---------------------------------------------------------------------------
 
-def run_headline_claims(scale: str = "medium", seed: int = 0) -> Dict[str, float]:
+def run_headline_claims(scale: str = "medium") -> Dict[str, float]:
     """Measure the paper's four stated speedups at the largest proc count."""
-    fig = run_fig10(scale=scale, seed=seed)
+    fig = run_fig10(scale=scale)
     procs = max(x for x, _ in next(iter(fig.series.values())))
 
     def v(series: str) -> float:
@@ -357,7 +354,7 @@ def run_headline_claims(scale: str = "medium", seed: int = 0) -> Dict[str, float
 # Ablations (design choices called out in DESIGN.md)
 # ---------------------------------------------------------------------------
 
-def run_ablations(scale: str = "quick", seed: int = 0) -> FigureResult:
+def run_ablations(scale: str = "quick") -> FigureResult:
     """Ablate the design choices: ZK ensemble size for writes, Lustre DLM
     callbacks, DUFS physical layout, ZK co-location, mapping strategy."""
     t0 = time.time()
@@ -372,7 +369,7 @@ def run_ablations(scale: str = "quick", seed: int = 0) -> FigureResult:
     for dlm in (True, False):
         params = SimParams()
         params.lustre.dlm_enabled = dlm
-        res, fs = _run_basic("lustre", procs, items, seed, params=params,
+        res, fs = _run_basic("lustre", procs, items, params=params,
                              phases=("dir_create", "dir_stat"))
         tag = "on" if dlm else "off"
         fig.add(f"lustre_dir_create/dlm={tag}", procs,
@@ -386,7 +383,7 @@ def run_ablations(scale: str = "quick", seed: int = 0) -> FigureResult:
     # 2. DUFS physical layout: paper-verbatim vs amortized chains.
     for layout in ("amortized", "paper"):
         dep = build_dufs_deployment(n_zk=4, n_backends=2, n_client_nodes=8,
-                                    backend="lustre", seed=seed)
+                                    backend="lustre")
         for c in dep.clients:
             c.layout = layout
         cfg = MdtestConfig(n_procs=procs, items_per_proc=items, tree=_tree(),
@@ -400,8 +397,7 @@ def run_ablations(scale: str = "quick", seed: int = 0) -> FigureResult:
     # 3. ZK co-location vs dedicated nodes.
     for co in (True, False):
         dep = build_dufs_deployment(n_zk=4, n_backends=2, n_client_nodes=8,
-                                    backend="lustre", co_locate_zk=co,
-                                    seed=seed)
+                                    backend="lustre", co_locate_zk=co)
         cfg = MdtestConfig(n_procs=procs, items_per_proc=items, tree=_tree(),
                            phases=("dir_create", "dir_stat"))
         res = run_mdtest(dep.cluster, dep.mount_for, dep.node_for, cfg)
@@ -411,7 +407,7 @@ def run_ablations(scale: str = "quick", seed: int = 0) -> FigureResult:
     # 4. ZK write cost vs ensemble size (isolates the quorum overhead).
     for n_servers in (1, 4, 8):
         res = run_zk_raw(ZKRawConfig(n_servers=n_servers, n_procs=procs,
-                                     ops_per_proc=_zk_ops(scale), seed=seed))
+                                     ops_per_proc=_zk_ops(scale)))
         fig.add(f"zoo_create/zk{n_servers}", procs,
                 res.throughput("zoo_create"))
 
@@ -422,7 +418,7 @@ def run_ablations(scale: str = "quick", seed: int = 0) -> FigureResult:
     from ..zk.ensemble import build_ensemble
     for label, voters, observers in (("8voters", 8, 0),
                                      ("3voters+5obs", 3, 5)):
-        cluster = Cluster(seed=seed)
+        cluster = Cluster()
         nodes = [cluster.add_node(f"client{i}") for i in range(8)]
         ens = build_ensemble(cluster, nodes, voters, n_observers=observers)
         cluster.sim.run(until=0.5)

@@ -103,15 +103,15 @@ _SCALES = {
 
 # -- calibration -----------------------------------------------------------
 
-def _calibration_ops_per_s(loops: int = 5) -> float:
-    """Time a fixed pure-Python workload; returns ops/sec (best of N).
+def _calibration_ops_per_s() -> float:
+    """Time a fixed pure-Python workload; returns ops/sec (best of 5).
 
     The loop mixes the operations the kernel hot path is made of —
     attribute-free arithmetic, list append/pop, dict get — so the factor
     tracks interpreter speed rather than e.g. numpy throughput.
     """
     best = float("inf")
-    for _ in range(loops):
+    for _ in range(5):
         t0 = time.perf_counter()
         acc = 0
         xs: List[int] = []
@@ -151,7 +151,7 @@ def _run_timers(n_procs: int, ticks: int) -> Simulator:
 
 
 def _run_fanout(n_clients: int, rounds: int, fan: int) -> Simulator:
-    cluster = Cluster(seed=0)
+    cluster = Cluster()
     server_node = cluster.add_node("srv", cores=8)
     agent = RpcAgent(server_node, "srv")
 
@@ -267,11 +267,11 @@ def _time_workload(fn: Callable[[], Simulator], repeats: int) -> Dict:
 
 # -- harness ---------------------------------------------------------------
 
-def run(scale: str = "quick", seed: int = 0, repeats: int = 3) -> Dict:
+def run(scale: str = "quick", repeats: int = 3) -> Dict:
     """Run the mixed kernel workload; returns the benchmark document.
 
-    ``seed`` is accepted for harness uniformity; the workloads are fully
-    deterministic (event counts never vary — only wall time does).
+    The workloads are fully deterministic (event counts never vary —
+    only wall time does).
     """
     cal = _calibration_ops_per_s()
     factor = cal / _CAL_REFERENCE_OPS_PER_S
@@ -292,7 +292,6 @@ def run(scale: str = "quick", seed: int = 0, repeats: int = 3) -> Dict:
     doc = {
         "benchmark": "kernel",
         "scale": scale,
-        "seed": seed,
         "repeats": repeats,
         "calibration_mops": cal / 1e6,
         "workloads": results,

@@ -26,7 +26,7 @@ from .suite import SUITES
 
 
 def _targets() -> Dict[str, Callable[..., object]]:
-    """Profile target -> ``fn(scale=, seed=)``: every figure the CLI can
+    """Profile target -> ``fn(scale=)``: every figure the CLI can
     regenerate, every bench suite as ``bench:<name>`` (``bench`` alone is
     the CLI's default suite), and the kernel bench whole (one repeat) or
     one workload of its mix at a time."""
@@ -38,7 +38,7 @@ def _targets() -> Dict[str, Callable[..., object]]:
             targets["bench"] = suite.run
     targets["kernel"] = partial(kernel_bench.run, repeats=1)
     for name in kernel_bench.workloads("quick"):
-        targets[f"kernel:{name}"] = lambda scale, seed, name=name: \
+        targets[f"kernel:{name}"] = lambda scale, name=name: \
             kernel_bench.workloads(scale)[name]()
     return targets
 
@@ -47,7 +47,7 @@ def profile_targets() -> List[str]:
     return sorted(_targets())
 
 
-def run_profile(target: str, scale: str = "quick", seed: int = 0,
+def run_profile(target: str, scale: str = "quick",
                 top: int = 25, sort: str = "tottime") -> str:
     """Profile one target; returns the rendered hot-path table."""
     targets = _targets()
@@ -58,13 +58,13 @@ def run_profile(target: str, scale: str = "quick", seed: int = 0,
     prof = cProfile.Profile()
     prof.enable()
     try:
-        targets[target](scale=scale, seed=seed)
+        targets[target](scale=scale)
     finally:
         prof.disable()
     buf = io.StringIO()
     stats = pstats.Stats(prof, stream=buf)
     stats.sort_stats(sort).print_stats(top)
-    header = (f"profile: target={target} scale={scale} seed={seed} "
+    header = (f"profile: target={target} scale={scale} "
               f"sort={sort} top={top}\n"
               "(profiler overhead inflates absolute times — rank only)\n")
     return header + buf.getvalue()

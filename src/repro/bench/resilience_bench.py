@@ -67,9 +67,9 @@ def _percentile(values: List[float], q: float) -> float:
 
 
 def _run_arm(load: float, resilient: bool, duration: float,
-             n_clients: int, seed: int) -> Dict:
+             n_clients: int) -> Dict:
     """One (load multiple, arm) cell: open-loop reads against one server."""
-    cluster = Cluster(seed=seed)
+    cluster = Cluster()
     bus = TraceBus()
     server_node = cluster.add_node("zkserver", cores=1)
     ensemble = build_ensemble(cluster, [server_node], 1,
@@ -144,15 +144,15 @@ def _run_arm(load: float, resilient: bool, duration: float,
     }
 
 
-def run(scale: str = "quick", seed: int = 0) -> Dict:
+def run(scale: str = "quick") -> Dict:
     """Run the off/on sweep; returns a JSON-ready result document."""
     duration, n_clients, loads = _SCALES[scale]
     capacity = 1.0 / READ_CPU
     runs: Dict[str, Dict[str, Dict]] = {}
     for load in loads:
         runs[f"{load:g}"] = {
-            "off": _run_arm(load, False, duration, n_clients, seed),
-            "on": _run_arm(load, True, duration, n_clients, seed),
+            "off": _run_arm(load, False, duration, n_clients),
+            "on": _run_arm(load, True, duration, n_clients),
         }
     gate_cell = runs.get(GATE_LOAD) or runs[max(runs, key=float)]
     off = gate_cell["off"]["goodput_ops_s"]
@@ -160,7 +160,6 @@ def run(scale: str = "quick", seed: int = 0) -> Dict:
     return {
         "benchmark": "resilience_overload",
         "scale": scale,
-        "seed": seed,
         "duration": duration,
         "n_clients": n_clients,
         "capacity_ops_s": capacity,
@@ -179,8 +178,8 @@ def run(scale: str = "quick", seed: int = 0) -> Dict:
 
 def render(doc: Dict) -> str:
     lines = [
-        f"resilience overload campaign (scale={doc['scale']} "
-        f"seed={doc['seed']}, capacity {doc['capacity_ops_s']:,.0f} reads/s,"
+        f"resilience overload campaign (scale={doc['scale']}, "
+        f"capacity {doc['capacity_ops_s']:,.0f} reads/s,"
         f" {doc['n_clients']} open-loop clients x {doc['duration']:g}s):",
         f"  {'load':>5} {'arm':>4} {'offered/s':>10} {'goodput/s':>10} "
         f"{'ok%':>6} {'p95(ms)':>8} {'served':>7} {'expired':>8} "

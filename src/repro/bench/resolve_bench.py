@@ -1,7 +1,7 @@
 """Path-resolution ablation: server-side ``resolve`` vs fat-client walk.
 
 Runs the DL-training workload family (:mod:`repro.workloads.dltrain`)
-twice on identically-seeded deployments:
+twice on identical deployments:
 
 - **off** — the legacy *fat client* with an explicit kernel-VFS
   cold-dcache walk (:class:`ColdDcacheWalk`, a baseline that exists only
@@ -92,7 +92,7 @@ class ColdDcacheWalk:
         return (yield from self.client.stat(path))
 
 
-def run_side(thin: bool, scale: str, seed: int) -> Dict:
+def run_side(thin: bool, scale: str) -> Dict:
     """One full run (scaffold + three measured phases) of one arm: thin
     clients, or default clients each behind a :class:`ColdDcacheWalk`.
 
@@ -103,7 +103,7 @@ def run_side(thin: bool, scale: str, seed: int) -> Dict:
     n_zk, n_clients, spec = _SCALES[scale]
     dep = build_dufs_deployment(n_zk=n_zk, n_backends=2,
                                 n_client_nodes=n_clients, backend="local",
-                                params=SimParams(), seed=seed,
+                                params=SimParams(),
                                 resolve=ResolveParams(enabled=thin))
     sim = dep.cluster.sim
     samples = spec.sample_files()
@@ -136,8 +136,8 @@ def run_side(thin: bool, scale: str, seed: int) -> Dict:
         [flat_worker(p) for p in range(n_clients)], len(samples))
 
     # ---- epoch_read: randomized re-reads, epochs passes --------------
-    # Per-worker named streams: both arms build their cluster from the
-    # same seed, so off and on replay identical shuffled orders.
+    # Per-worker named streams: both arms build their cluster at the
+    # default seed, so off and on replay identical shuffled orders.
     def epoch_worker(p: int) -> Generator:
         c = readers[p % len(readers)]
         rng = dep.cluster.streams.stream(f"dltrain.epoch.{p}")

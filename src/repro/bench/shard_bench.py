@@ -39,12 +39,11 @@ PHASES = ("dir_create", "file_create", "file_stat", "file_remove")
 GATES = (("file_create", 1.5), ("dir_create", 1.0))
 
 
-def _run_one(n_shards: int, scale: str, seed: int) -> Dict:
+def _run_one(n_shards: int, scale: str) -> Dict:
     n_zk, n_clients, n_procs, items = _SCALES[scale]
     dep = build_dufs_deployment(n_zk=n_zk, n_backends=2,
                                 n_client_nodes=n_clients, backend="local",
-                                params=SimParams(), seed=seed,
-                                n_shards=n_shards)
+                                params=SimParams(), n_shards=n_shards)
     cfg = MdtestConfig(n_procs=n_procs, items_per_proc=items, phases=PHASES)
     result = run_mdtest(dep.cluster, dep.mount_for, dep.node_for, cfg)
     servers_per_shard = max(1, n_zk // n_shards)
@@ -62,16 +61,15 @@ def _run_one(n_shards: int, scale: str, seed: int) -> Dict:
     return doc
 
 
-def run(scale: str = "quick", seed: int = 0,
+def run(scale: str = "quick",
         shard_counts: Sequence[int] = (1, 2, 4)) -> Dict:
     """Run the sweep; returns a JSON-ready result document."""
     n_zk, n_clients, n_procs, items = _SCALES[scale]
-    runs = {str(n): _run_one(n, scale, seed) for n in shard_counts}
+    runs = {str(n): _run_one(n, scale) for n in shard_counts}
     base = runs[str(shard_counts[0])]
     doc = {
         "benchmark": "shard_scaling",
         "scale": scale,
-        "seed": seed,
         "n_zk_total": n_zk,
         "n_procs": n_procs,
         "items_per_proc": items,
@@ -91,7 +89,7 @@ def run(scale: str = "quick", seed: int = 0,
 
 def render(doc: Dict) -> str:
     counts = sorted(doc["shards"], key=int)
-    lines = [f"shard scaling (scale={doc['scale']} seed={doc['seed']}, "
+    lines = [f"shard scaling (scale={doc['scale']}, "
              f"{doc['n_zk_total']} ZK servers total, "
              f"{doc['n_procs']} procs x {doc['items_per_proc']} items):",
              f"  {'phase':<12} " + " ".join(

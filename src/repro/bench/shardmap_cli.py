@@ -35,7 +35,7 @@ _SCALES = {
 }
 
 
-def run_shardmap_demo(scale: str = "quick", seed: int = 0) -> Dict:
+def run_shardmap_demo(scale: str = "quick") -> Dict:
     """Drive the skewed two-burst workload and return the state document."""
     n_clients, n_procs, dirs_per_burst, items = _SCALES[scale]
     elastic = ElasticParams.elastic_on(
@@ -44,7 +44,7 @@ def run_shardmap_demo(scale: str = "quick", seed: int = 0) -> Dict:
         moves_per_tick=8, drain=0.0)
     dep = build_dufs_deployment(
         n_zk=8, n_backends=2, n_client_nodes=n_clients, backend="local",
-        params=SimParams(), seed=seed, n_shards=4, autoscale=elastic)
+        params=SimParams(), n_shards=4, autoscale=elastic)
     sim = dep.cluster.sim
     nodes = [dep.node_for(p) for p in range(n_procs)]
     bursts = {"A": colliding_dirs(0, dirs_per_burst, "a"),
@@ -75,7 +75,6 @@ def run_shardmap_demo(scale: str = "quick", seed: int = 0) -> Dict:
     return {
         "benchmark": "shardmap",
         "scale": scale,
-        "seed": seed,
         "map": {
             "epoch": cur.epoch,
             "strategy": cur.strategy,
@@ -138,10 +137,10 @@ def render_shardmap(doc: Dict) -> str:
     return "\n".join(lines)
 
 
-def run_shardmap(scale: str = "quick", seed: int = 0,
+def run_shardmap(scale: str = "quick",
                  json_path: Optional[str] = None) -> str:
     """Entry point for ``repro shardmap``: run the demo, format the dump."""
-    doc = run_shardmap_demo(scale=scale, seed=seed)
+    doc = run_shardmap_demo(scale=scale)
     if json_path == "-":
         return json.dumps(doc, indent=2, sort_keys=True)
     out = render_shardmap(doc)

@@ -38,7 +38,7 @@ class Suite:
     selector: str
     #: One line for ``--help`` and ``--list``.
     blurb: str
-    run: Callable[..., Dict]                  # run(scale, seed, **rerun)
+    run: Callable[..., Dict]                  # run(scale, **rerun)
     render: Callable[[Dict], str]
     #: label -> higher-is-better value, each held within the tolerance
     #: of the same label in the baseline. Must tolerate a malformed
@@ -72,9 +72,9 @@ class Suite:
                                       scale, "--json", self.baseline]))
 
     def fresh(self, baseline: Dict) -> Dict:
-        """Rerun at the scale, seed and sweep the baseline recorded."""
+        """Rerun at the scale and sweep the baseline recorded."""
         return self.run(scale=baseline.get("scale", "quick"),
-                        seed=baseline.get("seed", 0), **self.rerun(baseline))
+                        **self.rerun(baseline))
 
 
 def dumps(doc: Dict) -> str:
@@ -130,11 +130,11 @@ def stale_leaves(doc: Dict, baseline: Dict) -> List[str]:
 
 def ablation(name: str, selector: str, blurb: str, *, title: str,
              arms: Tuple[str, str], phases: Sequence[str],
-             run_side: Callable[[bool, str, int], Dict],
+             run_side: Callable[[bool, str], Dict],
              footer: Callable[[Dict], str], floors: Callable[[Dict], Floors],
              extra: Optional[Dict] = None) -> Suite:
     """A suite of the off/on shape: ``run_side`` runs the same phases on
-    identically seeded deployments with the feature off, then on; the
+    identical deployments with the feature off, then on; the
     document holds both sides and the on/off ``speedup`` per phase, the
     table one row per phase plus the suite's ``footer`` line, and the
     on-side throughput is what is tracked. ``arms`` names the two
@@ -145,16 +145,16 @@ def ablation(name: str, selector: str, blurb: str, *, title: str,
     def ops(side: Dict, phase: str) -> float:
         return side["phases"][phase]["ops_per_s"]
 
-    def run(scale: str = "quick", seed: int = 0) -> Dict:
-        off = run_side(False, scale, seed)
-        on = run_side(True, scale, seed)
+    def run(scale: str = "quick") -> Dict:
+        off = run_side(False, scale)
+        on = run_side(True, scale)
         return {"benchmark": f"{name}_ablation", "scale": scale,
-                "seed": seed, **extra, "off": off, "on": on,
+                **extra, "off": off, "on": on,
                 "speedup": {p: ops(on, p) / ops(off, p) if ops(off, p)
                             else 0.0 for p in phases}}
 
     def render(doc: Dict) -> str:
-        head = " ".join(f"{k}={doc[k]}" for k in ("scale", "seed", *extra))
+        head = " ".join(f"{k}={doc[k]}" for k in ("scale", *extra))
         lines = [f"{title} ({head}):",
                  f"  {'phase':<12} {arms[0] + ' ops/s':>12} "
                  f"{arms[1] + ' ops/s':>12} {'speedup':>8}"]

@@ -44,7 +44,7 @@ def trace_rows(bus: TraceBus) -> List[Dict]:
 
 
 def run_trace(scale: str = "quick", backend: str = "local",
-              batch: int = 1, seed: int = 0,
+              batch: int = 1,
               phases: Optional[tuple] = None,
               cache: bool = False, shards: int = 1,
               json_path: Optional[str] = None) -> str:
@@ -61,7 +61,7 @@ def run_trace(scale: str = "quick", backend: str = "local",
             zk=replace(params.zk, propose_batch_max=batch))
     dep = build_dufs_deployment(n_zk=n_zk, n_backends=n_backends,
                                 n_client_nodes=n_clients, backend=backend,
-                                params=params, seed=seed, trace=True,
+                                params=params, trace=True,
                                 cache=CacheParams.caching_on() if cache
                                 else None, n_shards=shards)
     # Windowed per-shard op rates — the same aggregation the elastic
@@ -79,7 +79,7 @@ def run_trace(scale: str = "quick", backend: str = "local",
                                              window=elapsed)
     doc = {
         "benchmark": "trace",
-        "scale": scale, "backend": backend, "seed": seed,
+        "scale": scale, "backend": backend,
         "n_zk": n_zk, "n_shards": shards,
         "batch": max(1, batch), "cache": cache,
         "phases": {name: {"ops": r.ops, "duration": r.duration,

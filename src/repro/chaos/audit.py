@@ -50,7 +50,7 @@ schedule produce byte-identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..core.mapping import physical_path
 from ..core.paths import parent_dir
@@ -207,16 +207,16 @@ def merged_namespace_view(deployment) -> Tuple[Dict[str, bytes], int]:
     return view, repairs
 
 
-def audit_dufs(deployment, store: Optional[ZnodeStore] = None) -> AuditReport:
+def audit_dufs(deployment) -> AuditReport:
     """Cross-check a DUFS deployment's ZK namespace against its back-ends.
 
-    ``deployment`` is a :class:`~repro.core.fs.DUFSDeployment`; ``store``
-    overrides the znode tree to audit (default: the freshest replica of
-    each shard's ensemble, merged and intent-reconciled when sharded).
+    ``deployment`` is a :class:`~repro.core.fs.DUFSDeployment`; the znode
+    tree audited is the freshest replica of each shard's ensemble, merged
+    and intent-reconciled when sharded.
     """
     report = AuditReport()
-    if store is not None or getattr(deployment, "n_shards", 1) <= 1:
-        store = store or freshest_store(deployment.ensemble)
+    if getattr(deployment, "n_shards", 1) <= 1:
+        store = freshest_store(deployment.ensemble)
         view: Dict[str, bytes] = {p: store.get(p)[0]
                                   for p in store.walk_paths() if p != "/"}
     else:

@@ -43,6 +43,13 @@ from .schedule import ChaosSchedule, FaultSpec, RandomChaos
 
 DEPLOYMENTS = ("dufs", "lustre", "pvfs")
 
+#: The shape of every run: one ``create`` per ``OP_INTERVAL`` seconds,
+#: started (with the schedule) after ``SETTLE`` seconds of warm-up, and
+#: ``TAIL`` seconds after the last op for recoveries to land.
+OP_INTERVAL = 0.01
+SETTLE = 1.0
+TAIL = 3.0
+
 
 @dataclass
 class ChaosRunResult:
@@ -218,10 +225,6 @@ def run_chaos(
     schedule: Optional[ChaosSchedule] = None,
     seed: int = 0,
     ops: int = 400,
-    op_interval: float = 0.01,
-    settle: float = 1.0,
-    tail: float = 3.0,
-    audit: bool = True,
     on_event: Optional[Callable[[FaultSpec, tuple], None]] = None,
     cache: Optional[CacheParams] = None,
     shards: int = 1,
@@ -231,10 +234,10 @@ def run_chaos(
 ) -> ChaosRunResult:
     """One chaos experiment: op stream + schedule replay + (DUFS) audit.
 
-    The op stream issues one ``create`` every ``op_interval`` seconds and
+    The op stream issues one ``create`` every ``OP_INTERVAL`` seconds and
     tolerates failures (each is counted, never fatal) — exactly the
     availability measurement of the paper's reliability discussion. The
-    schedule starts when the op stream does, after ``settle`` seconds of
+    schedule starts when the op stream does, after ``SETTLE`` seconds of
     warm-up. ``cache`` (DUFS only) runs the clients with the coherent
     metadata cache enabled, so the audit doubles as a coherence check
     under faults. ``shards`` (DUFS only) runs the sharded metadata plane
@@ -264,7 +267,7 @@ def run_chaos(
                 raise ValueError(f"{option} is a DUFS-only option")
         built = builder(seed)
     cluster, dep, client, node, resolve, apply_backend = built
-    duration = ops * op_interval
+    duration = ops * OP_INTERVAL
     if schedule is None:
         schedule = default_schedule(deployment, duration, seed=seed)
 
@@ -281,24 +284,22 @@ def run_chaos(
                 completions.append(cluster.sim.now)
             except FSError:
                 failures.append(cluster.sim.now)
-            yield cluster.sim.timeout(op_interval)
+            yield cluster.sim.timeout(OP_INTERVAL)
 
-    cluster.sim.run(until=settle)
+    cluster.sim.run(until=SETTLE)
     engine = ChaosEngine(cluster, schedule, resolve=resolve,
                          on_event=on_event, apply_backend=apply_backend)
     engine.start()
     node.spawn(workload())
-    cluster.sim.run(until=settle + duration + tail)
+    cluster.sim.run(until=SETTLE + duration + TAIL)
 
-    report = None
-    if audit and deployment == "dufs":
-        report = audit_dufs(dep)
+    report = audit_dufs(dep) if deployment == "dufs" else None
     return ChaosRunResult(
         deployment=deployment,
         completed=len(completions),
         failed=len(failures),
         max_stall=max_gap(completions),
-        elapsed=cluster.sim.now - settle,
+        elapsed=cluster.sim.now - SETTLE,
         issued=issued[0],
         trace=list(engine.trace),
         audit=report,

@@ -148,11 +148,10 @@ class RandomChaos:
 
     Crash arrivals are Poisson (``rate`` per second over ``duration``);
     each victim is drawn uniformly from ``targets`` and stays down for an
-    exponential time with mean ``mean_downtime``. At most
-    ``max_concurrent_down`` targets are ever down together — the default
-    keeps a strict majority of the targets alive, so a ZooKeeper ensemble
-    under this generator retains quorum (the paper's availability claim is
-    about minority failures).
+    exponential time with mean ``mean_downtime``. A strict majority of
+    the targets is always alive, so a ZooKeeper ensemble under this
+    generator retains quorum (the paper's availability claim is about
+    minority failures).
 
     All draws come from one named stream of a :class:`RandomStreams`, so
     the same ``(seed, name)`` always yields the same schedule.
@@ -165,7 +164,6 @@ class RandomChaos:
         seed: int = 0,
         rate: float = 0.5,
         mean_downtime: float = 1.0,
-        max_concurrent_down: Optional[int] = None,
         streams: Optional[RandomStreams] = None,
         name: str = "chaos.random",
     ):
@@ -175,9 +173,7 @@ class RandomChaos:
         self.duration = duration
         self.rate = rate
         self.mean_downtime = mean_downtime
-        if max_concurrent_down is None:
-            max_concurrent_down = max(1, (len(self.targets) - 1) // 2)
-        self.max_concurrent_down = max_concurrent_down
+        self.max_concurrent_down = max(1, (len(self.targets) - 1) // 2)
         self.streams = streams or RandomStreams(seed)
         self.name = name
 

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro fig7 [--scale quick|medium|full] [--seed N]
+    python -m repro fig7 [--scale quick|medium|full]
     python -m repro fig8 | fig9 | fig10 | fig11 | claims | ablations
     python -m repro trace [--backend local|lustre|pvfs] [--batch N] [--cache]
                           [--shards N] [--json PATH|-]
@@ -24,6 +24,7 @@ Usage::
                                             # migrations, decisions
     python -m repro profile kernel          # cProfile any bench/figure and
     python -m repro profile fig7            # print the hot-path table
+    python -m repro chaos [--seed N]        # random minority ZK crashes
     python -m repro chaos --shards 4        # sharded metadata plane + shard:<k>
     python -m repro chaos --resilience      # deadlines+budget+breakers+hedging
     python -m repro chaos --shards 2 --elastic  # elastic plane under faults
@@ -91,7 +92,9 @@ def main(argv=None) -> int:
                         choices=("quick", "medium", "full"),
                         help="sweep size: quick (seconds), medium, or full "
                              "(the paper's axes; minutes)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="the random fault schedule, link loss and "
+                             "retry jitter (chaos only)")
     parser.add_argument("--csv", metavar="DIR", default=None,
                         help="also write each figure as CSV into DIR")
     parser.add_argument("--chart", action="store_true",
@@ -183,8 +186,7 @@ def main(argv=None) -> int:
         elif target == "trace":
             from .bench.trace_cli import run_trace
             print(run_trace(scale=args.scale, backend=args.backend,
-                            batch=args.batch, seed=args.seed,
-                            cache=args.cache,
+                            batch=args.batch, cache=args.cache,
                             shards=shard_counts[0] if shard_counts else 1,
                             json_path=args.json))
         elif target == "profile":
@@ -194,14 +196,12 @@ def main(argv=None) -> int:
                              f"kernel' (one of: {', '.join(profile_targets())})")
             try:
                 print(run_profile(args.subtarget, scale=args.scale,
-                                  seed=args.seed, top=args.top,
-                                  sort=args.sort))
+                                  top=args.top, sort=args.sort))
             except ValueError as exc:
                 parser.error(str(exc))
         elif target == "shardmap":
             from .bench import run_shardmap
-            print(run_shardmap(scale=args.scale, seed=args.seed,
-                               json_path=args.json))
+            print(run_shardmap(scale=args.scale, json_path=args.json))
         elif target == "bench":
             chosen = [s for s in SUITES.values()
                       if s.dest and getattr(args, s.dest)] \
@@ -212,16 +212,15 @@ def main(argv=None) -> int:
                                             for s in chosen))
             suite, = chosen
             sweep = {"shard_counts": shard_counts} if shard_counts else {}
-            doc = suite.run(scale=args.scale, seed=args.seed, **sweep)
+            doc = suite.run(scale=args.scale, **sweep)
             print(suite.render(doc))
             if args.json:
                 print(f"[json] {write_json(doc, args.json)}")
         elif target == "claims":
             scale = args.scale if args.scale != "quick" else "medium"
-            print(render_headline(run_headline_claims(scale=scale,
-                                                      seed=args.seed)))
+            print(render_headline(run_headline_claims(scale=scale)))
         else:
-            fig = RUNNERS[target](scale=args.scale, seed=args.seed)
+            fig = RUNNERS[target](scale=args.scale)
             print(render_figure(fig))
             if args.chart:
                 from .bench.chart import render_figure_charts

@@ -218,7 +218,7 @@ def build_dufs_deployment(
         bus = TraceBus()
     if elastic.enabled:
         bus.enable_shard_window(elastic.window)
-    cluster = Cluster(seed=seed if seed else params.seed)
+    cluster = Cluster(seed=seed)
     client_nodes = [cluster.add_node(f"client{i}", cores=params.node_cores)
                     for i in range(n_client_nodes)]
     if co_locate_zk:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..zk.client import ZKClient
 from ..zk.errors import NodeExistsError, NoNodeError, NotEmptyError, ZKError
@@ -105,15 +105,12 @@ class Migrator:
     """
 
     def __init__(self, registry: ShardMapRegistry,
-                 clients: Sequence[ZKClient],
-                 is_dir_payload: Callable[[bytes], bool] = default_is_dir,
-                 drain: float = 0.05):
+                 clients: Sequence[ZKClient], drain: float = 0.05):
         if len(clients) != registry.current.n_shards:
             raise ValueError("need one migrator client per shard")
         self.registry = registry
         self.clients = list(clients)
         self.sim = self.clients[0].sim
-        self.is_dir_payload = is_dir_payload
         self.drain = drain
         self._seq = itertools.count(1)
         self.stats = {"splits": 0, "merges": 0, "aborted": 0,
@@ -142,9 +139,7 @@ class Migrator:
         # Migrations of *disjoint* roots may run concurrently (the
         # autoscaler executes a tick's batch in parallel), so each gets a
         # private service instance — its ``map`` is rebound per phase.
-        mds = ShardedMDS(self.clients, shard_map=cur,
-                         is_dir_payload=self.is_dir_payload,
-                         name="migrator")
+        mds = ShardedMDS(self.clients, shard_map=cur, name="migrator")
         self.registry.begin_migration(mig)
         try:
             ok = yield from self._run(mig, mds, cur, new_map, reason)
@@ -275,13 +270,13 @@ class Migrator:
                      for name in sorted(names)]
             fetched: dict = {}
 
-            def fetch(chunk, into=fetched):
+            def fetch(chunk):
                 for p in chunk:
                     try:
                         data, _ = yield from mds.get(p)
                     except NoNodeError:
                         continue  # raced with a pre-freeze delete
-                    into[p] = data
+                    fetched[p] = data
             yield from self._fanout(
                 fetch(paths[w::COPY_FANOUT]) for w in range(COPY_FANOUT)
                 if paths[w::COPY_FANOUT])
@@ -289,7 +284,7 @@ class Migrator:
                 if p not in fetched:
                     continue
                 data = fetched[p]
-                is_dir = self.is_dir_payload(data)
+                is_dir = default_is_dir(data)
                 out.append((p, data, is_dir))
                 if is_dir:
                     stack.append(p)
@@ -323,7 +318,7 @@ class Migrator:
                     data, _ = yield from mds.get(p)
                 except NoNodeError:
                     continue
-                is_dir = self.is_dir_payload(data)
+                is_dir = default_is_dir(data)
                 out.append((p, data, is_dir))
                 if is_dir:
                     stack.append(p)

@@ -188,7 +188,6 @@ class ShardedMDS(MetadataService):
         self,
         clients: Sequence[ZKClient],
         shard_map: Optional[ShardMap] = None,
-        is_dir_payload: Callable[[bytes], bool] = default_is_dir,
         name: Optional[str] = None,
         bus: Optional[TraceBus] = None,
         registry: Optional[ShardMapRegistry] = None,
@@ -205,7 +204,6 @@ class ShardedMDS(MetadataService):
             self.map = shard_map or ShardMap(self.n_shards)
         if self.map.n_shards != self.n_shards:
             raise ValueError("shard map size != number of shard clients")
-        self.is_dir_payload = is_dir_payload
         self.name = name or f"mds{next(_mds_seq)}"
         self.bus = bus if bus is not None else NULL_BUS
         self._last_retries = 0
@@ -408,7 +406,7 @@ class ShardedMDS(MetadataService):
         the path iff it *created* it) and, for a two-copy directory, write
         the child-host copy beside it from the same simulated instant;
         returns once both have committed (C1)."""
-        if not self.is_dir_payload(data) \
+        if not default_is_dir(data) \
                 or self.map.child_shard(path) == self.map.home_shard(path):
             return (yield from home_copy)
         anchor, home = yield from self._both(
@@ -481,7 +479,7 @@ class ShardedMDS(MetadataService):
             try:
                 data, _ = yield from self._call(
                     home, "get", path, reroute=lambda m: m.home_shard(path))
-                is_dir = self.is_dir_payload(data)
+                is_dir = default_is_dir(data)
             except NoNodeError:
                 is_dir = False
             home = self.map.home_shard(path)  # the get may have adopted
@@ -582,7 +580,7 @@ class ShardedMDS(MetadataService):
         ops = list(ops)
         shards = {self.map.home_shard(op.path) for op in ops}
         needs_anchor = any(
-            op.op == "create" and self.is_dir_payload(op.data)
+            op.op == "create" and default_is_dir(op.data)
             and self.map.child_shard(op.path) != self.map.home_shard(op.path)
             for op in ops)
         if len(shards) == 1 and not needs_anchor:

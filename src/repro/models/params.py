@@ -421,7 +421,6 @@ class SimParams:
     awrite: AsyncParams = field(default_factory=AsyncParams)
 
     node_cores: int = 8                # dual Xeon E5335
-    seed: int = 0
 
     def with_overrides(self, **kwargs) -> "SimParams":
         """Shallow-copy with replaced sub-models (ablation helper)."""

@@ -79,17 +79,14 @@ def build_lustre(
     name: str = "lustre",
     n_oss: int = 2,
     params: Optional[LustreParams] = None,
-    mds_cores: Optional[int] = None,
     with_standby: bool = False,
     bus: Optional[TraceBus] = None,
 ) -> LustreFS:
     params = params or LustreParams()
-    mds_node = cluster.add_node(f"{name}-mdsnode",
-                                cores=mds_cores or params.mds_cores)
+    mds_node = cluster.add_node(f"{name}-mdsnode", cores=params.mds_cores)
     oss_nodes = [cluster.add_node(f"{name}-ossnode{i}", cores=params.oss_cores)
                  for i in range(n_oss)]
-    standby = cluster.add_node(f"{name}-mds-standby",
-                               cores=mds_cores or params.mds_cores) \
+    standby = cluster.add_node(f"{name}-mds-standby", cores=params.mds_cores) \
         if with_standby else None
     return LustreFS(cluster, name, mds_node, oss_nodes, params,
                     standby_node=standby, bus=bus)

@@ -92,30 +92,32 @@ def format_trace(ops: Sequence[TraceOp]) -> str:
     return "\n".join(str(op) for op in ops) + "\n"
 
 
+#: Op-type weights of a synthesized trace (stat-heavy, like mdtest logs).
+_MIX = {"mkdir": 1, "create": 4, "stat": 8, "unlink": 2,
+        "rename": 1, "readdir": 1, "rmdir": 0.5}
+#: Cap on the directories one process holds at once: its root + 4 ** 2.
+_MAX_DIRS = 1 + 4 ** 2
+
+
 def synthesize_trace(
     n_procs: int,
     n_ops: int,
     seed: int = 0,
-    mix: Optional[Dict[str, float]] = None,
-    depth: int = 2,
-    breadth: int = 4,
 ) -> List[TraceOp]:
     """Generate a random-but-valid trace.
 
     Replay runs each process's records concurrently with no cross-process
     ordering, so every generated op depends only on paths its own process
     created: process ``p`` works entirely inside its private subtree
-    ``/p<p>`` (its first op creates it). ``mix`` weights the op types.
+    ``/p<p>`` (its first op creates it). ``_MIX`` weights the op types.
     """
-    mix = mix or {"mkdir": 1, "create": 4, "stat": 8, "unlink": 2,
-                  "rename": 1, "readdir": 1, "rmdir": 0.5}
     rng = random.Random(seed)
     dirs: List[List[str]] = [[] for _ in range(n_procs)]
     files: List[List[str]] = [[] for _ in range(n_procs)]
     counter = 0
     ops: List[TraceOp] = []
-    names = list(mix)
-    weights = [mix[k] for k in names]
+    names = list(_MIX)
+    weights = list(_MIX.values())
     for p in range(n_procs):
         if len(ops) >= n_ops:
             break
@@ -129,7 +131,7 @@ def synthesize_trace(
             continue
         op = rng.choices(names, weights)[0]
         counter += 1
-        if op == "mkdir" and len(d) < 1 + breadth ** depth:
+        if op == "mkdir" and len(d) < _MAX_DIRS:
             path = f"{rng.choice(d)}/d{counter}"
             d.append(path)
             ops.append(TraceOp(proc, "mkdir", (path,)))

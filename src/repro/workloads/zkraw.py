@@ -26,7 +26,6 @@ class ZKRawConfig:
     n_client_nodes: int = 8
     n_procs: int = 64
     ops_per_proc: int = 25
-    seed: int = 0
 
 
 @dataclass
@@ -41,7 +40,7 @@ class ZKRawResult:
 def run_zk_raw(config: ZKRawConfig,
                params: ZKParams | None = None) -> ZKRawResult:
     """Build a fresh co-located ensemble and run the four phases."""
-    cluster = Cluster(seed=config.seed)
+    cluster = Cluster()
     nodes = [cluster.add_node(f"client{i}")
              for i in range(config.n_client_nodes)]
     ensemble = build_ensemble(cluster, nodes, config.n_servers,

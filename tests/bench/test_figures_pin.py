@@ -14,7 +14,7 @@ import pytest
 from repro.bench.figures import (run_ablations, run_cmd_comparison,
                                  run_fig9, run_fig10, run_single_dir)
 
-# sha256(repr(sorted(fig.series.items())))[:16] at scale="tiny", seed=0.
+# sha256(repr(sorted(fig.series.items())))[:16] at scale="tiny".
 GOLDEN = {
     "ablations": "81da02fb9f022647",
     "cmd": "c7b87a8c703ed78a",
@@ -34,5 +34,5 @@ def _digest(fig) -> str:
 
 @pytest.mark.parametrize("name", sorted(RUNNERS))
 def test_figure_series_pin(name):
-    fig = RUNNERS[name]("tiny", seed=0)
+    fig = RUNNERS[name]("tiny")
     assert _digest(fig) == GOLDEN[name], sorted(fig.series.items())

@@ -1,6 +1,9 @@
 """Tiny-scale smoke tests for every figure runner (fast unit coverage;
-the benchmarks/ suite runs them at quick scale with shape assertions)."""
+the benchmarks/ suite runs them at quick scale with shape assertions).
+Each doubles as the guard that the runner opens no random stream — the
+reason it takes no ``seed``."""
 
+import pytest
 
 from repro.bench.figures import (
     run_ablations,
@@ -12,6 +15,12 @@ from repro.bench.figures import (
     run_single_dir,
 )
 from repro.workloads.mdtest import ALL_PHASES
+
+
+@pytest.fixture(autouse=True)
+def opens_no_random_stream(streams_opened):
+    yield
+    assert streams_opened == []
 
 
 def series_complete(fig, expected_panels, variants):

@@ -15,6 +15,7 @@ import re
 
 import pytest
 
+from repro.bench import resilience_bench, shard_bench
 from repro.bench.profile_cli import profile_targets, run_profile
 from repro.bench.suite import SUITES, check, dumps, stale_leaves
 from repro.cli import RUNNERS, main
@@ -210,6 +211,28 @@ def test_only_the_wall_clock_suite_is_inexact():
     assert [s.name for s in SUITES.values() if not s.exact] == ["kernel"]
 
 
+# -- no suite takes a seed ----------------------------------------------------
+def test_suites_open_only_the_streams_their_documents_do_not_show(
+        streams_opened):
+    """A suite takes no seed because no seed moves its document: mdcache
+    and async open no random stream (asserted on the runs
+    ``test_cli_bench_without_a_selector…`` and ``test_async_bench.py``
+    already make), and neither does shard; resolve shuffles its epoch
+    order and an overloaded resilience arm jitters its retry sleeps, and
+    neither reaches a reported number (MODEL.md §10). A new stream here
+    is a new stochastic input: the seed comes back with it."""
+    shard_bench._run_one(2, "quick")
+    assert streams_opened == []
+    SUITES["resolve"].run(scale="quick")
+    assert {name.rsplit(".", 1)[0] for name in streams_opened} \
+        == {"dltrain.epoch"}
+    del streams_opened[:]
+    resilience_bench._run_arm(load=2.0, resilient=True, duration=0.5,
+                              n_clients=2)
+    assert {name.rsplit(".", 1)[0] for name in streams_opened} \
+        == {"zk.client"}
+
+
 # -- the registry's readers ---------------------------------------------------
 def test_ci_matrix_is_the_registry():
     workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
@@ -254,11 +277,13 @@ def test_cli_rejects_conflicting_bench_selectors(argv, named, capsys):
     assert all(flag in err for flag in named)
 
 
-def test_cli_bench_without_a_selector_is_the_mdcache_suite(tmp_path, capsys):
+def test_cli_bench_without_a_selector_is_the_mdcache_suite(
+        tmp_path, capsys, streams_opened):
     path = tmp_path / "fresh.json"
     assert main(["bench", "--json", str(path)]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("cache ablation (scale=quick seed=0):")
+    assert out.startswith("cache ablation (scale=quick):")
     assert f"[json] {path}" in out
     # Simulated clock: the fresh document IS the committed baseline.
     assert path.read_text() == (ROOT / SUITES["mdcache"].baseline).read_text()
+    assert streams_opened == []             # why the suite takes no seed
