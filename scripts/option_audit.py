@@ -5,7 +5,8 @@ The static sibling of ``traffic_audit.py``: an AST pass (no import, under
 a second) over ``src/``, ``perfbench/``, ``benchmarks/``, ``examples/``
 and ``scripts/`` that prints every parameter with a default which no call
 site outside ``tests/`` passes, by keyword or by position — an option only
-its own default (or a test) ever sets. Print-only; always exits 0.
+its own default (or a test) ever sets. Print-only; always exits 0 (the
+hit count is a ratchet row of ``tests/models/test_option_budget.py``).
 
 The limit: call sites are matched by callee *name* (``f(...)``,
 ``x.f(...)``; a class name stands for its ``__init__``), so a call to any
