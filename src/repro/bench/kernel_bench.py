@@ -15,7 +15,7 @@ four hot shapes the cluster model generates:
     conditions, inbox stores, spawn-per-request dispatch, reply routing).
 ``spawn_interrupt``
     Process lifecycle churn: spawning short-lived children and
-    interrupting half of them mid-wait (the chaos / hedge-cancel shape).
+    interrupting half of them mid-wait (the chaos crash shape).
 ``resource``
     Grant cascades on fixed-capacity resources: the ``cpu_work`` /
     ``disk_io`` shape every simulated metadata op takes. Under load each

@@ -9,12 +9,14 @@ all of its CPU producing replies nobody is waiting for. Goodput (replies
 that reach a still-waiting caller) collapses to near zero and stays
 there.
 
-With the resilience policy on — deadline propagation (the server sheds
-queued work whose caller must have given up), a token-bucket retry
-budget (drained buckets stop the amplification), and per-endpoint
-circuit breakers (clients fast-fail during collapse and probe their way
-back) — the same overload degrades instead: the server spends its CPU
-only on live requests and goodput holds near capacity.
+With the resilience policy on, the same overload degrades instead: a
+token-bucket retry budget bounds the retries (a drained bucket stops the
+amplification), per-endpoint circuit breakers fast-fail them (clients
+back off during collapse and probe their way back), and the propagated
+deadline caps every attempt at what is left of the operation's budget.
+Fewer requests reach the server, so more of its CPU goes to callers
+still waiting, and goodput holds at a multiple of the off arm's
+(docs/MODEL.md §10 traces the same run per attempt).
 
 The committed gate (``benchmarks/BENCH_resilience.json``): at 2x the
 saturation load, resilience-on goodput must be >= 1.5x resilience-off.
@@ -52,8 +54,7 @@ READ_CPU = 2e-3
 FAULT = dict(request_timeout=0.08, max_retries=8, backoff_base=0.02,
              backoff_cap=0.2, op_budget=1.0)
 
-#: The resilience-on arm: deadlines + retry budget + breakers (hedging
-#: stays off — duplicating reads into an overloaded server adds load).
+#: The resilience-on arm: deadlines + retry budget + breakers.
 RESILIENCE_ON = dict(deadline_propagation=True, retry_budget=10.0,
                      retry_refill=0.1, breaker_enabled=True,
                      breaker_threshold=5, breaker_cooldown=0.25)
@@ -133,7 +134,6 @@ def _run_arm(load: float, resilient: bool, duration: float,
         "latency_p95": _percentile(latencies, 0.95),
         "server": {
             "served": bus.ops.get(key),
-            "expired": bus.expired.get(key),
         },
         "clients": {
             "retry_tokens_spent": sum(z.retry.budget.spent for z in clients),
@@ -182,7 +182,7 @@ def render(doc: Dict) -> str:
         f"capacity {doc['capacity_ops_s']:,.0f} reads/s,"
         f" {doc['n_clients']} open-loop clients x {doc['duration']:g}s):",
         f"  {'load':>5} {'arm':>4} {'offered/s':>10} {'goodput/s':>10} "
-        f"{'ok%':>6} {'p95(ms)':>8} {'served':>7} {'expired':>8} "
+        f"{'ok%':>6} {'p95(ms)':>8} {'served':>7} "
         f"{'denied':>7} {'trips':>6}",
     ]
     for load in sorted(doc["loads"], key=float):
@@ -193,7 +193,7 @@ def render(doc: Dict) -> str:
                 f"{r['goodput_ops_s']:>10,.0f} "
                 f"{r['success_rate'] * 100:>5.1f}% "
                 f"{r['latency_p95'] * 1e3:>8.1f} "
-                f"{r['server']['served']:>7} {r['server']['expired']:>8} "
+                f"{r['server']['served']:>7} "
                 f"{r['clients']['retries_denied']:>7} "
                 f"{r['clients']['breaker_trips']:>6}")
     g = doc["gate"]

@@ -245,8 +245,8 @@ def run_chaos(
     then exercises the merged-view intent reconciliation. ``fault``
     (DUFS only) runs the ZooKeeper clients under the given fault policy —
     with the run's 0.4 s request timeout and 10 retries — e.g. with
-    deadlines / retry budget / breakers / hedged reads on, so a chaos
-    campaign can prove hedging and fast-fails never corrupt the namespace.
+    deadlines / retry budget / breakers on, so a chaos campaign can prove
+    budget-denied retries and fast-fails never corrupt the namespace.
     ``elastic`` (DUFS only, needs ``shards >= 2``) runs the elastic
     metadata plane and unlocks the ``migration:src`` / ``migration:dst``
     targets for crash-during-migration experiments. ``awrite`` (DUFS

@@ -26,7 +26,7 @@ Usage::
     python -m repro profile fig7            # print the hot-path table
     python -m repro chaos [--seed N]        # random minority ZK crashes
     python -m repro chaos --shards 4        # sharded metadata plane + shard:<k>
-    python -m repro chaos --resilience      # deadlines+budget+breakers+hedging
+    python -m repro chaos --resilience      # deadlines+budget+breakers
     python -m repro chaos --shards 2 --elastic  # elastic plane under faults
                                                 # (+ migration:src/dst targets)
     python -m repro all --scale medium
@@ -117,7 +117,7 @@ def main(argv=None) -> int:
     chaos_use = {
         "resilience": "chaos: run the DUFS clients with the full resilience "
                       "policy (deadline propagation, retry budget, "
-                      "breakers, hedged reads)",
+                      "breakers)",
         "elastic": "chaos: run the elastic plane (needs --shards >= 2)",
         "async_writes": "chaos: run the DUFS clients in write-behind mode",
     }
@@ -165,7 +165,7 @@ def main(argv=None) -> int:
                                         ElasticParams, FaultToleranceParams)
             cache = CacheParams.caching_on() \
                 if args.cache and args.deployment == "dufs" else None
-            fault = FaultToleranceParams.resilience_on(hedge_enabled=True) \
+            fault = FaultToleranceParams.resilience_on() \
                 if args.resilience and args.deployment == "dufs" else None
             awrite = None
             if args.async_writes:

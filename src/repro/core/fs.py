@@ -139,8 +139,8 @@ def build_dufs_deployment(
     hang a deployment. ``zk_request_timeout`` / ``zk_max_retries``
     override those two fields of that policy for the whole deployment.
     The same policy carries the request-lifecycle layer, all off by
-    default — deadline propagation to the servers, a token-bucket retry
-    budget, per-endpoint circuit breakers, and hedged reads
+    default — a deadline on every attempt, a token-bucket retry budget
+    and per-endpoint circuit breakers
     (``FaultToleranceParams.resilience_on()`` is the everything-sensible
     preset); off leaves runs byte-identical to pre-resilience builds.
 

@@ -39,10 +39,10 @@ class FaultToleranceParams:
     events as one built before they existed (byte-identical replay).
 
     - *Deadline propagation* (``deadline_propagation``): every top-level
-      operation carries the absolute deadline ``start + op_budget``; RPCs
-      attach it to the wire request, nested RPCs inherit the remaining
-      budget, and the service kernel drops requests that arrive expired
-      and cancels read handlers whose deadline passes mid-service.
+      operation carries the absolute deadline ``start + op_budget``; each
+      attempt's RPC wait is capped at the remaining budget, and the
+      request carries it so the RPCs a server handler nests inherit the
+      cap. It bounds the caller only: a handler always runs to completion.
     - *Retry budget* (``retry_budget`` > 0): a per-client token bucket —
       each retry spends one token, each success refills ``retry_refill`` —
       so a retry storm self-extinguishes instead of amplifying overload.
@@ -50,10 +50,6 @@ class FaultToleranceParams:
       after ``breaker_threshold`` consecutive timeout/error completions;
       open endpoints fail fast for ``breaker_cooldown`` seconds, then one
       half-open probe decides re-close vs re-open.
-    - *Hedged reads* (``hedge_enabled``, ZooKeeper only): idempotent
-      lookups are re-issued to a different live server after the p95 of
-      recently observed read latency (:mod:`repro.resilience.hedge`);
-      first reply wins, the loser is cancelled. Writes are never hedged.
     """
 
     request_timeout: Optional[float] = 5.0
@@ -67,7 +63,6 @@ class FaultToleranceParams:
     breaker_enabled: bool = False
     breaker_threshold: int = 5         # consecutive failures to trip
     breaker_cooldown: float = 1.0      # open -> half-open delay (seconds)
-    hedge_enabled: bool = False
 
     @classmethod
     def backend(cls, **overrides) -> "FaultToleranceParams":
@@ -83,9 +78,7 @@ class FaultToleranceParams:
     @classmethod
     def resilience_on(cls, **overrides) -> "FaultToleranceParams":
         """The standard enabled policy used by benchmarks and chaos runs:
-        deadlines + retry budgets + breakers (hedging stays opt-in — under
-        overload it adds load; enable it explicitly for tail-latency
-        experiments)."""
+        deadlines + retry budgets + breakers."""
         base = dict(deadline_propagation=True, retry_budget=10.0,
                     breaker_enabled=True)
         base.update(overrides)
@@ -319,7 +312,7 @@ class ResolveParams:
       client dcache with a single fallback read.
     - ``enabled`` — the *thin client*: stat/lookup/parent-prereqs route
       through the server-side ``resolve`` endpoint — one RPC per lookup
-      regardless of depth, answered from the server dentry cache, hedged
+      regardless of depth, answered from the server dentry cache, retried
       and breaker-guarded like any idempotent read.
     """
 

@@ -99,12 +99,12 @@ class CMDServer:
         s.expose("lookup", self._h_lookup)
         s.expose("getattr_entry", self._h_getattr_entry)
         s.expose("readdir", self._h_readdir)
-        s.expose("insert", self._h_insert, write=True)
-        s.expose("remove", self._h_remove, write=True)
-        s.expose("adopt_dir", self._h_adopt_dir, write=True)
-        s.expose("drop_dir", self._h_drop_dir, write=True)
-        s.expose("set_mode", self._h_set_mode, write=True)
-        s.expose("set_size", self._h_set_size, write=True)
+        s.expose("insert", self._h_insert)
+        s.expose("remove", self._h_remove)
+        s.expose("adopt_dir", self._h_adopt_dir)
+        s.expose("drop_dir", self._h_drop_dir)
+        s.expose("set_mode", self._h_set_mode)
+        s.expose("set_size", self._h_set_size)
 
     def _charge(self, cost: float) -> Generator:
         thrash = 1.0 + self.params.thrash_coef * \

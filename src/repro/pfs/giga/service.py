@@ -72,9 +72,9 @@ class GigaServer:
         self.stats = {"inserts": 0, "splits": 0, "wrong_addr": 0}
         self.service: Optional["GigaDirectory"] = None
         self.svc = s = Service(node, endpoint, deployment="giga")
-        s.expose("insert", self._h_insert, write=True)
+        s.expose("insert", self._h_insert)
         s.expose("lookup", self._h_lookup)
-        s.expose("remove", self._h_remove, write=True)
+        s.expose("remove", self._h_remove)
         s.expose("list_partition", self._h_list_partition)
 
     def _check(self, pid: int, h: int) -> None:

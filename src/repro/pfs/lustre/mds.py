@@ -64,13 +64,13 @@ class MetadataServer:
         s.expose("readdir", self._h_readdir)
         s.expose("readlink", self._h_readlink)
         s.expose("statfs", self._h_statfs)
-        s.expose("mkdir", self._h_mkdir, write=True)
-        s.expose("rmdir", self._h_rmdir, write=True)
-        s.expose("create", self._h_create, write=True)
-        s.expose("unlink", self._h_unlink, write=True)
-        s.expose("rename", self._h_rename, write=True)
-        s.expose("setattr", self._h_setattr, write=True)
-        s.expose("symlink", self._h_symlink, write=True)
+        s.expose("mkdir", self._h_mkdir)
+        s.expose("rmdir", self._h_rmdir)
+        s.expose("create", self._h_create)
+        s.expose("unlink", self._h_unlink)
+        s.expose("rename", self._h_rename)
+        s.expose("setattr", self._h_setattr)
+        s.expose("symlink", self._h_symlink)
         s.expose_fast("lock_cancel", self._f_lock_cancel)
 
     # -- cost model -------------------------------------------------------

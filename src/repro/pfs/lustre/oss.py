@@ -26,11 +26,11 @@ class ObjectStorageServer:
         self.svc = s = Service(node, endpoint, deployment="lustre", bus=bus)
         self.agent = self.svc.agent
         s.expose("glimpse", self._h_glimpse)
-        s.expose("punch", self._h_punch, write=True)
-        s.expose("write", self._h_write, write=True)
+        s.expose("punch", self._h_punch)
+        s.expose("write", self._h_write)
         s.expose("read", self._h_read)
-        s.expose("precreate", self._h_precreate, write=True)
-        s.expose("destroy", self._h_destroy, write=True)
+        s.expose("precreate", self._h_precreate)
+        s.expose("destroy", self._h_destroy)
 
     def _h_precreate(self, src: str, object_id: int) -> Generator:
         yield from self.node.cpu_work(self.params.object_create_cpu)

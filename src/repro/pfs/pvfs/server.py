@@ -66,15 +66,15 @@ class PVFSServer:
         s.expose("readdir", self._h_readdir)
         s.expose("readlink", self._h_readlink)
         s.expose("dfile_size", self._h_dfile_size)
-        s.expose("mkdir", self._h_mkdir, write=True)
-        s.expose("crdirent", self._h_crdirent, write=True)
-        s.expose("rmdirent", self._h_rmdirent, write=True)
-        s.expose("create_meta", self._h_create_meta, write=True)
-        s.expose("create_dfile", self._h_create_dfile, write=True)
-        s.expose("remove_obj", self._h_remove_obj, write=True)
-        s.expose("setattr", self._h_setattr, write=True)
-        s.expose("symlink_obj", self._h_symlink_obj, write=True)
-        s.expose("truncate_dfile", self._h_truncate_dfile, write=True)
+        s.expose("mkdir", self._h_mkdir)
+        s.expose("crdirent", self._h_crdirent)
+        s.expose("rmdirent", self._h_rmdirent)
+        s.expose("create_meta", self._h_create_meta)
+        s.expose("create_dfile", self._h_create_dfile)
+        s.expose("remove_obj", self._h_remove_obj)
+        s.expose("setattr", self._h_setattr)
+        s.expose("symlink_obj", self._h_symlink_obj)
+        s.expose("truncate_dfile", self._h_truncate_dfile)
 
     # -- infrastructure -----------------------------------------------------
     def alloc_handle(self) -> int:

@@ -8,21 +8,15 @@ and no RNG draws, so default-off runs replay byte-identically.
 
 Fast-failing against a known-dead endpoint is what turns a crashed ZK
 server or MDS from "every request burns a full RPC timeout" into "one
-probe per cooldown"; the mdcache and degraded-mode paths absorb the
-resulting :class:`BreakerOpenError` exactly like a connection loss.
+probe per cooldown". A refused attempt raises nothing: :func:`~repro.
+resilience.retry.retry_call` charges it like a failed one, and once the
+policy is exhausted ends the loop through the client's ``gave_up`` —
+``ConnectionLossError`` for ZooKeeper, ``FSError(EIO)`` for Lustre/PVFS.
 """
 
 from __future__ import annotations
 
 from typing import Dict
-
-
-class BreakerOpenError(Exception):
-    """Fast-fail: the breaker for this endpoint is open."""
-
-    def __init__(self, endpoint: str):
-        super().__init__(f"circuit breaker open for {endpoint}")
-        self.endpoint = endpoint
 
 
 class CircuitBreaker:

@@ -29,15 +29,13 @@ from typing import Callable, Generator, Optional, Tuple
 from .breaker import BreakerBoard
 
 
-class RetryBudgetExhausted(Exception):
-    """The client's retry token bucket is empty: stop retrying."""
-
-
 class RetryBudget:
     """Token bucket bounding retries across all of one client's ops.
 
     ``cap <= 0`` disables the budget entirely (always allows retries) —
-    the default, preserving legacy behaviour.
+    the default, preserving legacy behaviour. A dry bucket raises
+    nothing: :meth:`RetryPolicy.exhausted` says so and :func:`retry_call`
+    ends through ``gave_up`` with the last attempt's error.
     """
 
     def __init__(self, cap: float = 0.0, refill: float = 0.1):
@@ -115,9 +113,10 @@ class RetryPolicy:
         deadline = now + self.op_budget if self.op_budget else None
         bounds = {"timeout": self.request_timeout}
         if self.propagate_deadline and deadline is not None:
-            # Server-visible: the svc kernel sheds the op once its caller
-            # must have given up. Left out, a call inherits the ambient
-            # deadline of its process instead (``None`` would opt out).
+            # Caps every attempt at the op's remaining budget, and rides
+            # the request so the server's nested RPCs inherit the cap.
+            # Left out, a call inherits the ambient deadline of its
+            # process instead (``None`` would opt out).
             bounds["deadline"] = deadline
         return RetryState(self.backoff_base, deadline, bounds)
 

@@ -173,10 +173,6 @@ class Process(Event):
         sim._eid = eid = sim._eid + 1
         sim._lane.append((eid, None, self))
 
-    @property
-    def is_alive(self) -> bool:
-        return self._value is _PENDING
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 

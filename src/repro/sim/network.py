@@ -154,9 +154,6 @@ class Network:
         else:
             self._down.discard(endpoint)
 
-    def is_down(self, endpoint: str) -> bool:
-        return endpoint in self._down
-
     def partition(self, groups: list[list[str]]) -> None:
         """Split *hosts* into isolated groups; cross-group traffic drops."""
         mapping: dict[str, int] = {}

@@ -48,21 +48,6 @@ class RemoteError(Exception):
     """Wrapper for non-FS exceptions raised by a remote handler."""
 
 
-class RequestExpired(Exception):
-    """Server-side: the request's propagated deadline has already passed.
-
-    Raised inside the service stack (dead-on-arrival drop or mid-service cancel)
-    to abandon work whose caller has necessarily timed out. ``_serve``
-    swallows it without sending a reply — there is nobody left to hear it.
-    """
-
-    def __init__(self, method: str, deadline: float, now: float):
-        super().__init__(
-            f"request {method} expired {now - deadline:.6f}s past deadline")
-        self.method = method
-        self.deadline = deadline
-
-
 class _Request:
     """One in-flight call (plain ``__slots__`` class: allocated per RPC on
     the hot path, so no dataclass machinery)."""
@@ -233,8 +218,6 @@ class RpcAgent:
                 resp = _Response(req.rpc_id, True, value)
             except Interrupt:
                 return  # node died mid-service; caller will time out
-            except RequestExpired:
-                return  # caller's deadline passed; nobody to reply to
             except Exception as exc:
                 resp = _Response(req.rpc_id, False, exc)
         self.network.send(self.endpoint, req.reply_to, resp, resp_size)
@@ -258,13 +241,14 @@ class RpcAgent:
     ) -> Generator:
         """Issue an RPC and wait for the reply (``yield from`` this).
 
-        ``deadline`` is an *absolute* sim time carried to the server so the
-        service stack can drop the request once the caller must have given
-        up. Left unset, it inherits the ambient deadline of the calling
-        process (None = unbounded, the default); pass ``None`` explicitly
-        to opt a call out of an inherited deadline. A set deadline also
-        caps the local wait: the call raises :class:`RpcTimeout` no later
-        than the deadline, immediately if it has already passed.
+        ``deadline`` is an *absolute* sim time that caps the local wait:
+        the call raises :class:`RpcTimeout` no later than the deadline,
+        immediately if it has already passed. It rides the request to the
+        server, whose handler process inherits it, so the RPCs a handler
+        nests are capped by the same remaining budget. Left unset, it
+        inherits the ambient deadline of the calling process (None =
+        unbounded, the default); pass ``None`` explicitly to opt a call out
+        of an inherited deadline.
         """
         if deadline is _UNSET:
             active = self.sim._active
@@ -300,8 +284,8 @@ class RpcAgent:
                 resp = waiter.value
         finally:
             # Success pops at dispatch; this covers timeout and a
-            # caller interrupted mid-wait (hedge cancellation) so the late
-            # response is discarded instead of leaking a waiter forever.
+            # caller interrupted mid-wait so the late response is
+            # discarded instead of leaking a waiter forever.
             self._pending.pop(rpc_id, None)
         if resp.ok:
             return resp.value

@@ -59,7 +59,6 @@ class TraceBus:
         self.ops = Counter()            # key -> completions (ok + error)
         self.errors = Counter()         # key -> failed completions
         self.retries = Counter()        # key -> client retry attempts
-        self.expired = Counter()        # key -> deadline-expired drops/cancels
         # Batcher occupancy (group-commit pipelines): per-batcher flush
         # count, items covered, and queue depth left behind at each flush
         # — mean fill = items/flushes, mean residual depth = depth/flushes.
@@ -99,13 +98,6 @@ class TraceBus:
         """Record a zero-duration counter event (e.g. a cache hit): shows
         up in the ``ops`` column of the table with no latency content."""
         self.record(OpTrace(deployment, endpoint, method, now, now, now, ok))
-
-    def mark_expired(self, deployment: str, endpoint: str,
-                     method: str) -> None:
-        """Count a request dropped (or cancelled mid-service) because its
-        propagated deadline passed. Expired requests are shed work — they
-        are *not* completions, so they don't touch ``ops``/``errors``."""
-        self.expired.inc(f"{deployment}/{endpoint}.{method}")
 
     def mark_batch(self, deployment: str, endpoint: str,
                    fill: int, depth: int) -> None:
@@ -165,9 +157,7 @@ class TraceBus:
 
     # -- export ------------------------------------------------------------
     def keys(self) -> List[str]:
-        # Union with the shed-work counter: an endpoint whose requests all
-        # expired still deserves a row.
-        return sorted(set(self.ops.as_dict()) | set(self.expired.as_dict()))
+        return sorted(self.ops.as_dict())
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         out: Dict[str, Dict[str, float]] = {}
@@ -177,7 +167,6 @@ class TraceBus:
                 "ops": self.ops.get(key),
                 "errors": self.errors.get(key),
                 "retries": self.retries.get(key),
-                "expired": self.expired.get(key),
                 "shard": self.shard_of.get(key, 0),
                 "service_mean": svc.mean if svc else 0.0,
                 "service_p95": svc.p95 if svc else 0.0,
@@ -232,10 +221,6 @@ class NullBus(TraceBus):
 
     def record(self, ev: OpTrace,  # noqa: ARG002 - interface
                key: Optional[str] = None) -> None:
-        return
-
-    def mark_expired(self, deployment: str, endpoint: str,  # noqa: ARG002
-                     method: str) -> None:
         return
 
     def mark_batch(self, deployment: str, endpoint: str,  # noqa: ARG002

@@ -24,7 +24,7 @@ import itertools
 from typing import Any, Callable, Generator, List, Optional, Sequence
 
 from ..models.params import FaultToleranceParams
-from ..resilience import LatencyTracker, build_retry, hedged, retry_call
+from ..resilience import build_retry, retry_call
 from ..sim.node import Node
 from ..sim.rpc import RpcAgent, RpcTimeout
 from ..svc import NULL_BUS, OpTrace, TraceBus
@@ -61,8 +61,8 @@ class ZKClient:
         # The one fault policy: RPC timeout, retry bound, backoff, op
         # budget. Its defaults (5 s timeout, retries with backoff) mean a
         # single lost message cannot hang an operation forever; deadlines,
-        # retry budget, breakers and hedging are inert at the defaults (no
-        # events, no RNG draws, no fast-fails).
+        # retry budget and breakers are inert at the defaults (no events,
+        # no RNG draws, no fast-fails).
         self.fault = fault or FaultToleranceParams()
         self.session: Optional[int] = None
         self.last_retries = 0       # retries performed by the last request
@@ -76,9 +76,6 @@ class ZKClient:
         ident = name or f"zkcli{next(_client_seq)}"
         self.retry, self.breakers = build_retry(
             node, f"zk.client.{ident}", self.fault)
-        self._hedge_tracker = LatencyTracker()
-        self.hedges = 0             # secondary reads actually issued
-        self.hedges_won = 0         # ops where the hedge replied first
         self.agent = RpcAgent(node, ident)
         self.agent.register_fast("watch_event", self._on_watch_event)
         self._watch_callbacks: dict[str, List[Callable[[WatchEvent], None]]] = {}
@@ -135,8 +132,8 @@ class ZKClient:
                     result = yield from retry_call(
                         self.sim, self.retry, self.breakers, state,
                         pick=lambda: self.server,
-                        attempt=lambda server: self._issue(
-                            server, method, args, size, state.bounds),
+                        attempt=lambda server: self.agent.call(
+                            server, method, args, size=size, **state.bounds),
                         retry_on=_RETRYABLE, gave_up=self._gave_up,
                         between=self._fail_over)
                     ok = True
@@ -175,51 +172,6 @@ class ZKClient:
         if isinstance(exc, RpcTimeout):
             return ConnectionLossError(msg=str(exc))
         return exc
-
-    def _issue(self, server: str, method: str, args: Any, size: int,
-               bounds: dict) -> Generator:
-        """One attempt: a plain call, or a hedged pair for reads."""
-        if (self.fault.hedge_enabled and method == "read"
-                and len(self.servers) > 1):
-            return self._hedged_read(server, args, {"size": size, **bounds})
-        return self.agent.call(server, method, args, size=size, **bounds)
-
-    def _hedged_read(self, server: str, args: Any, kw: dict) -> Generator:
-        t_start = self.sim.now
-        alt = self._hedge_target(server)
-        if alt is None:
-            result = yield from self.agent.call(server, "read", args, **kw)
-            self._hedge_tracker.record(self.sim.now - t_start)
-            return result
-
-        def primary():
-            return self.agent.call(server, "read", args, **kw)
-
-        def secondary():
-            self.hedges += 1
-            return self.agent.call(alt, "read", args, **kw)
-
-        result, won = yield from hedged(self.node, primary, secondary,
-                                        self._hedge_tracker.delay())
-        if won:
-            self.hedges_won += 1
-        self._hedge_tracker.record(self.sim.now - t_start)
-        return result
-
-    def _hedge_target(self, server: str) -> Optional[str]:
-        """Another live server to hedge a read against (breaker-aware);
-        None if every alternative is down or open-circuited."""
-        n = len(self.servers)
-        idx = self.servers.index(server)
-        for k in range(1, n):
-            ep = self.servers[(idx + k) % n]
-            if self.node.network.is_down(ep):
-                continue
-            br = self.breakers.breakers.get(ep)
-            if br is not None and br.state == "open":
-                continue
-            return ep
-        return None
 
     def _rebind_session(self, req: WriteRequest) -> WriteRequest:
         session = self.session or 0
@@ -283,7 +235,7 @@ class ZKClient:
         Returns a :class:`~repro.zk.protocol.ResolveResult` — never raises
         ``NoNodeError``; a missing path comes back as ``status == "miss"``
         with the nearest existing ancestor. Travels on the ``read`` wire
-        method, so hedging, breakers and deadlines apply unchanged; a data
+        method, so retries, breakers and deadlines apply unchanged; a data
         watch is registered only when the target exists (``"ok"``)."""
         flag = self._watch_flag(watch)
         res = yield from self._request(

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 class ReadRequest:
     """exists / get_data / get_children / resolve, served locally by any
     server. ``resolve`` travels on the same RPC method as the other reads,
-    so hedging, breakers and deadline propagation apply unchanged."""
+    so retries, breakers and deadline propagation apply unchanged."""
 
     op: str                    # "exists" | "get" | "children" | "resolve"
     path: str

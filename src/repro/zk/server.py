@@ -183,10 +183,10 @@ class ZKServer:
     def _register_handlers(self) -> None:
         s = self.svc
         s.expose("read", self._h_read)
-        s.expose("write", self._h_write, write=True)
-        s.expose("fwd_write", self._h_fwd_write, write=True)
+        s.expose("write", self._h_write)
+        s.expose("fwd_write", self._h_fwd_write)
         s.expose("connect", self._h_connect)
-        s.expose("close_session", self._h_close_session, write=True)
+        s.expose("close_session", self._h_close_session)
         s.expose("follower_info", self._h_follower_info)
         s.expose("sync", self._h_sync)
         s.expose("commit_index", self._h_commit_index)

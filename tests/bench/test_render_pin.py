@@ -54,11 +54,11 @@ cache ablation (scale=quick):
   cache-on: hit-rate 76.7% (hits=1952 misses=400 coalesced=192 listings=16/32), zk reads 416 vs 2576 uncached""",
     "resilience": """\
 resilience overload campaign (scale=quick, capacity 500 reads/s, 4 open-loop clients x 4s):
-   load  arm  offered/s  goodput/s    ok%  p95(ms)  served  expired  denied  trips
-   0.5x  off        250        250 100.0%      2.1    1000        0       0      0
-   0.5x   on        250        250 100.0%      2.1    1000        0       0      0
-     2x  off      1,000         20   1.9%     76.1    2749        0       0      0
-     2x   on      1,000        200  20.0%     76.1    1714        0    3202     40
+   load  arm  offered/s  goodput/s    ok%  p95(ms)  served  denied  trips
+   0.5x  off        250        250 100.0%      2.1    1000       0      0
+   0.5x   on        250        250 100.0%      2.1    1000       0      0
+     2x  off      1,000         20   1.9%     76.1    2749       0      0
+     2x   on      1,000        200  20.0%     76.1    1714    3202     40
   gate: goodput at 2.0x load, on/off = 10.23x (floor 1.5x)""",
     "resolve": """\
 resolve ablation (scale=quick depth=8):

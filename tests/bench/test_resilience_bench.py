@@ -11,7 +11,7 @@ def make_cell(goodput_off, goodput_on, load=2.0):
             "issued": 4000, "ok": int(goodput * 4), "err": 0,
             "goodput_ops_s": goodput, "success_rate": goodput / 1000.0,
             "latency_p95": 0.05,
-            "server": {"served": 100, "expired": 5},
+            "server": {"served": 100},
             "clients": {"retry_tokens_spent": 10, "retries_denied": 3,
                         "breaker_trips": 2, "breaker_fastfails": 7},
         }

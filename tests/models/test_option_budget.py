@@ -43,7 +43,7 @@ def parameters(fn) -> int:
 
 #: what is counted -> (how, committed count)
 BUDGET = {
-    "dataclass fields in models/params.py": (dataclass_fields, 117),
+    "dataclass fields in models/params.py": (dataclass_fields, 116),
     "build_dufs_deployment parameters":
         (lambda: parameters(build_dufs_deployment), 21),
     "run_chaos parameters": (lambda: parameters(run_chaos), 10),
@@ -54,11 +54,11 @@ BUDGET = {
     "build_retry parameters": (lambda: parameters(build_retry), 3),
     "Service.__init__ parameters":
         (lambda: parameters(Service.__init__), 5),
-    "Service.expose parameters": (lambda: parameters(Service.expose), 4),
+    "Service.expose parameters": (lambda: parameters(Service.expose), 3),
     "ShardMap.__init__ parameters":
         (lambda: parameters(ShardMap.__init__), 4),
     "defaulted parameters no non-test call site supplies":
-        (unsupplied_defaults, 88),
+        (unsupplied_defaults, 84),
 }
 
 

@@ -1,4 +1,5 @@
-"""Deadline propagation end-to-end: caller -> RPC -> kernel shedding."""
+"""Deadline propagation end-to-end: caller -> RPC -> nested RPCs. A
+deadline bounds how long a caller waits; it never stops a server."""
 
 import pytest
 
@@ -72,84 +73,85 @@ def test_expired_deadline_raises_before_sending():
     assert runs == []                       # nothing ever hit the wire
 
 
-def test_dead_on_arrival_request_is_shed_at_admission():
-    """A deadline tighter than the one-way network latency expires in
-    flight: the kernel drops it before the handler runs and counts it."""
+def test_a_nested_rpc_inherits_its_callers_deadline():
+    """The deadline rides the request: a handler's own RPC, issued with no
+    bound of its own, is capped at what is left of the caller's budget."""
     cluster, server, client = make_cluster()
-    bus = TraceBus()
-    ran = []
-    svc = Service(server, "srv", deployment="d", bus=bus)
+    backend = cluster.add_node("backend")
+    Service(backend, "back").expose(
+        "slow", lambda s, a: iter([cluster.sim.timeout(10.0)]))
+    front = Service(server, "front")
+    nested = []
 
-    def h(src, args):
-        ran.append(True)
-        yield cluster.sim.timeout(1e-5)
-
-    svc.expose("op", h)
-    agent = RpcAgent(client, "cli")
-    caught = []
-
-    def caller():
-        try:                                # 20us < the 60us network hop
-            yield from agent.call("srv", "op",
-                                  deadline=cluster.sim.now + 20e-6)
-        except RpcTimeout:
-            caught.append(True)
-
-    client.spawn(caller())
-    cluster.run()
-    assert caught == [True] and ran == []
-    assert bus.expired.get("d/srv.op") == 1
-    assert not bus.ops.get("d/srv.op")      # shed, not a served op
-
-
-def test_mid_service_cancel_for_reads():
-    cluster, server, client = make_cluster()
-    bus = TraceBus()
-    finished = []
-    svc = Service(server, "srv", deployment="d", bus=bus)
-
-    def h_read(src, args):
-        yield cluster.sim.timeout(0.5)
-        finished.append("read")
-
-    svc.expose("read", h_read)
-    agent = RpcAgent(client, "cli")
-    caught = []
-
-    def caller():
+    def relay(src, args):
         try:
-            yield from agent.call("srv", "read",
-                                  deadline=cluster.sim.now + 0.1)
+            yield from front.agent.call("back", "slow")
         except RpcTimeout:
-            caught.append(cluster.sim.now)
+            nested.append(cluster.sim.now)
+
+    front.expose("relay", relay)
+    agent = RpcAgent(client, "cli")
+
+    def caller():
+        with pytest.raises(RpcTimeout):
+            yield from agent.call("front", "relay",
+                                  deadline=cluster.sim.now + 0.25)
 
     client.spawn(caller())
     cluster.run()
-    assert caught == [pytest.approx(0.1)]
-    assert finished == []                   # handler was cancelled mid-run
-    assert bus.expired.get("d/srv.read") == 1
-    assert svc.inflight == 0
+    assert nested == [pytest.approx(0.25)]
 
 
-def test_writes_are_never_cancelled_mid_service():
-    """Cancelling an in-flight mutation could lose acknowledged state:
-    write handlers run to completion even past the caller's deadline."""
+def test_a_deadline_schedules_nothing_at_the_server():
+    """A deadline bounds the caller, not the server: the same read served
+    under ``timeout=1.0`` and under ``deadline=now + 1.0`` creates the
+    same simulator events and completes at the same instant."""
+
+    def run_once(bound):
+        cluster, server, client = make_cluster()
+        svc = Service(server, "srv")
+
+        def h_read(src, args):
+            yield cluster.sim.timeout(0.2)
+            return "v"
+
+        svc.expose("read", h_read)
+        agent = RpcAgent(client, "cli")
+        done = []
+
+        def caller():
+            kw = ({"timeout": 1.0} if bound == "timeout"
+                  else {"deadline": cluster.sim.now + 1.0})
+            done.append((yield from agent.call("srv", "read", **kw)))
+            done.append(cluster.sim.now)
+
+        client.spawn(caller())
+        cluster.run()
+        return done, cluster.sim._eid
+
+    assert run_once("timeout") == run_once("deadline")
+
+
+@pytest.mark.parametrize("method", ["read", "write"])
+def test_a_handler_runs_to_completion_past_its_callers_deadline(method):
+    """The caller gives up at its deadline; the handler, a read's or a
+    write's alike, runs to completion and is counted as a served op."""
     cluster, server, client = make_cluster()
     bus = TraceBus()
     finished = []
     svc = Service(server, "srv", deployment="d", bus=bus)
 
-    def h_put(src, args):
+    def handler(src, args):
         yield cluster.sim.timeout(0.3)
         finished.append(cluster.sim.now)
 
-    svc.expose("put", h_put, write=True)
+    svc.expose(method, handler)
     agent = RpcAgent(client, "cli")
     caught = []
 
     def caller():
         try:
-            yield from agent.call("srv", "put",
+            yield from agent.call("srv", method,
                                   deadline=cluster.sim.now + 0.1)
         except RpcTimeout:
             caught.append(cluster.sim.now)
@@ -157,8 +159,9 @@ def test_writes_are_never_cancelled_mid_service():
     client.spawn(caller())
     cluster.run()
     assert caught == [pytest.approx(0.1)]   # caller gave up...
-    assert len(finished) == 1               # ...but the write completed
-    assert not bus.expired.get("d/srv.put")
+    assert len(finished) == 1               # ...but the handler completed
+    assert bus.ops.get(f"d/srv.{method}") == 1
+    assert svc.inflight == 0
 
 
 def test_default_off_runs_are_replay_identical():

@@ -103,9 +103,9 @@ def test_process_is_alive_lifecycle():
         yield sim.timeout(3)
 
     p = sim.process(quick())
-    assert p.is_alive
+    assert not p.triggered
     sim.run()
-    assert not p.is_alive
+    assert p.triggered
     assert p._ok
 
 

@@ -128,7 +128,7 @@ def test_node_crash_settles_every_child_with_interrupt_and_nothing_escapes():
     assert seen == ["node-crash"]
     assert len(kids) == 3
     for kid in kids:
-        assert not kid.is_alive and kid._ok
+        assert kid.triggered and kid._ok
         assert isinstance(kid.value.error, Interrupt)
         assert kid.value.error.cause == "node-crash"
 

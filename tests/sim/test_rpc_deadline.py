@@ -37,8 +37,8 @@ def test_handler_outliving_caller_deadline_times_out_caller():
     cnode.spawn(caller())
     cluster.run()
     assert log == [pytest.approx(0.1)]
-    # Raw RpcAgent handlers have no kernel to cancel them: the handler
-    # runs to completion, but its reply goes nowhere.
+    # A deadline bounds the caller only: the handler runs to completion,
+    # but its reply goes nowhere.
     assert len(finished) == 1
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ENOENT, FSError
 from repro.sim import Cluster
-from repro.sim.rpc import RpcAgent, RpcTimeout
+from repro.sim.rpc import RpcAgent
 from repro.svc import Service, TraceBus, instrument_client
 
 
@@ -60,35 +60,6 @@ def test_failed_ops_are_counted_too():
     assert bus.ops.get("svc/srv.boom") == 1
     assert bus.errors.get("svc/srv.boom") == 1
     assert svc.inflight == 0
-
-
-def test_write_methods_and_specs():
-    """``write=True`` is the one thing a method declares: past its caller's
-    deadline a write runs to completion, a read is cancelled."""
-    cluster, server, client = make_cluster()
-    svc = Service(server, "srv")
-    finished = []
-
-    def handler(name):
-        def h(src, args):
-            yield cluster.sim.timeout(0.3)
-            finished.append(name)
-        return h
-
-    svc.expose("get", handler("get"))
-    svc.expose("put", handler("put"), write=True)
-    svc.expose("del", handler("del"), write=True)
-    agent = RpcAgent(client, "cli")
-
-    def caller(method):
-        with pytest.raises(RpcTimeout):
-            yield from agent.call("srv", method,
-                                  deadline=cluster.sim.now + 0.1)
-
-    for method in ("get", "put", "del"):
-        client.spawn(caller(method))
-    cluster.run()
-    assert sorted(finished) == ["del", "put"]
 
 
 def test_expose_fast_bypasses_admission_and_counting():
