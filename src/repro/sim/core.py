@@ -460,6 +460,15 @@ class Simulator:
             self._staged.append((self.now + delay, eid, t))
         return t
 
+    def stage(self, event: Event, when: float, eid: int) -> None:
+        """Fire the pending ``event`` at the future instant ``when`` under
+        the creation id ``eid``, reserved earlier with ``sim._eid += 1``:
+        it takes the place in the same-instant order that a timeout
+        created at the reservation would have taken."""
+        assert when > self.now
+        event._value = None
+        self._staged.append((when, eid, event))
+
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)
 

@@ -47,6 +47,8 @@ def start_election(server: "ZKServer") -> None:
     server.role = LOOKING
     server.activated = False
     server.leader_sid = None
+    if server._holds:
+        server._release_holds()
     if not server.observer:
         # Observers never vote or lead; they just look for a leader to
         # re-sync with (via the vote-hint path in on_vote).
@@ -171,6 +173,8 @@ def become_leader(server: "ZKServer") -> None:
         if zxid > server.commit_index:
             server.store.apply(txn, zxid, server.sim.now)
             server.commit_index = zxid
+    if server._holds:
+        server._release_holds()
     # Speculative tree starts equal to the committed tree.
     server.spec_store = ZnodeStore.from_snapshot(server.store.snapshot())
     server.outstanding.clear()
@@ -230,6 +234,8 @@ def follow(server: "ZKServer", leader_sid: int, term: int = 0) -> Generator:
         if zxid > server.commit_index and zxid <= resp.commit_to:
             server.store.apply(txn, zxid, server.sim.now)
             server.commit_index = zxid
+    if server._holds:
+        server._release_holds()
     server.pending_commit = server.commit_index
     server._accepted_zxid = (server.log[-1][0] if server.log
                              else server._snapshot_zxid)

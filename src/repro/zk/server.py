@@ -19,6 +19,7 @@ and no failure detection, matching the paper's healthy-cluster runs.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
@@ -70,6 +71,14 @@ class _Outstanding:
     done: Event
     acks: Set[int] = field(default_factory=set)
     ready: bool = False
+
+
+class _Hold(Event):
+    """A parked read-your-writes hold (``ZKServer._hold``): the event its
+    holder waits on, the instant its ``log_delay`` grid counts from, and
+    whether leaving FOLLOWING also lets it pass."""
+
+    __slots__ = ("at", "bound")
 
 
 class ZKServer:
@@ -129,6 +138,9 @@ class ZKServer:
         self._syncing = False                     # buffering casts
         self._presync: List[Any] = []             # proposals and commits
         self._sync_term = 0                       # owner of a sync attempt
+
+        # Parked read-your-writes holds, sorted: (zxid, reserved id, hold).
+        self._holds: List[Tuple[int, int, _Hold]] = []
 
         # server-side dentry cache (volatile): paths whose *existence* was
         # verified during a ``resolve`` walk. Entries carry no data — znode
@@ -432,8 +444,7 @@ class ZKServer:
             # pipeline queues — answering early lets a create..stat pair
             # on the same session miss its own file. A membership change
             # voids the session binding, so stop holding the ack then.
-            while self.commit_index < zxid and self.role == FOLLOWING:
-                yield self.sim.timeout(self.params.log_delay)
+            yield from self._hold(zxid, True)
             return result
         raise ConnectionLossError(msg=f"zk{self.sid} has no leader")
 
@@ -464,9 +475,60 @@ class ZKServer:
             horizon = yield from self.agent.call(
                 self.peers[self.leader_sid], "commit_index", None,
                 timeout=5.0)
-        while self.commit_index < horizon:
-            yield self.sim.timeout(self.params.log_delay)
+        yield from self._hold(horizon, False)
         return self.commit_index
+
+    def _hold(self, zxid: int, bound: bool) -> Generator:
+        """Return once this replica has applied ``zxid`` or, ``bound``,
+        has stopped following: at once if it already has, else at the
+        first ``log_delay`` tick after it happens, on a grid counted from
+        now (MODEL.md §12, cut 5).
+
+        The hold is parked, not polled. It takes one creation id, the one
+        the first poll timeout would have taken, and keeps it:
+        ``_release_holds`` fires it under that id, and if its condition
+        has flipped back by the tick it parks again under the same id.
+        So holds that share a grid fire in the order they first parked,
+        at every tick."""
+        sim = self.sim
+        eid = 0
+        while self.commit_index < zxid and (
+                not bound or self.role == FOLLOWING):
+            if not eid:
+                sim._eid = eid = sim._eid + 1
+            hold = _Hold(sim)
+            hold.at = sim.now
+            hold.bound = bound
+            insort(self._holds, (zxid, eid, hold))
+            yield hold
+
+    def _release_holds(self) -> None:
+        """Fire every parked hold that can now pass, at the first tick
+        of its own grid strictly after now. Called wherever a hold's
+        condition can turn true: ``commit_index`` rises (the applier,
+        ``follow``, ``become_leader``) or the role leaves FOLLOWING
+        (``start_election``)."""
+        holds = self._holds
+        applied = self.commit_index
+        if self.role == FOLLOWING:
+            n = 0
+            for zxid, _, _ in holds:    # sorted: a prefix passes
+                if zxid > applied:
+                    break
+                n += 1
+            due = holds[:n]
+            del holds[:n]
+        else:   # off FOLLOWING, every write's hold passes too
+            due = [e for e in holds if e[0] <= applied or e[2].bound]
+            self._holds = [e for e in holds if e not in due]
+        sim = self.sim
+        now = sim.now
+        delay = self.params.log_delay
+        for _, eid, hold in due:
+            at = hold.at
+            while at <= now:    # accumulated, as chained timeouts were
+                at += delay
+            sim.stage(hold, at, eid)
 
     def _h_fwd_write(self, src: str, req: WriteRequest) -> Generator:
         """Leader side of follower forwarding. Replies ``(zxid, result)``
@@ -824,6 +886,8 @@ class ZKServer:
                             out = self.outstanding.pop(zxid, None)
                             if out is not None and not out.done.triggered:
                                 out.done.succeed(out.result)
+                    if self._holds:
+                        self._release_holds()
                     if self.role == LEADING:
                         commit = Commit(todo[-1][0])
                         for sid in (self.active_followers
@@ -1042,6 +1106,7 @@ class ZKServer:
         if self._proposer is not None:
             self._proposer.clear()
         self._votes.clear()
+        self._holds.clear()      # their holders died with the node
         # Accepted-but-unfsynced proposals died with the logger pipeline.
         self._accepted_zxid = self.log[-1][0] if self.log \
             else self._snapshot_zxid
