@@ -181,6 +181,7 @@ class ZnodeStore:
             raise BadVersionError(path)
 
     def check_version(self, path: str, version: int) -> None:
+        validate_path(path)
         node = self._walk(path)
         if node is None:
             raise NoNodeError(path)

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Generator, Tuple
 
 from ..sim.core import Interrupt
 from ..sim.rpc import RpcTimeout
-from .data import ZnodeStore
 from .errors import NotLeaderError, ZKError
 from .protocol import Ack, FollowerInfo, Propose, Vote
 
@@ -173,10 +172,10 @@ def become_leader(server: "ZKServer") -> None:
         if zxid > server.commit_index:
             server.store.apply(txn, zxid, server.sim.now)
             server.commit_index = zxid
+    server.pending_commit = server.commit_index
     if server._holds:
         server._release_holds()
-    # Speculative tree starts equal to the committed tree.
-    server.spec_store = ZnodeStore.from_snapshot(server.store.snapshot())
+    server._rebuild_spec()
     server.outstanding.clear()
     server.out_queue.clear()
     server.last_pong_at = {}

@@ -101,7 +101,7 @@ class ProposeBatch:
 
 @dataclass(frozen=True)
 class Ack:
-    zxid: int
+    zxid: Tuple[int, ...]
     sid: int
 
 

@@ -31,15 +31,12 @@ from ..sim.node import Node
 from ..sim.resources import Store
 from ..sim.rpc import Reply, _Cast
 from ..svc import Batcher, Service, TraceBus
-from .data import ZnodeStore, split_path, validate_path
+from .data import ZnodeStore, split_path
 from .election import (FOLLOWING, LEADING, LOOKING, begin_sync, follow,
                        on_vote, start_election)
 from .errors import (
-    BadArgumentsError,
     ConnectionLossError,
-    NodeExistsError,
     NoNodeError,
-    NotEmptyError,
     NotLeaderError,
     SessionExpiredError,
     ZKError,
@@ -70,7 +67,6 @@ class _Outstanding:
     result: Any
     done: Event
     acks: Set[int] = field(default_factory=set)
-    ready: bool = False
 
 
 class _Hold(Event):
@@ -131,8 +127,11 @@ class ZKServer:
         self.active_followers: Set[int] = set()
         self.active_observers: Set[int] = set()
 
+        # commit point: the leader's quorum-acked prefix, a follower's
+        # highest Commit seen; applied up to it, in order
+        self.pending_commit = 0
+
         # follower-only
-        self.pending_commit = 0                   # highest Commit.upto seen
         self._accepted_zxid = 0                   # highest zxid accepted into
                                                   # the log pipeline
         self._syncing = False                     # buffering casts
@@ -549,11 +548,8 @@ class ZKServer:
     # leader write pipeline
     # ------------------------------------------------------------------
     def _validate(self, req: WriteRequest) -> Tuple[tuple, Any]:
-        """Validate against the speculative tree; return (txn, client result).
-
-        Must run without yielding so validation+speculative-apply is atomic
-        with zxid assignment.
-        """
+        """Check one create, delete or set against the speculative tree;
+        return (txn, client result)."""
         spec = self.spec_store
         if req.op == "create":
             eph = req.session if req.ephemeral else 0
@@ -565,91 +561,45 @@ class ZKServer:
         if req.op == "set":
             spec.check_set_data(req.path, req.version)
             return ("set", req.path, req.data), True
-        if req.op == "multi":
-            subs, results = self._validate_multi(req)
-            return ("multi", tuple(subs)), results
         raise ZKError(req.path, f"unknown write op {req.op!r}")
 
-    def _validate_multi(self, req: WriteRequest) -> Tuple[List[tuple], List[Any]]:
-        """Validate a multi against spec + an overlay of earlier sub-ops.
+    def _speculate(self, req: WriteRequest, zxid: int) -> Tuple[tuple, Any]:
+        """Validate ``req`` and apply it to the speculative tree under
+        ``zxid``; return (txn, client result). A multi's sub-ops go
+        through ``_validate`` in order, each applied before the next is
+        checked; if one is refused, the tree is rebuilt without them.
 
-        The spec tree is never mutated here (the whole multi is applied
-        once, atomically, on commit), so a failed validation needs no
-        rollback. Sequential creates inside a multi are not supported
-        (DUFS never needs them).
+        Must run without yielding so validation+speculative-apply is atomic
+        with zxid assignment.
         """
-        spec = self.spec_store
-        created: set = set()
-        deleted: set = set()
-
-        def alive(path: str) -> bool:
-            if path in created:
-                return True
-            if path in deleted:
-                return False
-            return spec.exists(path) is not None
-
-        def has_children(path: str) -> bool:
-            try:
-                names = spec.get_children(path)
-            except NoNodeError:
-                names = []
-            prefix = path if path != "/" else ""
-            for name in names:
-                if f"{prefix}/{name}" not in deleted:
-                    return True
-            return any(c.startswith(f"{prefix}/")
-                       and "/" not in c[len(prefix) + 1:] for c in created)
-
+        spec, now = self.spec_store, self.sim.now
+        if req.op != "multi":
+            txn, result = self._validate(req)
+            spec.apply(txn, zxid, now)
+            return txn, result
         subs: List[tuple] = []
         results: List[Any] = []
-        for sub in req.ops:
-            if sub.op == "check":
-                if not alive(sub.path):
-                    raise NoNodeError(sub.path)
-                if sub.path not in created and sub.path not in deleted:
+        try:
+            for sub in req.ops:
+                if sub.op == "check":
                     spec.check_version(sub.path, sub.version)
-                continue
-            if sub.op == "create":
-                if sub.sequential:
-                    raise BadArgumentsError(sub.path,
-                                            "sequential create in multi")
-                validate_path(sub.path)
-                parent, name = split_path(sub.path)
-                if not name or not alive(parent):
-                    raise NoNodeError(sub.path)
-                if alive(sub.path):
-                    raise NodeExistsError(sub.path)
-                created.add(sub.path)
-                deleted.discard(sub.path)
-                eph = sub.session if sub.ephemeral else 0
-                subs.append(("create", sub.path, sub.data, eph, False))
-                results.append(sub.path)
-            elif sub.op == "delete":
-                if not alive(sub.path):
-                    raise NoNodeError(sub.path)
-                if has_children(sub.path):
-                    raise NotEmptyError(sub.path)
-                if sub.path not in created:
-                    spec.check_version(sub.path, sub.version)
-                deleted.add(sub.path)
-                created.discard(sub.path)
-                subs.append(("delete", sub.path))
-                results.append(True)
-            elif sub.op == "set":
-                if not alive(sub.path):
-                    raise NoNodeError(sub.path)
-                if sub.path not in created:
-                    spec.check_set_data(sub.path, sub.version)
-                subs.append(("set", sub.path, sub.data))
-                results.append(True)
-            else:
-                raise ZKError(sub.path, f"bad multi op {sub.op!r}")
-        return subs, results
+                    continue
+                txn, result = self._validate(sub)
+                spec.apply(txn, zxid, now)
+                subs.append(txn)
+                results.append(result)
+        except ZKError:
+            if subs:
+                self._rebuild_spec()
+            raise
+        return ("multi", tuple(subs)), results
 
-    def _next_zxid(self) -> int:
-        self.zxid_counter += 1
-        return (self.epoch << 32) | self.zxid_counter
+    def _rebuild_spec(self) -> None:
+        """Speculative tree = committed tree + every sequenced txn."""
+        spec = ZnodeStore.from_snapshot(self.store.snapshot())
+        for zxid, txn in self._log_tail(self.commit_index):
+            spec.apply(txn, zxid, self.sim.now)
+        self.spec_store = spec
 
     def _process_write(self, req: WriteRequest,
                        with_zxid: bool = False) -> Generator:
@@ -680,9 +630,9 @@ class ZKServer:
             # write under a frozen root can ever be sequenced after it.
             self.route_guard(req)
         # ---- atomic section: validate + speculative apply + sequence ----
-        txn, result = self._validate(req)  # raises ZKError to caller
-        zxid = self._next_zxid()
-        self.spec_store.apply(txn, zxid, self.sim.now)
+        zxid = (self.epoch << 32) | (self.zxid_counter + 1)
+        txn, result = self._speculate(req, zxid)  # raises ZKError to caller
+        self.zxid_counter += 1
         self.log.append((zxid, txn))
         out = _Outstanding(txn=txn, result=result, done=self.sim.event())
         self.outstanding[zxid] = out
@@ -740,7 +690,7 @@ class ZKServer:
         ack_zxids = []
         for item in batch:
             if item[0] == "self_ack":
-                self._on_ack(self.sid, item[1])
+                self._on_ack(self.sid, (item[1],))
             else:  # ("log", zxid, txn, leader_sid)
                 _, zxid, txn, leader_sid = item
                 self.log.append((zxid, txn))
@@ -810,37 +760,22 @@ class ZKServer:
         return zxid != last + 1
 
     def _f_ack(self, src: str, ack: Ack) -> None:
-        if self.role != LEADING:
-            return
-        for zxid in ack.zxid if isinstance(ack.zxid, tuple) else (ack.zxid,):
-            out = self.outstanding.get(zxid)
-            if out is None:
-                continue
-            out.acks.add(ack.sid)
-            if not out.ready and len(out.acks) >= self.quorum:
-                out.ready = True
-        self._advance_commit()
+        if self.role == LEADING:
+            self._on_ack(ack.sid, ack.zxid)
 
-    def _on_ack(self, sid: int, zxid: int) -> None:
-        out = self.outstanding.get(zxid)
-        if out is None:
-            return
-        out.acks.add(sid)
-        if not out.ready and len(out.acks) >= self.quorum:
-            out.ready = True
-        self._advance_commit()
-
-    def _advance_commit(self) -> None:
-        """Commit ready proposals strictly in zxid order."""
-        advanced = False
-        while self.out_queue:
-            zxid = self.out_queue[0]
-            out = self.outstanding.get(zxid)
-            if out is None or not out.ready:
-                break
-            self.out_queue.popleft()
-            advanced = True
-        if advanced:
+    def _on_ack(self, sid: int, zxids: Tuple[int, ...]) -> None:
+        """Count ``sid``'s acks, then commit the quorum-acked prefix of
+        the queue strictly in zxid order."""
+        outstanding = self.outstanding
+        for zxid in zxids:
+            out = outstanding.get(zxid)
+            if out is not None:
+                out.acks.add(sid)
+        queue, upto = self.out_queue, 0
+        while queue and len(outstanding[queue[0]].acks) >= self.quorum:
+            upto = queue.popleft()
+        if upto:
+            self.pending_commit = upto
             self._kick_applier()
 
     def _f_commit(self, src: str, commit: Commit) -> None:
@@ -897,25 +832,14 @@ class ZKServer:
             return
 
     def _applicable(self) -> List[Tuple[int, tuple]]:
-        """Next run of committed-but-unapplied log entries."""
-        if not self.log or self.log[-1][0] <= self.commit_index:
-            return []
-        if self.role == LEADING:
-            # Committed = contiguous ready prefix removed from out_queue.
-            horizon = self.out_queue[0] if self.out_queue else None
-            todo = []
-            for zxid, txn in self._log_tail(self.commit_index):
-                if horizon is not None and zxid >= horizon:
-                    break
-                if zxid in self.outstanding and not self.outstanding[zxid].ready:
-                    break
-                todo.append((zxid, txn))
-            return todo
+        """Next run of committed-but-unapplied log entries: those in
+        ``(commit_index, pending_commit]``, for either role; none while
+        LOOKING."""
         upto = self.pending_commit
-        if self.role == FOLLOWING and upto > self.commit_index:
-            return [(z, t) for z, t in self._log_tail(self.commit_index)
-                    if z <= upto]
-        return []
+        if self.role == LOOKING or upto <= self.commit_index:
+            return []
+        return [(z, t) for z, t in self._log_tail(self.commit_index)
+                if z <= upto]
 
     def _log_tail(self, after_zxid: int) -> List[Tuple[int, tuple]]:
         # log is zxid-ordered; binary search would be faster but tails are
@@ -1055,6 +979,7 @@ class ZKServer:
     def _step_down(self) -> None:
         self.role = LOOKING
         self.activated = False
+        self.pending_commit = self.commit_index  # the next leader's to grant
         self.active_followers.clear()
         for zxid, out in list(self.outstanding.items()):
             if not out.done.triggered:

@@ -146,6 +146,19 @@ def test_set_version_check():
     store.check_set_data("/s", version=0)
 
 
+def test_check_version_validations():
+    store, _ = make_store_with("/s")
+    store.check_version("/s", 0)
+    with pytest.raises(BadVersionError):
+        store.check_version("/s", 3)
+    with pytest.raises(NoNodeError):
+        store.check_version("/zzz", -1)
+    # A relative path is refused, not walked from the root.
+    for bad in ("s", "/s/", "/s/../s"):
+        with pytest.raises(BadArgumentsError):
+            store.check_version(bad, -1)
+
+
 def test_delete_updates_parent():
     store, _ = make_store_with("/p", "/p/c")
     store.apply_delete("/p/c", 9)

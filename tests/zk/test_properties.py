@@ -175,3 +175,52 @@ def test_replicas_converge_under_concurrent_random_clients(seed):
     h.run_all(*(worker(c, rng.randint(0, 10**9)) for c in clients))
     h.settle(0.5)
     assert h.ensemble.converged()
+
+
+def _model_multi(model, multi):
+    """Apply ``multi`` to the model all-or-nothing; True if it commits."""
+    before = dict(model.nodes)
+    try:
+        for op in multi:
+            getattr(model, op[0])(*op[1:])
+    except KeyError:
+        model.nodes = before
+        return False
+    return True
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.lists(ops | st.just(("delete", "/")), min_size=1,
+                         max_size=4), min_size=1, max_size=8))
+def test_leader_multi_matches_all_or_nothing_model(multis):
+    """Random multis on a 3-server ensemble: the leader accepts exactly
+    the multis the model accepts, its speculative tree stays the committed
+    tree plus the log tail, and the replicas converge."""
+    from .conftest import ZKHarness
+
+    h = ZKHarness(n_servers=3)
+    cli = h.client()
+    leader = h.ensemble.servers[0]
+    model = ModelFS()
+
+    def send(multi):
+        subs = [cli.op_create(op[1], op[2]) if op[0] == "create"
+                else cli.op_delete(op[1]) if op[0] == "delete"
+                else cli.op_set(op[1], op[2]) for op in multi]
+        try:
+            yield from cli.multi(subs)
+        except ZKError:
+            return False
+        return True
+
+    for multi in multis:
+        assert h.run(send(multi)) == _model_multi(model, multi), multi
+        rebuilt = ZnodeStore.from_snapshot(leader.store.snapshot())
+        for zxid, txn in leader.log:
+            if zxid > leader.commit_index:
+                rebuilt.apply(txn, zxid, 0.0)
+        assert leader.spec_store.fingerprint() == rebuilt.fingerprint()
+        h.settle(0.05)
+        assert h.ensemble.converged()
+    assert set(leader.store.walk_paths()) == set(model.nodes)

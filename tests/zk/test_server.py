@@ -2,7 +2,9 @@
 
 
 from repro.zk.errors import (
+    BadArgumentsError,
     BadVersionError,
+    NoChildrenForEphemeralsError,
     NoNodeError,
     NodeExistsError,
     NotEmptyError,
@@ -226,6 +228,72 @@ def test_multi_check_guard(zk3):
 
     data, _ = zk3.run(main())
     assert data == b"v1"
+
+
+def test_multi_delete_root_refused_and_replicas_healthy(zk3):
+    cli = zk3.client()
+
+    def main():
+        try:
+            yield from cli.multi([cli.op_delete("/")])
+        except BadArgumentsError:
+            pass
+        else:
+            raise AssertionError("deleting / committed")
+        yield from cli.create("/after", b"ok")
+
+    zk3.run(main())
+    zk3.settle(0.1)
+    assert zk3.ensemble.converged()
+    for server in zk3.ensemble.servers:
+        assert server.store.get("/after")[0] == b"ok"
+
+
+def test_multi_create_under_ephemeral_refused(zk3):
+    cli = zk3.client()
+
+    def main():
+        yield from cli.connect()
+        yield from cli.create("/e", ephemeral=True)
+        try:
+            yield from cli.multi([cli.op_create("/e/child")])
+        except NoChildrenForEphemeralsError:
+            return (yield from cli.exists("/e/child"))
+        raise AssertionError("child of an ephemeral committed")
+
+    assert zk3.run(main()) is None
+
+
+def test_multi_relative_path_refused(zk3):
+    cli = zk3.client()
+
+    def main():
+        yield from cli.create("/b", b"")
+        try:
+            yield from cli.multi([cli.op_delete("b")])
+        except BadArgumentsError:
+            return (yield from cli.exists("/b"))
+
+    assert zk3.run(main()) is not None
+
+
+def test_multi_sub_op_sees_earlier_sub_ops(zk3):
+    """Sub-op k is checked against sub-ops 0..k-1 already applied: a
+    check on a node the same multi created sees its version 0."""
+    cli = zk3.client()
+
+    def main():
+        yield from cli.multi([cli.op_create("/a"), cli.op_check("/a", 0)])
+        try:
+            yield from cli.multi([cli.op_create("/b"),
+                                  cli.op_check("/b", version=5)])
+        except BadVersionError:
+            return (yield from cli.exists("/a")), (yield from cli.exists("/b"))
+
+    a, b = zk3.run(main())
+    assert a is not None and b is None
+    leader = zk3.ensemble.servers[0]
+    assert leader.spec_store.fingerprint() == leader.store.fingerprint()
 
 
 def test_ephemeral_cleanup_on_session_close(zk3):
