@@ -13,6 +13,7 @@ Run:  python examples/trace_replay.py [--ops 2000] [--procs 16]
 import argparse
 
 from repro.core import build_dufs_deployment
+from repro.svc import TraceBus
 from repro.workloads.trace import (
     format_trace,
     parse_trace,
@@ -43,7 +44,7 @@ def main():
         print(f"trace written to {args.dump}")
 
     dep = build_dufs_deployment(n_zk=4, n_backends=2, n_client_nodes=4,
-                                backend="lustre", trace=True)
+                                backend="lustre", bus=TraceBus())
     res = replay_trace(dep.cluster, dep.mount_for, dep.node_for, ops)
 
     print(f"\nreplayed {res.total_ops} ops in {res.duration:.3f}s simulated "

@@ -1,20 +1,33 @@
 #!/usr/bin/env python
-"""Defaulted parameters of ``src/repro`` callables that nobody supplies.
+"""Options nobody sets: defaulted parameters and ``SimParams`` fields.
 
 The static sibling of ``traffic_audit.py``: an AST pass (no import, under
-a second) over ``src/``, ``perfbench/``, ``benchmarks/``, ``examples/``
-and ``scripts/`` that prints every parameter with a default which no call
-site outside ``tests/`` passes, by keyword or by position — an option only
-its own default (or a test) ever sets. Print-only; always exits 0 (the
-hit count is a ratchet row of ``tests/models/test_option_budget.py``).
+a second). Print-only; always exits 0 (both counts are ratchet rows of
+``tests/models/test_option_budget.py``).
 
-The limit: call sites are matched by callee *name* (``f(...)``,
-``x.f(...)``; a class name stands for its ``__init__``), so a call to any
-same-named callable counts as a supplier for all of them, and a call that
-spreads ``*args`` / ``**kwargs`` counts as supplying everything. It
-therefore under-reports, never over-reports — except through an alias (a
-function called under another name, a ``super().__init__`` forward): read
-a hit as "look here", not as proof. Run: python scripts/option_audit.py
+``unsupplied()`` walks ``src/``, ``perfbench/``, ``benchmarks/``,
+``examples/`` and ``scripts/`` and lists every parameter of a
+``src/repro`` callable with a default which no call site outside
+``tests/`` passes, by keyword or by position — an option only its own
+default (or a test) ever sets. Call sites are matched by callee *name*
+(``f(...)``, ``x.f(...)``; a class name stands for its ``__init__``), so
+a call to any same-named callable counts as a supplier for all of them,
+and a call that spreads ``*args`` / ``**kwargs`` counts as supplying
+everything. A call through an alias counts for every function the alias
+names: the arms of ``x = a if c else b``, the elements of a tuple bind
+``x, y = a, b``, and the values of a module-level dict of functions
+called as ``D[k](...)`` or bound by ``x = D[k]``. It therefore
+under-reports, except through a plain ``g = f`` alias or a
+``super().__init__`` forward: read a hit as "look here", not as proof.
+
+``unset_fields()`` lists the scalar fields of ``models/params.py`` that
+no code under those directories or ``tests/`` sets: no call passes the
+name by keyword, no assignment targets ``.<name>``, and no dict literal
+uses it as a key. Names are matched alone, so a name shared by two
+classes counts for both. Fields holding a sub-params object are left
+out: callers mutate those in place (``params.lustre.dlm_enabled = …``).
+
+Run: python scripts/option_audit.py
 """
 
 import ast
@@ -24,12 +37,71 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLERS = ("src", "perfbench", "benchmarks", "examples", "scripts")
+PARAMS = Path("src", "repro", "models", "params.py")
 
 
-def unsupplied() -> list:
+def _parse(root: Path, tops) -> dict:
+    return {path: ast.parse(path.read_text(), str(path))
+            for top in tops for path in sorted((root / top).rglob("*.py"))}
+
+
+def _name(node):
+    """The name ``f`` of ``f`` or ``x.f`` (None for anything else)."""
+    return getattr(node, "attr", None) or getattr(node, "id", None)
+
+
+def _callees(trees):
+    """A function from a call's ``func`` expression to every name the
+    call may reach: the name itself, or a dict's values, and whatever
+    the aliases bound to those names (see the module docstring)."""
+    tables = defaultdict(set)            # module-level dict -> its values
+    for tree in trees:
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) \
+                    and isinstance(stmt.value, ast.Dict):
+                for target in stmt.targets:
+                    tables[_name(target)].update(
+                        filter(None, map(_name, stmt.value.values)))
+
+    def names(expr) -> set:
+        if isinstance(expr, ast.Subscript):
+            return set(tables.get(_name(expr.value), ()))
+        return {_name(expr)} - {None}
+
+    aliases = defaultdict(set)
+
+    def bind(target, value, nested=False) -> None:
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+            for t, v in zip(target.elts, value.elts):
+                bind(t, v, nested=True)
+        elif isinstance(value, ast.IfExp):
+            bind(target, value.body, nested=True)
+            bind(target, value.orelse, nested=True)
+        elif nested or isinstance(value, ast.Subscript):
+            aliases[_name(target)].update(names(value))
+
+    for tree in trees:
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.Assign):
+                for target in stmt.targets:
+                    bind(target, stmt.value)
+
+    def callees(expr) -> set:
+        seen, todo = set(), list(names(expr))
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(aliases.get(name, ()))
+        return seen
+
+    return callees
+
+
+def unsupplied(root: Path = ROOT) -> list:
     """One ``file:line  callable(param=)`` line per hit."""
-    trees = {path: ast.parse(path.read_text(), str(path))
-             for top in CALLERS for path in sorted((ROOT / top).rglob("*.py"))}
+    trees = _parse(root, CALLERS)
+    callees = _callees(trees.values())
     positional = defaultdict(int)        # callee name -> most args passed
     keywords = defaultdict(set)          # callee name -> keywords passed
     spread = set()                       # callee names called with * / **
@@ -37,17 +109,17 @@ def unsupplied() -> list:
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
-            fn = call.func
-            name = getattr(fn, "attr", None) or getattr(fn, "id", None)
-            if any(isinstance(a, ast.Starred) for a in call.args) \
-                    or any(k.arg is None for k in call.keywords):
-                spread.add(name)
-            positional[name] = max(positional[name], len(call.args))
-            keywords[name].update(k.arg for k in call.keywords)
+            spreads = any(isinstance(a, ast.Starred) for a in call.args) \
+                or any(k.arg is None for k in call.keywords)
+            for name in callees(call.func):
+                if spreads:
+                    spread.add(name)
+                positional[name] = max(positional[name], len(call.args))
+                keywords[name].update(k.arg for k in call.keywords)
 
     hits = []
     for path, tree in trees.items():
-        rel = path.relative_to(ROOT)
+        rel = path.relative_to(root)
         if rel.parts[:2] != ("src", "repro"):
             continue
         owner = {fn: cls for cls in ast.walk(tree)
@@ -75,10 +147,50 @@ def unsupplied() -> list:
     return hits
 
 
+def _assigned(target):
+    """The attribute names an assignment target writes (``x.a``, tuples)."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _assigned(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _assigned(target.value)
+    elif isinstance(target, ast.Attribute):
+        yield target.attr
+
+
+def unset_fields(root: Path = ROOT) -> list:
+    """One ``file:line  Class.field`` line per scalar field nobody sets."""
+    written = set()
+    for tree in _parse(root, CALLERS + ("tests",)).values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                written.update(k.arg for k in node.keywords)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    written.update(_assigned(target))
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                written.update(_assigned(node.target))
+            elif isinstance(node, ast.Dict):
+                written.update(k.value for k in node.keys
+                               if isinstance(k, ast.Constant))
+    classes = [c for c in ast.parse((root / PARAMS).read_text()).body
+               if isinstance(c, ast.ClassDef)]
+    nested = {c.name for c in classes}
+    return [f"{PARAMS}:{stmt.lineno}  {cls.name}.{stmt.target.id}"
+            for cls in classes for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and not ast.unparse(stmt.annotation).startswith("ClassVar")
+            and ast.unparse(stmt.annotation) not in nested
+            and stmt.target.id not in written]
+
+
 def main() -> int:
     hits = unsupplied()
     print("\n".join(hits))
     print(f"\n{len(hits)} defaulted parameters no non-test call site supplies")
+    unset = unset_fields()
+    print("\n".join(["", *unset, f"{len(unset)} params fields no code sets"]))
     return 0
 
 

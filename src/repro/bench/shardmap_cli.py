@@ -44,7 +44,7 @@ def run_shardmap_demo(scale: str = "quick") -> Dict:
         moves_per_tick=8, drain=0.0)
     dep = build_dufs_deployment(
         n_zk=8, n_backends=2, n_client_nodes=n_clients, backend="local",
-        params=SimParams(), n_shards=4, autoscale=elastic)
+        params=SimParams(elastic=elastic), n_shards=4)
     sim = dep.cluster.sim
     nodes = [dep.node_for(p) for p in range(n_procs)]
     bursts = {"A": colliding_dirs(0, dirs_per_burst, "a"),

@@ -14,7 +14,6 @@ as ``mdcache/*`` rows in the same table.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from typing import Dict, List, Optional
 
 from ..core.fs import build_dufs_deployment
@@ -57,11 +56,10 @@ def run_trace(scale: str = "quick", backend: str = "local",
     n_zk, n_backends, n_clients, n_procs, items = _SCALES[scale]
     params = SimParams()
     if batch > 1:
-        params = params.with_overrides(
-            zk=replace(params.zk, propose_batch_max=batch))
+        params.zk.propose_batch_max = batch
     dep = build_dufs_deployment(n_zk=n_zk, n_backends=n_backends,
                                 n_client_nodes=n_clients, backend=backend,
-                                params=params, trace=True,
+                                params=params, bus=TraceBus(),
                                 cache=CacheParams.caching_on() if cache
                                 else None, n_shards=shards)
     # Windowed per-shard op rates — the same aggregation the elastic

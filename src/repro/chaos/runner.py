@@ -29,12 +29,11 @@ schedule can be compared apples-to-apples:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
 from ..errors import FSError
-from ..models.params import (AsyncParams, CacheParams, ElasticParams,
-                             FaultToleranceParams, LustreParams, PVFSParams,
+from ..models.params import (FaultToleranceParams, LustreParams, PVFSParams,
                              SimParams, ZKParams)
 from ..sim.node import Cluster
 from .audit import AuditReport, audit_dufs
@@ -113,26 +112,23 @@ _BACKEND_FAULT = FaultToleranceParams.backend(request_timeout=0.5,
                                               max_retries=4)
 
 
-def _build_dufs(seed: int, cache: Optional[CacheParams] = None,
-                shards: int = 1,
-                fault: Optional[FaultToleranceParams] = None,
-                elastic: Optional[ElasticParams] = None,
-                awrite: Optional[AsyncParams] = None):
+def _build_dufs(seed: int, shards: int, params: SimParams):
     from ..core import build_dufs_deployment
 
-    params = SimParams()
-    params.zk = ZKParams(failure_detection=True, session_tracking=True,
-                         ping_interval=0.1, ping_timeout=0.3,
-                         election_tick=0.05)
+    # The run's own failure detection and client timers replace the
+    # caller's: short pings and elections, 0.4 s requests, 10 retries.
+    params = replace(
+        params,
+        zk=ZKParams(failure_detection=True, session_tracking=True,
+                    ping_interval=0.1, ping_timeout=0.3, election_tick=0.05),
+        fault=replace(params.fault, request_timeout=0.4, max_retries=10))
     # shards == 1 keeps the historical 5-server build; sharded chaos runs
     # give each shard a 3-server quorum (crash one and its slice elects).
     n_zk = 5 if shards <= 1 else 3 * shards
     dep = build_dufs_deployment(n_zk=n_zk, n_backends=2, n_client_nodes=2,
                                 backend="local", params=params,
-                                co_locate_zk=False, seed=seed, fault=fault,
-                                zk_request_timeout=0.4, zk_max_retries=10,
-                                cache=cache, n_shards=shards,
-                                autoscale=elastic, awrite=awrite)
+                                co_locate_zk=False, seed=seed,
+                                n_shards=shards)
     flat_servers = [s for ens in dep.ensembles for s in ens.servers]
 
     def resolve(symbol: str):
@@ -216,8 +212,7 @@ def _build_pvfs(seed: int):
     return cluster, fs, fs.client(node), node, resolve, None
 
 
-_BUILDERS = {"dufs": _build_dufs, "lustre": _build_lustre,
-             "pvfs": _build_pvfs}
+_BACKEND_BUILDERS = {"lustre": _build_lustre, "pvfs": _build_pvfs}
 
 
 def run_chaos(
@@ -226,11 +221,8 @@ def run_chaos(
     seed: int = 0,
     ops: int = 400,
     on_event: Optional[Callable[[FaultSpec, tuple], None]] = None,
-    cache: Optional[CacheParams] = None,
     shards: int = 1,
-    fault: Optional[FaultToleranceParams] = None,
-    elastic: Optional[ElasticParams] = None,
-    awrite: Optional[AsyncParams] = None,
+    params: Optional[SimParams] = None,
 ) -> ChaosRunResult:
     """One chaos experiment: op stream + schedule replay + (DUFS) audit.
 
@@ -238,34 +230,35 @@ def run_chaos(
     tolerates failures (each is counted, never fatal) — exactly the
     availability measurement of the paper's reliability discussion. The
     schedule starts when the op stream does, after ``SETTLE`` seconds of
-    warm-up. ``cache`` (DUFS only) runs the clients with the coherent
-    metadata cache enabled, so the audit doubles as a coherence check
-    under faults. ``shards`` (DUFS only) runs the sharded metadata plane
-    (3 ZK servers per shard) and unlocks ``shard:<k>`` targets; the audit
-    then exercises the merged-view intent reconciliation. ``fault``
-    (DUFS only) runs the ZooKeeper clients under the given fault policy —
-    with the run's 0.4 s request timeout and 10 retries — e.g. with
-    deadlines / retry budget / breakers on, so a chaos campaign can prove
-    budget-denied retries and fast-fails never corrupt the namespace.
-    ``elastic`` (DUFS only, needs ``shards >= 2``) runs the elastic
-    metadata plane and unlocks the ``migration:src`` / ``migration:dst``
-    targets for crash-during-migration experiments. ``awrite`` (DUFS
-    only) runs the clients in write-behind mode — the audit then proves
-    crash losses stay confined to the acked-but-uncommitted window
-    (counted as ``lost_unacked``, never as namespace damage).
+    warm-up.
+
+    ``shards`` and ``params`` are DUFS only. ``shards`` runs the sharded
+    metadata plane (3 ZK servers per shard) and unlocks ``shard:<k>``
+    targets; the audit then exercises the merged-view intent
+    reconciliation. ``params`` carries the client policies, except that
+    the run replaces ``params.zk`` with its failure-detection timers and
+    gives ``params.fault`` its 0.4 s request timeout and 10 retries:
+
+    - ``cache`` enabled: the audit doubles as a coherence check under
+      faults;
+    - ``fault`` with deadlines / retry budget / breakers on: the audit
+      proves budget-denied retries and fast-fails never corrupt the
+      namespace;
+    - ``elastic`` enabled (needs ``shards >= 2``): unlocks the
+      ``migration:src`` / ``migration:dst`` targets for
+      crash-during-migration experiments;
+    - ``awrite`` enabled: the audit proves crash losses stay confined to
+      the acked-but-uncommitted window (counted as ``lost_unacked``, never
+      as namespace damage).
     """
     if deployment not in DEPLOYMENTS:
         raise ValueError(f"unknown deployment {deployment!r}")
-    dufs_only = dict(cache=cache, shards=shards, fault=fault,
-                     elastic=elastic, awrite=awrite)
-    builder = _BUILDERS[deployment]
     if deployment == "dufs":
-        built = builder(seed, **dufs_only)
+        built = _build_dufs(seed, shards, params or SimParams())
+    elif params is not None or shards != 1:
+        raise ValueError("params and shards are DUFS-only options")
     else:
-        for option, value in dufs_only.items():
-            if value != (1 if option == "shards" else None):
-                raise ValueError(f"{option} is a DUFS-only option")
-        built = builder(seed)
+        built = _BACKEND_BUILDERS[deployment](seed)
     cluster, dep, client, node, resolve, apply_backend = built
     duration = ops * OP_INTERVAL
     if schedule is None:

@@ -162,26 +162,23 @@ def main(argv=None) -> int:
         if target == "chaos":
             from .chaos import run_chaos
             from .models.params import (AsyncParams, CacheParams,
-                                        ElasticParams, FaultToleranceParams)
-            cache = CacheParams.caching_on() \
-                if args.cache and args.deployment == "dufs" else None
-            fault = FaultToleranceParams.resilience_on() \
-                if args.resilience and args.deployment == "dufs" else None
-            awrite = None
-            if args.async_writes:
-                if args.deployment != "dufs":
-                    parser.error("chaos --async needs the DUFS deployment")
-                awrite = AsyncParams.async_on()
+                                        ElasticParams, FaultToleranceParams,
+                                        SimParams)
             n_shards = shard_counts[0] if shard_counts else 1
-            elastic = None
-            if args.elastic:
-                if args.deployment != "dufs" or n_shards < 2:
-                    parser.error("chaos --elastic needs the DUFS deployment "
-                                 "with --shards >= 2")
-                elastic = ElasticParams.elastic_on()
+            if args.async_writes and args.deployment != "dufs":
+                parser.error("chaos --async needs the DUFS deployment")
+            if args.elastic and (args.deployment != "dufs" or n_shards < 2):
+                parser.error("chaos --elastic needs the DUFS deployment "
+                             "with --shards >= 2")
+            params = SimParams(
+                cache=CacheParams(enabled=args.cache),
+                fault=FaultToleranceParams.resilience_on() if args.resilience
+                else FaultToleranceParams(),
+                awrite=AsyncParams(enabled=args.async_writes),
+                elastic=ElasticParams(enabled=args.elastic),
+            ) if args.deployment == "dufs" else None
             result = run_chaos(args.deployment, seed=args.seed, ops=args.ops,
-                               cache=cache, shards=n_shards,
-                               fault=fault, elastic=elastic, awrite=awrite)
+                               shards=n_shards, params=params)
             print(result.summary())
         elif target == "trace":
             from .bench.trace_cli import run_trace

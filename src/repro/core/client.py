@@ -34,8 +34,7 @@ from ..errors import (
     ENOTEMPTY,
     FSError,
 )
-from ..models.params import (AsyncParams, CacheParams, DUFSParams,
-                             ResolveParams)
+from ..models.params import SimParams
 from ..pfs.base import (
     DEFAULT_DIR_MODE,
     S_IFDIR,
@@ -69,6 +68,10 @@ from .paths import parent_dir
 from .wblog import PendingOp, WriteBehindLog, issue
 
 
+#: What ``/`` looks up as: the root znode carries no DUFS payload.
+_ROOT = (DirPayload(DEFAULT_DIR_MODE & 0o7777), None)
+
+
 def _map_zk_error(exc: ZKError, path: str) -> FSError:
     if isinstance(exc, NoNodeError):
         return FSError(ENOENT, path)
@@ -89,15 +92,12 @@ class DUFSClient:
         node: Node,
         zk,
         backends: Sequence,
-        params: Optional[DUFSParams] = None,
+        params: Optional[SimParams] = None,
         mapping: Optional[MappingFunction] = None,
         client_id: Optional[int] = None,
         layout: str = "amortized",
-        cache: Optional[CacheParams] = None,
         bus=None,
         name: Optional[str] = None,
-        resolve: Optional[ResolveParams] = None,
-        awrite: Optional[AsyncParams] = None,
     ):
         if not backends:
             raise ValueError("DUFS needs at least one back-end mount")
@@ -108,7 +108,8 @@ class DUFSClient:
         # programs against the service interface only.
         self.zk = as_metadata_service(zk)
         self.backends = list(backends)
-        self.params = params or DUFSParams()
+        params = params or SimParams()
+        self.params = params.dufs
         self.mapping = mapping or MappingFunction(len(backends))
         self.layout = layout
         if self.mapping.n_backends != len(self.backends):
@@ -133,22 +134,20 @@ class DUFSClient:
         # plane's server-side ``resolve`` (one RPC at any depth). The
         # chain also owns the virtual-directory dcache — the kernel dcache
         # the real prototype gets for free from VFS.
-        cache = cache or CacheParams()
-        chain = CoherentMDCache if cache.enabled else MDCache
-        self.mdcache = chain(node, self.zk, cache, self.stats, bus=bus,
-                             endpoint=name or "dufs-client",
-                             thin=(resolve or ResolveParams()).enabled)
+        chain = CoherentMDCache if params.cache.enabled else MDCache
+        self.mdcache = chain(node, self.zk, params.cache, self.stats,
+                             bus=bus, endpoint=name or "dufs-client",
+                             thin=params.resolve.enabled)
         # The write path, bound once: commit-and-wait (the paper's client)
         # or write-behind. Op bodies call ``_commit``/``_drain`` and never
         # ask which. The log is constructed ONLY when enabled: it spawns a
         # drain process, and an async-off deployment must schedule no
         # event the paper's client would not.
-        self.awrite = awrite or AsyncParams()
         self.wblog: Optional[WriteBehindLog] = None
         self._commit, self._drain = self._commit_sync, self._drain_sync
-        if self.awrite.enabled:
+        if params.awrite.enabled:
             self.wblog = WriteBehindLog(node, self.zk, self.mdcache,
-                                        params=self.awrite,
+                                        params=params.awrite,
                                         verify=self._verify_drained,
                                         bus=bus,
                                         endpoint=name or "dufs-client")
@@ -185,6 +184,8 @@ class DUFSClient:
         not a directory, else ENOENT: the thin source's reply names that
         ancestor, so the classification costs no extra round trip; the
         paper's source cannot, so the parent walk finds it."""
+        if path == "/":
+            return _ROOT
         try:
             return (yield from self.mdcache.get_payload(path))
         except ResolveMiss as miss:
@@ -205,6 +206,8 @@ class DUFSClient:
         parent = parent_dir(path)
         while parent != "/" and not (self.mdcache.known_dir(parent)
                                      or self.mdcache.known_missing(parent)):
+            if self.mdcache.overlay_pending(parent):  # a pending non-dir
+                return FSError(ENOTDIR, path)
             self.stats["zk_reads"] += 1
             try:
                 data, _ = yield from self.zk.get(parent)
@@ -246,6 +249,8 @@ class DUFSClient:
         """Parent check, plus the one collision provable locally: a
         create of the same name this client still has in flight (only a
         write-behind client ever has one)."""
+        if path == "/":
+            raise FSError(EINVAL, path, "cannot operate on /")
         yield from self._require_dir(parent_dir(path), path)
         if self.mdcache.overlay_pending(path) == "create":
             raise FSError(EEXIST, path)
@@ -435,6 +440,8 @@ class DUFSClient:
 
     def rmdir(self, path: str) -> Generator:
         path = normalize_path(path)
+        if path == "/":
+            raise FSError(EINVAL, path, "cannot operate on /")
         self.stats["ops"] += 1
         yield from self._logic(self.params.znode_codec_cpu)
         payload, _ = yield from self._get_payload(path)
@@ -534,6 +541,8 @@ class DUFSClient:
 
     def unlink(self, path: str) -> Generator:
         path = normalize_path(path)
+        if path == "/":
+            raise FSError(EINVAL, path, "cannot operate on /")
         self.stats["ops"] += 1
         yield from self._logic(self.params.znode_codec_cpu)
         payload, _ = yield from self._get_payload(path)
@@ -637,6 +646,8 @@ class DUFSClient:
 
     def chmod(self, path: str, mode: int) -> Generator:
         path = normalize_path(path)
+        if path == "/":     # the root's attributes live in no znode
+            raise FSError(EINVAL, path, "cannot operate on /")
         self.stats["ops"] += 1
         yield from self._logic(self.params.znode_codec_cpu)
         payload, zstat = yield from self._get_payload(path)
@@ -679,7 +690,7 @@ class DUFSClient:
         yield from self._logic(self.params.znode_codec_cpu)
         payload, _ = yield from self._get_payload(path)
         if not isinstance(payload, SymlinkPayload):
-            raise FSError(EIO, path, "not a symlink")
+            raise FSError(EINVAL, path, "not a symlink")
         return payload.target
 
     # -- rename (atomic, data never moves) -----------------------------------
@@ -689,6 +700,8 @@ class DUFSClient:
         delete the old ones, in ONE ZooKeeper multi — the whole rename is
         a single total-order event (the Fig. 1 problem never arises)."""
         src, dst = normalize_path(src), normalize_path(dst)
+        if "/" in (src, dst):
+            raise FSError(EINVAL, "/", "cannot operate on /")
         self.stats["ops"] += 1
         yield from self._logic(self.params.znode_codec_cpu)
         # Rename is an ordering barrier: its multi must observe every

@@ -16,8 +16,8 @@ from ..fuse.mount import FuseMount
 from ..fuse.ops import OperationTable
 from ..mds import (Autoscaler, Migrator, ShardMap, ShardMapRegistry,
                    ShardedMDS, make_route_guard)
-from ..models.params import (AsyncParams, CacheParams, ElasticParams,
-                             FaultToleranceParams, ResolveParams, SimParams)
+from ..models.params import (AsyncParams, CacheParams, FaultToleranceParams,
+                             ResolveParams, SimParams)
 from ..pfs.localfs import LocalFS
 from ..pfs.lustre.fs import build_lustre
 from ..pfs.pvfs.fs import build_pvfs
@@ -51,13 +51,12 @@ class DUFSDeployment:
     # shard order. ``ensemble`` stays bound to shard 0 for compatibility.
     ensembles: Optional[List[ZKEnsemble]] = None
     n_shards: int = 1
-    # Elastic metadata plane (all None/off unless ``autoscale`` enabled):
-    # the epoch-versioned map registry, the live-migration executor, and
-    # the load-driven control loop.
+    # Elastic metadata plane (all None unless ``params.elastic`` is
+    # enabled): the epoch-versioned map registry, the live-migration
+    # executor, and the load-driven control loop.
     registry: Optional[Any] = None      # ShardMapRegistry
     migrator: Optional[Any] = None      # Migrator
     autoscaler: Optional[Any] = None    # Autoscaler
-    elastic: Optional[ElasticParams] = None
 
     def __post_init__(self):
         if self.ensembles is None:
@@ -118,12 +117,10 @@ def build_dufs_deployment(
     zk_max_retries: Optional[int] = None,
     fault: Optional[FaultToleranceParams] = None,
     bus: Optional[TraceBus] = None,
-    trace: bool = False,
     cache: Optional[CacheParams] = None,
     n_shards: int = 1,
     shard_subtrees: Optional[dict] = None,
     resolve: Optional[ResolveParams] = None,
-    autoscale: Optional[ElasticParams] = None,
     awrite: Optional[AsyncParams] = None,
 ) -> DUFSDeployment:
     """Wire up a complete DUFS installation on a fresh simulated cluster.
@@ -144,13 +141,12 @@ def build_dufs_deployment(
     (``FaultToleranceParams.resilience_on()`` is the everything-sensible
     preset); off leaves runs byte-identical to pre-resilience builds.
 
-    Tracing: pass ``trace=True`` (or an explicit ``bus``) to collect
-    per-op service-time metrics from every endpoint — the ZK
-    servers, the back-end servers, the ZK client retry path, and the DUFS
-    client entry points — on one :class:`~repro.svc.TraceBus`
-    (``deployment.bus``). Recording is pure bookkeeping: it adds no
-    simulator events, so traced and untraced runs are event-for-event
-    identical.
+    Tracing: pass ``bus=TraceBus()`` to collect per-op service-time
+    metrics from every endpoint — the ZK servers, the back-end servers,
+    the ZK client retry path, and the DUFS client entry points — on one
+    :class:`~repro.svc.TraceBus` (``deployment.bus``). Recording is pure
+    bookkeeping: it adds no simulator events, so traced and untraced runs
+    are event-for-event identical.
 
     Caching: ``cache`` (default: ``params.cache``, disabled) adds the
     cache stage to every client's lookup chain
@@ -175,17 +171,18 @@ def build_dufs_deployment(
     ``ResolveParams.resolve_on()`` is the preset). Off keeps runs
     byte-identical.
 
-    Elastic scaling: ``autoscale`` (default: ``params.elastic``, off)
-    turns the static shard map into an epoch-versioned one behind a
+    Elastic scaling: ``params.elastic`` (off by default) turns the
+    static shard map into an epoch-versioned one behind a
     :class:`~repro.mds.ShardMapRegistry`, installs per-server route
     guards enforcing the epoch protocol (stale-epoch requests bounce with
     the new map; writes under a mid-copy migration park until cutover),
     wires a :class:`~repro.mds.Migrator` for live subtree moves and —
-    unless ``autoscale.autoscale`` is False — spawns the
+    unless ``params.elastic.autoscale`` is False — spawns the
     :class:`~repro.mds.Autoscaler` control loop that splits hot shards
     and merges cold pins from windowed per-shard op rates
     (``ElasticParams.elastic_on()`` is the preset). Requires
-    ``n_shards >= 2``. Off keeps runs byte-identical.
+    ``n_shards >= 2``, and builds a ``bus`` when none is passed: the
+    autoscaler's load signal rides it. Off keeps runs byte-identical.
 
     Asynchronous metadata updates: ``awrite`` (default: ``params.awrite``,
     off) puts every client in write-behind mode — namespace mutations
@@ -205,18 +202,14 @@ def build_dufs_deployment(
     params = replace(
         params, fault=replace(fault or params.fault, **zk_overrides),
         cache=cache or params.cache,
-        resolve=resolve or params.resolve, awrite=awrite or params.awrite,
-        elastic=autoscale if autoscale is not None else params.elastic)
+        resolve=resolve or params.resolve, awrite=awrite or params.awrite)
     elastic = params.elastic
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
-    if elastic.enabled and n_shards < 2:
-        raise ValueError("elastic metadata plane requires n_shards >= 2")
-    if bus is None and (trace or elastic.enabled):
-        # The autoscaler's load signal rides the trace bus: elastic runs
-        # always carry one.
-        bus = TraceBus()
     if elastic.enabled:
+        if n_shards < 2:
+            raise ValueError("elastic metadata plane requires n_shards >= 2")
+        bus = bus or TraceBus()
         bus.enable_shard_window(elastic.window)
     cluster = Cluster(seed=seed)
     client_nodes = [cluster.add_node(f"client{i}", cores=params.node_cores)
@@ -286,10 +279,9 @@ def build_dufs_deployment(
         # Deterministic per-deployment client ids (a high offset keeps them
         # disjoint from the global allocator used by ad-hoc clients), so
         # identical seeds produce identical FIDs and placements.
-        dufs = DUFSClient(node, service, backend_clients, params=params.dufs,
+        dufs = DUFSClient(node, service, backend_clients, params,
                           mapping=mapping, client_id=0x5EED0000 + i,
-                          cache=params.cache, bus=bus, name=f"dufs{i}",
-                          resolve=params.resolve, awrite=params.awrite)
+                          bus=bus, name=f"dufs{i}")
         if bus is not None:
             instrument_client(dufs, TRACED_CLIENT_OPS, bus,
                               deployment="dufs", endpoint=f"dufs{i}",
@@ -319,5 +311,4 @@ def build_dufs_deployment(
                           clients, mounts, zk_clients, bus=bus,
                           ensembles=ensembles, n_shards=n_shards,
                           registry=registry, migrator=migrator,
-                          autoscaler=autoscaler_proc,
-                          elastic=elastic if elastic.enabled else None)
+                          autoscaler=autoscaler_proc)

@@ -8,15 +8,20 @@ that era) so that the simulated throughput curves land near the published
 figures. The calibration procedure and resulting paper-vs-measured numbers
 are recorded in EXPERIMENTS.md.
 
-Every parameter can be overridden per-experiment; the ablation benchmarks
-do exactly that (e.g. disabling DLM lock callbacks, changing group-commit
-batching).
+A dataclass field is a choice some caller makes: a feature switch, a
+policy, a server count, or a cost an ablation or figure sweeps (e.g.
+disabling DLM lock callbacks, a slower ZooKeeper read). Build a variant
+with the constructor or :func:`dataclasses.replace`. The ``ClassVar``
+constants are the calibration: one table per component, read through an
+instance like any field (``p.log_delay``) but set by no constructor.
+``scripts/option_audit.py`` lists any field that no code sets, and a
+ratchet row holds that list empty.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import ClassVar, Optional
 
 
 @dataclass
@@ -70,19 +75,15 @@ class FaultToleranceParams:
         RPC timeout, hence never a retry, a backoff or a budget. Failover
         and chaos configurations override ``request_timeout`` and
         ``max_retries`` so a dead server surfaces as EIO, not a hang."""
-        base = dict(request_timeout=None, max_retries=0, backoff_base=0.0,
-                    op_budget=0.0)
-        base.update(overrides)
-        return cls(**base)
+        return cls(**{"request_timeout": None, "max_retries": 0,
+                      "backoff_base": 0.0, "op_budget": 0.0, **overrides})
 
     @classmethod
     def resilience_on(cls, **overrides) -> "FaultToleranceParams":
         """The standard enabled policy used by benchmarks and chaos runs:
         deadlines + retry budgets + breakers."""
-        base = dict(deadline_propagation=True, retry_budget=10.0,
-                    breaker_enabled=True)
-        base.update(overrides)
-        return cls(**base)
+        return cls(**{"deadline_propagation": True, "retry_budget": 10.0,
+                      "breaker_enabled": True, **overrides})
 
 
 @dataclass
@@ -102,32 +103,32 @@ class ZKParams:
     # ``resolve_component_cpu`` per component missing from the server's
     # (bounded) dentry cache on top of the endpoint's base read cost.
     # Deployments that never issue a resolve (the default client policy)
-    # schedule exactly the same events as before this field existed.
-    resolve_component_cpu: float = 85e-6
-    write_leader_cpu: float = 470e-6   # validate + zxid + self-log (CPU part)
-    write_per_follower_cpu: float = 105e-6  # marshal PROPOSE + absorb ACK
+    # schedule exactly the same events as before this cost existed.
+    resolve_component_cpu: ClassVar[float] = 85e-6
+    write_leader_cpu: ClassVar[float] = 470e-6  # validate + zxid + log
+    write_per_follower_cpu: ClassVar[float] = 105e-6  # PROPOSE + ACK
     # set/delete pay extra base work (version check, watch sweep, parent
     # cversion update) — visible at 1 server, washed out by quorum cost at
     # 8 (the Fig. 7 a-vs-b/c asymmetry).
-    set_extra_cpu: float = 370e-6
-    delete_extra_cpu: float = 370e-6
-    follower_log_cpu: float = 95e-6   # deserialize + append to txn log
+    set_extra_cpu: ClassVar[float] = 370e-6
+    delete_extra_cpu: ClassVar[float] = 370e-6
+    follower_log_cpu: ClassVar[float] = 95e-6  # deserialize + append to log
     apply_cpu: float = 60e-6           # apply committed txn to the tree
-    log_delay: float = 350e-6          # group-committed fsync latency (pipelined)
-    log_batch_max: int = 64            # max txns covered by one fsync
+    log_delay: ClassVar[float] = 350e-6  # group-committed fsync (pipelined)
+    log_batch_max: ClassVar[int] = 64  # max txns covered by one fsync
     # Leader-side write batching: up to this many validated proposals are
     # coalesced into ONE marshalled PROPOSE stream per follower (one quorum
     # round amortizes the per-follower CPU across the batch). 1 = off —
     # every write pays the full per-follower cost inline, byte-identical
     # to the unbatched pipeline.
     propose_batch_max: int = 1
-    forward_cpu: float = 40e-6         # follower forwards a write to leader
-    session_cpu: float = 100e-6
+    forward_cpu: ClassVar[float] = 40e-6  # follower forwards a write
+    session_cpu: ClassVar[float] = 100e-6
 
     # message sizes (bytes)
-    req_base_size: int = 120
-    resp_base_size: int = 112
-    proposal_base_size: int = 160
+    req_base_size: ClassVar[int] = 120
+    resp_base_size: ClassVar[int] = 112
+    proposal_base_size: ClassVar[int] = 160
 
     # Automatic snapshot+log-truncate interval (0 = only explicit
     # checkpoint() calls). The paper: "it is periodically checkpointed".
@@ -156,43 +157,43 @@ class LustreParams:
     exactly the shape in Fig. 8/10.
     """
 
-    mds_cores: int = 8
-    oss_cores: int = 8
+    mds_cores: ClassVar[int] = 8
+    oss_cores: ClassVar[int] = 8
 
     # MDS CPU demand per operation type
     mkdir_cpu: float = 0.84e-3
-    rmdir_cpu: float = 0.72e-3
-    create_cpu: float = 0.47e-3       # open+create with intent (precreated objects)
-    unlink_cpu: float = 0.60e-3
+    rmdir_cpu: ClassVar[float] = 0.72e-3
+    create_cpu: ClassVar[float] = 0.47e-3  # open+create with intent
+    unlink_cpu: ClassVar[float] = 0.60e-3
     getattr_cpu: float = 0.150e-3     # stat of a directory (MDS only)
-    getattr_file_cpu: float = 0.185e-3  # stat of a file (MDS part)
-    lookup_cpu: float = 0.12e-3
-    readdir_cpu_per_entry: float = 3.0e-6
-    readdir_cpu_base: float = 0.2e-3
-    rename_cpu: float = 1.3e-3
-    setattr_cpu: float = 0.5e-3
+    getattr_file_cpu: ClassVar[float] = 0.185e-3  # stat of a file (MDS part)
+    lookup_cpu: ClassVar[float] = 0.12e-3
+    readdir_cpu_per_entry: ClassVar[float] = 3.0e-6
+    readdir_cpu_base: ClassVar[float] = 0.2e-3
+    rename_cpu: ClassVar[float] = 1.3e-3
+    setattr_cpu: ClassVar[float] = 0.5e-3
 
     # OSS costs
-    glimpse_cpu: float = 400e-6         # file-size glimpse on stat
-    object_create_cpu: float = 120e-6  # amortized (precreation batches)
-    object_destroy_cpu: float = 150e-6
+    glimpse_cpu: ClassVar[float] = 400e-6         # file-size glimpse on stat
+    object_create_cpu: ClassVar[float] = 120e-6  # amortized: precreated
+    object_destroy_cpu: ClassVar[float] = 150e-6
 
     # DLM model
     dlm_enabled: bool = True
-    revoke_cpu: float = 35e-6          # MDS CPU to issue one blocking callback
-    lock_grant_cpu: float = 18e-6
+    revoke_cpu: ClassVar[float] = 35e-6  # MDS CPU per blocking callback
+    lock_grant_cpu: ClassVar[float] = 18e-6
     # MDS bookkeeping grows with resident lock count (hash/LRU pressure):
-    lock_table_cpu_coef: float = 9e-6  # × ln(1 + locks/1024) added per op
+    lock_table_cpu_coef: ClassVar[float] = 9e-6  # × ln(1 + locks/1024)/op
 
     # Service-thread thrashing: per-request cost multiplier
     # 1 + thrash_coef * inflight / thrash_norm (inflight = queue depth at
     # the MDS). Lustre 1.8's fixed thread pool degrades under deep queues.
-    thrash_coef: float = 0.55
-    thrash_read_coef: float = 0.12
-    thrash_norm: float = 64.0
+    thrash_coef: ClassVar[float] = 0.55
+    thrash_read_coef: ClassVar[float] = 0.12
+    thrash_norm: ClassVar[float] = 64.0
 
     # journal (group-committed; pipelined latency, not a throughput cap)
-    journal_delay: float = 0.4e-3
+    journal_delay: ClassVar[float] = 0.4e-3
 
     # Client fault policy. Failover configurations set a timeout and a
     # retry bound so clients detect a dead MDS and retry against the
@@ -203,7 +204,7 @@ class LustreParams:
     failover_takeover_delay: float = 2.0
 
     # directory entry ops slow down logarithmically with directory size
-    dirent_cpu_coef: float = 18e-6     # × ln(1 + entries)
+    dirent_cpu_coef: ClassVar[float] = 18e-6     # × ln(1 + entries)
 
 
 @dataclass
@@ -221,21 +222,21 @@ class PVFSParams:
 
     n_servers: int = 4
     server_cores: int = 2              # request-processing effective parallelism
-    lookup_cpu: float = 60e-6          # resolve one path component
+    lookup_cpu: ClassVar[float] = 60e-6          # resolve one path component
     getattr_cpu: float = 80e-6
-    getattr_dfile_cpu: float = 36e-6   # per-datafile size probe on file stat
-    create_meta_cpu: float = 260e-6
-    create_dfile_cpu: float = 140e-6   # per I/O server datafile create
-    crdirent_cpu: float = 220e-6       # insert dirent into parent
-    remove_cpu: float = 240e-6
+    getattr_dfile_cpu: ClassVar[float] = 36e-6  # per-datafile size probe
+    create_meta_cpu: ClassVar[float] = 260e-6
+    create_dfile_cpu: ClassVar[float] = 140e-6  # per I/O server datafile
+    crdirent_cpu: ClassVar[float] = 220e-6       # insert dirent into parent
+    remove_cpu: ClassVar[float] = 240e-6
     mkdir_cpu: float = 300e-6
-    readdir_cpu_base: float = 180e-6
-    readdir_cpu_per_entry: float = 2.5e-6
-    setattr_cpu: float = 180e-6
+    readdir_cpu_base: ClassVar[float] = 180e-6
+    readdir_cpu_per_entry: ClassVar[float] = 2.5e-6
+    setattr_cpu: ClassVar[float] = 180e-6
 
     # synchronous metadata commits (BDB txn + fdatasync); serialized per disk
-    disk_txn: float = 8.0e-3
-    disk_batch_max: int = 1            # dbpf fsyncs each metadata txn
+    disk_txn: ClassVar[float] = 8.0e-3
+    disk_batch_max: ClassVar[int] = 1  # dbpf fsyncs each metadata txn
 
     # Client fault policy. Chaos runs set a timeout and a retry bound so a
     # crashed server surfaces as EIO, not a hang.
@@ -247,9 +248,9 @@ class PVFSParams:
 class FUSEParams:
     """User/kernel crossing cost for a FUSE filesystem (per VFS call)."""
 
-    crossing_cpu: float = 90e-6        # request side (kernel → userspace)
-    completion_cpu: float = 55e-6      # response side
-    readdir_per_entry_cpu: float = 0.4e-6
+    crossing_cpu: ClassVar[float] = 90e-6  # request (kernel → userspace)
+    completion_cpu: ClassVar[float] = 55e-6      # response side
+    readdir_per_entry_cpu: ClassVar[float] = 0.4e-6
     # libfuse worker-thread pool: at most this many requests of one mount
     # are in userspace at a time (multithreaded fuse_loop_mt of the era).
     max_workers: int = 10
@@ -260,10 +261,10 @@ class DUFSParams:
     """DUFS client library costs (excluding ZK / back-end / FUSE, which are
     modeled by their own components)."""
 
-    fid_generate_cpu: float = 2e-6
-    mapping_cpu: float = 6e-6          # MD5 of 16 bytes + mod N
-    znode_codec_cpu: float = 8e-6      # encode/decode the znode data field
-    client_logic_cpu: float = 28e-6
+    fid_generate_cpu: ClassVar[float] = 2e-6
+    mapping_cpu: ClassVar[float] = 6e-6          # MD5 of 16 bytes + mod N
+    znode_codec_cpu: ClassVar[float] = 8e-6  # encode/decode znode data
+    client_logic_cpu: ClassVar[float] = 28e-6
 
 
 @dataclass
@@ -290,7 +291,7 @@ class CacheParams:
     capacity: int = 4096               # positive entries (LRU)
     ttl: float = 0.0                   # 0 = watch-coherent, no time bound
     negative_ttl: float = 0.0          # 0 = negative caching off
-    hit_cpu: float = 1.5e-6            # client CPU per cache hit
+    hit_cpu: ClassVar[float] = 1.5e-6  # client CPU per cache hit
 
     @classmethod
     def caching_on(cls, **overrides) -> "CacheParams":
@@ -349,14 +350,12 @@ class AsyncParams:
 
     enabled: bool = False
     max_pending: int = 4096            # acked-but-uncommitted bound
-    ack_cpu: float = 4e-6              # client CPU to append + ack
+    ack_cpu: ClassVar[float] = 4e-6    # client CPU to append + ack
 
     @classmethod
     def async_on(cls, **overrides) -> "AsyncParams":
         """The standard write-behind policy used by benchmarks/chaos."""
-        base = dict(enabled=True)
-        base.update(overrides)
-        return cls(**base)
+        return cls(**{"enabled": True, **overrides})
 
 
 @dataclass
@@ -393,9 +392,7 @@ class ElasticParams:
     @classmethod
     def elastic_on(cls, **overrides) -> "ElasticParams":
         """The standard elastic policy used by benchmarks and chaos."""
-        base = dict(enabled=True)
-        base.update(overrides)
-        return cls(**base)
+        return cls(**{"enabled": True, **overrides})
 
 
 @dataclass
@@ -413,8 +410,4 @@ class SimParams:
     elastic: ElasticParams = field(default_factory=ElasticParams)
     awrite: AsyncParams = field(default_factory=AsyncParams)
 
-    node_cores: int = 8                # dual Xeon E5335
-
-    def with_overrides(self, **kwargs) -> "SimParams":
-        """Shallow-copy with replaced sub-models (ablation helper)."""
-        return replace(self, **kwargs)
+    node_cores: ClassVar[int] = 8      # dual Xeon E5335

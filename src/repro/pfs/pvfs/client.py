@@ -13,7 +13,7 @@ import itertools
 import zlib
 from typing import Generator, List, Tuple
 
-from ...errors import (EEXIST, EIO, EISDIR, ENOENT, ENOTDIR, ENOTEMPTY,
+from ...errors import (EINVAL, EIO, EISDIR, ENOENT, ENOTDIR, ENOTEMPTY,
                        FSError)
 from ...resilience import build_retry, retry_call
 from ...sim.node import Node
@@ -68,19 +68,25 @@ class PVFSClient:
             self._call(ep, m, a) for ep, m, a in calls)
         return [outcome.result() for outcome in outcomes]
 
+    def _lookup(self, dir_handle: int, name: str) -> Generator:
+        return self._call(self._owner(dir_handle), "lookup",
+                          (dir_handle, name), size=128 + len(name))
+
+    def _rmdirent(self, dir_handle: int, name: str) -> Generator:
+        return self._call(self._owner(dir_handle), "rmdirent",
+                          (dir_handle, name), size=144 + len(name))
+
     def _resolve(self, path: str) -> Generator:
         """Path -> handle, one lookup RPC per component, no cache."""
         handle = self.fs.root_handle
         for comp in path_components(path):
-            handle = yield from self._call(self._owner(handle), "lookup",
-                                           (handle, comp),
-                                           size=128 + len(comp))
+            handle = yield from self._lookup(handle, comp)
         return handle
 
     def _resolve_parent(self, path: str) -> Generator:
         comps = path_components(path)
         if not comps:
-            raise FSError(EISDIR, path, "cannot operate on /")
+            raise FSError(EINVAL, path, "cannot operate on /")
         parent = "/" + "/".join(comps[:-1])
         handle = yield from self._resolve(parent)
         return handle, comps[-1]
@@ -165,15 +171,11 @@ class PVFSClient:
         path = normalize_path(path)
         parent_handle, name = yield from self._resolve_parent(path)
         # Must not unlink a directory.
-        child = yield from self._call(self._owner(parent_handle), "lookup",
-                                      (parent_handle, name),
-                                      size=128 + len(name))
+        child = yield from self._lookup(parent_handle, name)
         kind = (yield from self._getattr(child))[0]
         if kind == DIR_T:
             raise FSError(EISDIR, path)
-        handle = yield from self._call(self._owner(parent_handle), "rmdirent",
-                                       (parent_handle, name, False),
-                                       size=144 + len(name))
+        handle = yield from self._rmdirent(parent_handle, name)
         _, _, _, _, _, _, dfiles, _ = yield from self._getattr(handle)
         removals = [(self._owner(h), "remove_obj", h)
                     for h in (handle, *dfiles)]
@@ -184,17 +186,13 @@ class PVFSClient:
         self.stats["ops"] += 1
         path = normalize_path(path)
         parent_handle, name = yield from self._resolve_parent(path)
-        handle = yield from self._call(self._owner(parent_handle), "lookup",
-                                       (parent_handle, name),
-                                       size=128 + len(name))
+        handle = yield from self._lookup(parent_handle, name)
         kind, _, _, _, _, _, _, nent = yield from self._getattr(handle)
         if kind != DIR_T:
             raise FSError(ENOTDIR, path)
         if nent:
             raise FSError(ENOTEMPTY, path)
-        yield from self._call(self._owner(parent_handle), "rmdirent",
-                              (parent_handle, name, True),
-                              size=144 + len(name))
+        yield from self._rmdirent(parent_handle, name)
         yield from self._call(self._owner(handle), "remove_obj", handle)
         return True
 
@@ -210,34 +208,41 @@ class PVFSClient:
         return out
 
     def rename(self, src: str, dst: str) -> Generator:
-        """Two dirent updates; NOT atomic (PVFS2 semantics)."""
+        """Two dirent updates; NOT atomic (PVFS2 semantics). Every
+        refusal is decided from lookups before either dirent changes."""
         self.stats["ops"] += 1
         src, dst = normalize_path(src), normalize_path(dst)
         sp_handle, sname = yield from self._resolve_parent(src)
+        handle = yield from self._lookup(sp_handle, sname)
+        is_dir = (yield from self._getattr(handle))[0] == DIR_T
         dp_handle, dname = yield from self._resolve_parent(dst)
-        handle = yield from self._call(self._owner(sp_handle), "rmdirent",
-                                       (sp_handle, sname, False),
-                                       size=144 + len(sname))
+        if is_dir and (dst + "/").startswith(src + "/"):
+            raise FSError(EINVAL, dst, "rename into own subtree")
         try:
-            yield from self._call(self._owner(dp_handle), "crdirent",
-                                  (dp_handle, dname, handle),
-                                  size=144 + len(dname))
+            old = yield from self._lookup(dp_handle, dname)
         except FSError as e:
-            if e.err == EEXIST:
-                # Overwrite: drop the old target (and its datafiles), then
-                # retry the insert.
-                old = yield from self._call(self._owner(dp_handle), "rmdirent",
-                                            (dp_handle, dname, False),
-                                            size=144 + len(dname))
-                old_attrs = yield from self._getattr(old)
-                removals = [(self._owner(h), "remove_obj", h)
-                            for h in (old, *old_attrs[6])]
-                yield from self._pcall(removals)
-                yield from self._call(self._owner(dp_handle), "crdirent",
-                                      (dp_handle, dname, handle),
-                                      size=144 + len(dname))
-            else:
+            if e.err != ENOENT:
                 raise
+            old = None
+        if old == handle:
+            return True             # the same file under both names
+        if old is not None:
+            kind, _, _, _, _, _, dfiles, nent = yield from self._getattr(old)
+            if kind == DIR_T and not is_dir:
+                raise FSError(EISDIR, dst)
+            if kind != DIR_T and is_dir:
+                raise FSError(ENOTDIR, dst)
+            if nent:
+                raise FSError(ENOTEMPTY, dst)
+        yield from self._rmdirent(sp_handle, sname)
+        if old is not None:
+            # Overwrite: drop the old target (and its datafiles).
+            yield from self._rmdirent(dp_handle, dname)
+            yield from self._pcall([(self._owner(h), "remove_obj", h)
+                                    for h in (old, *dfiles)])
+        yield from self._call(self._owner(dp_handle), "crdirent",
+                              (dp_handle, dname, handle),
+                              size=144 + len(dname))
         return True
 
     def chmod(self, path: str, mode: int) -> Generator:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-from ...errors import EEXIST, ENOENT, ENOTDIR, ENOTEMPTY, FSError
+from ...errors import EEXIST, EINVAL, ENOENT, ENOTDIR, ENOTEMPTY, FSError
 from ...models.params import PVFSParams
 from ...sim.node import Node
 from ...sim.rpc import Reply
@@ -161,7 +161,7 @@ class PVFSServer:
         yield from self._work(self.params.getattr_cpu)
         obj = self._get(handle)
         if obj.target is None:
-            raise FSError(ENOENT, msg="not a symlink")
+            raise FSError(EINVAL, msg="not a symlink")
         return obj.target
 
     def _h_crdirent(self, src: str, args: Tuple[int, str, int]) -> Generator:
@@ -177,8 +177,8 @@ class PVFSServer:
         yield from self._sync_txn()
         return True
 
-    def _h_rmdirent(self, src: str, args: Tuple[int, str, bool]) -> Generator:
-        parent_handle, name, must_be_dir = args
+    def _h_rmdirent(self, src: str, args: Tuple[int, str]) -> Generator:
+        parent_handle, name = args
         yield from self._work(self.params.crdirent_cpu)
         parent = self._get(parent_handle)
         h = parent.entries.get(name)

@@ -3,6 +3,7 @@ cold, bounded dcache in front of a default DUFS client."""
 
 from repro.bench.resolve_bench import ColdDcacheWalk
 from repro.core import build_dufs_deployment
+from repro.svc import TraceBus
 
 DEPTH = 8
 CHAIN = "/t0/l0/l1/l2/l3/l4"              # 6 dirs; file below is depth 8
@@ -10,7 +11,7 @@ CHAIN = "/t0/l0/l1/l2/l3/l4"              # 6 dirs; file below is depth 8
 
 def test_walk_mode_pays_o_depth_rpcs():
     dep = build_dufs_deployment(n_zk=3, n_backends=2, n_client_nodes=2,
-                                backend="local", trace=True)
+                                backend="local", bus=TraceBus())
     client = dep.clients[0]
 
     def build():

@@ -25,7 +25,8 @@ def build_async_dep(seed=7, **kw):
 
 def test_awrite_is_dufs_only():
     with pytest.raises(ValueError):
-        run_chaos("lustre", awrite=AsyncParams.async_on(), ops=10)
+        run_chaos("lustre", ops=10,
+                  params=SimParams(awrite=AsyncParams.async_on()))
 
 
 def test_client_crash_mid_drain_bounds_loss_to_unacked_window():
@@ -159,7 +160,7 @@ def test_chaos_zk_crashes_with_async_writes_audit_clean():
     and the audit is clean; the op stream never blocks on the quorum."""
     sched = ChaosSchedule().crash(0.8, "meta:0").recover(2.2, "meta:0")
     result = run_chaos("dufs", schedule=sched, ops=300, seed=7,
-                       awrite=AsyncParams.async_on())
+                       params=SimParams(awrite=AsyncParams.async_on()))
     assert result.failed == 0
     assert result.completed == 300
     assert result.audit is not None and result.audit.ok, \
@@ -170,8 +171,8 @@ def test_chaos_zk_crashes_with_async_writes_audit_clean():
 def test_chaos_async_run_is_deterministic():
     sched = ChaosSchedule().crash(0.8, "meta:1").recover(2.0, "meta:1")
     a = run_chaos("dufs", schedule=sched, ops=150, seed=3,
-                  awrite=AsyncParams.async_on())
+                  params=SimParams(awrite=AsyncParams.async_on()))
     b = run_chaos("dufs", schedule=sched, ops=150, seed=3,
-                  awrite=AsyncParams.async_on())
+                  params=SimParams(awrite=AsyncParams.async_on()))
     assert a.completed == b.completed and a.failed == b.failed
     assert a.audit.to_dict() == b.audit.to_dict()

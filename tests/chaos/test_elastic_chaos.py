@@ -11,16 +11,15 @@ from repro.models.params import ElasticParams, SimParams, ZKParams
 def build_elastic_chaos(seed=0):
     """2 shards x 3 servers, fast-failing ZK clients so a dead quorum is
     detected in sim-milliseconds instead of stretching the test."""
-    params = SimParams()
+    params = SimParams(
+        elastic=ElasticParams.elastic_on(autoscale=False, drain=0.02))
     params.zk = ZKParams(failure_detection=True, session_tracking=True,
                          ping_interval=0.1, ping_timeout=0.3,
                          election_tick=0.05)
     return build_dufs_deployment(n_zk=6, n_backends=2, n_client_nodes=2,
                                  backend="local", n_shards=2, params=params,
                                  co_locate_zk=False, seed=seed,
-                                 zk_request_timeout=0.2, zk_max_retries=2,
-                                 autoscale=ElasticParams.elastic_on(
-                                     autoscale=False, drain=0.02))
+                                 zk_request_timeout=0.2, zk_max_retries=2)
 
 
 def populated_dir(dep, n_files=40):
@@ -161,8 +160,8 @@ def test_chaos_migration_targets_resolve_lazily():
     from repro.chaos.runner import _build_dufs
 
     cluster, dep, _client, node, resolve, _apply = _build_dufs(
-        seed=0, shards=2,
-        elastic=ElasticParams.elastic_on(autoscale=False, drain=0.02))
+        seed=0, shards=2, params=SimParams(
+            elastic=ElasticParams.elastic_on(autoscale=False, drain=0.02)))
     with pytest.raises(RuntimeError):
         resolve("migration:src")           # nothing in flight yet
 

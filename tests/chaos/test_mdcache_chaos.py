@@ -16,7 +16,7 @@ import pytest
 
 from repro.chaos import ChaosSchedule, run_chaos
 from repro.core import build_dufs_deployment
-from repro.models.params import CacheParams
+from repro.models.params import CacheParams, SimParams
 from repro.sim.core import AllOf
 
 
@@ -24,7 +24,7 @@ from repro.sim.core import AllOf
 def test_chaos_run_with_cache_enabled_audits_clean():
     sched = ChaosSchedule().crash(0.5, "meta:0").recover(2.0, "meta:0")
     result = run_chaos("dufs", schedule=sched, ops=300, seed=7,
-                       cache=CacheParams.caching_on())
+                       params=SimParams(cache=CacheParams.caching_on()))
     assert result.failed == 0
     assert result.completed == 300
     assert result.audit is not None and result.audit.ok, \
@@ -34,7 +34,7 @@ def test_chaos_run_with_cache_enabled_audits_clean():
 @pytest.mark.chaos
 def test_chaos_random_minority_crashes_with_cache_audits_clean():
     result = run_chaos("dufs", seed=11, ops=250,
-                       cache=CacheParams.caching_on())
+                       params=SimParams(cache=CacheParams.caching_on()))
     assert result.audit is not None and result.audit.ok, \
         result.audit.to_text()
     assert result.completed > 0

@@ -8,12 +8,13 @@ never damage the namespace."""
 import pytest
 
 from repro.chaos import ChaosSchedule, RandomChaos, run_chaos
-from repro.models.params import FaultToleranceParams
+from repro.models.params import FaultToleranceParams, SimParams
 
 
 def test_random_chaos_with_resilience_audits_clean():
     result = run_chaos("dufs", seed=3, ops=120,
-                       fault=FaultToleranceParams.resilience_on())
+                       params=SimParams(
+                           fault=FaultToleranceParams.resilience_on()))
     assert result.completed > 0
     assert result.audit is not None
     assert result.audit.ok, result.audit.to_text()
@@ -24,7 +25,8 @@ def test_shard_targeted_crash_with_resilience_audits_clean():
     sched.crash(0.3, "shard:1")
     sched.recover(0.8, "shard:1")
     result = run_chaos("dufs", schedule=sched, seed=5, ops=150, shards=2,
-                       fault=FaultToleranceParams.resilience_on())
+                       params=SimParams(
+                           fault=FaultToleranceParams.resilience_on()))
     assert result.completed > 0
     assert result.audit is not None
     assert result.audit.ok, result.audit.to_text()
@@ -35,16 +37,17 @@ def test_leader_crash_with_resilience_audits_clean():
     sched.crash(0.4, "zk:leader")
     sched.recover(1.2, "zk:0")
     result = run_chaos("dufs", schedule=sched, seed=7, ops=150,
-                       fault=FaultToleranceParams.resilience_on())
+                       params=SimParams(
+                           fault=FaultToleranceParams.resilience_on()))
     assert result.audit is not None
     assert result.audit.ok, result.audit.to_text()
 
 
 def test_resilience_rejected_for_non_dufs():
     with pytest.raises(ValueError):
-        run_chaos("lustre", fault=FaultToleranceParams())
+        run_chaos("lustre", params=SimParams())
     with pytest.raises(ValueError):
-        run_chaos("pvfs", fault=FaultToleranceParams())
+        run_chaos("pvfs", params=SimParams())
 
 
 def test_random_chaos_recovery_clamped_to_run_window():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import build_dufs_deployment
+from repro.svc import TraceBus
 
 
 class DUFSHarness:
@@ -42,4 +43,4 @@ def dufs():
 @pytest.fixture
 def dufs_lustre():
     return DUFSHarness(backend="lustre", n_client_nodes=2, n_zk=3,
-                       trace=True)
+                       bus=TraceBus())

@@ -15,7 +15,7 @@ from repro.core.client import DUFSClient
 from repro.core.metadata import DirPayload, FilePayload, SymlinkPayload
 from repro.errors import EEXIST, EIO, ENOENT, ENOTEMPTY, FSError
 from repro.mds import MetadataService
-from repro.models.params import AsyncParams
+from repro.models.params import AsyncParams, SimParams
 from repro.pfs.localfs import LocalFS
 from repro.sim import Cluster
 from repro.zk.data import ZnodeStat
@@ -125,10 +125,12 @@ class Rig:
         node = self.cluster.add_node("c0")
         self.mds = StubMDS(self.cluster.sim)
         self.backends = [LocalFS(node) for _ in range(2)]
-        awrite = AsyncParams.async_on() if mode == "async" else None
+        params = SimParams()
+        if mode == "async":
+            params.awrite = AsyncParams.async_on()
         self.client = DUFSClient(node, self.mds,
                                  [be.client() for be in self.backends],
-                                 client_id=7, awrite=awrite)
+                                 params, client_id=7)
         self.node = node
 
     def files(self):

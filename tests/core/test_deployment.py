@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from repro.core import build_dufs_deployment
-from repro.models.params import ElasticParams
+from repro.models.params import ElasticParams, SimParams
 
 
 def test_mounts_and_nodes_round_robin():
@@ -81,7 +81,7 @@ def _topology(n_shards, co_locate, n_zk, elastic):
     dep = build_dufs_deployment(
         n_zk=n_zk, n_backends=2, n_client_nodes=8, backend="local",
         co_locate_zk=co_locate, n_shards=n_shards,
-        autoscale=ElasticParams.elastic_on(autoscale=False)
+        params=SimParams(elastic=ElasticParams.elastic_on(autoscale=False))
         if elastic else None)
     servers = tuple((ep, srv.node.name, srv.svc.shard)
                     for ens in dep.ensembles

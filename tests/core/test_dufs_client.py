@@ -7,6 +7,7 @@ import pytest
 from repro.core.mapping import physical_path
 from repro.errors import (
     EEXIST,
+    EINVAL,
     EIO,
     EISDIR,
     ENOENT,
@@ -18,6 +19,27 @@ from repro.models.params import AsyncParams, CacheParams, ResolveParams
 from repro.zk.errors import ConnectionLossError
 
 from .conftest import DUFSHarness
+
+#: The client arms: the paper's client, the coherent cache, the thin
+#: (server-side resolve) client, and write-behind.
+ARMS = pytest.mark.parametrize("arm", [
+    dict(),
+    dict(cache=CacheParams.caching_on()),
+    dict(resolve=ResolveParams.resolve_on()),
+    dict(awrite=AsyncParams.async_on()),
+], ids=["default", "cache", "thin", "async"])
+
+
+def errnos(ops):
+    """Run each op in turn; the errno it failed with (None: it passed)."""
+    out = []
+    for op in ops:
+        try:
+            yield from op
+            out.append(None)
+        except FSError as exc:
+            out.append(exc.err)
+    return out
 
 
 def test_directory_ops_never_touch_backends(dufs):
@@ -185,12 +207,7 @@ def test_posix_error_mapping(dufs):
     assert dufs.run(main()) == [True] * 6
 
 
-@pytest.mark.parametrize("arm", [
-    dict(),
-    dict(cache=CacheParams.caching_on()),
-    dict(resolve=ResolveParams.resolve_on()),
-    dict(awrite=AsyncParams.async_on()),
-], ids=["default", "cache", "thin", "async"])
+@ARMS
 def test_readdir_of_a_non_directory_is_enotdir(arm):
     """opendir's type check: a file or symlink znode lists as empty, so
     an empty listing of a path not known to be a directory is looked up
@@ -255,6 +272,70 @@ def test_readdir_through_a_file_is_enotdir(arm, n_shards):
         return out
 
     assert h.run(main()) == [ENOTDIR, ENOTDIR, ENOENT, ENOTDIR]
+
+
+@ARMS
+def test_a_miss_below_a_fresh_file_is_enotdir(arm):
+    """Below a file this client just created (in the async arm, acked
+    and not yet drained) a lookup misses with ENOTDIR, as the namespace
+    answers: the parent walk asks the pending-write overlay first."""
+    h = DUFSHarness(**arm)
+    client = h.dep.clients[0]
+
+    def main():
+        yield from client.create("/f")
+        pending = client.mdcache.overlay_pending("/f")
+        out = yield from errnos([client.stat("/f/x"), client.readdir("/f/x"),
+                                 client.stat("/f/x/y")])
+        return pending, out
+
+    pending, out = h.run(main())
+    assert pending == ("create" if "awrite" in arm else None)
+    assert out == [ENOTDIR] * 3
+
+
+@ARMS
+def test_ops_naming_the_root_answer_as_the_namespace_does(arm):
+    """A mutation naming ``/`` is EINVAL before any round trip; any
+    other op looks ``/`` up as the root directory, although the root
+    znode carries no DUFS payload."""
+    h = DUFSHarness(**arm)
+    c = h.dep.clients[0]
+
+    def main():
+        yield from c.mkdir("/d")
+        yield from c.flush()
+        reads, writes = c.stats["zk_reads"], c.stats["zk_writes"]
+        refused = yield from errnos([
+            c.mkdir("/"), c.create("/"), c.symlink("/d", "/"), c.rmdir("/"),
+            c.unlink("/"), c.rename("/", "/x"), c.rename("/d", "/"),
+            c.chmod("/", 0o700)])
+        trips = (c.stats["zk_reads"] - reads, c.stats["zk_writes"] - writes)
+        looked_up = yield from errnos([
+            c.readlink("/"), c.open("/"), c.truncate("/", 0),
+            c.read("/", 0, 1), c.write("/", 0, b"x")])
+        yield from c.flush()
+        return refused, trips, looked_up, \
+            [e.name for e in (yield from c.readdir("/"))]
+
+    assert h.run(main()) == ([EINVAL] * 8, (0, 0),
+                             [EINVAL] + [EISDIR] * 4, ["d"])
+    assert sum(h.backend_file_counts()) == 0
+
+
+@ARMS
+def test_readlink_of_a_non_symlink_is_einval(arm):
+    h = DUFSHarness(**arm)
+    c = h.dep.clients[0]
+
+    def main():
+        yield from c.mkdir("/d")
+        yield from c.create("/d/f")
+        yield from c.symlink("/d/f", "/d/ln")
+        out = yield from errnos([c.readlink("/d"), c.readlink("/d/f")])
+        return out, (yield from c.readlink("/d/ln"))
+
+    assert h.run(main()) == ([EINVAL, EINVAL], "/d/f")
 
 
 @pytest.mark.parametrize("arm", [dict(), dict(cache=CacheParams.caching_on())],

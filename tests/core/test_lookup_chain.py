@@ -9,7 +9,8 @@ is pinned to what the pre-chain client issued.
 import pytest
 
 from repro.core import build_dufs_deployment
-from repro.errors import (EEXIST, EIO, EISDIR, ENOENT, ENOTDIR, FSError)
+from repro.errors import (EEXIST, EINVAL, EISDIR, ENOENT, ENOTDIR,
+                          FSError)
 from repro.models.params import AsyncParams, CacheParams, ResolveParams
 from repro.pfs.base import StatResult
 
@@ -121,7 +122,7 @@ def test_every_cell_reports_the_same_posix_outcomes(cells):
     outcomes = dict((label, rest) for label, *rest in reference)
     # The script is not vacuous: every error class shows up.
     assert {v[1] for v in outcomes.values() if v[0] == "errno"} \
-        == {EEXIST, EIO, EISDIR, ENOENT, ENOTDIR}
+        == {EEXIST, EINVAL, EISDIR, ENOENT, ENOTDIR}
     for cell in CELLS[1:]:
         assert cells[cell][0] == reference, cell
 

@@ -8,6 +8,7 @@ import pytest
 from repro.core import build_dufs_deployment
 from repro.errors import ENOENT, ENOTDIR, FSError
 from repro.models.params import CacheParams, ResolveParams
+from repro.svc import TraceBus
 
 CHAIN = "/t0/l0/l1/l2/l3/l4"              # 6 dirs; file below is depth 8
 
@@ -45,7 +46,7 @@ def bus_rpcs(dep, method):
 
 
 def test_thin_client_is_one_rpc_per_lookup_at_any_depth():
-    dep = make_dep(resolve=ResolveParams.resolve_on(), trace=True)
+    dep = make_dep(resolve=ResolveParams.resolve_on(), bus=TraceBus())
     scaffold(dep)
     for path in (f"{CHAIN}/ckpt", "/shallow/f", "/t0"):
         before = reads(dep)

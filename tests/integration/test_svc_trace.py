@@ -8,8 +8,6 @@ Two properties from the issue's acceptance list:
   measurably more ops/s through an 8-server ensemble than unbatched.
 """
 
-from dataclasses import replace
-
 from repro.core.fs import build_dufs_deployment
 from repro.models.params import SimParams
 from repro.svc import TraceBus
@@ -19,9 +17,7 @@ from repro.workloads.mdtest import MdtestConfig, run_mdtest
 def _traced_run(seed, batch=1, n_zk=3, n_procs=8, items=6,
                 phases=("dir_create", "dir_stat", "dir_remove")):
     params = SimParams()
-    if batch > 1:
-        params = params.with_overrides(
-            zk=replace(params.zk, propose_batch_max=batch))
+    params.zk.propose_batch_max = batch
     bus = TraceBus(keep_events=True)
     dep = build_dufs_deployment(n_zk=n_zk, n_backends=2, n_client_nodes=4,
                                 backend="local", params=params, seed=seed,

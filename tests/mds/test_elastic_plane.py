@@ -6,7 +6,7 @@ import hashlib
 import pytest
 
 from repro.core import build_dufs_deployment
-from repro.models.params import ElasticParams
+from repro.models.params import ElasticParams, SimParams
 from repro.svc import TraceBus
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
@@ -23,7 +23,7 @@ def build_elastic(seed=0, bus=None, autoscale=False):
                                        interval=0.05, window=0.15)
     return build_dufs_deployment(n_zk=8, n_backends=2, n_client_nodes=2,
                                  backend="local", seed=seed, n_shards=4,
-                                 bus=bus, autoscale=elastic)
+                                 bus=bus, params=SimParams(elastic=elastic))
 
 
 def pinnable_dir(dep, tag="t"):
@@ -40,7 +40,8 @@ def test_elastic_needs_at_least_two_shards():
     with pytest.raises(ValueError):
         build_dufs_deployment(n_zk=4, n_backends=2, n_client_nodes=1,
                               backend="local", n_shards=1,
-                              autoscale=ElasticParams.elastic_on())
+                              params=SimParams(
+                                  elastic=ElasticParams.elastic_on()))
 
 
 def test_elastic_wiring_and_off_by_default():

@@ -1,5 +1,7 @@
 """Parameter bundles and the memory model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.models.memory import (
@@ -27,9 +29,9 @@ def test_simparams_bundles_all_submodels():
     assert p.node_cores == 8  # dual Xeon E5335
 
 
-def test_with_overrides_replaces_submodel():
+def test_replace_swaps_one_submodel():
     p = SimParams()
-    q = p.with_overrides(lustre=LustreParams(dlm_enabled=False))
+    q = replace(p, lustre=LustreParams(dlm_enabled=False))
     assert q.lustre.dlm_enabled is False
     assert p.lustre.dlm_enabled is True  # original untouched
     assert q.zk is p.zk
@@ -44,7 +46,8 @@ def test_default_instances_are_independent():
 def test_all_service_times_positive():
     for model in (ZKParams(), LustreParams(), PVFSParams(), FUSEParams(),
                   DUFSParams()):
-        for name, value in vars(model).items():
+        table = {**vars(type(model)), **vars(model)}    # constants too
+        for name, value in table.items():
             if name.endswith(("_cpu", "_delay", "_txn", "_coef")) and \
                     isinstance(value, float):
                 assert value >= 0, (type(model).__name__, name)

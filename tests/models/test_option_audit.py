@@ -1,0 +1,93 @@
+"""``scripts/option_audit.py`` on synthetic source trees: what counts as
+supplying a parameter, and what counts as setting a params field."""
+
+import pathlib
+import runpy
+import textwrap
+
+import pytest
+
+AUDIT = runpy.run_path(str(pathlib.Path(__file__).resolve().parents[2]
+                           / "scripts" / "option_audit.py"))
+
+
+def write(root, rel, source):
+    path = root / rel
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(textwrap.dedent(source))
+
+
+@pytest.fixture
+def tree(tmp_path):
+    write(tmp_path, "src/repro/lib.py", """
+        def plain(a, b=1, c=2): ...
+        def left(x=0): ...
+        def right(y=0): ...
+        def in_table(z=0): ...
+        def tested_only(t=0): ...
+
+        class Client:
+            def __init__(self, p=1): ...
+            def _commit_sync(self, v=1): ...
+            def _commit_async(self, v=1): ...
+            def bind(self, on):
+                self._commit, self._drain = \\
+                    self._commit_sync, self._commit_async
+                self._commit(v=2)
+    """)
+    write(tmp_path, "scripts/use.py", """
+        from repro.lib import *
+
+        TABLE = {"k": in_table}
+        plain(0, c=3)
+        pick = left if flag else right
+        pick(5)
+        TABLE["k"](z=1)
+        Client(p=2)
+    """)
+    write(tmp_path, "tests/test_lib.py", """
+        tested_only(t=1)
+        Client()._commit_async(v=3)
+    """)
+    return tmp_path
+
+
+def test_unsupplied_sees_through_aliases(tree):
+    hits = [line.split("  ")[1] for line in AUDIT["unsupplied"](tree)]
+    # A test call is no supplier; each alias form supplies every name it
+    # binds: the conditional's two arms, the dict's value, the tuple
+    # bind's first element only (the second is never called).
+    assert sorted(hits) == ["Client._commit_async(v=)", "plain(b=)",
+                            "tested_only(t=)"]
+
+
+def test_unset_fields_counts_keyword_attribute_and_dict_key_setters(tree):
+    write(tree, "src/repro/models/params.py", """
+        from dataclasses import dataclass, field
+        from typing import ClassVar
+
+        @dataclass
+        class AParams:
+            by_keyword: int = 1
+            by_attribute: float = 0.5
+            by_dict_key: bool = False
+            shared: int = 0
+            never: float = 1e-6
+            calibrated: ClassVar[float] = 2e-6
+
+        @dataclass
+        class BParams:
+            shared: int = 0
+            also_never: int = 3
+            sub: AParams = field(default_factory=AParams)
+    """)
+    write(tree, "tests/test_params.py", """
+        p = AParams(by_keyword=2)
+        p.by_attribute = 1.0
+        preset = {"by_dict_key": True}
+        BParams(shared=3)
+    """)
+    unset = [line.split("  ")[1] for line in AUDIT["unset_fields"](tree)]
+    # ``shared`` set on one class counts for both; a ClassVar is no field
+    # and a sub-params field is mutated in place, so neither is listed.
+    assert unset == ["AParams.never", "BParams.also_never"]

@@ -8,6 +8,7 @@ is what lets the paper swap back-ends under one DUFS prototype.
 
 from repro.errors import (
     EEXIST,
+    EINVAL,
     EISDIR,
     ENOENT,
     ENOTDIR,
@@ -250,3 +251,64 @@ def test_deep_tree(anyfs):
         return st.is_file
 
     assert anyfs.run(main())
+
+
+def errnos(ops):
+    """Run each op in turn; the errno it failed with (None: it passed)."""
+    out = []
+    for op in ops:
+        try:
+            yield from op
+            out.append(None)
+        except FSError as e:
+            out.append(e.err)
+    return out
+
+
+def test_ops_naming_the_root_are_einval(anyfs):
+    c = anyfs.cli
+
+    def main():
+        yield from c.mkdir("/d")
+        ops = [c.mkdir("/"), c.create("/"), c.symlink("/d", "/"),
+               c.rmdir("/"), c.unlink("/"), c.rename("/", "/x"),
+               c.rename("/d", "/"), c.readlink("/")]
+        out = yield from errnos(ops)
+        return out, [e.name for e in (yield from c.readdir("/"))]
+
+    assert anyfs.run(main()) == ([EINVAL] * 8, ["d"])
+
+
+def test_readlink_of_a_non_symlink_is_einval(anyfs):
+    def main():
+        yield from anyfs.cli.mkdir("/d")
+        yield from anyfs.cli.create("/f")
+        return (yield from errnos([anyfs.cli.readlink("/d"),
+                                   anyfs.cli.readlink("/f")]))
+
+    assert anyfs.run(main()) == [EINVAL, EINVAL]
+
+
+def test_refused_renames_leave_both_names(anyfs):
+    """Each refusal is decided before either name changes."""
+    c = anyfs.cli
+
+    def main():
+        for d in ("/a", "/a/b", "/d", "/e"):
+            yield from c.mkdir(d)
+        yield from c.create("/e/x")
+        yield from c.create("/f")
+        out = yield from errnos([
+            c.rename("/a", "/a/b/c"),   # a directory into its own subtree
+            c.rename("/f", "/d"),       # a file onto a directory
+            c.rename("/d", "/f"),       # a directory onto a file
+            c.rename("/d", "/e"),       # onto a non-empty directory
+        ])
+        names = {}
+        for d in ("/", "/a", "/e"):
+            names[d] = [e.name for e in (yield from c.readdir(d))]
+        return out, names
+
+    assert anyfs.run(main()) == (
+        [EINVAL, EISDIR, ENOTDIR, ENOTEMPTY],
+        {"/": ["a", "d", "e", "f"], "/a": ["b"], "/e": ["x"]})
