@@ -16,16 +16,15 @@ class LockManager:
         # resource (directory path) -> set of client endpoints holding a
         # cached read lock
         self._granted: Dict[str, Set[str]] = {}
+        # Every holder set's size, summed: kept, not recounted per charge.
+        self.resident_locks = 0
         self.stats = {"grants": 0, "revokes": 0}
-
-    @property
-    def resident_locks(self) -> int:
-        return sum(len(s) for s in self._granted.values())
 
     def grant(self, resource: str, client: str) -> None:
         holders = self._granted.setdefault(resource, set())
         if client not in holders:
             holders.add(client)
+            self.resident_locks += 1
             self.stats["grants"] += 1
 
     def conflicting(self, resource: str, requester: str) -> List[str]:
@@ -40,5 +39,6 @@ class LockManager:
             self._granted[resource] = kept
         else:
             self._granted.pop(resource, None)
+        self.resident_locks -= len(revoked)
         self.stats["revokes"] += len(revoked)
         return revoked

@@ -27,7 +27,11 @@ Performance notes (the hot-path overhaul; measured by
   queue the process itself on the lane (no wakeup ``Event``, no closure);
   repeated interrupts coalesce into one queued wakeup; the
   already-processed-target fast path is an inline loop rather than
-  recursion; per-process callbacks are pre-bound once.
+  recursion.
+* **No reference cycles.** A process or condition binds its callback
+  afresh for each wait instead of storing it: a stored bound method
+  points back at its owner, so every finished process would wait for
+  the cyclic GC instead of being freed on the spot by its refcount.
 * **Bound locals.** The run loops bind the heap, lane, and heapq
   functions to locals, eliminating attribute lookups per event.
 """
@@ -129,7 +133,7 @@ class Timeout(Event):
     """Event that fires ``delay`` seconds after creation. Built, and
     queued, by :meth:`Simulator.timeout` only."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
 
 class Process(Event):
@@ -141,8 +145,7 @@ class Process(Event):
     """
 
     __slots__ = ("gen", "name", "deadline", "_target", "_interrupts",
-                 "_started", "_resume_cb", "_wake_pending", "_gsend",
-                 "_gthrow")
+                 "_started", "_wake_pending", "_gsend", "_gthrow")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         if gen.__class__ is not GeneratorType and not hasattr(gen, "send"):
@@ -164,7 +167,6 @@ class Process(Event):
         self._target: Optional[Event] = None
         self._interrupts: Optional[list] = None   # lazily allocated
         self._started = False
-        self._resume_cb = self._step              # one bound method, reused
         self._gsend = gen.send                    # pre-bound: one resume per
         self._gthrow = getattr(gen, "throw", None)  # event makes these hot
         # Kick off at the current time: the lane carries the process
@@ -206,7 +208,7 @@ class Process(Event):
         target = self._target
         if target is not None and target.callbacks is not None:
             try:
-                target.callbacks.remove(self._resume_cb)
+                target.callbacks.remove(self._step)   # by equality
             except ValueError:
                 pass
         self._target = None
@@ -223,8 +225,8 @@ class Process(Event):
               throw: Optional[BaseException] = None) -> None:
         """Resume the generator.
 
-        ``trigger`` is an Event on the callback path (``_resume_cb`` is
-        this method, bound once — no wrapper frame per resume) and the
+        ``trigger`` is an Event on the callback path (this method is the
+        callback — no wrapper frame per resume) and the
         ``_WAKE`` sentinel on the lane-dispatched wakeup path (process
         init or interrupt delivery); internal callers pass explicit
         ``send``/``throw``."""
@@ -302,7 +304,7 @@ class Process(Event):
                         send, throw = None, target._value
                     continue
                 self._target = target
-                tcb.append(self._resume_cb)
+                tcb.append(self._step)
                 return
             send, throw = None, SimulationError(
                 f"process {self.name!r} yielded non-event {target!r}")
@@ -313,12 +315,12 @@ class Condition(Event):
 
     On completion the condition detaches itself from every still-pending
     constituent and drops its ``events`` tuple — without this, a long-lived
-    straggler (e.g. the losing timeout of an RPC ``AnyOf``) would pin the
+    straggler (e.g. the timeout that loses an ``AnyOf`` race) would pin the
     condition, every sibling event, and their values until it fired, which
     accumulates real garbage across fan-out-heavy 10^8-event campaigns.
     """
 
-    __slots__ = ("events", "_need", "_check_cb")
+    __slots__ = ("events", "_need")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event], need_all: bool):
         self.sim = sim
@@ -326,7 +328,6 @@ class Condition(Event):
         self._value = _PENDING
         self._ok = True
         self._used = False
-        self._check_cb = None
         evs = tuple(events)
         self.events = evs
         for ev in evs:
@@ -336,22 +337,20 @@ class Condition(Event):
         if self._need == 0:
             self.succeed({})
             return
-        cb = self._check_cb = self._check
         for ev in evs:
             if self._value is not _PENDING:
                 break  # triggered mid-construction; don't attach further
             if ev.callbacks is None:
                 self._check(ev)
             else:
-                ev.callbacks.append(cb)
+                ev.callbacks.append(self._check)
 
     def _detach(self) -> None:
-        cb = self._check_cb
         for ev in self.events:
             ecb = ev.callbacks
             if ecb is not None:
                 try:
-                    ecb.remove(cb)
+                    ecb.remove(self._check)     # by equality
                 except ValueError:
                     pass
         self.events = ()
@@ -410,15 +409,6 @@ class Simulator:
         self._active: Optional[Process] = None
 
     # -- scheduling ------------------------------------------------------
-    def _queue_at(self, when: float, event: Event) -> None:
-        self._eid = eid = self._eid + 1
-        if when > self.now:
-            self._staged.append((when, eid, event))
-        else:
-            # Past times are clamped to "now" (nothing schedules into the
-            # past; this keeps float round-off harmless).
-            self._lane.append((eid, event, None))
-
     def _merge(self) -> None:
         """Fold staged future events into the heap.
 
@@ -452,7 +442,6 @@ class Simulator:
         t._ok = True
         t._value = value
         t._used = False
-        t.delay = delay
         self._eid = eid = self._eid + 1
         if delay == 0.0:
             self._lane.append((eid, t, None))
@@ -461,13 +450,16 @@ class Simulator:
         return t
 
     def stage(self, event: Event, when: float, eid: int) -> None:
-        """Fire the pending ``event`` at the future instant ``when`` under
-        the creation id ``eid``, reserved earlier with ``sim._eid += 1``:
-        it takes the place in the same-instant order that a timeout
-        created at the reservation would have taken."""
-        assert when > self.now
+        """Fire the pending ``event`` at the instant ``when`` (now or later)
+        under the creation id ``eid`` reserved earlier (``sim._eid += 1``):
+        it takes the place in the same-instant order that a timeout created
+        at the reservation would have taken — at the current instant, the
+        heap's, ahead of lane work created since."""
         event._value = None
-        self._staged.append((when, eid, event))
+        if when > self.now:
+            self._staged.append((when, eid, event))
+        else:
+            heappush(self._heap, (when, eid, event))
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .core import Event, Simulator
-from .resources import Store
 
 GIGE_LATENCY = 60e-6       # one-way small-message latency (s)
 GIGE_BANDWIDTH = 117e6     # effective bytes/s on 1 GigE
@@ -36,9 +35,9 @@ class _Delivery(Event):
 
     The delivery *event* carries the envelope fields itself (``src``,
     ``dst``, ``payload``, ``size``, ``sent_at`` — all a consumer ever reads)
-    and is put into the destination inbox directly, so one transmitted
-    message costs a single allocation (no separate envelope + event +
-    closure)."""
+    and is handed to the destination's delivery hook directly, so one
+    transmitted message costs a single allocation (no separate envelope +
+    event + closure)."""
 
     __slots__ = ("src", "dst", "payload", "size", "sent_at")
 
@@ -88,9 +87,9 @@ class Network:
     """Message fabric connecting endpoints registered by name."""
 
     __slots__ = ("sim", "latency", "bandwidth", "loopback_latency",
-                 "loopback_bandwidth", "streams", "stats", "_inboxes",
-                 "_hosts", "_down", "_last_delivery", "_partition",
-                 "_link_faults", "_deliver_cb", "_routes", "_hooks")
+                 "loopback_bandwidth", "streams", "stats", "_hosts",
+                 "_down", "_last_delivery", "_partition", "_link_faults",
+                 "_deliver_cb", "_routes", "_hooks")
 
     def __init__(
         self,
@@ -108,7 +107,6 @@ class Network:
         self.loopback_bandwidth = loopback_bandwidth
         self.streams = streams                 # RandomStreams (link faults)
         self.stats = NetworkStats()
-        self._inboxes: dict[str, Store] = {}
         self._hosts: dict[str, str] = {}       # endpoint -> host name
         self._down: set[str] = set()           # down endpoints
         self._last_delivery: dict[tuple[str, str], float] = {}
@@ -117,9 +115,7 @@ class Network:
         self._link_faults: dict[tuple[str, str], LinkFault] = {}
         # single bound callback shared by every _Delivery event
         self._deliver_cb = self._deliver
-        # endpoint -> delivery hook (see set_inbox_hook); absent
-        # endpoints go to their inbox.
-        self._hooks: dict[str, Any] = {}
+        self._hooks: dict[str, Any] = {}       # endpoint -> delivery hook
         # (src, dst) -> (latency, 1/bandwidth, loss, duplicate), or the
         # _DROP sentinel for unreachable pairs. The cache folds the host
         # lookup, partition check, and link-fault resolution into one dict
@@ -128,29 +124,20 @@ class Network:
         self._routes: dict[tuple[str, str], tuple] = {}
 
     # -- topology --------------------------------------------------------
-    def register(self, endpoint: str, host: Optional[str] = None) -> Store:
-        """Create (or fetch) the inbox for an endpoint; returns the Store."""
-        if endpoint not in self._inboxes:
-            self._inboxes[endpoint] = Store(self.sim)
-            self._hosts[endpoint] = host or endpoint
-            self._routes.clear()
-        return self._inboxes[endpoint]
-
-    def set_inbox_hook(self, endpoint: str, hook) -> None:
-        """Install ``hook(msg)``: every message delivered to ``endpoint``
-        is handed to it, at the instant its delivery event fires, instead
-        of being put in the inbox ``Store`` (an :class:`RpcAgent` keeps
-        its own per-endpoint FIFO). ``msg`` is the spent delivery event
-        and the hook's to keep; endpoints without a hook are read through
-        their inbox."""
+    def register(self, endpoint: str, hook, host: Optional[str] = None) -> None:
+        """Attach ``endpoint`` (on ``host``, default a host of its own): every
+        message delivered to it is handed to ``hook(msg)`` when its delivery
+        event fires; ``msg`` is the spent event and the hook's to keep (an
+        :class:`RpcAgent` keeps its own per-endpoint FIFO)."""
         self._hooks[endpoint] = hook
+        self._hosts[endpoint] = host or endpoint
+        self._routes.clear()
 
     # -- failures --------------------------------------------------------
     def set_down(self, endpoint: str, down: bool = True) -> None:
         self._routes.clear()
         if down:
             self._down.add(endpoint)
-            self._inboxes[endpoint].items.clear()
         else:
             self._down.discard(endpoint)
 
@@ -211,18 +198,10 @@ class Network:
                                "built with RandomStreams (Cluster does this)")
         return self.streams.stream(CHAOS_STREAM)
 
-    def _reachable(self, src: str, dst: str) -> bool:
-        if src in self._down or dst in self._down:
-            return False
-        if self._partition is None:
-            return True
-        hs, hd = self._hosts.get(src, src), self._hosts.get(dst, dst)
-        return self._partition.get(hs, -1) == self._partition.get(hd, -2) or hs == hd
-
     # -- transmission ----------------------------------------------------
     def _route_for(self, key: tuple, src: str, dst: str) -> tuple:
         """Resolve, cache, and return the route tuple for one pair."""
-        if dst not in self._inboxes:
+        if dst not in self._hooks:
             raise KeyError(f"unknown endpoint {dst!r}")
         hosts = self._hosts
         hs = hosts.get(src, src)
@@ -298,20 +277,16 @@ class Network:
             # The copy arrives a link-delay later, out of FIFO order —
             # receivers must tolerate it (at-least-once delivery).
             stats.duplicated += 1
-            copy = _Delivery(sim, src, dst, payload, size, now,
-                             self._deliver_cb)
-            sim._queue_at(deliver_at + delay, copy)
+            sim._eid = eid = sim._eid + 1
+            sim._staged.append((deliver_at + delay, eid, _Delivery(
+                sim, src, dst, payload, size, now, self._deliver_cb)))
 
     def _deliver(self, ev: "_Delivery") -> None:
-        # Re-check reachability at delivery time: a crash mid-flight or a
-        # partition installed after send() still drops the message.
-        if (self._down or self._partition is not None) \
-                and not self._reachable(ev.src, ev.dst):
-            self.stats.dropped += 1
-            return
-        dst = ev.dst
-        hook = self._hooks.get(dst)
-        if hook is not None:
-            hook(ev)
-        else:
-            self._inboxes[dst].put(ev)
+        # Re-check reachability (the route, as in send()) at delivery time:
+        # a crash mid-flight or a later partition still drops the message.
+        if self._down or self._partition is not None:
+            key = (ev.src, ev.dst)
+            if (self._routes.get(key) or self._route_for(key, *key)) is _DROP:
+                self.stats.dropped += 1
+                return
+        self._hooks[ev.dst](ev)

@@ -2,8 +2,7 @@
 
 ``Resource`` models a server with fixed concurrency (e.g. the 8 cores of a
 metadata server); ``Store`` is an unbounded producer/consumer queue (used
-for pipeline kicks, and as the inbox of an endpoint read without an RPC
-agent).
+for pipeline kicks).
 
 Usage mirrors SimPy::
 

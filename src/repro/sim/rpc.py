@@ -22,10 +22,11 @@ order against these slots, so replay is unchanged.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from sys import intern
 from typing import Any, Callable, Dict, Generator, Optional
 
-from .core import _PENDING, AnyOf, Event, Interrupt
+from .core import _PENDING, Event, Interrupt
 from .network import _Delivery
 from .node import Node
 
@@ -99,14 +100,14 @@ class RpcAgent:
 
     __slots__ = ("node", "sim", "network", "endpoint", "handlers",
                  "fast_handlers", "_pending", "_next_id", "_spawn_names",
-                 "_slot", "_backlog", "_dispatch_cb")
+                 "_slot", "_backlog", "_dispatch_cb", "_timers", "_armed")
 
     def __init__(self, node: Node, endpoint: str):
         self.node = node
         self.sim = node.sim
         self.network = node.network
         self.endpoint = endpoint
-        self.network.register(endpoint, host=node.name)
+        self.network.register(endpoint, self._on_delivery, node.name)
         node.register_endpoint(endpoint)
         self.handlers: Dict[str, Callable] = {}
         self.fast_handlers: Dict[str, Callable] = {}
@@ -118,8 +119,10 @@ class RpcAgent:
         self._slot: Optional[_Delivery] = None   # the one slot in flight
         self._backlog: deque = deque()           # delivered behind it
         self._dispatch_cb = self._dispatch       # one bound method, reused
+        # Timed calls, a (deadline, reserved id, waiter, wake) min-heap,
+        # and the (deadline, id) of each expiry scheduled, latest first.
+        self._timers, self._armed = [], []
         self._restart()
-        self.network.set_inbox_hook(endpoint, self._on_delivery)
         node.on_crash(self._fail_pending)
         node.on_recover(self._restart)
 
@@ -248,7 +251,8 @@ class RpcAgent:
         nests are capped by the same remaining budget. Left unset, it
         inherits the ambient deadline of the calling process (None =
         unbounded, the default); pass ``None`` explicitly to opt a call out
-        of an inherited deadline.
+        of an inherited deadline. A timeout is a reservation, not a
+        scheduled timer (:meth:`_timer`; docs/MODEL.md §12, cut 6).
         """
         if deadline is _UNSET:
             active = self.sim._active
@@ -274,14 +278,23 @@ class RpcAgent:
             if timeout is None:
                 resp = yield waiter
             else:
-                expiry = self.sim.timeout(timeout)
-                yield AnyOf(self.sim, (waiter, expiry))
-                if not waiter.triggered or waiter.value is None:
-                    if not waiter.triggered:
-                        waiter._ok = True  # detach: response may still arrive
-                        waiter._value = None
+                if timeout < 0:
+                    raise ValueError(f"negative delay {timeout}")
+                sim = self.sim
+                sim._eid = eid = sim._eid + 1
+                # An any-of's lane hop, kept: a reply queues the waiter,
+                # whose dispatch (or else an expiry) queues ``wake``.
+                wake = Event(sim)
+                waiter.callbacks.append(wake.succeed)
+                timers = self._timers
+                heappush(timers, (sim.now + timeout, eid, waiter, wake))
+                self._timer(None)
+                yield wake
+                while timers and timers[0][2]._value is not _PENDING:
+                    heappop(timers)        # calls that have had their reply
+                resp = waiter._value       # still pending: timed out
+                if resp is _PENDING or resp is None:
                     raise RpcTimeout(dst, method)
-                resp = waiter.value
         finally:
             # Success pops at dispatch; this covers timeout and a
             # caller interrupted mid-wait so the late response is
@@ -290,6 +303,27 @@ class RpcAgent:
         if resp.ok:
             return resp.value
         raise resp.value
+
+    def _timer(self, fired: Optional[Event]) -> None:
+        """Keep an expiry scheduled at or before the earliest timed call,
+        at that call's own ``(deadline, id)``, where its ``Timeout`` would
+        have fired; a key is armed only ahead of every key armed before (a
+        4-tuple entry sorts after the 2-tuple key it was armed at). The
+        expiry that ``fired`` first times its call out, unless that call
+        has had its reply."""
+        timers, armed = self._timers, self._armed
+        if fired is not None:
+            eid = armed.pop()[1]
+            if timers and timers[0][1] == eid:
+                _, _, waiter, wake = heappop(timers)
+                if waiter._value is _PENDING:
+                    waiter.callbacks = []      # a reply now queues nothing
+                    wake.succeed()
+        if timers and (not armed or timers[0] < armed[-1]):
+            armed.append(timers[0][:2])
+            expiry = Event(self.sim)
+            expiry.callbacks.append(self._timer)
+            self.sim.stage(expiry, *armed[-1])
 
     def cast(self, dst: str, method: str, args: Any = None,
              size: int = DEFAULT_REQ_SIZE) -> None:

@@ -20,7 +20,7 @@ CREATE_IDS = sum((
     1,      # this test's driving process
     1,      # client: op logic CPU
     1,      # back-end (local FS): create CPU
-    2,      # client -> leader: request delivery, the call's timeout timer
+    2,      # client -> leader: request delivery, the call's reserved timeout id
     2,      # leader: the request's dispatch slot, its handler process
     1,      # leader: write CPU
     2,      # leader -> followers: PROPOSE deliveries
@@ -61,10 +61,10 @@ FORWARDED_CREATE_IDS = sum((
     1,      # this test's driving process
     1,      # client: op logic CPU
     1,      # back-end (local FS): create CPU
-    2,      # client -> follower: request delivery, the call's timeout timer
+    2,      # client -> follower: request delivery, the call's reserved timeout id
     2,      # follower: the request's dispatch slot, its handler process
     1,      # follower: forward CPU
-    2,      # follower -> leader: request delivery, the call's timeout timer
+    2,      # follower -> leader: request delivery, the call's reserved timeout id
     2,      # leader: the request's dispatch slot, its handler process
     1,      # leader: write CPU
     2,      # leader -> followers: PROPOSE deliveries

@@ -1,7 +1,10 @@
 """Lustre-specific behaviour: single-MDS bottleneck, DLM, glimpse."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models.params import LustreParams
+from repro.pfs.lustre.dlm import LockManager
 from repro.svc import TraceBus
 
 from .conftest import FSHarness
@@ -154,3 +157,18 @@ def test_mds_throughput_saturates_with_offered_load():
     # 4x the processes must NOT give 4x throughput (single-MDS ceiling).
     assert done[32] < done[8] * 2.5
     assert done[8] > 100  # sanity: the system actually made progress
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.sampled_from(("/", "/a", "/a/b")),
+                          st.sampled_from(("c0", "c1", "c2")))))
+def test_kept_lock_count_is_the_sum_of_the_holder_sets(steps):
+    """``resident_locks`` is kept by ``grant`` and ``revoke_all``; it must
+    be the count the MDS charge used to sum on every call."""
+    dlm = LockManager()
+    for grant, resource, client in steps:
+        if grant:
+            dlm.grant(resource, client)
+        else:
+            dlm.revoke_all(resource, keep=client)
+        assert dlm.resident_locks == sum(map(len, dlm._granted.values()))

@@ -6,97 +6,79 @@ from repro.sim import Cluster, Simulator
 from repro.sim.network import GIGE_BANDWIDTH, GIGE_LATENCY, Network
 
 
+def attach(net, endpoint, host):
+    """Register ``endpoint`` with a hook that keeps what it is handed, as
+    ``(payload, arrival time)``; returns that list."""
+    got = []
+    net.register(endpoint, lambda msg: got.append((msg.payload, net.sim.now)),
+                 host)
+    return got
+
+
 def make_net():
     sim = Simulator()
     net = Network(sim)
-    net.register("a", host="hostA")
-    net.register("b", host="hostB")
-    return sim, net
+    attach(net, "a", "hostA")
+    return sim, net, attach(net, "b", "hostB")
+
+
+def payloads(got):
+    return [payload for payload, _ in got]
 
 
 def test_small_message_latency():
-    sim, net = make_net()
-    got = []
-
-    def receiver():
-        msg = yield net._inboxes["b"].get()
-        got.append((msg.payload, sim.now))
-
-    sim.process(receiver())
+    sim, net, got = make_net()
     net.send("a", "b", "hello", size=0)
     sim.run()
     assert got == [("hello", pytest.approx(GIGE_LATENCY))]
 
 
 def test_bandwidth_term_scales_with_size():
-    sim, net = make_net()
+    sim, net, got = make_net()
     size = 1_000_000
-    got = []
-
-    def receiver():
-        yield net._inboxes["b"].get()
-        got.append(sim.now)
-
-    sim.process(receiver())
     net.send("a", "b", "bulk", size=size)
     sim.run()
-    assert got[0] == pytest.approx(GIGE_LATENCY + size / GIGE_BANDWIDTH)
+    assert got[0][1] == pytest.approx(GIGE_LATENCY + size / GIGE_BANDWIDTH)
 
 
 def test_loopback_is_cheaper_than_wire():
     sim = Simulator()
     net = Network(sim)
-    net.register("a", host="h1")
-    local = net.register("a2", host="h1")
-    remote = net.register("b", host="h2")
-    arrived = {}
-
-    def receiver(name, inbox):
-        yield inbox.get()
-        arrived[name] = sim.now
-
-    sim.process(receiver("a2", local))
-    sim.process(receiver("b", remote))
+    attach(net, "a", "h1")
+    local = attach(net, "a2", "h1")
+    remote = attach(net, "b", "h2")
     net.send("a", "a2", "x", size=128)
     net.send("a", "b", "x", size=128)
     sim.run()
-    assert arrived["a2"] < arrived["b"]
+    assert local[0][1] < remote[0][1]
 
 
 def test_fifo_per_pair_even_with_size_inversion():
     """A huge message sent first must not be overtaken by a tiny one."""
-    sim, net = make_net()
-    got = []
-
-    def receiver():
-        for _ in range(2):
-            msg = yield net._inboxes["b"].get()
-            got.append(msg.payload)
-
-    sim.process(receiver())
+    sim, net, got = make_net()
     net.send("a", "b", "big", size=5_000_000)
     net.send("a", "b", "small", size=1)
     sim.run()
-    assert got == ["big", "small"]
+    assert payloads(got) == ["big", "small"]
 
 
 def test_unknown_endpoint_rejected():
-    sim, net = make_net()
+    sim, net, _ = make_net()
     with pytest.raises(KeyError):
         net.send("a", "nope", "x")
 
 
 def test_down_destination_drops():
-    sim, net = make_net()
+    sim, net, got = make_net()
     net.set_down("b")
     net.send("a", "b", "x")
     sim.run()
     assert net.stats.dropped == 1
-    assert len(net._inboxes["b"]) == 0
+    assert got == []
 
 
 def test_crash_mid_flight_drops_message():
-    sim, net = make_net()
+    sim, net, got = make_net()
 
     def killer():
         yield sim.timeout(GIGE_LATENCY / 2)
@@ -106,48 +88,49 @@ def test_crash_mid_flight_drops_message():
     net.send("a", "b", "x")
     sim.run()
     assert net.stats.dropped == 1
+    assert got == []
 
 
 def test_recovery_allows_delivery_again():
-    sim, net = make_net()
+    sim, net, got = make_net()
     net.set_down("b")
     net.send("a", "b", "lost")
     net.set_down("b", False)
     net.send("a", "b", "kept")
     sim.run()
-    assert [m.payload for m in net._inboxes["b"].items] == ["kept"]
+    assert payloads(got) == ["kept"]
 
 
 def test_partition_blocks_cross_group_only():
     sim = Simulator()
     net = Network(sim)
-    for ep, host in [("a", "h1"), ("b", "h2"), ("c", "h3")]:
-        net.register(ep, host=host)
+    attach(net, "a", "h1")
+    b, c = attach(net, "b", "h2"), attach(net, "c", "h3")
     net.partition([["h1", "h2"], ["h3"]])
     net.send("a", "b", "ok")
     net.send("a", "c", "blocked")
     sim.run()
-    assert [m.payload for m in net._inboxes["b"].items] == ["ok"]
-    assert len(net._inboxes["c"]) == 0
+    assert payloads(b) == ["ok"]
+    assert c == []
     net.heal()
     net.send("a", "c", "after-heal")
     sim.run()
-    assert [m.payload for m in net._inboxes["c"].items] == ["after-heal"]
+    assert payloads(c) == ["after-heal"]
 
 
 def test_same_host_traffic_survives_partition():
     sim = Simulator()
     net = Network(sim)
-    net.register("a", host="h1")
-    net.register("a2", host="h1")
+    attach(net, "a", "h1")
+    a2 = attach(net, "a2", "h1")
     net.partition([["h1"], ["h2"]])
     net.send("a", "a2", "local")
     sim.run()
-    assert [m.payload for m in net._inboxes["a2"].items] == ["local"]
+    assert payloads(a2) == ["local"]
 
 
 def test_stats_accumulate():
-    sim, net = make_net()
+    sim, net, _ = make_net()
     net.send("a", "b", "x", size=100)
     net.send("a", "b", "y", size=50)
     sim.run()

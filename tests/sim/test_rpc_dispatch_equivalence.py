@@ -25,7 +25,7 @@ with no slot at all (docs/MODEL.md §12, "the measured dead end").
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Cluster, RpcAgent, RpcTimeout
+from repro.sim import Cluster, RpcAgent, RpcTimeout, Store
 from repro.sim.core import _PENDING, Interrupt
 from repro.sim.rpc import _Cast, _Request, _Response
 
@@ -40,7 +40,9 @@ class RefAgent(RpcAgent):
     when the inbox is empty and its get is armed."""
 
     def _restart(self):
-        self.inbox = self.network._inboxes[self.endpoint]
+        # The inbox the network kept per endpoint: emptied by a crash and
+        # unreachable while the node is down, so a fresh one per start.
+        self.inbox = Store(self.sim)
         self._dispatcher = self.node.spawn(self._dispatch_loop(),
                                            f"{self.endpoint}.dispatch")
 
