@@ -191,11 +191,7 @@ class ZKClient:
             fn(reason)
 
     def _watch_flag(self, watch) -> bool:
-        if watch is None:
-            return False
-        if callable(watch):
-            return True
-        return bool(watch)
+        return callable(watch) or bool(watch)
 
     def _register_watch(self, path: str, watch) -> None:
         if callable(watch):

@@ -13,8 +13,10 @@ JVM: per znode we charge a fixed overhead plus path and data bytes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import (
     BadArgumentsError,
@@ -31,9 +33,12 @@ ZNODE_BASE_OVERHEAD = 321
 ZNODE_PER_CHILD = 8
 
 
-@dataclass
+@dataclass(slots=True)
 class ZnodeStat:
-    """Subset of the real ``Stat`` structure (org.apache.zookeeper.data)."""
+    """Subset of the real ``Stat`` structure (org.apache.zookeeper.data).
+
+    A read builds a fresh one from the znode's own slots (``_Znode.stat``),
+    so a caller that mutates it changes nothing in the tree."""
 
     czxid: int = 0          # zxid that created the node
     mzxid: int = 0          # zxid of last data modification
@@ -46,19 +51,46 @@ class ZnodeStat:
     data_length: int = 0
     num_children: int = 0
 
-    def copy(self) -> "ZnodeStat":
-        return replace(self)
+
+#: The children of every leaf: one read-only mapping, shared. A znode's
+#: first child swaps in a dict of its own, and deleting its last child
+#: swaps this back (MODEL.md §12, cut 7).
+_LEAF: Mapping[str, "_Znode"] = MappingProxyType({})
 
 
 class _Znode:
-    __slots__ = ("name", "data", "children", "stat", "seq_counter")
+    """One znode of one replica. Its ``state`` is ``ZnodeStat``'s first
+    eight fields and the next sequential suffix, in slot order (a snapshot
+    row's); ``data_length`` and ``num_children`` are ``len()`` of ``data``
+    and ``children``, so nothing keeps them up to date by hand."""
 
-    def __init__(self, name: str, data: bytes, stat: ZnodeStat):
-        self.name = name
+    __slots__ = ("data", "children", "czxid", "mzxid", "pzxid", "ctime",
+                 "mtime", "version", "cversion", "ephemeral_owner",
+                 "seq_counter")
+
+    def __init__(self, data: bytes, *state):
         self.data = data
-        self.children: Dict[str, "_Znode"] = {}
-        self.stat = stat
-        self.seq_counter = 0  # next suffix for sequential children
+        self.children = _LEAF
+        (self.czxid, self.mzxid, self.pzxid, self.ctime, self.mtime,
+         self.version, self.cversion, self.ephemeral_owner,
+         self.seq_counter) = state
+
+    @property
+    def stat(self) -> ZnodeStat:
+        """A fresh copy of this znode's stat, built positionally."""
+        return ZnodeStat(self.czxid, self.mzxid, self.pzxid, self.ctime,
+                         self.mtime, self.version, self.cversion,
+                         self.ephemeral_owner, len(self.data),
+                         len(self.children))
+
+    def link(self, name: str, child: "_Znode") -> None:
+        if self.children is _LEAF:
+            self.children = {}
+        self.children[name] = child
+
+
+#: A znode's slots after ``data`` and ``children``, in snapshot order.
+_state = attrgetter(*_Znode.__slots__[2:])
 
 
 def validate_path(path: str) -> None:
@@ -83,7 +115,7 @@ class ZnodeStore:
     """One replica's znode tree plus deterministic txn application."""
 
     def __init__(self):
-        self._root = _Znode("", b"", ZnodeStat())
+        self._root = _Znode(b"", 0, 0, 0, 0.0, 0.0, 0, 0, 0, 0)
         self._count = 1
         self._bytes = ZNODE_BASE_OVERHEAD
         # session id -> set of ephemeral paths (for session-expiry cleanup)
@@ -102,13 +134,13 @@ class ZnodeStore:
 
     def exists(self, path: str) -> Optional[ZnodeStat]:
         node = self._walk(path)
-        return node.stat.copy() if node is not None else None
+        return node.stat if node is not None else None
 
     def get(self, path: str) -> Tuple[bytes, ZnodeStat]:
         node = self._walk(path)
         if node is None:
             raise NoNodeError(path)
-        return node.data, node.stat.copy()
+        return node.data, node.stat
 
     def get_children(self, path: str) -> List[str]:
         node = self._walk(path)
@@ -151,7 +183,7 @@ class ZnodeStore:
         parent = self._walk(parent_path)
         if parent is None:
             raise NoNodeError(path)
-        if parent.stat.ephemeral_owner:
+        if parent.ephemeral_owner:
             raise NoChildrenForEphemeralsError(path)
         if sequential:
             name = f"{name}{parent.seq_counter:010d}"
@@ -169,7 +201,7 @@ class ZnodeStore:
             raise NoNodeError(path)
         if node.children:
             raise NotEmptyError(path)
-        if version != -1 and node.stat.version != version:
+        if version != -1 and node.version != version:
             raise BadVersionError(path)
 
     def check_set_data(self, path: str, version: int = -1) -> None:
@@ -177,7 +209,7 @@ class ZnodeStore:
         node = self._walk(path)
         if node is None:
             raise NoNodeError(path)
-        if version != -1 and node.stat.version != version:
+        if version != -1 and node.version != version:
             raise BadVersionError(path)
 
     def check_version(self, path: str, version: int) -> None:
@@ -185,7 +217,7 @@ class ZnodeStore:
         node = self._walk(path)
         if node is None:
             raise NoNodeError(path)
-        if version != -1 and node.stat.version != version:
+        if version != -1 and node.version != version:
             raise BadVersionError(path)
 
     # -- mutation (txn application; must never fail on a valid log) ---------
@@ -195,16 +227,12 @@ class ZnodeStore:
         parent = self._walk(parent_path)
         if parent is None or name in parent.children:
             raise AssertionError(f"inconsistent replica: create {path}")
-        stat = ZnodeStat(czxid=zxid, mzxid=zxid, pzxid=zxid, ctime=time,
-                         mtime=time, ephemeral_owner=ephemeral_owner,
-                         data_length=len(data))
-        node = _Znode(name, data, stat)
-        parent.children[name] = node
+        parent.link(name, _Znode(data, zxid, zxid, zxid, time, time, 0, 0,
+                                 ephemeral_owner, 0))
         if sequential:
             parent.seq_counter += 1
-        parent.stat.cversion += 1
-        parent.stat.pzxid = zxid
-        parent.stat.num_children = len(parent.children)
+        parent.cversion += 1
+        parent.pzxid = zxid
         self._count += 1
         self._bytes += ZNODE_BASE_OVERHEAD + len(path) + len(data) + ZNODE_PER_CHILD
         if ephemeral_owner:
@@ -213,20 +241,23 @@ class ZnodeStore:
     def apply_delete(self, path: str, zxid: int) -> None:
         parent_path, name = split_path(path)
         parent = self._walk(parent_path)
-        node = parent.children.pop(name, None) if parent else None
+        node = parent.children.get(name) if parent else None
         if node is None:
             raise AssertionError(f"inconsistent replica: delete {path}")
-        parent.stat.cversion += 1
-        parent.stat.pzxid = zxid
-        parent.stat.num_children = len(parent.children)
+        del parent.children[name]
+        if not parent.children:
+            parent.children = _LEAF
+        parent.cversion += 1
+        parent.pzxid = zxid
         self._count -= 1
         self._bytes -= ZNODE_BASE_OVERHEAD + len(path) + len(node.data) + ZNODE_PER_CHILD
-        if node.stat.ephemeral_owner:
-            owned = self.ephemerals.get(node.stat.ephemeral_owner)
+        owner = node.ephemeral_owner
+        if owner:
+            owned = self.ephemerals.get(owner)
             if owned is not None:
                 owned.discard(path)
                 if not owned:
-                    del self.ephemerals[node.stat.ephemeral_owner]
+                    del self.ephemerals[owner]
 
     def apply_set_data(self, path: str, data: bytes, zxid: int, time: float) -> None:
         node = self._walk(path)
@@ -234,10 +265,9 @@ class ZnodeStore:
             raise AssertionError(f"inconsistent replica: set {path}")
         self._bytes += len(data) - len(node.data)
         node.data = data
-        node.stat.mzxid = zxid
-        node.stat.mtime = time
-        node.stat.version += 1
-        node.stat.data_length = len(data)
+        node.mzxid = zxid
+        node.mtime = time
+        node.version += 1
 
     # -- txn records ---------------------------------------------------------
     def apply(self, txn: tuple, zxid: int, time: float) -> None:
@@ -262,20 +292,16 @@ class ZnodeStore:
 
     # -- snapshots ------------------------------------------------------------
     def snapshot(self) -> list:
-        """Serializable dump (used for checkpoint/restore and leader sync)."""
-        rs = self._root.stat
-        out = [("/", self._root.data, rs.czxid, rs.mzxid, rs.pzxid,
-                rs.ctime, rs.mtime, rs.version, rs.cversion,
-                rs.ephemeral_owner, self._root.seq_counter)]
+        """Serializable dump (used for checkpoint/restore and leader sync):
+        ``(path, data, czxid, mzxid, pzxid, ctime, mtime, version,
+        cversion, ephemeral_owner, seq_counter)`` per znode, parents first."""
+        out = [("/", self._root.data, *_state(self._root))]
 
         def rec(prefix: str, node: _Znode) -> None:
             for name in sorted(node.children):
                 child = node.children[name]
                 p = f"{prefix}/{name}" if prefix != "/" else f"/{name}"
-                st = child.stat
-                out.append((p, child.data, st.czxid, st.mzxid, st.pzxid,
-                            st.ctime, st.mtime, st.version, st.cversion,
-                            st.ephemeral_owner, child.seq_counter))
+                out.append((p, child.data, *_state(child)))
                 rec(p, child)
 
         rec("/", self._root)
@@ -284,42 +310,24 @@ class ZnodeStore:
     @classmethod
     def from_snapshot(cls, snap: list) -> "ZnodeStore":
         store = cls()
-        for (p, data, czxid, mzxid, pzxid, ctime, mtime, version, cversion,
-             eph, seq) in snap:
+        for p, data, *state in snap:
+            node = _Znode(data, *state)
             if p == "/":
-                root = store._root
-                root.data = data
-                root.seq_counter = seq
-                root.stat = ZnodeStat(czxid=czxid, mzxid=mzxid, pzxid=pzxid,
-                                      ctime=ctime, mtime=mtime,
-                                      version=version, cversion=cversion,
-                                      ephemeral_owner=eph,
-                                      data_length=len(data))
+                store._root = node
                 continue
             parent_path, name = split_path(p)
             parent = store._walk(parent_path)
             assert parent is not None, f"snapshot out of order at {p}"
-            stat = ZnodeStat(czxid=czxid, mzxid=mzxid, pzxid=pzxid,
-                             ctime=ctime, mtime=mtime, version=version,
-                             cversion=cversion, ephemeral_owner=eph,
-                             data_length=len(data))
-            node = _Znode(name, data, stat)
-            node.seq_counter = seq
-            parent.children[name] = node
-            parent.stat.num_children = len(parent.children)
+            parent.link(name, node)
             store._count += 1
             store._bytes += ZNODE_BASE_OVERHEAD + len(p) + len(data) + ZNODE_PER_CHILD
-            if eph:
-                store.ephemerals.setdefault(eph, set()).add(p)
+            if node.ephemeral_owner:
+                store.ephemerals.setdefault(node.ephemeral_owner, set()).add(p)
         return store
 
     def fingerprint(self) -> int:
         """Order-independent digest of the full tree (replica comparison)."""
         acc = 0
-        for path in self.walk_paths():
-            node = self._walk(path)
-            assert node is not None
-            item = hash((path, node.data, node.stat.version,
-                         node.stat.cversion, node.stat.ephemeral_owner))
-            acc ^= item * 2654435761 % (1 << 61)
+        for p, data, _, _, _, _, _, version, cversion, eph, _ in self.snapshot():
+            acc ^= hash((p, data, version, cversion, eph)) * 2654435761 % (1 << 61)
         return acc

@@ -226,7 +226,7 @@ def follow(server: "ZKServer", leader_sid: int, term: int = 0) -> Generator:
         server._snapshot_zxid = resp.snapshot_zxid
         server.log = list(resp.entries)
     else:
-        server.log = [(z, t) for z, t in server.log if z <= resp.truncate_to]
+        server.log = [e for e in server.log if e[0] <= resp.truncate_to]
         server.log.extend(resp.entries)
     server._rebuild_from_disk()
     for zxid, txn in server.log:

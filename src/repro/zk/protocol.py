@@ -84,8 +84,8 @@ class WatchEvent:
 
 @dataclass(frozen=True)
 class Propose:
-    zxid: int
-    txn: tuple
+    entry: tuple               # the leader's log entry (zxid, txn): a
+    #                            follower logs this very object
     epoch: int
 
 
@@ -152,7 +152,7 @@ class SyncResponse:
 
     epoch: int
     truncate_to: int           # drop log entries with zxid > truncate_to
-    entries: tuple             # ((zxid, txn), ...) to append
+    entries: tuple             # the leader's (zxid, txn) entries to append
     commit_to: int             # leader's commit index after entries
     snapshot: Optional[list] = None
     snapshot_zxid: int = 0

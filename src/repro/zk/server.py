@@ -347,8 +347,7 @@ class ZKServer:
             size = p.resp_base_size + sum(len(n) + 4 for n in names)
             return Reply(names, size=size)
         if req.op == "resolve":
-            reply = yield from self._h_resolve(src, req)
-            return reply
+            return (yield from self._h_resolve(src, req))
         raise ZKError(req.path, f"unknown read op {req.op!r}")
 
     def _h_resolve(self, src: str, req: ReadRequest) -> Generator:
@@ -419,13 +418,11 @@ class ZKServer:
             raise SessionExpiredError(
                 req.path, msg=f"session {req.session:#x} unknown at "
                               f"zk{self.sid}")
-        result = yield from self._route_write(req)
-        return result
+        return (yield from self._route_write(req))
 
     def _route_write(self, req: WriteRequest) -> Generator:
         if self.role == LEADING:
-            result = yield from self._process_write(req)
-            return result
+            return (yield from self._process_write(req))
         if self.role == FOLLOWING and self.leader_sid is not None:
             self.stats["forwards"] += 1
             yield from self.node.cpu_work(self.params.forward_cpu)
@@ -535,8 +532,7 @@ class ZKServer:
         applied locally (see ``_route_write``)."""
         if self.role != LEADING:
             raise NotLeaderError(msg=f"zk{self.sid} is not the leader")
-        result = yield from self._process_write(req, with_zxid=True)
-        return result
+        return (yield from self._process_write(req, with_zxid=True))
 
     def _req_size(self, req: WriteRequest) -> int:
         base = self.params.req_base_size + len(req.path) + len(req.data)
@@ -633,16 +629,17 @@ class ZKServer:
         zxid = (self.epoch << 32) | (self.zxid_counter + 1)
         txn, result = self._speculate(req, zxid)  # raises ZKError to caller
         self.zxid_counter += 1
-        self.log.append((zxid, txn))
+        entry = (zxid, txn)     # one object, in every replica's log
+        self.log.append(entry)
         out = _Outstanding(txn=txn, result=result, done=self.sim.event())
         self.outstanding[zxid] = out
         self.out_queue.append(zxid)
         self.stats["writes"] += 1
         self.stats["proposals"] += 1
         if batching:
-            self._proposer.submit((zxid, txn, self._req_size(req)))
+            self._proposer.submit((entry, self._req_size(req)))
         else:
-            prop = Propose(zxid, txn, self.epoch)
+            prop = Propose(entry, self.epoch)
             psize = p.proposal_base_size + self._req_size(req)
             for sid in self.active_followers:
                 self._cast_peer(sid, "propose", prop, size=psize)
@@ -667,15 +664,12 @@ class ZKServer:
             (nf + 0.5 * n_obs) * p.write_per_follower_cpu)
         if self.role != LEADING:
             return
-        pb = ProposeBatch(tuple(Propose(z, txn, self.epoch)
-                                for z, txn, _ in batch))
-        size = p.proposal_base_size + sum(s for _, _, s in batch)
-        for sid in self.active_followers:
+        pb = ProposeBatch(tuple(Propose(e, self.epoch) for e, _ in batch))
+        size = p.proposal_base_size + sum(s for _, s in batch)
+        for sid in (*self.active_followers, *self.active_observers):
             self._cast_peer(sid, "propose_batch", pb, size=size)
-        for sid in self.active_observers:
-            self._cast_peer(sid, "propose_batch", pb, size=size)
-        for z, _, _ in batch:
-            self._logger.submit(("self_ack", z))
+        for e, _ in batch:
+            self._logger.submit(("self_ack", e[0]))
 
     # ------------------------------------------------------------------
     # logger pipeline (leader self-acks; follower log+ACK) — group commit
@@ -691,10 +685,10 @@ class ZKServer:
         for item in batch:
             if item[0] == "self_ack":
                 self._on_ack(self.sid, (item[1],))
-            else:  # ("log", zxid, txn, leader_sid)
-                _, zxid, txn, leader_sid = item
-                self.log.append((zxid, txn))
-                ack_zxids.append((leader_sid, zxid))
+            else:  # ("log", the leader's entry, leader_sid)
+                _, entry, leader_sid = item
+                self.log.append(entry)
+                ack_zxids.append((leader_sid, entry[0]))
         if ack_zxids:
             if not self.observer:
                 leader_sid = ack_zxids[0][0]
@@ -719,11 +713,12 @@ class ZKServer:
             return
         if self.role != FOLLOWING or prop.epoch != self.epoch:
             return  # stale leader
-        if prop.zxid <= self._accepted_zxid:
+        zxid = prop.entry[0]
+        if zxid <= self._accepted_zxid:
             return  # duplicate (logged, or queued/batched for the fsync)
-        if self.log and prop.zxid <= self.log[-1][0]:
+        if self.log and zxid <= self.log[-1][0]:
             return  # duplicate (already logged)
-        if self._gap_before(prop.zxid):
+        if self._gap_before(zxid):
             # A proposal was lost on the wire: logging past the hole and
             # later applying commits across it would silently diverge from
             # the leader at the same commit index. Buffer this proposal and
@@ -732,8 +727,8 @@ class ZKServer:
             begin_sync(self, self.leader_sid)
             self._presync.append(prop)
             return
-        self._accepted_zxid = prop.zxid
-        self._logger.submit(("log", prop.zxid, prop.txn, self.leader_sid))
+        self._accepted_zxid = zxid
+        self._logger.submit(("log", prop.entry, self.leader_sid))
 
     def _f_propose_batch(self, src: str, pb: ProposeBatch) -> None:
         """A leader-side write batch: contained proposals are processed in
@@ -1011,7 +1006,7 @@ class ZKServer:
         (the paper notes ZooKeeper 'periodically checkpoints on disk')."""
         self._snapshot = self.store.snapshot()
         self._snapshot_zxid = self.commit_index
-        self.log = [(z, t) for z, t in self.log if z > self.commit_index]
+        self.log = [e for e in self.log if e[0] > self.commit_index]
 
     def _on_crash(self) -> None:
         # Volatile state is lost; durable log/snapshot/promised_epoch stay.

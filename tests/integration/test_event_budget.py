@@ -1,7 +1,8 @@
-"""What one unloaded ``create`` costs in creation ids, itemised.
+"""What one unloaded ``create``, ``stat``, ``mkdir``, ``unlink`` and
+``rmdir`` cost in creation ids, itemised.
 
 ``sim._eid`` counts everything the kernel ever scheduled (``sim.events`` in
-the perfbench ledger). This pins the count for the simplest write on the
+the perfbench ledger). This pins the count for each of these ops on the
 smallest real deployment, so a stray pipeline kick, a queue hop or a
 wake-up that buys nothing shows up here as a one-line diff rather than as
 a percent on a ledger.
@@ -109,3 +110,168 @@ def test_a_forwarded_create_costs_the_same_however_long_its_reply_is_held(
     run(client.create("/f"))
     assert FORWARDED_CREATE_IDS == 47
     assert sim._eid - before == FORWARDED_CREATE_IDS
+
+
+#: A ``stat`` of a file, through either client: any server answers a read
+#: from its own replica, so the co-located leader and follower cost alike.
+STAT_IDS = sum((
+    1,      # this test's driving process
+    1,      # client: op logic CPU
+    2,      # client -> server: request delivery, the call's reserved timeout id
+    2,      # server: the request's dispatch slot, its handler process
+    1,      # server: read CPU
+    1,      # server -> client: response delivery
+    2,      # client: the call's waiter fires, then its any-of(timeout)
+    1,      # client: mapping CPU (which back-end holds the file)
+    1,      # back-end (local FS): stat CPU
+))
+
+#: A ``mkdir`` through the client at the leader: a create with no back-end
+#: call (a directory exists in ZooKeeper only).
+MKDIR_IDS = sum((
+    1,      # this test's driving process
+    1,      # client: op logic CPU
+    2,      # client -> leader: request delivery, the call's reserved timeout id
+    2,      # leader: the request's dispatch slot, its handler process
+    1,      # leader: write CPU
+    2,      # leader -> followers: PROPOSE deliveries
+    2,      # leader: logger kick, fsync
+    2 * 4,  # each follower: PROPOSE slot, logger kick, log CPU, fsync
+    2,      # followers -> leader: ACK deliveries
+    2,      # leader: a dispatch slot per ACK
+    2,      # leader: applier kick (the quorum ACK), apply CPU
+    1,      # leader: the write handler's wait on its outcome fires
+    2,      # leader -> followers: COMMIT deliveries
+    1,      # leader -> client: response delivery
+    2,      # client: the call's waiter fires, then its any-of(timeout)
+    2 * 3,  # each follower: COMMIT slot, applier kick, apply CPU
+))
+
+#: The same ``mkdir`` through the client at a follower, which forwards it
+#: and holds the reply until its own replica has applied the commit.
+FORWARDED_MKDIR_IDS = sum((
+    1,      # this test's driving process
+    1,      # client: op logic CPU
+    2,      # client -> follower: request delivery, the call's reserved timeout id
+    2,      # follower: the request's dispatch slot, its handler process
+    1,      # follower: forward CPU
+    2,      # follower -> leader: request delivery, the call's reserved timeout id
+    2,      # leader: the request's dispatch slot, its handler process
+    1,      # leader: write CPU
+    2,      # leader -> followers: PROPOSE deliveries
+    2,      # leader: logger kick, fsync
+    2 * 4,  # each follower: PROPOSE slot, logger kick, log CPU, fsync
+    2,      # followers -> leader: ACK deliveries
+    2,      # leader: a dispatch slot per ACK
+    2,      # leader: applier kick (the quorum ACK), apply CPU
+    1,      # leader: the write handler's wait on its outcome fires
+    2,      # leader -> followers: COMMIT deliveries
+    1,      # leader -> follower: response delivery
+    2 * 3,  # each follower: COMMIT slot, applier kick, apply CPU
+    2,      # follower: the call's waiter fires, then its any-of(timeout)
+    1,      # follower: the read-your-writes hold
+    1,      # follower -> client: response delivery
+    2,      # client: the call's waiter fires, then its any-of(timeout)
+))
+
+#: An ``rmdir`` through the client at the leader: a ``get`` to learn that
+#: the path is a directory, then the delete.
+RMDIR_IDS = sum((
+    1,      # this test's driving process
+    1,      # client: op logic CPU
+    2,      # client -> leader: get delivery, the call's reserved timeout id
+    2,      # leader: the get's dispatch slot, its handler process
+    1,      # leader: read CPU
+    1,      # leader -> client: get response delivery
+    2,      # client: the call's waiter fires, then its any-of(timeout)
+    2,      # client -> leader: delete delivery, the call's reserved timeout id
+    2,      # leader: the delete's dispatch slot, its handler process
+    1,      # leader: write CPU
+    2,      # leader -> followers: PROPOSE deliveries
+    2,      # leader: logger kick, fsync
+    2 * 4,  # each follower: PROPOSE slot, logger kick, log CPU, fsync
+    2,      # followers -> leader: ACK deliveries
+    2,      # leader: a dispatch slot per ACK
+    2,      # leader: applier kick (the quorum ACK), apply CPU
+    1,      # leader: the write handler's wait on its outcome fires
+    2,      # leader -> followers: COMMIT deliveries
+    1,      # leader -> client: delete response delivery
+    2,      # client: the call's waiter fires, then its any-of(timeout)
+    2 * 3,  # each follower: COMMIT slot, applier kick, apply CPU
+))
+
+#: The same ``rmdir`` through the client at a follower: the ``get`` is
+#: answered there, the delete is forwarded and its reply held.
+FORWARDED_RMDIR_IDS = sum((
+    1,      # this test's driving process
+    1,      # client: op logic CPU
+    2,      # client -> follower: get delivery, the call's reserved timeout id
+    2,      # follower: the get's dispatch slot, its handler process
+    1,      # follower: read CPU
+    1,      # follower -> client: get response delivery
+    2,      # client: the call's waiter fires, then its any-of(timeout)
+    2,      # client -> follower: delete delivery, the call's reserved timeout id
+    2,      # follower: the delete's dispatch slot, its handler process
+    1,      # follower: forward CPU
+    2,      # follower -> leader: request delivery, the call's reserved timeout id
+    2,      # leader: the request's dispatch slot, its handler process
+    1,      # leader: write CPU
+    2,      # leader -> followers: PROPOSE deliveries
+    2,      # leader: logger kick, fsync
+    2 * 4,  # each follower: PROPOSE slot, logger kick, log CPU, fsync
+    2,      # followers -> leader: ACK deliveries
+    2,      # leader: a dispatch slot per ACK
+    2,      # leader: applier kick (the quorum ACK), apply CPU
+    1,      # leader: the write handler's wait on its outcome fires
+    2,      # leader -> followers: COMMIT deliveries
+    1,      # leader -> follower: response delivery
+    2 * 3,  # each follower: COMMIT slot, applier kick, apply CPU
+    2,      # follower: the call's waiter fires, then its any-of(timeout)
+    1,      # follower: the read-your-writes hold
+    1,      # follower -> client: delete response delivery
+    2,      # client: the call's waiter fires, then its any-of(timeout)
+))
+
+#: An ``unlink`` costs what an ``rmdir`` does, then removes the physical
+#: file once the delete has committed, at either client.
+UNLINK_TAIL_IDS = sum((
+    1,      # client: mapping CPU (which back-end holds the file)
+    1,      # back-end (local FS): unlink CPU
+))
+UNLINK_IDS = RMDIR_IDS + UNLINK_TAIL_IDS
+FORWARDED_UNLINK_IDS = FORWARDED_RMDIR_IDS + UNLINK_TAIL_IDS
+
+
+@pytest.mark.parametrize("role, op, path, ids, total", [
+    ("leading", "stat", "/warm", STAT_IDS, 12),
+    ("leading", "mkdir", "/d", MKDIR_IDS, 37),
+    ("leading", "unlink", "/warm", UNLINK_IDS, 47),
+    ("leading", "rmdir", "/d", RMDIR_IDS, 45),
+    ("following", "stat", "/warm", STAT_IDS, 12),
+    ("following", "mkdir", "/d", FORWARDED_MKDIR_IDS, 46),
+    ("following", "unlink", "/warm", FORWARDED_UNLINK_IDS, 56),
+    ("following", "rmdir", "/d", FORWARDED_RMDIR_IDS, 54),
+])
+def test_an_unloaded_op_costs_exactly_these_creation_ids(role, op, path, ids,
+                                                          total):
+    """Through the client whose preferred server is the co-located server
+    in ``role``, after a warm-up create (and, for ``rmdir``, its mkdir)."""
+    dep = build_dufs_deployment(n_zk=3, n_backends=2, n_client_nodes=3,
+                                backend="local")
+    sim = dep.cluster.sim
+    at = 0 if role == "leading" else 1
+    client, node = dep.clients[at], dep.client_nodes[at]
+    server = dep.ensemble.servers[at]
+    assert server.node is node and server.role == role
+
+    def run(gen):
+        sim.run(until=node.spawn(gen))
+        sim.run()
+
+    run(client.create("/warm"))
+    if op == "rmdir":
+        run(client.mkdir(path))
+    before = sim._eid
+    run(getattr(client, op)(path))
+    assert ids == total
+    assert sim._eid - before == ids

@@ -18,7 +18,7 @@ def follower_with_a_proposal(zk3):
     follower = zk3.ensemble.servers[1]
     zk3.settle(0.01)                       # pipelines started and parked
     sim = zk3.cluster.sim
-    follower._f_propose("", Propose(ZXID, TXN, follower.epoch))
+    follower._f_propose("", Propose((ZXID, TXN), follower.epoch))
     p = follower.params
     return follower, sim, sim.now + p.follower_log_cpu + p.log_delay
 
