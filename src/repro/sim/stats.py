@@ -71,6 +71,6 @@ class LatencyRecorder:
             return None
         xs = sorted(xs)
         n = len(xs)
-        return LatencySummary(n, sum(xs) / n, percentile(xs, 0.50),
+        return LatencySummary(n, math.fsum(xs) / n, percentile(xs, 0.50),
                               percentile(xs, 0.95), percentile(xs, 0.99),
                               xs[-1])

@@ -28,6 +28,15 @@ def test_latency_recorder_summary():
     assert s.max == pytest.approx(0.100)
 
 
+def test_latency_mean_is_exactly_rounded_on_every_python():
+    # Plain sum() of floats is compensated only from 3.12 on; ten 0.1s
+    # sum to 0.9999999999999999 on 3.10 and 3.11.
+    r = LatencyRecorder()
+    for _ in range(10):
+        r.record("create", 0.1)
+    assert r.summary("create").mean == 0.1
+
+
 def test_percentile_interpolates_between_ranks():
     xs = [1.0, 2.0, 3.0, 4.0]
     assert percentile(xs, 0.0) == 1.0
