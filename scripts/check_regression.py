@@ -14,13 +14,11 @@ when ``repro.bench.suite.check`` reports a regression — a tracked
 throughput more than the tolerance (default 25%) below baseline, or an
 acceptance floor no longer met — and 2 when the baseline file is missing.
 
-Simulated throughput is deterministic (no suite takes a seed), so any
-drift is a real behavioural change in the model, not runner noise: for those
-suites a fresh document that is not *equal* to the baseline also prints
-a non-fatal ``note:`` naming the first differing leaf, so a baseline gone
-stale inside the tolerance is visible. The ``kernel`` suite is the
-exception: it measures wall-clock events/sec, normalized by a
-machine-speed calibration loop (see ``repro.bench.kernel_bench``).
+Every suite runs on the simulated clock and takes no seed, so any drift
+is a real behavioural change in the model, not runner noise: a fresh
+document that is not *equal* to the baseline also prints a non-fatal
+``note:`` naming the first differing leaf, so a baseline gone stale
+inside the tolerance is visible.
 
 Refresh a baseline after an intentional perf change with the suite's
 refresh command.
@@ -99,7 +97,7 @@ def main(argv=None) -> int:
         return 1
     print(f"\nok: {len(suite.floors(doc))} floor(s) met, within "
           f"{args.tolerance:.0%} of baseline ({baseline_path.name})")
-    stale = stale_leaves(doc, baseline) if suite.exact else []
+    stale = stale_leaves(doc, baseline)
     if stale:
         print(f"note: {len(stale)} leaves differ from the committed "
               f"baseline (first: {stale[0]}) — refresh with {refresh}")

@@ -126,7 +126,7 @@ def commands(tmp: str) -> List[List[str]]:
         ["--backend", "lustre", "--shards", "2", "--json", "-"],
         ["--backend", "pvfs", "--json", os.path.join(tmp, "trace.json")])]
     cmds += [[*repro, "shardmap"], [*repro, "shardmap", "--json", "-"],
-             [*repro, "profile", "kernel:timers", "--top", "5"],
+             [*repro, "profile", "fig11", "--top", "5"],
              [*gate, "--list"]]
     return cmds
 

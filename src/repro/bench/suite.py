@@ -22,8 +22,8 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import (async_bench, cache_bench, elastic_bench, kernel_bench,
-               resilience_bench, resolve_bench, shard_bench)
+from . import (async_bench, cache_bench, elastic_bench, resilience_bench,
+               resolve_bench, shard_bench)
 
 Floors = List[Tuple[str, float, float]]       # (label, value, floor)
 _ABSENT = object()
@@ -48,11 +48,6 @@ class Suite:
     floors: Callable[[Dict], Floors]
     #: baseline -> the extra ``run`` keywords that reproduce it.
     rerun: Callable[[Dict], Dict] = lambda baseline: {}
-    #: Simulated clock: a rerun reproduces the baseline to the byte.
-    #: False for wall-clock numbers, which only hold a tolerance.
-    exact: bool = True
-    #: The scale the committed baseline is recorded (and refreshed) at.
-    scale: str = "quick"
 
     @property
     def dest(self) -> str:
@@ -66,10 +61,9 @@ class Suite:
 
     @property
     def refresh(self) -> str:
-        """The one command that re-records the baseline."""
-        scale = f"--scale {self.scale}" if self.scale != "quick" else ""
+        """The one command that re-records the baseline (at ``quick``)."""
         return " ".join(filter(None, ["python -m repro bench", self.selector,
-                                      scale, "--json", self.baseline]))
+                                      "--json", self.baseline]))
 
     def fresh(self, baseline: Dict) -> Dict:
         """Rerun at the scale and sweep the baseline recorded."""
@@ -191,10 +185,6 @@ SUITES: Dict[str, Suite] = {s.name: s for s in (
              phases=resolve_bench.PHASES, run_side=resolve_bench.run_side,
              footer=resolve_bench.footer, floors=resolve_bench.floors,
              extra={"depth": resolve_bench.DEPTH}),
-    Suite("kernel", "--kernel", "simulator events per wall-second (timer "
-          "churn, RPC fan-out, spawn/interrupt, resource cascades)",
-          kernel_bench.run, kernel_bench.render, kernel_bench.tracked,
-          kernel_bench.floors, exact=False, scale="medium"),
     Suite("elastic", "--elastic", "autoscaler with live subtree migration "
           "vs the best static layouts on a skewed, shifting hotspot",
           elastic_bench.run, elastic_bench.render, elastic_bench.tracked,

@@ -13,8 +13,6 @@ Usage::
                                             # off vs on at 2x saturation
     python -m repro bench --resolve         # path-resolution ablation: thin
                                             # client vs fat-client VFS walk
-    python -m repro bench --kernel          # simulator events/sec bench
-                                            # (the hot-path speed gate)
     python -m repro bench --async           # write-behind ablation: async
                                             # acked updates vs sync commits
     python -m repro bench --elastic         # elastic-vs-static arms on the
@@ -22,8 +20,8 @@ Usage::
     python -m repro shardmap [--json -]     # elastic plane state dump: map,
                                             # epochs, per-shard load,
                                             # migrations, decisions
-    python -m repro profile kernel          # cProfile any bench/figure and
-    python -m repro profile fig7            # print the hot-path table
+    python -m repro profile fig7            # cProfile any bench/figure and
+    python -m repro profile bench:shard     # print the hot-path table
     python -m repro chaos [--seed N]        # random minority ZK crashes
     python -m repro chaos --shards 4        # sharded metadata plane + shard:<k>
     python -m repro chaos --resilience      # deadlines+budget+breakers
@@ -87,7 +85,7 @@ def main(argv=None) -> int:
                              "cProfile)")
     parser.add_argument("subtarget", nargs="?", default=None,
                         help="for 'profile': which target to profile "
-                             "(e.g. kernel, kernel:fanout, bench, fig7)")
+                             "(e.g. fig7, bench, bench:shard)")
     parser.add_argument("--scale", default="quick",
                         choices=("quick", "medium", "full"),
                         help="sweep size: quick (seconds), medium, or full "
@@ -190,7 +188,7 @@ def main(argv=None) -> int:
             from .bench import profile_targets, run_profile
             if not args.subtarget:
                 parser.error("profile needs a target, e.g. 'repro profile "
-                             f"kernel' (one of: {', '.join(profile_targets())})")
+                             f"fig7' (one of: {', '.join(profile_targets())})")
             try:
                 print(run_profile(args.subtarget, scale=args.scale,
                                   top=args.top, sort=args.sort))

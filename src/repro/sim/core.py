@@ -9,8 +9,8 @@ Determinism: given identical inputs the event order is fully reproducible.
 Ties on simulation time are broken by event creation order; all randomness
 comes from named streams in :mod:`repro.sim.random`.
 
-Performance notes (the hot-path overhaul; measured by
-``repro.bench.kernel_bench`` and gated in CI):
+Performance notes (the hot-path overhaul; measured by the ledger's
+counted pass, ``perfbench/``):
 
 * **Same-time FIFO lane.** Events scheduled *at the current time* — every
   ``succeed``/``fail``, zero-delay timeouts, process wakeups — go into a

@@ -75,9 +75,6 @@ class Cluster:
         self.nodes[name] = node
         return node
 
-    def run(self, until=None):
-        return self.sim.run(until)
-
 
 class Node:
     """One machine: CPU cores, a disk, and crashable processes."""

@@ -92,7 +92,7 @@ class Resource:
                 continue
             users.append(nxt)
             # Inlined Event.succeed (grant cascades run one per release
-            # at the same instant — the kernel bench's `resource` shape).
+            # at the same instant).
             nxt._value = None
             if nxt.callbacks:
                 sim = nxt.sim

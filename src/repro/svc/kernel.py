@@ -1,4 +1,4 @@
-"""The service kernel: declarative RPC endpoints with unified accounting.
+"""Declarative RPC endpoints with unified accounting: the service kernel.
 
 Every server stack in the reproduction (ZooKeeper, Lustre MDS/OSS, PVFS,
 CMD, GIGA+) previously hand-rolled its own handler registration,

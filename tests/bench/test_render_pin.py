@@ -1,4 +1,4 @@
-"""Pin the seven bench tables: each committed ``benchmarks/BENCH_*.json``
+"""Pin the six bench tables: each committed ``benchmarks/BENCH_*.json``
 rendered through the CI gate's own suite table must print exactly this.
 
 Recorded on the tree *before* the suite-registry refactor and not edited
@@ -32,19 +32,6 @@ elastic plane (scale=quick, 8 ZK servers as 4 shards, pin budget 8):
   gate: file_create elastic/best-static = 1.32x (floor 1.3x)
   gate: file_stat elastic/best-static = 1.55x (floor 1.3x)
   elastic: 195 ticks, epoch 18, 12 splits / 6 merges, 1553 entries copied""",
-    "kernel": """\
-kernel bench: scale=medium repeats=3 calibration=22.8 Mops/s
-
-workload             events   wall(s)     events/s    norm ev/s
----------------------------------------------------------------
-fanout               416065     0.942       441468       193849
-resource             154080     0.199       773197       339511
-spawn_interrupt      144048     0.320       450755       197927
-timers               192128     0.260       739931       324904
----------------------------------------------------------------
-total                906321     1.721       526636       231246
-
-speedup vs pre-overhaul kernel: 1.63x (same workload: 6.37 norm wall-s pre-PR vs 3.92 now, floor 1.5x)""",
     "mdcache": """\
 cache ablation (scale=quick):
   phase           off ops/s     on ops/s  speedup

@@ -1,4 +1,4 @@
-"""The bench suite registry and its one CI gate, over all seven suites.
+"""The bench suite registry and its one CI gate, over all six suites.
 
 Every committed ``benchmarks/BENCH_*.json`` is the document under test:
 the gate must pass it against itself, flag every tracked number that
@@ -43,11 +43,9 @@ def tracked_rows(name, doc):
     if name == "resilience":
         return [(cell, arm, "goodput_ops_s")
                 for cell in doc["loads"].values() for arm in cell]
-    if name == "elastic":
-        return [(arm["throughput"], op, None)
-                for arm in doc["arms"].values() for op in arm["throughput"]]
-    return [(doc["workloads"], w, "norm_events_per_s")
-            for w in doc["workloads"]]
+    assert name == "elastic", name
+    return [(arm["throughput"], op, None)
+            for arm in doc["arms"].values() for op in arm["throughput"]]
 
 
 def scaled(name, doc, factor):
@@ -75,8 +73,6 @@ def undercut(name, doc):
     if name == "elastic":
         doc["speedup_vs_best_static"] = dict.fromkeys(
             doc["speedup_vs_best_static"], 1.1)
-    if name == "kernel":
-        doc["speedup_vs_pre_pr"] = 1.2
     return doc
 
 
@@ -120,11 +116,10 @@ def test_gate_reports_a_label_missing_from_the_baseline(name):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_refresh_records_at_the_scale_of_the_committed_baseline(name):
-    """The command the gate prints must reproduce the committed file's
-    scale (``quick`` is the CLI default and needs no flag)."""
-    scale = committed(name)["scale"]
-    flag = re.search(r"--scale (\S+)", SUITES[name].refresh)
-    assert (flag.group(1) if flag else "quick") == scale
+    """Every baseline is recorded at ``quick``, the CLI default, so the
+    command the gate prints needs no ``--scale``."""
+    assert committed(name)["scale"] == "quick"
+    assert "--scale" not in SUITES[name].refresh
     assert SUITES[name].refresh.endswith(f"--json {SUITES[name].baseline}")
 
 
@@ -207,10 +202,6 @@ def test_stale_leaves_lists_dotted_paths_of_every_difference():
     assert stale_leaves({"c": [1, 2, 3]}, {"c": [1, 2]}) == ["c.2"]
 
 
-def test_only_the_wall_clock_suite_is_inexact():
-    assert [s.name for s in SUITES.values() if not s.exact] == ["kernel"]
-
-
 # -- no suite takes a seed ----------------------------------------------------
 def test_suites_open_only_the_streams_their_documents_do_not_show(
         streams_opened):
@@ -245,14 +236,13 @@ def test_every_suite_and_every_figure_is_a_profile_target():
     targets = set(profile_targets())
     assert targets >= {"bench"} | {f"bench:{s}" for s in SUITES} \
         | set(RUNNERS)
-    assert targets >= {"kernel", "kernel:timers", "kernel:fanout",
-                       "kernel:spawn_interrupt", "kernel:resource",
-                       "singledir", "cmd", "fig7"}
+    assert targets >= {"singledir", "cmd", "fig7"}
+    assert not [t for t in targets if t.startswith("kernel")]
 
 
 def test_profile_runs_a_target_and_rejects_an_unknown_one():
-    out = run_profile("kernel:resource", scale="quick", top=5)
-    assert out.startswith("profile: target=kernel:resource scale=quick")
+    out = run_profile("fig11", scale="quick", top=5)
+    assert out.startswith("profile: target=fig11 scale=quick")
     assert "function calls" in out
     with pytest.raises(ValueError, match="bench:elastic"):
         run_profile("bench:nope")
@@ -265,7 +255,7 @@ def test_selectors_are_distinct_and_one_suite_is_the_default():
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["bench", "--kernel", "--resolve"], ("--kernel", "--resolve")),
+    (["bench", "--elastic", "--resolve"], ("--elastic", "--resolve")),
     (["bench", "--shards", "1,2,4", "--async"],
      ("--shards", "--async-writes")),
 ])

@@ -13,6 +13,7 @@ import runpy
 
 import pytest
 
+from repro.bench.profile_cli import profile_targets
 from repro.bench.suite import SUITES
 from repro.cli import RUNNERS
 
@@ -37,6 +38,14 @@ def test_command_list_names_every_registered_entry_point():
     # pedantic() hides its callee from sys.setprofile.
     assert any("pytest benchmarks" in line and "--benchmark-disable" in line
                for line in lines)
+
+
+def test_every_profile_command_names_a_live_target():
+    # A deleted target otherwise fails only the recorder run (exit 2).
+    named = [argv[argv.index("profile") + 1]
+             for argv in AUDIT["commands"]("/tmp/out") if "profile" in argv]
+    assert named
+    assert set(named) <= set(profile_targets())
 
 
 def test_every_keep_line_parses_and_matches_a_live_function():

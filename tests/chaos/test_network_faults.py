@@ -34,7 +34,7 @@ def test_total_loss_surfaces_as_timeout_not_hang():
             outcome.append("timeout")
 
     cnode.spawn(caller())
-    cluster.run()
+    cluster.sim.run()
     assert outcome == ["timeout"]
     assert cluster.network.stats.dropped >= 1
     assert cluster.sim.now < 1.0  # bounded, no hang
@@ -51,7 +51,7 @@ def test_restore_link_heals_loss():
         results.append(value)
 
     cnode.spawn(caller())
-    cluster.run()
+    cluster.sim.run()
     assert results == [7]
 
 
@@ -68,7 +68,7 @@ def test_duplicate_delivery_is_harmless():
             results.append(value)
 
     cnode.spawn(caller())
-    cluster.run()
+    cluster.sim.run()
     assert results == [0, 1, 2, 3, 4]
     assert cluster.network.stats.duplicated >= 5
 
@@ -82,7 +82,7 @@ def test_latency_degradation_slows_but_delivers():
         done.append(base_cluster.sim.now)
 
     cnode.spawn(caller())
-    base_cluster.run()
+    base_cluster.sim.run()
     healthy = done[0]
 
     slow_cluster, snode2, cnode2, server2, client2 = build_pair()
@@ -94,7 +94,7 @@ def test_latency_degradation_slows_but_delivers():
         done2.append(slow_cluster.sim.now)
 
     cnode2.spawn(caller2())
-    slow_cluster.run()
+    slow_cluster.sim.run()
     assert done2[0] > healthy * 10
 
 
@@ -117,7 +117,7 @@ def test_loopback_immune_to_wildcard_faults():
         results.append(value)
 
     node.spawn(caller())
-    cluster.run()
+    cluster.sim.run()
     assert results == [42]
 
 
@@ -132,7 +132,7 @@ def test_healthy_runs_never_draw_from_chaos_stream():
         results.append(value)
 
     cnode.spawn(caller())
-    cluster.run()
+    cluster.sim.run()
     assert results == [1]
     # No loss/duplicate probability -> the chaos RNG stream was never
     # instantiated, so pre-chaos seeds replay byte-identically.

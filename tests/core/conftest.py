@@ -25,7 +25,7 @@ class DUFSHarness:
     def run_all(self, *gens):
         procs = [self.dep.client_nodes[i % len(self.dep.client_nodes)].spawn(g)
                  for i, g in enumerate(gens)]
-        self.cluster.run()
+        self.cluster.sim.run()
         return [p.value for p in procs]
 
     def settle(self, duration=0.5):

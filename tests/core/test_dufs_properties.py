@@ -134,7 +134,7 @@ def test_two_clients_still_converge(ops_a, ops_b):
 
     dep.client_nodes[0].spawn(driver(dep.mounts[0], ops_a))
     dep.client_nodes[1].spawn(driver(dep.mounts[1], ops_b))
-    dep.cluster.run()
+    dep.cluster.sim.run()
     assert dep.ensemble.converged()
     n_virtual_files = sum(1 for _, is_dir in dufs_listing(dep)
                           if not is_dir)

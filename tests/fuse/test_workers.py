@@ -30,7 +30,7 @@ def test_worker_pool_bounds_concurrency():
 
     for k in range(6):
         node.spawn(caller(k))
-    cluster.run()
+    cluster.sim.run()
     # 6 requests, 2 workers, 1 s each -> waves at ~1, ~2, ~3 s.
     times = sorted(t for _, t in done)
     assert times[1] < 1.1
@@ -76,6 +76,6 @@ def test_errors_release_workers():
 
     for k in range(5):
         node.spawn(caller(k))
-    cluster.run()
+    cluster.sim.run()
     assert len(failures) == 5      # the single worker was never leaked
     assert not mount.workers.users

@@ -36,7 +36,7 @@ class FSHarness:
 
     def run_all(self, *gens):
         procs = [self.client_nodes[i % 2].spawn(g) for i, g in enumerate(gens)]
-        self.cluster.run()
+        self.cluster.sim.run()
         return [p.value for p in procs]
 
 

@@ -159,7 +159,7 @@ def test_global_lock_serializes_concurrent_cross_server_mkdirs():
     chunk = len(cross_paths) // 4
     for k in range(4):
         nodes[k % 2].spawn(worker(cross_paths[k * chunk:(k + 1) * chunk], k))
-    cluster.run()
+    cluster.sim.run()
     assert fs.lock_server.stats["acquisitions"] == len(cross_paths)
     # Throughput is bounded by serialized lock-hold time, NOT by MDS count:
     # each hold spans two RPCs + journal, ~1ms+; 24 ops take > 15 ms.

@@ -74,7 +74,7 @@ def test_two_clients_share_namespace():
 
     nodes[0].spawn(writer())
     nodes[1].spawn(reader())
-    cluster.run()
+    cluster.sim.run()
     assert seen == [True]
 
 

@@ -148,7 +148,7 @@ def test_bounded_server_parallelism():
 
     for _ in range(4):
         h.client_nodes[0].spawn(stat_worker())
-    h.cluster.run()
+    h.cluster.sim.run()
     # 4 stats, each with a 5 ms getattr, all serialized on the single
     # worker ≈ 20 ms; a fully parallel server would take ~5 ms.
     assert h.cluster.sim.now - t0 >= 0.018

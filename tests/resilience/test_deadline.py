@@ -29,7 +29,7 @@ def test_child_process_inherits_ambient_deadline():
         yield cluster.sim.timeout(0.01)
 
     client.spawn(parent())
-    cluster.run()
+    cluster.sim.run()
     assert seen == [3.5]
 
 
@@ -48,7 +48,7 @@ def test_deadline_caps_rpc_timeout():
             caught.append(cluster.sim.now)
 
     client.spawn(caller())
-    cluster.run()
+    cluster.sim.run()
     assert caught == [pytest.approx(0.25)]
 
 
@@ -68,7 +68,7 @@ def test_expired_deadline_raises_before_sending():
             caught.append(cluster.sim.now)
 
     client.spawn(caller())
-    cluster.run()
+    cluster.sim.run()
     assert caught == [pytest.approx(1.0)]   # failed fast, no waiting
     assert runs == []                       # nothing ever hit the wire
 
@@ -98,7 +98,7 @@ def test_a_nested_rpc_inherits_its_callers_deadline():
                                   deadline=cluster.sim.now + 0.25)
 
     client.spawn(caller())
-    cluster.run()
+    cluster.sim.run()
     assert nested == [pytest.approx(0.25)]
 
 
@@ -126,7 +126,7 @@ def test_a_deadline_schedules_nothing_at_the_server():
             done.append(cluster.sim.now)
 
         client.spawn(caller())
-        cluster.run()
+        cluster.sim.run()
         return done, cluster.sim._eid
 
     assert run_once("timeout") == run_once("deadline")
@@ -157,7 +157,7 @@ def test_a_handler_runs_to_completion_past_its_callers_deadline(method):
             caught.append(cluster.sim.now)
 
     client.spawn(caller())
-    cluster.run()
+    cluster.sim.run()
     assert caught == [pytest.approx(0.1)]   # caller gave up...
     assert len(finished) == 1               # ...but the handler completed
     assert bus.ops.get(f"d/srv.{method}") == 1

@@ -160,7 +160,7 @@ def drive(k, fault=None, pick=lambda: "srv", rtt=0.01, error=Flaky,
             out.append(exc)
 
     node.spawn(runner())
-    cluster.run()
+    cluster.sim.run()
     return out[0], ep, state, policy, breakers, cluster
 
 

@@ -30,7 +30,7 @@ def test_basic_call_roundtrip():
         results.append((value, cluster.sim.now))
 
     cnode.spawn(caller())
-    cluster.run()
+    cluster.sim.run()
     assert results[0][0] == ("echo", {"x": 1})
     assert results[0][1] > 0.001  # cpu + 2 network hops
 
@@ -52,7 +52,7 @@ def test_handler_exception_reraised_at_caller():
             caught.append(e.err)
 
     cnode.spawn(caller())
-    cluster.run()
+    cluster.sim.run()
     assert caught == [ENOENT]
 
 
@@ -69,7 +69,7 @@ def test_missing_handler_raises_remote_error():
             caught.append(True)
 
     cnode.spawn(caller())
-    cluster.run()
+    cluster.sim.run()
     assert caught == [True]
 
 
@@ -88,7 +88,7 @@ def test_reply_sets_response_size():
         times.append(cluster.sim.now)
 
     cnode.spawn(caller())
-    cluster.run()
+    cluster.sim.run()
     # 1 MB at ~117 MB/s dominates: response must take > 8 ms
     assert times[0] > 0.008
 
@@ -113,7 +113,7 @@ def test_concurrent_calls_on_shared_cpu_saturate():
 
     for i in range(4):
         cnode.spawn(caller(RpcAgent(cnode, f"cli{i}")))
-    cluster.run()
+    cluster.sim.run()
     # 20 ops x 10 ms on one core -> at least 200 ms of busy time.
     assert max(done) >= 0.200
 
@@ -135,7 +135,7 @@ def test_call_timeout_raises():
             caught.append(cluster.sim.now)
 
     cnode.spawn(caller())
-    cluster.run()
+    cluster.sim.run()
     assert caught == [pytest.approx(0.5)]
 
 
@@ -166,7 +166,7 @@ def test_server_crash_causes_timeout_then_recovery_works():
 
     cnode.spawn(caller())
     cnode.spawn(chaos())
-    cluster.run()
+    cluster.sim.run()
     assert log == ["timeout", "ok"]
 
 
@@ -195,7 +195,7 @@ def test_crash_kills_in_flight_handler():
 
     cnode.spawn(caller())
     cnode.spawn(chaos())
-    cluster.run()
+    cluster.sim.run()
     assert started == [True]
     assert log == ["timeout"]
 
@@ -210,7 +210,7 @@ def test_cast_is_one_way():
 
     server.register("notify", notify)
     client.cast("svc", "notify", {"n": 1})
-    cluster.run()
+    cluster.sim.run()
     assert got == [("cli", {"n": 1})]
 
 
@@ -225,5 +225,5 @@ def test_node_disk_serializes():
 
     for _ in range(4):
         node.spawn(txn())
-    cluster.run()
+    cluster.sim.run()
     assert finish == [pytest.approx(0.005 * (i + 1)) for i in range(4)]

@@ -35,7 +35,7 @@ def test_handler_outliving_caller_deadline_times_out_caller():
             log.append(cluster.sim.now)
 
     cnode.spawn(caller())
-    cluster.run()
+    cluster.sim.run()
     assert log == [pytest.approx(0.1)]
     # A deadline bounds the caller only: the handler runs to completion,
     # but its reply goes nowhere.
@@ -70,7 +70,7 @@ def test_late_response_is_discarded_not_misdelivered():
         yield cluster.sim.timeout(2.0)     # let the stale reply land
 
     proc = cnode.spawn(caller())
-    cluster.run()
+    cluster.sim.run()
     assert proc.triggered and proc._ok
     assert results == ["timeout", "fresh"]
     assert client._pending == {}           # no leaked waiters either

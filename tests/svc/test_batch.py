@@ -30,7 +30,7 @@ def test_batcher_coalesces_up_to_max_batch():
         yield cluster.sim.timeout(0)
 
     node.spawn(producer())
-    cluster.run()
+    cluster.sim.run()
     # First flush takes whatever was queued when the loop woke (all 10 are
     # submitted at t=0, so they drain in ceil(10/4) = 3 batches).
     assert [len(batch) for batch in flushed] == [4, 4, 2]
@@ -56,7 +56,7 @@ def test_batcher_flushes_arrivals_during_flush_together():
         b.submit("c")
 
     node.spawn(producer())
-    cluster.run()
+    cluster.sim.run()
     assert flushed == [["a"], ["b", "c"]]
 
 
@@ -84,7 +84,7 @@ def test_batcher_crash_clear_and_restart():
         b.clear()
 
     node.spawn(producer())
-    cluster.run(until=2.0)
+    cluster.sim.run(until=2.0)
     assert flushed == [] and len(b) == 0   # un-flushed work died
 
     node.recover()
@@ -95,7 +95,7 @@ def test_batcher_crash_clear_and_restart():
         yield cluster.sim.timeout(0)
 
     node.spawn(producer2())
-    cluster.run()
+    cluster.sim.run()
     assert flushed == [3]
 
 
@@ -116,7 +116,7 @@ def test_batcher_marks_occupancy_on_the_bus():
         yield cluster.sim.timeout(0)
 
     node.spawn(producer())
-    cluster.run()
+    cluster.sim.run()
     occ = bus.batch_occupancy()
     row = occ["test/wb"]
     assert row["flushes"] == 3 and row["items"] == 10
@@ -143,7 +143,7 @@ def test_unwired_batcher_records_nothing():
         yield cluster.sim.timeout(0)
 
     node.spawn(producer())
-    cluster.run()
+    cluster.sim.run()
     assert b.stats["flushes"] == 1
     assert bus.batch_occupancy() == {} and "batcher" not in bus.table()
 
@@ -193,7 +193,7 @@ def drive(cls, script, flush_ticks, max_batch):
             b.submit(k)
 
     node.spawn(producer())
-    cluster.run()
+    cluster.sim.run()
     return b, flushed, sim._eid
 
 
@@ -238,7 +238,7 @@ def test_a_submit_before_the_loop_first_ran_is_flushed():
     b = Batcher(node, "b", flush)
     b.submit("early")            # the loop process has not run yet
     b.submit("too")
-    cluster.run()
+    cluster.sim.run()
     assert flushed == [["early", "too"]]
 
     node.crash()
@@ -246,5 +246,5 @@ def test_a_submit_before_the_loop_first_ran_is_flushed():
     node.recover()
     b.restart()
     b.submit("after restart")    # nor has its replacement
-    cluster.run()
+    cluster.sim.run()
     assert flushed == [["early", "too"], ["after restart"]]

@@ -1,4 +1,4 @@
-"""Service kernel: declarative endpoints, unified counting, tracing."""
+"""The service kernel's declarative endpoints, unified counting and tracing."""
 
 import pytest
 
@@ -70,7 +70,7 @@ def test_expose_fast_bypasses_admission_and_counting():
     svc.expose_fast("note", lambda src, args: seen.append(args))
     agent = RpcAgent(client, "cli")
     agent.cast("srv", "note", 5)
-    cluster.run(until=1.0)
+    cluster.sim.run(until=1.0)
     assert seen == [5]
     assert not bus.keys()
 

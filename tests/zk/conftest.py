@@ -35,7 +35,7 @@ class ZKHarness:
 
     def run_all(self, *gens):
         procs = [self.client_nodes[0].spawn(g) for g in gens]
-        self.cluster.run()
+        self.cluster.sim.run()
         return [p.value for p in procs]
 
     def settle(self, duration=1.0):
