@@ -21,10 +21,11 @@ under-reports, except through a plain ``g = f`` alias or a
 ``super().__init__`` forward: read a hit as "look here", not as proof.
 
 ``unset_fields()`` lists the scalar fields of ``models/params.py`` that
-no code under those directories or ``tests/`` sets: no call passes the
-name by keyword, no assignment targets ``.<name>``, and no dict literal
-uses it as a key. Names are matched alone, so a name shared by two
-classes counts for both. Fields holding a sub-params object are left
+no code under those directories sets (a test does not count): no call
+passes the name by keyword, or as a key of a dict literal it spreads
+with ``**`` (the ``cls(**{...})`` presets), and no assignment targets
+``.<name>``. Names are matched alone, so a name shared by two classes
+counts for both. Fields holding a sub-params object are left
 out: callers mutate those in place (``params.lustre.dlm_enabled = …``).
 
 Run: python scripts/option_audit.py
@@ -159,20 +160,23 @@ def _assigned(target):
 
 
 def unset_fields(root: Path = ROOT) -> list:
-    """One ``file:line  Class.field`` line per scalar field nobody sets."""
+    """One ``file:line  Class.field`` line per scalar field no non-test
+    code sets."""
     written = set()
-    for tree in _parse(root, CALLERS + ("tests",)).values():
+    for tree in _parse(root, CALLERS).values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                written.update(k.arg for k in node.keywords)
+                for k in node.keywords:
+                    if k.arg is not None:
+                        written.add(k.arg)
+                    elif isinstance(k.value, ast.Dict):
+                        written.update(key.value for key in k.value.keys
+                                       if isinstance(key, ast.Constant))
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     written.update(_assigned(target))
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 written.update(_assigned(node.target))
-            elif isinstance(node, ast.Dict):
-                written.update(k.value for k in node.keys
-                               if isinstance(k, ast.Constant))
     classes = [c for c in ast.parse((root / PARAMS).read_text()).body
                if isinstance(c, ast.ClassDef)]
     nested = {c.name for c in classes}
@@ -190,7 +194,8 @@ def main() -> int:
     print("\n".join(hits))
     print(f"\n{len(hits)} defaulted parameters no non-test call site supplies")
     unset = unset_fields()
-    print("\n".join(["", *unset, f"{len(unset)} params fields no code sets"]))
+    print("\n".join(["", *unset,
+                     f"{len(unset)} params fields no non-test code sets"]))
     return 0
 
 

@@ -62,19 +62,21 @@ def run_trace(scale: str = "quick", backend: str = "local",
                                 params=params, bus=TraceBus(),
                                 cache=CacheParams.caching_on() if cache
                                 else None, n_shards=shards)
-    # Windowed per-shard op rates — the same aggregation the elastic
-    # autoscaler decides on, here covering the whole run so the export
-    # shows each shard's share of the load.
-    shard_window = 60.0
-    dep.bus.enable_shard_window(shard_window)
     cfg = MdtestConfig(n_procs=n_procs, items_per_proc=items,
                        phases=phases or ("dir_create", "dir_stat",
                                          "dir_remove"))
     result = run_mdtest(dep.cluster, dep.mount_for, dep.node_for, cfg)
 
+    # Whole-run per-shard ZooKeeper op rates: each shard's share of the
+    # load, from the trace rows' op counts.
     elapsed = dep.cluster.sim.now
-    shard_rates = dep.bus.shard_window_rates(now=elapsed, deployment="zk",
-                                             window=elapsed)
+    rows = trace_rows(dep.bus)
+    shard_ops: Dict[int, int] = {}
+    for row in rows:
+        if row["deployment"] == "zk":
+            shard_ops[row["shard"]] = shard_ops.get(row["shard"], 0) \
+                + row["ops"]
+    shard_rates = {k: n / elapsed for k, n in shard_ops.items()}
     doc = {
         "benchmark": "trace",
         "scale": scale, "backend": backend,
@@ -84,8 +86,8 @@ def run_trace(scale: str = "quick", backend: str = "local",
                           "ops_per_s": r.throughput}
                    for name, r in result.phases.items()},
         "shard_rates": {str(k): v for k, v in sorted(shard_rates.items())},
-        "shard_rate_window": min(shard_window, elapsed),
-        "rows": trace_rows(dep.bus),
+        "shard_rate_window": elapsed,
+        "rows": rows,
     }
     if json_path == "-":
         return json.dumps(doc, indent=2, sort_keys=True)

@@ -199,10 +199,8 @@ class DUFSClient:
         """POSIX path-walk error for the paper's source: a missing path is
         ENOTDIR when the nearest existing ancestor is not a directory,
         else ENOENT. (The kernel performs this walk before FUSE; we pay
-        the znode reads only on error paths.) Components the walk proves
-        absent are handed to the chain, so repeated failing lookups under
-        the same missing directory skip the re-probing — a remembered
-        absence is only ever a missing *directory* chain, hence ENOENT."""
+        the znode reads only on error paths.) A pending delete of an
+        ancestor is a missing directory chain, hence ENOENT."""
         parent = parent_dir(path)
         while parent != "/" and not (self.mdcache.known_dir(parent)
                                      or self.mdcache.known_missing(parent)):
@@ -211,9 +209,7 @@ class DUFSClient:
             self.stats["zk_reads"] += 1
             try:
                 data, _ = yield from self.zk.get(parent)
-            except ZKError as exc:
-                if isinstance(exc, NoNodeError):
-                    self.mdcache.note_missing(parent)
+            except ZKError:
                 parent = parent_dir(parent)
                 continue
             if not isinstance(decode_payload(data), DirPayload):
@@ -737,8 +733,8 @@ class DUFSClient:
             self.zk.multi(ops))
         if is_dir:
             # Everything cached under the old prefix is now stale, and so
-            # is anything remembered about the target subtree (e.g.
-            # negative entries for paths the move just created).
+            # is anything remembered about the target subtree (e.g. the
+            # empty directory the move replaced).
             self.mdcache.invalidate_subtree(src)
             self.mdcache.invalidate_subtree(dst)
         else:

@@ -150,7 +150,7 @@ def build_dufs_deployment(
 
     Caching: ``cache`` (default: ``params.cache``, disabled) adds the
     cache stage to every client's lookup chain
-    (:class:`~repro.core.mdcache.CoherentMDCache`) — positive/negative/
+    (:class:`~repro.core.mdcache.CoherentMDCache`) — positive and
     readdir entries invalidated by ZooKeeper watches, with read
     coalescing. The default policy is off: the stage is not constructed
     and the RPC stream is byte-identical to the paper's client.

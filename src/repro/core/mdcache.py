@@ -18,12 +18,12 @@ FID) and runs the same three stages in the same order:
    when ``CacheParams.enabled``) — FalconFS/λFS-style client caching kept
    coherent by one-shot ZooKeeper watches: *positive entries* (path →
    payload + znode stat, dropped by the data watch registered with the
-   read that filled them), TTL-bounded *negative entries* (no watch, so
-   off by default), *readdir listings* (dropped by their child watch; the
-   readdir-plus child lookups fill positive entries, so ``ls -l`` is
-   served from cache), *read coalescing* (concurrent same-path lookups
-   share one in-flight RPC) and the *watch-loss flush* on session
-   re-establishment or fail-over — per shard behind a sharded service.
+   read that filled them), *readdir listings* (dropped by their child
+   watch; the readdir-plus child lookups fill positive entries, so
+   ``ls -l`` is served from cache), *read coalescing* (concurrent
+   same-path lookups share one in-flight RPC) and the *watch-loss flush*
+   on session re-establishment or fail-over — per shard behind a sharded
+   service. A miss is not remembered: it registers no watch.
 3. **source** — one RPC: the paper's znode ``get``, or the thin client's
    server-side ``resolve``. Only the source differs between the two
    clients; both yield ``(payload, znode stat)`` or a ``NoNodeError``.
@@ -49,34 +49,23 @@ from ..zk.data import ZnodeStat
 from ..zk.errors import NoNodeError
 from ..zk.protocol import WatchEvent
 from .metadata import DirPayload, decode_payload
-from .paths import ancestors, basename, is_ancestor, parent_dir
+from .paths import basename, parent_dir
 
 
-#: LRU bounds of the two side tables (positive entries are bounded by
+#: LRU bound of the listing table (positive entries are bounded by
 #: ``CacheParams.capacity``).
 LISTING_CAPACITY = 512
-NEGATIVE_CAPACITY = 1024
 
 
 class ResolveMiss(NoNodeError):
     """A miss the source already classified: the ``resolve`` reply names
     the nearest existing ancestor, so no parent walk is needed —
     ``not_dir`` says that ancestor is a file or symlink (ENOTDIR, else
-    ENOENT). Served locally (a cached negative, a pending delete) it is
-    ENOENT: the thin chain only remembers ENOENT-classified misses."""
+    ENOENT). Served locally (a pending delete) it is ENOENT."""
 
     def __init__(self, path: str, not_dir: bool = False):
         super().__init__(path)
         self.not_dir = not_dir
-
-
-@dataclass
-class _Entry:
-    """One positive cache entry: decoded payload + znode stat snapshot."""
-
-    payload: Any
-    zstat: Any
-    expires: Optional[float]        # None = no TTL bound (watch-coherent)
 
 
 @dataclass
@@ -103,7 +92,7 @@ class MDCache:
     counters, whichever stages exist.
     """
 
-    COUNTERS = ("hits", "misses", "neg_hits", "listing_hits",
+    COUNTERS = ("hits", "misses", "listing_hits",
                 "listing_misses", "coalesced", "invalidations",
                 "watch_invalidations", "flushes", "evictions",
                 "overlay_hits", "overlay_commits", "overlay_rejects")
@@ -266,44 +255,31 @@ class MDCache:
     # -- the two sources -----------------------------------------------------
     def _fetch_get(self, path: str, watch=None) -> Generator:
         """The paper's source: one znode read (charged to the client's
-        ``zk_reads``). A miss proves only ``path`` itself absent."""
+        ``zk_reads``). A miss is left to the client's parent walk."""
         self.client_stats["zk_reads"] += 1
-        try:
-            data, zstat = yield from self.zk.get(path, watch=watch)
-        except NoNodeError:
-            self.note_missing(path)
-            raise
+        data, zstat = yield from self.zk.get(path, watch=watch)
         return decode_payload(data), zstat
 
     def _fetch_resolve(self, path: str, watch=None) -> Generator:
         """The thin client's source: one server-side ``resolve`` RPC at
-        any depth. An ENOENT-classified miss (nearest existing ancestor
-        is a directory — remembered as one) proves the target *and*
-        every intermediate component below that ancestor absent."""
+        any depth. A miss names the nearest existing ancestor; when that
+        is a directory (remembered as one) the miss is ENOENT."""
         self.client_stats["zk_reads"] += 1
         res = yield from self.zk.resolve(path, watch=watch)
         if res.status == "ok":
             return decode_payload(res.data), res.stat
         under_dir = res.ancestor == "/" or isinstance(
             decode_payload(res.ancestor_data), DirPayload)
-        if under_dir:
-            if res.ancestor != "/":
-                self._dirs.add(res.ancestor)
-            for a in ancestors(path):
-                if res.ancestor == "/" or is_ancestor(res.ancestor, a):
-                    self.note_missing(a)
-            self.note_missing(path)
+        if under_dir and res.ancestor != "/":
+            self._dirs.add(res.ancestor)
         raise ResolveMiss(path, not_dir=not under_dir)
 
     # -- what the client tells the chain -------------------------------------
     def known_missing(self, path: str) -> bool:
-        """Is ``path`` provably absent without a read? Lets the client's
-        parent-walk miss classification skip re-probing components."""
+        """Is ``path`` provably absent without a read (a pending
+        delete)? Lets the client's parent-walk miss classification stop."""
         pend = self._overlay.get(path)
         return pend is not None and pend.kind == "delete"
-
-    def note_missing(self, path: str) -> None:
-        """A read proved ``path`` absent (only a cache stage remembers)."""
 
     def note_created(self, path: str, is_dir: bool = False) -> None:
         """After a successful create/mkdir/symlink through this client."""
@@ -330,15 +306,15 @@ class MDCache:
 
 
 class CoherentMDCache(MDCache):
-    """The chain *with* its cache stage: positive / negative / listing
-    tables and read coalescing between overlay and source, kept coherent
-    by one-shot ZooKeeper watches (see module docstring)."""
+    """The chain *with* its cache stage: positive and listing tables and
+    read coalescing between overlay and source, kept coherent by one-shot
+    ZooKeeper watches (see module docstring)."""
 
     def __init__(self, node, zk, *args, **kwargs):
         super().__init__(node, zk, *args, **kwargs)
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        self._negatives: "OrderedDict[str, float]" = OrderedDict()
-        self._listings: "OrderedDict[str, Tuple[Tuple[str, ...], Optional[float]]]" = OrderedDict()
+        # path -> (decoded payload, znode stat), as the source returned it.
+        self._entries: "OrderedDict[str, Tuple[Any, Any]]" = OrderedDict()
+        self._listings: "OrderedDict[str, Tuple[str, ...]]" = OrderedDict()
         # Paths with a registered-and-unfired watch: one watch covers both
         # the entry and the listing for a path, and is re-registered on the
         # first fetch after it fires (one-shot semantics).
@@ -360,36 +336,24 @@ class CoherentMDCache(MDCache):
         if path in self._dirs or path in self._overlay:
             return super().known_dir(path)
         ent = self._entries.get(path)
-        return ent is not None and isinstance(ent.payload, DirPayload) \
-            and (ent.expires is None or self.sim.now < ent.expires)
+        return ent is not None and isinstance(ent[0], DirPayload)
 
     # -- lookups -------------------------------------------------------------
     def get_payload(self, path: str) -> Generator:
-        """The whole chain in one frame: overlay, positive entry,
-        negative entry, then one coalesced trip to the source."""
+        """The whole chain in one frame: overlay, positive entry, then one
+        coalesced trip to the source."""
         if self._overlay:
             pend = self._overlay.get(path)
             if pend is not None:
                 return self._pending_payload(pend, path)
         p = self.params
-        now = self.sim.now
         ent = self._entries.get(path)
         if ent is not None:
-            if ent.expires is None or now < ent.expires:
-                self._entries.move_to_end(path)
-                self._mark("hits")
-                if p.hit_cpu:
-                    yield from self.node.cpu_work(p.hit_cpu)
-                return ent.payload, ent.zstat
-            del self._entries[path]             # TTL expired
-        neg_exp = self._negatives.get(path)
-        if neg_exp is not None:
-            if now < neg_exp:
-                self._mark("neg_hits")
-                if p.hit_cpu:
-                    yield from self.node.cpu_work(p.hit_cpu)
-                raise self._miss(path)
-            del self._negatives[path]
+            self._entries.move_to_end(path)
+            self._mark("hits")
+            if p.hit_cpu:
+                yield from self.node.cpu_work(p.hit_cpu)
+            return ent
         # Read coalescing: concurrent same-path lookups share one RPC.
         waiter = self._inflight.get(path)
         if waiter is not None:
@@ -409,7 +373,7 @@ class CoherentMDCache(MDCache):
         ev.succeed(found)
         if watch is not None:
             self._watched.add(path)
-        self._store(path, *found)
+        self._store(path, found)
         return found
 
     def get_children(self, path: str) -> Generator:
@@ -421,69 +385,37 @@ class CoherentMDCache(MDCache):
         p = self.params
         cached = self._listings.get(path)
         if cached is not None:
-            names, expires = cached
-            if expires is None or self.sim.now < expires:
-                self._listings.move_to_end(path)
-                self._mark("listing_hits")
-                if p.hit_cpu:
-                    yield from self.node.cpu_work(p.hit_cpu)
-                return self._overlay_adjust(path, list(names))
-            del self._listings[path]
+            self._listings.move_to_end(path)
+            self._mark("listing_hits")
+            if p.hit_cpu:
+                yield from self.node.cpu_work(p.hit_cpu)
+            return self._overlay_adjust(path, list(cached))
         self._mark("listing_misses")
         self.client_stats["zk_reads"] += 1
         watch = None if path in self._watched else self._on_watch
         names = yield from self.zk.get_children(path, watch=watch)
         if watch is not None:
             self._watched.add(path)
-        expires = self.sim.now + p.ttl if p.ttl > 0 else None
-        self._listings[path] = (tuple(names), expires)
+        self._listings[path] = tuple(names)
         self._listings.move_to_end(path)
         while len(self._listings) > LISTING_CAPACITY:
             self._listings.popitem(last=False)
             self.counters["evictions"] += 1
         return self._overlay_adjust(path, names)
 
-    def _store(self, path: str, payload: Any, zstat: Any) -> None:
-        p = self.params
-        self._negatives.pop(path, None)
-        expires = self.sim.now + p.ttl if p.ttl > 0 else None
-        self._entries[path] = _Entry(payload, zstat, expires)
+    def _store(self, path: str, found: Tuple[Any, Any]) -> None:
+        self._entries[path] = found
         self._entries.move_to_end(path)
-        if isinstance(payload, DirPayload):
+        if isinstance(found[0], DirPayload):
             self._dirs.add(path)
-        while len(self._entries) > p.capacity:
+        while len(self._entries) > self.params.capacity:
             self._entries.popitem(last=False)
-            self.counters["evictions"] += 1
-
-    # -- negatives -----------------------------------------------------------
-    def known_missing(self, path: str) -> bool:
-        if path in self._overlay:
-            return super().known_missing(path)
-        neg_exp = self._negatives.get(path)
-        if neg_exp is None:
-            return False
-        if self.sim.now < neg_exp:
-            return True
-        del self._negatives[path]
-        return False
-
-    def note_missing(self, path: str) -> None:
-        """Record ``path`` as absent, TTL-bounded (negatives carry no
-        watch, so ``negative_ttl`` 0 keeps them off)."""
-        p = self.params
-        if p.negative_ttl <= 0:
-            return
-        self._negatives[path] = self.sim.now + p.negative_ttl
-        self._negatives.move_to_end(path)
-        while len(self._negatives) > NEGATIVE_CAPACITY:
-            self._negatives.popitem(last=False)
             self.counters["evictions"] += 1
 
     # -- invalidation --------------------------------------------------------
     def _invalidate_path(self, path: str, kind: Optional[str] = "invalidations") -> None:
         dropped = self._entries.pop(path, None) is not None
         dropped |= self._listings.pop(path, None) is not None
-        dropped |= self._negatives.pop(path, None) is not None
         if dropped and kind:
             self._mark(kind)
 
@@ -494,17 +426,8 @@ class CoherentMDCache(MDCache):
 
     def note_created(self, path: str, is_dir: bool = False) -> None:
         """Read-your-writes after a successful create/mkdir/symlink: the
-        path is no longer a negative and the parent's listing grew. A
-        successful create also proves every ancestor exists, so any
-        stale negative-chain entries for them (recorded by an earlier
-        failed walk under a then-missing intermediate) are purged too —
-        otherwise a path created under them would keep serving ENOENT
-        until the negatives' TTL expired."""
+        parent's listing grew."""
         super().note_created(path, is_dir)
-        self._negatives.pop(path, None)
-        if self._negatives:
-            for anc in ancestors(path):
-                self._negatives.pop(anc, None)
         self._listings.pop(parent_dir(path), None)
 
     def note_removed(self, path: str) -> None:
@@ -523,7 +446,7 @@ class CoherentMDCache(MDCache):
         prefix = root + "/"
         n = len(prefix)
         hit = False
-        for table in (self._entries, self._listings, self._negatives):
+        for table in (self._entries, self._listings):
             for path in [k for k in table
                          if k == root or k[:n] == prefix]:
                 del table[path]
@@ -562,25 +485,23 @@ class CoherentMDCache(MDCache):
         overlay deliberately survives (here and in :meth:`flush_shard`):
         it mirrors this client's own acked-but-uncommitted writes, whose
         truth does not depend on any watch registration."""
-        if not (self._entries or self._listings or self._negatives
-                or self._dirs or self._watched):
+        if not (self._entries or self._listings or self._dirs
+                or self._watched):
             return
         self._entries.clear()
         self._listings.clear()
-        self._negatives.clear()
         self._watched.clear()
         self._dirs.clear()
         self._mark("flushes")
 
     def flush_shard(self, shard: int) -> None:
         """Drop only the slice whose coherence watches lived on ``shard``:
-        entries/negatives route by the path's home shard, listings by its
+        entries route by the path's home shard, listings by its
         child-hosting shard (where the child watch was registered)."""
         home = self.zk.shard_for
         listing = self.zk.listing_shard_for
         dropped = False
-        for table, by in ((self._entries, home), (self._negatives, home),
-                          (self._listings, listing)):
+        for table, by in ((self._entries, home), (self._listings, listing)):
             for path in [p for p in table if by(p) == shard]:
                 del table[path]
                 dropped = True

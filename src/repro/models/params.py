@@ -8,14 +8,15 @@ that era) so that the simulated throughput curves land near the published
 figures. The calibration procedure and resulting paper-vs-measured numbers
 are recorded in EXPERIMENTS.md.
 
-A dataclass field is a choice some caller makes: a feature switch, a
-policy, a server count, or a cost an ablation or figure sweeps (e.g.
-disabling DLM lock callbacks, a slower ZooKeeper read). Build a variant
-with the constructor or :func:`dataclasses.replace`. The ``ClassVar``
-constants are the calibration: one table per component, read through an
-instance like any field (``p.log_delay``) but set by no constructor.
-``scripts/option_audit.py`` lists any field that no code sets, and a
-ratchet row holds that list empty.
+A dataclass field is a choice some non-test caller makes: a feature
+switch, a policy, a server count, or a cost an ablation or figure sweeps
+(e.g. disabling DLM lock callbacks, a slower ZooKeeper read). Build a
+variant with the constructor or :func:`dataclasses.replace`. The
+``ClassVar`` constants are the calibration: one table per component, read
+through an instance like any field (``p.log_delay``) but set by no
+constructor; a test that varies one patches the class.
+``scripts/option_audit.py`` lists any field that no non-test code sets,
+and a ratchet row holds that list empty.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class ZKParams:
     set_extra_cpu: ClassVar[float] = 370e-6
     delete_extra_cpu: ClassVar[float] = 370e-6
     follower_log_cpu: ClassVar[float] = 95e-6  # deserialize + append to log
-    apply_cpu: float = 60e-6           # apply committed txn to the tree
+    apply_cpu: ClassVar[float] = 60e-6  # apply committed txn to the tree
     log_delay: ClassVar[float] = 350e-6  # group-committed fsync (pipelined)
     log_batch_max: ClassVar[int] = 64  # max txns covered by one fsync
     # Leader-side write batching: up to this many validated proposals are
@@ -132,11 +133,11 @@ class ZKParams:
 
     # Automatic snapshot+log-truncate interval (0 = only explicit
     # checkpoint() calls). The paper: "it is periodically checkpointed".
-    checkpoint_interval: float = 0.0
+    checkpoint_interval: ClassVar[float] = 0.0
 
     # session liveness (enabled only in reliability experiments)
     session_tracking: bool = False
-    session_timeout: float = 1.2
+    session_timeout: ClassVar[float] = 1.2
 
     # failure detection / election (enabled only in reliability experiments)
     failure_detection: bool = False
@@ -161,11 +162,11 @@ class LustreParams:
     oss_cores: ClassVar[int] = 8
 
     # MDS CPU demand per operation type
-    mkdir_cpu: float = 0.84e-3
+    mkdir_cpu: ClassVar[float] = 0.84e-3
     rmdir_cpu: ClassVar[float] = 0.72e-3
     create_cpu: ClassVar[float] = 0.47e-3  # open+create with intent
     unlink_cpu: ClassVar[float] = 0.60e-3
-    getattr_cpu: float = 0.150e-3     # stat of a directory (MDS only)
+    getattr_cpu: ClassVar[float] = 0.150e-3  # stat of a directory (MDS only)
     getattr_file_cpu: ClassVar[float] = 0.185e-3  # stat of a file (MDS part)
     lookup_cpu: ClassVar[float] = 0.12e-3
     readdir_cpu_per_entry: ClassVar[float] = 3.0e-6
@@ -221,15 +222,15 @@ class PVFSParams:
     """
 
     n_servers: int = 4
-    server_cores: int = 2              # request-processing effective parallelism
+    server_cores: ClassVar[int] = 2    # request-processing effective parallelism
     lookup_cpu: ClassVar[float] = 60e-6          # resolve one path component
-    getattr_cpu: float = 80e-6
+    getattr_cpu: ClassVar[float] = 80e-6
     getattr_dfile_cpu: ClassVar[float] = 36e-6  # per-datafile size probe
     create_meta_cpu: ClassVar[float] = 260e-6
     create_dfile_cpu: ClassVar[float] = 140e-6  # per I/O server datafile
     crdirent_cpu: ClassVar[float] = 220e-6       # insert dirent into parent
     remove_cpu: ClassVar[float] = 240e-6
-    mkdir_cpu: float = 300e-6
+    mkdir_cpu: ClassVar[float] = 300e-6
     readdir_cpu_base: ClassVar[float] = 180e-6
     readdir_cpu_per_entry: ClassVar[float] = 2.5e-6
     setattr_cpu: ClassVar[float] = 180e-6
@@ -253,7 +254,7 @@ class FUSEParams:
     readdir_per_entry_cpu: ClassVar[float] = 0.4e-6
     # libfuse worker-thread pool: at most this many requests of one mount
     # are in userspace at a time (multithreaded fuse_loop_mt of the era).
-    max_workers: int = 10
+    max_workers: ClassVar[int] = 10
 
 
 @dataclass
@@ -275,22 +276,16 @@ class CacheParams:
     exactly the same ZooKeeper RPC stream as one built before the cache
     existed (the trace-determinism tests rely on this). With ``enabled``
     the DUFS client caches positive lookups (path -> payload + znode
-    stat), negative lookups, and readdir listings, keeps them coherent
-    with one-shot ZooKeeper watches registered at read time, and
-    coalesces concurrent same-path lookups into one in-flight RPC.
-
-    ``ttl`` bounds how long a positive entry may be served without
-    revalidation: 0 means no time bound — staleness is bounded only by
-    watch delivery (one cast after the write commits) plus the
-    watch-loss flush on session re-establishment or server fail-over.
-    ``negative_ttl`` bounds ENOENT caching; negatives carry no watch, so
-    0 (off) is the coherent default.
+    stat, at most ``capacity``, LRU) and readdir listings, keeps them
+    coherent with one-shot ZooKeeper watches registered at read time, and
+    coalesces concurrent same-path lookups into one in-flight RPC. An
+    entry has no time bound: staleness is bounded by watch delivery (one
+    cast after the write commits) plus the watch-loss flush on session
+    re-establishment or server fail-over. A miss is not remembered.
     """
 
     enabled: bool = False
     capacity: int = 4096               # positive entries (LRU)
-    ttl: float = 0.0                   # 0 = watch-coherent, no time bound
-    negative_ttl: float = 0.0          # 0 = negative caching off
     hit_cpu: ClassVar[float] = 1.5e-6  # client CPU per cache hit
 
     @classmethod
@@ -349,7 +344,7 @@ class AsyncParams:
     """
 
     enabled: bool = False
-    max_pending: int = 4096            # acked-but-uncommitted bound
+    max_pending: ClassVar[int] = 4096  # acked-but-uncommitted bound
     ack_cpu: ClassVar[float] = 4e-6    # client CPU to append + ack
 
     @classmethod
@@ -374,7 +369,7 @@ class ElasticParams:
     """
 
     enabled: bool = False
-    autoscale: bool = True             # spawn the control loop (False:
+    autoscale: ClassVar[bool] = True   # spawn the control loop (False:
     #                                    registry/migrator only — manual
     #                                    migrations, e.g. chaos scripts)
     interval: float = 0.1              # control-loop period (s)

@@ -78,7 +78,7 @@ class Service:
                 self.inflight -= 1
                 if self.bus is not NULL_BUS:    # nobody to read the trace
                     self.bus.record(OpTrace(self.deployment, self.endpoint,
-                                            method, arrive, arrive,
+                                            method, arrive,
                                             self.sim.now, ok, src,
                                             shard=self.shard), key=key)
 
@@ -107,7 +107,7 @@ def instrument_client(obj: Any, methods, bus: TraceBus, deployment: str,
                 ok = True
                 return result
             finally:
-                bus.record(OpTrace(deployment, endpoint, name, t0, t0,
+                bus.record(OpTrace(deployment, endpoint, name, t0,
                                    obj.sim.now, ok,
                                    retries=retries_of() if retries_of else 0),
                            key=key)

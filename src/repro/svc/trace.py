@@ -31,7 +31,6 @@ class OpTrace:
     endpoint: str
     method: str
     arrive: float              # request reached the endpoint
-    start: float               # service began (== arrive at every publisher)
     end: float                 # response sent (or error marshalled)
     ok: bool
     src: str = ""              # caller endpoint
@@ -40,7 +39,7 @@ class OpTrace:
 
     @property
     def service(self) -> float:
-        return self.end - self.start
+        return self.end - self.arrive
 
     @property
     def key(self) -> str:
@@ -94,10 +93,10 @@ class TraceBus:
             self.events.append(ev)
 
     def mark(self, deployment: str, endpoint: str, method: str,
-             now: float, ok: bool = True) -> None:
+             now: float) -> None:
         """Record a zero-duration counter event (e.g. a cache hit): shows
         up in the ``ops`` column of the table with no latency content."""
-        self.record(OpTrace(deployment, endpoint, method, now, now, now, ok))
+        self.record(OpTrace(deployment, endpoint, method, now, now, True))
 
     def mark_batch(self, deployment: str, endpoint: str,
                    fill: int, depth: int) -> None:
@@ -130,19 +129,15 @@ class TraceBus:
             dq.popleft()
 
     def shard_window_rates(self, now: Optional[float] = None,
-                           deployment: Optional[str] = None,
-                           window: Optional[float] = None
+                           deployment: Optional[str] = None
                            ) -> Dict[int, float]:
-        """Ops/sec per shard over the trailing window, at ``now`` (default:
-        each stream's latest completion). ``deployment`` filters the
-        streams (e.g. ``"zk"``); without it, same-shard streams sum.
-        ``window`` narrows the averaging span below the retention window
-        set by :meth:`enable_shard_window` (it cannot widen it — older
-        timestamps are already gone)."""
+        """Ops/sec per shard over the trailing window set by
+        :meth:`enable_shard_window`, at ``now`` (default: each stream's
+        latest completion). ``deployment`` filters the streams (e.g.
+        ``"zk"``); without it, same-shard streams sum."""
         if self._shard_win is None:
             return {}
-        w = self._shard_win if window is None \
-            else max(1e-9, min(window, self._shard_win))
+        w = self._shard_win
         out: Dict[int, float] = {}
         for (dep, shard), dq in self._shard_events.items():
             if deployment is not None and dep != deployment:

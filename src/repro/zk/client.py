@@ -158,8 +158,7 @@ class ZKClient:
             # callers use it to disambiguate retried non-idempotent writes.
             self.last_retries = state.attempt + reconnects
             self.bus.record(OpTrace("zk", self.agent.endpoint,
-                                    trace_as or method, t0, t0,
-                                    self.sim.now, ok,
+                                    trace_as or method, t0, self.sim.now, ok,
                                     retries=self.last_retries,
                                     shard=self.shard))
 

@@ -41,8 +41,7 @@ class ResolveResult:
     (``"/"`` when nothing below the root exists) and ``ancestor_data`` its
     znode data (``b""`` for the root). The server never interprets
     payloads — the client classifies the miss (ENOENT when the ancestor is
-    a directory, ENOTDIR otherwise) and may negative-cache the missing
-    intermediate components between ``ancestor`` and the target.
+    a directory, ENOTDIR otherwise).
     """
 
     status: str                # "ok" | "miss"

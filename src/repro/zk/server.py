@@ -356,8 +356,8 @@ class ZKServer:
         only for components not already verified, then read the target
         znode. Never raises NoNodeError — a broken chain or missing target
         comes back as a ``miss`` ResolveResult carrying the nearest
-        existing ancestor, so the client can classify the error and
-        negative-cache the gap without extra round trips."""
+        existing ancestor, so the client can classify the error without
+        extra round trips."""
         p = self.params
         bus = self.svc.bus
         self.stats["resolves"] += 1

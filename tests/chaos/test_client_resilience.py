@@ -96,9 +96,10 @@ def test_zk_defaults_bound_lost_requests():
     assert dep.cluster.sim.now < FaultToleranceParams().op_budget + 10
 
 
-def test_session_reestablished_after_expiry():
+def test_session_reestablished_after_expiry(monkeypatch):
+    monkeypatch.setattr(ZKParams, "session_timeout", 30.0)
     params = SimParams()
-    params.zk = ZKParams(session_tracking=True, session_timeout=30.0)
+    params.zk = ZKParams(session_tracking=True)
     dep = build_dufs_deployment(n_zk=1, n_backends=1, n_client_nodes=1,
                                 backend="local", params=params, seed=4)
     zkc = dep.zk_clients[0]

@@ -8,11 +8,17 @@ from repro.core import build_dufs_deployment
 from repro.models.params import ElasticParams, SimParams, ZKParams
 
 
+@pytest.fixture(autouse=True)
+def manual_migrations(monkeypatch):
+    """Registry and migrator only: each test drives its own moves."""
+    monkeypatch.setattr(ElasticParams, "autoscale", False)
+
+
 def build_elastic_chaos(seed=0):
     """2 shards x 3 servers, fast-failing ZK clients so a dead quorum is
     detected in sim-milliseconds instead of stretching the test."""
     params = SimParams(
-        elastic=ElasticParams.elastic_on(autoscale=False, drain=0.02))
+        elastic=ElasticParams.elastic_on(drain=0.02))
     params.zk = ZKParams(failure_detection=True, session_tracking=True,
                          ping_interval=0.1, ping_timeout=0.3,
                          election_tick=0.05)
@@ -161,7 +167,7 @@ def test_chaos_migration_targets_resolve_lazily():
 
     cluster, dep, _client, node, resolve, _apply = _build_dufs(
         seed=0, shards=2, params=SimParams(
-            elastic=ElasticParams.elastic_on(autoscale=False, drain=0.02)))
+            elastic=ElasticParams.elastic_on(drain=0.02)))
     with pytest.raises(RuntimeError):
         resolve("migration:src")           # nothing in flight yet
 

@@ -77,11 +77,17 @@ def test_backend_counts_match_request():
 # the tree that still built the two cases in separate arms; a builder that
 # merges them must reproduce every cell (names, placement, preference).
 
+@pytest.fixture
+def manual_migrations(monkeypatch):
+    """The elastic cells run registry and migrator only."""
+    monkeypatch.setattr(ElasticParams, "autoscale", False)
+
+
 def _topology(n_shards, co_locate, n_zk, elastic):
     dep = build_dufs_deployment(
         n_zk=n_zk, n_backends=2, n_client_nodes=8, backend="local",
         co_locate_zk=co_locate, n_shards=n_shards,
-        params=SimParams(elastic=ElasticParams.elastic_on(autoscale=False))
+        params=SimParams(elastic=ElasticParams.elastic_on())
         if elastic else None)
     servers = tuple((ep, srv.node.name, srv.svc.shard)
                     for ens in dep.ensembles
@@ -137,12 +143,14 @@ TOPOLOGY_GOLDEN = {
 @pytest.mark.parametrize(
     "cell", sorted(TOPOLOGY_GOLDEN),
     ids=lambda c: "shards{}-colocate{:d}-zk{}-elastic{:d}".format(*c))
+@pytest.mark.usefixtures("manual_migrations")
 def test_topology_pin(cell):
     topology = _topology(*cell)
     digest = hashlib.sha256(repr(topology).encode()).hexdigest()[:16]
     assert digest == TOPOLOGY_GOLDEN[cell], topology
 
 
+@pytest.mark.usefixtures("manual_migrations")
 def test_topology_pin_spot_values():
     """Two cells spelled out, so the digests above are not the only
     record of what the names look like."""

@@ -163,35 +163,21 @@ def test_overlay_commit_requires_exact_seq(cached_async):
     assert md.overlay_pending("/x") is None
 
 
-# -- note_created ancestor-negative regression --------------------------------
-def test_note_created_purges_stale_ancestor_negatives_unit():
-    md = DUFSHarness(cache=CacheParams.caching_on(negative_ttl=30.0)) \
-        .dep.clients[0].mdcache
-    md.note_missing("/a")
-    md.note_missing("/a/b")
-    assert md.known_missing("/a")
-    md.note_created("/a/b/c")
-    # A successful create proves every ancestor exists.
-    assert not md.known_missing("/a")
-    assert not md.known_missing("/a/b")
-
-
+# -- a create under a formerly missing chain ---------------------------------
 def test_create_under_formerly_negative_ancestor_unsticks_the_chain():
-    """Regression: client 0 proves /a missing (negative cached), client 1
-    then builds /a/b remotely. When client 0 itself creates /a/b/g (the
-    parent walk re-probes the tree), the stale negative for /a must be
-    purged — stat("/a") may not keep serving ENOENT until the TTL."""
-    h = DUFSHarness(cache=CacheParams.caching_on(negative_ttl=30.0), seed=0)
+    """Client 0 finds /a missing, then client 1 builds /a/b remotely.
+    Client 0's own create of /a/b/g and its stat of /a both succeed: the
+    miss left nothing behind that could keep serving ENOENT."""
+    h = DUFSHarness(cache=CacheParams.caching_on(), seed=0)
     c0, c1 = h.dep.clients[0], h.dep.clients[1]
 
     def probe():
         try:
             yield from c0.stat("/a")
-        except FSError:
-            pass
-        return c0.mdcache.known_missing("/a")
+        except FSError as exc:
+            return exc.errno
 
-    assert h.run(probe()) is True               # negative recorded for /a
+    assert h.run(probe()) == ENOENT
 
     def remote_build():
         yield from c1.mkdir("/a")
@@ -200,9 +186,6 @@ def test_create_under_formerly_negative_ancestor_unsticks_the_chain():
     h.run(remote_build(), node_index=1)
 
     def local_create_and_stat():
-        # The parent walk re-reads /a/b (no negative cached for it) and
-        # proves the chain exists; the successful create must then purge
-        # the stale negative for /a.
         yield from c0.create("/a/b/g")
         st = yield from c0.stat("/a")
         return st

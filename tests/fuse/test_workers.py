@@ -7,7 +7,8 @@ from repro.models.params import FUSEParams
 from repro.sim import Cluster
 
 
-def make_mount(max_workers, handler_delay):
+def make_mount(monkeypatch, max_workers, handler_delay):
+    monkeypatch.setattr(FUSEParams, "max_workers", max_workers)
     cluster = Cluster(seed=0)
     node = cluster.add_node("n0", cores=64)  # CPU never the constraint
 
@@ -16,12 +17,13 @@ def make_mount(max_workers, handler_delay):
         return path
 
     mount = FuseMount(node, OperationTable({"getattr": slow_getattr}),
-                      params=FUSEParams(max_workers=max_workers))
+                      params=FUSEParams())
     return cluster, node, mount
 
 
-def test_worker_pool_bounds_concurrency():
-    cluster, node, mount = make_mount(max_workers=2, handler_delay=1.0)
+def test_worker_pool_bounds_concurrency(monkeypatch):
+    cluster, node, mount = make_mount(monkeypatch, max_workers=2,
+                                      handler_delay=1.0)
     done = []
 
     def caller(k):
@@ -38,8 +40,9 @@ def test_worker_pool_bounds_concurrency():
     assert times[-1] > 2.9
 
 
-def test_throughput_equals_workers_over_latency():
-    cluster, node, mount = make_mount(max_workers=4, handler_delay=0.01)
+def test_throughput_equals_workers_over_latency(monkeypatch):
+    cluster, node, mount = make_mount(monkeypatch, max_workers=4,
+                                      handler_delay=0.01)
     count = [0]
 
     def spinner():
@@ -54,9 +57,10 @@ def test_throughput_equals_workers_over_latency():
     assert rate == pytest.approx(4 / 0.0102, rel=0.1)
 
 
-def test_errors_release_workers():
+def test_errors_release_workers(monkeypatch):
     from repro.errors import ENOENT, FSError
 
+    monkeypatch.setattr(FUSEParams, "max_workers", 1)
     cluster = Cluster(seed=0)
     node = cluster.add_node("n0")
 
@@ -65,7 +69,7 @@ def test_errors_release_workers():
         raise FSError(ENOENT, path)
 
     mount = FuseMount(node, OperationTable({"getattr": failing}),
-                      params=FUSEParams(max_workers=1))
+                      params=FUSEParams())
     failures = []
 
     def caller(k):

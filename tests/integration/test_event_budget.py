@@ -8,11 +8,10 @@ wake-up that buys nothing shows up here as a one-line diff rather than as
 a percent on a ledger.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.core import build_dufs_deployment
+from repro.models.params import ZKParams
 
 #: One ``create`` through a client whose preferred server is the co-located
 #: leader, 3 servers, idle system (PR 19; 40 before it — each follower's
@@ -87,7 +86,7 @@ FORWARDED_CREATE_IDS = sum((
 
 @pytest.mark.parametrize("ticks", [0, 1, 5])
 def test_a_forwarded_create_costs_the_same_however_long_its_reply_is_held(
-        ticks):
+        ticks, monkeypatch):
     """The follower's apply is held back ``ticks`` extra ``log_delay``
     ticks. A polled hold took one id per tick (47, 48 and 52 here); a
     parked hold takes one, at the instant it parks."""
@@ -97,9 +96,8 @@ def test_a_forwarded_create_costs_the_same_however_long_its_reply_is_held(
     client, node = dep.clients[1], dep.client_nodes[1]
     follower = dep.ensemble.servers[1]
     assert follower.node is node and follower.role == "following"
-    p = follower.params     # before the applier starts and binds them
-    follower.params = dataclasses.replace(
-        p, apply_cpu=p.apply_cpu + ticks * p.log_delay)
+    monkeypatch.setattr(ZKParams, "apply_cpu",
+                        ZKParams.apply_cpu + ticks * ZKParams.log_delay)
 
     def run(gen):
         sim.run(until=node.spawn(gen))

@@ -39,8 +39,8 @@ def test_replace_swaps_one_submodel():
 
 def test_default_instances_are_independent():
     a, b = SimParams(), SimParams()
-    a.lustre.mkdir_cpu = 123.0
-    assert b.lustre.mkdir_cpu != 123.0
+    a.lustre.failover_takeover_delay = 123.0
+    assert b.lustre.failover_takeover_delay != 123.0
 
 
 def test_all_service_times_positive():

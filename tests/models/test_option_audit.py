@@ -71,6 +71,8 @@ def test_unset_fields_counts_keyword_attribute_and_dict_key_setters(tree):
             by_keyword: int = 1
             by_attribute: float = 0.5
             by_dict_key: bool = False
+            stats_key: int = 0
+            tested_only: int = 0
             shared: int = 0
             never: float = 1e-6
             calibrated: ClassVar[float] = 2e-6
@@ -81,13 +83,20 @@ def test_unset_fields_counts_keyword_attribute_and_dict_key_setters(tree):
             also_never: int = 3
             sub: AParams = field(default_factory=AParams)
     """)
-    write(tree, "tests/test_params.py", """
+    write(tree, "scripts/set_params.py", """
         p = AParams(by_keyword=2)
         p.by_attribute = 1.0
-        preset = {"by_dict_key": True}
+        preset = AParams(**{"by_dict_key": True})
+        stats = {"stats_key": 0}
         BParams(shared=3)
+    """)
+    write(tree, "tests/test_params.py", """
+        AParams(tested_only=1)
     """)
     unset = [line.split("  ")[1] for line in AUDIT["unset_fields"](tree)]
     # ``shared`` set on one class counts for both; a ClassVar is no field
-    # and a sub-params field is mutated in place, so neither is listed.
-    assert unset == ["AParams.never", "BParams.also_never"]
+    # and a sub-params field is mutated in place, so neither is listed. A
+    # dict key sets a field only when the dict is spread into a call, and
+    # a test is no setter.
+    assert unset == ["AParams.stats_key", "AParams.tested_only",
+                     "AParams.never", "BParams.also_never"]

@@ -55,8 +55,9 @@ def parameters(fn) -> int:
 
 #: what is counted -> (how, committed count)
 BUDGET = {
-    "dataclass fields in models/params.py": (dataclass_fields, 60),
-    "params fields no code sets": (lambda: audit_count("unset_fields"), 0),
+    "dataclass fields in models/params.py": (dataclass_fields, 47),
+    "params fields no non-test code sets":
+        (lambda: audit_count("unset_fields"), 0),
     "build_dufs_deployment parameters":
         (lambda: parameters(build_dufs_deployment), 19),
     "run_chaos parameters": (lambda: parameters(run_chaos), 7),
@@ -71,9 +72,9 @@ BUDGET = {
     "ShardMap.__init__ parameters":
         (lambda: parameters(ShardMap.__init__), 4),
     "defaulted parameters no non-test call site supplies":
-        (lambda: audit_count("unsupplied"), 61),
-    "lines of src/repro": (source_lines, 16969),
-    "lines of src/repro/zk": (lambda: source_lines("zk"), 2324),
+        (lambda: audit_count("unsupplied"), 60),
+    "lines of src/repro": (source_lines, 16876),
+    "lines of src/repro/zk": (lambda: source_lines("zk"), 2322),
 }
 
 

@@ -131,10 +131,11 @@ def test_rename_overwrite(pvfs):
     assert total_objects(pvfs.fs) == before - (1 + n)
 
 
-def test_bounded_server_parallelism():
+def test_bounded_server_parallelism(monkeypatch):
     """server_cores=1 means a server handles one request at a time."""
-    params = PVFSParams(server_cores=1, getattr_cpu=5e-3)
-    h = FSHarness("pvfs", params=params, n_servers=1)
+    monkeypatch.setattr(PVFSParams, "server_cores", 1)
+    monkeypatch.setattr(PVFSParams, "getattr_cpu", 5e-3)
+    h = FSHarness("pvfs", params=PVFSParams(), n_servers=1)
     cli = h.cli
 
     def setup():

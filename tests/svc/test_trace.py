@@ -5,9 +5,8 @@ import pytest
 from repro.svc import NULL_BUS, NullBus, OpTrace, TraceBus
 
 
-def ev(method="op", arrive=0.0, start=0.5, end=2.0, ok=True, retries=0):
-    return OpTrace("dep", "ep", method, arrive, start, end, ok,
-                   retries=retries)
+def ev(method="op", arrive=0.5, end=2.0, ok=True, retries=0):
+    return OpTrace("dep", "ep", method, arrive, end, ok, retries=retries)
 
 
 def test_optrace_derived_metrics():

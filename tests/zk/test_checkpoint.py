@@ -29,9 +29,9 @@ def test_explicit_checkpoint_truncates_log(zk3):
         assert leader.store.exists(f"/c{i}") is not None
 
 
-def test_auto_checkpoint_loop_truncates_periodically():
-    params = ZKParams(checkpoint_interval=0.5)
-    h = ZKHarness(n_servers=3, params=params)
+def test_auto_checkpoint_loop_truncates_periodically(monkeypatch):
+    monkeypatch.setattr(ZKParams, "checkpoint_interval", 0.5)
+    h = ZKHarness(n_servers=3, params=ZKParams())
     cli = h.client()
 
     def writes():
@@ -48,9 +48,9 @@ def test_auto_checkpoint_loop_truncates_periodically():
         assert s._snapshot_zxid > 0
 
 
-def test_writes_survive_auto_checkpoint_plus_crash():
-    params = ZKParams(checkpoint_interval=0.3)
-    h = ZKHarness(n_servers=3, params=params, seed=4)
+def test_writes_survive_auto_checkpoint_plus_crash(monkeypatch):
+    monkeypatch.setattr(ZKParams, "checkpoint_interval", 0.3)
+    h = ZKHarness(n_servers=3, params=ZKParams(), seed=4)
     cli = h.client(fault=FaultToleranceParams(
         request_timeout=2.0, max_retries=5))
 

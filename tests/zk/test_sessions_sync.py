@@ -44,8 +44,9 @@ def test_sync_on_leader_is_trivial(zk3):
     assert zk3.run(main()) >= 1
 
 
-def test_session_expiry_deletes_ephemerals():
-    params = ZKParams(session_tracking=True, session_timeout=0.5)
+def test_session_expiry_deletes_ephemerals(monkeypatch):
+    monkeypatch.setattr(ZKParams, "session_timeout", 0.5)
+    params = ZKParams(session_tracking=True)
     h = ZKHarness(n_servers=3, params=params)
     cli = h.client()
 
@@ -62,8 +63,9 @@ def test_session_expiry_deletes_ephemerals():
     assert store.exists("/perm") is not None
 
 
-def test_keepalive_preserves_session():
-    params = ZKParams(session_tracking=True, session_timeout=0.5)
+def test_keepalive_preserves_session(monkeypatch):
+    monkeypatch.setattr(ZKParams, "session_timeout", 0.5)
+    params = ZKParams(session_tracking=True)
     h = ZKHarness(n_servers=3, params=params)
     cli = h.client()
 
@@ -77,10 +79,11 @@ def test_keepalive_preserves_session():
     assert h.ensemble.servers[0].store.exists("/eph") is not None
 
 
-def test_client_node_crash_expires_session_eventually():
+def test_client_node_crash_expires_session_eventually(monkeypatch):
     """The ephemeral-cleanup story end to end: the client machine dies,
     its heartbeats stop, the server reclaims the ephemerals."""
-    params = ZKParams(session_tracking=True, session_timeout=0.5)
+    monkeypatch.setattr(ZKParams, "session_timeout", 0.5)
+    params = ZKParams(session_tracking=True)
     h = ZKHarness(n_servers=3, params=params, extra_client_nodes=2)
     cli = h.client(node=h.client_nodes[1])
 

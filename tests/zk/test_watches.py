@@ -174,11 +174,12 @@ def test_server_crash_drops_watches_and_notifies_loss():
     assert [(e.kind, e.path) for e in ev2] == [("changed", "/w")]
 
 
-def test_watch_reregistration_after_session_reestablishment():
+def test_watch_reregistration_after_session_reestablishment(monkeypatch):
     """An expired session is transparently re-established by the client;
     the watch-loss hook reports it, and a watch registered afterwards
     fires normally."""
-    params = ZKParams(session_tracking=True, session_timeout=0.4)
+    monkeypatch.setattr(ZKParams, "session_timeout", 0.4)
+    params = ZKParams(session_tracking=True)
     h = ZKHarness(n_servers=3, params=params)
     cli = h.client()
     losses, events = [], []
