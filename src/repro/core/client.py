@@ -140,9 +140,9 @@ class DUFSClient:
                              thin=params.resolve.enabled)
         # The write path, bound once: commit-and-wait (the paper's client)
         # or write-behind. Op bodies call ``_commit``/``_drain`` and never
-        # ask which. The log is constructed ONLY when enabled: it spawns a
-        # drain process, and an async-off deployment must schedule no
-        # event the paper's client would not.
+        # ask which. The log is constructed ONLY when enabled: it hooks
+        # the node's crash, and an async-off deployment must run no code
+        # the paper's client would not.
         self.wblog: Optional[WriteBehindLog] = None
         self._commit, self._drain = self._commit_sync, self._drain_sync
         if params.awrite.enabled:

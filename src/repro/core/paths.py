@@ -48,6 +48,8 @@ def ancestors(path: str) -> Iterator[str]:
         yield prefix
 
 
-def is_ancestor(prefix: str, path: str) -> bool:
-    """True if ``prefix`` is ``path`` itself or a directory above it."""
-    return path == prefix or prefix == "/" or path.startswith(prefix + "/")
+def subtree_prefix(path: str) -> str:
+    """The prefix every path at or below ``path`` starts with, so ``a``
+    is ``b`` itself or a directory above it iff ``subtree_prefix(b)``
+    starts with ``subtree_prefix(a)``."""
+    return path if path == "/" else path + "/"

@@ -10,19 +10,19 @@ DUFS client:
   per-client log**, installs a pending entry in the metadata cache's
   write overlay (read-your-writes), and acks after ``ack_cpu`` of client
   CPU — no ZooKeeper contact on the caller's critical path;
-- a group-commit :class:`~repro.svc.batch.Batcher` drains the log in
-  batches of up to ``DRAIN_BATCH_MAX`` ops through the client's
-  :class:`~repro.mds.MetadataService` — so drains inherit leader-side
+- the log drains through a **streamed window**: queued ops are issued
+  in program order, each as its own process through the client's
+  :class:`~repro.mds.MetadataService`, while fewer than
+  ``DRAIN_WINDOW`` are in flight — so drains inherit leader-side
   proposal coalescing, the retry/fail-over machinery, and (behind a
   :class:`~repro.mds.ShardedMDS`) epoch-stamped routing that retries
   cleanly through ``StaleShardMapError`` during live migration;
-- within a batch, ops are issued in **dependency waves**: consecutive
-  ops whose paths are unrelated (no equal/ancestor/descendant pair) fly
-  concurrently, while an op touching a path a wave member already
-  touches starts the next wave. Waves complete in order and batches are
-  drained strictly sequentially, so per-path dependency order — and the
-  program order of any two conflicting ops — is preserved across
-  shards;
+- the window stops at the first queued op whose path conflicts (equal,
+  ancestor or descendant) with an op still in flight, and each
+  completion pumps it again. An op is issued only after every earlier
+  one, and never beside a conflicting one, so per-path dependency order
+  — and the program order of any two conflicting ops — is preserved
+  across shards, while one slow op holds back only what depends on it;
 - :meth:`barrier` is the explicit synchronization point (fsync, a
   ``flush``, directory renames, cross-shard multis): it waits until
   every acked op has committed or been rejected;
@@ -33,7 +33,7 @@ DUFS client:
   ``close()``.
 
 Crash semantics: the log lives on the client node, so a node crash
-interrupts the drain loop and any in-flight waves. Whatever was acked
+interrupts every in-flight drain process. Whatever was acked
 but not yet committed — at most ``max_pending`` ops — is the **bounded
 loss window**; :meth:`lost_ops` exposes it so the chaos auditor can
 count lost-unacked residue separately from real damage.
@@ -41,19 +41,20 @@ count lost-unacked residue separately from real damage.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from collections import deque
+from typing import (Any, Callable, Deque, Dict, Generator, List, Optional,
+                    Tuple)
 
 from ..models.params import AsyncParams
-from ..sim.core import Event
+from ..sim.core import Event, Interrupt
 from ..sim.node import Node
-from ..svc.batch import Batcher
 from ..svc.trace import NULL_BUS, TraceBus
 from ..zk.errors import ZKError
-from .paths import is_ancestor
+from .paths import subtree_prefix
 
 
-#: Most ops one drain flush of the batcher covers.
-DRAIN_BATCH_MAX = 64
+#: Most ops one client's drain has in flight at once.
+DRAIN_WINDOW = 64
 
 
 class PendingOp:
@@ -88,14 +89,8 @@ def issue(service, op: PendingOp, version: int = -1) -> Generator:
     return service.set_data(op.path, op.data, version=version)
 
 
-def _conflicts(a: PendingOp, b: PendingOp) -> bool:
-    """Two ops conflict when one's path is the other's (or an ancestor
-    of it): they must commit in program order."""
-    return is_ancestor(a.path, b.path) or is_ancestor(b.path, a.path)
-
-
 class WriteBehindLog:
-    """Ordered per-client mutation log drained by a group-commit Batcher.
+    """Ordered per-client mutation log drained through a streamed window.
 
     ``verify`` is an optional generator callback ``(op, exc)`` the
     owning client supplies to disambiguate at-least-once rejections (a
@@ -132,11 +127,12 @@ class WriteBehindLog:
         self._errors: List[Tuple[PendingOp, ZKError]] = []
         self._barriers: List[Event] = []
         self._stalled: List[Event] = []
-        self._batcher = Batcher(node, f"{endpoint}.wblog", self._drain,
-                                max_batch=DRAIN_BATCH_MAX,
-                                bus=bus, deployment="dufs")
+        self._queue: Deque[PendingOp] = deque()     # acked, not yet issued
+        self._inflight: Dict[int, str] = {}  # seq -> its subtree_prefix
+        self._bus = bus if bus is not None else NULL_BUS
+        self._bus_key = f"{endpoint}.wblog"
+        self._issued = self._depth = 0      # see batch_stats
         node.on_crash(self._on_crash)
-        node.on_recover(self._on_recover)
 
     # -- producer side -------------------------------------------------------
     def append(self, kind: str, path: str, data: bytes = b"",
@@ -154,10 +150,11 @@ class WriteBehindLog:
         op = PendingOp(self._seq, kind, path, data, payload, is_dir)
         self._pending[op.seq] = op
         self.mdcache.overlay_put(path, kind, payload, op.seq)
-        self._batcher.submit(op)
+        self._queue.append(op)
         self.stats["acked"] += 1
         if len(self._pending) > self.stats["max_pending"]:
             self.stats["max_pending"] = len(self._pending)
+        self._pump()
         return op
 
     def barrier(self) -> Generator:
@@ -195,11 +192,13 @@ class WriteBehindLog:
 
     # -- crash semantics -----------------------------------------------------
     def _on_crash(self) -> None:
-        """The client node died: the volatile log and any in-flight waves
-        die with it. Acked-but-uncommitted ops become the bounded loss
-        (at most ``max_pending``); their overlay entries are forgotten —
-        a restarted client starts cold, it does not remember ghosts."""
-        self._batcher.clear()
+        """The client node died: the volatile log and every in-flight
+        drain process die with it. Acked-but-uncommitted ops become the
+        bounded loss (at most ``max_pending``); their overlay entries are
+        forgotten — a restarted client starts cold, it does not remember
+        ghosts."""
+        self._queue.clear()
+        self._inflight.clear()
         lost = [self._pending[s] for s in sorted(self._pending)]
         self._pending.clear()
         self._lost.extend(lost)
@@ -211,62 +210,56 @@ class WriteBehindLog:
         self._barriers.clear()
         self._stalled.clear()
 
-    def _on_recover(self) -> None:
-        self._batcher.restart()
-
     @property
     def batch_stats(self) -> Dict[str, int]:
-        return dict(self._batcher.stats)
+        """Drain occupancy under the group-commit keys: ``flushes`` counts
+        ops issued and ``items`` sums the in-flight depth each issue
+        reached, so ``items / flushes`` is the mean window depth."""
+        return {"flushes": self._issued, "items": self._depth}
 
     # -- drain side ----------------------------------------------------------
-    @staticmethod
-    def _waves(batch: List[PendingOp]) -> List[List[PendingOp]]:
-        """Split a batch into dependency waves, preserving program order:
-        an op joins the current wave iff it conflicts with none of its
-        members, else it starts the next wave. Conflicting ops therefore
-        land in strictly increasing waves, in program order."""
-        waves: List[List[PendingOp]] = []
-        current: List[PendingOp] = []
-        for op in batch:
-            if current and any(_conflicts(op, o) for o in current):
-                waves.append(current)
-                current = [op]
-            else:
-                current.append(op)
-        if current:
-            waves.append(current)
-        return waves
-
-    def _drain(self, batch: List[PendingOp]) -> Generator:
-        """Batcher flush callback: issue the batch wave by wave. Ops of a
-        wave fly concurrently; a wave completes before the next starts;
-        the Batcher drains batches strictly sequentially."""
-        for wave in self._waves(batch):
-            if len(wave) == 1:
-                yield from self._issue(wave[0])
-            else:
-                outcomes = yield from self.node.gather(
-                    (self._issue(op) for op in wave),
-                    [f"{self.endpoint}.drain{op.seq}" for op in wave])
-                for outcome in outcomes:
-                    outcome.result()
+    def _pump(self) -> None:
+        """Issue queued ops in program order while fewer than
+        ``DRAIN_WINDOW`` are in flight. Stops at the first op that
+        conflicts with one in flight (one path is the other's or an
+        ancestor of it): that op — and, to keep program order, every
+        later one — waits for a completion to pump again."""
+        queue, inflight = self._queue, self._inflight
+        while queue and len(inflight) < DRAIN_WINDOW:
+            op = queue[0]
+            mine = subtree_prefix(op.path)
+            for held in inflight.values():
+                if mine.startswith(held) or held.startswith(mine):
+                    return
+            queue.popleft()
+            inflight[op.seq] = mine
+            self._issued += 1
+            self._depth += len(inflight)
+            self._bus.mark_batch("dufs", self._bus_key, len(inflight),
+                                 len(queue))
+            self.node.spawn(self._issue(op), f"{self.endpoint}.drain{op.seq}")
 
     def _issue(self, op: PendingOp) -> Generator:
-        """One drained op through the metadata service. Never raises a
-        ZK error out (a failed op is a deferred rejection, not a drain
-        crash); a node crash interrupts it like any process — the op
-        stays pending and ``_on_crash`` moves it into the lost window."""
+        """One drained op's process. A ZK error is a deferred rejection; a
+        node crash interrupts it (``_on_crash`` already moved the op into
+        the lost window). Anything else escapes, and the strict simulator
+        aborts the run on it: a drain bug stays loud."""
         try:
-            yield from issue(self.zk, op)
-        except ZKError as exc:
-            ok = False
-            if self.verify is not None:
-                ok = yield from self.verify(op, exc)
-            self._complete(op, None if ok else exc)
+            try:
+                yield from issue(self.zk, op)
+                exc = None
+            except ZKError as err:
+                exc = err
+                if self.verify is not None \
+                        and (yield from self.verify(op, err)):
+                    exc = None
+        except Interrupt:
             return
-        self._complete(op, None)
+        self._complete(op, exc)
 
     def _complete(self, op: PendingOp, exc: Optional[ZKError]) -> None:
+        del self._inflight[op.seq]
+        self._pump()
         self._pending.pop(op.seq, None)
         if exc is None:
             self.stats["committed"] += 1

@@ -332,11 +332,11 @@ class AsyncParams:
     With ``enabled`` each DUFS client appends creates/deletes/setdata to
     an ordered :class:`~repro.core.wblog.WriteBehindLog`, acks the
     caller after ``ack_cpu`` seconds of client CPU, and drains the log
-    asynchronously through a group-commit
-    :class:`~repro.svc.batch.Batcher` in batches of up to 64 ops
-    (``core.wblog.DRAIN_BATCH_MAX``), issuing non-conflicting ops of a batch
-    concurrently (per-path/ancestor dependency order and per-client
-    program order of conflicting ops are preserved). Read-your-writes is
+    asynchronously through a streamed window: each acked op is issued,
+    in program order, as soon as fewer than 64 are in flight
+    (``core.wblog.DRAIN_WINDOW``) and none in flight touches its path,
+    an ancestor or a descendant (per-client program order of
+    conflicting ops is preserved). Read-your-writes is
     served from the mdcache's pending-write overlay until the drain
     commits. ``max_pending`` bounds the acked-but-uncommitted window: an
     append past the bound blocks until the drain catches up, which is

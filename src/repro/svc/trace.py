@@ -100,10 +100,10 @@ class TraceBus:
 
     def mark_batch(self, deployment: str, endpoint: str,
                    fill: int, depth: int) -> None:
-        """Record one group-commit flush of a :class:`~repro.svc.batch.
-        Batcher`: ``fill`` items covered, ``depth`` items still queued
-        when the flush completed. Pure bookkeeping (no simulator
-        events), same discipline as every other mark."""
+        """Record one :class:`~repro.svc.batch.Batcher` flush (``fill``
+        items covered, ``depth`` still queued at its end) or one
+        write-behind drain issue (``fill`` ops in flight, ``depth`` still
+        queued). Pure bookkeeping (no simulator events)."""
         key = f"{deployment}/{endpoint}"
         self.batch_flushes.inc(key)
         self.batch_items.inc(key, fill)

@@ -1,8 +1,8 @@
 """The shared path helpers every layer now uses instead of re-deriving
 ``rsplit`` idioms locally."""
 
-from repro.core.paths import (ancestors, basename, components, is_ancestor,
-                              parent_dir)
+from repro.core.paths import (ancestors, basename, components, parent_dir,
+                              subtree_prefix)
 
 
 def test_parent_dir():
@@ -31,7 +31,11 @@ def test_ancestors_shallowest_first_excluding_root_and_self():
     assert list(ancestors("/a/b/c/d")) == ["/a", "/a/b", "/a/b/c"]
 
 
-def test_is_ancestor():
+def test_subtree_prefix_tests_ancestry():
+    def is_ancestor(prefix, path):
+        return subtree_prefix(path).startswith(subtree_prefix(prefix))
+
+    assert subtree_prefix("/") == "/" and subtree_prefix("/a") == "/a/"
     assert is_ancestor("/", "/anything")
     assert is_ancestor("/a", "/a")            # reflexive
     assert is_ancestor("/a", "/a/b/c")

@@ -6,9 +6,10 @@ import hashlib
 import pytest
 
 from repro.core import build_dufs_deployment
-from repro.core.wblog import PendingOp, WriteBehindLog
+from repro.core.wblog import DRAIN_WINDOW, WriteBehindLog
 from repro.errors import EEXIST, ENOENT, ENOTEMPTY, FSError
 from repro.models.params import AsyncParams
+from repro.sim import Cluster
 from repro.svc import TraceBus
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
@@ -32,34 +33,127 @@ def _wblog(h, i=0):
     return h.dep.clients[i].wblog
 
 
-def op(seq, kind, path):
-    return PendingOp(seq, kind, path, b"", None, False)
+class _Service:
+    """A metadata-service stub: each create/delete takes ``delays[path]``
+    (default 1 ms) and records the commit order."""
+
+    def __init__(self, sim, delays):
+        self.sim = sim
+        self.delays = delays
+        self.committed = []
+
+    def _commit(self, kind, path):
+        yield self.sim.timeout(self.delays.get(path, 1e-3))
+        self.committed.append((kind, path))
+
+    def create(self, path, data):
+        return self._commit("create", path)
+
+    def delete(self, path, is_dir=False):
+        return self._commit("delete", path)
 
 
-# -- dependency waves (pure) --------------------------------------------------
-def test_waves_keep_unrelated_ops_concurrent():
-    batch = [op(1, "create", "/a"), op(2, "create", "/b"),
-             op(3, "create", "/c")]
-    assert WriteBehindLog._waves(batch) == [batch]
+class _Overlay:
+    def overlay_put(self, *args):
+        pass
+
+    overlay_commit = overlay_reject = overlay_forget = overlay_put
 
 
-def test_waves_split_on_path_conflicts_in_program_order():
-    a, ax, ax2, b = (op(1, "create", "/a"), op(2, "create", "/a/x"),
-                     op(3, "delete", "/a/x"), op(4, "create", "/b"))
-    waves = WriteBehindLog._waves([a, ax, ax2, b])
-    assert waves == [[a], [ax], [ax2, b]]
-    # Conflicting pairs always land in strictly increasing waves.
-    index = {o.seq: i for i, w in enumerate(waves) for o in w}
-    assert index[1] < index[2] < index[3]
+def _stub_log(**delays):
+    """A log on one bare node over a stub service (``delays`` keyed by
+    path with the leading ``/`` dropped)."""
+    cluster = Cluster(seed=0)
+    node = cluster.add_node("client")
+    svc = _Service(cluster.sim, {f"/{k}": v for k, v in delays.items()})
+    return cluster.sim, node, WriteBehindLog(node, svc, _Overlay()), svc
 
 
-def test_waves_ancestor_conflicts_both_directions():
-    parent_then_child = WriteBehindLog._waves(
-        [op(1, "create", "/d"), op(2, "create", "/d/f")])
-    child_then_parent = WriteBehindLog._waves(
-        [op(1, "delete", "/d/f"), op(2, "delete", "/d")])
-    assert len(parent_then_child) == 2
-    assert len(child_then_parent) == 2
+def _append_all(sim, node, log, ops):
+    """Append ``ops`` (kind, path) back to back; returns the paths in
+    flight and still queued right after the last append."""
+    def main():
+        for kind, path in ops:
+            yield from log.append(kind, path)
+        return ([ops[seq - 1][1] for seq in log._inflight],
+                [o.path for o in log._queue])
+
+    return sim.run(until=node.spawn(main()))
+
+
+# -- the streamed drain window (stub service) ---------------------------------
+def test_pump_keeps_unrelated_ops_in_flight_together():
+    sim, node, log, svc = _stub_log()
+    inflight, queued = _append_all(
+        sim, node, log, [("create", "/a"), ("create", "/b"),
+                         ("create", "/c")])
+    assert inflight == ["/a", "/b", "/c"] and queued == []
+
+
+def test_pump_commits_conflicting_ops_in_program_order():
+    sim, node, log, svc = _stub_log()
+    ops = [("create", "/a"), ("create", "/a/x"), ("delete", "/a/x"),
+           ("create", "/b")]
+    inflight, queued = _append_all(sim, node, log, ops)
+    # /a/x waits for /a; /b waits behind it to keep program order.
+    assert inflight == ["/a"] and queued == ["/a/x", "/a/x", "/b"]
+    sim.run()
+    order = svc.committed
+    assert sorted(order) == sorted(ops)
+    assert order.index(ops[0]) < order.index(ops[1]) < order.index(ops[2])
+    assert len(log) == 0 and log.stats["committed"] == 4
+
+
+def test_pump_serializes_both_ancestor_directions():
+    for ops in ([("create", "/d"), ("create", "/d/f")],     # parent first
+                [("delete", "/d/f"), ("delete", "/d")]):    # child first
+        sim, node, log, svc = _stub_log()
+        inflight, queued = _append_all(sim, node, log, ops)
+        assert inflight == [ops[0][1]] and queued == [ops[1][1]]
+        sim.run()
+        assert svc.committed == ops
+
+
+def test_pump_caps_in_flight_at_drain_window():
+    sim, node, log, svc = _stub_log()
+    n = DRAIN_WINDOW + 6
+    inflight, queued = _append_all(
+        sim, node, log, [("create", f"/f{i}") for i in range(n)])
+    assert len(inflight) == DRAIN_WINDOW and len(queued) == n - DRAIN_WINDOW
+    sim.run()
+    assert len(svc.committed) == n
+    # Depths 1..64 while the window fills, then 64 for each op a
+    # completion lets in.
+    assert log.batch_stats == {
+        "flushes": n,
+        "items": sum(range(1, DRAIN_WINDOW + 1)) + 6 * DRAIN_WINDOW}
+
+
+def test_slow_op_does_not_hold_back_an_unrelated_one():
+    sim, node, log, svc = _stub_log(slow=10e-3)
+
+    def main():
+        yield from log.append("create", "/slow")
+        yield from log.append("create", "/fast")
+        yield from log.barrier()
+
+    sim.run(until=node.spawn(main()))
+    assert svc.committed == [("create", "/fast"), ("create", "/slow")]
+
+
+def test_drain_failure_aborts_the_run():
+    """A bug in a drained op (anything but a ZK error or a crash) must
+    not be swallowed by the drain: the strict simulator aborts."""
+    class Broken(_Service):
+        def create(self, path, data):
+            yield self.sim.timeout(1e-4)
+            raise RuntimeError("service bug")
+
+    sim, node, log, svc = _stub_log()
+    log.zk = Broken(sim, {})
+    node.spawn(log.append("create", "/x"))
+    with pytest.raises(RuntimeError, match="service bug"):
+        sim.run()
 
 
 # -- ack decoupling -----------------------------------------------------------
@@ -113,10 +207,11 @@ def test_drain_coalesces_into_batches(adufs):
         yield from c.flush()
 
     adufs.run(main())
-    adufs.settle(0.1)       # the barrier fires inside the final flush,
-    b = _wblog(adufs).batch_stats   # before the Batcher tallies it
-    assert b["items"] >= 32
-    assert b["flushes"] < b["items"]        # group commit, not one-by-one
+    b = _wblog(adufs).batch_stats
+    # One count per op issued (the mkdir and 32 creates); the summed
+    # in-flight depth shows the creates overlapping in the window.
+    assert b["flushes"] == 33
+    assert 4 < b["items"] / b["flushes"] <= DRAIN_WINDOW
 
 
 def test_read_your_writes_before_commit(adufs):
