@@ -6,8 +6,9 @@ Runs the mdtest file phases twice on identical deployments:
   full quorum round trip before the application is acked;
 - **on**  — write-behind mode (``AsyncParams.async_on()``): mutations
   append to the per-client ordered log (:mod:`repro.core.wblog`), ack
-  after ``ack_cpu`` of client CPU, and drain in the background through
-  the group-commit Batcher in ``DRAIN_BATCH_MAX``-op batches.
+  after ``ack_cpu`` of client CPU, and drain in the background, each op
+  issued as soon as no in-flight op conflicts with it and fewer than
+  ``DRAIN_WINDOW`` are in flight.
 
 Both arms run with ``propose_batch_max=8`` on the ZooKeeper leader (the
 group-commit capacity exists either way — the ablation isolates *who
@@ -89,14 +90,14 @@ def run_side(on: bool, scale: str) -> Dict:
                         lambda i: dep.clients[i % n_clients],
                         dep.node_for, cfg)
     wblog = {"acked": 0, "committed": 0, "rejected": 0, "stalls": 0}
-    batch = {"flushes": 0, "items": 0}
+    window = {"flushes": 0, "items": 0}
     for c in dep.clients:
         if c.wblog is None:
             continue
         for k in wblog:
             wblog[k] += c.wblog.stats[k]
-        for k in batch:
-            batch[k] += c.wblog.batch_stats.get(k, 0)
+        for k in window:
+            window[k] += c.wblog.batch_stats[k]
     return {
         "phases": {name: {"ops": r.ops, "duration": r.duration,
                           "ops_per_s": r.throughput}
@@ -105,20 +106,20 @@ def run_side(on: bool, scale: str) -> Dict:
                               for k in ("mean", "p50", "p99")}
                        for name in PHASES},
         "wblog": wblog,
-        "drain_batches": batch,
+        "drain_window": window,
     }
 
 
 def footer(doc: Dict) -> str:
     w = doc["on"]["wblog"]
-    b = doc["on"]["drain_batches"]
-    fill = b["items"] / b["flushes"] if b["flushes"] else 0.0
+    b = doc["on"]["drain_window"]
+    depth = b["items"] / b["flushes"] if b["flushes"] else 0.0
     lat_off = doc["off"]["latency_us"]["file_create"].get("mean", 0.0)
     lat_on = doc["on"]["latency_us"]["file_create"].get("mean", 0.0)
     return (
         f"  async: {w['acked']} acked / {w['committed']} committed / "
-        f"{w['rejected']} rejected ({w['stalls']} stalls), drain fill "
-        f"{fill:.1f} ops/batch; create latency {lat_off:,.0f}us sync -> "
+        f"{w['rejected']} rejected ({w['stalls']} stalls), drain window "
+        f"{depth:.1f} ops in flight; create latency {lat_off:,.0f}us sync -> "
         f"{lat_on:,.0f}us async ack")
 
 

@@ -19,9 +19,9 @@ GOLDEN = {
     "async": """\
 async-write ablation (scale=quick):
   phase          sync ops/s  async ops/s  speedup
-  file_create         1,050        5,668    5.40x
-  file_remove           756        3,299    4.36x
-  async: 241 acked / 241 committed / 0 rejected (0 stalls), drain fill 7.5 ops/batch; create latency 1,608us sync -> 104us async ack""",
+  file_create         1,050        7,212    6.87x
+  file_remove           756        3,877    5.13x
+  async: 241 acked / 241 committed / 0 rejected (0 stalls), drain window 15.8 ops in flight; create latency 1,608us sync -> 107us async ack""",
     "elastic": """\
 elastic plane (scale=quick, 8 ZK servers as 4 shards, pin budget 8):
   arm           file_create      file_stat
