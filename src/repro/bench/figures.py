@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.fs import build_dufs_deployment
+from ..core.metadata import DirPayload
 from ..models.memory import MemoryModel
 from ..models.params import SimParams
 from ..pfs.lustre.fs import build_lustre
@@ -292,7 +293,7 @@ def run_fig11(scale: str = "quick",
     created = 0
     level: List[str] = [""]
     depth_counter = 0
-    payload = b"D:755:0:0" + b" " * (model.avg_data_len - 9)
+    payload = DirPayload().encode().ljust(model.avg_data_len, b" ")
     while created < calibrate_n:
         nxt = []
         depth_counter += 1

@@ -153,6 +153,8 @@ def main(argv=None) -> int:
                          f"got {args.shards!r}")
         if not shard_counts or any(n < 1 for n in shard_counts):
             parser.error("--shards values must be >= 1")
+    if args.ops < 0:
+        parser.error(f"--ops must be >= 0, got {args.ops}")
 
     targets = list(RUNNERS) + ["claims"] if args.target == "all" \
         else [args.target]

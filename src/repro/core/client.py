@@ -393,8 +393,9 @@ class DUFSClient:
         backend = self.mapping.backend_for(fid)
         return backend, physical_path(fid, self.layout)
 
-    def _ensure_physical_dirs(self, backend: int, fid: int) -> Generator:
-        """mkdir -p of the static hash-directory chain (cached)."""
+    def ensure_physical_dirs(self, backend: int, fid: int) -> Generator:
+        """mkdir -p of the static hash-directory chain (cached); migration
+        tooling (repro.core.rebalance) calls it too."""
         cache = self._known_dirs[backend]
         for d in physical_dirs(fid, self.layout):
             if d in cache:
@@ -405,10 +406,6 @@ class DUFSClient:
                 if exc.err != EEXIST:
                     raise
             cache.add(d)
-
-    def ensure_physical_dirs(self, backend: int, fid: int) -> Generator:
-        """Public alias for migration tooling (repro.core.rebalance)."""
-        yield from self._ensure_physical_dirs(backend, fid)
 
     # -- elastic back-ends ----------------------------------------------------
     def attach_backend_mount(self, mount) -> int:
@@ -519,7 +516,7 @@ class DUFSClient:
         yield from self._check_new_entry(path)
         fid = self.fidgen.next()
         backend, ppath = self._locate(fid)
-        yield from self._ensure_physical_dirs(backend, fid)
+        yield from self.ensure_physical_dirs(backend, fid)
         self.stats["backend_ops"] += 1
         yield from self._backend_call(backend, "create", ppath, mode)
         # The physical file exists (steps C/D); publish name->FID. A

@@ -10,7 +10,7 @@ FID) and runs the same three stages in the same order:
    served (read-your-writes), a pending delete is a miss, listings are
    adjusted by the directory's pending children. The overlay belongs to
    the client's write path, not the coherence machinery: watch events,
-   flushes and map changes never touch it. Entries retire as the drain
+   watch loss and map changes never touch it. Entries retire as the drain
    commits (:meth:`MDCache.overlay_commit`) or roll back, purging what
    was remembered around them, when the quorum rejects
    (:meth:`MDCache.overlay_reject`).
@@ -20,10 +20,13 @@ FID) and runs the same three stages in the same order:
    payload + znode stat, dropped by the data watch registered with the
    read that filled them), *readdir listings* (dropped by their child
    watch; the readdir-plus child lookups fill positive entries, so
-   ``ls -l`` is served from cache), *read coalescing* (concurrent
-   same-path lookups share one in-flight RPC) and the *watch-loss flush*
-   on session re-establishment or fail-over — per shard behind a sharded
-   service. A miss is not remembered: it registers no watch.
+   ``ls -l`` is served from cache) and *read coalescing* (concurrent
+   same-path lookups share one in-flight RPC). Every fetch passes the
+   same callback, and the ZooKeeper client is the only record of which
+   watch is armed: a fail-over or session re-establishment hands each
+   held watch a ``lost`` event, which drops the path like a delete —
+   behind a sharded service only the failed shard client's paths. A miss
+   is not remembered: it registers no watch.
 3. **source** — one RPC: the paper's znode ``get``, or the thin client's
    server-side ``resolve``. Only the source differs between the two
    clients; both yield ``(payload, znode stat)`` or a ``NoNodeError``.
@@ -315,13 +318,8 @@ class CoherentMDCache(MDCache):
         # path -> (decoded payload, znode stat), as the source returned it.
         self._entries: "OrderedDict[str, Tuple[Any, Any]]" = OrderedDict()
         self._listings: "OrderedDict[str, Tuple[str, ...]]" = OrderedDict()
-        # Paths with a registered-and-unfired watch: one watch covers both
-        # the entry and the listing for a path, and is re-registered on the
-        # first fetch after it fires (one-shot semantics).
-        self._watched: set = set()
         # In-flight lookups (read coalescing): path -> waiter event.
         self._inflight: Dict[str, Event] = {}
-        zk.watch_loss_listeners.append(self._on_watch_loss)
         # Elastic plane: when the service adopts a newer shard map
         # (stale-epoch bounce), the subtrees whose routing changed
         # moved shards — the watches backing their entries live on
@@ -361,9 +359,8 @@ class CoherentMDCache(MDCache):
             return (yield waiter)               # (payload, zstat), or raises
         ev = self._inflight[path] = self.sim.event()
         self._mark("misses")
-        watch = None if path in self._watched else self._on_watch
         try:
-            found = yield from self._fetch(path, watch)
+            found = yield from self._fetch(path, self._on_watch)
         except BaseException as exc:
             del self._inflight[path]
             ev.fail(exc)
@@ -371,8 +368,6 @@ class CoherentMDCache(MDCache):
             raise
         del self._inflight[path]
         ev.succeed(found)
-        if watch is not None:
-            self._watched.add(path)
         self._store(path, found)
         return found
 
@@ -392,10 +387,7 @@ class CoherentMDCache(MDCache):
             return self._overlay_adjust(path, list(cached))
         self._mark("listing_misses")
         self.client_stats["zk_reads"] += 1
-        watch = None if path in self._watched else self._on_watch
-        names = yield from self.zk.get_children(path, watch=watch)
-        if watch is not None:
-            self._watched.add(path)
+        names = yield from self.zk.get_children(path, watch=self._on_watch)
         self._listings[path] = tuple(names)
         self._listings.move_to_end(path)
         while len(self._listings) > LISTING_CAPACITY:
@@ -456,59 +448,18 @@ class CoherentMDCache(MDCache):
 
     # -- coherence events ----------------------------------------------------
     def _on_watch(self, event: WatchEvent) -> None:
-        """One-shot ZooKeeper watch fired: the znode (or its child list)
-        changed behind our back — drop everything cached for the path."""
-        self._watched.discard(event.path)
-        if event.kind == "deleted":
+        """One-shot ZooKeeper watch fired, or lost with its session: the
+        znode (or its child list) may have changed behind our back — drop
+        everything cached for the path."""
+        if event.kind in ("deleted", "lost"):
             self._dirs.discard(event.path)
         self._invalidate_path(event.path, kind="watch_invalidations")
 
     def _on_map_change(self, roots) -> None:
         """Shard-map epoch adopted: flush every subtree whose placement
-        changed (``flush_shard`` semantics scoped to the moved roots)."""
+        changed (its watches live on the old shard's ensemble)."""
         for root in roots:
             self.invalidate_subtree(root)
-            self._mark("flushes")
-
-    def _on_watch_loss(self, reason: str, shard: Optional[int] = None) -> None:
-        """Session re-established or server fail-over: the watches this
-        cache relies on may be gone. A raw ZKClient notifies ``(reason,)``
-        — flush wholesale; a sharded MetadataService notifies ``(reason,
-        shard)`` — flush only the slice whose watches lived there."""
-        if shard is None or getattr(self.zk, "n_shards", 1) <= 1:
-            self.flush()
-        else:
-            self.flush_shard(shard)
-
-    def flush(self) -> None:
-        """Drop every cached coherence-dependent table. The pending-write
-        overlay deliberately survives (here and in :meth:`flush_shard`):
-        it mirrors this client's own acked-but-uncommitted writes, whose
-        truth does not depend on any watch registration."""
-        if not (self._entries or self._listings or self._dirs
-                or self._watched):
-            return
-        self._entries.clear()
-        self._listings.clear()
-        self._watched.clear()
-        self._dirs.clear()
-        self._mark("flushes")
-
-    def flush_shard(self, shard: int) -> None:
-        """Drop only the slice whose coherence watches lived on ``shard``:
-        entries route by the path's home shard, listings by its
-        child-hosting shard (where the child watch was registered)."""
-        home = self.zk.shard_for
-        listing = self.zk.listing_shard_for
-        dropped = False
-        for table, by in ((self._entries, home), (self._listings, listing)):
-            for path in [p for p in table if by(p) == shard]:
-                del table[path]
-                dropped = True
-        self._watched -= {p for p in self._watched
-                          if home(p) == shard or listing(p) == shard}
-        self._dirs -= {p for p in self._dirs if home(p) == shard}
-        if dropped:
             self._mark("flushes")
 
 

@@ -60,3 +60,8 @@ def decode_payload(data: bytes) -> Payload:
     if kind == b"L":
         return SymlinkPayload(rest.decode())
     raise ValueError(f"bad payload type {kind!r}")
+
+
+def is_dir_data(data: bytes) -> bool:
+    """Is this encoded payload a directory record? (No full decode.)"""
+    return data.startswith(b"D:")

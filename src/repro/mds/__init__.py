@@ -15,7 +15,6 @@ from .sharded import (
     ShardedMDS,
     apply_intent_to_view,
     decode_intent,
-    default_is_dir,
     encode_intent,
     make_route_guard,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "apply_intent_to_view",
     "decode_intent",
     "encode_intent",
-    "default_is_dir",
     "make_route_guard",
     "MIGRATION_MARKER",
     "Migration",

@@ -26,7 +26,7 @@ call sites migrate by construction, not by rewrite.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 from ..zk.client import ZKClient
 from ..zk.protocol import WriteRequest
@@ -35,30 +35,16 @@ from ..zk.protocol import WriteRequest
 class MetadataService:
     """Abstract namespace service (see module docstring).
 
-    Watch-loss notification is *shard-scoped* here: listeners receive
-    ``(reason, shard)`` so a coherent cache layered on watches can flush
-    only the namespace slice whose watches may be gone, instead of
-    wholesale. (The raw ``ZKClient`` listener signature is ``(reason,)``;
-    implementations adapt.)
+    A ``watch`` callback is handed to the shard client that serves the
+    read, which alone keeps it: that client's fail-over or session
+    re-establishment delivers the ``lost`` events for exactly the
+    watches it held, so the service relays nothing.
     """
 
     #: Number of independent ensembles behind this service.
     n_shards: int = 1
 
-    def __init__(self) -> None:
-        self.watch_loss_listeners: List[Callable[[str, int], None]] = []
-
     # -- shard topology ----------------------------------------------------
-    def shard_for(self, path: str) -> int:
-        """Shard holding the znode *entry* for ``path``."""
-        return 0
-
-    def listing_shard_for(self, path: str) -> int:
-        """Shard holding the *child list* of ``path`` (equal to
-        :meth:`shard_for` for a single ensemble; the child-hosting shard
-        under hash-of-parent partitioning)."""
-        return 0
-
     def client_for_shard(self, shard: int) -> ZKClient:
         raise NotImplementedError
 
@@ -113,11 +99,6 @@ class MetadataService:
         """Retries performed by the preceding operation (callers use it to
         disambiguate retried non-idempotent writes, as with ZKClient)."""
         raise NotImplementedError
-
-    # -- watch loss ----------------------------------------------------------
-    def _notify_watch_loss(self, reason: str, shard: int = 0) -> None:
-        for fn in self.watch_loss_listeners:
-            fn(reason, shard)
 
 
 def as_metadata_service(obj) -> "MetadataService":

@@ -42,10 +42,10 @@ import itertools
 import json
 from typing import List, Optional, Sequence, Tuple
 
+from ..core.metadata import is_dir_data
 from ..zk.client import ZKClient
 from ..zk.errors import NodeExistsError, NoNodeError, NotEmptyError, ZKError
-from .sharded import INTENT_ROOT, PLACEHOLDER_DIR_DATA, ShardedMDS, \
-    default_is_dir
+from .sharded import INTENT_ROOT, PLACEHOLDER_DIR_DATA, ShardedMDS
 from .shardmap import ShardMap, ShardMapRegistry
 
 __all__ = ["MIGRATION_MARKER", "Migration", "Migrator",
@@ -284,7 +284,7 @@ class Migrator:
                 if p not in fetched:
                     continue
                 data = fetched[p]
-                is_dir = default_is_dir(data)
+                is_dir = is_dir_data(data)
                 out.append((p, data, is_dir))
                 if is_dir:
                     stack.append(p)
@@ -318,7 +318,7 @@ class Migrator:
                     data, _ = yield from mds.get(p)
                 except NoNodeError:
                     continue
-                is_dir = default_is_dir(data)
+                is_dir = is_dir_data(data)
                 out.append((p, data, is_dir))
                 if is_dir:
                     stack.append(p)

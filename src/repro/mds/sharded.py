@@ -58,6 +58,7 @@ import itertools
 import json
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
+from ..core.metadata import DirPayload, is_dir_data
 from ..resilience import BreakerBoard, retry_call
 from ..sim.node import Outcome
 from ..svc import NULL_BUS, TraceBus
@@ -77,18 +78,10 @@ from .shardmap import ShardMap, ShardMapRegistry, parent_dir
 INTENT_ROOT = "/.dufs-intent"
 INTENT_NAME = INTENT_ROOT[1:]
 
-#: Placeholder payload for anchor directories (matches
-#: :class:`repro.core.metadata.DirPayload` 0o755 encoding — the mds layer
-#: shares the codec's first byte as its type tag but must not import
-#: repro.core, which imports this package).
-PLACEHOLDER_DIR_DATA = b"D:755:0:0"
+#: Placeholder payload for anchor directories: a default directory record.
+PLACEHOLDER_DIR_DATA = DirPayload().encode()
 
 _mds_seq = itertools.count()
-
-
-def default_is_dir(data: bytes) -> bool:
-    """Payload classifier: is this znode data a directory record?"""
-    return data.startswith(b"D:")
 
 
 # -- intent records ----------------------------------------------------------
@@ -192,7 +185,6 @@ class ShardedMDS(MetadataService):
         bus: Optional[TraceBus] = None,
         registry: Optional[ShardMapRegistry] = None,
     ):
-        super().__init__()
         if not clients:
             raise ValueError("need at least one shard client")
         self.clients = list(clients)
@@ -226,16 +218,8 @@ class ShardedMDS(MetadataService):
             zkc.shard = k
             if registry is not None:
                 zkc.map_epoch = self.map.epoch
-            zkc.watch_loss_listeners.append(
-                lambda reason, k=k: self._notify_watch_loss(reason, k))
 
     # -- shard topology ----------------------------------------------------
-    def shard_for(self, path: str) -> int:
-        return self.map.home_shard(path)
-
-    def listing_shard_for(self, path: str) -> int:
-        return self.map.child_shard(path)
-
     def client_for_shard(self, shard: int) -> ZKClient:
         return self.clients[shard]
 
@@ -406,7 +390,7 @@ class ShardedMDS(MetadataService):
         the path iff it *created* it) and, for a two-copy directory, write
         the child-host copy beside it from the same simulated instant;
         returns once both have committed (C1)."""
-        if not default_is_dir(data) \
+        if not is_dir_data(data) \
                 or self.map.child_shard(path) == self.map.home_shard(path):
             return (yield from home_copy)
         anchor, home = yield from self._both(
@@ -479,7 +463,7 @@ class ShardedMDS(MetadataService):
             try:
                 data, _ = yield from self._call(
                     home, "get", path, reroute=lambda m: m.home_shard(path))
-                is_dir = default_is_dir(data)
+                is_dir = is_dir_data(data)
             except NoNodeError:
                 is_dir = False
             home = self.map.home_shard(path)  # the get may have adopted
@@ -580,7 +564,7 @@ class ShardedMDS(MetadataService):
         ops = list(ops)
         shards = {self.map.home_shard(op.path) for op in ops}
         needs_anchor = any(
-            op.op == "create" and default_is_dir(op.data)
+            op.op == "create" and is_dir_data(op.data)
             and self.map.child_shard(op.path) != self.map.home_shard(op.path)
             for op in ops)
         if len(shards) == 1 and not needs_anchor:

@@ -23,11 +23,7 @@ class SingleEnsembleMDS(MetadataService):
     n_shards = 1
 
     def __init__(self, zk: ZKClient):
-        super().__init__()
         self.zk = zk
-        # Shard-scope the client's (reason,) watch-loss notifications.
-        zk.watch_loss_listeners.append(
-            lambda reason: self._notify_watch_loss(reason, 0))
 
     # -- shard topology ----------------------------------------------------
     def client_for_shard(self, shard: int) -> ZKClient:

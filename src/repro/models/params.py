@@ -280,8 +280,9 @@ class CacheParams:
     coherent with one-shot ZooKeeper watches registered at read time, and
     coalesces concurrent same-path lookups into one in-flight RPC. An
     entry has no time bound: staleness is bounded by watch delivery (one
-    cast after the write commits) plus the watch-loss flush on session
-    re-establishment or server fail-over. A miss is not remembered.
+    cast after the write commits); a session re-establishment or server
+    fail-over drops every path watched through that client. A miss is not
+    remembered.
     """
 
     enabled: bool = False

@@ -28,7 +28,7 @@ class CMDClient:
         self.sim = node.sim
         self.agent = RpcAgent(
             node, f"{fs.name}-cli-{node.name}-{next(_client_seq)}")
-        self.stats = {"ops": 0, "global_locks": 0}
+        self.stats = {"ops": 0}
 
     # -- plumbing ------------------------------------------------------------
     def _owner_ep(self, dirpath: str) -> str:
@@ -47,7 +47,6 @@ class CMDClient:
         return ("/" + "/".join(comps[:-1])) or "/", comps[-1]
 
     def _global_lock(self) -> Generator:
-        self.stats["global_locks"] += 1
         token = yield from self._call(self.fs.lock_endpoint, "acquire", None)
         return token
 

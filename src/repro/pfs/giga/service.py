@@ -69,7 +69,7 @@ class GigaServer:
         self.split_threshold = split_threshold
         self.partitions: Dict[int, Dict[str, int]] = {}   # pid -> name -> h
         self.partition_depth: Dict[int, int] = {}
-        self.stats = {"inserts": 0, "splits": 0, "wrong_addr": 0}
+        self.stats = {"splits": 0}
         self.service: Optional["GigaDirectory"] = None
         self.svc = s = Service(node, endpoint, deployment="giga")
         s.expose("insert", self._h_insert)
@@ -81,7 +81,6 @@ class GigaServer:
         """Reject requests addressed with a stale bitmap."""
         depth = self.partition_depth.get(pid)
         if depth is None or prefix_id(h, depth) != pid:
-            self.stats["wrong_addr"] += 1
             raise FSError(EIO, msg=f"wrong partition {pid:#x}")
 
     def _h_insert(self, src: str, args) -> Generator:
@@ -92,7 +91,6 @@ class GigaServer:
         if name in table:
             raise FSError(EEXIST, name)
         table[name] = h
-        self.stats["inserts"] += 1
         if len(table) > self.split_threshold and \
                 self.partition_depth[pid] < MAX_DEPTH and \
                 self.service is not None:

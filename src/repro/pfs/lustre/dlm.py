@@ -18,14 +18,13 @@ class LockManager:
         self._granted: Dict[str, Set[str]] = {}
         # Every holder set's size, summed: kept, not recounted per charge.
         self.resident_locks = 0
-        self.stats = {"grants": 0, "revokes": 0}
+        self.stats = {"revokes": 0}
 
     def grant(self, resource: str, client: str) -> None:
         holders = self._granted.setdefault(resource, set())
         if client not in holders:
             holders.add(client)
             self.resident_locks += 1
-            self.stats["grants"] += 1
 
     def conflicting(self, resource: str, requester: str) -> List[str]:
         """Clients whose cached lock must be revoked before a mutation."""

@@ -53,7 +53,6 @@ class MetadataServer:
         # Per-directory mutation mutex (ldiskfs i_mutex: Lustre 1.8 has no
         # parallel dirops — concurrent creates in ONE directory serialize).
         self._dir_mutexes: dict = {}
-        self.stats = {"revoke_waits": 0}
         # The kernel tracks in-flight depth, which the thrash model keys
         # off: the depth of the whole service queue (CPU + dir mutexes +
         # lock callbacks), like the real server's thread pool.
@@ -107,7 +106,6 @@ class MetadataServer:
         victims = self.dlm.revoke_all(resource, keep=requester)
         if not victims:
             return
-        self.stats["revoke_waits"] += 1
         yield from self.node.cpu_work(self.params.revoke_cpu * len(victims))
         waits = []
         for client in victims:

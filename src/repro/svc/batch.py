@@ -75,7 +75,7 @@ class Batcher:
         node recovery."""
         self._kick = Store(self.sim)
         self._idle = True
-        self._proc = self.node.spawn(self._loop(), self.name)
+        self.node.spawn(self._loop(), self.name)
 
     def _loop(self) -> Generator:
         try:

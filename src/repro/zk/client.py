@@ -4,7 +4,9 @@ The method set mirrors the C client the authors call out —
 ``zoo_create`` / ``zoo_get`` / ``zoo_set`` / ``zoo_delete`` plus
 ``exists`` / ``get_children`` — and adds ``multi`` (atomic multi-op, used
 by DUFS rename) and watches. Every method is a generator to be driven with
-``yield from`` inside a simulation process.
+``yield from`` inside a simulation process. The client is the only watch
+registry: a data and a child table, path -> ordered set of callbacks; a
+fail-over or session re-establishment hands each a ``lost`` event.
 
 A client holds a session on one server of the ensemble (like a real ZK
 connection). On connection loss it fails over to the next server and
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Any, Callable, Generator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
 from ..models.params import FaultToleranceParams
 from ..resilience import build_retry, retry_call
@@ -78,14 +80,10 @@ class ZKClient:
             node, f"zk.client.{ident}", self.fault)
         self.agent = RpcAgent(node, ident)
         self.agent.register_fast("watch_event", self._on_watch_event)
-        self._watch_callbacks: dict[str, List[Callable[[WatchEvent], None]]] = {}
+        self._data_watches: Dict[str, dict] = {}
+        self._child_watches: Dict[str, dict] = {}
         self.default_watcher: Optional[Callable[[WatchEvent], None]] = None
-        # Invoked with a reason string whenever watches registered through
-        # this client may have been silently dropped: the session was
-        # re-established ("session"), or requests failed over to another
-        # server ("failover", typically because the watch-holding server
-        # crashed and lost its watch tables). Coherent caches layered on
-        # watches (repro.core.mdcache) subscribe and flush.
+        # Called with "session" or "failover" after the watches were lost.
         self.watch_loss_listeners: List[Callable[[str], None]] = []
 
     # -- session -----------------------------------------------------------
@@ -186,19 +184,25 @@ class ZKClient:
         self._notify_watch_loss("failover")
 
     def _notify_watch_loss(self, reason: str) -> None:
+        """One ``lost`` event per held (path, watcher), then listeners."""
+        tables = (self._data_watches, self._child_watches)
+        held = dict.fromkeys((path, cb) for table in tables
+                             for path, cbs in table.items() for cb in cbs)
+        for table in tables:
+            table.clear()
+        for path, cb in held:
+            cb(WatchEvent("lost", path))
         for fn in self.watch_loss_listeners:
             fn(reason)
 
-    def _watch_flag(self, watch) -> bool:
-        return callable(watch) or bool(watch)
-
-    def _register_watch(self, path: str, watch) -> None:
-        if callable(watch):
-            self._watch_callbacks.setdefault(path, []).append(watch)
-
     def _on_watch_event(self, src: str, event: WatchEvent) -> None:
-        callbacks = self._watch_callbacks.pop(event.path, [])
-        for cb in callbacks:
+        """``child`` fires child watchers, ``deleted`` both tables."""
+        fired: dict = {}
+        if event.kind != "child":
+            fired.update(self._data_watches.pop(event.path, ()))
+        if event.kind in ("child", "deleted"):
+            fired.update(self._child_watches.pop(event.path, ()))
+        for cb in fired:
             cb(event)
         if self.default_watcher is not None:
             self.default_watcher(event)
@@ -206,22 +210,22 @@ class ZKClient:
     # -- reads ---------------------------------------------------------------
     def exists(self, path: str, watch=None) -> Generator:
         """Stat if the node exists, else None. ``zoo_exists``."""
-        flag = self._watch_flag(watch)
+        flag = callable(watch) or bool(watch)
         stat = yield from self._request(
             "read", ReadRequest("exists", path, watch=flag),
             size=120 + len(path))
-        if flag:
-            self._register_watch(path, watch)
+        if callable(watch):
+            self._data_watches.setdefault(path, {})[watch] = None
         return stat
 
     def get(self, path: str, watch=None) -> Generator:
         """(data, stat). ``zoo_get``."""
-        flag = self._watch_flag(watch)
+        flag = callable(watch) or bool(watch)
         result = yield from self._request(
             "read", ReadRequest("get", path, watch=flag),
             size=120 + len(path))
-        if flag:
-            self._register_watch(path, watch)
+        if callable(watch):
+            self._data_watches.setdefault(path, {})[watch] = None
         return result
 
     def resolve(self, path: str, watch=None) -> Generator:
@@ -232,21 +236,21 @@ class ZKClient:
         with the nearest existing ancestor. Travels on the ``read`` wire
         method, so retries, breakers and deadlines apply unchanged; a data
         watch is registered only when the target exists (``"ok"``)."""
-        flag = self._watch_flag(watch)
+        flag = callable(watch) or bool(watch)
         res = yield from self._request(
             "read", ReadRequest("resolve", path, watch=flag),
             size=120 + len(path), trace_as="resolve")
-        if flag and res.status == "ok":
-            self._register_watch(path, watch)
+        if callable(watch) and res.status == "ok":
+            self._data_watches.setdefault(path, {})[watch] = None
         return res
 
     def get_children(self, path: str, watch=None) -> Generator:
-        flag = self._watch_flag(watch)
+        flag = callable(watch) or bool(watch)
         names = yield from self._request(
             "read", ReadRequest("children", path, watch=flag),
             size=120 + len(path))
-        if flag:
-            self._register_watch(path, watch)
+        if callable(watch):
+            self._child_watches.setdefault(path, {})[watch] = None
         return names
 
     # -- writes ----------------------------------------------------------------

@@ -18,7 +18,7 @@ activation. A sync attempt has one way in (:func:`begin_sync`), one owner
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Tuple
+from typing import TYPE_CHECKING, Generator
 
 from ..sim.core import Interrupt
 from ..sim.rpc import RpcTimeout
@@ -31,10 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
 LOOKING = "looking"
 LEADING = "leading"
 FOLLOWING = "following"
-
-
-def vote_order(candidate_zxid: int, candidate_sid: int) -> Tuple[int, int]:
-    return (candidate_zxid, candidate_sid)
 
 
 def start_election(server: "ZKServer") -> None:
@@ -117,7 +113,7 @@ def on_vote(server: "ZKServer", vote: Vote) -> None:
     candidate = (vote.proposed_zxid, vote.proposed_sid)
     if vote.proposed_sid >= server.ensemble_size:
         return  # never adopt an observer as candidate
-    if vote_order(*candidate) > vote_order(*server._my_vote):
+    if candidate > server._my_vote:     # higher zxid, then higher sid
         server._my_vote = candidate
         server._votes[server.sid] = candidate
         _broadcast_vote(server)

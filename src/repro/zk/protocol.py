@@ -23,7 +23,6 @@ class ReadRequest:
 
     op: str                    # "exists" | "get" | "children" | "resolve"
     path: str
-    session: int = 0
     watch: bool = False
     map_epoch: int = -1        # shard-map epoch the caller routed by
     #                            (-1: unstamped — not elastic-routed)
@@ -72,7 +71,8 @@ class WriteRequest:
 class WatchEvent:
     """Delivered (cast) to the client that registered the watch."""
 
-    kind: str                  # "created" | "deleted" | "changed" | "child"
+    kind: str                  # "created" | "deleted" | "changed" | "child",
+    #                            or "lost": raised by the client on loss
     path: str
 
 

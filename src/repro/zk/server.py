@@ -171,9 +171,9 @@ class ZKServer:
         self._proposer: Optional[Batcher] = None
 
         # counters for tests / benchmarks
-        self.stats = {"reads": 0, "writes": 0, "proposals": 0, "commits": 0,
-                      "forwards": 0, "elections": 0, "gap_resyncs": 0,
-                      "resolves": 0, "dentry_hits": 0, "dentry_misses": 0}
+        self.stats = {"reads": 0, "writes": 0, "proposals": 0, "forwards": 0,
+                      "elections": 0, "gap_resyncs": 0, "resolves": 0,
+                      "dentry_hits": 0, "dentry_misses": 0}
 
         # Elastic metadata plane (off by default): a deployment-shared hook
         # rejecting requests whose shard-map epoch no longer routes their
@@ -809,7 +809,6 @@ class ZKServer:
                     for zxid, txn in todo:
                         self.store.apply(txn, zxid, self.sim.now)
                         self.commit_index = zxid
-                        self.stats["commits"] += 1
                         self._invalidate_dentries(txn)
                         self._fire_watches(txn)
                         if self.role == LEADING:

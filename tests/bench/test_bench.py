@@ -83,3 +83,12 @@ def test_cli_rejects_unknown_target():
 
     with pytest.raises(SystemExit):
         main(["fig99"])
+
+
+def test_cli_rejects_a_negative_op_count(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["chaos", "--ops", "-3"])
+    assert exc.value.code == 2
+    assert "--ops must be >= 0" in capsys.readouterr().err

@@ -196,19 +196,47 @@ def test_remote_chmod_refreshes_cached_mode(cached):
     assert (st.st_mode & 0o777) == 0o700
 
 
+def test_remote_create_refreshes_a_listing_read_after_a_stat(cached):
+    """stat then readdir of one directory: the readdir arms the child
+    watch although the stat already armed the data watch."""
+    c0, c1 = cached.dep.clients[0], cached.dep.clients[1]
+    cached.run(c0.mkdir("/d"))
+    cached.run(c0.stat("/d"))
+    assert cached.run(c0.readdir("/d")) == []
+    cached.run(c1.create("/d/x"), node_index=1)
+    cached.settle(0.5)
+    assert [e.name for e in cached.run(c0.readdir("/d"))] == ["x"]
+
+
+def test_remote_chmod_refreshes_a_stat_read_after_a_readdir(cached):
+    """readdir then stat of one directory: the stat arms the data watch
+    although the readdir already armed the child watch."""
+    c0, c1 = cached.dep.clients[0], cached.dep.clients[1]
+    cached.run(c0.mkdir("/d"))
+    cached.run(c0.readdir("/d"))
+    assert (cached.run(c0.stat("/d")).st_mode & 0o777) == 0o755
+    cached.run(c1.chmod("/d", 0o700), node_index=1)
+    cached.settle(0.5)
+    assert (cached.run(c0.stat("/d")).st_mode & 0o777) == 0o700
+
+
 def test_watch_loss_flushes_everything(cached):
+    """A fail-over drops every watch the ZooKeeper client held; each one's
+    ``lost`` event drops what the cache kept under it."""
     c = cached.dep.clients[0]
     cached.run(c.mkdir("/d"))
     cached.run(c.create("/d/f"))
     cached.run(c.stat("/d/f"))
     cached.run(c.readdir("/d"))
     mc = _cache(cached)
+    zkc = c.zk.client_for_shard(0)
     assert len(mc) > 0 and mc._listings
+    invalidations = mc.counters["watch_invalidations"]
 
-    c.zk._notify_watch_loss("failover")          # what _fail_over() calls
-    assert len(mc) == 0
-    assert not mc._listings and not mc._watched and not mc._dirs
-    assert mc.counters["flushes"] == 1
+    zkc._fail_over()                             # what a failed attempt does
+    assert len(mc) == 0 and not mc._listings
+    assert not zkc._data_watches and not zkc._child_watches
+    assert mc.counters["watch_invalidations"] == invalidations + 2
 
     # and the next lookup refetches, repopulating
     cached.run(c.stat("/d/f"))

@@ -2,8 +2,8 @@
 
 The overlay mirrors this client's own acked-but-uncommitted write-behind
 mutations; its truth does not depend on any watch registration. So the
-coherence paths — watch invalidation, watch-loss flush, shard flush —
-must never touch it, while commit/reject (owned by the drain) retire it
+coherence paths — watch invalidation, and a watch loss on one shard
+client or all of them — must never touch it, while commit/reject (owned by the drain) retire it
 exactly. Plus the ``note_created`` stale-ancestor-negative regression.
 """
 
@@ -24,8 +24,8 @@ def cached_async():
 
 # -- overlay vs coherence -----------------------------------------------------
 def test_overlay_survives_full_cache_flush(cached_async):
-    """Watch-loss (session re-establishment) flushes every coherence
-    table wholesale — the overlay must keep serving read-your-writes."""
+    """A fail-over loses every watch and flushes the coherence tables
+    wholesale — the overlay must keep serving read-your-writes."""
     h = cached_async
     c = h.dep.clients[0]
 
@@ -34,7 +34,7 @@ def test_overlay_survives_full_cache_flush(cached_async):
         yield from c.flush()
         yield from c.create("/d/f")             # acked, still pending
         assert c.mdcache.overlay_pending("/d/f") == "create"
-        c.mdcache.flush()                       # what _on_watch_loss does
+        c.zk.client_for_shard(0)._fail_over()   # every watch is lost
         assert c.mdcache.overlay_pending("/d/f") == "create"
         st = yield from c.stat("/d/f")          # no sim yield: overlay hit
         names = yield from c.readdir("/d")
@@ -65,6 +65,8 @@ def test_overlay_survives_watch_invalidation(cached_async):
 
 
 def test_overlay_survives_flush_shard():
+    """Each shard client loses its own watches; none of it reaches the
+    overlay."""
     h = DUFSHarness(n_zk=4, n_shards=2, cache=CacheParams.caching_on(),
                     awrite=AsyncParams.async_on(), seed=0)
     c = h.dep.clients[0]
@@ -74,7 +76,7 @@ def test_overlay_survives_flush_shard():
         yield from c.flush()
         yield from c.create("/d/f")             # pending
         for shard in range(2):                  # fail over every shard
-            c.mdcache.flush_shard(shard)
+            c.zk.client_for_shard(shard)._fail_over()
         assert c.mdcache.overlay_pending("/d/f") == "create"
         st = yield from c.stat("/d/f")
         return st

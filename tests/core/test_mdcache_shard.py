@@ -1,11 +1,12 @@
-"""Per-shard watch-loss flush: losing one shard's session must not cost
-the client its whole cache, only the entries that shard served."""
+"""Per-shard watch loss: each shard client holds the watches registered
+through it, so losing one shard's session must not cost the client its
+whole cache, only the paths watched through that shard."""
 
 from repro.core import build_dufs_deployment
 from repro.models.params import CacheParams
 
 
-def make_dep(n_shards=4):
+def make_dep(n_shards=2):
     return build_dufs_deployment(n_zk=4, n_backends=2, n_client_nodes=1,
                                  backend="local", n_shards=n_shards,
                                  cache=CacheParams.caching_on())
@@ -21,40 +22,26 @@ def populate(dep, n_dirs=8):
         dep.call(m.readdir, f"/d{i}")
 
 
+def watched(zkc):
+    return set(zkc._data_watches) | set(zkc._child_watches)
+
+
 def test_shard_watch_loss_flushes_only_that_slice():
     dep = make_dep()
-    client = dep.clients[0]
-    cache, svc = client.mdcache, client.zk
+    cache, svc = dep.clients[0].mdcache, dep.clients[0].zk
     populate(dep)
-    assert cache._entries and cache._listings
+    victim = svc.client_for_shard(svc.map.home_shard("/d0/f"))
+    survivor = svc.client_for_shard(1 - victim.shard)
+    lost, kept = watched(victim), watched(survivor)
+    entries, listings = set(cache._entries), set(cache._listings)
+    assert entries - lost and listings - lost, \
+        "test needs paths watched through the surviving shard"
 
-    victim = svc.shard_for("/d0/f")
-    kept_entries = [p for p in cache._entries
-                    if svc.shard_for(p) != victim]
-    kept_listings = [p for p in cache._listings
-                     if svc.listing_shard_for(p) != victim]
-    assert kept_entries, "test needs entries on surviving shards"
+    victim._fail_over()
 
-    flushes = cache.counters["flushes"]
-    cache._on_watch_loss("session", shard=victim)
-
-    assert all(svc.shard_for(p) != victim for p in cache._entries)
-    assert all(svc.listing_shard_for(p) != victim
-               for p in cache._listings)
-    for p in kept_entries:
-        assert p in cache._entries        # survivors untouched
-    for p in kept_listings:
-        assert p in cache._listings
-    assert cache.counters["flushes"] == flushes + 1
-
-
-def test_watch_loss_without_shard_still_flushes_wholesale():
-    dep = make_dep()
-    cache = dep.clients[0].mdcache
-    populate(dep, n_dirs=4)
-    assert cache._entries
-    cache._on_watch_loss("failover")      # raw two-arg listener form
-    assert not cache._entries and not cache._listings
+    assert set(cache._entries) == entries - lost
+    assert set(cache._listings) == listings - lost
+    assert watched(victim) == set() and watched(survivor) == kept
 
 
 def test_single_shard_deployment_flushes_wholesale():
@@ -64,5 +51,5 @@ def test_single_shard_deployment_flushes_wholesale():
     cache = dep.clients[0].mdcache
     populate(dep, n_dirs=4)
     assert cache._entries
-    cache._on_watch_loss("session", shard=0)
-    assert not cache._entries
+    dep.clients[0].zk.client_for_shard(0)._fail_over()
+    assert not cache._entries and not cache._listings

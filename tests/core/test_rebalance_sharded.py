@@ -42,7 +42,7 @@ def test_collect_files_spans_shards():
     files = dep.call(lambda: collect_files(dep.clients[0]))
     assert len(files) == 24
     # The walk genuinely crossed shards (both dirs' entry sets visited).
-    shards = {svc.listing_shard_for(p.rsplit("/", 1)[0]) for p, _ in files}
+    shards = {svc.map.child_shard(p.rsplit("/", 1)[0]) for p, _ in files}
     assert len(shards) == 2
 
 

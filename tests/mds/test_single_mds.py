@@ -27,13 +27,6 @@ def test_wrapping_is_idempotent_and_typed():
     assert svc.n_shards == 1
 
 
-def test_everything_routes_to_shard_zero():
-    _, _, _, svc = make_svc()
-    for p in ("/", "/a", "/a/b/c"):
-        assert svc.shard_for(p) == 0
-        assert svc.listing_shard_for(p) == 0
-
-
 def test_ops_delegate_to_the_wrapped_client():
     cluster, cnode, zkc, svc = make_svc()
 
@@ -54,13 +47,3 @@ def test_ops_delegate_to_the_wrapped_client():
     assert names == ["f"]
     assert g_exists
     assert svc.last_retries == zkc.last_retries
-
-
-def test_watch_loss_propagates_with_shard_zero():
-    _, _, zkc, svc = make_svc()
-    seen = []
-    svc.watch_loss_listeners.append(lambda reason, shard: seen.append(
-        (reason, shard)))
-    for listener in zkc.watch_loss_listeners:
-        listener("session-expired")
-    assert seen == [("session-expired", 0)]

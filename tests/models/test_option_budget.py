@@ -72,9 +72,9 @@ BUDGET = {
     "ShardMap.__init__ parameters":
         (lambda: parameters(ShardMap.__init__), 4),
     "defaulted parameters no non-test call site supplies":
-        (lambda: audit_count("unsupplied"), 60),
-    "lines of src/repro": (source_lines, 16872),
-    "lines of src/repro/zk": (lambda: source_lines("zk"), 2322),
+        (lambda: audit_count("unsupplied"), 59),
+    "lines of src/repro": (source_lines, 16781),
+    "lines of src/repro/zk": (lambda: source_lines("zk"), 2321),
 }
 
 

@@ -8,7 +8,6 @@ import pytest
 from repro.models.params import FaultToleranceParams, ZKParams
 from repro.sim import Cluster
 from repro.zk import build_ensemble
-from repro.zk.election import vote_order
 from repro.zk.errors import ZKError
 
 from .conftest import ZKHarness
@@ -66,11 +65,6 @@ def synced_to_one_leader(servers):
                              and s.epoch == lead.epoch
                              and s.sid in lead.active_followers)
                for s in live)
-
-
-def test_vote_order_prefers_zxid_then_sid():
-    assert vote_order(10, 0) > vote_order(9, 5)
-    assert vote_order(10, 5) > vote_order(10, 0)
 
 
 def test_observer_never_becomes_leader_through_failures():
