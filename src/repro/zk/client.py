@@ -196,7 +196,7 @@ class ZKClient:
             fn(reason)
 
     def _on_watch_event(self, src: str, event: WatchEvent) -> None:
-        """``child`` fires child watchers, ``deleted`` both tables."""
+        """``child`` fires the child table, ``deleted`` both, else data."""
         fired: dict = {}
         if event.kind != "child":
             fired.update(self._data_watches.pop(event.path, ()))
