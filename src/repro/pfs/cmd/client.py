@@ -28,7 +28,6 @@ class CMDClient:
         self.sim = node.sim
         self.agent = RpcAgent(
             node, f"{fs.name}-cli-{node.name}-{next(_client_seq)}")
-        self.stats = {"ops": 0}
 
     # -- plumbing ------------------------------------------------------------
     def _owner_ep(self, dirpath: str) -> str:
@@ -55,7 +54,6 @@ class CMDClient:
 
     # -- operations ------------------------------------------------------------
     def mkdir(self, path: str, mode: int = 0o755) -> Generator:
-        self.stats["ops"] += 1
         path = normalize_path(path)
         parent, name = self._split(path)
         n = len(self.fs.server_endpoints)
@@ -80,7 +78,6 @@ class CMDClient:
         return True
 
     def rmdir(self, path: str) -> Generator:
-        self.stats["ops"] += 1
         path = normalize_path(path)
         parent, name = self._split(path)
         n = len(self.fs.server_endpoints)
@@ -98,21 +95,18 @@ class CMDClient:
         return True
 
     def create(self, path: str, mode: int = 0o644) -> Generator:
-        self.stats["ops"] += 1
         parent, name = self._split(path)
         yield from self._call(self._owner_ep(parent), "insert",
                               (parent, name, False, mode))
         return True
 
     def unlink(self, path: str) -> Generator:
-        self.stats["ops"] += 1
         parent, name = self._split(path)
         yield from self._call(self._owner_ep(parent), "remove",
                               (parent, name, False))
         return True
 
     def stat(self, path: str) -> Generator:
-        self.stats["ops"] += 1
         path = normalize_path(path)
         if path == "/":
             st = yield from self._call(self._owner_ep("/"), "getattr_entry",
@@ -124,7 +118,6 @@ class CMDClient:
         return st
 
     def readdir(self, path: str) -> Generator:
-        self.stats["ops"] += 1
         path = normalize_path(path)
         entries = yield from self._call(self._owner_ep(path), "readdir", path)
         return entries
@@ -132,7 +125,6 @@ class CMDClient:
     def rename(self, src: str, dst: str) -> Generator:
         """Always a global-lock operation in CMD (dirents may live on two
         different servers and the update must appear atomic)."""
-        self.stats["ops"] += 1
         sparent, sname = self._split(src)
         dparent, dname = self._split(dst)
         token = yield from self._global_lock()
@@ -151,14 +143,12 @@ class CMDClient:
         return True
 
     def chmod(self, path: str, mode: int) -> Generator:
-        self.stats["ops"] += 1
         parent, name = self._split(path)
         yield from self._call(self._owner_ep(parent), "set_mode",
                               (parent, name, mode))
         return True
 
     def truncate(self, path: str, size: int) -> Generator:
-        self.stats["ops"] += 1
         parent, name = self._split(path)
         yield from self._call(self._owner_ep(parent), "set_size",
                               (parent, name, size))

@@ -202,11 +202,10 @@ class GigaClient:
         self.agent = RpcAgent(
             node, f"{service.name}-gcli-{node.name}-{next(_client_seq)}")
         self.bitmap: Set[int] = set()       # stale copy
-        self.stats = {"ops": 0, "retries": 0}
+        self.stats = {"retries": 0}
         self.rpc_timeout: Optional[float] = None
 
     def _op(self, method: str, name: str) -> Generator:
-        self.stats["ops"] += 1
         h = hash_bits(name)
         for _ in range(MAX_DEPTH + 1):
             pid = partition_for(h, self.bitmap)

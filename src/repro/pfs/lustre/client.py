@@ -6,6 +6,10 @@ pay a lookup RPC each. Lock revocations from the MDS (other clients
 mutating a directory) invalidate the cached entries under that directory —
 producing the re-resolution traffic that loads the MDS under concurrent
 updates.
+
+Concurrent mkdirs of one path on one node are one MDS request, as under the
+kernel's parent inode lock: the later callers get EEXIST, or the first
+call's other error.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ import itertools
 from typing import Dict, Generator, Set
 
 from ...core.paths import parent_dir
-from ...errors import EIO, ENOENT, FSError
+from ...errors import EEXIST, EIO, ENOENT, FSError
 from ...models.params import LustreParams
 from ...resilience import build_retry, retry_call
+from ...sim.core import Event
 from ...sim.node import Node
 from ...sim.rpc import RpcAgent, RpcTimeout
 from ..base import normalize_path, path_components
@@ -38,7 +43,8 @@ class LustreClient:
         # its parent; locked_dirs = resources we hold a read lock on.
         self.dentries: Dict[str, int] = {"/": 1}
         self.locked_dirs: Set[str] = set()
-        self.stats = {"lookups": 0, "revocations": 0, "ops": 0}
+        self.stats = {"lookups": 0, "revocations": 0}
+        self._mkdirs: Dict[str, Event] = {}   # path -> in-flight mkdir
         # The fault policy (at the back-end default: no timeout, so never
         # a retry; no backoff events, unlimited retry budget, breakers off).
         self.retry, self.breakers = build_retry(
@@ -93,7 +99,6 @@ class LustreClient:
 
     # -- operations (each: resolve parents from cache, then 1 intent RPC) ------
     def _call(self, method: str, args, size: int = 160) -> Generator:
-        self.stats["ops"] += 1
         state = self.retry.begin(self.sim.now)
         return retry_call(
             self.sim, self.retry, self.breakers, state,
@@ -110,8 +115,24 @@ class LustreClient:
 
     def mkdir(self, path: str, mode: int = 0o755) -> Generator:
         path = normalize_path(path)
-        yield from self._resolve_dir(self._parent_of(path))
-        yield from self._call("mkdir", (path, mode), size=144 + len(path))
+        waiter = self._mkdirs.get(path)
+        if waiter is not None:
+            yield waiter                # re-raises any error but EEXIST
+            raise FSError(EEXIST, path)
+        ev = self._mkdirs[path] = self.sim.event()
+        try:
+            yield from self._resolve_dir(self._parent_of(path))
+            yield from self._call("mkdir", (path, mode), size=144 + len(path))
+        except BaseException as exc:
+            if isinstance(exc, FSError) and exc.err == EEXIST:
+                ev.succeed()            # the name exists, as on success
+            else:
+                ev.fail(exc)
+                ev._used = True         # pre-handled: waiters are optional
+            raise
+        finally:
+            del self._mkdirs[path]
+        ev.succeed()
         self.dentries[path] = -1  # known to exist; ino refreshed on lookup
         self._note_lock(self._parent_of(path))
         return True

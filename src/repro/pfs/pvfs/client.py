@@ -39,7 +39,7 @@ class PVFSClient:
         self.sim = node.sim
         self.agent = RpcAgent(
             node, f"{fs.name}-cli-{node.name}-{next(_client_seq)}")
-        self.stats = {"ops": 0, "rpcs": 0}
+        self.stats = {"rpcs": 0}
         # The fault policy (inert at the back-end default); breakers are
         # per server endpoint — PVFS talks to many.
         self.retry, self.breakers = build_retry(
@@ -98,7 +98,6 @@ class PVFSClient:
 
     # -- operations ------------------------------------------------------------
     def mkdir(self, path: str, mode: int = 0o755) -> Generator:
-        self.stats["ops"] += 1
         path = normalize_path(path)
         parent_handle, name = yield from self._resolve_parent(path)
         new_handle = yield from self._call(
@@ -115,7 +114,6 @@ class PVFSClient:
         return True
 
     def create(self, path: str, mode: int = 0o644) -> Generator:
-        self.stats["ops"] += 1
         path = normalize_path(path)
         parent_handle, name = yield from self._resolve_parent(path)
         # One datafile on every I/O server, allocated in parallel, then the
@@ -141,7 +139,6 @@ class PVFSClient:
         return attrs
 
     def stat(self, path: str) -> Generator:
-        self.stats["ops"] += 1
         path = normalize_path(path)
         handle = yield from self._resolve(path)
         kind, mode, size, atime, mtime, ctime, dfiles, nent = \
@@ -167,7 +164,6 @@ class PVFSClient:
         return obj is not None and obj.target is not None
 
     def unlink(self, path: str) -> Generator:
-        self.stats["ops"] += 1
         path = normalize_path(path)
         parent_handle, name = yield from self._resolve_parent(path)
         # Must not unlink a directory.
@@ -183,7 +179,6 @@ class PVFSClient:
         return True
 
     def rmdir(self, path: str) -> Generator:
-        self.stats["ops"] += 1
         path = normalize_path(path)
         parent_handle, name = yield from self._resolve_parent(path)
         handle = yield from self._lookup(parent_handle, name)
@@ -197,7 +192,6 @@ class PVFSClient:
         return True
 
     def readdir(self, path: str) -> Generator:
-        self.stats["ops"] += 1
         path = normalize_path(path)
         handle = yield from self._resolve(path)
         items = yield from self._call(self._owner(handle), "readdir", handle)
@@ -210,7 +204,6 @@ class PVFSClient:
     def rename(self, src: str, dst: str) -> Generator:
         """Two dirent updates; NOT atomic (PVFS2 semantics). Every
         refusal is decided from lookups before either dirent changes."""
-        self.stats["ops"] += 1
         src, dst = normalize_path(src), normalize_path(dst)
         sp_handle, sname = yield from self._resolve_parent(src)
         handle = yield from self._lookup(sp_handle, sname)
@@ -246,13 +239,11 @@ class PVFSClient:
         return True
 
     def chmod(self, path: str, mode: int) -> Generator:
-        self.stats["ops"] += 1
         handle = yield from self._resolve(normalize_path(path))
         yield from self._call(self._owner(handle), "setattr", (handle, mode))
         return True
 
     def truncate(self, path: str, size: int) -> Generator:
-        self.stats["ops"] += 1
         handle = yield from self._resolve(normalize_path(path))
         _, _, _, _, _, _, dfiles, _ = yield from self._getattr(handle)
         if dfiles:
@@ -266,7 +257,6 @@ class PVFSClient:
         return True
 
     def symlink(self, target: str, linkpath: str) -> Generator:
-        self.stats["ops"] += 1
         linkpath = normalize_path(linkpath)
         parent_handle, name = yield from self._resolve_parent(linkpath)
         h = yield from self._call(self._server_for_new(parent_handle, name),
@@ -277,7 +267,6 @@ class PVFSClient:
         return True
 
     def readlink(self, path: str) -> Generator:
-        self.stats["ops"] += 1
         handle = yield from self._resolve(normalize_path(path))
         target = yield from self._call(self._owner(handle), "readlink", handle)
         return target
@@ -291,7 +280,6 @@ class PVFSClient:
         return max(0, min(size, st.st_size - offset))
 
     def write(self, path: str, offset: int, data: bytes) -> Generator:
-        self.stats["ops"] += 1
         handle = yield from self._resolve(normalize_path(path))
         _, _, _, _, _, _, dfiles, _ = yield from self._getattr(handle)
         if not dfiles:

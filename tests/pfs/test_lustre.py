@@ -3,11 +3,26 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import build_dufs_deployment
+from repro.errors import EEXIST, ENOENT, FSError
 from repro.models.params import LustreParams
 from repro.pfs.lustre.dlm import LockManager
 from repro.svc import TraceBus
 
 from .conftest import FSHarness
+
+
+def mds_calls(bus, fs, method):
+    """RPCs of ``method`` the MDS of ``fs`` served (EEXIST included)."""
+    return bus.ops.get(f"lustre/{fs.mds.endpoint}.{method}")
+
+
+def outcome(gen):
+    """Run a mkdir; its return value, or the errno it raised."""
+    try:
+        return (yield from gen)
+    except FSError as exc:
+        return exc.err
 
 
 def test_single_mds_serializes_all_metadata():
@@ -85,6 +100,89 @@ def test_revoked_client_pays_lookups_again(lustre):
         return c0.stats["lookups"] - before
 
     assert lustre.run(phase1()) >= 1  # had to re-resolve /d/sub
+
+
+def test_same_node_mkdirs_of_one_name_send_one_request():
+    """k processes on one node mkdir one path at once: the node's client
+    sends one mkdir, so the other node's lock on the parent is revoked
+    once, and the k-1 later callers see EEXIST. Once the path exists, a
+    second such burst is again one request, and all k see EEXIST."""
+    bus = TraceBus()
+    h = FSHarness("lustre", bus=bus)
+    c0, c1 = h.clients
+
+    def setup():
+        yield from c0.mkdir("/p")
+        yield from c1.create("/p/seed")     # c1 holds the lock on /p
+
+    h.run(setup())
+    mkdirs = mds_calls(bus, h.fs, "mkdir")
+    revokes = h.fs.mds.dlm.stats["revokes"]
+    k = 6
+    procs = [h.client_nodes[0].spawn(outcome(c0.mkdir("/p/x")))
+             for _ in range(k)]
+    h.cluster.sim.run()
+    assert sorted(p.value for p in procs) == [True] + [EEXIST] * (k - 1)
+    assert mds_calls(bus, h.fs, "mkdir") - mkdirs == 1
+    assert h.fs.mds.dlm.stats["revokes"] - revokes == 1
+    assert not c0._mkdirs
+    procs = [h.client_nodes[0].spawn(outcome(c0.mkdir("/p/x")))
+             for _ in range(k)]
+    h.cluster.sim.run()
+    assert [p.value for p in procs] == [EEXIST] * k
+    assert mds_calls(bus, h.fs, "mkdir") - mkdirs == 2
+
+
+def test_failed_in_flight_mkdir_hands_its_error_to_every_waiter():
+    """The parent is missing: one lookup fails, every waiter gets its
+    ENOENT, and the name leaves the table, so the next mkdir is sent."""
+    bus = TraceBus()
+    h = FSHarness("lustre", bus=bus)
+    cli = h.cli
+    procs = [h.client_nodes[0].spawn(outcome(cli.mkdir("/none/x")))
+             for _ in range(4)]
+    h.cluster.sim.run()
+    assert [p.value for p in procs] == [ENOENT] * 4
+    assert cli.stats["lookups"] == 1
+    assert not cli._mkdirs
+
+    def retry():
+        yield from cli.mkdir("/none")
+        return (yield from cli.mkdir("/none/x"))
+
+    assert h.run(retry()) is True
+    assert mds_calls(bus, h.fs, "mkdir") == 2
+
+
+def test_mkdirs_of_one_name_on_two_nodes_both_reach_the_mds():
+    """Coalescing is per node: two clients' mkdirs of one path are two
+    requests, and the second is EEXIST at the MDS."""
+    bus = TraceBus()
+    h = FSHarness("lustre", bus=bus)
+    results = h.run_all(*(outcome(c.mkdir("/x")) for c in h.clients))
+    assert sorted(results) == [True, EEXIST]
+    assert mds_calls(bus, h.fs, "mkdir") == 2
+
+
+def test_dufs_first_creates_make_each_hash_chain_once():
+    """DUFS over Lustre, one client node, 8 simultaneous first creates:
+    each back-end they touch gets the 3 mkdirs of the hash chain once."""
+    bus = TraceBus()
+    dep = build_dufs_deployment(n_zk=1, n_backends=2, n_client_nodes=1,
+                                backend="lustre", bus=bus)
+    mount = dep.mounts[0]
+
+    def setup():
+        yield from mount.mkdir("/d")
+
+    dep.cluster.sim.run(until=dep.client_nodes[0].spawn(setup()))
+    for i in range(8):
+        dep.client_nodes[0].spawn(mount.create(f"/d/f{i}"))
+    dep.cluster.sim.run()
+    touched = [fs for fs in dep.backends if fs.mds.ns.count_files()]
+    assert sum(fs.mds.ns.count_files() for fs in touched) == 8
+    assert [mds_calls(bus, fs, "mkdir") for fs in touched] == \
+        [3] * len(touched)
 
 
 def test_dlm_disabled_ablation():
