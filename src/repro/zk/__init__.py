@@ -9,8 +9,10 @@ Components (mirroring the real system's architecture):
   commits, votes).
 - :mod:`repro.zk.server` — one ZooKeeper server: leader write pipeline
   (propose → quorum ack → commit), follower forwarding, local reads,
-  sessions and watches, crash recovery.
-- :mod:`repro.zk.election` — fast-leader-election and the epoch/sync phase.
+  sessions and watches, checkpoints.
+- :mod:`repro.zk.election` — every role transition of a server: static
+  boot, fast-leader-election, the epoch/sync phase, failure detection,
+  crash recovery.
 - :mod:`repro.zk.client` — the synchronous client API the paper uses
   (``zoo_create``/``zoo_get``/``zoo_set``/``zoo_delete`` and friends),
   plus ``multi`` transactions.

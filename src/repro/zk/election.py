@@ -1,251 +1,420 @@
-"""Fast leader election and the epoch-sync (recovery) phase.
+"""Every role transition of a ZooKeeper server: :class:`Membership`.
 
-A LOOKING server broadcasts a vote for the best candidate it knows —
-ordered by (last logged zxid, server id), exactly the real FLE criterion —
-adopting and re-broadcasting any better vote it hears. When a quorum of
-current votes agrees on one candidate, the server decides: it becomes
-leader if the candidate is itself, otherwise it syncs with and follows the
-winner.
+``ZKServer`` inherits this mixin, and nothing outside it but
+``ZKServer.__init__`` assigns the server's role state: ``role``,
+``leader_sid``, the epochs, activation, the active follower sets, the term
+and the sync buffer (``tests/zk/test_role_state.py`` holds that). It
+covers static boot, fast leader election, ZAB's recovery sync, heartbeats
+and the failure detector, and crash/recovery.
 
-The sync phase implements ZAB recovery: the new leader's log is
-authoritative; a (re)joining follower ships its logged zxid sequence, the
-leader computes the longest common prefix, and replies with a truncate
-point plus the missing suffix. The leader activates (serves writes) once a
-quorum of members is synced, and — per ZAB — commits its entire log at
-activation. A sync attempt has one way in (:func:`begin_sync`), one owner
-(the decision that spawned it) and one way out (MODEL.md §6).
+Election: a LOOKING server broadcasts a vote for the best candidate it
+knows — ordered by (last logged zxid, server id), exactly the real FLE
+criterion — adopting and re-broadcasting any better vote it hears. When a
+quorum of current votes agrees on one candidate, the server decides: it
+becomes leader if the candidate is itself, otherwise it syncs with and
+follows the winner.
+
+Sync: the new leader's log is authoritative; a (re)joining follower ships
+its logged zxid sequence, the leader computes the longest common prefix,
+and replies with a truncate point plus the missing suffix. The leader
+activates (serves writes) once a quorum of members is synced, and — per
+ZAB — commits its entire log at activation.
+
+The term (``_term``) is bumped by every decision and every tree rebuild. A
+sync attempt, a logger ``log`` item and an applier batch each carry the
+term they were begun under and act only while it is current; stale work
+is ignored, not cancelled (MODEL.md §6).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import Generator
 
 from ..sim.core import Interrupt
-from ..sim.rpc import RpcTimeout
-from .errors import NotLeaderError, ZKError
-from .protocol import Ack, FollowerInfo, Propose, Vote
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .server import ZKServer
+from ..sim.resources import Store
+from ..sim.rpc import Reply, RpcTimeout
+from .data import ZnodeStore
+from .errors import ConnectionLossError, NotLeaderError, ZKError
+from .protocol import Ack, FollowerInfo, Ping, Pong, Propose, SyncResponse, Vote
 
 LOOKING = "looking"
 LEADING = "leading"
 FOLLOWING = "following"
 
 
-def start_election(server: "ZKServer") -> None:
-    """Enter LOOKING and begin a new election round."""
-    if server.node.down:
-        return
-    if server.role == LEADING:
-        server._step_down()
-    server.role = LOOKING
-    server.activated = False
-    server.leader_sid = None
-    if server._holds:
-        server._release_holds()
-    if not server.observer:
-        # Observers never vote or lead; they just look for a leader to
-        # re-sync with (via the vote-hint path in on_vote).
-        server.stats["elections"] += 1
-        server.election_round += 1
-        server._votes = {server.sid: (server.last_logged_zxid, server.sid)}
-        server._my_vote = (server.last_logged_zxid, server.sid)
-    _broadcast_vote(server)
-    server.node.spawn(_election_ticker(server), f"zk{server.sid}.election")
+class Membership:
+    """The role machine half of :class:`~repro.zk.server.ZKServer`."""
 
+    # ------------------------------------------------------------------
+    # bootstrap (static roles for healthy-cluster benchmarks)
+    # ------------------------------------------------------------------
+    def boot_static(self) -> None:
+        """Assume the configured static leader; no election traffic."""
+        assert self.static_leader is not None
+        self.epoch = 1
+        self.promised_epoch = 1
+        self.leader_sid = self.static_leader
+        if self.sid == self.static_leader:
+            self.role = LEADING
+            self.zxid_counter = 0
+            # Only voters are pre-activated; observers register themselves
+            # by syncing with the leader at boot.
+            self.active_followers = {s for s in self.followers()
+                                     if s < self.ensemble_size}
+            self.activated = True
+        elif self.observer:
+            self.begin_sync(self.static_leader)
+        else:
+            self.role = FOLLOWING
+        self.last_ping_at = self.sim.now
 
-def _broadcast_vote(server: "ZKServer") -> None:
-    zxid, sid = server._my_vote
-    vote = Vote(server.sid, sid, zxid, server.election_round, server.role)
-    for peer in server.followers():
-        server._cast_peer(peer, "vote", vote, size=64)
+    # ------------------------------------------------------------------
+    # fast leader election
+    # ------------------------------------------------------------------
+    def start_election(self) -> None:
+        """Enter LOOKING and begin a new election round."""
+        if self.node.down:
+            return
+        if self.role == LEADING:
+            self._step_down()
+        self.role = LOOKING
+        self.activated = False
+        self.leader_sid = None
+        if self._holds:
+            self._release_holds()
+        if not self.observer:
+            # Observers never vote or lead; they just look for a leader to
+            # re-sync with (via the vote-hint path in _f_vote).
+            self.stats["elections"] += 1
+            self.election_round += 1
+            self._votes = {self.sid: (self.last_logged_zxid, self.sid)}
+            self._my_vote = (self.last_logged_zxid, self.sid)
+        self._broadcast_vote()
+        self.node.spawn(self._election_ticker(), f"zk{self.sid}.election")
 
+    def _broadcast_vote(self) -> None:
+        zxid, sid = self._my_vote
+        vote = Vote(self.sid, sid, zxid, self.election_round, self.role)
+        for peer in self.followers():
+            self._cast_peer(peer, "vote", vote, size=64)
 
-def _election_ticker(server: "ZKServer") -> Generator:
-    """Re-broadcast periodically so elections survive lost casts and
-    round changes, and re-check the decision condition. Round-agnostic:
-    a server that joins a peer's newer round must keep broadcasting, or
-    two-survivor elections livelock (the joiner goes silent and the peer
-    never reaches quorum)."""
-    if server._ticker_running:
-        return
-    server._ticker_running = True
-    try:
+    def _election_ticker(self) -> Generator:
+        """Re-broadcast periodically so elections survive lost casts and
+        round changes, and re-check the decision condition. Round-agnostic:
+        a server that joins a peer's newer round must keep broadcasting, or
+        two-survivor elections livelock (the joiner goes silent and the
+        peer never reaches quorum)."""
+        if self._ticker_running:
+            return
+        self._ticker_running = True
+        try:
+            while True:
+                try:
+                    yield self.sim.timeout(self.params.election_tick)
+                except Interrupt:
+                    return
+                if self.role != LOOKING:
+                    return
+                self._broadcast_vote()
+                self._maybe_decide()
+        finally:
+            self._ticker_running = False
+
+    def _f_vote(self, src: str, vote: Vote) -> None:
+        """Fast-handler for incoming election notifications."""
+        if self.role != LOOKING:
+            # Help latecomers find the established leader.
+            if vote.state == LOOKING and self.leader_sid is not None:
+                reply = Vote(self.sid, self.leader_sid,
+                             self.last_logged_zxid, vote.round, self.role)
+                self._cast_peer(vote.sid, "vote", reply, size=64)
+            return
+        if vote.state != LOOKING:
+            # Authoritative hint: an established member points at its
+            # leader — never at the receiver, who would "follow itself" and
+            # be refused.
+            if self._presync is None and vote.proposed_sid != self.sid:
+                self.begin_sync(vote.proposed_sid)
+            return
+        if vote.sid >= self.ensemble_size:
+            return  # an observer's vote never counts toward any quorum
+        if vote.round > self.election_round:
+            # Peer is in a newer round; join it (and speak up in it).
+            self.election_round = vote.round
+            self._votes = {self.sid: self._my_vote}
+            self._broadcast_vote()
+        elif vote.round < self.election_round and vote.state == LOOKING:
+            return  # stale round
+        self._votes[vote.sid] = (vote.proposed_zxid, vote.proposed_sid)
+        candidate = (vote.proposed_zxid, vote.proposed_sid)
+        if vote.proposed_sid >= self.ensemble_size:
+            return  # never adopt an observer as candidate
+        if candidate > self._my_vote:     # higher zxid, then higher sid
+            self._my_vote = candidate
+            self._votes[self.sid] = candidate
+            self._broadcast_vote()
+        self._maybe_decide()
+
+    def _maybe_decide(self) -> None:
+        backing = sum(1 for v in self._votes.values() if v == self._my_vote)
+        if backing < self.quorum:
+            return
+        winner_sid = self._my_vote[1]
+        if winner_sid == self.sid:
+            self.become_leader()
+        else:
+            self.begin_sync(winner_sid)
+
+    # ------------------------------------------------------------------
+    # decisions and the recovery sync
+    # ------------------------------------------------------------------
+    def begin_sync(self, leader_sid: int) -> None:
+        """The one way into a sync attempt: buffer proposals and commits
+        from the instant the server commits to following (nothing racing
+        ahead of the sync response is lost or applied early), and own it
+        by a new term."""
+        self._term += 1
+        self._presync = []
+        self.role = FOLLOWING  # tentative; follow() may re-elect
+        self.leader_sid = leader_sid
+        self.node.spawn(self.follow(leader_sid, self._term),
+                        f"zk{self.sid}.follow")
+
+    def become_leader(self) -> None:
+        """Adopt a new epoch and wait for a quorum of followers to sync.
+
+        Per ZAB, the new leader's entire log is committed once it
+        activates: any proposal it logged under a previous epoch either
+        reached a quorum (must survive) or can safely be committed anyway
+        because this leader won with the highest logged zxid in a quorum.
+        """
+        self.role = LEADING
+        self.leader_sid = self.sid
+        self._presync = None
+        new_epoch = (self.last_logged_zxid >> 32) + 1
+        self.epoch = max(new_epoch, self.promised_epoch + 1)
+        self.promised_epoch = self.epoch
+        self.zxid_counter = 0
+        self.active_followers = set()
+        self.activated = False
+        # Commit the full log locally; the rebuild's new term disowns a
+        # sync attempt still in flight.
+        self._rebuild_from_disk(self.last_logged_zxid)
+        self._rebuild_spec()
+        self.outstanding.clear()
+        self.out_queue.clear()
+        self.last_pong_at = {}
+        # Single-member ensembles activate immediately.
+        if self.quorum <= 1:
+            self.activated = True
+
+    def follow(self, leader_sid: int, term: int) -> Generator:
+        """Sync with the elected leader, then serve as a follower. On
+        success *and* on failure it acts only while its term is current: a
+        stale attempt is not interrupted, it returns into nothing."""
+        resp = None
+        try:
+            try:
+                info = FollowerInfo(self.sid, tuple(z for z, _ in self.log),
+                                    observer=self.observer)
+                resp = yield from self.agent.call(
+                    self.peers[leader_sid], "follower_info", info,
+                    size=128 + 8 * len(self.log), timeout=2.0)
+                if resp.epoch < self.promised_epoch:
+                    raise NotLeaderError(msg=f"zk{leader_sid}: stale epoch")
+            except ZKError:
+                # Refused — an answer, not a timeout: the next round waits
+                # one tick, so no re-election loop is paced by the wire.
+                resp = None
+                yield self.sim.timeout(self.params.election_tick)
+        except (RpcTimeout, Interrupt):
+            pass
+        if term != self._term:
+            return
+        if resp is None:
+            self._presync = None
+            if self.params.failure_detection and not self.node.down:
+                self.start_election()
+            return
+        self.promised_epoch = resp.epoch
+        self.epoch = resp.epoch
+        self.leader_sid = leader_sid
+        # Truncate divergent suffix, append the leader's, rebuild, apply commits.
+        if resp.snapshot is not None:
+            self._snapshot = resp.snapshot
+            self._snapshot_zxid = resp.snapshot_zxid
+            self.log = list(resp.entries)
+        else:
+            self.log = [e for e in self.log if e[0] <= resp.truncate_to]
+            self.log.extend(resp.entries)
+        self._rebuild_from_disk(resp.commit_to)
+        self._accepted_zxid = self.last_logged_zxid
+        self.role = FOLLOWING
+        self.last_ping_at = self.sim.now
+        # Entries learned through the sync are durably logged now: ack the
+        # uncommitted tail so proposals that were dropped on the wire can
+        # still reach quorum through a re-synced follower.
+        if not self.observer:
+            tail = tuple(z for z, _ in self.log if z > resp.commit_to)
+            if tail:
+                self._cast_peer(leader_sid, "ack", Ack(tail, self.sid))
+        # Replay, in arrival order, what raced past the sync response.
+        buffered, self._presync = self._presync, None
+        for msg in buffered:
+            (self._f_propose if isinstance(msg, Propose)
+             else self._f_commit)("", msg)
+
+    def _h_follower_info(self, src: str, info: FollowerInfo) -> Generator:
+        if self.role != LEADING:
+            raise NotLeaderError(msg=f"zk{self.sid} is not leading")
+        yield from self.node.cpu_work(self.params.session_cpu)
+        if self.role != LEADING:
+            raise NotLeaderError(msg=f"zk{self.sid} lost leadership")
+        # ---- atomic: snapshot log tail + activate the follower ----------
+        my_zxids = [z for z, _ in self.log]
+        common = 0
+        for a, b in zip(my_zxids, info.last_zxid):
+            if a == b:
+                common += 1
+            else:
+                break
+        entries = tuple(self.log[common:])
+        truncate_to = my_zxids[common - 1] if common else 0
+        snapshot = None
+        snapshot_zxid = 0
+        if common == 0 and self._snapshot_zxid > 0:
+            # Our log was checkpoint-truncated and shares no prefix with
+            # the follower's: ship the snapshot the log now starts from.
+            snapshot = self._snapshot
+            snapshot_zxid = self._snapshot_zxid
+        if info.observer:
+            self.active_observers.add(info.sid)
+        else:
+            self.active_followers.add(info.sid)
+            if len(self.active_followers) + 1 >= self.quorum:
+                self.activated = True
+        resp = SyncResponse(self.epoch, truncate_to, entries,
+                            self.commit_index, snapshot, snapshot_zxid)
+        size = 160 + 64 * len(entries) + (128 * len(snapshot) if snapshot else 0)
+        return Reply(resp, size=size)
+
+    # ------------------------------------------------------------------
+    # heartbeats & failure detection (reliability experiments only)
+    # ------------------------------------------------------------------
+    def _heartbeat_loop(self) -> Generator:
+        p = self.params
         while True:
             try:
-                yield server.sim.timeout(server.params.election_tick)
+                yield self.sim.timeout(p.ping_interval)
             except Interrupt:
                 return
-            if server.role != LOOKING:
+            if self.role == LEADING:
+                for sid in self.followers():
+                    self._cast_peer(sid, "ping", Ping(self.sid, self.epoch), size=32)
+
+    def _f_ping(self, src: str, ping: Ping) -> None:
+        if ping.epoch >= self.epoch and self.role == FOLLOWING:
+            self.last_ping_at = self.sim.now
+            self._cast_peer(ping.sid, "pong", Pong(self.sid), size=32)
+        elif ping.epoch > self.epoch and self.role == LOOKING:
+            self.last_ping_at = self.sim.now
+
+    def _f_pong(self, src: str, pong: Pong) -> None:
+        self.last_pong_at[pong.sid] = self.sim.now
+
+    def _watchdog_loop(self) -> Generator:
+        p = self.params
+        while True:
+            try:
+                yield self.sim.timeout(p.ping_timeout / 2)
+            except Interrupt:
                 return
-            _broadcast_vote(server)
-            _maybe_decide(server)
-    finally:
-        server._ticker_running = False
+            now = self.sim.now
+            if self.role == FOLLOWING:
+                if now - self.last_ping_at > p.ping_timeout:
+                    self.start_election()
+            elif self.role == LEADING:
+                alive = sum(1 for sid in self.active_followers
+                            if now - self.last_pong_at.get(sid, 0.0)
+                            <= p.ping_timeout)
+                if alive + 1 < self.quorum and now > p.ping_timeout:
+                    self.start_election()    # steps down first
 
+    def _step_down(self) -> None:
+        self.role = LOOKING
+        self.activated = False
+        self.pending_commit = self.commit_index  # the next leader's to grant
+        self.active_followers.clear()
+        for zxid, out in list(self.outstanding.items()):
+            if not out.done.triggered:
+                out.done.fail(ConnectionLossError(
+                    msg=f"zk{self.sid} lost leadership"))
+                out.done._used = True
+        self.outstanding.clear()
+        self.out_queue.clear()
 
-def on_vote(server: "ZKServer", vote: Vote) -> None:
-    """Fast-handler for incoming election notifications."""
-    if server.role != LOOKING:
-        # Help latecomers find the established leader.
-        if vote.state == LOOKING and server.leader_sid is not None:
-            reply = Vote(server.sid, server.leader_sid,
-                         server.last_logged_zxid, vote.round, server.role)
-            server._cast_peer(vote.sid, "vote", reply, size=64)
-        return
-    if vote.state != LOOKING:
-        # Authoritative hint: an established member points at its leader —
-        # never at the receiver, who would "follow itself" and be refused.
-        if not server._syncing and vote.proposed_sid != server.sid:
-            begin_sync(server, vote.proposed_sid)
-        return
-    if vote.sid >= server.ensemble_size:
-        return  # an observer's vote never counts toward any quorum
-    if vote.round > server.election_round:
-        # Peer is in a newer round; join it (and speak up in it).
-        server.election_round = vote.round
-        server._votes = {server.sid: server._my_vote}
-        _broadcast_vote(server)
-    elif vote.round < server.election_round and vote.state == LOOKING:
-        return  # stale round
-    server._votes[vote.sid] = (vote.proposed_zxid, vote.proposed_sid)
-    candidate = (vote.proposed_zxid, vote.proposed_sid)
-    if vote.proposed_sid >= server.ensemble_size:
-        return  # never adopt an observer as candidate
-    if candidate > server._my_vote:     # higher zxid, then higher sid
-        server._my_vote = candidate
-        server._votes[server.sid] = candidate
-        _broadcast_vote(server)
-    _maybe_decide(server)
+    # ------------------------------------------------------------------
+    # crash / recovery
+    # ------------------------------------------------------------------
+    def _on_crash(self) -> None:
+        # Volatile state is lost; durable log/snapshot/promised_epoch stay.
+        self.role = LOOKING
+        self.activated = False
+        self.leader_sid = None
+        self.outstanding.clear()
+        self.out_queue.clear()
+        self.active_followers.clear()
+        self.active_observers.clear()
+        self.sessions.clear()
+        self._dentries.clear()
+        self.data_watches.clear()
+        self.child_watches.clear()
+        self._logger.clear()
+        if self._proposer is not None:
+            self._proposer.clear()
+        self._votes.clear()
+        self._holds.clear()      # their holders died with the node
+        # Accepted-but-unfsynced proposals died with the logger pipeline.
+        self._accepted_zxid = self.last_logged_zxid
 
+    def _rebuild_from_disk(self, upto: int = 0) -> None:
+        """Rebuild the tree from the checkpoint and replay the log up to
+        ``upto``: the one way a tree is rebuilt, so it begins a new term
+        and work accepted against the old tree is dropped. Replaying
+        nothing is the conservative default: everything logged before a
+        crash may have been committed, and ZAB resolves the actual commit
+        point during sync or election."""
+        self._term += 1
+        if self._snapshot is not None:
+            self.store = ZnodeStore.from_snapshot(self._snapshot)
+        else:
+            self.store = ZnodeStore()
+        self.commit_index = self._snapshot_zxid
+        for zxid, txn in self.log:
+            if self.commit_index < zxid <= upto:
+                self.store.apply(txn, zxid, self.sim.now)
+                self.commit_index = zxid
+        self.pending_commit = self.commit_index
+        if self._holds:
+            self._release_holds()
 
-def _maybe_decide(server: "ZKServer") -> None:
-    backing = sum(1 for v in server._votes.values() if v == server._my_vote)
-    if backing < server.quorum:
-        return
-    winner_sid = server._my_vote[1]
-    if winner_sid == server.sid:
-        become_leader(server)
-    else:
-        begin_sync(server, winner_sid)
+    def _on_recover(self) -> None:
+        self._apply_kick = Store(self.sim)
+        self._applier_idle = True
+        self._rebuild_from_disk()
+        self._start_pipelines()
+        if self.params.failure_detection:
+            self.start_election()
+        else:
+            assert self.static_leader is not None and \
+                self.static_leader != self.sid, \
+                "static-role mode cannot recover the leader"
+            self.node.spawn(self._rejoin_static(), f"zk{self.sid}.rejoin")
 
-
-def begin_sync(server: "ZKServer", leader_sid: int) -> None:
-    """The one way into a sync attempt: buffer proposals and commits from
-    the instant the server commits to following (nothing racing ahead of
-    the sync response is lost or applied early), and own it by a new term."""
-    server._sync_term += 1
-    server._syncing = True
-    server._presync = []
-    server.role = FOLLOWING  # tentative; follow() may re-elect
-    server.leader_sid = leader_sid
-    server.node.spawn(follow(server, leader_sid, server._sync_term),
-                      f"zk{server.sid}.follow")
-
-
-def become_leader(server: "ZKServer") -> None:
-    """Adopt a new epoch and wait for a quorum of followers to sync.
-
-    Per ZAB, the new leader's entire log is committed once it activates:
-    any proposal it logged under a previous epoch either reached a quorum
-    (must survive) or can safely be committed anyway because this leader
-    won with the highest logged zxid in a quorum.
-    """
-    server.role = LEADING
-    server.leader_sid = server.sid
-    server._sync_term += 1  # disowns a sync attempt still in flight
-    server._syncing = False
-    new_epoch = (server.last_logged_zxid >> 32) + 1
-    server.epoch = max(new_epoch, server.promised_epoch + 1)
-    server.promised_epoch = server.epoch
-    server.zxid_counter = 0
-    server.active_followers = set()
-    server.activated = False
-    # Commit the full log locally.
-    server._rebuild_from_disk()
-    for zxid, txn in server.log:
-        if zxid > server.commit_index:
-            server.store.apply(txn, zxid, server.sim.now)
-            server.commit_index = zxid
-    server.pending_commit = server.commit_index
-    if server._holds:
-        server._release_holds()
-    server._rebuild_spec()
-    server.outstanding.clear()
-    server.out_queue.clear()
-    server.last_pong_at = {}
-    # Single-member ensembles activate immediately.
-    if server.quorum <= 1:
-        server.activated = True
-
-
-def follow(server: "ZKServer", leader_sid: int, term: int = 0) -> Generator:
-    """Sync with the elected leader, then serve as a follower. On success
-    *and* on failure it acts only while its term is current: a stale
-    attempt is not interrupted, it returns into nothing."""
-    if not term:  # static-mode rejoin: not a decision, owns itself
-        server._sync_term += 1
-        server._syncing = True
-        server._presync = []
-        term = server._sync_term
-    resp = None
-    try:
-        try:
-            info = FollowerInfo(server.sid, tuple(z for z, _ in server.log),
-                                observer=server.observer)
-            resp = yield from server.agent.call(
-                server.peers[leader_sid], "follower_info", info,
-                size=128 + 8 * len(server.log), timeout=2.0)
-            if resp.epoch < server.promised_epoch:
-                raise NotLeaderError(msg=f"zk{leader_sid}: stale epoch")
-        except ZKError:
-            # Refused — an answer, not a timeout: the next round waits one
-            # tick, so no re-election loop is ever paced by the wire.
-            resp = None
-            yield server.sim.timeout(server.params.election_tick)
-    except (RpcTimeout, Interrupt):
-        pass
-    if term != server._sync_term:
-        return
-    if resp is None:
-        server._syncing = False
-        if server.params.failure_detection and not server.node.down:
-            start_election(server)
-        return
-    server.promised_epoch = resp.epoch
-    server.epoch = resp.epoch
-    server.leader_sid = leader_sid
-    # Truncate divergent suffix, append the leader's, rebuild, apply commits.
-    if resp.snapshot is not None:
-        server._snapshot = resp.snapshot
-        server._snapshot_zxid = resp.snapshot_zxid
-        server.log = list(resp.entries)
-    else:
-        server.log = [e for e in server.log if e[0] <= resp.truncate_to]
-        server.log.extend(resp.entries)
-    server._rebuild_from_disk()
-    for zxid, txn in server.log:
-        if zxid > server.commit_index and zxid <= resp.commit_to:
-            server.store.apply(txn, zxid, server.sim.now)
-            server.commit_index = zxid
-    if server._holds:
-        server._release_holds()
-    server.pending_commit = server.commit_index
-    server._accepted_zxid = (server.log[-1][0] if server.log
-                             else server._snapshot_zxid)
-    server.role = FOLLOWING
-    server.last_ping_at = server.sim.now
-    server._syncing = False
-    # Entries learned through the sync are durably logged now: ack the
-    # uncommitted tail so proposals that were dropped on the wire can
-    # still reach quorum through a re-synced follower.
-    if not server.observer:
-        tail = tuple(z for z, _ in server.log if z > resp.commit_to)
-        if tail:
-            server._cast_peer(leader_sid, "ack", Ack(tail, server.sid))
-    # Replay, in arrival order, what raced past the sync response.
-    buffered, server._presync = server._presync, []
-    for msg in buffered:
-        (server._f_propose if isinstance(msg, Propose)
-         else server._f_commit)("", msg)
+    def _rejoin_static(self) -> Generator:
+        yield self.sim.timeout(0)
+        # Not a decision: the attempt owns itself and leaves the role
+        # alone, so a recovering follower refuses reads until synced.
+        self._term += 1
+        self._presync = []
+        yield from self.follow(self.static_leader, self._term)

@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence
 from ..models.params import ZKParams
 from ..sim.node import Cluster, Node
 from ..svc import TraceBus
-from .election import start_election
 from .server import ZKServer
 
 
@@ -97,5 +96,5 @@ def build_ensemble(
     elif boot:
         for server in servers:
             if not server.observer:
-                start_election(server)
+                server.start_election()
     return ZKEnsemble(servers, [peers[s] for s in range(total)])

@@ -12,9 +12,11 @@ Durable state (survives :meth:`Node.crash`): the txn log, the last
 checkpoint snapshot, and the promised epoch. Everything else is volatile
 and rebuilt on recovery by snapshot + log replay.
 
-Leader election lives in :mod:`repro.zk.election` (mixed in here via plain
-method calls); throughput experiments run with a statically assigned leader
-and no failure detection, matching the paper's healthy-cluster runs.
+Every role transition — static boot, leader election, the recovery sync,
+heartbeats, crash and recovery — is :class:`~repro.zk.election.Membership`,
+which ``ZKServer`` inherits; this module is the data path those roles run.
+Throughput experiments use a statically assigned leader and no failure
+detection, matching the paper's healthy-cluster runs.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from ..sim.resources import Store
 from ..sim.rpc import Reply, _Cast
 from ..svc import Batcher, Service, TraceBus
 from .data import ZnodeStore, split_path
-from .election import (FOLLOWING, LEADING, LOOKING, begin_sync, follow,
-                       on_vote, start_election)
+from .election import FOLLOWING, LEADING, LOOKING, Membership
 from .errors import (
     ConnectionLossError,
     NoNodeError,
@@ -41,21 +42,8 @@ from .errors import (
     SessionExpiredError,
     ZKError,
 )
-from .protocol import (
-    Ack,
-    Commit,
-    FollowerInfo,
-    Ping,
-    Pong,
-    Propose,
-    ProposeBatch,
-    ReadRequest,
-    ResolveResult,
-    SyncResponse,
-    Vote,
-    WatchEvent,
-    WriteRequest,
-)
+from .protocol import (Ack, Commit, Propose, ProposeBatch, ReadRequest,
+                       ResolveResult, WatchEvent, WriteRequest)
 
 #: Resolved prefixes each server's dentry cache remembers (LRU).
 DENTRY_CACHE_CAPACITY = 65536
@@ -77,7 +65,7 @@ class _Hold(Event):
     __slots__ = ("at", "bound")
 
 
-class ZKServer:
+class ZKServer(Membership):
     """A member of a ZooKeeper ensemble, bound to a simulated node."""
 
     def __init__(
@@ -134,9 +122,9 @@ class ZKServer:
         # follower-only
         self._accepted_zxid = 0                   # highest zxid accepted into
                                                   # the log pipeline
-        self._syncing = False                     # buffering casts
-        self._presync: List[Any] = []             # proposals and commits
-        self._sync_term = 0                       # owner of a sync attempt
+        # while syncing: proposals and commits buffered behind the response
+        self._presync: Optional[List[Any]] = None
+        self._term = 0      # bumped by each decision and each tree rebuild
 
         # Parked read-your-writes holds, sorted: (zxid, reserved id, hold).
         self._holds: List[Tuple[int, int, _Hold]] = []
@@ -154,7 +142,6 @@ class ZKServer:
         self.session_last_contact: Dict[int, float] = {}
         self.data_watches: Dict[str, Set[str]] = {}
         self.child_watches: Dict[str, Set[str]] = {}
-        self.exist_watches: Dict[str, Set[str]] = {}
 
         # liveness (failure detection mode)
         self.last_ping_at = 0.0
@@ -250,29 +237,6 @@ class ZKServer:
                                 _Cast(method, args, self.endpoint), size)
 
     # ------------------------------------------------------------------
-    # bootstrap (static roles for healthy-cluster benchmarks)
-    # ------------------------------------------------------------------
-    def boot_static(self) -> None:
-        """Assume the configured static leader; no election traffic."""
-        assert self.static_leader is not None
-        self.epoch = 1
-        self.promised_epoch = 1
-        self.leader_sid = self.static_leader
-        if self.sid == self.static_leader:
-            self.role = LEADING
-            self.zxid_counter = 0
-            # Only voters are pre-activated; observers register themselves
-            # by syncing with the leader at boot.
-            self.active_followers = {s for s in self.followers()
-                                     if s < self.ensemble_size}
-            self.activated = True
-        elif self.observer:
-            begin_sync(self, self.static_leader)
-        else:
-            self.role = FOLLOWING
-        self.last_ping_at = self.sim.now
-
-    # ------------------------------------------------------------------
     # client-facing handlers
     # ------------------------------------------------------------------
     def _h_connect(self, src: str, args: Any) -> Generator:
@@ -332,8 +296,7 @@ class ZKServer:
         if req.op == "exists":
             stat = self.store.exists(req.path)
             if req.watch:
-                table = self.data_watches if stat is not None else self.exist_watches
-                table.setdefault(req.path, set()).add(src)
+                self.data_watches.setdefault(req.path, set()).add(src)
             return Reply(stat, size=p.resp_base_size)
         if req.op == "get":
             data, stat = self.store.get(req.path)  # raises NoNodeError
@@ -502,7 +465,7 @@ class ZKServer:
         """Fire every parked hold that can now pass, at the first tick
         of its own grid strictly after now. Called wherever a hold's
         condition can turn true: ``commit_index`` rises (the applier,
-        ``follow``, ``become_leader``) or the role leaves FOLLOWING
+        ``_rebuild_from_disk``) or the role leaves FOLLOWING
         (``start_election``)."""
         holds = self._holds
         applied = self.commit_index
@@ -685,8 +648,10 @@ class ZKServer:
         for item in batch:
             if item[0] == "self_ack":
                 self._on_ack(self.sid, (item[1],))
-            else:  # ("log", the leader's entry, leader_sid)
-                _, entry, leader_sid = item
+            elif item[3] == self._term:
+                # ("log", the leader's entry, leader_sid, term), accepted
+                # against the tree still current: a stale one is dropped
+                _, entry, leader_sid, _ = item
                 self.log.append(entry)
                 ack_zxids.append((leader_sid, entry[0]))
         if ack_zxids:
@@ -705,7 +670,7 @@ class ZKServer:
     # ZAB casts
     # ------------------------------------------------------------------
     def _f_propose(self, src: str, prop: Propose) -> None:
-        if self._syncing:
+        if self._presync is not None:
             # Mid-sync: the leader already counts us as active, so buffer
             # proposals until the sync response is applied (they are FIFO
             # behind it on the wire, but our coroutine applies it late).
@@ -724,11 +689,11 @@ class ZKServer:
             # the leader at the same commit index. Buffer this proposal and
             # re-sync our log from the leader instead.
             self.stats["gap_resyncs"] += 1
-            begin_sync(self, self.leader_sid)
+            self.begin_sync(self.leader_sid)
             self._presync.append(prop)
             return
         self._accepted_zxid = zxid
-        self._logger.submit(("log", prop.entry, self.leader_sid))
+        self._logger.submit(("log", prop.entry, self.leader_sid, self._term))
 
     def _f_propose_batch(self, src: str, pb: ProposeBatch) -> None:
         """A leader-side write batch: contained proposals are processed in
@@ -774,7 +739,7 @@ class ZKServer:
             self._kick_applier()
 
     def _f_commit(self, src: str, commit: Commit) -> None:
-        if self._syncing:
+        if self._presync is not None:
             # Nothing is applied between choosing a leader and applying
             # its sync response: replayed behind it, in arrival order.
             self._presync.append(commit)
@@ -805,7 +770,10 @@ class ZKServer:
                     if not todo:
                         self._applier_idle = True
                         break
+                    term = self._term
                     yield from self.node.cpu_work(p.apply_cpu * len(todo))
+                    if term != self._term:
+                        continue    # the tree was rebuilt meanwhile
                     for zxid, txn in todo:
                         self.store.apply(txn, zxid, self.sim.now)
                         self.commit_index = zxid
@@ -861,8 +829,7 @@ class ZKServer:
     # watches
     # ------------------------------------------------------------------
     def _fire_watches(self, txn: tuple) -> None:
-        if not (self.data_watches or self.child_watches
-                or self.exist_watches):
+        if not (self.data_watches or self.child_watches):
             return
         kind = txn[0]
         if kind == "multi":
@@ -872,11 +839,10 @@ class ZKServer:
         path = txn[1]
         parent, _ = split_path(path)
         if kind == "create":
-            self._notify(self.exist_watches, path, "created")
+            self._notify(self.data_watches, path, "created")
             self._notify(self.child_watches, parent, "child")
         elif kind == "delete":
             self._notify(self.data_watches, path, "deleted")
-            self._notify(self.exist_watches, path, "deleted")
             self._notify(self.child_watches, parent, "child")
             self._notify(self.child_watches, path, "deleted")
         elif kind == "set":
@@ -892,102 +858,7 @@ class ZKServer:
             self.agent.cast(client, "watch_event", event, size=64)
 
     # ------------------------------------------------------------------
-    # sync of (re)joining followers
-    # ------------------------------------------------------------------
-    def _h_follower_info(self, src: str, info: FollowerInfo) -> Generator:
-        if self.role != LEADING:
-            raise NotLeaderError(msg=f"zk{self.sid} is not leading")
-        yield from self.node.cpu_work(self.params.session_cpu)
-        if self.role != LEADING:
-            raise NotLeaderError(msg=f"zk{self.sid} lost leadership")
-        # ---- atomic: snapshot log tail + activate the follower ----------
-        my_zxids = [z for z, _ in self.log]
-        common = 0
-        for a, b in zip(my_zxids, info.last_zxid):
-            if a == b:
-                common += 1
-            else:
-                break
-        entries = tuple(self.log[common:])
-        truncate_to = my_zxids[common - 1] if common else 0
-        snapshot = None
-        snapshot_zxid = 0
-        if common == 0 and self._snapshot_zxid > 0:
-            # Our log was checkpoint-truncated and shares no prefix with the
-            # follower's: ship the snapshot the log now starts from.
-            snapshot = self._snapshot
-            snapshot_zxid = self._snapshot_zxid
-        if info.observer:
-            self.active_observers.add(info.sid)
-        else:
-            self.active_followers.add(info.sid)
-            if len(self.active_followers) + 1 >= self.quorum:
-                self.activated = True
-        resp = SyncResponse(self.epoch, truncate_to, entries,
-                            self.commit_index, snapshot, snapshot_zxid)
-        size = 160 + 64 * len(entries) + (128 * len(snapshot) if snapshot else 0)
-        return Reply(resp, size=size)
-
-    # ------------------------------------------------------------------
-    # heartbeats & failure detection (reliability experiments only)
-    # ------------------------------------------------------------------
-    def _heartbeat_loop(self) -> Generator:
-        p = self.params
-        while True:
-            try:
-                yield self.sim.timeout(p.ping_interval)
-            except Interrupt:
-                return
-            if self.role == LEADING:
-                for sid in self.followers():
-                    self._cast_peer(sid, "ping", Ping(self.sid, self.epoch), size=32)
-
-    def _f_ping(self, src: str, ping: Ping) -> None:
-        if ping.epoch >= self.epoch and self.role == FOLLOWING:
-            self.last_ping_at = self.sim.now
-            self._cast_peer(ping.sid, "pong", Pong(self.sid), size=32)
-        elif ping.epoch > self.epoch and self.role == LOOKING:
-            self.last_ping_at = self.sim.now
-
-    def _f_pong(self, src: str, pong: Pong) -> None:
-        self.last_pong_at[pong.sid] = self.sim.now
-
-    def _watchdog_loop(self) -> Generator:
-        p = self.params
-        while True:
-            try:
-                yield self.sim.timeout(p.ping_timeout / 2)
-            except Interrupt:
-                return
-            now = self.sim.now
-            if self.role == FOLLOWING:
-                if now - self.last_ping_at > p.ping_timeout:
-                    start_election(self)
-            elif self.role == LEADING:
-                alive = sum(1 for sid in self.active_followers
-                            if now - self.last_pong_at.get(sid, 0.0)
-                            <= p.ping_timeout)
-                if alive + 1 < self.quorum and now > p.ping_timeout:
-                    start_election(self)    # steps down first
-
-    def _step_down(self) -> None:
-        self.role = LOOKING
-        self.activated = False
-        self.pending_commit = self.commit_index  # the next leader's to grant
-        self.active_followers.clear()
-        for zxid, out in list(self.outstanding.items()):
-            if not out.done.triggered:
-                out.done.fail(ConnectionLossError(
-                    msg=f"zk{self.sid} lost leadership"))
-                out.done._used = True
-        self.outstanding.clear()
-        self.out_queue.clear()
-
-    def _f_vote(self, src: str, vote: Vote) -> None:
-        on_vote(self, vote)
-
-    # ------------------------------------------------------------------
-    # crash / recovery
+    # checkpoints (durable state; crash and recovery are Membership's)
     # ------------------------------------------------------------------
     def _checkpoint_loop(self) -> Generator:
         try:
@@ -1006,53 +877,3 @@ class ZKServer:
         self._snapshot = self.store.snapshot()
         self._snapshot_zxid = self.commit_index
         self.log = [e for e in self.log if e[0] > self.commit_index]
-
-    def _on_crash(self) -> None:
-        # Volatile state is lost; durable log/snapshot/promised_epoch stay.
-        self.role = LOOKING
-        self.activated = False
-        self.leader_sid = None
-        self.outstanding.clear()
-        self.out_queue.clear()
-        self.active_followers.clear()
-        self.active_observers.clear()
-        self.sessions.clear()
-        self._dentries.clear()
-        self.data_watches.clear()
-        self.child_watches.clear()
-        self.exist_watches.clear()
-        self._logger.clear()
-        if self._proposer is not None:
-            self._proposer.clear()
-        self._votes.clear()
-        self._holds.clear()      # their holders died with the node
-        # Accepted-but-unfsynced proposals died with the logger pipeline.
-        self._accepted_zxid = self.log[-1][0] if self.log \
-            else self._snapshot_zxid
-
-    def _rebuild_from_disk(self) -> None:
-        if self._snapshot is not None:
-            self.store = ZnodeStore.from_snapshot(self._snapshot)
-        else:
-            self.store = ZnodeStore()
-        self.commit_index = self._snapshot_zxid
-        self.pending_commit = self.commit_index
-        # Conservative: everything logged before the crash may have been
-        # committed; ZAB resolves actual commit point during sync/election.
-
-    def _on_recover(self) -> None:
-        self._apply_kick = Store(self.sim)
-        self._applier_idle = True
-        self._rebuild_from_disk()
-        self._start_pipelines()
-        if self.params.failure_detection:
-            start_election(self)
-        else:
-            assert self.static_leader is not None and \
-                self.static_leader != self.sid, \
-                "static-role mode cannot recover the leader"
-            self.node.spawn(self._rejoin_static(), f"zk{self.sid}.rejoin")
-
-    def _rejoin_static(self) -> Generator:
-        yield self.sim.timeout(0)
-        yield from follow(self, self.static_leader)

@@ -21,14 +21,15 @@ on one core, which a hog keeps busy for a chosen time, so commits are
 held back by different amounts and applied in an order of their own.
 Elections and crashes land mid-hold, with and without failure
 detection; the re-sync that follows an election lowers ``commit_index``
-and raises it again inside ``follow()``.
+and raises it again inside ``follow()``. A replica that applies one zxid
+twice raises ``AssertionError: inconsistent replica`` out of the run.
 
 Wrong variants that fail here: reserving the id when the hold is
 released instead of when it parks (holds released out of registration
 order return in that order at their shared tick), recomputing the grid
 as ``start + k * log_delay`` instead of accumulating it (the instants
 move in the last bits), and leaving out the release in
-``start_election``, ``follow()`` or ``become_leader``.
+``start_election`` or ``_rebuild_from_disk``.
 """
 
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ from hypothesis import strategies as st
 
 from repro.models.params import ZKParams
 from repro.sim import Cluster, RpcAgent, RpcTimeout
-from repro.zk.election import FOLLOWING, LEADING, LOOKING, start_election
+from repro.zk.election import FOLLOWING, LEADING, LOOKING
 from repro.zk.errors import ConnectionLossError, NotLeaderError
 from repro.zk.protocol import WriteRequest
 from repro.zk.server import ZKServer
@@ -161,7 +162,7 @@ def replay(cls, schedule, params=ZKParams()):
         server = servers[sid]
         log.append((sim.now, f"{kind} zk{sid}", server.commit_index))
         if kind == "elect":
-            start_election(server)
+            server.start_election()
             return
         server.node.crash()
         yield sim.timeout(down * LOG_DELAY)
@@ -173,15 +174,7 @@ def replay(cls, schedule, params=ZKParams()):
         client_node.spawn(hog(sid, at, ticks))
     for kind, sid, at, down in faults:
         client_node.spawn(fault(kind, sid, at, down))
-    try:
-        sim.run(until=1.0)
-    except AssertionError as exc:
-        # A re-sync that overtakes an fsync or an apply batch in flight
-        # applies its txns twice (ROADMAP item 1). Both servers must
-        # reach that defect at the same instant with the same history.
-        if "inconsistent replica" not in str(exc):
-            raise
-        log.append((sim.now, "inconsistent replica", str(exc)))
+    sim.run(until=1.0)
     return log
 
 
@@ -214,7 +207,6 @@ BURST = [(0, sid, "create") for sid in range(1, N_SERVERS)]
 def _check(schedule, params=ZKParams()):
     log = replay(Parked, schedule, params)
     assert log == replay(Polled, schedule, params)
-    assert log[-1][1] != "inconsistent replica"
     return log
 
 
@@ -248,9 +240,9 @@ def test_an_election_just_before_a_tick_lets_the_write_go_at_that_tick():
 
 def test_an_election_mid_hold_releases_it_and_the_resync_parks_it_again():
     """The election frees the hold; the re-sync makes zk2 a follower
-    again before its tick, so it parks again there. Its stale apply batch
-    releases it, and ``follow()`` lowers and re-raises ``commit_index``
-    while it is in flight."""
+    again before its tick, so it parks again there. The apply batch it
+    began before choosing a leader is dropped, and ``follow()``'s rebuild
+    applies the commit and releases it."""
     log = _check((BURST, [(2, 56, 5)], [("elect", 2, 58, 0)]))
     (held,), (shared,) = _returned(log, 2), _returned(log, 3)
     assert held - shared > 0.9 * LOG_DELAY
@@ -299,3 +291,21 @@ def test_a_sync_held_on_the_follower_that_becomes_leader():
                  ZKParams(failure_detection=True))
     syncs = [(now, got) for now, what, got in log if what == "zk4 sync /n04"]
     assert len(syncs) == 1 and syncs[0][0] > ZKParams().ping_timeout
+
+
+def test_a_resync_drops_the_fsync_batch_it_overtakes():
+    """zk1 re-elects while its fsync of zxid 1 is in flight and installs
+    the leader's log, zxid 1 included, before the fsync ends. The stale
+    batch appends and acks nothing; before, it logged zxid 1 a second
+    time and the applier applied it twice."""
+    _check(([(0, 0, "create")], [], [("elect", 1, 24, 0)]))
+
+
+def test_a_resync_drops_the_apply_batch_it_overtakes():
+    """zk4's applier waits for its hogged core with a batch computed
+    against its old tree when the re-sync rebuilds it. The stale batch is
+    dropped and the applicable run recomputed; before, it applied its
+    txns a second time, to the rebuilt tree."""
+    _check(([(0, 0, "create"), (0, 4, "create")],
+            [(2, 54, 93), (1, 28, 57), (4, 29, 45)], [("elect", 4, 45, 2)]),
+           ZKParams(failure_detection=True))

@@ -209,7 +209,7 @@ def test_rejoining_follower_applies_its_log_once(k):
 
 @pytest.mark.xfail(strict=True, reason=(
     "hearsay hints and a grace measured from t = 0: a member that has merely "
-    "*chosen* the dead leader vouches for it (on_vote answers for any "
+    "*chosen* the dead leader vouches for it (_f_vote answers for any "
     "non-LOOKING role), so servers that just timed out on it follow it again "
     "on hearsay, and the rightly elected leader is deposed by its own "
     "watchdog 0.15 s after taking office (`now > ping_timeout` counts from "
