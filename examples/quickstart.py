@@ -64,7 +64,7 @@ def main():
     print(f"  files on back-end 0 / 1  : "
           f"{[be.ns.count_files() for be in dep.backends]}")
     print(f"  replicas converged       : {dep.ensemble.converged()}")
-    print(f"  DUFS client stats        : {client.stats}")
+    print(f"  DUFS client zk_reads     : {client.stats['zk_reads']}")
 
 
 if __name__ == "__main__":

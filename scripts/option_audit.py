@@ -1,9 +1,10 @@
 #!/usr/bin/env python
-"""Options nobody sets: defaulted parameters and ``SimParams`` fields.
+"""Options nobody sets and counters nobody reads: defaulted parameters,
+``SimParams`` fields and ``self.stats`` keys.
 
-The static sibling of ``traffic_audit.py``: an AST pass (no import, under
-a second). Print-only; always exits 0 (both counts are ratchet rows of
-``tests/models/test_option_budget.py``).
+The static sibling of ``traffic_audit.py``: an AST pass (no import, a few
+seconds). Print-only; always exits 0 (all three counts are ratchet rows
+of ``tests/models/test_option_budget.py``).
 
 ``unsupplied()`` walks ``src/``, ``perfbench/``, ``benchmarks/``,
 ``examples/`` and ``scripts/`` and lists every parameter of a
@@ -28,6 +29,19 @@ with ``**`` (the ``cls(**{...})`` presets), and no assignment targets
 counts for both. Fields holding a sub-params object are left
 out: callers mutate those in place (``params.lustre.dlm_enabled = …``).
 
+``unread_counters()`` lists every key of a dict literal assigned to
+``self.stats`` in a ``src/repro`` class that no code under ``src/``,
+``perfbench/``, ``examples/`` or ``scripts/`` reads (``tests/`` and
+``perfbench/tests/`` do not count: a test is no reader, and ``self.stats``
+is the owner's own bookkeeping). A read is ``x.stats["key"]`` or
+``x.stats.get("key")``, the same with a loop variable over a literal
+(a tuple, list or dict, or a name bound to one), or a whole-dict read:
+any other use of ``x.stats``, such as ``dict(x.stats)``. Keys are judged
+per owning class: a keyed read counts for the one class whose dict holds
+every key it reads. A whole-dict read names no key, and a keyed read that
+fits two classes names no class; such a read counts only for the classes
+``UNPINNED`` names for its file.
+
 Run: python scripts/option_audit.py
 """
 
@@ -39,6 +53,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CALLERS = ("src", "perfbench", "benchmarks", "examples", "scripts")
 PARAMS = Path("src", "repro", "models", "params.py")
+READERS = ("src", "perfbench", "examples", "scripts")
+
+#: Class -> the files whose ``.stats`` reads no key pins to one class
+#: (see ``unread_counters``) read that class's dict.
+UNPINNED = {
+    "ShardedMDS": ("src/repro/bench/shard_bench.py",),
+    "Migrator": ("src/repro/bench/shardmap_cli.py",
+                 "src/repro/mds/autoscaler.py"),
+}
 
 
 def _parse(root: Path, tops) -> dict:
@@ -189,6 +212,122 @@ def unset_fields(root: Path = ROOT) -> list:
             and stmt.target.id not in written]
 
 
+def _is_self(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _stats_sites(trees: dict, root: Path) -> list:
+    """``(file, line, class, value)`` per ``self.stats = …`` in a method of
+    a ``src/repro`` class."""
+    sites = []
+    for path, tree in trees.items():
+        rel = path.relative_to(root)
+        if rel.parts[:2] != ("src", "repro"):
+            continue
+        owner = {fn: cls for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body
+                 if isinstance(fn, ast.FunctionDef)}
+        sites += [(rel.as_posix(), node.lineno, cls.name, node.value)
+                  for fn, cls in owner.items() for node in ast.walk(fn)
+                  if isinstance(node, ast.Assign) and any(
+                      isinstance(t, ast.Attribute) and t.attr == "stats"
+                      and _is_self(t.value) for t in node.targets)]
+    return sites
+
+
+def stats_assignments(root: Path = ROOT) -> list:
+    """One ``file:line  Class.stats`` line per ``self.stats = …``."""
+    return [f"{rel}:{line}  {cls}.stats" for rel, line, cls, _ in
+            _stats_sites(_parse(root, ("src",)), root)]
+
+
+def _literal_keys(expr, bound: dict):
+    """The string keys a literal tuple/list/set/dict (or a name bound to
+    one) holds, or None."""
+    if isinstance(expr, ast.Name):
+        return bound.get(expr.id)
+    if isinstance(expr, ast.Dict):
+        elts = expr.keys
+    elif isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
+        elts = expr.elts
+    else:
+        return None
+    if elts and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                    for e in elts):
+        return {e.value for e in elts}
+    return None
+
+
+def _is_stats(node) -> bool:
+    """``x.stats`` read through anything but ``self``."""
+    return isinstance(node, ast.Attribute) and node.attr == "stats" \
+        and isinstance(node.ctx, ast.Load) and not _is_self(node.value)
+
+
+def _reads(tree):
+    """The keys of each ``x.stats`` read, or None for a whole-dict read."""
+    nodes = list(ast.walk(tree))
+    bound = {}                           # name -> keys of its literal
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            keys = _literal_keys(node.value, {})
+            for target in node.targets:
+                if keys and isinstance(target, ast.Name):
+                    bound[target.id] = keys
+    loops = {}                           # loop variable use -> its keys
+    keyed = {}                           # x.stats -> key (None: a write)
+    for node in nodes:
+        for loop in [node] if isinstance(node, ast.For) \
+                else getattr(node, "generators", ()):
+            keys = _literal_keys(loop.iter, bound)
+            if keys and isinstance(loop.target, ast.Name):
+                loops.update((var, keys) for var in ast.walk(node)
+                             if isinstance(var, ast.Name)
+                             and var.id == loop.target.id)
+        if isinstance(node, ast.Subscript) and _is_stats(node.value):
+            keyed[node.value] = node.slice \
+                if isinstance(node.ctx, ast.Load) else None
+        elif isinstance(node, ast.Call) and node.args \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "get" and _is_stats(node.func.value):
+            keyed[node.func.value] = node.args[0]
+    for node in nodes:
+        if not _is_stats(node):
+            continue
+        if node not in keyed:
+            yield None
+        elif isinstance(keyed[node], ast.Constant) \
+                and isinstance(keyed[node].value, str):
+            yield {keyed[node].value}
+        elif keyed[node] in loops:
+            yield loops[keyed[node]]
+
+
+def unread_counters(root: Path = ROOT) -> list:
+    """One ``file:line  Class.stats['key']`` line per counter no non-test
+    code reads."""
+    trees = _parse(root, READERS)
+    owned = {cls: (rel, line, [k.value for k in value.keys])
+             for rel, line, cls, value in _stats_sites(trees, root)
+             if isinstance(value, ast.Dict)}
+    read = defaultdict(set)              # class -> keys some reader reads
+    for path, tree in trees.items():
+        rel = path.relative_to(root)
+        if "tests" in rel.parts:
+            continue
+        for keys in _reads(tree):
+            fits = [cls for cls, (_, _, have) in owned.items()
+                    if keys is None or keys <= set(have)]
+            if keys is None or len(fits) > 1:
+                fits = [cls for cls in fits
+                        if rel.as_posix() in UNPINNED.get(cls, ())]
+            for cls in fits:
+                read[cls].update(keys or owned[cls][2])
+    return [f"{rel}:{line}  {cls}.stats[{key!r}]"
+            for cls, (rel, line, keys) in owned.items()
+            for key in keys if key not in read[cls]]
+
+
 def main() -> int:
     hits = unsupplied()
     print("\n".join(hits))
@@ -196,6 +335,9 @@ def main() -> int:
     unset = unset_fields()
     print("\n".join(["", *unset,
                      f"{len(unset)} params fields no non-test code sets"]))
+    unread = unread_counters()
+    print("\n".join(["", *unread,
+                     f"{len(unread)} counter keys no non-test code reads"]))
     return 0
 
 

@@ -170,7 +170,7 @@ def run_side(thin: bool, scale: str) -> Dict:
     for ens in dep.ensembles:
         for srv in ens.servers:
             for k in server:
-                server[k] += srv.stats.get(k, 0)
+                server[k] += srv.stats[k]
     return {
         "phases": {name: {"ops": r.ops, "duration": r.duration,
                           "ops_per_s": r.throughput}

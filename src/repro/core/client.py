@@ -126,8 +126,7 @@ class DUFSClient:
         # marked dead. Ops whose FID maps to one fail fast with EIO while
         # the ZooKeeper namespace keeps serving everything else.
         self.degraded: set = set()
-        self.stats = {"ops": 0, "zk_reads": 0, "zk_writes": 0,
-                      "backend_ops": 0, "degraded_fails": 0}
+        self.stats = {"zk_reads": 0}
         # The read side, assembled once: pending-write overlay → coherent
         # cache (the stage exists only when enabled) → source, the paper's
         # single znode ``get`` or, for a *thin* client, the metadata
@@ -172,7 +171,6 @@ class DUFSClient:
         """Every physical-filesystem access funnels through here so a dead
         back-end fails the op instead of hanging it."""
         if backend in self.degraded:
-            self.stats["degraded_fails"] += 1
             raise FSError(EIO, msg=f"back-end {backend} unavailable "
                                    "(degraded mode)")
         result = yield from getattr(self.backends[backend], method)(*args)
@@ -423,10 +421,8 @@ class DUFSClient:
     def mkdir(self, path: str, mode: int = 0o755) -> Generator:
         """Paper Fig. 5."""
         path = normalize_path(path)
-        self.stats["ops"] += 1
         yield from self._logic(self.params.znode_codec_cpu)
         yield from self._check_new_entry(path)
-        self.stats["zk_writes"] += 1
         yield from self._commit("create", path, DirPayload(mode))
         self.mdcache.note_created(path, is_dir=True)
         return True
@@ -435,19 +431,16 @@ class DUFSClient:
         path = normalize_path(path)
         if path == "/":
             raise FSError(EINVAL, path, "cannot operate on /")
-        self.stats["ops"] += 1
         yield from self._logic(self.params.znode_codec_cpu)
         payload, _ = yield from self._get_payload(path)
         if not isinstance(payload, DirPayload):
             raise FSError(ENOTDIR, path)
-        self.stats["zk_writes"] += 1
         yield from self._commit("delete", path, is_dir=True)
         self.mdcache.note_removed(path)
         return True
 
     def readdir(self, path: str) -> Generator:
         path = normalize_path(path)
-        self.stats["ops"] += 1
         yield from self._logic()
         try:
             names = yield from self.mdcache.get_children(path)
@@ -473,7 +466,6 @@ class DUFSClient:
     # -- stat (paper Fig. 6) -----------------------------------------------------
     def stat(self, path: str) -> Generator:
         path = normalize_path(path)
-        self.stats["ops"] += 1
         yield from self._logic(self.params.znode_codec_cpu)
         if path == "/":
             return StatResult(st_mode=DEFAULT_DIR_MODE, st_ino=1, st_nlink=2)
@@ -497,7 +489,6 @@ class DUFSClient:
                               st_ctime=zstat.ctime)
         yield from self._logic(self.params.mapping_cpu)
         backend, ppath = self._locate(payload.fid)
-        self.stats["backend_ops"] += 1
         st = yield from self._backend_call(backend, "stat", ppath)
         st.st_mode = S_IFREG | (st.st_mode & 0o7777)
         return st
@@ -509,7 +500,6 @@ class DUFSClient:
     # -- file operations -----------------------------------------------------
     def create(self, path: str, mode: int = 0o644) -> Generator:
         path = normalize_path(path)
-        self.stats["ops"] += 1
         yield from self._logic(self.params.fid_generate_cpu,
                                self.params.mapping_cpu,
                                self.params.znode_codec_cpu)
@@ -517,11 +507,9 @@ class DUFSClient:
         fid = self.fidgen.next()
         backend, ppath = self._locate(fid)
         yield from self.ensure_physical_dirs(backend, fid)
-        self.stats["backend_ops"] += 1
         yield from self._backend_call(backend, "create", ppath, mode)
         # The physical file exists (steps C/D); publish name->FID. A
         # commit that provably failed rolls the physical file back.
-        self.stats["zk_writes"] += 1
         yield from self._commit("create", path, FilePayload(fid, mode))
         self.mdcache.note_created(path)
         return True
@@ -536,18 +524,15 @@ class DUFSClient:
         path = normalize_path(path)
         if path == "/":
             raise FSError(EINVAL, path, "cannot operate on /")
-        self.stats["ops"] += 1
         yield from self._logic(self.params.znode_codec_cpu)
         payload, _ = yield from self._get_payload(path)
         if isinstance(payload, DirPayload):
             raise FSError(EISDIR, path)
-        self.stats["zk_writes"] += 1
         yield from self._commit("delete", path)
         self.mdcache.note_removed(path)
         if isinstance(payload, FilePayload):
             yield from self._logic(self.params.mapping_cpu)
             backend, ppath = self._locate(payload.fid)
-            self.stats["backend_ops"] += 1
             try:
                 yield from self._backend_call(backend, "unlink", ppath)
             except FSError as exc:
@@ -558,7 +543,6 @@ class DUFSClient:
     def _resolve_file(self, path: str, flags: int = 0) -> Generator:
         """Paper Fig. 3 steps A-D; returns (backend index, physical path)."""
         path = normalize_path(path)
-        self.stats["ops"] += 1
         yield from self._logic(self.params.znode_codec_cpu,
                                self.params.mapping_cpu)
         payload, _ = yield from self._get_payload(path)
@@ -568,7 +552,6 @@ class DUFSClient:
             result = yield from self._resolve_file(payload.target, flags)
             return result
         backend, ppath = self._locate(payload.fid)
-        self.stats["backend_ops"] += 1
         yield from self._backend_call(backend, "open", ppath, flags)
         return (backend, ppath)
 
@@ -597,14 +580,12 @@ class DUFSClient:
     def pread(self, fh: int, offset: int, size: int) -> Generator:
         """Read through an open handle — back-end only, no ZooKeeper."""
         backend, ppath = self._handle(fh)
-        self.stats["backend_ops"] += 1
         result = yield from self._backend_call(backend, "read", ppath,
                                                offset, size)
         return result
 
     def pwrite(self, fh: int, offset: int, data: bytes) -> Generator:
         backend, ppath = self._handle(fh)
-        self.stats["backend_ops"] += 1
         result = yield from self._backend_call(backend, "write", ppath,
                                                offset, data)
         return result
@@ -632,7 +613,6 @@ class DUFSClient:
             if hasattr(be, "statfs"):
                 if i in self.degraded:
                     continue  # skip dead back-ends; report reachable capacity
-                self.stats["backend_ops"] += 1
                 vfs = yield from self._backend_call(i, "statfs")
                 total = total.merge(vfs)
         return total
@@ -641,23 +621,19 @@ class DUFSClient:
         path = normalize_path(path)
         if path == "/":     # the root's attributes live in no znode
             raise FSError(EINVAL, path, "cannot operate on /")
-        self.stats["ops"] += 1
         yield from self._logic(self.params.znode_codec_cpu)
         payload, zstat = yield from self._get_payload(path)
         if isinstance(payload, DirPayload):
             new = DirPayload(mode & 0o7777, payload.uid, payload.gid)
-            self.stats["zk_writes"] += 1
             yield from self._commit("set", path, new, version=zstat.version)
             self.mdcache.note_changed(path)
             return True
         if isinstance(payload, SymlinkPayload):
             return True  # chmod on symlinks is a no-op
         backend, ppath = self._locate(payload.fid)
-        self.stats["backend_ops"] += 1
         yield from self._backend_call(backend, "chmod", ppath, mode)
         # Keep the znode's cached mode in sync (best effort: the back-end
         # holds the authoritative one).
-        self.stats["zk_writes"] += 1
         try:
             yield from self._commit("set", path,
                                     FilePayload(payload.fid, mode & 0o7777))
@@ -669,17 +645,14 @@ class DUFSClient:
     # -- symlinks (metadata only) ------------------------------------------------
     def symlink(self, target: str, linkpath: str) -> Generator:
         linkpath = normalize_path(linkpath)
-        self.stats["ops"] += 1
         yield from self._logic(self.params.znode_codec_cpu)
         yield from self._check_new_entry(linkpath)
-        self.stats["zk_writes"] += 1
         yield from self._commit("create", linkpath, SymlinkPayload(target))
         self.mdcache.note_created(linkpath)
         return True
 
     def readlink(self, path: str) -> Generator:
         path = normalize_path(path)
-        self.stats["ops"] += 1
         yield from self._logic(self.params.znode_codec_cpu)
         payload, _ = yield from self._get_payload(path)
         if not isinstance(payload, SymlinkPayload):
@@ -695,7 +668,6 @@ class DUFSClient:
         src, dst = normalize_path(src), normalize_path(dst)
         if "/" in (src, dst):
             raise FSError(EINVAL, "/", "cannot operate on /")
-        self.stats["ops"] += 1
         yield from self._logic(self.params.znode_codec_cpu)
         # Rename is an ordering barrier: its multi must observe every
         # earlier acked mutation as committed state (and _collect_subtree
@@ -722,7 +694,6 @@ class DUFSClient:
             ops.append(self.zk.op_create(dst + path[len(src):], data))
         for path, _ in reversed(subtree):  # children first
             ops.append(self.zk.op_delete(path))
-        self.stats["zk_writes"] += 1
         # Commit-and-wait whatever the write path (the barrier above
         # left nothing to order behind).
         yield from self._settle(
@@ -741,7 +712,6 @@ class DUFSClient:
         # Overwritten file's contents are garbage-collected.
         if isinstance(dst_payload, FilePayload):
             backend, ppath = self._locate(dst_payload.fid)
-            self.stats["backend_ops"] += 1
             yield from self._rollback_physical(backend, ppath)
         return True
 

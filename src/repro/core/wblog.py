@@ -119,8 +119,7 @@ class WriteBehindLog:
         self.params = params or AsyncParams()
         self.verify = verify
         self.endpoint = endpoint
-        self.stats = {"acked": 0, "committed": 0, "rejected": 0,
-                      "stalls": 0, "max_pending": 0, "lost": 0}
+        self.stats = {"acked": 0, "committed": 0, "rejected": 0, "stalls": 0}
         self._seq = 0
         self._pending: Dict[int, PendingOp] = {}    # seq -> op, in order
         self._lost: List[PendingOp] = []            # crash-lost acked ops
@@ -152,8 +151,6 @@ class WriteBehindLog:
         self.mdcache.overlay_put(path, kind, payload, op.seq)
         self._queue.append(op)
         self.stats["acked"] += 1
-        if len(self._pending) > self.stats["max_pending"]:
-            self.stats["max_pending"] = len(self._pending)
         self._pump()
         return op
 
@@ -202,7 +199,6 @@ class WriteBehindLog:
         lost = [self._pending[s] for s in sorted(self._pending)]
         self._pending.clear()
         self._lost.extend(lost)
-        self.stats["lost"] += len(lost)
         for op in lost:
             self.mdcache.overlay_forget(op.path, op.seq)
         # Waiters (barriers, stalled appenders) ran on this node and were

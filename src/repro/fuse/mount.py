@@ -31,14 +31,12 @@ class FuseMount:
         self.params = params or FUSEParams()
         self.name = name
         self.workers = Resource(self.sim, self.params.max_workers)
-        self.stats = {"calls": 0, "errors": 0}
 
     def call(self, op: str, *args) -> Generator:
         handler = self.ops.get(op)
         if handler is None:
             raise FSError(ENOSYS, msg=f"FUSE op {op!r} not implemented")
         p = self.params
-        self.stats["calls"] += 1
         req = self.workers.request()
         try:
             yield req
@@ -46,7 +44,6 @@ class FuseMount:
             try:
                 result = yield from handler(*args)
             except FSError:
-                self.stats["errors"] += 1
                 yield from self.node.cpu_work(p.completion_cpu)
                 raise
             extra = 0.0

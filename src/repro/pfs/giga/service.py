@@ -69,7 +69,6 @@ class GigaServer:
         self.split_threshold = split_threshold
         self.partitions: Dict[int, Dict[str, int]] = {}   # pid -> name -> h
         self.partition_depth: Dict[int, int] = {}
-        self.stats = {"splits": 0}
         self.service: Optional["GigaDirectory"] = None
         self.svc = s = Service(node, endpoint, deployment="giga")
         s.expose("insert", self._h_insert)
@@ -148,7 +147,6 @@ class GigaDirectory:
         self.servers[0].partition_depth[0] = 0
         self._next_server = 1
         self._splitting: Set[int] = set()
-        self.stats = {"splits": 0}
 
     def split(self, server: GigaServer, pid: int) -> Generator:
         """Move the b_d == 1 half of partition pid to a new partition on
@@ -181,8 +179,6 @@ class GigaDirectory:
             server.partition_depth[pid] = depth + 1
             self.partition_owner[child] = target.index
             self.bitmap.add(child)
-            self.stats["splits"] += 1
-            server.stats["splits"] += 1
         finally:
             self._splitting.discard(child)
 
@@ -202,7 +198,6 @@ class GigaClient:
         self.agent = RpcAgent(
             node, f"{service.name}-gcli-{node.name}-{next(_client_seq)}")
         self.bitmap: Set[int] = set()       # stale copy
-        self.stats = {"retries": 0}
         self.rpc_timeout: Optional[float] = None
 
     def _op(self, method: str, name: str) -> Generator:
@@ -219,7 +214,6 @@ class GigaClient:
             except FSError as exc:
                 if exc.err != EIO:
                     raise
-                self.stats["retries"] += 1
                 self.bitmap = set(self.service.bitmap)
         raise FSError(EIO, name, "bitmap never converged")
 

@@ -43,7 +43,7 @@ class LustreClient:
         # its parent; locked_dirs = resources we hold a read lock on.
         self.dentries: Dict[str, int] = {"/": 1}
         self.locked_dirs: Set[str] = set()
-        self.stats = {"lookups": 0, "revocations": 0}
+        self.stats = {"lookups": 0}
         self._mkdirs: Dict[str, Event] = {}   # path -> in-flight mkdir
         # The fault policy (at the back-end default: no timeout, so never
         # a retry; no backoff events, unlimited retry budget, breakers off).
@@ -53,7 +53,6 @@ class LustreClient:
     # -- DLM client side ------------------------------------------------------
     def _f_lock_revoke(self, src: str, args) -> None:
         resource, token = args
-        self.stats["revocations"] += 1
         self.locked_dirs.discard(resource)
         for path in list(self.dentries):
             if path != "/" and parent_dir(path) == resource:

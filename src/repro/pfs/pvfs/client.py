@@ -39,7 +39,6 @@ class PVFSClient:
         self.sim = node.sim
         self.agent = RpcAgent(
             node, f"{fs.name}-cli-{node.name}-{next(_client_seq)}")
-        self.stats = {"rpcs": 0}
         # The fault policy (inert at the back-end default); breakers are
         # per server endpoint — PVFS talks to many.
         self.retry, self.breakers = build_retry(
@@ -50,7 +49,6 @@ class PVFSClient:
         return self.fs.server_endpoints[handle >> 48]
 
     def _call(self, endpoint: str, method: str, args, size: int = 144) -> Generator:
-        self.stats["rpcs"] += 1
         state = self.retry.begin(self.sim.now)
         return retry_call(
             self.sim, self.retry, self.breakers, state,

@@ -58,7 +58,6 @@ class PVFSServer:
                             bus=bus, deployment="pvfs")
         node.on_crash(self._on_crash)
         node.on_recover(self._on_recover)
-        self.stats = {"txns": 0}
         self.svc = s = Service(node, endpoint, deployment="pvfs", bus=bus)
         self.agent = self.svc.agent
         s.expose("lookup", self._h_lookup)
@@ -99,7 +98,6 @@ class PVFSServer:
 
     def _flush_txns(self, batch: List) -> Generator:
         yield from self.node.disk_io(self.params.disk_txn)
-        self.stats["txns"] += 1
         for ev in batch:
             if not ev.triggered:
                 ev.succeed()

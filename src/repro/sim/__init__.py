@@ -12,7 +12,7 @@ from .core import (
     Simulator,
     Timeout,
 )
-from .network import Network, NetworkStats
+from .network import Network
 from .node import Cluster, Node, Outcome
 from .random import RandomStreams
 from .resources import Request, Resource, Store
@@ -22,7 +22,7 @@ from .stats import Counter, LatencyRecorder, LatencySummary, percentile
 __all__ = [
     "AllOf", "AnyOf", "Condition", "EmptySchedule", "Event", "Interrupt",
     "Process", "SimulationError", "Simulator", "Timeout",
-    "Network", "NetworkStats",
+    "Network",
     "Cluster", "Node", "Outcome",
     "RandomStreams",
     "Request", "Resource", "Store",

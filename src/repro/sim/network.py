@@ -55,14 +55,6 @@ class _Delivery(Event):
         self.sent_at = sent_at
 
 
-@dataclass(slots=True)
-class NetworkStats:
-    messages: int = 0
-    bytes: int = 0
-    dropped: int = 0
-    duplicated: int = 0
-
-
 @dataclass(frozen=True)
 class LinkFault:
     """Degradation installed on a directed host pair (``"*"`` = any host).
@@ -87,7 +79,7 @@ class Network:
     """Message fabric connecting endpoints registered by name."""
 
     __slots__ = ("sim", "latency", "bandwidth", "loopback_latency",
-                 "loopback_bandwidth", "streams", "stats", "_hosts",
+                 "loopback_bandwidth", "streams", "_hosts",
                  "_down", "_last_delivery", "_partition", "_link_faults",
                  "_deliver_cb", "_routes", "_hooks")
 
@@ -106,7 +98,6 @@ class Network:
         self.loopback_latency = loopback_latency
         self.loopback_bandwidth = loopback_bandwidth
         self.streams = streams                 # RandomStreams (link faults)
-        self.stats = NetworkStats()
         self._hosts: dict[str, str] = {}       # endpoint -> host name
         self._down: set[str] = set()           # down endpoints
         self._last_delivery: dict[tuple[str, str], float] = {}
@@ -234,16 +225,13 @@ class Network:
         route = self._routes.get(key)
         if route is None:
             route = self._route_for(key, src, dst)
-        stats = self.stats
         if route is _DROP:
-            stats.dropped += 1
             return
         lat, bw, loss, dup = route
         duplicate = False
         if loss or dup:
             rng = self._chaos_rng()
             if loss and rng.random() < loss:
-                stats.dropped += 1
                 return
             duplicate = dup > 0.0 and rng.random() < dup
         delay = lat + size / bw
@@ -254,8 +242,6 @@ class Network:
         if last > deliver_at:
             deliver_at = last
         self._last_delivery[key] = deliver_at
-        stats.messages += 1
-        stats.bytes += size
         # Inlined _Delivery.__init__ — two allocations per RPC (request +
         # response) make this constructor's frame measurable.
         ev = _Delivery.__new__(_Delivery)
@@ -276,7 +262,6 @@ class Network:
         if duplicate:
             # The copy arrives a link-delay later, out of FIFO order —
             # receivers must tolerate it (at-least-once delivery).
-            stats.duplicated += 1
             sim._eid = eid = sim._eid + 1
             sim._staged.append((deliver_at + delay, eid, _Delivery(
                 sim, src, dst, payload, size, now, self._deliver_cb)))
@@ -287,6 +272,5 @@ class Network:
         if self._down or self._partition is not None:
             key = (ev.src, ev.dst)
             if (self._routes.get(key) or self._route_for(key, *key)) is _DROP:
-                self.stats.dropped += 1
                 return
         self._hooks[ev.dst](ev)

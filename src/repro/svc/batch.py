@@ -50,7 +50,6 @@ class Batcher:
         self.bus = bus if bus is not None else NULL_BUS
         self.deployment = deployment
         self.queue: Deque[Any] = deque()
-        self.stats = {"flushes": 0, "items": 0}
         self.restart()
 
     def submit(self, item: Any) -> None:
@@ -86,8 +85,6 @@ class Batcher:
                     while self.queue and len(batch) < self.max_batch:
                         batch.append(self.queue.popleft())
                     yield from self.flush(batch)
-                    self.stats["flushes"] += 1
-                    self.stats["items"] += len(batch)
                     self.bus.mark_batch(self.deployment, self.name,
                                         len(batch), len(self.queue))
                 self._idle = True

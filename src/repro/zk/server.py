@@ -157,10 +157,9 @@ class ZKServer(Membership):
         self._logger: Optional[Batcher] = None
         self._proposer: Optional[Batcher] = None
 
-        # counters for tests / benchmarks
-        self.stats = {"reads": 0, "writes": 0, "proposals": 0, "forwards": 0,
-                      "elections": 0, "gap_resyncs": 0, "resolves": 0,
-                      "dentry_hits": 0, "dentry_misses": 0}
+        # counters: perfbench reads elections, resolve_bench the rest
+        self.stats = {"elections": 0, "resolves": 0, "dentry_hits": 0,
+                      "dentry_misses": 0}
 
         # Elastic metadata plane (off by default): a deployment-shared hook
         # rejecting requests whose shard-map epoch no longer routes their
@@ -291,7 +290,6 @@ class ZKServer(Membership):
             raise ConnectionLossError(msg=f"zk{self.sid} is electing")
         if self.route_guard is not None:
             self.route_guard(req)
-        self.stats["reads"] += 1
         p = self.params
         if req.op == "exists":
             stat = self.store.exists(req.path)
@@ -387,7 +385,6 @@ class ZKServer(Membership):
         if self.role == LEADING:
             return (yield from self._process_write(req))
         if self.role == FOLLOWING and self.leader_sid is not None:
-            self.stats["forwards"] += 1
             yield from self.node.cpu_work(self.params.forward_cpu)
             lead = self.leader_sid  # may have changed while queued
             if self.role != FOLLOWING or lead is None:
@@ -597,8 +594,6 @@ class ZKServer(Membership):
         out = _Outstanding(txn=txn, result=result, done=self.sim.event())
         self.outstanding[zxid] = out
         self.out_queue.append(zxid)
-        self.stats["writes"] += 1
-        self.stats["proposals"] += 1
         if batching:
             self._proposer.submit((entry, self._req_size(req)))
         else:
@@ -688,7 +683,6 @@ class ZKServer(Membership):
             # later applying commits across it would silently diverge from
             # the leader at the same commit index. Buffer this proposal and
             # re-sync our log from the leader instead.
-            self.stats["gap_resyncs"] += 1
             self.begin_sync(self.leader_sid)
             self._presync.append(prop)
             return

@@ -54,13 +54,14 @@ def test_client_crash_mid_drain_bounds_loss_to_unacked_window():
     node.recover()
     sim.run(until=sim.now + 2.0)
 
-    assert cli.wblog.stats["lost"] > 0
+    lost = len(cli.wblog.lost_ops())
+    assert lost > 0
     report = audit_dufs(dep)
     assert report.ok, report.to_text()
     # Every orphaned physical file is attributed to the lost window —
     # some lost ops committed server-side before the ack bookkeeping
-    # died, so lost_unacked is bounded by (not equal to) stats["lost"].
-    assert 0 < report.lost_unacked <= cli.wblog.stats["lost"]
+    # died, so lost_unacked is bounded by (not equal to) the lost ops.
+    assert 0 < report.lost_unacked <= lost
     assert "lost-unacked" in report.to_text()
     assert report.to_dict()["lost_unacked"] == report.lost_unacked
 

@@ -22,12 +22,11 @@ def test_degraded_mode_fails_only_mapped_slice():
             dep.call(mount.create, f"/d/f{i}")
             ok.append(i)
         except FSError as e:
-            assert e.err == EIO
+            assert e.err == EIO and "degraded mode" in e.strerror
             failed.append(i)
     # MD5 spreads FIDs over both back-ends: some ops fail (their slice is
     # dark), the rest keep working — the paper's partial-failure claim.
     assert ok and failed
-    assert client.stats["degraded_fails"] >= len(failed)
 
     # Namespace-only operations never touch the dead back-end.
     st = dep.call(mount.stat, "/d")

@@ -6,7 +6,9 @@ from repro.sim import Cluster, RpcAgent, RpcTimeout
 from repro.sim.network import CHAOS_STREAM
 
 
-def build_pair():
+def build_pair(served=None):
+    """A client and an echo server; ``served`` collects the argument of
+    every request the server's handler ran."""
     cluster = Cluster(seed=1)
     snode = cluster.add_node("server", cores=2)
     cnode = cluster.add_node("client", cores=2)
@@ -14,6 +16,8 @@ def build_pair():
     client = RpcAgent(cnode, "cli")
 
     def echo(src, args):
+        if served is not None:
+            served.append(args)
         yield from snode.cpu_work(1e-4)
         return args
 
@@ -22,7 +26,8 @@ def build_pair():
 
 
 def test_total_loss_surfaces_as_timeout_not_hang():
-    cluster, snode, cnode, server, client = build_pair()
+    served = []
+    cluster, snode, cnode, server, client = build_pair(served)
     cluster.network.degrade_link("client", "server", loss=1.0)
     outcome = []
 
@@ -36,7 +41,7 @@ def test_total_loss_surfaces_as_timeout_not_hang():
     cnode.spawn(caller())
     cluster.sim.run()
     assert outcome == ["timeout"]
-    assert cluster.network.stats.dropped >= 1
+    assert served == []       # the request was dropped on the wire
     assert cluster.sim.now < 1.0  # bounded, no hang
 
 
@@ -56,7 +61,8 @@ def test_restore_link_heals_loss():
 
 
 def test_duplicate_delivery_is_harmless():
-    cluster, snode, cnode, server, client = build_pair()
+    served = []
+    cluster, snode, cnode, server, client = build_pair(served)
     # Duplicate every message in both directions: requests run the handler
     # twice (at-least-once), responses to settled calls are discarded.
     cluster.network.degrade_link("*", "*", duplicate=1.0)
@@ -70,7 +76,7 @@ def test_duplicate_delivery_is_harmless():
     cnode.spawn(caller())
     cluster.sim.run()
     assert results == [0, 1, 2, 3, 4]
-    assert cluster.network.stats.duplicated >= 5
+    assert sorted(served) == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
 
 
 def test_latency_degradation_slows_but_delivers():
@@ -144,13 +150,15 @@ def test_lossy_zab_links_never_lose_acknowledged_writes():
     must re-sync from the leader rather than apply later commits across
     the gap and silently diverge at the same commit index."""
     from repro.models.params import FaultToleranceParams
+    from repro.svc import TraceBus
     from repro.zk.client import ZKClient
     from repro.zk.ensemble import build_ensemble
     from repro.zk.errors import ZKError
 
     cluster = Cluster(seed=3)
     nodes = [cluster.add_node(f"n{i}") for i in range(3)]
-    ens = build_ensemble(cluster, nodes, n_servers=3)
+    bus = TraceBus()
+    ens = build_ensemble(cluster, nodes, n_servers=3, bus=bus)
     cnode = cluster.add_node("cl")
     zkc = ZKClient(cnode, [s.endpoint for s in ens.servers], name="lz",
                    fault=FaultToleranceParams(request_timeout=0.4,
@@ -176,7 +184,9 @@ def test_lossy_zab_links_never_lose_acknowledged_writes():
     # Every acknowledged create is present on every replica's committed
     # tree once the ensemble quiesces (followers re-synced over the gaps).
     assert acked
-    assert any(s.stats["gap_resyncs"] > 0 for s in ens.servers)
+    # A follower re-synced over a gap: the static leader (no election
+    # without failure detection) served its follower_info.
+    assert bus.ops.get("zk/zk0.follower_info") > 0
     leader = max(ens.servers, key=lambda s: s.commit_index)
     committed = set(leader.store.walk_paths())
     assert all(path in committed for path in acked)

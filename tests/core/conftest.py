@@ -35,6 +35,15 @@ class DUFSHarness:
         return [be.ns.count_files() for be in self.dep.backends]
 
 
+def ops_at(bus, prefix, method=None):
+    """Ops the trace bus counted at the endpoints whose key starts with
+    ``prefix`` (``"lustre/"``: every Lustre server; ``"zk/zk"``: every
+    ZooKeeper server), only ``method`` ones when it is named."""
+    return sum(bus.ops.get(k) for k in bus.keys()
+               if k.startswith(prefix)
+               and (method is None or k.endswith(f".{method}")))
+
+
 @pytest.fixture
 def dufs():
     return DUFSHarness()

@@ -16,9 +16,10 @@ from repro.errors import (
     FSError,
 )
 from repro.models.params import AsyncParams, CacheParams, ResolveParams
+from repro.svc import TraceBus
 from repro.zk.errors import ConnectionLossError
 
-from .conftest import DUFSHarness
+from .conftest import DUFSHarness, ops_at
 
 #: The client arms: the paper's client, the coherent cache, the thin
 #: (server-side resolve) client, and write-behind.
@@ -42,10 +43,9 @@ def errnos(ops):
     return out
 
 
-def test_directory_ops_never_touch_backends(dufs):
+def test_directory_ops_never_touch_backends(dufs_lustre):
     """Paper §IV-B: directory operations involve only ZooKeeper."""
-    m = dufs.mount(0)
-    client = dufs.dep.clients[0]
+    m = dufs_lustre.mount(0)
 
     def main():
         yield from m.mkdir("/d")
@@ -54,9 +54,10 @@ def test_directory_ops_never_touch_backends(dufs):
         yield from m.readdir("/d")
         yield from m.rmdir("/d/sub")
 
-    dufs.run(main())
-    assert client.stats["backend_ops"] == 0
-    assert dufs.backend_file_counts() == [0, 0]
+    dufs_lustre.run(main())
+    bus = dufs_lustre.dep.bus
+    assert ops_at(bus, "lustre/") == 0
+    assert ops_at(bus, "zk/zk", "write") == 3
 
 
 def test_directories_not_materialized_on_backends(dufs):
@@ -299,18 +300,21 @@ def test_ops_naming_the_root_answer_as_the_namespace_does(arm):
     """A mutation naming ``/`` is EINVAL before any round trip; any
     other op looks ``/`` up as the root directory, although the root
     znode carries no DUFS payload."""
-    h = DUFSHarness(**arm)
+    h = DUFSHarness(**arm, bus=TraceBus())
     c = h.dep.clients[0]
+
+    def writes():                         # at the ZooKeeper servers
+        return ops_at(h.dep.bus, "zk/zk", "write")
 
     def main():
         yield from c.mkdir("/d")
         yield from c.flush()
-        reads, writes = c.stats["zk_reads"], c.stats["zk_writes"]
+        reads, written = c.stats["zk_reads"], writes()
         refused = yield from errnos([
             c.mkdir("/"), c.create("/"), c.symlink("/d", "/"), c.rmdir("/"),
             c.unlink("/"), c.rename("/", "/x"), c.rename("/d", "/"),
             c.chmod("/", 0o700)])
-        trips = (c.stats["zk_reads"] - reads, c.stats["zk_writes"] - writes)
+        trips = (c.stats["zk_reads"] - reads, writes() - written)
         looked_up = yield from errnos([
             c.readlink("/"), c.open("/"), c.truncate("/", 0),
             c.read("/", 0, 1), c.write("/", 0, b"x")])
@@ -409,36 +413,34 @@ def test_dir_stat_fields_from_zookeeper(dufs):
 
 def test_chmod_dir_via_zookeeper_file_via_backend(dufs):
     m = dufs.mount(0)
-    client = dufs.dep.clients[0]
 
     def main():
         yield from m.mkdir("/d")
         yield from m.chmod("/d", 0o700)
         st_d = yield from m.stat("/d")
-        backend_ops_before = client.stats["backend_ops"]
         yield from m.create("/f")
         yield from m.chmod("/f", 0o640)
         st_f = yield from m.stat("/f")
-        return st_d, st_f, backend_ops_before
+        return st_d, st_f
 
-    st_d, st_f, _ = dufs.run(main())
+    st_d, st_f = dufs.run(main())
     assert st_d.st_mode & 0o7777 == 0o700
     assert st_f.st_mode & 0o7777 == 0o640
 
 
-def test_symlink_is_metadata_only(dufs):
-    m = dufs.mount(0)
-    client = dufs.dep.clients[0]
+def test_symlink_is_metadata_only(dufs_lustre):
+    m = dufs_lustre.mount(0)
+    bus = dufs_lustre.dep.bus
 
     def main():
         yield from m.create("/target")
-        before = client.stats["backend_ops"]
+        before = ops_at(bus, "lustre/")
         yield from m.symlink("/target", "/lnk")
         t = yield from m.readlink("/lnk")
         st = yield from m.stat("/lnk")
-        return t, st, client.stats["backend_ops"] - before
+        return t, st, ops_at(bus, "lustre/") - before
 
-    t, st, backend_ops = dufs.run(main())
+    t, st, backend_ops = dufs_lustre.run(main())
     assert t == "/target"
     assert stat.S_ISLNK(st.st_mode)
     assert backend_ops == 0

@@ -2,6 +2,9 @@
 
 
 from repro.errors import EBADF, EISDIR, ENOENT, FSError
+from repro.svc import TraceBus
+
+from .conftest import DUFSHarness, ops_at
 
 
 def test_open_returns_handle_and_io_works(dufs):
@@ -23,20 +26,25 @@ def test_open_returns_handle_and_io_works(dufs):
     assert n == 5
 
 
-def test_handle_io_skips_zookeeper(dufs):
+def test_handle_io_skips_zookeeper():
     """The point of the FID indirection: I/O after open never touches the
     coordination service."""
+    dufs = DUFSHarness(bus=TraceBus())
     m = dufs.mount(0)
     client = dufs.dep.clients[0]
+
+    def zk_trips():            # client reads, writes at the servers
+        return client.stats["zk_reads"] + ops_at(dufs.dep.bus, "zk/zk",
+                                                 "write")
 
     def main():
         yield from m.create("/f")
         fh = yield from m.open("/f")
-        before = client.stats["zk_reads"] + client.stats["zk_writes"]
+        before = zk_trips()
         for i in range(10):
             yield from client.pwrite(fh, i * 4, b"data")
             yield from client.pread(fh, 0, 4)
-        after = client.stats["zk_reads"] + client.stats["zk_writes"]
+        after = zk_trips()
         yield from m.release(fh)
         return after - before
 

@@ -83,19 +83,6 @@ def test_errors_propagate_with_errno(dummy):
             return e.err
 
     assert run(cluster, node, main()) == ENOENT
-    assert fs.stats["errors"] == 1
-
-
-def test_call_counter(dummy):
-    cluster, node, fs = dummy
-
-    def main():
-        yield from fs.mkdir("/a")
-        yield from fs.stat("/a")
-        yield from fs.access("/a")
-
-    run(cluster, node, main())
-    assert fs.stats["calls"] == 3
 
 
 def test_read_write_passthrough(dummy):

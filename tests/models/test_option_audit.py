@@ -100,3 +100,54 @@ def test_unset_fields_counts_keyword_attribute_and_dict_key_setters(tree):
     # a test is no setter.
     assert unset == ["AParams.stats_key", "AParams.tested_only",
                      "AParams.never", "BParams.also_never"]
+
+
+def test_unread_counters_judges_each_key_of_each_class(tree, monkeypatch):
+    write(tree, "src/repro/counters.py", """
+        class Server:
+            def __init__(self):
+                self.stats = {"by_name": 0, "in_loop": 0, "tested": 0,
+                              "shared": 0}
+
+            def serve(self):
+                self.stats["tested"] += 1
+                if self.stats["tested"] > 9:     # its own bookkeeping
+                    self.stats["shared"] += 1
+
+        class Router:
+            def __init__(self):
+                self.stats = {"shared": 0, "hops": 0}
+
+        class Dumped:
+            def __init__(self):
+                self.stats = {"shared": 0, "dumped": 0}
+    """)
+    write(tree, "scripts/report.py", """
+        def report(server, router, dumped):
+            print(server.stats["by_name"], server.stats.get("nope", 0))
+            for key in ("in_loop",):
+                print(server.stats[key])
+            hops = {"shared": 0, "hops": 0}
+            for key in hops:
+                hops[key] += router.stats[key]
+            print(dumped.stats["shared"])      # three classes fit: none
+            return dict(dumped.stats)
+    """)
+    write(tree, "tests/test_counters.py", """
+        assert server.stats["tested"] == 1
+    """)
+    assert AUDIT["unread_counters"](tree) == [
+        "src/repro/counters.py:4  Server.stats['tested']",
+        "src/repro/counters.py:4  Server.stats['shared']",
+        "src/repro/counters.py:18  Dumped.stats['shared']",
+        "src/repro/counters.py:18  Dumped.stats['dumped']"]
+    # A whole-dict dump counts for the class the table names for its
+    # file, as does a keyed read that fits two or more classes.
+    monkeypatch.setitem(AUDIT["UNPINNED"], "Dumped", ("scripts/report.py",))
+    assert AUDIT["unread_counters"](tree) == [
+        "src/repro/counters.py:4  Server.stats['tested']",
+        "src/repro/counters.py:4  Server.stats['shared']"]
+    assert AUDIT["stats_assignments"](tree) == [
+        "src/repro/counters.py:4  Server.stats",
+        "src/repro/counters.py:14  Router.stats",
+        "src/repro/counters.py:18  Dumped.stats"]

@@ -99,7 +99,7 @@ def test_partitions_split_and_spread():
     run(cluster, cnodes[0], main())
     assert sum(len(t) for s in svc.servers
                for t in s.partitions.values()) == 600
-    assert svc.stats["splits"] >= 3
+    assert sum(svc.partitions_per_server()) >= 1 + 3     # 3+ splits
     # Partitions landed on several servers, and no partition is huge.
     populated = [n for n in svc.partitions_per_server() if n > 0]
     assert len(populated) >= 3
@@ -135,8 +135,9 @@ def test_stale_client_learns_lazily():
             yield from writer.insert(f"z{i}")
 
     run(cluster, cnodes[0], fill())
-    assert svc.stats["splits"] >= 2
+    assert sum(svc.partitions_per_server()) >= 1 + 2     # 2+ splits
     fresh = svc.client(cnodes[1])
+    assert fresh.bitmap == set()
 
     def probe():
         ok = 0
@@ -146,7 +147,7 @@ def test_stale_client_learns_lazily():
         return ok
 
     assert run(cluster, cnodes[1], probe()) == 20
-    assert fresh.stats["retries"] >= 1  # bounced at least once
+    # Only a bounce refreshes the copy: it was bounced at least once.
     assert fresh.bitmap == svc.bitmap   # converged
 
 

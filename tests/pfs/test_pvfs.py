@@ -2,6 +2,7 @@
 
 from repro.errors import EIO, FSError
 from repro.models.params import FaultToleranceParams, PVFSParams
+from repro.svc import TraceBus
 
 from .conftest import FSHarness
 
@@ -38,20 +39,25 @@ def test_create_allocates_datafile_on_every_server(pvfs):
     assert dfiles == n
 
 
-def test_no_client_cache_resolve_rpcs_grow_with_depth(pvfs):
+def test_no_client_cache_resolve_rpcs_grow_with_depth():
+    bus = TraceBus()
+    pvfs = FSHarness("pvfs", bus=bus)
     cli = pvfs.cli
+
+    def served():                         # ops every server completed
+        return sum(bus.ops.as_dict().values())
 
     def main():
         yield from cli.mkdir("/a")
         yield from cli.mkdir("/a/b")
         yield from cli.mkdir("/a/b/c")
         yield from cli.create("/a/b/c/f")
-        base = cli.stats["rpcs"]
+        base = served()
         yield from cli.stat("/a/b/c/f")   # resolve 4 + getattr + dfiles
-        deep = cli.stats["rpcs"] - base
-        base = cli.stats["rpcs"]
+        deep = served() - base
+        base = served()
         yield from cli.stat("/a")         # resolve 1 + getattr
-        shallow = cli.stats["rpcs"] - base
+        shallow = served() - base
         return deep, shallow
 
     deep, shallow = pvfs.run(main())
@@ -59,9 +65,9 @@ def test_no_client_cache_resolve_rpcs_grow_with_depth(pvfs):
     assert deep >= 5 + len(pvfs.fs.servers)
     # Crucially: a REPEATED stat pays the same cost (no cache).
     def again():
-        base = cli.stats["rpcs"]
+        base = served()
         yield from cli.stat("/a")
-        return cli.stats["rpcs"] - base
+        return served() - base
 
     assert pvfs.run(again()) == shallow
 
@@ -79,21 +85,28 @@ def test_mutations_pay_sync_disk_txns(pvfs):
     assert elapsed >= pvfs.fs.params.disk_txn
 
 
-def test_reads_do_not_touch_disk(pvfs):
+def test_reads_do_not_touch_disk():
+    bus = TraceBus()
+    pvfs = FSHarness("pvfs", bus=bus)
     cli = pvfs.cli
+
+    def txns():                           # flushes of every .txn batcher
+        return sum(n for key, n in bus.batch_flushes.as_dict().items()
+                   if key.endswith(".txn"))
 
     def setup():
         yield from cli.mkdir("/d")
 
     pvfs.run(setup())
-    txns_before = sum(s.stats["txns"] for s in pvfs.fs.servers)
+    txns_before = txns()
+    assert txns_before > 0
 
     def reads():
         for _ in range(5):
             yield from cli.stat("/d")
 
     pvfs.run(reads())
-    assert sum(s.stats["txns"] for s in pvfs.fs.servers) == txns_before
+    assert txns() == txns_before
 
 
 def test_failed_create_leaves_no_orphans(pvfs):

@@ -11,7 +11,7 @@ class ZKHarness:
     """A cluster, an ensemble, and helpers to run client coroutines."""
 
     def __init__(self, n_servers=3, n_nodes=3, seed=0, params=None,
-                 static_leader=0, extra_client_nodes=1):
+                 static_leader=0, extra_client_nodes=1, bus=None):
         self.cluster = Cluster(seed=seed)
         self.nodes = [self.cluster.add_node(f"zknode{i}") for i in range(n_nodes)]
         self.client_nodes = [self.cluster.add_node(f"cli{i}")
@@ -19,7 +19,7 @@ class ZKHarness:
         self.params = params or ZKParams()
         self.ensemble = build_ensemble(self.cluster, self.nodes, n_servers,
                                        params=self.params,
-                                       static_leader=static_leader)
+                                       static_leader=static_leader, bus=bus)
         self._cli_count = 0
 
     def client(self, prefer_index=0, node=None, **kwargs) -> ZKClient:

@@ -61,7 +61,6 @@ class RefZKServer(ZKServer):
             result = yield from self._process_write(req)
             return result
         if self.role == FOLLOWING and self.leader_sid is not None:
-            self.stats["forwards"] += 1
             yield from self.node.cpu_work(self.params.forward_cpu)
             lead = self.leader_sid  # may have changed while queued
             if self.role != FOLLOWING or lead is None:

@@ -1,6 +1,7 @@
 """Integration tests: ZK ensemble semantics through the client API."""
 
 
+from repro.svc import TraceBus
 from repro.zk.errors import (
     BadArgumentsError,
     BadVersionError,
@@ -9,6 +10,8 @@ from repro.zk.errors import (
     NodeExistsError,
     NotEmptyError,
 )
+
+from .conftest import ZKHarness
 
 
 def test_create_visible_on_all_replicas(zk3):
@@ -24,7 +27,9 @@ def test_create_visible_on_all_replicas(zk3):
     assert zk3.ensemble.converged()
 
 
-def test_write_via_follower_is_forwarded(zk3):
+def test_write_via_follower_is_forwarded():
+    bus = TraceBus()
+    zk3 = ZKHarness(n_servers=3, bus=bus)
     cli = zk3.client(prefer_index=2)  # zk2 is a follower (leader = zk0)
 
     def main():
@@ -33,8 +38,9 @@ def test_write_via_follower_is_forwarded(zk3):
 
     data, stat = zk3.run(main())
     assert data == b"x"
-    assert zk3.ensemble.servers[2].stats["forwards"] == 1
-    assert zk3.ensemble.servers[0].stats["writes"] == 1
+    assert bus.ops.get("zk/zk2.write") == 1
+    assert bus.ops.get("zk/zk0.fwd_write") == 1
+    assert bus.ops.get("zk/zk0.write") == 0
 
 
 def test_duplicate_create_raises_node_exists(zk3):
@@ -50,7 +56,9 @@ def test_duplicate_create_raises_node_exists(zk3):
     assert zk3.run(main()) == "exists"
 
 
-def test_reads_served_locally_by_follower(zk3):
+def test_reads_served_locally_by_follower():
+    bus = TraceBus()
+    zk3 = ZKHarness(n_servers=3, bus=bus)
     cli = zk3.client(prefer_index=1)
 
     def main():
@@ -60,8 +68,8 @@ def test_reads_served_locally_by_follower(zk3):
     data, _ = zk3.run(main())
     assert data == b"v"
     # The read hit zk1, not the leader.
-    assert zk3.ensemble.servers[1].stats["reads"] == 1
-    assert zk3.ensemble.servers[0].stats["reads"] == 0
+    assert bus.ops.get("zk/zk1.read") == 1
+    assert bus.ops.get("zk/zk0.read") == 0
 
 
 def test_set_data_version_conflict(zk3):
@@ -369,7 +377,9 @@ def test_totally_ordered_commits_identical_on_all_replicas(zk3):
     assert zk3.ensemble.converged()
 
 
-def test_throughput_counters(zk3):
+def test_throughput_counters():
+    bus = TraceBus()
+    zk3 = ZKHarness(n_servers=3, bus=bus)
     cli = zk3.client()
 
     def main():
@@ -379,6 +389,8 @@ def test_throughput_counters(zk3):
             yield from cli.get(f"/n{i}")
 
     zk3.run(main())
-    leader = zk3.ensemble.servers[0]
-    assert leader.stats["writes"] == 5
-    assert leader.stats["proposals"] == 5
+    assert bus.ops.get("zk/zk0.write") == 5
+    # One proposal per write: the leader's log self-acks it, each
+    # follower's logs it.
+    assert [bus.batch_items.get(f"zk/zk{i}.logger") for i in range(3)] \
+        == [5, 5, 5]
