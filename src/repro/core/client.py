@@ -16,7 +16,8 @@ Implements the paper's algorithms:
 A DUFS client instance is stateless apart from its FID generator and a
 cache of *physical* hash directories it has already ensured on each
 back-end (the static layout of §IV-G); crash-restart loses nothing
-(§IV-I).
+(§IV-I). The mount makes the chain all of an instance's FIDs share, so
+no create waits on it unless the mount could not.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from ..zk.errors import (
     NotEmptyError,
     ZKError,
 )
-from .fid import FIDGenerator
+from .fid import FIDGenerator, make_fid
 from .mapping import MappingFunction, physical_dirs, physical_path
 from .mdcache import CoherentMDCache, MDCache, ResolveMiss
 from .metadata import (
@@ -151,6 +152,8 @@ class DUFSClient:
                                         bus=bus,
                                         endpoint=name or "dufs-client")
             self._commit, self._drain = self._commit_async, self._drain_async
+        for backend in range(len(self.backends)):
+            node.shielded(self._mount_chain(backend), "dufs-mount")
 
     # -- internals ------------------------------------------------------------
     def _logic(self, *costs: float) -> Generator:
@@ -173,8 +176,7 @@ class DUFSClient:
         if backend in self.degraded:
             raise FSError(EIO, msg=f"back-end {backend} unavailable "
                                    "(degraded mode)")
-        result = yield from getattr(self.backends[backend], method)(*args)
-        return result
+        return (yield from getattr(self.backends[backend], method)(*args))
 
     def _get_payload(self, path: str) -> Generator:
         """Lookup (step B of Fig. 3): payload + znode stat through the
@@ -392,8 +394,8 @@ class DUFSClient:
         return backend, physical_path(fid, self.layout)
 
     def ensure_physical_dirs(self, backend: int, fid: int) -> Generator:
-        """mkdir -p of the static hash-directory chain (cached); migration
-        tooling (repro.core.rebalance) calls it too."""
+        """mkdir -p of the static hash-directory chain, cached once made or
+        found: the mount, each create and repro.core.rebalance call it."""
         cache = self._known_dirs[backend]
         for d in physical_dirs(fid, self.layout):
             if d in cache:
@@ -405,6 +407,14 @@ class DUFSClient:
                     raise
             cache.add(d)
 
+    def _mount_chain(self, backend: int) -> Generator:
+        """The mount's process: make on ``backend`` the chain all FIDs of
+        this instance share, under its layout when this runs (a ``"paper"``
+        chain changes per file). Shielded: a failure is the first create's."""
+        if self.layout == "amortized":
+            yield from self.ensure_physical_dirs(
+                backend, make_fid(self.fidgen.client_id, 0))
+
     # -- elastic back-ends ----------------------------------------------------
     def attach_backend_mount(self, mount) -> int:
         """Register a new back-end mount with this client: grows the
@@ -415,6 +425,7 @@ class DUFSClient:
         idx = self.mapping.add_backend()
         self.backends.append(mount)
         self._known_dirs.append(set())
+        self.node.shielded(self._mount_chain(idx), "dufs-mount")
         return idx
 
     # -- directory operations (ZooKeeper only) ------------------------------
@@ -549,8 +560,7 @@ class DUFSClient:
         if isinstance(payload, DirPayload):
             raise FSError(EISDIR, path)
         if isinstance(payload, SymlinkPayload):
-            result = yield from self._resolve_file(payload.target, flags)
-            return result
+            return (yield from self._resolve_file(payload.target, flags))
         backend, ppath = self._locate(payload.fid)
         yield from self._backend_call(backend, "open", ppath, flags)
         return (backend, ppath)
@@ -580,15 +590,13 @@ class DUFSClient:
     def pread(self, fh: int, offset: int, size: int) -> Generator:
         """Read through an open handle — back-end only, no ZooKeeper."""
         backend, ppath = self._handle(fh)
-        result = yield from self._backend_call(backend, "read", ppath,
-                                               offset, size)
-        return result
+        return (yield from self._backend_call(backend, "read", ppath,
+                                              offset, size))
 
     def pwrite(self, fh: int, offset: int, data: bytes) -> Generator:
         backend, ppath = self._handle(fh)
-        result = yield from self._backend_call(backend, "write", ppath,
-                                               offset, data)
-        return result
+        return (yield from self._backend_call(backend, "write", ppath,
+                                              offset, data))
 
     def _path_io(self, method: str, path: str, *args) -> Generator:
         """Path-addressed I/O: Fig. 3 steps A-D, then the back-end call."""
@@ -610,11 +618,9 @@ class DUFSClient:
         yield from self._logic()
         total = StatVFS(f_capacity=0)
         for i, be in enumerate(self.backends):
-            if hasattr(be, "statfs"):
-                if i in self.degraded:
-                    continue  # skip dead back-ends; report reachable capacity
-                vfs = yield from self._backend_call(i, "statfs")
-                total = total.merge(vfs)
+            # A dead back-end is skipped: report the reachable capacity.
+            if hasattr(be, "statfs") and i not in self.degraded:
+                total = total.merge((yield from self._backend_call(i, "statfs")))
         return total
 
     def chmod(self, path: str, mode: int) -> Generator:
@@ -711,8 +717,7 @@ class DUFSClient:
         self.mdcache.note_created(dst, is_dir=is_dir)
         # Overwritten file's contents are garbage-collected.
         if isinstance(dst_payload, FilePayload):
-            backend, ppath = self._locate(dst_payload.fid)
-            yield from self._rollback_physical(backend, ppath)
+            yield from self._rollback_physical(*self._locate(dst_payload.fid))
         return True
 
     def _collect_subtree(self, root: str) -> Generator:

@@ -16,6 +16,7 @@ is preserved verbatim by :func:`split_hex`.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from ..hashing.consistent import ConsistentHashRing
@@ -36,34 +37,28 @@ def split_hex(hexstr: str) -> Tuple[str, str, str, str]:
             hexstr[3 * q:4 * q])
 
 
-#: Physical layouts. ``"paper"`` is Fig. 4 verbatim: the FID's *last* hex
-#: component (the fast-varying low counter bits) is the top-level directory
-#: — maximum spread, but every create mints a fresh directory chain.
-#: ``"amortized"`` reverses the order (slow-varying client-id bits on top),
-#: so each client instance's chain is created once and then reused — the
-#: steady-state behaviour the paper's throughput numbers imply. It is the
-#: benchmark default; see DESIGN.md "Known deviations".
-LAYOUTS = ("paper", "amortized")
+#: Physical layouts: the order of the :func:`split_hex` components in the
+#: path, top-level directory first. ``"paper"`` is Fig. 4 verbatim: the
+#: fast-varying low counter bits on top — maximum spread, but every create
+#: mints a fresh chain. ``"amortized"`` puts the client-id bits on top, so
+#: an instance's chain is made once, at its mount, and reused — the steady
+#: state the paper's throughput implies; the benchmark default (DESIGN.md
+#: "Known deviations").
+LAYOUTS = {"paper": itemgetter(3, 2, 1, 0), "amortized": itemgetter(0, 1, 2, 3)}
 
 
 def physical_path(fid: int, layout: str = "paper") -> str:
     """Absolute path of the file's contents on its back-end mount."""
-    p0, p1, p2, p3 = split_hex(fid_hex(fid))
-    if layout == "paper":
-        return f"/{p3}/{p2}/{p1}/{p0}"
-    if layout == "amortized":
-        return f"/{p0}/{p1}/{p2}/{p3}"
-    raise ValueError(f"unknown layout {layout!r}")
+    if layout not in LAYOUTS:
+        raise ValueError(f"unknown layout {layout!r}")
+    return "/%s/%s/%s/%s" % LAYOUTS[layout](split_hex(fid_hex(fid)))
 
 
 def physical_dirs(fid: int, layout: str = "paper") -> List[str]:
-    """The directory chain that must exist for :func:`physical_path`."""
-    p0, p1, p2, p3 = split_hex(fid_hex(fid))
-    if layout == "paper":
-        return [f"/{p3}", f"/{p3}/{p2}", f"/{p3}/{p2}/{p1}"]
-    if layout == "amortized":
-        return [f"/{p0}", f"/{p0}/{p1}", f"/{p0}/{p1}/{p2}"]
-    raise ValueError(f"unknown layout {layout!r}")
+    """The chain :func:`physical_path` needs: its first 1, 2, 3 parts."""
+    path = physical_path(fid, layout)
+    step = len(path) // 4
+    return [path[:step], path[:2 * step], path[:3 * step]]
 
 
 class MappingFunction:

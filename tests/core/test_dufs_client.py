@@ -4,7 +4,7 @@ import stat
 
 import pytest
 
-from repro.core.mapping import physical_path
+from repro.core.mapping import physical_dirs, physical_path
 from repro.errors import (
     EEXIST,
     EINVAL,
@@ -44,8 +44,12 @@ def errnos(ops):
 
 
 def test_directory_ops_never_touch_backends(dufs_lustre):
-    """Paper §IV-B: directory operations involve only ZooKeeper."""
+    """Paper §IV-B: directory operations involve only ZooKeeper. (The
+    mount's hash-directory chain is the back-ends' traffic before them.)"""
     m = dufs_lustre.mount(0)
+    dufs_lustre.cluster.sim.run()
+    bus = dufs_lustre.dep.bus
+    mount_ops = ops_at(bus, "lustre/")
 
     def main():
         yield from m.mkdir("/d")
@@ -55,8 +59,7 @@ def test_directory_ops_never_touch_backends(dufs_lustre):
         yield from m.rmdir("/d/sub")
 
     dufs_lustre.run(main())
-    bus = dufs_lustre.dep.bus
-    assert ops_at(bus, "lustre/") == 0
+    assert ops_at(bus, "lustre/") == mount_ops
     assert ops_at(bus, "zk/zk", "write") == 3
 
 
@@ -68,8 +71,14 @@ def test_directories_not_materialized_on_backends(dufs):
             yield from m.mkdir(f"/dir{i}")
 
     dufs.run(main())
+    # Only the root and the hash-directory chain each client made at its
+    # mount: client ids share their high bits, so chains share a top.
+    chains = {d for client in dufs.dep.clients
+              for d in physical_dirs(client.fidgen.client_id << 64,
+                                     client.layout)}
     for be in dufs.dep.backends:
-        assert be.ns.count_dirs() == 1  # only the root
+        assert be.ns.count_dirs() == 1 + len(chains)
+        assert all(be.ns.exists(d) for d in chains)
 
 
 def test_file_lands_on_exactly_one_backend_at_fid_path(dufs):

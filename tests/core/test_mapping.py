@@ -30,6 +30,16 @@ def test_physical_path_128bit():
         "/44556677/00112233/89abcdef/01234567"
 
 
+def test_amortized_layout_puts_the_client_id_on_top():
+    fid = make_fid(0x0123456789ABCDEF, 0x0011223344556677)
+    path = physical_path(fid, "amortized")
+    assert path == "/01234567/89abcdef/00112233/44556677"
+    assert physical_dirs(fid, "amortized") == \
+        [path.rsplit("/", k)[0] for k in (3, 2, 1)]
+    with pytest.raises(ValueError):
+        physical_path(fid, "flat")
+
+
 def test_physical_dirs_are_path_prefixes():
     fid = make_fid(42, 43)
     dirs = physical_dirs(fid)

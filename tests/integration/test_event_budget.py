@@ -54,6 +54,20 @@ def test_one_unloaded_create_costs_exactly_these_creation_ids():
     assert sim._eid - before == CREATE_IDS
 
 
+def test_a_clients_first_create_costs_what_a_warm_one_does():
+    """The mount made the client's hash-directory chain on every back-end
+    (one back-end mkdir CPU each, three more ids, when a create made it):
+    once the deployment has settled, the first create is a warm one."""
+    dep = build_dufs_deployment(n_zk=3, n_backends=2, n_client_nodes=3,
+                                backend="local")
+    sim = dep.cluster.sim
+    sim.run()
+    before = sim._eid
+    sim.run(until=dep.client_nodes[0].spawn(dep.clients[0].create("/f")))
+    sim.run()
+    assert sim._eid - before == CREATE_IDS
+
+
 #: The same ``create`` through a client whose preferred server is a
 #: co-located follower: the follower forwards it to the leader and holds
 #: the reply until its own replica has applied the commit.
