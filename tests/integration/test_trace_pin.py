@@ -75,25 +75,29 @@ ARMS = {
 }
 
 ARM_GOLDENS = {
-    # Re-recorded when ShardedMDS began writing a directory's two copies
-    # concurrently and building anchor chains deepest-first (1,898 ->
-    # 1,886 events: fewer chain creates); the other five never shard.
-    "2shards+cache": ("e75e7c23bc07cc0ce161f1fda7ae03ce"
-                      "d3daae4e14923724f94a3b0d64294b5b"),
-    # Re-recorded when the write-behind drain began issuing each op as
-    # soon as no in-flight op conflicts with it, instead of batch by batch
-    # in waves: the same 1,579 OpTraces in a new order and timing, and
-    # 8,891 -> 8,496 simulator events.
-    "async+cache": ("aa935bb30c10926afcad63054d766691"
-                    "b5d9d1e40436c3eb11b034fcb5513864"),
-    "cache": ("5e873a37faf4c6e9000064c359fb21c2"
-              "7f9cc3f459e7b63478c1b7f8dd29d84b"),
-    "cache+thin": ("3bd04dcc20cd262e222ae28e81aba4b6"
-                   "a22579138cf9abaf2a151f99b6e15af1"),
-    "default": ("f64b760283c0332a648f2b19dec618eb"
-                "7634abf993742417d0bcf5729594a2ef"),
-    "thin": ("213278ccba533272a03ea67213d94c26"
-             "3d9ffaedbba1d7a5f2ffce85cba9e416"),
+    # All six re-recorded when each client began making its hash-directory
+    # chain at mount instead of inside its first create on each back-end:
+    # the same OpTraces per arm (1,886 / 1,579 / 1,571 / 1,762 / 1,472 /
+    # 1,843 in this order) with earlier file-create timings, and 5 (2
+    # shards), 7 (async) or 9 (the other four) fewer simulator events.
+    # Before that, "2shards+cache" moved when ShardedMDS began writing a
+    # directory's two copies concurrently and building anchor chains
+    # deepest-first (1,898 -> 1,886 events: fewer chain creates), and
+    # "async+cache" when the write-behind drain began issuing each op as
+    # soon as no in-flight op conflicts with it (8,891 -> 8,496 simulator
+    # events).
+    "2shards+cache": ("872ffb9c3ffc6bdd42f596821d500416"
+                      "f828278a776a00a50053c402da1ef688"),
+    "async+cache": ("9d14ff4e63e0a25d41edaf9a1763d24e"
+                    "83003bea40f7c0a8a129daf7c53bdebb"),
+    "cache": ("2a1271a2d35a5467607bcc4718cb431e"
+              "f048e7298e2004e156e210c029c5a8f2"),
+    "cache+thin": ("5ef2ae605db0b7c0581128f4e7db56aa"
+                   "8c2e79523d80df76f3f6927ca48febb8"),
+    "default": ("9bc124aca03847de80456b4af61cf7b9"
+                "23a45d91f53c24302a78bc2820c42535"),
+    "thin": ("10f6406df42ceb50fdd3de3ffc30ed2f"
+             "e1bc5f2e9ae5da9a706c688280ac2655"),
 }
 
 
