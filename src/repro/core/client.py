@@ -16,8 +16,9 @@ Implements the paper's algorithms:
 A DUFS client instance is stateless apart from its FID generator and a
 cache of *physical* hash directories it has already ensured on each
 back-end (the static layout of §IV-G); crash-restart loses nothing
-(§IV-I). The mount makes the chain all of an instance's FIDs share, so
-no create waits on it unless the mount could not.
+(§IV-I). The mount makes the chain all of an instance's FIDs share: a
+create that races it waits for it, and one makes the chain itself only
+after a mount mkdir failed.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ from ..zk.errors import (
     NotEmptyError,
     ZKError,
 )
-from .fid import FIDGenerator, make_fid
-from .mapping import MappingFunction, physical_dirs, physical_path
+from .fid import FIDGenerator
+from .mapping import (MappingFunction, physical_dirs, physical_path,
+                      shared_chain)
 from .mdcache import CoherentMDCache, MDCache, ResolveMiss
 from .metadata import (
     DirPayload,
@@ -152,8 +154,8 @@ class DUFSClient:
                                         bus=bus,
                                         endpoint=name or "dufs-client")
             self._commit, self._drain = self._commit_async, self._drain_async
-        for backend in range(len(self.backends)):
-            node.shielded(self._mount_chain(backend), "dufs-mount")
+        self._mounts = [node.shielded(self._mount_chain(b), "dufs-mount")
+                        for b in range(len(self.backends))]
 
     # -- internals ------------------------------------------------------------
     def _logic(self, *costs: float) -> Generator:
@@ -176,7 +178,8 @@ class DUFSClient:
         if backend in self.degraded:
             raise FSError(EIO, msg=f"back-end {backend} unavailable "
                                    "(degraded mode)")
-        return (yield from getattr(self.backends[backend], method)(*args))
+        result = yield from getattr(self.backends[backend], method)(*args)
+        return result
 
     def _get_payload(self, path: str) -> Generator:
         """Lookup (step B of Fig. 3): payload + znode stat through the
@@ -394,10 +397,18 @@ class DUFSClient:
         return backend, physical_path(fid, self.layout)
 
     def ensure_physical_dirs(self, backend: int, fid: int) -> Generator:
-        """mkdir -p of the static hash-directory chain, cached once made or
-        found: the mount, each create and repro.core.rebalance call it."""
+        """mkdir -p of the static hash-directory chain (cached); each create
+        and repro.core.rebalance call it. One that races the mount waits
+        for it instead of sending the same mkdirs beside it."""
+        if not self._mounts[backend].triggered:
+            yield self._mounts[backend]
+        yield from self._make_dirs(backend, physical_dirs(fid, self.layout))
+
+    def _make_dirs(self, backend: int, dirs: List[str]) -> Generator:
+        """mkdir each of ``dirs`` not yet known on ``backend``; cached once
+        made or found."""
         cache = self._known_dirs[backend]
-        for d in physical_dirs(fid, self.layout):
+        for d in dirs:
             if d in cache:
                 continue
             try:
@@ -409,11 +420,10 @@ class DUFSClient:
 
     def _mount_chain(self, backend: int) -> Generator:
         """The mount's process: make on ``backend`` the chain all FIDs of
-        this instance share, under its layout when this runs (a ``"paper"``
-        chain changes per file). Shielded: a failure is the first create's."""
-        if self.layout == "amortized":
-            yield from self.ensure_physical_dirs(
-                backend, make_fid(self.fidgen.client_id, 0))
+        this instance share, under its layout when this runs. Shielded: a
+        failure is the first create's."""
+        yield from self._make_dirs(
+            backend, shared_chain(self.fidgen.client_id, self.layout))
 
     # -- elastic back-ends ----------------------------------------------------
     def attach_backend_mount(self, mount) -> int:
@@ -425,7 +435,8 @@ class DUFSClient:
         idx = self.mapping.add_backend()
         self.backends.append(mount)
         self._known_dirs.append(set())
-        self.node.shielded(self._mount_chain(idx), "dufs-mount")
+        self._mounts.append(self.node.shielded(self._mount_chain(idx),
+                                               "dufs-mount"))
         return idx
 
     # -- directory operations (ZooKeeper only) ------------------------------
@@ -560,7 +571,8 @@ class DUFSClient:
         if isinstance(payload, DirPayload):
             raise FSError(EISDIR, path)
         if isinstance(payload, SymlinkPayload):
-            return (yield from self._resolve_file(payload.target, flags))
+            result = yield from self._resolve_file(payload.target, flags)
+            return result
         backend, ppath = self._locate(payload.fid)
         yield from self._backend_call(backend, "open", ppath, flags)
         return (backend, ppath)
@@ -590,13 +602,15 @@ class DUFSClient:
     def pread(self, fh: int, offset: int, size: int) -> Generator:
         """Read through an open handle — back-end only, no ZooKeeper."""
         backend, ppath = self._handle(fh)
-        return (yield from self._backend_call(backend, "read", ppath,
-                                              offset, size))
+        result = yield from self._backend_call(backend, "read", ppath,
+                                               offset, size)
+        return result
 
     def pwrite(self, fh: int, offset: int, data: bytes) -> Generator:
         backend, ppath = self._handle(fh)
-        return (yield from self._backend_call(backend, "write", ppath,
-                                              offset, data))
+        result = yield from self._backend_call(backend, "write", ppath,
+                                               offset, data)
+        return result
 
     def _path_io(self, method: str, path: str, *args) -> Generator:
         """Path-addressed I/O: Fig. 3 steps A-D, then the back-end call."""
@@ -618,9 +632,11 @@ class DUFSClient:
         yield from self._logic()
         total = StatVFS(f_capacity=0)
         for i, be in enumerate(self.backends):
-            # A dead back-end is skipped: report the reachable capacity.
-            if hasattr(be, "statfs") and i not in self.degraded:
-                total = total.merge((yield from self._backend_call(i, "statfs")))
+            if hasattr(be, "statfs"):
+                if i in self.degraded:
+                    continue  # skip dead back-ends; report reachable capacity
+                vfs = yield from self._backend_call(i, "statfs")
+                total = total.merge(vfs)
         return total
 
     def chmod(self, path: str, mode: int) -> Generator:
@@ -717,7 +733,8 @@ class DUFSClient:
         self.mdcache.note_created(dst, is_dir=is_dir)
         # Overwritten file's contents are garbage-collected.
         if isinstance(dst_payload, FilePayload):
-            yield from self._rollback_physical(*self._locate(dst_payload.fid))
+            backend, ppath = self._locate(dst_payload.fid)
+            yield from self._rollback_physical(backend, ppath)
         return True
 
     def _collect_subtree(self, root: str) -> Generator:

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 from ..hashing.consistent import ConsistentHashRing
 from ..hashing.md5 import md5_int
-from .fid import fid_bytes, fid_hex
+from .fid import fid_bytes, fid_hex, make_fid
 
 
 def split_hex(hexstr: str) -> Tuple[str, str, str, str]:
@@ -57,8 +57,15 @@ def physical_path(fid: int, layout: str = "paper") -> str:
 def physical_dirs(fid: int, layout: str = "paper") -> List[str]:
     """The chain :func:`physical_path` needs: its first 1, 2, 3 parts."""
     path = physical_path(fid, layout)
-    step = len(path) // 4
-    return [path[:step], path[:2 * step], path[:3 * step]]
+    return [path.rsplit("/", k)[0] for k in (3, 2, 1)]
+
+
+def shared_chain(client_id: int, layout: str) -> List[str]:
+    """The chain every FID of one client instance shares (until its counter
+    passes 2**32), made at its mount; none when the counter's fast-varying
+    low bits (component 3) name a directory instead of the file."""
+    chain = physical_dirs(make_fid(client_id, 0), layout)
+    return chain if LAYOUTS[layout](range(4))[3] == 3 else []
 
 
 class MappingFunction:

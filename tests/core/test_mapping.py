@@ -12,6 +12,7 @@ from repro.core.mapping import (
     MappingFunction,
     physical_dirs,
     physical_path,
+    shared_chain,
     split_hex,
 )
 
@@ -34,10 +35,21 @@ def test_amortized_layout_puts_the_client_id_on_top():
     fid = make_fid(0x0123456789ABCDEF, 0x0011223344556677)
     path = physical_path(fid, "amortized")
     assert path == "/01234567/89abcdef/00112233/44556677"
-    assert physical_dirs(fid, "amortized") == \
-        [path.rsplit("/", k)[0] for k in (3, 2, 1)]
+    assert physical_dirs(fid, "amortized") == [
+        "/01234567", "/01234567/89abcdef", "/01234567/89abcdef/00112233"]
     with pytest.raises(ValueError):
         physical_path(fid, "flat")
+
+
+def test_only_the_amortized_layout_shares_a_chain_per_client():
+    client = 0x0123456789ABCDEF
+    chain = shared_chain(client, "amortized")
+    assert chain == ["/01234567", "/01234567/89abcdef",
+                     "/01234567/89abcdef/00000000"]
+    for counter in (0, 1, 2**32 - 1):
+        path = physical_path(make_fid(client, counter), "amortized")
+        assert path.rsplit("/", 1)[0] == chain[-1]
+    assert shared_chain(client, "paper") == []
 
 
 def test_physical_dirs_are_path_prefixes():

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import DUFSClient, build_dufs_deployment
 from repro.core.fid import make_fid
-from repro.core.mapping import physical_dirs, physical_path
+from repro.core.mapping import physical_path, shared_chain
 from repro.core.rebalance import attach_backend
 from repro.pfs.localfs import LocalFS
 from repro.svc import TraceBus
@@ -34,7 +34,7 @@ class Counting:
 
 def chain(client):
     """The directories every FID of ``client`` shares."""
-    return physical_dirs(make_fid(client.fidgen.client_id, 0), client.layout)
+    return shared_chain(client.fidgen.client_id, client.layout)
 
 
 def count_calls(client, backend=None):
@@ -97,19 +97,29 @@ def test_a_backend_the_mount_could_not_reach_gets_the_chain_at_first_create():
     assert ns.exists(physical_path(fid, client.layout))
 
 
-def test_a_create_racing_the_mount_shares_its_lustre_mkdirs():
-    """Not settled: the first create's three chain mkdirs join the mount's
-    in-flight ones on the node's Lustre client, so the MDS serves three."""
+@pytest.mark.parametrize("kind", ["lustre", "pvfs"])
+def test_a_create_racing_the_mount_waits_for_its_mkdirs(kind):
+    """Not settled: the first create waits for the mount's chain instead
+    of sending the same three mkdirs beside it, so the back-end serves
+    three. PVFS has no in-flight mkdir to join: a second mkdir there
+    would be a lookup, a mkdir, a failed crdirent and a remove_obj."""
     bus = TraceBus()
     dep = build_dufs_deployment(n_zk=1, n_backends=1, n_client_nodes=1,
-                                backend="lustre", bus=bus)
+                                backend=kind, bus=bus)
     client = dep.clients[0]
     calls = count_calls(client)         # the mount's calls included
     dep.call(client.create, "/f")
     dep.cluster.sim.run()
-    assert calls.count("mkdir") == 2 * 3
-    assert ops_at(bus, "lustre/", "mkdir") == 3
-    assert all(dep.backends[0].mds.ns.exists(d) for d in chain(client))
+    assert calls == ["mkdir"] * 3 + ["create"]
+    assert ops_at(bus, f"{kind}/", "mkdir") == 3
+    assert ops_at(bus, f"{kind}/", "remove_obj") == 0
+
+    def chain_is_there():
+        for d in chain(client):
+            st = yield from client.backends[0].stat(d)
+            assert stat.S_ISDIR(st.st_mode), d
+
+    dep.call(chain_is_there)
 
 
 def test_attaching_a_backend_makes_every_clients_chain_there():
