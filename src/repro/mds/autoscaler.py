@@ -5,9 +5,9 @@ metadata plane only helps if load actually spreads across the ensembles,
 and a static hash map cannot fix a skewed namespace (λFS's core
 observation). Every ``interval`` simulated seconds it:
 
-1. samples the **windowed per-shard op rates** from the TraceBus (the
-   satellite signal; falls back to per-directory op-count deltas summed
-   by the current map when no bus is wired),
+1. samples the **windowed per-shard write rates** from the TraceBus (a
+   read is served by the member holding the session and never reaches
+   the leader a split relieves) and the per-directory op rates,
 2. classifies a shard *hot* when its rate exceeds ``HOT_FACTOR ×`` the
    mean and a pinned subtree *quiet* when its own rate is under
    ``merge_min_ops``, requiring ``hysteresis`` consecutive such ticks
@@ -95,7 +95,8 @@ class Autoscaler:
         self._last_tick_at = now
         dir_delta = self._sample_dirs()
         dir_rate = {d: v / max(dt, 1e-9) for d, v in dir_delta.items()}
-        shard_load = self._shard_load(dir_rate)
+        shard_load = (self.bus.shard_window_rates(now, "zk")
+                      if self.bus is not None else {})
         actions = self._decide(shard_load, dir_rate, self.sim.now)
         if not actions:
             return
@@ -138,22 +139,6 @@ class Autoscaler:
                 delta[d] = n - prev
         self._dir_seen = totals
         return delta
-
-    def _shard_load(self, dir_rate: Dict[str, float]) -> Dict[int, float]:
-        """Windowed per-shard op rates (ops/sec) from the TraceBus when
-        wired, else the per-directory rate aggregate under the current
-        map."""
-        if self.bus is not None:
-            rates = self.bus.shard_window_rates(now=self.sim.now,
-                                                deployment="zk")
-            if rates:
-                return rates
-        cur = self.registry.current
-        load: Dict[int, float] = {}
-        for d, n in dir_rate.items():
-            k = cur.dir_shard(d)
-            load[k] = load.get(k, 0.0) + n
-        return load
 
     # -- policy --------------------------------------------------------------
     def _decide(self, shard_load: Dict[int, float],

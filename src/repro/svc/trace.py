@@ -67,8 +67,8 @@ class TraceBus:
         self.service = LatencyRecorder()
         self.events: Optional[List[OpTrace]] = [] if keep_events else None
         self.shard_of: Dict[str, int] = {}  # key -> shard (constant per endpoint)
-        # Rolling-window per-shard op rates (elastic autoscaler signal):
-        # off by default — the hot path pays one is-None test.
+        # Rolling-window per-shard write rates (elastic autoscaler
+        # signal): off by default — the hot path pays one is-None test.
         self._shard_win: Optional[float] = None
         self._shard_events: Dict[Tuple[str, int], deque] = {}
 
@@ -86,7 +86,7 @@ class TraceBus:
             self.retries.inc(key, ev.retries)
         if ev.shard:
             self.shard_of[key] = ev.shard
-        if self._shard_win is not None:
+        if self._shard_win is not None and ev.method != "read":
             self._shard_note(ev)
         self.service.record(key, ev.service)
         if self.events is not None:
@@ -109,12 +109,16 @@ class TraceBus:
         self.batch_items.inc(key, fill)
         self.batch_depth.inc(key, depth)
 
-    # -- windowed per-shard rates -------------------------------------------
+    # -- windowed per-shard write rates -------------------------------------
     def enable_shard_window(self, window: float) -> None:
-        """Start keeping rolling-window per-``(deployment, shard)`` op
+        """Start keeping rolling-window per-``(deployment, shard)`` write
         timestamps so :meth:`shard_window_rates` can answer "how hot is
         each shard *right now*" — the elastic autoscaler's input signal.
-        Counters-only bookkeeping (no simulator events)."""
+        A read is left out: the ensemble member holding the session serves
+        it, and it never reaches the leader, whose write pipeline is what
+        a split relieves (a cold dcache's burst of parent lookups would
+        make the parent's shard look hot). Counters-only bookkeeping (no
+        simulator events)."""
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         self._shard_win = float(window)
@@ -128,27 +132,16 @@ class TraceBus:
         while dq and dq[0] < lo:
             dq.popleft()
 
-    def shard_window_rates(self, now: Optional[float] = None,
-                           deployment: Optional[str] = None
+    def shard_window_rates(self, now: float, deployment: str
                            ) -> Dict[int, float]:
-        """Ops/sec per shard over the trailing window set by
-        :meth:`enable_shard_window`, at ``now`` (default: each stream's
-        latest completion). ``deployment`` filters the streams (e.g.
-        ``"zk"``); without it, same-shard streams sum."""
+        """Writes/sec per shard of ``deployment`` (e.g. ``"zk"``) over the
+        trailing window set by :meth:`enable_shard_window`, at ``now``."""
         if self._shard_win is None:
             return {}
-        w = self._shard_win
-        out: Dict[int, float] = {}
-        for (dep, shard), dq in self._shard_events.items():
-            if deployment is not None and dep != deployment:
-                continue
-            if not dq:
-                continue
-            t = now if now is not None else dq[-1]
-            lo = t - w
-            n = sum(1 for x in dq if lo <= x <= t)
-            out[shard] = out.get(shard, 0.0) + n / w
-        return out
+        w, lo = self._shard_win, now - self._shard_win
+        return {shard: sum(1 for x in dq if lo <= x <= now) / w
+                for (dep, shard), dq in self._shard_events.items()
+                if dep == deployment and dq}
 
     # -- export ------------------------------------------------------------
     def keys(self) -> List[str]:
@@ -210,9 +203,6 @@ class TraceBus:
 class NullBus(TraceBus):
     """Discarding sink — the default for services built without a bus, so
     untraced benchmark sweeps pay no aggregation cost and hold no samples."""
-
-    def __init__(self):
-        super().__init__()
 
     def record(self, ev: OpTrace,  # noqa: ARG002 - interface
                key: Optional[str] = None) -> None:
