@@ -24,8 +24,8 @@ Phases:
   **>= 2x** sync (:func:`floors`; the observed speedup at the
   committed scales is >= 3x, the CI floor leaves noise headroom);
 - ``file_remove`` — reported for the record: unlink still pays the
-  synchronous payload lookup and physical unlink, so its speedup is
-  bounded by the read path, not the ack path.
+  synchronous payload lookup (its physical unlink runs in the drain), so
+  its speedup is bounded by the read path, not the ack path.
 
 This module is the workload; the off/on harness around it (run both
 sides, speedup table, JSON, CI gate) is :func:`repro.bench.suite.ablation`.

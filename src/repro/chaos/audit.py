@@ -34,13 +34,16 @@ sides of a torn migration's cutover, so the roll-forward retires the
 marker and counts one repair.
 
 Write-behind clients (``AsyncParams.enabled``) complicate the diff in a
-well-defined way: an op the client acked but never committed (node crash
-mid-drain, or the run window closing with the log non-empty) leaves
-residue — a lost file create left an unreferenced physical file, a lost
-delete left a znode mapping to an already-unlinked file. The auditor
-matches each such residue against the clients' :meth:`lost_ops` windows
-and counts it as ``AuditReport.lost_unacked`` instead of a violation:
-bounded loss is the mode's contract, damage is not.
+well-defined way: an op the client acked but never completed (node crash
+mid-drain, or the run window closing with the log non-empty) may leave
+an unreferenced physical file — a lost file create made its file before
+the znode, and a lost file delete unlinks its file only after the znode
+delete landed. The auditor matches each such orphan against the
+clients' :meth:`lost_ops` windows (by the op's FID) and counts it as
+``AuditReport.lost_unacked`` instead of a violation: bounded loss is the
+mode's contract, damage is not. Since the physical step always follows
+the mapping, a lost op never leaves a dangling mapping, and that
+violation is never excused.
 
 The report is machine-readable (:meth:`AuditReport.to_dict`) and
 deterministic: violations are sorted, so two runs with the same seed and
@@ -76,9 +79,9 @@ class AuditReport:
     checked_files: int = 0
     violations: List[Violation] = field(default_factory=list)
     repairs: int = 0        # intent-record steps rolled forward (sharded)
-    # Write-behind residue that is bounded loss, not damage: physical
-    # files of acked-but-uncommitted creates and znodes of acked-but-
-    # uncommitted deletes, matched against the clients' lost-op windows.
+    # Write-behind residue that is bounded loss, not damage: orphan
+    # physical files of acked-but-uncompleted file creates and deletes,
+    # matched against the clients' lost-op windows.
     lost_unacked: int = 0
 
     @property
@@ -265,25 +268,19 @@ def audit_dufs(deployment) -> AuditReport:
         backend = mapping.backend_for(fid)
         expected[(backend, physical_path(fid, layout))] = path
 
-    # Write-behind residue: ops a client acked but never committed (its
+    # Write-behind residue: ops a client acked but never completed (its
     # node crashed mid-drain, or the run window closed with the log
-    # non-empty). A lost file *create* already wrote its physical file —
-    # the back-end holds an unreferenced FID; a lost *delete* already
-    # unlinked the physical file — the znode still maps to nothing. Both
-    # are the mode's advertised bounded loss, not namespace damage.
-    lost_create_keys: Dict[Tuple[int, str], str] = {}
-    lost_delete_paths: Set[str] = set()
-    for cli in deployment.clients:
-        wblog = getattr(cli, "wblog", None)
-        if wblog is None:
-            continue
-        for op in wblog.lost_ops():
-            if op.kind == "create" and isinstance(op.payload, FilePayload):
-                fid = op.payload.fid
-                lost_create_keys[(mapping.backend_for(fid),
-                                  physical_path(fid, layout))] = op.path
-            elif op.kind == "delete" and not op.is_dir:
-                lost_delete_paths.add(op.path)
+    # non-empty). A lost file *create* already wrote its physical file; a
+    # lost file *delete* whose znode delete landed never ran its physical
+    # unlink. Either way the back-end holds an unreferenced FID — the
+    # mode's advertised bounded loss, not namespace damage. No lost op
+    # can leave a dangling mapping, so that violation is never excused.
+    lost_files = {(mapping.backend_for(op.payload.fid),
+                   physical_path(op.payload.fid, layout))
+                  for cli in deployment.clients if cli.wblog is not None
+                  for op in cli.wblog.lost_ops()
+                  if op.kind in ("create", "delete")
+                  and isinstance(op.payload, FilePayload)}
 
     # Pass 2: enumerate back-end files and diff both directions.
     actual: Set[Tuple[int, str]] = set()
@@ -294,14 +291,11 @@ def audit_dufs(deployment) -> AuditReport:
 
     for key in sorted(expected.keys() - actual):
         backend, ppath = key
-        if expected[key] in lost_delete_paths:
-            report.lost_unacked += 1
-            continue
         report.violations.append(Violation(
             "dangling-mapping", expected[key],
             f"no physical file {ppath} on back-end {backend}"))
     for backend, ppath in sorted(actual - expected.keys()):
-        if (backend, ppath) in lost_create_keys:
+        if (backend, ppath) in lost_files:
             report.lost_unacked += 1
             continue
         report.violations.append(Violation(

@@ -22,7 +22,8 @@ Usage::
                                             # migrations, decisions
     python -m repro profile fig7            # cProfile any bench/figure and
     python -m repro profile bench:shard     # print the hot-path table
-    python -m repro chaos [--seed N]        # random minority ZK crashes
+    python -m repro chaos [--seed N]        # random minority ZK crashes;
+                                            # exit 1 when the audit is dirty
     python -m repro chaos --shards 4        # sharded metadata plane + shard:<k>
     python -m repro chaos --resilience      # deadlines+budget+breakers
     python -m repro chaos --shards 2 --elastic  # elastic plane under faults
@@ -180,6 +181,8 @@ def main(argv=None) -> int:
             result = run_chaos(args.deployment, seed=args.seed, ops=args.ops,
                                shards=n_shards, params=params)
             print(result.summary())
+            if result.audit is not None and not result.audit.ok:
+                return 1        # namespace damage fails the run
         elif target == "trace":
             from .bench.trace_cli import run_trace
             print(run_trace(scale=args.scale, backend=args.backend,

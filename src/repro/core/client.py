@@ -150,7 +150,7 @@ class DUFSClient:
         if params.awrite.enabled:
             self.wblog = WriteBehindLog(node, self.zk, self.mdcache,
                                         params=params.awrite,
-                                        verify=self._verify_drained,
+                                        verify=self._outcome,
                                         bus=bus,
                                         endpoint=name or "dufs-client")
             self._commit, self._drain = self._commit_async, self._drain_async
@@ -266,18 +266,15 @@ class DUFSClient:
 
     def _settle(self, op: PendingOp, attempt: Generator) -> Generator:
         """The synchronous commit seam: await ``attempt`` — ``op`` on its
-        way through the metadata service — and decide what a failure
-        means, here and nowhere else."""
+        way through the metadata service — settle its outcome, and raise
+        the POSIX error when it did not land."""
         try:
             yield from attempt
-        except ZKError as exc:
-            landed = yield from self._landed(op, exc)
-            if landed:
-                return
-            undo = self._undo(op, landed)
-            if undo is not None:
-                yield from undo
-            raise _map_zk_error(exc, op.path) from None
+            exc = None
+        except ZKError as err:
+            exc = err
+        if not (yield from self._outcome(op, exc)):
+            raise _map_zk_error(exc, op.path)
 
     def _commit_async(self, kind: str, path: str, payload=None,
                       is_dir: bool = False, version: int = -1) -> Generator:
@@ -340,24 +337,20 @@ class DUFSClient:
         # Any existing directory satisfies mkdir's post-condition.
         return isinstance(found, DirPayload)
 
-    def _undo(self, op: PendingOp, landed) -> Optional[Generator]:
-        """Side effects to take back once an op failed: a file create
-        produced a physical file. Only when the znode is *provably*
-        absent — a dangling name->FID mapping is worse than an orphaned
-        physical file."""
-        if landed is False and op.kind == "create" \
-                and isinstance(op.payload, FilePayload):
-            return self._rollback_physical(*self._locate(op.payload.fid))
-        return None
-
-    def _verify_drained(self, op: PendingOp, exc: ZKError) -> Generator:
-        """The log's ``verify`` hook: the same rule, after the caller was
-        already acked — the rollback is fire-and-forget and the error
-        itself is reported at the next barrier, close-to-open style."""
-        landed = yield from self._landed(op, exc)
-        undo = self._undo(op, landed)
-        if undo is not None:
-            self.node.spawn(undo, f"wb-rollback{op.seq}")
+    def _outcome(self, op: PendingOp, exc: Optional[ZKError]) -> Generator:
+        """Both write paths' settle step (the sync seam raises when it
+        answers falsy, the write-behind drain calls it as ``verify``): did
+        ``op`` land? Then the physical step, which follows the name->FID
+        mapping since a dangling mapping is worse than an orphaned file: a
+        file create that *provably* did not land is rolled back, a file
+        delete that landed unlinks its physical file."""
+        landed = True if exc is None else (yield from self._landed(op, exc))
+        if isinstance(op.payload, FilePayload):
+            if op.kind == "delete" and landed:
+                yield from self._logic(self.params.mapping_cpu)
+                yield from self._unlink_physical(op.payload.fid)
+            elif op.kind == "create" and landed is False:
+                yield from self._unlink_physical(op.payload.fid)
         return landed
 
     def _drain_sync(self, *paths) -> Generator:
@@ -536,7 +529,9 @@ class DUFSClient:
         self.mdcache.note_created(path)
         return True
 
-    def _rollback_physical(self, backend: int, ppath: str) -> Generator:
+    def _unlink_physical(self, fid: int) -> Generator:
+        """Best effort: a failure leaves an orphan, not an error."""
+        backend, ppath = self._locate(fid)
         try:
             yield from self._backend_call(backend, "unlink", ppath)
         except FSError:
@@ -550,16 +545,14 @@ class DUFSClient:
         payload, _ = yield from self._get_payload(path)
         if isinstance(payload, DirPayload):
             raise FSError(EISDIR, path)
-        yield from self._commit("delete", path)
-        self.mdcache.note_removed(path)
         if isinstance(payload, FilePayload):
-            yield from self._logic(self.params.mapping_cpu)
-            backend, ppath = self._locate(payload.fid)
-            try:
-                yield from self._backend_call(backend, "unlink", ppath)
-            except FSError as exc:
-                if exc.err != ENOENT:
-                    raise
+            backend = self.mapping.backend_for(payload.fid)
+            if backend in self.degraded:    # fail before the name goes
+                raise FSError(EIO, path, f"back-end {backend} unavailable "
+                                         "(degraded mode)")
+        # _outcome unlinks the physical file once the znode delete landed.
+        yield from self._commit("delete", path, payload)
+        self.mdcache.note_removed(path)
         return True
 
     def _resolve_file(self, path: str, flags: int = 0) -> Generator:
@@ -733,8 +726,7 @@ class DUFSClient:
         self.mdcache.note_created(dst, is_dir=is_dir)
         # Overwritten file's contents are garbage-collected.
         if isinstance(dst_payload, FilePayload):
-            backend, ppath = self._locate(dst_payload.fid)
-            yield from self._rollback_physical(backend, ppath)
+            yield from self._unlink_physical(dst_payload.fid)
         return True
 
     def _collect_subtree(self, root: str) -> Generator:

@@ -26,6 +26,10 @@ DUFS client:
 - :meth:`barrier` is the explicit synchronization point (fsync, a
   ``flush``, directory renames, cross-shard multis): it waits until
   every acked op has committed or been rejected;
+- every drained op is settled by the owning client's ``verify`` hook,
+  success or not, and completes only after the physical step that hook
+  takes (a landed file delete's unlink, a rejected file create's
+  rollback), so the physical file never goes before its name;
 - a rejected op (the quorum refused it after the caller was already
   acked) rolls its overlay entry back and surfaces through
   :meth:`pop_errors` at the next barrier —
@@ -68,8 +72,8 @@ class PendingOp:
         self.seq = seq
         self.kind = kind            # "create" | "delete" | "set" | "rename"
         self.path = path
-        self.data = data            # encoded znode payload (b"" for delete)
-        self.payload = payload      # decoded payload (None for delete)
+        self.data = data            # encoded znode payload (unused by delete)
+        self.payload = payload      # decoded payload (delete: what it removes)
         self.is_dir = is_dir
         self.src = src              # rename (never logged): the path moved
 
@@ -93,13 +97,14 @@ class WriteBehindLog:
     """Ordered per-client mutation log drained through a streamed window.
 
     ``verify`` is an optional generator callback ``(op, exc)`` the
-    owning client supplies to disambiguate at-least-once rejections (a
-    retried create/delete whose first attempt landed raises
-    NodeExists/NoNode from the duplicate): a true result counts the op
-    as committed; anything else rejects it — the overlay entry is rolled
-    back and the error is reported at the next barrier. Undoing the op's
-    other side effects (e.g. the already-created physical file) is the
-    verifier's business: only it knows whether the op provably failed.
+    owning client supplies, called on every outcome (``exc`` None on
+    success) to disambiguate at-least-once rejections (a retried
+    create/delete whose first attempt landed raises NodeExists/NoNode
+    from the duplicate): a true result counts the op as committed;
+    anything else rejects it — the overlay entry is rolled back and the
+    error is reported at the next barrier. The op's physical side
+    effects are the verifier's business, and the op completes after
+    them: a barrier waits for them, a crash leaves the op lost.
     """
 
     def __init__(
@@ -236,7 +241,8 @@ class WriteBehindLog:
             self.node.spawn(self._issue(op), f"{self.endpoint}.drain{op.seq}")
 
     def _issue(self, op: PendingOp) -> Generator:
-        """One drained op's process. A ZK error is a deferred rejection; a
+        """One drained op's process, settled by ``verify``. A ZK error it
+        does not count as landed is a deferred rejection; a
         node crash interrupts it (``_on_crash`` already moved the op into
         the lost window). Anything else escapes, and the strict simulator
         aborts the run on it: a drain bug stays loud."""
@@ -246,9 +252,8 @@ class WriteBehindLog:
                 exc = None
             except ZKError as err:
                 exc = err
-                if self.verify is not None \
-                        and (yield from self.verify(op, err)):
-                    exc = None
+            if self.verify is not None and (yield from self.verify(op, exc)):
+                exc = None
         except Interrupt:
             return
         self._complete(op, exc)

@@ -92,3 +92,22 @@ def test_cli_rejects_a_negative_op_count(capsys):
         main(["chaos", "--ops", "-3"])
     assert exc.value.code == 2
     assert "--ops must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_chaos_exits_nonzero_on_a_dirty_audit(monkeypatch, capsys):
+    import repro.chaos
+    from repro.chaos import Violation
+    from repro.cli import main
+
+    assert main(["chaos", "--ops", "20"]) == 0
+    assert "-> CLEAN" in capsys.readouterr().out
+    run_chaos = repro.chaos.run_chaos
+
+    def damaged(*args, **kwargs):
+        result = run_chaos(*args, **kwargs)
+        result.audit.violations.append(Violation("orphan-fid", "/x"))
+        return result
+
+    monkeypatch.setattr(repro.chaos, "run_chaos", damaged)
+    assert main(["chaos", "--ops", "20"]) == 1
+    assert "-> 1 violations" in capsys.readouterr().out

@@ -13,6 +13,7 @@ import pytest
 from repro.chaos import ChaosSchedule, run_chaos
 from repro.chaos.audit import audit_dufs
 from repro.core import build_dufs_deployment
+from repro.errors import ENOENT
 from repro.models.params import AsyncParams, SimParams
 
 
@@ -112,10 +113,10 @@ def test_client_recovers_cold_and_keeps_working_after_crash():
 
 
 def test_lost_pending_deletes_are_excused_not_damage():
-    """The delete direction: physical unlink happens at ack time, the
-    znode delete commits at drain. A crash between the two leaves znodes
-    mapping to unlinked files — dangling mappings the auditor must
-    attribute to the lost window."""
+    """The delete direction: the znode delete commits at drain and only
+    then is the physical file unlinked. A crash between the two leaves
+    orphan physical files the auditor attributes to the lost window; no
+    lost delete can leave a dangling mapping."""
     dep = build_async_dep(seed=11)
     cli = dep.clients[0]
     node = dep.client_nodes[0]
@@ -150,8 +151,42 @@ def test_lost_pending_deletes_are_excused_not_damage():
     sim.run(until=sim.now + 2.0)
 
     report = audit_dufs(dep)
+    assert report.count("dangling-mapping") == 0
     assert report.ok, report.to_text()
     assert report.lost_unacked > 0
+
+
+def test_delete_refused_after_a_remote_rename_keeps_the_file():
+    """Client 1 renames /f to /g; client 0 unlinks /f 1 ms later, while
+    the rename is still in flight. Client 0's lookup still finds /f, so
+    its unlink is acked; the drained delete then finds /f gone and is
+    refused. The physical file now belongs to /g and must survive: the
+    unlink may only remove it once its own znode delete landed."""
+    dep = build_async_dep(seed=0)
+    sim = dep.cluster.sim
+    (c0, c1), (n0, n1) = dep.clients, dep.client_nodes
+
+    def setup():
+        yield from c0.create("/f")
+        yield from c0.flush()
+
+    sim.run(until=n0.spawn(setup()))
+    out = {}
+
+    def rename():
+        yield from c1.rename("/f", "/g")
+
+    def unlink():
+        yield sim.timeout(1e-3)
+        yield from c0.unlink("/f")
+        out["errors"] = yield from c0.flush()
+
+    n1.spawn(rename())
+    sim.run(until=n0.spawn(unlink()))
+    report = audit_dufs(dep)
+    assert report.ok, report.to_text()
+    assert [(path, e.err) for path, e in out["errors"]] == [("/f", ENOENT)]
+    assert dep.call(c0.stat, "/g") is not None
 
 
 @pytest.mark.chaos

@@ -3,9 +3,11 @@ transparent session re-establishment."""
 
 import pytest
 
+from repro.chaos.audit import audit_dufs
 from repro.core import build_dufs_deployment
 from repro.errors import EIO, FSError
-from repro.models.params import FaultToleranceParams, SimParams, ZKParams
+from repro.models.params import (AsyncParams, FaultToleranceParams,
+                                 SimParams, ZKParams)
 
 
 def test_degraded_mode_fails_only_mapped_slice():
@@ -53,6 +55,47 @@ def test_degraded_backend_file_ops_fail_fast_without_hanging():
         dep.call(mount.stat, "/f")
     assert exc.value.err == EIO
     assert dep.cluster.sim.now - before < 1.0   # fail fast, no timeout wait
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_degraded_unlink_fails_before_the_name_goes(mode):
+    """Degraded mode fails an op whose FID maps to a dead back-end before
+    the namespace changes: the unlink raises EIO and the name survives,
+    so nothing is left to audit once the back-end is back (an unlink that
+    removed the name first left an orphan physical file per failure)."""
+    params = SimParams()
+    if mode == "async":
+        params.awrite = AsyncParams.async_on()
+    dep = build_dufs_deployment(n_zk=1, n_backends=2, n_client_nodes=1,
+                                backend="local", params=params, seed=4)
+    mount, client = dep.mounts[0], dep.clients[0]
+    dep.call(mount.mkdir, "/d")
+    for i in range(6):
+        dep.call(mount.create, f"/d/f{i}")
+    dep.call(client.flush)
+
+    client.mark_backend_down(0)
+    removed, failed = [], []
+    for i in range(6):
+        try:
+            dep.call(mount.unlink, f"/d/f{i}")
+            removed.append(i)
+        except FSError as e:
+            assert e.err == EIO and "degraded mode" in e.strerror
+            failed.append(i)
+    assert dep.call(client.flush) == []
+    assert removed and failed
+    assert {e.name for e in dep.call(mount.readdir, "/d")} == \
+        {f"f{i}" for i in failed}
+
+    client.mark_backend_up(0)
+    report = audit_dufs(dep)
+    assert report.ok, report.to_text()
+    for i in failed:
+        dep.call(mount.unlink, f"/d/f{i}")
+    dep.call(client.flush)
+    assert dep.call(mount.readdir, "/d") == []
+    assert audit_dufs(dep).ok
 
 
 def test_zk_client_survives_leader_crash():

@@ -147,10 +147,7 @@ class Rig:
             errors = yield from self.client.flush()
             return errors[0][1].errno if errors else "ok"
 
-        result = self.cluster.sim.run(until=self.node.spawn(main()))
-        # The write-behind rollback of a rejected create is fire-and-forget.
-        self.cluster.sim.run(until=self.cluster.sim.now + 0.1)
-        return result
+        return self.cluster.sim.run(until=self.node.spawn(main()))
 
 
 #: op -> (client call, payload another client would have left at the path)
@@ -215,6 +212,37 @@ def test_provably_absent_create_rolls_the_physical_file_back(mode):
     rig.mds.script[("create", "/x")] = ConnectionLossError("/x")
     assert rig.outcome("create", "/x") == EIO
     assert rig.files() == 0
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_refused_delete_keeps_the_physical_file(mode):
+    """The delete's outcome is unknown (retries exhausted), so the name
+    may still map to the file: the physical file stays, and the error is
+    reported (at the next flush, for a write-behind client)."""
+    rig = Rig(mode)
+    assert rig.outcome("create", "/x") == "ok"
+    rig.mds.script[("delete", "/x")] = ConnectionLossError("/x")
+    assert rig.outcome("unlink", "/x") == EIO
+    assert "/x" in rig.mds.nodes
+    assert rig.files() == 1
+
+
+def test_write_behind_unlink_acks_before_its_physical_unlink():
+    """The ack needs the lookup and the append only; the physical file
+    goes once the drained znode delete landed, and flush waits for it."""
+    rig = Rig("async")
+    assert rig.outcome("create", "/x") == "ok"
+    seen = {}
+
+    def main():
+        yield from rig.client.unlink("/x")
+        seen["acked"] = rig.files()
+        seen["errors"] = yield from rig.client.flush()
+        seen["flushed"] = rig.files()
+
+    rig.cluster.sim.run(until=rig.node.spawn(main()))
+    assert seen == {"acked": 1, "errors": [], "flushed": 0}
+    assert "/x" not in rig.mds.nodes
 
 
 # -- rename: the one namespace mutation that is a multi -----------------------
