@@ -340,10 +340,10 @@ class DUFSClient:
     def _outcome(self, op: PendingOp, exc: Optional[ZKError]) -> Generator:
         """Both write paths' settle step (the sync seam raises when it
         answers falsy, the write-behind drain calls it as ``verify``): did
-        ``op`` land? Then the physical step, which follows the name->FID
-        mapping since a dangling mapping is worse than an orphaned file: a
-        file create that *provably* did not land is rolled back, a file
-        delete that landed unlinks its physical file."""
+        ``op`` land? Then the physical step that answer calls for, never
+        one that could leave a name mapping to no file (a dangling mapping
+        is worse than an orphaned file): a file create that *provably* did
+        not land is rolled back, a file delete that landed is unlinked."""
         landed = True if exc is None else (yield from self._landed(op, exc))
         if isinstance(op.payload, FilePayload):
             if op.kind == "delete" and landed:
