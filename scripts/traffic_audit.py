@@ -122,7 +122,7 @@ def commands(tmp: str) -> List[List[str]]:
         ["--shards", "2", "--elastic"], ["--async"],
         ["--deployment", "lustre"], ["--deployment", "pvfs"])]
     cmds += [[*repro, "trace", *variant] for variant in (
-        ["--batch", "8", "--cache"],
+        ["--cache"],
         ["--backend", "lustre", "--shards", "2", "--json", "-"],
         ["--backend", "pvfs", "--json", os.path.join(tmp, "trace.json")])]
     cmds += [[*repro, "shardmap"], [*repro, "shardmap", "--json", "-"],

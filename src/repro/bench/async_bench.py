@@ -10,11 +10,10 @@ Runs the mdtest file phases twice on identical deployments:
   issued as soon as no in-flight op conflicts with it and fewer than
   ``DRAIN_WINDOW`` are in flight.
 
-Both arms run with ``propose_batch_max=8`` on the ZooKeeper leader (the
-group-commit capacity exists either way — the ablation isolates *who
-waits for it*: the sync arm's callers each block a full round trip, the
-async arm's drain keeps the pipeline full without blocking callers) and
-with ``MdtestConfig.drain=True``, so the async arm's measured phases
+Both arms run the default ZooKeeper write pipeline (the ablation isolates
+*who waits for it*: the sync arm's callers each block a full round trip,
+the async arm's drain keeps the pipeline full without blocking callers)
+and ``MdtestConfig.drain=True``, so the async arm's measured phases
 include the drain barrier that commits their own mutations — throughput
 is end-to-end *committed* ops/s, not just ack/s.
 
@@ -60,15 +59,6 @@ PHASES = ("file_create", "file_remove")
 CREATE_FLOOR = 2.0
 
 
-def _params() -> SimParams:
-    """Shared simulation parameters for BOTH arms: leader-side group
-    commit is available either way, so the ablation measures ack
-    decoupling, not batching."""
-    p = SimParams()
-    p.zk.propose_batch_max = 8
-    return p
-
-
 def run_side(on: bool, scale: str) -> Dict:
     """One full mdtest run (scaffold + file phases) in write-behind mode
     (:meth:`AsyncParams.async_on`) or as the synchronous default client.
@@ -80,7 +70,7 @@ def run_side(on: bool, scale: str) -> Dict:
     n_zk, n_clients, items = _SCALES[scale]
     dep = build_dufs_deployment(n_zk=n_zk, n_backends=2,
                                 n_client_nodes=n_clients, backend="local",
-                                params=_params(),
+                                params=SimParams(),
                                 awrite=AsyncParams.async_on() if on
                                 else AsyncParams())
     cfg = MdtestConfig(n_procs=n_clients, items_per_proc=items,

@@ -4,11 +4,9 @@ Builds a DUFS deployment with the unified trace bus enabled, drives a
 small mdtest workload through it, and prints per-endpoint op / error /
 retry counts and service times for every layer — DUFS client entry points,
 the ZK client retry path, and every server endpoint (ZooKeeper and the
-back-end filesystems). ``--batch N`` turns on ZooKeeper leader-side write
-batching (``ZKParams.propose_batch_max``) so the group-commit win is
-directly visible in the create-phase throughput. ``--cache`` enables the
-client metadata cache, whose hit/miss/invalidation counters then appear
-as ``mdcache/*`` rows in the same table.
+back-end filesystems). ``--cache`` enables the client metadata cache,
+whose hit/miss/invalidation counters then appear as ``mdcache/*`` rows in
+the same table.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ def trace_rows(bus: TraceBus) -> List[Dict]:
 
 
 def run_trace(scale: str = "quick", backend: str = "local",
-              batch: int = 1,
               phases: Optional[tuple] = None,
               cache: bool = False, shards: int = 1,
               json_path: Optional[str] = None) -> str:
@@ -54,12 +51,9 @@ def run_trace(scale: str = "quick", backend: str = "local",
     ``"-"`` returns the JSON document *instead of* the table.
     """
     n_zk, n_backends, n_clients, n_procs, items = _SCALES[scale]
-    params = SimParams()
-    if batch > 1:
-        params.zk.propose_batch_max = batch
     dep = build_dufs_deployment(n_zk=n_zk, n_backends=n_backends,
                                 n_client_nodes=n_clients, backend=backend,
-                                params=params, bus=TraceBus(),
+                                params=SimParams(), bus=TraceBus(),
                                 cache=CacheParams.caching_on() if cache
                                 else None, n_shards=shards)
     cfg = MdtestConfig(n_procs=n_procs, items_per_proc=items,
@@ -81,7 +75,7 @@ def run_trace(scale: str = "quick", backend: str = "local",
         "benchmark": "trace",
         "scale": scale, "backend": backend,
         "n_zk": n_zk, "n_shards": shards,
-        "batch": max(1, batch), "cache": cache,
+        "cache": cache,
         "phases": {name: {"ops": r.ops, "duration": r.duration,
                           "ops_per_s": r.throughput}
                    for name, r in result.phases.items()},
@@ -93,8 +87,7 @@ def run_trace(scale: str = "quick", backend: str = "local",
         return json.dumps(doc, indent=2, sort_keys=True)
 
     lines = [f"traced mdtest: backend={backend} scale={scale} "
-             f"zk={n_zk} procs={n_procs} items/proc={items} "
-             f"propose_batch_max={max(1, batch)}"
+             f"zk={n_zk} procs={n_procs} items/proc={items}"
              f"{' cache=on' if cache else ''}"
              f"{f' shards={shards}' if shards > 1 else ''}", ""]
     for name, phase in result.phases.items():

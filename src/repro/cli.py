@@ -4,8 +4,8 @@ Usage::
 
     python -m repro fig7 [--scale quick|medium|full]
     python -m repro fig8 | fig9 | fig10 | fig11 | claims | ablations
-    python -m repro trace [--backend local|lustre|pvfs] [--batch N] [--cache]
-                          [--shards N] [--json PATH|-]
+    python -m repro trace [--backend local|lustre|pvfs] [--cache] [--shards N]
+                          [--json PATH|-]
     python -m repro bench [--json PATH]     # mdcache ablation, cache on vs off
     python -m repro bench --shards 1,2,4    # shard-scaling sweep (equal total
                                             # ZK servers split across shards)
@@ -106,9 +106,6 @@ def main(argv=None) -> int:
     parser.add_argument("--backend", default="local",
                         choices=("local", "lustre", "pvfs"),
                         help="DUFS back-end filesystem (trace only)")
-    parser.add_argument("--batch", type=int, default=1,
-                        help="ZooKeeper leader write-batch size; >1 enables "
-                             "proposal coalescing (trace only)")
     parser.add_argument("--cache", action="store_true",
                         help="enable the client metadata cache (trace and "
                              "chaos; 'bench' always runs cache off AND on)")
@@ -186,7 +183,7 @@ def main(argv=None) -> int:
         elif target == "trace":
             from .bench.trace_cli import run_trace
             print(run_trace(scale=args.scale, backend=args.backend,
-                            batch=args.batch, cache=args.cache,
+                            cache=args.cache,
                             shards=shard_counts[0] if shard_counts else 1,
                             json_path=args.json))
         elif target == "profile":

@@ -117,12 +117,6 @@ class ZKParams:
     apply_cpu: ClassVar[float] = 60e-6  # apply committed txn to the tree
     log_delay: ClassVar[float] = 350e-6  # group-committed fsync (pipelined)
     log_batch_max: ClassVar[int] = 64  # max txns covered by one fsync
-    # Leader-side write batching: up to this many validated proposals are
-    # coalesced into ONE marshalled PROPOSE stream per follower (one quorum
-    # round amortizes the per-follower CPU across the batch). 1 = off —
-    # every write pays the full per-follower cost inline, byte-identical
-    # to the unbatched pipeline.
-    propose_batch_max: int = 1
     forward_cpu: ClassVar[float] = 40e-6  # follower forwards a write
     session_cpu: ClassVar[float] = 100e-6
 

@@ -370,8 +370,6 @@ class Membership:
         self.data_watches.clear()
         self.child_watches.clear()
         self._logger.clear()
-        if self._proposer is not None:
-            self._proposer.clear()
         self._votes.clear()
         self._holds.clear()      # their holders died with the node
         # Accepted-but-unfsynced proposals died with the logger pipeline.

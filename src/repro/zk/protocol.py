@@ -89,16 +89,6 @@ class Propose:
 
 
 @dataclass(frozen=True)
-class ProposeBatch:
-    """Leader-side write batching: one marshalled message carries a run of
-    consecutive proposals, amortizing the per-follower stream cost (the
-    λFS/AsyncFS batching lever). Followers process the contained proposals
-    in order, exactly as if they had arrived individually."""
-
-    props: Tuple[Propose, ...]
-
-
-@dataclass(frozen=True)
 class Ack:
     zxid: Tuple[int, ...]
     sid: int

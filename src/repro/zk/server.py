@@ -42,7 +42,7 @@ from .errors import (
     SessionExpiredError,
     ZKError,
 )
-from .protocol import (Ack, Commit, Propose, ProposeBatch, ReadRequest,
+from .protocol import (Ack, Commit, Propose, ReadRequest,
                        ResolveResult, WatchEvent, WriteRequest)
 
 #: Resolved prefixes each server's dentry cache remembers (LRU).
@@ -151,11 +151,10 @@ class ZKServer(Membership):
         self._my_vote: Tuple[int, int] = (0, 0)
         self._ticker_running = False   # one election ticker at a time
 
-        # pipelines (group-commit logger; optional leader write batching)
+        # pipelines (group-commit logger; applier)
         self._apply_kick = Store(self.sim)
         self._applier_idle = True
         self._logger: Optional[Batcher] = None
-        self._proposer: Optional[Batcher] = None
 
         # counters: perfbench reads elections, resolve_bench the rest
         self.stats = {"elections": 0, "resolves": 0, "dentry_hits": 0,
@@ -188,7 +187,6 @@ class ZKServer(Membership):
         s.expose("sync", self._h_sync)
         s.expose("commit_index", self._h_commit_index)
         s.expose_fast("propose", self._f_propose)
-        s.expose_fast("propose_batch", self._f_propose_batch)
         s.expose_fast("ack", self._f_ack)
         s.expose_fast("commit", self._f_commit)
         s.expose_fast("ping", self._f_ping)
@@ -204,15 +202,6 @@ class ZKServer(Membership):
                                    bus=self.svc.bus, deployment="zk")
         else:
             self._logger.restart()
-        if self.params.propose_batch_max > 1:
-            if self._proposer is None:
-                self._proposer = Batcher(
-                    self.node, f"zk{self.sid}.proposer",
-                    self._flush_proposals,
-                    max_batch=self.params.propose_batch_max,
-                    bus=self.svc.bus, deployment="zk")
-            else:
-                self._proposer.restart()
         self.node.spawn(self._applier_loop(), f"zk{self.sid}.applier")
         if self.params.checkpoint_interval > 0:
             self.node.spawn(self._checkpoint_loop(), f"zk{self.sid}.ckpt")
@@ -562,19 +551,13 @@ class ZKServer(Membership):
         if not self.activated:
             raise ConnectionLossError(msg=f"zk{self.sid} leader not activated")
         p = self.params
-        batching = p.propose_batch_max > 1
         nf = len(self.active_followers)
         extra = (p.set_extra_cpu if req.op == "set"
                  else p.delete_extra_cpu if req.op == "delete" else 0.0)
         n_obs = len(self.active_observers)
-        if batching:
-            # Per-follower marshalling is paid once per *batch* by the
-            # proposer pipeline; the request only pays its own validation.
-            yield from self.node.cpu_work(p.write_leader_cpu + extra)
-        else:
-            yield from self.node.cpu_work(
-                p.write_leader_cpu + extra + nf * p.write_per_follower_cpu
-                + n_obs * p.write_per_follower_cpu * 0.5)
+        yield from self.node.cpu_work(
+            p.write_leader_cpu + extra + nf * p.write_per_follower_cpu
+            + n_obs * p.write_per_follower_cpu * 0.5)
         if self.role != LEADING:  # demoted while queued for CPU
             raise NotLeaderError(msg=f"zk{self.sid} lost leadership")
         if self.route_guard is not None:
@@ -594,40 +577,18 @@ class ZKServer(Membership):
         out = _Outstanding(txn=txn, result=result, done=self.sim.event())
         self.outstanding[zxid] = out
         self.out_queue.append(zxid)
-        if batching:
-            self._proposer.submit((entry, self._req_size(req)))
-        else:
-            prop = Propose(entry, self.epoch)
-            psize = p.proposal_base_size + self._req_size(req)
-            for sid in self.active_followers:
-                self._cast_peer(sid, "propose", prop, size=psize)
-            for sid in self.active_observers:
-                # INFORM stream: observers replicate without acking; the
-                # leader pays a smaller marshalling cost for them.
-                self._cast_peer(sid, "propose", prop, size=psize)
-            # self-ack goes through the group-committed logger
-            self._logger.submit(("self_ack", zxid))
+        prop = Propose(entry, self.epoch)
+        psize = p.proposal_base_size + self._req_size(req)
+        for sid in self.active_followers:
+            self._cast_peer(sid, "propose", prop, size=psize)
+        for sid in self.active_observers:
+            # INFORM stream: observers replicate without acking; the
+            # leader pays a smaller marshalling cost for them.
+            self._cast_peer(sid, "propose", prop, size=psize)
+        # self-ack goes through the group-committed logger
+        self._logger.submit(("self_ack", zxid))
         yield out.done
         return (zxid, result) if with_zxid else result
-
-    def _flush_proposals(self, batch: List[tuple]) -> Generator:
-        """Proposer pipeline flush (``propose_batch_max > 1``): stream one
-        marshalled PROPOSE batch per follower, then self-ack every txn."""
-        p = self.params
-        if self.role != LEADING:
-            return  # demoted: outstanding entries were failed by step-down
-        nf = len(self.active_followers)
-        n_obs = len(self.active_observers)
-        yield from self.node.cpu_work(
-            (nf + 0.5 * n_obs) * p.write_per_follower_cpu)
-        if self.role != LEADING:
-            return
-        pb = ProposeBatch(tuple(Propose(e, self.epoch) for e, _ in batch))
-        size = p.proposal_base_size + sum(s for _, s in batch)
-        for sid in (*self.active_followers, *self.active_observers):
-            self._cast_peer(sid, "propose_batch", pb, size=size)
-        for e, _ in batch:
-            self._logger.submit(("self_ack", e[0]))
 
     # ------------------------------------------------------------------
     # logger pipeline (leader self-acks; follower log+ACK) — group commit
@@ -688,12 +649,6 @@ class ZKServer(Membership):
             return
         self._accepted_zxid = zxid
         self._logger.submit(("log", prop.entry, self.leader_sid, self._term))
-
-    def _f_propose_batch(self, src: str, pb: ProposeBatch) -> None:
-        """A leader-side write batch: contained proposals are processed in
-        order exactly as if they had arrived individually."""
-        for prop in pb.props:
-            self._f_propose(src, prop)
 
     def _gap_before(self, zxid: int) -> bool:
         """True if accepting ``zxid`` would leave a hole in the log.

@@ -10,6 +10,7 @@ def test_trace_json_document():
     doc = json.loads(out)                      # "-" returns JSON, no table
     assert doc["benchmark"] == "trace"
     assert doc["n_shards"] == 1
+    assert "batch" not in doc                  # one ZAB write pipeline
     assert "dir_create" in doc["phases"]
     assert doc["phases"]["dir_create"]["ops"] > 0
     assert doc["rows"], "expected per-endpoint rows"

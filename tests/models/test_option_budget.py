@@ -55,7 +55,7 @@ def parameters(fn) -> int:
 
 #: what is counted -> (how, committed count)
 BUDGET = {
-    "dataclass fields in models/params.py": (dataclass_fields, 47),
+    "dataclass fields in models/params.py": (dataclass_fields, 46),
     "params fields no non-test code sets":
         (lambda: audit_count("unset_fields"), 0),
     "build_dufs_deployment parameters":
@@ -77,8 +77,8 @@ BUDGET = {
         (lambda: audit_count("unread_counters"), 0),
     "self.stats assignments in src/repro":
         (lambda: audit_count("stats_assignments"), 8),
-    "lines of src/repro": (source_lines, 16690),
-    "lines of src/repro/zk": (lambda: source_lines("zk"), 2306),
+    "lines of src/repro": (source_lines, 16607),
+    "lines of src/repro/zk": (lambda: source_lines("zk"), 2249),
 }
 
 
