@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..core.fs import build_dufs_deployment
-from ..models.params import AsyncParams, SimParams
+from ..models.params import AsyncParams
 from ..workloads.mdtest import MdtestConfig, run_mdtest
 from ..workloads.treegen import TreeSpec
 
@@ -70,7 +70,6 @@ def run_side(on: bool, scale: str) -> Dict:
     n_zk, n_clients, items = _SCALES[scale]
     dep = build_dufs_deployment(n_zk=n_zk, n_backends=2,
                                 n_client_nodes=n_clients, backend="local",
-                                params=SimParams(),
                                 awrite=AsyncParams.async_on() if on
                                 else AsyncParams())
     cfg = MdtestConfig(n_procs=n_clients, items_per_proc=items,

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 from ..core.fs import build_dufs_deployment
 from ..core.mdcache import aggregate_counters
-from ..models.params import CacheParams, SimParams
+from ..models.params import CacheParams
 from ..svc import TraceBus
 from ..workloads.mdtest import MdtestConfig, run_mdtest
 
@@ -53,7 +53,7 @@ def run_trace(scale: str = "quick", backend: str = "local",
     n_zk, n_backends, n_clients, n_procs, items = _SCALES[scale]
     dep = build_dufs_deployment(n_zk=n_zk, n_backends=n_backends,
                                 n_client_nodes=n_clients, backend=backend,
-                                params=SimParams(), bus=TraceBus(),
+                                bus=TraceBus(),
                                 cache=CacheParams.caching_on() if cache
                                 else None, n_shards=shards)
     cfg = MdtestConfig(n_procs=n_procs, items_per_proc=items,

@@ -7,7 +7,6 @@
 """
 
 from repro.core.fs import build_dufs_deployment
-from repro.models.params import SimParams
 from repro.svc import TraceBus
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
@@ -16,8 +15,7 @@ def _traced_run(seed, n_zk=3, n_procs=8, items=6,
                 phases=("dir_create", "dir_stat", "dir_remove")):
     bus = TraceBus(keep_events=True)
     dep = build_dufs_deployment(n_zk=n_zk, n_backends=2, n_client_nodes=4,
-                                backend="local", params=SimParams(),
-                                seed=seed, bus=bus)
+                                backend="local", seed=seed, bus=bus)
     cfg = MdtestConfig(n_procs=n_procs, items_per_proc=items, phases=phases)
     result = run_mdtest(dep.cluster, dep.mount_for, dep.node_for, cfg)
     return result, bus
