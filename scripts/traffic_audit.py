@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import ast
 import fnmatch
-import itertools
 import os
 import pathlib
 import subprocess
@@ -90,8 +89,7 @@ sys.setprofile(_profile)
 
 
 def commands(tmp: str) -> List[List[str]]:
-    """Every non-test entry point as an argv (``&&`` chains a second
-    one that needs the first one's output); ``tmp`` takes their output
+    """Every non-test entry point as an argv; ``tmp`` takes their output
     files. The slow ones first, so the pool's tail is short."""
     from repro.bench.suite import SUITES
     from repro.cli import RUNNERS
@@ -99,8 +97,6 @@ def commands(tmp: str) -> List[List[str]]:
     py = sys.executable
     repro = [py, "-m", "repro"]
     gate = [py, "scripts/check_regression.py"]
-    replay = [py, "examples/trace_replay.py"]
-    trace_file = os.path.join(tmp, "app.trace")
     cmds = []
     for suite in sorted(SUITES.values(), key=lambda s: s.name != "elastic"):
         cmds += [[*repro, "bench", *suite.selector.split(), "--json",
@@ -113,10 +109,7 @@ def commands(tmp: str) -> List[List[str]]:
               "--out", os.path.join(tmp, "ledger.json")]]
     cmds += [[*repro, name, "--chart", "--csv", tmp] for name in RUNNERS]
     cmds += [[py, f"examples/{path.name}"]
-             for path in sorted((ROOT / "examples").glob("*.py"))
-             if path.name != "trace_replay.py"]
-    cmds += [[*replay, "--dump", trace_file, "&&",
-              *replay, "--trace", trace_file]]
+             for path in sorted((ROOT / "examples").glob("*.py"))]
     cmds += [[*repro, "chaos", *variant] for variant in (
         [], ["--cache"], ["--shards", "2"], ["--resilience"],
         ["--shards", "2", "--elastic"], ["--async"],
@@ -146,14 +139,9 @@ def record(tmp: str) -> Set[Tuple[str, int]]:
     def run(numbered):
         i, argv = numbered
         started = time.monotonic()
-        steps = [list(step) for chained, step
-                 in itertools.groupby(argv, lambda a: a == "&&") if not chained]
         with open(os.path.join(tmp, f"cmd{i:02d}.log"), "w") as log:
-            for step in steps:
-                code = subprocess.run(step, cwd=ROOT, env=env, stdout=log,
-                                      stderr=subprocess.STDOUT).returncode
-                if code:
-                    break
+            code = subprocess.run(argv, cwd=ROOT, env=env, stdout=log,
+                                  stderr=subprocess.STDOUT).returncode
         shown = " ".join(a.replace(tmp, "$TMP").replace(sys.executable, "python")
                          for a in argv)
         print(f"[{time.monotonic() - started:6.0f}s] exit {code}  {shown}",

@@ -125,10 +125,6 @@ class ZKParams:
     resp_base_size: ClassVar[int] = 112
     proposal_base_size: ClassVar[int] = 160
 
-    # Automatic snapshot+log-truncate interval (0 = only explicit
-    # checkpoint() calls). The paper: "it is periodically checkpointed".
-    checkpoint_interval: ClassVar[float] = 0.0
-
     # session liveness (enabled only in reliability experiments)
     session_tracking: bool = False
     session_timeout: ClassVar[float] = 1.2

@@ -3,13 +3,11 @@
 from .dltrain import DLTrainSpec, epoch_order
 from .driver import PhaseResult, run_phase
 from .mdtest import MdtestConfig, MdtestResult, run_mdtest
-from .trace import TraceOp, TraceResult, parse_trace, replay_trace, synthesize_trace
 from .treegen import TreeSpec, tree_dirs
 
 __all__ = [
     "DLTrainSpec", "epoch_order",
     "PhaseResult", "run_phase",
     "MdtestConfig", "MdtestResult", "run_mdtest",
-    "TraceOp", "TraceResult", "parse_trace", "replay_trace", "synthesize_trace",
     "TreeSpec", "tree_dirs",
 ]

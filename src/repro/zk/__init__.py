@@ -9,7 +9,7 @@ Components (mirroring the real system's architecture):
   commits, votes).
 - :mod:`repro.zk.server` — one ZooKeeper server: leader write pipeline
   (propose → quorum ack → commit), follower forwarding, local reads,
-  sessions and watches, checkpoints.
+  sessions and watches.
 - :mod:`repro.zk.election` — every role transition of a server: static
   boot, fast-leader-election, the epoch/sync phase, failure detection,
   crash recovery.

@@ -292,7 +292,8 @@ class ZnodeStore:
 
     # -- snapshots ------------------------------------------------------------
     def snapshot(self) -> list:
-        """Serializable dump (used for checkpoint/restore and leader sync):
+        """Serializable dump (the leader's speculative-tree rebuild and
+        :meth:`fingerprint` use it):
         ``(path, data, czxid, mzxid, pzxid, ctime, mtime, version,
         cversion, ephemeral_owner, seq_counter)`` per znode, parents first."""
         out = [("/", self._root.data, *_state(self._root))]

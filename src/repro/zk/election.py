@@ -240,13 +240,8 @@ class Membership:
         self.epoch = resp.epoch
         self.leader_sid = leader_sid
         # Truncate divergent suffix, append the leader's, rebuild, apply commits.
-        if resp.snapshot is not None:
-            self._snapshot = resp.snapshot
-            self._snapshot_zxid = resp.snapshot_zxid
-            self.log = list(resp.entries)
-        else:
-            self.log = [e for e in self.log if e[0] <= resp.truncate_to]
-            self.log.extend(resp.entries)
+        self.log = [e for e in self.log if e[0] <= resp.truncate_to]
+        self.log.extend(resp.entries)
         self._rebuild_from_disk(resp.commit_to)
         self._accepted_zxid = self.last_logged_zxid
         self.role = FOLLOWING
@@ -280,23 +275,14 @@ class Membership:
                 break
         entries = tuple(self.log[common:])
         truncate_to = my_zxids[common - 1] if common else 0
-        snapshot = None
-        snapshot_zxid = 0
-        if common == 0 and self._snapshot_zxid > 0:
-            # Our log was checkpoint-truncated and shares no prefix with
-            # the follower's: ship the snapshot the log now starts from.
-            snapshot = self._snapshot
-            snapshot_zxid = self._snapshot_zxid
         if info.observer:
             self.active_observers.add(info.sid)
         else:
             self.active_followers.add(info.sid)
             if len(self.active_followers) + 1 >= self.quorum:
                 self.activated = True
-        resp = SyncResponse(self.epoch, truncate_to, entries,
-                            self.commit_index, snapshot, snapshot_zxid)
-        size = 160 + 64 * len(entries) + (128 * len(snapshot) if snapshot else 0)
-        return Reply(resp, size=size)
+        resp = SyncResponse(self.epoch, truncate_to, entries, self.commit_index)
+        return Reply(resp, size=160 + 64 * len(entries))
 
     # ------------------------------------------------------------------
     # heartbeats & failure detection (reliability experiments only)
@@ -357,7 +343,7 @@ class Membership:
     # crash / recovery
     # ------------------------------------------------------------------
     def _on_crash(self) -> None:
-        # Volatile state is lost; durable log/snapshot/promised_epoch stay.
+        # Volatile state is lost; the durable log and promised_epoch stay.
         self.role = LOOKING
         self.activated = False
         self.leader_sid = None
@@ -376,18 +362,15 @@ class Membership:
         self._accepted_zxid = self.last_logged_zxid
 
     def _rebuild_from_disk(self, upto: int = 0) -> None:
-        """Rebuild the tree from the checkpoint and replay the log up to
+        """Rebuild the tree from an empty store and replay the log up to
         ``upto``: the one way a tree is rebuilt, so it begins a new term
         and work accepted against the old tree is dropped. Replaying
         nothing is the conservative default: everything logged before a
         crash may have been committed, and ZAB resolves the actual commit
         point during sync or election."""
         self._term += 1
-        if self._snapshot is not None:
-            self.store = ZnodeStore.from_snapshot(self._snapshot)
-        else:
-            self.store = ZnodeStore()
-        self.commit_index = self._snapshot_zxid
+        self.store = ZnodeStore()
+        self.commit_index = 0
         for zxid, txn in self.log:
             if self.commit_index < zxid <= upto:
                 self.store.apply(txn, zxid, self.sim.now)

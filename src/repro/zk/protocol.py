@@ -132,16 +132,9 @@ class FollowerInfo:
 
 @dataclass(frozen=True)
 class SyncResponse:
-    """Leader -> follower: adopt this epoch; truncate and append.
-
-    When the follower is too far behind the leader's (checkpointed) log,
-    ``snapshot`` carries a full tree dump taken at ``snapshot_zxid`` and the
-    follower bootstraps from it instead of replaying from genesis.
-    """
+    """Leader -> follower: adopt this epoch; truncate and append."""
 
     epoch: int
     truncate_to: int           # drop log entries with zxid > truncate_to
     entries: tuple             # the leader's (zxid, txn) entries to append
     commit_to: int             # leader's commit index after entries
-    snapshot: Optional[list] = None
-    snapshot_zxid: int = 0

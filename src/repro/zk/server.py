@@ -8,9 +8,9 @@ group-committed: a batch of proposals shares one fsync, which is what lets
 the real server sustain thousands of writes per second through a
 millisecond-latency disk.
 
-Durable state (survives :meth:`Node.crash`): the txn log, the last
-checkpoint snapshot, and the promised epoch. Everything else is volatile
-and rebuilt on recovery by snapshot + log replay.
+Durable state (survives :meth:`Node.crash`): the txn log and the
+promised epoch. Everything else is volatile and rebuilt on recovery by
+log replay.
 
 Every role transition — static boot, leader election, the recovery sync,
 heartbeats, crash and recovery — is :class:`~repro.zk.election.Membership`,
@@ -96,8 +96,6 @@ class ZKServer(Membership):
         # ---- durable state (conceptually on disk; survives crash) --------
         self.log: List[Tuple[int, tuple]] = []   # (zxid, txn) in order
         self.promised_epoch = 0
-        self._snapshot: Optional[list] = None    # last checkpoint
-        self._snapshot_zxid = 0
 
         # ---- volatile state ----------------------------------------------
         self.store = ZnodeStore()
@@ -203,8 +201,6 @@ class ZKServer(Membership):
         else:
             self._logger.restart()
         self.node.spawn(self._applier_loop(), f"zk{self.sid}.applier")
-        if self.params.checkpoint_interval > 0:
-            self.node.spawn(self._checkpoint_loop(), f"zk{self.sid}.ckpt")
         if self.params.failure_detection:
             self.node.spawn(self._heartbeat_loop(), f"zk{self.sid}.heartbeat")
             self.node.spawn(self._watchdog_loop(), f"zk{self.sid}.watchdog")
@@ -214,7 +210,7 @@ class ZKServer(Membership):
 
     @property
     def last_logged_zxid(self) -> int:
-        return self.log[-1][0] if self.log else self._snapshot_zxid
+        return self.log[-1][0] if self.log else 0
 
     def followers(self) -> List[int]:
         return [sid for sid in self.peers if sid != self.sid]
@@ -656,9 +652,8 @@ class ZKServer(Membership):
         Proposals within an epoch carry consecutive zxid counters; the
         predecessor of ``zxid`` must already have been accepted into the
         pipeline (``_accepted_zxid`` — the log, the fsync queue, or the
-        in-flight fsync batch) or be the checkpoint horizon when the
-        replayed log prefix was truncated."""
-        last = self._accepted_zxid or self._snapshot_zxid
+        in-flight fsync batch)."""
+        last = self._accepted_zxid
         if not last:
             # Fresh, empty log: the first proposal of an epoch is counter 1.
             return (zxid & 0xFFFFFFFF) != 1
@@ -805,24 +800,3 @@ class ZKServer(Membership):
         event = WatchEvent(kind, path)
         for client in watchers:
             self.agent.cast(client, "watch_event", event, size=64)
-
-    # ------------------------------------------------------------------
-    # checkpoints (durable state; crash and recovery are Membership's)
-    # ------------------------------------------------------------------
-    def _checkpoint_loop(self) -> Generator:
-        try:
-            while True:
-                yield self.sim.timeout(self.params.checkpoint_interval)
-                if self.role != LOOKING:
-                    yield from self.node.cpu_work(
-                        self.params.apply_cpu * max(1, len(self.store) // 64))
-                    self.checkpoint()
-        except Interrupt:
-            return
-
-    def checkpoint(self) -> None:
-        """Snapshot the committed tree and truncate the replayed log prefix
-        (the paper notes ZooKeeper 'periodically checkpoints on disk')."""
-        self._snapshot = self.store.snapshot()
-        self._snapshot_zxid = self.commit_index
-        self.log = [e for e in self.log if e[0] > self.commit_index]

@@ -41,12 +41,6 @@ def test_elastic_backends():
     assert "300/300" in out
 
 
-def test_trace_replay():
-    out = run_example("trace_replay.py", "--ops", "300", "--procs", "4")
-    assert "replayed 300 ops" in out
-    assert "stat" in out
-
-
 def test_mdtest_campaign_small():
     out = run_example("mdtest_campaign.py", "--procs", "8", "--items", "4")
     assert "Basic Lustre" in out
