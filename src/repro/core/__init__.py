@@ -35,9 +35,6 @@ _EXPORTS = {
     "DirPayload": ".metadata", "FilePayload": ".metadata",
     "SymlinkPayload": ".metadata", "decode_payload": ".metadata",
     "PendingOp": ".wblog", "WriteBehindLog": ".wblog",
-    "Relocation": ".rebalance", "attach_backend": ".rebalance",
-    "collect_files": ".rebalance", "migrate": ".rebalance",
-    "plan_relocations": ".rebalance", "rebalance_after_add": ".rebalance",
 }
 
 __all__ = list(_EXPORTS)

@@ -19,6 +19,14 @@ back-end (the static layout of §IV-G); crash-restart loses nothing
 (§IV-I). The mount makes the chain all of an instance's FIDs share: a
 create that races it waits for it, and one makes the chain itself only
 after a mount mkdir failed.
+
+Both write paths run each mutation through one op runner (``_run``):
+a file create's physical file, then the metadata call, then the
+at-least-once outcome rule. The paper's client runs it inline before
+the ack; the write-behind client (:mod:`repro.core.wblog`) acks once the
+op is logged and runs it in the drain, so a create's back-end call is
+off the ack too. Until the drain has made such a file, back-end calls
+on it wait for it and ``stat`` answers from the pending create.
 """
 
 from __future__ import annotations
@@ -68,7 +76,7 @@ from .metadata import (
     decode_payload,
 )
 from .paths import parent_dir
-from .wblog import PendingOp, WriteBehindLog, issue
+from .wblog import PendingOp, WriteBehindLog
 
 
 #: What ``/`` looks up as: the root znode carries no DUFS payload.
@@ -129,6 +137,9 @@ class DUFSClient:
         # marked dead. Ops whose FID maps to one fail fast with EIO while
         # the ZooKeeper namespace keeps serving everything else.
         self.degraded: set = set()
+        # Write-behind: physical path -> Event of each file whose physical
+        # create the drain still owes. A back-end call on one waits for it.
+        self._unmade: dict = {}
         self.stats = {"zk_reads": 0}
         # The read side, assembled once: pending-write overlay → coherent
         # cache (the stage exists only when enabled) → source, the paper's
@@ -141,19 +152,20 @@ class DUFSClient:
                              bus=bus, endpoint=name or "dufs-client",
                              thin=params.resolve.enabled)
         # The write path, bound once: commit-and-wait (the paper's client)
-        # or write-behind. Op bodies call ``_commit``/``_drain`` and never
-        # ask which. The log is constructed ONLY when enabled: it hooks
-        # the node's crash, and an async-off deployment must run no code
-        # the paper's client would not.
+        # or write-behind, both through the one op runner ``_run``. Op
+        # bodies call ``_commit``/``_drain`` and never ask which. The log
+        # is constructed ONLY when enabled: it hooks the node's crash, and
+        # an async-off deployment must run no code the paper's client
+        # would not.
         self.wblog: Optional[WriteBehindLog] = None
         self._commit, self._drain = self._commit_sync, self._drain_sync
         if params.awrite.enabled:
-            self.wblog = WriteBehindLog(node, self.zk, self.mdcache,
+            self.wblog = WriteBehindLog(node, self._run, self.mdcache,
                                         params=params.awrite,
-                                        verify=self._outcome,
                                         bus=bus,
                                         endpoint=name or "dufs-client")
             self._commit, self._drain = self._commit_async, self._drain_async
+            node.on_crash(self._unmade.clear)   # its waiters died too
         self._mounts = [node.shielded(self._mount_chain(b), "dufs-mount")
                         for b in range(len(self.backends))]
 
@@ -172,12 +184,19 @@ class DUFSClient:
     def mark_backend_up(self, backend: int) -> None:
         self.degraded.discard(backend)
 
+    def _require_up(self, backend: int, path: Optional[str] = None) -> None:
+        if backend in self.degraded:
+            raise FSError(EIO, path, f"back-end {backend} unavailable "
+                                     "(degraded mode)")
+
     def _backend_call(self, backend: int, method: str, *args) -> Generator:
         """Every physical-filesystem access funnels through here so a dead
-        back-end fails the op instead of hanging it."""
-        if backend in self.degraded:
-            raise FSError(EIO, msg=f"back-end {backend} unavailable "
-                                   "(degraded mode)")
+        back-end fails the op instead of hanging it, and one on a file
+        whose physical create the drain still owes waits for that create
+        (a create makes a fresh FID's file: it never waits)."""
+        self._require_up(backend)
+        if self._unmade and method != "create" and args[0] in self._unmade:
+            yield self._unmade[args[0]]
         result = yield from getattr(self.backends[backend], method)(*args)
         return result
 
@@ -254,38 +273,79 @@ class DUFSClient:
         if self.mdcache.overlay_pending(path) == "create":
             raise FSError(EEXIST, path)
 
-    # -- the write path: one commit seam, one outcome rule ------------------
-    def _commit_sync(self, kind: str, path: str, payload=None,
-                     is_dir: bool = False, version: int = -1) -> Generator:
-        """Commit-and-wait: issue one namespace mutation and return once
-        the quorum committed it, or raise the POSIX error."""
-        op = PendingOp(0, kind, path,
-                       b"" if payload is None else payload.encode(),
-                       payload, is_dir)
-        return self._settle(op, issue(self.zk, op, version))
-
-    def _settle(self, op: PendingOp, attempt: Generator) -> Generator:
-        """The synchronous commit seam: await ``attempt`` — ``op`` on its
-        way through the metadata service — settle its outcome, and raise
-        the POSIX error when it did not land."""
+    # -- the write path: one op runner, one outcome rule ---------------------
+    def _run(self, op: PendingOp, version: int = -1) -> Generator:
+        """The one op runner both write paths call, the synchronous seam
+        inline and the write-behind drain per logged op: a file create's
+        physical file first (so no name ever maps to a missing file), then
+        the metadata-service call, then :meth:`_outcome`. Returns None
+        when ``op`` landed, else the POSIX error it is owed. The drain
+        passes no ``version``: a logged setdata is last-writer-wins."""
+        if op.kind == "create" and isinstance(op.payload, FilePayload):
+            err = yield from self._make_file(op.payload)
+            if err is not None:
+                return err
         try:
-            yield from attempt
+            if op.kind == "create":
+                yield from self.zk.create(op.path, op.data)
+            elif op.kind == "delete":
+                yield from self.zk.delete(op.path, is_dir=op.is_dir)
+            elif op.kind == "set":
+                yield from self.zk.set_data(op.path, op.data, version=version)
+            else:                               # a rename's multi
+                yield from self.zk.multi(op.data)
             exc = None
         except ZKError as err:
             exc = err
-        if not (yield from self._outcome(op, exc)):
-            raise _map_zk_error(exc, op.path)
+        if (yield from self._outcome(op, exc)):
+            return None
+        return _map_zk_error(exc, op.path)
+
+    def _make_file(self, payload: FilePayload) -> Generator:
+        """Steps C/D of Fig. 3: the hash-directory chain, then the
+        back-end create. Wakes the back-end calls waiting for the file
+        and returns the FSError when it could not be made."""
+        backend, ppath = self._locate(payload.fid)
+        try:
+            yield from self.ensure_physical_dirs(backend, payload.fid)
+            yield from self._backend_call(backend, "create", ppath,
+                                          payload.mode)
+            err = None
+        except FSError as exc:
+            err = exc
+        made = self._unmade.pop(ppath, None)
+        if made is not None:
+            made.succeed()
+        return err
+
+    def _commit_sync(self, kind: str, path: str, payload=None,
+                     is_dir: bool = False, version: int = -1) -> Generator:
+        """Commit-and-wait: run one namespace mutation and return once
+        the quorum committed it, or raise the POSIX error."""
+        return self._settle(PendingOp(
+            0, kind, path, b"" if payload is None else payload.encode(),
+            payload, is_dir), version)
+
+    def _settle(self, op: PendingOp, version: int = -1) -> Generator:
+        """Run ``op`` inline; raise its error when it did not land."""
+        err = yield from self._run(op, version)
+        if err is not None:
+            raise err
 
     def _commit_async(self, kind: str, path: str, payload=None,
                       is_dir: bool = False, version: int = -1) -> Generator:
         """Write-behind: ack after the local append; the log drains in
         the background and a rejection surfaces as a deferred error at
         the next barrier (so the not-empty check of an rmdir happens at
-        commit time). ``version`` is dropped: a logged setdata is
-        last-writer-wins, the overlay serves the new value meanwhile."""
+        commit time). A file create's physical file is the drain's too:
+        until it exists, back-end calls on it wait. ``version`` is
+        dropped: a logged setdata is last-writer-wins, the overlay serves
+        the new value meanwhile."""
         if kind == "create" and isinstance(payload, DirPayload) \
                 and self.mdcache.known_dir(path):
             raise FSError(EEXIST, path)     # provable locally: fail now
+        if kind == "create" and isinstance(payload, FilePayload):
+            self._unmade[self._locate(payload.fid)[1]] = self.sim.event()
         return self.wblog.append(
             kind, path, data=b"" if payload is None else payload.encode(),
             payload=payload, is_dir=is_dir)
@@ -338,12 +398,11 @@ class DUFSClient:
         return isinstance(found, DirPayload)
 
     def _outcome(self, op: PendingOp, exc: Optional[ZKError]) -> Generator:
-        """Both write paths' settle step (the sync seam raises when it
-        answers falsy, the write-behind drain calls it as ``verify``): did
-        ``op`` land? Then the physical step that answer calls for, never
-        one that could leave a name mapping to no file (a dangling mapping
-        is worse than an orphaned file): a file create that *provably* did
-        not land is rolled back, a file delete that landed is unlinked."""
+        """The op runner's settle step: did ``op`` land? Then the
+        physical step that answer calls for, never one that could leave a
+        name mapping to no file (a dangling mapping is worse than an
+        orphaned file): a file create that *provably* did not land is
+        rolled back, a file delete that landed is unlinked."""
         landed = True if exc is None else (yield from self._landed(op, exc))
         if isinstance(op.payload, FilePayload):
             if op.kind == "delete" and landed:
@@ -374,14 +433,14 @@ class DUFSClient:
         close-to-open semantics, the caller owns them once returned.
         Synchronous clients return immediately with no errors."""
         errors = yield from self._drain(None)
-        return [(op.path, _map_zk_error(exc, op.path)) for op, exc in errors]
+        return [(op.path, err) for op, err in errors]
 
     def fsync(self, path: str) -> Generator:
         """Barrier + raise the first deferred error recorded for
         ``path`` (POSIX fsync surfacing a delayed-write failure).
         Errors for other paths stay queued for their own fsync/flush."""
-        for op, exc in (yield from self._drain(normalize_path(path))):
-            raise _map_zk_error(exc, op.path)
+        for _, err in (yield from self._drain(normalize_path(path))):
+            raise err
         return True
 
     def _locate(self, fid: int) -> Tuple[int, str]:
@@ -390,9 +449,9 @@ class DUFSClient:
         return backend, physical_path(fid, self.layout)
 
     def ensure_physical_dirs(self, backend: int, fid: int) -> Generator:
-        """mkdir -p of the static hash-directory chain (cached); each create
-        and repro.core.rebalance call it. One that races the mount waits
-        for it instead of sending the same mkdirs beside it."""
+        """mkdir -p of the static hash-directory chain (cached) each
+        physical create runs. One that races the mount waits for it
+        instead of sending the same mkdirs beside it."""
         if not self._mounts[backend].triggered:
             yield self._mounts[backend]
         yield from self._make_dirs(backend, physical_dirs(fid, self.layout))
@@ -417,20 +476,6 @@ class DUFSClient:
         failure is the first create's."""
         yield from self._make_dirs(
             backend, shared_chain(self.fidgen.client_id, self.layout))
-
-    # -- elastic back-ends ----------------------------------------------------
-    def attach_backend_mount(self, mount) -> int:
-        """Register a new back-end mount with this client: grows the
-        shared mapping ring and the per-back-end caches. Returns the new
-        mount's index. (The supported way for rebalance tooling to add
-        capacity — callers must not reach into ``mapping``/``backends``
-        directly.)"""
-        idx = self.mapping.add_backend()
-        self.backends.append(mount)
-        self._known_dirs.append(set())
-        self._mounts.append(self.node.shielded(self._mount_chain(idx),
-                                               "dufs-mount"))
-        return idx
 
     # -- directory operations (ZooKeeper only) ------------------------------
     def mkdir(self, path: str, mode: int = 0o755) -> Generator:
@@ -504,6 +549,10 @@ class DUFSClient:
                               st_ctime=zstat.ctime)
         yield from self._logic(self.params.mapping_cpu)
         backend, ppath = self._locate(payload.fid)
+        if ppath in self._unmade:   # read-your-writes, the file not yet made
+            return StatResult(st_mode=S_IFREG | (payload.mode & 0o7777),
+                              st_atime=zstat.ctime, st_mtime=zstat.ctime,
+                              st_ctime=zstat.ctime)
         st = yield from self._backend_call(backend, "stat", ppath)
         st.st_mode = S_IFREG | (st.st_mode & 0o7777)
         return st
@@ -520,11 +569,10 @@ class DUFSClient:
                                self.params.znode_codec_cpu)
         yield from self._check_new_entry(path)
         fid = self.fidgen.next()
-        backend, ppath = self._locate(fid)
-        yield from self.ensure_physical_dirs(backend, fid)
-        yield from self._backend_call(backend, "create", ppath, mode)
-        # The physical file exists (steps C/D); publish name->FID. A
-        # commit that provably failed rolls the physical file back.
+        self._require_up(self.mapping.backend_for(fid), path)
+        # The op runner makes the physical file (steps C/D), then
+        # publishes name->FID; a commit that provably failed rolls the
+        # physical file back.
         yield from self._commit("create", path, FilePayload(fid, mode))
         self.mdcache.note_created(path)
         return True
@@ -545,11 +593,8 @@ class DUFSClient:
         payload, _ = yield from self._get_payload(path)
         if isinstance(payload, DirPayload):
             raise FSError(EISDIR, path)
-        if isinstance(payload, FilePayload):
-            backend = self.mapping.backend_for(payload.fid)
-            if backend in self.degraded:    # fail before the name goes
-                raise FSError(EIO, path, f"back-end {backend} unavailable "
-                                         "(degraded mode)")
+        if isinstance(payload, FilePayload):    # fail before the name goes
+            self._require_up(self.mapping.backend_for(payload.fid), path)
         # _outcome unlinks the physical file once the znode delete landed.
         yield from self._commit("delete", path, payload)
         self.mdcache.note_removed(path)
@@ -628,7 +673,7 @@ class DUFSClient:
             if hasattr(be, "statfs"):
                 if i in self.degraded:
                     continue  # skip dead back-ends; report reachable capacity
-                vfs = yield from self._backend_call(i, "statfs")
+                vfs = yield from be.statfs()
                 total = total.merge(vfs)
         return total
 
@@ -712,8 +757,7 @@ class DUFSClient:
         # Commit-and-wait whatever the write path (the barrier above
         # left nothing to order behind).
         yield from self._settle(
-            PendingOp(0, "rename", dst, subtree[0][1], payload, is_dir, src),
-            self.zk.multi(ops))
+            PendingOp(0, "rename", dst, ops, payload, is_dir, src))
         if is_dir:
             # Everything cached under the old prefix is now stale, and so
             # is anything remembered about the target subtree (e.g. the

@@ -9,10 +9,12 @@ DUFS client:
 - ``append()`` records one create/delete/setdata in an **ordered
   per-client log**, installs a pending entry in the metadata cache's
   write overlay (read-your-writes), and acks after ``ack_cpu`` of client
-  CPU — no ZooKeeper contact on the caller's critical path;
+  CPU — no ZooKeeper contact and no back-end call on the caller's
+  critical path (a file create's physical file is made in the drain);
 - the log drains through a **streamed window**: queued ops are issued
-  in program order, each as its own process through the client's
-  :class:`~repro.mds.MetadataService`, while fewer than
+  in program order, each as its own process through the owning
+  client's op runner (the same one its synchronous path calls) and so
+  its :class:`~repro.mds.MetadataService`, while fewer than
   ``DRAIN_WINDOW`` are in flight — so drains inherit leader-side
   proposal coalescing, the retry/fail-over machinery, and (behind a
   :class:`~repro.mds.ShardedMDS`) epoch-stamped routing that retries
@@ -26,13 +28,13 @@ DUFS client:
 - :meth:`barrier` is the explicit synchronization point (fsync, a
   ``flush``, directory renames, cross-shard multis): it waits until
   every acked op has committed or been rejected;
-- every drained op is settled by the owning client's ``verify`` hook,
-  success or not, and completes only after the physical step that hook
-  takes (a landed file delete's unlink, a rejected file create's
-  rollback), so the physical file never goes before its name;
-- a rejected op (the quorum refused it after the caller was already
-  acked) rolls its overlay entry back and surfaces through
-  :meth:`pop_errors` at the next barrier —
+- every drained op completes only after the physical steps the runner
+  takes around its metadata call (a file create's physical file before
+  its znode, a landed file delete's unlink after it, a rejected file
+  create's rollback), so no name ever maps to a missing file;
+- a rejected op (the quorum refused it, or its physical file could not
+  be made, after the caller was already acked) rolls its overlay entry
+  back and surfaces through :meth:`pop_errors` at the next barrier —
   close-to-open error semantics, like a delayed-write error reported at
   ``close()``.
 
@@ -49,11 +51,11 @@ from collections import deque
 from typing import (Any, Callable, Deque, Dict, Generator, List, Optional,
                     Tuple)
 
+from ..errors import FSError
 from ..models.params import AsyncParams
 from ..sim.core import Event, Interrupt
 from ..sim.node import Node
 from ..svc.trace import NULL_BUS, TraceBus
-from ..zk.errors import ZKError
 from .paths import subtree_prefix
 
 
@@ -72,7 +74,7 @@ class PendingOp:
         self.seq = seq
         self.kind = kind            # "create" | "delete" | "set" | "rename"
         self.path = path
-        self.data = data            # encoded znode payload (unused by delete)
+        self.data = data            # encoded payload; a rename's multi ops
         self.payload = payload      # decoded payload (delete: what it removes)
         self.is_dir = is_dir
         self.src = src              # rename (never logged): the path moved
@@ -81,54 +83,38 @@ class PendingOp:
         return f"<PendingOp #{self.seq} {self.kind} {self.path}>"
 
 
-def issue(service, op: PendingOp, version: int = -1) -> Generator:
-    """The one ``kind`` → metadata-service call mapping: the drain awaits
-    it per logged op, a synchronous client awaits it inline. A logged
-    setdata carries no version (the znode's committed version is
-    unknowable before the drain): last writer wins."""
-    if op.kind == "create":
-        return service.create(op.path, op.data)
-    if op.kind == "delete":
-        return service.delete(op.path, is_dir=op.is_dir)
-    return service.set_data(op.path, op.data, version=version)
-
-
 class WriteBehindLog:
     """Ordered per-client mutation log drained through a streamed window.
 
-    ``verify`` is an optional generator callback ``(op, exc)`` the
-    owning client supplies, called on every outcome (``exc`` None on
-    success) to disambiguate at-least-once rejections (a retried
-    create/delete whose first attempt landed raises NodeExists/NoNode
-    from the duplicate): a true result counts the op as committed;
-    anything else rejects it — the overlay entry is rolled back and the
-    error is reported at the next barrier. The op's physical side
-    effects are the verifier's business, and the op completes after
-    them: a barrier waits for them, a crash leaves the op lost.
+    ``run`` is the owning client's op runner, a generator callback
+    ``(op)`` that does the op — its physical steps, its metadata call and
+    the at-least-once outcome check — and returns None when it landed,
+    else the :class:`~repro.errors.FSError` it is owed: the overlay entry
+    is rolled back and the error is reported at the next barrier. The op
+    completes after the runner returns: a barrier waits for it, a crash
+    leaves the op lost.
     """
 
     def __init__(
         self,
         node: Node,
-        service,
+        run: Callable[[PendingOp], Generator],
         mdcache,
         params: Optional[AsyncParams] = None,
-        verify: Optional[Callable[[PendingOp, ZKError], Generator]] = None,
         bus: TraceBus = NULL_BUS,
         endpoint: str = "dufs-client",
     ):
         self.node = node
         self.sim = node.sim
-        self.zk = service
+        self.run = run
         self.mdcache = mdcache
         self.params = params or AsyncParams()
-        self.verify = verify
         self.endpoint = endpoint
         self.stats = {"acked": 0, "committed": 0, "rejected": 0, "stalls": 0}
         self._seq = 0
         self._pending: Dict[int, PendingOp] = {}    # seq -> op, in order
         self._lost: List[PendingOp] = []            # crash-lost acked ops
-        self._errors: List[Tuple[PendingOp, ZKError]] = []
+        self._errors: List[Tuple[PendingOp, FSError]] = []
         self._barriers: List[Event] = []
         self._stalled: List[Event] = []
         self._queue: Deque[PendingOp] = deque()     # acked, not yet issued
@@ -170,7 +156,7 @@ class WriteBehindLog:
 
     def pop_errors(self,
                    path: Optional[str] = None,
-                   ) -> List[Tuple[PendingOp, ZKError]]:
+                   ) -> List[Tuple[PendingOp, FSError]]:
         """Deferred write-behind errors since the last call (close-to-open
         reporting: the caller owns them once popped). With ``path``, pops
         only that path's errors — an ``fsync(path)`` must not consume
@@ -241,34 +227,28 @@ class WriteBehindLog:
             self.node.spawn(self._issue(op), f"{self.endpoint}.drain{op.seq}")
 
     def _issue(self, op: PendingOp) -> Generator:
-        """One drained op's process, settled by ``verify``. A ZK error it
-        does not count as landed is a deferred rejection; a
-        node crash interrupts it (``_on_crash`` already moved the op into
-        the lost window). Anything else escapes, and the strict simulator
-        aborts the run on it: a drain bug stays loud."""
+        """One drained op's process: the runner's error is a deferred
+        rejection; a node crash interrupts it (``_on_crash`` already
+        moved the op into the lost window). Anything else escapes, and
+        the strict simulator aborts the run on it: a drain bug stays
+        loud."""
         try:
-            try:
-                yield from issue(self.zk, op)
-                exc = None
-            except ZKError as err:
-                exc = err
-            if self.verify is not None and (yield from self.verify(op, exc)):
-                exc = None
+            err = yield from self.run(op)
         except Interrupt:
             return
-        self._complete(op, exc)
+        self._complete(op, err)
 
-    def _complete(self, op: PendingOp, exc: Optional[ZKError]) -> None:
+    def _complete(self, op: PendingOp, err: Optional[FSError]) -> None:
         del self._inflight[op.seq]
         self._pump()
         self._pending.pop(op.seq, None)
-        if exc is None:
+        if err is None:
             self.stats["committed"] += 1
             self.mdcache.overlay_commit(op.path, op.seq)
         else:
             self.stats["rejected"] += 1
             self.mdcache.overlay_reject(op.path, op.seq)
-            self._errors.append((op, exc))
+            self._errors.append((op, err))
         if self._stalled and len(self._pending) < self.params.max_pending:
             stalled, self._stalled = self._stalled, []
             for ev in stalled:

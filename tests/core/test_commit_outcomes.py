@@ -9,6 +9,8 @@ success vs ``FSError`` (raised now, or deferred to the next ``flush``), and
 whether a created file's physical half is kept.
 """
 
+import stat
+
 import pytest
 
 from repro.core.client import DUFSClient
@@ -80,6 +82,12 @@ class StubMDS(MetadataService):
             self._last_retries = 1
             raise NodeExistsError(path)
         return path
+
+    def set_data(self, path, data, version=-1):
+        yield from self._enter("set_data", path)
+        if path not in self.nodes:
+            raise NoNodeError(path)
+        self.nodes[path] = data
 
     def delete(self, path, version=-1, is_dir=None):
         fault = yield from self._enter("delete", path)
@@ -243,6 +251,116 @@ def test_write_behind_unlink_acks_before_its_physical_unlink():
     rig.cluster.sim.run(until=rig.node.spawn(main()))
     assert seen == {"acked": 1, "errors": [], "flushed": 0}
     assert "/x" not in rig.mds.nodes
+
+
+# -- a write-behind create's physical file, made in the drain -----------------
+SLOW = 5e-3         # how much longer each back-end create takes below
+
+
+class SlowCreates:
+    """A back-end client whose ``create`` takes ``SLOW`` longer and that
+    records the name of every method the DUFS client calls on it."""
+
+    def __init__(self, inner, sim, calls):
+        self._inner, self._sim, self._calls = inner, sim, calls
+
+    def __getattr__(self, name):
+        self._calls.append(name)
+        return getattr(self._inner, name)
+
+    def create(self, path, mode):
+        self._calls.append("create")
+        yield self._sim.timeout(SLOW)
+        return (yield from self._inner.create(path, mode))
+
+
+def slow_creates(rig):
+    calls = []
+    rig.client.backends = [SlowCreates(be, rig.cluster.sim, calls)
+                           for be in rig.client.backends]
+    return calls
+
+
+def test_stat_of_a_file_the_drain_has_not_made_answers_from_the_create():
+    """Read-your-writes without waiting: a regular file with the
+    create's mode and size 0, and no back-end call."""
+    rig = Rig("async")
+    calls = slow_creates(rig)
+
+    def main():
+        yield from rig.client.create("/x", 0o600)
+        st = yield from rig.client.stat("/x")
+        return st, rig.files()
+
+    st, files_at_stat = rig.cluster.sim.run(until=rig.node.spawn(main()))
+    assert files_at_stat == 0           # the drain still owed the file
+    assert (st.st_mode, st.st_size) == (stat.S_IFREG | 0o600, 0)
+    assert "stat" not in calls
+
+
+@pytest.mark.parametrize("op", ["open+pwrite", "chmod", "truncate"])
+def test_io_on_a_file_the_drain_has_not_made_waits_for_it(op):
+    rig = Rig("async")
+    slow_creates(rig)
+    client, sim = rig.client, rig.cluster.sim
+
+    def main():
+        yield from client.create("/x")
+        acked = sim.now
+        if op == "open+pwrite":
+            fh = yield from client.open("/x")
+            yield from client.pwrite(fh, 0, b"data")
+        elif op == "chmod":
+            yield from client.chmod("/x", 0o600)
+        else:
+            yield from client.truncate("/x", 7)
+        waited = sim.now - acked
+        errors = yield from client.flush()
+        st = yield from client.stat("/x")
+        return waited, errors, st
+
+    waited, errors, st = sim.run(until=rig.node.spawn(main()))
+    assert waited >= SLOW and errors == []
+    assert {"open+pwrite": st.st_size == 4, "chmod": st.st_mode & 0o7777
+            == 0o600, "truncate": st.st_size == 7}[op]
+
+
+@pytest.mark.parametrize("barrier", ["flush", "fsync"])
+def test_a_physical_create_that_fails_in_the_drain_is_a_deferred_eio(
+        barrier):
+    """The back-end goes down after the ack, before the drain makes the
+    file: the error waits for the barrier, and nothing of the create is
+    left behind — no znode, no overlay entry, no physical file."""
+    rig = Rig("async")
+    client = rig.client
+
+    def main():
+        yield from client.create("/x")
+        for backend in range(len(client.backends)):
+            client.mark_backend_down(backend)
+        if barrier == "flush":
+            (path, err), = yield from client.flush()
+            return err.errno
+        try:
+            yield from client.fsync("/x")
+        except FSError as exc:
+            return exc.errno
+
+    assert rig.cluster.sim.run(until=rig.node.spawn(main())) == EIO
+    assert "/x" not in rig.mds.nodes
+    assert client.mdcache.overlay_pending("/x") is None
+    assert rig.files() == 0
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_a_create_on_a_degraded_backend_fails_before_the_ack(mode):
+    rig = Rig(mode)
+    for backend in range(len(rig.client.backends)):
+        rig.client.mark_backend_down(backend)
+    assert rig.outcome("create", "/x") == EIO
+    assert "/x" not in rig.mds.nodes and rig.files() == 0
+    if mode == "async":
+        assert rig.client.wblog.stats["acked"] == 0
 
 
 # -- rename: the one namespace mutation that is a multi -----------------------

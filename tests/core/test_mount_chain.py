@@ -13,8 +13,6 @@ import pytest
 from repro.core import DUFSClient, build_dufs_deployment
 from repro.core.fid import make_fid
 from repro.core.mapping import physical_path, shared_chain
-from repro.core.rebalance import attach_backend
-from repro.pfs.localfs import LocalFS
 from repro.svc import TraceBus
 
 from .conftest import ops_at
@@ -121,13 +119,3 @@ def test_a_create_racing_the_mount_waits_for_its_mkdirs(kind):
 
     dep.call(chain_is_there)
 
-
-def test_attaching_a_backend_makes_every_clients_chain_there():
-    dep = build_dufs_deployment(n_zk=1, n_backends=2, n_client_nodes=2,
-                                mapping_strategy="consistent")
-    dep.cluster.sim.run()
-    fs = LocalFS(dep.cluster.add_node("local-extra"))
-    attach_backend(dep.clients, lambda client: fs.client())
-    dep.cluster.sim.run()
-    for client in dep.clients:
-        assert all(fs.ns.exists(d) for d in chain(client))

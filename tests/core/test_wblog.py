@@ -37,23 +37,17 @@ def _wblog(h, i=0):
 
 
 class _Service:
-    """A metadata-service stub: each create/delete takes ``delays[path]``
-    (default 1 ms) and records the commit order."""
+    """An op-runner stub: each op takes ``delays[path]`` (default 1 ms),
+    lands, and records the commit order."""
 
     def __init__(self, sim, delays):
         self.sim = sim
         self.delays = delays
         self.committed = []
 
-    def _commit(self, kind, path):
-        yield self.sim.timeout(self.delays.get(path, 1e-3))
-        self.committed.append((kind, path))
-
-    def create(self, path, data):
-        return self._commit("create", path)
-
-    def delete(self, path, is_dir=False):
-        return self._commit("delete", path)
+    def run(self, op):
+        yield self.sim.timeout(self.delays.get(op.path, 1e-3))
+        self.committed.append((op.kind, op.path))
 
 
 class _Overlay:
@@ -69,7 +63,7 @@ def _stub_log(**delays):
     cluster = Cluster(seed=0)
     node = cluster.add_node("client")
     svc = _Service(cluster.sim, {f"/{k}": v for k, v in delays.items()})
-    return cluster.sim, node, WriteBehindLog(node, svc, _Overlay()), svc
+    return cluster.sim, node, WriteBehindLog(node, svc.run, _Overlay()), svc
 
 
 def _append_all(sim, node, log, ops):
@@ -145,15 +139,16 @@ def test_slow_op_does_not_hold_back_an_unrelated_one():
 
 
 def test_drain_failure_aborts_the_run():
-    """A bug in a drained op (anything but a ZK error or a crash) must
-    not be swallowed by the drain: the strict simulator aborts."""
+    """A bug in a drained op (anything the runner raises rather than
+    returns, bar a crash) must not be swallowed by the drain: the strict
+    simulator aborts."""
     class Broken(_Service):
-        def create(self, path, data):
+        def run(self, op):
             yield self.sim.timeout(1e-4)
             raise RuntimeError("service bug")
 
     sim, node, log, svc = _stub_log()
-    log.zk = Broken(sim, {})
+    log.run = Broken(sim, {}).run
     node.spawn(log.append("create", "/x"))
     with pytest.raises(RuntimeError, match="service bug"):
         sim.run()
@@ -185,8 +180,8 @@ def test_async_ack_is_decoupled_from_quorum_commit(adufs):
         return sim.now - t0
 
     ack_window = adufs.run(main())
-    # 20 acks cost client CPU plus the (still synchronous) physical
-    # creates — not 20 quorum round trips at ~1.6 ms each.
+    # 20 acks cost client CPU — not 20 quorum round trips at ~1.6 ms
+    # each, nor 20 back-end creates (the drain makes the files).
     assert ack_window < 5e-3
     assert _wblog(adufs).stats["acked"] >= 20
     adufs.settle(2.0)

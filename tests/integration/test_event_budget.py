@@ -1,5 +1,6 @@
 """What one unloaded ``create``, ``stat``, ``mkdir``, ``unlink`` and
-``rmdir`` cost in creation ids, itemised.
+``rmdir`` cost in creation ids, itemised — and a write-behind ``create``,
+split into its ack and its drain.
 
 ``sim._eid`` counts everything the kernel ever scheduled (``sim.events`` in
 the perfbench ledger). This pins the count for each of these ops on the
@@ -11,7 +12,7 @@ a percent on a ledger.
 import pytest
 
 from repro.core import build_dufs_deployment
-from repro.models.params import ZKParams
+from repro.models.params import AsyncParams, ZKParams
 
 #: One ``create`` through a client whose preferred server is the co-located
 #: leader, 3 servers, idle system (PR 19; 40 before it — each follower's
@@ -66,6 +67,53 @@ def test_a_clients_first_create_costs_what_a_warm_one_does():
     sim.run(until=dep.client_nodes[0].spawn(dep.clients[0].create("/f")))
     sim.run()
     assert sim._eid - before == CREATE_IDS
+
+
+#: The same ``create`` through a write-behind client. The ack is the op
+#: logic and the append; no back-end or ZooKeeper call is on it.
+ASYNC_CREATE_ACK_IDS = sum((
+    1,      # this test's driving process
+    1,      # client: op logic CPU
+    1,      # client: the append's ack CPU
+    1,      # client: the drain process for the logged op
+))
+
+#: Its drain: the physical file first, then the name, published exactly
+#: as the synchronous client publishes it.
+ASYNC_CREATE_DRAIN_IDS = sum((
+    1,      # back-end (local FS): create CPU
+    2,      # client -> leader: request delivery, the call's reserved timeout id
+    2,      # leader: the request's dispatch slot, its handler process
+    1,      # leader: write CPU
+    2,      # leader -> followers: PROPOSE deliveries
+    2,      # leader: logger kick, fsync
+    2 * 4,  # each follower: PROPOSE slot, logger kick, log CPU, fsync
+    2,      # followers -> leader: ACK deliveries
+    2,      # leader: a dispatch slot per ACK
+    2,      # leader: applier kick (the quorum ACK), apply CPU
+    1,      # leader: the write handler's wait on its outcome fires
+    2,      # leader -> followers: COMMIT deliveries
+    1,      # leader -> client: response delivery
+    2,      # client: the call's waiter fires, then its any-of(timeout)
+    2 * 3,  # each follower: COMMIT slot, applier kick, apply CPU
+))
+
+
+def test_a_write_behind_create_costs_its_ack_then_its_drain():
+    dep = build_dufs_deployment(n_zk=3, n_backends=2, n_client_nodes=3,
+                                backend="local",
+                                awrite=AsyncParams.async_on())
+    sim = dep.cluster.sim
+    client, node = dep.clients[0], dep.client_nodes[0]
+    sim.run(until=node.spawn(client.create("/warm")))
+    sim.run()
+    before = sim._eid
+    sim.run(until=node.spawn(client.create("/f")))     # the ack
+    acked = sim._eid
+    sim.run()                                           # the drain
+    assert (ASYNC_CREATE_ACK_IDS, ASYNC_CREATE_DRAIN_IDS) == (4, 36)
+    assert (acked - before, sim._eid - acked) == \
+        (ASYNC_CREATE_ACK_IDS, ASYNC_CREATE_DRAIN_IDS)
 
 
 #: The same ``create`` through a client whose preferred server is a
