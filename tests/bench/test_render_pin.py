@@ -20,14 +20,16 @@ SUITES = runpy.run_path(str(ROOT / "scripts" / "check_regression.py"))["SUITES"]
 # elastic rows, when the autoscaler's shard signal began counting writes only;
 # the async file_remove row and drain window, when a write-behind unlink began
 # running its physical unlink in the drain; the async file_create row, when
-# both arms began running the default one-pipeline ZooKeeper leader.
+# both arms began running the default one-pipeline ZooKeeper leader, and
+# again with the drain window when a write-behind create began making its
+# physical file in the drain.
 GOLDEN = {
     "async": """\
 async-write ablation (scale=quick):
   phase          sync ops/s  async ops/s  speedup
-  file_create         1,050        7,471    7.11x
+  file_create         1,050        7,483    7.12x
   file_remove           756        4,154    5.49x
-  async: 241 acked / 241 committed / 0 rejected (0 stalls), drain window 16.1 ops in flight; create latency 1,608us sync -> 130us async ack""",
+  async: 241 acked / 241 committed / 0 rejected (0 stalls), drain window 16.1 ops in flight; create latency 1,608us sync -> 128us async ack""",
     "elastic": """\
 elastic plane (scale=quick, 8 ZK servers as 4 shards, pin budget 8):
   arm           file_create      file_stat

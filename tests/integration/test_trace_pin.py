@@ -75,9 +75,11 @@ ARMS = {
 }
 
 ARM_GOLDENS = {
-    # "async+cache" re-recorded when a write-behind unlink began running
-    # its physical unlink in the drain, after its znode delete landed
-    # (the same 1,579 OpTraces, 8,489 -> 8,493 simulator events).
+    # "async+cache" re-recorded when a write-behind create began making its
+    # physical file in the drain, after the ack and before its znode create
+    # (the same 1,579 OpTraces, 8,493 -> 8,499 simulator events), and
+    # before that when a write-behind unlink began running its physical
+    # unlink in the drain, after its znode delete landed (8,489 -> 8,493).
     # All six re-recorded when each client began making its hash-directory
     # chain at mount instead of inside its first create on each back-end:
     # the same OpTraces per arm (1,886 / 1,579 / 1,571 / 1,762 / 1,472 /
@@ -91,8 +93,8 @@ ARM_GOLDENS = {
     # events).
     "2shards+cache": ("872ffb9c3ffc6bdd42f596821d500416"
                       "f828278a776a00a50053c402da1ef688"),
-    "async+cache": ("87c52fe1fe98c9c5ff10b3b539c6a6a6"
-                    "6ce7bfd742373a3b222c2281de4728bc"),
+    "async+cache": ("9f5e91b2ce61093527df4a97a8ff4f7f"
+                    "533bdedccdc214205daf2febc9bce09d"),
     "cache": ("2a1271a2d35a5467607bcc4718cb431e"
               "f048e7298e2004e156e210c029c5a8f2"),
     "cache+thin": ("5ef2ae605db0b7c0581128f4e7db56aa"
