@@ -197,8 +197,7 @@ class DUFSClient:
         self._require_up(backend)
         if self._unmade and method != "create" and args[0] in self._unmade:
             yield self._unmade[args[0]]
-        result = yield from getattr(self.backends[backend], method)(*args)
-        return result
+        return (yield from getattr(self.backends[backend], method)(*args))
 
     def _get_payload(self, path: str) -> Generator:
         """Lookup (step B of Fig. 3): payload + znode stat through the
@@ -609,8 +608,7 @@ class DUFSClient:
         if isinstance(payload, DirPayload):
             raise FSError(EISDIR, path)
         if isinstance(payload, SymlinkPayload):
-            result = yield from self._resolve_file(payload.target, flags)
-            return result
+            return (yield from self._resolve_file(payload.target, flags))
         backend, ppath = self._locate(payload.fid)
         yield from self._backend_call(backend, "open", ppath, flags)
         return (backend, ppath)

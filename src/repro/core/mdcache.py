@@ -26,7 +26,8 @@ FID) and runs the same three stages in the same order:
    watch is armed: a fail-over or session re-establishment hands each
    held watch a ``lost`` event, which drops the path like a delete —
    behind a sharded service only the failed shard client's paths. A miss
-   is not remembered: it registers no watch.
+   is not remembered: it registers no watch. Besides a lookup's miss, the
+   write-behind drain fills an entry: it primes each create it lands.
 3. **source** — one RPC: the paper's znode ``get``, or the thin client's
    server-side ``resolve``. Only the source differs between the two
    clients; both yield ``(payload, znode stat)`` or a ``NoNodeError``.
@@ -49,7 +50,7 @@ from ..models.params import CacheParams
 from ..sim.core import Event
 from ..svc import NULL_BUS, TraceBus
 from ..zk.data import ZnodeStat
-from ..zk.errors import NoNodeError
+from ..zk.errors import NoNodeError, ZKError
 from ..zk.protocol import WatchEvent
 from .metadata import DirPayload, decode_payload
 from .paths import basename, parent_dir
@@ -255,6 +256,11 @@ class MDCache:
         names = yield from self.zk.get_children(path)
         return self._overlay_adjust(path, names)
 
+    def prime(self, path: str) -> Generator:
+        """No cache stage: nothing to fill."""
+        return
+        yield  # pragma: no cover - makes this a generator
+
     # -- the two sources -----------------------------------------------------
     def _fetch_get(self, path: str, watch=None) -> Generator:
         """The paper's source: one znode read (charged to the client's
@@ -330,12 +336,6 @@ class CoherentMDCache(MDCache):
     def __len__(self) -> int:
         return len(self._entries)
 
-    def known_dir(self, path: str) -> bool:
-        if path in self._dirs or path in self._overlay:
-            return super().known_dir(path)
-        ent = self._entries.get(path)
-        return ent is not None and isinstance(ent[0], DirPayload)
-
     # -- lookups -------------------------------------------------------------
     def get_payload(self, path: str) -> Generator:
         """The whole chain in one frame: overlay, positive entry, then one
@@ -357,8 +357,26 @@ class CoherentMDCache(MDCache):
         if waiter is not None:
             self._mark("coalesced")
             return (yield waiter)               # (payload, zstat), or raises
-        ev = self._inflight[path] = self.sim.event()
         self._mark("misses")
+        return (yield from self._fill(path))
+
+    def prime(self, path: str) -> Generator:
+        """The drain landed a create of ``path``: one watched read fills
+        its entry, so this client's first lookup of the new name hits.
+        Skipped while the overlay serves the path or a read of it is in
+        flight. A failed read (say a remote unlink came first) stores
+        nothing; a node crash's ``Interrupt`` ends the drain."""
+        if path in self._overlay or path in self._inflight:
+            return
+        try:
+            yield from self._fill(path)
+        except ZKError:
+            pass
+
+    def _fill(self, path: str) -> Generator:
+        """One trip to the source that concurrent same-path lookups
+        share; its watch keeps the stored entry coherent."""
+        ev = self._inflight[path] = self.sim.event()
         try:
             found = yield from self._fetch(path, self._on_watch)
         except BaseException as exc:

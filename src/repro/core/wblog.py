@@ -228,15 +228,18 @@ class WriteBehindLog:
 
     def _issue(self, op: PendingOp) -> Generator:
         """One drained op's process: the runner's error is a deferred
-        rejection; a node crash interrupts it (``_on_crash`` already
-        moved the op into the lost window). Anything else escapes, and
-        the strict simulator aborts the run on it: a drain bug stays
-        loud."""
+        rejection; a create that landed then primes the metadata cache
+        with the new path, off the barrier. A node crash interrupts it
+        (``_on_crash`` moved an uncompleted op into the lost window).
+        Anything else escapes, and the strict simulator aborts the run on
+        it: a drain bug stays loud."""
         try:
             err = yield from self.run(op)
+            self._complete(op, err)
+            if err is None and op.kind == "create":
+                yield from self.mdcache.prime(op.path)
         except Interrupt:
             return
-        self._complete(op, err)
 
     def _complete(self, op: PendingOp, err: Optional[FSError]) -> None:
         del self._inflight[op.seq]

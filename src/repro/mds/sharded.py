@@ -242,8 +242,7 @@ class ShardedMDS(MetadataService):
         while True:
             zkc = self.clients[shard]
             try:
-                result = yield from getattr(zkc, method)(*args, **kwargs)
-                return result
+                return (yield from getattr(zkc, method)(*args, **kwargs))
             except StaleShardMapError as exc:
                 attempts += 1
                 if reroute is None or attempts > self._stale_retry_limit:
@@ -569,10 +568,8 @@ class ShardedMDS(MetadataService):
             for op in ops)
         if len(shards) == 1 and not needs_anchor:
             # Shard-local: one atomic ZooKeeper multi, exactly as today.
-            result = yield from self._call(shards.pop(), "multi", ops)
-            return result
-        result = yield from self._cross_shard_multi(ops)
-        return result
+            return (yield from self._call(shards.pop(), "multi", ops))
+        return (yield from self._cross_shard_multi(ops))
 
     def _cross_shard_multi(self, ops: List[WriteRequest]) -> Generator:
         self.stats["cross_shard_ops"] += 1

@@ -31,20 +31,16 @@ class SingleEnsembleMDS(MetadataService):
 
     # -- reads -------------------------------------------------------------
     def get(self, path: str, watch=None) -> Generator:
-        result = yield from self.zk.get(path, watch=watch)
-        return result
+        return (yield from self.zk.get(path, watch=watch))
 
     def exists(self, path: str, watch=None) -> Generator:
-        result = yield from self.zk.exists(path, watch=watch)
-        return result
+        return (yield from self.zk.exists(path, watch=watch))
 
     def get_children(self, path: str, watch=None) -> Generator:
-        result = yield from self.zk.get_children(path, watch=watch)
-        return result
+        return (yield from self.zk.get_children(path, watch=watch))
 
     def resolve(self, path: str, watch=None) -> Generator:
-        result = yield from self.zk.resolve(path, watch=watch)
-        return result
+        return (yield from self.zk.resolve(path, watch=watch))
 
     # -- writes ------------------------------------------------------------
     def create(self, path: str, data: bytes = b"", ephemeral: bool = False,
@@ -54,21 +50,17 @@ class SingleEnsembleMDS(MetadataService):
         return result
 
     def set_data(self, path: str, data: bytes, version: int = -1) -> Generator:
-        result = yield from self.zk.set_data(path, data, version=version)
-        return result
+        return (yield from self.zk.set_data(path, data, version=version))
 
     def delete(self, path: str, version: int = -1,
                is_dir: Optional[bool] = None) -> Generator:
-        result = yield from self.zk.delete(path, version=version)
-        return result
+        return (yield from self.zk.delete(path, version=version))
 
     def multi(self, ops: Sequence[WriteRequest]) -> Generator:
-        result = yield from self.zk.multi(ops)
-        return result
+        return (yield from self.zk.multi(ops))
 
     def sync(self, path: str = "/") -> Generator:
-        result = yield from self.zk.sync(path)
-        return result
+        return (yield from self.zk.sync(path))
 
     # -- retry introspection -------------------------------------------------
     @property

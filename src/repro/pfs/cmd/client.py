@@ -35,8 +35,7 @@ class CMDClient:
             owner_index(dirpath, len(self.fs.server_endpoints))]
 
     def _call(self, endpoint: str, method: str, args, size: int = 144) -> Generator:
-        result = yield from self.agent.call(endpoint, method, args, size=size)
-        return result
+        return (yield from self.agent.call(endpoint, method, args, size=size))
 
     def _split(self, path: str) -> Tuple[str, str]:
         path = normalize_path(path)
@@ -46,8 +45,7 @@ class CMDClient:
         return ("/" + "/".join(comps[:-1])) or "/", comps[-1]
 
     def _global_lock(self) -> Generator:
-        token = yield from self._call(self.fs.lock_endpoint, "acquire", None)
-        return token
+        return (yield from self._call(self.fs.lock_endpoint, "acquire", None))
 
     def _global_unlock(self, token: int) -> None:
         self.agent.cast(self.fs.lock_endpoint, "release", token, size=48)
@@ -119,8 +117,7 @@ class CMDClient:
 
     def readdir(self, path: str) -> Generator:
         path = normalize_path(path)
-        entries = yield from self._call(self._owner_ep(path), "readdir", path)
-        return entries
+        return (yield from self._call(self._owner_ep(path), "readdir", path))
 
     def rename(self, src: str, dst: str) -> Generator:
         """Always a global-lock operation in CMD (dirents may live on two

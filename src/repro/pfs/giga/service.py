@@ -218,16 +218,13 @@ class GigaClient:
         raise FSError(EIO, name, "bitmap never converged")
 
     def insert(self, name: str) -> Generator:
-        result = yield from self._op("insert", name)
-        return result
+        return (yield from self._op("insert", name))
 
     def lookup(self, name: str) -> Generator:
-        result = yield from self._op("lookup", name)
-        return result
+        return (yield from self._op("lookup", name))
 
     def remove(self, name: str) -> Generator:
-        result = yield from self._op("remove", name)
-        return result
+        return (yield from self._op("remove", name))
 
 
 def build_giga(cluster: Cluster, name: str = "giga", n_servers: int = 4,

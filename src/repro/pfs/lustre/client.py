@@ -224,8 +224,7 @@ class LustreClient:
         return target
 
     def statfs(self) -> Generator:
-        result = yield from self._call("statfs", None, size=96)
-        return result
+        return (yield from self._call("statfs", None, size=96))
 
     def open(self, path: str, flags: int = 0) -> Generator:
         st = yield from self.stat(path)

@@ -133,8 +133,7 @@ class PVFSClient:
         return True
 
     def _getattr(self, handle: int) -> Generator:
-        attrs = yield from self._call(self._owner(handle), "getattr", handle)
-        return attrs
+        return (yield from self._call(self._owner(handle), "getattr", handle))
 
     def stat(self, path: str) -> Generator:
         path = normalize_path(path)
@@ -266,12 +265,10 @@ class PVFSClient:
 
     def readlink(self, path: str) -> Generator:
         handle = yield from self._resolve(normalize_path(path))
-        target = yield from self._call(self._owner(handle), "readlink", handle)
-        return target
+        return (yield from self._call(self._owner(handle), "readlink", handle))
 
     def open(self, path: str, flags: int = 0) -> Generator:
-        handle = yield from self._resolve(normalize_path(path))
-        return handle
+        return (yield from self._resolve(normalize_path(path)))
 
     def read(self, path: str, offset: int, size: int) -> Generator:
         st = yield from self.stat(path)

@@ -56,6 +56,10 @@ class _Overlay:
 
     overlay_commit = overlay_reject = overlay_forget = overlay_put
 
+    def prime(self, path):
+        return
+        yield
+
 
 def _stub_log(**delays):
     """A log on one bare node over a stub service (``delays`` keyed by

@@ -1,6 +1,6 @@
 """What one unloaded ``create``, ``stat``, ``mkdir``, ``unlink`` and
 ``rmdir`` cost in creation ids, itemised — and a write-behind ``create``,
-split into its ack and its drain.
+split into its ack and its drain (with the cache on, the drain's prime).
 
 ``sim._eid`` counts everything the kernel ever scheduled (``sim.events`` in
 the perfbench ledger). This pins the count for each of these ops on the
@@ -12,7 +12,7 @@ a percent on a ledger.
 import pytest
 
 from repro.core import build_dufs_deployment
-from repro.models.params import AsyncParams, ZKParams
+from repro.models.params import AsyncParams, CacheParams, ZKParams
 
 #: One ``create`` through a client whose preferred server is the co-located
 #: leader, 3 servers, idle system (PR 19; 40 before it — each follower's
@@ -99,10 +99,23 @@ ASYNC_CREATE_DRAIN_IDS = sum((
 ))
 
 
-def test_a_write_behind_create_costs_its_ack_then_its_drain():
+#: With the coherent cache on, the drain then primes it with the new path:
+#: one watched ``get``, answered by the co-located leader's replica.
+ASYNC_CREATE_PRIME_IDS = sum((
+    2,      # client -> leader: get delivery, the call's reserved timeout id
+    2,      # leader: the get's dispatch slot, its handler process
+    1,      # leader: read CPU
+    1,      # leader -> client: get response delivery
+    2,      # client: the call's waiter fires, then its any-of(timeout)
+))
+
+
+def _write_behind_create_ids(cache):
+    """(ack, drain) ids of a warm write-behind ``create`` at the leader."""
     dep = build_dufs_deployment(n_zk=3, n_backends=2, n_client_nodes=3,
                                 backend="local",
-                                awrite=AsyncParams.async_on())
+                                awrite=AsyncParams.async_on(),
+                                cache=CacheParams(enabled=cache))
     sim = dep.cluster.sim
     client, node = dep.clients[0], dep.client_nodes[0]
     sim.run(until=node.spawn(client.create("/warm")))
@@ -111,9 +124,19 @@ def test_a_write_behind_create_costs_its_ack_then_its_drain():
     sim.run(until=node.spawn(client.create("/f")))     # the ack
     acked = sim._eid
     sim.run()                                           # the drain
+    return acked - before, sim._eid - acked
+
+
+def test_a_write_behind_create_costs_its_ack_then_its_drain():
     assert (ASYNC_CREATE_ACK_IDS, ASYNC_CREATE_DRAIN_IDS) == (4, 36)
-    assert (acked - before, sim._eid - acked) == \
+    assert _write_behind_create_ids(cache=False) == \
         (ASYNC_CREATE_ACK_IDS, ASYNC_CREATE_DRAIN_IDS)
+
+
+def test_a_cached_write_behind_create_drains_then_primes():
+    assert ASYNC_CREATE_PRIME_IDS == 8
+    assert _write_behind_create_ids(cache=True) == \
+        (ASYNC_CREATE_ACK_IDS, ASYNC_CREATE_DRAIN_IDS + ASYNC_CREATE_PRIME_IDS)
 
 
 #: The same ``create`` through a client whose preferred server is a
