@@ -75,9 +75,14 @@ ARMS = {
 }
 
 ARM_GOLDENS = {
-    # "async+cache" re-recorded when a write-behind create began making its
-    # physical file in the drain, after the ack and before its znode create
-    # (the same 1,579 OpTraces, 8,493 -> 8,499 simulator events), and
+    # "async+cache" re-recorded when the write-behind drain began priming
+    # the coherent cache with each create it lands: one watched get per
+    # create (198 of them) and 80 fewer lookup misses in the stat and
+    # remove phases, so 118 more reads (1,579 -> 1,815 OpTraces, 8,499 ->
+    # 9,650 simulator events). Before that when a write-behind create
+    # began making its physical file in the drain, after the ack and
+    # before its znode create (the same 1,579 OpTraces, 8,493 -> 8,499
+    # simulator events), and
     # before that when a write-behind unlink began running its physical
     # unlink in the drain, after its znode delete landed (8,489 -> 8,493).
     # All six re-recorded when each client began making its hash-directory
@@ -93,8 +98,8 @@ ARM_GOLDENS = {
     # events).
     "2shards+cache": ("872ffb9c3ffc6bdd42f596821d500416"
                       "f828278a776a00a50053c402da1ef688"),
-    "async+cache": ("9f5e91b2ce61093527df4a97a8ff4f7f"
-                    "533bdedccdc214205daf2febc9bce09d"),
+    "async+cache": ("812aac16c870b3bb59d21bc578505df4"
+                    "14acf8a01d381f8e05d2152b51029ec7"),
     "cache": ("2a1271a2d35a5467607bcc4718cb431e"
               "f048e7298e2004e156e210c029c5a8f2"),
     "cache+thin": ("5ef2ae605db0b7c0581128f4e7db56aa"
