@@ -25,8 +25,7 @@ from tests.zk.test_commit_hold_equivalence import (  # noqa: E402
 
 
 def schedule(rng, kinds):
-    requests = [(rng.choice((0, 0, 0, 1, 3, 11)), rng.randrange(N_SERVERS),
-                 rng.choice(("create", "create", "create", "sync")))
+    requests = [(rng.choice((0, 0, 0, 1, 3, 11)), rng.randrange(N_SERVERS))
                 for _ in range(rng.randint(1, 10))]
     hogs = [(rng.randint(1, N_SERVERS - 1), rng.randint(0, 64),
              rng.randint(1, 96)) for _ in range(rng.randint(0, 4))]

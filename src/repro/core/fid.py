@@ -22,9 +22,9 @@ _instance_ids = itertools.count(1)
 def allocate_client_id() -> int:
     """A fresh 64-bit client id for a new DUFS client instance.
 
-    In the paper this comes from an external uniqueness source (e.g. a
-    ZooKeeper sequential node); the simulation hands out a process-global
-    sequence, which has the same property.
+    In the paper this comes from an external uniqueness source; the
+    simulation hands out a process-global sequence, which has the same
+    property.
     """
     return next(_instance_ids)
 

@@ -19,8 +19,8 @@ registration — so the service *behind* that API can be swapped:
   small quorum, and only cross-shard operations pay coordination.
 
 The method set deliberately mirrors ``ZKClient`` (``get`` / ``exists`` /
-``get_children`` / ``create`` / ``set_data`` / ``delete`` / ``multi`` /
-``sync`` + the ``op_*`` multi builders + ``last_retries``), so existing
+``get_children`` / ``create`` / ``set_data`` / ``delete`` / ``multi`` +
+the ``op_*`` multi builders + ``last_retries``), so existing
 call sites migrate by construction, not by rewrite.
 """
 
@@ -67,8 +67,8 @@ class MetadataService:
         raise NotImplementedError
 
     # -- writes ------------------------------------------------------------
-    def create(self, path: str, data: bytes = b"", ephemeral: bool = False,
-               sequential: bool = False) -> Generator:
+    def create(self, path: str, data: bytes = b"",
+               ephemeral: bool = False) -> Generator:
         raise NotImplementedError
 
     def set_data(self, path: str, data: bytes, version: int = -1) -> Generator:
@@ -84,14 +84,10 @@ class MetadataService:
     def multi(self, ops: Sequence[WriteRequest]) -> Generator:
         raise NotImplementedError
 
-    def sync(self, path: str = "/") -> Generator:
-        raise NotImplementedError
-
     # -- multi builders (shared wire format with ZKClient) -------------------
     op_create = staticmethod(ZKClient.op_create)
     op_delete = staticmethod(ZKClient.op_delete)
     op_set = staticmethod(ZKClient.op_set)
-    op_check = staticmethod(ZKClient.op_check)
 
     # -- retry introspection -------------------------------------------------
     @property

@@ -376,12 +376,12 @@ class ShardedMDS(MetadataService):
                              ancestor_data=pres.ancestor_data)
 
     # -- writes ------------------------------------------------------------
-    def create(self, path: str, data: bytes = b"", ephemeral: bool = False,
-               sequential: bool = False) -> Generator:
+    def create(self, path: str, data: bytes = b"",
+               ephemeral: bool = False) -> Generator:
         self._last_retries = 0
         self._note_op(path)
         return (yield from self._with_anchor(path, data, self._create_entry(
-            path, data, ephemeral=ephemeral, sequential=sequential)))
+            path, data, ephemeral=ephemeral)))
 
     def _with_anchor(self, path: str, data: bytes,
                      home_copy: Generator) -> Generator:
@@ -501,12 +501,6 @@ class ShardedMDS(MetadataService):
                 yield from self._call(shard, "delete", f"{path}/{name}")
             except NoNodeError:
                 pass
-
-    def sync(self, path: str = "/") -> Generator:
-        self._last_retries = 0
-        result = yield from self._call(self.map.home_shard(path), "sync",
-                                       path)
-        return result
 
     # -- directory anchors ---------------------------------------------------
     def _ensure_child_anchor(self, path: str, data: bytes) -> Generator:

@@ -43,10 +43,9 @@ class SingleEnsembleMDS(MetadataService):
         return (yield from self.zk.resolve(path, watch=watch))
 
     # -- writes ------------------------------------------------------------
-    def create(self, path: str, data: bytes = b"", ephemeral: bool = False,
-               sequential: bool = False) -> Generator:
-        result = yield from self.zk.create(path, data, ephemeral=ephemeral,
-                                           sequential=sequential)
+    def create(self, path: str, data: bytes = b"",
+               ephemeral: bool = False) -> Generator:
+        result = yield from self.zk.create(path, data, ephemeral=ephemeral)
         return result
 
     def set_data(self, path: str, data: bytes, version: int = -1) -> Generator:
@@ -58,9 +57,6 @@ class SingleEnsembleMDS(MetadataService):
 
     def multi(self, ops: Sequence[WriteRequest]) -> Generator:
         return (yield from self.zk.multi(ops))
-
-    def sync(self, path: str = "/") -> Generator:
-        return (yield from self.zk.sync(path))
 
     # -- retry introspection -------------------------------------------------
     @property

@@ -3,8 +3,8 @@
 Components (mirroring the real system's architecture):
 
 - :mod:`repro.zk.data` — the znode tree (hierarchical namespace, per-znode
-  stat/versions, sequential and ephemeral nodes) and the deterministic
-  transaction application that makes every replica converge.
+  stat/versions, ephemeral nodes) and the deterministic transaction
+  application that makes every replica converge.
 - :mod:`repro.zk.protocol` — wire records (requests, proposals, acks,
   commits, votes).
 - :mod:`repro.zk.server` — one ZooKeeper server: leader write pipeline

@@ -254,12 +254,11 @@ class ZKClient:
         return names
 
     # -- writes ----------------------------------------------------------------
-    def create(self, path: str, data: bytes = b"", ephemeral: bool = False,
-               sequential: bool = False) -> Generator:
-        """Create a znode; returns the final path. ``zoo_create``."""
+    def create(self, path: str, data: bytes = b"",
+               ephemeral: bool = False) -> Generator:
+        """Create a znode; returns its path. ``zoo_create``."""
         req = WriteRequest(op="create", path=path, data=data,
-                           ephemeral=ephemeral, sequential=sequential,
-                           session=self.session or 0)
+                           ephemeral=ephemeral, session=self.session or 0)
         result = yield from self._request("write", req,
                                           size=140 + len(path) + len(data))
         return result
@@ -285,12 +284,6 @@ class ZKClient:
         result = yield from self._request("write", req, size=size)
         return result
 
-    def sync(self, path: str = "/") -> Generator:
-        """``zoo_sync``: after this returns, reads on this client's server
-        observe every write committed before the call."""
-        result = yield from self._request("sync", path, size=120 + len(path))
-        return result
-
     # -- multi builders ---------------------------------------------------------
     @staticmethod
     def op_create(path: str, data: bytes = b"", ephemeral: bool = False,
@@ -305,7 +298,3 @@ class ZKClient:
     @staticmethod
     def op_set(path: str, data: bytes, version: int = -1) -> WriteRequest:
         return WriteRequest(op="set", path=path, data=data, version=version)
-
-    @staticmethod
-    def op_check(path: str, version: int = -1) -> WriteRequest:
-        return WriteRequest(op="check", path=path, version=version)

@@ -60,20 +60,18 @@ _LEAF: Mapping[str, "_Znode"] = MappingProxyType({})
 
 class _Znode:
     """One znode of one replica. Its ``state`` is ``ZnodeStat``'s first
-    eight fields and the next sequential suffix, in slot order (a snapshot
-    row's); ``data_length`` and ``num_children`` are ``len()`` of ``data``
-    and ``children``, so nothing keeps them up to date by hand."""
+    eight fields, in slot order (a snapshot row's); ``data_length`` and
+    ``num_children`` are ``len()`` of ``data`` and ``children``, so
+    nothing keeps them up to date by hand."""
 
     __slots__ = ("data", "children", "czxid", "mzxid", "pzxid", "ctime",
-                 "mtime", "version", "cversion", "ephemeral_owner",
-                 "seq_counter")
+                 "mtime", "version", "cversion", "ephemeral_owner")
 
     def __init__(self, data: bytes, *state):
         self.data = data
         self.children = _LEAF
         (self.czxid, self.mzxid, self.pzxid, self.ctime, self.mtime,
-         self.version, self.cversion, self.ephemeral_owner,
-         self.seq_counter) = state
+         self.version, self.cversion, self.ephemeral_owner) = state
 
     @property
     def stat(self) -> ZnodeStat:
@@ -115,7 +113,7 @@ class ZnodeStore:
     """One replica's znode tree plus deterministic txn application."""
 
     def __init__(self):
-        self._root = _Znode(b"", 0, 0, 0, 0.0, 0.0, 0, 0, 0, 0)
+        self._root = _Znode(b"", 0, 0, 0, 0.0, 0.0, 0, 0, 0)
         self._count = 1
         self._bytes = ZNODE_BASE_OVERHEAD
         # session id -> set of ephemeral paths (for session-expiry cleanup)
@@ -169,9 +167,8 @@ class ZnodeStore:
         yield from rec("/", self._root)
 
     # -- validation (leader side) -------------------------------------------
-    def check_create(self, path: str, ephemeral_owner: int = 0,
-                     sequential: bool = False) -> str:
-        """Validate a create; returns the final path (sequential resolved).
+    def check_create(self, path: str) -> None:
+        """Validate a create.
 
         Called by the leader against its *speculative* store before a txn
         is proposed. Raises the client-visible ZK error on failure.
@@ -185,12 +182,8 @@ class ZnodeStore:
             raise NoNodeError(path)
         if parent.ephemeral_owner:
             raise NoChildrenForEphemeralsError(path)
-        if sequential:
-            name = f"{name}{parent.seq_counter:010d}"
-            path = f"{parent_path}/{name}" if parent_path != "/" else f"/{name}"
         if name in parent.children:
             raise NodeExistsError(path)
-        return path
 
     def check_delete(self, path: str, version: int = -1) -> None:
         validate_path(path)
@@ -212,25 +205,15 @@ class ZnodeStore:
         if version != -1 and node.version != version:
             raise BadVersionError(path)
 
-    def check_version(self, path: str, version: int) -> None:
-        validate_path(path)
-        node = self._walk(path)
-        if node is None:
-            raise NoNodeError(path)
-        if version != -1 and node.version != version:
-            raise BadVersionError(path)
-
     # -- mutation (txn application; must never fail on a valid log) ---------
     def apply_create(self, path: str, data: bytes, zxid: int, time: float,
-                     ephemeral_owner: int = 0, sequential: bool = False) -> None:
+                     ephemeral_owner: int = 0) -> None:
         parent_path, name = split_path(path)
         parent = self._walk(parent_path)
         if parent is None or name in parent.children:
             raise AssertionError(f"inconsistent replica: create {path}")
         parent.link(name, _Znode(data, zxid, zxid, zxid, time, time, 0, 0,
-                                 ephemeral_owner, 0))
-        if sequential:
-            parent.seq_counter += 1
+                                 ephemeral_owner))
         parent.cversion += 1
         parent.pzxid = zxid
         self._count += 1
@@ -273,13 +256,13 @@ class ZnodeStore:
     def apply(self, txn: tuple, zxid: int, time: float) -> None:
         """Apply one validated txn record.
 
-        Records: ``('create', path, data, eph_owner, sequential)``,
+        Records: ``('create', path, data, eph_owner)``,
         ``('delete', path)``, ``('set', path, data)``,
         ``('multi', (record, ...))``.
         """
         kind = txn[0]
         if kind == "create":
-            self.apply_create(txn[1], txn[2], zxid, time, txn[3], txn[4])
+            self.apply_create(txn[1], txn[2], zxid, time, txn[3])
         elif kind == "delete":
             self.apply_delete(txn[1], zxid)
         elif kind == "set":
@@ -295,7 +278,7 @@ class ZnodeStore:
         """Serializable dump (the leader's speculative-tree rebuild and
         :meth:`fingerprint` use it):
         ``(path, data, czxid, mzxid, pzxid, ctime, mtime, version,
-        cversion, ephemeral_owner, seq_counter)`` per znode, parents first."""
+        cversion, ephemeral_owner)`` per znode, parents first."""
         out = [("/", self._root.data, *_state(self._root))]
 
         def rec(prefix: str, node: _Znode) -> None:
@@ -329,6 +312,6 @@ class ZnodeStore:
     def fingerprint(self) -> int:
         """Order-independent digest of the full tree (replica comparison)."""
         acc = 0
-        for p, data, _, _, _, _, _, version, cversion, eph, _ in self.snapshot():
+        for p, data, _, _, _, _, _, version, cversion, eph in self.snapshot():
             acc ^= hash((p, data, version, cversion, eph)) * 2654435761 % (1 << 61)
         return acc

@@ -60,7 +60,6 @@ class WriteRequest:
     data: bytes = b""
     version: int = -1
     ephemeral: bool = False
-    sequential: bool = False
     ops: Tuple = ()            # for multi: tuple of WriteRequest
     session: int = 0
     map_epoch: int = -1        # shard-map epoch the caller routed by

@@ -59,10 +59,9 @@ class _Outstanding:
 
 class _Hold(Event):
     """A parked read-your-writes hold (``ZKServer._hold``): the event its
-    holder waits on, the instant its ``log_delay`` grid counts from, and
-    whether leaving FOLLOWING also lets it pass."""
+    holder waits on and the instant its ``log_delay`` grid counts from."""
 
-    __slots__ = ("at", "bound")
+    __slots__ = ("at",)
 
 
 class ZKServer(Membership):
@@ -182,8 +181,6 @@ class ZKServer(Membership):
         s.expose("connect", self._h_connect)
         s.expose("close_session", self._h_close_session)
         s.expose("follower_info", self._h_follower_info)
-        s.expose("sync", self._h_sync)
-        s.expose("commit_index", self._h_commit_index)
         s.expose_fast("propose", self._f_propose)
         s.expose_fast("ack", self._f_ack)
         s.expose_fast("commit", self._f_commit)
@@ -385,45 +382,15 @@ class ZKServer(Membership):
             # pipeline queues — answering early lets a create..stat pair
             # on the same session miss its own file. A membership change
             # voids the session binding, so stop holding the ack then.
-            yield from self._hold(zxid, True)
+            yield from self._hold(zxid)
             return result
         raise ConnectionLossError(msg=f"zk{self.sid} has no leader")
 
-    def _h_commit_index(self, src: str, args: Any) -> Generator:
-        if self.role != LEADING:
-            raise NotLeaderError(msg=f"zk{self.sid} is not the leader")
-        yield from self.node.cpu_work(self.params.forward_cpu)
-        return self._pipeline_horizon()
-
-    def _pipeline_horizon(self) -> int:
-        """The zxid a sync must wait for: the newest *sequenced* write,
-        committed or not. A write is durable-in-order the moment its zxid
-        is assigned, so a barrier that stopped at ``commit_index`` would
-        run ahead of proposals still collecting acks."""
-        return max(self.outstanding) if self.outstanding \
-            else self.commit_index
-
-    def _h_sync(self, src: str, path: str) -> Generator:
-        """Flush the leader pipeline to this replica (zoo_sync): after it
-        returns, this server has applied every write committed before the
-        sync was issued."""
-        yield from self.node.cpu_work(self.params.forward_cpu)
-        if self.role == LOOKING:
-            raise ConnectionLossError(msg=f"zk{self.sid} is electing")
-        if self.role == LEADING:
-            horizon = self._pipeline_horizon()
-        else:
-            horizon = yield from self.agent.call(
-                self.peers[self.leader_sid], "commit_index", None,
-                timeout=5.0)
-        yield from self._hold(horizon, False)
-        return self.commit_index
-
-    def _hold(self, zxid: int, bound: bool) -> Generator:
-        """Return once this replica has applied ``zxid`` or, ``bound``,
-        has stopped following: at once if it already has, else at the
-        first ``log_delay`` tick after it happens, on a grid counted from
-        now (MODEL.md §12, cut 5).
+    def _hold(self, zxid: int) -> Generator:
+        """Return once this replica has applied ``zxid`` or has stopped
+        following: at once if it already has, else at the first
+        ``log_delay`` tick after it happens, on a grid counted from now
+        (MODEL.md §12, cut 5).
 
         The hold is parked, not polled. It takes one creation id, the one
         the first poll timeout would have taken, and keeps it:
@@ -433,13 +400,11 @@ class ZKServer(Membership):
         at every tick."""
         sim = self.sim
         eid = 0
-        while self.commit_index < zxid and (
-                not bound or self.role == FOLLOWING):
+        while self.commit_index < zxid and self.role == FOLLOWING:
             if not eid:
                 sim._eid = eid = sim._eid + 1
             hold = _Hold(sim)
             hold.at = sim.now
-            hold.bound = bound
             insort(self._holds, (zxid, eid, hold))
             yield hold
 
@@ -459,9 +424,8 @@ class ZKServer(Membership):
                 n += 1
             due = holds[:n]
             del holds[:n]
-        else:   # off FOLLOWING, every write's hold passes too
-            due = [e for e in holds if e[0] <= applied or e[2].bound]
-            self._holds = [e for e in holds if e not in due]
+        else:   # off FOLLOWING, every hold passes
+            due, self._holds = holds, []
         sim = self.sim
         now = sim.now
         delay = self.params.log_delay
@@ -493,9 +457,14 @@ class ZKServer(Membership):
         return (txn, client result)."""
         spec = self.spec_store
         if req.op == "create":
+            if req.ephemeral and not req.session:
+                # An ephemeral needs an owner its expiry can reclaim: the
+                # client connects and retries (``ZKClient._request``).
+                raise SessionExpiredError(
+                    req.path, msg="ephemeral create without a session")
+            spec.check_create(req.path)
             eph = req.session if req.ephemeral else 0
-            path = spec.check_create(req.path, eph, req.sequential)
-            return ("create", path, req.data, eph, req.sequential), path
+            return ("create", req.path, req.data, eph), req.path
         if req.op == "delete":
             spec.check_delete(req.path, req.version)
             return ("delete", req.path), True
@@ -522,9 +491,6 @@ class ZKServer(Membership):
         results: List[Any] = []
         try:
             for sub in req.ops:
-                if sub.op == "check":
-                    spec.check_version(sub.path, sub.version)
-                    continue
                 txn, result = self._validate(sub)
                 spec.apply(txn, zxid, now)
                 subs.append(txn)

@@ -1,8 +1,8 @@
 """A parked read-your-writes hold is released where the poll loop was.
 
-A follower holds a forwarded write's reply, and any server a ``sync``,
-until its own replica has applied the zxid in question. That hold used to
-be a poll: one ``log_delay`` timeout per tick until ``commit_index``
+A follower holds a forwarded write's reply until its own replica has
+applied the write's zxid or it stops following. That hold used to be a
+poll: one ``log_delay`` timeout per tick until ``commit_index``
 caught up. It is now parked (``ZKServer._hold``) under the creation id
 its first poll would have taken, and fired at the first tick of its own
 grid after its condition turns true (docs/MODEL.md §12, cut 5).
@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 
 from repro.models.params import ZKParams
 from repro.sim import Cluster, RpcAgent, RpcTimeout
-from repro.zk.election import FOLLOWING, LEADING, LOOKING
+from repro.zk.election import FOLLOWING, LEADING
 from repro.zk.errors import ConnectionLossError, NotLeaderError
 from repro.zk.protocol import WriteRequest
 from repro.zk.server import ZKServer
@@ -54,7 +54,7 @@ CALL_TIMEOUT = 0.05
 
 
 class RefZKServer(ZKServer):
-    """The two poll loops this repo ran before holds were parked."""
+    """The poll loop this repo ran before holds were parked."""
 
     def _route_write(self, req):
         if self.role == LEADING:
@@ -74,20 +74,6 @@ class RefZKServer(ZKServer):
             return result
         raise ConnectionLossError(msg=f"zk{self.sid} has no leader")
 
-    def _h_sync(self, src, path):
-        yield from self.node.cpu_work(self.params.forward_cpu)
-        if self.role == LOOKING:
-            raise ConnectionLossError(msg=f"zk{self.sid} is electing")
-        if self.role == LEADING:
-            horizon = self._pipeline_horizon()
-        else:
-            horizon = yield from self.agent.call(
-                self.peers[self.leader_sid], "commit_index", None,
-                timeout=5.0)
-        while self.commit_index < horizon:
-            yield self.sim.timeout(self.params.log_delay)
-        return self.commit_index
-
 
 class _Probe:
     """Notes when, in what order and with what a hold returned."""
@@ -97,11 +83,6 @@ class _Probe:
     def _route_write(self, req):
         result = yield from super()._route_write(req)
         self.notes.append((self.sim.now, f"zk{self.sid} {req.path}", result))
-        return result
-
-    def _h_sync(self, src, path):
-        result = yield from super()._h_sync(src, path)
-        self.notes.append((self.sim.now, f"zk{self.sid} sync {path}", result))
         return result
 
 
@@ -137,15 +118,12 @@ def replay(cls, schedule, params=ZKParams()):
     client_node = cluster.add_node("c")
     client = RpcAgent(client_node, "c")
 
-    def request(at, sid, op, tag):
+    def request(at, sid, tag):
         yield sim.timeout(at * STEP)
-        if op == "sync":
-            method, args = "sync", f"/{tag}"
-        else:
-            method, args = "write", WriteRequest(op="create", path=f"/{tag}")
         try:
-            got = yield from client.call(f"zk{sid}", method, args,
-                                         timeout=CALL_TIMEOUT)
+            got = yield from client.call(
+                f"zk{sid}", "write", WriteRequest(op="create", path=f"/{tag}"),
+                timeout=CALL_TIMEOUT)
         except RpcTimeout:
             got = "timeout"
         except (ConnectionLossError, NotLeaderError) as exc:
@@ -167,8 +145,8 @@ def replay(cls, schedule, params=ZKParams()):
         yield sim.timeout(down * LOG_DELAY)
         server.node.recover()
 
-    for k, (at, sid, op) in enumerate(requests):
-        client_node.spawn(request(at, sid, op, f"n{k:02d}"))
+    for k, (at, sid) in enumerate(requests):
+        client_node.spawn(request(at, sid, f"n{k:02d}"))
     for sid, at, ticks in hogs:
         client_node.spawn(hog(sid, at, ticks))
     for kind, sid, at, down in faults:
@@ -180,8 +158,7 @@ def replay(cls, schedule, params=ZKParams()):
 FOLLOWERS = st.integers(1, N_SERVERS - 1)
 requests = st.lists(
     st.tuples(st.sampled_from((0, 0, 0, 1, 3, 11)),      # issue step
-              st.integers(0, N_SERVERS - 1),              # at which server
-              st.sampled_from(("create", "create", "create", "sync"))),
+              st.integers(0, N_SERVERS - 1)),             # at which server
     min_size=1, max_size=10)
 hogs = st.lists(st.tuples(FOLLOWERS, st.integers(0, 64), st.integers(1, 96)),
                 max_size=4)
@@ -200,7 +177,7 @@ def test_parked_holds_return_where_the_polls_did(schedule, detect):
 
 #: One forwarded create from each follower in the same instant: the four
 #: are sequenced together and the last three replied to in one instant.
-BURST = [(0, sid, "create") for sid in range(1, N_SERVERS)]
+BURST = [(0, sid) for sid in range(1, N_SERVERS)]
 
 
 def _check(schedule, params=ZKParams()):
@@ -260,7 +237,7 @@ def test_a_hold_parked_again_keeps_its_place_on_its_grid():
     """zk1's and zk2's holds park in one instant. An election frees
     zk1's, which parks again at its next tick; zk2's stays parked. Both
     return at the same later tick, zk1's first, as the polls did."""
-    creates = [(0, 0, "create")] * 5 + [(0, 1, "create"), (0, 2, "create")]
+    creates = [(0, 0)] * 5 + [(0, 1), (0, 2)]
     log = _check((creates, [], [("elect", 1, 66, 0)]))
     (first,), (second,) = _returned(log, 1), _returned(log, 2)
     assert first == second
@@ -274,30 +251,12 @@ def test_a_crash_mid_hold_drops_it():
     assert [got for _, what, got in log if what == "c n02"] == ["timeout"]
 
 
-def test_sync_holds_on_the_leader_and_on_a_follower():
-    log = _check((BURST + [(11, 0, "sync"), (11, 2, "sync")],
-                  [(2, 56, 12)], []))
-    syncs = [(what.split()[0], got) for _, what, got in log
-             if what.startswith("zk") and " sync " in what]
-    assert syncs == [("zk0", (1 << 32) | 4), ("zk2", (1 << 32) | 4)]
-
-
-def test_a_sync_held_on_the_follower_that_becomes_leader():
-    """The leader dies with zxid 4 logged on every follower but committed
-    on none. zk4's sync waits for it through the election; zk4 wins (the
-    highest sid among equal logs) and ``become_leader`` commits it."""
-    log = _check((BURST + [(11, 4, "sync")], [], [("crash", 0, 36, 10_000)]),
-                 ZKParams(failure_detection=True))
-    syncs = [(now, got) for now, what, got in log if what == "zk4 sync /n04"]
-    assert len(syncs) == 1 and syncs[0][0] > ZKParams().ping_timeout
-
-
 def test_a_resync_drops_the_fsync_batch_it_overtakes():
     """zk1 re-elects while its fsync of zxid 1 is in flight and installs
     the leader's log, zxid 1 included, before the fsync ends. The stale
     batch appends and acks nothing; before, it logged zxid 1 a second
     time and the applier applied it twice."""
-    _check(([(0, 0, "create")], [], [("elect", 1, 24, 0)]))
+    _check(([(0, 0)], [], [("elect", 1, 24, 0)]))
 
 
 def test_a_resync_drops_the_apply_batch_it_overtakes():
@@ -305,6 +264,6 @@ def test_a_resync_drops_the_apply_batch_it_overtakes():
     against its old tree when the re-sync rebuilds it. The stale batch is
     dropped and the applicable run recomputed; before, it applied its
     txns a second time, to the rebuilt tree."""
-    _check(([(0, 0, "create"), (0, 4, "create")],
+    _check(([(0, 0), (0, 4)],
             [(2, 54, 93), (1, 28, 57), (4, 29, 45)], [("elect", 4, 45, 2)]),
            ZKParams(failure_detection=True))

@@ -51,9 +51,11 @@ def test_observer_serves_reads():
     cli = ZKClient(cnode, ens.endpoints, prefer=ens.endpoints[0])
     ocli = ZKClient(cnode, ens.endpoints, prefer=observer_ep)
 
+    run(cluster, cnode, cli.create("/via-voter", b"v"))
+    cluster.sim.run(until=cluster.sim.now + 0.1)
+    assert ens.servers[3].store.exists("/via-voter") is not None
+
     def main():
-        yield from cli.create("/via-voter", b"v")
-        yield from ocli.sync()
         data, _ = yield from ocli.get("/via-voter")
         return data
 

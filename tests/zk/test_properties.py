@@ -65,8 +65,8 @@ def test_store_matches_dict_model(op_list):
         store_err = model_err = None
         try:
             if kind == "create":
-                path = store.check_create(op[1])
-                store.apply_create(path, op[2], zxid, float(zxid))
+                store.check_create(op[1])
+                store.apply_create(op[1], op[2], zxid, float(zxid))
             elif kind == "delete":
                 store.check_delete(op[1])
                 store.apply_delete(op[1], zxid)
@@ -104,8 +104,8 @@ def test_txn_replay_is_deterministic(op_list):
         zxid += 1
         try:
             if op[0] == "create":
-                path = leader.check_create(op[1])
-                txn = ("create", path, op[2], 0, False)
+                leader.check_create(op[1])
+                txn = ("create", op[1], op[2], 0)
             elif op[0] == "delete":
                 leader.check_delete(op[1])
                 txn = ("delete", op[1])
@@ -132,8 +132,8 @@ def test_snapshot_restore_after_any_history(op_list):
         zxid += 1
         try:
             if op[0] == "create":
-                path = store.check_create(op[1])
-                store.apply_create(path, op[2], zxid, float(zxid))
+                store.check_create(op[1])
+                store.apply_create(op[1], op[2], zxid, float(zxid))
             elif op[0] == "delete":
                 store.check_delete(op[1])
                 store.apply_delete(op[1], zxid)

@@ -1,5 +1,6 @@
 """Integration tests: ZK ensemble semantics through the client API."""
 
+import pytest
 
 from repro.svc import TraceBus
 from repro.zk.errors import (
@@ -106,20 +107,6 @@ def test_delete_nonempty_and_missing(zk3):
     assert zk3.run(main()) == ["notempty", "nonode"]
 
 
-def test_sequential_create_through_api(zk3):
-    cli = zk3.client()
-
-    def main():
-        yield from cli.create("/q")
-        p1 = yield from cli.create("/q/n-", sequential=True)
-        p2 = yield from cli.create("/q/n-", sequential=True)
-        return p1, p2
-
-    p1, p2 = zk3.run(main())
-    assert p1 == "/q/n-0000000000"
-    assert p2 == "/q/n-0000000001"
-
-
 def test_concurrent_writes_from_two_clients_converge(zk3):
     c1 = zk3.client(prefer_index=1)
     c2 = zk3.client(prefer_index=2)
@@ -220,24 +207,6 @@ def test_multi_delete_then_recreate_same_path(zk3):
     assert stat.version == 0  # brand-new node
 
 
-def test_multi_check_guard(zk3):
-    cli = zk3.client()
-
-    def main():
-        yield from cli.create("/g", b"v0")
-        yield from cli.set_data("/g", b"v1")  # version now 1
-        try:
-            yield from cli.multi([
-                cli.op_check("/g", version=0),
-                cli.op_set("/g", b"v2"),
-            ])
-        except BadVersionError:
-            return (yield from cli.get("/g"))
-
-    data, _ = zk3.run(main())
-    assert data == b"v1"
-
-
 def test_multi_delete_root_refused_and_replicas_healthy(zk3):
     cli = zk3.client()
 
@@ -287,14 +256,15 @@ def test_multi_relative_path_refused(zk3):
 
 def test_multi_sub_op_sees_earlier_sub_ops(zk3):
     """Sub-op k is checked against sub-ops 0..k-1 already applied: a
-    check on a node the same multi created sees its version 0."""
+    versioned write to a node the same multi created sees its version 0."""
     cli = zk3.client()
 
     def main():
-        yield from cli.multi([cli.op_create("/a"), cli.op_check("/a", 0)])
+        yield from cli.multi([cli.op_create("/a"),
+                              cli.op_set("/a", b"x", version=0)])
         try:
             yield from cli.multi([cli.op_create("/b"),
-                                  cli.op_check("/b", version=5)])
+                                  cli.op_delete("/b", version=5)])
         except BadVersionError:
             return (yield from cli.exists("/a")), (yield from cli.exists("/b"))
 
@@ -332,6 +302,30 @@ def test_ephemeral_cannot_have_children(zk3):
             return "rejected"
 
     assert zk3.run(main()) == "rejected"
+
+
+@pytest.mark.parametrize("via", ["create", "multi"])
+def test_ephemeral_create_without_a_session_gets_an_owner(zk3, via):
+    """A client that never connected asks for an ephemeral: the leader
+    refuses it with SessionExpired, so the client connects and retries,
+    and the znode commits owned by that session (not as a persistent
+    znode that takes children)."""
+    cli = zk3.client(prefer_index=1)
+
+    def main():
+        if via == "create":
+            yield from cli.create("/e", ephemeral=True)
+        else:
+            yield from cli.multi([cli.op_create("/e", ephemeral=True)])
+        stat = yield from cli.exists("/e")
+        try:
+            yield from cli.create("/e/child")
+        except NoChildrenForEphemeralsError:
+            return stat
+        raise AssertionError("child of an ephemeral committed")
+
+    stat = zk3.run(main())
+    assert cli.session and stat.ephemeral_owner == cli.session
 
 
 def test_stat_fields_flow_to_client(zk3):

@@ -1,47 +1,9 @@
-"""zoo_sync semantics and session liveness / ephemeral expiry."""
+"""Session liveness and ephemeral expiry."""
 
 
 from repro.models.params import ZKParams
 
 from .conftest import ZKHarness
-
-
-def test_sync_returns_commit_index(zk3):
-    cli = zk3.client(prefer_index=1)
-
-    def main():
-        yield from cli.create("/s1")
-        yield from cli.create("/s2")
-        idx = yield from cli.sync()
-        return idx
-
-    idx = zk3.run(main())
-    assert idx >= 2
-
-
-def test_sync_gives_read_your_writes_across_servers(zk3):
-    """Write via server 1, sync server 2, then read from server 2 — the
-    write must be visible (the guarantee plain reads don't carry)."""
-    writer = zk3.client(prefer_index=1)
-    reader = zk3.client(prefer_index=2)
-
-    def main():
-        yield from writer.create("/ryw", b"v")
-        yield from reader.sync()
-        data, _ = yield from reader.get("/ryw")
-        return data
-
-    assert zk3.run(main()) == b"v"
-
-
-def test_sync_on_leader_is_trivial(zk3):
-    cli = zk3.client(prefer_index=0)  # the static leader
-
-    def main():
-        yield from cli.create("/x")
-        return (yield from cli.sync())
-
-    assert zk3.run(main()) >= 1
 
 
 def test_session_expiry_deletes_ephemerals(monkeypatch):

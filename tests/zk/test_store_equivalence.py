@@ -6,9 +6,10 @@
 out with ``dataclasses.replace``. A znode now keeps the stat fields in its
 own slots, derives the two counts with ``len()``, and every leaf shares one
 read-only empty mapping (docs/MODEL.md §12, cut 7). The old store is kept
-here, verbatim, as :class:`RefZnodeStore`, and streams of ``create``
-(plain, sequential and ephemeral), ``delete``, ``set`` and ``multi`` are
-applied to one store of each kind: after every step, and again after a
+here as :class:`RefZnodeStore`, verbatim but for the sequential-znode
+counter both have since lost. Streams of ``create`` (plain and
+ephemeral), ``delete``, ``set`` and ``multi`` are applied to one store of
+each kind: after every step, and again after a
 ``from_snapshot(snapshot())`` round trip, every read must agree.
 
 Wrong variants that fail here: dropping the parent's ``cversion += 1`` on
@@ -46,7 +47,8 @@ STAT_FIELDS = ("czxid", "mzxid", "pzxid", "ctime", "mtime", "version",
                "cversion", "ephemeral_owner", "data_length", "num_children")
 
 
-# -- the store this repo ran before cut 7, verbatim but for its names ------
+# -- the store this repo ran before cut 7, verbatim but for its names and --
+# -- the sequential-znode counter ---------------------------------------------
 @dataclass
 class RefZnodeStat:
     """Subset of the real ``Stat`` structure (org.apache.zookeeper.data)."""
@@ -67,14 +69,13 @@ class RefZnodeStat:
 
 
 class _RefZnode:
-    __slots__ = ("name", "data", "children", "stat", "seq_counter")
+    __slots__ = ("name", "data", "children", "stat")
 
     def __init__(self, name: str, data: bytes, stat: RefZnodeStat):
         self.name = name
         self.data = data
         self.children: Dict[str, "_RefZnode"] = {}
         self.stat = stat
-        self.seq_counter = 0  # next suffix for sequential children
 
 
 class RefZnodeStore:
@@ -135,9 +136,8 @@ class RefZnodeStore:
         yield from rec("/", self._root)
 
     # -- validation (leader side) -------------------------------------------
-    def check_create(self, path: str, ephemeral_owner: int = 0,
-                     sequential: bool = False) -> str:
-        """Validate a create; returns the final path (sequential resolved).
+    def check_create(self, path: str) -> None:
+        """Validate a create.
 
         Called by the leader against its *speculative* store before a txn
         is proposed. Raises the client-visible ZK error on failure.
@@ -151,12 +151,8 @@ class RefZnodeStore:
             raise NoNodeError(path)
         if parent.stat.ephemeral_owner:
             raise NoChildrenForEphemeralsError(path)
-        if sequential:
-            name = f"{name}{parent.seq_counter:010d}"
-            path = f"{parent_path}/{name}" if parent_path != "/" else f"/{name}"
         if name in parent.children:
             raise NodeExistsError(path)
-        return path
 
     def check_delete(self, path: str, version: int = -1) -> None:
         validate_path(path)
@@ -178,17 +174,9 @@ class RefZnodeStore:
         if version != -1 and node.stat.version != version:
             raise BadVersionError(path)
 
-    def check_version(self, path: str, version: int) -> None:
-        validate_path(path)
-        node = self._walk(path)
-        if node is None:
-            raise NoNodeError(path)
-        if version != -1 and node.stat.version != version:
-            raise BadVersionError(path)
-
     # -- mutation (txn application; must never fail on a valid log) ---------
     def apply_create(self, path: str, data: bytes, zxid: int, time: float,
-                     ephemeral_owner: int = 0, sequential: bool = False) -> None:
+                     ephemeral_owner: int = 0) -> None:
         parent_path, name = split_path(path)
         parent = self._walk(parent_path)
         if parent is None or name in parent.children:
@@ -198,8 +186,6 @@ class RefZnodeStore:
                             data_length=len(data))
         node = _RefZnode(name, data, stat)
         parent.children[name] = node
-        if sequential:
-            parent.seq_counter += 1
         parent.stat.cversion += 1
         parent.stat.pzxid = zxid
         parent.stat.num_children = len(parent.children)
@@ -241,13 +227,13 @@ class RefZnodeStore:
     def apply(self, txn: tuple, zxid: int, time: float) -> None:
         """Apply one validated txn record.
 
-        Records: ``('create', path, data, eph_owner, sequential)``,
+        Records: ``('create', path, data, eph_owner)``,
         ``('delete', path)``, ``('set', path, data)``,
         ``('multi', (record, ...))``.
         """
         kind = txn[0]
         if kind == "create":
-            self.apply_create(txn[1], txn[2], zxid, time, txn[3], txn[4])
+            self.apply_create(txn[1], txn[2], zxid, time, txn[3])
         elif kind == "delete":
             self.apply_delete(txn[1], zxid)
         elif kind == "set":
@@ -264,7 +250,7 @@ class RefZnodeStore:
         rs = self._root.stat
         out = [("/", self._root.data, rs.czxid, rs.mzxid, rs.pzxid,
                 rs.ctime, rs.mtime, rs.version, rs.cversion,
-                rs.ephemeral_owner, self._root.seq_counter)]
+                rs.ephemeral_owner)]
 
         def rec(prefix: str, node: _RefZnode) -> None:
             for name in sorted(node.children):
@@ -273,7 +259,7 @@ class RefZnodeStore:
                 st = child.stat
                 out.append((p, child.data, st.czxid, st.mzxid, st.pzxid,
                             st.ctime, st.mtime, st.version, st.cversion,
-                            st.ephemeral_owner, child.seq_counter))
+                            st.ephemeral_owner))
                 rec(p, child)
 
         rec("/", self._root)
@@ -283,11 +269,10 @@ class RefZnodeStore:
     def from_snapshot(cls, snap: list) -> "RefZnodeStore":
         store = cls()
         for (p, data, czxid, mzxid, pzxid, ctime, mtime, version, cversion,
-             eph, seq) in snap:
+             eph) in snap:
             if p == "/":
                 root = store._root
                 root.data = data
-                root.seq_counter = seq
                 root.stat = RefZnodeStat(czxid=czxid, mzxid=mzxid,
                                          pzxid=pzxid, ctime=ctime,
                                          mtime=mtime, version=version,
@@ -303,7 +288,6 @@ class RefZnodeStore:
                                 cversion=cversion, ephemeral_owner=eph,
                                 data_length=len(data))
             node = _RefZnode(name, data, stat)
-            node.seq_counter = seq
             parent.children[name] = node
             parent.stat.num_children = len(parent.children)
             store._count += 1
@@ -379,9 +363,9 @@ def _validate(store, op: tuple):
     kind, path = op[0], op[1]
     try:
         if kind == "create":
-            _, _, payload, owner, sequential = op
-            final = store.check_create(path, owner, sequential)
-            return ("create", final, payload, owner, sequential)
+            _, _, payload, owner = op
+            store.check_create(path)
+            return ("create", path, payload, owner)
         if kind == "delete":
             store.check_delete(path, op[2])
             return ("delete", path)
@@ -426,14 +410,13 @@ def _replay(stream: List[tuple]) -> None:
 
 
 # -- streams ------------------------------------------------------------------
-#: Small, so ops collide; two names a sequential create can produce, so
-#: sequential znodes get deleted and have children too.
-names = st.sampled_from(["a", "b", "c", "a0000000000", "b0000000001"])
+#: Small, so ops collide.
+names = st.sampled_from(["a", "b", "c"])
 paths = st.lists(names, min_size=1, max_size=3).map(lambda cs: "/" + "/".join(cs))
 payloads = st.binary(max_size=6)
 versions = st.sampled_from([-1, -1, 0, 1])
 creates = st.tuples(st.just("create"), paths, payloads,
-                    st.sampled_from([0, 0, 7, 9]), st.booleans())
+                    st.sampled_from([0, 0, 7, 9]))
 deletes = st.tuples(st.just("delete"), paths, versions)
 sets = st.tuples(st.just("set"), paths, payloads, versions)
 single = creates | deletes | sets
@@ -452,14 +435,14 @@ def test_every_read_matches_the_old_store_after_every_step(stream):
 
 
 def test_a_directory_emptied_and_filled_again():
-    stream = [("create", "/a", b"d", 0, False),
-              ("create", "/a/b", b"x", 0, False),
+    stream = [("create", "/a", b"d", 0),
+              ("create", "/a/b", b"x", 0),
               ("set", "/a/b", b"yy", -1),
-              ("create", "/a/s", b"", 7, True),
+              ("create", "/a/s", b"", 7),
               ("delete", "/a/b", -1),
-              ("delete", "/a/s0000000000", -1),
-              ("create", "/a/c", b"z", 0, True),
-              ("multi", [("delete", "/a/c0000000001", -1),
-                         ("create", "/a/b", b"", 9, False)]),
+              ("delete", "/a/s", -1),
+              ("create", "/a/c", b"z", 0),
+              ("multi", [("delete", "/a/c", -1),
+                         ("create", "/a/b", b"", 9)]),
               ("delete", "/a/b", 0)]
     _replay([(op, 0.5 * (i + 1)) for i, op in enumerate(stream)])
