@@ -47,7 +47,7 @@ def test_oscillating_load_never_flaps():
 
 
 def test_sustained_heat_acts_once_then_waits_for_fresh_windows():
-    a = make_scaler(window=0.2)
+    a = make_scaler()
     hot_dirs = {d: 1000.0 for d in dirs_on_shard(0, 8)}
     load = {0: 8000.0, 1: 0.0, 2: 0.0, 3: 0.0}
     assert a._decide(load, hot_dirs, now=0.0) == []      # streak = 1

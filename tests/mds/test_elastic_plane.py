@@ -28,8 +28,7 @@ def manual_migrations(monkeypatch):
 
 
 def build_elastic(seed=0, bus=None):
-    elastic = ElasticParams.elastic_on(drain=0.02, interval=0.05,
-                                       window=0.15)
+    elastic = ElasticParams.elastic_on(drain=0.02, interval=0.05)
     return build_dufs_deployment(n_zk=8, n_backends=2, n_client_nodes=2,
                                  backend="local", seed=seed, n_shards=4,
                                  bus=bus, params=SimParams(elastic=elastic))
