@@ -18,7 +18,7 @@ servers as 4 independent 2-server ensembles) and identical pin budget:
   well-informed operator could pick with the pin budget: period A's (or
   B's) hot directories pinned round-robin over the shards. Perfect for
   one period, useless for the other.
-- ``elastic`` — the autoscaler watching windowed per-shard op rates,
+- ``elastic`` — the autoscaler watching per-shard write rates,
   splitting the hot shard's directories away live and merging them back
   when the hot set rotates. Same ``max_pins`` budget as the tuned arms.
 
@@ -79,7 +79,7 @@ def bench_elastic_params() -> ElasticParams:
     the defaults (the bench periods are seconds, not minutes) but the
     same hysteresis discipline and the shared PIN_BUDGET."""
     return ElasticParams.elastic_on(
-        interval=0.04, window=0.12, hysteresis=2, cooldown=0.2,
+        interval=0.04, hysteresis=2, cooldown=0.2,
         max_pins=PIN_BUDGET, min_window_ops=24, merge_min_ops=4,
         moves_per_tick=PIN_BUDGET, drain=0.0)
 

@@ -9,8 +9,8 @@ operator of a real deployment would ask for:
 - the **epoch history** — every installed map with its reason
   (``split /hot -> s2``, ``merge /hot``), i.e. the audit trail of how
   routing got here;
-- the **per-shard load** — the TraceBus's windowed op rates, the same
-  signal the autoscaler decides on;
+- the **per-shard load** — each shard's writes/s over the autoscaler's
+  last tick, the same signal it decides on;
 - **migrations** — in-flight records (root, src/dst shard, state) and
   the completed tally, plus the autoscaler's full decision journal.
 
@@ -39,7 +39,7 @@ def run_shardmap_demo(scale: str = "quick") -> Dict:
     """Drive the skewed two-burst workload and return the state document."""
     n_clients, n_procs, dirs_per_burst, items = _SCALES[scale]
     elastic = ElasticParams.elastic_on(
-        interval=0.05, window=0.15, hysteresis=2, cooldown=0.2,
+        interval=0.05, hysteresis=2, cooldown=0.2,
         max_pins=8, min_window_ops=24, merge_min_ops=4,
         moves_per_tick=8, drain=0.0)
     dep = build_dufs_deployment(
@@ -70,8 +70,7 @@ def run_shardmap_demo(scale: str = "quick") -> Dict:
 
     registry = dep.registry
     cur = registry.current
-    rates = dep.bus.shard_window_rates(now=sim.now, deployment="zk") \
-        if dep.bus is not None else {}
+    rates = dep.autoscaler.shard_load
     return {
         "benchmark": "shardmap",
         "scale": scale,
@@ -114,7 +113,7 @@ def render_shardmap(doc: Dict) -> str:
     for entry in doc["history"]:
         lines.append(f"  e{entry['epoch']:<3} {entry['reason']:<24} "
                      f"({len(entry['pins'])} pins)")
-    lines += ["", "per-shard load (windowed ops/s):"]
+    lines += ["", "per-shard load (writes/s over the last tick):"]
     for k, rate in sorted(doc["shard_load"].items(), key=lambda kv: kv[0]):
         lines.append(f"  s{k}: {rate:>10,.0f}")
     mig = doc["migrations"]

@@ -179,10 +179,9 @@ def build_dufs_deployment(
     wires a :class:`~repro.mds.Migrator` for live subtree moves and —
     unless ``params.elastic.autoscale`` is False — spawns the
     :class:`~repro.mds.Autoscaler` control loop that splits hot shards
-    and merges cold pins from windowed per-shard op rates
+    and merges cold pins by the growth of each shard's replica logs
     (``ElasticParams.elastic_on()`` is the preset). Requires
-    ``n_shards >= 2``, and builds a ``bus`` when none is passed: the
-    autoscaler's load signal rides it. Off keeps runs byte-identical.
+    ``n_shards >= 2``. Off keeps runs byte-identical.
 
     Asynchronous metadata updates: ``awrite`` (default: ``params.awrite``,
     off) puts every client in write-behind mode — namespace mutations
@@ -206,11 +205,8 @@ def build_dufs_deployment(
     elastic = params.elastic
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
-    if elastic.enabled:
-        if n_shards < 2:
-            raise ValueError("elastic metadata plane requires n_shards >= 2")
-        bus = bus or TraceBus()
-        bus.enable_shard_window(elastic.window)
+    if elastic.enabled and n_shards < 2:
+        raise ValueError("elastic metadata plane requires n_shards >= 2")
     cluster = Cluster(seed=seed)
     client_nodes = [cluster.add_node(f"client{i}", cores=params.node_cores)
                     for i in range(n_client_nodes)]
@@ -305,7 +301,8 @@ def build_dufs_deployment(
         if elastic.autoscale:
             autoscaler_proc = Autoscaler(registry, migrator,
                                          [c.zk for c in clients],
-                                         params=elastic, bus=bus)
+                                         params=elastic,
+                                         ensembles=ensembles)
             mig_node.spawn(autoscaler_proc.run(), "autoscaler")
     return DUFSDeployment(cluster, params, client_nodes, ensemble, backends,
                           clients, mounts, zk_clients, bus=bus,

@@ -5,9 +5,11 @@ metadata plane only helps if load actually spreads across the ensembles,
 and a static hash map cannot fix a skewed namespace (λFS's core
 observation). Every ``interval`` simulated seconds it:
 
-1. samples the **windowed per-shard write rates** from the TraceBus (a
-   read is served by the member holding the session and never reaches
-   the leader a split relieves) and the per-directory op rates,
+1. samples the **per-shard write rates** — how far each shard's replica
+   log grew since the previous tick (a read is served by the member
+   holding the session and never reaches the leader a split relieves;
+   only a sequenced write enters the log, once) — and the per-directory
+   op rates,
 2. classifies a shard *hot* when its rate exceeds ``HOT_FACTOR ×`` the
    mean and a pinned subtree *quiet* when its own rate is under
    ``merge_min_ops``, requiring ``hysteresis`` consecutive such ticks
@@ -32,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..models.params import ElasticParams
 from ..sim.core import Interrupt
+from ..zk.ensemble import ZKEnsemble
 from ..zk.errors import ZKError
 from .migrate import Migrator
 from .sharded import INTENT_ROOT, ShardedMDS
@@ -39,7 +42,7 @@ from .shardmap import ShardMapRegistry
 
 __all__ = ["Autoscaler"]
 
-#: A shard is hot while its windowed rate exceeds this multiple of the mean.
+#: A shard is hot while its write rate exceeds this multiple of the mean.
 HOT_FACTOR = 1.6
 
 #: (time, action, root, src, dst, note) — the decision journal.
@@ -52,15 +55,17 @@ class Autoscaler:
     def __init__(self, registry: ShardMapRegistry, migrator: Migrator,
                  services: Sequence[ShardedMDS],
                  params: Optional[ElasticParams] = None,
-                 bus=None):
+                 ensembles: Sequence[ZKEnsemble] = ()):
         self.registry = registry
         self.migrator = migrator
         self.services = list(services)
         self.params = params or ElasticParams(enabled=True)
-        self.bus = bus
+        self.ensembles = list(ensembles)
         self.sim = migrator.sim
         self.decisions: List[Decision] = []
         self._dir_seen: Dict[str, int] = {}   # last-tick per-dir totals
+        self._log_seen: Dict[int, int] = {}   # last-tick per-shard log length
+        self.shard_load: Dict[int, float] = {}  # last tick's writes/s
         self._hot_streak: Dict[int, int] = {}
         self._cold_streak: Dict[str, int] = {}
         self._last_move: Dict[str, float] = {}
@@ -83,21 +88,19 @@ class Autoscaler:
         """One control period: sample, decide, execute.
 
         Every signal is normalized to **ops/sec** before deciding — the
-        per-directory deltas by the actual time since the previous tick
-        (migrations stretch ticks past ``interval``), the per-shard loads
-        by the TraceBus window — so thresholds and the balance test
-        compare like with like.
+        per-directory and per-shard deltas alike by the actual time since
+        the previous tick (migrations stretch ticks past ``interval``) —
+        so thresholds and the balance test compare like with like.
         """
         self.ticks += 1
         now = self.sim.now
         dt = (now - self._last_tick_at) if self._last_tick_at is not None \
             else self.params.interval
+        dt = max(dt, 1e-9)
         self._last_tick_at = now
-        dir_delta = self._sample_dirs()
-        dir_rate = {d: v / max(dt, 1e-9) for d, v in dir_delta.items()}
-        shard_load = (self.bus.shard_window_rates(now, "zk")
-                      if self.bus is not None else {})
-        actions = self._decide(shard_load, dir_rate, self.sim.now)
+        dir_rate = {d: v / dt for d, v in self._sample_dirs().items()}
+        self.shard_load = self._sample_shards(dt)
+        actions = self._decide(self.shard_load, dir_rate, now)
         if not actions:
             return
         # The batch executes *concurrently*: its roots are disjoint by
@@ -140,6 +143,19 @@ class Autoscaler:
         self._dir_seen = totals
         return delta
 
+    def _sample_shards(self, dt: float) -> Dict[int, float]:
+        """Per-shard writes/sec since the previous tick: how far the
+        longest replica log of each shard's ensemble grew. Only a
+        sequenced write enters a log, and it enters once whichever
+        server took it, so reads, resolves and forwarded copies never
+        count. A resync that truncates the longest log reads as 0."""
+        load = {}
+        for k, ens in enumerate(self.ensembles):
+            n = max(len(s.log) for s in ens.servers)
+            load[k] = max(n - self._log_seen.get(k, 0), 0) / dt
+            self._log_seen[k] = n
+        return load
+
     # -- policy --------------------------------------------------------------
     def _decide(self, shard_load: Dict[int, float],
                 dir_rate: Dict[str, float],
@@ -152,7 +168,7 @@ class Autoscaler:
         n = cur.n_shards
         total = sum(shard_load.values())
         if total < p.min_window_ops:
-            # Quiet window: no signal worth acting on; streaks decay so a
+            # Quiet tick: no signal worth acting on; streaks decay so a
             # lull resets the hysteresis clock.
             self._hot_streak.clear()
             self._cold_streak.clear()
@@ -161,8 +177,8 @@ class Autoscaler:
         loads = {k: shard_load.get(k, 0.0) for k in range(n)}
 
         # Calibrate client-side per-directory rates into *server-op*
-        # units: the bus counts server-visible requests (resolution
-        # hops, anchor writes), a per-shard multiple of the client op
+        # units: the logs count sequenced writes (anchor, intent and
+        # migration writes too), a per-shard multiple of the client op
         # rate. Without this the balance test compares apples (server
         # load) to oranges (client rate) and never stops a move run.
         client_by_shard: Dict[int, float] = {}
@@ -210,12 +226,11 @@ class Autoscaler:
         for k in hot:
             if budget <= 0 or len(actions) >= p.moves_per_tick:
                 break
-            # Act-then-listen: after splitting from this shard, wait for
-            # the measurement window to flush the pre-move samples before
-            # splitting from it again — acting on a stale window would
-            # keep peeling directories off a shard that is already fixed.
-            if now - self._last_shard_act.get(k, -1e18) \
-                    < max(p.window, p.cooldown):
+            # Act-then-listen: after splitting from this shard, wait a
+            # cooldown before splitting from it again — acting on
+            # pre-move samples would keep peeling directories off a
+            # shard that is already fixed.
+            if now - self._last_shard_act.get(k, -1e18) < p.cooldown:
                 continue
             before = len(actions)
             cands = sorted(
@@ -258,7 +273,7 @@ class Autoscaler:
                 budget -= 1
                 moves_left -= 1
             if len(actions) > before:
-                # Acting resets the streak: re-evaluate on fresh windows.
+                # Acting resets the streak: re-evaluate on fresh ticks.
                 self._hot_streak.pop(k, None)
                 self._last_shard_act[k] = now
         return actions

@@ -364,11 +364,10 @@ class ElasticParams:
     #                                    registry/migrator only — manual
     #                                    migrations, e.g. chaos scripts)
     interval: float = 0.1              # control-loop period (s)
-    window: float = 0.25               # TraceBus op-rate window (s)
     hysteresis: int = 2                # consecutive hot/quiet ticks to act
     cooldown: float = 0.4              # min seconds between moves of a root
     max_pins: int = 8                  # pin-table budget (server budget)
-    min_window_ops: int = 40           # ignore windows below this total
+    min_window_ops: int = 40           # ignore ticks below this total
     #                                    rate (ops/s): near-idle, no signal
     merge_min_ops: int = 4             # unpin when subtree rate (ops/s)
     #                                    stays below this

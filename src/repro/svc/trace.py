@@ -16,9 +16,8 @@ identical to one with tracing off.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..sim.stats import Counter, LatencyRecorder
 
@@ -67,10 +66,6 @@ class TraceBus:
         self.service = LatencyRecorder()
         self.events: Optional[List[OpTrace]] = [] if keep_events else None
         self.shard_of: Dict[str, int] = {}  # key -> shard (constant per endpoint)
-        # Rolling-window per-shard write rates (elastic autoscaler
-        # signal): off by default — the hot path pays one is-None test.
-        self._shard_win: Optional[float] = None
-        self._shard_events: Dict[Tuple[str, int], deque] = {}
 
     # -- recording ---------------------------------------------------------
     def record(self, ev: OpTrace, key: Optional[str] = None) -> None:
@@ -86,8 +81,6 @@ class TraceBus:
             self.retries.inc(key, ev.retries)
         if ev.shard:
             self.shard_of[key] = ev.shard
-        if self._shard_win is not None and ev.method != "read":
-            self._shard_note(ev)
         self.service.record(key, ev.service)
         if self.events is not None:
             self.events.append(ev)
@@ -108,40 +101,6 @@ class TraceBus:
         self.batch_flushes.inc(key)
         self.batch_items.inc(key, fill)
         self.batch_depth.inc(key, depth)
-
-    # -- windowed per-shard write rates -------------------------------------
-    def enable_shard_window(self, window: float) -> None:
-        """Start keeping rolling-window per-``(deployment, shard)`` write
-        timestamps so :meth:`shard_window_rates` can answer "how hot is
-        each shard *right now*" — the elastic autoscaler's input signal.
-        A read is left out: the ensemble member holding the session serves
-        it, and it never reaches the leader, whose write pipeline is what
-        a split relieves (a cold dcache's burst of parent lookups would
-        make the parent's shard look hot). Counters-only bookkeeping (no
-        simulator events)."""
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        self._shard_win = float(window)
-
-    def _shard_note(self, ev: OpTrace) -> None:
-        dq = self._shard_events.get((ev.deployment, ev.shard))
-        if dq is None:
-            dq = self._shard_events[(ev.deployment, ev.shard)] = deque()
-        dq.append(ev.end)
-        lo = ev.end - self._shard_win
-        while dq and dq[0] < lo:
-            dq.popleft()
-
-    def shard_window_rates(self, now: float, deployment: str
-                           ) -> Dict[int, float]:
-        """Writes/sec per shard of ``deployment`` (e.g. ``"zk"``) over the
-        trailing window set by :meth:`enable_shard_window`, at ``now``."""
-        if self._shard_win is None:
-            return {}
-        w, lo = self._shard_win, now - self._shard_win
-        return {shard: sum(1 for x in dq if lo <= x <= now) / w
-                for (dep, shard), dq in self._shard_events.items()
-                if dep == deployment and dq}
 
     # -- export ------------------------------------------------------------
     def keys(self) -> List[str]:

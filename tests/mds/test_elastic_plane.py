@@ -56,6 +56,7 @@ def test_elastic_wiring_and_off_by_default():
     dep = build_elastic()
     assert dep.registry is not None and dep.migrator is not None
     assert dep.autoscaler is None              # manual migrations
+    assert dep.bus is None                     # tracing stays optional
     plain = build_dufs_deployment(n_zk=4, n_backends=2, n_client_nodes=1,
                                   backend="local", n_shards=2)
     assert plain.registry is None and plain.migrator is None

@@ -60,20 +60,3 @@ def test_bus_sample_default_records_everything():
         bus.record(ev())
     assert bus.service.summary("dep/ep.op").count == 7
     assert len(bus.events) == 7
-
-
-def test_shard_window_counts_each_shards_writes_only():
-    """The elastic autoscaler's hotness signal. A read is served by the
-    ensemble member holding the session and never reaches the leader, so
-    a burst of parent lookups does not make the parent's shard look hot."""
-    bus = TraceBus()
-    bus.enable_shard_window(0.1)
-    for i in range(10):
-        t = 1.0 + i * 0.01
-        bus.record(OpTrace("zk", "zk0", "write", t, t, True, shard=1))
-        bus.record(OpTrace("zk", "zk1", "fwd_write", t, t, True, shard=1))
-        bus.record(OpTrace("zk", "zk2", "read", t, t, True, shard=2))
-        bus.record(OpTrace("lustre", "mds", "create", t, t, True, shard=3))
-    assert bus.shard_window_rates(1.095, "zk") == {1: pytest.approx(200.0)}
-    assert bus.shard_window_rates(1.095, "lustre") == {3: pytest.approx(100.0)}
-    assert TraceBus().shard_window_rates(1.0, "zk") == {}
