@@ -166,7 +166,7 @@ class Migrator:
         # sequences after the freeze, and every surviving pre-freeze
         # write carries a smaller zxid than the marker. Replicas apply in
         # zxid order and a session's ack implies local apply, so once the
-        # create below returns, the collect walk (same session) reads a
+        # create below returns, the first walk (same session) reads a
         # settled subtree. ``drain`` is belt-and-braces on top.
         marker = yield from self._journal(mig)
         if self.drain > 0:
@@ -184,11 +184,11 @@ class Migrator:
         entries: List[Tuple[str, bytes, bool]] = []
         try:
             root_data = yield from self._read_entry(mds, mig.root, old_map)
-            entries = yield from self._collect(mds, mig.root, old_map)
+            entries = yield from self._walk(mds, mig.root, old_map)
             yield from self._copy(mds, mig, root_data, entries, new_map)
             for _ in range(4):
-                extra = yield from self._sweep(mds, mig.root, entries,
-                                               old_map)
+                extra = yield from self._walk(mds, mig.root, old_map,
+                                              entries)
                 if not extra:
                     break
                 self.stats["sweep_entries"] += len(extra)
@@ -250,14 +250,17 @@ class Migrator:
         for outcome in outcomes:
             outcome.result()
 
-    def _collect(self, mds: ShardedMDS, root: str, old_map: ShardMap):
-        """Pre-order walk of the subtree under ``root`` via the old map:
-        parents precede children, so replaying the list as creates never
-        hits a missing parent. Per-directory entry reads fan out
-        ``COPY_FANOUT`` wide — the source shard is the hot one, and a
-        serial walk behind its request queue would stretch the write
-        freeze from milliseconds to seconds."""
+    def _walk(self, mds: ShardedMDS, root: str, old_map: ShardMap,
+              known: Sequence[Tuple[str, bytes, bool]] = ()):
+        """Pre-order walk of the subtree under ``root`` via the old map,
+        returning the entries ``known`` lacks: parents precede children,
+        so replaying the list as creates never hits a missing parent.
+        Each directory costs one children-read; entry reads (new paths
+        only) fan out ``COPY_FANOUT`` wide — the source shard is the hot
+        one, and a serial walk behind its request queue would stretch
+        the write freeze from milliseconds to seconds."""
         mds.map = old_map
+        seen = {p: is_dir for p, _data, is_dir in known}
         out: List[Tuple[str, bytes, bool]] = []
         stack = [root]
         while stack:
@@ -268,6 +271,7 @@ class Migrator:
                 continue
             paths = [f"{d}/{name}" if d != "/" else f"/{name}"
                      for name in sorted(names)]
+            new = [p for p in paths if p not in seen]
             fetched: dict = {}
 
             def fetch(chunk):
@@ -278,48 +282,14 @@ class Migrator:
                         continue  # raced with a pre-freeze delete
                     fetched[p] = data
             yield from self._fanout(
-                fetch(paths[w::COPY_FANOUT]) for w in range(COPY_FANOUT)
-                if paths[w::COPY_FANOUT])
+                fetch(new[w::COPY_FANOUT]) for w in range(COPY_FANOUT)
+                if new[w::COPY_FANOUT])
             for p in paths:
-                if p not in fetched:
-                    continue
-                data = fetched[p]
-                is_dir = is_dir_data(data)
-                out.append((p, data, is_dir))
-                if is_dir:
-                    stack.append(p)
-        return out
-
-    def _sweep(self, mds: ShardedMDS, root: str,
-               entries: Sequence[Tuple[str, bytes, bool]],
-               old_map: ShardMap):
-        """Re-list the subtree via the old map and return the entries the
-        previous walk(s) missed — pre-freeze writes that committed behind
-        the walk. Known paths cost one children-read per directory; data
-        is fetched only for the stragglers."""
-        mds.map = old_map
-        known = {p for p, _data, _is_dir in entries}
-        known_dirs = {p for p, _data, is_dir in entries if is_dir}
-        out: List[Tuple[str, bytes, bool]] = []
-        stack = [root]
-        while stack:
-            d = stack.pop()
-            try:
-                names = yield from mds.get_children(d)
-            except NoNodeError:
-                continue
-            for name in sorted(names):
-                p = f"{d}/{name}" if d != "/" else f"/{name}"
-                if p in known:
-                    if p in known_dirs:
-                        stack.append(p)
-                    continue
-                try:
-                    data, _ = yield from mds.get(p)
-                except NoNodeError:
-                    continue
-                is_dir = is_dir_data(data)
-                out.append((p, data, is_dir))
+                if p in fetched:
+                    is_dir = is_dir_data(fetched[p])
+                    out.append((p, fetched[p], is_dir))
+                else:
+                    is_dir = seen.get(p, False)
                 if is_dir:
                     stack.append(p)
         return out
