@@ -595,7 +595,6 @@ class ShardedMDS(MetadataService):
                 final[op.path] = ("ensure", op.path, op.data)
             elif op.op == "delete":
                 final[op.path] = ("absent", op.path)
-            # "check" ops carry no state change.
         return list(final.values())
 
     def _precheck(self, ops: Sequence[WriteRequest]) -> Generator:
