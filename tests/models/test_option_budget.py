@@ -55,7 +55,7 @@ def parameters(fn) -> int:
 
 #: what is counted -> (how, committed count)
 BUDGET = {
-    "dataclass fields in models/params.py": (dataclass_fields, 46),
+    "dataclass fields in models/params.py": (dataclass_fields, 45),
     "params fields no non-test code sets":
         (lambda: audit_count("unset_fields"), 0),
     "build_dufs_deployment parameters":
@@ -77,7 +77,7 @@ BUDGET = {
         (lambda: audit_count("unread_counters"), 0),
     "self.stats assignments in src/repro":
         (lambda: audit_count("stats_assignments"), 8),
-    "lines of src/repro": (source_lines, 16145),
+    "lines of src/repro": (source_lines, 16083),
     "lines of src/repro/zk": (lambda: source_lines("zk"), 2137),
 }
 
