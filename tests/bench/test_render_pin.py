@@ -17,7 +17,8 @@ SUITES = runpy.run_path(str(ROOT / "scripts" / "check_regression.py"))["SUITES"]
 
 # The async and shard file_create rows follow their baselines, re-recorded
 # when each DUFS client began making its hash-directory chain at mount; the
-# elastic rows, when the autoscaler's shard signal began counting writes only;
+# elastic rows, when the autoscaler's shard signal began counting writes only,
+# and again when it began reading each shard's replica log growth per tick;
 # the async file_remove row and drain window, when a write-behind unlink began
 # running its physical unlink in the drain; the async file_create row, when
 # both arms began running the default one-pipeline ZooKeeper leader, and
@@ -33,13 +34,13 @@ async-write ablation (scale=quick):
     "elastic": """\
 elastic plane (scale=quick, 8 ZK servers as 4 shards, pin budget 8):
   arm           file_create      file_stat
-  elastic            16,540         83,836
+  elastic            16,733         81,625
   hash                8,486         36,578
   tuned-A            11,624         50,974
   tuned-B            11,585         51,467
-  gate: file_create elastic/best-static = 1.42x (floor 1.3x)
-  gate: file_stat elastic/best-static = 1.63x (floor 1.3x)
-  elastic: 197 ticks, epoch 18, 12 splits / 6 merges, 1108 entries copied""",
+  gate: file_create elastic/best-static = 1.44x (floor 1.3x)
+  gate: file_stat elastic/best-static = 1.59x (floor 1.3x)
+  elastic: 200 ticks, epoch 18, 12 splits / 6 merges, 886 entries copied""",
     "mdcache": """\
 cache ablation (scale=quick):
   phase           off ops/s     on ops/s  speedup
