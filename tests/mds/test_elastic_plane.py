@@ -6,6 +6,7 @@ import hashlib
 import pytest
 
 from repro.core import build_dufs_deployment
+from repro.mds import ShardedMDS
 from repro.models.params import ElasticParams, SimParams
 from repro.svc import TraceBus
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
@@ -144,3 +145,37 @@ def test_elastic_off_replay_is_byte_identical():
                        ev.shard)).encode())
     assert len(bus.events) == 1525
     assert h.hexdigest() == GOLDEN_DIGEST
+
+
+def test_walk_fetches_only_the_entries_known_lacks():
+    """The migrator's one subtree walk: the first pass returns the whole
+    subtree parents-first; a sweep given those entries re-lists the
+    directories and reads only what appeared since."""
+    dep = build_elastic()
+    m = dep.mounts[0]
+    d, _src, _dst = pinnable_dir(dep)
+    dep.call(m.mkdir, d)
+    dep.call(m.mkdir, f"{d}/sub")
+    for i in range(3):
+        dep.call(m.create, f"{d}/sub/f{i}")
+    cur = dep.registry.current
+    mds = ShardedMDS(dep.migrator.clients, shard_map=cur, name="probe")
+
+    def walk(known=()):
+        return dep.migrator._walk(mds, d, cur, known)
+
+    entries = dep.call(walk)
+    assert [p for p, _data, _is_dir in entries] == [
+        f"{d}/sub", f"{d}/sub/f0", f"{d}/sub/f1", f"{d}/sub/f2"]
+    gets = []
+    real_get = mds.get
+
+    def counting_get(path, watch=None):
+        gets.append(path)
+        return (yield from real_get(path, watch))
+    mds.get = counting_get
+    assert dep.call(walk, entries) == [] and gets == []
+    dep.call(m.create, f"{d}/sub/late")
+    extra = dep.call(walk, entries)
+    assert [p for p, _data, _is_dir in extra] == [f"{d}/sub/late"]
+    assert gets == [f"{d}/sub/late"]
