@@ -28,7 +28,7 @@ def test_each_sequenced_write_counts_once_and_reads_count_zero():
     ens = build_ensemble(cluster, nodes, 3)            # zk0 leads
     via_follower = ZKClient(cnode, ens.endpoints, prefer="zk1")
     via_leader = ZKClient(cnode, ens.endpoints, prefer="zk0")
-    scaler = Autoscaler(ShardMapRegistry(ShardMap(2)), _FakeMigrator(), [],
+    scaler = Autoscaler(ShardMapRegistry(ShardMap(1)), _FakeMigrator(), [],
                         ensembles=[ens])
 
     def run(gen):
