@@ -153,18 +153,20 @@ class DUFSClient:
                              thin=params.resolve.enabled)
         # The write path, bound once: commit-and-wait (the paper's client)
         # or write-behind, both through the one op runner ``_run``. Op
-        # bodies call ``_commit``/``_drain`` and never ask which. The log
-        # is constructed ONLY when enabled: it hooks the node's crash, and
-        # an async-off deployment must run no code the paper's client
-        # would not.
+        # bodies call ``_commit``/``_drain``/``_reclaim`` and never ask
+        # which. The log is constructed ONLY when enabled: it hooks the
+        # node's crash, and an async-off deployment must run no code the
+        # paper's client would not.
         self.wblog: Optional[WriteBehindLog] = None
-        self._commit, self._drain = self._commit_sync, self._drain_sync
+        self._commit, self._drain, self._reclaim = (
+            self._commit_sync, self._drain_sync, self._reclaim_sync)
         if params.awrite.enabled:
             self.wblog = WriteBehindLog(node, self._run, self.mdcache,
                                         params=params.awrite,
                                         bus=bus,
                                         endpoint=name or "dufs-client")
-            self._commit, self._drain = self._commit_async, self._drain_async
+            self._commit, self._drain, self._reclaim = (
+                self._commit_async, self._drain_async, self._unlink_physical)
             node.on_crash(self._unmade.clear)   # its waiters died too
         self._mounts = [node.shielded(self._mount_chain(b), "dufs-mount")
                         for b in range(len(self.backends))]
@@ -401,20 +403,26 @@ class DUFSClient:
         physical step that answer calls for, never one that could leave a
         name mapping to no file (a dangling mapping is worse than an
         orphaned file): a file create that *provably* did not land is
-        rolled back, a file delete that landed is unlinked."""
+        rolled back before the caller hears, a file delete that landed is
+        reclaimed (:meth:`_reclaim`)."""
         landed = True if exc is None else (yield from self._landed(op, exc))
         if isinstance(op.payload, FilePayload):
             if op.kind == "delete" and landed:
                 yield from self._logic(self.params.mapping_cpu)
-                yield from self._unlink_physical(op.payload.fid)
+                yield from self._reclaim(op.payload.fid)
             elif op.kind == "create" and landed is False:
                 yield from self._unlink_physical(op.payload.fid)
         return landed
 
     def _drain_sync(self, *paths) -> Generator:
-        """Nothing is ever acked before it committed: no wait, no
-        deferred errors."""
+        """Nothing is acked before it committed: no wait, no errors."""
         return []
+        yield  # pragma: no cover - makes this a generator
+
+    def _reclaim_sync(self, fid: int) -> Generator:
+        """Unlink the nameless back-end file in its own process."""
+        self.node.shielded(self._unlink_physical(fid), "dufs-reclaim")
+        return
         yield  # pragma: no cover - makes this a generator
 
     def _drain_async(self, *paths) -> Generator:
@@ -594,7 +602,7 @@ class DUFSClient:
             raise FSError(EISDIR, path)
         if isinstance(payload, FilePayload):    # fail before the name goes
             self._require_up(self.mapping.backend_for(payload.fid), path)
-        # _outcome unlinks the physical file once the znode delete landed.
+        # _outcome's _reclaim unlinks the physical file once the name is gone.
         yield from self._commit("delete", path, payload)
         self.mdcache.note_removed(path)
         return True
@@ -638,15 +646,13 @@ class DUFSClient:
     def pread(self, fh: int, offset: int, size: int) -> Generator:
         """Read through an open handle — back-end only, no ZooKeeper."""
         backend, ppath = self._handle(fh)
-        result = yield from self._backend_call(backend, "read", ppath,
-                                               offset, size)
-        return result
+        return (yield from self._backend_call(backend, "read", ppath,
+                                              offset, size))
 
     def pwrite(self, fh: int, offset: int, data: bytes) -> Generator:
         backend, ppath = self._handle(fh)
-        result = yield from self._backend_call(backend, "write", ppath,
-                                               offset, data)
-        return result
+        return (yield from self._backend_call(backend, "write", ppath,
+                                              offset, data))
 
     def _path_io(self, method: str, path: str, *args) -> Generator:
         """Path-addressed I/O: Fig. 3 steps A-D, then the back-end call."""
@@ -768,7 +774,7 @@ class DUFSClient:
         self.mdcache.note_created(dst, is_dir=is_dir)
         # Overwritten file's contents are garbage-collected.
         if isinstance(dst_payload, FilePayload):
-            yield from self._unlink_physical(dst_payload.fid)
+            yield from self._reclaim(dst_payload.fid)
         return True
 
     def _collect_subtree(self, root: str) -> Generator:

@@ -15,8 +15,8 @@ DUFS client:
   in program order, each as its own process through the owning
   client's op runner (the same one its synchronous path calls) and so
   its :class:`~repro.mds.MetadataService`, while fewer than
-  ``DRAIN_WINDOW`` are in flight — so drains inherit leader-side
-  proposal coalescing, the retry/fail-over machinery, and (behind a
+  ``DRAIN_WINDOW`` are in flight — so drains share the leader's
+  group-committed txn log, the retry/fail-over machinery, and (behind a
   :class:`~repro.mds.ShardedMDS`) epoch-stamped routing that retries
   cleanly through ``StaleShardMapError`` during live migration;
 - the window stops at the first queued op whose path conflicts (equal,
@@ -30,8 +30,9 @@ DUFS client:
   every acked op has committed or been rejected;
 - every drained op completes only after the physical steps the runner
   takes around its metadata call (a file create's physical file before
-  its znode, a landed file delete's unlink after it, a rejected file
-  create's rollback), so no name ever maps to a missing file;
+  its znode, a landed file delete's unlink after it, a rejected create's
+  rollback): no name maps to a missing file, and :meth:`lost_ops` covers
+  every physical step a crash cuts short;
 - a rejected op (the quorum refused it, or its physical file could not
   be made, after the caller was already acked) rolls its overlay entry
   back and surfaces through :meth:`pop_errors` at the next barrier —

@@ -2,17 +2,14 @@
 
 Both durable write pipelines in the reproduction share the same shape: a
 producer appends work items and kicks a consumer loop; the loop drains up
-to ``max_batch`` items and pays ONE flush (a fsync, a quorum round) for
-the whole batch. ZooKeeper's group-committed txn log, its leader-side
-proposal coalescing, and PVFS's trove/dbpf sync transactions are all
-instances — AsyncFS/λFS-style coalescing as a reusable primitive instead
-of three hand-rolled deque+Store loops.
+to ``max_batch`` items and pays ONE flush (a fsync) for the whole batch.
+ZooKeeper's group-committed txn log and PVFS's trove/dbpf sync
+transactions are its two instances.
 
 The flush callback is a generator ``flush(batch) -> None`` which may yield
-simulator events (CPU, disk, nested RPCs). Crash semantics follow the old
-hand-rolled loops: the owning node's crash interrupts the loop, queued
-items are dropped by :meth:`clear`, and :meth:`restart` re-arms the loop
-on recovery.
+simulator events (CPU, disk, nested RPCs). Crash semantics: the owning
+node's crash interrupts the loop, queued items are dropped by
+:meth:`clear`, and :meth:`restart` re-arms the loop on recovery.
 """
 
 from __future__ import annotations

@@ -97,4 +97,5 @@ def test_restarted_client_can_delete_predecessors_files():
         yield from fresh.unlink("/doomed")
 
     dep.call(lambda: phase2())
+    dep.cluster.sim.run()               # the unlink's reclaim
     assert sum(be.ns.count_files() for be in dep.backends) == 0

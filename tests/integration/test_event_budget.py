@@ -315,24 +315,32 @@ FORWARDED_RMDIR_IDS = sum((
     2,      # client: the call's waiter fires, then its any-of(timeout)
 ))
 
-#: An ``unlink`` costs what an ``rmdir`` does, then removes the physical
-#: file once the delete has committed, at either client.
-UNLINK_TAIL_IDS = sum((
+#: An ``unlink`` costs what an ``rmdir`` does, at either client, and
+#: returns once the delete has committed: what it adds before its return
+#: starts the reclaim, a process of its own that removes the physical file.
+UNLINK_RETURN_IDS = sum((
     1,      # client: mapping CPU (which back-end holds the file)
+    1,      # client: the reclaim process's start
+))
+UNLINK_RECLAIM_IDS = sum((
     1,      # back-end (local FS): unlink CPU
 ))
-UNLINK_IDS = RMDIR_IDS + UNLINK_TAIL_IDS
-FORWARDED_UNLINK_IDS = FORWARDED_RMDIR_IDS + UNLINK_TAIL_IDS
+UNLINK_IDS = RMDIR_IDS + UNLINK_RETURN_IDS + UNLINK_RECLAIM_IDS
+FORWARDED_UNLINK_IDS = (FORWARDED_RMDIR_IDS + UNLINK_RETURN_IDS
+                        + UNLINK_RECLAIM_IDS)
+#: The followers' COMMIT applies, the last row of ``RMDIR_IDS``: at the
+#: leader they run after the client's reply, at a follower before it.
+FOLLOWER_APPLY_IDS = 2 * 3
 
 
 @pytest.mark.parametrize("role, op, path, ids, total", [
     ("leading", "stat", "/warm", STAT_IDS, 12),
     ("leading", "mkdir", "/d", MKDIR_IDS, 37),
-    ("leading", "unlink", "/warm", UNLINK_IDS, 47),
+    ("leading", "unlink", "/warm", UNLINK_IDS, 48),
     ("leading", "rmdir", "/d", RMDIR_IDS, 45),
     ("following", "stat", "/warm", STAT_IDS, 12),
     ("following", "mkdir", "/d", FORWARDED_MKDIR_IDS, 46),
-    ("following", "unlink", "/warm", FORWARDED_UNLINK_IDS, 56),
+    ("following", "unlink", "/warm", FORWARDED_UNLINK_IDS, 57),
     ("following", "rmdir", "/d", FORWARDED_RMDIR_IDS, 54),
 ])
 def test_an_unloaded_op_costs_exactly_these_creation_ids(role, op, path, ids,
@@ -358,3 +366,29 @@ def test_an_unloaded_op_costs_exactly_these_creation_ids(role, op, path, ids,
     run(getattr(client, op)(path))
     assert ids == total
     assert sim._eid - before == ids
+
+
+@pytest.mark.parametrize("role, before_return, after_return", [
+    ("leading", RMDIR_IDS - FOLLOWER_APPLY_IDS + UNLINK_RETURN_IDS,
+     FOLLOWER_APPLY_IDS + UNLINK_RECLAIM_IDS),
+    ("following", FORWARDED_RMDIR_IDS + UNLINK_RETURN_IDS,
+     UNLINK_RECLAIM_IDS),
+])
+def test_a_synchronous_unlink_costs_its_return_then_its_reclaim(
+        role, before_return, after_return):
+    """The ids an ``unlink`` takes until it returns, then the rest: the
+    back-end unlink is off the caller's path."""
+    dep = build_dufs_deployment(n_zk=3, n_backends=2, n_client_nodes=3,
+                                backend="local")
+    sim = dep.cluster.sim
+    at = 0 if role == "leading" else 1
+    client, node = dep.clients[at], dep.client_nodes[at]
+    assert dep.ensemble.servers[at].role == role
+    sim.run(until=node.spawn(client.create("/warm")))
+    sim.run()
+    before = sim._eid
+    sim.run(until=node.spawn(client.unlink("/warm")))     # the return
+    returned = sim._eid
+    sim.run()                                           # the reclaim
+    assert (returned - before, sim._eid - returned) == \
+        (before_return, after_return)
