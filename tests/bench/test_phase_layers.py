@@ -1,0 +1,43 @@
+"""``scripts/phase_layers.py`` on a tiny traced ledger pass: for every
+phase, its layer columns sum to the mean root-span duration."""
+
+import pathlib
+import runpy
+import sys
+import time
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT))
+worker = pytest.importorskip("perfbench.worker")
+SCRIPT = runpy.run_path(str(ROOT / "scripts" / "phase_layers.py"))
+PHASES = ("dir_create", "dir_stat", "dir_remove",
+          "file_create", "file_stat", "file_remove")
+
+
+@pytest.fixture(scope="module")
+def spans(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spans") / "paper-lat.jsonl.gz"
+    result = worker.run({"workload": "paper-lat", "seed": 1, "scale": "tiny",
+                         "mode": "traced", "spans_out": str(path),
+                         "spawned_at": time.monotonic(),
+                         "speed_before": worker.REFERENCE_S})
+    assert result["failed"] == 0 and all(result["checks"].values())
+    return path
+
+
+@pytest.mark.parametrize("phase", PHASES)
+def test_columns_sum_to_the_mean_root_span(spans, phase):
+    ops, per_op, mean_root = SCRIPT["phase_layers"](str(spans), phase)
+    assert ops == 32                    # 8 processes x 4 items at tiny
+    assert set(per_op) == set(SCRIPT["COLUMNS"])
+    assert "zk.server" in per_op and mean_root > 0
+    assert sum(per_op.values()) == pytest.approx(mean_root, rel=0.02)
+
+
+def test_a_file_remove_waits_for_no_back_end_call(spans):
+    """The reclaim's back-end unlink is a root span of its own, so no
+    ``file_remove`` op is charged any ``pfs`` time."""
+    _, per_op, _ = SCRIPT["phase_layers"](str(spans), "file_remove")
+    assert per_op["pfs"] == 0.0
