@@ -14,7 +14,11 @@ import pytest
 from repro.bench.figures import (run_ablations, run_cmd_comparison,
                                  run_fig9, run_fig10, run_single_dir)
 
-# sha256(repr(sorted(fig.series.items())))[:16] at scale="tiny". The four
+# sha256(repr(sorted(fig.series.items())))[:16] at scale="tiny". fig9,
+# fig10 and singledir were re-recorded when a synchronous unlink began
+# returning before its back-end unlink (a process of its own): every DUFS
+# file_remove cell moved, dufs-lustre 1,364 -> 1,726 ops/s and dufs-pvfs
+# 236 -> 1,726 (a PVFS unlink was most of a remove). Before that, the four
 # with DUFS series were re-recorded when each client began making its
 # hash-directory chain at mount. The cells that moved: every DUFS
 # file_create except layout=paper (up, 1.1x to 2.7x); fig10's dufs-pvfs
@@ -24,9 +28,9 @@ from repro.bench.figures import (run_ablations, run_cmd_comparison,
 GOLDEN = {
     "ablations": "18dbab9f59b14fa6",
     "cmd": "c7b87a8c703ed78a",
-    "fig10": "1686052f3177d15c",
-    "fig9": "8c39bbe092060071",
-    "singledir": "d4548c0910f0858f",
+    "fig10": "9acefd855df67ec5",
+    "fig9": "bd07daa1317d9957",
+    "singledir": "0545a5ddf895d311",
 }
 
 RUNNERS = {"fig9": run_fig9, "fig10": run_fig10, "singledir": run_single_dir,

@@ -23,8 +23,11 @@ from .conftest import DUFSHarness
 #: changes; the write-behind path itself must never shift it. Re-recorded
 #: when each client began making its hash-directory chain at mount: the
 #: same 1,038 OpTraces with earlier file-create timings (14,945 -> 14,943
-#: simulator events).
-GOLDEN_DIGEST = "00277f95b377c89544d1a60de6c4e074c2fbdf10f0655a9033957b1e613754ed"
+#: simulator events). Re-recorded when a synchronous unlink began
+#: returning before its back-end unlink, which runs in a process of its
+#: own: the same OpTraces, earlier file-remove timings (14,943 -> 14,983
+#: simulator events, one per remove).
+GOLDEN_DIGEST = "17ab81b99a9a32a7f51d688c3be6dba36ae8f21fb649a6f5de872d50807a393f"
 
 
 @pytest.fixture

@@ -75,6 +75,11 @@ ARMS = {
 }
 
 ARM_GOLDENS = {
+    # All but "async+cache" re-recorded when a synchronous unlink began
+    # returning once its znode delete landed, its back-end unlink left to
+    # a process of its own: the same OpTraces per arm, one more simulator
+    # event per file remove (40), earlier file_remove timings. The
+    # write-behind arm unlinks inside the drained op, as before.
     # "async+cache" re-recorded when the write-behind drain began priming
     # the coherent cache with each create it lands: one watched get per
     # create (198 of them) and 80 fewer lookup misses in the stat and
@@ -96,18 +101,18 @@ ARM_GOLDENS = {
     # "async+cache" when the write-behind drain began issuing each op as
     # soon as no in-flight op conflicts with it (8,891 -> 8,496 simulator
     # events).
-    "2shards+cache": ("872ffb9c3ffc6bdd42f596821d500416"
-                      "f828278a776a00a50053c402da1ef688"),
+    "2shards+cache": ("079a3979374cf04aab7b915b3e94fdbf"
+                      "09ffd55372fba8b1b7e38cac123abbd3"),
     "async+cache": ("812aac16c870b3bb59d21bc578505df4"
                     "14acf8a01d381f8e05d2152b51029ec7"),
-    "cache": ("2a1271a2d35a5467607bcc4718cb431e"
-              "f048e7298e2004e156e210c029c5a8f2"),
-    "cache+thin": ("5ef2ae605db0b7c0581128f4e7db56aa"
-                   "8c2e79523d80df76f3f6927ca48febb8"),
-    "default": ("9bc124aca03847de80456b4af61cf7b9"
-                "23a45d91f53c24302a78bc2820c42535"),
-    "thin": ("10f6406df42ceb50fdd3de3ffc30ed2f"
-             "e1bc5f2e9ae5da9a706c688280ac2655"),
+    "cache": ("196dbde36c393189f42b39476943a630"
+              "6bcfca5def0a0f076b574426444558fd"),
+    "cache+thin": ("173b96cc4199c7d5fc49bae3f0348413"
+                   "d1f10afa553593570d955ef604f55558"),
+    "default": ("33c5a32547f5bfeec224747d43a12c32"
+                "f0b4ef9e36e09c5c1a6faad6f8eb8f8d"),
+    "thin": ("4aff40ffecc174fa089199ca6c76b175"
+             "76827585f83772ac38eb7beecf11977a"),
 }
 
 

@@ -18,8 +18,11 @@ from repro.workloads.mdtest import MdtestConfig, run_mdtest
 #: simulation changes; the elastic plane itself must never shift it.
 #: Re-recorded when each client began making its hash-directory chain at
 #: mount: the same 1,525 OpTraces with earlier file-create timings
-#: (12,956 -> 12,951 simulator events).
-GOLDEN_DIGEST = "f2aeea4a827ed93daa49b53b1e7e3afccd565d9ac13508fae4e7204f8a163e78"
+#: (12,956 -> 12,951 simulator events). Re-recorded when a synchronous
+#: unlink began returning before its back-end unlink, which runs in a
+#: process of its own: the same OpTraces, earlier file-remove timings
+#: (12,951 -> 12,991 simulator events, one per remove).
+GOLDEN_DIGEST = "fcc87d4300f80a0868bbed45e4421b85720b0c1de5137430b8e4fe12879aa3aa"
 
 
 @pytest.fixture(autouse=True)
