@@ -73,8 +73,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("spans", help="gzip JSONL from perfbench --spans-out")
     ap.add_argument("--phase", required=True,
-                    help="dir_create, dir_stat, dir_remove, file_create, "
-                         "file_stat or file_remove")
+                    choices=("dir_create", "dir_stat", "dir_remove",
+                             "file_create", "file_stat", "file_remove"))
     args = ap.parse_args(argv)
     ops, per_op, mean_root = phase_layers(args.spans, args.phase)
     if not ops:
