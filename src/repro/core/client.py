@@ -415,7 +415,8 @@ class DUFSClient:
         return landed
 
     def _drain_sync(self, *paths) -> Generator:
-        """Nothing is acked before it committed: no wait, no errors."""
+        """Nothing is ever acked before it committed: no wait, no
+        deferred errors."""
         return []
         yield  # pragma: no cover - makes this a generator
 
@@ -646,13 +647,15 @@ class DUFSClient:
     def pread(self, fh: int, offset: int, size: int) -> Generator:
         """Read through an open handle — back-end only, no ZooKeeper."""
         backend, ppath = self._handle(fh)
-        return (yield from self._backend_call(backend, "read", ppath,
-                                              offset, size))
+        result = yield from self._backend_call(backend, "read", ppath,
+                                               offset, size)
+        return result
 
     def pwrite(self, fh: int, offset: int, data: bytes) -> Generator:
         backend, ppath = self._handle(fh)
-        return (yield from self._backend_call(backend, "write", ppath,
-                                              offset, data))
+        result = yield from self._backend_call(backend, "write", ppath,
+                                               offset, data)
+        return result
 
     def _path_io(self, method: str, path: str, *args) -> Generator:
         """Path-addressed I/O: Fig. 3 steps A-D, then the back-end call."""

@@ -45,7 +45,8 @@ class SingleEnsembleMDS(MetadataService):
     # -- writes ------------------------------------------------------------
     def create(self, path: str, data: bytes = b"",
                ephemeral: bool = False) -> Generator:
-        return (yield from self.zk.create(path, data, ephemeral=ephemeral))
+        result = yield from self.zk.create(path, data, ephemeral=ephemeral)
+        return result
 
     def set_data(self, path: str, data: bytes, version: int = -1) -> Generator:
         return (yield from self.zk.set_data(path, data, version=version))

@@ -259,27 +259,30 @@ class ZKClient:
         """Create a znode; returns its path. ``zoo_create``."""
         req = WriteRequest(op="create", path=path, data=data,
                            ephemeral=ephemeral, session=self.session or 0)
-        return (yield from self._request("write", req,
-                                         size=140 + len(path) + len(data)))
+        result = yield from self._request("write", req,
+                                          size=140 + len(path) + len(data))
+        return result
 
     def set_data(self, path: str, data: bytes, version: int = -1) -> Generator:
         """``zoo_set``."""
         req = WriteRequest(op="set", path=path, data=data, version=version)
-        return (yield from self._request("write", req,
-                                         size=140 + len(path) + len(data)))
+        result = yield from self._request("write", req,
+                                          size=140 + len(path) + len(data))
+        return result
 
     def delete(self, path: str, version: int = -1) -> Generator:
         """``zoo_delete``."""
         req = WriteRequest(op="delete", path=path, version=version)
-        return (yield from self._request("write", req,
-                                         size=140 + len(path)))
+        result = yield from self._request("write", req, size=140 + len(path))
+        return result
 
     def multi(self, ops: Sequence[WriteRequest]) -> Generator:
         """Atomic multi-op; ``ops`` built with the ``op_*`` helpers below."""
         req = WriteRequest(op="multi", ops=tuple(ops),
                            session=self.session or 0)
         size = 140 + sum(len(o.path) + len(o.data) + 16 for o in ops)
-        return (yield from self._request("write", req, size=size))
+        result = yield from self._request("write", req, size=size)
+        return result
 
     # -- multi builders ---------------------------------------------------------
     @staticmethod
