@@ -158,6 +158,8 @@ class DUFSClient:
         # node's crash, and an async-off deployment must run no code the
         # paper's client would not.
         self.wblog: Optional[WriteBehindLog] = None
+        self._reclaims: dict = {}   # caller -> its reclaim in flight
+        node.on_crash(self._reclaims.clear)
         self._commit, self._drain, self._reclaim = (
             self._commit_sync, self._drain_sync, self._reclaim_sync)
         if params.awrite.enabled:
@@ -421,10 +423,19 @@ class DUFSClient:
         yield  # pragma: no cover - makes this a generator
 
     def _reclaim_sync(self, fid: int) -> Generator:
-        """Unlink the nameless back-end file in its own process."""
-        self.node.shielded(self._unlink_physical(fid), "dufs-reclaim")
-        return
-        yield  # pragma: no cover - makes this a generator
+        """Unlink the nameless back-end file in its own process, after the
+        caller's previous one: a caller overlaps one reclaim with its next
+        op, so a back-end slower than the namespace still sets its pace."""
+        caller = self.sim.active
+        pending = self._reclaims.get(caller)
+        if pending is not None:
+            yield pending
+        self._reclaims[caller] = self.node.shielded(
+            self._reclaim_for(caller, fid), "dufs-reclaim")
+
+    def _reclaim_for(self, caller, fid: int) -> Generator:
+        yield from self._unlink_physical(fid)
+        self._reclaims.pop(caller, None)
 
     def _drain_async(self, *paths) -> Generator:
         """Ordering barrier: wait until every acked mutation committed,

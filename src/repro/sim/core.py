@@ -425,6 +425,11 @@ class Simulator:
                 heappush(heap, item)
         staged.clear()
 
+    @property
+    def active(self) -> Optional[Process]:
+        """The process whose generator is running now."""
+        return self._active
+
     # -- factory helpers -------------------------------------------------
     def event(self) -> Event:
         return Event(self)

@@ -14,6 +14,7 @@ from repro.chaos.audit import audit_dufs, freshest_store, physical_files
 from repro.core import build_dufs_deployment
 from repro.core.mapping import physical_path
 from repro.core.metadata import FilePayload, decode_payload
+from repro.sim.core import AllOf
 
 
 def _deployment(**kwargs):
@@ -91,3 +92,35 @@ def test_a_crash_after_unlink_returned_leaks_only_that_file():
     assert [(v.kind, v.path) for v in report.violations] == \
         [("orphan-fid", physical_path(fid, client.layout))]
     assert report.lost_unacked == 0
+
+
+def test_a_callers_next_unlink_waits_for_its_own_previous_reclaim(monkeypatch):
+    """A back-end slower than the namespace still paces each caller: its
+    next unlink waits for its previous reclaim, never for another
+    caller's, so when the callers finish one file each is still being
+    reclaimed."""
+    dep = _deployment(n_client_nodes=1, co_locate_zk=False)
+    sim, node, client = dep.cluster.sim, dep.client_nodes[0], dep.clients[0]
+    paths = [[f"/c{c}.{i}" for i in range(3)] for c in range(2)]
+    for path in sum(paths, []):
+        sim.run(until=node.spawn(client.create(path)))
+    sim.run()
+    slow = 0.5
+    for backend in client.backends:
+        def unlink(ppath, fast=backend.unlink):
+            yield sim.timeout(slow)
+            return (yield from fast(ppath))
+        monkeypatch.setattr(backend, "unlink", unlink)
+
+    def caller(mine):
+        for path in mine:
+            yield from client.unlink(path)
+
+    start = sim.now
+    callers = [node.spawn(caller(mine)) for mine in paths]
+    sim.run(until=AllOf(sim, callers))
+    assert 2 * slow <= sim.now - start < 3 * slow
+    assert len(_files(dep)) == 2
+    sim.run()
+    assert _files(dep) == []
+    assert audit_dufs(dep).ok
