@@ -10,7 +10,7 @@ deterministic discrete-event simulated cluster:
 - :mod:`repro.sim` -- the discrete-event kernel (events, processes, CPU /
   disk / network resources, RPC, failure injection).
 - :mod:`repro.zk` -- a from-scratch ZooKeeper: znode tree, ZAB atomic
-  broadcast, leader election, sessions, watches, multi-op transactions.
+  broadcast, leader election, watches, multi-op transactions.
 - :mod:`repro.pfs` -- Lustre-like (single MDS + DLM + OSS) and PVFS2-like
   (handle-partitioned servers) parallel filesystems, plus a local FS.
 - :mod:`repro.fuse` -- the userspace-filesystem dispatch layer.

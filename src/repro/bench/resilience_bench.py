@@ -83,13 +83,8 @@ def _run_arm(load: float, resilient: bool, duration: float,
                         name=f"load{i}")
                for i, node in enumerate(client_nodes)]
 
-    def setup():
-        yield from clients[0].connect()
-        yield from clients[0].create("/f", b"x")
-        for zkc in clients[1:]:
-            yield from zkc.connect()
-
-    cluster.sim.run(until=client_nodes[0].spawn(setup()))
+    setup = client_nodes[0].spawn(clients[0].create("/f", b"x"))
+    cluster.sim.run(until=setup)
     capacity = 1.0 / READ_CPU                       # one core of reads
     rate = capacity * load
     interval = n_clients / rate                     # per-client spacing

@@ -119,8 +119,8 @@ def _build_dufs(seed: int, shards: int, params: SimParams):
     # caller's: short pings and elections, 0.4 s requests, 10 retries.
     params = replace(
         params,
-        zk=ZKParams(failure_detection=True, session_tracking=True,
-                    ping_interval=0.1, ping_timeout=0.3, election_tick=0.05),
+        zk=ZKParams(failure_detection=True, ping_interval=0.1,
+                    ping_timeout=0.3, election_tick=0.05),
         fault=replace(params.fault, request_timeout=0.4, max_retries=10))
     # shards == 1 keeps the historical 5-server build; sharded chaos runs
     # give each shard a 3-server quorum (crash one and its slice elects).

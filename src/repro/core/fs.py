@@ -131,8 +131,8 @@ def build_dufs_deployment(
     servers) or ``"local"`` (cheap in-memory, for tests/examples).
 
     Fault tolerance: each ZK client follows ``fault`` (default:
-    ``params.fault`` — finite timeouts, retries with backoff, session
-    re-establishment), so a lost message or crashed server can no longer
+    ``params.fault`` — finite timeouts, retries with backoff, fail-over
+    between servers), so a lost message or crashed server can no longer
     hang a deployment. ``zk_request_timeout`` / ``zk_max_retries``
     override those two fields of that policy for the whole deployment.
     The same policy carries the request-lifecycle layer, all off by

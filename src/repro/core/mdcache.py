@@ -23,9 +23,9 @@ FID) and runs the same three stages in the same order:
    ``ls -l`` is served from cache) and *read coalescing* (concurrent
    same-path lookups share one in-flight RPC). Every fetch passes the
    same callback, and the ZooKeeper client is the only record of which
-   watch is armed: a fail-over or session re-establishment hands each
-   held watch a ``lost`` event, which drops the path like a delete —
-   behind a sharded service only the failed shard client's paths. A miss
+   watch is armed: a fail-over hands each held watch a ``lost`` event,
+   which drops the path like a delete — behind a sharded service only
+   the failed shard client's paths. A miss
    is not remembered: it registers no watch. Besides a lookup's miss, the
    write-behind drain fills an entry: it primes each create it lands.
 3. **source** — one RPC: the paper's znode ``get``, or the thin client's
@@ -466,7 +466,7 @@ class CoherentMDCache(MDCache):
 
     # -- coherence events ----------------------------------------------------
     def _on_watch(self, event: WatchEvent) -> None:
-        """One-shot ZooKeeper watch fired, or lost with its session: the
+        """One-shot ZooKeeper watch fired, or lost on a fail-over: the
         znode (or its child list) may have changed behind our back — drop
         everything cached for the path."""
         if event.kind in ("deleted", "lost"):

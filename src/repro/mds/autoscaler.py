@@ -7,7 +7,7 @@ observation). Every ``interval`` simulated seconds it:
 
 1. samples the **per-shard write rates** — how far each shard's replica
    log grew since the previous tick (a read is served by the member
-   holding the session and never reaches the leader a split relieves;
+   its client talks to and never reaches the leader a split relieves;
    only a sequenced write enters the log, once) — and the per-directory
    op rates,
 2. classifies a shard *hot* when its rate exceeds ``HOT_FACTOR ×`` the

@@ -36,9 +36,9 @@ class MetadataService:
     """Abstract namespace service (see module docstring).
 
     A ``watch`` callback is handed to the shard client that serves the
-    read, which alone keeps it: that client's fail-over or session
-    re-establishment delivers the ``lost`` events for exactly the
-    watches it held, so the service relays nothing.
+    read, which alone keeps it: that client's fail-over delivers the
+    ``lost`` events for exactly the watches it held, so the service
+    relays nothing.
     """
 
     #: Number of independent ensembles behind this service.
@@ -67,8 +67,7 @@ class MetadataService:
         raise NotImplementedError
 
     # -- writes ------------------------------------------------------------
-    def create(self, path: str, data: bytes = b"",
-               ephemeral: bool = False) -> Generator:
+    def create(self, path: str, data: bytes = b"") -> Generator:
         raise NotImplementedError
 
     def set_data(self, path: str, data: bytes, version: int = -1) -> Generator:

@@ -165,8 +165,8 @@ class Migrator:
         # guard re-checks at zxid assignment, so no write under the root
         # sequences after the freeze, and every surviving pre-freeze
         # write carries a smaller zxid than the marker. Replicas apply in
-        # zxid order and a session's ack implies local apply, so once the
-        # create below returns, the first walk (same session) reads a
+        # zxid order and a client's ack implies local apply, so once the
+        # create below returns, the first walk (same client) reads a
         # settled subtree. ``drain`` is belt-and-braces on top.
         marker = yield from self._journal(mig)
         if self.drain > 0:

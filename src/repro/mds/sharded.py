@@ -376,12 +376,11 @@ class ShardedMDS(MetadataService):
                              ancestor_data=pres.ancestor_data)
 
     # -- writes ------------------------------------------------------------
-    def create(self, path: str, data: bytes = b"",
-               ephemeral: bool = False) -> Generator:
+    def create(self, path: str, data: bytes = b"") -> Generator:
         self._last_retries = 0
         self._note_op(path)
         return (yield from self._with_anchor(path, data, self._create_entry(
-            path, data, ephemeral=ephemeral)))
+            path, data)))
 
     def _with_anchor(self, path: str, data: bytes,
                      home_copy: Generator) -> Generator:
@@ -416,7 +415,7 @@ class ShardedMDS(MetadataService):
             done = Outcome(error=exc)
         return (yield proc), done
 
-    def _create_entry(self, path: str, data: bytes, **flags) -> Generator:
+    def _create_entry(self, path: str, data: bytes) -> Generator:
         """The home-shard create of ``path``. That shard holds the
         parent's *child-host* copy, which a mkdir or rmdir in flight
         writes at another instant than the home copy, so (C3) a NoNode
@@ -426,7 +425,7 @@ class ShardedMDS(MetadataService):
         re-created anchor landing between a racing rmdir's two deletes
         would orphan the entry under a removed directory."""
         try:
-            return (yield from self._at_home("create", path, data, **flags))
+            return (yield from self._at_home("create", path, data))
         except NoNodeError:
             parent = parent_dir(path)
             if self.map.home_shard(parent) == self.map.child_shard(parent):
@@ -435,7 +434,7 @@ class ShardedMDS(MetadataService):
         def attempt(_):
             if (yield from self._at_home("exists", parent)) is None:
                 return None
-            return (yield from self._at_home("create", path, data, **flags))
+            return (yield from self._at_home("create", path, data))
         zkc = self.clients[self.map.home_shard(path)]
         created = yield from retry_call(
             zkc.sim, zkc.retry, BreakerBoard(zkc.sim, enabled=False),

@@ -43,9 +43,8 @@ class SingleEnsembleMDS(MetadataService):
         return (yield from self.zk.resolve(path, watch=watch))
 
     # -- writes ------------------------------------------------------------
-    def create(self, path: str, data: bytes = b"",
-               ephemeral: bool = False) -> Generator:
-        result = yield from self.zk.create(path, data, ephemeral=ephemeral)
+    def create(self, path: str, data: bytes = b"") -> Generator:
+        result = yield from self.zk.create(path, data)
         return result
 
     def set_data(self, path: str, data: bytes, version: int = -1) -> Generator:

@@ -21,7 +21,7 @@ and a ratchet row holds that list empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import ClassVar, Optional
 
 
@@ -36,9 +36,8 @@ class FaultToleranceParams:
     3 * prev))``; ``backoff_base`` 0 = retry at once, no RNG draw) and
     gives up early once ``op_budget`` seconds (0 = unbounded) have elapsed
     for the whole operation. The ZooKeeper client additionally fails over
-    between servers and transparently re-establishes its session after a
-    :class:`~repro.zk.errors.SessionExpiredError`. The class defaults are
-    the ZooKeeper client's; :meth:`backend` is the Lustre/PVFS default.
+    between servers. The class defaults are the ZooKeeper client's;
+    :meth:`backend` is the Lustre/PVFS default.
 
     The request-lifecycle mechanisms below all default **off**: a
     deployment built with them off schedules exactly the same simulator
@@ -118,16 +117,17 @@ class ZKParams:
     log_delay: ClassVar[float] = 350e-6  # group-committed fsync (pipelined)
     log_batch_max: ClassVar[int] = 64  # max txns covered by one fsync
     forward_cpu: ClassVar[float] = 40e-6  # follower forwards a write
-    session_cpu: ClassVar[float] = 100e-6
+    sync_cpu: ClassVar[float] = 100e-6  # leader answers a follower's sync
 
     # message sizes (bytes)
     req_base_size: ClassVar[int] = 120
     resp_base_size: ClassVar[int] = 112
     proposal_base_size: ClassVar[int] = 160
 
-    # session liveness (enabled only in reliability experiments)
-    session_tracking: bool = False
-    session_timeout: ClassVar[float] = 1.2
+    # Accepted and discarded: no session layer exists. perfbench's
+    # ``_failover_params`` still passes it; the first ``src`` change after
+    # ROADMAP item 8(i) drops that argument deletes this line.
+    session_tracking: InitVar[bool] = False
 
     # failure detection / election (enabled only in reliability experiments)
     failure_detection: bool = False
@@ -270,9 +270,8 @@ class CacheParams:
     coherent with one-shot ZooKeeper watches registered at read time, and
     coalesces concurrent same-path lookups into one in-flight RPC. An
     entry has no time bound: staleness is bounded by watch delivery (one
-    cast after the write commits); a session re-establishment or server
-    fail-over drops every path watched through that client. A miss is not
-    remembered.
+    cast after the write commits); a server fail-over drops every path
+    watched through that client. A miss is not remembered.
     """
 
     enabled: bool = False

@@ -3,13 +3,13 @@
 Components (mirroring the real system's architecture):
 
 - :mod:`repro.zk.data` — the znode tree (hierarchical namespace, per-znode
-  stat/versions, ephemeral nodes) and the deterministic transaction
+  stat/versions) and the deterministic transaction
   application that makes every replica converge.
 - :mod:`repro.zk.protocol` — wire records (requests, proposals, acks,
   commits, votes).
 - :mod:`repro.zk.server` — one ZooKeeper server: leader write pipeline
-  (propose → quorum ack → commit), follower forwarding, local reads,
-  sessions and watches.
+  (propose → quorum ack → commit), follower forwarding, local reads and
+  watches.
 - :mod:`repro.zk.election` — every role transition of a server: static
   boot, fast-leader-election, the epoch/sync phase, failure detection,
   crash recovery.
@@ -25,11 +25,9 @@ from .ensemble import ZKEnsemble, build_ensemble
 from .errors import (
     BadVersionError,
     ConnectionLossError,
-    NoChildrenForEphemeralsError,
     NoNodeError,
     NodeExistsError,
     NotEmptyError,
-    SessionExpiredError,
     ZKError,
 )
 from .server import ZKServer
@@ -37,7 +35,6 @@ from .server import ZKServer
 __all__ = [
     "ZKClient", "ZKEnsemble", "ZKServer", "ZnodeStat", "ZnodeStore",
     "build_ensemble",
-    "BadVersionError", "ConnectionLossError", "NoChildrenForEphemeralsError",
-    "NoNodeError", "NodeExistsError", "NotEmptyError", "SessionExpiredError",
-    "ZKError",
+    "BadVersionError", "ConnectionLossError", "NoNodeError",
+    "NodeExistsError", "NotEmptyError", "ZKError",
 ]

@@ -6,17 +6,17 @@ The method set mirrors the C client the authors call out —
 by DUFS rename) and watches. Every method is a generator to be driven with
 ``yield from`` inside a simulation process. The client is the only watch
 registry: a data and a child table, path -> ordered set of callbacks; a
-fail-over or session re-establishment hands each a ``lost`` event.
+fail-over hands each a ``lost`` event.
 
-A client holds a session on one server of the ensemble (like a real ZK
-connection). On connection loss it fails over to the next server and
-retries with decorrelated-jitter backoff under a per-operation wall-clock
-budget (:class:`~repro.models.params.FaultToleranceParams`); an expired
-session is transparently re-established. Non-idempotent retries follow the
-real client's semantics (the caller may observe ``NodeExistsError`` after
-a retried create whose first attempt actually landed) — ``last_retries``
-tells callers whether the preceding operation was retried so they can
-disambiguate.
+A client talks to one server of the ensemble. It opens no session: DUFS
+keeps every name in a persistent znode, so nothing needs one. On
+connection loss it fails over to the next server and retries with
+decorrelated-jitter backoff under a per-operation wall-clock budget
+(:class:`~repro.models.params.FaultToleranceParams`). Non-idempotent
+retries follow the real client's semantics (the caller may observe
+``NodeExistsError`` after a retried create whose first attempt actually
+landed) — ``last_retries`` tells callers whether the preceding operation
+was retried so they can disambiguate.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from ..resilience import build_retry, retry_call
 from ..sim.node import Node
 from ..sim.rpc import RpcAgent, RpcTimeout
 from ..svc import NULL_BUS, OpTrace, TraceBus
-from .errors import ConnectionLossError, NotLeaderError, SessionExpiredError
+from .errors import ConnectionLossError, NotLeaderError
 from .protocol import ReadRequest, WatchEvent, WriteRequest
 
 _client_seq = itertools.count()
@@ -41,7 +41,7 @@ _RETRYABLE = (RpcTimeout, ConnectionLossError, NotLeaderError)
 
 
 class ZKClient:
-    """A session-holding client bound to one node of the cluster."""
+    """A client bound to one node of the cluster."""
 
     def __init__(
         self,
@@ -66,7 +66,6 @@ class ZKClient:
         # retry budget and breakers are inert at the defaults (no events,
         # no RNG draws, no fast-fails).
         self.fault = fault or FaultToleranceParams()
-        self.session: Optional[int] = None
         self.last_retries = 0       # retries performed by the last request
         self.shard = 0              # metadata shard this client talks to
         # Elastic plane: when set (by ShardedMDS under a live registry),
@@ -83,35 +82,8 @@ class ZKClient:
         self._data_watches: Dict[str, dict] = {}
         self._child_watches: Dict[str, dict] = {}
         self.default_watcher: Optional[Callable[[WatchEvent], None]] = None
-        # Called with "session" or "failover" after the watches were lost.
+        # Called with "failover" after the watches were lost.
         self.watch_loss_listeners: List[Callable[[str], None]] = []
-
-    # -- session -----------------------------------------------------------
-    def connect(self) -> Generator:
-        self.session = yield from self._request("connect", None)
-        return self.session
-
-    def keepalive(self, interval: float = 0.3) -> Generator:
-        """Session heartbeat loop; run it as a process on the client's
-        node (``node.spawn(client.keepalive())``). Stops when the node
-        crashes (taking the session's ephemerals with it, after the
-        server-side timeout) or when ``close()`` clears the session."""
-        from ..sim.core import Interrupt
-
-        while self.session is not None:
-            try:
-                yield self.sim.timeout(interval)
-            except Interrupt:
-                return
-            if self.session is not None:
-                self.agent.cast(self.server, "session_ping", self.session,
-                                size=48)
-
-    def close(self) -> Generator:
-        if self.session is not None:
-            yield from self._request("close_session", self.session)
-            self.session = None
-        return None
 
     # -- plumbing ------------------------------------------------------------
     def _request(self, method: str, args: Any, size: int = 160,
@@ -122,39 +94,20 @@ class ZKClient:
                 and args.map_epoch < 0):
             args = dataclasses.replace(args, map_epoch=self.map_epoch)
         state = self.retry.begin(t0)
-        reconnects = 0
         ok = False
         try:
-            while True:
-                try:
-                    result = yield from retry_call(
-                        self.sim, self.retry, self.breakers, state,
-                        pick=lambda: self.server,
-                        attempt=lambda server: self.agent.call(
-                            server, method, args, size=size, **state.bounds),
-                        retry_on=_RETRYABLE, gave_up=self._gave_up,
-                        between=self._fail_over)
-                    ok = True
-                    return result
-                except SessionExpiredError:
-                    # The server no longer knows our session: re-establish
-                    # it, rebind the request and re-enter the retry loop
-                    # with the same attempt state, unless this *is* session
-                    # management.
-                    self.breakers.on_success(state.endpoint)  # it is alive
-                    reconnects += 1
-                    if reconnects > 2 or method in ("connect",
-                                                    "close_session"):
-                        raise
-                    self.session = None
-                    yield from self.connect()
-                    self._notify_watch_loss("session")
-                    if isinstance(args, WriteRequest):
-                        args = self._rebind_session(args)
+            result = yield from retry_call(
+                self.sim, self.retry, self.breakers, state,
+                pick=lambda: self.server,
+                attempt=lambda server: self.agent.call(
+                    server, method, args, size=size, **state.bounds),
+                retry_on=_RETRYABLE, gave_up=self._gave_up,
+                between=self._fail_over)
+            ok = True
+            return result
         finally:
-            # Published last so nested connect() calls cannot clobber it;
-            # callers use it to disambiguate retried non-idempotent writes.
-            self.last_retries = state.attempt + reconnects
+            # Callers use it to disambiguate retried non-idempotent writes.
+            self.last_retries = state.attempt
             self.bus.record(OpTrace("zk", self.agent.endpoint,
                                     trace_as or method, t0, self.sim.now, ok,
                                     retries=self.last_retries,
@@ -169,14 +122,6 @@ class ZKClient:
         if isinstance(exc, RpcTimeout):
             return ConnectionLossError(msg=str(exc))
         return exc
-
-    def _rebind_session(self, req: WriteRequest) -> WriteRequest:
-        session = self.session or 0
-        if req.op == "multi":
-            ops = tuple(dataclasses.replace(o, session=session)
-                        if o.ephemeral else o for o in req.ops)
-            return dataclasses.replace(req, ops=ops, session=session)
-        return dataclasses.replace(req, session=session)
 
     def _fail_over(self) -> None:
         idx = self.servers.index(self.server)
@@ -254,11 +199,9 @@ class ZKClient:
         return names
 
     # -- writes ----------------------------------------------------------------
-    def create(self, path: str, data: bytes = b"",
-               ephemeral: bool = False) -> Generator:
+    def create(self, path: str, data: bytes = b"") -> Generator:
         """Create a znode; returns its path. ``zoo_create``."""
-        req = WriteRequest(op="create", path=path, data=data,
-                           ephemeral=ephemeral, session=self.session or 0)
+        req = WriteRequest(op="create", path=path, data=data)
         result = yield from self._request("write", req,
                                           size=140 + len(path) + len(data))
         return result
@@ -278,18 +221,15 @@ class ZKClient:
 
     def multi(self, ops: Sequence[WriteRequest]) -> Generator:
         """Atomic multi-op; ``ops`` built with the ``op_*`` helpers below."""
-        req = WriteRequest(op="multi", ops=tuple(ops),
-                           session=self.session or 0)
+        req = WriteRequest(op="multi", ops=tuple(ops))
         size = 140 + sum(len(o.path) + len(o.data) + 16 for o in ops)
         result = yield from self._request("write", req, size=size)
         return result
 
     # -- multi builders ---------------------------------------------------------
     @staticmethod
-    def op_create(path: str, data: bytes = b"", ephemeral: bool = False,
-                  session: int = 0) -> WriteRequest:
-        return WriteRequest(op="create", path=path, data=data,
-                            ephemeral=ephemeral, session=session)
+    def op_create(path: str, data: bytes = b"") -> WriteRequest:
+        return WriteRequest(op="create", path=path, data=data)
 
     @staticmethod
     def op_delete(path: str, version: int = -1) -> WriteRequest:

@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Iterator, List, Mapping, Optional, Tuple
 
 from .errors import (
     BadArgumentsError,
     BadVersionError,
-    NoChildrenForEphemeralsError,
     NoNodeError,
     NodeExistsError,
     NotEmptyError,
@@ -47,7 +46,6 @@ class ZnodeStat:
     mtime: float = 0.0      # last-modification time
     version: int = 0        # data version
     cversion: int = 0       # child-list version
-    ephemeral_owner: int = 0  # session id, 0 for persistent
     data_length: int = 0
     num_children: int = 0
 
@@ -60,26 +58,25 @@ _LEAF: Mapping[str, "_Znode"] = MappingProxyType({})
 
 class _Znode:
     """One znode of one replica. Its ``state`` is ``ZnodeStat``'s first
-    eight fields, in slot order (a snapshot row's); ``data_length`` and
+    seven fields, in slot order (a snapshot row's); ``data_length`` and
     ``num_children`` are ``len()`` of ``data`` and ``children``, so
     nothing keeps them up to date by hand."""
 
     __slots__ = ("data", "children", "czxid", "mzxid", "pzxid", "ctime",
-                 "mtime", "version", "cversion", "ephemeral_owner")
+                 "mtime", "version", "cversion")
 
     def __init__(self, data: bytes, *state):
         self.data = data
         self.children = _LEAF
         (self.czxid, self.mzxid, self.pzxid, self.ctime, self.mtime,
-         self.version, self.cversion, self.ephemeral_owner) = state
+         self.version, self.cversion) = state
 
     @property
     def stat(self) -> ZnodeStat:
         """A fresh copy of this znode's stat, built positionally."""
         return ZnodeStat(self.czxid, self.mzxid, self.pzxid, self.ctime,
                          self.mtime, self.version, self.cversion,
-                         self.ephemeral_owner, len(self.data),
-                         len(self.children))
+                         len(self.data), len(self.children))
 
     def link(self, name: str, child: "_Znode") -> None:
         if self.children is _LEAF:
@@ -113,11 +110,9 @@ class ZnodeStore:
     """One replica's znode tree plus deterministic txn application."""
 
     def __init__(self):
-        self._root = _Znode(b"", 0, 0, 0, 0.0, 0.0, 0, 0, 0)
+        self._root = _Znode(b"", 0, 0, 0, 0.0, 0.0, 0, 0)
         self._count = 1
         self._bytes = ZNODE_BASE_OVERHEAD
-        # session id -> set of ephemeral paths (for session-expiry cleanup)
-        self.ephemerals: Dict[int, set] = {}
 
     # -- lookup ------------------------------------------------------------
     def _walk(self, path: str) -> Optional[_Znode]:
@@ -180,8 +175,6 @@ class ZnodeStore:
         parent = self._walk(parent_path)
         if parent is None:
             raise NoNodeError(path)
-        if parent.ephemeral_owner:
-            raise NoChildrenForEphemeralsError(path)
         if name in parent.children:
             raise NodeExistsError(path)
 
@@ -206,20 +199,17 @@ class ZnodeStore:
             raise BadVersionError(path)
 
     # -- mutation (txn application; must never fail on a valid log) ---------
-    def apply_create(self, path: str, data: bytes, zxid: int, time: float,
-                     ephemeral_owner: int = 0) -> None:
+    def apply_create(self, path: str, data: bytes, zxid: int,
+                     time: float) -> None:
         parent_path, name = split_path(path)
         parent = self._walk(parent_path)
         if parent is None or name in parent.children:
             raise AssertionError(f"inconsistent replica: create {path}")
-        parent.link(name, _Znode(data, zxid, zxid, zxid, time, time, 0, 0,
-                                 ephemeral_owner))
+        parent.link(name, _Znode(data, zxid, zxid, zxid, time, time, 0, 0))
         parent.cversion += 1
         parent.pzxid = zxid
         self._count += 1
         self._bytes += ZNODE_BASE_OVERHEAD + len(path) + len(data) + ZNODE_PER_CHILD
-        if ephemeral_owner:
-            self.ephemerals.setdefault(ephemeral_owner, set()).add(path)
 
     def apply_delete(self, path: str, zxid: int) -> None:
         parent_path, name = split_path(path)
@@ -234,13 +224,6 @@ class ZnodeStore:
         parent.pzxid = zxid
         self._count -= 1
         self._bytes -= ZNODE_BASE_OVERHEAD + len(path) + len(node.data) + ZNODE_PER_CHILD
-        owner = node.ephemeral_owner
-        if owner:
-            owned = self.ephemerals.get(owner)
-            if owned is not None:
-                owned.discard(path)
-                if not owned:
-                    del self.ephemerals[owner]
 
     def apply_set_data(self, path: str, data: bytes, zxid: int, time: float) -> None:
         node = self._walk(path)
@@ -256,13 +239,13 @@ class ZnodeStore:
     def apply(self, txn: tuple, zxid: int, time: float) -> None:
         """Apply one validated txn record.
 
-        Records: ``('create', path, data, eph_owner)``,
+        Records: ``('create', path, data)``,
         ``('delete', path)``, ``('set', path, data)``,
         ``('multi', (record, ...))``.
         """
         kind = txn[0]
         if kind == "create":
-            self.apply_create(txn[1], txn[2], zxid, time, txn[3])
+            self.apply_create(txn[1], txn[2], zxid, time)
         elif kind == "delete":
             self.apply_delete(txn[1], zxid)
         elif kind == "set":
@@ -278,7 +261,7 @@ class ZnodeStore:
         """Serializable dump (the leader's speculative-tree rebuild and
         :meth:`fingerprint` use it):
         ``(path, data, czxid, mzxid, pzxid, ctime, mtime, version,
-        cversion, ephemeral_owner)`` per znode, parents first."""
+        cversion)`` per znode, parents first."""
         out = [("/", self._root.data, *_state(self._root))]
 
         def rec(prefix: str, node: _Znode) -> None:
@@ -305,13 +288,11 @@ class ZnodeStore:
             parent.link(name, node)
             store._count += 1
             store._bytes += ZNODE_BASE_OVERHEAD + len(p) + len(data) + ZNODE_PER_CHILD
-            if node.ephemeral_owner:
-                store.ephemerals.setdefault(node.ephemeral_owner, set()).add(p)
         return store
 
     def fingerprint(self) -> int:
         """Order-independent digest of the full tree (replica comparison)."""
         acc = 0
-        for p, data, _, _, _, _, _, version, cversion, eph in self.snapshot():
-            acc ^= hash((p, data, version, cversion, eph)) * 2654435761 % (1 << 61)
+        for p, data, _, _, _, _, _, version, cversion in self.snapshot():
+            acc ^= hash((p, data, version, cversion)) * 2654435761 % (1 << 61)
         return acc

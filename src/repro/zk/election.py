@@ -262,7 +262,7 @@ class Membership:
     def _h_follower_info(self, src: str, info: FollowerInfo) -> Generator:
         if self.role != LEADING:
             raise NotLeaderError(msg=f"zk{self.sid} is not leading")
-        yield from self.node.cpu_work(self.params.session_cpu)
+        yield from self.node.cpu_work(self.params.sync_cpu)
         if self.role != LEADING:
             raise NotLeaderError(msg=f"zk{self.sid} lost leadership")
         # ---- atomic: snapshot log tail + activate the follower ----------
@@ -351,7 +351,6 @@ class Membership:
         self.out_queue.clear()
         self.active_followers.clear()
         self.active_observers.clear()
-        self.sessions.clear()
         self._dentries.clear()
         self.data_watches.clear()
         self.child_watches.clear()

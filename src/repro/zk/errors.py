@@ -29,16 +29,8 @@ class BadVersionError(ZKError):
     code = -103
 
 
-class NoChildrenForEphemeralsError(ZKError):
-    code = -108
-
-
 class ConnectionLossError(ZKError):
     code = -4
-
-
-class SessionExpiredError(ZKError):
-    code = -112
 
 
 class NotLeaderError(ZKError):

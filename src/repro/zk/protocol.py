@@ -59,9 +59,7 @@ class WriteRequest:
     path: str = ""
     data: bytes = b""
     version: int = -1
-    ephemeral: bool = False
     ops: Tuple = ()            # for multi: tuple of WriteRequest
-    session: int = 0
     map_epoch: int = -1        # shard-map epoch the caller routed by
     #                            (-1: unstamped — not elastic-routed)
 

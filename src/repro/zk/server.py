@@ -1,4 +1,4 @@
-"""One ZooKeeper server: ZAB write pipeline, local reads, sessions, watches.
+"""One ZooKeeper server: ZAB write pipeline, local reads, watches.
 
 Roles follow the real system: a single **leader** sequences all writes
 (validate against a speculative tree → assign zxid → stream PROPOSE to
@@ -39,7 +39,6 @@ from .errors import (
     ConnectionLossError,
     NoNodeError,
     NotLeaderError,
-    SessionExpiredError,
     ZKError,
 )
 from .protocol import (Ack, Commit, Propose, ReadRequest,
@@ -133,10 +132,7 @@ class ZKServer(Membership):
         # invalidates txn-by-txn. LRU-bounded by ``DENTRY_CACHE_CAPACITY``.
         self._dentries: "OrderedDict[str, None]" = OrderedDict()
 
-        # sessions / watches
-        self._session_counter = 0
-        self.sessions: Dict[int, str] = {}        # session id -> client endpoint
-        self.session_last_contact: Dict[int, float] = {}
+        # watches
         self.data_watches: Dict[str, Set[str]] = {}
         self.child_watches: Dict[str, Set[str]] = {}
 
@@ -178,8 +174,6 @@ class ZKServer(Membership):
         s.expose("read", self._h_read)
         s.expose("write", self._h_write)
         s.expose("fwd_write", self._h_fwd_write)
-        s.expose("connect", self._h_connect)
-        s.expose("close_session", self._h_close_session)
         s.expose("follower_info", self._h_follower_info)
         s.expose_fast("propose", self._f_propose)
         s.expose_fast("ack", self._f_ack)
@@ -187,7 +181,6 @@ class ZKServer(Membership):
         s.expose_fast("ping", self._f_ping)
         s.expose_fast("pong", self._f_pong)
         s.expose_fast("vote", self._f_vote)
-        s.expose_fast("session_ping", self._f_session_ping)
 
     def _start_pipelines(self) -> None:
         if self._logger is None:
@@ -201,9 +194,6 @@ class ZKServer(Membership):
         if self.params.failure_detection:
             self.node.spawn(self._heartbeat_loop(), f"zk{self.sid}.heartbeat")
             self.node.spawn(self._watchdog_loop(), f"zk{self.sid}.watchdog")
-        if self.params.session_tracking:
-            self.node.spawn(self._session_watchdog_loop(),
-                            f"zk{self.sid}.sessions")
 
     @property
     def last_logged_zxid(self) -> int:
@@ -220,52 +210,6 @@ class ZKServer(Membership):
     # ------------------------------------------------------------------
     # client-facing handlers
     # ------------------------------------------------------------------
-    def _h_connect(self, src: str, args: Any) -> Generator:
-        yield from self.node.cpu_work(self.params.session_cpu)
-        if self.role == LOOKING:
-            raise ConnectionLossError(msg=f"zk{self.sid} has no leader")
-        self._session_counter += 1
-        session = (self.sid << 40) | self._session_counter
-        self.sessions[session] = src
-        self.session_last_contact[session] = self.sim.now
-        return session
-
-    def _h_close_session(self, src: str, session: int) -> Generator:
-        yield from self.node.cpu_work(self.params.session_cpu)
-        yield from self._expire_session(session)
-        return True
-
-    def _f_session_ping(self, src: str, session: int) -> None:
-        if session in self.sessions:
-            self.session_last_contact[session] = self.sim.now
-
-    def _session_watchdog_loop(self) -> Generator:
-        """Expire sessions whose client stopped heartbeating; their
-        ephemeral znodes are deleted through the normal write path —
-        exactly how the real server reclaims dead clients' state."""
-        timeout = self.params.session_timeout
-        while True:
-            try:
-                yield self.sim.timeout(timeout / 2)
-            except Interrupt:
-                return
-            now = self.sim.now
-            for session, last in list(self.session_last_contact.items()):
-                if now - last > timeout and session in self.sessions:
-                    yield from self._expire_session(session)
-
-    def _expire_session(self, session: int) -> Generator:
-        """Delete the session's ephemerals through the normal write path."""
-        self.sessions.pop(session, None)
-        self.session_last_contact.pop(session, None)
-        paths = sorted(self.store.ephemerals.get(session, ()), reverse=True)
-        for path in paths:
-            req = WriteRequest(op="delete", path=path, version=-1)
-            try:
-                yield from self._route_write(req)
-            except ZKError:
-                pass  # concurrent deletion is fine
-
     def _h_read(self, src: str, req: ReadRequest) -> Generator:
         yield from self.node.cpu_work(self.params.read_cpu)
         if self.role == LOOKING:
@@ -352,15 +296,6 @@ class ZKServer(Membership):
     def _h_write(self, src: str, req: WriteRequest) -> Generator:
         if self.route_guard is not None:
             self.route_guard(req)
-        if (self.params.session_tracking and req.op == "create"
-                and req.ephemeral and req.session
-                and req.session not in self.sessions):
-            # The owning session is gone (expired, or established on
-            # another server): the real server refuses rather than create
-            # an unreclaimable ephemeral. Clients reconnect and retry.
-            raise SessionExpiredError(
-                req.path, msg=f"session {req.session:#x} unknown at "
-                              f"zk{self.sid}")
         return (yield from self._route_write(req))
 
     def _route_write(self, req: WriteRequest) -> Generator:
@@ -380,8 +315,8 @@ class ZKServer(Membership):
             # acknowledge the write until it is applied here. The
             # leader's reply can beat the COMMIT broadcast when the
             # pipeline queues — answering early lets a create..stat pair
-            # on the same session miss its own file. A membership change
-            # voids the session binding, so stop holding the ack then.
+            # from the same client miss its own file. A membership change
+            # voids the client's binding, so stop holding the ack then.
             yield from self._hold(zxid)
             return result
         raise ConnectionLossError(msg=f"zk{self.sid} has no leader")
@@ -457,14 +392,8 @@ class ZKServer(Membership):
         return (txn, client result)."""
         spec = self.spec_store
         if req.op == "create":
-            if req.ephemeral and not req.session:
-                # An ephemeral needs an owner its expiry can reclaim: the
-                # client connects and retries (``ZKClient._request``).
-                raise SessionExpiredError(
-                    req.path, msg="ephemeral create without a session")
             spec.check_create(req.path)
-            eph = req.session if req.ephemeral else 0
-            return ("create", req.path, req.data, eph), req.path
+            return ("create", req.path, req.data), req.path
         if req.op == "delete":
             spec.check_delete(req.path, req.version)
             return ("delete", req.path), True

@@ -136,25 +136,3 @@ def test_zk_defaults_bound_lost_requests():
         dep.call(zkc.create, "/x", b"D:755:0:0")
     # Bounded: retries * timeout + backoff, not an infinite hang.
     assert dep.cluster.sim.now < FaultToleranceParams().op_budget + 10
-
-
-def test_session_reestablished_after_expiry(monkeypatch):
-    monkeypatch.setattr(ZKParams, "session_timeout", 30.0)
-    params = SimParams()
-    params.zk = ZKParams(session_tracking=True)
-    dep = build_dufs_deployment(n_zk=1, n_backends=1, n_client_nodes=1,
-                                backend="local", params=params, seed=4)
-    zkc = dep.zk_clients[0]
-    dep.call(zkc.connect)
-    old = zkc.session
-    assert old is not None
-
-    # Server forgets the session (as after an expiry sweep).
-    dep.ensemble.servers[0].sessions.pop(old)
-    # An ephemeral create trips SessionExpired server-side; the client
-    # transparently reconnects, rebinds the request, and succeeds.
-    dep.call(zkc.create, "/eph", b"D:755:0:0", True)
-    assert zkc.session is not None and zkc.session != old
-    assert zkc.last_retries >= 1
-    stat = dep.call(zkc.exists, "/eph")
-    assert stat is not None and stat.ephemeral_owner == zkc.session

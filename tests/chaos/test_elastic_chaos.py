@@ -19,9 +19,8 @@ def build_elastic_chaos(seed=0):
     detected in sim-milliseconds instead of stretching the test."""
     params = SimParams(
         elastic=ElasticParams.elastic_on(drain=0.02))
-    params.zk = ZKParams(failure_detection=True, session_tracking=True,
-                         ping_interval=0.1, ping_timeout=0.3,
-                         election_tick=0.05)
+    params.zk = ZKParams(failure_detection=True, ping_interval=0.1,
+                         ping_timeout=0.3, election_tick=0.05)
     return build_dufs_deployment(n_zk=6, n_backends=2, n_client_nodes=2,
                                  backend="local", n_shards=2, params=params,
                                  co_locate_zk=False, seed=seed,

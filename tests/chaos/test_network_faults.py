@@ -167,7 +167,6 @@ def test_lossy_zab_links_never_lose_acknowledged_writes():
     acked = []
 
     def workload():
-        yield from zkc.connect()
         for i in range(60):
             try:
                 yield from zkc.create(f"/k{i}", b"v")

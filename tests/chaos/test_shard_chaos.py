@@ -35,9 +35,8 @@ def test_shards_rejected_for_non_dufs():
 
 def test_dead_shard_degrades_only_its_slice():
     params = SimParams()
-    params.zk = ZKParams(failure_detection=True, session_tracking=True,
-                         ping_interval=0.1, ping_timeout=0.3,
-                         election_tick=0.05)
+    params.zk = ZKParams(failure_detection=True, ping_interval=0.1,
+                         ping_timeout=0.3, election_tick=0.05)
     dep = build_dufs_deployment(n_zk=4, n_backends=2, n_client_nodes=1,
                                 backend="local", n_shards=2, params=params,
                                 co_locate_zk=False,

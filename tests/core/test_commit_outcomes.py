@@ -73,7 +73,7 @@ class StubMDS(MetadataService):
         return [p[len(path) + 1:] for p in self.nodes
                 if p.startswith(path + "/") and "/" not in p[len(path) + 1:]]
 
-    def create(self, path, data=b"", ephemeral=False):
+    def create(self, path, data=b""):
         fault = yield from self._enter("create", path)
         if path in self.nodes:
             raise NodeExistsError(path)

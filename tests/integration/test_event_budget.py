@@ -48,7 +48,7 @@ def test_one_unloaded_create_costs_exactly_these_creation_ids():
         sim.run(until=dep.client_nodes[0].spawn(gen))
         sim.run()                      # the followers' COMMITs too
 
-    run(client.create("/warm"))        # physical directories, sessions
+    run(client.create("/warm"))        # physical directories
     before = sim._eid
     run(client.create("/f"))
     assert CREATE_IDS == 38

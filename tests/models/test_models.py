@@ -1,6 +1,6 @@
 """Parameter bundles and the memory model."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -41,6 +41,17 @@ def test_default_instances_are_independent():
     a, b = SimParams(), SimParams()
     a.lustre.failover_takeover_delay = 123.0
     assert b.lustre.failover_takeover_delay != 123.0
+
+
+def test_session_tracking_is_accepted_and_discarded():
+    """perfbench's fail-over spelling still constructs, and builds the
+    same params as the call without it: no session layer reads it."""
+    spelled = ZKParams(failure_detection=True, session_tracking=True,
+                       ping_interval=0.1, ping_timeout=0.3,
+                       election_tick=0.05)
+    assert spelled == ZKParams(failure_detection=True, ping_interval=0.1,
+                               ping_timeout=0.3, election_tick=0.05)
+    assert "session_tracking" not in {f.name for f in fields(ZKParams)}
 
 
 def test_all_service_times_positive():

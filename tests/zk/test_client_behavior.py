@@ -98,15 +98,3 @@ def test_watch_callback_and_default_watcher_both_fire(zk3):
     zk3.run(main())
     assert len(cb_events) == 1
     assert len(default_events) == 1
-
-
-def test_connect_close_lifecycle(zk3):
-    cli = zk3.client()
-
-    def main():
-        session = yield from cli.connect()
-        assert cli.session == session
-        yield from cli.close()
-        return cli.session
-
-    assert zk3.run(main()) is None

@@ -6,7 +6,6 @@ from repro.zk.data import ZnodeStore, split_path, validate_path
 from repro.zk.errors import (
     BadArgumentsError,
     BadVersionError,
-    NoChildrenForEphemeralsError,
     NoNodeError,
     NodeExistsError,
     NotEmptyError,
@@ -90,13 +89,6 @@ def test_check_create_validations():
     store.check_create("/a/b")  # ok
 
 
-def test_check_create_under_ephemeral_rejected():
-    store = ZnodeStore()
-    store.apply_create("/e", b"", 1, 1.0, ephemeral_owner=42)
-    with pytest.raises(NoChildrenForEphemeralsError):
-        store.check_create("/e/c")
-
-
 def test_delete_validations():
     store, _ = make_store_with("/a", "/a/b")
     with pytest.raises(NotEmptyError):
@@ -147,17 +139,6 @@ def test_delete_updates_parent():
     assert len(store) == 2
 
 
-def test_ephemeral_tracking():
-    store = ZnodeStore()
-    store.apply_create("/e1", b"", 1, 1.0, ephemeral_owner=7)
-    store.apply_create("/e2", b"", 2, 2.0, ephemeral_owner=7)
-    assert store.ephemerals[7] == {"/e1", "/e2"}
-    store.apply_delete("/e1", 3)
-    assert store.ephemerals[7] == {"/e2"}
-    store.apply_delete("/e2", 4)
-    assert 7 not in store.ephemerals
-
-
 def test_memory_accounting_grows_and_shrinks():
     store = ZnodeStore()
     base = store.approx_memory_bytes
@@ -177,10 +158,10 @@ def test_memory_accounting_tracks_set_data():
 
 def test_apply_txn_records():
     store = ZnodeStore()
-    store.apply(("create", "/t", b"d", 0, False), 1, 1.0)
+    store.apply(("create", "/t", b"d"), 1, 1.0)
     store.apply(("set", "/t", b"e"), 2, 2.0)
     assert store.get("/t")[0] == b"e"
-    store.apply(("multi", (("create", "/u", b"", 0, False),
+    store.apply(("multi", (("create", "/u", b""),
                            ("delete", "/t"))), 3, 3.0)
     assert store.exists("/t") is None
     assert store.exists("/u") is not None
@@ -199,11 +180,10 @@ def test_apply_inconsistency_is_assertion():
 def test_snapshot_roundtrip():
     store, _ = make_store_with("/a", "/a/b", "/c")
     store.apply_set_data("/a/b", b"payload", 10, 4.0)
-    store.apply_create("/e", b"", 11, 5.0, ephemeral_owner=3)
+    store.apply_create("/e", b"", 11, 5.0)
     clone = ZnodeStore.from_snapshot(store.snapshot())
     assert clone.fingerprint() == store.fingerprint()
     assert clone.get("/a/b")[0] == b"payload"
-    assert clone.ephemerals == store.ephemerals
     assert len(clone) == len(store)
     assert clone.approx_memory_bytes == store.approx_memory_bytes
 

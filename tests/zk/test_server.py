@@ -6,7 +6,6 @@ from repro.svc import TraceBus
 from repro.zk.errors import (
     BadArgumentsError,
     BadVersionError,
-    NoChildrenForEphemeralsError,
     NoNodeError,
     NodeExistsError,
     NotEmptyError,
@@ -226,21 +225,6 @@ def test_multi_delete_root_refused_and_replicas_healthy(zk3):
         assert server.store.get("/after")[0] == b"ok"
 
 
-def test_multi_create_under_ephemeral_refused(zk3):
-    cli = zk3.client()
-
-    def main():
-        yield from cli.connect()
-        yield from cli.create("/e", ephemeral=True)
-        try:
-            yield from cli.multi([cli.op_create("/e/child")])
-        except NoChildrenForEphemeralsError:
-            return (yield from cli.exists("/e/child"))
-        raise AssertionError("child of an ephemeral committed")
-
-    assert zk3.run(main()) is None
-
-
 def test_multi_relative_path_refused(zk3):
     cli = zk3.client()
 
@@ -272,60 +256,6 @@ def test_multi_sub_op_sees_earlier_sub_ops(zk3):
     assert a is not None and b is None
     leader = zk3.ensemble.servers[0]
     assert leader.spec_store.fingerprint() == leader.store.fingerprint()
-
-
-def test_ephemeral_cleanup_on_session_close(zk3):
-    cli = zk3.client()
-
-    def main():
-        yield from cli.connect()
-        yield from cli.create("/perm", b"")
-        yield from cli.create("/eph", b"", ephemeral=True)
-        yield from cli.close()
-        return (yield from cli.exists("/eph")), (yield from cli.exists("/perm"))
-
-    eph, perm = zk3.run(main())
-    assert eph is None
-    assert perm is not None
-
-
-def test_ephemeral_cannot_have_children(zk3):
-    from repro.zk.errors import NoChildrenForEphemeralsError
-    cli = zk3.client()
-
-    def main():
-        yield from cli.connect()
-        yield from cli.create("/e", ephemeral=True)
-        try:
-            yield from cli.create("/e/child")
-        except NoChildrenForEphemeralsError:
-            return "rejected"
-
-    assert zk3.run(main()) == "rejected"
-
-
-@pytest.mark.parametrize("via", ["create", "multi"])
-def test_ephemeral_create_without_a_session_gets_an_owner(zk3, via):
-    """A client that never connected asks for an ephemeral: the leader
-    refuses it with SessionExpired, so the client connects and retries,
-    and the znode commits owned by that session (not as a persistent
-    znode that takes children)."""
-    cli = zk3.client(prefer_index=1)
-
-    def main():
-        if via == "create":
-            yield from cli.create("/e", ephemeral=True)
-        else:
-            yield from cli.multi([cli.op_create("/e", ephemeral=True)])
-        stat = yield from cli.exists("/e")
-        try:
-            yield from cli.create("/e/child")
-        except NoChildrenForEphemeralsError:
-            return stat
-        raise AssertionError("child of an ephemeral committed")
-
-    stat = zk3.run(main())
-    assert cli.session and stat.ephemeral_owner == cli.session
 
 
 def test_stat_fields_flow_to_client(zk3):

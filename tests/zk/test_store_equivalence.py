@@ -7,8 +7,8 @@ out with ``dataclasses.replace``. A znode now keeps the stat fields in its
 own slots, derives the two counts with ``len()``, and every leaf shares one
 read-only empty mapping (docs/MODEL.md §12, cut 7). The old store is kept
 here as :class:`RefZnodeStore`, verbatim but for the sequential-znode
-counter both have since lost. Streams of ``create`` (plain and
-ephemeral), ``delete``, ``set`` and ``multi`` are applied to one store of
+counter and the ephemeral owner both have since lost. Streams of
+``create``, ``delete``, ``set`` and ``multi`` are applied to one store of
 each kind: after every step, and again after a
 ``from_snapshot(snapshot())`` round trip, every read must agree.
 
@@ -36,7 +36,6 @@ from repro.zk.data import (
 from repro.zk.errors import (
     BadArgumentsError,
     BadVersionError,
-    NoChildrenForEphemeralsError,
     NoNodeError,
     NodeExistsError,
     NotEmptyError,
@@ -44,11 +43,11 @@ from repro.zk.errors import (
 )
 
 STAT_FIELDS = ("czxid", "mzxid", "pzxid", "ctime", "mtime", "version",
-               "cversion", "ephemeral_owner", "data_length", "num_children")
+               "cversion", "data_length", "num_children")
 
 
-# -- the store this repo ran before cut 7, verbatim but for its names and --
-# -- the sequential-znode counter ---------------------------------------------
+# -- the store this repo ran before cut 7, verbatim but for its names, the --
+# -- sequential-znode counter and the ephemeral owner --------------------------
 @dataclass
 class RefZnodeStat:
     """Subset of the real ``Stat`` structure (org.apache.zookeeper.data)."""
@@ -60,7 +59,6 @@ class RefZnodeStat:
     mtime: float = 0.0      # last-modification time
     version: int = 0        # data version
     cversion: int = 0       # child-list version
-    ephemeral_owner: int = 0  # session id, 0 for persistent
     data_length: int = 0
     num_children: int = 0
 
@@ -85,8 +83,6 @@ class RefZnodeStore:
         self._root = _RefZnode("", b"", RefZnodeStat())
         self._count = 1
         self._bytes = ZNODE_BASE_OVERHEAD
-        # session id -> set of ephemeral paths (for session-expiry cleanup)
-        self.ephemerals: Dict[int, set] = {}
 
     # -- lookup ------------------------------------------------------------
     def _walk(self, path: str) -> Optional[_RefZnode]:
@@ -149,8 +145,6 @@ class RefZnodeStore:
         parent = self._walk(parent_path)
         if parent is None:
             raise NoNodeError(path)
-        if parent.stat.ephemeral_owner:
-            raise NoChildrenForEphemeralsError(path)
         if name in parent.children:
             raise NodeExistsError(path)
 
@@ -175,15 +169,14 @@ class RefZnodeStore:
             raise BadVersionError(path)
 
     # -- mutation (txn application; must never fail on a valid log) ---------
-    def apply_create(self, path: str, data: bytes, zxid: int, time: float,
-                     ephemeral_owner: int = 0) -> None:
+    def apply_create(self, path: str, data: bytes, zxid: int,
+                     time: float) -> None:
         parent_path, name = split_path(path)
         parent = self._walk(parent_path)
         if parent is None or name in parent.children:
             raise AssertionError(f"inconsistent replica: create {path}")
         stat = RefZnodeStat(czxid=zxid, mzxid=zxid, pzxid=zxid, ctime=time,
-                            mtime=time, ephemeral_owner=ephemeral_owner,
-                            data_length=len(data))
+                            mtime=time, data_length=len(data))
         node = _RefZnode(name, data, stat)
         parent.children[name] = node
         parent.stat.cversion += 1
@@ -191,8 +184,6 @@ class RefZnodeStore:
         parent.stat.num_children = len(parent.children)
         self._count += 1
         self._bytes += ZNODE_BASE_OVERHEAD + len(path) + len(data) + ZNODE_PER_CHILD
-        if ephemeral_owner:
-            self.ephemerals.setdefault(ephemeral_owner, set()).add(path)
 
     def apply_delete(self, path: str, zxid: int) -> None:
         parent_path, name = split_path(path)
@@ -205,12 +196,6 @@ class RefZnodeStore:
         parent.stat.num_children = len(parent.children)
         self._count -= 1
         self._bytes -= ZNODE_BASE_OVERHEAD + len(path) + len(node.data) + ZNODE_PER_CHILD
-        if node.stat.ephemeral_owner:
-            owned = self.ephemerals.get(node.stat.ephemeral_owner)
-            if owned is not None:
-                owned.discard(path)
-                if not owned:
-                    del self.ephemerals[node.stat.ephemeral_owner]
 
     def apply_set_data(self, path: str, data: bytes, zxid: int, time: float) -> None:
         node = self._walk(path)
@@ -227,13 +212,13 @@ class RefZnodeStore:
     def apply(self, txn: tuple, zxid: int, time: float) -> None:
         """Apply one validated txn record.
 
-        Records: ``('create', path, data, eph_owner)``,
+        Records: ``('create', path, data)``,
         ``('delete', path)``, ``('set', path, data)``,
         ``('multi', (record, ...))``.
         """
         kind = txn[0]
         if kind == "create":
-            self.apply_create(txn[1], txn[2], zxid, time, txn[3])
+            self.apply_create(txn[1], txn[2], zxid, time)
         elif kind == "delete":
             self.apply_delete(txn[1], zxid)
         elif kind == "set":
@@ -249,8 +234,7 @@ class RefZnodeStore:
         """Serializable dump (used for checkpoint/restore and leader sync)."""
         rs = self._root.stat
         out = [("/", self._root.data, rs.czxid, rs.mzxid, rs.pzxid,
-                rs.ctime, rs.mtime, rs.version, rs.cversion,
-                rs.ephemeral_owner)]
+                rs.ctime, rs.mtime, rs.version, rs.cversion)]
 
         def rec(prefix: str, node: _RefZnode) -> None:
             for name in sorted(node.children):
@@ -258,8 +242,7 @@ class RefZnodeStore:
                 p = f"{prefix}/{name}" if prefix != "/" else f"/{name}"
                 st = child.stat
                 out.append((p, child.data, st.czxid, st.mzxid, st.pzxid,
-                            st.ctime, st.mtime, st.version, st.cversion,
-                            st.ephemeral_owner))
+                            st.ctime, st.mtime, st.version, st.cversion))
                 rec(p, child)
 
         rec("/", self._root)
@@ -268,8 +251,8 @@ class RefZnodeStore:
     @classmethod
     def from_snapshot(cls, snap: list) -> "RefZnodeStore":
         store = cls()
-        for (p, data, czxid, mzxid, pzxid, ctime, mtime, version, cversion,
-             eph) in snap:
+        for (p, data, czxid, mzxid, pzxid, ctime, mtime, version,
+             cversion) in snap:
             if p == "/":
                 root = store._root
                 root.data = data
@@ -277,7 +260,6 @@ class RefZnodeStore:
                                          pzxid=pzxid, ctime=ctime,
                                          mtime=mtime, version=version,
                                          cversion=cversion,
-                                         ephemeral_owner=eph,
                                          data_length=len(data))
                 continue
             parent_path, name = split_path(p)
@@ -285,15 +267,12 @@ class RefZnodeStore:
             assert parent is not None, f"snapshot out of order at {p}"
             stat = RefZnodeStat(czxid=czxid, mzxid=mzxid, pzxid=pzxid,
                                 ctime=ctime, mtime=mtime, version=version,
-                                cversion=cversion, ephemeral_owner=eph,
-                                data_length=len(data))
+                                cversion=cversion, data_length=len(data))
             node = _RefZnode(name, data, stat)
             parent.children[name] = node
             parent.stat.num_children = len(parent.children)
             store._count += 1
             store._bytes += ZNODE_BASE_OVERHEAD + len(p) + len(data) + ZNODE_PER_CHILD
-            if eph:
-                store.ephemerals.setdefault(eph, set()).add(p)
         return store
 
     def fingerprint(self) -> int:
@@ -303,7 +282,7 @@ class RefZnodeStore:
             node = self._walk(path)
             assert node is not None
             item = hash((path, node.data, node.stat.version,
-                         node.stat.cversion, node.stat.ephemeral_owner))
+                         node.stat.cversion))
             acc ^= item * 2654435761 % (1 << 61)
         return acc
 
@@ -351,7 +330,6 @@ def _agree(new: ZnodeStore, ref: RefZnodeStore, known: List[str]) -> None:
     assert isinstance(new.exists("/"), ZnodeStat)
     assert len(new) == len(ref)
     assert new.approx_memory_bytes == ref.approx_memory_bytes
-    assert new.ephemerals == ref.ephemerals
     assert new.snapshot() == ref.snapshot()
     assert new.fingerprint() == ref.fingerprint()
     assert list(new.walk_paths()) == list(ref.walk_paths())
@@ -363,9 +341,8 @@ def _validate(store, op: tuple):
     kind, path = op[0], op[1]
     try:
         if kind == "create":
-            _, _, payload, owner = op
             store.check_create(path)
-            return ("create", path, payload, owner)
+            return ("create", path, op[2])
         if kind == "delete":
             store.check_delete(path, op[2])
             return ("delete", path)
@@ -415,8 +392,7 @@ names = st.sampled_from(["a", "b", "c"])
 paths = st.lists(names, min_size=1, max_size=3).map(lambda cs: "/" + "/".join(cs))
 payloads = st.binary(max_size=6)
 versions = st.sampled_from([-1, -1, 0, 1])
-creates = st.tuples(st.just("create"), paths, payloads,
-                    st.sampled_from([0, 0, 7, 9]))
+creates = st.tuples(st.just("create"), paths, payloads)
 deletes = st.tuples(st.just("delete"), paths, versions)
 sets = st.tuples(st.just("set"), paths, payloads, versions)
 single = creates | deletes | sets
@@ -435,14 +411,14 @@ def test_every_read_matches_the_old_store_after_every_step(stream):
 
 
 def test_a_directory_emptied_and_filled_again():
-    stream = [("create", "/a", b"d", 0),
-              ("create", "/a/b", b"x", 0),
+    stream = [("create", "/a", b"d"),
+              ("create", "/a/b", b"x"),
               ("set", "/a/b", b"yy", -1),
-              ("create", "/a/s", b"", 7),
+              ("create", "/a/s", b""),
               ("delete", "/a/b", -1),
               ("delete", "/a/s", -1),
-              ("create", "/a/c", b"z", 0),
+              ("create", "/a/c", b"z"),
               ("multi", [("delete", "/a/c", -1),
-                         ("create", "/a/b", b"", 9)]),
+                         ("create", "/a/b", b"")]),
               ("delete", "/a/b", 0)]
     _replay([(op, 0.5 * (i + 1)) for i, op in enumerate(stream)])

@@ -1,6 +1,6 @@
 """Watch semantics: one-shot notifications on data/child/existence changes."""
 
-from repro.models.params import FaultToleranceParams, ZKParams
+from repro.models.params import FaultToleranceParams
 
 from .conftest import ZKHarness
 
@@ -246,36 +246,3 @@ def test_server_crash_drops_watches_and_notifies_loss():
 
     h.run(part2())
     assert [(e.kind, e.path) for e in ev2] == [("changed", "/w")]
-
-
-def test_watch_reregistration_after_session_reestablishment(monkeypatch):
-    """An expired session is transparently re-established by the client;
-    the watch-loss hook reports it, and a watch registered afterwards
-    fires normally."""
-    monkeypatch.setattr(ZKParams, "session_timeout", 0.4)
-    params = ZKParams(session_tracking=True)
-    h = ZKHarness(n_servers=3, params=params)
-    cli = h.client()
-    losses, events = [], []
-    cli.watch_loss_listeners.append(losses.append)
-
-    def part1():
-        yield from cli.connect()
-        yield from cli.create("/w", b"0")
-
-    h.run(part1())
-    old_session = cli.session
-    h.settle(1.0)               # no keepalive -> server expires the session
-
-    def part2():
-        # The ephemeral create bounces with SessionExpired; the client
-        # reconnects, notifies watch loss, rebinds and retries.
-        yield from cli.create("/eph", b"", ephemeral=True)
-        yield from cli.get("/w", watch=events.append)
-        yield from cli.set_data("/w", b"1")
-        yield h.cluster.sim.timeout(0.1)
-
-    h.run(part2())
-    assert losses == ["session"]
-    assert cli.session != old_session
-    assert [(e.kind, e.path) for e in events] == [("changed", "/w")]
