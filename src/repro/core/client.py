@@ -39,9 +39,11 @@ from ..errors import (
     EINVAL,
     EIO,
     EISDIR,
+    ELOOP,
     ENOENT,
     ENOTDIR,
     ENOTEMPTY,
+    MAXSYMLINKS,
     FSError,
 )
 from ..models.params import SimParams
@@ -620,18 +622,21 @@ class DUFSClient:
         return True
 
     def _resolve_file(self, path: str, flags: int = 0) -> Generator:
-        """Paper Fig. 3 steps A-D; returns (backend index, physical path)."""
-        path = normalize_path(path)
-        yield from self._logic(self.params.znode_codec_cpu,
-                               self.params.mapping_cpu)
-        payload, _ = yield from self._get_payload(path)
-        if isinstance(payload, DirPayload):
-            raise FSError(EISDIR, path)
-        if isinstance(payload, SymlinkPayload):
-            return (yield from self._resolve_file(payload.target, flags))
-        backend, ppath = self._locate(payload.fid)
-        yield from self._backend_call(backend, "open", ppath, flags)
-        return (backend, ppath)
+        """Paper Fig. 3 steps A-D; returns (backend index, physical path).
+        Follows at most ``MAXSYMLINKS`` symlinks, then fails with ELOOP."""
+        for _ in range(MAXSYMLINKS + 1):
+            path = normalize_path(path)
+            yield from self._logic(self.params.znode_codec_cpu,
+                                   self.params.mapping_cpu)
+            payload, _ = yield from self._get_payload(path)
+            if isinstance(payload, DirPayload):
+                raise FSError(EISDIR, path)
+            if not isinstance(payload, SymlinkPayload):
+                backend, ppath = self._locate(payload.fid)
+                yield from self._backend_call(backend, "open", ppath, flags)
+                return (backend, ppath)
+            path = payload.target
+        raise FSError(ELOOP, path)
 
     def open(self, path: str, flags: int = 0) -> Generator:
         """Open and register a file handle. The FID resolution happens

@@ -30,6 +30,11 @@ ENOSYS = _errno.ENOSYS
 EXDEV = _errno.EXDEV
 EBUSY = _errno.EBUSY
 ENODATA = _errno.ENODATA
+ELOOP = _errno.ELOOP
+
+#: Symlinks one path resolution follows before it fails with ELOOP
+#: (Linux's ``MAXSYMLINKS``).
+MAXSYMLINKS = 40
 
 
 class FSError(OSError):

@@ -16,9 +16,11 @@ from ..errors import (
     EEXIST,
     EINVAL,
     EISDIR,
+    ELOOP,
     ENOENT,
     ENOTDIR,
     ENOTEMPTY,
+    MAXSYMLINKS,
     FSError,
 )
 from .base import (
@@ -72,6 +74,7 @@ class Namespace:
         self._next_ino = 1
         self.inodes: Dict[int, Inode] = {}
         self.root = self._alloc(DEFAULT_DIR_MODE, 0.0)
+        self._links = 0     # symlinks the lookup in progress is inside
 
     def _alloc(self, mode: int, now: float) -> Inode:
         ino = self._next_ino
@@ -86,7 +89,8 @@ class Namespace:
     # -- resolution ---------------------------------------------------------
     def lookup(self, path: str, follow: bool = False) -> Inode:
         """Resolve an absolute path to an inode (no symlink chasing unless
-        ``follow``; symlinks mid-path are always followed, one level)."""
+        ``follow``; symlinks mid-path are always followed, one level).
+        Links nest at most ``MAXSYMLINKS`` deep, then ELOOP."""
         inode = self.root
         comps = path_components(path)
         for i, comp in enumerate(comps):
@@ -97,8 +101,17 @@ class Namespace:
                 raise FSError(ENOENT, path)
             inode = self.inodes[nxt]
             if inode.symlink_target is not None and (follow or i < len(comps) - 1):
-                inode = self.lookup(inode.symlink_target, follow=True)
+                inode = self._follow(inode.symlink_target, path)
         return inode
+
+    def _follow(self, target: str, path: str) -> Inode:
+        if self._links == MAXSYMLINKS:
+            raise FSError(ELOOP, path)
+        self._links += 1
+        try:
+            return self.lookup(target, follow=True)
+        finally:
+            self._links -= 1
 
     def lookup_parent(self, path: str) -> Tuple[Inode, str]:
         comps = path_components(path)

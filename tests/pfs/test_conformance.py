@@ -5,16 +5,23 @@ client, and the PVFS client (and, in tests/core, for DUFS itself) — this
 is what lets the paper swap back-ends under one DUFS prototype.
 """
 
+import pytest
 
 from repro.errors import (
     EEXIST,
     EINVAL,
     EISDIR,
+    ELOOP,
     ENOENT,
     ENOTDIR,
     ENOTEMPTY,
+    MAXSYMLINKS,
     FSError,
 )
+from repro.models.params import AsyncParams, CacheParams, ResolveParams
+from tests.core.conftest import DUFSHarness
+
+from .conftest import FSHarness
 
 
 def expect_err(code):
@@ -312,3 +319,43 @@ def test_refused_renames_leave_both_names(anyfs):
     assert anyfs.run(main()) == (
         [EINVAL, EISDIR, ENOTDIR, ENOTEMPTY],
         {"/": ["a", "d", "e", "f"], "/a": ["b"], "/e": ["x"]})
+
+
+#: Each filesystem whose ``open`` follows a symlink, and the path it opens
+#: through link ``{}``. The namespace filesystems follow a link mid-path
+#: (a last component opens the link itself); DUFS follows the last one,
+#: in each of its client arms. PVFS follows no link.
+FOLLOWS = {
+    "local": ("/{}/f", {}), "lustre": ("/{}/f", {}),
+    "dufs": ("/{}", {}),
+    "dufs-cache": ("/{}", dict(cache=CacheParams.caching_on())),
+    "dufs-thin": ("/{}", dict(resolve=ResolveParams.resolve_on())),
+    "dufs-async": ("/{}", dict(awrite=AsyncParams.async_on())),
+}
+
+
+@pytest.mark.parametrize("kind", [*FOLLOWS])
+def test_open_follows_at_most_maxsymlinks_links(kind):
+    """A chain of 40 links opens; a 41st, or a cycle, is ELOOP rather than
+    a Python stack overflow."""
+    via, arm = FOLLOWS[kind]
+    if kind.startswith("dufs"):
+        h = DUFSHarness(**arm)
+        c = h.dep.clients[0]
+    else:
+        h = FSHarness(kind)
+        c = h.cli
+
+    def main():
+        yield from c.mkdir("/d")
+        yield from c.create("/d/f")
+        end = "/d" if via.endswith("/f") else "/d/f"
+        for i in range(MAXSYMLINKS + 1):
+            yield from c.symlink(f"/l{i - 1}" if i else end, f"/l{i}")
+        yield from c.symlink("/b", "/a")
+        yield from c.symlink("/a", "/b")
+        return (yield from errnos([c.open(via.format(f"l{MAXSYMLINKS - 1}")),
+                                   c.open(via.format(f"l{MAXSYMLINKS}")),
+                                   c.open(via.format("a"))]))
+
+    assert h.run(main()) == [None, ELOOP, ELOOP]
