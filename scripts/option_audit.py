@@ -28,6 +28,9 @@ with ``**`` (the ``cls(**{...})`` presets), and no assignment targets
 ``.<name>``. Names are matched alone, so a name shared by two classes
 counts for both. Fields holding a sub-params object are left
 out: callers mutate those in place (``params.lustre.dlm_enabled = …``).
+So is an ``InitVar`` of a class with no ``__post_init__``: the
+constructor discards it, so it is no choice (and ``dataclasses.fields``
+already leaves it out).
 
 ``unread_counters()`` lists every key of a dict literal assigned to
 ``self.stats`` in a ``src/repro`` class that no code under ``src/``,
@@ -203,12 +206,19 @@ def unset_fields(root: Path = ROOT) -> list:
     classes = [c for c in ast.parse((root / PARAMS).read_text()).body
                if isinstance(c, ast.ClassDef)]
     nested = {c.name for c in classes}
+
+    def discarded(cls, annotation: str) -> bool:
+        return annotation.startswith("InitVar") and not any(
+            isinstance(stmt, ast.FunctionDef)
+            and stmt.name == "__post_init__" for stmt in cls.body)
+
     return [f"{PARAMS}:{stmt.lineno}  {cls.name}.{stmt.target.id}"
             for cls in classes for stmt in cls.body
             if isinstance(stmt, ast.AnnAssign)
             and isinstance(stmt.target, ast.Name)
             and not ast.unparse(stmt.annotation).startswith("ClassVar")
             and ast.unparse(stmt.annotation) not in nested
+            and not discarded(cls, ast.unparse(stmt.annotation))
             and stmt.target.id not in written]
 
 

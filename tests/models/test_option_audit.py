@@ -102,6 +102,29 @@ def test_unset_fields_counts_keyword_attribute_and_dict_key_setters(tree):
                      "AParams.never", "BParams.also_never"]
 
 
+def test_unset_fields_skips_only_a_discarded_init_var(tree):
+    write(tree, "src/repro/models/params.py", """
+        from dataclasses import InitVar, dataclass
+
+        @dataclass
+        class Shim:
+            dropped: InitVar[bool] = False
+            nobody: int = 0
+
+        @dataclass
+        class Consumer:
+            kept: InitVar[bool] = False
+
+            def __post_init__(self, kept):
+                self.flag = kept
+    """)
+    unset = [line.split("  ")[1] for line in AUDIT["unset_fields"](tree)]
+    # The constructor throws ``dropped`` away, so nobody can choose it;
+    # a plain field nobody sets, and an InitVar ``__post_init__`` reads,
+    # are still choices.
+    assert unset == ["Shim.nobody", "Consumer.kept"]
+
+
 def test_unread_counters_judges_each_key_of_each_class(tree, monkeypatch):
     write(tree, "src/repro/counters.py", """
         class Server:
