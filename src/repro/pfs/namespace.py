@@ -101,17 +101,14 @@ class Namespace:
                 raise FSError(ENOENT, path)
             inode = self.inodes[nxt]
             if inode.symlink_target is not None and (follow or i < len(comps) - 1):
-                inode = self._follow(inode.symlink_target, path)
+                if self._links == MAXSYMLINKS:
+                    raise FSError(ELOOP, path)
+                self._links += 1
+                try:
+                    inode = self.lookup(inode.symlink_target, follow=True)
+                finally:
+                    self._links -= 1
         return inode
-
-    def _follow(self, target: str, path: str) -> Inode:
-        if self._links == MAXSYMLINKS:
-            raise FSError(ELOOP, path)
-        self._links += 1
-        try:
-            return self.lookup(target, follow=True)
-        finally:
-            self._links -= 1
 
     def lookup_parent(self, path: str) -> Tuple[Inode, str]:
         comps = path_components(path)
