@@ -33,8 +33,8 @@ def dataclass_fields() -> int:
                if dataclasses.is_dataclass(cls))
 
 
-AUDIT = pathlib.Path(__file__).resolve().parents[2] / "scripts" \
-    / "option_audit.py"
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+AUDIT = ROOT / "scripts" / "option_audit.py"
 
 
 def audit_count(function: str) -> int:
@@ -47,6 +47,12 @@ def source_lines(package: str = "") -> int:
     """Lines of every ``.py`` file under ``src/repro/<package>``."""
     root = pathlib.Path(repro.__file__).parent / package
     return sum(len(p.read_text().splitlines()) for p in root.rglob("*.py"))
+
+
+def doc_lines() -> int:
+    """Lines of the two documents that describe the model."""
+    return sum(len((ROOT / name).read_text().splitlines())
+               for name in ("docs/MODEL.md", "README.md"))
 
 
 def parameters(fn) -> int:
@@ -79,6 +85,7 @@ BUDGET = {
         (lambda: audit_count("stats_assignments"), 8),
     "lines of src/repro": (source_lines, 15953),
     "lines of src/repro/zk": (lambda: source_lines("zk"), 1973),
+    "lines of docs/MODEL.md + README.md": (doc_lines, 2092),
 }
 
 
