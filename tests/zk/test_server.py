@@ -1,7 +1,5 @@
 """Integration tests: ZK ensemble semantics through the client API."""
 
-import pytest
-
 from repro.svc import TraceBus
 from repro.zk.errors import (
     BadArgumentsError,
