@@ -38,7 +38,7 @@ def op_stream(cluster, client, completions):
 
 def lustre_failover_gap():
     fault = FaultToleranceParams.backend(request_timeout=0.5, max_retries=4)
-    params = LustreParams(fault=fault, failover_takeover_delay=2.0)
+    params = LustreParams(fault=fault)
     cluster = Cluster(seed=1)
     node = cluster.add_node("client")
     fs = build_lustre(cluster, "ha", params=params, with_standby=True)

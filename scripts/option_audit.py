@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Options nobody sets and counters nobody reads: defaulted parameters,
-``SimParams`` fields and ``self.stats`` keys.
+"""Options nobody sets, options set to one value, and counters nobody
+reads: defaulted parameters, ``SimParams`` fields and ``self.stats`` keys.
 
 The static sibling of ``traffic_audit.py``: an AST pass (no import, a few
-seconds). Print-only; always exits 0 (all three counts are ratchet rows
-of ``tests/models/test_option_budget.py``).
+seconds). Print-only; always exits 0 (every count is a ratchet row of
+``tests/models/test_option_budget.py``).
 
 ``unsupplied()`` walks ``src/``, ``perfbench/``, ``benchmarks/``,
 ``examples/`` and ``scripts/`` and lists every parameter of a
@@ -31,6 +31,12 @@ out: callers mutate those in place (``params.lustre.dlm_enabled = …``).
 So is an ``InitVar`` of a class with no ``__post_init__``: the
 constructor discards it, so it is no choice (and ``dataclasses.fields``
 already leaves it out).
+
+``single_valued_fields()`` lists the scalar fields that non-test code
+does set, but only ever to a literal equal to the field's default: one
+value in use, so a ``ClassVar`` constant, not a choice. Setters are found
+and matched by name as above; a value that is no literal (a name, a call,
+a tuple bind, ``+=``) counts as a different value, so it under-reports.
 
 ``unread_counters()`` lists every key of a dict literal assigned to
 ``self.stats`` in a ``src/repro`` class that no code under ``src/``,
@@ -185,24 +191,32 @@ def _assigned(target):
         yield target.attr
 
 
-def unset_fields(root: Path = ROOT) -> list:
-    """One ``file:line  Class.field`` line per scalar field no non-test
-    code sets."""
-    written = set()
+def _settings(root: Path):
+    """``(name, value)`` per place non-test code sets a name: a keyword,
+    a key of a dict literal spread with ``**``, or an attribute an
+    assignment targets (``value`` None where no one expression is the
+    value: a tuple bind, an augmented assignment)."""
     for tree in _parse(root, CALLERS).values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 for k in node.keywords:
                     if k.arg is not None:
-                        written.add(k.arg)
+                        yield k.arg, k.value
                     elif isinstance(k.value, ast.Dict):
-                        written.update(key.value for key in k.value.keys
-                                       if isinstance(key, ast.Constant))
+                        yield from ((key.value, value) for key, value
+                                    in zip(k.value.keys, k.value.values)
+                                    if isinstance(key, ast.Constant))
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
-                    written.update(_assigned(target))
+                    value = node.value \
+                        if isinstance(target, ast.Attribute) else None
+                    yield from ((name, value) for name in _assigned(target))
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                written.update(_assigned(node.target))
+                yield from ((name, None) for name in _assigned(node.target))
+
+
+def _fields(root: Path):
+    """``(class, statement)`` per scalar field of ``models/params.py``."""
     classes = [c for c in ast.parse((root / PARAMS).read_text()).body
                if isinstance(c, ast.ClassDef)]
     nested = {c.name for c in classes}
@@ -212,14 +226,45 @@ def unset_fields(root: Path = ROOT) -> list:
             isinstance(stmt, ast.FunctionDef)
             and stmt.name == "__post_init__" for stmt in cls.body)
 
-    return [f"{PARAMS}:{stmt.lineno}  {cls.name}.{stmt.target.id}"
-            for cls in classes for stmt in cls.body
+    return [(cls, stmt) for cls in classes for stmt in cls.body
             if isinstance(stmt, ast.AnnAssign)
             and isinstance(stmt.target, ast.Name)
             and not ast.unparse(stmt.annotation).startswith("ClassVar")
             and ast.unparse(stmt.annotation) not in nested
-            and not discarded(cls, ast.unparse(stmt.annotation))
-            and stmt.target.id not in written]
+            and not discarded(cls, ast.unparse(stmt.annotation))]
+
+
+def unset_fields(root: Path = ROOT) -> list:
+    """One ``file:line  Class.field`` line per scalar field no non-test
+    code sets."""
+    written = {name for name, _ in _settings(root)}
+    return [f"{PARAMS}:{stmt.lineno}  {cls.name}.{stmt.target.id}"
+            for cls, stmt in _fields(root) if stmt.target.id not in written]
+
+
+_OTHER = object()
+
+
+def _literal(node):
+    """The value of a literal expression, else a marker no default equals."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return _OTHER
+
+
+def single_valued_fields(root: Path = ROOT) -> list:
+    """One ``file:line  Class.field`` line per scalar field that non-test
+    code sets, every time to a literal equal to its default."""
+    values = defaultdict(list)
+    for name, value in _settings(root):
+        values[name].append(_literal(value))
+    hits = []
+    for cls, stmt in _fields(root):
+        default, seen = _literal(stmt.value), values[stmt.target.id]
+        if seen and default is not _OTHER and all(v == default for v in seen):
+            hits.append(f"{PARAMS}:{stmt.lineno}  {cls.name}.{stmt.target.id}")
+    return hits
 
 
 def _is_self(node) -> bool:
@@ -345,6 +390,9 @@ def main() -> int:
     unset = unset_fields()
     print("\n".join(["", *unset,
                      f"{len(unset)} params fields no non-test code sets"]))
+    single = single_valued_fields()
+    print("\n".join(["", *single, f"{len(single)} params fields non-test "
+                     "code sets only to their default"]))
     unread = unread_counters()
     print("\n".join(["", *unread,
                      f"{len(unread)} counter keys no non-test code reads"]))

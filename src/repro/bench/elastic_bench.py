@@ -48,8 +48,8 @@ _SCALES = {
 #: Equal-hardware constants: total ZK budget and how it is sharded.
 N_ZK_TOTAL = 8
 N_SHARDS = 4
-#: Equal-knowledge constant: every arm gets the same pin budget.
-PIN_BUDGET = 8
+#: Equal-knowledge constant: every arm gets the autoscaler's pin budget.
+PIN_BUDGET = ElasticParams.max_pins
 
 #: The acceptance gate, per measured op kind.
 GATED_OPS = ("file_create", "file_stat")
@@ -79,8 +79,7 @@ def bench_elastic_params() -> ElasticParams:
     the defaults (the bench periods are seconds, not minutes) but the
     same hysteresis discipline and the shared PIN_BUDGET."""
     return ElasticParams.elastic_on(
-        interval=0.04, hysteresis=2, cooldown=0.2,
-        max_pins=PIN_BUDGET, min_window_ops=24, merge_min_ops=4,
+        interval=0.04, cooldown=0.2, min_window_ops=24,
         moves_per_tick=PIN_BUDGET, drain=0.0)
 
 

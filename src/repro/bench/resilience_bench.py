@@ -56,8 +56,7 @@ FAULT = dict(request_timeout=0.08, max_retries=8, backoff_base=0.02,
 
 #: The resilience-on arm: deadlines + retry budget + breakers.
 RESILIENCE_ON = dict(deadline_propagation=True, retry_budget=10.0,
-                     retry_refill=0.1, breaker_enabled=True,
-                     breaker_threshold=5, breaker_cooldown=0.25)
+                     breaker_enabled=True, breaker_cooldown=0.25)
 
 
 def _percentile(values: List[float], q: float) -> float:
@@ -131,8 +130,8 @@ def _run_arm(load: float, resilient: bool, duration: float,
             "served": bus.ops.get(key),
         },
         "clients": {
-            "retry_tokens_spent": sum(z.retry.budget.spent for z in clients),
-            "retries_denied": sum(z.retry.budget.denied for z in clients),
+            "retry_tokens_spent": sum(z.retry.spent for z in clients),
+            "retries_denied": sum(z.retry.denied for z in clients),
             "breaker_trips": sum(z.breakers.trips() for z in clients),
             "breaker_fastfails": sum(z.breakers.fastfails for z in clients),
         },

@@ -39,8 +39,7 @@ def run_shardmap_demo(scale: str = "quick") -> Dict:
     """Drive the skewed two-burst workload and return the state document."""
     n_clients, n_procs, dirs_per_burst, items = _SCALES[scale]
     elastic = ElasticParams.elastic_on(
-        interval=0.05, hysteresis=2, cooldown=0.2,
-        max_pins=8, min_window_ops=24, merge_min_ops=4,
+        interval=0.05, cooldown=0.2, min_window_ops=24,
         moves_per_tick=8, drain=0.0)
     dep = build_dufs_deployment(
         n_zk=8, n_backends=2, n_client_nodes=n_clients, backend="local",

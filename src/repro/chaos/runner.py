@@ -175,7 +175,7 @@ def _build_dufs(seed: int, shards: int, params: SimParams):
 def _build_lustre(seed: int):
     from ..pfs.lustre import build_lustre
 
-    params = LustreParams(fault=_BACKEND_FAULT, failover_takeover_delay=2.0)
+    params = LustreParams(fault=_BACKEND_FAULT)
     cluster = Cluster(seed=seed)
     node = cluster.add_node("client")
     fs = build_lustre(cluster, "ha", params=params, with_standby=True)

@@ -26,7 +26,7 @@ call sites migrate by construction, not by rewrite.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence
+from typing import Generator, Sequence
 
 from ..zk.client import ZKClient
 from ..zk.protocol import WriteRequest
@@ -73,11 +73,10 @@ class MetadataService:
     def set_data(self, path: str, data: bytes, version: int = -1) -> Generator:
         raise NotImplementedError
 
-    def delete(self, path: str, version: int = -1,
-               is_dir: Optional[bool] = None) -> Generator:
+    def delete(self, path: str, version: int = -1, *,
+               is_dir: bool) -> Generator:
         """Remove ``path``. ``is_dir`` is a routing hint (the DUFS client
-        always knows the type it is removing); a sharded service without
-        the hint pays one read to classify."""
+        always knows the type it is removing)."""
         raise NotImplementedError
 
     def multi(self, ops: Sequence[WriteRequest]) -> Generator:

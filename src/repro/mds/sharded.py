@@ -59,6 +59,7 @@ import json
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..core.metadata import DirPayload, is_dir_data
+from ..models.params import FaultToleranceParams
 from ..resilience import BreakerBoard, retry_call
 from ..sim.node import Outcome
 from ..svc import NULL_BUS, TraceBus
@@ -437,7 +438,8 @@ class ShardedMDS(MetadataService):
             return (yield from self._at_home("create", path, data))
         zkc = self.clients[self.map.home_shard(path)]
         created = yield from retry_call(
-            zkc.sim, zkc.retry, BreakerBoard(zkc.sim, enabled=False),
+            zkc.sim, zkc.retry,
+            BreakerBoard(zkc.sim, FaultToleranceParams()),  # default: breakers off
             zkc.retry.begin(zkc.sim.now), pick=lambda: parent,
             attempt=attempt, retry_on=NoNodeError,
             gave_up=lambda _, exc: exc)
@@ -451,20 +453,11 @@ class ShardedMDS(MetadataService):
         return (yield from self._at_home("set_data", path, data,
                                          version=version))
 
-    def delete(self, path: str, version: int = -1,
-               is_dir: Optional[bool] = None) -> Generator:
+    def delete(self, path: str, version: int = -1, *,
+               is_dir: bool) -> Generator:
         self._last_retries = 0
         self._note_op(path)
         home = self.map.home_shard(path)
-        if is_dir is None and self.n_shards > 1:
-            # No routing hint: one read classifies (only generic callers).
-            try:
-                data, _ = yield from self._call(
-                    home, "get", path, reroute=lambda m: m.home_shard(path))
-                is_dir = is_dir_data(data)
-            except NoNodeError:
-                is_dir = False
-            home = self.map.home_shard(path)  # the get may have adopted
         if is_dir and self.map.child_shard(path) != home:
             return (yield from self._delete_copies(path, version))
         result = yield from self._call(home, "delete", path, version=version,

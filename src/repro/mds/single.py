@@ -10,7 +10,7 @@ and the baseline every sharded configuration is measured against.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence
+from typing import Generator, Sequence
 
 from ..zk.client import ZKClient
 from ..zk.protocol import WriteRequest
@@ -50,8 +50,8 @@ class SingleEnsembleMDS(MetadataService):
     def set_data(self, path: str, data: bytes, version: int = -1) -> Generator:
         return (yield from self.zk.set_data(path, data, version=version))
 
-    def delete(self, path: str, version: int = -1,
-               is_dir: Optional[bool] = None) -> Generator:
+    def delete(self, path: str, version: int = -1, *,
+               is_dir: bool) -> Generator:
         return (yield from self.zk.delete(path, version=version))
 
     def multi(self, ops: Sequence[WriteRequest]) -> Generator:

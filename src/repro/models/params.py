@@ -64,9 +64,9 @@ class FaultToleranceParams:
     op_budget: float = 60.0            # wall-clock budget per operation
     deadline_propagation: bool = False
     retry_budget: float = 0.0          # token-bucket cap; 0 = unlimited
-    retry_refill: float = 0.1          # tokens returned per success
+    retry_refill: ClassVar[float] = 0.1  # tokens returned per success
     breaker_enabled: bool = False
-    breaker_threshold: int = 5         # consecutive failures to trip
+    breaker_threshold: ClassVar[int] = 5  # consecutive failures to trip
     breaker_cooldown: float = 1.0      # open -> half-open delay (seconds)
 
     @classmethod
@@ -192,7 +192,7 @@ class LustreParams:
     fault: FaultToleranceParams = field(
         default_factory=FaultToleranceParams.backend)
     # Standby takeover delay: detect + mount shared MDT + replay journal.
-    failover_takeover_delay: float = 2.0
+    failover_takeover_delay: ClassVar[float] = 2.0
 
     # directory entry ops slow down logarithmically with directory size
     dirent_cpu_coef: ClassVar[float] = 18e-6     # × ln(1 + entries)
@@ -363,12 +363,12 @@ class ElasticParams:
     #                                    registry/migrator only — manual
     #                                    migrations, e.g. chaos scripts)
     interval: float = 0.1              # control-loop period (s)
-    hysteresis: int = 2                # consecutive hot/quiet ticks to act
+    hysteresis: ClassVar[int] = 2      # consecutive hot/quiet ticks to act
     cooldown: float = 0.4              # min seconds between moves of a root
-    max_pins: int = 8                  # pin-table budget (server budget)
+    max_pins: ClassVar[int] = 8        # pin-table budget (server budget)
     min_window_ops: int = 40           # ignore ticks below this total
     #                                    rate (ops/s): near-idle, no signal
-    merge_min_ops: int = 4             # unpin when subtree rate (ops/s)
+    merge_min_ops: ClassVar[int] = 4   # unpin when subtree rate (ops/s)
     #                                    stays below this
     moves_per_tick: int = 2            # migration rate limit per interval
     drain: float = 0.05                # freeze->copy drain for in-flight writes

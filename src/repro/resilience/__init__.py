@@ -8,19 +8,18 @@ layer (:class:`~repro.sim.rpc.RpcAgent` caps each attempt at the caller's
 remaining budget); this package holds the client-side policy objects.
 
 Everything is pure bookkeeping over ``sim.now`` — none of these classes
-schedules simulator events of its own, so a policy whose knobs are at
-their defaults (no backoff, unlimited budget, breakers off) leaves a run
-event-for-event identical to one without the layer.
+schedules simulator events of its own, so the policy
+``FaultToleranceParams.backend()`` (no timeout, no retry, no backoff,
+unlimited budget, breakers off) leaves a run event-for-event identical to
+one without the layer.
 """
 
 from .breaker import BreakerBoard, CircuitBreaker
-from .retry import (RetryBudget, RetryPolicy, RetryState, build_retry,
-                    retry_call)
+from .retry import RetryPolicy, RetryState, build_retry, retry_call
 
 __all__ = [
     "BreakerBoard",
     "CircuitBreaker",
-    "RetryBudget",
     "RetryPolicy",
     "RetryState",
     "build_retry",

@@ -3,8 +3,8 @@
 Classic three-state machine (closed → open → half-open), implemented as
 pure bookkeeping over ``sim.now`` — opening a breaker schedules nothing;
 the cooldown is checked lazily on the next ``allow()``. A breaker that is
-never tripped (or a board built with ``enabled=False``) adds no events
-and no RNG draws, so default-off runs replay byte-identically.
+never tripped (or a board whose policy has ``breaker_enabled`` off) adds
+no events and no RNG draws, so default-off runs replay byte-identically.
 
 Fast-failing against a known-dead endpoint is what turns a crashed ZK
 server or MDS from "every request burns a full RPC timeout" into "one
@@ -27,7 +27,7 @@ class CircuitBreaker:
     __slots__ = ("sim", "threshold", "cooldown", "failures", "state",
                  "opened_at", "probing", "trips")
 
-    def __init__(self, sim, threshold: int = 5, cooldown: float = 1.0):
+    def __init__(self, sim, threshold: int, cooldown: float):
         self.sim = sim
         self.threshold = threshold
         self.cooldown = cooldown
@@ -73,36 +73,37 @@ class CircuitBreaker:
 
 
 class BreakerBoard:
-    """Lazy endpoint → breaker map shared by one client."""
+    """Lazy endpoint → breaker map shared by one client, tuned by its
+    fault policy (:class:`~repro.models.params.FaultToleranceParams`):
+    ``breaker_enabled``, ``breaker_threshold`` and ``breaker_cooldown``."""
 
-    def __init__(self, sim, threshold: int = 5, cooldown: float = 1.0,
-                 enabled: bool = True):
+    def __init__(self, sim, fault):
         self.sim = sim
-        self.threshold = threshold
-        self.cooldown = cooldown
-        self.enabled = enabled
+        self.fault = fault
         self.breakers: Dict[str, CircuitBreaker] = {}
         self.fastfails = 0        # requests refused on an open breaker
 
     def for_endpoint(self, endpoint: str) -> CircuitBreaker:
         br = self.breakers.get(endpoint)
         if br is None:
-            br = CircuitBreaker(self.sim, self.threshold, self.cooldown)
+            br = CircuitBreaker(self.sim, self.fault.breaker_threshold,
+                                self.fault.breaker_cooldown)
             self.breakers[endpoint] = br
         return br
 
     def allow(self, endpoint: str) -> bool:
-        if not self.enabled or self.for_endpoint(endpoint).allow():
+        if not self.fault.breaker_enabled \
+                or self.for_endpoint(endpoint).allow():
             return True
         self.fastfails += 1
         return False
 
     def on_success(self, endpoint: str) -> None:
-        if self.enabled:
+        if self.fault.breaker_enabled:
             self.for_endpoint(endpoint).on_success()
 
     def on_failure(self, endpoint: str) -> None:
-        if self.enabled:
+        if self.fault.breaker_enabled:
             self.for_endpoint(endpoint).on_failure()
 
     def trips(self) -> int:

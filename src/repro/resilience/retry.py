@@ -1,18 +1,20 @@
 """Shared retry machinery: one policy, one loop, one factory.
 
 The ZooKeeper, Lustre and PVFS clients all retry through
-:func:`retry_call` over objects built by :func:`build_retry`. The pieces:
+:func:`retry_call` over objects built by :func:`build_retry` from the
+client's one :class:`~repro.models.params.FaultToleranceParams`. The
+pieces:
 
-- :class:`RetryBudget` — a per-client token bucket in the style of gRPC's
-  retry throttling: every retry spends a token, every success refills a
-  fraction of one. Under a persistent outage or overload the bucket
-  drains and the client stops amplifying load (the retry-storm cure);
-  during healthy operation successes keep it full and retries are free.
 - :class:`RetryPolicy` — per-operation attempt accounting (max attempts,
   optional wall-clock budget), the timeout/deadline bounds every attempt's
-  RPC carries, plus the decorrelated-jitter backoff the ZK client has
-  always used: ``sleep = min(cap, uniform(base, 3 * prev))`` drawn from a
-  named random stream so replay is deterministic.
+  RPC carries, the decorrelated-jitter backoff the ZK client has always
+  used (``sleep = min(cap, uniform(base, 3 * prev))``, drawn from a named
+  random stream so replay is deterministic), and a per-client token-bucket
+  *retry budget* in the style of gRPC's retry throttling: every retry
+  spends a token, every success refills a fraction of one. Under a
+  persistent outage or overload the bucket drains and the client stops
+  amplifying load (the retry-storm cure); during healthy operation
+  successes keep it full and retries are free.
 - :func:`retry_call` — the breaker → attempt → back-off loop itself,
   parameterised by what differs between the stacks: how to pick the
   endpoint, which exceptions are retryable, what to do between attempts
@@ -27,42 +29,6 @@ from __future__ import annotations
 from typing import Callable, Generator, Optional, Tuple
 
 from .breaker import BreakerBoard
-
-
-class RetryBudget:
-    """Token bucket bounding retries across all of one client's ops.
-
-    ``cap <= 0`` disables the budget entirely (always allows retries) —
-    the default, preserving legacy behaviour. A dry bucket raises
-    nothing: :meth:`RetryPolicy.exhausted` says so and :func:`retry_call`
-    ends through ``gave_up`` with the last attempt's error.
-    """
-
-    def __init__(self, cap: float = 0.0, refill: float = 0.1):
-        self.cap = cap
-        self.refill = refill
-        self.tokens = cap
-        self.spent = 0          # retries charged (observability)
-        self.denied = 0         # retries refused for want of a token
-
-    @property
-    def enabled(self) -> bool:
-        return self.cap > 0.0
-
-    def try_spend(self) -> bool:
-        """Charge one retry; False (and no charge) if the bucket is dry."""
-        if not self.enabled:
-            return True
-        if self.tokens < 1.0:
-            self.denied += 1
-            return False
-        self.tokens -= 1.0
-        self.spent += 1
-        return True
-
-    def on_success(self) -> None:
-        if self.enabled:
-            self.tokens = min(self.cap, self.tokens + self.refill)
 
 
 class RetryState:
@@ -84,50 +50,47 @@ class RetryState:
 class RetryPolicy:
     """Retry accounting + backoff shared by the client stacks: the three
     questions :func:`retry_call` asks — *may I retry?*, *how long do I
-    sleep?*, *am I out of time?*
+    sleep?*, *am I out of time?* — answered from ``fault``.
+
+    The retry budget's bucket holds ``fault.retry_budget`` tokens
+    (``<= 0``: no bucket, retries are never refused). A dry bucket raises
+    nothing: :meth:`exhausted` says so and :func:`retry_call` ends through
+    ``gave_up`` with the last attempt's error.
     """
 
-    def __init__(
-        self,
-        streams,                      # RandomStreams (named-stream registry)
-        stream_name: str,
-        max_retries: int = 0,
-        backoff_base: float = 0.0,
-        backoff_cap: float = 1.0,
-        op_budget: float = 0.0,       # per-op wall-clock bound; 0 = none
-        budget: Optional[RetryBudget] = None,
-        request_timeout: Optional[float] = None,   # per RPC; None = none
-        propagate_deadline: bool = False,
-    ):
-        self.streams = streams
+    def __init__(self, streams, stream_name: str, fault):
+        self.streams = streams        # RandomStreams (named-stream registry)
         self.stream_name = stream_name
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.op_budget = op_budget
-        self.budget = budget or RetryBudget()
-        self.request_timeout = request_timeout
-        self.propagate_deadline = propagate_deadline
+        self.fault = fault
+        self.tokens = fault.retry_budget
+        self.spent = 0          # retries charged (observability)
+        self.denied = 0         # retries refused for want of a token
 
     def begin(self, now: float) -> RetryState:
-        deadline = now + self.op_budget if self.op_budget else None
-        bounds = {"timeout": self.request_timeout}
-        if self.propagate_deadline and deadline is not None:
+        fault = self.fault
+        deadline = now + fault.op_budget if fault.op_budget else None
+        bounds = {"timeout": fault.request_timeout}
+        if fault.deadline_propagation and deadline is not None:
             # Caps every attempt at the op's remaining budget, and rides
             # the request so the server's nested RPCs inherit the cap.
             # Left out, a call inherits the ambient deadline of its
             # process instead (``None`` would opt out).
             bounds["deadline"] = deadline
-        return RetryState(self.backoff_base, deadline, bounds)
+        return RetryState(fault.backoff_base, deadline, bounds)
 
     def exhausted(self, state: RetryState, now: float) -> bool:
-        """Call after ``state.attempt += 1``: True = give up, re-raise."""
-        if state.attempt > self.max_retries:
+        """Call after ``state.attempt += 1``: True = give up, re-raise.
+        Otherwise the retry is charged one token of the budget."""
+        if state.attempt > self.fault.max_retries:
             return True
         if state.deadline is not None and now >= state.deadline:
             return True
-        if not self.budget.try_spend():
-            return True
+        if self.fault.retry_budget > 0.0:
+            if self.tokens < 1.0:
+                self.denied += 1
+                return True
+            self.tokens -= 1.0
+            self.spent += 1
         return False
 
     def next_backoff(self, state: RetryState) -> float:
@@ -136,33 +99,28 @@ class RetryPolicy:
         Draws nothing when no backoff is configured, so the zero-backoff
         policy touches no RNG stream (replay-identical to legacy loops).
         """
-        if self.backoff_base <= 0.0 and state.prev_sleep <= 0.0:
+        base = self.fault.backoff_base
+        if base <= 0.0 and state.prev_sleep <= 0.0:
             return 0.0
         rng = self.streams.stream(self.stream_name)
-        sleep = min(self.backoff_cap,
-                    rng.uniform(self.backoff_base, 3.0 * state.prev_sleep))
-        state.prev_sleep = max(sleep, self.backoff_base)
+        sleep = min(self.fault.backoff_cap,
+                    rng.uniform(base, 3.0 * state.prev_sleep))
+        state.prev_sleep = max(sleep, base)
         return sleep
 
     def on_success(self) -> None:
-        self.budget.on_success()
+        """Refill ``fault.retry_refill`` of a token, up to the cap."""
+        cap = self.fault.retry_budget
+        if cap > 0.0:
+            self.tokens = min(cap, self.tokens + self.fault.retry_refill)
 
 
 def build_retry(node, stream_name: str,
                 policy) -> Tuple[RetryPolicy, BreakerBoard]:
     """One client's retry policy and breaker board from its fault policy
     (:class:`~repro.models.params.FaultToleranceParams`)."""
-    retry = RetryPolicy(
-        node.cluster.streams, stream_name, max_retries=policy.max_retries,
-        backoff_base=policy.backoff_base, backoff_cap=policy.backoff_cap,
-        op_budget=policy.op_budget,
-        budget=RetryBudget(policy.retry_budget, policy.retry_refill),
-        request_timeout=policy.request_timeout,
-        propagate_deadline=policy.deadline_propagation)
-    breakers = BreakerBoard(node.sim, policy.breaker_threshold,
-                            policy.breaker_cooldown,
-                            enabled=policy.breaker_enabled)
-    return retry, breakers
+    return (RetryPolicy(node.cluster.streams, stream_name, policy),
+            BreakerBoard(node.sim, policy))
 
 
 def retry_call(sim, policy: RetryPolicy, breakers: BreakerBoard,

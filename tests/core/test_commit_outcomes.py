@@ -89,7 +89,7 @@ class StubMDS(MetadataService):
             raise NoNodeError(path)
         self.nodes[path] = data
 
-    def delete(self, path, version=-1, is_dir=None):
+    def delete(self, path, version=-1, *, is_dir):
         fault = yield from self._enter("delete", path)
         if fault == "vanish":
             del self.nodes[path]

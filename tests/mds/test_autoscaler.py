@@ -5,9 +5,17 @@ clocks, so the no-flap guarantee and the placement rules are checked
 here as plain function calls on synthetic load signals (all ops/sec).
 """
 
+import pytest
+
 from repro.mds import ShardMap, ShardMapRegistry
 from repro.mds.autoscaler import Autoscaler
 from repro.models.params import ElasticParams
+
+
+@pytest.fixture(autouse=True)
+def merge_below_five(monkeypatch):
+    """These signals unpin a subtree below 5 ops/s (the class says 4)."""
+    monkeypatch.setattr(ElasticParams, "merge_min_ops", 5)
 
 
 class _FakeMigrator:
@@ -16,8 +24,7 @@ class _FakeMigrator:
 
 def make_scaler(registry=None, **overrides):
     params = ElasticParams.elastic_on(
-        hysteresis=2, cooldown=0.5, moves_per_tick=8, max_pins=8,
-        min_window_ops=10, merge_min_ops=5, **overrides)
+        cooldown=0.5, moves_per_tick=8, min_window_ops=10, **overrides)
     reg = registry or ShardMapRegistry(ShardMap(4))
     return Autoscaler(reg, _FakeMigrator(), [], params=params)
 

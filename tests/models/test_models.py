@@ -39,8 +39,8 @@ def test_replace_swaps_one_submodel():
 
 def test_default_instances_are_independent():
     a, b = SimParams(), SimParams()
-    a.lustre.failover_takeover_delay = 123.0
-    assert b.lustre.failover_takeover_delay != 123.0
+    a.lustre.dlm_enabled = False
+    assert b.lustre.dlm_enabled is True
 
 
 def test_session_tracking_is_accepted_and_discarded():

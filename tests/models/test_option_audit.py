@@ -125,6 +125,41 @@ def test_unset_fields_skips_only_a_discarded_init_var(tree):
     assert unset == ["Shim.nobody", "Consumer.kept"]
 
 
+def test_single_valued_fields_lists_a_field_set_only_to_its_default(tree):
+    write(tree, "src/repro/models/params.py", """
+        from dataclasses import dataclass
+        from typing import ClassVar
+
+        @dataclass
+        class AParams:
+            only_default: int = 5
+            spread_default: float = 0.1
+            other_literal: int = 2
+            other_name: int = 8
+            assigned_other: bool = False
+            tested_other: float = 1.0
+            never: int = 0
+            constant: ClassVar[int] = 3
+    """)
+    write(tree, "scripts/set_params.py", """
+        AParams(only_default=5, other_literal=2, other_name=2,
+                tested_other=1.0, constant=3)
+        AParams(**{"spread_default": 0.1, "assigned_other": False})
+        AParams(other_literal=3, other_name=BUDGET)
+        p.assigned_other = flag
+    """)
+    write(tree, "tests/test_params.py", """
+        AParams(only_default=6, tested_other=2.0)
+    """)
+    single = [line.split("  ")[1]
+              for line in AUDIT["single_valued_fields"](tree)]
+    # A different literal, a name or an assignment from a name is another
+    # value; a test is no setter, a field nobody sets is ``unset_fields``'s
+    # and a ClassVar is no field.
+    assert single == ["AParams.only_default", "AParams.spread_default",
+                      "AParams.tested_other"]
+
+
 def test_unread_counters_judges_each_key_of_each_class(tree, monkeypatch):
     write(tree, "src/repro/counters.py", """
         class Server:

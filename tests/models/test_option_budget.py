@@ -61,9 +61,11 @@ def parameters(fn) -> int:
 
 #: what is counted -> (how, committed count)
 BUDGET = {
-    "dataclass fields in models/params.py": (dataclass_fields, 44),
+    "dataclass fields in models/params.py": (dataclass_fields, 38),
     "params fields no non-test code sets":
         (lambda: audit_count("unset_fields"), 0),
+    "params fields non-test code sets only to their default":
+        (lambda: audit_count("single_valued_fields"), 0),
     "build_dufs_deployment parameters":
         (lambda: parameters(build_dufs_deployment), 19),
     "run_chaos parameters": (lambda: parameters(run_chaos), 7),
@@ -83,7 +85,7 @@ BUDGET = {
         (lambda: audit_count("unread_counters"), 0),
     "self.stats assignments in src/repro":
         (lambda: audit_count("stats_assignments"), 8),
-    "lines of src/repro": (source_lines, 15953),
+    "lines of src/repro": (source_lines, 15900),
     "lines of src/repro/zk": (lambda: source_lines("zk"), 1973),
     "lines of docs/MODEL.md + README.md": (doc_lines, 2092),
 }

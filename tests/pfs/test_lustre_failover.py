@@ -13,9 +13,14 @@ from repro.pfs.lustre import build_lustre
 from repro.sim import Cluster
 
 
+@pytest.fixture(autouse=True)
+def one_second_takeover(monkeypatch):
+    monkeypatch.setattr(LustreParams, "failover_takeover_delay", 1.0)
+
+
 def make_failover_fs(seed=0):
     fault = FaultToleranceParams.backend(request_timeout=0.5, max_retries=4)
-    params = LustreParams(fault=fault, failover_takeover_delay=1.0)
+    params = LustreParams(fault=fault)
     cluster = Cluster(seed=seed)
     nodes = [cluster.add_node(f"c{i}") for i in range(2)]
     fs = build_lustre(cluster, "ha", params=params, with_standby=True)

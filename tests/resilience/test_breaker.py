@@ -1,5 +1,8 @@
 """Circuit breaker state machine: closed -> open -> half-open -> ..."""
 
+import pytest
+
+from repro.models.params import FaultToleranceParams
 from repro.resilience import BreakerBoard, CircuitBreaker
 
 
@@ -24,7 +27,7 @@ def test_breaker_trips_after_consecutive_failures():
 
 def test_success_resets_consecutive_failure_count():
     clk = Clock()
-    br = CircuitBreaker(clk, threshold=3)
+    br = CircuitBreaker(clk, threshold=3, cooldown=1.0)
     br.on_failure()
     br.on_failure()
     br.on_success()                    # streak broken
@@ -62,9 +65,14 @@ def test_half_open_probe_failure_reopens():
     assert br.allow()
 
 
-def test_board_tracks_endpoints_independently():
+@pytest.fixture
+def trip_at_once(monkeypatch):
+    monkeypatch.setattr(FaultToleranceParams, "breaker_threshold", 1)
+
+
+def test_board_tracks_endpoints_independently(trip_at_once):
     clk = Clock()
-    board = BreakerBoard(clk, threshold=1, cooldown=1.0)
+    board = BreakerBoard(clk, FaultToleranceParams.resilience_on())
     board.on_failure("a")
     assert not board.allow("a")
     assert board.allow("b")            # unrelated endpoint stays closed
@@ -73,9 +81,9 @@ def test_board_tracks_endpoints_independently():
     assert board.trips() == 1
 
 
-def test_disabled_board_is_inert():
+def test_disabled_board_is_inert(trip_at_once):
     clk = Clock()
-    board = BreakerBoard(clk, threshold=1, cooldown=1.0, enabled=False)
+    board = BreakerBoard(clk, FaultToleranceParams())
     for _ in range(10):
         board.on_failure("a")
     assert board.allow("a")

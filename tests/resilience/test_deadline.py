@@ -164,7 +164,7 @@ def test_a_handler_runs_to_completion_past_its_callers_deadline(method):
     assert svc.inflight == 0
 
 
-def test_default_off_runs_are_replay_identical():
+def test_default_off_runs_are_replay_identical(monkeypatch):
     """All resilience knobs parked (features off) must not shift a single
     completion time, whatever the inert tuning fields say."""
     from repro.core import build_dufs_deployment
@@ -189,7 +189,8 @@ def test_default_off_runs_are_replay_identical():
 
     default = run_once(FaultToleranceParams())
     # Different inert settings; every feature gate still off.
-    parked = run_once(FaultToleranceParams(op_budget=9.9, retry_refill=0.7,
-                                           breaker_threshold=1,
+    monkeypatch.setattr(FaultToleranceParams, "retry_refill", 0.7)
+    monkeypatch.setattr(FaultToleranceParams, "breaker_threshold", 1)
+    parked = run_once(FaultToleranceParams(op_budget=9.9,
                                            breaker_cooldown=9.0))
     assert default == parked

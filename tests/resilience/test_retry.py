@@ -5,51 +5,64 @@ import pytest
 
 from repro.models.params import (FaultToleranceParams, LustreParams,
                                  PVFSParams)
-from repro.resilience import (RetryBudget, RetryPolicy, build_retry,
-                              retry_call)
+from repro.resilience import RetryPolicy, build_retry, retry_call
 from repro.sim import Cluster
 from repro.sim.random import RandomStreams
 
 
+def policy(**fields):
+    """A policy over the back-end default (no timeout, retry, backoff or
+    budget) with ``fields`` set."""
+    return RetryPolicy(RandomStreams(0), "s",
+                       FaultToleranceParams.backend(**fields))
+
+
+def retry(pol, state, now=0.0):
+    """Charge one failed attempt: may the operation try again?"""
+    state.attempt += 1
+    return not pol.exhausted(state, now)
+
+
 def test_budget_disabled_is_unlimited():
-    budget = RetryBudget(cap=0.0)
-    assert not budget.enabled
-    assert all(budget.try_spend() for _ in range(100))
-    assert budget.spent == 0 and budget.denied == 0
+    pol = policy(max_retries=100)
+    state = pol.begin(0.0)
+    assert all(retry(pol, state) for _ in range(100))
+    assert pol.spent == 0 and pol.denied == 0
 
 
 def test_budget_spends_and_denies():
-    budget = RetryBudget(cap=2.0, refill=0.5)
-    assert budget.try_spend()
-    assert budget.try_spend()
-    assert not budget.try_spend()        # bucket empty
-    assert budget.spent == 2 and budget.denied == 1
+    pol = policy(max_retries=100, retry_budget=2.0)
+    state = pol.begin(0.0)
+    assert retry(pol, state)
+    assert retry(pol, state)
+    assert not retry(pol, state)         # bucket empty
+    assert pol.spent == 2 and pol.denied == 1
 
 
-def test_budget_refills_on_success_up_to_cap():
-    budget = RetryBudget(cap=1.0, refill=0.5)
-    assert budget.try_spend()
-    assert not budget.try_spend()
-    budget.on_success()                  # +0.5: still under a whole token
-    assert not budget.try_spend()
-    budget.on_success()                  # +0.5: one token available again
-    assert budget.try_spend()
+def test_budget_refills_on_success_up_to_cap(monkeypatch):
+    monkeypatch.setattr(FaultToleranceParams, "retry_refill", 0.5)
+    pol = policy(max_retries=100, retry_budget=1.0)
+    state = pol.begin(0.0)
+    assert retry(pol, state)
+    assert not retry(pol, state)
+    pol.on_success()                     # +0.5: still under a whole token
+    assert not retry(pol, state)
+    pol.on_success()                     # +0.5: one token available again
+    assert retry(pol, state)
     for _ in range(10):                  # refill never exceeds the cap
-        budget.on_success()
-    assert budget.try_spend()
-    assert not budget.try_spend()
+        pol.on_success()
+    assert retry(pol, state)
+    assert not retry(pol, state)
 
 
 def test_policy_exhausts_on_max_retries():
-    pol = RetryPolicy(RandomStreams(0), "s", max_retries=2)
+    pol = policy(max_retries=2)
     state = pol.begin(0.0)
-    for expected in (False, False, True):
-        state.attempt += 1
-        assert pol.exhausted(state, now=0.0) is expected
+    assert [retry(pol, state) for _ in range(3)] == [True, True, False]
 
 
 def test_policy_exhausts_on_op_budget_deadline():
-    pol = RetryPolicy(RandomStreams(0), "s", max_retries=100, op_budget=5.0)
+    pol = policy(max_retries=100, op_budget=5.0)
     state = pol.begin(10.0)
     state.attempt += 1
     assert not pol.exhausted(state, now=14.9)
@@ -57,14 +70,11 @@ def test_policy_exhausts_on_op_budget_deadline():
 
 
 def test_policy_exhausts_when_budget_denies():
-    budget = RetryBudget(cap=1.0, refill=0.1)
-    pol = RetryPolicy(RandomStreams(0), "s", max_retries=100, budget=budget)
+    pol = policy(max_retries=100, retry_budget=1.0)
     state = pol.begin(0.0)
-    state.attempt += 1
-    assert not pol.exhausted(state, now=0.0)   # spends the only token
-    state.attempt += 1
-    assert pol.exhausted(state, now=0.0)       # bucket empty -> give up
-    assert budget.denied == 1
+    assert retry(pol, state)                   # spends the only token
+    assert not retry(pol, state)               # bucket empty -> give up
+    assert pol.denied == 1
 
 
 def test_backoff_matches_decorrelated_jitter_replay():
@@ -72,8 +82,8 @@ def test_backoff_matches_decorrelated_jitter_replay():
     3*prev) clamped to the cap, prev floored at base, one draw per sleep,
     all from the named stream."""
     streams = RandomStreams(7)
-    pol = RetryPolicy(streams, "zk.client.x", max_retries=9,
-                      backoff_base=0.05, backoff_cap=0.4)
+    pol = RetryPolicy(streams, "zk.client.x", FaultToleranceParams(
+        max_retries=9, backoff_base=0.05, backoff_cap=0.4))
     state = pol.begin(0.0)
     sleeps = [pol.next_backoff(state) for _ in range(5)]
 
@@ -92,7 +102,8 @@ def test_zero_base_backoff_never_draws():
     """backoff_base == 0 (the Lustre/PVFS default) must consume nothing
     from the stream — the replay-identical guarantee."""
     streams = RandomStreams(3)
-    pol = RetryPolicy(streams, "lustre.client.c0", max_retries=4)
+    pol = RetryPolicy(streams, "lustre.client.c0",
+                      FaultToleranceParams.backend(max_retries=4))
     state = pol.begin(0.0)
     assert [pol.next_backoff(state) for _ in range(4)] == [0.0] * 4
     # The stream is untouched: its next draw equals a fresh stream's first.
@@ -100,16 +111,12 @@ def test_zero_base_backoff_never_draws():
         RandomStreams(3).stream("lustre.client.c0").random()
 
 
-def test_policy_success_refills_budget():
-    budget = RetryBudget(cap=1.0, refill=1.0)
-    pol = RetryPolicy(RandomStreams(0), "s", max_retries=9, budget=budget)
-    state = pol.begin(0.0)
-    state.attempt += 1
-    assert not pol.exhausted(state, now=0.0)
+def test_policy_success_refills_budget(monkeypatch):
+    monkeypatch.setattr(FaultToleranceParams, "retry_refill", 1.0)
+    pol = policy(max_retries=9, retry_budget=1.0)
+    assert retry(pol, pol.begin(0.0))
     pol.on_success()
-    state2 = pol.begin(1.0)
-    state2.attempt += 1
-    assert not pol.exhausted(state2, now=1.0)  # token restored
+    assert retry(pol, pol.begin(1.0))          # token restored
 
 
 # -- the retry loop -----------------------------------------------------------
@@ -203,13 +210,13 @@ def test_between_runs_after_each_charged_failure_and_pick_is_reasked():
     assert [endpoint for endpoint, _ in ep.tried] == ["a", "b", "c"]
 
 
-def test_breaker_fast_fail_is_charged_as_an_attempt():
+def test_breaker_fast_fail_is_charged_as_an_attempt(monkeypatch):
     """Threshold 2: two real failures open the breaker; the remaining
     budget is burned by fast-fails that never reach the endpoint, and the
     give-up carries no cause."""
+    monkeypatch.setattr(FaultToleranceParams, "breaker_threshold", 2)
     fault = FaultToleranceParams(backoff_base=0.0, max_retries=4,
-                                 breaker_enabled=True, breaker_threshold=2,
-                                 breaker_cooldown=10.0)
+                                 breaker_enabled=True, breaker_cooldown=10.0)
     result, ep, state, _, breakers, _ = drive(k=99, fault=fault)
     assert isinstance(result, GaveUp) and result.cause is None
     assert len(ep.tried) == 2              # only these were issued
@@ -219,11 +226,11 @@ def test_breaker_fast_fail_is_charged_as_an_attempt():
 
 def test_retry_budget_exhaustion_stops_the_loop_early():
     fault = FaultToleranceParams(backoff_base=0.0, max_retries=4,
-                                 retry_budget=2.0, retry_refill=0.0)
+                                 retry_budget=2.0)
     result, ep, state, policy, _, _ = drive(k=99, fault=fault)
     assert isinstance(result, GaveUp)
     assert len(ep.tried) == 3              # two tokens bought two retries
-    assert policy.budget.spent == 2 and policy.budget.denied == 1
+    assert policy.spent == 2 and policy.denied == 1
 
 
 def test_op_budget_deadline_stops_the_loop():
@@ -259,25 +266,25 @@ def test_backoff_sleeps_between_attempts_from_the_named_stream():
     assert starts[2] - starts[1] == pytest.approx(0.01 + second)
 
 
-def test_factory_reads_both_params_objects():
-    cluster = Cluster(seed=0)
-    node = cluster.add_node("n")
-    fault = FaultToleranceParams(backoff_base=0.03, backoff_cap=0.7,
-                                 max_retries=3, op_budget=8.0,
-                                 retry_budget=4.0, retry_refill=0.5,
-                                 breaker_enabled=True, breaker_threshold=9,
-                                 breaker_cooldown=2.5)
-    policy, breakers = build_retry(node, "s", fault)
-    assert (policy.max_retries, policy.backoff_base, policy.backoff_cap,
-            policy.op_budget) == (3, 0.03, 0.7, 8.0)
-    assert (policy.budget.cap, policy.budget.refill) == (4.0, 0.5)
-    assert (breakers.enabled, breakers.threshold, breakers.cooldown) == \
-        (True, 9, 2.5)
+def test_factory_reads_the_one_fault_policy():
+    """Each preset reaches the policy, its budget and every breaker the
+    board makes, through the one object."""
+    node = Cluster(seed=0).add_node("n")
+    for fault in (FaultToleranceParams(), FaultToleranceParams.backend(),
+                  FaultToleranceParams.resilience_on(breaker_cooldown=2.5)):
+        policy, breakers = build_retry(node, "s", fault)
+        assert policy.fault is fault and breakers.fault is fault
+        assert policy.tokens == fault.retry_budget
+        assert policy.begin(0.0).prev_sleep == fault.backoff_base
+        breaker = breakers.for_endpoint("srv")
+        assert (breaker.threshold, breaker.cooldown) == \
+            (fault.breaker_threshold, fault.breaker_cooldown)
 
 
 def test_backend_default_never_times_out_never_retries_never_draws():
     """The Lustre/PVFS default, spelled once: every RPC goes out with no
-    timeout and no deadline, the first failure is final, nothing sleeps."""
+    timeout and no deadline, the first failure is final, nothing sleeps,
+    no retry is charged and no breaker opens."""
     assert LustreParams().fault == PVFSParams().fault == \
         FaultToleranceParams.backend()
     cluster = Cluster(seed=0)
@@ -288,7 +295,11 @@ def test_backend_default_never_times_out_never_retries_never_draws():
     state.attempt += 1
     assert policy.exhausted(state, now=3.0)
     assert policy.next_backoff(state) == 0.0
-    assert not breakers.enabled and not policy.budget.enabled
+    policy.on_success()
+    assert policy.tokens == 0.0 and policy.spent == policy.denied == 0
+    for _ in range(10):
+        breakers.on_failure("mds")
+    assert breakers.allow("mds") and breakers.breakers == {}
 
 
 def test_attempt_bounds_are_assembled_once_per_operation():
