@@ -8,16 +8,21 @@
 The dump holds a row for every span of every measured phase; the ledger's
 per-layer table reports only ``dir_create``, ``file_create`` and
 ``file_stat``. An op is a root ``fuse`` span that ended. A root span of
-any other layer — a back-end unlink that a synchronous ``unlink`` started
-and did not wait for — is no op's time and is left out. Self time is the
-ledger's own reducer (``perfbench/reduce.py``); the rows carry no
-core-queue wait, so ``zk.server`` is one column. The columns sum to the
-mean root-span duration.
+any other layer is no op's time and is left out of the columns: the
+recorder parents no span to a process an op spawned. Such spans that
+start inside an op — a synchronous ``unlink``'s back-end reclaim, a
+hinted ``stat``'s back-end stat beside its znode read — are listed
+below the columns by layer (count, mean µs), so work an op overlaps or
+leaves behind stays visible. Self time is the ledger's own reducer
+(``perfbench/reduce.py``); the rows carry no core-queue wait, so
+``zk.server`` is one column. The columns sum to the mean root-span
+duration.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import gzip
 import json
 import math
@@ -45,20 +50,28 @@ class _Span:
         self.cpu_wait = 0.0
 
 
-def phase_layers(path: str, phase: str) -> Tuple[int, Dict[str, float],
-                                                  float]:
-    """``(ops, self µs per op by column, mean root-span µs)`` of
-    ``phase``. A row's ``parent`` is the index of an earlier row."""
+def _load(path: str, phase: str) -> Tuple[list, list, list]:
+    """Every span, then ``phase``'s ended root spans: the ``fuse`` ones
+    (the ops) and the others. A row's ``parent`` is the index of an
+    earlier row."""
     spans: list = []
-    roots = []
+    roots, others = [], []
     with gzip.open(path, "rt", encoding="utf-8") as fh:
         for line in fh:
             row = json.loads(line)
             span = _Span(row, spans)
             spans.append(span)
             if row["phase"] == phase and span.parent is None \
-                    and span.layer == "fuse" and span.end != math.inf:
-                roots.append(span)
+                    and span.end != math.inf:
+                (roots if span.layer == "fuse" else others).append(span)
+    return spans, roots, others
+
+
+def phase_layers(path: str, phase: str) -> Tuple[int, Dict[str, float],
+                                                  float]:
+    """``(ops, self µs per op by column, mean root-span µs)`` of
+    ``phase``."""
+    spans, roots, _ = _load(path, phase)
     seconds, _ = layer_self_times(spans, roots)
     n = max(1, len(roots))
     per_op = dict.fromkeys(COLUMNS, 0.0)
@@ -67,6 +80,27 @@ def phase_layers(path: str, phase: str) -> Tuple[int, Dict[str, float],
                else column] += s / n * 1e6
     mean_root = sum(r.end - r.start for r in roots) / n * 1e6
     return len(roots), per_op, mean_root
+
+
+def detached_roots(path: str, phase: str) -> Dict[str, Tuple[int, float]]:
+    """``layer -> (count, mean µs)`` of ``phase``'s ended root spans of a
+    layer other than ``fuse`` that start while some op of the phase is
+    in flight."""
+    _, roots, others = _load(path, phase)
+    busy: list = []                 # the union of the ops' intervals
+    for r in sorted(roots, key=lambda r: r.start):
+        if busy and r.start <= busy[-1][1]:
+            busy[-1][1] = max(busy[-1][1], r.end)
+        else:
+            busy.append([r.start, r.end])
+    starts = [b[0] for b in busy]
+    found: Dict[str, list] = {}
+    for span in others:
+        i = bisect.bisect_right(starts, span.start) - 1
+        if i >= 0 and span.start <= busy[i][1]:
+            found.setdefault(span.layer, []).append(span.end - span.start)
+    return {layer: (len(d), sum(d) / len(d) * 1e6)
+            for layer, d in sorted(found.items())}
 
 
 def main(argv=None) -> int:
@@ -85,6 +119,11 @@ def main(argv=None) -> int:
         print(f"  {column:<14} {per_op[column]:10.1f}")
     print(f"  {'sum':<14} {sum(per_op.values()):10.1f}")
     print(f"  {'mean root':<14} {mean_root:10.1f}")
+    detached = detached_roots(args.spans, args.phase)
+    if detached:
+        print("root spans started inside an op (no op's time above)")
+        for layer, (count, mean) in detached.items():
+            print(f"  {layer:<14} {count:6d} spans, mean {mean:8.1f} µs")
     return 0
 
 

@@ -13,12 +13,12 @@ Implements the paper's algorithms:
 - **rename** never moves data: the FID (hence the physical file) is
   reused under the new name, atomically via a ZooKeeper multi-op.
 
-A DUFS client instance is stateless apart from its FID generator and a
-cache of *physical* hash directories it has already ensured on each
-back-end (the static layout of §IV-G); crash-restart loses nothing
-(§IV-I). The mount makes the chain all of an instance's FIDs share: a
-create that races it waits for it, and one makes the chain itself only
-after a mount mkdir failed.
+A DUFS client instance keeps nothing the namespace needs: its FID
+generator, the *physical* hash directories it has ensured (the static
+layout of §IV-G) and FID hints ``stat`` never trusts; crash-restart loses
+nothing (§IV-I). The mount makes the chain all of an instance's FIDs
+share: a create that races it waits for it, and one makes the chain
+itself only after a mount mkdir failed.
 
 Both write paths run each mutation through one op runner (``_run``):
 a file create's physical file, then the metadata call, then the
@@ -142,6 +142,9 @@ class DUFSClient:
         # Write-behind: physical path -> Event of each file whose physical
         # create the drain still owes. A back-end call on one waits for it.
         self._unmade: dict = {}
+        # FID hints (see ``stat``): path -> FID, gone on unlink or rename.
+        self._fids: dict = {}
+        node.on_crash(self._fids.clear)
         self.stats = {"zk_reads": 0}
         # The read side, assembled once: pending-write overlay → coherent
         # cache (the stage exists only when enabled) → source, the paper's
@@ -546,11 +549,24 @@ class DUFSClient:
 
     # -- stat (paper Fig. 6) -----------------------------------------------------
     def stat(self, path: str) -> Generator:
+        """Fig. 6, its two steps overlapped when this mount created or
+        last stat'ed ``path``: the back-end stat of the FID it saw runs in
+        a child beside the znode read. The znode is the authority: unless
+        it names that FID, the stat waits the child out and goes on."""
         path = normalize_path(path)
         yield from self._logic(self.params.znode_codec_cpu)
         if path == "/":
             return StatResult(st_mode=DEFAULT_DIR_MODE, st_ino=1, st_nlink=2)
-        payload, zstat = yield from self._get_payload(path)
+        hint = self._fids.pop(path, None)
+        early = None if hint is None else self.node.shielded(
+            self._stat_fid(hint), "dufs-stat")
+        try:
+            payload, zstat = yield from self._get_payload(path)
+        except FSError:
+            if early is not None:
+                yield early
+            raise
+        early = None if early is None else (yield early)
         if isinstance(payload, DirPayload):
             # Satisfied at the ZooKeeper level (no back-end contact).
             return StatResult(
@@ -568,12 +584,22 @@ class DUFSClient:
                               st_size=len(payload.target),
                               st_atime=zstat.ctime, st_mtime=zstat.ctime,
                               st_ctime=zstat.ctime)
-        yield from self._logic(self.params.mapping_cpu)
-        backend, ppath = self._locate(payload.fid)
-        if ppath in self._unmade:   # read-your-writes, the file not yet made
+        self._fids[path] = payload.fid
+        st = early.result() if hint == payload.fid \
+            else (yield from self._stat_fid(payload.fid))
+        if st is None:      # read-your-writes, the file not yet made
             return StatResult(st_mode=S_IFREG | (payload.mode & 0o7777),
                               st_atime=zstat.ctime, st_mtime=zstat.ctime,
                               st_ctime=zstat.ctime)
+        return st
+
+    def _stat_fid(self, fid: int) -> Generator:
+        """Fig. 6's second step: the physical file's attributes, or None
+        while the drain still owes the file."""
+        yield from self._logic(self.params.mapping_cpu)
+        backend, ppath = self._locate(fid)
+        if ppath in self._unmade:
+            return None
         st = yield from self._backend_call(backend, "stat", ppath)
         st.st_mode = S_IFREG | (st.st_mode & 0o7777)
         return st
@@ -596,6 +622,7 @@ class DUFSClient:
         # physical file back.
         yield from self._commit("create", path, FilePayload(fid, mode))
         self.mdcache.note_created(path)
+        self._fids[path] = fid
         return True
 
     def _unlink_physical(self, fid: int) -> Generator:
@@ -619,6 +646,7 @@ class DUFSClient:
         # _outcome's _reclaim unlinks the physical file once the name is gone.
         yield from self._commit("delete", path, payload)
         self.mdcache.note_removed(path)
+        self._fids.pop(path, None)
         return True
 
     def _resolve_file(self, path: str, flags: int = 0) -> Generator:
@@ -791,6 +819,8 @@ class DUFSClient:
             self.mdcache.note_removed(src)
             self.mdcache.note_removed(dst)
         self.mdcache.note_created(dst, is_dir=is_dir)
+        self._fids.pop(src, None)
+        self._fids.pop(dst, None)
         # Overwritten file's contents are garbage-collected.
         if isinstance(dst_payload, FilePayload):
             yield from self._reclaim(dst_payload.fid)

@@ -41,3 +41,20 @@ def test_a_file_remove_waits_for_no_back_end_call(spans):
     ``file_remove`` op is charged any ``pfs`` time."""
     _, per_op, _ = SCRIPT["phase_layers"](str(spans), "file_remove")
     assert per_op["pfs"] == 0.0
+
+
+@pytest.mark.parametrize("phase, layers", [
+    ("file_stat", ["pfs"]),         # each hinted stat's back-end stat
+    ("file_remove", ["pfs"]),       # each unlink's reclaim
+    ("dir_create", []),
+])
+def test_root_spans_an_op_starts_are_listed_beside_the_columns(spans, phase,
+                                                               layers):
+    """paper-lat's processes stat the files they created, so every file
+    stat starts its back-end stat beside the znode read: one detached
+    ``pfs`` root span per op, and no ``pfs`` time in the columns."""
+    detached = SCRIPT["detached_roots"](str(spans), phase)
+    assert list(detached) == layers
+    for count, mean_us in detached.values():
+        assert count == 32 and mean_us > 0
+    assert SCRIPT["phase_layers"](str(spans), phase)[1]["pfs"] == 0.0

@@ -1,6 +1,7 @@
-"""What one unloaded ``create``, ``stat``, ``mkdir``, ``unlink`` and
-``rmdir`` cost in creation ids, itemised — and a write-behind ``create``,
-split into its ack and its drain (with the cache on, the drain's prime).
+"""What one unloaded ``create``, ``stat`` (with and without a FID hint),
+``mkdir``, ``unlink`` and ``rmdir`` cost in creation ids, itemised — and
+a write-behind ``create``, split into its ack and its drain (with the
+cache on, the drain's prime).
 
 ``sim._eid`` counts everything the kernel ever scheduled (``sim.events`` in
 the perfbench ledger). This pins the count for each of these ops on the
@@ -195,8 +196,9 @@ def test_a_forwarded_create_costs_the_same_however_long_its_reply_is_held(
     assert sim._eid - before == FORWARDED_CREATE_IDS
 
 
-#: A ``stat`` of a file, through either client: any server answers a read
-#: from its own replica, so the co-located leader and follower cost alike.
+#: A ``stat`` of a file through a client that neither created nor stat'ed
+#: it, at either server: any server answers a read from its own replica, so
+#: the co-located leader and follower cost alike.
 STAT_IDS = sum((
     1,      # this test's driving process
     1,      # client: op logic CPU
@@ -207,6 +209,22 @@ STAT_IDS = sum((
     2,      # client: the call's waiter fires, then its any-of(timeout)
     1,      # client: mapping CPU (which back-end holds the file)
     1,      # back-end (local FS): stat CPU
+))
+
+#: The same ``stat`` through the client that created the file: the FID it
+#: remembers is stat'ed on the back-end by a child beside the znode read,
+#: which names the same FID. The child is done before the reply is back.
+HINTED_STAT_IDS = sum((
+    1,      # this test's driving process
+    1,      # client: op logic CPU
+    1,      # client: the back-end stat's child process
+    1,      # child: mapping CPU (which back-end holds the file)
+    1,      # back-end (local FS): stat CPU
+    2,      # client -> server: request delivery, the call's reserved timeout id
+    2,      # server: the request's dispatch slot, its handler process
+    1,      # server: read CPU
+    1,      # server -> client: response delivery
+    2,      # client: the call's waiter fires, then its any-of(timeout)
 ))
 
 #: A ``mkdir`` through the client at the leader: a create with no back-end
@@ -334,11 +352,11 @@ FOLLOWER_APPLY_IDS = 2 * 3
 
 
 @pytest.mark.parametrize("role, op, path, ids, total", [
-    ("leading", "stat", "/warm", STAT_IDS, 12),
+    ("leading", "stat", "/warm", HINTED_STAT_IDS, 13),
     ("leading", "mkdir", "/d", MKDIR_IDS, 37),
     ("leading", "unlink", "/warm", UNLINK_IDS, 48),
     ("leading", "rmdir", "/d", RMDIR_IDS, 45),
-    ("following", "stat", "/warm", STAT_IDS, 12),
+    ("following", "stat", "/warm", HINTED_STAT_IDS, 13),
     ("following", "mkdir", "/d", FORWARDED_MKDIR_IDS, 46),
     ("following", "unlink", "/warm", FORWARDED_UNLINK_IDS, 57),
     ("following", "rmdir", "/d", FORWARDED_RMDIR_IDS, 54),
@@ -346,7 +364,8 @@ FOLLOWER_APPLY_IDS = 2 * 3
 def test_an_unloaded_op_costs_exactly_these_creation_ids(role, op, path, ids,
                                                           total):
     """Through the client whose preferred server is the co-located server
-    in ``role``, after a warm-up create (and, for ``rmdir``, its mkdir)."""
+    in ``role``, after a warm-up create (and, for ``rmdir``, its mkdir).
+    That client made ``/warm``, so its ``stat`` is a hinted one."""
     dep = build_dufs_deployment(n_zk=3, n_backends=2, n_client_nodes=3,
                                 backend="local")
     sim = dep.cluster.sim
@@ -366,6 +385,25 @@ def test_an_unloaded_op_costs_exactly_these_creation_ids(role, op, path, ids,
     run(getattr(client, op)(path))
     assert ids == total
     assert sim._eid - before == ids
+
+
+@pytest.mark.parametrize("role", ["leading", "following"])
+def test_a_stat_through_a_client_that_did_not_create_the_file(role):
+    """The third client, at the other follower, makes ``/warm``: the
+    client in ``role`` has no hint, so Fig. 6's two steps run in turn."""
+    dep = build_dufs_deployment(n_zk=3, n_backends=2, n_client_nodes=3,
+                                backend="local")
+    sim = dep.cluster.sim
+    at = 0 if role == "leading" else 1
+    client, node = dep.clients[at], dep.client_nodes[at]
+    assert dep.ensemble.servers[at].role == role
+    sim.run(until=dep.client_nodes[2].spawn(dep.clients[2].create("/warm")))
+    sim.run()
+    before = sim._eid
+    sim.run(until=node.spawn(client.stat("/warm")))
+    sim.run()
+    assert STAT_IDS == 12
+    assert sim._eid - before == STAT_IDS
 
 
 @pytest.mark.parametrize("role, before_return, after_return", [

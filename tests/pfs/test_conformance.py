@@ -3,6 +3,13 @@
 The same behavioural contract must hold for the local FS, the Lustre
 client, and the PVFS client (and, in tests/core, for DUFS itself) — this
 is what lets the paper swap back-ends under one DUFS prototype.
+
+One exception: DUFS and PVFS follow no symlink in the middle of a path
+(``/l/f`` with ``/l -> /d`` is ENOTDIR there; ``FOLLOWS`` below). DUFS
+looks a whole path up as one znode, so a link it meets mid-path is just
+a non-directory parent; ``PVFSClient._resolve`` resolves each component
+by handle and never reads a link. The local FS and Lustre walk the path
+through ``Namespace.lookup``, which follows one.
 """
 
 import pytest
