@@ -14,8 +14,12 @@ import pytest
 from repro.bench.figures import (run_ablations, run_cmd_comparison,
                                  run_fig9, run_fig10, run_single_dir)
 
-# sha256(repr(sorted(fig.series.items())))[:16] at scale="tiny". fig9,
-# fig10 and singledir were re-recorded when a synchronous unlink began
+# sha256(repr(sorted(fig.series.items())))[:16] at scale="tiny". The four
+# with DUFS series were re-recorded when a file stat with a FID hint began
+# starting its back-end stat beside its znode read: only the DUFS
+# file_stat cells moved (dufs-lustre 5,547 -> 7,648 ops/s, dufs-pvfs
+# 4,578 -> 5,921, ablation layout=paper 3,430 -> 4,369). Before that,
+# fig9, fig10 and singledir were re-recorded when a synchronous unlink began
 # returning before its back-end unlink (a process of its own, which the
 # caller's next unlink waits for): every DUFS file_remove cell moved,
 # dufs-lustre 1,364 -> 1,726 ops/s and dufs-pvfs 236 -> 304 (the PVFS
@@ -28,11 +32,11 @@ from repro.bench.figures import (run_ablations, run_cmd_comparison,
 # file_remove cells and of fig9/backends4, fig10/dufs-pvfs and singledir
 # file_stat.
 GOLDEN = {
-    "ablations": "18dbab9f59b14fa6",
+    "ablations": "0d66a85e5852cb17",
     "cmd": "c7b87a8c703ed78a",
-    "fig10": "3fac1f41694e1ec3",
-    "fig9": "bd07daa1317d9957",
-    "singledir": "0545a5ddf895d311",
+    "fig10": "c4d528818e1fc2ec",
+    "fig9": "0ff817b364affd2b",
+    "singledir": "18901149298fc556",
 }
 
 RUNNERS = {"fig9": run_fig9, "fig10": run_fig10, "singledir": run_single_dir,

@@ -27,7 +27,11 @@ SUITES = runpy.run_path(str(ROOT / "scripts" / "check_regression.py"))["SUITES"]
 # shard file_remove row and the elastic rows moved when a synchronous unlink
 # began returning before its back-end unlink, which runs in a process of its
 # own: faster removes shifted the autoscaler's decisions (elastic
-# file_create 1.44x -> 1.34x, floor 1.3x).
+# file_create 1.44x -> 1.34x, floor 1.3x). The mdcache, resolve and shard
+# stat rows and the elastic rows moved when a file stat with a FID hint
+# began starting its back-end stat beside its znode read: the uncached
+# arms' stats got faster (mdcache ls_l 7.13x -> 6.85x, elastic file_stat
+# 1.64x -> 1.56x, floor 1.3x), and the autoscaler's decisions shifted.
 GOLDEN = {
     "async": """\
 async-write ablation (scale=quick):
@@ -38,19 +42,19 @@ async-write ablation (scale=quick):
     "elastic": """\
 elastic plane (scale=quick, 8 ZK servers as 4 shards, pin budget 8):
   arm           file_create      file_stat
-  elastic            15,620         84,448
-  hash                8,486         36,578
-  tuned-A            11,624         50,974
-  tuned-B            11,585         51,467
-  gate: file_create elastic/best-static = 1.34x (floor 1.3x)
-  gate: file_stat elastic/best-static = 1.64x (floor 1.3x)
-  elastic: 192 ticks, epoch 18, 12 splits / 6 merges, 1680 entries copied""",
+  elastic            15,872         82,060
+  hash                8,486         36,775
+  tuned-A            11,624         52,142
+  tuned-B            11,585         52,602
+  gate: file_create elastic/best-static = 1.37x (floor 1.3x)
+  gate: file_stat elastic/best-static = 1.56x (floor 1.3x)
+  elastic: 192 ticks, epoch 18, 12 splits / 6 merges, 1638 entries copied""",
     "mdcache": """\
 cache ablation (scale=quick):
   phase           off ops/s     on ops/s  speedup
-  stat_hot            6,976       16,700    2.39x
-  stat_shared        13,880       32,996    2.38x
-  ls_l                6,137       43,732    7.13x
+  stat_hot            7,272       16,764    2.31x
+  stat_shared        14,422       33,096    2.29x
+  ls_l                6,483       44,404    6.85x
   cache-on: hit-rate 76.7% (hits=1952 misses=400 coalesced=192 listings=16/32), zk reads 416 vs 2576 uncached""",
     "resilience": """\
 resilience overload campaign (scale=quick, capacity 500 reads/s, 4 open-loop clients x 4s):
@@ -64,15 +68,15 @@ resilience overload campaign (scale=quick, capacity 500 reads/s, 4 open-loop cli
 resolve ablation (scale=quick depth=8):
   phase          walk ops/s   thin ops/s  speedup
   flat_stat           6,362        6,939    1.09x
-  epoch_read          6,939        6,939    1.00x
-  deep_stat           1,114        5,516    4.95x
+  epoch_read          7,429        7,429    1.00x
+  deep_stat           1,120        5,665    5.06x
   thin: 1.00 RPCs/lookup (704 reads / 704 lookups) vs walk 2.12; server dentry hits 1745/2048 over 704 resolves""",
     "shard": """\
 shard scaling (scale=quick, 8 ZK servers total, 8 procs x 20 items):
   phase            1 shard(s)     2 shard(s)     4 shard(s)  speedup
   dir_create            2,582          2,616          2,815    1.09x
   file_create           2,251          3,205          3,675    1.63x
-  file_stat            13,005         13,005         11,339    0.87x
+  file_stat            13,861         13,861         11,984    0.86x
   file_remove           2,024          2,468          2,626    1.30x
   gate: file_create at 4 shards = 1.63x (floor 1.5x)
   gate: dir_create at 4 shards = 1.09x (floor 1.0x)""",

@@ -26,8 +26,11 @@ from .conftest import DUFSHarness
 #: simulator events). Re-recorded when a synchronous unlink began
 #: returning before its back-end unlink, which runs in a process of its
 #: own: the same OpTraces, earlier file-remove timings (14,943 -> 14,983
-#: simulator events, one per remove).
-GOLDEN_DIGEST = "17ab81b99a9a32a7f51d688c3be6dba36ae8f21fb649a6f5de872d50807a393f"
+#: simulator events, one per remove). Re-recorded when a file stat with
+#: a FID hint began starting its back-end stat beside its znode read:
+#: the same OpTraces, earlier file-stat timings (14,983 -> 15,023
+#: simulator events, one per stat).
+GOLDEN_DIGEST = "102fcc88c5681b3db4d6c3184892b48fa0abc97a030eb2b92406689f87f5a2ee"
 
 
 @pytest.fixture

@@ -21,8 +21,11 @@ from repro.workloads.mdtest import MdtestConfig, run_mdtest
 #: (12,956 -> 12,951 simulator events). Re-recorded when a synchronous
 #: unlink began returning before its back-end unlink, which runs in a
 #: process of its own: the same OpTraces, earlier file-remove timings
-#: (12,951 -> 12,991 simulator events, one per remove).
-GOLDEN_DIGEST = "fcc87d4300f80a0868bbed45e4421b85720b0c1de5137430b8e4fe12879aa3aa"
+#: (12,951 -> 12,991 simulator events, one per remove). Re-recorded when
+#: a file stat with a FID hint began starting its back-end stat beside its
+#: znode read: the same OpTraces, earlier file-stat timings (12,991 ->
+#: 13,031 simulator events, one per stat).
+GOLDEN_DIGEST = "e38da830b3bd0bf5992a7822b0e33fb5eb985702b632c632483a1e518567ddd4"
 
 
 @pytest.fixture(autouse=True)
