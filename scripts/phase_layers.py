@@ -22,7 +22,6 @@ duration.
 from __future__ import annotations
 
 import argparse
-import bisect
 import gzip
 import json
 import math
@@ -87,17 +86,9 @@ def detached_roots(path: str, phase: str) -> Dict[str, Tuple[int, float]]:
     layer other than ``fuse`` that start while some op of the phase is
     in flight."""
     _, roots, others = _load(path, phase)
-    busy: list = []                 # the union of the ops' intervals
-    for r in sorted(roots, key=lambda r: r.start):
-        if busy and r.start <= busy[-1][1]:
-            busy[-1][1] = max(busy[-1][1], r.end)
-        else:
-            busy.append([r.start, r.end])
-    starts = [b[0] for b in busy]
     found: Dict[str, list] = {}
     for span in others:
-        i = bisect.bisect_right(starts, span.start) - 1
-        if i >= 0 and span.start <= busy[i][1]:
+        if any(r.start <= span.start <= r.end for r in roots):
             found.setdefault(span.layer, []).append(span.end - span.start)
     return {layer: (len(d), sum(d) / len(d) * 1e6)
             for layer, d in sorted(found.items())}

@@ -566,7 +566,7 @@ class DUFSClient:
             if early is not None:
                 yield early
             raise
-        early = None if early is None else (yield early)
+        outcome = None if early is None else (yield early)
         if isinstance(payload, DirPayload):
             # Satisfied at the ZooKeeper level (no back-end contact).
             return StatResult(
@@ -585,7 +585,7 @@ class DUFSClient:
                               st_atime=zstat.ctime, st_mtime=zstat.ctime,
                               st_ctime=zstat.ctime)
         self._fids[path] = payload.fid
-        st = early.result() if hint == payload.fid \
+        st = outcome.result() if hint == payload.fid \
             else (yield from self._stat_fid(payload.fid))
         if st is None:      # read-your-writes, the file not yet made
             return StatResult(st_mode=S_IFREG | (payload.mode & 0o7777),
