@@ -142,8 +142,10 @@ class DUFSClient:
         # Write-behind: physical path -> Event of each file whose physical
         # create the drain still owes. A back-end call on one waits for it.
         self._unmade: dict = {}
-        # FID hints (see ``stat``): path -> FID, gone on unlink or rename.
+        # FID hints (see ``stat``): path -> FID, gone on unlink or rename;
+        # none beside the coherent cache, whose capacity bounds them.
         self._fids: dict = {}
+        self._hints = not params.cache.enabled
         node.on_crash(self._fids.clear)
         self.stats = {"zk_reads": 0}
         # The read side, assembled once: pending-write overlay → coherent
@@ -584,7 +586,8 @@ class DUFSClient:
                               st_size=len(payload.target),
                               st_atime=zstat.ctime, st_mtime=zstat.ctime,
                               st_ctime=zstat.ctime)
-        self._fids[path] = payload.fid
+        if self._hints:
+            self._fids[path] = payload.fid
         st = outcome.result() if hint == payload.fid \
             else (yield from self._stat_fid(payload.fid))
         if st is None:      # read-your-writes, the file not yet made
@@ -622,7 +625,8 @@ class DUFSClient:
         # physical file back.
         yield from self._commit("create", path, FilePayload(fid, mode))
         self.mdcache.note_created(path)
-        self._fids[path] = fid
+        if self._hints:
+            self._fids[path] = fid
         return True
 
     def _unlink_physical(self, fid: int) -> Generator:

@@ -2,14 +2,15 @@
 back-end stat of the FID it saw beside the znode read. The hint is never
 trusted: these cases change the namespace behind the mount's back and
 check that the stat answers for the file the znode names, wastes at most
-the one back-end stat it started, and leaves no child running."""
+the one back-end stat it started, and leaves no child running. A mount
+with the coherent cache keeps no hints."""
 
 import pytest
 
 from repro.chaos.audit import audit_dufs
 from repro.core import build_dufs_deployment
 from repro.errors import EIO, ENOENT, FSError
-from repro.models.params import AsyncParams
+from repro.models.params import AsyncParams, CacheParams
 from repro.sim.core import Interrupt
 
 #: How long a slowed back-end call takes: far longer than a znode read.
@@ -164,3 +165,21 @@ def test_unlink_and_rename_drop_the_hint(op):
     _run(dep, 0, a.create("/f"))
     _run(dep, 0, a.unlink("/f") if op == "unlink" else a.rename("/f", "/h"))
     assert "/f" not in a._fids and "/h" not in a._fids
+
+
+def test_a_mount_with_the_coherent_cache_keeps_no_hints(monkeypatch):
+    dep = _deployment(cache=CacheParams.caching_on())
+    a, b = dep.clients
+    _run(dep, 0, _sized(a, "/f", 3))
+    _run(dep, 1, _sized(b, "/g", 5))
+    stats = _count(monkeypatch, dep, "stat", delay=SLOW)
+
+    def stat_all():
+        sizes = []
+        for path in ("/f", "/g", "/g"):
+            sizes.append((yield from a.stat(path)).st_size)
+        return sizes
+
+    assert _run(dep, 0, stat_all()) == [3, 5, 5]
+    assert len(stats) == 3 and a._fids == {} and b._fids == {}
+    assert _live_stat_children(dep) == []
