@@ -75,13 +75,13 @@ ARMS = {
 }
 
 ARM_GOLDENS = {
-    # All six re-recorded when a file stat with a FID hint (the mount
-    # created or last stat'ed the file) began starting its back-end stat
-    # beside its znode read: the same OpTraces per arm, earlier file-stat
-    # timings, and one more simulator event per hinted stat (its child),
-    # two where the znode read is a cache hit and the stat waits for the
-    # child (12,202 -> 12,243 events on "default", 9,650 -> 9,732 on
-    # "async+cache").
+    # "default" and "thin" re-recorded when a file stat with a FID hint
+    # (the mount created or last stat'ed the file) began starting its
+    # back-end stat beside its znode read: the same OpTraces per arm,
+    # earlier file-stat timings, and one more simulator event per hinted
+    # stat, its child (12,202 -> 12,243 events on "default"). A mount with
+    # the coherent cache keeps no hints, so the four cache arms are the
+    # digests recorded before the hint.
     # Before that, all but "async+cache" re-recorded when a synchronous unlink began
     # returning once its znode delete landed, its back-end unlink left to
     # a process of its own: the same OpTraces per arm, one more simulator
@@ -108,14 +108,14 @@ ARM_GOLDENS = {
     # "async+cache" when the write-behind drain began issuing each op as
     # soon as no in-flight op conflicts with it (8,891 -> 8,496 simulator
     # events).
-    "2shards+cache": ("b5ca9dc5c5a353352d5b149e2cb5a204"
-                      "ceb5c69d3ba92cfeaa498d56f54a3660"),
-    "async+cache": ("b6d27da1ac55e6593684b3f72af8434c"
-                    "db06af6f8ce4faaa1e7f93cbb7710137"),
-    "cache": ("120d13a5747226998ad35034a5c62944"
-              "47d6019001da64329dc0e63f2983bf21"),
-    "cache+thin": ("d69adb49ef30913601098d96d79fd7bb"
-                   "aa25693a2611f74a547767338da8b2e0"),
+    "2shards+cache": ("079a3979374cf04aab7b915b3e94fdbf"
+                      "09ffd55372fba8b1b7e38cac123abbd3"),
+    "async+cache": ("812aac16c870b3bb59d21bc578505df4"
+                    "14acf8a01d381f8e05d2152b51029ec7"),
+    "cache": ("196dbde36c393189f42b39476943a630"
+              "6bcfca5def0a0f076b574426444558fd"),
+    "cache+thin": ("173b96cc4199c7d5fc49bae3f0348413"
+                   "d1f10afa553593570d955ef604f55558"),
     "default": ("fba9d22f5e3ec8780865b14991f56150"
                 "f6d8cc2f4a6b9e87f3d5c3acab64bab7"),
     "thin": ("7a66ad7c4ad0380e5b4609d82dd15da6"
