@@ -11,8 +11,8 @@ per-layer table reports only ``dir_create``, ``file_create`` and
 any other layer is no op's time and is left out of the columns: the
 recorder parents no span to a process an op spawned. Such spans that
 start inside an op — a synchronous ``unlink``'s back-end reclaim, a
-hinted ``stat``'s back-end stat beside its znode read — are listed
-below the columns by layer (count, mean µs), so work an op overlaps or
+hinted ``stat``'s back-end stat beside its znode read, the next spare a
+synchronous ``create`` starts — are listed below the columns by layer (count, mean µs), so work an op overlaps or
 leaves behind stays visible. Self time is the ledger's own reducer
 (``perfbench/reduce.py``); the rows carry no core-queue wait, so
 ``zk.server`` is one column. The columns sum to the mean root-span

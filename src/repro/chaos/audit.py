@@ -45,6 +45,11 @@ mode's contract, damage is not. Since the physical step always follows
 the mapping, a lost op never leaves a dangling mapping, and that
 violation is never excused.
 
+A synchronous client's *spares*, files made ahead of the create that
+will name them, are owned files (``AuditReport.spares``); a crashed
+client's spares and the files of its creates in flight are residue
+(``AuditReport.lost_spares``), like Lustre's stranded precreated objects.
+
 The report is machine-readable (:meth:`AuditReport.to_dict`) and
 deterministic: violations are sorted, so two runs with the same seed and
 schedule produce byte-identical reports.
@@ -83,6 +88,10 @@ class AuditReport:
     # physical files of acked-but-uncompleted file creates and deletes,
     # matched against the clients' lost-op windows.
     lost_unacked: int = 0
+    # Synchronous clients' files no name maps to yet: the live mounts'
+    # spares, and the spares and in-flight creates a node crash cut off.
+    spares: int = 0
+    lost_spares: int = 0
 
     @property
     def ok(self) -> bool:
@@ -98,6 +107,8 @@ class AuditReport:
             "checked_files": self.checked_files,
             "repairs": self.repairs,
             "lost_unacked": self.lost_unacked,
+            "spares": self.spares,
+            "lost_spares": self.lost_spares,
             "violations": [
                 {"kind": v.kind, "path": v.path, "detail": v.detail}
                 for v in sorted(self.violations,
@@ -109,8 +120,11 @@ class AuditReport:
         repaired = f", {self.repairs} intent repairs" if self.repairs else ""
         lost = f", {self.lost_unacked} lost-unacked (write-behind window)" \
             if self.lost_unacked else ""
+        spares = f", spares: {self.spares} live, {self.lost_spares} lost" \
+            if self.spares or self.lost_spares else ""
         lines = [f"audit: {self.checked_znodes} znodes, "
-                 f"{self.checked_files} physical files{repaired}{lost} -> "
+                 f"{self.checked_files} physical files{repaired}{lost}"
+                 f"{spares} -> "
                  f"{'CLEAN' if self.ok else f'{len(self.violations)} violations'}"]
         for v in sorted(self.violations,
                         key=lambda v: (v.kind, v.path, v.detail)):
@@ -281,6 +295,11 @@ def audit_dufs(deployment) -> AuditReport:
                   for op in cli.wblog.lost_ops()
                   if op.kind in ("create", "delete")
                   and isinstance(op.payload, FilePayload)}
+    spares: Tuple[Set, Set] = (set(), set())    # live, cut off by a crash
+    for cli in deployment.clients:
+        for files, fids in zip(spares, cli.spare_fids()):
+            files.update((mapping.backend_for(fid),
+                          physical_path(fid, layout)) for fid in fids)
 
     # Pass 2: enumerate back-end files and diff both directions.
     actual: Set[Tuple[int, str]] = set()
@@ -297,8 +316,12 @@ def audit_dufs(deployment) -> AuditReport:
     for backend, ppath in sorted(actual - expected.keys()):
         if (backend, ppath) in lost_files:
             report.lost_unacked += 1
-            continue
-        report.violations.append(Violation(
-            "orphan-fid", ppath,
-            f"back-end {backend} file not referenced by any znode"))
+        elif (backend, ppath) in spares[0]:
+            report.spares += 1
+        elif (backend, ppath) in spares[1]:
+            report.lost_spares += 1
+        else:
+            report.violations.append(Violation(
+                "orphan-fid", ppath,
+                f"back-end {backend} file not referenced by any znode"))
     return report

@@ -15,18 +15,21 @@ Implements the paper's algorithms:
 
 A DUFS client instance keeps nothing the namespace needs: its FID
 generator, the *physical* hash directories it has ensured (the static
-layout of §IV-G) and FID hints ``stat`` never trusts; crash-restart loses
-nothing (§IV-I). The mount makes the chain all of an instance's FIDs
-share: a create that races it waits for it, and one makes the chain
-itself only after a mount mkdir failed.
+layout of §IV-G), FID hints ``stat`` never trusts and its spares, files
+no name maps to yet; crash-restart loses nothing (§IV-I), and a crash
+leaves at most the spares and the creates in flight as unreferenced
+files. The mount makes the chain all of an instance's FIDs share: a
+create that races it waits for it, and one makes the chain itself only
+after a mount mkdir failed.
 
 Both write paths run each mutation through one op runner (``_run``):
-a file create's physical file, then the metadata call, then the
-at-least-once outcome rule. The paper's client runs it inline before
-the ack; the write-behind client (:mod:`repro.core.wblog`) acks once the
-op is logged and runs it in the drain, so a create's back-end call is
-off the ack too. Until the drain has made such a file, back-end calls
-on it wait for it and ``stat`` answers from the pending create.
+a file create's physical file (unless a spare made it, ``_new_fid``),
+then the metadata call, then the at-least-once outcome rule. The paper's
+client runs it inline before the ack; the write-behind client
+(:mod:`repro.core.wblog`) acks once the op is logged and runs it in the
+drain, so a create's back-end call is off the ack too. Until the drain
+has made such a file, back-end calls on it wait for it and ``stat``
+answers from the pending create.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from ..errors import (
 from ..models.params import SimParams
 from ..pfs.base import (
     DEFAULT_DIR_MODE,
+    DEFAULT_FILE_MODE,
     S_IFDIR,
     S_IFLNK,
     S_IFREG,
@@ -58,7 +62,7 @@ from ..pfs.base import (
     normalize_path,
 )
 from ..mds import as_metadata_service
-from ..sim.node import Node
+from ..sim.node import Node, Outcome
 from ..zk.errors import (
     BadVersionError,
     ConnectionLossError,
@@ -83,6 +87,8 @@ from .wblog import PendingOp, WriteBehindLog
 
 #: What ``/`` looks up as: the root znode carries no DUFS payload.
 _ROOT = (DirPayload(DEFAULT_DIR_MODE & 0o7777), None)
+#: The mode of a spare's physical file: the one a create asks for by default.
+_FILE_MODE = DEFAULT_FILE_MODE & 0o7777
 
 
 def _map_zk_error(exc: ZKError, path: str) -> FSError:
@@ -146,7 +152,14 @@ class DUFSClient:
         # none beside the coherent cache, whose capacity bounds them.
         self._fids: dict = {}
         self._hints = not params.cache.enabled
-        node.on_crash(self._fids.clear)
+        # Spares (``_new_fid``; none on a write-behind mount): FID -> the
+        # process making its file, oldest first. Each create in flight:
+        # FID -> whether a spare made its file.
+        self._spares: Optional[dict] = None if params.awrite.enabled else {}
+        self._creating: dict = {}
+        self._lost: List[int] = []
+        self._reclaims: dict = {}   # caller -> its reclaim in flight
+        node.on_crash(self._on_crash)
         self.stats = {"zk_reads": 0}
         # The read side, assembled once: pending-write overlay → coherent
         # cache (the stage exists only when enabled) → source, the paper's
@@ -165,8 +178,6 @@ class DUFSClient:
         # node's crash, and an async-off deployment must run no code the
         # paper's client would not.
         self.wblog: Optional[WriteBehindLog] = None
-        self._reclaims: dict = {}   # caller -> its reclaim in flight
-        node.on_crash(self._reclaims.clear)
         self._commit, self._drain, self._reclaim = (
             self._commit_sync, self._drain_sync, self._reclaim_sync)
         if params.awrite.enabled:
@@ -181,6 +192,20 @@ class DUFSClient:
                         for b in range(len(self.backends))]
 
     # -- internals ------------------------------------------------------------
+    def _on_crash(self) -> None:
+        """Hints and reclaims die with the node; its spares and creates in
+        flight may leave files no name reaches (``_lost``)."""
+        self._fids.clear()
+        self._reclaims.clear()
+        self._lost += [*(self._spares or ()), *self._creating]
+        self._creating.clear()
+        if self._spares:
+            self._spares.clear()
+
+    def spare_fids(self) -> Tuple[List[int], List[int]]:
+        """The live spares' FIDs, then ``_lost``: for the auditor."""
+        return list(self._spares or ()), self._lost
+
     def _logic(self, *costs: float) -> Generator:
         yield from self.node.cpu_work(self.params.client_logic_cpu
                                       + sum(costs))
@@ -290,8 +315,10 @@ class DUFSClient:
         physical file first (so no name ever maps to a missing file), then
         the metadata-service call, then :meth:`_outcome`. Returns None
         when ``op`` landed, else the POSIX error it is owed. The drain
-        passes no ``version``: a logged setdata is last-writer-wins."""
-        if op.kind == "create" and isinstance(op.payload, FilePayload):
+        passes no ``version``: a logged setdata is last-writer-wins. A
+        spare's file is made already."""
+        if op.kind == "create" and isinstance(op.payload, FilePayload) \
+                and not self._creating.get(op.payload.fid):
             err = yield from self._make_file(op.payload)
             if err is not None:
                 return err
@@ -560,6 +587,9 @@ class DUFSClient:
         if path == "/":
             return StatResult(st_mode=DEFAULT_DIR_MODE, st_ino=1, st_nlink=2)
         hint = self._fids.pop(path, None)
+        if hint is not None and self._unmade \
+                and self._locate(hint)[1] in self._unmade:
+            hint = None     # the drain still owes it: no stat to overlap
         early = None if hint is None else self.node.shielded(
             self._stat_fid(hint), "dufs-stat")
         try:
@@ -612,22 +642,54 @@ class DUFSClient:
         return True
 
     # -- file operations -----------------------------------------------------
-    def create(self, path: str, mode: int = 0o644) -> Generator:
+    def create(self, path: str, mode: int = _FILE_MODE) -> Generator:
         path = normalize_path(path)
         yield from self._logic(self.params.fid_generate_cpu,
                                self.params.mapping_cpu,
                                self.params.znode_codec_cpu)
         yield from self._check_new_entry(path)
-        fid = self.fidgen.next()
-        self._require_up(self.mapping.backend_for(fid), path)
-        # The op runner makes the physical file (steps C/D), then
-        # publishes name->FID; a commit that provably failed rolls the
-        # physical file back.
-        yield from self._commit("create", path, FilePayload(fid, mode))
+        fid = yield from self._new_fid(path, mode)
+        # The op runner makes the physical file (steps C/D) unless a spare
+        # did, then publishes name->FID; a commit that provably failed
+        # rolls the physical file back.
+        try:
+            yield from self._commit("create", path, FilePayload(fid, mode))
+        finally:
+            self._creating.pop(fid, None)
         self.mdcache.note_created(path)
         if self._hints:
             self._fids[path] = fid
         return True
+
+    def _new_fid(self, path: str, mode: int) -> Generator:
+        """The new file's FID, entered in ``_creating``: a sync mount's
+        default-mode create takes the oldest spare (waiting while it is
+        made) and starts the next, so the pool never outgrows the peak of
+        concurrent creates. A fresh FID, whose file the op runner makes,
+        when the pool is empty or the spare failed; and, the pool left as
+        it was, for another mode, a write-behind mount or an oldest spare
+        on a degraded back-end."""
+        spares = self._spares if mode == _FILE_MODE else None
+        fid = next(iter(spares or ()), None)
+        if spares is None or fid is not None \
+                and self.mapping.backend_for(fid) in self.degraded:
+            return self._fresh_fid(path)
+        if fid is not None:
+            self._creating[fid] = True
+            if (yield spares.pop(fid)) != Outcome():
+                del self._creating[fid]     # it made no file
+                fid = None
+        fid = self._fresh_fid(path) if fid is None else fid
+        spare = self.fidgen.next()
+        spares[spare] = self.node.shielded(
+            self._make_file(FilePayload(spare, _FILE_MODE)), "dufs-spare")
+        return fid
+
+    def _fresh_fid(self, path: str) -> int:
+        fid = self.fidgen.next()
+        self._require_up(self.mapping.backend_for(fid), path)
+        self._creating[fid] = False
+        return fid
 
     def _unlink_physical(self, fid: int) -> Generator:
         """Best effort: a failure leaves an orphan, not an error."""

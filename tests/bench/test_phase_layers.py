@@ -58,3 +58,17 @@ def test_root_spans_an_op_starts_are_listed_beside_the_columns(spans, phase,
     for count, mean_us in detached.values():
         assert count == 32 and mean_us > 0
     assert SCRIPT["phase_layers"](str(spans), phase)[1]["pfs"] == 0.0
+
+
+def test_each_file_create_starts_its_mounts_next_spare(spans):
+    """paper-lat runs one process per mount, so each of its creates takes
+    the spare its previous create started and starts the next: one
+    detached ``pfs`` root span per op. Only a mount's first create (8 of
+    the 32) makes its own file inline, so the ``pfs`` column holds a
+    quarter of a back-end create per op."""
+    detached = SCRIPT["detached_roots"](str(spans), "file_create")
+    assert list(detached) == ["pfs"]
+    count, mean_us = detached["pfs"]
+    assert count == 32 and mean_us > 0
+    pfs = SCRIPT["phase_layers"](str(spans), "file_create")[1]["pfs"]
+    assert 0 < pfs < mean_us / 2
