@@ -27,8 +27,9 @@ def test_clean_deployment_audits_clean(dep):
     report = audit_dufs(dep)
     assert report.ok, report.to_text()
     assert report.checked_znodes == 9   # /d + 8 files
-    assert report.checked_files == 8
-    assert "CLEAN" in report.to_text()
+    assert report.checked_files == 8 + 1    # and the mount's spare
+    assert (report.spares, report.lost_spares) == (1, 0)
+    assert "spares: 1 live, 0 lost -> CLEAN" in report.to_text()
 
 
 def test_unlink_leaves_no_residue(dep):
@@ -37,7 +38,8 @@ def test_unlink_leaves_no_residue(dep):
         dep.call(dep.mounts[0].unlink, f"/d/f{i}")
     report = audit_dufs(dep)
     assert report.ok, report.to_text()
-    assert report.checked_files == 0
+    assert report.checked_files == 0 + 1    # the mount's spare
+    assert report.spares == 1
 
 
 def test_detects_orphan_physical_file(dep):

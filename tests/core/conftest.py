@@ -34,6 +34,12 @@ class DUFSHarness:
     def backend_file_counts(self):
         return [be.ns.count_files() for be in self.dep.backends]
 
+    def spares(self):
+        """Live spares over every mount: files made ahead of the create
+        that will name them, one per mount that has created a file and
+        ran its creates one at a time."""
+        return sum(len(c.spare_fids()[0]) for c in self.dep.clients)
+
 
 def ops_at(bus, prefix, method=None):
     """Ops the trace bus counted at the endpoints whose key starts with

@@ -144,6 +144,11 @@ class Rig:
     def files(self):
         return sum(be.ns.count_files() for be in self.backends)
 
+    def spares(self):
+        """The mount's live spares: a synchronous mount's first file
+        create starts one, whatever became of the create."""
+        return len(self.client.spare_fids()[0])
+
     def outcome(self, op, *args):
         """Run one op and the flush that follows it; ``"ok"`` or the
         errno the application gets to see, now or deferred."""
@@ -190,7 +195,8 @@ def test_both_write_paths_agree_on_the_outcome(op, case, mode):
         expected_files = 0
 
     assert rig.outcome(*call) == expected
-    assert rig.files() == expected_files
+    assert rig.spares() == (mode == "sync" and op == "create")
+    assert rig.files() == expected_files + rig.spares()
     assert ("/x" in rig.mds.nodes) == (op in CREATES)
     if op == "create" and not lost:
         assert rig.mds.nodes["/x"] == theirs.encode()   # theirs, untouched
@@ -207,7 +213,8 @@ def test_unknown_create_outcome_keeps_the_physical_file(mode):
     rig.mds.script[("create", "/x")] = ConnectionLossError("/x")
     rig.mds.script[("get", "/x")] = ConnectionLossError("/x")
     assert rig.outcome("create", "/x") == EIO
-    assert rig.files() == 1
+    assert rig.spares() == (mode == "sync")
+    assert rig.files() == 1 + rig.spares()
     if mode == "async":
         assert rig.client.wblog.stats["rejected"] == 1
 
@@ -219,7 +226,8 @@ def test_provably_absent_create_rolls_the_physical_file_back(mode):
     rig = Rig(mode)
     rig.mds.script[("create", "/x")] = ConnectionLossError("/x")
     assert rig.outcome("create", "/x") == EIO
-    assert rig.files() == 0
+    assert rig.spares() == (mode == "sync")
+    assert rig.files() == 0 + rig.spares()
 
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
@@ -232,7 +240,8 @@ def test_refused_delete_keeps_the_physical_file(mode):
     rig.mds.script[("delete", "/x")] = ConnectionLossError("/x")
     assert rig.outcome("unlink", "/x") == EIO
     assert "/x" in rig.mds.nodes
-    assert rig.files() == 1
+    assert rig.spares() == (mode == "sync")
+    assert rig.files() == 1 + rig.spares()
 
 
 def test_write_behind_unlink_acks_before_its_physical_unlink():

@@ -90,12 +90,15 @@ def test_file_lands_on_exactly_one_backend_at_fid_path(dufs):
 
     dufs.run(main())
     fid = client.fidgen.client_id << 64  # counter 0
-    expected_backend = client.mapping.backend_for(fid)
+    spare = fid + 1                      # counter 1: the mount's spare
+    assert client.spare_fids() == ([spare], [])
     counts = dufs.backend_file_counts()
-    assert counts[expected_backend] == 1
-    assert sum(counts) == 1
-    ppath = physical_path(fid, client.layout)
-    assert dufs.dep.backends[expected_backend].ns.exists(ppath)
+    assert sum(counts) == 1 + 1
+    for f in (fid, spare):
+        backend = client.mapping.backend_for(f)
+        ppath = physical_path(f, client.layout)
+        assert dufs.dep.backends[backend].ns.exists(ppath)
+        assert not dufs.dep.backends[1 - backend].ns.exists(ppath)
 
 
 def test_files_distribute_over_backends(dufs):
@@ -107,7 +110,8 @@ def test_files_distribute_over_backends(dufs):
 
     dufs.run(main())
     counts = dufs.backend_file_counts()
-    assert sum(counts) == 40
+    assert sum(counts) == 40 + 1    # and the mount's spare
+    assert dufs.spares() == 1
     assert all(c > 5 for c in counts), counts  # both mounts used
 
 
@@ -167,7 +171,8 @@ def test_unlink_removes_physical_file(dufs):
         yield from m.unlink("/f")
 
     dufs.run(main())
-    assert dufs.backend_file_counts() == [0, 0]
+    assert sum(dufs.backend_file_counts()) == 0 + 1     # the mount's spare
+    assert dufs.spares() == 1
 
 
 def test_create_eexist_rolls_back_physical_file(dufs):
@@ -181,7 +186,9 @@ def test_create_eexist_rolls_back_physical_file(dufs):
             return e.err
 
     assert dufs.run(main()) == EEXIST
-    assert sum(dufs.backend_file_counts()) == 1  # no orphan
+    # No orphan: the loser unlinked its spare's file and started the next.
+    assert sum(dufs.backend_file_counts()) == 1 + 1
+    assert dufs.spares() == 1
 
 
 def test_posix_error_mapping(dufs):
@@ -502,7 +509,9 @@ def test_rename_overwrites_existing_file_and_gcs_contents(dufs):
 
     assert dufs.run(main()) == b"AAA"
     dufs.settle()
-    assert sum(dufs.backend_file_counts()) == 1  # old /b contents GC'd
+    # Old /b contents GC'd; the other file is the mount's spare.
+    assert sum(dufs.backend_file_counts()) == 1 + 1
+    assert dufs.spares() == 1
 
 
 def test_concurrent_create_same_name_exactly_one_wins(dufs):
@@ -520,7 +529,10 @@ def test_concurrent_create_same_name_exactly_one_wins(dufs):
     dufs.settle()
     outcomes = sorted(str(r[1]) for r in results)
     assert outcomes == sorted([str(EEXIST), "won"])
-    assert sum(dufs.backend_file_counts()) == 1  # loser rolled back
+    # The loser rolled back; each mount made its first file inline and
+    # keeps the spare that create started.
+    assert sum(dufs.backend_file_counts()) == 1 + 2
+    assert dufs.spares() == 2
 
 
 def test_fig1_consistency_scenario(dufs):
@@ -558,7 +570,8 @@ def test_fids_unique_across_client_instances(dufs):
 
     dufs.run_all(worker(m0, "a"), worker(m1, "b"))
     assert c0.fidgen.client_id != c1.fidgen.client_id
-    assert sum(dufs.backend_file_counts()) == 20
+    assert sum(dufs.backend_file_counts()) == 20 + 2    # a spare per mount
+    assert dufs.spares() == 2
 
 
 def test_cross_client_visibility(dufs):
@@ -601,5 +614,7 @@ def test_dufs_over_lustre_backend(dufs_lustre):
                    if k.startswith(f"lustre/{be.mds.endpoint}."))
                for be in dufs_lustre.dep.backends]
     assert all(ops > 0 for ops in mds_ops)
-    for be in dufs_lustre.dep.backends:
-        assert be.mds.ns.count_files() == 0  # all cleaned up
+    # All cleaned up but the mount's spare.
+    assert sum(be.mds.ns.count_files()
+               for be in dufs_lustre.dep.backends) == 0 + 1
+    assert dufs_lustre.spares() == 1

@@ -61,6 +61,14 @@ def tree_listing(ns: Namespace):
     return out
 
 
+def spares(dep):
+    """Each mount's live spares: one once a create of it drew a FID (it
+    started one; every later create took it and started the next)."""
+    out = [len(c.spare_fids()[0]) for c in dep.clients]
+    assert out == [int(c.fidgen._counter > 0) for c in dep.clients]
+    return sum(out)
+
+
 def dufs_listing(dep):
     """Walk the virtual namespace through the ZooKeeper leader's store."""
     from repro.core.metadata import DirPayload, decode_payload
@@ -105,12 +113,15 @@ def test_dufs_matches_posix_oracle(op_list):
                 mismatches.append((op, dufs_err, oracle_err))
 
     dep.call(lambda: driver())
+    dep.cluster.sim.run()
     assert not mismatches, mismatches
     assert dufs_listing(dep) == tree_listing(oracle)
-    # Physical files on the back-ends equal the number of virtual files.
+    # Physical files on the back-ends equal the number of virtual files
+    # plus the mount's live spares.
     n_virtual_files = sum(1 for _, is_dir in tree_listing(oracle)
                           if not is_dir)
-    assert sum(be.ns.count_files() for be in dep.backends) == n_virtual_files
+    assert sum(be.ns.count_files() for be in dep.backends) == \
+        n_virtual_files + spares(dep)
 
 
 @settings(max_examples=15, deadline=None,
@@ -138,4 +149,5 @@ def test_two_clients_still_converge(ops_a, ops_b):
     assert dep.ensemble.converged()
     n_virtual_files = sum(1 for _, is_dir in dufs_listing(dep)
                           if not is_dir)
-    assert sum(be.ns.count_files() for be in dep.backends) == n_virtual_files
+    assert sum(be.ns.count_files() for be in dep.backends) == \
+        n_virtual_files + spares(dep)

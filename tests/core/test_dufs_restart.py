@@ -79,7 +79,10 @@ def test_no_fid_collision_across_restart():
         return ok
 
     assert dep.call(lambda: phase2()) == 10
-    assert sum(be.ns.count_files() for be in dep.backends) == 20
+    # And each instance's spare: the predecessor's is the unnamed file a
+    # real restart leaves behind, no name maps to it.
+    assert [len(c.spare_fids()[0]) for c in (dep.clients[0], fresh)] == [1, 1]
+    assert sum(be.ns.count_files() for be in dep.backends) == 20 + 2
 
 
 def test_restarted_client_can_delete_predecessors_files():
@@ -98,4 +101,5 @@ def test_restarted_client_can_delete_predecessors_files():
 
     dep.call(lambda: phase2())
     dep.cluster.sim.run()               # the unlink's reclaim
-    assert sum(be.ns.count_files() for be in dep.backends) == 0
+    assert dep.clients[0].spare_fids() != ([], [])
+    assert sum(be.ns.count_files() for be in dep.backends) == 0 + 1

@@ -119,7 +119,8 @@ def test_statfs_aggregates_backends(dufs):
         return (yield from m.statfs())
 
     vfs = dufs.run(main())
-    assert vfs.f_files == 8
+    assert dufs.spares() == 1
+    assert vfs.f_files == 8 + 1     # the back-ends count the spare's file
     assert vfs.f_bytes_used >= 1000
     # Two back-end mounts' capacity summed.
     assert vfs.f_capacity == 2 * 250 * 10**9
@@ -133,5 +134,6 @@ def test_statfs_on_lustre_backend(dufs_lustre):
         return (yield from m.statfs())
 
     vfs = dufs_lustre.run(main())
-    assert vfs.f_files == 1
+    assert dufs_lustre.spares() == 1
+    assert vfs.f_files == 1 + 1     # the back-ends count the spare's file
     assert vfs.f_capacity > 0

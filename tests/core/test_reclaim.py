@@ -33,6 +33,14 @@ def _fid(dep, path):
     return payload.fid
 
 
+def _spares(dep, client):
+    """The physical files of ``client``'s live spares, as ``_files``
+    lists them."""
+    return sorted((client.mapping.backend_for(fid),
+                   physical_path(fid, client.layout))
+                  for fid in client.spare_fids()[0])
+
+
 def _client_at(dep, role):
     at = 0 if role == "leading" else 1
     assert dep.ensemble.servers[at].node is dep.client_nodes[at]
@@ -48,12 +56,13 @@ def test_unlink_returns_before_its_back_end_file_is_reclaimed(role):
     sim.run(until=node.spawn(client.create("/f")))
     sim.run()
     held = _files(dep)
-    assert len(held) == 1
+    spare = _spares(dep, client)
+    assert len(held) == 1 + len(spare) == 2
     sim.run(until=node.spawn(client.unlink("/f")))
     assert freshest_store(dep.ensemble).exists("/f") is None
     assert _files(dep) == held          # the name is gone, the file not yet
     sim.run()
-    assert _files(dep) == []
+    assert _files(dep) == spare
     assert audit_dufs(dep).ok
 
 
@@ -72,7 +81,10 @@ def test_rename_over_a_file_reclaims_the_overwritten_file_after_return(role):
     ppaths = [p for _, p in _files(dep)]
     assert physical_path(overwritten, client.layout) in ppaths  # still there
     sim.run()
-    assert [p for _, p in _files(dep)] == [physical_path(moved, client.layout)]
+    assert _files(dep) == sorted(
+        [(client.mapping.backend_for(moved),
+          physical_path(moved, client.layout))] + _spares(dep, client))
+    assert len(_spares(dep, client)) == 1
     assert audit_dufs(dep).ok
 
 
@@ -92,6 +104,7 @@ def test_a_crash_after_unlink_returned_leaks_only_that_file():
     assert [(v.kind, v.path) for v in report.violations] == \
         [("orphan-fid", physical_path(fid, client.layout))]
     assert report.lost_unacked == 0
+    assert (report.spares, report.lost_spares) == (0, 1)  # the pool's one
 
 
 def test_a_callers_next_unlink_waits_for_its_own_previous_reclaim(monkeypatch):
@@ -120,7 +133,8 @@ def test_a_callers_next_unlink_waits_for_its_own_previous_reclaim(monkeypatch):
     callers = [node.spawn(caller(mine)) for mine in paths]
     sim.run(until=AllOf(sim, callers))
     assert 2 * slow <= sim.now - start < 3 * slow
-    assert len(_files(dep)) == 2
+    spare = _spares(dep, client)
+    assert len(_files(dep)) == 2 + len(spare) == 3
     sim.run()
-    assert _files(dep) == []
+    assert _files(dep) == spare
     assert audit_dufs(dep).ok

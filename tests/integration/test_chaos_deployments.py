@@ -117,4 +117,7 @@ def test_dufs_minority_zk_crashes_mdtest_zero_violations():
     assert len(engine.trace) >= 2    # faults really fired mid-workload
     report = audit_dufs(dep)
     assert report.ok, report.to_text()
-    assert report.checked_files == 600   # every mdtest file materialized
+    # Every mdtest file materialized, beside each mount's spare: its two
+    # processes never both found its pool empty.
+    assert report.spares == 2
+    assert report.checked_files == 600 + 2
