@@ -1,7 +1,7 @@
-"""What one unloaded ``create``, ``stat`` (with and without a FID hint),
-``mkdir``, ``unlink`` and ``rmdir`` cost in creation ids, itemised — and
-a write-behind ``create``, split into its ack and its drain (with the
-cache on, the drain's prime).
+"""What one unloaded ``create`` (warm, with a ready spare, and a mount's
+first), ``stat`` (with and without a FID hint), ``mkdir``, ``unlink`` and
+``rmdir`` cost in creation ids, itemised — and a write-behind ``create``,
+split into its ack and its drain (with the cache on, the drain's prime).
 
 ``sim._eid`` counts everything the kernel ever scheduled (``sim.events`` in
 the perfbench ledger). This pins the count for each of these ops on the
@@ -15,13 +15,16 @@ import pytest
 from repro.core import build_dufs_deployment
 from repro.models.params import AsyncParams, CacheParams, ZKParams
 
-#: One ``create`` through a client whose preferred server is the co-located
-#: leader, 3 servers, idle system (PR 19; 40 before it — each follower's
-#: logger also woke its applier after the fsync, to find nothing):
+#: One warm ``create`` through a client whose preferred server is the
+#: co-located leader, 3 servers, idle system. The spare it takes was made
+#: by the create before it: its own back-end create is off its path, and
+#: the next spare's is beside its znode create (37 before spares; 38 until
+#: each follower's logger stopped waking its applier after the fsync).
 CREATE_IDS = sum((
     1,      # this test's driving process
     1,      # client: op logic CPU
-    1,      # back-end (local FS): create CPU
+    1,      # client: the next spare's process
+    1,      # back-end (local FS): the next spare's create CPU
     2,      # client -> leader: request delivery, the call's reserved timeout id
     2,      # leader: the request's dispatch slot, its handler process
     1,      # leader: write CPU
@@ -49,17 +52,26 @@ def test_one_unloaded_create_costs_exactly_these_creation_ids():
         sim.run(until=dep.client_nodes[0].spawn(gen))
         sim.run()                      # the followers' COMMITs too
 
-    run(client.create("/warm"))        # physical directories
+    run(client.create("/warm"))        # the first spare
     before = sim._eid
     run(client.create("/f"))
-    assert CREATE_IDS == 38
+    assert CREATE_IDS == 39
     assert sim._eid - before == CREATE_IDS
 
 
-def test_a_clients_first_create_costs_what_a_warm_one_does():
+#: A mount's first ``create`` finds no spare: it makes its own file inline,
+#: as the paper's client does, and starts the first spare beside it.
+FIRST_CREATE_IDS = CREATE_IDS + sum((
+    1,      # back-end (local FS): its own file's create CPU
+))
+
+
+def test_a_clients_first_create_makes_its_file_inline():
     """The mount made the client's hash-directory chain on every back-end
-    (one back-end mkdir CPU each, three more ids, when a create made it):
-    once the deployment has settled, the first create is a warm one."""
+    (one back-end mkdir CPU each, three more ids, when a create made it),
+    so once the deployment has settled the first create makes no mkdir.
+    It costs a warm create plus its own back-end create: no spare is made
+    before a create asks for one, so an idle mount keeps no file."""
     dep = build_dufs_deployment(n_zk=3, n_backends=2, n_client_nodes=3,
                                 backend="local")
     sim = dep.cluster.sim
@@ -67,7 +79,8 @@ def test_a_clients_first_create_costs_what_a_warm_one_does():
     before = sim._eid
     sim.run(until=dep.client_nodes[0].spawn(dep.clients[0].create("/f")))
     sim.run()
-    assert sim._eid - before == CREATE_IDS
+    assert FIRST_CREATE_IDS == 40
+    assert sim._eid - before == FIRST_CREATE_IDS
 
 
 #: The same ``create`` through a write-behind client. The ack is the op
@@ -146,7 +159,8 @@ def test_a_cached_write_behind_create_drains_then_primes():
 FORWARDED_CREATE_IDS = sum((
     1,      # this test's driving process
     1,      # client: op logic CPU
-    1,      # back-end (local FS): create CPU
+    1,      # client: the next spare's process
+    1,      # back-end (local FS): the next spare's create CPU
     2,      # client -> follower: request delivery, the call's reserved timeout id
     2,      # follower: the request's dispatch slot, its handler process
     1,      # follower: forward CPU
@@ -174,8 +188,8 @@ FORWARDED_CREATE_IDS = sum((
 def test_a_forwarded_create_costs_the_same_however_long_its_reply_is_held(
         ticks, monkeypatch):
     """The follower's apply is held back ``ticks`` extra ``log_delay``
-    ticks. A polled hold took one id per tick (47, 48 and 52 here); a
-    parked hold takes one, at the instant it parks."""
+    ticks. A polled hold took one id per tick (47, 48 and 52 here, before
+    spares); a parked hold takes one, at the instant it parks."""
     dep = build_dufs_deployment(n_zk=3, n_backends=2, n_client_nodes=3,
                                 backend="local")
     sim = dep.cluster.sim
@@ -192,7 +206,7 @@ def test_a_forwarded_create_costs_the_same_however_long_its_reply_is_held(
     run(client.create("/warm"))
     before = sim._eid
     run(client.create("/f"))
-    assert FORWARDED_CREATE_IDS == 47
+    assert FORWARDED_CREATE_IDS == 48
     assert sim._eid - before == FORWARDED_CREATE_IDS
 
 
@@ -404,6 +418,44 @@ def test_a_stat_through_a_client_that_did_not_create_the_file(role):
     sim.run()
     assert STAT_IDS == 12
     assert sim._eid - before == STAT_IDS
+
+
+#: A ``stat`` of a file whose write-behind create the drain still owes,
+#: through the mount that created it, without the cache: the overlay
+#: answers the lookup, and no back-end stat is made of a file not yet
+#: made, hinted or not.
+PENDING_STAT_IDS = sum((
+    1,      # this test's driving process
+    1,      # client: op logic CPU
+    1,      # client: mapping CPU (which back-end will hold the file)
+))
+
+
+@pytest.mark.parametrize("hinted", [True, False])
+def test_a_stat_of_an_undrained_create_starts_no_back_end_stat(
+        hinted, monkeypatch):
+    """The hint names a file the drain has not made: there is no stat to
+    overlap with the lookup, so the hinted stat costs the unhinted one."""
+    dep = build_dufs_deployment(n_zk=3, n_backends=2, n_client_nodes=3,
+                                backend="local",
+                                awrite=AsyncParams.async_on())
+    sim = dep.cluster.sim
+    client, node = dep.clients[0], dep.client_nodes[0]
+    for be in client.backends:          # hold every drained create back
+        def create(ppath, mode, inner=be.create):
+            yield sim.timeout(10.0)
+            return (yield from inner(ppath, mode))
+        monkeypatch.setattr(be, "create", create)
+    sim.run(until=node.spawn(client.create("/f")))
+    sim.run(until=sim.now + 1.0)        # the drain is in the held create
+    if not hinted:
+        client._fids.clear()
+    assert ("/f" in client._fids) == hinted and client._unmade
+    before = sim._eid
+    st = sim.run(until=node.spawn(client.stat("/f")))
+    assert st.is_file and client._unmade
+    assert PENDING_STAT_IDS == 3
+    assert sim._eid - before == PENDING_STAT_IDS
 
 
 @pytest.mark.parametrize("role, before_return, after_return", [
