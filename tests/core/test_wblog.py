@@ -29,8 +29,11 @@ from .conftest import DUFSHarness
 #: simulator events, one per remove). Re-recorded when a file stat with
 #: a FID hint began starting its back-end stat beside its znode read:
 #: the same OpTraces, earlier file-stat timings (14,983 -> 15,023
-#: simulator events, one per stat).
-GOLDEN_DIGEST = "102fcc88c5681b3db4d6c3184892b48fa0abc97a030eb2b92406689f87f5a2ee"
+#: simulator events, one per stat). Re-recorded when a synchronous file
+#: create began taking a spare, its physical file made ahead of it, and
+#: starting the next: the same OpTraces, earlier file-create timings
+#: (15,023 -> 15,050 simulator events).
+GOLDEN_DIGEST = "d3c858103e681debe49a7e73ab9051c5d541acba7d43e9a0f60fd0d7a3a4ece7"
 
 
 @pytest.fixture

@@ -24,8 +24,11 @@ from repro.workloads.mdtest import MdtestConfig, run_mdtest
 #: (12,951 -> 12,991 simulator events, one per remove). Re-recorded when
 #: a file stat with a FID hint began starting its back-end stat beside its
 #: znode read: the same OpTraces, earlier file-stat timings (12,991 ->
-#: 13,031 simulator events, one per stat).
-GOLDEN_DIGEST = "e38da830b3bd0bf5992a7822b0e33fb5eb985702b632c632483a1e518567ddd4"
+#: 13,031 simulator events, one per stat). Re-recorded when a synchronous
+#: file create began taking a spare, its physical file made ahead of it,
+#: and starting the next: the same OpTraces, earlier file-create timings
+#: (13,031 -> 13,076 simulator events).
+GOLDEN_DIGEST = "b81bc40a2f6d262602e7b5765f3a7e1d419db8f01bfa1a04103563a2628a3a1f"
 
 
 @pytest.fixture(autouse=True)
