@@ -15,6 +15,14 @@ from repro.bench.figures import (run_ablations, run_cmd_comparison,
                                  run_fig9, run_fig10, run_single_dir)
 
 # sha256(repr(sorted(fig.series.items())))[:16] at scale="tiny". The four
+# with DUFS series were re-recorded when a synchronous file create began
+# taking a spare, its physical file (and, under layout=paper, its hash
+# chain) made ahead of it: every DUFS file_create cell moved up
+# (dufs-lustre 1,650 -> 1,883 ops/s in fig10, dufs-pvfs 233 -> 254,
+# layout=paper 838 -> 1,040), and three file_stat cells moved in their
+# last digits (fig9/backends4 7,650.40 -> 7,650.35, singledir in the 13th
+# digit, layout=paper 4,369.2 -> 4,368.3), from the spare the phase's
+# last create left running. Before that, the four
 # with DUFS series were re-recorded when a file stat with a FID hint began
 # starting its back-end stat beside its znode read: only the DUFS
 # file_stat cells moved (dufs-lustre 5,547 -> 7,648 ops/s, dufs-pvfs
@@ -32,11 +40,11 @@ from repro.bench.figures import (run_ablations, run_cmd_comparison,
 # file_remove cells and of fig9/backends4, fig10/dufs-pvfs and singledir
 # file_stat.
 GOLDEN = {
-    "ablations": "0d66a85e5852cb17",
+    "ablations": "9614ef9b08911173",
     "cmd": "c7b87a8c703ed78a",
-    "fig10": "c4d528818e1fc2ec",
-    "fig9": "0ff817b364affd2b",
-    "singledir": "18901149298fc556",
+    "fig10": "6b19034f115cf113",
+    "fig9": "eca3123b3818f7fc",
+    "singledir": "1b131d66dec0ac3a",
 }
 
 RUNNERS = {"fig9": run_fig9, "fig10": run_fig10, "singledir": run_single_dir,
