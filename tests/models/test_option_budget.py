@@ -85,7 +85,7 @@ BUDGET = {
         (lambda: audit_count("unread_counters"), 0),
     "self.stats assignments in src/repro":
         (lambda: audit_count("stats_assignments"), 8),
-    "lines of src/repro": (source_lines, 15934),
+    "lines of src/repro": (source_lines, 16019),
     "lines of src/repro/zk": (lambda: source_lines("zk"), 1973),
     "lines of docs/MODEL.md + README.md": (doc_lines, 2092),
 }
