@@ -1,16 +1,19 @@
-"""Count double applies over random schedules of the hold-equivalence replay.
+"""Check read-your-writes holds over random schedules of the hold replay.
 
 Draws schedules from the ranges of the hypothesis strategies in
 ``tests/zk/test_commit_hold_equivalence.py`` (with a seeded ``random``,
-so a count is reproducible), runs each on the parked-hold ensemble with
-failure detection on and off in turn, and counts the runs that end in
-``AssertionError: inconsistent replica`` — a replica applying one zxid
-twice. Run from the repository root:
+so a count is reproducible), runs each on its probed ensemble with
+failure detection on and off in turn, and counts two faults: a run that
+ends in ``AssertionError: inconsistent replica`` (a replica applying one
+zxid twice), and a hold that returns its reply before its follower has
+applied the write while still following. Holds released late or never
+are listed too. Run from the repository root:
 
     PYTHONPATH=src python scripts/hold_replay_sweep.py [N] [SEED] [KINDS]
 
 ``KINDS`` is a comma list of fault kinds to draw from (default
-``elect,crash``).
+``elect,crash``). Exits 1 when any schedule shows either fault or a hold
+off its oracle's instant, else 0.
 """
 
 import random
@@ -21,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from repro.models.params import ZKParams  # noqa: E402
 from tests.zk.test_commit_hold_equivalence import (  # noqa: E402
-    N_SERVERS, Parked, replay)
+    N_SERVERS, replay, violations)
 
 
 def schedule(rng, kinds):
@@ -38,20 +41,29 @@ def schedule(rng, kinds):
 def main(n=1500, seed=0, kinds="elect,crash"):
     rng = random.Random(seed)
     kinds = tuple(kinds.split(","))
-    failed = []
+    doubled, early, off = [], [], []
     for i in range(n):
         sched = schedule(rng, kinds)
         params = ZKParams(failure_detection=bool(i % 2))
         try:
-            log = replay(Parked, sched, params)
+            _, servers = replay(sched, params)
         except AssertionError as exc:
-            log = [(None, "inconsistent replica", str(exc))]
-        if log and log[-1][1] == "inconsistent replica":
-            failed.append((i, sched, params.failure_detection))
-    for i, sched, detect in failed:
-        print(i, detect, sched)
-    print(f"{len(failed)} of {n} schedules applied a zxid twice")
+            if "inconsistent replica" not in str(exc):
+                raise
+            doubled.append((i, params.failure_detection, sched))
+            continue
+        found = violations(servers)
+        if found:
+            bad = early if any(v[2] == "early" for v in found) else off
+            bad.append((i, params.failure_detection, sched, found))
+    for row in doubled + early + off:
+        print(*row)
+    print(f"{len(doubled)} of {n} schedules applied a zxid twice")
+    print(f"{len(early)} of {n} schedules released a reply before its "
+          f"follower applied the write")
+    print(f"{len(off)} of {n} schedules released a hold late or never")
+    return 1 if doubled or early or off else 0
 
 
 if __name__ == "__main__":
-    main(*(int(a) if a.isdigit() else a for a in sys.argv[1:]))
+    sys.exit(main(*(int(a) if a.isdigit() else a for a in sys.argv[1:])))

@@ -21,9 +21,10 @@ detection, matching the paper's healthy-cluster runs.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from ..core.paths import ancestors
@@ -56,11 +57,8 @@ class _Outstanding:
     acks: Set[int] = field(default_factory=set)
 
 
-class _Hold(Event):
-    """A parked read-your-writes hold (``ZKServer._hold``): the event its
-    holder waits on and the instant its ``log_delay`` grid counts from."""
-
-    __slots__ = ("at",)
+#: The sort key of ``ZKServer._holds``: a hold's zxid.
+_ZXID = itemgetter(0)
 
 
 class ZKServer(Membership):
@@ -122,8 +120,8 @@ class ZKServer(Membership):
         self._presync: Optional[List[Any]] = None
         self._term = 0      # bumped by each decision and each tree rebuild
 
-        # Parked read-your-writes holds, sorted: (zxid, reserved id, hold).
-        self._holds: List[Tuple[int, int, _Hold]] = []
+        # Parked read-your-writes holds, sorted by zxid: (zxid, hold).
+        self._holds: List[Tuple[int, Event]] = []
 
         # server-side dentry cache (volatile): paths whose *existence* was
         # verified during a ``resolve`` walk. Entries carry no data — znode
@@ -323,52 +321,24 @@ class ZKServer(Membership):
 
     def _hold(self, zxid: int) -> Generator:
         """Return once this replica has applied ``zxid`` or has stopped
-        following: at once if it already has, else at the first
-        ``log_delay`` tick after it happens, on a grid counted from now
-        (MODEL.md §12, cut 5).
-
-        The hold is parked, not polled. It takes one creation id, the one
-        the first poll timeout would have taken, and keeps it:
-        ``_release_holds`` fires it under that id, and if its condition
-        has flipped back by the tick it parks again under the same id.
-        So holds that share a grid fire in the order they first parked,
-        at every tick."""
-        sim = self.sim
-        eid = 0
+        following: at once if it already has, else at the instant it
+        happens, as ZooKeeper answers on apply (MODEL.md §12, cut 5)."""
         while self.commit_index < zxid and self.role == FOLLOWING:
-            if not eid:
-                sim._eid = eid = sim._eid + 1
-            hold = _Hold(sim)
-            hold.at = sim.now
-            insort(self._holds, (zxid, eid, hold))
+            hold = Event(self.sim)
+            insort(self._holds, (zxid, hold), key=_ZXID)
             yield hold
 
     def _release_holds(self) -> None:
-        """Fire every parked hold that can now pass, at the first tick
-        of its own grid strictly after now. Called wherever a hold's
-        condition can turn true: ``commit_index`` rises (the applier,
-        ``_rebuild_from_disk``) or the role leaves FOLLOWING
-        (``start_election``)."""
+        """Fire every parked hold that can now pass, in zxid order, at
+        this instant. Called wherever a hold's condition can turn true:
+        ``commit_index`` rises (the applier, ``_rebuild_from_disk``) or
+        the role leaves FOLLOWING (``start_election``)."""
         holds = self._holds
-        applied = self.commit_index
-        if self.role == FOLLOWING:
-            n = 0
-            for zxid, _, _ in holds:    # sorted: a prefix passes
-                if zxid > applied:
-                    break
-                n += 1
-            due = holds[:n]
-            del holds[:n]
-        else:   # off FOLLOWING, every hold passes
-            due, self._holds = holds, []
-        sim = self.sim
-        now = sim.now
-        delay = self.params.log_delay
-        for _, eid, hold in due:
-            at = hold.at
-            while at <= now:    # accumulated, as chained timeouts were
-                at += delay
-            sim.stage(hold, at, eid)
+        n = bisect_right(holds, self.commit_index, key=_ZXID) \
+            if self.role == FOLLOWING else len(holds)
+        for _, hold in holds[:n]:
+            hold.succeed()
+        del holds[:n]
 
     def _h_fwd_write(self, src: str, req: WriteRequest) -> Generator:
         """Leader side of follower forwarding. Replies ``(zxid, result)``

@@ -1,35 +1,33 @@
-"""A parked read-your-writes hold is released where the poll loop was.
+"""A forwarded write's reply is released when its follower applies it.
 
 A follower holds a forwarded write's reply until its own replica has
-applied the write's zxid or it stops following. That hold used to be a
-poll: one ``log_delay`` timeout per tick until ``commit_index``
-caught up. It is now parked (``ZKServer._hold``) under the creation id
-its first poll would have taken, and fired at the first tick of its own
-grid after its condition turns true (docs/MODEL.md §12, cut 5).
+applied the write's zxid or it stops following, and a crash drops it
+(``ZKServer._hold``, docs/MODEL.md §12, cut 5). ZooKeeper answers on
+apply, with no tick, and so does this model: the hold is released at the
+instant the applier (or a re-sync's rebuild) raises ``commit_index`` past
+the zxid, or the instant an election takes the server out of FOLLOWING.
 
-The poll loops are kept here, verbatim, as :class:`RefZKServer`, and
-schedules built to collide are replayed on an ensemble of each kind:
-every hold must return at the same simulated instant, in the same place
-of the same-instant order, with the same result. Creation ids are *not*
-compared: removing the polls' ids is the point.
+The oracle is :func:`violations`. Each server here notes every change of
+its ``commit_index`` and role, every crash, and each hold when it parks
+and when it returns. From the note at which a hold parked, the oracle
+finds the first at which the write is applied or the server is no longer
+following: the hold must return at that note's instant, and never if the
+server crashed first. So a release that is early (before the apply),
+late (a tick after it) or missing (a release site left out) fails here.
 
-The collisions: the leader runs on eight cores and its followers' writes
-are issued in one instant, so their proposals share one fsync, their
-commits one applier batch, and the leader's replies reach three or four
-followers in one instant; those holds share a grid. Each follower runs
-on one core, which a hog keeps busy for a chosen time, so commits are
-held back by different amounts and applied in an order of their own.
-Elections and crashes land mid-hold, with and without failure
-detection; the re-sync that follows an election lowers ``commit_index``
-and raises it again inside ``follow()``. A replica that applies one zxid
-twice raises ``AssertionError: inconsistent replica`` out of the run.
+The schedules collide: the leader runs on eight cores and its followers'
+writes are issued in one instant, so their proposals share one fsync,
+their commits one applier batch, and the leader's replies reach three or
+four followers in one instant. Each follower runs on one core, which a
+hog keeps busy for a chosen time, so commits are held back by different
+amounts and applied in an order of their own. Elections and crashes land
+mid-hold, with and without failure detection; the re-sync that follows
+an election lowers ``commit_index`` and raises it again inside
+``follow()``. A replica that applies one zxid twice raises
+``AssertionError: inconsistent replica`` out of the run.
 
-Wrong variants that fail here: reserving the id when the hold is
-released instead of when it parks (holds released out of registration
-order return in that order at their shared tick), recomputing the grid
-as ``start + k * log_delay`` instead of accumulating it (the instants
-move in the last bits), and leaving out the release in
-``start_election`` or ``_rebuild_from_disk``.
+``scripts/hold_replay_sweep.py`` runs the same oracle over thousands of
+seeded schedules.
 """
 
 from hypothesis import given, settings
@@ -37,7 +35,7 @@ from hypothesis import strategies as st
 
 from repro.models.params import ZKParams
 from repro.sim import Cluster, RpcAgent, RpcTimeout
-from repro.zk.election import FOLLOWING, LEADING
+from repro.zk.election import FOLLOWING
 from repro.zk.errors import ConnectionLossError, NotLeaderError
 from repro.zk.protocol import WriteRequest
 from repro.zk.server import ZKServer
@@ -45,76 +43,111 @@ from repro.zk.server import ZKServer
 LOG_DELAY = ZKParams().log_delay
 N_SERVERS = 5                   # the leader (sid 0) and four followers
 EIGHTH = LOG_DELAY / 8          # the unit of a hog's and a fault's time
-#: The unit of a request's issue time. No small multiple of it is one of
-#: ``log_delay``, so two requests with the same path through the ensemble
-#: never park on each other's grid, a coincidence in which a parked hold
-#: and the polls order differently (docs/MODEL.md §12, cut 5's caveat).
-STEP = 97e-6
+STEP = 97e-6                    # the unit of a request's issue time
 CALL_TIMEOUT = 0.05
+CRASH = "crash"
 
 
-class RefZKServer(ZKServer):
-    """The poll loop this repo ran before holds were parked."""
+class Probed(ZKServer):
+    """A server that notes ``(now, commit_index, role)`` at every change
+    of either, ``(now, CRASH)`` at a crash, and each hold as
+    ``[zxid, note index when parked, parked at, returned at]``."""
 
-    def _route_write(self, req):
-        if self.role == LEADING:
-            result = yield from self._process_write(req)
-            return result
-        if self.role == FOLLOWING and self.leader_sid is not None:
-            yield from self.node.cpu_work(self.params.forward_cpu)
-            lead = self.leader_sid  # may have changed while queued
-            if self.role != FOLLOWING or lead is None:
-                raise ConnectionLossError(
-                    msg=f"zk{self.sid} lost its leader while forwarding")
-            zxid, result = yield from self.agent.call(
-                self.peers[lead], "fwd_write", req,
-                size=self._req_size(req), timeout=5.0)
-            while self.commit_index < zxid and self.role == FOLLOWING:
-                yield self.sim.timeout(self.params.log_delay)
-            return result
-        raise ConnectionLossError(msg=f"zk{self.sid} has no leader")
+    _ci = 0
+    _role = None
+
+    def __init__(self, *args, **kwargs):
+        self.timeline = []
+        self.holds = []
+        super().__init__(*args, **kwargs)
+
+    def _note(self):
+        self.timeline.append((self.sim.now, self._ci, self._role))
+
+    @property
+    def commit_index(self):
+        return self._ci
+
+    @commit_index.setter
+    def commit_index(self, value):
+        self._ci = value
+        self._note()
+
+    @property
+    def role(self):
+        return self._role
+
+    @role.setter
+    def role(self, value):
+        self._role = value
+        self._note()
+
+    def _on_crash(self):
+        self.timeline.append((self.sim.now, CRASH))
+        super()._on_crash()
+
+    def _hold(self, zxid):
+        hold = [zxid, len(self.timeline), self.sim.now, None]
+        self.holds.append(hold)
+        yield from super()._hold(zxid)
+        hold[3] = self.sim.now
 
 
-class _Probe:
-    """Notes when, in what order and with what a hold returned."""
-
-    notes: list
-
-    def _route_write(self, req):
-        result = yield from super()._route_write(req)
-        self.notes.append((self.sim.now, f"zk{self.sid} {req.path}", result))
-        return result
-
-
-class Parked(_Probe, ZKServer):
-    pass
-
-
-class Polled(_Probe, RefZKServer):
-    pass
+def expected_return(server, zxid, parked_note, parked_at):
+    """When the oracle says a hold parked at ``parked_note`` returns:
+    the instant of the first note from there on at which ``zxid`` is
+    applied or the server is not following, or ``None`` if a crash (or
+    the end of the run) comes first."""
+    state = server.timeline[parked_note - 1] if parked_note else None
+    if state is not None and len(state) == 3 and \
+            (state[1] >= zxid or state[2] != FOLLOWING):
+        return parked_at
+    for note in server.timeline[parked_note:]:
+        if note[1] == CRASH:
+            return None
+        if note[1] >= zxid or note[2] != FOLLOWING:
+            return note[0]
+    return None
 
 
-def _ensemble(cls, cluster, log, params):
+def violations(servers):
+    """Every hold that returned early, late or not at all, against the
+    oracle, as ``(sid, zxid, kind, returned at, expected at)``; ``kind``
+    is ``"early"`` when it returned before its follower applied the
+    write while still following."""
+    found = []
+    for server in servers:
+        for zxid, note, parked_at, returned in server.holds:
+            want = expected_return(server, zxid, note, parked_at)
+            if returned == want:
+                continue
+            early = returned is not None and (want is None or returned < want)
+            found.append((server.sid, zxid, "early" if early else "late",
+                          returned, want))
+    return found
+
+
+def _ensemble(cluster, params):
     peers = {sid: f"zk{sid}" for sid in range(N_SERVERS)}
     servers = []
     for sid in range(N_SERVERS):
         node = cluster.add_node(f"z{sid}", cores=8 if sid == 0 else 1)
-        server = cls(node, sid, peers, params=params, static_leader=0)
-        server.notes = log
-        servers.append(server)
+        servers.append(Probed(node, sid, peers, params=params,
+                              static_leader=0))
     for server in servers:
         server.boot_static()
     return servers
 
 
-def replay(cls, schedule, params=ZKParams()):
-    """Run one schedule; return every hold's and every call's outcome as
-    ``(now, what, result)`` in the order they happened."""
+def replay(schedule, params=ZKParams()):
+    """Run one schedule. Return every call's outcome and every fault as
+    ``(now, what, result)`` in the order they happened, and the servers
+    (for :func:`violations`)."""
     requests, hogs, faults = schedule
     cluster = Cluster(seed=0)
     sim = cluster.sim
     log = []
-    servers = _ensemble(cls, cluster, log, params)
+    servers = _ensemble(cluster, params)
     client_node = cluster.add_node("c")
     client = RpcAgent(client_node, "c")
 
@@ -152,7 +185,7 @@ def replay(cls, schedule, params=ZKParams()):
     for kind, sid, at, down in faults:
         client_node.spawn(fault(kind, sid, at, down))
     sim.run(until=1.0)
-    return log
+    return log, servers
 
 
 FOLLOWERS = st.integers(1, N_SERVERS - 1)
@@ -169,10 +202,9 @@ faults = st.lists(st.tuples(st.sampled_from(("elect", "crash")), FOLLOWERS,
 
 @settings(max_examples=100, deadline=None)
 @given(st.tuples(requests, hogs, faults), st.booleans())
-def test_parked_holds_return_where_the_polls_did(schedule, detect):
-    params = ZKParams(failure_detection=detect)
-    assert replay(Parked, schedule, params) == \
-        replay(Polled, schedule, params)
+def test_holds_return_when_their_follower_applies_the_write(schedule, detect):
+    _, servers = replay(schedule, ZKParams(failure_detection=detect))
+    assert violations(servers) == []
 
 
 #: One forwarded create from each follower in the same instant: the four
@@ -181,73 +213,77 @@ BURST = [(0, sid) for sid in range(1, N_SERVERS)]
 
 
 def _check(schedule, params=ZKParams()):
-    log = replay(Parked, schedule, params)
-    assert log == replay(Polled, schedule, params)
-    return log
+    log, servers = replay(schedule, params)
+    assert violations(servers) == []
+    return log, servers
 
 
-def _returned(log, sid):
-    """When each of ``zk{sid}``'s holds returned."""
-    return [now for now, what, _ in log if what.startswith(f"zk{sid} ")]
+def _held(servers, sid):
+    """``(parked at, returned at)`` of each of ``zk{sid}``'s holds."""
+    return [(parked, returned)
+            for _, _, parked, returned in servers[sid].holds]
 
 
-def test_holds_that_share_a_tick_return_in_the_order_they_parked():
-    """zk2, zk3 and zk4 park in that order; hogs make them apply the
-    commit in the order zk4, zk3, zk2, all before their shared tick."""
-    log = _check((BURST, [(2, 56, 4), (3, 56, 2)], []))
-    tick = _returned(log, 2)
-    assert tick == _returned(log, 3) == _returned(log, 4)
-    assert [what for now, what, _ in log if now == tick[0]] == \
-        ["zk2 /n01", "zk3 /n02", "zk4 /n03"]
+def _applied(servers, sid, path):
+    """The instant ``zk{sid}``'s replica applied the create of ``path``
+    (each replica stamps ``ctime`` with its own apply instant)."""
+    return servers[sid].store.exists(path).ctime
 
 
-def test_a_commit_held_back_for_ticks_returns_on_its_own_grid():
-    log = _check((BURST, [(4, 56, 30)], []))
-    (late,), (shared,) = _returned(log, 4), _returned(log, 3)
-    assert late - shared > 3.9 * LOG_DELAY
+def test_holds_return_in_the_order_their_followers_apply():
+    """zk2, zk3 and zk4 park in one instant; hogs make them apply the
+    commit in the order zk4, zk3, zk2, and each returns as it applies."""
+    _, servers = _check((BURST, [(2, 56, 4), (3, 56, 2)], []))
+    returned = [_held(servers, sid)[0][1] for sid in (4, 3, 2)]
+    assert returned == sorted(set(returned))
+    for sid in (2, 3, 4):
+        assert _held(servers, sid)[0][1] == \
+            _applied(servers, sid, f"/n{sid - 1:02d}")
 
 
-def test_an_election_just_before_a_tick_lets_the_write_go_at_that_tick():
-    """zk2 is still electing at its next tick, so leaving FOLLOWING alone
-    lets the hold pass there, long before the re-sync applies its zxid."""
-    log = _check((BURST, [(2, 56, 8)], [("elect", 2, 64, 0)]))
-    assert _returned(log, 2) == _returned(log, 3)
+def test_a_commit_held_back_returns_at_its_apply():
+    _, servers = _check((BURST, [(4, 56, 30)], []))
+    (late,), (shared,) = _held(servers, 4), _held(servers, 3)
+    assert late[1] == _applied(servers, 4, "/n03")
+    assert late[1] - shared[1] > 3.5 * LOG_DELAY
 
 
-def test_an_election_mid_hold_releases_it_and_the_resync_parks_it_again():
-    """The election frees the hold; the re-sync makes zk2 a follower
-    again before its tick, so it parks again there. The apply batch it
-    began before choosing a leader is dropped, and ``follow()``'s rebuild
-    applies the commit and releases it."""
-    log = _check((BURST, [(2, 56, 5)], [("elect", 2, 58, 0)]))
-    (held,), (shared,) = _returned(log, 2), _returned(log, 3)
-    assert held - shared > 0.9 * LOG_DELAY
+def test_an_election_releases_a_hold_at_once():
+    """zk2's commit is held back by a hog; the election frees its hold at
+    the election's instant, long before the re-sync applies the write,
+    and the client gets its result."""
+    log, servers = _check((BURST, [(2, 56, 5)], [("elect", 2, 58, 0)]))
+    ((parked, returned),) = _held(servers, 2)
+    assert parked < returned == 58 * EIGHTH < _applied(servers, 2, "/n01")
+    assert [got for _, what, got in log if what == "c n01"] == ["/n01"]
+
+
+def test_an_election_releases_only_its_own_servers_holds():
+    """zk1's and zk2's holds park in one instant. The election on zk1
+    frees zk1's there; zk2's returns when zk2 applies its write."""
+    creates = [(0, 0)] * 5 + [(0, 1), (0, 2)]
+    _, servers = _check((creates, [], [("elect", 1, 66, 0)]))
+    ((parked1, first),), ((parked2, second),) = \
+        _held(servers, 1), _held(servers, 2)
+    assert parked1 == parked2 < first == 66 * EIGHTH < second
+    assert second == _applied(servers, 2, "/n06")
 
 
 def test_a_hold_the_resync_applies_is_released_by_follow():
-    """zk2's core is busy through its own log write, so the commit is
-    not applicable there when the reply comes. After the election only
-    ``follow()`` applies it."""
-    log = _check((BURST, [(2, 20, 40)], [("elect", 2, 58, 0)]))
-    (held,), (shared,) = _returned(log, 2), _returned(log, 3)
-    assert held - shared > 0.9 * LOG_DELAY
-
-
-def test_a_hold_parked_again_keeps_its_place_on_its_grid():
-    """zk1's and zk2's holds park in one instant. An election frees
-    zk1's, which parks again at its next tick; zk2's stays parked. Both
-    return at the same later tick, zk1's first, as the polls did."""
-    creates = [(0, 0)] * 5 + [(0, 1), (0, 2)]
-    log = _check((creates, [], [("elect", 1, 66, 0)]))
-    (first,), (second,) = _returned(log, 1), _returned(log, 2)
-    assert first == second
-    assert [what for now, what, _ in log if now == first] == \
-        ["zk1 /n05", "zk2 /n06"]
+    """An election on zk3 lands while its forwarded write is at the
+    leader. zk3 is a follower again, its sync still buffered, when the
+    leader's reply comes, so the hold parks; only ``follow()``'s rebuild
+    applies the write, and releases the hold there."""
+    _, servers = _check((BURST, [], [("elect", 3, 50, 0)]))
+    ((parked, returned),) = _held(servers, 3)
+    assert 50 * EIGHTH < parked < returned == _applied(servers, 3, "/n02")
+    assert returned < _held(servers, 2)[0][1]
 
 
 def test_a_crash_mid_hold_drops_it():
-    log = _check((BURST, [(3, 56, 30)], [("crash", 3, 60, 20)]))
-    assert _returned(log, 3) == []
+    log, servers = _check((BURST, [(3, 56, 30)], [("crash", 3, 60, 20)]))
+    ((parked, returned),) = _held(servers, 3)
+    assert returned is None
     assert [got for _, what, got in log if what == "c n02"] == ["timeout"]
 
 

@@ -41,6 +41,36 @@ def test_write_via_follower_is_forwarded():
     assert bus.ops.get("zk/zk0.write") == 0
 
 
+def test_a_forwarded_create_returns_when_its_follower_applies_it():
+    """A follower answers a forwarded write at the instant its own replica
+    applies it, as ZooKeeper does, with no ``log_delay`` tick after the
+    apply; the same client's ``exists`` then reads the new znode there."""
+    zk3 = ZKHarness(n_servers=3)
+    sim = zk3.cluster.sim
+    follower = zk3.ensemble.servers[2]
+    cli = zk3.client(prefer_index=2)
+    returned = []
+    route = follower._route_write
+
+    def timed(req):
+        result = yield from route(req)
+        returned.append(sim.now)
+        return result
+
+    follower._route_write = timed
+
+    def main():
+        yield from cli.create("/f", b"x")
+        return (yield from cli.exists("/f"))
+
+    stat = zk3.run(main())
+    applied = follower.store.exists("/f").ctime
+    assert returned == [applied]
+    # Each replica stamps ctime with its own apply instant: this is zk2's.
+    assert stat.ctime == applied
+    assert zk3.ensemble.servers[0].store.exists("/f").ctime < applied
+
+
 def test_duplicate_create_raises_node_exists(zk3):
     cli = zk3.client()
 
