@@ -14,7 +14,14 @@ import pytest
 from repro.bench.figures import (run_ablations, run_cmd_comparison,
                                  run_fig9, run_fig10, run_single_dir)
 
-# sha256(repr(sorted(fig.series.items())))[:16] at scale="tiny". The four
+# sha256(repr(sorted(fig.series.items())))[:16] at scale="tiny". All five
+# were re-recorded when a follower began answering a forwarded write at
+# the instant it applies it, not at the next log_delay tick: every cell
+# whose op writes through ZooKeeper moved up and no other cell moved
+# (fig10 dufs-lustre dir_create 2,174 -> 2,256 ops/s, file_create 1,883 ->
+# 2,025, file_remove 1,726 -> 1,796; fig9 file_create 2,032 -> 2,103; the
+# cmd DUFS dir_create and dir_remove cells; ablations zoo_create/zk4
+# 2,499 -> 2,795 and layout=amortized 2,271 -> 2,374). Before that, the four
 # with DUFS series were re-recorded when a synchronous file create began
 # taking a spare, its physical file (and, under layout=paper, its hash
 # chain) made ahead of it: every DUFS file_create cell moved up
@@ -40,11 +47,11 @@ from repro.bench.figures import (run_ablations, run_cmd_comparison,
 # file_remove cells and of fig9/backends4, fig10/dufs-pvfs and singledir
 # file_stat.
 GOLDEN = {
-    "ablations": "9614ef9b08911173",
-    "cmd": "c7b87a8c703ed78a",
-    "fig10": "6b19034f115cf113",
-    "fig9": "eca3123b3818f7fc",
-    "singledir": "1b131d66dec0ac3a",
+    "ablations": "4c1d75c2083a59c2",
+    "cmd": "a63a401a8f216eba",
+    "fig10": "970862871cd0d69e",
+    "fig9": "ed9083c7ad48c9e5",
+    "singledir": "a67d32b04f239a7b",
 }
 
 RUNNERS = {"fig9": run_fig9, "fig10": run_fig10, "singledir": run_single_dir,

@@ -23,10 +23,15 @@ from repro.workloads.mdtest import MdtestConfig, run_mdtest
 # _trace_digest for the exact encoding). Captured on the pre-overhaul
 # kernel; re-recorded when the ZK follower forwarding path gained the
 # read-your-writes wait (a semantic protocol fix that legitimately moves
-# events — acks now land after the local apply). Kernel-only rewrites
-# must still reproduce it bit-for-bit.
-GOLDEN_DIGEST = ("c5dfa3efd3fa04feb0039ace7fdb6f3d"
-                 "6735b342cd5d02c7228d4c12328518e3")
+# events — acks now land after the local apply), and again when that
+# wait began ending at the instant of the local apply, not at the next
+# log_delay tick: earlier write timings, 902 -> 898 OpTraces (two fewer
+# parent reads: a mkdir reads its parent until its client has seen it,
+# and fewer of those reads now coincide on the two clients) and 8,382
+# -> 8,415 simulator events. Kernel-only rewrites must still reproduce
+# it bit-for-bit.
+GOLDEN_DIGEST = ("8ced29d256f58ce8cf3221d4288dd0bc"
+                 "dc3753e222888fd727fd340dfe54eb4f")
 
 
 def _digest(bus, *extra) -> str:
@@ -75,7 +80,14 @@ ARMS = {
 }
 
 ARM_GOLDENS = {
-    # All but "async+cache" re-recorded when a synchronous mount's file
+    # All six re-recorded when a follower began answering a forwarded
+    # write at the instant it applies it, not at the next log_delay
+    # tick: earlier write timings on every arm. OpTraces 1,886 -> 1,885
+    # ("2shards+cache"), 1,472 -> 1,474 ("default") and 1,843 -> 1,846
+    # ("thin"), from parent reads and chain creates that the new
+    # interleaving makes or saves, the other three unchanged; simulator
+    # events 12,299 -> 12,143 on "default" (-1.3 %), -3 on "async+cache".
+    # Before that, all but "async+cache" re-recorded when a synchronous mount's file
     # create began taking a spare, a physical file made ahead of it, and
     # starting the next: the same OpTraces per arm, earlier file-create
     # timings, and 56 more simulator events per arm (a spare's process
@@ -114,18 +126,18 @@ ARM_GOLDENS = {
     # "async+cache" when the write-behind drain began issuing each op as
     # soon as no in-flight op conflicts with it (8,891 -> 8,496 simulator
     # events).
-    "2shards+cache": ("665601c457859544026cbacd0e460e59"
-                      "19fc02e7753d42773176a99a8adadafc"),
-    "async+cache": ("812aac16c870b3bb59d21bc578505df4"
-                    "14acf8a01d381f8e05d2152b51029ec7"),
-    "cache": ("984ec5831c6babe90adfcab5a959fbac"
-              "c90d4f7a4e612c8c5a5b4dbeb0c4ef2b"),
-    "cache+thin": ("0c64f9bdd62e2683bd59d66c5cbe8929"
-                   "ad426794a7afe154a465f682a8ce40c2"),
-    "default": ("1f11517f119359c082392a72099e80fd"
-                "16905125c6637416258bc7bd203074fd"),
-    "thin": ("f4e077ce675b4c9931912a76c2854927"
-             "22709577b72ffb902fc234757ce7c2bd"),
+    "2shards+cache": ("ef711812d9b7995fd04cc062d0c2855e"
+                      "faded89b22dbe6911b2a702a1bb9e5c4"),
+    "async+cache": ("77bd5a8cd470d1205450388be991703a"
+                    "d8c37282184fe75e1c789ccb8e306394"),
+    "cache": ("526dbf83430a4583f6eb9366744d1ad9"
+              "77645610294d6fc25cc961b4bf79459f"),
+    "cache+thin": ("ea69cc413d8df943718e4a229e582174"
+                   "d963d7efcf379dafd009522d6525f7f1"),
+    "default": ("6aa9c7946d593db2a0d42261800668f0"
+                "2c80a53842556418c9bed2453c82b4ca"),
+    "thin": ("58f58f15a3544f397285f5c6854c0168"
+             "c40d99b39e7252db62f316f4c63e3b0b"),
 }
 
 

@@ -27,8 +27,13 @@ from repro.workloads.mdtest import MdtestConfig, run_mdtest
 #: 13,031 simulator events, one per stat). Re-recorded when a synchronous
 #: file create began taking a spare, its physical file made ahead of it,
 #: and starting the next: the same OpTraces, earlier file-create timings
-#: (13,031 -> 13,076 simulator events).
-GOLDEN_DIGEST = "b81bc40a2f6d262602e7b5765f3a7e1d419db8f01bfa1a04103563a2628a3a1f"
+#: (13,031 -> 13,076 simulator events). Re-recorded when a follower
+#: began answering a forwarded write at the instant it applies it, not
+#: at the next log_delay tick: earlier write timings, and 1,525 -> 1,535
+#: OpTraces (13,076 -> 13,109 simulator events): one more directory
+#: chain create, one more child-anchor create and one more exists, as
+#: concurrent mkdirs race on an anchor chain in a new order.
+GOLDEN_DIGEST = "230badb3e30b56bfb81197b9ade36c682ee029427f3357f41453319144d2c088"
 
 
 @pytest.fixture(autouse=True)
@@ -152,7 +157,7 @@ def test_elastic_off_replay_is_byte_identical():
         h.update(repr((ev.deployment, ev.endpoint, ev.method, ev.arrive,
                        ev.arrive, ev.end, ev.ok, ev.src, ev.retries,
                        ev.shard)).encode())
-    assert len(bus.events) == 1525
+    assert len(bus.events) == 1535
     assert h.hexdigest() == GOLDEN_DIGEST
 
 
