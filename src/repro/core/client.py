@@ -148,8 +148,8 @@ class DUFSClient:
         # Write-behind: physical path -> Event of each file whose physical
         # create the drain still owes. A back-end call on one waits for it.
         self._unmade: dict = {}
-        # FID hints (see ``stat``): path -> FID, gone on unlink or rename;
-        # none beside the coherent cache, whose capacity bounds them.
+        # FID hints (``stat``): path -> FID of each file this mount made,
+        # until its first stat, unlink or rename; none beside the cache.
         self._fids: dict = {}
         self._hints = not params.cache.enabled
         # Spares (``_new_fid``; none on a write-behind mount): FID -> the
@@ -578,9 +578,9 @@ class DUFSClient:
 
     # -- stat (paper Fig. 6) -----------------------------------------------------
     def stat(self, path: str) -> Generator:
-        """Fig. 6, its two steps overlapped when this mount created or
-        last stat'ed ``path``: the back-end stat of the FID it saw runs in
-        a child beside the znode read. The znode is the authority: unless
+        """Fig. 6, its two steps overlapped when this mount created
+        ``path`` and has not stat'ed it since: the back-end stat of the
+        FID it made runs in a child beside the znode read. The znode is the authority: unless
         it names that FID, the stat waits the child out and goes on."""
         path = normalize_path(path)
         yield from self._logic(self.params.znode_codec_cpu)
@@ -616,8 +616,6 @@ class DUFSClient:
                               st_size=len(payload.target),
                               st_atime=zstat.ctime, st_mtime=zstat.ctime,
                               st_ctime=zstat.ctime)
-        if self._hints:
-            self._fids[path] = payload.fid
         st = outcome.result() if hint == payload.fid \
             else (yield from self._stat_fid(payload.fid))
         if st is None:      # read-your-writes, the file not yet made

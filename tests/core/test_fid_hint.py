@@ -1,5 +1,5 @@
-"""A ``stat`` of a path this mount created or last stat'ed starts the
-back-end stat of the FID it saw beside the znode read. The hint is never
+"""A ``stat`` of a path this mount created, and has not stat'ed since,
+starts the back-end stat of the FID it made beside the znode read. The hint is never
 trusted: these cases change the namespace behind the mount's back and
 check that the stat answers for the file the znode names, wastes at most
 the one back-end stat it started, and leaves no child running. A mount
@@ -72,7 +72,7 @@ def test_a_remote_unlink_and_recreate_costs_one_wasted_back_end_stat(
     assert st.st_size == 7 and st.is_file
     assert len(stats) == 2 and stats[0] != stats[1]     # old FID, then new
     assert _live_stat_children(dep) == []
-    assert a._fids["/f"] != old
+    assert old and "/f" not in a._fids     # the stat spent it, kept none
 
 
 def test_a_rename_over_the_hinted_path_costs_one_wasted_back_end_stat(
@@ -89,7 +89,7 @@ def test_a_rename_over_the_hinted_path_costs_one_wasted_back_end_stat(
     assert _live_stat_children(dep) == []
     again = _count(monkeypatch, dep, "stat")
     assert _run(dep, 0, a.stat("/f")).st_size == 11
-    assert len(again) == 1          # the stat left the right hint behind
+    assert len(again) == 1          # unhinted: one back-end stat inline
 
 
 def test_a_hinted_stat_that_ends_in_enoent_waits_for_its_child(monkeypatch):
@@ -153,9 +153,30 @@ def test_a_crash_during_a_hinted_stat_forgets_every_hint(monkeypatch):
     assert isinstance(proc.value.error, Interrupt)
     assert a._fids == {} and _live_stat_children(dep) == []
     node.recover()
+    _run(dep, 0, a.create("/h"))
     st = _run(dep, 0, a.stat("/g"))
-    assert st.is_file and a._fids.keys() == {"/g"}
+    assert st.is_file and a._fids.keys() == {"/h"}
     assert audit_dufs(dep).ok
+
+
+def test_a_stat_records_no_hint(monkeypatch):
+    """Hints come only from this mount's creates: a mount that stats
+    another client's files, however often, keeps none of them, and its
+    own file's hint goes with the first stat."""
+    dep = _deployment()
+    a, b = dep.clients
+    _run(dep, 0, _sized(a, "/f", 3))
+    _run(dep, 1, _sized(b, "/g", 5))
+    stats = _count(monkeypatch, dep, "stat")
+
+    def stat_all():
+        sizes = []
+        for path in ("/g", "/g", "/f", "/f"):
+            sizes.append((yield from a.stat(path)).st_size)
+        return sizes
+
+    assert _run(dep, 0, stat_all()) == [5, 5, 3, 3]
+    assert len(stats) == 4 and a._fids == {}
 
 
 @pytest.mark.parametrize("op", ["unlink", "rename"])
