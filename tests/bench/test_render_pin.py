@@ -48,7 +48,11 @@ SUITES = runpy.run_path(str(ROOT / "scripts" / "check_regression.py"))["SUITES"]
 # 1.15x, elastic file_create 1.42x -> 1.36x (floor 1.3x; every arm's
 # creates got faster, the static ones most, and the autoscaler's
 # decisions shifted). The mdcache, resolve and resilience tables did not
-# move.
+# move. The mdcache "off" column and the resolve rows moved when a stat
+# stopped recording a FID hint, so a hint comes only from this mount's
+# create and a file's second stat is unhinted: mdcache ls_l 6,483 ->
+# 6,137 ops/s uncached (6.75x -> 7.13x), stat_hot 2.30x -> 2.39x;
+# resolve deep_stat 5.06x -> 4.95x (both arms slower, the walk less).
 GOLDEN = {
     "async": """\
 async-write ablation (scale=quick):
@@ -69,9 +73,9 @@ elastic plane (scale=quick, 8 ZK servers as 4 shards, pin budget 8):
     "mdcache": """\
 cache ablation (scale=quick):
   phase           off ops/s     on ops/s  speedup
-  stat_hot            7,272       16,700    2.30x
-  stat_shared        14,422       32,996    2.29x
-  ls_l                6,483       43,732    6.75x
+  stat_hot            6,976       16,700    2.39x
+  stat_shared        13,880       32,996    2.38x
+  ls_l                6,137       43,732    7.13x
   cache-on: hit-rate 76.7% (hits=1952 misses=400 coalesced=192 listings=16/32), zk reads 416 vs 2576 uncached""",
     "resilience": """\
 resilience overload campaign (scale=quick, capacity 500 reads/s, 4 open-loop clients x 4s):
@@ -85,8 +89,8 @@ resilience overload campaign (scale=quick, capacity 500 reads/s, 4 open-loop cli
 resolve ablation (scale=quick depth=8):
   phase          walk ops/s   thin ops/s  speedup
   flat_stat           6,362        6,939    1.09x
-  epoch_read          7,429        7,429    1.00x
-  deep_stat           1,120        5,665    5.06x
+  epoch_read          6,939        6,939    1.00x
+  deep_stat           1,114        5,516    4.95x
   thin: 1.00 RPCs/lookup (704 reads / 704 lookups) vs walk 2.12; server dentry hits 1745/2048 over 704 resolves""",
     "shard": """\
 shard scaling (scale=quick, 8 ZK servers total, 8 procs x 20 items):
