@@ -578,10 +578,10 @@ class DUFSClient:
 
     # -- stat (paper Fig. 6) -----------------------------------------------------
     def stat(self, path: str) -> Generator:
-        """Fig. 6, its two steps overlapped when this mount created
-        ``path`` and has not stat'ed it since: the back-end stat of the
-        FID it made runs in a child beside the znode read. The znode is the authority: unless
-        it names that FID, the stat waits the child out and goes on."""
+        """Fig. 6, its two steps overlapped when this mount made ``path``
+        and has not stat'ed it since: the back-end stat of the FID it made
+        runs in a child beside the znode read. The znode is the authority:
+        unless it names that FID, the stat waits the child out."""
         path = normalize_path(path)
         yield from self._logic(self.params.znode_codec_cpu)
         if path == "/":

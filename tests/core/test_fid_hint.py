@@ -1,9 +1,9 @@
 """A ``stat`` of a path this mount created, and has not stat'ed since,
-starts the back-end stat of the FID it made beside the znode read. The hint is never
-trusted: these cases change the namespace behind the mount's back and
-check that the stat answers for the file the znode names, wastes at most
-the one back-end stat it started, and leaves no child running. A mount
-with the coherent cache keeps no hints."""
+starts the back-end stat of the FID it made beside the znode read. The
+hint is never trusted: these cases change the namespace behind the
+mount's back and check that the stat answers for the file the znode
+names, wastes at most the one back-end stat it started, and leaves no
+child running. A mount with the coherent cache keeps no hints."""
 
 import pytest
 
