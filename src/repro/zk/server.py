@@ -120,8 +120,8 @@ class ZKServer(Membership):
         self._presync: Optional[List[Any]] = None
         self._term = 0      # bumped by each decision and each tree rebuild
 
-        # Parked read-your-writes holds, sorted by zxid: (zxid, hold).
-        self._holds: List[Tuple[int, Event]] = []
+        # Parked read-your-writes holds by zxid: (zxid, reserved id, hold).
+        self._holds: List[Tuple[int, int, Event]] = []
 
         # server-side dentry cache (volatile): paths whose *existence* was
         # verified during a ``resolve`` walk. Entries carry no data — znode
@@ -323,21 +323,24 @@ class ZKServer(Membership):
         """Return once this replica has applied ``zxid`` or has stopped
         following: at once if it already has, else at the instant it
         happens, as ZooKeeper answers on apply (MODEL.md §12, cut 5)."""
+        sim = self.sim
         while self.commit_index < zxid and self.role == FOLLOWING:
-            hold = Event(self.sim)
-            insort(self._holds, (zxid, hold), key=_ZXID)
+            sim._eid = eid = sim._eid + 1
+            hold = Event(sim)
+            insort(self._holds, (zxid, eid, hold), key=_ZXID)
             yield hold
 
     def _release_holds(self) -> None:
-        """Fire every parked hold that can now pass, in zxid order, at
-        this instant. Called wherever a hold's condition can turn true:
+        """Fire every parked hold that can now pass, at this instant and
+        under the creation id it reserved as it parked: ahead of the work
+        queued since. Called wherever a hold's condition can turn true:
         ``commit_index`` rises (the applier, ``_rebuild_from_disk``) or
         the role leaves FOLLOWING (``start_election``)."""
         holds = self._holds
         n = bisect_right(holds, self.commit_index, key=_ZXID) \
             if self.role == FOLLOWING else len(holds)
-        for _, hold in holds[:n]:
-            hold.succeed()
+        for _, eid, hold in holds[:n]:
+            self.sim.stage(hold, self.sim.now, eid)
         del holds[:n]
 
     def _h_fwd_write(self, src: str, req: WriteRequest) -> Generator:
