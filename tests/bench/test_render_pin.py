@@ -44,8 +44,8 @@ SUITES = runpy.run_path(str(ROOT / "scripts" / "check_regression.py"))["SUITES"]
 # elastic rows moved when a follower began answering a forwarded write at
 # the instant it applies it, not at the next log_delay tick: async sync
 # arm file_create 1,052 -> 1,342 ops/s (speedup 7.11x -> 5.57x), shard
-# 4-shard file_create 1.59x -> 1.79x (floor 1.5x) and dir_create 1.09x ->
-# 1.15x, elastic file_create 1.42x -> 1.36x (floor 1.3x; every arm's
+# 4-shard file_create 1.59x -> 1.72x (floor 1.5x) and dir_create 1.09x ->
+# 1.10x, elastic file_create 1.42x -> 1.36x (floor 1.3x; every arm's
 # creates got faster, the static ones most, and the autoscaler's
 # decisions shifted). The mdcache, resolve and resilience tables did not
 # move. The mdcache "off" column and the resolve rows moved when a stat
@@ -95,12 +95,12 @@ resolve ablation (scale=quick depth=8):
     "shard": """\
 shard scaling (scale=quick, 8 ZK servers total, 8 procs x 20 items):
   phase            1 shard(s)     2 shard(s)     4 shard(s)  speedup
-  dir_create            2,602          2,892          2,989    1.15x
-  file_create           2,311          3,217          4,130    1.79x
+  dir_create            2,725          2,912          2,989    1.10x
+  file_create           2,397          3,164          4,130    1.72x
   file_stat            13,861         13,861         11,984    0.86x
-  file_remove           1,999          2,729          2,902    1.45x
-  gate: file_create at 4 shards = 1.79x (floor 1.5x)
-  gate: dir_create at 4 shards = 1.15x (floor 1.0x)""",
+  file_remove           2,016          2,729          2,902    1.44x
+  gate: file_create at 4 shards = 1.72x (floor 1.5x)
+  gate: dir_create at 4 shards = 1.10x (floor 1.0x)""",
 }
 
 
