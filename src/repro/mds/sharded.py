@@ -19,8 +19,8 @@ Placement (hash-of-parent):
   *child-host copy* on ``hash(path) mod N`` that anchors the parent chain
   for its entries (ZooKeeper refuses to create a child under a missing
   parent). ``readdir`` asks the child-host shard, where ALL of a
-  directory's entries live by construction. Deeper anchors are completed
-  with placeholder directory znodes on demand, deepest-first;
+  directory's entries live by construction. A missing anchor chain is
+  completed with placeholder directory znodes in the anchor's own multi;
   placeholders are never visible to listings (a shard only serves the
   listings of directories it child-hosts, and for those the home copy is
   the anchor).
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from contextlib import suppress
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..core.metadata import DirPayload, is_dir_data
@@ -496,52 +497,51 @@ class ShardedMDS(MetadataService):
 
     # -- directory anchors ---------------------------------------------------
     def _ensure_child_anchor(self, path: str, data: bytes) -> Generator:
-        """Create the child-host copy of directory ``path``, building
-        placeholder ancestors on demand."""
+        """Create directory ``path``'s child-host copy, chain and all."""
         rr = lambda m: m.child_shard(path)  # noqa: E731 - route recompute
-        try:
-            return (yield from self._call(self.map.child_shard(path),
-                                          "create", path, data, reroute=rr))
-        except NodeExistsError:
-            return
-        except NoNodeError:
-            pass
-        # Cold path: the parent chain is absent on this shard. Build it
-        # while the parent's home shard (authoritative: a racing rmdir
-        # still surfaces as ENOENT) says whether the parent exists, then
-        # probe again — a chain can vanish only below a removed parent.
-        parent = parent_dir(path)
-        stat, built = yield from self._both(
-            self._at_home("exists", parent),
-            self._ensure_dir_chain(self.map.child_shard(path), parent,
-                                   reroute=rr))
-        exists = stat.result()
-        built.result()
-        if exists is None:
-            raise NoNodeError(path)
-        yield from self._ensure_child_anchor(path, data)
+        while True:
+            try:
+                return (yield from self._call(self.map.child_shard(path),
+                                              "create", path, data,
+                                              reroute=rr))
+            except NodeExistsError:
+                return
+            except NoNodeError:
+                pass
+            # Cold path: write the chain and the anchor while the parent's
+            # home shard (authoritative: a racing rmdir still surfaces as
+            # ENOENT) says whether the parent exists.
+            stat, built = yield from self._both(
+                self._at_home("exists", parent_dir(path)),
+                self._anchor_with_chain(path, data, rr))
+            if stat.result() is None:
+                if built.error is None:   # no anchor under a removed parent
+                    with suppress(ZKError):
+                        yield from self._call(self.map.child_shard(path),
+                                              "delete", path, reroute=rr)
+                raise NoNodeError(path)
+            if not isinstance(built.error, NodeExistsError):
+                return built.result()
+            # A racer built part of the chain: probe again.
 
-    def _ensure_dir_chain(self, shard: int, dirpath: str,
-                          reroute=None) -> Generator:
-        """mkdir -p of placeholder anchors for ``dirpath`` — known missing
-        on ``shard`` — deepest-first: the upper chain is almost always
-        there, so climb only on NoNode, usually one create, not ``depth``.
-        Missing where its home copy would be, a directory does not exist:
-        a placeholder there would conjure it up."""
-        if dirpath == "/":
-            return
-        if shard == self.map.home_shard(dirpath):
-            raise NoNodeError(dirpath)
-        try:
-            yield from self._call(shard, "create", dirpath,
-                                  PLACEHOLDER_DIR_DATA, reroute=reroute)
-            self.stats["anchors_created"] += 1
-        except NodeExistsError:
-            pass
-        except NoNodeError:
-            yield from self._ensure_dir_chain(shard, parent_dir(dirpath),
-                                              reroute)
-            yield from self._ensure_dir_chain(shard, dirpath, reroute)
+    def _anchor_with_chain(self, path: str, data: bytes,
+                           reroute) -> Generator:
+        """One multi: placeholder ancestors top-down, the anchor last,
+        grown by one ancestor while it answers NoNode. None goes on its
+        own home shard: missing there, a directory does not exist."""
+        chain = [parent_dir(path)]
+        while self.map.child_shard(path) != self.map.home_shard(chain[0]):
+            ops = [self.op_create(p, PLACEHOLDER_DIR_DATA) for p in chain]
+            try:
+                yield from self._call(self.map.child_shard(path), "multi",
+                                      ops + [self.op_create(path, data)],
+                                      reroute=reroute)
+            except NoNodeError:
+                chain.insert(0, parent_dir(chain[0]))
+            else:
+                self.stats["anchors_created"] += len(chain)
+                return
+        raise NoNodeError(chain[0])
 
     # -- multi: atomic when shard-local, intent-journaled across shards ------
     def multi(self, ops: Sequence[WriteRequest]) -> Generator:

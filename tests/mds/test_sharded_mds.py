@@ -213,27 +213,102 @@ def test_warm_mkdir_writes_both_copies_at_the_same_instant():
     assert max(home.arrive, anchor.arrive) < min(home.end, anchor.end)
 
 
+def cold_mkdir_rpcs(missing):
+    """mkdir the cold-chain directory of ``missing`` after its ancestors;
+    returns the placement, the mkdir's client RPCs as sorted ``(shard,
+    method, ok)`` and the placeholders it created."""
+    bus = TraceBus(keep_events=True)
+    dep = make_dep(bus=bus)
+    svc = dep.clients[0].zk
+    *above, d = cold_chain_dir(svc, missing)
+    for path in above:
+        dep.call(dep.mounts[0].mkdir, path)
+    since, before = len(bus.events), svc.stats["anchors_created"]
+    dep.call(dep.mounts[0].mkdir, d)
+    rpcs = sorted((ev.shard, ev.method, ev.ok)
+                  for ev in client_rpcs(bus, since))
+    assert all(on_shard(dep, svc.map.child_shard(d), q) for q in above[1:])
+    assert on_shard(dep, svc.map.child_shard(d), d)
+    return svc.map, above[-1], d, rpcs, svc.stats["anchors_created"] - before
+
+
 def test_cold_chain_costs_one_placeholder_not_depth():
+    m, q, d, rpcs, built = cold_mkdir_rpcs(missing=1)
+    child, home = m.child_shard(d), m.home_shard(d)
+    # Probe (NoNode), exists(parent) at the parent's home, ONE multi (the
+    # placeholder, then the anchor) and the home create. Top-down from the
+    # root, the chain would add ``depth - 1`` placeholders answered
+    # NodeExists; one create each, it would add a round.
+    assert rpcs == sorted([(child, "write", False),
+                           (m.home_shard(q), "read", True),
+                           (child, "write", True), (home, "write", True)])
+    assert built == 1
+
+
+def test_cold_chain_grows_the_multi_by_one_ancestor_per_nonode():
+    m, q, d, rpcs, built = cold_mkdir_rpcs(missing=2)
+    child, home = m.child_shard(d), m.home_shard(d)
+    # The first multi (the parent's placeholder, the anchor) answers
+    # NoNode; the second, one ancestor taller, lands.
+    assert rpcs == sorted([(child, "write", False),
+                           (m.home_shard(q), "read", True),
+                           (child, "write", False), (child, "write", True),
+                           (home, "write", True)])
+    assert built == 2
+
+
+def test_a_racer_placeholder_sends_the_multi_back_to_the_probe():
+    """Two siblings' cold chains on one shard: both probes answer NoNode,
+    both multis carry the parent's placeholder. The second answers
+    NodeExists, probes again and lands; neither fails."""
+    bus = TraceBus(keep_events=True)
+    dep = make_dep(n_client_nodes=2, bus=bus)
+    a, b = (c.zk for c in dep.clients)
+    p, q, d = cold_chain_dir(a)
+    twin = find_dir(a, lambda x: a.map.child_shard(x)
+                    == a.map.child_shard(d), prefix=f"{q}/r")
+    for path in (p, q):
+        dep.call(dep.mounts[0].mkdir, path)
+    since = len(bus.events)
+    race(dep, a.create(d, PLACEHOLDER_DIR_DATA),
+         b.create(twin, PLACEHOLDER_DIR_DATA))
+    child, home = a.map.child_shard(d), a.map.home_shard(d)
+    first = [(child, "write", False), (a.map.home_shard(q), "read", True),
+             (child, "write", True), (home, "write", True)]
+    second = sorted(first[:2] + [(child, "write", False)] + first[2:])
+    seen = sorted(sorted((ev.shard, ev.method, ev.ok)
+                         for ev in client_rpcs(bus, since, endpoint))
+                  for endpoint in ("dufszk0", "dufszk1"))
+    assert seen == sorted([sorted(first), second])
+    assert a.stats["anchors_created"] + b.stats["anchors_created"] == 1
+    for path in (d, twin):
+        assert on_shard(dep, child, path) and on_shard(dep, home, path)
+    assert audit_dufs(dep).ok
+
+
+def test_cold_chain_under_a_removed_parent_leaves_no_anchor():
+    """The parent's home says it is gone while the multi lands: the anchor
+    is taken back before NoNode, so it survives only under a parent that
+    exists. The placeholder stays: residue an rmdir reclaims."""
     bus = TraceBus(keep_events=True)
     dep = make_dep(bus=bus)
     svc = dep.clients[0].zk
     p, q, d = cold_chain_dir(svc)
     dep.call(dep.mounts[0].mkdir, p)
-    dep.call(dep.mounts[0].mkdir, q)
-    since, before = len(bus.events), svc.stats["anchors_created"]
-    dep.call(dep.mounts[0].mkdir, d)
-    child, home = svc.map.child_shard(d), svc.map.home_shard(d)
-    rpcs = sorted((ev.shard, ev.method, ev.ok)
-                  for ev in client_rpcs(bus, since))
-    # Probe (NoNode), exists(parent) at the parent's home, ONE placeholder,
-    # the anchor — and the home create. Top-down, the chain would add
-    # ``depth - 1`` creates answered NodeExists.
-    assert rpcs == sorted([(child, "write", False),
-                           (svc.map.home_shard(q), "read", True),
-                           (child, "write", True), (child, "write", True),
-                           (home, "write", True)])
-    assert svc.stats["anchors_created"] - before == 1   # successes only
-    assert on_shard(dep, child, q) and on_shard(dep, child, d)
+    since = len(bus.events)
+    with pytest.raises(NoNodeError):
+        dep.call(svc.create, d, PLACEHOLDER_DIR_DATA)
+    child = svc.map.child_shard(d)
+    writes = [(ev.shard, ev.ok) for ev in client_rpcs(bus, since)
+              if ev.method == "write" and ev.shard == child]
+    # Probe, the multi, the anchor's delete.
+    assert writes == [(child, False), (child, True), (child, True)]
+    assert svc.stats["anchors_created"] == 1
+    assert on_shard(dep, child, q)
+    for k in range(svc.n_shards):
+        assert not on_shard(dep, k, d)
+    assert dep.call(svc.exists, q) is None
+    assert audit_dufs(dep).ok
 
 
 def test_failed_anchor_takes_the_home_copy_back():
@@ -269,11 +344,14 @@ def outcome(log, op, path):
 
 def test_third_party_create_rides_out_the_slower_anchor():
     """C3: the home copy of ``d`` is visible before its cold-chain anchor
-    lands; entries created on sight must not answer ENOENT."""
+    lands; entries created on sight must not answer ENOENT. Four missing
+    components: the anchor's multi grows by one ancestor a round, so it
+    lands in the fifth round on its shard (the probe, four multis), well
+    after ``b`` sees the home copy."""
     bus = TraceBus(keep_events=True)
     dep = make_dep(n_client_nodes=2, bus=bus)
     a, b = dep.clients
-    *above, d = cold_chain_dir(a.zk, missing=3)
+    *above, d = cold_chain_dir(a.zk, missing=4)
     for path in above:
         dep.call(a.mkdir, path)
     log = {}
