@@ -80,7 +80,12 @@ ARMS = {
 }
 
 ARM_GOLDENS = {
-    # "default" and "thin" re-recorded when a stat stopped recording a FID
+    # "2shards+cache" re-recorded when a mkdir whose anchor chain is cold
+    # began writing the missing placeholders and the anchor in one multi,
+    # not one create each: OpTraces 1,885 -> 1,879 (six fewer ZooKeeper
+    # writes) and simulator events 12,600 -> 12,536; the other five arms
+    # build no sharded plane and did not move.
+    # Before that, "default" and "thin" re-recorded when a stat stopped recording a FID
     # hint, so only this mount's creates leave one: the same OpTraces,
     # the read-side tail's second stat of /pin/f0 unhinted, one simulator
     # event fewer on each (12,143 -> 12,142 on "default").
@@ -130,8 +135,8 @@ ARM_GOLDENS = {
     # "async+cache" when the write-behind drain began issuing each op as
     # soon as no in-flight op conflicts with it (8,891 -> 8,496 simulator
     # events).
-    "2shards+cache": ("ef711812d9b7995fd04cc062d0c2855e"
-                      "faded89b22dbe6911b2a702a1bb9e5c4"),
+    "2shards+cache": ("137f9313832e8cc033af13f8afef017f"
+                      "5ac0f7783b6b6866c94e9628b145ed18"),
     "async+cache": ("77bd5a8cd470d1205450388be991703a"
                     "d8c37282184fe75e1c789ccb8e306394"),
     "cache": ("526dbf83430a4583f6eb9366744d1ad9"
