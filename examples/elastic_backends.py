@@ -34,15 +34,16 @@ def main():
 
     ok = dep.call(lambda: populate())
     print(f"virtual files reachable: {ok}/{n_files}")
-    fids = [((client.fidgen.client_id << 64) | i) for i in range(n_files)]
-    before = {fid: client.mapping.backend_for(fid) for fid in fids}
+    client_id = client.files.fidgen.client_id
+    fids = [((client_id << 64) | i) for i in range(n_files)]
+    before = {fid: client.files.mapping.backend_for(fid) for fid in fids}
     load = Counter(before.values())
     print(f"{n_files} files over 3 mounts (consistent hashing): "
           f"{dict(sorted(load.items()))}")
 
     # ---- grow the mapping by one mount ----------------------------------
-    client.mapping.add_backend()
-    moved = sum(client.mapping.backend_for(fid) != before[fid]
+    client.files.mapping.add_backend()
+    moved = sum(client.files.mapping.backend_for(fid) != before[fid]
                 for fid in fids)
     print(f"\nadding back-end mount #3: files that would relocate: "
           f"{moved}/{n_files} ({moved / n_files:.1%}; mod-N would move ~75%)")

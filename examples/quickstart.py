@@ -50,15 +50,15 @@ def main():
 
     dep.call(lambda: workload())
 
-    fid = client.fidgen.client_id << 64  # the FID of the file we created
-    backend = client.mapping.backend_for(fid)
+    fid = client.files.fidgen.client_id << 64  # the FID of the file we created
+    backend = client.files.mapping.backend_for(fid)
     print()
     print("Where things actually live:")
     print(f"  FID of results.csv       : {fid:032x}")
     print(f"  deterministic mapping    : MD5(fid) mod 2 -> back-end "
           f"#{backend}")
     print(f"  physical path            : "
-          f"{physical_path(fid, client.layout)}")
+          f"{physical_path(fid, client.files.layout)}")
     print(f"  znodes in ZooKeeper      : "
           f"{len(dep.ensemble.servers[0].store) - 1}")
     print(f"  files on back-end 0 / 1  : "

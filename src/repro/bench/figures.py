@@ -386,7 +386,7 @@ def run_ablations(scale: str = "quick") -> FigureResult:
         dep = build_dufs_deployment(n_zk=4, n_backends=2, n_client_nodes=8,
                                     backend="lustre")
         for c in dep.clients:
-            c.layout = layout
+            c.files.layout = layout
         cfg = MdtestConfig(n_procs=procs, items_per_proc=items, tree=_tree(),
                            phases=("file_create", "file_stat"))
         res = run_mdtest(dep.cluster, dep.mount_for, dep.node_for, cfg)

@@ -239,7 +239,7 @@ def audit_dufs(deployment) -> AuditReport:
     else:
         view, report.repairs = merged_namespace_view(deployment)
     client = deployment.clients[0]
-    mapping, layout = client.mapping, client.layout
+    mapping, layout = client.files.mapping, client.files.layout
 
     # Pass 1: walk the znode tree, decode payloads, compute the expected
     # physical file set, and check structural invariants.
@@ -282,22 +282,13 @@ def audit_dufs(deployment) -> AuditReport:
         backend = mapping.backend_for(fid)
         expected[(backend, physical_path(fid, layout))] = path
 
-    # Write-behind residue: ops a client acked but never completed (its
-    # node crashed mid-drain, or the run window closed with the log
-    # non-empty). A lost file *create* already wrote its physical file; a
-    # lost file *delete* whose znode delete landed never ran its physical
-    # unlink. Either way the back-end holds an unreferenced FID — the
-    # mode's advertised bounded loss, not namespace damage. No lost op
-    # can leave a dangling mapping, so that violation is never excused.
-    lost_files = {(mapping.backend_for(op.payload.fid),
-                   physical_path(op.payload.fid, layout))
-                  for cli in deployment.clients if cli.wblog is not None
-                  for op in cli.wblog.lost_ops()
-                  if op.kind in ("create", "delete")
-                  and isinstance(op.payload, FilePayload)}
-    spares: Tuple[Set, Set] = (set(), set())    # live, cut off by a crash
+    # Each client's residue: unnamed files it owns (live spares) or may
+    # leave (a crash cut them off; a write-behind op acked and never
+    # completed) — bounded loss, not namespace damage. Nothing in it can
+    # leave a dangling mapping, so that violation is never excused.
+    live, lost, unacked = residue = (set(), set(), set())
     for cli in deployment.clients:
-        for files, fids in zip(spares, cli.spare_fids()):
+        for files, fids in zip(residue, cli.files.residue()):
             files.update((mapping.backend_for(fid),
                           physical_path(fid, layout)) for fid in fids)
 
@@ -314,11 +305,11 @@ def audit_dufs(deployment) -> AuditReport:
             "dangling-mapping", expected[key],
             f"no physical file {ppath} on back-end {backend}"))
     for backend, ppath in sorted(actual - expected.keys()):
-        if (backend, ppath) in lost_files:
+        if (backend, ppath) in unacked:
             report.lost_unacked += 1
-        elif (backend, ppath) in spares[0]:
+        elif (backend, ppath) in live:
             report.spares += 1
-        elif (backend, ppath) in spares[1]:
+        elif (backend, ppath) in lost:
             report.lost_spares += 1
         else:
             report.violations.append(Violation(

@@ -163,9 +163,9 @@ def _build_dufs(seed: int, shards: int, params: SimParams):
     def apply_backend(index: int, down: bool) -> None:
         for cli in dep.clients:
             if down:
-                cli.mark_backend_down(index)
+                cli.files.mark_backend_down(index)
             else:
-                cli.mark_backend_up(index)
+                cli.files.mark_backend_up(index)
 
     client = dep.mounts[0]
     return dep.cluster, dep, client, dep.client_nodes[0], resolve, \

@@ -13,82 +13,41 @@ Implements the paper's algorithms:
 - **rename** never moves data: the FID (hence the physical file) is
   reused under the new name, atomically via a ZooKeeper multi-op.
 
-A DUFS client instance keeps nothing the namespace needs: its FID
-generator, the *physical* hash directories it has ensured (the static
-layout of §IV-G), FID hints ``stat`` never trusts and its spares, files
-no name maps to yet; crash-restart loses nothing (§IV-I), and a crash
-leaves at most the spares and the creates in flight as unreferenced
-files. The mount makes the chain all of an instance's FIDs share: a
-create that races it waits for it, and one makes the chain itself only
-after a mount mkdir failed.
+A DUFS client instance keeps nothing the namespace needs: its physical
+side, one :class:`~repro.core.physical.PhysicalFiles` with one crash rule,
+holds only what a crash may drop or leave as unnamed files (§IV-I).
 
-Both write paths run each mutation through one op runner (``_run``):
-a file create's physical file (unless a spare made it, ``_new_fid``),
-then the metadata call, then the at-least-once outcome rule. The paper's
-client runs it inline before the ack; the write-behind client
-(:mod:`repro.core.wblog`) acks once the op is logged and runs it in the
-drain, so a create's back-end call is off the ack too. Until the drain
-has made such a file, back-end calls on it wait for it and ``stat``
-answers from the pending create.
+Both write paths run each mutation through one op runner (``_run``): a
+file create's physical file (unless a spare made it), then the metadata
+call, then the at-least-once outcome rule. The paper's client runs it
+inline before the ack; the write-behind client (:mod:`repro.core.wblog`)
+acks once the op is logged and runs it in the drain, so a create's
+back-end call is off the ack too.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Generator, Optional, Sequence, Tuple
 
-from ..errors import (
-    EBADF,
-    EEXIST,
-    EINVAL,
-    EIO,
-    EISDIR,
-    ELOOP,
-    ENOENT,
-    ENOTDIR,
-    ENOTEMPTY,
-    MAXSYMLINKS,
-    FSError,
-)
+from ..errors import (EBADF, EEXIST, EINVAL, EIO, EISDIR, ELOOP, ENOENT,
+                      ENOTDIR, ENOTEMPTY, MAXSYMLINKS, FSError)
 from ..models.params import SimParams
-from ..pfs.base import (
-    DEFAULT_DIR_MODE,
-    DEFAULT_FILE_MODE,
-    S_IFDIR,
-    S_IFLNK,
-    S_IFREG,
-    DirEntry,
-    StatResult,
-    StatVFS,
-    normalize_path,
-)
+from ..pfs.base import (DEFAULT_DIR_MODE, S_IFDIR, S_IFLNK, S_IFREG,
+                        DirEntry, StatResult, StatVFS, normalize_path)
 from ..mds import as_metadata_service
-from ..sim.node import Node, Outcome
-from ..zk.errors import (
-    BadVersionError,
-    ConnectionLossError,
-    NoNodeError,
-    NodeExistsError,
-    NotEmptyError,
-    ZKError,
-)
-from .fid import FIDGenerator
-from .mapping import (MappingFunction, physical_dirs, physical_path,
-                      shared_chain)
+from ..sim.node import Node
+from ..zk.errors import (BadVersionError, ConnectionLossError, NoNodeError,
+                         NodeExistsError, NotEmptyError, ZKError)
+from .mapping import MappingFunction
 from .mdcache import CoherentMDCache, MDCache, ResolveMiss
-from .metadata import (
-    DirPayload,
-    FilePayload,
-    SymlinkPayload,
-    decode_payload,
-)
+from .metadata import DirPayload, FilePayload, SymlinkPayload, decode_payload
 from .paths import parent_dir
+from .physical import FILE_MODE, PhysicalFiles
 from .wblog import PendingOp, WriteBehindLog
 
 
 #: What ``/`` looks up as: the root znode carries no DUFS payload.
 _ROOT = (DirPayload(DEFAULT_DIR_MODE & 0o7777), None)
-#: The mode of a spare's physical file: the one a create asks for by default.
-_FILE_MODE = DEFAULT_FILE_MODE & 0o7777
 
 
 def _map_zk_error(exc: ZKError, path: str) -> FSError:
@@ -106,18 +65,11 @@ def _map_zk_error(exc: ZKError, path: str) -> FSError:
 class DUFSClient:
     """One DUFS client instance (per mount, per node)."""
 
-    def __init__(
-        self,
-        node: Node,
-        zk,
-        backends: Sequence,
-        params: Optional[SimParams] = None,
-        mapping: Optional[MappingFunction] = None,
-        client_id: Optional[int] = None,
-        layout: str = "amortized",
-        bus=None,
-        name: Optional[str] = None,
-    ):
+    def __init__(self, node: Node, zk, backends: Sequence,
+                 params: Optional[SimParams] = None,
+                 mapping: Optional[MappingFunction] = None,
+                 client_id: Optional[int] = None, layout: str = "amortized",
+                 bus=None, name: Optional[str] = None):
         if not backends:
             raise ValueError("DUFS needs at least one back-end mount")
         self.node = node
@@ -129,37 +81,11 @@ class DUFSClient:
         self.backends = list(backends)
         params = params or SimParams()
         self.params = params.dufs
-        self.mapping = mapping or MappingFunction(len(backends))
-        self.layout = layout
-        if self.mapping.n_backends != len(self.backends):
-            raise ValueError("mapping size != number of back-ends")
-        self.fidgen = FIDGenerator(client_id)
-        # Physical hash-directories known to exist, per back-end.
-        self._known_dirs: List[set] = [set() for _ in self.backends]
         # Open-file-handle table: open() resolves the FID once (Fig. 3
         # steps A-C); subsequent I/O through the handle goes straight to
         # the back-end with no further ZooKeeper contact.
         self._handles: dict = {}
         self._next_fh = 0
-        # Degraded mode (fault tolerance): back-end indices currently
-        # marked dead. Ops whose FID maps to one fail fast with EIO while
-        # the ZooKeeper namespace keeps serving everything else.
-        self.degraded: set = set()
-        # Write-behind: physical path -> Event of each file whose physical
-        # create the drain still owes. A back-end call on one waits for it.
-        self._unmade: dict = {}
-        # FID hints (``stat``): path -> FID of each file this mount made,
-        # until its first stat, unlink or rename; none beside the cache.
-        self._fids: dict = {}
-        self._hints = not params.cache.enabled
-        # Spares (``_new_fid``; none on a write-behind mount): FID -> the
-        # process making its file, oldest first. Each create in flight:
-        # FID -> whether a spare made its file.
-        self._spares: Optional[dict] = None if params.awrite.enabled else {}
-        self._creating: dict = {}
-        self._lost: List[int] = []
-        self._reclaims: dict = {}   # caller -> its reclaim in flight
-        node.on_crash(self._on_crash)
         self.stats = {"zk_reads": 0}
         # The read side, assembled once: pending-write overlay → coherent
         # cache (the stage exists only when enabled) → source, the paper's
@@ -172,68 +98,25 @@ class DUFSClient:
                              bus=bus, endpoint=name or "dufs-client",
                              thin=params.resolve.enabled)
         # The write path, bound once: commit-and-wait (the paper's client)
-        # or write-behind, both through the one op runner ``_run``. Op
-        # bodies call ``_commit``/``_drain``/``_reclaim`` and never ask
-        # which. The log is constructed ONLY when enabled: it hooks the
-        # node's crash, and an async-off deployment must run no code the
-        # paper's client would not.
+        # or write-behind, both through the one op runner ``_run``; op
+        # bodies call ``_commit``/``_drain`` and never ask which. The log
+        # exists ONLY when enabled: an async-off deployment must run no
+        # code the paper's client would not.
         self.wblog: Optional[WriteBehindLog] = None
-        self._commit, self._drain, self._reclaim = (
-            self._commit_sync, self._drain_sync, self._reclaim_sync)
+        self._commit, self._drain = self._commit_sync, self._drain_sync
         if params.awrite.enabled:
             self.wblog = WriteBehindLog(node, self._run, self.mdcache,
-                                        params=params.awrite,
-                                        bus=bus,
+                                        params=params.awrite, bus=bus,
                                         endpoint=name or "dufs-client")
-            self._commit, self._drain, self._reclaim = (
-                self._commit_async, self._drain_async, self._unlink_physical)
-            node.on_crash(self._unmade.clear)   # its waiters died too
-        self._mounts = [node.shielded(self._mount_chain(b), "dufs-mount")
-                        for b in range(len(self.backends))]
+            self._commit, self._drain = self._commit_async, self._drain_async
+        self.files = PhysicalFiles(
+            node, self.backends, mapping or MappingFunction(len(backends)),
+            client_id, layout, not params.cache.enabled, self.wblog)
 
     # -- internals ------------------------------------------------------------
-    def _on_crash(self) -> None:
-        """Hints and reclaims die with the node; its spares and creates in
-        flight may leave files no name reaches (``_lost``)."""
-        self._fids.clear()
-        self._reclaims.clear()
-        self._lost += [*(self._spares or ()), *self._creating]
-        self._creating.clear()
-        if self._spares:
-            self._spares.clear()
-
-    def spare_fids(self) -> Tuple[List[int], List[int]]:
-        """The live spares' FIDs, then ``_lost``: for the auditor."""
-        return list(self._spares or ()), self._lost
-
     def _logic(self, *costs: float) -> Generator:
         yield from self.node.cpu_work(self.params.client_logic_cpu
                                       + sum(costs))
-
-    # -- degraded mode -------------------------------------------------------
-    def mark_backend_down(self, backend: int) -> None:
-        """Enter degraded mode for one back-end: only the ``MD5(FID) mod
-        N`` slice mapped to it fails (EIO); directory/symlink ops and files
-        on other back-ends keep working (paper §IV-I)."""
-        self.degraded.add(backend)
-
-    def mark_backend_up(self, backend: int) -> None:
-        self.degraded.discard(backend)
-
-    def _require_up(self, backend: int, path: Optional[str] = None) -> None:
-        if backend in self.degraded:
-            raise FSError(EIO, path, f"back-end {backend} unavailable "
-                                     "(degraded mode)")
-
-    def _backend_call(self, backend: int, method: str, *args) -> Generator:
-        """Every physical-filesystem access funnels through here so a dead
-        back-end fails the op instead of hanging it, and one on a file
-        whose physical create the drain still owes waits for that create
-        (a create makes a fresh FID's file: it never waits)."""
-        self._require_up(backend)
-        if self._unmade and method != "create" and args[0] in self._unmade:
-            yield self._unmade[args[0]]
-        return (yield from getattr(self.backends[backend], method)(*args))
 
     def _get_payload(self, path: str) -> Generator:
         """Lookup (step B of Fig. 3): payload + znode stat through the
@@ -317,9 +200,8 @@ class DUFSClient:
         when ``op`` landed, else the POSIX error it is owed. The drain
         passes no ``version``: a logged setdata is last-writer-wins. A
         spare's file is made already."""
-        if op.kind == "create" and isinstance(op.payload, FilePayload) \
-                and not self._creating.get(op.payload.fid):
-            err = yield from self._make_file(op.payload)
+        if op.kind == "create" and isinstance(op.payload, FilePayload):
+            err = yield from self.files.make(op.payload.fid, op.payload.mode)
             if err is not None:
                 return err
         try:
@@ -337,23 +219,6 @@ class DUFSClient:
         if (yield from self._outcome(op, exc)):
             return None
         return _map_zk_error(exc, op.path)
-
-    def _make_file(self, payload: FilePayload) -> Generator:
-        """Steps C/D of Fig. 3: the hash-directory chain, then the
-        back-end create. Wakes the back-end calls waiting for the file
-        and returns the FSError when it could not be made."""
-        backend, ppath = self._locate(payload.fid)
-        try:
-            yield from self.ensure_physical_dirs(backend, payload.fid)
-            yield from self._backend_call(backend, "create", ppath,
-                                          payload.mode)
-            err = None
-        except FSError as exc:
-            err = exc
-        made = self._unmade.pop(ppath, None)
-        if made is not None:
-            made.succeed()
-        return err
 
     def _commit_sync(self, kind: str, path: str, payload=None,
                      is_dir: bool = False, version: int = -1) -> Generator:
@@ -382,7 +247,7 @@ class DUFSClient:
                 and self.mdcache.known_dir(path):
             raise FSError(EEXIST, path)     # provable locally: fail now
         if kind == "create" and isinstance(payload, FilePayload):
-            self._unmade[self._locate(payload.fid)[1]] = self.sim.event()
+            self.files.owe(payload.fid)
         return self.wblog.append(
             kind, path, data=b"" if payload is None else payload.encode(),
             payload=payload, is_dir=is_dir)
@@ -440,14 +305,14 @@ class DUFSClient:
         name mapping to no file (a dangling mapping is worse than an
         orphaned file): a file create that *provably* did not land is
         rolled back before the caller hears, a file delete that landed is
-        reclaimed (:meth:`_reclaim`)."""
+        reclaimed."""
         landed = True if exc is None else (yield from self._landed(op, exc))
         if isinstance(op.payload, FilePayload):
             if op.kind == "delete" and landed:
                 yield from self._logic(self.params.mapping_cpu)
-                yield from self._reclaim(op.payload.fid)
+                yield from self.files.reclaim(op.payload.fid)
             elif op.kind == "create" and landed is False:
-                yield from self._unlink_physical(op.payload.fid)
+                yield from self.files.unlink(op.payload.fid)
         return landed
 
     def _drain_sync(self, *paths) -> Generator:
@@ -455,21 +320,6 @@ class DUFSClient:
         deferred errors."""
         return []
         yield  # pragma: no cover - makes this a generator
-
-    def _reclaim_sync(self, fid: int) -> Generator:
-        """Unlink the nameless back-end file in its own process, after the
-        caller's previous one: a caller overlaps one reclaim with its next
-        op, so a back-end slower than the namespace still sets its pace."""
-        caller = self.sim.active
-        pending = self._reclaims.get(caller)
-        if pending is not None:
-            yield pending
-        self._reclaims[caller] = self.node.shielded(
-            self._reclaim_for(caller, fid), "dufs-reclaim")
-
-    def _reclaim_for(self, caller, fid: int) -> Generator:
-        yield from self._unlink_physical(fid)
-        self._reclaims.pop(caller, None)
 
     def _drain_async(self, *paths) -> Generator:
         """Ordering barrier: wait until every acked mutation committed,
@@ -495,40 +345,6 @@ class DUFSClient:
         for _, err in (yield from self._drain(normalize_path(path))):
             raise err
         return True
-
-    def _locate(self, fid: int) -> Tuple[int, str]:
-        """Steps C/D of Fig. 3: deterministic mapping, physical path."""
-        backend = self.mapping.backend_for(fid)
-        return backend, physical_path(fid, self.layout)
-
-    def ensure_physical_dirs(self, backend: int, fid: int) -> Generator:
-        """mkdir -p of the static hash-directory chain (cached) each
-        physical create runs. One that races the mount waits for it
-        instead of sending the same mkdirs beside it."""
-        if not self._mounts[backend].triggered:
-            yield self._mounts[backend]
-        yield from self._make_dirs(backend, physical_dirs(fid, self.layout))
-
-    def _make_dirs(self, backend: int, dirs: List[str]) -> Generator:
-        """mkdir each of ``dirs`` not yet known on ``backend``; cached once
-        made or found."""
-        cache = self._known_dirs[backend]
-        for d in dirs:
-            if d in cache:
-                continue
-            try:
-                yield from self._backend_call(backend, "mkdir", d)
-            except FSError as exc:
-                if exc.err != EEXIST:
-                    raise
-            cache.add(d)
-
-    def _mount_chain(self, backend: int) -> Generator:
-        """The mount's process: make on ``backend`` the chain all FIDs of
-        this instance share, under its layout when this runs. Shielded: a
-        failure is the first create's."""
-        yield from self._make_dirs(
-            backend, shared_chain(self.fidgen.client_id, self.layout))
 
     # -- directory operations (ZooKeeper only) ------------------------------
     def mkdir(self, path: str, mode: int = 0o755) -> Generator:
@@ -586,10 +402,7 @@ class DUFSClient:
         yield from self._logic(self.params.znode_codec_cpu)
         if path == "/":
             return StatResult(st_mode=DEFAULT_DIR_MODE, st_ino=1, st_nlink=2)
-        hint = self._fids.pop(path, None)
-        if hint is not None and self._unmade \
-                and self._locate(hint)[1] in self._unmade:
-            hint = None     # the drain still owes it: no stat to overlap
+        hint = self.files.take_hint(path)
         early = None if hint is None else self.node.shielded(
             self._stat_fid(hint), "dufs-stat")
         try:
@@ -602,11 +415,9 @@ class DUFSClient:
         if isinstance(payload, DirPayload):
             # Satisfied at the ZooKeeper level (no back-end contact).
             return StatResult(
-                st_mode=S_IFDIR | payload.mode,
-                st_ino=zstat.czxid & 0x7FFFFFFF,
-                st_nlink=2 + zstat.num_children,
-                st_uid=payload.uid, st_gid=payload.gid,
-                st_size=0,
+                st_mode=S_IFDIR | payload.mode, st_uid=payload.uid,
+                st_ino=zstat.czxid & 0x7FFFFFFF, st_gid=payload.gid,
+                st_nlink=2 + zstat.num_children, st_size=0,
                 st_atime=zstat.mtime or zstat.ctime,
                 st_mtime=zstat.mtime or zstat.ctime,
                 st_ctime=zstat.ctime)
@@ -628,11 +439,10 @@ class DUFSClient:
         """Fig. 6's second step: the physical file's attributes, or None
         while the drain still owes the file."""
         yield from self._logic(self.params.mapping_cpu)
-        backend, ppath = self._locate(fid)
-        if ppath in self._unmade:
-            return None
-        st = yield from self._backend_call(backend, "stat", ppath)
-        st.st_mode = S_IFREG | (st.st_mode & 0o7777)
+        backend, ppath = self.files.locate(fid)
+        st = yield from self.files.call(backend, "stat", ppath)
+        if st is not None:
+            st.st_mode = S_IFREG | (st.st_mode & 0o7777)
         return st
 
     def access(self, path: str, mode: int = 0) -> Generator:
@@ -640,62 +450,23 @@ class DUFSClient:
         return True
 
     # -- file operations -----------------------------------------------------
-    def create(self, path: str, mode: int = _FILE_MODE) -> Generator:
+    def create(self, path: str, mode: int = FILE_MODE) -> Generator:
         path = normalize_path(path)
         yield from self._logic(self.params.fid_generate_cpu,
                                self.params.mapping_cpu,
                                self.params.znode_codec_cpu)
         yield from self._check_new_entry(path)
-        fid = yield from self._new_fid(path, mode)
+        fid = yield from self.files.new_fid(path, mode)
         # The op runner makes the physical file (steps C/D) unless a spare
-        # did, then publishes name->FID; a commit that provably failed
-        # rolls the physical file back.
+        # did, then publishes name->FID, or rolls the file back.
         try:
             yield from self._commit("create", path, FilePayload(fid, mode))
-        finally:
-            self._creating.pop(fid, None)
+        except BaseException:
+            self.files.settle(fid)
+            raise
+        self.files.settle(fid, path)
         self.mdcache.note_created(path)
-        if self._hints:
-            self._fids[path] = fid
         return True
-
-    def _new_fid(self, path: str, mode: int) -> Generator:
-        """The new file's FID, entered in ``_creating``: a sync mount's
-        default-mode create takes the oldest spare (waiting while it is
-        made) and starts the next, so the pool never outgrows the peak of
-        concurrent creates. A fresh FID, whose file the op runner makes,
-        when the pool is empty or the spare failed; and, the pool left as
-        it was, for another mode, a write-behind mount or an oldest spare
-        on a degraded back-end."""
-        spares = self._spares if mode == _FILE_MODE else None
-        fid = next(iter(spares or ()), None)
-        if spares is None or fid is not None \
-                and self.mapping.backend_for(fid) in self.degraded:
-            return self._fresh_fid(path)
-        if fid is not None:
-            self._creating[fid] = True
-            if (yield spares.pop(fid)) != Outcome():
-                del self._creating[fid]     # it made no file
-                fid = None
-        fid = self._fresh_fid(path) if fid is None else fid
-        spare = self.fidgen.next()
-        spares[spare] = self.node.shielded(
-            self._make_file(FilePayload(spare, _FILE_MODE)), "dufs-spare")
-        return fid
-
-    def _fresh_fid(self, path: str) -> int:
-        fid = self.fidgen.next()
-        self._require_up(self.mapping.backend_for(fid), path)
-        self._creating[fid] = False
-        return fid
-
-    def _unlink_physical(self, fid: int) -> Generator:
-        """Best effort: a failure leaves an orphan, not an error."""
-        backend, ppath = self._locate(fid)
-        try:
-            yield from self._backend_call(backend, "unlink", ppath)
-        except FSError:
-            pass
 
     def unlink(self, path: str) -> Generator:
         path = normalize_path(path)
@@ -706,11 +477,11 @@ class DUFSClient:
         if isinstance(payload, DirPayload):
             raise FSError(EISDIR, path)
         if isinstance(payload, FilePayload):    # fail before the name goes
-            self._require_up(self.mapping.backend_for(payload.fid), path)
-        # _outcome's _reclaim unlinks the physical file once the name is gone.
+            self.files.require_up(payload.fid, path)
+        # _outcome reclaims the physical file once the name is gone.
         yield from self._commit("delete", path, payload)
         self.mdcache.note_removed(path)
-        self._fids.pop(path, None)
+        self.files.forget(path)
         return True
 
     def _resolve_file(self, path: str, flags: int = 0) -> Generator:
@@ -724,8 +495,8 @@ class DUFSClient:
             if isinstance(payload, DirPayload):
                 raise FSError(EISDIR, path)
             if not isinstance(payload, SymlinkPayload):
-                backend, ppath = self._locate(payload.fid)
-                yield from self._backend_call(backend, "open", ppath, flags)
+                backend, ppath = self.files.locate(payload.fid)
+                yield from self.files.call(backend, "open", ppath, flags)
                 return (backend, ppath)
             path = payload.target
         raise FSError(ELOOP, path)
@@ -755,20 +526,18 @@ class DUFSClient:
     def pread(self, fh: int, offset: int, size: int) -> Generator:
         """Read through an open handle — back-end only, no ZooKeeper."""
         backend, ppath = self._handle(fh)
-        result = yield from self._backend_call(backend, "read", ppath,
-                                               offset, size)
-        return result
+        return (yield from self.files.call(backend, "read", ppath, offset,
+                                           size))
 
     def pwrite(self, fh: int, offset: int, data: bytes) -> Generator:
         backend, ppath = self._handle(fh)
-        result = yield from self._backend_call(backend, "write", ppath,
-                                               offset, data)
-        return result
+        return (yield from self.files.call(backend, "write", ppath, offset,
+                                           data))
 
     def _path_io(self, method: str, path: str, *args) -> Generator:
         """Path-addressed I/O: Fig. 3 steps A-D, then the back-end call."""
         backend, ppath = yield from self._resolve_file(path)
-        return (yield from self._backend_call(backend, method, ppath, *args))
+        return (yield from self.files.call(backend, method, ppath, *args))
 
     def read(self, path: str, offset: int, size: int) -> Generator:
         return self._path_io("read", path, offset, size)
@@ -786,7 +555,7 @@ class DUFSClient:
         total = StatVFS(f_capacity=0)
         for i, be in enumerate(self.backends):
             if hasattr(be, "statfs"):
-                if i in self.degraded:
+                if i in self.files.degraded:
                     continue  # skip dead back-ends; report reachable capacity
                 vfs = yield from be.statfs()
                 total = total.merge(vfs)
@@ -805,8 +574,8 @@ class DUFSClient:
             return True
         if isinstance(payload, SymlinkPayload):
             return True  # chmod on symlinks is a no-op
-        backend, ppath = self._locate(payload.fid)
-        yield from self._backend_call(backend, "chmod", ppath, mode)
+        backend, ppath = self.files.locate(payload.fid)
+        yield from self.files.call(backend, "chmod", ppath, mode)
         # Keep the znode's cached mode in sync (best effort: the back-end
         # holds the authoritative one).
         try:
@@ -883,11 +652,10 @@ class DUFSClient:
             self.mdcache.note_removed(src)
             self.mdcache.note_removed(dst)
         self.mdcache.note_created(dst, is_dir=is_dir)
-        self._fids.pop(src, None)
-        self._fids.pop(dst, None)
+        self.files.forget(src, dst)
         # Overwritten file's contents are garbage-collected.
         if isinstance(dst_payload, FilePayload):
-            yield from self._reclaim(dst_payload.fid)
+            yield from self.files.reclaim(dst_payload.fid)
         return True
 
     def _collect_subtree(self, root: str) -> Generator:

@@ -17,7 +17,7 @@ def test_degraded_mode_fails_only_mapped_slice():
     client = dep.clients[0]
     dep.call(mount.mkdir, "/d")
 
-    client.mark_backend_down(0)
+    client.files.mark_backend_down(0)
     ok, failed = [], []
     for i in range(12):
         try:
@@ -37,7 +37,7 @@ def test_degraded_mode_fails_only_mapped_slice():
     assert names == {f"f{i}" for i in ok}
 
     # Recovery restores the full slice.
-    client.mark_backend_up(0)
+    client.files.mark_backend_up(0)
     for i in failed:
         dep.call(mount.create, f"/d/f{i}")
     assert {e.name for e in dep.call(mount.readdir, "/d")} == \
@@ -49,7 +49,7 @@ def test_degraded_backend_file_ops_fail_fast_without_hanging():
                                 backend="local", seed=4)
     mount = dep.mounts[0]
     dep.call(mount.create, "/f")
-    dep.clients[0].mark_backend_down(0)
+    dep.clients[0].files.mark_backend_down(0)
     before = dep.cluster.sim.now
     with pytest.raises(FSError) as exc:
         dep.call(mount.stat, "/f")
@@ -74,7 +74,7 @@ def test_degraded_unlink_fails_before_the_name_goes(mode):
         dep.call(mount.create, f"/d/f{i}")
     dep.call(client.flush)
 
-    client.mark_backend_down(0)
+    client.files.mark_backend_down(0)
     removed, failed = [], []
     for i in range(6):
         try:
@@ -88,7 +88,7 @@ def test_degraded_unlink_fails_before_the_name_goes(mode):
     assert {e.name for e in dep.call(mount.readdir, "/d")} == \
         {f"f{i}" for i in failed}
 
-    client.mark_backend_up(0)
+    client.files.mark_backend_up(0)
     report = audit_dufs(dep)
     assert report.ok, report.to_text()
     for i in failed:

@@ -38,7 +38,7 @@ class DUFSHarness:
         """Live spares over every mount: files made ahead of the create
         that will name them, one per mount that has created a file and
         ran its creates one at a time."""
-        return sum(len(c.spare_fids()[0]) for c in self.dep.clients)
+        return sum(len(c.files.residue()[0]) for c in self.dep.clients)
 
 
 def ops_at(bus, prefix, method=None):

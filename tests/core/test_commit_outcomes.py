@@ -147,7 +147,7 @@ class Rig:
     def spares(self):
         """The mount's live spares: a synchronous mount's first file
         create starts one, whatever became of the create."""
-        return len(self.client.spare_fids()[0])
+        return len(self.client.files.residue()[0])
 
     def outcome(self, op, *args):
         """Run one op and the flush that follows it; ``"ok"`` or the
@@ -285,8 +285,8 @@ class SlowCreates:
 
 def slow_creates(rig):
     calls = []
-    rig.client.backends = [SlowCreates(be, rig.cluster.sim, calls)
-                           for be in rig.client.backends]
+    rig.client.backends[:] = [SlowCreates(be, rig.cluster.sim, calls)
+                              for be in rig.client.backends]
     return calls
 
 
@@ -348,7 +348,7 @@ def test_a_physical_create_that_fails_in_the_drain_is_a_deferred_eio(
     def main():
         yield from client.create("/x")
         for backend in range(len(client.backends)):
-            client.mark_backend_down(backend)
+            client.files.mark_backend_down(backend)
         if barrier == "flush":
             (path, err), = yield from client.flush()
             assert path == "/x"
@@ -368,7 +368,7 @@ def test_a_physical_create_that_fails_in_the_drain_is_a_deferred_eio(
 def test_a_create_on_a_degraded_backend_fails_before_the_ack(mode):
     rig = Rig(mode)
     for backend in range(len(rig.client.backends)):
-        rig.client.mark_backend_down(backend)
+        rig.client.files.mark_backend_down(backend)
     assert rig.outcome("create", "/x") == EIO
     assert "/x" not in rig.mds.nodes and rig.files() == 0
     if mode == "async":

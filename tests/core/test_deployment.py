@@ -59,8 +59,8 @@ def test_deterministic_client_ids():
                               backend="local", seed=5)
     b = build_dufs_deployment(n_zk=1, n_backends=2, n_client_nodes=3,
                               backend="local", seed=5)
-    assert [c.fidgen.client_id for c in a.clients] == \
-        [c.fidgen.client_id for c in b.clients]
+    assert [c.files.fidgen.client_id for c in a.clients] == \
+        [c.files.fidgen.client_id for c in b.clients]
 
 
 def test_backend_counts_match_request():

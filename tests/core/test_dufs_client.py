@@ -74,8 +74,8 @@ def test_directories_not_materialized_on_backends(dufs):
     # Only the root and the hash-directory chain each client made at its
     # mount: client ids share their high bits, so chains share a top.
     chains = {d for client in dufs.dep.clients
-              for d in physical_dirs(client.fidgen.client_id << 64,
-                                     client.layout)}
+              for d in physical_dirs(client.files.fidgen.client_id << 64,
+                                     client.files.layout)}
     for be in dufs.dep.backends:
         assert be.ns.count_dirs() == 1 + len(chains)
         assert all(be.ns.exists(d) for d in chains)
@@ -89,14 +89,14 @@ def test_file_lands_on_exactly_one_backend_at_fid_path(dufs):
         yield from m.create("/data")
 
     dufs.run(main())
-    fid = client.fidgen.client_id << 64  # counter 0
+    fid = client.files.fidgen.client_id << 64  # counter 0
     spare = fid + 1                      # counter 1: the mount's spare
-    assert client.spare_fids() == ([spare], [])
+    assert client.files.residue() == ([spare], [], [])
     counts = dufs.backend_file_counts()
     assert sum(counts) == 1 + 1
     for f in (fid, spare):
-        backend = client.mapping.backend_for(f)
-        ppath = physical_path(f, client.layout)
+        backend = client.files.mapping.backend_for(f)
+        ppath = physical_path(f, client.files.layout)
         assert dufs.dep.backends[backend].ns.exists(ppath)
         assert not dufs.dep.backends[1 - backend].ns.exists(ppath)
 
@@ -154,10 +154,10 @@ def test_delete_then_recreate_gets_new_fid(dufs):
 
     def main():
         yield from m.create("/f")
-        fids.append(client.fidgen._counter - 1)
+        fids.append(client.files.fidgen._counter - 1)
         yield from m.unlink("/f")
         yield from m.create("/f")
-        fids.append(client.fidgen._counter - 1)
+        fids.append(client.files.fidgen._counter - 1)
 
     dufs.run(main())
     assert fids[0] != fids[1]
@@ -569,7 +569,7 @@ def test_fids_unique_across_client_instances(dufs):
             yield from m.create(f"/{prefix}{i}")
 
     dufs.run_all(worker(m0, "a"), worker(m1, "b"))
-    assert c0.fidgen.client_id != c1.fidgen.client_id
+    assert c0.files.fidgen.client_id != c1.files.fidgen.client_id
     assert sum(dufs.backend_file_counts()) == 20 + 2    # a spare per mount
     assert dufs.spares() == 2
 

@@ -64,8 +64,8 @@ def tree_listing(ns: Namespace):
 def spares(dep):
     """Each mount's live spares: one once a create of it drew a FID (it
     started one; every later create took it and started the next)."""
-    out = [len(c.spare_fids()[0]) for c in dep.clients]
-    assert out == [int(c.fidgen._counter > 0) for c in dep.clients]
+    out = [len(c.files.residue()[0]) for c in dep.clients]
+    assert out == [int(c.files.fidgen._counter > 0) for c in dep.clients]
     return sum(out)
 
 

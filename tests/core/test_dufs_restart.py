@@ -18,7 +18,7 @@ def restart_client(dep, index):
     old = dep.clients[index]
     new = DUFSClient(node, zkc, old.backends,
                      mapping=MappingFunction(len(old.backends)),
-                     layout=old.layout)
+                     layout=old.files.layout)
     return new
 
 
@@ -50,8 +50,8 @@ def test_restarted_client_gets_fresh_client_id():
                                 backend="local")
     old = dep.clients[0]
     fresh = restart_client(dep, 0)
-    assert fresh.fidgen.client_id != old.fidgen.client_id
-    assert fresh.fidgen._counter == 0  # counter reset, per §IV-E
+    assert fresh.files.fidgen.client_id != old.files.fidgen.client_id
+    assert fresh.files.fidgen._counter == 0  # counter reset, per §IV-E
 
 
 def test_no_fid_collision_across_restart():
@@ -81,7 +81,8 @@ def test_no_fid_collision_across_restart():
     assert dep.call(lambda: phase2()) == 10
     # And each instance's spare: the predecessor's is the unnamed file a
     # real restart leaves behind, no name maps to it.
-    assert [len(c.spare_fids()[0]) for c in (dep.clients[0], fresh)] == [1, 1]
+    assert [len(c.files.residue()[0])
+            for c in (dep.clients[0], fresh)] == [1, 1]
     assert sum(be.ns.count_files() for be in dep.backends) == 20 + 2
 
 
@@ -102,5 +103,6 @@ def test_restarted_client_can_delete_predecessors_files():
     dep.call(lambda: phase2())
     dep.cluster.sim.run()               # the unlink's reclaim
     # The predecessor's spare stays; the fresh instance created nothing.
-    assert [len(c.spare_fids()[0]) for c in (dep.clients[0], fresh)] == [1, 0]
+    assert [len(c.files.residue()[0])
+            for c in (dep.clients[0], fresh)] == [1, 0]
     assert sum(be.ns.count_files() for be in dep.backends) == 0 + 1

@@ -64,7 +64,7 @@ def test_a_remote_unlink_and_recreate_costs_one_wasted_back_end_stat(
     dep = _deployment()
     a, b = dep.clients
     _run(dep, 0, _sized(a, "/f", 3))
-    old = a._fids["/f"]
+    old = a.files._fids["/f"]
     _run(dep, 1, b.unlink("/f"))
     _run(dep, 1, _sized(b, "/f", 7))
     stats = _count(monkeypatch, dep, "stat")
@@ -72,7 +72,7 @@ def test_a_remote_unlink_and_recreate_costs_one_wasted_back_end_stat(
     assert st.st_size == 7 and st.is_file
     assert len(stats) == 2 and stats[0] != stats[1]     # old FID, then new
     assert _live_stat_children(dep) == []
-    assert old and "/f" not in a._fids     # the stat spent it, kept none
+    assert old and "/f" not in a.files._fids     # the stat spent it, kept none
 
 
 def test_a_rename_over_the_hinted_path_costs_one_wasted_back_end_stat(
@@ -105,7 +105,7 @@ def test_a_hinted_stat_that_ends_in_enoent_waits_for_its_child(monkeypatch):
     assert isinstance(err, FSError) and err.err == ENOENT
     assert len(stats) == 1 and sim.now - start >= SLOW
     assert _live_stat_children(dep) == []
-    assert "/f" not in a._fids
+    assert "/f" not in a.files._fids
 
 
 def test_a_hinted_path_on_a_degraded_back_end_fails_eio_with_no_call(
@@ -113,7 +113,7 @@ def test_a_hinted_path_on_a_degraded_back_end_fails_eio_with_no_call(
     dep = _deployment()
     a = dep.clients[0]
     _run(dep, 0, a.create("/f"))
-    a.mark_backend_down(a.mapping.backend_for(a._fids["/f"]))
+    a.files.mark_backend_down(a.files.mapping.backend_for(a.files._fids["/f"]))
     stats = _count(monkeypatch, dep, "stat")
     err = _run(dep, 0, a.stat("/f"))
     assert isinstance(err, FSError) and err.err == EIO
@@ -133,7 +133,7 @@ def test_an_undrained_write_behind_create_is_stat_ed_from_its_pending_op(
 
     st = _run(dep, 0, create_then_stat())
     assert st.is_file and st.st_mode & 0o7777 == 0o640
-    assert a._unmade                # the drain still owes the file
+    assert a.files._unmade                # the drain still owes the file
     assert stats == [] and _live_stat_children(dep) == []
 
 
@@ -151,11 +151,11 @@ def test_a_crash_during_a_hinted_stat_forgets_every_hint(monkeypatch):
     node.crash()
     sim.run(until=sim.now + 1.0)
     assert isinstance(proc.value.error, Interrupt)
-    assert a._fids == {} and _live_stat_children(dep) == []
+    assert a.files._fids == {} and _live_stat_children(dep) == []
     node.recover()
     _run(dep, 0, a.create("/h"))
     st = _run(dep, 0, a.stat("/g"))
-    assert st.is_file and a._fids.keys() == {"/h"}
+    assert st.is_file and a.files._fids.keys() == {"/h"}
     assert audit_dufs(dep).ok
 
 
@@ -176,7 +176,7 @@ def test_a_stat_records_no_hint(monkeypatch):
         return sizes
 
     assert _run(dep, 0, stat_all()) == [5, 5, 3, 3]
-    assert len(stats) == 4 and a._fids == {}
+    assert len(stats) == 4 and a.files._fids == {}
 
 
 @pytest.mark.parametrize("op", ["unlink", "rename"])
@@ -185,7 +185,7 @@ def test_unlink_and_rename_drop_the_hint(op):
     a = dep.clients[0]
     _run(dep, 0, a.create("/f"))
     _run(dep, 0, a.unlink("/f") if op == "unlink" else a.rename("/f", "/h"))
-    assert "/f" not in a._fids and "/h" not in a._fids
+    assert "/f" not in a.files._fids and "/h" not in a.files._fids
 
 
 def test_a_mount_with_the_coherent_cache_keeps_no_hints(monkeypatch):
@@ -202,5 +202,5 @@ def test_a_mount_with_the_coherent_cache_keeps_no_hints(monkeypatch):
         return sizes
 
     assert _run(dep, 0, stat_all()) == [3, 5, 5]
-    assert len(stats) == 3 and a._fids == {} and b._fids == {}
+    assert len(stats) == 3 and a.files._fids == {} and b.files._fids == {}
     assert _live_stat_children(dep) == []

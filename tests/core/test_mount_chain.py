@@ -32,7 +32,7 @@ class Counting:
 
 def chain(client):
     """The directories every FID of ``client`` shares."""
-    return shared_chain(client.fidgen.client_id, client.layout)
+    return shared_chain(client.files.fidgen.client_id, client.files.layout)
 
 
 def count_calls(client, backend=None):
@@ -71,7 +71,7 @@ def test_the_paper_layout_makes_nothing_at_mount():
     it before the simulation runs, as the layout ablation does."""
     dep = build_dufs_deployment(n_zk=1, n_backends=2, n_client_nodes=1)
     calls = count_calls(dep.clients[0])
-    dep.clients[0].layout = "paper"
+    dep.clients[0].files.layout = "paper"
     DUFSClient(dep.client_nodes[0], dep.zk_clients[0],
                [Counting(be.client(), calls) for be in dep.backends],
                layout="paper")
@@ -82,26 +82,26 @@ def test_the_paper_layout_makes_nothing_at_mount():
 def test_a_backend_the_mount_could_not_reach_gets_the_chain_at_first_create():
     dep = build_dufs_deployment(n_zk=1, n_backends=2, n_client_nodes=1)
     client = dep.clients[0]
-    fid = make_fid(client.fidgen.client_id, 0)
-    dead = client.mapping.backend_for(fid)
-    client.mark_backend_down(dead)      # before the mount's process runs
+    fid = make_fid(client.files.fidgen.client_id, 0)
+    dead = client.files.mapping.backend_for(fid)
+    client.files.mark_backend_down(dead)      # before the mount's process runs
     dep.cluster.sim.run()               # its mkdir fails; the shield absorbs it
     ns = dep.backends[dead].ns
     assert not any(ns.exists(d) for d in chain(client))
     assert all(dep.backends[1 - dead].ns.exists(d) for d in chain(client))
 
-    client.mark_backend_up(dead)
+    client.files.mark_backend_up(dead)
     calls = count_calls(client, dead)
     dep.call(client.create, "/f")
     dep.cluster.sim.run()
     # The spare the create started (counter 1) sends the same mkdirs
     # beside it when it maps to the same back-end: neither knows the
     # chain yet.
-    spare = make_fid(client.fidgen.client_id, 1)
-    beside = client.mapping.backend_for(spare) == dead
+    spare = make_fid(client.files.fidgen.client_id, 1)
+    beside = client.files.mapping.backend_for(spare) == dead
     assert calls.count("mkdir") == 3 * (1 + beside)
     assert calls.count("create") == 1 + beside
-    assert ns.exists(physical_path(fid, client.layout))
+    assert ns.exists(physical_path(fid, client.files.layout))
 
 
 @pytest.mark.parametrize("kind", ["lustre", "pvfs"])

@@ -36,9 +36,9 @@ def _fid(dep, path):
 def _spares(dep, client):
     """The physical files of ``client``'s live spares, as ``_files``
     lists them."""
-    return sorted((client.mapping.backend_for(fid),
-                   physical_path(fid, client.layout))
-                  for fid in client.spare_fids()[0])
+    return sorted((client.files.mapping.backend_for(fid),
+                   physical_path(fid, client.files.layout))
+                  for fid in client.files.residue()[0])
 
 
 def _client_at(dep, role):
@@ -79,11 +79,12 @@ def test_rename_over_a_file_reclaims_the_overwritten_file_after_return(role):
     assert freshest_store(dep.ensemble).exists("/a") is None
     assert _fid(dep, "/b") == moved
     ppaths = [p for _, p in _files(dep)]
-    assert physical_path(overwritten, client.layout) in ppaths  # still there
+    # Still there:
+    assert physical_path(overwritten, client.files.layout) in ppaths
     sim.run()
     assert _files(dep) == sorted(
-        [(client.mapping.backend_for(moved),
-          physical_path(moved, client.layout))] + _spares(dep, client))
+        [(client.files.mapping.backend_for(moved),
+          physical_path(moved, client.files.layout))] + _spares(dep, client))
     assert len(_spares(dep, client)) == 1
     assert audit_dufs(dep).ok
 
@@ -102,7 +103,7 @@ def test_a_crash_after_unlink_returned_leaks_only_that_file():
     sim.run()
     report = audit_dufs(dep)
     assert [(v.kind, v.path) for v in report.violations] == \
-        [("orphan-fid", physical_path(fid, client.layout))]
+        [("orphan-fid", physical_path(fid, client.files.layout))]
     assert report.lost_unacked == 0
     assert (report.spares, report.lost_spares) == (0, 1)  # the pool's one
 

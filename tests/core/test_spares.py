@@ -54,17 +54,17 @@ class Rig:
         return value
 
     def pool(self):
-        return list(self.client._spares)
+        return list(self.client.files._spares)
 
     def ppath(self, fid):
-        return physical_path(fid, self.client.layout)
+        return physical_path(fid, self.client.files.layout)
 
     def take_calls(self):
         calls, self.calls = self.calls, []
         return calls
 
     def next_fid(self):
-        gen = self.client.fidgen
+        gen = self.client.files.fidgen
         return make_fid(gen.client_id, gen._counter)
 
 
@@ -86,7 +86,7 @@ def test_a_warm_create_makes_no_back_end_call_and_starts_one_spare():
     new = rig.pool()
     assert len(new) == 1 and new[0] != spare
     assert rig.take_calls() == [("dufs-spare", "create", rig.ppath(new[0]))]
-    assert rig.client._fids["/b"] == spare      # /b names the spare's file
+    assert rig.client.files._fids["/b"] == spare  # /b names the spare's file
 
 
 def test_a_non_default_mode_makes_its_file_inline_and_keeps_the_pool():
@@ -123,14 +123,14 @@ def test_a_degraded_back_end_fails_eio_with_no_back_end_call():
     pool = rig.pool()
     rig.take_calls()
     for b in range(2):
-        rig.client.mark_backend_down(b)
+        rig.client.files.mark_backend_down(b)
     err = rig.run(rig.client.create("/b"))
     assert isinstance(err, FSError) and err.err == EIO
     assert rig.take_calls() == [] and rig.pool() == pool
     for b in range(2):
-        rig.client.mark_backend_up(b)
+        rig.client.files.mark_backend_up(b)
     rig.run(rig.client.create("/b"))
-    assert rig.client._fids["/b"] == pool[0]    # the kept spare
+    assert rig.client.files._fids["/b"] == pool[0]    # the kept spare
     assert audit_dufs(rig.dep).ok
 
 
@@ -141,19 +141,19 @@ def test_an_oldest_spare_on_a_degraded_back_end_stays_in_the_pool():
     rig = Rig()
     rig.run(rig.client.create("/a"))
     pool = rig.pool()
-    dead = rig.client.mapping.backend_for(pool[0])
-    rig.client.mark_backend_down(dead)
+    dead = rig.client.files.mapping.backend_for(pool[0])
+    rig.client.files.mark_backend_down(dead)
     rig.take_calls()
     fid = rig.next_fid()
     out = rig.run(rig.client.create("/b"))
-    if rig.client.mapping.backend_for(fid) == dead:
+    if rig.client.files.mapping.backend_for(fid) == dead:
         assert isinstance(out, FSError) and out.err == EIO
         assert rig.take_calls() == []
     else:
         assert out is True
         assert rig.take_calls() == [("caller", "create", rig.ppath(fid))]
     assert rig.pool() == pool
-    rig.client.mark_backend_up(dead)
+    rig.client.files.mark_backend_up(dead)
     assert audit_dufs(rig.dep).ok
 
 
@@ -170,7 +170,7 @@ def test_a_create_whose_spare_failed_makes_its_file_inline():
     assert rig.pool() == [fid + 1]      # the next spare, started after it
     assert rig.take_calls() == [("caller", "create", rig.ppath(fid)),
                                 ("dufs-spare", "create", rig.ppath(fid + 1))]
-    assert rig.client._fids["/c"] == fid
+    assert rig.client.files._fids["/c"] == fid
     report = audit_dufs(rig.dep)
     assert report.ok and report.checked_files == 3 + 1
 
@@ -209,7 +209,7 @@ def test_a_write_behind_mount_makes_no_spares():
     rig = Rig(awrite=AsyncParams.async_on())
     for path in ("/a", "/b"):
         rig.run(rig.client.create(path))
-    assert rig.client._spares is None
+    assert rig.client.files._spares is None
     assert [(who.rsplit(".", 1)[1], method)
             for who, method, _ in rig.take_calls()] == \
         [("drain1", "create"), ("drain2", "create")]

@@ -183,7 +183,7 @@ def test_dufs_first_creates_make_each_hash_chain_once():
     touched = [fs for fs in dep.backends if fs.mds.ns.count_files()]
     # Each create that found the mount's pool empty started a spare; the
     # others each took one in flight and started the next.
-    assert len(dep.clients[0].spare_fids()[0]) == 4
+    assert len(dep.clients[0].files.residue()[0]) == 4
     assert sum(fs.mds.ns.count_files() for fs in touched) == 8 + 4
     assert [mds_calls(bus, fs, "mkdir") for fs in touched] == \
         [3] * len(touched)
