@@ -45,7 +45,10 @@ class PhysicalFiles:
         self.layout = layout
         self.fidgen = FIDGenerator(client_id)
         self.degraded: set = set()
+        # Per back-end: hash directories made or found; each mkdir in
+        # flight -> the Event its call fires once done (joined, not resent).
         self._known_dirs: List[set] = [set() for _ in backends]
+        self._making: List[dict] = [{} for _ in backends]
         # Physical path -> Event of each file the drain still owes.
         self._unmade: dict = {}
         # FID hints: path -> FID of each file this mount made there, until
@@ -62,8 +65,8 @@ class PhysicalFiles:
         # A write-behind drain unlinks inline: its loss window covers it.
         self.reclaim = self._reclaim_behind if wblog is None else self.unlink
         node.on_crash(self._on_crash)
-        self._mounts = [node.shielded(self._mount(b), "dufs-mount")
-                        for b in range(len(backends))]
+        for b in range(len(backends)):
+            node.shielded(self._mount(b), "dufs-mount")
 
     # -- crash and residue ---------------------------------------------------
     def _on_crash(self) -> None:
@@ -128,17 +131,30 @@ class PhysicalFiles:
     # -- the chain -----------------------------------------------------------
     def _make_dirs(self, backend: int, dirs: List[str]) -> Generator:
         """mkdir each of ``dirs`` not yet known on ``backend``; cached once
-        made or found."""
-        known = self._known_dirs[backend]
-        for d in dirs:
-            if d in known:
-                continue
-            try:
-                yield from self.call(backend, "mkdir", d)
-            except FSError as exc:
-                if exc.err != EEXIST:
-                    raise
-            known.add(d)
+        made or found. A directory another call is making (the mount's
+        chain included) is joined, not sent again: a call enters all it
+        will send under one Event, fired when it is done."""
+        known, making = self._known_dirs[backend], self._making[backend]
+        mine = [d for d in dirs if d not in known and d not in making]
+        done = self.node.sim.event() if mine else None
+        for d in mine:
+            making[d] = done
+        try:
+            for d in dirs:
+                if d not in known and making.get(d, done) is not done:
+                    yield making[d]     # joined: its call made it, or not
+                if d not in known:
+                    try:
+                        yield from self.call(backend, "mkdir", d)
+                    except FSError as exc:
+                        if exc.err != EEXIST:
+                            raise
+                    known.add(d)
+        finally:
+            for d in mine:
+                del making[d]
+            if mine:
+                done.succeed()
 
     def _mount(self, backend: int) -> Generator:
         """The mount's process: make on ``backend`` the chain all FIDs of
@@ -198,8 +214,6 @@ class PhysicalFiles:
             return None
         backend, ppath = self.locate(fid)
         try:
-            if not self._mounts[backend].triggered:
-                yield self._mounts[backend]     # not beside the mount's
             yield from self._make_dirs(backend,
                                        physical_dirs(fid, self.layout))
             yield from self.call(backend, "create", ppath, mode)

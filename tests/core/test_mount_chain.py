@@ -94,12 +94,11 @@ def test_a_backend_the_mount_could_not_reach_gets_the_chain_at_first_create():
     calls = count_calls(client, dead)
     dep.call(client.create, "/f")
     dep.cluster.sim.run()
-    # The spare the create started (counter 1) sends the same mkdirs
-    # beside it when it maps to the same back-end: neither knows the
-    # chain yet.
+    # The spare the create started (counter 1) joins the create's mkdirs
+    # when it maps to the same back-end instead of sending them again.
     spare = make_fid(client.files.fidgen.client_id, 1)
     beside = client.files.mapping.backend_for(spare) == dead
-    assert calls.count("mkdir") == 3 * (1 + beside)
+    assert calls.count("mkdir") == 3
     assert calls.count("create") == 1 + beside
     assert ns.exists(physical_path(fid, client.files.layout))
 
