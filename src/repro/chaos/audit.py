@@ -47,8 +47,11 @@ violation is never excused.
 
 A synchronous client's *spares*, files made ahead of the create that
 will name them, are owned files (``AuditReport.spares``); a crashed
-client's spares and the files of its creates in flight are residue
-(``AuditReport.lost_spares``), like Lustre's stranded precreated objects.
+client's spares, the files of its creates in flight and those of its
+reclaims in flight (an unlink's name gone, its file not yet unlinked)
+are residue (``AuditReport.lost_spares``), like Lustre's stranded
+precreated objects. Each client lists all of these by FID
+(``PhysicalFiles.residue``).
 
 The report is machine-readable (:meth:`AuditReport.to_dict`) and
 deterministic: violations are sorted, so two runs with the same seed and
@@ -88,8 +91,9 @@ class AuditReport:
     # physical files of acked-but-uncompleted file creates and deletes,
     # matched against the clients' lost-op windows.
     lost_unacked: int = 0
-    # Synchronous clients' files no name maps to yet: the live mounts'
-    # spares, and the spares and in-flight creates a node crash cut off.
+    # Synchronous clients' files no name maps to: the live mounts'
+    # spares, and the spares, in-flight creates and in-flight reclaims
+    # (an unlink's file not yet unlinked) a node crash cut off.
     spares: int = 0
     lost_spares: int = 0
 

@@ -308,9 +308,10 @@ class DUFSClient:
         reclaimed."""
         landed = True if exc is None else (yield from self._landed(op, exc))
         if isinstance(op.payload, FilePayload):
-            if op.kind == "delete" and landed:
-                yield from self._logic(self.params.mapping_cpu)
-                yield from self.files.reclaim(op.payload.fid)
+            if op.kind == "delete":
+                if landed:
+                    yield from self._logic(self.params.mapping_cpu)
+                yield from self.files.reclaim(op.payload.fid, landed)
             elif op.kind == "create" and landed is False:
                 yield from self.files.unlink(op.payload.fid)
         return landed
@@ -477,7 +478,7 @@ class DUFSClient:
         if isinstance(payload, DirPayload):
             raise FSError(EISDIR, path)
         if isinstance(payload, FilePayload):    # fail before the name goes
-            self.files.require_up(payload.fid, path)
+            self.files.unname(payload.fid, path)
         # _outcome reclaims the physical file once the name is gone.
         yield from self._commit("delete", path, payload)
         self.mdcache.note_removed(path)

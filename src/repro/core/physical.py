@@ -59,24 +59,27 @@ class PhysicalFiles:
         # create in flight: FID -> whether a spare made its file.
         self._spares: Optional[dict] = {} if wblog is None else None
         self._creating: dict = {}
-        self._reclaims: dict = {}   # caller -> its reclaim in flight
+        # Reclaims: the FID of each file whose name is going or gone and
+        # which is not yet unlinked; caller -> its reclaim process.
+        self._reclaims: set = set()
+        self._paced: dict = {}
         self._lost: List[int] = []  # FIDs of the files a crash cut off
         self._wblog = wblog
-        # A write-behind drain unlinks inline: its loss window covers it.
-        self.reclaim = self._reclaim_behind if wblog is None else self.unlink
         node.on_crash(self._on_crash)
         for b in range(len(backends)):
             node.shielded(self._mount(b), "dufs-mount")
 
     # -- crash and residue ---------------------------------------------------
     def _on_crash(self) -> None:
-        """The one crash rule: hints, reclaims and the drain's waiters die
-        with the node; spares and creates in flight become ``_lost``."""
+        """The one crash rule: hints and the drain's waiters die with the
+        node; spares, creates and reclaims in flight become ``_lost``."""
         self._fids.clear()
         self._unmade.clear()
-        self._reclaims.clear()
-        self._lost += [*(self._spares or ()), *self._creating]
+        self._paced.clear()
+        self._lost += [*(self._spares or ()), *self._creating,
+                       *self._reclaims]
         self._creating.clear()
+        self._reclaims.clear()
         if self._spares:
             self._spares.clear()
 
@@ -104,7 +107,7 @@ class PhysicalFiles:
     def mark_backend_up(self, backend: int) -> None:
         self.degraded.discard(backend)
 
-    def require_up(self, fid: int, path: str) -> None:
+    def _require_up(self, fid: int, path: str) -> None:
         """Fail an op on ``path`` now when ``fid``'s back-end is degraded."""
         backend = self.mapping.backend_for(fid)
         if backend in self.degraded:
@@ -190,7 +193,7 @@ class PhysicalFiles:
 
     def _fresh_fid(self, path: str) -> int:
         fid = self.fidgen.next()
-        self.require_up(fid, path)
+        self._require_up(fid, path)
         self._creating[fid] = False
         return fid
 
@@ -233,20 +236,37 @@ class PhysicalFiles:
         except FSError:
             pass
 
-    def _reclaim_behind(self, fid: int) -> Generator:
-        """Unlink the nameless back-end file in its own process, after the
-        caller's previous one: a caller overlaps one reclaim with its next
-        op, so a back-end slower than the namespace still sets its pace."""
+    def unname(self, fid: int, path: str) -> None:
+        """``path``, the name of ``fid``'s file, is about to go: fail now
+        (EIO) on a degraded back-end, else hold the FID as a reclaim in
+        flight until :meth:`reclaim` settles it."""
+        self._require_up(fid, path)
+        self._reclaims.add(fid)
+
+    def reclaim(self, fid: int, landed: bool = True) -> Generator:
+        """The delete of ``fid``'s name settled. Unless it did not land,
+        unlink the nameless file: inline in a write-behind drain, whose
+        loss window covers it; else in its own process after the caller's
+        previous one, so a caller overlaps one reclaim with its next op
+        and a back-end slower than the namespace still sets its pace."""
+        if not landed:
+            self._reclaims.discard(fid)
+            return
+        self._reclaims.add(fid)
+        if self._wblog is not None:
+            yield from self._reclaimed(fid)
+            return
         caller = self.node.sim.active
-        pending = self._reclaims.get(caller)
+        pending = self._paced.get(caller)
         if pending is not None:
             yield pending
-        self._reclaims[caller] = self.node.shielded(
-            self._reclaim_for(caller, fid), "dufs-reclaim")
+        self._paced[caller] = self.node.shielded(
+            self._reclaimed(fid, caller), "dufs-reclaim")
 
-    def _reclaim_for(self, caller, fid: int) -> Generator:
+    def _reclaimed(self, fid: int, caller=None) -> Generator:
         yield from self.unlink(fid)
-        self._reclaims.pop(caller, None)
+        self._reclaims.discard(fid)
+        self._paced.pop(caller, None)
 
     # -- FID hints -----------------------------------------------------------
     def take_hint(self, path: str) -> Optional[int]:

@@ -4,8 +4,9 @@ file it named is reclaimed by a process of its own on the client node.
 The write-behind client keeps the unlink inside the drained op (its loss
 window covers it); these tests pin the synchronous side: the back-end
 file still exists when ``unlink`` (or a ``rename`` over a file) returns,
-is gone once the simulation drains, and a crash in between leaks exactly
-that one orphan — never a name without its file.
+is gone once the simulation drains, and a crash in between leaves that
+one file as crash residue the client lists for the auditor — never a name
+without its file.
 """
 
 import pytest
@@ -91,7 +92,8 @@ def test_rename_over_a_file_reclaims_the_overwritten_file_after_return(role):
 
 def test_a_crash_after_unlink_returned_leaks_only_that_file():
     """The client node dies before its reclaim ran: the name is gone, so
-    the audit finds no dangling mapping, only the one orphaned FID."""
+    the audit finds no dangling mapping, and the file it leaves is the
+    crash's residue like the pool's spare, not an orphan."""
     dep = _deployment(n_client_nodes=1, co_locate_zk=False)
     sim, node, client = dep.cluster.sim, dep.client_nodes[0], dep.clients[0]
     for path in ("/keep", "/f"):
@@ -102,10 +104,9 @@ def test_a_crash_after_unlink_returned_leaks_only_that_file():
     node.crash()
     sim.run()
     report = audit_dufs(dep)
-    assert [(v.kind, v.path) for v in report.violations] == \
-        [("orphan-fid", physical_path(fid, client.files.layout))]
-    assert report.lost_unacked == 0
-    assert (report.spares, report.lost_spares) == (0, 1)  # the pool's one
+    assert report.ok and report.lost_unacked == 0
+    assert (report.spares, report.lost_spares) == (0, 2)  # the pool's one
+    assert fid in client.files.residue()[1]
 
 
 def test_a_callers_next_unlink_waits_for_its_own_previous_reclaim(monkeypatch):
