@@ -2,16 +2,19 @@
 
 One deployment per event index ``k``: 3 ZooKeeper servers with failure
 detection on their own nodes, one client node, local back-ends, seed 1,
-the coherent cache off and on. The script (mkdir, three creates, a stat)
-runs for ``k`` simulator steps, the client node crashes, runs 3 s,
-recovers, runs 3 s, and the namespace audit must be clean. A create
-takes the mount's spare, a file made ahead of it, and starts the next,
-so a crash can leave files no name maps to: the spares and the file of
-the create in flight. The client lists their FIDs for the auditor
-(``lost_spares``); any other unreferenced file is an ``orphan-fid``, and
-a name whose file is missing is a ``dangling-mapping``. Neither may
-appear at any ``k``, and the residue is at most the pool (one spare, one
-caller) plus the caller's create in flight.
+the coherent cache off and on. A script (a mkdir, three creates and a
+stat; or a create, an unlink and a create) runs for ``k`` simulator
+steps, the client node crashes, runs 3 s, recovers, runs 3 s, and the
+namespace audit must be clean. A create takes the mount's spare, a file
+made ahead of it, and starts the next; an unlink returns once the name
+is gone and reclaims the file in the background. So a crash can leave
+files no name maps to: the spares, the file of the create in flight and
+the file of the reclaim in flight. The client lists their FIDs for the
+auditor (``lost_spares``); any other unreferenced file is an
+``orphan-fid``, and a name whose file is missing is a
+``dangling-mapping``. Neither may appear at any ``k``, and the residue
+is at most the pool (one spare, one caller) plus the caller's create in
+flight, plus its reclaim in flight when the script unlinks.
 """
 
 import pytest
@@ -20,18 +23,30 @@ from repro.chaos.audit import audit_dufs
 from repro.core import build_dufs_deployment
 from repro.models.params import CacheParams, SimParams, ZKParams
 
-#: One caller: a pool of at most one spare, plus its create in flight.
-RESIDUE_BOUND = 1 + 1
 
-
-def script(client):
+def three_creates(client):
     yield from client.mkdir("/d")
     for name in "abc":
         yield from client.create(f"/d/{name}")
     yield from client.stat("/d/b")
 
 
-def run_script(crash_at=None, cache=False):
+def an_unlink(client):
+    yield from client.create("/f")
+    yield from client.unlink("/f")
+    yield from client.create("/g")
+
+
+#: Each script, the files it leaves named, its residue bound (one
+#: caller's pool of at most one spare, plus its create in flight, plus its
+#: reclaim in flight when it unlinks) and the largest residue a crash
+#: leaves: the unlink's reclaim ends before the next create's spare and
+#: its own file exist at once.
+SCRIPTS = {"three-creates": (three_creates, 3, 1 + 1, 2),
+           "an-unlink": (an_unlink, 1, 1 + 1 + 1, 2)}
+
+
+def run_script(script, crash_at=None, cache=False):
     """Step the script ``crash_at`` events (all of them when None), then
     crash and recover the client node. Returns the number of steps taken
     and the deployment."""
@@ -55,19 +70,20 @@ def run_script(crash_at=None, cache=False):
     return steps, dep
 
 
+@pytest.mark.parametrize("name", [*SCRIPTS])
 @pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
-def test_a_sync_client_crash_at_any_event_leaves_the_audit_clean(cache):
-    n, dep = run_script(cache=cache)
+def test_a_sync_client_crash_at_any_event_leaves_the_audit_clean(cache, name):
+    script, named, bound, peak = SCRIPTS[name]
+    n, dep = run_script(script, cache=cache)
     report = audit_dufs(dep)
     assert report.ok and (report.spares, report.lost_spares) == (1, 0)
-    assert report.checked_files == 3 + 1
+    assert report.checked_files == named + 1
     damaged, residue = {}, set()
     for k in range(n + 1):
-        report = audit_dufs(run_script(crash_at=k, cache=cache)[1])
+        report = audit_dufs(run_script(script, crash_at=k, cache=cache)[1])
         if not report.ok:
             damaged[k] = sorted({v.kind for v in report.violations})
         assert report.spares == 0       # a crash empties the pool
         residue.add(report.lost_spares)
     assert damaged == {}, f"{len(damaged)} of {n + 1} crash points"
-    assert max(residue) <= RESIDUE_BOUND
-    assert residue == set(range(RESIDUE_BOUND + 1))
+    assert residue == set(range(peak + 1)) and peak <= bound
