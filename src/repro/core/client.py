@@ -74,34 +74,28 @@ class DUFSClient:
             raise ValueError("DUFS needs at least one back-end mount")
         self.node = node
         self.sim = node.sim
-        # The namespace service: a raw ZKClient (wrapped into the paper's
-        # single-ensemble service) or any MetadataService — the client
-        # programs against the service interface only.
+        # The namespace service: any MetadataService, or a raw ZKClient
+        # wrapped into the paper's single-ensemble one.
         self.zk = as_metadata_service(zk)
         self.backends = list(backends)
         params = params or SimParams()
         self.params = params.dufs
-        # Open-file-handle table: open() resolves the FID once (Fig. 3
-        # steps A-C); subsequent I/O through the handle goes straight to
-        # the back-end with no further ZooKeeper contact.
+        # Open-file handles: open() resolves the FID once (Fig. 3 steps
+        # A-C); I/O through a handle never contacts ZooKeeper again.
         self._handles: dict = {}
         self._next_fh = 0
         self.stats = {"zk_reads": 0}
         # The read side, assembled once: pending-write overlay → coherent
-        # cache (the stage exists only when enabled) → source, the paper's
-        # single znode ``get`` or, for a *thin* client, the metadata
-        # plane's server-side ``resolve`` (one RPC at any depth). The
-        # chain also owns the virtual-directory dcache — the kernel dcache
-        # the real prototype gets for free from VFS.
+        # cache (only when enabled) → the paper's znode ``get`` or a thin
+        # client's server-side ``resolve``; it also owns the dcache the
+        # real prototype gets for free from VFS.
         chain = CoherentMDCache if params.cache.enabled else MDCache
         self.mdcache = chain(node, self.zk, params.cache, self.stats,
                              bus=bus, endpoint=name or "dufs-client",
                              thin=params.resolve.enabled)
-        # The write path, bound once: commit-and-wait (the paper's client)
-        # or write-behind, both through the one op runner ``_run``; op
-        # bodies call ``_commit``/``_drain`` and never ask which. The log
-        # exists ONLY when enabled: an async-off deployment must run no
-        # code the paper's client would not.
+        # The write path, bound once: commit-and-wait (the paper's) or
+        # write-behind, whose log exists ONLY when enabled: an async-off
+        # deployment runs no code the paper's client would not.
         self.wblog: Optional[WriteBehindLog] = None
         self._commit, self._drain = self._commit_sync, self._drain_sync
         if params.awrite.enabled:
@@ -120,10 +114,9 @@ class DUFSClient:
 
     def _get_payload(self, path: str) -> Generator:
         """Lookup (step B of Fig. 3): payload + znode stat through the
-        chain. A miss is ENOTDIR when the nearest existing ancestor is
-        not a directory, else ENOENT: the thin source's reply names that
-        ancestor, so the classification costs no extra round trip; the
-        paper's source cannot, so the parent walk finds it."""
+        chain. A miss is ENOTDIR when the nearest existing ancestor is not
+        a directory, else ENOENT: named by the thin source's reply, found
+        by a parent walk for the paper's source."""
         if path == "/":
             return _ROOT
         try:
@@ -136,11 +129,9 @@ class DUFSClient:
             raise _map_zk_error(exc, path) from None
 
     def _resolve_error(self, path: str) -> Generator:
-        """POSIX path-walk error for the paper's source: a missing path is
-        ENOTDIR when the nearest existing ancestor is not a directory,
-        else ENOENT. (The kernel performs this walk before FUSE; we pay
-        the znode reads only on error paths.) A pending delete of an
-        ancestor is a missing directory chain, hence ENOENT."""
+        """The paper's source's parent walk (the kernel's, before FUSE;
+        paid on error paths only). A pending delete of an ancestor is a
+        missing directory chain, hence ENOENT."""
         parent = parent_dir(path)
         while parent != "/" and not (self.mdcache.known_dir(parent)
                                      or self.mdcache.known_missing(parent)):
@@ -160,12 +151,8 @@ class DUFSClient:
 
     def _require_dir(self, path: str, blame: str) -> Generator:
         """``path`` must exist and be a directory, else the op on
-        ``blame`` fails (ENOTDIR for a non-directory).
-
-        The kernel resolves this from its dcache before FUSE ever sees the
-        call; we emulate that with a per-mount cache of known directories,
-        falling back to one lookup on a cold path.
-        """
+        ``blame`` fails (ENOTDIR for a non-directory): the kernel's dcache
+        check before FUSE, one lookup on a cold path."""
         if path == "/" or self.mdcache.known_dir(path):
             return
         payload, _ = yield from self._get_payload(path)
@@ -193,13 +180,11 @@ class DUFSClient:
 
     # -- the write path: one op runner, one outcome rule ---------------------
     def _run(self, op: PendingOp, version: int = -1) -> Generator:
-        """The one op runner both write paths call, the synchronous seam
-        inline and the write-behind drain per logged op: a file create's
+        """The one op runner, inline or per drained op: a file create's
         physical file first (so no name ever maps to a missing file), then
         the metadata-service call, then :meth:`_outcome`. Returns None
         when ``op`` landed, else the POSIX error it is owed. The drain
-        passes no ``version``: a logged setdata is last-writer-wins. A
-        spare's file is made already."""
+        passes no ``version``: a logged setdata is last-writer-wins."""
         if op.kind == "create" and isinstance(op.payload, FilePayload):
             err = yield from self.files.make(op.payload.fid, op.payload.mode)
             if err is not None:
@@ -222,8 +207,7 @@ class DUFSClient:
 
     def _commit_sync(self, kind: str, path: str, payload=None,
                      is_dir: bool = False, version: int = -1) -> Generator:
-        """Commit-and-wait: run one namespace mutation and return once
-        the quorum committed it, or raise the POSIX error."""
+        """Commit-and-wait: run one mutation; raise its POSIX error."""
         return self._settle(PendingOp(
             0, kind, path, b"" if payload is None else payload.encode(),
             payload, is_dir), version)
@@ -236,13 +220,10 @@ class DUFSClient:
 
     def _commit_async(self, kind: str, path: str, payload=None,
                       is_dir: bool = False, version: int = -1) -> Generator:
-        """Write-behind: ack after the local append; the log drains in
-        the background and a rejection surfaces as a deferred error at
-        the next barrier (so the not-empty check of an rmdir happens at
-        commit time). A file create's physical file is the drain's too:
-        until it exists, back-end calls on it wait. ``version`` is
-        dropped: a logged setdata is last-writer-wins, the overlay serves
-        the new value meanwhile."""
+        """Write-behind: ack after the local append; a rejection surfaces
+        as a deferred error at the next barrier. A file create's physical
+        file is the drain's too (the drain owes it). ``version`` is
+        dropped: the overlay serves the new value meanwhile."""
         if kind == "create" and isinstance(payload, DirPayload) \
                 and self.mdcache.known_dir(path):
             raise FSError(EEXIST, path)     # provable locally: fail now
@@ -300,12 +281,10 @@ class DUFSClient:
         return isinstance(found, DirPayload)
 
     def _outcome(self, op: PendingOp, exc: Optional[ZKError]) -> Generator:
-        """The op runner's settle step: did ``op`` land? Then the
-        physical step that answer calls for, never one that could leave a
-        name mapping to no file (a dangling mapping is worse than an
-        orphaned file): a file create that *provably* did not land is
-        rolled back before the caller hears, a file delete that landed is
-        reclaimed."""
+        """Did ``op`` land? Then the physical step that answer calls for,
+        never one that could leave a name mapping to no file: a file
+        create that *provably* did not land is rolled back before the
+        caller hears, a file delete that landed is reclaimed."""
         landed = True if exc is None else (yield from self._landed(op, exc))
         if isinstance(op.payload, FilePayload):
             if op.kind == "delete":
@@ -317,8 +296,7 @@ class DUFSClient:
         return landed
 
     def _drain_sync(self, *paths) -> Generator:
-        """Nothing is ever acked before it committed: no wait, no
-        deferred errors."""
+        """Nothing is acked before it committed: no wait, no errors."""
         return []
         yield  # pragma: no cover - makes this a generator
 
@@ -331,18 +309,15 @@ class DUFSClient:
                 for err in self.wblog.pop_errors(path)]
 
     def flush(self) -> Generator:
-        """Explicit drain barrier (``fsync``/``close`` of the metadata
-        stream): waits until every write-behind mutation committed, then
-        returns the deferred errors as ``(path, FSError)`` pairs —
-        close-to-open semantics, the caller owns them once returned.
-        Synchronous clients return immediately with no errors."""
+        """Explicit drain barrier (``close`` of the metadata stream): wait
+        until every write-behind mutation committed, then hand over the
+        deferred errors as ``(path, FSError)`` pairs (close-to-open)."""
         errors = yield from self._drain(None)
         return [(op.path, err) for op, err in errors]
 
     def fsync(self, path: str) -> Generator:
-        """Barrier + raise the first deferred error recorded for
-        ``path`` (POSIX fsync surfacing a delayed-write failure).
-        Errors for other paths stay queued for their own fsync/flush."""
+        """Barrier, then raise ``path``'s first deferred error (a delayed
+        write failure); other paths' errors stay queued for their own."""
         for _, err in (yield from self._drain(normalize_path(path))):
             raise err
         return True
@@ -555,11 +530,9 @@ class DUFSClient:
         yield from self._logic()
         total = StatVFS(f_capacity=0)
         for i, be in enumerate(self.backends):
-            if hasattr(be, "statfs"):
-                if i in self.files.degraded:
-                    continue  # skip dead back-ends; report reachable capacity
-                vfs = yield from be.statfs()
-                total = total.merge(vfs)
+            # Dead back-ends are skipped: the reachable capacity counts.
+            if hasattr(be, "statfs") and i not in self.files.degraded:
+                total = total.merge((yield from be.statfs()))
         return total
 
     def chmod(self, path: str, mode: int) -> Generator:
@@ -577,8 +550,7 @@ class DUFSClient:
             return True  # chmod on symlinks is a no-op
         backend, ppath = self.files.locate(payload.fid)
         yield from self.files.call(backend, "chmod", ppath, mode)
-        # Keep the znode's cached mode in sync (best effort: the back-end
-        # holds the authoritative one).
+        # Best effort: the znode's copy of the back-end's mode.
         try:
             yield from self._commit("set", path,
                                     FilePayload(payload.fid, mode & 0o7777))
@@ -614,9 +586,8 @@ class DUFSClient:
         if "/" in (src, dst):
             raise FSError(EINVAL, "/", "cannot operate on /")
         yield from self._logic(self.params.znode_codec_cpu)
-        # Rename is an ordering barrier: its multi must observe every
-        # earlier acked mutation as committed state (and _collect_subtree
-        # reads raw znodes, which the overlay cannot answer for).
+        # An ordering barrier: the multi, and _collect_subtree's raw znode
+        # reads, must see every earlier acked mutation committed.
         yield from self._drain()
         payload, zstat = yield from self._get_payload(src)
         if src == dst:
@@ -639,14 +610,12 @@ class DUFSClient:
             ops.append(self.zk.op_create(dst + path[len(src):], data))
         for path, _ in reversed(subtree):  # children first
             ops.append(self.zk.op_delete(path))
-        # Commit-and-wait whatever the write path (the barrier above
-        # left nothing to order behind).
+        # Commit-and-wait whatever the write path: nothing is left behind.
         yield from self._settle(
             PendingOp(0, "rename", dst, ops, payload, is_dir, src))
         if is_dir:
-            # Everything cached under the old prefix is now stale, and so
-            # is anything remembered about the target subtree (e.g. the
-            # empty directory the move replaced).
+            # Stale: all cached under the old prefix, and all remembered
+            # of the target subtree (e.g. the empty directory replaced).
             self.mdcache.invalidate_subtree(src)
             self.mdcache.invalidate_subtree(dst)
         else:

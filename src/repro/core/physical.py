@@ -1,12 +1,8 @@
 """The physical side of a DUFS mount (paper Fig. 3 steps C/D, §IV-F/G/I):
 a FID maps by ``MD5(FID) mod N`` to a back-end and a hash-directory path.
-
-:class:`PhysicalFiles` owns all a client instance keeps of that side, one
-home per rule: the map and the back-ends in degraded mode (§IV-I); the
-hash-directory chain known on each back-end; making and unmaking files (a
-synchronous mount's spares, the FID hints ``stat`` overlaps, the reclaims
-of unlinked files, the files a write-behind drain still owes); and one
-crash hook with one list of the unnamed files the auditor excuses.
+:class:`PhysicalFiles` owns all a client instance keeps of it: the map and
+the degraded back-ends, the hash-directory chain, making and unmaking
+files, and one crash hook with one list of the unnamed files it leaves.
 """
 
 from __future__ import annotations
@@ -25,17 +21,11 @@ from .metadata import FilePayload
 FILE_MODE = DEFAULT_FILE_MODE & 0o7777
 
 
-def _unavailable(backend: int, path: Optional[str] = None) -> FSError:
-    return FSError(EIO, path, f"back-end {backend} unavailable "
-                              "(degraded mode)")
-
-
 class PhysicalFiles:
-    """The back-end side of one DUFS client instance. ``backends`` is the
-    client's own list (a test that swaps an entry is seen here); ``layout``
-    is read when used, never copied: the layout ablation switches it after
-    the deployment is built. ``wblog`` is None on a synchronous mount,
-    which alone keeps spares; ``hints`` is off beside the coherent cache."""
+    """The back-end side of one DUFS client instance. ``layout`` is read
+    when used, never copied: the layout ablation switches it after the
+    deployment is built. ``wblog`` is None on a synchronous mount, which
+    alone keeps spares; ``hints`` is off beside the coherent cache."""
 
     def __init__(self, node: Node, backends: List, mapping: MappingFunction,
                  client_id: Optional[int], layout: str, hints: bool, wblog):
@@ -45,22 +35,20 @@ class PhysicalFiles:
         self.layout = layout
         self.fidgen = FIDGenerator(client_id)
         self.degraded: set = set()
-        # Per back-end: hash directories made or found; each mkdir in
-        # flight -> the Event its call fires once done (joined, not resent).
+        # Per back-end: hash directories made or found; each one in flight
+        # -> the Event its call fires when done.
         self._known_dirs: List[set] = [set() for _ in backends]
         self._making: List[dict] = [{} for _ in backends]
         # Physical path -> Event of each file the drain still owes.
         self._unmade: dict = {}
-        # FID hints: path -> FID of each file this mount made there, until
-        # its first stat, unlink or rename.
-        self._fids: dict = {}
+        self._fids: dict = {}   # FID hints: path -> FID made there
         self._hints = hints
         # Spares: FID -> the process making its file, oldest first. Each
         # create in flight: FID -> whether a spare made its file.
         self._spares: Optional[dict] = {} if wblog is None else None
         self._creating: dict = {}
-        # Reclaims: the FID of each file whose name is going or gone and
-        # which is not yet unlinked; caller -> its reclaim process.
+        # Reclaims: the FID of each file whose name is going or gone, not
+        # yet unlinked; caller -> its reclaim process.
         self._reclaims: set = set()
         self._paced: dict = {}
         self._lost: List[int] = []  # FIDs of the files a crash cut off
@@ -76,8 +64,7 @@ class PhysicalFiles:
         self._fids.clear()
         self._unmade.clear()
         self._paced.clear()
-        self._lost += [*(self._spares or ()), *self._creating,
-                       *self._reclaims]
+        self._lost += [*(self._spares or ()), *self._creating, *self._reclaims]
         self._creating.clear()
         self._reclaims.clear()
         if self._spares:
@@ -99,23 +86,20 @@ class PhysicalFiles:
         return self.mapping.backend_for(fid), physical_path(fid, self.layout)
 
     def mark_backend_down(self, backend: int) -> None:
-        """Enter degraded mode for one back-end: only the ``MD5(FID) mod
-        N`` slice mapped to it fails (EIO); directory/symlink ops and files
-        on other back-ends keep working (paper §IV-I)."""
+        """Degraded mode (§IV-I): only the FIDs mapped to ``backend`` fail
+        (EIO); directory/symlink ops and other back-ends keep working."""
         self.degraded.add(backend)
 
     def mark_backend_up(self, backend: int) -> None:
         self.degraded.discard(backend)
 
-    def _require_up(self, fid: int, path: str) -> None:
-        """Fail an op on ``path`` now when ``fid``'s back-end is degraded."""
-        backend = self.mapping.backend_for(fid)
+    def _require_up(self, backend: int, path: Optional[str] = None) -> None:
         if backend in self.degraded:
-            raise _unavailable(backend, path)
+            raise FSError(EIO, path, f"back-end {backend} unavailable "
+                                     "(degraded mode)")
 
     def _owed(self, ppath: str):
-        """The one check of a file the write-behind drain still owes: the
-        Event it fires once it made the file at ``ppath``, else None."""
+        """The one owed-file check: the drain's Event for ``ppath`` or None."""
         return self._unmade.get(ppath) if self._unmade else None
 
     def call(self, backend: int, method: str, *args) -> Generator:
@@ -125,18 +109,16 @@ class PhysicalFiles:
         owed = None if method == "create" else self._owed(args[0])
         if owed is not None and method == "stat":
             return None
-        if backend in self.degraded:
-            raise _unavailable(backend)
+        self._require_up(backend)
         if owed is not None:
             yield owed
         return (yield from getattr(self.backends[backend], method)(*args))
 
     # -- the chain -----------------------------------------------------------
     def _make_dirs(self, backend: int, dirs: List[str]) -> Generator:
-        """mkdir each of ``dirs`` not yet known on ``backend``; cached once
-        made or found. A directory another call is making (the mount's
-        chain included) is joined, not sent again: a call enters all it
-        will send under one Event, fired when it is done."""
+        """mkdir each of ``dirs`` not yet known on ``backend``. One another
+        call is making (the mount's chain included) is joined, not sent
+        again: a call enters all it sends under one Event."""
         known, making = self._known_dirs[backend], self._making[backend]
         mine = [d for d in dirs if d not in known and d not in making]
         done = self.node.sim.event() if mine else None
@@ -160,9 +142,8 @@ class PhysicalFiles:
                 done.succeed()
 
     def _mount(self, backend: int) -> Generator:
-        """The mount's process: make on ``backend`` the chain all FIDs of
-        this instance share, under the layout when this runs. Shielded: a
-        failure is the first create's."""
+        """The mount's process: the chain all FIDs of this instance share,
+        under the layout when it runs. A failure is the first create's."""
         yield from self._make_dirs(
             backend, shared_chain(self.fidgen.client_id, self.layout))
 
@@ -193,26 +174,23 @@ class PhysicalFiles:
 
     def _fresh_fid(self, path: str) -> int:
         fid = self.fidgen.next()
-        self._require_up(fid, path)
+        self._require_up(self.mapping.backend_for(fid), path)
         self._creating[fid] = False
         return fid
 
     def settle(self, fid: int, path: Optional[str] = None) -> None:
-        """The create of ``fid`` returned, named at ``path`` (which keeps
-        its FID hint) or not (None)."""
+        """The create of ``fid`` returned, named at ``path`` or not (None)."""
         self._creating.pop(fid, None)   # a crash cleared it already
         if path is not None and self._hints:
             self._fids[path] = fid
 
     def owe(self, fid: int) -> None:
-        """A write-behind create was acked: its drain owes ``fid``'s file,
-        and calls on it wait until :meth:`make` made it."""
+        """A write-behind create was acked: its drain owes ``fid``'s file."""
         self._unmade[physical_path(fid, self.layout)] = self.node.sim.event()
 
     def make(self, fid: int, mode: int) -> Generator:
-        """Steps C/D of Fig. 3 for a new file, unless a spare made it: the
-        hash-directory chain, then the back-end create. Wakes the calls
-        waiting for the file; returns the FSError when it was not made."""
+        """Steps C/D of Fig. 3 unless a spare made the file: the chain, then
+        the create. Returns the FSError when the file was not made."""
         if self._creating.get(fid):
             return None
         backend, ppath = self.locate(fid)
@@ -240,15 +218,14 @@ class PhysicalFiles:
         """``path``, the name of ``fid``'s file, is about to go: fail now
         (EIO) on a degraded back-end, else hold the FID as a reclaim in
         flight until :meth:`reclaim` settles it."""
-        self._require_up(fid, path)
+        self._require_up(self.mapping.backend_for(fid), path)
         self._reclaims.add(fid)
 
     def reclaim(self, fid: int, landed: bool = True) -> Generator:
-        """The delete of ``fid``'s name settled. Unless it did not land,
-        unlink the nameless file: inline in a write-behind drain, whose
-        loss window covers it; else in its own process after the caller's
-        previous one, so a caller overlaps one reclaim with its next op
-        and a back-end slower than the namespace still sets its pace."""
+        """The delete of ``fid``'s name settled. If it landed, unlink the
+        file: inline in a write-behind drain (its loss window covers it),
+        else in a process of its own after the caller's previous one, so a
+        back-end slower than the namespace still paces each caller."""
         if not landed:
             self._reclaims.discard(fid)
             return
