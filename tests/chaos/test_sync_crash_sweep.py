@@ -70,9 +70,11 @@ def run_script(script, crash_at=None, cache=False):
     return steps, dep
 
 
-@pytest.mark.parametrize("name", [*SCRIPTS])
-@pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
-def test_a_sync_client_crash_at_any_event_leaves_the_audit_clean(cache, name):
+@pytest.mark.parametrize("name, cache", [
+    ("three-creates", False), ("three-creates", True),
+    ("an-unlink", False), ("an-unlink", True)],
+    ids=["uncached", "cached", "unlink-uncached", "unlink-cached"])
+def test_a_sync_client_crash_at_any_event_leaves_the_audit_clean(name, cache):
     script, named, bound, peak = SCRIPTS[name]
     n, dep = run_script(script, cache=cache)
     report = audit_dufs(dep)

@@ -105,7 +105,8 @@ def test_a_crash_after_unlink_returned_leaks_only_that_file():
     sim.run()
     report = audit_dufs(dep)
     assert report.ok and report.lost_unacked == 0
-    assert (report.spares, report.lost_spares) == (0, 2)  # the pool's one
+    # The pool's spare and the unlinked file:
+    assert (report.spares, report.lost_spares) == (0, 2)
     assert fid in client.files.residue()[1]
 
 
