@@ -116,9 +116,9 @@ class PhysicalFiles:
 
     # -- the chain -----------------------------------------------------------
     def _make_dirs(self, backend: int, dirs: List[str]) -> Generator:
-        """mkdir each of ``dirs`` not yet known on ``backend``. One another
-        call is making (the mount's chain included) is joined, not sent
-        again: a call enters all it sends under one Event."""
+        """mkdir each of ``dirs`` not yet known on ``backend``. One that
+        another call is making (the mount's chain included) is joined, not
+        sent again: a call enters all it sends under one Event."""
         known, making = self._known_dirs[backend], self._making[backend]
         mine = [d for d in dirs if d not in known and d not in making]
         done = self.node.sim.event() if mine else None
