@@ -33,25 +33,20 @@ under current-map authority the merged view is already complete on both
 sides of a torn migration's cutover, so the roll-forward retires the
 marker and counts one repair.
 
-Write-behind clients (``AsyncParams.enabled``) complicate the diff in a
-well-defined way: an op the client acked but never completed (node crash
-mid-drain, or the run window closing with the log non-empty) may leave
-an unreferenced physical file — a lost file create made its file before
-the znode, and a lost file delete unlinks its file only after the znode
-delete landed. The auditor matches each such orphan against the
-clients' :meth:`lost_ops` windows (by the op's FID) and counts it as
-``AuditReport.lost_unacked`` instead of a violation: bounded loss is the
-mode's contract, damage is not. Since the physical step always follows
-the mapping, a lost op never leaves a dangling mapping, and that
-violation is never excused.
-
-A synchronous client's *spares*, files made ahead of the create that
-will name them, are owned files (``AuditReport.spares``); a crashed
-client's spares, the files of its creates in flight and those of its
-reclaims in flight (an unlink's name gone, its file not yet unlinked)
-are residue (``AuditReport.lost_spares``), like Lustre's stranded
-precreated objects. Each client lists all of these by FID
-(``PhysicalFiles.residue``).
+A client may leave physical files no znode references, and one rule
+covers both write modes: a file create makes its file before the znode,
+and a file delete unlinks its file only after the znode delete landed.
+A live client's files in flight — a synchronous client's *spares*, files
+made ahead of the create that will name them, and the files of its
+creates and reclaims (an unlink's name gone, its file not yet unlinked)
+still in flight, inline or in a write-behind drain — are owned files
+(``AuditReport.spares``). The ones a client node crash cut off are
+residue (``AuditReport.lost_spares``), like Lustre's stranded precreated
+objects: for a write-behind client they are the files of the acked ops
+its bounded loss window dropped. Each client lists both classes by FID
+(``PhysicalFiles.residue``). Since the physical step always comes before
+the name or after it is gone, neither class can leave a dangling
+mapping, and that violation is never excused.
 
 The report is machine-readable (:meth:`AuditReport.to_dict`) and
 deterministic: violations are sorted, so two runs with the same seed and
@@ -87,14 +82,14 @@ class AuditReport:
     checked_files: int = 0
     violations: List[Violation] = field(default_factory=list)
     repairs: int = 0        # intent-record steps rolled forward (sharded)
-    # Write-behind residue that is bounded loss, not damage: orphan
-    # physical files of acked-but-uncompleted file creates and deletes,
-    # matched against the clients' lost-op windows.
-    lost_unacked: int = 0
-    # Synchronous clients' files no name maps to: the live mounts'
-    # spares, and the spares, in-flight creates and in-flight reclaims
-    # (an unlink's file not yet unlinked) a node crash cut off.
+    # Files no name maps to that a live client owns, in either write
+    # mode: its spares and the files of its creates and reclaims (an
+    # unlink's file not yet unlinked) in flight, write-behind drains'
+    # included.
     spares: int = 0
+    # The same files of a client a node crash cut off: its spares and
+    # in-flight creates and reclaims, a write-behind client's lost
+    # acked creates and deletes among them.
     lost_spares: int = 0
 
     @property
@@ -110,7 +105,6 @@ class AuditReport:
             "checked_znodes": self.checked_znodes,
             "checked_files": self.checked_files,
             "repairs": self.repairs,
-            "lost_unacked": self.lost_unacked,
             "spares": self.spares,
             "lost_spares": self.lost_spares,
             "violations": [
@@ -122,12 +116,10 @@ class AuditReport:
 
     def to_text(self) -> str:
         repaired = f", {self.repairs} intent repairs" if self.repairs else ""
-        lost = f", {self.lost_unacked} lost-unacked (write-behind window)" \
-            if self.lost_unacked else ""
         spares = f", spares: {self.spares} live, {self.lost_spares} lost" \
             if self.spares or self.lost_spares else ""
         lines = [f"audit: {self.checked_znodes} znodes, "
-                 f"{self.checked_files} physical files{repaired}{lost}"
+                 f"{self.checked_files} physical files{repaired}"
                  f"{spares} -> "
                  f"{'CLEAN' if self.ok else f'{len(self.violations)} violations'}"]
         for v in sorted(self.violations,
@@ -286,11 +278,11 @@ def audit_dufs(deployment) -> AuditReport:
         backend = mapping.backend_for(fid)
         expected[(backend, physical_path(fid, layout))] = path
 
-    # Each client's residue: unnamed files it owns (live spares) or may
-    # leave (a crash cut them off; a write-behind op acked and never
-    # completed) — bounded loss, not namespace damage. Nothing in it can
-    # leave a dangling mapping, so that violation is never excused.
-    live, lost, unacked = residue = (set(), set(), set())
+    # Each client's residue: unnamed files it owns (in flight) or may
+    # leave (a crash cut them off) — bounded loss, not namespace damage.
+    # Nothing in it can leave a dangling mapping, so that violation is
+    # never excused.
+    live, lost = residue = (set(), set())
     for cli in deployment.clients:
         for files, fids in zip(residue, cli.files.residue()):
             files.update((mapping.backend_for(fid),
@@ -309,9 +301,7 @@ def audit_dufs(deployment) -> AuditReport:
             "dangling-mapping", expected[key],
             f"no physical file {ppath} on back-end {backend}"))
     for backend, ppath in sorted(actual - expected.keys()):
-        if (backend, ppath) in unacked:
-            report.lost_unacked += 1
-        elif (backend, ppath) in live:
+        if (backend, ppath) in live:
             report.spares += 1
         elif (backend, ppath) in lost:
             report.lost_spares += 1

@@ -65,8 +65,9 @@ class ChaosRunResult:
         in_flight = self.issued - self.completed - self.failed
         counts = f"  ops completed: {self.completed}   failed: {self.failed}"
         if in_flight > 0:
-            # The run window closed before the stream drained: the audit
-            # legitimately sees the in-flight op's physical residue.
+            # The run window closed before the stream drained: the file
+            # of the create in flight is one the client owns, counted
+            # among the audit's spares.
             counts += (f"   (window closed with {in_flight} op in flight,"
                        f" {self.issued} issued)")
         lines = [
@@ -248,8 +249,9 @@ def run_chaos(
       ``migration:src`` / ``migration:dst`` targets for
       crash-during-migration experiments;
     - ``awrite`` enabled: the audit proves crash losses stay confined to
-      the acked-but-uncommitted window (counted as ``lost_unacked``, never
-      as namespace damage).
+      the acked-but-uncommitted window (its files counted as
+      ``lost_spares``, by the rule a synchronous client's crash residue
+      follows, never as namespace damage).
     """
     if deployment not in DEPLOYMENTS:
         raise ValueError(f"unknown deployment {deployment!r}")

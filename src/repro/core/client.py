@@ -27,7 +27,7 @@ back-end call is off the ack too.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence, Tuple
+from typing import Generator, Optional, Sequence
 
 from ..errors import (EBADF, EEXIST, EINVAL, EIO, EISDIR, ELOOP, ENOENT,
                       ENOTDIR, ENOTEMPTY, MAXSYMLINKS, FSError)
@@ -68,8 +68,8 @@ class DUFSClient:
     def __init__(self, node: Node, zk, backends: Sequence,
                  params: Optional[SimParams] = None,
                  mapping: Optional[MappingFunction] = None,
-                 client_id: Optional[int] = None, layout: str = "amortized",
-                 bus=None, name: Optional[str] = None):
+                 client_id: Optional[int] = None, bus=None,
+                 name: Optional[str] = None):
         if not backends:
             raise ValueError("DUFS needs at least one back-end mount")
         self.node = node
@@ -105,7 +105,7 @@ class DUFSClient:
             self._commit, self._drain = self._commit_async, self._drain_async
         self.files = PhysicalFiles(
             node, self.backends, mapping or MappingFunction(len(backends)),
-            client_id, layout, not params.cache.enabled, self.wblog)
+            client_id, not params.cache.enabled, self.wblog is not None)
 
     # -- internals ------------------------------------------------------------
     def _logic(self, *costs: float) -> Generator:
@@ -188,6 +188,7 @@ class DUFSClient:
         if op.kind == "create" and isinstance(op.payload, FilePayload):
             err = yield from self.files.make(op.payload.fid, op.payload.mode)
             if err is not None:
+                self.files.settle(op.payload.fid)
                 return err
         try:
             if op.kind == "create":
@@ -227,8 +228,6 @@ class DUFSClient:
         if kind == "create" and isinstance(payload, DirPayload) \
                 and self.mdcache.known_dir(path):
             raise FSError(EEXIST, path)     # provable locally: fail now
-        if kind == "create" and isinstance(payload, FilePayload):
-            self.files.owe(payload.fid)
         return self.wblog.append(
             kind, path, data=b"" if payload is None else payload.encode(),
             payload=payload, is_dir=is_dir)
@@ -284,15 +283,18 @@ class DUFSClient:
         """Did ``op`` land? Then the physical step that answer calls for,
         never one that could leave a name mapping to no file: a file
         create that *provably* did not land is rolled back before the
-        caller hears, a file delete that landed is reclaimed."""
+        caller hears, a file delete that landed is reclaimed. Either way a
+        file create leaves the table of creates in flight."""
         landed = True if exc is None else (yield from self._landed(op, exc))
         if isinstance(op.payload, FilePayload):
             if op.kind == "delete":
                 if landed:
                     yield from self._logic(self.params.mapping_cpu)
                 yield from self.files.reclaim(op.payload.fid, landed)
-            elif op.kind == "create" and landed is False:
-                yield from self.files.unlink(op.payload.fid)
+            elif op.kind == "create":
+                if landed is False:
+                    yield from self.files.unlink(op.payload.fid)
+                self.files.settle(op.payload.fid)
         return landed
 
     def _drain_sync(self, *paths) -> Generator:
@@ -415,8 +417,7 @@ class DUFSClient:
         """Fig. 6's second step: the physical file's attributes, or None
         while the drain still owes the file."""
         yield from self._logic(self.params.mapping_cpu)
-        backend, ppath = self.files.locate(fid)
-        st = yield from self.files.call(backend, "stat", ppath)
+        st = yield from self.files.call(fid, "stat")
         if st is not None:
             st.st_mode = S_IFREG | (st.st_mode & 0o7777)
         return st
@@ -435,12 +436,8 @@ class DUFSClient:
         fid = yield from self.files.new_fid(path, mode)
         # The op runner makes the physical file (steps C/D) unless a spare
         # did, then publishes name->FID, or rolls the file back.
-        try:
-            yield from self._commit("create", path, FilePayload(fid, mode))
-        except BaseException:
-            self.files.settle(fid)
-            raise
-        self.files.settle(fid, path)
+        yield from self._commit("create", path, FilePayload(fid, mode))
+        self.files.hint(path, fid)
         self.mdcache.note_created(path)
         return True
 
@@ -461,7 +458,7 @@ class DUFSClient:
         return True
 
     def _resolve_file(self, path: str, flags: int = 0) -> Generator:
-        """Paper Fig. 3 steps A-D; returns (backend index, physical path).
+        """Paper Fig. 3 steps A-D; returns the FID of the file opened.
         Follows at most ``MAXSYMLINKS`` symlinks, then fails with ELOOP."""
         for _ in range(MAXSYMLINKS + 1):
             path = normalize_path(path)
@@ -471,9 +468,8 @@ class DUFSClient:
             if isinstance(payload, DirPayload):
                 raise FSError(EISDIR, path)
             if not isinstance(payload, SymlinkPayload):
-                backend, ppath = self.files.locate(payload.fid)
-                yield from self.files.call(backend, "open", ppath, flags)
-                return (backend, ppath)
+                yield from self.files.call(payload.fid, "open", flags)
+                return payload.fid
             path = payload.target
         raise FSError(ELOOP, path)
 
@@ -481,10 +477,10 @@ class DUFSClient:
         """Open and register a file handle. The FID resolution happens
         exactly once here; pread/pwrite through the handle never contact
         ZooKeeper again (the indirection of Fig. 2 is fully resolved)."""
-        backend, ppath = yield from self._resolve_file(path, flags)
+        fid = yield from self._resolve_file(path, flags)
         self._next_fh += 1
         fh = self._next_fh
-        self._handles[fh] = (backend, ppath)
+        self._handles[fh] = fid
         return fh
 
     def release(self, fh: int) -> Generator:
@@ -493,27 +489,23 @@ class DUFSClient:
         del self._handles[fh]
         return True
 
-    def _handle(self, fh: int) -> Tuple[int, str]:
-        entry = self._handles.get(fh)
-        if entry is None:
+    def _handle(self, fh: int) -> int:
+        fid = self._handles.get(fh)
+        if fid is None:
             raise FSError(EBADF, msg=f"bad file handle {fh}")
-        return entry
+        return fid
 
     def pread(self, fh: int, offset: int, size: int) -> Generator:
         """Read through an open handle — back-end only, no ZooKeeper."""
-        backend, ppath = self._handle(fh)
-        return (yield from self.files.call(backend, "read", ppath, offset,
-                                           size))
+        return self.files.call(self._handle(fh), "read", offset, size)
 
     def pwrite(self, fh: int, offset: int, data: bytes) -> Generator:
-        backend, ppath = self._handle(fh)
-        return (yield from self.files.call(backend, "write", ppath, offset,
-                                           data))
+        return self.files.call(self._handle(fh), "write", offset, data)
 
     def _path_io(self, method: str, path: str, *args) -> Generator:
         """Path-addressed I/O: Fig. 3 steps A-D, then the back-end call."""
-        backend, ppath = yield from self._resolve_file(path)
-        return (yield from self.files.call(backend, method, ppath, *args))
+        fid = yield from self._resolve_file(path)
+        return (yield from self.files.call(fid, method, *args))
 
     def read(self, path: str, offset: int, size: int) -> Generator:
         return self._path_io("read", path, offset, size)
@@ -548,8 +540,7 @@ class DUFSClient:
             return True
         if isinstance(payload, SymlinkPayload):
             return True  # chmod on symlinks is a no-op
-        backend, ppath = self.files.locate(payload.fid)
-        yield from self.files.call(backend, "chmod", ppath, mode)
+        yield from self.files.call(payload.fid, "chmod", mode)
         # Best effort: the znode's copy of the back-end's mode.
         try:
             yield from self._commit("set", path,

@@ -2,7 +2,8 @@
 a FID maps by ``MD5(FID) mod N`` to a back-end and a hash-directory path.
 :class:`PhysicalFiles` owns all a client instance keeps of it: the map and
 the degraded back-ends, the hash-directory chain, making and unmaking
-files, and one crash hook with one list of the unnamed files it leaves.
+files, and one crash hook with one list of the unnamed files it leaves,
+whichever write mode the mount runs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from ..sim.node import Node, Outcome
 from .fid import FIDGenerator
 from .mapping import MappingFunction, physical_dirs, physical_path, \
     shared_chain
-from .metadata import FilePayload
 
 #: The mode of a spare's physical file: the one a create asks for by default.
 FILE_MODE = DEFAULT_FILE_MODE & 0o7777
@@ -24,61 +24,58 @@ FILE_MODE = DEFAULT_FILE_MODE & 0o7777
 class PhysicalFiles:
     """The back-end side of one DUFS client instance. ``layout`` is read
     when used, never copied: the layout ablation switches it after the
-    deployment is built. ``wblog`` is None on a synchronous mount, which
-    alone keeps spares; ``hints`` is off beside the coherent cache."""
+    deployment is built. A synchronous mount alone keeps spares; a
+    write-behind one (``behind``) reclaims inline. ``hints`` is off beside
+    the coherent cache."""
 
     def __init__(self, node: Node, backends: List, mapping: MappingFunction,
-                 client_id: Optional[int], layout: str, hints: bool, wblog):
+                 client_id: Optional[int], hints: bool, behind: bool):
         if mapping.n_backends != len(backends):
             raise ValueError("mapping size != number of back-ends")
         self.node, self.backends, self.mapping = node, backends, mapping
-        self.layout = layout
+        self.layout = "amortized"
         self.fidgen = FIDGenerator(client_id)
         self.degraded: set = set()
         # Per back-end: hash directories made or found; each one in flight
         # -> the Event its call fires when done.
         self._known_dirs: List[set] = [set() for _ in backends]
         self._making: List[dict] = [{} for _ in backends]
-        # Physical path -> Event of each file the drain still owes.
-        self._unmade: dict = {}
         self._fids: dict = {}   # FID hints: path -> FID made there
         self._hints = hints
         # Spares: FID -> the process making its file, oldest first. Each
-        # create in flight: FID -> whether a spare made its file.
-        self._spares: Optional[dict] = {} if wblog is None else None
+        # create until the op runner has run it: FID -> the Event that
+        # fires once its file is made (its spare's process, or the one
+        # the drain owes), or None when the op runner makes it.
+        self._spares: Optional[dict] = None if behind else {}
         self._creating: dict = {}
         # Reclaims: the FID of each file whose name is going or gone, not
         # yet unlinked; caller -> its reclaim process.
         self._reclaims: set = set()
         self._paced: dict = {}
         self._lost: List[int] = []  # FIDs of the files a crash cut off
-        self._wblog = wblog
         node.on_crash(self._on_crash)
         for b in range(len(backends)):
             node.shielded(self._mount(b), "dufs-mount")
 
     # -- crash and residue ---------------------------------------------------
     def _on_crash(self) -> None:
-        """The one crash rule: hints and the drain's waiters die with the
-        node; spares, creates and reclaims in flight become ``_lost``."""
+        """The one crash rule: hints and the reclaims' pacing die with the
+        node; the files it owns become ``_lost``."""
         self._fids.clear()
-        self._unmade.clear()
         self._paced.clear()
-        self._lost += [*(self._spares or ()), *self._creating, *self._reclaims]
+        self._lost += self.residue()[0]
         self._creating.clear()
         self._reclaims.clear()
         if self._spares:
             self._spares.clear()
 
-    def residue(self) -> Tuple[List[int], List[int], List[int]]:
+    def residue(self) -> Tuple[List[int], List[int]]:
         """The FIDs of the unnamed files this mount may leave, in the
-        auditor's classes: live spares; files a crash cut off; files of
-        write-behind ops acked and never completed."""
-        unacked = [] if self._wblog is None else [
-            op.payload.fid for op in self._wblog.lost_ops()
-            if op.kind in ("create", "delete")
-            and isinstance(op.payload, FilePayload)]
-        return list(self._spares or ()), self._lost, unacked
+        auditor's two classes: the files it owns (spares, creates and
+        reclaims in flight, in either write mode) and those a crash cut
+        off."""
+        return [*(self._spares or ()), *self._creating, *self._reclaims], \
+            self._lost
 
     # -- the map and degraded mode -------------------------------------------
     def locate(self, fid: int) -> Tuple[int, str]:
@@ -98,21 +95,26 @@ class PhysicalFiles:
             raise FSError(EIO, path, f"back-end {backend} unavailable "
                                      "(degraded mode)")
 
-    def _owed(self, ppath: str):
-        """The one owed-file check: the drain's Event for ``ppath`` or None."""
-        return self._unmade.get(ppath) if self._unmade else None
+    def _owed(self, fid: int):
+        """The one owed-file check: the Event of ``fid``'s file while the
+        drain still owes it, else None."""
+        owed = self._creating.get(fid)
+        return None if owed is None or owed.triggered else owed
 
-    def call(self, backend: int, method: str, *args) -> Generator:
-        """Every back-end access: EIO on a degraded back-end instead of a
-        hang. One on a file the drain owes waits for it, except a stat,
-        which answers None (the pending create is the answer)."""
-        owed = None if method == "create" else self._owed(args[0])
+    def call(self, fid: int, method: str, *args) -> Generator:
+        """Every access to ``fid``'s file: EIO on a degraded back-end
+        instead of a hang. One on a file the drain owes waits for it,
+        except a stat, which answers None (the pending create is the
+        answer)."""
+        owed = self._owed(fid)
         if owed is not None and method == "stat":
             return None
+        backend, ppath = self.locate(fid)
         self._require_up(backend)
         if owed is not None:
             yield owed
-        return (yield from getattr(self.backends[backend], method)(*args))
+        op = getattr(self.backends[backend], method)
+        return (yield from op(ppath, *args))
 
     # -- the chain -----------------------------------------------------------
     def _make_dirs(self, backend: int, dirs: List[str]) -> Generator:
@@ -130,7 +132,8 @@ class PhysicalFiles:
                     yield making[d]     # joined: its call made it, or not
                 if d not in known:
                     try:
-                        yield from self.call(backend, "mkdir", d)
+                        self._require_up(backend)
+                        yield from self.backends[backend].mkdir(d)
                     except FSError as exc:
                         if exc.err != EEXIST:
                             raise
@@ -160,9 +163,10 @@ class PhysicalFiles:
                 and self.mapping.backend_for(fid) in self.degraded:
             return self._fresh_fid(path)
         if fid is not None:
-            self._creating[fid] = False     # its spare's make must not skip
-            if (yield spares.pop(fid)) == Outcome():
-                self._creating[fid] = True
+            made = spares.pop(fid)
+            self._creating[fid] = None      # its spare's make must not skip
+            if (yield made) == Outcome():
+                self._creating[fid] = made
             else:
                 del self._creating[fid]     # it made no file
                 fid = None
@@ -173,44 +177,48 @@ class PhysicalFiles:
         return fid
 
     def _fresh_fid(self, path: str) -> int:
+        """A FID whose file the op runner makes: on a write-behind mount,
+        under the Event the drain then owes."""
         fid = self.fidgen.next()
         self._require_up(self.mapping.backend_for(fid), path)
-        self._creating[fid] = False
+        self._creating[fid] = None if self._spares is not None \
+            else self.node.sim.event()
         return fid
 
-    def settle(self, fid: int, path: Optional[str] = None) -> None:
-        """The create of ``fid`` returned, named at ``path`` or not (None)."""
+    def settle(self, fid: int) -> None:
+        """The op runner has run the create of ``fid``: it landed, was
+        rolled back, or nobody can tell."""
         self._creating.pop(fid, None)   # a crash cleared it already
-        if path is not None and self._hints:
+
+    def hint(self, path: str, fid: int) -> None:
+        """The create of ``fid`` at ``path`` returned to its caller."""
+        if self._hints:
             self._fids[path] = fid
 
-    def owe(self, fid: int) -> None:
-        """A write-behind create was acked: its drain owes ``fid``'s file."""
-        self._unmade[physical_path(fid, self.layout)] = self.node.sim.event()
-
     def make(self, fid: int, mode: int) -> Generator:
-        """Steps C/D of Fig. 3 unless a spare made the file: the chain, then
-        the create. Returns the FSError when the file was not made."""
-        if self._creating.get(fid):
-            return None
+        """Steps C/D of Fig. 3 unless its spare made the file: the chain,
+        then the create, then the Event the drain owes fires. Returns the
+        FSError when the file was not made."""
+        made = self._creating.get(fid)
+        if made is not None and made.triggered:
+            return None                     # its spare made it
         backend, ppath = self.locate(fid)
         try:
             yield from self._make_dirs(backend,
                                        physical_dirs(fid, self.layout))
-            yield from self.call(backend, "create", ppath, mode)
+            self._require_up(backend)
+            yield from self.backends[backend].create(ppath, mode)
             err = None
         except FSError as exc:
             err = exc
-        made = self._unmade.pop(ppath, None)
         if made is not None:
             made.succeed()
         return err
 
     def unlink(self, fid: int) -> Generator:
         """Best effort: a failure leaves an orphan, not an error."""
-        backend, ppath = self.locate(fid)
         try:
-            yield from self.call(backend, "unlink", ppath)
+            yield from self.call(fid, "unlink")
         except FSError:
             pass
 
@@ -223,14 +231,15 @@ class PhysicalFiles:
 
     def reclaim(self, fid: int, landed: bool = True) -> Generator:
         """The delete of ``fid``'s name settled. If it landed, unlink the
-        file: inline in a write-behind drain (its loss window covers it),
-        else in a process of its own after the caller's previous one, so a
-        back-end slower than the namespace still paces each caller."""
+        file: inline in a write-behind drain (the op is in flight until
+        it returns), else in a process of its own after the caller's
+        previous one, so a back-end slower than the namespace still paces
+        each caller."""
         if not landed:
             self._reclaims.discard(fid)
             return
         self._reclaims.add(fid)
-        if self._wblog is not None:
+        if self._spares is None:
             yield from self._reclaimed(fid)
             return
         caller = self.node.sim.active
@@ -250,8 +259,8 @@ class PhysicalFiles:
         """Spend ``path``'s FID hint: None when there is none or the drain
         still owes its file (no back-end stat to overlap)."""
         fid = self._fids.pop(path, None)
-        if fid is not None and self._unmade \
-                and self._owed(physical_path(fid, self.layout)) is not None:
+        if fid is not None and self._creating \
+                and self._owed(fid) is not None:
             return None
         return fid
 

@@ -31,8 +31,9 @@ DUFS client:
 - every drained op completes only after the physical steps the runner
   takes around its metadata call (a file create's physical file before
   its znode, a landed file delete's unlink after it, a rejected create's
-  rollback): no name maps to a missing file, and :meth:`lost_ops` covers
-  every physical step a crash cuts short;
+  rollback): no name maps to a missing file, and until the runner
+  returns the client's :class:`~repro.core.physical.PhysicalFiles` holds
+  the op's file as in flight, as it does a synchronous op's;
 - a rejected op (the quorum refused it, or its physical file could not
   be made, after the caller was already acked) rolls its overlay entry
   back and surfaces through :meth:`pop_errors` at the next barrier —
@@ -42,8 +43,9 @@ DUFS client:
 Crash semantics: the log lives on the client node, so a node crash
 interrupts every in-flight drain process. Whatever was acked
 but not yet committed — at most ``max_pending`` ops — is the **bounded
-loss window**; :meth:`lost_ops` exposes it so the chaos auditor can
-count lost-unacked residue separately from real damage.
+loss window**. The log forgets it; the files its creates and deletes
+may leave unnamed are the physical side's crash residue, the one rule
+the chaos auditor applies to both write modes.
 """
 
 from __future__ import annotations
@@ -114,7 +116,6 @@ class WriteBehindLog:
         self.stats = {"acked": 0, "committed": 0, "rejected": 0, "stalls": 0}
         self._seq = 0
         self._pending: Dict[int, PendingOp] = {}    # seq -> op, in order
-        self._lost: List[PendingOp] = []            # crash-lost acked ops
         self._errors: List[Tuple[PendingOp, FSError]] = []
         self._barriers: List[Event] = []
         self._stalled: List[Event] = []
@@ -173,26 +174,18 @@ class WriteBehindLog:
     def __len__(self) -> int:
         return len(self._pending)
 
-    def lost_ops(self) -> List[PendingOp]:
-        """Every acked op with no commit: the ones a node crash already
-        dropped plus the window still pending right now — the auditor's
-        lost-unacked set, in program order."""
-        return self._lost + [self._pending[s] for s in sorted(self._pending)]
-
     # -- crash semantics -----------------------------------------------------
     def _on_crash(self) -> None:
         """The client node died: the volatile log and every in-flight
-        drain process die with it. Acked-but-uncommitted ops become the
+        drain process die with it. Acked-but-uncommitted ops are the
         bounded loss (at most ``max_pending``); their overlay entries are
         forgotten — a restarted client starts cold, it does not remember
         ghosts."""
         self._queue.clear()
         self._inflight.clear()
-        lost = [self._pending[s] for s in sorted(self._pending)]
-        self._pending.clear()
-        self._lost.extend(lost)
-        for op in lost:
+        for op in self._pending.values():
             self.mdcache.overlay_forget(op.path, op.seq)
+        self._pending.clear()
         # Waiters (barriers, stalled appenders) ran on this node and were
         # interrupted with it; the events just get dropped.
         self._barriers.clear()

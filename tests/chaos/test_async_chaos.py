@@ -3,9 +3,10 @@ acked-but-uncommitted window, never become namespace damage.
 
 The acceptance claim: a chaos run with async writes enabled still audits
 clean — a client crash mid-drain may *lose* whatever was acked but not
-yet quorum-committed (the mode's advertised bounded loss, counted as
-``lost_unacked``), but it may not leave dangling mappings or orphan FIDs
-the auditor cannot attribute to that window.
+yet quorum-committed (the mode's advertised bounded loss, whose files
+count as ``lost_spares``, the crash residue of a synchronous client
+too), but it may not leave dangling mappings or orphan FIDs the auditor
+cannot attribute to that window.
 """
 
 import pytest
@@ -55,16 +56,17 @@ def test_client_crash_mid_drain_bounds_loss_to_unacked_window():
     node.recover()
     sim.run(until=sim.now + 2.0)
 
-    lost = len(cli.wblog.lost_ops())
+    stats = cli.wblog.stats
+    lost = stats["acked"] - stats["committed"] - stats["rejected"]
     assert lost > 0
     report = audit_dufs(dep)
     assert report.ok, report.to_text()
     # Every orphaned physical file is attributed to the lost window —
     # some lost ops committed server-side before the ack bookkeeping
-    # died, so lost_unacked is bounded by (not equal to) the lost ops.
-    assert 0 < report.lost_unacked <= lost
-    assert "lost-unacked" in report.to_text()
-    assert report.to_dict()["lost_unacked"] == report.lost_unacked
+    # died, so lost_spares is bounded by (not equal to) the lost ops.
+    assert 0 < report.lost_spares <= lost
+    assert f"{report.lost_spares} lost" in report.to_text()
+    assert report.to_dict()["lost_spares"] == report.lost_spares
 
 
 def test_client_recovers_cold_and_keeps_working_after_crash():
@@ -115,7 +117,7 @@ def test_client_recovers_cold_and_keeps_working_after_crash():
 def test_lost_pending_deletes_are_excused_not_damage():
     """The delete direction: the znode delete commits at drain and only
     then is the physical file unlinked. A crash between the two leaves
-    orphan physical files the auditor attributes to the lost window; no
+    orphan physical files the auditor counts as the crash's residue; no
     lost delete can leave a dangling mapping."""
     dep = build_async_dep(seed=11)
     cli = dep.clients[0]
@@ -153,7 +155,7 @@ def test_lost_pending_deletes_are_excused_not_damage():
     report = audit_dufs(dep)
     assert report.count("dangling-mapping") == 0
     assert report.ok, report.to_text()
-    assert report.lost_unacked > 0
+    assert report.lost_spares > 0
 
 
 def test_delete_refused_after_a_remote_rename_keeps_the_file():

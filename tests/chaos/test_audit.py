@@ -53,6 +53,29 @@ def test_detects_orphan_physical_file(dep):
     assert v.path == "/stray"
 
 
+def test_a_create_in_flight_owns_its_file_and_a_stray_is_an_orphan():
+    """Audited while a synchronous create's znode write is in flight
+    behind a slowed link: the file its spare made is one the mount owns,
+    counted among the spares like the next spare, not an orphan. A file
+    that no mount holds still is one."""
+    dep = build_dufs_deployment(n_zk=1, n_backends=2, n_client_nodes=1,
+                                backend="local", seed=2, co_locate_zk=False)
+    populate(dep, n_files=1)
+    sim, node = dep.cluster.sim, dep.client_nodes[0]
+    dep.cluster.network.degrade_link(
+        node.name, dep.ensemble.servers[0].node.name, latency_factor=1e4)
+    create = node.spawn(dep.clients[0].create("/d/late"))
+    sim.run(until=sim.now + 0.1)
+    assert not create.triggered         # its znode write is on the link
+    dep.backends[0].ns.create("/stray", 0o644, 0.0)
+    report = audit_dufs(dep)
+    # /d/f0, the create's file, the next spare and the stray:
+    assert report.checked_files == 4
+    assert (report.spares, report.lost_spares) == (2, 0)
+    assert [(v.kind, v.path) for v in report.violations] == \
+        [("orphan-fid", "/stray")]
+
+
 def test_detects_dangling_mapping(dep):
     populate(dep, n_files=3)
     # Remove one physical file behind the namespace's back.

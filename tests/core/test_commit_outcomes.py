@@ -147,7 +147,7 @@ class Rig:
     def spares(self):
         """The mount's live spares: a synchronous mount's first file
         create starts one, whatever became of the create."""
-        return len(self.client.files.residue()[0])
+        return len(self.client.files._spares or ())
 
     def outcome(self, op, *args):
         """Run one op and the flush that follows it; ``"ok"`` or the

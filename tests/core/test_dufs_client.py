@@ -91,7 +91,7 @@ def test_file_lands_on_exactly_one_backend_at_fid_path(dufs):
     dufs.run(main())
     fid = client.files.fidgen.client_id << 64  # counter 0
     spare = fid + 1                      # counter 1: the mount's spare
-    assert client.files.residue() == ([spare], [], [])
+    assert client.files.residue() == ([spare], [])
     counts = dufs.backend_file_counts()
     assert sum(counts) == 1 + 1
     for f in (fid, spare):

@@ -17,8 +17,8 @@ def restart_client(dep, index):
                    name=f"restarted{index}")
     old = dep.clients[index]
     new = DUFSClient(node, zkc, old.backends,
-                     mapping=MappingFunction(len(old.backends)),
-                     layout=old.files.layout)
+                     mapping=MappingFunction(len(old.backends)))
+    new.files.layout = old.files.layout
     return new
 
 

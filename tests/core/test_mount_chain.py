@@ -72,9 +72,9 @@ def test_the_paper_layout_makes_nothing_at_mount():
     dep = build_dufs_deployment(n_zk=1, n_backends=2, n_client_nodes=1)
     calls = count_calls(dep.clients[0])
     dep.clients[0].files.layout = "paper"
-    DUFSClient(dep.client_nodes[0], dep.zk_clients[0],
-               [Counting(be.client(), calls) for be in dep.backends],
-               layout="paper")
+    late = DUFSClient(dep.client_nodes[0], dep.zk_clients[0],
+                      [Counting(be.client(), calls) for be in dep.backends])
+    late.files.layout = "paper"
     dep.cluster.sim.run()
     assert calls == []
 

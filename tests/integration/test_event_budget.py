@@ -450,10 +450,12 @@ def test_a_stat_of_an_undrained_create_starts_no_back_end_stat(
     sim.run(until=sim.now + 1.0)        # the drain is in the held create
     if not hinted:
         client.files._fids.clear()
-    assert ("/f" in client.files._fids) == hinted and client.files._unmade
+    owed = [ev.triggered for ev in client.files._creating.values()]
+    assert ("/f" in client.files._fids) == hinted and owed == [False]
     before = sim._eid
     st = sim.run(until=node.spawn(client.stat("/f")))
-    assert st.is_file and client.files._unmade
+    assert st.is_file and [
+        ev.triggered for ev in client.files._creating.values()] == [False]
     assert PENDING_STAT_IDS == 3
     assert sim._eid - before == PENDING_STAT_IDS
 
