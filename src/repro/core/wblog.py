@@ -224,7 +224,7 @@ class WriteBehindLog:
         """One drained op's process: the runner's error is a deferred
         rejection; a create that landed then primes the metadata cache
         with the new path, off the barrier. A node crash interrupts it
-        (``_on_crash`` moved an uncompleted op into the lost window).
+        (``_on_crash`` dropped the uncompleted op with the window).
         Anything else escapes, and the strict simulator aborts the run on
         it: a drain bug stays loud."""
         try:

@@ -3,11 +3,10 @@ file it named is reclaimed by a process of its own on the client node.
 
 The write-behind client keeps the unlink inside the drained op, which
 holds the file as in flight until it returns; these tests pin the
-synchronous side: the back-end
-file still exists when ``unlink`` (or a ``rename`` over a file) returns,
-is gone once the simulation drains, and a crash in between leaves that
-one file as crash residue the client lists for the auditor — never a name
-without its file.
+synchronous side: the back-end file still exists when ``unlink`` (or a
+``rename`` over a file) returns, is gone once the simulation drains,
+and a crash in between leaves that one file as crash residue the client
+lists for the auditor — never a name without its file.
 """
 
 import pytest
